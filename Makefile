@@ -13,13 +13,15 @@ test:
 vet:
 	$(GO) vet ./...
 
-# check is the full pre-merge gate: static analysis, a clean build of every
-# package (examples included, so they cannot rot), and the whole test suite —
+# check is the full pre-merge gate: formatting (gofmt -l must list nothing),
+# static analysis, a clean build of every package (examples included, so they
+# cannot rot), and the whole test suite —
 # golden-run scenario regressions and fuzz seed corpora included — under the
 # race detector. The explicit -timeout covers the experiment package, whose
 # catalog-wide equivalence suites re-run every registered scenario several
 # ways and outgrew go test's default 10m budget under the race detector.
 check:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l lists:"; echo "$$out"; exit 1; }
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race -timeout 30m ./...
@@ -91,10 +93,12 @@ chaos-smoke:
 # entries included) is snapshotted mid-run and resumed under the race
 # detector, and the resumed result must be bit-identical to the
 # uninterrupted run — mid-fault-window snapshots too. A failure means live
-# state stopped round-tripping through the snapshot format.
+# state stopped round-tripping through the snapshot format. The same pass
+# requires every snapshot a run takes through its reused capture session to
+# equal a fresh capture byte for byte, catalog-wide.
 crash-smoke:
 	$(GO) test -race -count=1 ./internal/experiment \
-		-run 'TestKillAndResumeEquivalence|TestCheckpointUnderActiveFaults|TestRestoreThenReuseInvariance'
+		-run 'TestKillAndResumeEquivalence|TestCheckpointUnderActiveFaults|TestRestoreThenReuseInvariance|TestSessionMatchesFreshCapture'
 
 # serve-smoke is the service-mode crash-recovery gate: it starts a real
 # maficserve process, submits a long checkpointing job, kill -9s the process

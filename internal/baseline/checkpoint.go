@@ -11,9 +11,9 @@ type DropperState struct {
 	Stats    Stats
 }
 
-// CheckpointState captures the dropper's dynamic state.
-func (p *Dropper) CheckpointState() DropperState {
-	return DropperState{Active: p.active, VictimIP: p.victimIP, Stats: p.stats}
+// CheckpointState captures the dropper's dynamic state into dst.
+func (p *Dropper) CheckpointState(dst *DropperState) {
+	*dst = DropperState{Active: p.active, VictimIP: p.victimIP, Stats: p.stats}
 }
 
 // RestoreState overlays captured dynamic state onto a rebuilt dropper.

@@ -1,8 +1,9 @@
 package checkpoint
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mafic/internal/baseline"
 	"mafic/internal/core"
@@ -167,58 +168,200 @@ type handlerRole struct {
 	index uint32
 }
 
-// Capture walks the live run and assembles a Snapshot. scenarioJSON is the
-// serialized Scenario the resume path will rebuild from. The run must be
-// paused at an event boundary (between RunUntil calls); Capture only reads.
-func Capture(w *World, scenarioJSON []byte) (*Snapshot, error) {
-	snap := &Snapshot{
-		Scenario:  scenarioJSON,
-		BuildSeq:  w.BuildSeq,
-		Now:       w.Sched.Now(),
-		NextSeq:   w.Sched.Seq(),
-		Processed: w.Sched.Processed(),
-		Flags:     w.Flags,
-	}
+// eventKey orders captured events by sequence number without moving the
+// events themselves: at is the event's position in the capture-order scratch.
+type eventKey struct {
+	seq uint64
+	at  uint32
+}
 
+// Session captures one run repeatedly. Everything about a run whose shape
+// does not change between snapshots — the handler registry, the link list,
+// the scenario JSON — is computed once, and every capture refills the same
+// scratch Snapshot in place, so a steady-state capture allocates nothing.
+// See the package documentation ("Cost and lifetime") for what that implies
+// for the returned Snapshot.
+type Session struct {
+	// World is the run being captured. The owner updates World.Flags before
+	// each Capture; every other field is fixed for the session's lifetime.
+	World *World
+
+	snap Snapshot
+
+	// The handler identity registry: every object runtime events can dispatch
+	// through, keyed by the exact interface value the scheduler holds, and
+	// the links in ForEachLink order. Both are rebuilt when the world's
+	// link, flow or defender count differs from the one they were built for.
+	handlers map[any]handlerRole
+	links    []*netsim.Link
+	builtFor [3]int
+
+	// Per-capture scratch: events in scheduler-slot order with their sort
+	// keys, the probe-record dedupe table, and the owned copies of delayed
+	// epoch reports (an EventState only holds their slice headers).
+	events   []EventState
+	keys     []eventKey
+	probeIdx map[any]uint32
+	reports  []trafficmatrix.EpochReportState
+}
+
+// NewSession returns a capture session over the given run. scenarioJSON is
+// the serialized Scenario the resume path will rebuild from.
+func NewSession(w *World, scenarioJSON []byte) *Session {
+	return &Session{
+		World:    w,
+		snap:     Snapshot{Scenario: scenarioJSON},
+		handlers: make(map[any]handlerRole),
+		builtFor: [3]int{-1}, // no world has this shape: the first capture builds the registry
+		probeIdx: make(map[any]uint32),
+	}
+}
+
+// Capture is the one-shot form: a fresh session's first capture.
+func Capture(w *World, scenarioJSON []byte) (*Snapshot, error) {
+	return NewSession(w, scenarioJSON).Capture()
+}
+
+// shape is what the handler registry depends on.
+func (s *Session) shape() [3]int {
+	w := s.World
+	return [3]int{w.Net.LinkTotal(), len(w.Workload.Flows), len(w.MAFIC)}
+}
+
+// buildRegistry indexes every handler identity of the world.
+func (s *Session) buildRegistry() {
+	w := s.World
+	clear(s.handlers)
+	s.links = s.links[:0]
+	w.Net.ForEachLink(func(l *netsim.Link) {
+		s.handlers[l] = handlerRole{kind: EvLinkTx, index: uint32(len(s.links))}
+		s.links = append(s.links, l)
+	})
+	for i, f := range w.Workload.Flows {
+		if h := traffic.SendHandler(f); h != nil {
+			s.handlers[h] = handlerRole{kind: EvFlowSend, index: uint32(i)}
+		}
+		if ph, eh := traffic.PhaseHandlers(f); ph != nil {
+			s.handlers[ph] = handlerRole{kind: EvFlowPhase, index: uint32(i)}
+			s.handlers[eh] = handlerRole{kind: EvFlowEnd, index: uint32(i)}
+		}
+	}
+	if w.Monitor != nil {
+		s.handlers[w.Monitor] = handlerRole{kind: EvMonitorTick}
+	}
+	for i, d := range w.MAFIC {
+		ps, we := d.ProbeHandlers()
+		s.handlers[ps] = handlerRole{kind: EvProbeSend, index: uint32(i)}
+		s.handlers[we] = handlerRole{kind: EvWindowEnd, index: uint32(i)}
+	}
+	s.builtFor = s.shape()
+}
+
+// Capture walks the live run and refills the session's Snapshot. The run must
+// be paused at an event boundary (between RunUntil calls); Capture only
+// reads. The returned Snapshot is the session's own and is overwritten by the
+// next Capture.
+func (s *Session) Capture() (*Snapshot, error) {
+	w := s.World
+	snap := &s.snap
+	snap.BuildSeq = w.BuildSeq
+	snap.Now = w.Sched.Now()
+	snap.NextSeq = w.Sched.Seq()
+	snap.Processed = w.Sched.Processed()
+	snap.Flags = w.Flags
+
+	snap.Streams = snap.Streams[:0]
 	for i := 0; i < w.RNG.StreamCount(); i++ {
 		seed, draws := w.RNG.StreamState(i)
 		snap.Streams = append(snap.Streams, StreamState{Seed: seed, Draws: draws})
 	}
 
-	// Handler identity registry: every object runtime events can dispatch
-	// through, keyed by the exact interface value the scheduler holds.
-	handlers := make(map[any]handlerRole)
-	links := make([]*netsim.Link, 0, w.Net.LinkTotal())
-	w.Net.ForEachLink(func(l *netsim.Link) {
-		handlers[l] = handlerRole{kind: EvLinkTx, index: uint32(len(links))}
-		links = append(links, l)
-	})
-	for i, f := range w.Workload.Flows {
-		if h := traffic.SendHandler(f); h != nil {
-			handlers[h] = handlerRole{kind: EvFlowSend, index: uint32(i)}
-		}
-		if ph, eh := traffic.PhaseHandlers(f); ph != nil {
-			handlers[ph] = handlerRole{kind: EvFlowPhase, index: uint32(i)}
-			handlers[eh] = handlerRole{kind: EvFlowEnd, index: uint32(i)}
-		}
+	if s.builtFor != s.shape() {
+		s.buildRegistry()
 	}
-	if w.Monitor != nil {
-		handlers[w.Monitor] = handlerRole{kind: EvMonitorTick}
-	}
-	for i, d := range w.MAFIC {
-		ps, we := d.ProbeHandlers()
-		handlers[ps] = handlerRole{kind: EvProbeSend, index: uint32(i)}
-		handlers[we] = handlerRole{kind: EvWindowEnd, index: uint32(i)}
+	if err := s.captureEvents(); err != nil {
+		return nil, err
 	}
 
-	probeIdx := make(map[any]uint32)
+	snap.Links = resize(snap.Links, len(s.links))
+	for i, l := range s.links {
+		l.CheckpointState(&snap.Links[i])
+	}
+	snap.Nodes = snap.Nodes[:0]
+	w.Net.ForEachNode(func(id netsim.NodeID, r *netsim.Router, h *netsim.Host) {
+		snap.Nodes = append(snap.Nodes, NodeState{ID: id, Router: r != nil})
+		ns := &snap.Nodes[len(snap.Nodes)-1]
+		if r != nil {
+			r.CheckpointState(&ns.R)
+		} else {
+			h.CheckpointState(&ns.H)
+		}
+	})
+	w.Net.CheckpointState(&snap.Network)
+
+	if w.Monitor != nil {
+		w.Monitor.CheckpointState(&snap.Monitor)
+	}
+	if w.Coordinator != nil {
+		w.Coordinator.CheckpointState(&snap.Coordinator)
+	}
+	if w.Collector != nil {
+		w.Collector.CheckpointState(&snap.Collector)
+	}
+
+	// The defender records keep their probing-memory and table-entry backing
+	// from the previous capture; CheckpointState overwrites every field.
+	snap.DefKind = DefNone
+	snap.Defenders = resize(snap.Defenders, len(w.MAFIC))
+	snap.Droppers = resize(snap.Droppers, len(w.Baseline))
+	switch {
+	case len(w.MAFIC) > 0:
+		snap.DefKind = DefMAFIC
+	case len(w.Baseline) > 0:
+		snap.DefKind = DefBaseline
+	}
+	for i, d := range w.MAFIC {
+		d.CheckpointState(&snap.Defenders[i])
+	}
+	for i, d := range w.Baseline {
+		d.CheckpointState(&snap.Droppers[i])
+	}
+
+	snap.Flows = resize(snap.Flows, len(w.Workload.Flows))
+	for i, f := range w.Workload.Flows {
+		if err := traffic.CaptureFlowState(f, &snap.Flows[i]); err != nil {
+			return nil, err
+		}
+	}
+	snap.Victims = resize(snap.Victims, 1+len(w.Workload.ExtraServers))
+	w.Workload.Victim.CheckpointState(&snap.Victims[0])
+	for i, v := range w.Workload.ExtraServers {
+		v.CheckpointState(&snap.Victims[1+i])
+	}
+
+	return snap, nil
+}
+
+// captureEvents classifies every pending event against the registry into the
+// capture-order scratch, then lays the events out in sequence order in
+// snap.Events. Probe records are numbered in capture (scheduler-slot) order.
+func (s *Session) captureEvents() error {
+	w := s.World
+	snap := &s.snap
+	s.events = s.events[:0]
+	s.keys = s.keys[:0]
+	snap.ProbeRecs = snap.ProbeRecs[:0]
+	clear(s.probeIdx)
+	s.reports = s.reports[:0]
+
 	var captureErr error
 	w.Sched.ForEachPending(func(ev sim.PendingEvent) {
 		if captureErr != nil {
 			return
 		}
+		s.keys = append(s.keys, eventKey{seq: ev.Seq, at: uint32(len(s.events))})
 		if ev.Seq < w.BuildSeq {
-			snap.Events = append(snap.Events, EventState{At: ev.At, Seq: ev.Seq, Kind: EvBuild})
+			s.events = append(s.events, EventState{At: ev.At, Seq: ev.Seq, Kind: EvBuild})
 			return
 		}
 		if ev.Closure {
@@ -229,12 +372,13 @@ func Capture(w *World, scenarioJSON []byte) (*Snapshot, error) {
 		if key == nil {
 			key = ev.ArgH
 		}
-		role, ok := handlers[key]
+		role, ok := s.handlers[key]
 		if !ok {
 			captureErr = fmt.Errorf("checkpoint: runtime event %d at %v has unrecognised handler %T", ev.Seq, ev.At, key)
 			return
 		}
-		st := EventState{At: ev.At, Seq: ev.Seq, Kind: role.kind, Index: role.index}
+		s.events = append(s.events, EventState{At: ev.At, Seq: ev.Seq, Kind: role.kind, Index: role.index})
+		st := &s.events[len(s.events)-1]
 		switch role.kind {
 		case EvLinkTx:
 			if ev.ArgH != nil {
@@ -245,90 +389,52 @@ func Capture(w *World, scenarioJSON []byte) (*Snapshot, error) {
 					captureErr = fmt.Errorf("checkpoint: link arrival event %d carries %T, not a packet", ev.Seq, ev.Arg)
 					return
 				}
-				st.Packet = netsim.CapturePacket(pkt)
+				netsim.CapturePacket(pkt, &st.Packet)
 			}
 		case EvMonitorTick:
 			if ev.ArgH != nil {
 				st.Kind = EvMonitorLate
-				rep, err := w.Monitor.CaptureEpochReport(ev.Arg)
-				if err != nil {
-					captureErr = err
+				s.reports = resize(s.reports, len(s.reports)+1)
+				rep := &s.reports[len(s.reports)-1]
+				if captureErr = w.Monitor.CaptureEpochReport(ev.Arg, rep); captureErr != nil {
 					return
 				}
-				st.Report = rep
+				st.Report = *rep
 			}
 		case EvProbeSend, EvWindowEnd:
-			idx, seen := probeIdx[ev.Arg]
+			idx, seen := s.probeIdx[ev.Arg]
 			if !seen {
-				rec, err := w.MAFIC[role.index].CaptureProbeRecord(ev.Arg)
-				if err != nil {
-					captureErr = err
+				idx = uint32(len(snap.ProbeRecs))
+				snap.ProbeRecs = append(snap.ProbeRecs, ProbeRec{Def: role.index})
+				if captureErr = w.MAFIC[role.index].CaptureProbeRecord(ev.Arg, &snap.ProbeRecs[idx].State); captureErr != nil {
 					return
 				}
-				idx = uint32(len(snap.ProbeRecs))
-				snap.ProbeRecs = append(snap.ProbeRecs, ProbeRec{Def: role.index, State: rec})
-				probeIdx[ev.Arg] = idx
+				s.probeIdx[ev.Arg] = idx
 			}
 			st.Probe = idx
 		}
-		snap.Events = append(snap.Events, st)
 	})
 	if captureErr != nil {
-		return nil, captureErr
-	}
-	sort.Slice(snap.Events, func(i, j int) bool { return snap.Events[i].Seq < snap.Events[j].Seq })
-
-	for _, l := range links {
-		snap.Links = append(snap.Links, l.CheckpointState())
-	}
-	w.Net.ForEachNode(func(id netsim.NodeID, r *netsim.Router, h *netsim.Host) {
-		ns := NodeState{ID: id}
-		if r != nil {
-			ns.Router = true
-			ns.R = r.CheckpointState()
-		} else {
-			ns.H = h.CheckpointState()
-		}
-		snap.Nodes = append(snap.Nodes, ns)
-	})
-	snap.Network = w.Net.CheckpointState()
-
-	if w.Monitor != nil {
-		snap.Monitor = w.Monitor.CheckpointState()
-	}
-	if w.Coordinator != nil {
-		snap.Coordinator = w.Coordinator.CheckpointState()
-	}
-	if w.Collector != nil {
-		snap.Collector = w.Collector.CheckpointState()
+		return captureErr
 	}
 
-	switch {
-	case len(w.MAFIC) > 0:
-		snap.DefKind = DefMAFIC
-		for _, d := range w.MAFIC {
-			snap.Defenders = append(snap.Defenders, d.CheckpointState())
-		}
-	case len(w.Baseline) > 0:
-		snap.DefKind = DefBaseline
-		for _, d := range w.Baseline {
-			snap.Droppers = append(snap.Droppers, d.CheckpointState())
-		}
+	// Sequence numbers are unique, so sorting the 16-byte keys fixes the
+	// order; each event is then copied once into its final slot.
+	slices.SortFunc(s.keys, func(a, b eventKey) int { return cmp.Compare(a.seq, b.seq) })
+	snap.Events = resize(snap.Events, len(s.keys))
+	for i, k := range s.keys {
+		snap.Events[i] = s.events[k.at]
 	}
+	return nil
+}
 
-	for _, f := range w.Workload.Flows {
-		fs, err := traffic.CaptureFlowState(f)
-		if err != nil {
-			return nil, err
-		}
-		snap.Flows = append(snap.Flows, fs)
+// resize returns s with length n, keeping the elements (and whatever backing
+// they own) it already holds within its capacity.
+func resize[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = slices.Grow(s[:cap(s)], n-cap(s))
 	}
-	snap.Victims = append(snap.Victims, w.Workload.Victim.CheckpointState())
-	for _, v := range w.Workload.ExtraServers {
-		snap.Victims = append(snap.Victims, v.CheckpointState())
-	}
-
-	return snap, nil
+	return s[:n]
 }
 
 // Restore overlays a snapshot onto a freshly rebuilt world. The rebuild must

@@ -13,10 +13,21 @@ import (
 	"mafic/internal/trafficmatrix"
 )
 
-// Encode serializes a snapshot into the sectioned wire format.
+// Encode serializes a snapshot into the sectioned wire format. The encoders
+// run twice — first against a counting writer, then for real — so the output
+// is one allocation of exactly the encoded size, sized by the very code that
+// fills it. It is a fresh buffer on every call: callers hand it to sinks that
+// keep it.
 func Encode(snap *Snapshot) []byte {
-	w := &writer{b: make([]byte, 0, 4096)}
-	w.b = append(w.b, snapshotMagic[:]...)
+	w := &writer{counting: true}
+	encodeSnapshot(w, snap)
+	*w = writer{b: make([]byte, 0, w.n)}
+	encodeSnapshot(w, snap)
+	return w.b
+}
+
+func encodeSnapshot(w *writer, snap *Snapshot) {
+	w.raw(snapshotMagic[:])
 	w.u32(SnapshotVersion)
 
 	w.section(secScenario, func(w *writer) { w.bytes(snap.Scenario) })
@@ -211,8 +222,6 @@ func Encode(snap *Snapshot) []byte {
 		w.boolean(snap.Flags.DetectedByPushback)
 		w.i64(snap.Flags.ATRCount)
 	})
-
-	return w.b
 }
 
 func encodeLabel(w *writer, l netsim.FlowLabel) {

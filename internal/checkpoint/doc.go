@@ -51,6 +51,42 @@
 // affected, SnapshotVersion — is updated deliberately. New state cannot
 // silently miss the snapshot.
 //
+// # Cost and lifetime
+//
+// A run that checkpoints often takes every snapshot through one Session, so
+// that a snapshot repeats none of the work of the one before it. The session
+// caches what cannot change while the run is alive — the handler registry and
+// the link list (rebuilt only if the world's link, flow or defender count
+// differs from the one they were built for) and the scenario JSON — and owns
+// one scratch Snapshot that every Capture refills in place: each slice is
+// truncated and re-appended, the per-counter sketch bucket arrays, collector
+// bins, route destinations, coordinator tables, flow-table entries, probing
+// memory and the probe-record dedupe map keep their backing, and pending
+// events are ordered by sorting 16-byte (seq, position) keys and copying each
+// event once into its final slot. The engine packages' capture methods
+// (CheckpointState, CaptureFlowState, CapturePacket, …) all fill a
+// destination the caller supplies for that reason. Once warm, a capture
+// allocates nothing, unless the run holds more state than at any earlier
+// snapshot and a scratch slice has to grow.
+//
+// The price is lifetime: the *Snapshot a Session returns is the session's
+// own and is valid only until that session's next Capture. Encode it (or copy
+// what you need) first. The one-shot Capture function is a fresh session's
+// first capture, so its Snapshot stays valid for as long as it is referenced.
+// A session must not outlive its run: the registry holds the run's pooled
+// objects by identity.
+//
+// Encode runs its section encoders twice, first against a writer that only
+// counts, so the output is a single allocation of exactly the encoded size.
+// That buffer is never reused. Save callbacks own the bytes they are handed —
+// the tests and the benchmark's in-memory sinks keep the slices across calls,
+// as anything holding "the newest snapshot" would — so recycling the output
+// would silently corrupt kept snapshots, and the experiment package pins the
+// contract with a test that retains every snapshot of a run and checks them
+// after it has finished. The output buffer is therefore the one allocation a
+// steady-state snapshot makes, and the floor of what checkpointing costs in
+// memory traffic.
+//
 // The experiment package owns the harness entry points: RunWithCheckpoints
 // pauses a run at requested virtual times and hands each encoded snapshot to
 // a save callback; RunFromSnapshot decodes, rebuilds, overlays and runs to

@@ -52,12 +52,31 @@ const (
 	secFlags       uint8 = 15
 )
 
-// writer accumulates the encoded snapshot.
+// writer accumulates the encoded snapshot. In counting mode it only adds up
+// what would have been written, which is how Encode sizes its one buffer with
+// the very encoders that then fill it.
 type writer struct {
-	b []byte
+	b        []byte
+	n        int
+	counting bool
 }
 
-func (w *writer) u8(v uint8)    { w.b = append(w.b, v) }
+func (w *writer) raw(v []byte) {
+	if w.counting {
+		w.n += len(v)
+		return
+	}
+	w.b = append(w.b, v...)
+}
+
+func (w *writer) u8(v uint8) {
+	if w.counting {
+		w.n++
+		return
+	}
+	w.b = append(w.b, v)
+}
+
 func (w *writer) boolean(v bool) {
 	if v {
 		w.u8(1)
@@ -65,17 +84,38 @@ func (w *writer) boolean(v bool) {
 		w.u8(0)
 	}
 }
-func (w *writer) u16(v uint16) { w.b = binary.LittleEndian.AppendUint16(w.b, v) }
-func (w *writer) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *writer) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *writer) i64(v int64)  { w.u64(uint64(v)) }
-func (w *writer) f64(v float64) {
-	w.u64(math.Float64bits(v))
+
+func (w *writer) u16(v uint16) {
+	if w.counting {
+		w.n += 2
+		return
+	}
+	w.b = binary.LittleEndian.AppendUint16(w.b, v)
 }
+
+func (w *writer) u32(v uint32) {
+	if w.counting {
+		w.n += 4
+		return
+	}
+	w.b = binary.LittleEndian.AppendUint32(w.b, v)
+}
+
+func (w *writer) u64(v uint64) {
+	if w.counting {
+		w.n += 8
+		return
+	}
+	w.b = binary.LittleEndian.AppendUint64(w.b, v)
+}
+
+func (w *writer) i64(v int64)     { w.u64(uint64(v)) }
+func (w *writer) f64(v float64)   { w.u64(math.Float64bits(v)) }
 func (w *writer) time(v sim.Time) { w.i64(int64(v)) }
+
 func (w *writer) bytes(v []byte) {
 	w.u32(uint32(len(v)))
-	w.b = append(w.b, v...)
+	w.raw(v)
 }
 
 // section writes a completed section: the payload built by fn, prefixed with
@@ -85,7 +125,9 @@ func (w *writer) section(kind uint8, fn func(*writer)) {
 	lenAt := len(w.b)
 	w.u32(0) // patched below
 	fn(w)
-	binary.LittleEndian.PutUint32(w.b[lenAt:], uint32(len(w.b)-lenAt-4))
+	if !w.counting {
+		binary.LittleEndian.PutUint32(w.b[lenAt:], uint32(len(w.b)-lenAt-4))
+	}
 }
 
 // reader consumes an encoded snapshot with a sticky error: after the first
@@ -152,9 +194,9 @@ func (r *reader) u64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-func (r *reader) i64() int64      { return int64(r.u64()) }
-func (r *reader) f64() float64    { return math.Float64frombits(r.u64()) }
-func (r *reader) time() sim.Time  { return sim.Time(r.i64()) }
+func (r *reader) i64() int64     { return int64(r.u64()) }
+func (r *reader) f64() float64   { return math.Float64frombits(r.u64()) }
+func (r *reader) time() sim.Time { return sim.Time(r.i64()) }
 
 func (r *reader) bytes() []byte {
 	n := int(r.u32())

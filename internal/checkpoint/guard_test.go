@@ -64,7 +64,7 @@ var fieldManifest = map[string][]string{
 	"core.Stats":                {"Dropped", "DroppedIllegal", "DroppedPDT", "DroppedProbing", "Examined", "FlowsCondemned", "FlowsIllegal", "FlowsNice", "FlowsProbed", "FlowsRepeatCondemned", "FlowsReprobed", "Forwarded", "ProbesSent"},
 	"core.probeRecord":          {"entry", "gen", "label", "next", "proto", "seq"},
 	"flowtable.Entry":           {"BaselineCount", "Dropped", "FirstSeen", "Gen", "LabelHash", "LastSeen", "Packets", "ProbeDeadline", "ProbeStart", "ResponseCount", "State"},
-	"flowtable.Tables":          {"capacity", "evictions", "free", "nft", "pdt", "sft", "slab", "transitions"},
+	"flowtable.Tables":          {"capacity", "evictions", "free", "hashScratch", "nft", "pdt", "sft", "slab", "transitions"}, // hashScratch: ForEachEntry's sort buffer, capture scratch with no run state
 	"loglog.Pair":               {"active", "shadow"},
 	"loglog.Sketch":             {"adds", "buckets", "m", "p"},
 	"metrics.BandwidthPoint":    {"AttackPackets", "Bytes", "LegitPackets", "Time"},

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"mafic/internal/flowtable"
 	"mafic/internal/netsim"
@@ -27,29 +29,23 @@ type DefenderState struct {
 	Tables      flowtable.TablesState
 }
 
-// CheckpointState captures the defender's dynamic state. The probing memory
-// is emitted in ascending label-hash order so the snapshot does not depend on
-// map iteration order.
-func (d *Defender) CheckpointState() DefenderState {
-	st := DefenderState{
-		Active:    d.active,
-		VictimIP:  d.victimIP,
-		Stats:     d.stats,
-		ProbeSeqs: d.probeSeqs,
-		Tables:    d.tables.CheckpointState(),
+// CheckpointState captures the defender's dynamic state into dst, reusing
+// dst's probing-memory and table-entry backing. The probing memory is emitted
+// in ascending label-hash order so the snapshot does not depend on map
+// iteration order.
+func (d *Defender) CheckpointState(dst *DefenderState) {
+	dst.Active = d.active
+	dst.VictimIP = d.victimIP
+	dst.Stats = d.stats
+	dst.ProbeSeqs = d.probeSeqs
+	dst.ProbeMemory = dst.ProbeMemory[:0]
+	for h, n := range d.probeMemory {
+		dst.ProbeMemory = append(dst.ProbeMemory, ProbeMemoryEntry{LabelHash: h, Count: n})
 	}
-	if len(d.probeMemory) > 0 {
-		st.ProbeMemory = make([]ProbeMemoryEntry, 0, len(d.probeMemory))
-		for h, n := range d.probeMemory {
-			st.ProbeMemory = append(st.ProbeMemory, ProbeMemoryEntry{LabelHash: h, Count: n})
-		}
-		for i := 1; i < len(st.ProbeMemory); i++ {
-			for j := i; j > 0 && st.ProbeMemory[j].LabelHash < st.ProbeMemory[j-1].LabelHash; j-- {
-				st.ProbeMemory[j], st.ProbeMemory[j-1] = st.ProbeMemory[j-1], st.ProbeMemory[j]
-			}
-		}
-	}
-	return st
+	slices.SortFunc(dst.ProbeMemory, func(a, b ProbeMemoryEntry) int {
+		return cmp.Compare(a.LabelHash, b.LabelHash)
+	})
+	d.tables.CheckpointState(&dst.Tables)
 }
 
 // RestoreState overlays captured dynamic state onto a rebuilt defender.
@@ -92,19 +88,19 @@ type ProbeRecordState struct {
 // Restored records carry gen = deadProbeEntry.Gen + 1, which never matches.
 var deadProbeEntry flowtable.Entry
 
-// CaptureProbeRecord describes the probe record a pending probe-cycle event
-// carries as its payload.
-func (d *Defender) CaptureProbeRecord(arg any) (ProbeRecordState, error) {
+// CaptureProbeRecord describes into dst the probe record a pending
+// probe-cycle event carries as its payload.
+func (d *Defender) CaptureProbeRecord(arg any, dst *ProbeRecordState) error {
 	rec, ok := arg.(*probeRecord)
 	if !ok {
-		return ProbeRecordState{}, fmt.Errorf("core: probe event payload is %T, not a probe record", arg)
+		return fmt.Errorf("core: probe event payload is %T, not a probe record", arg)
 	}
-	st := ProbeRecordState{Label: rec.label, Proto: rec.proto, Seq: rec.seq}
+	*dst = ProbeRecordState{Label: rec.label, Proto: rec.proto, Seq: rec.seq}
 	if rec.entry != nil && rec.entry.Gen == rec.gen {
-		st.Live = true
-		st.EntryHash = rec.entry.LabelHash
+		dst.Live = true
+		dst.EntryHash = rec.entry.LabelHash
 	}
-	return st, nil
+	return nil
 }
 
 // RestoreProbeRecord materializes a probe record from its captured state,

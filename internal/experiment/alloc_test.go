@@ -1,0 +1,123 @@
+package experiment
+
+import (
+	"runtime"
+	"testing"
+
+	"mafic/internal/checkpoint"
+	"mafic/internal/sim"
+	"mafic/internal/topology"
+)
+
+// heapDelta runs fn and reports the heap objects and bytes it allocated.
+func heapDelta(fn func()) (mallocs, bytes uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+func table2Quick(t *testing.T) Scenario {
+	t.Helper()
+	e, ok := LookupScenario("table2")
+	if !ok {
+		t.Fatal("table2 not registered")
+	}
+	return Quick(e.Build())
+}
+
+// TestSnapshotSteadyStateAllocs pins what a snapshot costs once the run's
+// capture session is warm. Steady state is a snapshot of a world no larger
+// than one the session has already captured, measured here by snapshotting
+// twice at each pause: the second allocates the output buffer and the encoder
+// and nothing else, and no more bytes than the snapshot it hands to the sink
+// plus the allocator's rounding (a large object is rounded up to an 8 KB
+// page). The first at each pause may have to grow scratch, because the run
+// holds more pending events, probe cycles or table entries than at any
+// earlier snapshot; over the run that still averages under eight heap objects
+// a snapshot.
+func TestSnapshotSteadyStateAllocs(t *testing.T) {
+	s := table2Quick(t)
+	sched := getScheduler(s.Scheduler)
+	defer putScheduler(sched)
+	b, err := buildRun(s, topology.NewArena(), sched)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	var data []byte
+	snapshot := func() {
+		if data, err = b.snapshot(); err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+	}
+	const pauses = 16
+	var advancing uint64
+	for k := sim.Time(1); k < pauses; k++ {
+		if err := sched.RunUntil(s.Duration * k / pauses); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		mallocs, _ := heapDelta(snapshot)
+		if k > 1 { // the very first snapshot builds the session
+			advancing += mallocs
+		}
+		mallocs, bytes := heapDelta(snapshot)
+		if mallocs > 2 {
+			t.Errorf("pause %d: a repeat snapshot performed %d heap allocations, want at most 2", k, mallocs)
+		}
+		if limit := uint64(len(data)) + 8192 + 64; bytes > limit {
+			t.Errorf("pause %d: a repeat snapshot allocated %d B for %d B of snapshot, want at most %d", k, bytes, len(data), limit)
+		}
+	}
+	if limit := uint64(8 * (pauses - 2)); advancing > limit {
+		t.Errorf("%d snapshots of an advancing run performed %d heap allocations, want at most %d", pauses-2, advancing, limit)
+	}
+	if err := sched.RunUntil(s.Duration); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if _, err := b.finish(); err != nil {
+		t.Fatalf("finish: %v", err)
+	}
+}
+
+// TestEncodeAllocatesOnce pins the single-allocation encode on a decoded real
+// snapshot: the output buffer plus the encoder, and a buffer sized to what
+// was written rather than grown past it.
+func TestEncodeAllocatesOnce(t *testing.T) {
+	s := table2Quick(t)
+	data, _ := snapshotMidRun(t, s, s.Duration/2)
+	snap, err := checkpoint.Decode(data)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	var out []byte
+	if allocs := testing.AllocsPerRun(20, func() { out = checkpoint.Encode(snap) }); allocs > 2 {
+		t.Errorf("Encode performed %v allocations, want at most 2", allocs)
+	}
+	if spare := cap(out) - len(out); spare > len(out)/8 {
+		t.Errorf("Encode returned %d B in a %d B buffer", len(out), cap(out))
+	}
+}
+
+// TestPlainRunPaysNothingForCheckpointing pins that the capture session is
+// lazy: a run that is never snapshotted allocates what it did before the
+// session existed (147 584 B in 124 objects for quick table2 on warm pools,
+// the lowest of a few runs since map growth makes single runs wobble).
+func TestPlainRunPaysNothingForCheckpointing(t *testing.T) {
+	s := table2Quick(t)
+	best, bestBytes := ^uint64(0), ^uint64(0)
+	for i := 0; i < 6; i++ {
+		mallocs, bytes := heapDelta(func() {
+			if _, err := Run(s); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+		})
+		if i == 0 {
+			continue // fills the pools
+		}
+		best, bestBytes = min(best, mallocs), min(bestBytes, bytes)
+	}
+	if best > 124 || bestBytes > 147584 {
+		t.Errorf("a plain run allocated %d B in %d objects, want at most 147584 B in 124", bestBytes, best)
+	}
+}

@@ -2,12 +2,15 @@ package experiment
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
 
 	"mafic/internal/checkpoint"
 	"mafic/internal/sim"
+	"mafic/internal/topology"
 )
 
 // snapshotMidRun runs s with one checkpoint at the given virtual time and
@@ -206,5 +209,166 @@ func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
 		// A flipped byte may still decode (e.g. inside the scenario JSON);
 		// the requirement is no panic and no unbounded allocation.
 		_, _ = checkpoint.Decode(mut)
+	}
+}
+
+// TestRetainedSnapshotsStayValid pins the Save ownership contract: data is a
+// fresh buffer per call and the callee owns it. The sink keeps every snapshot
+// of a checkpointed run without copying, and only after the run has finished
+// checks that each still holds the bytes it was handed, decodes to the time it
+// was saved at and re-encodes byte-identically, and that the first and the
+// last both resume to the reference result. Reusing the output buffer across
+// snapshots would corrupt the kept ones and fail here.
+func TestRetainedSnapshotsStayValid(t *testing.T) {
+	s := Quick(Entries()[0].Build())
+	want, err := Run(s)
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	type kept struct {
+		at   sim.Time
+		data []byte
+		sum  [sha256.Size]byte
+	}
+	var all []kept
+	got, err := RunControlled(s, ControlOptions{
+		CheckpointEvery: s.Duration / 16,
+		Save: func(at sim.Time, data []byte) error {
+			all = append(all, kept{at: at, data: data, sum: sha256.Sum256(data)})
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatalf("checkpointed run: %v", err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		diffResults(t, "checkpointed vs plain", want, got)
+	}
+	if len(all) != 15 {
+		t.Fatalf("kept %d snapshots, want 15", len(all))
+	}
+	for i, k := range all {
+		if sha256.Sum256(k.data) != k.sum {
+			t.Fatalf("snapshot %d (t=%v) changed after it was handed to Save", i, k.at)
+		}
+		snap, err := checkpoint.Decode(k.data)
+		if err != nil {
+			t.Fatalf("snapshot %d (t=%v): decode: %v", i, k.at, err)
+		}
+		if snap.Now != k.at {
+			t.Errorf("snapshot %d saved at %v decodes to t=%v", i, k.at, snap.Now)
+		}
+		if !bytes.Equal(checkpoint.Encode(snap), k.data) {
+			t.Errorf("snapshot %d (t=%v) does not re-encode byte-identically", i, k.at)
+		}
+	}
+	for _, k := range []kept{all[0], all[len(all)-1]} {
+		resumed, err := RunFromSnapshot(k.data)
+		if err != nil {
+			t.Fatalf("resume from t=%v: %v", k.at, err)
+		}
+		if !reflect.DeepEqual(want, resumed) {
+			diffResults(t, "resume from a kept snapshot", want, resumed)
+		}
+	}
+}
+
+// TestSessionMatchesFreshCapture is the guard against stale scratch: a run's
+// capture session refills one Snapshot in place, so anything a capture fails
+// to overwrite would leak from snapshot k into snapshot k+1. For every
+// catalog entry, every snapshot of one run taken through the reused session
+// must equal, byte for byte, the encoding of a fresh one-shot capture of the
+// same paused world: seven per run, or one every half report delay where the
+// control plane delays reports, so that delayed-report payloads come and go
+// between snapshots. Two hardened runs follow, for the probing memory only
+// hardening turns on: rolling-pulse, and one whose pushback is withdrawn by
+// hand — every defender deactivated mid-run, which no catalog run does on its
+// own — to empty the flow tables and kill the open probe cycles under a warm
+// session. The test requires that it did see each of those counts go down.
+func TestSessionMatchesFreshCapture(t *testing.T) {
+	var sawMemory bool
+	var eventsShrank, probesShrank, tablesShrank, lateShrank bool
+	check := func(name string, s Scenario, withdrawAt sim.Time) {
+		scenarioJSON, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sched := getScheduler(s.Scheduler)
+		defer putScheduler(sched)
+		b, err := buildRun(s, topology.NewArena(), sched)
+		if err != nil {
+			t.Fatalf("%s: build: %v", name, err)
+		}
+		every := s.Duration / 8
+		if s.Faults.ReportDelayProb > 0 {
+			every = s.Faults.ReportDelay / 2
+		}
+		var prevEvents, prevProbes, prevEntries, prevLate int
+		for at := every; at < s.Duration; at += every {
+			if err := sched.RunUntil(at); err != nil {
+				t.Fatalf("%s: run to %v: %v", name, at, err)
+			}
+			if at == withdrawAt {
+				for _, d := range b.scratch.mafic {
+					d.Deactivate()
+				}
+			}
+			got, err := b.snapshot()
+			if err != nil {
+				t.Fatalf("%s: session snapshot at %v: %v", name, at, err)
+			}
+			fresh, err := checkpoint.Capture(b.world(), scenarioJSON)
+			if err != nil {
+				t.Fatalf("%s: fresh capture at %v: %v", name, at, err)
+			}
+			if want := checkpoint.Encode(fresh); !bytes.Equal(got, want) {
+				t.Errorf("%s: the snapshot at %v through the reused session differs from a fresh capture (%d vs %d bytes)",
+					name, at, len(got), len(want))
+			}
+
+			entries, late := 0, 0
+			for i := range fresh.Defenders {
+				entries += len(fresh.Defenders[i].Tables.Entries)
+				sawMemory = sawMemory || len(fresh.Defenders[i].ProbeMemory) > 0
+			}
+			for i := range fresh.Events {
+				if fresh.Events[i].Kind == checkpoint.EvMonitorLate {
+					late++
+				}
+			}
+			eventsShrank = eventsShrank || len(fresh.Events) < prevEvents
+			probesShrank = probesShrank || len(fresh.ProbeRecs) < prevProbes
+			tablesShrank = tablesShrank || entries < prevEntries
+			lateShrank = lateShrank || late < prevLate
+			prevEvents, prevProbes, prevEntries, prevLate = len(fresh.Events), len(fresh.ProbeRecs), entries, late
+		}
+		if err := sched.RunUntil(s.Duration); err != nil {
+			t.Fatalf("%s: run to the end: %v", name, err)
+		}
+		if _, err := b.finish(); err != nil {
+			t.Fatalf("%s: finish: %v", name, err)
+		}
+	}
+	for _, e := range Entries() {
+		check(e.Name, Quick(e.Build()), 0)
+	}
+	rolling, ok := LookupScenario("rolling-pulse")
+	if !ok {
+		t.Fatal("rolling-pulse not registered")
+	}
+	check("rolling-pulse hardened", Harden(Quick(rolling.Build())), 0)
+	s := Harden(Quick(Entries()[0].Build()))
+	check(s.Name+" hardened, withdrawn", s, s.Duration*5/8)
+
+	for what, saw := range map[string]bool{
+		"a non-empty probing memory":           sawMemory,
+		"the pending-event count shrinking":    eventsShrank,
+		"the probe-record count shrinking":     probesShrank,
+		"the flow-table entry count shrinking": tablesShrank,
+		"the delayed-report count shrinking":   lateShrank,
+	} {
+		if !saw {
+			t.Errorf("no run showed %s between snapshots; the guard is not exercising that reuse path", what)
+		}
 	}
 }

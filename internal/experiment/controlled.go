@@ -27,9 +27,12 @@ var ErrSnapshot = errors.New("experiment: snapshot unusable")
 type ControlOptions struct {
 	// CheckpointEvery takes a snapshot at every multiple of this virtual
 	// time inside (0, Duration). Zero disables periodic checkpoints.
-	// Checkpoints require a Save sink.
+	// Checkpoints require a Save sink: a positive interval with a nil Save
+	// is rejected with ErrScenario.
 	CheckpointEvery sim.Time
-	// Save receives each encoded snapshot. An error aborts the run.
+	// Save receives each encoded snapshot. data is a fresh buffer on every
+	// call and the callee owns it: it may keep it past its return and past
+	// the end of the run. An error aborts the run.
 	Save func(at sim.Time, data []byte) error
 	// Interrupt, when it becomes receivable (normally by closing the
 	// channel), pauses the run at the next checkpoint boundary: a final
@@ -49,8 +52,8 @@ func RunControlled(s Scenario, opts ControlOptions) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
 	}
-	if opts.CheckpointEvery < 0 {
-		return Result{}, fmt.Errorf("%w: checkpoint interval must not be negative", ErrScenario)
+	if err := opts.validate(); err != nil {
+		return Result{}, err
 	}
 	arena := arenaPool.Get()
 	if arena == nil {
@@ -83,8 +86,8 @@ func ResumeControlled(data []byte, opts ControlOptions) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, fmt.Errorf("%w: %w", ErrSnapshot, err)
 	}
-	if opts.CheckpointEvery < 0 {
-		return Result{}, fmt.Errorf("%w: checkpoint interval must not be negative", ErrScenario)
+	if err := opts.validate(); err != nil {
+		return Result{}, err
 	}
 	arena := arenaPool.Get()
 	if arena == nil {
@@ -107,6 +110,17 @@ func ResumeControlled(data []byte, opts ControlOptions) (Result, error) {
 	b.result.DetectedByPushback = w.Flags.DetectedByPushback
 	b.result.ATRCount = int(w.Flags.ATRCount)
 	return controlLoop(b, opts)
+}
+
+// validate rejects option combinations the control loop cannot honour.
+func (o ControlOptions) validate() error {
+	if o.CheckpointEvery < 0 {
+		return fmt.Errorf("%w: checkpoint interval must not be negative", ErrScenario)
+	}
+	if o.CheckpointEvery > 0 && o.Save == nil {
+		return fmt.Errorf("%w: a checkpoint interval needs a Save sink", ErrScenario)
+	}
+	return nil
 }
 
 // interrupted reports whether the control surface has asked the run to stop.
@@ -146,7 +160,7 @@ func controlLoop(b *builtRun, opts ControlOptions) (Result, error) {
 			return Result{}, fmt.Errorf("%w at t=%v", ErrInterrupted, sched.Now())
 		}
 		next := s.Duration
-		if opts.CheckpointEvery > 0 && opts.Save != nil {
+		if opts.CheckpointEvery > 0 {
 			if t := (sched.Now()/opts.CheckpointEvery + 1) * opts.CheckpointEvery; t < s.Duration {
 				next = t
 			}

@@ -195,3 +195,18 @@ func TestRunControlledRejectsNegativeInterval(t *testing.T) {
 		t.Errorf("want ErrScenario, got %v", err)
 	}
 }
+
+// TestRunControlledRejectsIntervalWithoutSave pins that a checkpoint interval
+// with nowhere to save is refused up front, on both entry points, rather than
+// silently running as one uninterruptible, never-checkpointed segment.
+func TestRunControlledRejectsIntervalWithoutSave(t *testing.T) {
+	s := Quick(Entries()[0].Build())
+	opts := ControlOptions{CheckpointEvery: s.Duration / 4}
+	if _, err := RunControlled(s, opts); !errors.Is(err, ErrScenario) {
+		t.Errorf("run: want ErrScenario, got %v", err)
+	}
+	data, _ := snapshotMidRun(t, s, s.Duration/2)
+	if _, err := ResumeControlled(data, opts); !errors.Is(err, ErrScenario) {
+		t.Errorf("resume: want ErrScenario, got %v", err)
+	}
+}

@@ -108,7 +108,10 @@ type builtRun struct {
 	// buildSeq is the scheduler sequence number at the build/run boundary;
 	// see checkpoint.World.
 	buildSeq uint64
-	result   Result
+	// session is the run's capture session, created at the first snapshot:
+	// a run that is never checkpointed does not pay for it.
+	session *checkpoint.Session
+	result  Result
 }
 
 // Run executes one scenario and returns its metrics.
@@ -147,8 +150,10 @@ func runWith(s Scenario, arena *topology.Arena) (Result, error) {
 
 // RunWithCheckpoints executes one scenario, pausing at each of the given
 // virtual times (which must be ascending and inside (0, Duration)) to take a
-// snapshot and hand its encoded bytes to save. The run's result is
-// bit-identical to an uninterrupted Run: a snapshot is a pure read.
+// snapshot and hand its encoded bytes to save. data is a fresh buffer on
+// every call and save owns it: it may keep it past its return and past the
+// end of the run. The run's result is bit-identical to an uninterrupted Run:
+// a snapshot is a pure read.
 func RunWithCheckpoints(s Scenario, times []sim.Time, save func(at sim.Time, data []byte) error) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
@@ -217,22 +222,33 @@ func (b *builtRun) world() *checkpoint.World {
 		MAFIC:       b.scratch.mafic,
 		Baseline:    b.scratch.droppers,
 		BuildSeq:    b.buildSeq,
-		Flags: checkpoint.RunFlags{
-			Activated:          b.result.Activated,
-			ActivationSeconds:  b.result.ActivationSeconds,
-			DetectedByPushback: b.result.DetectedByPushback,
-			ATRCount:           int64(b.result.ATRCount),
-		},
+		Flags:       b.flags(),
 	}
 }
 
-// snapshot captures and encodes the run's current state.
-func (b *builtRun) snapshot() ([]byte, error) {
-	scenarioJSON, err := json.Marshal(b.s)
-	if err != nil {
-		return nil, fmt.Errorf("encode scenario: %w", err)
+// flags is the activation bookkeeping the result holds so far.
+func (b *builtRun) flags() checkpoint.RunFlags {
+	return checkpoint.RunFlags{
+		Activated:          b.result.Activated,
+		ActivationSeconds:  b.result.ActivationSeconds,
+		DetectedByPushback: b.result.DetectedByPushback,
+		ATRCount:           int64(b.result.ATRCount),
 	}
-	snap, err := checkpoint.Capture(b.world(), scenarioJSON)
+}
+
+// snapshot captures and encodes the run's current state. The bytes are a
+// fresh buffer the caller may keep; the capture scratch behind them is the
+// run's session, reused by the next snapshot.
+func (b *builtRun) snapshot() ([]byte, error) {
+	if b.session == nil {
+		scenarioJSON, err := json.Marshal(b.s)
+		if err != nil {
+			return nil, fmt.Errorf("encode scenario: %w", err)
+		}
+		b.session = checkpoint.NewSession(b.world(), scenarioJSON)
+	}
+	b.session.World.Flags = b.flags()
+	snap, err := b.session.Capture()
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,7 @@ package flowtable
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // TablesState is the dynamic state of one Tables: every tracked entry
@@ -17,30 +17,28 @@ type TablesState struct {
 
 // ForEachEntry visits every tracked entry in deterministic order — SFT, NFT,
 // PDT, each ascending by label hash — so capture output does not depend on
-// map iteration order.
+// map iteration order. The hash scratch is kept on the tables between calls.
 func (t *Tables) ForEachEntry(fn func(e *Entry)) {
-	scratch := make([]uint64, 0, len(t.sft)+len(t.nft)+len(t.pdt))
 	for _, m := range [3]map[uint64]*Entry{t.sft, t.nft, t.pdt} {
-		hashes := scratch[:0]
+		hashes := t.hashScratch[:0]
 		for h := range m {
 			hashes = append(hashes, h)
 		}
-		sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
+		slices.Sort(hashes)
 		for _, h := range hashes {
 			fn(m[h])
 		}
-		scratch = hashes
+		t.hashScratch = hashes
 	}
 }
 
-// CheckpointState captures the tables' dynamic state.
-func (t *Tables) CheckpointState() TablesState {
-	st := TablesState{
-		Evictions:   t.evictions,
-		Transitions: t.transitions,
-	}
-	t.ForEachEntry(func(e *Entry) { st.Entries = append(st.Entries, *e) })
-	return st
+// CheckpointState captures the tables' dynamic state into dst, reusing dst's
+// entry backing.
+func (t *Tables) CheckpointState(dst *TablesState) {
+	dst.Evictions = t.evictions
+	dst.Transitions = t.transitions
+	dst.Entries = dst.Entries[:0]
+	t.ForEachEntry(func(e *Entry) { dst.Entries = append(dst.Entries, *e) })
 }
 
 // RestoreState flushes the rebuilt tables and re-inserts the captured

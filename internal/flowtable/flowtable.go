@@ -100,6 +100,10 @@ type Tables struct {
 	slab []Entry
 	free []*Entry
 
+	// hashScratch is ForEachEntry's sort buffer, kept between checkpoint
+	// captures; it carries no run state.
+	hashScratch []uint64
+
 	// evictions counts entries discarded because a table was full.
 	evictions uint64
 	// transitions counts state moves, indexed by destination state.

@@ -10,11 +10,11 @@ type SketchState struct {
 	Adds    uint64
 }
 
-// CheckpointState captures the sketch's dynamic state.
-func (s *Sketch) CheckpointState() SketchState {
-	st := SketchState{Buckets: make([]uint8, len(s.buckets)), Adds: s.adds}
-	copy(st.Buckets, s.buckets)
-	return st
+// CheckpointState captures the sketch's dynamic state into dst, reusing dst's
+// bucket backing.
+func (s *Sketch) CheckpointState(dst *SketchState) {
+	dst.Buckets = append(dst.Buckets[:0], s.buckets...)
+	dst.Adds = s.adds
 }
 
 // RestoreState overlays captured dynamic state onto a rebuilt sketch of the
@@ -39,9 +39,10 @@ type PairState struct {
 	Shadow SketchState
 }
 
-// CheckpointState captures both halves of the pair.
-func (p *Pair) CheckpointState() PairState {
-	return PairState{Active: p.active.CheckpointState(), Shadow: p.shadow.CheckpointState()}
+// CheckpointState captures both halves of the pair into dst.
+func (p *Pair) CheckpointState(dst *PairState) {
+	p.active.CheckpointState(&dst.Active)
+	p.shadow.CheckpointState(&dst.Shadow)
 }
 
 // RestoreState overlays captured state onto a rebuilt pair of the same

@@ -16,14 +16,13 @@ type CollectorState struct {
 	Bins         []BandwidthPoint
 }
 
-// CheckpointState captures the collector's dynamic state.
-func (c *Collector) CheckpointState() CollectorState {
-	return CollectorState{
-		Activated:    c.activated,
-		ActivationAt: c.activationAt,
-		Counts:       c.Counts(),
-		Bins:         append([]BandwidthPoint(nil), c.bins...),
-	}
+// CheckpointState captures the collector's dynamic state into dst, reusing
+// dst's bin backing.
+func (c *Collector) CheckpointState(dst *CollectorState) {
+	dst.Activated = c.activated
+	dst.ActivationAt = c.activationAt
+	dst.Counts = c.Counts()
+	dst.Bins = append(dst.Bins[:0], c.bins...)
 }
 
 // RestoreState overlays captured dynamic state onto a rebuilt collector. The

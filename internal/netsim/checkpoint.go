@@ -25,9 +25,9 @@ type LinkState struct {
 	FaultDrops uint64
 }
 
-// CheckpointState captures the link's dynamic state.
-func (l *Link) CheckpointState() LinkState {
-	return LinkState{
+// CheckpointState captures the link's dynamic state into dst.
+func (l *Link) CheckpointState(dst *LinkState) {
+	*dst = LinkState{
 		NextFree:   l.nextFree,
 		Queued:     int64(l.queued),
 		Down:       l.down,
@@ -57,10 +57,10 @@ type RouterState struct {
 	FaultDrops uint64
 }
 
-// CheckpointState captures the router's dynamic state. The route table and
-// filter chain are rebuild-covered.
-func (r *Router) CheckpointState() RouterState {
-	return RouterState{
+// CheckpointState captures the router's dynamic state into dst. The route
+// table and filter chain are rebuild-covered.
+func (r *Router) CheckpointState(dst *RouterState) {
+	*dst = RouterState{
 		Down:       r.down,
 		Forwarded:  r.forwarded,
 		Dropped:    r.dropped,
@@ -83,9 +83,9 @@ type HostState struct {
 	Sent     uint64
 }
 
-// CheckpointState captures the host's dynamic counters.
-func (h *Host) CheckpointState() HostState {
-	return HostState{Received: h.received, Sent: h.sent}
+// CheckpointState captures the host's dynamic counters into dst.
+func (h *Host) CheckpointState(dst *HostState) {
+	*dst = HostState{Received: h.received, Sent: h.sent}
 }
 
 // RestoreState overlays captured counters onto a rebuilt host.
@@ -144,20 +144,19 @@ type NetworkState struct {
 	RouteDests  []NodeID
 }
 
-// CheckpointState captures the network-level dynamic state. Per-link and
-// per-node state is captured separately via ForEachLink / ForEachNode.
-func (n *Network) CheckpointState() NetworkState {
-	st := NetworkState{
-		NextPktID:   n.nextPktID,
-		TopoVersion: n.topoVersion,
-		FaultDrops:  n.faultDrops,
-	}
+// CheckpointState captures the network-level dynamic state into dst, reusing
+// dst's RouteDests backing. Per-link and per-node state is captured
+// separately via ForEachLink / ForEachNode.
+func (n *Network) CheckpointState(dst *NetworkState) {
+	dst.NextPktID = n.nextPktID
+	dst.TopoVersion = n.topoVersion
+	dst.FaultDrops = n.faultDrops
+	dst.RouteDests = dst.RouteDests[:0]
 	for id := range n.routeCols {
 		if n.routeCols[id] != nil {
-			st.RouteDests = append(st.RouteDests, NodeID(id))
+			dst.RouteDests = append(dst.RouteDests, NodeID(id))
 		}
 	}
-	return st
 }
 
 // RestoreState overlays network-level dynamic state onto a rebuilt network.
@@ -220,9 +219,9 @@ type PacketState struct {
 	Malicious bool
 }
 
-// CapturePacket describes an in-flight packet.
-func CapturePacket(p *Packet) PacketState {
-	return PacketState{
+// CapturePacket describes an in-flight packet into dst.
+func CapturePacket(p *Packet, dst *PacketState) {
+	*dst = PacketState{
 		ID:        p.ID,
 		Label:     p.Label,
 		Kind:      int32(p.Kind),

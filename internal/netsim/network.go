@@ -109,7 +109,7 @@ type Network struct {
 	sparse [][]adjEntry
 	// adj[from][to] is the simplex link from->to, or nil (AdjacencyDense).
 	// Rows are node-count-wide NodeID-indexed slices grown on demand.
-	adj     [][]*Link
+	adj [][]*Link
 	// links counts Connect calls; the adjacency mode is frozen once the
 	// first link exists.
 	links   int

@@ -28,24 +28,23 @@ type CoordinatorState struct {
 	PendingRefire bool
 }
 
-// CheckpointState captures the coordinator's dynamic state.
-func (c *Coordinator) CheckpointState() CoordinatorState {
-	return CoordinatorState{
-		History:       append([]float64(nil), c.history...),
-		HistoryOK:     append([]bool(nil), c.historyOK...),
-		HistorySeen:   int64(c.historySeen),
-		ATRScore:      append([]float64(nil), c.atrScore...),
-		IdentifiedATR: append([]bool(nil), c.identifiedATR...),
-		Identified:    int64(c.identified),
-		Active:        c.active,
-		ActiveVictim:  c.activeVictim,
-		TriggerLoad:   c.triggerLoad,
-		CalmEpochs:    int64(c.calmEpochs),
-		RequestsFired: int64(c.requestsFired),
-		LastEpoch:     int64(c.lastEpoch),
-		LastFireEpoch: int64(c.lastFireEpoch),
-		PendingRefire: c.pendingRefire,
-	}
+// CheckpointState captures the coordinator's dynamic state into dst, reusing
+// dst's table backing.
+func (c *Coordinator) CheckpointState(dst *CoordinatorState) {
+	dst.History = append(dst.History[:0], c.history...)
+	dst.HistoryOK = append(dst.HistoryOK[:0], c.historyOK...)
+	dst.HistorySeen = int64(c.historySeen)
+	dst.ATRScore = append(dst.ATRScore[:0], c.atrScore...)
+	dst.IdentifiedATR = append(dst.IdentifiedATR[:0], c.identifiedATR...)
+	dst.Identified = int64(c.identified)
+	dst.Active = c.active
+	dst.ActiveVictim = c.activeVictim
+	dst.TriggerLoad = c.triggerLoad
+	dst.CalmEpochs = int64(c.calmEpochs)
+	dst.RequestsFired = int64(c.requestsFired)
+	dst.LastEpoch = int64(c.lastEpoch)
+	dst.LastFireEpoch = int64(c.lastFireEpoch)
+	dst.PendingRefire = c.pendingRefire
 }
 
 // RestoreState overlays captured dynamic state onto a rebuilt coordinator.

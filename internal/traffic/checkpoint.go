@@ -42,14 +42,14 @@ type FlowState struct {
 	Bursts    uint64
 }
 
-// CaptureFlowState captures the dynamic state of one flow. Pending send and
-// phase events are captured separately through the scheduler walk; the
-// EventRef fields themselves do not travel (a stale ref is a safe no-op and
-// live ones are re-bound by the restore).
-func CaptureFlowState(f Flow) (FlowState, error) {
+// CaptureFlowState captures the dynamic state of one flow into dst. Pending
+// send and phase events are captured separately through the scheduler walk;
+// the EventRef fields themselves do not travel (a stale ref is a safe no-op
+// and live ones are re-bound by the restore).
+func CaptureFlowState(f Flow, dst *FlowState) error {
 	switch s := f.(type) {
 	case *TCPSource:
-		return FlowState{
+		*dst = FlowState{
 			Kind:      FlowTCP,
 			Running:   s.running,
 			Cwnd:      s.cwnd,
@@ -63,24 +63,25 @@ func CaptureFlowState(f Flow) (FlowState, error) {
 			Timeouts:  s.timeouts,
 			FastRetx:  s.fastRetx,
 			ProbeSeen: s.probeSeen,
-		}, nil
+		}
 	case *CBRSource:
-		return FlowState{Kind: FlowCBR, Running: s.running, Seq: s.seq, Sent: s.sent}, nil
+		*dst = FlowState{Kind: FlowCBR, Running: s.running, Seq: s.seq, Sent: s.sent}
 	case *AttackSource:
-		return FlowState{Kind: FlowAttack, Running: s.cbr.running, Seq: s.cbr.seq, Sent: s.cbr.sent}, nil
+		*dst = FlowState{Kind: FlowAttack, Running: s.cbr.running, Seq: s.cbr.seq, Sent: s.cbr.sent}
 	case *PulsingSource:
-		return FlowState{
+		*dst = FlowState{
 			Kind: FlowPulsing, Running: s.running, InBurst: s.inBurst,
 			Seq: s.seq, Sent: s.sent, Bursts: s.bursts,
-		}, nil
+		}
 	case *RotatingSource:
-		return FlowState{
+		*dst = FlowState{
 			Kind: FlowRotating, Running: s.running, InBurst: s.inSlot,
 			Seq: s.seq, Sent: s.sent, Bursts: s.slots,
-		}, nil
+		}
 	default:
-		return FlowState{}, fmt.Errorf("traffic: cannot checkpoint flow of type %T", f)
+		return fmt.Errorf("traffic: cannot checkpoint flow of type %T", f)
 	}
+	return nil
 }
 
 // RestoreFlowState overlays captured state onto the corresponding rebuilt
@@ -221,9 +222,9 @@ type VictimServerState struct {
 	AcksGenerated uint64
 }
 
-// CheckpointState captures the server's counters.
-func (v *VictimServer) CheckpointState() VictimServerState {
-	return VictimServerState{
+// CheckpointState captures the server's counters into dst.
+func (v *VictimServer) CheckpointState(dst *VictimServerState) {
+	*dst = VictimServerState{
 		Received:      v.received,
 		ReceivedBad:   v.receivedBad,
 		ReceivedGood:  v.receivedGood,

@@ -2,6 +2,7 @@ package trafficmatrix
 
 import (
 	"fmt"
+	"slices"
 
 	"mafic/internal/loglog"
 	"mafic/internal/netsim"
@@ -32,26 +33,28 @@ type MonitorState struct {
 	Counters   []CounterState
 }
 
-// CheckpointState captures the monitor's dynamic state.
-func (m *Monitor) CheckpointState() MonitorState {
-	st := MonitorState{
-		EpochIndex: int64(m.epochIndex),
-		EpochStart: m.epochStart,
-		Stop:       m.stop,
-		Running:    m.running,
-		Counters:   make([]CounterState, 0, len(m.routerIDs)),
+// CheckpointState captures the monitor's dynamic state into dst. Counter
+// records dst already holds are refilled in place, so their sketch bucket
+// arrays are reused from one capture to the next.
+func (m *Monitor) CheckpointState(dst *MonitorState) {
+	dst.EpochIndex = int64(m.epochIndex)
+	dst.EpochStart = m.epochStart
+	dst.Stop = m.stop
+	dst.Running = m.running
+	n := len(m.routerIDs)
+	if n > cap(dst.Counters) {
+		dst.Counters = slices.Grow(dst.Counters[:cap(dst.Counters)], n-cap(dst.Counters))
 	}
-	for _, id := range m.routerIDs {
+	dst.Counters = dst.Counters[:n]
+	for i, id := range m.routerIDs {
 		c := m.counters[id]
-		st.Counters = append(st.Counters, CounterState{
-			Source:     c.source.CheckpointState(),
-			Dest:       c.dest.CheckpointState(),
-			SourcePkts: c.sourcePkts,
-			DestPkts:   c.destPkts,
-			Transit:    c.transit,
-		})
+		rec := &dst.Counters[i]
+		c.source.CheckpointState(&rec.Source)
+		c.dest.CheckpointState(&rec.Dest)
+		rec.SourcePkts = c.sourcePkts
+		rec.DestPkts = c.destPkts
+		rec.Transit = c.transit
 	}
-	return st
 }
 
 // RestoreState overlays captured dynamic state onto a rebuilt monitor with
@@ -93,22 +96,21 @@ type EpochReportState struct {
 	Matrix     []Cell
 }
 
-// CaptureEpochReport describes the report a pending delayed-delivery event
-// carries as its payload.
-func (m *Monitor) CaptureEpochReport(arg any) (EpochReportState, error) {
+// CaptureEpochReport copies the report a pending delayed-delivery event
+// carries as its payload into dst, reusing dst's slices.
+func (m *Monitor) CaptureEpochReport(arg any, dst *EpochReportState) error {
 	r, ok := arg.(*EpochReport)
 	if !ok {
-		return EpochReportState{}, fmt.Errorf("trafficmatrix: delayed-report payload is %T, not an epoch report", arg)
+		return fmt.Errorf("trafficmatrix: delayed-report payload is %T, not an epoch report", arg)
 	}
-	return EpochReportState{
-		Epoch:     int64(r.Epoch),
-		Start:     r.Start,
-		End:       r.End,
-		Routers:   append([]netsim.NodeID(nil), r.Routers...),
-		SourceEst: append([]float64(nil), r.SourceEst...),
-		DestEst:   append([]float64(nil), r.DestEst...),
-		Matrix:    append([]Cell(nil), r.Matrix...),
-	}, nil
+	dst.Epoch = int64(r.Epoch)
+	dst.Start = r.Start
+	dst.End = r.End
+	dst.Routers = append(dst.Routers[:0], r.Routers...)
+	dst.SourceEst = append(dst.SourceEst[:0], r.SourceEst...)
+	dst.DestEst = append(dst.DestEst[:0], r.DestEst...)
+	dst.Matrix = append(dst.Matrix[:0], r.Matrix...)
+	return nil
 }
 
 // RestoreEpochReport materializes a delayed report from its captured state,
