@@ -95,19 +95,27 @@ chaos-smoke:
 # uninterrupted run — mid-fault-window snapshots too. A failure means live
 # state stopped round-tripping through the snapshot format. The same pass
 # requires every snapshot a run takes through its reused capture session to
-# equal a fresh capture byte for byte, catalog-wide.
+# equal a fresh capture byte for byte, catalog-wide. Link occupancy is
+# rebuilt on restore from the packets in flight rather than carried in the
+# snapshot, so the link's property test against the two-event reference link
+# (both scheduler backends) and the restore-time consistency check ride here.
 crash-smoke:
 	$(GO) test -race -count=1 ./internal/experiment \
-		-run 'TestKillAndResumeEquivalence|TestCheckpointUnderActiveFaults|TestRestoreThenReuseInvariance|TestSessionMatchesFreshCapture'
+		-run 'TestKillAndResumeEquivalence|TestCheckpointUnderActiveFaults|TestRestoreThenReuseInvariance|TestSessionMatchesFreshCapture|TestRestoreChecksLinkOccupancy'
+	$(GO) test -race -count=1 ./internal/netsim \
+		-run 'TestLinkMatchesReferenceLink|TestLinkFullQueueAtTransmitDoneInstant'
 
 # serve-smoke is the service-mode crash-recovery gate: it starts a real
 # maficserve process, submits a long checkpointing job, kill -9s the process
 # mid-run, restarts it over the same store, and requires the resumed job's
 # result.json to be bit-identical to an uninterrupted run — all under the
 # race detector. A failure means the service can lose or corrupt work across
-# a crash.
+# a crash. The second pass is the upgrade path: a store whose snapshots were
+# written by a build with an older snapshot version is recovered by running
+# the job again from time zero, to the same result.json.
 serve-smoke:
 	$(GO) test -race -count=1 -timeout 10m ./cmd/maficserve -run TestServeKillNineRecovery -v
+	$(GO) test -race -count=1 ./internal/serve -run TestRecoveryFromVersion1Store -v
 
 # profile runs the headline benchmark under the CPU and allocation profilers
 # so the next hotspot hunt starts from `go tool pprof cpu.pprof` instead of

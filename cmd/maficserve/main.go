@@ -91,7 +91,15 @@ func run(args []string) error {
 	if err := checkpoint.WriteFileAtomic(filepath.Join(*store, "addr"), []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
 		return fmt.Errorf("write addr file: %w", err)
 	}
-	httpSrv := &http.Server{Handler: sv.Handler()}
+	// Requests are small and answered from memory; the timeouts only keep a
+	// stalled or silent client from holding a connection for ever. Responses
+	// carry no deadline: a result download may be slow without being stuck.
+	httpSrv := &http.Server{
+		Handler:           sv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	logger.Printf("listening on %s, store %s", ln.Addr(), *store)

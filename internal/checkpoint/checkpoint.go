@@ -58,7 +58,7 @@ type RunFlags struct {
 // silently dropping an event.
 const (
 	EvBuild uint8 = iota + 1
-	EvLinkTx
+	_             // 2 was EvLinkTx, snapshot v1's per-packet transmit-done event: retired, not to be reused
 	EvLinkArrive
 	EvFlowSend
 	EvFlowPhase
@@ -164,7 +164,7 @@ var CheckpointTypes = []any{
 
 // handlerRole classifies a scheduled handler identity during capture.
 type handlerRole struct {
-	kind  uint8 // the EvFlowSend/EvFlowPhase/... base kind, or EvLinkTx / EvMonitorTick for the dual-role owners
+	kind  uint8 // the event kind; EvMonitorTick for the monitor, whose ArgHandler face is EvMonitorLate
 	index uint32
 }
 
@@ -234,7 +234,7 @@ func (s *Session) buildRegistry() {
 	clear(s.handlers)
 	s.links = s.links[:0]
 	w.Net.ForEachLink(func(l *netsim.Link) {
-		s.handlers[l] = handlerRole{kind: EvLinkTx, index: uint32(len(s.links))}
+		s.handlers[l] = handlerRole{kind: EvLinkArrive, index: uint32(len(s.links))}
 		s.links = append(s.links, l)
 	})
 	for i, f := range w.Workload.Flows {
@@ -380,17 +380,13 @@ func (s *Session) captureEvents() error {
 		s.events = append(s.events, EventState{At: ev.At, Seq: ev.Seq, Kind: role.kind, Index: role.index})
 		st := &s.events[len(s.events)-1]
 		switch role.kind {
-		case EvLinkTx:
-			if ev.ArgH != nil {
-				// The link's ArgHandler face: a propagated packet arriving.
-				st.Kind = EvLinkArrive
-				pkt, ok := ev.Arg.(*netsim.Packet)
-				if !ok {
-					captureErr = fmt.Errorf("checkpoint: link arrival event %d carries %T, not a packet", ev.Seq, ev.Arg)
-					return
-				}
-				netsim.CapturePacket(pkt, &st.Packet)
+		case EvLinkArrive:
+			pkt, ok := ev.Arg.(*netsim.Packet)
+			if !ok {
+				captureErr = fmt.Errorf("checkpoint: link arrival event %d carries %T, not a packet", ev.Seq, ev.Arg)
+				return
 			}
+			netsim.CapturePacket(pkt, &st.Packet)
 		case EvMonitorTick:
 			if ev.ArgH != nil {
 				st.Kind = EvMonitorLate
@@ -583,16 +579,16 @@ func Restore(w *World, snap *Snapshot) error {
 			continue
 		}
 		switch ev.Kind {
-		case EvLinkTx, EvLinkArrive:
+		case EvLinkArrive:
 			if int(ev.Index) >= len(links) {
 				return fmt.Errorf("checkpoint: event %d names link %d of %d", ev.Seq, ev.Index, len(links))
 			}
 			l := links[ev.Index]
-			if ev.Kind == EvLinkTx {
-				w.Sched.RestoreEvent(ev.At, ev.Seq, nil, nil, nil, l)
-			} else {
-				w.Sched.RestoreEvent(ev.At, ev.Seq, nil, l, w.Net.RestorePacket(ev.Packet), nil)
+			pkt := w.Net.RestorePacket(ev.Packet)
+			if err := l.RestoreInFlight(pkt, ev.At, ev.Seq); err != nil {
+				return err
 			}
+			w.Sched.RestoreEvent(ev.At, ev.Seq, nil, l, pkt, nil)
 		case EvFlowSend, EvFlowPhase, EvFlowEnd:
 			if int(ev.Index) >= len(w.Workload.Flows) {
 				return fmt.Errorf("checkpoint: event %d names flow %d of %d", ev.Seq, ev.Index, len(w.Workload.Flows))
@@ -634,6 +630,13 @@ func Restore(w *World, snap *Snapshot) error {
 			w.Sched.RestoreEvent(ev.At, ev.Seq, nil, ah, probeRecs[ev.Probe], nil)
 		default:
 			return fmt.Errorf("checkpoint: unknown event kind %d", ev.Kind)
+		}
+	}
+	// Link occupancy is not trusted from the file: it was recounted above from
+	// the packets actually in flight, and must agree with what was recorded.
+	for i, l := range links {
+		if got, want := int64(l.QueueLen()), snap.Links[i].Queued; got != want {
+			return fmt.Errorf("checkpoint: %v holds %d packets still being transmitted, snapshot recorded %d", l, got, want)
 		}
 	}
 	w.Flags = snap.Flags

@@ -309,7 +309,7 @@ func encodeEvent(w *writer, ev *EventState) {
 	w.u8(ev.Kind)
 	switch ev.Kind {
 	case EvBuild, EvMonitorTick:
-	case EvLinkTx, EvFlowSend, EvFlowPhase, EvFlowEnd:
+	case EvFlowSend, EvFlowPhase, EvFlowEnd:
 		w.u32(ev.Index)
 	case EvLinkArrive:
 		w.u32(ev.Index)
@@ -366,7 +366,7 @@ func Decode(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	if v := r.u32(); r.err == nil && v != SnapshotVersion {
-		return nil, fmt.Errorf("%w: snapshot version %d, this build reads %d", ErrCorrupt, v, SnapshotVersion)
+		return nil, fmt.Errorf("%w: file is version %d, this build reads %d", ErrVersion, v, SnapshotVersion)
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -719,7 +719,7 @@ func decodeEvent(r *reader) EventState {
 	ev := EventState{At: r.time(), Seq: r.u64(), Kind: r.u8()}
 	switch ev.Kind {
 	case EvBuild, EvMonitorTick:
-	case EvLinkTx, EvFlowSend, EvFlowPhase, EvFlowEnd:
+	case EvFlowSend, EvFlowPhase, EvFlowEnd:
 		ev.Index = r.u32()
 	case EvLinkArrive:
 		ev.Index = r.u32()

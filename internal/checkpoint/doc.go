@@ -21,7 +21,7 @@
 // already consumed (sim.Scheduler.ReconcilePending) and leaves the rest.
 // Events scheduled while the simulation was running ("runtime events") are
 // captured by classifying their handlers against a closed registry — link
-// transmit/arrive, flow send/phase/end, monitor ticks, probe timers — and
+// arrivals, flow send/phase/end, monitor ticks, probe timers — and
 // re-inserted with their original timestamps and sequence numbers
 // (sim.Scheduler.RestoreEvent) against the rebuilt objects. An event whose
 // handler cannot be classified fails the capture loudly rather than
@@ -41,6 +41,29 @@
 // fully self-describing: Decode + the experiment package's rebuild are all
 // that is needed to resume. Encode(Decode(b)) is byte-identical, pinned by
 // test, so snapshot files can be copied and inspected without drift.
+//
+// # Version 2: link occupancy is derived, not carried
+//
+// Version 1 snapshots held one transmit-done event per packet in
+// transmission (event kind 2, now retired and never reused). The engine no
+// longer schedules that event: a link settles its occupancy lazily from a
+// chain of its in-flight packets (see "Link occupancy" in netsim). Version 2
+// is version 1 without those events, with Processed counted without them —
+// nothing new is on the wire. The chain and its cursor are a function of what
+// is already there: Restore re-inserts the runtime events in sequence order
+// after RestoreClock, so each EvLinkArrive event re-links its packet under
+// the key (At − Delay, Seq) Send gave it, and whether its transmission counts
+// as retired falls out of sim.Scheduler.Fired. Restore checks rather than
+// trusts: a link's arrivals must come in send order, and the recount must
+// equal the recorded LinkState.Queued, else the snapshot is refused.
+//
+// A version 1 file is refused too (ErrVersion, which is also an ErrCorrupt),
+// not migrated: dropping its transmit-done events would be easy, but its
+// sequence numbers and Processed count are on the old scale, and a resumed
+// run is promised bit-identical to an uninterrupted one of the same build.
+// Store.LatestValid walks past such files like any other it cannot decode,
+// so a maficserve store left by a version 1 build re-runs its unfinished
+// jobs from time zero.
 //
 // # Coverage guard
 //

@@ -28,10 +28,18 @@ var snapshotMagic = [8]byte{'M', 'A', 'F', 'I', 'C', 'S', 'N', 'P'}
 // SnapshotVersion is the current wire-format version. Bump it whenever a
 // section's layout changes; the coverage guard test forces a bump whenever a
 // snapshotted struct grows a field.
-const SnapshotVersion uint32 = 1
+//
+// Version 2 is version 1 without the per-packet transmit-done events (kind
+// 2); a version 1 file is refused, not migrated. See "Version 2" in doc.go.
+const SnapshotVersion uint32 = 2
 
 // ErrCorrupt is wrapped by every decode error.
 var ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
+
+// ErrVersion is returned for a well-formed header of a version this build
+// does not read. It is also an ErrCorrupt, so whatever walks past undecodable
+// files (Store.LatestValid, the service's recovery) walks past these too.
+var ErrVersion = fmt.Errorf("%w: unsupported snapshot version", ErrCorrupt)
 
 // Section kinds.
 const (

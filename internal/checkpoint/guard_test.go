@@ -24,7 +24,7 @@ import (
 // against. Changing any snapshotted struct forces an edit here, and the guard
 // requires the two versions to move together: you cannot grow a watched
 // struct without consciously deciding whether the snapshot layout changed.
-const manifestVersion uint32 = 1
+const manifestVersion uint32 = 2
 
 // watchedPackages collects every package's checkpoint-watched types.
 var watchedPackages = []struct {
@@ -71,15 +71,15 @@ var fieldManifest = map[string][]string{
 	"metrics.Collector":         {"activated", "activationAt", "atrAttackPost", "atrAttackPre", "atrLegitPost", "atrLegitPre", "binWidth", "bins", "dropAttack", "dropAttackPDT", "dropLegitIllegal", "dropLegitPDT", "dropLegitProbing", "faultDrops", "queueDrops", "tap", "victimAttackPost", "victimAttackPre", "victimLegitPost", "victimLegitPre"},
 	"metrics.Counts":            {"ATRAttackPost", "ATRAttackPre", "ATRLegitPost", "ATRLegitPre", "DropAttack", "DropAttackPDT", "DropLegitIllegal", "DropLegitPDT", "DropLegitProbing", "FaultDrops", "QueueDrops", "VictimAttack", "VictimAttackPre", "VictimLegit", "VictimLegitPre"},
 	"netsim.Host":               {"accessRouter", "defaultHandler", "homeCount", "homeLinks", "homeRouters", "id", "ips", "nHandlers", "name", "net", "received", "sent"},
-	"netsim.Link":               {"cfg", "down", "dropped", "faultDrops", "from", "net", "nextFree", "queued", "sent", "to"},
+	"netsim.Link":               {"cfg", "down", "dropped", "faultDrops", "from", "inTail", "net", "nextFree", "queued", "sent", "to", "txCur"}, // inTail, txCur: derived on restore from the link's pending arrival events (RestoreInFlight), not on the wire
 	"netsim.Network":            {"adj", "adjEntrySlab", "adjMode", "adjSlab", "colEntries", "colsMaterialized", "downLinks", "downRouters", "faultDrops", "filterSlab", "handlers", "hooks", "hostSlab", "hostUsed", "hosts", "ipOwner", "ipSlab", "linkSlab", "linkUsed", "links", "nextNodeID", "nextPktID", "nodes", "pktFree", "resolver", "rng", "routeCols", "routeSlab", "routerSlab", "routerUsed", "routers", "scheduler", "sizeHint", "sparse", "topoVersion"},
-	"netsim.Packet":             {"FlowID", "Hops", "ID", "Kind", "Label", "Malicious", "Proto", "SentAt", "Seq", "Size", "dstNode", "dstNodeOK", "flowHash", "freed", "hashOK", "pooled"},
+	"netsim.Packet":             {"FlowID", "Hops", "ID", "Kind", "Label", "Malicious", "Proto", "SentAt", "Seq", "Size", "dstNode", "dstNodeOK", "flowHash", "freed", "hashOK", "inNext", "pooled", "txDone", "txSeq"}, // inNext, txDone, txSeq: derived on restore from the packet's own arrival event (At - Delay, Seq), not on the wire
 	"netsim.Router":             {"down", "dropped", "faultDrops", "filters", "forwarded", "id", "name", "net", "routeCount", "routes"},
 	"pushback.ATR":              {"Packets", "Router", "Share"},
 	"pushback.Coordinator":      {"active", "activeVictim", "atrScore", "calmEpochs", "cellScratch", "cfg", "eligible", "history", "historyAlpha", "historyOK", "historySeen", "identified", "identifiedATR", "lastEpoch", "lastFireEpoch", "onPushback", "onWithdraw", "pendingRefire", "requestsFired", "shareScratch", "triggerLoad"},
 	"pushback.Request":          {"ATRs", "Epoch", "VictimLoad", "VictimRouter"},
 	"sim.RNG":                   {"cs", "r", "reg"},
-	"sim.Scheduler":             {"backend", "cal", "events", "freeHead", "heap", "now", "processed", "seq", "stopped"},
+	"sim.Scheduler":             {"backend", "cal", "events", "freeHead", "heap", "horizon", "now", "processed", "seq", "stopped"}, // horizon: set by RestoreClock to NextSeq, where it rests between RunUntil calls; not on the wire
 	"sim.countingSource":        {"draws", "seed", "src"},
 	"sim.event":                 {"ah", "arg", "at", "fn", "gen", "h", "nextFree", "seq", "state"},
 	"topology.Arena":            {"bystanders", "clients", "extraVictims", "ingress", "ingressOf", "lazy", "names", "route", "routers", "victimHomes", "zombies"},

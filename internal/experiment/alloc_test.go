@@ -3,8 +3,10 @@ package experiment
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"mafic/internal/checkpoint"
+	"mafic/internal/netsim"
 	"mafic/internal/sim"
 	"mafic/internal/topology"
 )
@@ -119,5 +121,48 @@ func TestPlainRunPaysNothingForCheckpointing(t *testing.T) {
 	}
 	if best > 124 || bestBytes > 147584 {
 		t.Errorf("a plain run allocated %d B in %d objects, want at most 147584 B in 124", bestBytes, best)
+	}
+}
+
+// TestStructSizes pins the two structs the engine holds by the hundred
+// thousand. Packets come from the network's pool in chunks and a 50 000-router
+// domain has 120 000 links, so a word on either shows directly in the
+// benchmark's alloc_bytes_per_job: on paper-table2 through the packet chunks,
+// on scale-50k through the link slab. Both carry the in-flight chain that
+// replaced the per-packet transmit-done event without having grown for it.
+func TestStructSizes(t *testing.T) {
+	if got := unsafe.Sizeof(netsim.Packet{}); got > 120 {
+		t.Errorf("netsim.Packet is %d bytes, want at most 120", got)
+	}
+	if got := unsafe.Sizeof(netsim.Link{}); got > 96 {
+		t.Errorf("netsim.Link is %d bytes, want at most 96", got)
+	}
+}
+
+// TestEventBudgetPerHop pins the engine's event count against the work it
+// simulates: a link send costs one event, the arrival, so a run dispatches
+// little more than one event per hop (measured 1.13; the rest is sources,
+// probe cycles and epochs). A per-hop event creeping back in — it was 2.13
+// with a transmit-done event per packet — fails here, not in a benchmark.
+func TestEventBudgetPerHop(t *testing.T) {
+	s := table2Quick(t)
+	sched := getScheduler(s.Scheduler)
+	defer putScheduler(sched)
+	b, err := buildRun(s, topology.NewArena(), sched)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	if err := sched.RunUntil(s.Duration); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	var hops uint64
+	b.domain.Net.ForEachLink(func(l *netsim.Link) { hops += l.Sent() })
+	res, err := b.finish()
+	if err != nil {
+		t.Fatalf("finish: %v", err)
+	}
+	if hops == 0 || float64(res.EventsProcessed) > 1.2*float64(hops) {
+		t.Errorf("%d events for %d link sends (%.2f per hop), want at most 1.2",
+			res.EventsProcessed, hops, float64(res.EventsProcessed)/float64(hops))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mafic/internal/checkpoint"
@@ -209,6 +210,74 @@ func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
 		// A flipped byte may still decode (e.g. inside the scenario JSON);
 		// the requirement is no panic and no unbounded allocation.
 		_, _ = checkpoint.Decode(mut)
+	}
+}
+
+// misorderLinkArrivals makes two packets in flight on one link arrive in the
+// wrong order by exchanging their arrival times; it reports whether the
+// snapshot held such a pair.
+func misorderLinkArrivals(snap *checkpoint.Snapshot) bool {
+	last := map[uint32]*checkpoint.EventState{}
+	for i := range snap.Events {
+		ev := &snap.Events[i]
+		if ev.Kind != checkpoint.EvLinkArrive {
+			continue
+		}
+		if prev := last[ev.Index]; prev != nil && prev.At != ev.At {
+			prev.At, ev.At = ev.At, prev.At
+			return true
+		}
+		last[ev.Index] = ev
+	}
+	return false
+}
+
+// miscountLinkQueue records one packet more on the first link's queue than
+// the snapshot holds in flight for it.
+func miscountLinkQueue(snap *checkpoint.Snapshot) bool {
+	if len(snap.Links) == 0 {
+		return false
+	}
+	snap.Links[0].Queued++
+	return true
+}
+
+// mutateSnapshot decodes data, applies mut and re-encodes, so the result is
+// a well-formed file that differs from a real one only where mut changed it.
+func mutateSnapshot(tb testing.TB, data []byte, mut func(*checkpoint.Snapshot) bool) []byte {
+	tb.Helper()
+	snap, err := checkpoint.Decode(data)
+	if err != nil {
+		tb.Fatalf("decode: %v", err)
+	}
+	if !mut(snap) {
+		tb.Fatal("the snapshot holds nothing for the mutation to change")
+	}
+	return checkpoint.Encode(snap)
+}
+
+// TestRestoreChecksLinkOccupancy pins that a link's occupancy and in-flight
+// chain are recomputed from the pending arrival events on restore and
+// checked against what the snapshot recorded, not trusted: a file that
+// decodes cleanly but is inconsistent there is refused, not run.
+func TestRestoreChecksLinkOccupancy(t *testing.T) {
+	s := table2Quick(t)
+	data, _ := snapshotMidRun(t, s, s.Duration/2)
+	for _, tc := range []struct {
+		name string
+		mut  func(*checkpoint.Snapshot) bool
+		want string
+	}{
+		{"arrivals out of order", misorderLinkArrivals, "is not behind packet"},
+		{"queued disagrees", miscountLinkQueue, "still being transmitted"},
+	} {
+		_, err := RunFromSnapshot(mutateSnapshot(t, data, tc.mut))
+		if !errors.Is(err, ErrSnapshot) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: resume returned %v, want an ErrSnapshot saying %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := RunFromSnapshot(mutateSnapshot(t, data, func(*checkpoint.Snapshot) bool { return true })); err != nil {
+		t.Errorf("unmutated round trip: %v", err)
 	}
 }
 

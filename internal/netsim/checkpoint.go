@@ -25,8 +25,10 @@ type LinkState struct {
 	FaultDrops uint64
 }
 
-// CheckpointState captures the link's dynamic state into dst.
+// CheckpointState captures the link's dynamic state into dst. The in-flight
+// chain does not travel: it is the link's pending arrival events, in order.
 func (l *Link) CheckpointState(dst *LinkState) {
+	l.reap()
 	*dst = LinkState{
 		NextFree:   l.nextFree,
 		Queued:     int64(l.queued),
@@ -37,16 +39,33 @@ func (l *Link) CheckpointState(dst *LinkState) {
 	}
 }
 
-// RestoreState overlays captured dynamic state onto a rebuilt link. The
-// caller finishes with Network.RestoreState, which recounts the network-wide
-// fault bookkeeping from the restored flags.
+// RestoreState overlays captured dynamic state onto a rebuilt link, all but
+// st.Queued: RestoreInFlight recounts occupancy from the packets in flight,
+// and the caller compares QueueLen with st.Queued once they are all back.
+// The caller finishes with Network.RestoreState, which recounts the
+// network-wide fault bookkeeping from the restored flags.
 func (l *Link) RestoreState(st LinkState) {
 	l.nextFree = st.NextFree
-	l.queued = int(st.Queued)
 	l.down = st.Down
 	l.sent = st.Sent
 	l.dropped = st.Dropped
 	l.faultDrops = st.FaultDrops
+}
+
+// RestoreInFlight puts pkt back in flight on the link, as the payload of the
+// arrival event (arrive, seq) the caller re-inserts: it rejoins the chain
+// under the key Send gave it, and counts as queued unless its transmission
+// had already been retired. The scheduler's clock must have been restored,
+// and a link's packets must come back in send order, as a snapshot's event
+// list holds them; anything else is refused.
+func (l *Link) RestoreInFlight(pkt *Packet, arrive sim.Time, seq uint64) error {
+	txDone := arrive - l.cfg.Delay
+	if t := l.inTail; t != nil && (seq <= t.txSeq || txDone < t.txDone) {
+		return fmt.Errorf("netsim: %v: in-flight packet %d (arrival %v, seq %d) is not behind packet %d (arrival %v, seq %d)",
+			l, pkt.ID, arrive, seq, t.ID, t.txDone+l.cfg.Delay, t.txSeq)
+	}
+	l.enchain(pkt, txDone, seq, !l.net.scheduler.Fired(txDone, seq))
+	return nil
 }
 
 // RouterState is the dynamic state of one router.

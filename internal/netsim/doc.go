@@ -16,6 +16,39 @@
 // callback returns. Packets built directly with &Packet{} are never pooled
 // and remain valid indefinitely; releasing one is a no-op.
 //
+// # Link occupancy
+//
+// A link send costs one scheduler event, the packet's arrival. The end of
+// its transmission — the instant a slot of the drop-tail queue frees up —
+// gets no event of its own: the count behind QueueLen and the drop-tail test
+// is settled lazily, whenever Send, QueueLen or CheckpointState looks at it,
+// and comes out exactly as if a transmit-done event per packet had
+// decremented it.
+//
+// That works because a link is FIFO. nextFree only grows, so in send order
+// both the transmit-done instants and the arrival instants never decrease.
+// The packets in flight on a link therefore form a chain in send order
+// (through the packets themselves; the link stores the tail and a cursor,
+// and the arriving packet is always the head), the packets whose transmission
+// is still unretired are a suffix of it, and settling the count is advancing
+// the cursor over every packet whose transmit-done instant has fired.
+//
+// "Has fired" is decided the way the scheduler would have: ties are the
+// norm, since on two consecutive links of equal bandwidth a packet reaches
+// the second at the very instant it finishes transmitting the previous one.
+// Send stamps each packet with the key (txDone, seq of its own arrival
+// event). A transmit-done event would have been scheduled immediately before
+// that arrival event, so it would have been dispatched before some event X
+// exactly when the arrival's sequence number lies before X's — and that is
+// what sim.Scheduler.Fired answers for the event being dispatched. Outside
+// the run loop nothing scheduled since the loop returned counts as fired.
+//
+// The chain is threaded through Packet, so a packet is in flight on at most
+// one link at a time: hand the same *Packet to a link again only after it
+// has arrived. None of this is in a snapshot; a restore relinks the packets
+// from the pending arrival events (Link.RestoreInFlight) and the checkpoint
+// layer checks the recount against the recorded LinkState.Queued.
+//
 // # Adjacency representation
 //
 // The node/link graph answers two per-hop questions on the forwarding fast

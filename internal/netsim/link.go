@@ -24,16 +24,25 @@ const DefaultQueueLen = 128
 // delay derived from its bandwidth, a fixed propagation delay, and a
 // drop-tail queue. It mirrors the SimplexLink abstraction of NS-2 that the
 // paper's LogLogCounter objects attach to.
+//
+// A 50 000-router domain holds 120 000 of these, so the endpoints and the
+// occupancy count are stored narrow; TestStructSizes pins the size.
 type Link struct {
 	net  *Network
-	from NodeID
-	to   NodeID
+	from int32 // NodeID of the upstream node
+	to   int32 // NodeID of the downstream node
 	cfg  LinkConfig
 
 	// nextFree is the virtual time at which the transmitter becomes idle.
 	nextFree sim.Time
-	// queued counts packets accepted but not yet fully transmitted.
-	queued int
+
+	// inTail is the last packet of the in-flight chain (Packet.inNext, send
+	// order) and txCur the first one whose transmission is not retired from
+	// queued yet; see "Link occupancy" in the package documentation.
+	inTail *Packet
+	txCur  *Packet
+	// queued counts packets accepted and not yet retired; exact after reap.
+	queued int32
 
 	// down marks the link failed: it admits nothing and in-flight packets
 	// die on arrival. Flipped only through SetDown (see faults.go), which
@@ -47,10 +56,10 @@ type Link struct {
 }
 
 // From reports the upstream node of the link.
-func (l *Link) From() NodeID { return l.from }
+func (l *Link) From() NodeID { return NodeID(l.from) }
 
 // To reports the downstream node of the link.
-func (l *Link) To() NodeID { return l.to }
+func (l *Link) To() NodeID { return NodeID(l.to) }
 
 // Config returns the link configuration.
 func (l *Link) Config() LinkConfig { return l.cfg }
@@ -62,7 +71,20 @@ func (l *Link) Sent() uint64 { return l.sent }
 func (l *Link) Dropped() uint64 { return l.dropped }
 
 // QueueLen reports the instantaneous number of packets waiting on the link.
-func (l *Link) QueueLen() int { return l.queued }
+func (l *Link) QueueLen() int {
+	l.reap()
+	return int(l.queued)
+}
+
+// reap retires every packet the link has finished transmitting: what a
+// transmit-done event per packet would do, done when the count is looked at.
+func (l *Link) reap() {
+	s := l.net.scheduler
+	for p := l.txCur; p != nil && s.Fired(p.txDone, p.txSeq); p = p.inNext {
+		l.queued--
+		l.txCur = p.inNext
+	}
+}
 
 // transmissionTime returns the serialisation delay of a packet of the given
 // size on this link.
@@ -82,17 +104,17 @@ func (l *Link) Send(pkt *Packet) {
 	now := l.net.Now()
 	if l.down {
 		l.faultDrops++
-		l.net.noteFaultDrop(pkt, l.from, now)
+		l.net.noteFaultDrop(pkt, l.From(), now)
 		l.net.FreePacket(pkt)
 		return
 	}
-	if l.queued >= l.cfg.QueueLen {
+	l.reap()
+	if int(l.queued) >= l.cfg.QueueLen {
 		l.dropped++
 		l.net.noteQueueDrop(pkt, l, now)
 		l.net.FreePacket(pkt)
 		return
 	}
-	l.queued++
 	l.sent++
 
 	start := now
@@ -102,34 +124,54 @@ func (l *Link) Send(pkt *Packet) {
 	tx := l.transmissionTime(pkt.Size)
 	l.nextFree = start + tx
 
-	txDone := l.nextFree
-	arrive := txDone + l.cfg.Delay
-
-	// Both events dispatch through the link itself (sim.EventHandler /
-	// sim.ArgHandler), so the per-packet forwarding path schedules without
-	// allocating closures.
-	l.net.scheduler.ScheduleHandlerAt(txDone, l)
-	l.net.scheduler.ScheduleArgAt(arrive, l, pkt)
+	// One event per hop: the arrival, dispatched through the link itself
+	// (sim.ArgHandler) so the forwarding path allocates no closure. The end
+	// of the transmission is only a key on the in-flight chain.
+	s := l.net.scheduler
+	l.enchain(pkt, l.nextFree, s.Seq(), true)
+	s.ScheduleArgAt(l.nextFree+l.cfg.Delay, l, pkt)
 }
 
-// OnEvent implements sim.EventHandler: the transmitter finished serialising
-// one packet, freeing a queue slot.
-func (l *Link) OnEvent(sim.Time) { l.queued-- }
+// enchain appends pkt to the in-flight chain under its transmit-done key,
+// which must lie behind the tail's. unretired says whether it counts towards
+// queued; once one packet does, all behind it do.
+func (l *Link) enchain(pkt *Packet, txDone sim.Time, seq uint64, unretired bool) {
+	pkt.txDone, pkt.txSeq, pkt.inNext = txDone, seq, nil
+	if l.inTail != nil {
+		l.inTail.inNext = pkt
+	}
+	l.inTail = pkt
+	if unretired {
+		l.queued++
+		if l.txCur == nil {
+			l.txCur = pkt
+		}
+	}
+}
 
 // OnEventArg implements sim.ArgHandler: the packet carried as arg has
-// propagated to the downstream node.
+// propagated to the downstream node. It heads the in-flight chain, and its
+// transmission is retired here unless a reap got to it first.
 func (l *Link) OnEventArg(now sim.Time, arg any) {
 	pkt := arg.(*Packet)
+	if l.txCur == pkt {
+		l.queued--
+		l.txCur = pkt.inNext
+	}
+	if l.inTail == pkt {
+		l.inTail = nil
+	}
+	pkt.inNext = nil
 	if l.down {
 		// The link died while the packet was in flight: it is dropped and
 		// accounted here, not leaked — the pool gets it back like any other
 		// terminal point.
 		l.faultDrops++
-		l.net.noteFaultDrop(pkt, l.to, now)
+		l.net.noteFaultDrop(pkt, l.To(), now)
 		l.net.FreePacket(pkt)
 		return
 	}
-	l.net.deliverTo(l.to, pkt, l.from)
+	l.net.deliverTo(l.To(), pkt, l.From())
 }
 
 // String renders the link endpoints for diagnostics.

@@ -633,7 +633,7 @@ func (n *Network) Connect(from, to NodeID, cfg LinkConfig) (*Link, error) {
 	n.invalidateRouteColumns()
 	n.topoVersion++
 	l := n.linkSlot()
-	*l = Link{net: n, from: from, to: to, cfg: cfg}
+	*l = Link{net: n, from: int32(from), to: int32(to), cfg: cfg}
 	n.links++
 	if n.adjMode == AdjacencySparse {
 		n.sparseInsert(from, to, l)

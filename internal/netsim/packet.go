@@ -3,6 +3,8 @@ package netsim
 import (
 	"fmt"
 	"strconv"
+
+	"mafic/internal/sim"
 )
 
 // IP is an IPv4-style 32-bit address. The simulator does not parse dotted
@@ -66,7 +68,7 @@ func (l FlowLabel) String() string {
 }
 
 // PacketKind distinguishes the packet types the simulation forwards.
-type PacketKind int
+type PacketKind uint8
 
 // Packet kinds. Data carries flow payload toward the victim; Ack and DupAck
 // travel in the reverse direction; Probe is the duplicated-ACK probe MAFIC
@@ -100,7 +102,7 @@ func (k PacketKind) String() string {
 // Protocol identifies the transport behaviour of the flow that emitted a
 // packet. MAFIC itself never trusts this field; it is carried for workload
 // accounting and so receivers know whether to generate ACKs.
-type Protocol int
+type Protocol uint8
 
 // Supported protocols.
 const (
@@ -123,6 +125,10 @@ func (p Protocol) String() string {
 // Packet is the unit of forwarding. Ground-truth fields (FlowID, Malicious)
 // exist only for measurement; no defence component reads them when making
 // decisions.
+//
+// Field order is deliberate — Kind, Proto and Malicious sit in the padding
+// behind Label, the private flags share one word — and TestStructSizes pins
+// the size.
 type Packet struct {
 	// ID is unique per packet within a simulation and doubles as the
 	// distinct-element identity the LogLog counters sketch.
@@ -133,6 +139,8 @@ type Packet struct {
 	Kind PacketKind
 	// Proto is the transport protocol of the emitting flow.
 	Proto Protocol
+	// Malicious is the ground-truth attack marker used only by metrics.
+	Malicious bool
 	// Seq is the transport sequence number (data) or the acknowledged
 	// sequence number (ACK/dup-ACK/probe).
 	Seq int64
@@ -148,23 +156,29 @@ type Packet struct {
 
 	// FlowID is the ground-truth identifier of the generating flow.
 	FlowID int
-	// Malicious is the ground-truth attack marker used only by metrics.
-	Malicious bool
 
 	// flowHash caches Label.Hash(); hashOK marks it valid. Traffic sources
 	// stamp the hash once per flow via SetFlowHash so the per-packet
 	// classification path never rehashes.
 	flowHash uint64
-	hashOK   bool
-	// dstNode caches the owner of Label.DstIP so multi-hop forwarding
-	// resolves the destination once per packet rather than once per hop.
+	// dstNode caches the owner of Label.DstIP (dstNodeOK marks it valid) so
+	// multi-hop forwarding resolves the destination once per packet rather
+	// than once per hop.
 	dstNode   NodeID
+	hashOK    bool
 	dstNodeOK bool
 	// pooled marks packets obtained from a network's pool; freed flags a
 	// pooled packet currently sitting in the free list (double-release
 	// detection).
 	pooled bool
 	freed  bool
+
+	// In-flight state, owned by the link the packet is travelling on: the
+	// key (txDone, txSeq) of the instant its transmission ends, and the
+	// packet sent on that link next. See "Link occupancy" in doc.go.
+	txDone sim.Time
+	txSeq  uint64
+	inNext *Packet
 }
 
 // FlowHash returns Label.Hash(), computing it at most once per packet.

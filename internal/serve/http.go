@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 )
@@ -11,7 +12,7 @@ import (
 //
 //	GET  /healthz            liveness, queue depth, per-state counts, metrics
 //	GET  /jobs               every job in submission order
-//	POST /jobs               submit a JobSpec; 202 on accept, 503 on shed/drain
+//	POST /jobs               submit a JobSpec; 202 on accept, 503 on shed/drain, 413 past maxSpecBytes
 //	GET  /jobs/{id}          one job's status (includes the Result when done)
 //	GET  /jobs/{id}/result   the raw result.json bytes, for bit-comparison
 //	POST /jobs/{id}/cancel   cancel a queued or running job
@@ -58,11 +59,21 @@ func (sv *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sv.Jobs())
 }
 
+// maxSpecBytes bounds the body of a POST /jobs. A JobSpec is a few hundred
+// bytes; the bound only keeps a client from making the service buffer an
+// arbitrary amount.
+const maxSpecBytes = 1 << 20
+
 func (sv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("job spec exceeds %d bytes", maxSpecBytes), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "invalid job spec: "+err.Error(), http.StatusBadRequest)
 		return
 	}

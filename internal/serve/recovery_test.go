@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -112,29 +114,38 @@ func TestDrainSavesFinalSnapshotAndRestartResumes(t *testing.T) {
 	shutdown(t, sv2)
 }
 
+// leaveJobMidRun runs spec as job 1 of a service over dir and drains the
+// service from the checkpoint hook at the third snapshot, so the store is
+// left as a stopped process leaves it: the job unfinished, several snapshots
+// behind it.
+func leaveJobMidRun(t *testing.T, dir string, spec JobSpec) {
+	t.Helper()
+	sv, _ := newTestServer(t, Config{Dir: dir, Workers: 1, Keep: 4})
+	saves := 0
+	sv.hooks.afterSave = func(id uint64, at sim.Time) {
+		saves++
+		if saves == 3 {
+			sv.Drain()
+		}
+	}
+	sv.Start()
+	if _, err := sv.Submit(spec); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	select {
+	case <-sv.DrainRequested():
+	case <-time.After(30 * time.Second):
+		t.Fatal("the checkpoint hook never triggered the drain")
+	}
+	shutdown(t, sv)
+}
+
 func TestRestartFallsBackPastCorruptNewestSnapshot(t *testing.T) {
 	spec := resumableSpec()
 	want := referenceResult(t, spec)
 	dir := t.TempDir()
 
-	sv1, _ := newTestServer(t, Config{Dir: dir, Workers: 1, Keep: 4})
-	saves := 0
-	sv1.hooks.afterSave = func(id uint64, at sim.Time) {
-		saves++
-		if saves == 3 {
-			sv1.Drain()
-		}
-	}
-	sv1.Start()
-	if _, err := sv1.Submit(spec); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	select {
-	case <-sv1.DrainRequested():
-	case <-time.After(30 * time.Second):
-		t.Fatal("the checkpoint hook never triggered the drain")
-	}
-	shutdown(t, sv1)
+	leaveJobMidRun(t, dir, spec)
 
 	// Tear the newest snapshot in place — the drain-time one.
 	names := snapNames(t, filepath.Join(dir, "jobs", "000001"))
@@ -163,6 +174,71 @@ func TestRestartFallsBackPastCorruptNewestSnapshot(t *testing.T) {
 		t.Errorf("fallback was not logged loudly; logs:\n%s", logs2.String())
 	}
 	shutdown(t, sv2)
+}
+
+// TestRecoveryFromVersion1Store is the upgrade path: the store was left
+// behind by a build that wrote snapshot version 1, mid-job. Such snapshots
+// are not migrated — this build cannot dispatch what they hold — so recovery
+// walks past every one of them and runs the job again from time zero, and the
+// result it serves is byte for byte that of a run that was never interrupted.
+func TestRecoveryFromVersion1Store(t *testing.T) {
+	spec := resumableSpec()
+	dir := t.TempDir()
+
+	leaveJobMidRun(t, dir, spec)
+
+	// Head every snapshot as version 1: the header is all this build reads
+	// of such a file.
+	jobDir := filepath.Join(dir, "jobs", "000001")
+	names := snapNames(t, jobDir)
+	if len(names) < 2 {
+		t.Fatalf("need a store with several snapshots, have %v", names)
+	}
+	for _, name := range names {
+		path := filepath.Join(jobDir, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("read snapshot: %v", err)
+		}
+		binary.LittleEndian.PutUint32(data[len("MAFICSNP"):], 1)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatalf("rewrite snapshot: %v", err)
+		}
+	}
+
+	sv2, logs2 := newTestServer(t, Config{Dir: dir, Workers: 1, Keep: 4})
+	sv2.Start()
+	final := waitJob(t, sv2, 1, StateCompleted)
+	if final.ResumedFromMs != nil {
+		t.Errorf("job resumed from a version 1 snapshot at %v ms", *final.ResumedFromMs)
+	}
+	if m := sv2.Metrics(); m.Resumed != 0 || m.SnapshotsCorrupt != uint64(len(names)) {
+		t.Errorf("Resumed = %d, SnapshotsCorrupt = %d, want 0 and %d", m.Resumed, m.SnapshotsCorrupt, len(names))
+	}
+	if !strings.Contains(logs2.String(), "starting fresh") {
+		t.Errorf("the restart from time zero was not logged; logs:\n%s", logs2.String())
+	}
+	got, err := sv2.ResultBytes(1)
+	if err != nil {
+		t.Fatalf("ResultBytes: %v", err)
+	}
+	shutdown(t, sv2)
+
+	// The uninterrupted run, through a service of its own.
+	sv3, _ := newTestServer(t, Config{Dir: t.TempDir(), Workers: 1})
+	sv3.Start()
+	if _, err := sv3.Submit(spec); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	waitJob(t, sv3, 1, StateCompleted)
+	want, err := sv3.ResultBytes(1)
+	if err != nil {
+		t.Fatalf("ResultBytes: %v", err)
+	}
+	shutdown(t, sv3)
+	if !bytes.Equal(got, want) {
+		t.Error("result.json after recovery from a version 1 store differs from an uninterrupted run's")
+	}
 }
 
 func TestRecoveryRunsManifestOnlyJobFresh(t *testing.T) {

@@ -326,6 +326,17 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Errorf("unknown field: status %d, want 400", resp.StatusCode)
 	}
 
+	// A body past the bound is refused before it is parsed to the end, and
+	// nothing about it reaches the queue or the counters.
+	before := sv.Metrics()
+	huge := `{"scenario":"` + strings.Repeat("a", 2*maxSpecBytes) + `"}`
+	if resp := post("/jobs", huge); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized spec: status %d, want 413", resp.StatusCode)
+	}
+	if after := sv.Metrics(); after != before || len(sv.Jobs()) != 0 {
+		t.Errorf("oversized spec left a trace: metrics %+v -> %+v, %d jobs", before, after, len(sv.Jobs()))
+	}
+
 	resp := post("/jobs", `{"scenario":"table2","quick":true,"durationMs":1000}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d, want 202", resp.StatusCode)

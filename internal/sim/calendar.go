@@ -190,10 +190,10 @@ func (q *calendarQueue) jumpToMin() timedEnt {
 	return best
 }
 
-// pop removes and returns the minimal pending entry. The caller must have
-// checked count > 0.
-func (q *calendarQueue) pop() timedEnt {
-	e, _ := q.peek()
+// remove takes out the minimal pending entry e, which the caller has just
+// obtained from peek: the scan still rests on e's bucket and e heads its
+// chain, so nothing is searched again.
+func (q *calendarQueue) remove(e timedEnt) {
 	q.buckets[q.cur] = q.nodes[e.idx].next
 	q.count--
 
@@ -209,7 +209,6 @@ func (q *calendarQueue) pop() timedEnt {
 	if q.count < len(q.buckets)/4 && len(q.buckets) > calMinBuckets {
 		q.resize()
 	}
-	return e
 }
 
 // idealWidth converts the spacing observed since the last retune into a

@@ -80,10 +80,13 @@ func (s *Scheduler) RestoreEvent(at Time, seq uint64, fn Handler, ah ArgHandler,
 
 // RestoreClock force-sets the clock, the next sequence number and the
 // processed-event count to checkpointed values. Every pending event must lie
-// at or after now.
+// at or after now. A snapshot is taken between RunUntil calls, where the
+// Fired bound rests on the next unallocated sequence number, so that is where
+// it lands here too.
 func (s *Scheduler) RestoreClock(now Time, nextSeq, processed uint64) {
 	s.now = now
 	s.seq = nextSeq
+	s.horizon = nextSeq
 	s.processed = processed
 }
 

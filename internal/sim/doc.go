@@ -38,6 +38,29 @@
 // rebuilds again. Both decisions are pure functions of the operation
 // sequence — no wall clock, no randomness — so runs stay deterministic.
 //
+// # Fired: state settled lazily instead of by an event
+//
+// A component whose event would do nothing but update a counter can skip the
+// event and settle the counter when it is next read, provided "has that
+// event fired yet?" has the dispatch order's answer, ties included.
+// Scheduler.Fired(at, seq) is that answer for an event keyed (at, seq),
+// whether or not one was ever scheduled: true if at lies before the clock,
+// or at equals the clock and seq lies below the horizon. The horizon is one
+// past the sequence number of the event being dispatched, so inside a
+// handler everything ordered up to and including that event has fired and
+// nothing after it has. When Run drains the queue or RunUntil reaches its
+// deadline the horizon moves to the next unallocated sequence number:
+// everything up to the deadline has fired, and an event scheduled afterwards
+// for that same instant has not, until the loop runs again. RestoreClock puts
+// it there too, since snapshots are taken between RunUntil calls. A run
+// halted by Stop leaves it on the event that called Stop: the events behind
+// it at that instant are still pending. A caller keys its virtual event with
+// a sequence number taken from Seq at the point where the real event would
+// have been scheduled; removing events from a run renumbers the rest but
+// keeps their relative order, which is all the comparison uses. netsim's
+// links retire transmitted packets this way (see "Link occupancy" there),
+// which halves the events of a run.
+//
 // # Determinism rules
 //
 // Dispatch order is total: events fire in ascending (time, sequence) order,

@@ -140,6 +140,11 @@ type Scheduler struct {
 	seq     uint64
 	stopped bool
 
+	// horizon is the sequence-number bound of "has fired" at the current
+	// instant: an event keyed (now, seq) has been dispatched iff seq <
+	// horizon. See Fired.
+	horizon uint64
+
 	// processed counts events that have fired, for instrumentation.
 	processed uint64
 }
@@ -180,6 +185,7 @@ func (s *Scheduler) Reset() {
 	s.cal.reset()
 	s.now = 0
 	s.seq = 0
+	s.horizon = 0
 	s.stopped = false
 	s.processed = 0
 }
@@ -208,7 +214,7 @@ func (s *Scheduler) push(e timedEnt) {
 // peekMin returns the minimal live pending entry without removing it,
 // discarding any cancelled entries in front of it. A cancelled timestamp
 // must not be reported as pending: RunUntil bounds its deadline check on
-// this peek, and treating a cancelled slot as runnable work would let step
+// this peek, and treating a cancelled slot as runnable work would let it
 // fire the next live event even when that event lies past the deadline.
 func (s *Scheduler) peekMin() (timedEnt, bool) {
 	for s.Len() > 0 {
@@ -221,21 +227,20 @@ func (s *Scheduler) peekMin() (timedEnt, bool) {
 		if s.events[top.idx].state == eventQueued {
 			return top, true
 		}
-		s.popMin()
+		s.removeMin(top)
 		s.release(top.idx)
 	}
 	return timedEnt{}, false
 }
 
-// popMin removes and returns the minimal pending entry. The caller must
-// have checked Len() > 0.
-func (s *Scheduler) popMin() timedEnt {
+// removeMin removes the minimal pending entry, which the caller has just
+// peeked as top: the queue is not searched a second time.
+func (s *Scheduler) removeMin(top timedEnt) {
 	if s.backend == BackendHeap {
-		top := s.heap[0]
 		s.heapPop()
-		return top
+	} else {
+		s.cal.remove(top)
 	}
-	return s.cal.pop()
 }
 
 // Processed reports how many events have fired so far.
@@ -387,33 +392,36 @@ func (s *Scheduler) heapPop() {
 // Stop halts the run loop after the currently executing event returns.
 func (s *Scheduler) Stop() { s.stopped = true }
 
-// step pops and runs the next event. It reports false when the queue is empty.
-func (s *Scheduler) step() bool {
-	for s.Len() > 0 {
-		top := s.popMin()
-		ev := &s.events[top.idx]
-		if ev.state != eventQueued {
-			// Cancelled while queued: recycle the slot and keep going.
-			s.release(top.idx)
-			continue
-		}
-		// Copy the dispatch target before releasing: the handler may
-		// schedule new events, reusing (or growing) the arena.
-		fn, ah, arg, h := ev.fn, ev.ah, ev.arg, ev.h
-		s.release(top.idx)
-		s.now = top.at
-		s.processed++
-		switch {
-		case fn != nil:
-			fn(s.now)
-		case ah != nil:
-			ah.OnEventArg(s.now, arg)
-		default:
-			h.OnEvent(s.now)
-		}
-		return true
+// dispatch removes the live entry top, which the caller has just peeked, from
+// the queue and fires it.
+func (s *Scheduler) dispatch(top timedEnt) {
+	s.removeMin(top)
+	ev := &s.events[top.idx]
+	// Copy the dispatch target before releasing: the handler may schedule
+	// new events, reusing (or growing) the arena.
+	fn, ah, arg, h := ev.fn, ev.ah, ev.arg, ev.h
+	s.release(top.idx)
+	s.now = top.at
+	s.horizon = top.seq + 1
+	s.processed++
+	switch {
+	case fn != nil:
+		fn(s.now)
+	case ah != nil:
+		ah.OnEventArg(s.now, arg)
+	default:
+		h.OnEvent(s.now)
 	}
-	return false
+}
+
+// Fired reports whether an event keyed (at, seq) would already have been
+// dispatched, whether or not such an event was ever scheduled: everything
+// before the current instant has, and at the current instant everything up
+// to and including the event being dispatched. Outside the run loop nothing
+// scheduled since the loop returned has. See "Fired" in the package
+// documentation for when the bound moves.
+func (s *Scheduler) Fired(at Time, seq uint64) bool {
+	return at < s.now || (at == s.now && seq < s.horizon)
 }
 
 // Run executes events until the queue drains or Stop is called. It returns
@@ -421,9 +429,12 @@ func (s *Scheduler) step() bool {
 func (s *Scheduler) Run() error {
 	s.stopped = false
 	for !s.stopped {
-		if !s.step() {
+		top, ok := s.peekMin()
+		if !ok {
+			s.horizon = s.seq
 			return nil
 		}
+		s.dispatch(top)
 	}
 	return ErrStopped
 }
@@ -438,15 +449,16 @@ func (s *Scheduler) RunUntil(deadline Time) error {
 		if !ok || top.at > deadline {
 			break
 		}
-		if !s.step() {
-			break
-		}
+		s.dispatch(top)
 	}
 	if s.stopped {
 		return ErrStopped
 	}
-	if s.now < deadline {
+	if s.now <= deadline {
+		// Everything up to the deadline has fired; whatever is scheduled
+		// from here on, even for this very instant, has not.
 		s.now = deadline
+		s.horizon = s.seq
 	}
 	return nil
 }
