@@ -36,8 +36,9 @@ golden:
 	$(GO) test ./internal/experiment -run TestGoldenScenarios -update
 
 # bench measures the current engine (ns/op, B/op, allocs/op per figure
-# benchmark) and writes BENCH_current.json; diff it against the tracked
-# BENCH_baseline.json to see the performance trajectory.
+# benchmark) and writes BENCH_current.json (untracked: this target and
+# bench-diff regenerate it); diff it against the tracked BENCH_baseline.json
+# to see the performance trajectory.
 bench:
 	$(GO) run ./cmd/maficbench -out BENCH_current.json
 
@@ -99,11 +100,15 @@ chaos-smoke:
 # rebuilt on restore from the packets in flight rather than carried in the
 # snapshot, so the link's property test against the two-event reference link
 # (both scheduler backends) and the restore-time consistency check ride here.
+# Every build, a restore's included, lands on a network the arena has reset
+# under the last run's packets, so the reset-equivalence and leak tests ride
+# here too.
 crash-smoke:
 	$(GO) test -race -count=1 ./internal/experiment \
-		-run 'TestKillAndResumeEquivalence|TestCheckpointUnderActiveFaults|TestRestoreThenReuseInvariance|TestSessionMatchesFreshCapture|TestRestoreChecksLinkOccupancy'
+		-run 'TestKillAndResumeEquivalence|TestCheckpointUnderActiveFaults|TestRestoreThenReuseInvariance|TestSessionMatchesFreshCapture|TestRestoreChecksLinkOccupancy|TestArenaSequenceMatchesFreshArena'
 	$(GO) test -race -count=1 ./internal/netsim \
-		-run 'TestLinkMatchesReferenceLink|TestLinkFullQueueAtTransmitDoneInstant'
+		-run 'TestLinkMatchesReferenceLink|TestLinkFullQueueAtTransmitDoneInstant|TestReset'
+	$(GO) test -race -count=1 ./internal/topology -run 'TestArenaReuseMatchesFreshBuild'
 
 # serve-smoke is the service-mode crash-recovery gate: it starts a real
 # maficserve process, submits a long checkpointing job, kill -9s the process

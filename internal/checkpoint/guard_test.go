@@ -71,9 +71,9 @@ var fieldManifest = map[string][]string{
 	"metrics.Collector":         {"activated", "activationAt", "atrAttackPost", "atrAttackPre", "atrLegitPost", "atrLegitPre", "binWidth", "bins", "dropAttack", "dropAttackPDT", "dropLegitIllegal", "dropLegitPDT", "dropLegitProbing", "faultDrops", "queueDrops", "tap", "victimAttackPost", "victimAttackPre", "victimLegitPost", "victimLegitPre"},
 	"metrics.Counts":            {"ATRAttackPost", "ATRAttackPre", "ATRLegitPost", "ATRLegitPre", "DropAttack", "DropAttackPDT", "DropLegitIllegal", "DropLegitPDT", "DropLegitProbing", "FaultDrops", "QueueDrops", "VictimAttack", "VictimAttackPre", "VictimLegit", "VictimLegitPre"},
 	"netsim.Host":               {"accessRouter", "defaultHandler", "homeCount", "homeLinks", "homeRouters", "id", "ips", "nHandlers", "name", "net", "received", "sent"},
-	"netsim.Link":               {"cfg", "down", "dropped", "faultDrops", "from", "inTail", "net", "nextFree", "queued", "sent", "to", "txCur"}, // inTail, txCur: derived on restore from the link's pending arrival events (RestoreInFlight), not on the wire
-	"netsim.Network":            {"adj", "adjEntrySlab", "adjMode", "adjSlab", "colEntries", "colsMaterialized", "downLinks", "downRouters", "faultDrops", "filterSlab", "handlers", "hooks", "hostSlab", "hostUsed", "hosts", "ipOwner", "ipSlab", "linkSlab", "linkUsed", "links", "nextNodeID", "nextPktID", "nodes", "pktFree", "resolver", "rng", "routeCols", "routeSlab", "routerSlab", "routerUsed", "routers", "scheduler", "sizeHint", "sparse", "topoVersion"},
-	"netsim.Packet":             {"FlowID", "Hops", "ID", "Kind", "Label", "Malicious", "Proto", "SentAt", "Seq", "Size", "dstNode", "dstNodeOK", "flowHash", "freed", "hashOK", "inNext", "pooled", "txDone", "txSeq"}, // inNext, txDone, txSeq: derived on restore from the packet's own arrival event (At - Delay, Seq), not on the wire
+	"netsim.Link":               {"cfg", "down", "dropped", "faultDrops", "from", "inTail", "net", "nextFree", "queued", "sent", "to", "txCur"},                                                                                                                                                                                                                                                              // inTail, txCur: derived on restore from the link's pending arrival events (RestoreInFlight), not on the wire
+	"netsim.Network":            {"adj", "adjEntrySlab", "adjMode", "adjSlab", "colEntries", "colsMaterialized", "downLinks", "downRouters", "faultDrops", "filterSlab", "handlers", "hooks", "hostSlab", "ipOwner", "ipSlab", "linkSlab", "links", "nextPktID", "nodes", "pktFree", "pktSlab", "resolver", "rng", "routeCols", "routeSlab", "routerSlab", "scheduler", "sizeHint", "sparse", "topoVersion"}, // the seven slab fields (chunk list plus carve cursor each): storage Reset rewinds for the next build, no run state
+	"netsim.Packet":             {"FlowID", "Hops", "ID", "Kind", "Label", "Malicious", "Proto", "SentAt", "Seq", "Size", "dstNode", "dstNodeOK", "flowHash", "freed", "hashOK", "inNext", "pooled", "txDone", "txSeq"},                                                                                                                                                                                      // inNext, txDone, txSeq: derived on restore from the packet's own arrival event (At - Delay, Seq), not on the wire
 	"netsim.Router":             {"down", "dropped", "faultDrops", "filters", "forwarded", "id", "name", "net", "routeCount", "routes"},
 	"pushback.ATR":              {"Packets", "Router", "Share"},
 	"pushback.Coordinator":      {"active", "activeVictim", "atrScore", "calmEpochs", "cellScratch", "cfg", "eligible", "history", "historyAlpha", "historyOK", "historySeen", "identified", "identifiedATR", "lastEpoch", "lastFireEpoch", "onPushback", "onWithdraw", "pendingRefire", "requestsFired", "shareScratch", "triggerLoad"},
@@ -82,7 +82,7 @@ var fieldManifest = map[string][]string{
 	"sim.Scheduler":             {"backend", "cal", "events", "freeHead", "heap", "horizon", "now", "processed", "seq", "stopped"}, // horizon: set by RestoreClock to NextSeq, where it rests between RunUntil calls; not on the wire
 	"sim.countingSource":        {"draws", "seed", "src"},
 	"sim.event":                 {"ah", "arg", "at", "fn", "gen", "h", "nextFree", "seq", "state"},
-	"topology.Arena":            {"bystanders", "clients", "extraVictims", "ingress", "ingressOf", "lazy", "names", "route", "routers", "victimHomes", "zombies"},
+	"topology.Arena":            {"bystanders", "clients", "extraVictims", "ingress", "ingressOf", "lazy", "names", "net", "route", "routers", "victimHomes", "zombies"}, // net: the network every Build resets and rebuilds; what it carries of a run is netsim.Network's row
 	"topology.Domain":           {"Bystanders", "Clients", "ExtraVictims", "Ingress", "LastHop", "Net", "Routers", "Victim", "VictimHomes", "Zombies", "ingressOf"},
 	"topology.lazyRouter":       {"carved", "colFree", "handed", "net", "rs", "seenVersion", "width"},
 	"topology.nameCache":        {"bystanders", "clients", "routers", "victims", "zombies"},

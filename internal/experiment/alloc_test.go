@@ -103,8 +103,10 @@ func TestEncodeAllocatesOnce(t *testing.T) {
 
 // TestPlainRunPaysNothingForCheckpointing pins that the capture session is
 // lazy: a run that is never snapshotted allocates what it did before the
-// session existed (147 584 B in 124 objects for quick table2 on warm pools,
-// the lowest of a few runs since map growth makes single runs wobble).
+// session existed. It is also the pin on what a warm run allocates at all:
+// 57 536 B in 76 objects for quick table2 on warm pools (147 584 B in 124
+// before the arena kept its network), the lowest of a few runs since map
+// growth makes single runs wobble.
 func TestPlainRunPaysNothingForCheckpointing(t *testing.T) {
 	s := table2Quick(t)
 	best, bestBytes := ^uint64(0), ^uint64(0)
@@ -119,8 +121,32 @@ func TestPlainRunPaysNothingForCheckpointing(t *testing.T) {
 		}
 		best, bestBytes = min(best, mallocs), min(bestBytes, bytes)
 	}
-	if best > 124 || bestBytes > 147584 {
-		t.Errorf("a plain run allocated %d B in %d objects, want at most 147584 B in 124", bestBytes, best)
+	if best > 76 || bestBytes > 57536 {
+		t.Errorf("a plain run allocated %d B in %d objects, want at most 57536 B in 76", bestBytes, best)
+	}
+}
+
+// TestRebuildReusesTheNetwork pins the arena's network: the first quick
+// stress-5k run through an arena carves the domain (6.7 MB), every later one
+// rebuilds it in place and allocates a twentieth of that — a tenth is the
+// limit. Before the arena kept its network a later run still allocated 3.7 MB.
+func TestRebuildReusesTheNetwork(t *testing.T) {
+	e, ok := LookupScenario("stress-5k")
+	if !ok {
+		t.Fatal("stress-5k not registered")
+	}
+	s := Quick(e.Build())
+	arena := topology.NewArena()
+	run := func() {
+		if _, err := runWith(s, arena); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	}
+	_, first := heapDelta(run)
+	for i := 2; i <= 4; i++ {
+		if _, bytes := heapDelta(run); bytes > first/10 {
+			t.Errorf("run %d through the arena allocated %d B, the first %d B: want at most a tenth", i, bytes, first)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -187,6 +188,40 @@ func TestHardenedBufferReuseInvariance(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestArenaSequenceMatchesFreshArena runs large → small → chaos → large →
+// transit-stub → small through one arena — quick stress-5k, table2 at its
+// full 40 routers, a partition that leaves links down and fault drops
+// counted, stress-5k again, then a transit-stub domain, a multi-homed victim
+// and extra victims — and requires each result to equal what the same
+// scenario gives on an arena of its own, which is what a fresh process
+// computes. Every run ends with packets in flight; the next build resets the
+// network under them.
+func TestArenaSequenceMatchesFreshArena(t *testing.T) {
+	arena := topology.NewArena()
+	for i, name := range []string{"stress-5k", "table2", "partition-heal", "stress-5k", "transit-stub", "multihomed-victim", "multi-victim"} {
+		e, ok := LookupScenario(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		s := Quick(e.Build())
+		if name == "table2" {
+			s.Topology = e.Build().Topology
+		}
+		s.Seed += int64(i)
+		got, err := runWith(s, arena)
+		if err != nil {
+			t.Fatalf("step %d (%s) on the shared arena: %v", i, name, err)
+		}
+		want, err := runWith(s, topology.NewArena())
+		if err != nil {
+			t.Fatalf("step %d (%s) on its own arena: %v", i, name, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			diffResults(t, fmt.Sprintf("step %d (%s) after %d builds on the arena", i, name, i), want, got)
+		}
 	}
 }
 

@@ -195,8 +195,8 @@ func (n *Network) RestoreState(st NetworkState) error {
 			n.downLinks++
 		}
 	})
-	for _, r := range n.routers {
-		if r.down {
+	for _, slot := range n.nodes {
+		if slot.router != nil && slot.router.down {
 			n.downRouters++
 		}
 	}

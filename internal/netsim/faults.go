@@ -64,7 +64,7 @@ func (l *Link) FaultDropped() uint64 { return l.faultDrops }
 // injecting until restored. Failing an already-down router is a no-op; the
 // id must name a router of the network.
 func (n *Network) FailRouter(id NodeID) error {
-	r := n.routers[id]
+	r := n.Router(id)
 	if r == nil {
 		return fmt.Errorf("fail router %d: %w", id, ErrUnknownNode)
 	}
@@ -80,7 +80,7 @@ func (n *Network) FailRouter(id NodeID) error {
 // RestoreRouter brings a crashed router back. Restoring a live router is a
 // no-op; the id must name a router of the network.
 func (n *Network) RestoreRouter(id NodeID) error {
-	r := n.routers[id]
+	r := n.Router(id)
 	if r == nil {
 		return fmt.Errorf("restore router %d: %w", id, ErrUnknownNode)
 	}
@@ -95,7 +95,7 @@ func (n *Network) RestoreRouter(id NodeID) error {
 
 // RouterDown reports whether the given node is a currently-failed router.
 func (n *Network) RouterDown(id NodeID) bool {
-	r := n.routers[id]
+	r := n.Router(id)
 	return r != nil && r.down
 }
 

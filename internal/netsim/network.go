@@ -95,10 +95,8 @@ type Network struct {
 	scheduler *sim.Scheduler
 	rng       *sim.RNG
 
-	routers map[NodeID]*Router
-	hosts   map[NodeID]*Host
-	// nodes is the dense NodeID-indexed dispatch table used on the
-	// forwarding path instead of the registry maps above.
+	// nodes is the dense NodeID-indexed table of every node: the registry
+	// behind Router and Host, and the dispatch table of the forwarding path.
 	nodes []nodeSlot
 	// adjMode selects the adjacency representation below; exactly one of
 	// the two tables is populated. See SetAdjacencyMode.
@@ -115,27 +113,24 @@ type Network struct {
 	links   int
 	ipOwner map[IP]NodeID
 
-	nextNodeID NodeID
-	nextPktID  uint64
+	nextPktID uint64
 
 	// sizeHint is the expected final node count set by Reserve; dense
 	// per-node tables (adjacency rows, route tables) are allocated at this
 	// size up front when it is known.
 	sizeHint int
 
-	// pktFree is the packet free list; see NewPacket / FreePacket.
+	// pktFree is the packet free list; see NewPacket / FreePacket. Its
+	// packets come from pktSlab a chunk at a time, so a reset network threads
+	// only as many retained chunks as the run turns out to need.
 	pktFree []*Packet
+	pktSlab slab[Packet]
 
-	// Object slabs: nodes, links and pool packets are carved out of
-	// chunk-allocated arrays instead of being allocated one by one, so
-	// domain construction costs O(objects/chunk) allocations. Chunks are
-	// never reallocated, keeping every handed-out pointer stable.
-	routerSlab []Router
-	routerUsed int
-	hostSlab   []Host
-	hostUsed   int
-	linkSlab   []Link
-	linkUsed   int
+	// Object slabs: nodes and links are carved from chunk-allocated arrays
+	// instead of being allocated one by one; see slab.
+	routerSlab slab[Router]
+	hostSlab   slab[Host]
+	linkSlab   slab[Link]
 
 	// Dense-row slabs: dense-mode adjacency rows and per-router route
 	// tables are carved from multi-row chunks so reserved domain
@@ -150,16 +145,16 @@ type Network struct {
 	// few entries of headroom and re-carved at doubled capacity when a
 	// node's degree outgrows them, so sparse domain construction costs
 	// O(links/adjEntryChunk) allocations for adjacency storage.
-	adjEntrySlab []adjEntry
+	adjEntrySlab slab[adjEntry]
 
 	// filterSlab backs the routers' filter chains; chains are tiny (tap
 	// plus at most one defence), so carving them avoids a per-router
 	// allocation.
-	filterSlab []Filter
+	filterSlab slab[Filter]
 
 	// ipSlab backs the hosts' address slices; nearly every host owns
 	// exactly one address, so carving them avoids a per-host allocation.
-	ipSlab []IP
+	ipSlab slab[IP]
 
 	// handlers dispatches host-received packets by (host, label). One
 	// network-wide map replaces a lazily allocated map per host; hosts
@@ -225,39 +220,6 @@ func (n *Network) nodeSlabSize() int {
 	return size
 }
 
-// routerSlot carves a zeroed Router from the slab.
-func (n *Network) routerSlot() *Router {
-	if n.routerUsed == len(n.routerSlab) {
-		n.routerSlab = make([]Router, n.nodeSlabSize())
-		n.routerUsed = 0
-	}
-	r := &n.routerSlab[n.routerUsed]
-	n.routerUsed++
-	return r
-}
-
-// hostSlot carves a zeroed Host from the slab.
-func (n *Network) hostSlot() *Host {
-	if n.hostUsed == len(n.hostSlab) {
-		n.hostSlab = make([]Host, n.nodeSlabSize())
-		n.hostUsed = 0
-	}
-	h := &n.hostSlab[n.hostUsed]
-	n.hostUsed++
-	return h
-}
-
-// linkSlot carves a zeroed Link from the slab.
-func (n *Network) linkSlot() *Link {
-	if n.linkUsed == len(n.linkSlab) {
-		n.linkSlab = make([]Link, linkChunk)
-		n.linkUsed = 0
-	}
-	l := &n.linkSlab[n.linkUsed]
-	n.linkUsed++
-	return l
-}
-
 // denseRowWidth validates-and-grows the width of a dense per-node row: the
 // Reserve hint when it is still accurate, but never narrower than the actual
 // node count or the slot the caller is about to index. Rows used to be sized
@@ -307,26 +269,14 @@ func (n *Network) carveRouteRow(need int) []NodeID {
 // adjEntrySlabSize picks the chunk size for the sparse-entry slab: roughly
 // one initial row per expected node, so small domains allocate a chunk they
 // actually fill, capped at adjEntryChunk so huge domains amortize in
-// fixed-size chunks, and never smaller than the row being carved.
-func (n *Network) adjEntrySlabSize(capWant int) int {
-	size := sparseRowCap * n.denseRowWidth(0)
-	if size > adjEntryChunk {
-		size = adjEntryChunk
-	}
-	if size < capWant {
-		size = capWant
-	}
-	return size
+// fixed-size chunks.
+func (n *Network) adjEntrySlabSize() int {
+	return min(sparseRowCap*n.denseRowWidth(0), adjEntryChunk)
 }
 
 // carveAdjEntries carves a zero-length sparse row with the given capacity.
 func (n *Network) carveAdjEntries(capWant int) []adjEntry {
-	if len(n.adjEntrySlab) < capWant {
-		n.adjEntrySlab = make([]adjEntry, n.adjEntrySlabSize(capWant))
-	}
-	row := n.adjEntrySlab[:0:capWant]
-	n.adjEntrySlab = n.adjEntrySlab[capWant:]
-	return row
+	return n.adjEntrySlab.take(capWant, n.adjEntrySlabSize())[:0]
 }
 
 // sparseFind returns the position of target to in the sorted row, or the
@@ -347,16 +297,7 @@ func sparseFind(row []adjEntry, to NodeID) int {
 // growFilters returns a filter slice with room for two more entries, carved
 // from the filter slab, with old's contents copied in.
 func (n *Network) growFilters(old []Filter) []Filter {
-	want := len(old) + 2
-	if len(n.filterSlab) < want {
-		size := filterChunk
-		if want > size {
-			size = want
-		}
-		n.filterSlab = make([]Filter, size)
-	}
-	grown := n.filterSlab[:len(old):want]
-	n.filterSlab = n.filterSlab[want:]
+	grown := n.filterSlab.take(len(old)+2, filterChunk)[:len(old)]
 	copy(grown, old)
 	return grown
 }
@@ -364,16 +305,7 @@ func (n *Network) growFilters(old []Filter) []Filter {
 // carveIPs copies ips into slab-backed storage with one slot of headroom,
 // so RegisterIP of a second address stays in place.
 func (n *Network) carveIPs(ips []IP) []IP {
-	want := len(ips) + 1
-	if len(n.ipSlab) < want {
-		size := ipChunk
-		if want > size {
-			size = want
-		}
-		n.ipSlab = make([]IP, size)
-	}
-	s := n.ipSlab[:len(ips):want]
-	n.ipSlab = n.ipSlab[want:]
+	s := n.ipSlab.take(len(ips)+1, ipChunk)[:len(ips)]
 	copy(s, ips)
 	return s
 }
@@ -401,9 +333,57 @@ func New(scheduler *sim.Scheduler, rng *sim.RNG) *Network {
 	return &Network{
 		scheduler: scheduler,
 		rng:       rng,
-		routers:   make(map[NodeID]*Router),
-		hosts:     make(map[NodeID]*Host),
 		ipOwner:   make(map[IP]NodeID),
+	}
+}
+
+// Reset empties the network and binds it to a new scheduler and RNG, keeping
+// its storage: afterwards it answers every exported question as New's result
+// would, and building a domain on it carves the slabs and tables the last one
+// used instead of allocating them. Every router, host, link and pool packet
+// handed out before is invalid from here on. The cost is that of what the
+// last build and run used, not of the largest the network has ever held; see
+// "Reset and ownership" in the package documentation.
+func (n *Network) Reset(scheduler *sim.Scheduler, rng *sim.RNG) {
+	// The tables are read by index before they are written, so the part in
+	// use is zeroed; beyond their length they are zero already, which is
+	// what lets Reserve re-extend them by reslicing.
+	clear(n.nodes)
+	clear(n.sparse)
+	clear(n.routeCols)
+	clear(n.ipOwner)
+	clear(n.handlers)
+	// A chain left in the filter slab would pin the finished run's
+	// defenders for as long as no later build carves over it.
+	for chain := range n.filterSlab.taken() {
+		clear(chain)
+	}
+	// Packets the last run left in flight or queued were never released.
+	// Marking every packet that run touched as released keeps the
+	// double-release panic armed against a holder from before the reset.
+	for chunk := range n.pktSlab.taken() {
+		for i := range chunk {
+			chunk[i].freed = true
+		}
+	}
+	// Everything not carried over here starts from zero, the dense oracle's
+	// rows included: those must come zeroed and are allocated anew.
+	*n = Network{
+		scheduler:    scheduler,
+		rng:          rng,
+		nodes:        n.nodes[:0],
+		sparse:       n.sparse[:0],
+		routeCols:    n.routeCols[:0],
+		ipOwner:      n.ipOwner,
+		handlers:     n.handlers,
+		pktFree:      n.pktFree[:0],
+		pktSlab:      n.pktSlab.rewound(),
+		routerSlab:   n.routerSlab.rewound(),
+		hostSlab:     n.hostSlab.rewound(),
+		linkSlab:     n.linkSlab.rewound(),
+		adjEntrySlab: n.adjEntrySlab.rewound(),
+		filterSlab:   n.filterSlab.rewound(),
+		ipSlab:       n.ipSlab.rewound(),
 	}
 }
 
@@ -432,10 +412,11 @@ func (n *Network) NextPacketID() uint64 {
 // its terminal point. See the package documentation for the ownership rules.
 func (n *Network) NewPacket() *Packet {
 	if len(n.pktFree) == 0 {
-		// Refill the free list from a fresh chunk: one allocation buys
-		// pktChunk packets. Chunk packets enter the list in the same
-		// state FreePacket leaves recycled ones in.
-		chunk := make([]Packet, pktChunk)
+		// Refill the free list from the next chunk: one allocation, or
+		// none on a reset network, buys pktChunk packets. Chunk packets
+		// enter the list in the same state FreePacket leaves recycled
+		// ones in.
+		chunk := n.pktSlab.take(pktChunk, pktChunk)
 		if cap(n.pktFree) < pktChunk {
 			n.pktFree = make([]*Packet, 0, pktChunk)
 		}
@@ -473,8 +454,7 @@ func (n *Network) FreePacket(p *Packet) {
 
 // allocateNodeID hands out the next node identifier.
 func (n *Network) allocateNodeID() NodeID {
-	id := n.nextNodeID
-	n.nextNodeID++
+	id := NodeID(len(n.nodes))
 	n.nodes = append(n.nodes, nodeSlot{})
 	n.topoVersion++
 	return id
@@ -527,17 +507,23 @@ func (n *Network) Reserve(nodes int) {
 	if nodes <= len(n.nodes) {
 		return
 	}
-	grownNodes := make([]nodeSlot, len(n.nodes), nodes)
-	copy(grownNodes, n.nodes)
-	n.nodes = grownNodes
+	if cap(n.nodes) < nodes {
+		grownNodes := make([]nodeSlot, len(n.nodes), nodes)
+		copy(grownNodes, n.nodes)
+		n.nodes = grownNodes
+	}
 	if nodes > n.sizeHint {
 		n.sizeHint = nodes
 	}
 	n.reserveAdjSpine(nodes)
 	if nodes > len(n.routeCols) {
-		grownCols := make([][]NodeID, nodes)
-		copy(grownCols, n.routeCols)
-		n.routeCols = grownCols
+		if cap(n.routeCols) >= nodes {
+			n.routeCols = n.routeCols[:nodes]
+		} else {
+			grownCols := make([][]NodeID, nodes)
+			copy(grownCols, n.routeCols)
+			n.routeCols = grownCols
+		}
 	}
 }
 
@@ -545,13 +531,12 @@ func (n *Network) Reserve(nodes int) {
 // route table starts empty — demand-driven forwarding needs none, and the
 // eager install path carves a dense slab row on the first SetRoute.
 func (n *Network) AddRouter(name string) *Router {
-	r := n.routerSlot()
+	r := &n.routerSlab.take(1, n.nodeSlabSize())[0]
 	*r = Router{
 		net:  n,
 		id:   n.allocateNodeID(),
 		name: name,
 	}
-	n.routers[r.id] = r
 	n.nodes[r.id].router = r
 	return r
 }
@@ -560,14 +545,13 @@ func (n *Network) AddRouter(name string) *Router {
 // table is created lazily on first Register, so pure-sink hosts (bystanders,
 // extra victims) never allocate one.
 func (n *Network) AddHost(name string, ips ...IP) *Host {
-	h := n.hostSlot()
+	h := &n.hostSlab.take(1, n.nodeSlabSize())[0]
 	*h = Host{
 		net:  n,
 		id:   n.allocateNodeID(),
 		name: name,
 		ips:  n.carveIPs(ips),
 	}
-	n.hosts[h.id] = h
 	n.nodes[h.id].host = h
 	for _, ip := range ips {
 		n.ipOwner[ip] = h.id
@@ -581,21 +565,25 @@ func (n *Network) RegisterIP(host *Host, ip IP) {
 	n.ipOwner[ip] = host.id
 }
 
-// Router returns the router with the given ID, or nil.
-func (n *Network) Router(id NodeID) *Router { return n.routers[id] }
+// Router returns the router with the given ID, or nil. ForEachNode visits
+// them all, in ascending ID order.
+func (n *Network) Router(id NodeID) *Router {
+	if id < 0 || int(id) >= len(n.nodes) {
+		return nil
+	}
+	return n.nodes[id].router
+}
 
 // Host returns the host with the given ID, or nil.
-func (n *Network) Host(id NodeID) *Host { return n.hosts[id] }
-
-// Routers returns all routers keyed by node ID. The map is the live internal
-// map and must not be mutated by callers; it is exposed for iteration only.
-func (n *Network) Routers() map[NodeID]*Router { return n.routers }
-
-// Hosts returns all hosts keyed by node ID (iteration only, do not mutate).
-func (n *Network) Hosts() map[NodeID]*Host { return n.hosts }
+func (n *Network) Host(id NodeID) *Host {
+	if id < 0 || int(id) >= len(n.nodes) {
+		return nil
+	}
+	return n.nodes[id].host
+}
 
 // NodeCount reports the number of nodes (routers plus hosts).
-func (n *Network) NodeCount() int { return len(n.routers) + len(n.hosts) }
+func (n *Network) NodeCount() int { return len(n.nodes) }
 
 // Owner resolves an address to the node owning it, or NoNode when the
 // address is not allocated anywhere in the simulated internetwork. MAFIC
@@ -621,18 +609,24 @@ func (n *Network) Connect(from, to NodeID, cfg LinkConfig) (*Link, error) {
 	if !n.nodeExists(from) || !n.nodeExists(to) {
 		return nil, fmt.Errorf("connect %d->%d: %w", from, to, ErrUnknownNode)
 	}
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = DefaultQueueLen
-	}
 	if n.LinkBetween(from, to) != nil {
 		return nil, fmt.Errorf("connect %d->%d: %w", from, to, ErrDuplicateLink)
+	}
+	return n.connect(from, to, cfg), nil
+}
+
+// connect installs the simplex link from->to. The caller has checked that
+// both nodes exist and that no such link does.
+func (n *Network) connect(from, to NodeID, cfg LinkConfig) *Link {
+	if cfg.QueueLen <= 0 {
+		cfg.QueueLen = DefaultQueueLen
 	}
 	// A new link can change shortest paths; memoized next-hop columns from
 	// before it existed are stale. On the build-then-run lifecycle nothing
 	// has materialized yet and this is free.
 	n.invalidateRouteColumns()
 	n.topoVersion++
-	l := n.linkSlot()
+	l := &n.linkSlab.take(1, linkChunk)[0]
 	*l = Link{net: n, from: int32(from), to: int32(to), cfg: cfg}
 	n.links++
 	if n.adjMode == AdjacencySparse {
@@ -643,7 +637,7 @@ func (n *Network) Connect(from, to NodeID, cfg LinkConfig) (*Link, error) {
 	if h := n.nodes[to].host; h != nil {
 		h.noteHome(from, l)
 	}
-	return l, nil
+	return l
 }
 
 // sparseInsert places l into from's sorted neighbour row, re-carving the row
@@ -654,7 +648,7 @@ func (n *Network) sparseInsert(from, to NodeID, l *Link) {
 	}
 	row := n.sparse[from]
 	i := sparseFind(row, to)
-	// Connect rejected duplicates already, so the slot at i is either past
+	// The caller rejected duplicates already, so the slot at i is either past
 	// the end or holds a larger target.
 	if len(row) == cap(row) {
 		capWant := sparseRowCap
@@ -695,20 +689,16 @@ func (n *Network) denseInsert(from, to NodeID, l *Link) {
 // ConnectDuplex adds two simplex links (a->b and b->a) with the same
 // configuration. Both directions are validated before either is installed:
 // a rejected pair leaves no half-installed duplex link behind and does not
-// move TopoVersion.
+// move TopoVersion. A node's duplex link to itself is its own duplicate.
 func (n *Network) ConnectDuplex(a, b NodeID, cfg LinkConfig) error {
 	if !n.nodeExists(a) || !n.nodeExists(b) {
 		return fmt.Errorf("connect %d<->%d: %w", a, b, ErrUnknownNode)
 	}
-	if n.LinkBetween(a, b) != nil || n.LinkBetween(b, a) != nil {
+	if a == b || n.LinkBetween(a, b) != nil || n.LinkBetween(b, a) != nil {
 		return fmt.Errorf("connect %d<->%d: %w", a, b, ErrDuplicateLink)
 	}
-	if _, err := n.Connect(a, b, cfg); err != nil {
-		return err
-	}
-	if _, err := n.Connect(b, a, cfg); err != nil {
-		return err
-	}
+	n.connect(a, b, cfg)
+	n.connect(b, a, cfg)
 	return nil
 }
 

@@ -169,8 +169,10 @@ func (n *Network) TopoVersion() uint64 { return n.topoVersion }
 // O(active destinations × nodes).
 func (n *Network) RouteStats() (entries int, bytes int64) {
 	entries = n.colEntries
-	for _, r := range n.routers {
-		entries += len(r.routes)
+	for _, slot := range n.nodes {
+		if slot.router != nil {
+			entries += len(slot.router.routes)
+		}
 	}
 	return entries, int64(entries) * int64(unsafe.Sizeof(NoNode))
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Calendar-queue tuning constants.
 const (
@@ -8,8 +11,9 @@ const (
 	// below it, so tiny queues stay cheap to scan and to rebuild.
 	calMinBuckets = 16
 	// calInitialWidth is the bucket width before any spacing has been
-	// observed. The first retune replaces it with a measured value.
-	calInitialWidth = Millisecond
+	// observed, about half a millisecond. The first retune replaces it with
+	// a measured value.
+	calInitialWidth Time = 1 << 19
 	// calRetunePops is how many dequeues pass between width-retune checks.
 	calRetunePops = 4096
 	// calMinGapSamples is the minimum number of observed inter-event gaps
@@ -53,7 +57,8 @@ type calendarQueue struct {
 	nodes   []calNode // parallel to the scheduler's event arena
 	buckets []int32   // head of each bucket's chain, calNil when empty
 	mask    int       // len(buckets)-1; len is a power of two
-	width   Time      // window width in virtual time, >= 1
+	width   Time      // window width in virtual time: 1 << shift
+	shift   uint      // see setWidth
 	count   int       // pending entries, including lazily cancelled ones
 
 	// cur is the bucket whose window [curTop-width, curTop) the dequeue
@@ -85,15 +90,24 @@ func (q *calendarQueue) reset() {
 	q.resetObservation()
 }
 
+// setWidth makes the window width w rounded down to a power of two, so that
+// mapping a timestamp to its window — once per insert, on every event — is a
+// shift and not a 64-bit divide. w must be at least 1. Which width the queue
+// runs at changes what a dequeue scans, never what it yields.
+func (q *calendarQueue) setWidth(w Time) {
+	q.shift = uint(bits.Len64(uint64(w))) - 1
+	q.width = 1 << q.shift
+}
+
 // bucketOf maps a timestamp to its bucket index under the current geometry.
 func (q *calendarQueue) bucketOf(at Time) int {
-	return int(at/q.width) & q.mask
+	return int(at>>q.shift) & q.mask
 }
 
 // anchor points the dequeue scan at the window containing at.
 func (q *calendarQueue) anchor(at Time) {
 	q.cur = q.bucketOf(at)
-	q.curTop = (at/q.width + 1) * q.width
+	q.curTop = (at>>q.shift + 1) << q.shift
 }
 
 // insert adds the entry, anchoring or re-anchoring the dequeue scan when
@@ -106,7 +120,7 @@ func (q *calendarQueue) insert(e timedEnt) {
 			q.buckets[i] = calNil
 		}
 		q.mask = calMinBuckets - 1
-		q.width = calInitialWidth
+		q.setWidth(calInitialWidth)
 	}
 	for int(e.idx) >= len(q.nodes) {
 		q.nodes = append(q.nodes, calNode{})
@@ -212,7 +226,8 @@ func (q *calendarQueue) remove(e timedEnt) {
 }
 
 // idealWidth converts the spacing observed since the last retune into a
-// bucket width, or returns 0 when too few gaps have accumulated to trust.
+// bucket width (before setWidth's rounding), or returns 0 when too few gaps
+// have accumulated to trust.
 func (q *calendarQueue) idealWidth() Time {
 	if q.gapPops < calMinGapSamples {
 		return 0
@@ -225,7 +240,9 @@ func (q *calendarQueue) idealWidth() Time {
 }
 
 // maybeRetune rebuilds with a freshly measured width when the current one
-// has drifted at least 2x from the observed spacing. Steady-state workloads
+// has drifted at least 2x from the observed spacing. The measured width is
+// compared before setWidth rounds it, so a spacing that hovers about a power
+// of two does not flip the geometry back and forth. Steady-state workloads
 // settle after the first retune and never rebuild again.
 func (q *calendarQueue) maybeRetune() {
 	w := q.idealWidth()
@@ -277,7 +294,7 @@ func (q *calendarQueue) rebuild(n int, w Time) {
 	for i := range q.buckets {
 		q.buckets[i] = calNil
 	}
-	q.width = w
+	q.setWidth(w)
 	slices.SortFunc(q.scratch, func(a, b timedEnt) int {
 		switch {
 		case entLess(a, b):

@@ -35,7 +35,8 @@
 // width tracks the average inter-event spacing observed at dequeue, checked
 // every few thousand pops and rebuilt only when it has drifted at least 2x,
 // so a workload with stable spacing settles after one retune and never
-// rebuilds again. Both decisions are pure functions of the operation
+// rebuilds again; it is kept a power of two, which makes timestamp-to-bucket
+// a shift. Both decisions are pure functions of the operation
 // sequence — no wall clock, no randomness — so runs stay deterministic.
 //
 // # Fired: state settled lazily instead of by an event

@@ -6,19 +6,25 @@ import (
 	"mafic/internal/netsim"
 )
 
-// Arena holds the reusable backing arrays behind Domain construction: the
-// domain's role slices (routers, ingress, hosts by kind), the dense
-// host-to-ingress table, and the scratch space of the shortest-path route
-// computation. Parameter sweeps rebuild the topology at every point; building
-// through one arena per worker lets those rebuilds reuse storage instead of
-// re-growing it from nothing each time.
+// Arena holds the reusable storage behind Domain construction: the network
+// itself (every router, host, link and pool packet, the adjacency and the
+// per-node tables — netsim.Network.Reset rewinds it), the domain's role
+// slices (routers, ingress, hosts by kind), the dense host-to-ingress table,
+// the route columns handed to the network and the scratch space of the
+// shortest-path route computation. Parameter sweeps rebuild the topology at
+// every point; building through one arena per worker lets those rebuilds
+// reuse storage instead of re-growing it from nothing each time. An arena
+// retains the largest domain it has built.
 //
-// Ownership mirrors the netsim packet pool: a Domain built from an arena
-// remains valid only until the next Build call on the same arena, which
-// recycles the backing arrays. Builds that must outlive each other use
-// separate arenas (or the package-level Build, which makes a fresh one). An
-// Arena is not safe for concurrent use; give each goroutine its own.
+// Ownership mirrors the netsim packet pool: a Domain built from an arena —
+// its Net and everything carved from it included — remains valid only until
+// the next Build call on the same arena, which recycles all of it. Builds
+// that must outlive each other use separate arenas (or the package-level
+// Build, which makes a fresh one). An Arena is not safe for concurrent use;
+// give each goroutine its own.
 type Arena struct {
+	net *netsim.Network
+
 	routers      []*netsim.Router
 	ingress      []*netsim.Router
 	victimHomes  []*netsim.Router
@@ -91,8 +97,8 @@ type routeScratch struct {
 	// targets[offsets[id]:offsets[id+1]], ascending.
 	offsets []int32
 	targets []netsim.NodeID
-	// parents[id] is id's BFS parent (the next hop from id toward the
-	// current root); NoNode marks unvisited nodes.
+	// parents is the eager install's BFS parent table (see parentTable);
+	// the lazy resolver searches straight into the column it hands over.
 	parents []netsim.NodeID
 	queue   []netsim.NodeID
 	// routerList collects the network's routers once, in id order, so the
@@ -118,18 +124,23 @@ func (rs *routeScratch) snapshot(net *netsim.Network) int {
 		}
 	}
 	rs.offsets[n] = int32(len(rs.targets))
+	return n
+}
+
+// parentTable returns the scratch parent table, n entries wide.
+func (rs *routeScratch) parentTable(n int) []netsim.NodeID {
 	if cap(rs.parents) < n {
 		rs.parents = make([]netsim.NodeID, n)
 	}
 	rs.parents = rs.parents[:n]
-	return n
+	return rs.parents
 }
 
-// bfs fills parents with each reached node's parent on the shortest path
-// back toward root. The root's own entry is set to itself (visited marker);
-// unreached nodes keep NoNode.
-func (rs *routeScratch) bfs(root netsim.NodeID) {
-	parents := rs.parents
+// bfs fills parents, a table as wide as the snapshot, with each reached
+// node's parent on the shortest path back toward root (its next hop toward
+// root). The root's own entry is set to itself (visited marker); unreached
+// nodes get NoNode.
+func (rs *routeScratch) bfs(root netsim.NodeID, parents []netsim.NodeID) {
 	for i := range parents {
 		parents[i] = netsim.NoNode
 	}
@@ -154,15 +165,16 @@ func (rs *routeScratch) bfs(root netsim.NodeID) {
 // in outcome to the historical map-based implementation.
 func (rs *routeScratch) install(net *netsim.Network) error {
 	n := rs.snapshot(net)
+	parents := rs.parentTable(n)
 	for dest := 0; dest < n; dest++ {
 		destID := netsim.NodeID(dest)
-		rs.bfs(destID)
+		rs.bfs(destID, parents)
 		for _, r := range rs.routerList {
 			id := r.ID()
 			if id == destID {
 				continue
 			}
-			if parent := rs.parents[id]; parent != netsim.NoNode {
+			if parent := parents[id]; parent != netsim.NoNode {
 				r.SetRoute(destID, parent)
 			}
 		}
@@ -173,7 +185,7 @@ func (rs *routeScratch) install(net *netsim.Network) error {
 // lazyRouter is the arena's netsim.RouteResolver: the demand-driven half of
 // the two-level routing design. bind snapshots the finished domain into the
 // arena's CSR scratch; NextHopColumn then materializes one column per
-// requested destination by a single reverse BFS, copied into a column carved
+// requested destination by a single reverse BFS straight into a column carved
 // from the arena's recycled column pool. Columns handed to a network remain
 // valid for that network's lifetime; the next bind (the next sweep point)
 // reclaims their storage, exactly the ownership rule every other arena-backed
@@ -214,9 +226,9 @@ func (lz *lazyRouter) bind(rs *routeScratch, net *netsim.Network) {
 }
 
 // NextHopColumn implements netsim.RouteResolver: one reverse BFS rooted at
-// dest fills the scratch parent table, which is the column (parent of node X
-// on the shortest path tree rooted at dest == X's next hop toward dest, with
-// the historical BFS tie-breaking).
+// dest, with the column as its parent table (parent of node X on the shortest
+// path tree rooted at dest == X's next hop toward dest, with the historical
+// BFS tie-breaking).
 func (lz *lazyRouter) NextHopColumn(dest netsim.NodeID) []netsim.NodeID {
 	// A graph mutation after Build invalidated the network's memo; it also
 	// staled this snapshot, so refresh before computing. Untouched on the
@@ -225,9 +237,8 @@ func (lz *lazyRouter) NextHopColumn(dest netsim.NodeID) []netsim.NodeID {
 		lz.width = lz.rs.snapshot(lz.net)
 		lz.seenVersion = v
 	}
-	lz.rs.bfs(dest)
 	col := lz.takeColumn()
-	copy(col, lz.rs.parents)
+	lz.rs.bfs(dest, col)
 	lz.handed = append(lz.handed, col)
 	return col
 }

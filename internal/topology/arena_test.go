@@ -2,90 +2,196 @@ package topology
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"mafic/internal/netsim"
 	"mafic/internal/sim"
 )
 
-// TestArenaReuseMatchesFreshBuild dirties an arena with one domain shape and
-// then rebuilds a different shape through it, asserting the result is
-// structurally identical to a from-scratch build with the same seed: reused
-// backing arrays must never leak state between sweep points.
+// TestArenaReuseMatchesFreshBuild takes one arena through large → small →
+// large → transit-stub → small — a stress-5k-sized ring, a table2-sized one,
+// the large one again with a multi-homed victim and extra victims, a
+// transit-stub domain on the dense adjacency oracle, a tiny ring — and after
+// every build compares the domain with a from-scratch Build of the same
+// configuration and seed: reused storage, the network's included, must never
+// leak state between sweep points. The small builds route eagerly, so their
+// comparison covers every installed route; the large ones compare
+// demand-driven columns.
 func TestArenaReuseMatchesFreshBuild(t *testing.T) {
-	// Eager routing so the route-table comparison below compares real
-	// installed entries; lazy rebuild reuse is pinned by the tests in
-	// lazy_test.go.
-	big := DefaultConfig()
-	big.NumRouters = 48
-	big.ExtraVictims = 3
-	big.MultiHomedVictim = true
-	big.Routing = RoutingEager
+	large := DefaultConfig()
+	large.NumRouters = 5000
+	large.ExtraChords = 1250
 
-	small := DefaultConfig()
-	small.NumRouters = 14
-	small.ExtraChords = 3
-	small.BystanderHosts = 5
-	small.Routing = RoutingEager
+	table2 := DefaultConfig()
+	table2.Routing = RoutingEager
 
-	for _, style := range []Style{StyleRing, StyleTransitStub} {
-		arena := NewArena()
-		bigCfg := big
-		bigCfg.Style = style
-		if _, err := arena.Build(bigCfg, sim.NewScheduler(), sim.NewRNG(9)); err != nil {
-			t.Fatalf("dirtying build (%v): %v", style, err)
-		}
+	largeVictims := large
+	largeVictims.MultiHomedVictim = true
+	largeVictims.ExtraVictims = 3
+	largeVictims.BystanderHosts = 40
 
-		smallCfg := small
-		smallCfg.Style = style
-		got, err := arena.Build(smallCfg, sim.NewScheduler(), sim.NewRNG(5))
+	stub := DefaultTransitStubConfig()
+	stub.NumRouters = 48
+	stub.ExtraVictims = 3
+	stub.MultiHomedVictim = true
+	stub.Routing = RoutingEager
+	stub.Adjacency = netsim.AdjacencyDense
+
+	tiny := DefaultConfig()
+	tiny.NumRouters = 14
+	tiny.ExtraChords = 3
+	tiny.BystanderHosts = 5
+	tiny.Routing = RoutingEager
+
+	arena := NewArena()
+	var stale []netsim.IP // addresses of the build before
+	for i, step := range []struct {
+		name string
+		cfg  Config
+	}{{"large", large}, {"table2", table2}, {"large+victims", largeVictims}, {"transit-stub", stub}, {"tiny", tiny}} {
+		seed := int64(5 + i)
+		got, err := arena.Build(step.cfg, sim.NewScheduler(), sim.NewRNG(seed))
 		if err != nil {
-			t.Fatalf("arena build (%v): %v", style, err)
+			t.Fatalf("%s: arena build: %v", step.name, err)
 		}
-		want, err := Build(smallCfg, sim.NewScheduler(), sim.NewRNG(5))
+		want, err := Build(step.cfg, sim.NewScheduler(), sim.NewRNG(seed))
 		if err != nil {
-			t.Fatalf("fresh build (%v): %v", style, err)
+			t.Fatalf("%s: fresh build: %v", step.name, err)
 		}
+		requireSameDomain(t, step.name, got, want, stale)
 
-		if len(got.Routers) != len(want.Routers) {
-			t.Fatalf("router count %d != %d", len(got.Routers), len(want.Routers))
-		}
-		if len(got.Ingress) != len(want.Ingress) {
-			t.Fatalf("ingress count %d != %d", len(got.Ingress), len(want.Ingress))
-		}
-		for i := range got.Ingress {
-			if got.Ingress[i].ID() != want.Ingress[i].ID() {
-				t.Fatalf("ingress[%d] = %d != %d", i, got.Ingress[i].ID(), want.Ingress[i].ID())
+		stale = stale[:0]
+		got.Net.ForEachNode(func(_ netsim.NodeID, _ *netsim.Router, h *netsim.Host) {
+			if h != nil {
+				stale = append(stale, h.IPs()...)
 			}
+		})
+	}
+}
+
+// requireSameDomain compares two domains through everything they and their
+// networks expose: roles, node IDs and names, address owners (those of
+// the previous build on got's arena too), every adjacency row in order with
+// its links' configuration and state, attachment links, TopoVersion, static
+// routes and next hops toward a host of each kind.
+func requireSameDomain(t *testing.T, step string, got, want *Domain, stale []netsim.IP) {
+	t.Helper()
+	gn, wn := got.Net, want.Net
+	if gn.NodeCount() != wn.NodeCount() || gn.LinkTotal() != wn.LinkTotal() || gn.TopoVersion() != wn.TopoVersion() ||
+		gn.AdjacencyMode() != wn.AdjacencyMode() || gn.RouteColumns() != 0 || gn.FaultDropped() != 0 {
+		t.Fatalf("%s: network has %d nodes, %d links, TopoVersion %d, %v adjacency, %d columns, %d fault drops; fresh build %d, %d, %d, %v, 0, 0",
+			step, gn.NodeCount(), gn.LinkTotal(), gn.TopoVersion(), gn.AdjacencyMode(), gn.RouteColumns(), gn.FaultDropped(),
+			wn.NodeCount(), wn.LinkTotal(), wn.TopoVersion(), wn.AdjacencyMode())
+	}
+
+	routerIDs := func(rs []*netsim.Router) []netsim.NodeID {
+		ids := make([]netsim.NodeID, len(rs))
+		for i, r := range rs {
+			ids[i] = r.ID()
 		}
-		if got.LastHop.ID() != want.LastHop.ID() {
-			t.Fatalf("last hop %d != %d", got.LastHop.ID(), want.LastHop.ID())
+		return ids
+	}
+	hostIDs := func(hs []*netsim.Host) []netsim.NodeID {
+		ids := make([]netsim.NodeID, len(hs))
+		for i, h := range hs {
+			ids[i] = h.ID()
 		}
-		if len(got.Clients) != len(want.Clients) || len(got.Zombies) != len(want.Zombies) ||
-			len(got.Bystanders) != len(want.Bystanders) {
-			t.Fatalf("host populations differ: %d/%d/%d vs %d/%d/%d",
-				len(got.Clients), len(got.Zombies), len(got.Bystanders),
-				len(want.Clients), len(want.Zombies), len(want.Bystanders))
+		return ids
+	}
+	for _, role := range []struct {
+		name      string
+		got, want []netsim.NodeID
+	}{
+		{"routers", routerIDs(got.Routers), routerIDs(want.Routers)},
+		{"ingress", routerIDs(got.Ingress), routerIDs(want.Ingress)},
+		{"victim homes", routerIDs(got.VictimHomes), routerIDs(want.VictimHomes)},
+		{"last hop", routerIDs([]*netsim.Router{got.LastHop}), routerIDs([]*netsim.Router{want.LastHop})},
+		{"victim", hostIDs([]*netsim.Host{got.Victim}), hostIDs([]*netsim.Host{want.Victim})},
+		{"extra victims", hostIDs(got.ExtraVictims), hostIDs(want.ExtraVictims)},
+		{"clients", hostIDs(got.Clients), hostIDs(want.Clients)},
+		{"zombies", hostIDs(got.Zombies), hostIDs(want.Zombies)},
+		{"bystanders", hostIDs(got.Bystanders), hostIDs(want.Bystanders)},
+	} {
+		if !slices.Equal(role.got, role.want) {
+			t.Fatalf("%s: %s are nodes %v, fresh build %v", step, role.name, role.got, role.want)
 		}
-		for i, c := range got.Clients {
-			gi, wi := got.IngressOf(c), want.IngressOf(want.Clients[i])
-			if (gi == nil) != (wi == nil) || (gi != nil && gi.ID() != wi.ID()) {
-				t.Fatalf("client %d ingress mismatch", i)
+	}
+	for _, r := range got.Routers {
+		if got.Net.Router(r.ID()) != r {
+			t.Fatalf("%s: domain router %d is not the network's", step, r.ID())
+		}
+	}
+
+	for id := netsim.NodeID(0); int(id) < gn.NodeCount(); id++ {
+		gr, wr := gn.Router(id), wn.Router(id)
+		gh, wh := gn.Host(id), wn.Host(id)
+		switch {
+		case (gr == nil) != (wr == nil) || (gh == nil) != (wh == nil) || (gr == nil) == (gh == nil):
+			t.Fatalf("%s: node %d is router=%v host=%v, fresh build router=%v host=%v", step, id, gr != nil, gh != nil, wr != nil, wh != nil)
+		case gr != nil:
+			if gr.Name() != wr.Name() || gr.ID() != id || gr.Network() != gn || len(gr.Filters()) != 0 || gr.RouteCount() != wr.RouteCount() ||
+				gr.Down() || gr.Forwarded() != 0 || gr.FilterDropped() != 0 || gr.FaultDropped() != 0 {
+				t.Fatalf("%s: router %d is %v with %d routes and %d filters, fresh build %v with %d", step, id, gr, gr.RouteCount(), len(gr.Filters()), wr, wr.RouteCount())
 			}
-		}
-		// Every route on every router must match the fresh build.
-		nodes := got.Net.NodeCount()
-		if nodes != want.Net.NodeCount() {
-			t.Fatalf("node count %d != %d", nodes, want.Net.NodeCount())
-		}
-		for _, r := range got.Routers {
-			ref := want.Net.Router(r.ID())
-			for dest := 0; dest < nodes; dest++ {
-				if g, w := r.Route(netsim.NodeID(dest)), ref.Route(netsim.NodeID(dest)); g != w {
-					t.Fatalf("router %d route to %d: %d != %d (style %v)", r.ID(), dest, g, w, style)
+			if gr.RouteCount() > 0 {
+				for dest := netsim.NodeID(0); int(dest) < gn.NodeCount(); dest++ {
+					if g, w := gr.Route(dest), wr.Route(dest); g != w {
+						t.Fatalf("%s: router %d routes %d via %d, fresh build via %d", step, id, dest, g, w)
+					}
 				}
 			}
+		default:
+			if gh.Name() != wh.Name() || gh.ID() != id || gh.Network() != gn || !slices.Equal(gh.IPs(), wh.IPs()) ||
+				gh.AccessRouter() != wh.AccessRouter() || gh.Received() != 0 || gh.Sent() != 0 {
+				t.Fatalf("%s: host %d is %v %v behind %d, fresh build %v %v behind %d", step, id, gh, gh.IPs(), gh.AccessRouter(), wh, wh.IPs(), wh.AccessRouter())
+			}
+			// Not necessarily id: past 256 ingress routers the builder's
+			// address blocks wrap and the later host owns the address.
+			for _, ip := range gh.IPs() {
+				if g, w := gn.Owner(ip), wn.Owner(ip); g != w {
+					t.Fatalf("%s: %v belongs to node %d, fresh build %d", step, ip, g, w)
+				}
+			}
+			if g, w := got.IngressOf(gh), want.IngressOf(wh); (g == nil) != (w == nil) || (g != nil && g.ID() != w.ID()) {
+				t.Fatalf("%s: host %d enters through %v, fresh build %v", step, id, g, w)
+			}
 		}
+
+		gnb, wnb := gn.Neighbors(id), wn.Neighbors(id)
+		if !slices.Equal(gnb, wnb) {
+			t.Fatalf("%s: node %d neighbours %v, fresh build %v", step, id, gnb, wnb)
+		}
+		for _, nb := range gnb {
+			gl, wl := gn.LinkBetween(id, nb), wn.LinkBetween(id, nb)
+			if gl == nil || gl.From() != id || gl.To() != nb || gl.Config() != wl.Config() ||
+				gl.QueueLen() != 0 || gl.Sent() != 0 || gl.Dropped() != 0 || gl.FaultDropped() != 0 || gl.Down() {
+				t.Fatalf("%s: link %d->%d is %v %+v (queued %d, sent %d, down %v), fresh build %+v", step, id, nb, gl, gl.Config(), gl.QueueLen(), gl.Sent(), gl.Down(), wl.Config())
+			}
+			if ga, wa := gn.AttachmentLink(id, nb), wn.AttachmentLink(id, nb); (ga == nil) != (wa == nil) || (ga != nil && ga != gl) {
+				t.Fatalf("%s: attachment link %d->%d is %v, the adjacency holds %v, fresh build %v", step, id, nb, ga, gl, wa)
+			}
+		}
+	}
+	for _, ip := range stale {
+		if g, w := gn.Owner(ip), wn.Owner(ip); g != w {
+			t.Fatalf("%s: %v of the previous build belongs to node %d, fresh build %d", step, ip, g, w)
+		}
+	}
+
+	dests := []netsim.NodeID{got.Victim.ID(), got.Clients[0].ID(), got.Bystanders[len(got.Bystanders)-1].ID(), got.Routers[0].ID()}
+	for _, v := range got.ExtraVictims {
+		dests = append(dests, v.ID())
+	}
+	for _, dest := range dests {
+		for _, gr := range got.Routers {
+			if g, w := effectiveNextHop(gn, gr, dest), effectiveNextHop(wn, wn.Router(gr.ID()), dest); g != w {
+				t.Fatalf("%s: router %d forwards to %d via %d, fresh build via %d", step, gr.ID(), dest, g, w)
+			}
+		}
+	}
+	if g, w := gn.RouteColumns(), wn.RouteColumns(); g != w {
+		t.Fatalf("%s: %d columns materialized, fresh build %d", step, g, w)
 	}
 }
 

@@ -41,8 +41,8 @@
 //   - Column storage is recycled across sweep points: rebuilding through the
 //     same Arena reclaims every column the previous build handed out.
 //
-// Arena-built domains (and their routing columns) follow the arena ownership
-// rule: valid until the next Build on the same arena.
+// Arena-built domains (their network and routing columns included) follow the
+// arena ownership rule: valid until the next Build on the same arena.
 package topology
 
 import (
@@ -364,7 +364,12 @@ func (a *Arena) Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, 
 		return nil, ErrNoIngress
 	}
 
-	net := netsim.New(sched, rng)
+	if a.net == nil {
+		a.net = netsim.New(sched, rng)
+	} else {
+		a.net.Reset(sched, rng)
+	}
+	net := a.net
 	// The adjacency representation must be picked before any link exists;
 	// sparse is the netsim default, so only the dense oracle needs a call.
 	if cfg.Adjacency != netsim.AdjacencySparse {
@@ -598,11 +603,12 @@ func PathLength(net *netsim.Network, from, to netsim.NodeID) int {
 	if int(from) >= n || int(to) >= n || from < 0 || to < 0 {
 		return -1
 	}
-	rs.bfs(to)
+	parents := rs.parentTable(n)
+	rs.bfs(to, parents)
 	hops := 0
 	cur := from
 	for cur != to {
-		next := rs.parents[cur]
+		next := parents[cur]
 		if next == netsim.NoNode || next == cur {
 			return -1
 		}

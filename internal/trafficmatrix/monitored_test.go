@@ -12,13 +12,16 @@ import (
 // way, straight from the topology.
 func hostAdjacentRouters(net *netsim.Network) map[netsim.NodeID]bool {
 	set := make(map[netsim.NodeID]bool)
-	for hid := range net.Hosts() {
+	net.ForEachNode(func(hid netsim.NodeID, _ *netsim.Router, h *netsim.Host) {
+		if h == nil {
+			return
+		}
 		for _, nb := range net.Neighbors(hid) {
-			if _, ok := net.Routers()[nb]; ok {
+			if net.Router(nb) != nil {
 				set[nb] = true
 			}
 		}
-	}
+	})
 	return set
 }
 
@@ -43,10 +46,11 @@ func TestMonitoredSetDefault(t *testing.T) {
 			t.Fatalf("monitored set not strictly ascending: %v", mon.routerIDs)
 		}
 	}
-	if len(want) >= len(d.Net.Routers()) {
-		t.Fatalf("test topology has no host-free routers (monitored %d of %d)", len(want), len(d.Net.Routers()))
+	if len(want) >= len(d.Routers) {
+		t.Fatalf("test topology has no host-free routers (monitored %d of %d)", len(want), len(d.Routers))
 	}
-	for id := range d.Net.Routers() {
+	for _, r := range d.Routers {
+		id := r.ID()
 		c := mon.Counter(id)
 		if want[id] && c == nil {
 			t.Fatalf("host-adjacent router %d has no counter", id)
@@ -235,7 +239,7 @@ func TestMonitorReuseWidthShrink(t *testing.T) {
 		t.Fatalf("Counter(%d) = %v on the shrunk domain, want nil", highID, c)
 	}
 	report := m2.Compute(0)
-	if got := report.Routers[len(report.Routers)-1]; int(got) >= len(small.Net.Routers())+len(small.Net.Hosts()) {
+	if got := report.Routers[len(report.Routers)-1]; int(got) >= small.Net.NodeCount() {
 		t.Fatalf("report covers router %d outside the shrunk domain", got)
 	}
 	for _, id := range report.Routers {

@@ -413,32 +413,36 @@ var monitorPool = pool.FreeList[Monitor]{Cap: 64}
 // automatic host-adjacency walk; the possibly-grown buffer is returned so the
 // pooled monitor keeps its capacity.
 func monitoredSet(net *netsim.Network, cfg MonitorConfig, ids, nb []netsim.NodeID) ([]netsim.NodeID, []netsim.NodeID, error) {
-	routers := net.Routers()
 	switch {
 	case len(cfg.Monitored) > 0:
 		for _, id := range cfg.Monitored {
-			if _, ok := routers[id]; !ok {
+			if net.Router(id) == nil {
 				return nil, nb, fmt.Errorf("%w: monitored node %d is not a router of the network", ErrMonitorConfig, id)
 			}
 			ids = append(ids, id)
 		}
 	case cfg.MonitorAll:
-		for id := range routers {
-			ids = append(ids, id)
-		}
+		net.ForEachNode(func(id netsim.NodeID, r *netsim.Router, _ *netsim.Host) {
+			if r != nil {
+				ids = append(ids, id)
+			}
+		})
 	default:
 		// Automatic set: routers adjacent to at least one host — the only
 		// routers whose counters can record anything (see the package
-		// comment). Host maps iterate in arbitrary order; the sort below
-		// makes the result deterministic.
-		for hid := range net.Hosts() {
+		// comment). A router neighbours several hosts; the sort below
+		// brings its repeats together for Compact.
+		net.ForEachNode(func(hid netsim.NodeID, _ *netsim.Router, h *netsim.Host) {
+			if h == nil {
+				return
+			}
 			nb = net.AppendNeighbors(nb[:0], hid)
 			for _, r := range nb {
-				if _, ok := routers[r]; ok {
+				if net.Router(r) != nil {
 					ids = append(ids, r)
 				}
 			}
-		}
+		})
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return slices.Compact(ids), nb, nil
@@ -462,8 +466,6 @@ func NewMonitor(net *netsim.Network, cfg MonitorConfig, onReport func(EpochRepor
 	if cfg.MonitorAll && len(cfg.Monitored) > 0 {
 		return nil, fmt.Errorf("%w: MonitorAll and an explicit Monitored set are mutually exclusive", ErrMonitorConfig)
 	}
-	routers := net.Routers()
-
 	m := monitorPool.Get()
 	if m == nil {
 		m = &Monitor{}
@@ -564,11 +566,12 @@ func NewMonitor(net *netsim.Network, cfg MonitorConfig, onReport func(EpochRepor
 	}
 	for i, id := range ids {
 		c := &m.counterSlab[i]
-		if err := c.init(routers[id], cfg.Buckets, sketches[4*i:4*i+4]); err != nil {
+		r := net.Router(id)
+		if err := c.init(r, cfg.Buckets, sketches[4*i:4*i+4]); err != nil {
 			m.Release()
 			return nil, err
 		}
-		routers[id].AttachFilter(c)
+		r.AttachFilter(c)
 		m.counters[id] = c
 	}
 	return m, nil
