@@ -71,22 +71,22 @@ var fieldManifest = map[string][]string{
 	"metrics.Collector":         {"activated", "activationAt", "atrAttackPost", "atrAttackPre", "atrLegitPost", "atrLegitPre", "binWidth", "bins", "dropAttack", "dropAttackPDT", "dropLegitIllegal", "dropLegitPDT", "dropLegitProbing", "faultDrops", "queueDrops", "tap", "victimAttackPost", "victimAttackPre", "victimLegitPost", "victimLegitPre"},
 	"metrics.Counts":            {"ATRAttackPost", "ATRAttackPre", "ATRLegitPost", "ATRLegitPre", "DropAttack", "DropAttackPDT", "DropLegitIllegal", "DropLegitPDT", "DropLegitProbing", "FaultDrops", "QueueDrops", "VictimAttack", "VictimAttackPre", "VictimLegit", "VictimLegitPre"},
 	"netsim.Host":               {"accessRouter", "defaultHandler", "homeCount", "homeLinks", "homeRouters", "id", "ips", "nHandlers", "name", "net", "received", "sent"},
-	"netsim.Link":               {"cfg", "down", "dropped", "faultDrops", "from", "inTail", "net", "nextFree", "queued", "sent", "to", "txCur"},                                                                                                                                                                                                                                                              // inTail, txCur: derived on restore from the link's pending arrival events (RestoreInFlight), not on the wire
-	"netsim.Network":            {"adj", "adjEntrySlab", "adjMode", "adjSlab", "colEntries", "colsMaterialized", "downLinks", "downRouters", "faultDrops", "filterSlab", "handlers", "hooks", "hostSlab", "ipOwner", "ipSlab", "linkSlab", "links", "nextPktID", "nodes", "pktFree", "pktSlab", "resolver", "rng", "routeCols", "routeSlab", "routerSlab", "scheduler", "sizeHint", "sparse", "topoVersion"}, // the seven slab fields (chunk list plus carve cursor each): storage Reset rewinds for the next build, no run state
-	"netsim.Packet":             {"FlowID", "Hops", "ID", "Kind", "Label", "Malicious", "Proto", "SentAt", "Seq", "Size", "dstNode", "dstNodeOK", "flowHash", "freed", "hashOK", "inNext", "pooled", "txDone", "txSeq"},                                                                                                                                                                                      // inNext, txDone, txSeq: derived on restore from the packet's own arrival event (At - Delay, Seq), not on the wire
-	"netsim.Router":             {"down", "dropped", "faultDrops", "filters", "forwarded", "id", "name", "net", "routeCount", "routes"},
+	"netsim.Link":               {"cfg", "down", "dropped", "faultDrops", "from", "inTail", "net", "nextFree", "queued", "sent", "to", "txCur"},                                                                                                                                                                                                                    // inTail, txCur: derived on restore from the link's pending arrival events (RestoreInFlight), not on the wire
+	"netsim.Network":            {"adjEntrySlab", "colEntries", "colsMaterialized", "downLinks", "downRouters", "faultDrops", "filterSlab", "handlers", "hooks", "hostSlab", "ipOwner", "ipSlab", "linkSlab", "links", "nextPktID", "nodes", "pktFree", "pktSlab", "resolver", "rng", "routeCols", "routerSlab", "scheduler", "sizeHint", "sparse", "topoVersion"}, // the seven slab fields (chunk list plus carve cursor each): storage Reset rewinds for the next build, no run state
+	"netsim.Packet":             {"FlowID", "Hops", "ID", "Kind", "Label", "Malicious", "Proto", "SentAt", "Seq", "Size", "dstNode", "dstNodeOK", "flowHash", "freed", "hashOK", "inNext", "pooled", "txDone", "txSeq"},                                                                                                                                            // inNext, txDone, txSeq: derived on restore from the packet's own arrival event (At - Delay, Seq), not on the wire
+	"netsim.Router":             {"down", "dropped", "faultDrops", "filters", "forwarded", "id", "name", "net"},
 	"pushback.ATR":              {"Packets", "Router", "Share"},
 	"pushback.Coordinator":      {"active", "activeVictim", "atrScore", "calmEpochs", "cellScratch", "cfg", "eligible", "history", "historyAlpha", "historyOK", "historySeen", "identified", "identifiedATR", "lastEpoch", "lastFireEpoch", "onPushback", "onWithdraw", "pendingRefire", "requestsFired", "shareScratch", "triggerLoad"},
 	"pushback.Request":          {"ATRs", "Epoch", "VictimLoad", "VictimRouter"},
 	"sim.RNG":                   {"cs", "r", "reg"},
-	"sim.Scheduler":             {"backend", "cal", "events", "freeHead", "heap", "horizon", "now", "processed", "seq", "stopped"}, // horizon: set by RestoreClock to NextSeq, where it rests between RunUntil calls; not on the wire
+	"sim.Scheduler":             {"cal", "events", "freeHead", "horizon", "now", "processed", "seq", "stopped"}, // horizon: set by RestoreClock to NextSeq, where it rests between RunUntil calls; not on the wire
 	"sim.countingSource":        {"draws", "seed", "src"},
 	"sim.event":                 {"ah", "arg", "at", "fn", "gen", "h", "nextFree", "seq", "state"},
-	"topology.Arena":            {"bystanders", "clients", "extraVictims", "ingress", "ingressOf", "lazy", "names", "net", "route", "routers", "victimHomes", "zombies"}, // net: the network every Build resets and rebuilds; what it carries of a run is netsim.Network's row
+	"topology.Arena":            {"bystanders", "clients", "extraVictims", "ingress", "ingressOf", "lazy", "names", "net", "routers", "victimHomes", "zombies"}, // net: the network every Build resets and rebuilds; what it carries of a run is netsim.Network's row
 	"topology.Domain":           {"Bystanders", "Clients", "ExtraVictims", "Ingress", "LastHop", "Net", "Routers", "Victim", "VictimHomes", "Zombies", "ingressOf"},
 	"topology.lazyRouter":       {"carved", "colFree", "handed", "net", "rs", "seenVersion", "width"},
 	"topology.nameCache":        {"bystanders", "clients", "routers", "victims", "zombies"},
-	"topology.routeScratch":     {"offsets", "parents", "queue", "routerList", "targets"},
+	"topology.routeScratch":     {"offsets", "queue", "targets"},
 	"traffic.AttackSource":      {"cbr"},
 	"traffic.CBRSource":         {"cfg", "host", "id", "label", "labelHash", "malicious", "net", "proto", "rng", "running", "sendEvent", "sent", "seq"},
 	"traffic.PulsingSource":     {"bursts", "cfg", "end", "host", "id", "inBurst", "label", "labelHash", "net", "phase", "phaseEvent", "rng", "running", "sendEvent", "sent", "seq"},
@@ -101,7 +101,7 @@ var fieldManifest = map[string][]string{
 	"trafficmatrix.Cell":        {"Dest", "Packets", "Source"},
 	"trafficmatrix.Counter":     {"buckets", "dest", "destPkts", "router", "source", "sourcePkts", "transit"},
 	"trafficmatrix.EpochReport": {"DestEst", "End", "Epoch", "Matrix", "Routers", "SourceEst", "Start"},
-	"trafficmatrix.Monitor":     {"buckets", "counterSlab", "counters", "ctrlRNG", "delayProb", "dstEst", "epoch", "epochIndex", "epochStart", "fresh", "matrix", "nbScratch", "onReport", "reportDelay", "reportLoss", "routerIDs", "running", "sched", "scratch", "sketchSlab", "srcEst", "stop"},
+	"trafficmatrix.Monitor":     {"counterSlab", "counters", "ctrlRNG", "delayProb", "dstEst", "epoch", "epochIndex", "epochStart", "matrix", "nbScratch", "onReport", "reportDelay", "reportLoss", "routerIDs", "running", "sched", "scratch", "sketchSlab", "srcEst", "stop"},
 }
 
 // TestStateCoverageGuard fails whenever a watched struct's field set drifts

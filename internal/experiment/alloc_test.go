@@ -41,7 +41,7 @@ func table2Quick(t *testing.T) Scenario {
 // a snapshot.
 func TestSnapshotSteadyStateAllocs(t *testing.T) {
 	s := table2Quick(t)
-	sched := getScheduler(s.Scheduler)
+	sched := getScheduler()
 	defer putScheduler(sched)
 	b, err := buildRun(s, topology.NewArena(), sched)
 	if err != nil {
@@ -172,7 +172,7 @@ func TestStructSizes(t *testing.T) {
 // with a transmit-done event per packet — fails here, not in a benchmark.
 func TestEventBudgetPerHop(t *testing.T) {
 	s := table2Quick(t)
-	sched := getScheduler(s.Scheduler)
+	sched := getScheduler()
 	defer putScheduler(sched)
 	b, err := buildRun(s, topology.NewArena(), sched)
 	if err != nil {

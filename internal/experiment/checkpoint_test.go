@@ -61,10 +61,7 @@ func TestKillAndResumeEquivalence(t *testing.T) {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			s := Quick(e.Build())
-			want, err := Run(s)
-			if err != nil {
-				t.Fatalf("uninterrupted run: %v", err)
-			}
+			want := plainResult(t, e.Name, s)
 			data, chk := snapshotMidRun(t, s, s.Duration/2)
 			if !reflect.DeepEqual(want, chk) {
 				diffResults(t, "checkpointing perturbed the run", want, chk)
@@ -242,6 +239,58 @@ func miscountLinkQueue(snap *checkpoint.Snapshot) bool {
 	return true
 }
 
+// spliceRetiredKeys adds to the snapshot's scenario JSON the keys of the five
+// options that have been deleted, each at the value that selected its
+// deleted implementation (the scheduler backend at one no implementation
+// ever had). Files written while the options existed carry these keys, at
+// their defaults when written outside a test.
+func spliceRetiredKeys(snap *checkpoint.Snapshot) bool {
+	type object = map[string]json.RawMessage
+	var scenario, topo, monitor object
+	if json.Unmarshal(snap.Scenario, &scenario) != nil ||
+		json.Unmarshal(scenario["Topology"], &topo) != nil || json.Unmarshal(scenario["Monitor"], &monitor) != nil {
+		return false
+	}
+	scenario["Scheduler"] = json.RawMessage(`{"Backend":7}`)
+	topo["Routing"], topo["Adjacency"] = json.RawMessage(`1`), json.RawMessage(`1`)
+	monitor["MonitorAll"], monitor["FreshBuffers"] = json.RawMessage(`true`), json.RawMessage(`true`)
+	var err error
+	if scenario["Topology"], err = json.Marshal(topo); err != nil {
+		return false
+	}
+	if scenario["Monitor"], err = json.Marshal(monitor); err != nil {
+		return false
+	}
+	snap.Scenario, err = json.Marshal(scenario)
+	return err == nil
+}
+
+// TestResumeIgnoresRetiredScenarioKeys pins how a snapshot from before the
+// oracle options were deleted resumes: the keys are unknown, unknown keys are
+// ignored, and the run continues on the one engine there is — to the same
+// result as the file without them. With the options in place an out-of-range
+// scheduler backend in a snapshot indexed past the scheduler pools and
+// panicked.
+func TestResumeIgnoresRetiredScenarioKeys(t *testing.T) {
+	s := table2Quick(t)
+	data, _ := snapshotMidRun(t, s, s.Duration/2)
+	want, err := RunFromSnapshot(data)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	stale := mutateSnapshot(t, data, spliceRetiredKeys)
+	if bytes.Equal(stale, data) {
+		t.Fatal("the edit left the snapshot as it was")
+	}
+	got, err := ResumeControlled(stale, ControlOptions{})
+	if err != nil {
+		t.Fatalf("resume with retired keys: %v", err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		diffResults(t, "snapshot with retired scenario keys", want, got)
+	}
+}
+
 // mutateSnapshot decodes data, applies mut and re-encodes, so the result is
 // a well-formed file that differs from a real one only where mut changed it.
 func mutateSnapshot(tb testing.TB, data []byte, mut func(*checkpoint.Snapshot) bool) []byte {
@@ -362,7 +411,7 @@ func TestSessionMatchesFreshCapture(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		sched := getScheduler(s.Scheduler)
+		sched := getScheduler()
 		defer putScheduler(sched)
 		b, err := buildRun(s, topology.NewArena(), sched)
 		if err != nil {

@@ -60,7 +60,7 @@ func RunControlled(s Scenario, opts ControlOptions) (Result, error) {
 		arena = topology.NewArena()
 	}
 	defer arenaPool.Put(arena)
-	sched := getScheduler(s.Scheduler)
+	sched := getScheduler()
 	defer putScheduler(sched)
 	b, err := buildRun(s, arena, sched)
 	if err != nil {
@@ -94,7 +94,7 @@ func ResumeControlled(data []byte, opts ControlOptions) (Result, error) {
 		arena = topology.NewArena()
 	}
 	defer arenaPool.Put(arena)
-	sched := getScheduler(s.Scheduler)
+	sched := getScheduler()
 	defer putScheduler(sched)
 	b, err := buildRun(s, arena, sched)
 	if err != nil {

@@ -41,6 +41,14 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		scenarios = append(scenarios, bytes.Clone(snap.Scenario))
 		f.Add(data)
+		// A file from before the oracle options were deleted: see
+		// TestResumeIgnoresRetiredScenarioKeys.
+		stale := mutateSnapshot(f, data, spliceRetiredKeys)
+		if snap, err = checkpoint.Decode(stale); err != nil {
+			f.Fatalf("seed snapshot for %s with retired keys: %v", name, err)
+		}
+		scenarios = append(scenarios, bytes.Clone(snap.Scenario))
+		f.Add(stale)
 		// Well-formed files Restore has to refuse: see
 		// TestRestoreChecksLinkOccupancy.
 		f.Add(mutateSnapshot(f, data, misorderLinkArrivals))

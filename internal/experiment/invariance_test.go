@@ -3,6 +3,8 @@ package experiment
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"mafic/internal/netsim"
@@ -10,185 +12,236 @@ import (
 	"mafic/internal/topology"
 )
 
-// oracleMaxRouters bounds the domain size used when an equivalence test must
-// run a quadratic oracle — eager all-pairs routing, dense adjacency rows, an
-// every-router monitor — against the default path. The oracles are O(nodes²)
-// by design (that is why they were replaced), so at stress-50k scale they
-// would need tens of gigabytes; capping the router count while preserving the
-// scenario's chord density keeps the comparison honest and laptop-sized.
-const oracleMaxRouters = 5000
+// The suites in this file run the whole catalog (quick mode) and compare a
+// variant of each scenario with its plain run. What a variant may differ in
+// is storage only — which arena, scheduler or monitor buffers it was handed,
+// how many routers carry a counter that can record nothing — so results must
+// be bit-identical. Implementations are not compared here any more: the
+// heap scheduler, the eager route tables, the dense adjacency rows and the
+// fresh-buffer monitor are gone, their references live as small test-only
+// code beside the layer they check (sim, topology, netsim, trafficmatrix),
+// and the golden fixtures carry the catalog-wide results those references
+// were last certified against. Three suites below kept their names from
+// that time because the test floor pins their IDs.
 
-// oracleScale caps a quick scenario at oracleMaxRouters routers, scaling the
-// extra-chord count proportionally so path shapes stay representative.
-func oracleScale(s Scenario) Scenario {
-	if s.Topology.NumRouters <= oracleMaxRouters {
-		return s
-	}
-	s.Topology.ExtraChords = s.Topology.ExtraChords * oracleMaxRouters / s.Topology.NumRouters
-	s.Topology.NumRouters = oracleMaxRouters
-	return s
+// plainRun is one scenario's reference result, computed once per test binary.
+type plainRun struct {
+	once sync.Once
+	res  Result
+	err  error
 }
 
-// TestAdjacencyModeInvariance runs every registered scenario (quick mode,
-// stress scenarios capped at the oracle scale) with the default sparse
-// adjacency rows and with the historical dense rows, under both routing
-// modes, and requires bit-identical results. This is the system-level
-// guarantee behind the sparse representation: both layouts answer LinkBetween
-// identically and iterate neighbours in the same ascending order, so BFS
-// tie-breaking — and therefore every forwarding decision, measurement and
-// verdict — cannot tell them apart, and no golden fixture moved when sparse
-// became the default.
-func TestAdjacencyModeInvariance(t *testing.T) {
-	for _, e := range Entries() {
-		e := e
-		t.Run(e.Name, func(t *testing.T) {
-			for _, routing := range []struct {
-				name string
-				mode topology.RoutingMode
-			}{{"lazy", topology.RoutingLazy}, {"eager", topology.RoutingEager}} {
-				sparse := oracleScale(Quick(e.Build()))
-				sparse.Topology.Routing = routing.mode
-				dense := sparse
-				dense.Topology.Adjacency = netsim.AdjacencyDense
+var plainRuns sync.Map // scenario name → *plainRun
 
-				gotSparse, err := Run(sparse)
-				if err != nil {
-					t.Fatalf("%s sparse run: %v", routing.name, err)
-				}
-				gotDense, err := Run(dense)
-				if err != nil {
-					t.Fatalf("%s dense run: %v", routing.name, err)
-				}
-				if !reflect.DeepEqual(gotSparse, gotDense) {
-					t.Errorf("%s: sparse and dense adjacency runs diverge", routing.name)
-					if gotSparse.Counts != gotDense.Counts {
-						t.Errorf("counts: sparse %+v, dense %+v", gotSparse.Counts, gotDense.Counts)
-					}
-					if gotSparse.EventsProcessed != gotDense.EventsProcessed {
-						t.Errorf("events: sparse %d, dense %d", gotSparse.EventsProcessed, gotDense.EventsProcessed)
-					}
-					if gotSparse.Accuracy != gotDense.Accuracy {
-						t.Errorf("accuracy: sparse %v, dense %v", gotSparse.Accuracy, gotDense.Accuracy)
-					}
-				}
+// runPlain computes, once per key, what s gives on an arena of its own, which
+// is what a fresh process computes. key names the scenario variant; the
+// suites share one plain run per variant.
+func runPlain(key string, s Scenario) *plainRun {
+	v, _ := plainRuns.LoadOrStore(key, new(plainRun))
+	p := v.(*plainRun)
+	p.once.Do(func() { p.res, p.err = runWith(s, topology.NewArena()) })
+	return p
+}
+
+// plainResult returns the plain run's result, waiting for it if another
+// goroutine is computing it.
+func plainResult(t *testing.T, key string, s Scenario) Result {
+	t.Helper()
+	p := runPlain(key, s)
+	if p.err != nil {
+		t.Fatalf("plain run of %s: %v", key, p.err)
+	}
+	return p.res
+}
+
+// requireSameResult fails with the fields that moved when got is not
+// bit-identical to want.
+func requireSameResult(t *testing.T, label string, want, got Result) {
+	t.Helper()
+	if !reflect.DeepEqual(want, got) {
+		diffResults(t, label, want, got)
+	}
+}
+
+// testArenaReuse runs every catalog scenario, hardened or not, on one arena
+// shared by the whole catalog — a sweep worker rebuilding wildly different
+// topologies back to back, every pooled object recycled from the scenario
+// before — and requires the plain run's result.
+func testArenaReuse(t *testing.T, hardened bool) {
+	variant := func(e Entry) (string, Scenario) {
+		if hardened {
+			return "hardened " + e.Name, Harden(Quick(e.Build()))
+		}
+		return e.Name, Quick(e.Build())
+	}
+	// The plain runs go through the catalog on the second core, in step
+	// with the shared-arena runs below; the last subtest waits for the last.
+	go func() {
+		for _, e := range Entries() {
+			runPlain(variant(e))
+		}
+	}()
+	arena := topology.NewArena()
+	for _, e := range Entries() {
+		t.Run(e.Name, func(t *testing.T) {
+			key, s := variant(e)
+			got, err := runWith(s, arena)
+			if err != nil {
+				t.Fatalf("shared-arena run: %v", err)
 			}
+			requireSameResult(t, "shared arena vs own arena", plainResult(t, key, s), got)
 		})
 	}
 }
 
-// TestMonitoredSetInvariance runs every registered scenario with the default
-// monitored-only traffic matrix and with the historical every-router monitor,
-// and requires bit-identical results: a counter on a router with no attached
-// host can never record a packet (see the trafficmatrix package comment), so
-// instrumenting only the host-adjacent routers changes nothing an epoch
-// report, the pushback coordinator, or any golden fixture can observe.
+// TestBufferReuseInvariance is the guarantee that makes the zero-alloc
+// pipeline safe: reused storage — the arena's network, the pooled monitor,
+// coordinator, defenders and scheduler — never leaks state between sweep
+// points.
+func TestBufferReuseInvariance(t *testing.T) { testArenaReuse(t, false) }
+
+// TestHardenedBufferReuseInvariance repeats it with the robustness hardening
+// switched on: the probing memory and the ATR hysteresis tables are recycled
+// through the same pools.
+func TestHardenedBufferReuseInvariance(t *testing.T) { testArenaReuse(t, true) }
+
+// TestMonitoredSetInvariance runs every scenario with the default monitored
+// set and with every router listed in Monitor.Monitored: a counter on a
+// router with no attached host can never record a packet (see the
+// trafficmatrix package comment), so the two runs must agree bit for bit. An
+// every-router monitor is four sketches a router, so domains are capped at
+// stress-1k's size.
 func TestMonitoredSetInvariance(t *testing.T) {
+	const maxRouters = 1000
 	for _, e := range Entries() {
-		e := e
 		t.Run(e.Name, func(t *testing.T) {
-			monitored := oracleScale(Quick(e.Build()))
-			all := monitored
-			all.Monitor.MonitorAll = true
-
-			gotMonitored, err := Run(monitored)
+			t.Parallel()
+			s := Quick(e.Build())
+			key := e.Name
+			if s.Topology.NumRouters > maxRouters {
+				s.Topology.ExtraChords = s.Topology.ExtraChords * maxRouters / s.Topology.NumRouters
+				s.Topology.NumRouters = maxRouters
+				key += " capped"
+			}
+			all := s
+			for id := 0; id < s.Topology.NumRouters; id++ { // routers are built first
+				all.Monitor.Monitored = append(all.Monitor.Monitored, netsim.NodeID(id))
+			}
+			got, err := Run(all)
 			if err != nil {
-				t.Fatalf("monitored run: %v", err)
+				t.Fatalf("every-router run: %v", err)
 			}
-			gotAll, err := Run(all)
-			if err != nil {
-				t.Fatalf("monitor-all run: %v", err)
-			}
-			if !reflect.DeepEqual(gotMonitored, gotAll) {
-				t.Errorf("monitored-only and every-router runs diverge")
-				if gotMonitored.Counts != gotAll.Counts {
-					t.Errorf("counts: monitored %+v, all %+v", gotMonitored.Counts, gotAll.Counts)
-				}
-				if gotMonitored.EventsProcessed != gotAll.EventsProcessed {
-					t.Errorf("events: monitored %d, all %d", gotMonitored.EventsProcessed, gotAll.EventsProcessed)
-				}
-				if gotMonitored.Accuracy != gotAll.Accuracy {
-					t.Errorf("accuracy: monitored %v, all %v", gotMonitored.Accuracy, gotAll.Accuracy)
-				}
-			}
+			requireSameResult(t, "default set vs every router", plainResult(t, key, s), got)
 		})
 	}
 }
 
-// TestSchedulerBackendInvariance runs every registered scenario (quick mode,
-// stress-1k included) on the default calendar-queue scheduler and on the
-// 4-ary-heap escape hatch and requires bit-identical results. This is the
-// system-level guarantee behind the scheduler swap: both backends dispatch
-// events in exactly the same (time, sequence) order, so no golden fixture
-// can tell them apart.
+// TestSchedulerBackendInvariance runs every scenario on a brand-new scheduler
+// — empty event arena, calendar queue at its initial width and bucket count —
+// and requires the plain run's result, which was computed on whatever
+// scheduler the pool handed out, tuned by whichever run came before:
+// dispatch order must not depend on the queue's geometry.
 func TestSchedulerBackendInvariance(t *testing.T) {
 	for _, e := range Entries() {
-		e := e
 		t.Run(e.Name, func(t *testing.T) {
-			calendar := Quick(e.Build())
-			heap := Quick(e.Build())
-			heap.Scheduler = sim.SchedulerConfig{Backend: sim.BackendHeap}
-
-			gotCalendar, err := Run(calendar)
+			t.Parallel()
+			s := Quick(e.Build())
+			sched := sim.NewScheduler()
+			b, err := buildRun(s, topology.NewArena(), sched)
 			if err != nil {
-				t.Fatalf("calendar run: %v", err)
+				t.Fatalf("build: %v", err)
 			}
-			gotHeap, err := Run(heap)
+			if err := sched.RunUntil(s.Duration); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			got, err := b.finish()
 			if err != nil {
-				t.Fatalf("heap run: %v", err)
+				t.Fatalf("finish: %v", err)
 			}
-			if !reflect.DeepEqual(gotCalendar, gotHeap) {
-				t.Errorf("calendar and heap runs diverge")
-				if gotCalendar.Counts != gotHeap.Counts {
-					t.Errorf("counts: calendar %+v, heap %+v", gotCalendar.Counts, gotHeap.Counts)
-				}
-				if gotCalendar.EventsProcessed != gotHeap.EventsProcessed {
-					t.Errorf("events: calendar %d, heap %d", gotCalendar.EventsProcessed, gotHeap.EventsProcessed)
-				}
-				if gotCalendar.Accuracy != gotHeap.Accuracy {
-					t.Errorf("accuracy: calendar %v, heap %v", gotCalendar.Accuracy, gotHeap.Accuracy)
-				}
-			}
+			requireSameResult(t, "new scheduler vs pooled", plainResult(t, e.Name, s), got)
 		})
 	}
 }
 
-// TestHardenedBufferReuseInvariance repeats the pooled-vs-fresh proof with
-// the robustness hardening switched on across the whole catalog: the probing
-// memory and the ATR hysteresis tables are recycled through the same pools,
-// so they too must never leak state between runs. Bit-identical results or
-// the hardened zero-alloc path is unsound.
-func TestHardenedBufferReuseInvariance(t *testing.T) {
-	arena := topology.NewArena()
-
+// catalogDomains builds every catalog scenario's quick topology, without
+// running it, and hands the network to check.
+func catalogDomains(t *testing.T, check func(t *testing.T, d *topology.Domain)) {
 	for _, e := range Entries() {
-		e := e
 		t.Run(e.Name, func(t *testing.T) {
-			pooled := Harden(Quick(e.Build()))
-			fresh := Harden(Quick(e.Build()))
-			fresh.Monitor.FreshBuffers = true
-
-			gotPooled, err := runWith(pooled, arena)
+			t.Parallel()
+			s := Quick(e.Build())
+			d, err := topology.Build(s.Topology, sim.NewScheduler(), sim.NewRNG(s.Seed))
 			if err != nil {
-				t.Fatalf("pooled run: %v", err)
+				t.Fatalf("build: %v", err)
 			}
-			gotFresh, err := runWith(fresh, nil)
-			if err != nil {
-				t.Fatalf("fresh run: %v", err)
-			}
-			if !reflect.DeepEqual(gotPooled, gotFresh) {
-				t.Errorf("hardened pooled and fresh runs diverge")
-				if gotPooled.Counts != gotFresh.Counts {
-					t.Errorf("counts: pooled %+v, fresh %+v", gotPooled.Counts, gotFresh.Counts)
-				}
-				if gotPooled.Accuracy != gotFresh.Accuracy {
-					t.Errorf("accuracy: pooled %v, fresh %v", gotPooled.Accuracy, gotFresh.Accuracy)
-				}
-				if gotPooled.ATRCount != gotFresh.ATRCount {
-					t.Errorf("ATRs: pooled %d, fresh %d", gotPooled.ATRCount, gotFresh.ATRCount)
-				}
-			}
+			check(t, d)
 		})
 	}
+}
+
+// TestAdjacencyModeInvariance asks of every topology the catalog builds,
+// stress-50k included, what netsim's adjacency_test.go asks of random graphs:
+// LinkBetween finds each link ForEachLink visits, and Neighbors lists exactly
+// the visited targets, ascending.
+func TestAdjacencyModeInvariance(t *testing.T) {
+	catalogDomains(t, func(t *testing.T, d *topology.Domain) {
+		net := d.Net
+		targets := make([][]netsim.NodeID, net.NodeCount())
+		links := 0
+		net.ForEachLink(func(l *netsim.Link) {
+			if net.LinkBetween(l.From(), l.To()) != l {
+				t.Fatalf("LinkBetween(%d,%d) does not find %v", l.From(), l.To(), l)
+			}
+			targets[l.From()] = append(targets[l.From()], l.To())
+			links++
+		})
+		if links != net.LinkTotal() {
+			t.Fatalf("ForEachLink visited %d links, LinkTotal is %d", links, net.LinkTotal())
+		}
+		for id, want := range targets {
+			if got := net.Neighbors(netsim.NodeID(id)); !slices.IsSorted(want) || !slices.Equal(got, want) {
+				t.Fatalf("Neighbors(%d) = %v, links visited %v", id, got, want)
+			}
+		}
+	})
+}
+
+// TestRoutingModeEquivalence holds every catalog topology's next hops toward
+// a host of each kind and toward a core router to a breadth-first search from
+// that destination over Neighbors — the reference topology's lazy_test.go
+// applies to every pair of nodes on small domains.
+func TestRoutingModeEquivalence(t *testing.T) {
+	catalogDomains(t, func(t *testing.T, d *topology.Domain) {
+		net := d.Net
+		dests := []netsim.NodeID{d.Victim.ID(), d.Clients[0].ID(), d.Zombies[len(d.Zombies)-1].ID(),
+			d.Bystanders[0].ID(), d.Routers[len(d.Routers)/2].ID()}
+		for _, v := range d.ExtraVictims {
+			dests = append(dests, v.ID())
+		}
+		for _, dest := range dests {
+			want := make([]netsim.NodeID, net.NodeCount())
+			for i := range want {
+				want[i] = netsim.NoNode
+			}
+			want[dest] = dest
+			for queue := []netsim.NodeID{dest}; len(queue) > 0; queue = queue[1:] {
+				for _, nb := range net.Neighbors(queue[0]) {
+					if want[nb] == netsim.NoNode {
+						want[nb] = queue[0]
+						queue = append(queue, nb)
+					}
+				}
+			}
+			for _, r := range d.Routers {
+				if r.ID() == dest || net.AttachmentLink(r.ID(), dest) != nil {
+					continue // delivered over the access link, never looked up
+				}
+				if got := net.NextHop(r.ID(), dest); got != want[r.ID()] {
+					t.Fatalf("router %d forwards toward %d via %d, breadth-first search says %d", r.ID(), dest, got, want[r.ID()])
+				}
+			}
+		}
+	})
 }
 
 // TestArenaSequenceMatchesFreshArena runs large → small → chaos → large →
@@ -222,53 +275,5 @@ func TestArenaSequenceMatchesFreshArena(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			diffResults(t, fmt.Sprintf("step %d (%s) after %d builds on the arena", i, name, i), want, got)
 		}
-	}
-}
-
-// TestBufferReuseInvariance runs every registered scenario (quick mode) down
-// both refactor paths — pooled epoch-report buffers + a shared topology arena
-// versus fresh buffers + fresh builds — and requires bit-identical results.
-// This is the guarantee that makes the zero-alloc pipeline safe: buffer reuse
-// can never leak state between epochs or between sweep points.
-func TestBufferReuseInvariance(t *testing.T) {
-	// One arena deliberately shared across every scenario in the catalog,
-	// mimicking a sweep worker that rebuilds wildly different topologies
-	// back to back.
-	arena := topology.NewArena()
-
-	for _, e := range Entries() {
-		e := e
-		t.Run(e.Name, func(t *testing.T) {
-			pooled := Quick(e.Build())
-			fresh := Quick(e.Build())
-			fresh.Monitor.FreshBuffers = true
-
-			gotPooled, err := runWith(pooled, arena)
-			if err != nil {
-				t.Fatalf("pooled run: %v", err)
-			}
-			gotFresh, err := runWith(fresh, nil)
-			if err != nil {
-				t.Fatalf("fresh run: %v", err)
-			}
-
-			// Every metric, counter and time-series bin must match
-			// exactly — tolerances would hide pooling leaks.
-			if !reflect.DeepEqual(gotPooled, gotFresh) {
-				t.Errorf("pooled and fresh runs diverge")
-				if gotPooled.Counts != gotFresh.Counts {
-					t.Errorf("counts: pooled %+v, fresh %+v", gotPooled.Counts, gotFresh.Counts)
-				}
-				if gotPooled.EventsProcessed != gotFresh.EventsProcessed {
-					t.Errorf("events: pooled %d, fresh %d", gotPooled.EventsProcessed, gotFresh.EventsProcessed)
-				}
-				if gotPooled.Accuracy != gotFresh.Accuracy {
-					t.Errorf("accuracy: pooled %v, fresh %v", gotPooled.Accuracy, gotFresh.Accuracy)
-				}
-				if gotPooled.ATRCount != gotFresh.ATRCount {
-					t.Errorf("ATRs: pooled %d, fresh %d", gotPooled.ATRCount, gotFresh.ATRCount)
-				}
-			}
-		})
 	}
 }

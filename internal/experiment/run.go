@@ -35,25 +35,21 @@ const resourcePoolCap = 64
 // invariance suite pins it), so pooling cannot change results.
 var arenaPool = pool.FreeList[topology.Arena]{Cap: resourcePoolCap}
 
-// schedPools recycles schedulers, one pool per queue backend. A recycled
-// scheduler is Reset before reuse, which keeps its event arena and queue
-// geometry warm; dispatch order does not depend on either, so results are
-// unaffected.
-var schedPools = [2]pool.FreeList[sim.Scheduler]{
-	{Cap: resourcePoolCap},
-	{Cap: resourcePoolCap},
-}
+// schedPool recycles schedulers. A recycled scheduler is Reset before reuse,
+// which keeps its event arena and queue geometry warm; dispatch order does
+// not depend on either, so results are unaffected.
+var schedPool = pool.FreeList[sim.Scheduler]{Cap: resourcePoolCap}
 
-func getScheduler(cfg sim.SchedulerConfig) *sim.Scheduler {
-	if sched := schedPools[cfg.Backend].Get(); sched != nil {
+func getScheduler() *sim.Scheduler {
+	if sched := schedPool.Get(); sched != nil {
 		return sched
 	}
-	return sim.NewSchedulerWith(cfg)
+	return sim.NewScheduler()
 }
 
 func putScheduler(sched *sim.Scheduler) {
 	sched.Reset()
-	schedPools[sched.Backend()].Put(sched)
+	schedPool.Put(sched)
 }
 
 // runScratch holds the run-scoped lookup tables buildRun rebuilds for every
@@ -132,7 +128,7 @@ func runWith(s Scenario, arena *topology.Arena) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
 	}
-	sched := getScheduler(s.Scheduler)
+	sched := getScheduler()
 	defer putScheduler(sched)
 	b, err := buildRun(s, arena, sched)
 	if err != nil {
@@ -171,7 +167,7 @@ func RunWithCheckpoints(s Scenario, times []sim.Time, save func(at sim.Time, dat
 		arena = topology.NewArena()
 	}
 	defer arenaPool.Put(arena)
-	sched := getScheduler(s.Scheduler)
+	sched := getScheduler()
 	defer putScheduler(sched)
 	b, err := buildRun(s, arena, sched)
 	if err != nil {

@@ -96,12 +96,6 @@ type Scenario struct {
 	// ReductionWindow is the measurement window for the traffic
 	// reduction rate β on either side of the activation instant.
 	ReductionWindow sim.Time
-
-	// Scheduler selects the event-queue backend. The zero value is the
-	// calendar queue; Backend: sim.BackendHeap is the escape hatch the
-	// invariance tests use to prove both backends dispatch identically,
-	// mirroring Monitor.FreshBuffers.
-	Scheduler sim.SchedulerConfig
 }
 
 // DefaultScenario returns the paper's default configuration (Table II):

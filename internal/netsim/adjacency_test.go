@@ -1,185 +1,228 @@
 package netsim
 
 import (
+	"errors"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mafic/internal/sim"
 )
 
-// buildAdjNet wires a small random-ish graph in the given mode: a ring of
-// routers with a few chords plus a host hanging off router 0. Reserve is
-// called with the given budget (which tests deliberately under-shoot).
-func buildAdjNet(t *testing.T, mode AdjacencyMode, routers, reserve int) (*Network, []*Router) {
+var adjLinkCfg = LinkConfig{BandwidthBps: 1e9, Delay: sim.Millisecond, QueueLen: 16}
+
+// buildAdjNet wires a small graph: a ring of routers with a few chords.
+// Reserve is called with the given budget (which tests deliberately
+// under-shoot).
+func buildAdjNet(t *testing.T, routers, reserve int) (*Network, []*Router) {
 	t.Helper()
 	n := New(sim.NewScheduler(), sim.NewRNG(7))
-	if err := n.SetAdjacencyMode(mode); err != nil {
-		t.Fatalf("set mode: %v", err)
-	}
 	n.Reserve(reserve)
-	cfg := LinkConfig{BandwidthBps: 1e9, Delay: sim.Millisecond, QueueLen: 16}
 	rs := make([]*Router, routers)
 	for i := range rs {
 		rs[i] = n.AddRouter("r")
 	}
 	for i := range rs {
-		if err := n.ConnectDuplex(rs[i].ID(), rs[(i+1)%routers].ID(), cfg); err != nil {
+		if err := n.ConnectDuplex(rs[i].ID(), rs[(i+1)%routers].ID(), adjLinkCfg); err != nil {
 			t.Fatalf("ring: %v", err)
 		}
 	}
-	// A few chords, inserted out of ascending order so sparse insertion has
-	// to shift within rows.
+	// A few chords, inserted out of ascending order so insertion has to
+	// shift within rows.
 	for _, c := range [][2]int{{0, routers / 2}, {1, routers - 2}, {3, routers/2 + 2}} {
 		if c[0] == c[1] || n.LinkBetween(rs[c[0]].ID(), rs[c[1]].ID()) != nil {
 			continue
 		}
-		if err := n.ConnectDuplex(rs[c[0]].ID(), rs[c[1]].ID(), cfg); err != nil {
+		if err := n.ConnectDuplex(rs[c[0]].ID(), rs[c[1]].ID(), adjLinkCfg); err != nil {
 			t.Fatalf("chord: %v", err)
 		}
 	}
 	return n, rs
 }
 
-// TestSparseDenseAdjacencyEquivalent pins the structural contract behind the
-// sparse default: for every node pair, LinkBetween agrees with the dense
-// oracle (same presence, same endpoints and config), and AppendNeighbors
-// yields the same ascending neighbour lists — the property that keeps BFS
-// tie-breaking, and therefore the whole simulation, bit-identical.
+// linkMirror is the adjacency reference: the links the test connected, keyed
+// by (from, to). It shares nothing with the sorted rows it is compared with.
+type linkMirror map[[2]NodeID]*Link
+
+// neighbors lists from's live targets in ascending order, the slow way.
+func (m linkMirror) neighbors(n *Network, from NodeID) []NodeID {
+	var out []NodeID
+	if n.RouterDown(from) {
+		return out
+	}
+	for key, l := range m {
+		if key[0] == from && !l.Down() && !n.RouterDown(key[1]) {
+			out = append(out, key[1])
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// check compares the network's adjacency answers with the mirror's for every
+// ordered pair of IDs (one below and one past the node range included) and
+// for every node's neighbour list.
+func (m linkMirror) check(t *testing.T, n *Network, when string) {
+	t.Helper()
+	count := NodeID(n.NodeCount())
+	for a := NodeID(-1); a <= count; a++ {
+		for b := NodeID(-1); b <= count; b++ {
+			if got, want := n.LinkBetween(a, b), m[[2]NodeID{a, b}]; got != want {
+				t.Fatalf("%s: LinkBetween(%d,%d) = %v, mirror has %v", when, a, b, got, want)
+			}
+		}
+		if got, want := n.Neighbors(a), m.neighbors(n, a); !slices.Equal(got, want) {
+			t.Fatalf("%s: Neighbors(%d) = %v, mirror has %v", when, a, got, want)
+		}
+	}
+	var visited [][2]NodeID
+	n.ForEachLink(func(l *Link) {
+		key := [2]NodeID{l.From(), l.To()}
+		if m[key] != l {
+			t.Fatalf("%s: ForEachLink yields %v, mirror has %v there", when, l, m[key])
+		}
+		visited = append(visited, key)
+	})
+	if len(visited) != len(m) || n.LinkTotal() != len(m) {
+		t.Fatalf("%s: ForEachLink visited %d links, LinkTotal %d, mirror has %d", when, len(visited), n.LinkTotal(), len(m))
+	}
+	if !slices.IsSortedFunc(visited, func(x, y [2]NodeID) int { return slices.Compare(x[:], y[:]) }) {
+		t.Fatalf("%s: ForEachLink order is not ascending (from, to)", when)
+	}
+}
+
+// TestSparseDenseAdjacencyEquivalent is the structural property test behind
+// the sorted adjacency rows, sparse storage held to a mirror that answers for
+// every pair of nodes: on seeded random graphs — reservations that under-
+// and over-shoot or are missing, nodes added after links exist, links
+// connected in random order, one hub whose row outgrows sparseRowCap several
+// times over — every Connect is mirrored into a map, a connect the mirror
+// holds already must be refused as a duplicate, and LinkBetween, Neighbors
+// and ForEachLink must agree with the mirror throughout, with links down and
+// a router crashed as well.
 func TestSparseDenseAdjacencyEquivalent(t *testing.T) {
-	const routers = 24
-	sparse, srs := buildAdjNet(t, AdjacencySparse, routers, routers)
-	dense, drs := buildAdjNet(t, AdjacencyDense, routers, routers)
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := New(sim.NewScheduler(), sim.NewRNG(seed))
+		total := 6 + rng.Intn(60)
+		if r := rng.Intn(3); r > 0 {
+			n.Reserve(total * r / 2) // half the final size, or all of it
+		}
+		mirror := linkMirror{}
+		var routers []NodeID
+		addNodes := func(k int) {
+			for ; k > 0; k-- {
+				if rng.Intn(4) == 0 {
+					n.AddHost("h", IP(0x0a000000+n.NodeCount()))
+				} else {
+					routers = append(routers, n.AddRouter("r").ID())
+				}
+			}
+		}
+		connect := func(a, b NodeID) {
+			_, dup := mirror[[2]NodeID{a, b}]
+			_, dupBack := mirror[[2]NodeID{b, a}]
+			if duplex := rng.Intn(2) == 0; duplex {
+				err := n.ConnectDuplex(a, b, adjLinkCfg)
+				if refused := a == b || dup || dupBack; refused != errors.Is(err, ErrDuplicateLink) {
+					t.Fatalf("seed %d: ConnectDuplex(%d,%d) = %v, mirror says duplicate=%v", seed, a, b, err, refused)
+				}
+				if err == nil {
+					mirror[[2]NodeID{a, b}] = n.LinkBetween(a, b)
+					mirror[[2]NodeID{b, a}] = n.LinkBetween(b, a)
+				}
+				return
+			}
+			l, err := n.Connect(a, b, adjLinkCfg)
+			if dup != errors.Is(err, ErrDuplicateLink) {
+				t.Fatalf("seed %d: Connect(%d,%d) = %v, mirror says duplicate=%v", seed, a, b, err, dup)
+			}
+			if err == nil {
+				mirror[[2]NodeID{a, b}] = l
+			}
+		}
+		addNodes(total / 2)
+		for k := 2 * total; k > 0; k-- {
+			connect(NodeID(rng.Intn(n.NodeCount())), NodeID(rng.Intn(n.NodeCount())))
+		}
+		mirror.check(t, n, "half built")
+		addNodes(total - total/2) // past the reservation on two seeds in three
+		hub := NodeID(rng.Intn(n.NodeCount()))
+		for k := 0; k < 5*sparseRowCap; k++ {
+			connect(hub, NodeID(rng.Intn(n.NodeCount())))
+		}
+		for k := 2 * total; k > 0; k-- {
+			connect(NodeID(rng.Intn(n.NodeCount())), NodeID(rng.Intn(n.NodeCount())))
+		}
+		mirror.check(t, n, "built")
 
-	for a := 0; a < routers; a++ {
-		for b := -1; b <= routers; b++ {
-			sl := sparse.LinkBetween(srs[a].ID(), NodeID(b))
-			dl := dense.LinkBetween(drs[a].ID(), NodeID(b))
-			if (sl == nil) != (dl == nil) {
-				t.Fatalf("LinkBetween(%d,%d): sparse %v, dense %v", a, b, sl, dl)
-			}
-			if sl != nil && (sl.From() != dl.From() || sl.To() != dl.To()) {
-				t.Fatalf("LinkBetween(%d,%d): endpoints diverge", a, b)
+		for _, l := range mirror {
+			if rng.Intn(8) == 0 {
+				l.SetDown(true)
 			}
 		}
-		sn := sparse.Neighbors(srs[a].ID())
-		dn := dense.Neighbors(drs[a].ID())
-		if len(sn) != len(dn) {
-			t.Fatalf("Neighbors(%d): sparse %v, dense %v", a, sn, dn)
-		}
-		for i := range sn {
-			if sn[i] != dn[i] {
-				t.Fatalf("Neighbors(%d): order diverges at %d: sparse %v, dense %v", a, i, sn, dn)
-			}
-			if i > 0 && sn[i] <= sn[i-1] {
-				t.Fatalf("Neighbors(%d) not ascending: %v", a, sn)
+		if len(routers) > 0 {
+			if err := n.FailRouter(routers[rng.Intn(len(routers))]); err != nil {
+				t.Fatal(err)
 			}
 		}
+		mirror.check(t, n, "with faults")
 	}
 }
 
-// TestAdjacencyModeFrozenAfterLinks pins that the representation cannot be
-// switched once links exist (the tables are not converted in place).
-func TestAdjacencyModeFrozenAfterLinks(t *testing.T) {
-	n := New(sim.NewScheduler(), sim.NewRNG(1))
-	if err := n.SetAdjacencyMode(AdjacencyDense); err != nil {
-		t.Fatalf("set mode on empty network: %v", err)
-	}
-	if err := n.SetAdjacencyMode(AdjacencyMode(99)); err == nil {
-		t.Fatal("unknown mode accepted")
-	}
-	a, b := n.AddRouter("a"), n.AddRouter("b")
-	cfg := LinkConfig{BandwidthBps: 1e9, Delay: sim.Millisecond, QueueLen: 16}
-	if err := n.ConnectDuplex(a.ID(), b.ID(), cfg); err != nil {
-		t.Fatalf("connect: %v", err)
-	}
-	if err := n.SetAdjacencyMode(AdjacencySparse); err == nil {
-		t.Fatal("mode switch accepted after links were added")
-	}
-	if n.AdjacencyMode() != AdjacencyDense {
-		t.Fatalf("mode changed despite error: %v", n.AdjacencyMode())
-	}
-}
-
-// TestCarvingPastReservation is the stale-sizeHint regression test: rows for
-// nodes added after the Reserve budget is exhausted must still come out
-// full-width and slab-carved. The historical carve helpers sized rows at
-// n.sizeHint unconditionally and bailed out to one heap allocation per row
-// the moment a node ID exceeded the stale hint, so each caller had to
-// compensate individually; the alloc pin below fails on that code. The
-// link/route sweep guards the sharper edge of the same bug: a row narrower
-// than the final node count silently missing links or routes for high IDs.
+// TestCarvingPastReservation pins that rows for nodes added after the Reserve
+// budget is exhausted are still slab-carved: the chunk size follows the live
+// node count, not the stale hint alone, so over-budget wiring does not fall
+// back to an allocation per row.
 func TestCarvingPastReservation(t *testing.T) {
 	const reserve, final = 4, 96
-	cfg := LinkConfig{BandwidthBps: 1e9, Delay: sim.Millisecond, QueueLen: 16}
-
-	for _, mode := range []AdjacencyMode{AdjacencySparse, AdjacencyDense} {
-		n := New(sim.NewScheduler(), sim.NewRNG(1))
-		if err := n.SetAdjacencyMode(mode); err != nil {
-			t.Fatalf("set mode: %v", err)
+	n := New(sim.NewScheduler(), sim.NewRNG(1))
+	n.Reserve(reserve)
+	rs := make([]*Router, 0, final)
+	for i := 0; i < reserve; i++ {
+		rs = append(rs, n.AddRouter("r"))
+	}
+	// Carve rows before the budget is exhausted.
+	for i := 0; i+1 < reserve; i++ {
+		if err := n.ConnectDuplex(rs[i].ID(), rs[i+1].ID(), adjLinkCfg); err != nil {
+			t.Fatalf("reserved connect: %v", err)
 		}
-		n.Reserve(reserve)
-		rs := make([]*Router, 0, final)
-		for i := 0; i < reserve; i++ {
-			rs = append(rs, n.AddRouter("r"))
+	}
+	// Exhaust the budget, then wire the over-budget routers.
+	for i := reserve; i < final; i++ {
+		rs = append(rs, n.AddRouter("r"))
+	}
+	// Wiring past the budget is not idempotent, so AllocsPerRun (which
+	// re-runs its body as a warm-up) cannot measure it; count mallocs
+	// around the single pass instead.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := reserve - 1; i+1 < final; i++ {
+		if err := n.ConnectDuplex(rs[i].ID(), rs[i+1].ID(), adjLinkCfg); err != nil {
+			t.Fatalf("over-budget connect: %v", err)
 		}
-		// Carve rows at the reserved width before the budget is exhausted.
-		for i := 0; i+1 < reserve; i++ {
-			if err := n.ConnectDuplex(rs[i].ID(), rs[i+1].ID(), cfg); err != nil {
-				t.Fatalf("%v reserved connect: %v", mode, err)
-			}
+	}
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs > 32 {
+		t.Errorf("over-budget wiring cost %d allocations; rows are not slab-carved", allocs)
+	}
+	for i := 0; i+1 < final; i++ {
+		if n.LinkBetween(rs[i].ID(), rs[i+1].ID()) == nil {
+			t.Fatalf("link %d->%d missing after over-budget growth", i, i+1)
 		}
-		rs[0].SetRoute(rs[2].ID(), rs[1].ID())
-
-		// Exhaust the budget, then wire and route the over-budget routers.
-		for i := reserve; i < final; i++ {
-			rs = append(rs, n.AddRouter("r"))
-		}
-		// Wiring past the budget is not idempotent, so AllocsPerRun (which
-		// re-runs its body as a warm-up) cannot measure it; count mallocs
-		// around the single pass instead.
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		for i := reserve - 1; i+1 < final; i++ {
-			if err := n.ConnectDuplex(rs[i].ID(), rs[i+1].ID(), cfg); err != nil {
-				t.Fatalf("%v over-budget connect: %v", mode, err)
-			}
-		}
-		for i := reserve; i < final; i++ {
-			rs[0].SetRoute(rs[i].ID(), rs[1].ID())
-		}
-		runtime.ReadMemStats(&after)
-		allocs := after.Mallocs - before.Mallocs
-		// Rows past the reservation must keep amortizing through the slabs:
-		// the historical helpers allocated one row per over-budget node here
-		// (~180 allocations in dense mode for this sweep).
-		if allocs > 32 {
-			t.Errorf("%v: over-budget wiring cost %d allocations; rows are not slab-carved", mode, allocs)
-		}
-		for i := 0; i+1 < final; i++ {
-			if n.LinkBetween(rs[i].ID(), rs[i+1].ID()) == nil {
-				t.Fatalf("%v: link %d->%d missing after over-budget growth", mode, i, i+1)
-			}
-			if n.LinkBetween(rs[i+1].ID(), rs[i].ID()) == nil {
-				t.Fatalf("%v: link %d->%d missing after over-budget growth", mode, i+1, i)
-			}
-		}
-		for i := reserve; i < final; i++ {
-			if got := rs[0].Route(rs[i].ID()); got != rs[1].ID() {
-				t.Fatalf("%v: route to over-budget router %d = %v, want %v", mode, i, got, rs[1].ID())
-			}
-		}
-		if got := rs[0].Route(rs[2].ID()); got != rs[1].ID() {
-			t.Fatalf("%v: pre-growth route lost: %v", mode, got)
+		if n.LinkBetween(rs[i+1].ID(), rs[i].ID()) == nil {
+			t.Fatalf("link %d->%d missing after over-budget growth", i+1, i)
 		}
 	}
 }
 
 // TestSparseLookupZeroAlloc pins that the per-hop adjacency lookups never
-// allocate in sparse mode: LinkBetween and a buffer-reusing AppendNeighbors
-// both run on the forwarding path.
+// allocate: LinkBetween and a buffer-reusing AppendNeighbors both run on the
+// forwarding path.
 func TestSparseLookupZeroAlloc(t *testing.T) {
-	n, rs := buildAdjNet(t, AdjacencySparse, 24, 24)
+	n, rs := buildAdjNet(t, 24, 24)
 	buf := make([]NodeID, 0, 8)
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := range rs {
@@ -193,6 +236,6 @@ func TestSparseLookupZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("sparse per-hop lookups allocated %.1f times per run, want 0", allocs)
+		t.Fatalf("per-hop lookups allocated %.1f times per run, want 0", allocs)
 	}
 }

@@ -114,25 +114,12 @@ func (h *Host) RestoreState(st HostState) {
 }
 
 // ForEachLink visits every link in deterministic order — ascending source
-// node, then ascending target node — identically across the sparse and dense
-// adjacency modes. Checkpoint capture and restore both rely on this order, so
-// a snapshot taken under one mode restores under the other.
+// node, then ascending target node. Checkpoint capture and restore both rely
+// on this order.
 func (n *Network) ForEachLink(fn func(l *Link)) {
-	if n.adjMode == AdjacencySparse {
-		for from := range n.sparse {
-			row := n.sparse[from]
-			for i := range row {
-				fn(row[i].link)
-			}
-		}
-		return
-	}
-	for from := range n.adj {
-		row := n.adj[from]
-		for to := range row {
-			if l := row[to]; l != nil {
-				fn(l)
-			}
+	for _, row := range n.sparse {
+		for i := range row {
+			fn(row[i].link)
 		}
 	}
 }

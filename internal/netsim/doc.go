@@ -54,35 +54,22 @@
 // The node/link graph answers two per-hop questions on the forwarding fast
 // path: LinkBetween (is there a direct link from a to b, and which one) and
 // AppendNeighbors (a's neighbours in ascending ID order, the order BFS route
-// computation depends on). Two interchangeable representations back them:
-//
-//   - AdjacencySparse (the default): one sorted row of (neighbour, link)
-//     entries per node, carved from a shared slab. LinkBetween is a binary
-//     search over the row — simulated degrees are single digits, so the
-//     search is two or three probes — and total adjacency state is
-//     O(nodes + links). A 50000-router domain's adjacency fits in a few
-//     megabytes.
-//   - AdjacencyDense: the historical full row per node, NodeID-indexed, so
-//     LinkBetween is one bounds-checked load. O(nodes²) pointers: ~20 GB at
-//     50000 routers, which is why it is no longer the default. It is kept,
-//     behind Network.SetAdjacencyMode and topology.Config.Adjacency, as the
-//     ordering-and-result oracle — exactly as sim.BackendHeap and
-//     topology.RoutingEager are kept for the scheduler and routing layers.
-//
-// Both representations iterate neighbours in the same ascending order, so
-// BFS tie-breaking — and therefore every simulation result — is bit-identical
-// between them; the catalog-wide equivalence tests in internal/experiment
-// pin that. The mode must be chosen before the first link is connected: rows
-// are not converted in place.
+// computation depends on). Behind both is one sorted row of (neighbour, link)
+// entries per node, carved from a shared slab. LinkBetween is a binary search
+// over the row — simulated degrees are single digits, so the search is two or
+// three probes — and total adjacency state is O(nodes + links): a
+// 50000-router domain's adjacency fits in a few megabytes. The reference the
+// rows are tested against is test-only: adjacency_test.go mirrors every
+// Connect into a map keyed by (from, to) and compares all pairs and every
+// neighbour list on seeded random graphs.
 //
 // # Reservation and slab carving
 //
 // Reserve(nodes) sizes the internal spines and slabs for a known domain size
 // so construction is O(1) allocations per chunk instead of per node. The
 // reservation is a hint, not a cap: nodes added past it stay correct and keep
-// carving from the slabs — row widths are validated against the live node
-// count (see denseRowWidth), never against the stale hint alone. A slab keeps
-// every chunk it has carved; see the next section.
+// carving from the slabs. A slab keeps every chunk it has carved; see the next
+// section.
 //
 // # Reset and ownership
 //
@@ -98,8 +85,8 @@
 // and the free list's array. What a caller can observe does not: a reset
 // network has no nodes, links, addresses, handlers, hooks, resolver or
 // columns, its fault counters, TopoVersion and packet IDs start from zero,
-// it is back on the default adjacency mode, and it is bound to the new
-// scheduler and RNG. Reset states what it keeps and zeroes the rest
+// and it is bound to the new scheduler and RNG. Reset states what it keeps
+// and zeroes the rest
 // wholesale, so a field added to Network is reset unless it is named there.
 //
 // What is invalidated is everything handed out before: every *Router, *Host,
@@ -119,8 +106,7 @@
 // run's defenders). The tables are read by index before they are written, so
 // Reset zeroes the part the last build used and truncates them; beyond their
 // length they stay zero, which is what lets Reserve re-extend them without
-// clearing. The dense oracle's rows would have to come zeroed too and are
-// simply not kept.
+// clearing.
 //
 // Reset costs what the last build and run used — its node count for the
 // tables, its packet high-water mark for the pool, its chain count for the
@@ -146,11 +132,9 @@
 // FaultDropped counters) and the packet is recycled through the pool like any
 // other terminal point. Each state flip bumps TopoVersion and invalidates the
 // memoized next-hop columns, and AppendNeighbors skips down links and links
-// into crashed routers while any fault is active — so demand-driven (lazy)
-// routing re-converges around the fault, while eagerly installed static
-// tables intentionally do not (packets on the stale path die at the fault,
-// making eager mode an oracle only for fault-free runs). With every link and
-// router up, none of this exists on the hot path: AppendNeighbors takes the
-// historical loop, no RNG is consulted, nothing allocates, and simulations
-// are bit-identical to builds without the fault layer.
+// into crashed routers while any fault is active — so routing re-converges
+// around the fault. With every link and router up, none of this exists on the
+// hot path: AppendNeighbors takes the plain loop, no RNG is consulted,
+// nothing allocates, and simulations are bit-identical to builds without the
+// fault layer.
 package netsim

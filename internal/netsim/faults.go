@@ -23,12 +23,9 @@ import (
 //     re-snapshots the graph and shortest paths re-converge around the
 //     fault. AppendNeighbors skips down links and links into down routers
 //     while any fault is active, which is what the resolver's BFS sees.
-//     Static tables installed eagerly (Router.SetRoute, topology
-//     RoutingEager) are not recomputed: under eager routing packets keep
-//     following the stale path and die at the fault.
 //
 // With no fault active none of this costs anything on the hot path beyond a
-// handful of predictable branches: AppendNeighbors takes its historical loop,
+// handful of predictable branches: AppendNeighbors takes its plain loop,
 // no RNG is consulted, and no allocation happens — simulations with all fault
 // state untouched are bit-identical to builds without this layer (the no-fault
 // allocation pin and the golden catalog hold this).
@@ -135,26 +132,14 @@ func (n *Network) appendLiveNeighbors(dst []NodeID, id NodeID) []NodeID {
 	if n.RouterDown(id) {
 		return dst
 	}
-	if n.adjMode == AdjacencySparse {
-		if id < 0 || int(id) >= len(n.sparse) {
-			return dst
-		}
-		for _, e := range n.sparse[id] {
-			if e.link.down || n.RouterDown(e.to) {
-				continue
-			}
-			dst = append(dst, e.to)
-		}
+	if id < 0 || int(id) >= len(n.sparse) {
 		return dst
 	}
-	if id < 0 || int(id) >= len(n.adj) {
-		return dst
-	}
-	for to, l := range n.adj[id] {
-		if l == nil || l.down || n.RouterDown(NodeID(to)) {
+	for _, e := range n.sparse[id] {
+		if e.link.down || n.RouterDown(e.to) {
 			continue
 		}
-		dst = append(dst, NodeID(to))
+		dst = append(dst, e.to)
 	}
 	return dst
 }

@@ -79,9 +79,9 @@ type realLink struct {
 	l *Link
 }
 
-func newRealLink(t *testing.T, backend sim.Backend, cfg LinkConfig, arrive func(id uint64, now sim.Time, alive bool)) *realLink {
+func newRealLink(t *testing.T, cfg LinkConfig, arrive func(id uint64, now sim.Time, alive bool)) *realLink {
 	t.Helper()
-	s := sim.NewSchedulerWith(sim.SchedulerConfig{Backend: backend})
+	s := sim.NewScheduler()
 	n := New(s, sim.NewRNG(1))
 	a, b := n.AddHost("a", IP(1)), n.AddHost("b", IP(2))
 	l, err := n.Connect(a.ID(), b.ID(), cfg)
@@ -222,17 +222,17 @@ func runRefScript(t *testing.T, sc *refScript, mk func(arrive func(uint64, sim.T
 
 // compareWithReference runs the script on the real link and on the reference
 // and returns the real link's log.
-func compareWithReference(t *testing.T, backend sim.Backend, sc *refScript) []string {
+func compareWithReference(t *testing.T, sc *refScript) []string {
 	t.Helper()
 	if sc.onStop == nil {
 		sc.onStop = &refAction{down: -1}
 	}
 	cfg := sc.cfg
 	real := runRefScript(t, sc, func(arrive func(uint64, sim.Time, bool)) linkUnderTest {
-		return newRealLink(t, backend, cfg, arrive)
+		return newRealLink(t, cfg, arrive)
 	})
 	ref := runRefScript(t, sc, func(arrive func(uint64, sim.Time, bool)) linkUnderTest {
-		s := sim.NewSchedulerWith(sim.SchedulerConfig{Backend: backend})
+		s := sim.NewScheduler()
 		return &refLink{s: s, cfg: cfg, arrive: arrive}
 	})
 	for i := 0; i < len(real) || i < len(ref); i++ {
@@ -257,11 +257,6 @@ func hasLine(log []string, line string) bool {
 	return slices.ContainsFunc(log, func(s string) bool { return s == line || strings.HasPrefix(s, line+" queue=") })
 }
 
-var refBackends = []struct {
-	name    string
-	backend sim.Backend
-}{{"calendar", sim.BackendCalendar}, {"heap", sim.BackendHeap}}
-
 // TestLinkFullQueueAtTransmitDoneInstant constructs the case the tie rule
 // decides: the queue is full and a Send happens at exactly the instant the
 // blocking packet finishes transmitting. The packet is admitted iff the
@@ -270,48 +265,46 @@ var refBackends = []struct {
 // compares times (txDone <= now) admits both and fails here.
 func TestLinkFullQueueAtTransmitDoneInstant(t *testing.T) {
 	one := func() *refAction { return &refAction{down: -1, sizes: []int{1}} }
-	for _, b := range refBackends {
-		for _, delay := range []sim.Time{0, refUnit, 3 * refUnit} {
-			for _, observe := range []bool{false, true} {
-				cfg := LinkConfig{BandwidthBps: refBandwidth, Delay: delay, QueueLen: 1}
+	for _, delay := range []sim.Time{0, refUnit, 3 * refUnit} {
+		for _, observe := range []bool{false, true} {
+			cfg := LinkConfig{BandwidthBps: refBandwidth, Delay: delay, QueueLen: 1}
 
-				// Packet 1 leaves at instant 0 and is transmitted at instant
-				// 1. The event sending packet 2 at instant 1 was scheduled
-				// before packet 1 was sent.
-				before := &refScript{cfg: cfg, observe: observe, slots: [][]*refAction{{one()}, {one()}}}
-				log := compareWithReference(t, b.backend, before)
-				if !hasLine(log, "t=1 send 2: queue-drop") {
-					t.Fatalf("%s delay %v: sender scheduled before the blocking packet was admitted:\n%v", b.name, delay, log)
-				}
+			// Packet 1 leaves at instant 0 and is transmitted at instant
+			// 1. The event sending packet 2 at instant 1 was scheduled
+			// before packet 1 was sent.
+			before := &refScript{cfg: cfg, observe: observe, slots: [][]*refAction{{one()}, {one()}}}
+			log := compareWithReference(t, before)
+			if !hasLine(log, "t=1 send 2: queue-drop") {
+				t.Fatalf("delay %v: sender scheduled before the blocking packet was admitted:\n%v", delay, log)
+			}
 
-				// The same, but the sending event is scheduled by the event
-				// that sent packet 1, after sending it.
-				first := one()
-				first.later = []refLater{{after: 1, act: one()}}
-				after := &refScript{cfg: cfg, observe: observe, slots: [][]*refAction{{first}}}
-				log = compareWithReference(t, b.backend, after)
-				if !hasLine(log, "t=1 send 2: sent") {
-					t.Fatalf("%s delay %v: sender scheduled after the blocking packet was refused:\n%v", b.name, delay, log)
-				}
+			// The same, but the sending event is scheduled by the event
+			// that sent packet 1, after sending it.
+			first := one()
+			first.later = []refLater{{after: 1, act: one()}}
+			after := &refScript{cfg: cfg, observe: observe, slots: [][]*refAction{{first}}}
+			log = compareWithReference(t, after)
+			if !hasLine(log, "t=1 send 2: sent") {
+				t.Fatalf("delay %v: sender scheduled after the blocking packet was refused:\n%v", delay, log)
+			}
 
-				// Outside the loop, after RunUntil(1): everything up to the
-				// deadline has fired, packet 1's transmission included.
-				outside := &refScript{cfg: cfg, observe: observe, slots: [][]*refAction{{one()}},
-					steps: []refStep{{until: 1, outside: []*refAction{one()}}}}
-				log = compareWithReference(t, b.backend, outside)
-				if !hasLine(log, "t=1 send 2: sent") {
-					t.Fatalf("%s delay %v: transmission ending at the deadline not retired by it:\n%v", b.name, delay, log)
-				}
+			// Outside the loop, after RunUntil(1): everything up to the
+			// deadline has fired, packet 1's transmission included.
+			outside := &refScript{cfg: cfg, observe: observe, slots: [][]*refAction{{one()}},
+				steps: []refStep{{until: 1, outside: []*refAction{one()}}}}
+			log = compareWithReference(t, outside)
+			if !hasLine(log, "t=1 send 2: sent") {
+				t.Fatalf("delay %v: transmission ending at the deadline not retired by it:\n%v", delay, log)
+			}
 
-				// But what is sent from out there has not, even with zero
-				// serialisation time: packet 2's transmission ends at instant
-				// 1 and is still not over until the loop runs again.
-				cfg.BandwidthBps = 0
-				outside.cfg, outside.steps[0].outside = cfg, []*refAction{one(), one()}
-				log = compareWithReference(t, b.backend, outside)
-				if !hasLine(log, "t=1 send 3: queue-drop") {
-					t.Fatalf("%s delay %v: zero-time transmission retired outside the loop:\n%v", b.name, delay, log)
-				}
+			// But what is sent from out there has not, even with zero
+			// serialisation time: packet 2's transmission ends at instant
+			// 1 and is still not over until the loop runs again.
+			cfg.BandwidthBps = 0
+			outside.cfg, outside.steps[0].outside = cfg, []*refAction{one(), one()}
+			log = compareWithReference(t, outside)
+			if !hasLine(log, "t=1 send 3: queue-drop") {
+				t.Fatalf("delay %v: zero-time transmission retired outside the loop:\n%v", delay, log)
 			}
 		}
 	}
@@ -370,22 +363,20 @@ func randomRefScript(rng *rand.Rand, observe bool) *refScript {
 // with and without QueueLen observations in between (QueueLen settles the
 // count as a side effect, so a run that never looks must agree too).
 func TestLinkMatchesReferenceLink(t *testing.T) {
-	for _, b := range refBackends {
-		t.Run(b.name, func(t *testing.T) {
-			drops := 0
-			for seed := int64(1); seed <= 400; seed++ {
-				for _, observe := range []bool{false, true} {
-					sc := randomRefScript(rand.New(rand.NewSource(seed)), observe)
-					for _, line := range compareWithReference(t, b.backend, sc) {
-						if strings.Contains(line, "queue-drop") {
-							drops++
-						}
+	t.Run("calendar", func(t *testing.T) {
+		drops := 0
+		for seed := int64(1); seed <= 400; seed++ {
+			for _, observe := range []bool{false, true} {
+				sc := randomRefScript(rand.New(rand.NewSource(seed)), observe)
+				for _, line := range compareWithReference(t, sc) {
+					if strings.Contains(line, "queue-drop") {
+						drops++
 					}
 				}
 			}
-			if drops == 0 {
-				t.Fatal("no script ever filled the queue")
-			}
-		})
-	}
+		}
+		if drops == 0 {
+			t.Fatal("no script ever filled the queue")
+		}
+	})
 }

@@ -26,9 +26,7 @@ func testNet(t *testing.T) (*Network, *Host, *Router, *Router, *Host) {
 	}
 	client.AttachTo(r1.ID())
 	server.AttachTo(r2.ID())
-	// Static routes.
-	r1.SetRoute(server.ID(), r2.ID())
-	r2.SetRoute(client.ID(), r1.ID())
+	n.SetRouteResolver(&bfsResolver{net: n})
 	return n, client, r1, r2, server
 }
 
@@ -393,11 +391,11 @@ func TestNetworkCounters(t *testing.T) {
 	if n.Router(r1.ID()) != r1 || n.Host(client.ID()) != client {
 		t.Fatal("lookup by ID failed")
 	}
-	if r1.Route(server.ID()) != r2.ID() || r1.Route(NodeID(999)) != NoNode {
+	if n.NextHop(r1.ID(), server.ID()) != r2.ID() || n.NextHop(r1.ID(), NodeID(999)) != NoNode {
 		t.Fatal("route lookup mismatch")
 	}
-	if r1.RouteCount() == 0 {
-		t.Fatal("route count should be positive")
+	if entries, _ := n.RouteStats(); entries == 0 {
+		t.Fatal("route entries should be positive after traffic")
 	}
 }
 

@@ -47,43 +47,10 @@ type nodeSlot struct {
 	host   *Host
 }
 
-// AdjacencyMode selects how the network stores its adjacency (link) state.
-type AdjacencyMode int
-
-// Adjacency modes.
-const (
-	// AdjacencySparse (the default) stores each node's outgoing links as a
-	// neighbour list sorted by target ID: O(nodes + links) memory overall,
-	// with per-hop lookups a short binary search over a row whose length is
-	// the node's degree (2–10 in the generated domains). It is what makes
-	// 50k-router domains tractable: the dense layout's rows alone would be
-	// ~20 GB there.
-	AdjacencySparse AdjacencyMode = iota
-	// AdjacencyDense keeps the historical representation — one node-count
-	// wide row per node, lookup by direct index — as the ordering-and-result
-	// oracle, exactly as sim.BackendHeap and topology.RoutingEager were
-	// kept. Both modes yield bit-identical simulations; the invariance tests
-	// pin that.
-	AdjacencyDense
-)
-
-// String implements fmt.Stringer.
-func (m AdjacencyMode) String() string {
-	switch m {
-	case AdjacencySparse:
-		return "sparse"
-	case AdjacencyDense:
-		return "dense"
-	default:
-		return "unknown"
-	}
-}
-
-// adjEntry is one outgoing link in a sparse adjacency row, keyed by its
-// target node. Rows are kept sorted by target so lookups binary-search and
-// neighbour iteration is ascending — the same order the dense rows yield,
-// which is what keeps BFS tie-breaking (and therefore every forwarding
-// decision) identical across modes.
+// adjEntry is one outgoing link in an adjacency row, keyed by its target
+// node. Rows are kept sorted by target so lookups binary-search and neighbour
+// iteration is ascending, which is what BFS tie-breaking (and therefore every
+// forwarding decision) depends on.
 type adjEntry struct {
 	to   NodeID
 	link *Link
@@ -98,26 +65,20 @@ type Network struct {
 	// nodes is the dense NodeID-indexed table of every node: the registry
 	// behind Router and Host, and the dispatch table of the forwarding path.
 	nodes []nodeSlot
-	// adjMode selects the adjacency representation below; exactly one of
-	// the two tables is populated. See SetAdjacencyMode.
-	adjMode AdjacencyMode
 	// sparse[from] is the sorted-by-target neighbour list holding from's
-	// outgoing links (AdjacencySparse, the default). A nil or short spine
-	// entry means no outgoing links from that node yet.
+	// outgoing links: O(nodes + links) memory overall, with per-hop lookups
+	// a short binary search over a row whose length is the node's degree
+	// (2–10 in the generated domains). A nil or short spine entry means no
+	// outgoing links from that node yet.
 	sparse [][]adjEntry
-	// adj[from][to] is the simplex link from->to, or nil (AdjacencyDense).
-	// Rows are node-count-wide NodeID-indexed slices grown on demand.
-	adj [][]*Link
-	// links counts Connect calls; the adjacency mode is frozen once the
-	// first link exists.
+	// links counts the simplex links installed; see LinkTotal.
 	links   int
 	ipOwner map[IP]NodeID
 
 	nextPktID uint64
 
-	// sizeHint is the expected final node count set by Reserve; dense
-	// per-node tables (adjacency rows, route tables) are allocated at this
-	// size up front when it is known.
+	// sizeHint is the expected final node count set by Reserve; the slabs
+	// size their chunks by it.
 	sizeHint int
 
 	// pktFree is the packet free list; see NewPacket / FreePacket. Its
@@ -131,15 +92,6 @@ type Network struct {
 	routerSlab slab[Router]
 	hostSlab   slab[Host]
 	linkSlab   slab[Link]
-
-	// Dense-row slabs: dense-mode adjacency rows and per-router route
-	// tables are carved from multi-row chunks so reserved domain
-	// construction costs O(rows/denseRowChunk) allocations for them
-	// instead of one each. Row widths are validated against the actual
-	// node count at carve time (see denseRowWidth), never trusted to a
-	// possibly stale sizeHint.
-	adjSlab   []*Link
-	routeSlab []NodeID
 
 	// adjEntrySlab backs the sparse adjacency rows: rows are carved with a
 	// few entries of headroom and re-carved at doubled capacity when a
@@ -192,12 +144,11 @@ type handlerKey struct {
 
 // Slab chunk sizes. Packets churn fastest and get the largest chunk.
 const (
-	pktChunk      = 256
-	nodeChunk     = 64
-	linkChunk     = 128
-	denseRowChunk = 64
-	filterChunk   = 64
-	ipChunk       = 64
+	pktChunk    = 256
+	nodeChunk   = 64
+	linkChunk   = 128
+	filterChunk = 64
+	ipChunk     = 64
 	// sparseRowCap is the initial capacity of a sparse adjacency row. Core
 	// routers in the generated domains have degree 2 (ring) plus a chord or
 	// two, so most rows never re-carve.
@@ -220,58 +171,13 @@ func (n *Network) nodeSlabSize() int {
 	return size
 }
 
-// denseRowWidth validates-and-grows the width of a dense per-node row: the
-// Reserve hint when it is still accurate, but never narrower than the actual
-// node count or the slot the caller is about to index. Rows used to be sized
-// at n.sizeHint unconditionally, which made every caller responsible for
-// compensating when nodes were added past the Reserve budget (or with
-// Reserve never called, where sizeHint is 0) — get it wrong and a row comes
-// out narrower than the final node count, silently missing links or routes
-// for high NodeIDs. Centralizing the floor here makes stale hints harmless.
-func (n *Network) denseRowWidth(need int) int {
-	w := n.sizeHint
-	if nc := len(n.nodes); nc > w {
-		w = nc
-	}
-	if need > w {
-		w = need
-	}
-	return w
-}
-
-// carveAdjRow carves one dense adjacency row covering at least need slots
-// from the slab.
-func (n *Network) carveAdjRow(need int) []*Link {
-	w := n.denseRowWidth(need)
-	if len(n.adjSlab) < w {
-		n.adjSlab = make([]*Link, denseRowChunk*w)
-	}
-	row := n.adjSlab[:w:w]
-	n.adjSlab = n.adjSlab[w:]
-	return row
-}
-
-// carveRouteRow carves one dense route table covering at least need slots,
-// filled with NoNode.
-func (n *Network) carveRouteRow(need int) []NodeID {
-	w := n.denseRowWidth(need)
-	if len(n.routeSlab) < w {
-		n.routeSlab = make([]NodeID, denseRowChunk*w)
-	}
-	row := n.routeSlab[:w:w]
-	n.routeSlab = n.routeSlab[w:]
-	for i := range row {
-		row[i] = NoNode
-	}
-	return row
-}
-
 // adjEntrySlabSize picks the chunk size for the sparse-entry slab: roughly
-// one initial row per expected node, so small domains allocate a chunk they
+// one initial row per expected node (the Reserve hint, or the actual count
+// once nodes were added past it), so small domains allocate a chunk they
 // actually fill, capped at adjEntryChunk so huge domains amortize in
 // fixed-size chunks.
 func (n *Network) adjEntrySlabSize() int {
-	return min(sparseRowCap*n.denseRowWidth(0), adjEntryChunk)
+	return min(sparseRowCap*max(n.sizeHint, len(n.nodes)), adjEntryChunk)
 }
 
 // carveAdjEntries carves a zero-length sparse row with the given capacity.
@@ -366,8 +272,7 @@ func (n *Network) Reset(scheduler *sim.Scheduler, rng *sim.RNG) {
 			chunk[i].freed = true
 		}
 	}
-	// Everything not carried over here starts from zero, the dense oracle's
-	// rows included: those must come zeroed and are allocated anew.
+	// Everything not carried over here starts from zero.
 	*n = Network{
 		scheduler:    scheduler,
 		rng:          rng,
@@ -460,49 +365,11 @@ func (n *Network) allocateNodeID() NodeID {
 	return id
 }
 
-// SetAdjacencyMode selects the adjacency representation. It must be called
-// before any link is added — the tables are not converted in place — and is
-// typically the first call after New. The zero-value default is
-// AdjacencySparse; AdjacencyDense retains the historical layout as the
-// equivalence oracle.
-func (n *Network) SetAdjacencyMode(m AdjacencyMode) error {
-	if m != AdjacencySparse && m != AdjacencyDense {
-		return fmt.Errorf("netsim: unknown adjacency mode %d", m)
-	}
-	if n.links > 0 {
-		return errors.New("netsim: adjacency mode must be selected before links are added")
-	}
-	n.adjMode = m
-	n.reserveAdjSpine(n.sizeHint)
-	return nil
-}
-
-// AdjacencyMode reports the active adjacency representation.
-func (n *Network) AdjacencyMode() AdjacencyMode { return n.adjMode }
-
-// reserveAdjSpine pre-sizes the active mode's adjacency spine.
-func (n *Network) reserveAdjSpine(nodes int) {
-	if n.adjMode == AdjacencySparse {
-		if cap(n.sparse) < nodes {
-			grown := make([][]adjEntry, len(n.sparse), nodes)
-			copy(grown, n.sparse)
-			n.sparse = grown
-		}
-		return
-	}
-	if cap(n.adj) < nodes {
-		grown := make([][]*Link, len(n.adj), nodes)
-		copy(grown, n.adj)
-		n.adj = grown
-	}
-}
-
 // Reserve pre-sizes the node and adjacency tables for a domain of the given
 // node count. Topology builders that know their final size call it once so
-// the dense per-node tables are allocated at full size up front instead of
-// growing piecemeal. Reserving is purely an optimisation; the network works
-// identically without it — in particular, nodes added past the reserved
-// budget still get full-width rows (see denseRowWidth).
+// the per-node tables are allocated at full size up front instead of growing
+// piecemeal. Reserving is purely an optimisation; the network works
+// identically without it and with nodes added past the reserved budget.
 func (n *Network) Reserve(nodes int) {
 	if nodes <= len(n.nodes) {
 		return
@@ -515,7 +382,11 @@ func (n *Network) Reserve(nodes int) {
 	if nodes > n.sizeHint {
 		n.sizeHint = nodes
 	}
-	n.reserveAdjSpine(nodes)
+	if cap(n.sparse) < nodes {
+		grown := make([][]adjEntry, len(n.sparse), nodes)
+		copy(grown, n.sparse)
+		n.sparse = grown
+	}
 	if nodes > len(n.routeCols) {
 		if cap(n.routeCols) >= nodes {
 			n.routeCols = n.routeCols[:nodes]
@@ -527,9 +398,7 @@ func (n *Network) Reserve(nodes int) {
 	}
 }
 
-// AddRouter creates a router with the given human-readable name. Its static
-// route table starts empty — demand-driven forwarding needs none, and the
-// eager install path carves a dense slab row on the first SetRoute.
+// AddRouter creates a router with the given human-readable name.
 func (n *Network) AddRouter(name string) *Router {
 	r := &n.routerSlab.take(1, n.nodeSlabSize())[0]
 	*r = Router{
@@ -629,11 +498,7 @@ func (n *Network) connect(from, to NodeID, cfg LinkConfig) *Link {
 	l := &n.linkSlab.take(1, linkChunk)[0]
 	*l = Link{net: n, from: int32(from), to: int32(to), cfg: cfg}
 	n.links++
-	if n.adjMode == AdjacencySparse {
-		n.sparseInsert(from, to, l)
-	} else {
-		n.denseInsert(from, to, l)
-	}
+	n.sparseInsert(from, to, l)
 	if h := n.nodes[to].host; h != nil {
 		h.noteHome(from, l)
 	}
@@ -666,24 +531,6 @@ func (n *Network) sparseInsert(from, to NodeID, l *Link) {
 	copy(row[i+1:], row[i:])
 	row[i] = adjEntry{to: to, link: l}
 	n.sparse[from] = row
-}
-
-// denseInsert places l into from's dense row, growing the row once to the
-// validated width (never narrower than the node count) rather than element
-// by element. All rows come from the row slab, including rows grown for
-// nodes added past the Reserve budget.
-func (n *Network) denseInsert(from, to NodeID, l *Link) {
-	for int(from) >= len(n.adj) {
-		n.adj = append(n.adj, nil)
-	}
-	row := n.adj[from]
-	if int(to) >= len(row) {
-		grown := n.carveAdjRow(int(to) + 1)
-		copy(grown, row)
-		row = grown
-	}
-	row[to] = l
-	n.adj[from] = row
 }
 
 // ConnectDuplex adds two simplex links (a->b and b->a) with the same
@@ -728,28 +575,17 @@ func (n *Network) AttachmentLink(r, h NodeID) *Link {
 }
 
 // LinkBetween returns the simplex link from a to b, or nil. This sits on the
-// per-hop forwarding path: sparse mode binary-searches a's neighbour row (a
-// handful of entries in the generated domains), dense mode is a pair of
-// bounds-checked slice indexes. Neither allocates.
+// per-hop forwarding path: a binary search of a's neighbour row (a handful of
+// entries in the generated domains) that does not allocate.
 func (n *Network) LinkBetween(a, b NodeID) *Link {
-	if n.adjMode == AdjacencySparse {
-		if a < 0 || int(a) >= len(n.sparse) {
-			return nil
-		}
-		row := n.sparse[a]
-		if i := sparseFind(row, b); i < len(row) && row[i].to == b {
-			return row[i].link
-		}
+	if a < 0 || int(a) >= len(n.sparse) {
 		return nil
 	}
-	if a < 0 || int(a) >= len(n.adj) {
-		return nil
+	row := n.sparse[a]
+	if i := sparseFind(row, b); i < len(row) && row[i].to == b {
+		return row[i].link
 	}
-	row := n.adj[a]
-	if b < 0 || int(b) >= len(row) {
-		return nil
-	}
-	return row[b]
+	return nil
 }
 
 // Neighbors returns the node IDs reachable over one outgoing link from id,
@@ -763,28 +599,17 @@ func (n *Network) Neighbors(id NodeID) []NodeID {
 // allocation-free; route computation over large domains depends on this.
 // While any link or router is down, down links and links into crashed
 // routers are skipped (in the same ascending order), so route recomputation
-// converges around the fault; with no fault active the historical loop runs
+// converges around the fault; with no fault active the plain loop runs
 // untouched.
 func (n *Network) AppendNeighbors(dst []NodeID, id NodeID) []NodeID {
 	if n.faultsActive() {
 		return n.appendLiveNeighbors(dst, id)
 	}
-	if n.adjMode == AdjacencySparse {
-		if id < 0 || int(id) >= len(n.sparse) {
-			return dst
-		}
-		for _, e := range n.sparse[id] {
-			dst = append(dst, e.to)
-		}
+	if id < 0 || int(id) >= len(n.sparse) {
 		return dst
 	}
-	if id < 0 || int(id) >= len(n.adj) {
-		return dst
-	}
-	for to, l := range n.adj[id] {
-		if l != nil {
-			dst = append(dst, NodeID(to))
-		}
+	for _, e := range n.sparse[id] {
+		dst = append(dst, e.to)
 	}
 	return dst
 }

@@ -125,12 +125,12 @@ func chaosRun(t *testing.T, n *Network) (*chaosTrace, *Packet) {
 // node and link by link, so two networks can be compared wholesale.
 func netView(n *Network) []string {
 	entries, bytes := n.RouteStats()
-	view := []string{fmt.Sprintf("nodes=%d links=%d topo=%d cols=%d entries=%d bytes=%d faultDrops=%d mode=%v now=%v",
-		n.NodeCount(), n.LinkTotal(), n.TopoVersion(), n.RouteColumns(), entries, bytes, n.FaultDropped(), n.AdjacencyMode(), n.Now())}
+	view := []string{fmt.Sprintf("nodes=%d links=%d topo=%d cols=%d entries=%d bytes=%d faultDrops=%d now=%v",
+		n.NodeCount(), n.LinkTotal(), n.TopoVersion(), n.RouteColumns(), entries, bytes, n.FaultDropped(), n.Now())}
 	n.ForEachNode(func(id NodeID, r *Router, h *Host) {
 		if r != nil {
-			view = append(view, fmt.Sprintf("%d %v fwd=%d drop=%d fault=%d down=%v routes=%d filters=%d isDown=%v",
-				id, r, r.Forwarded(), r.FilterDropped(), r.FaultDropped(), r.Down(), r.RouteCount(), len(r.Filters()), n.RouterDown(id)))
+			view = append(view, fmt.Sprintf("%d %v fwd=%d drop=%d fault=%d down=%v filters=%d isDown=%v",
+				id, r, r.Forwarded(), r.FilterDropped(), r.FaultDropped(), r.Down(), len(r.Filters()), n.RouterDown(id)))
 		} else {
 			view = append(view, fmt.Sprintf("%d %v ips=%v access=%d rx=%d tx=%d", id, h, h.IPs(), h.AccessRouter(), h.Received(), h.Sent()))
 			for _, ip := range h.IPs() {

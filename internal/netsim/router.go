@@ -28,20 +28,13 @@ type Filter interface {
 	Handle(pkt *Packet, now sim.Time, at *Router) Action
 }
 
-// Router forwards packets by destination-owner lookup and a static next-hop
-// table, invoking its attached filters on every traversing packet.
+// Router forwards packets by destination-owner lookup and the network's
+// next-hop columns (see routing.go), invoking its attached filters on every
+// traversing packet.
 type Router struct {
 	net  *Network
 	id   NodeID
 	name string
-
-	// routes is the dense next-hop table indexed by destination NodeID;
-	// NoNode marks destinations without an installed route. A flat slice
-	// replaces the former map: route installation on a 1000-router domain
-	// writes millions of entries, and the per-hop lookup is bounds-check
-	// plus load.
-	routes     []NodeID
-	routeCount int
 
 	filters []Filter
 
@@ -78,44 +71,6 @@ func (r *Router) FaultDropped() uint64 { return r.faultDrops }
 
 // Down reports whether the router is currently crashed.
 func (r *Router) Down() bool { return r.down }
-
-// SetRoute installs the next hop used to reach dest.
-func (r *Router) SetRoute(dest, nextHop NodeID) {
-	if dest < 0 {
-		return
-	}
-	if int(dest) >= len(r.routes) {
-		r.growRoutes(int(dest) + 1)
-	}
-	if r.routes[dest] == NoNode && nextHop != NoNode {
-		r.routeCount++
-	} else if r.routes[dest] != NoNode && nextHop == NoNode {
-		r.routeCount--
-	}
-	r.routes[dest] = nextHop
-}
-
-// growRoutes extends the dense table to at least n entries. The row is
-// carved from the shared dense-row slab at a width the network validates
-// against its actual node count (see denseRowWidth), so a route sweep over
-// the whole domain grows the table once — including on routers added past
-// the Reserve budget, which used to fall back to one heap allocation each.
-func (r *Router) growRoutes(n int) {
-	grown := r.net.carveRouteRow(n) // pre-filled with NoNode
-	copy(grown, r.routes)
-	r.routes = grown
-}
-
-// Route returns the next hop toward dest, or NoNode if none is installed.
-func (r *Router) Route(dest NodeID) NodeID {
-	if dest < 0 || int(dest) >= len(r.routes) {
-		return NoNode
-	}
-	return r.routes[dest]
-}
-
-// RouteCount reports how many destinations the router can reach.
-func (r *Router) RouteCount() int { return r.routeCount }
 
 // AttachFilter appends a filter to the router's processing chain. Chain
 // storage is carved from a network-level slab: chains are tiny (an arrival
@@ -201,14 +156,7 @@ func (r *Router) route(pkt *Packet) {
 	}
 	link := r.net.AttachmentLink(r.id, destNode)
 	if link == nil {
-		// A static entry (SetRoute / eager install) wins; otherwise fall
-		// through to the network's demand-driven column table. Under lazy
-		// routing the static table is empty, so the first lookup is a
-		// single failed bounds check.
-		next := r.Route(destNode)
-		if next == NoNode {
-			next = r.net.NextHop(r.id, destNode)
-		}
+		next := r.net.NextHop(r.id, destNode)
 		if next == NoNode {
 			r.net.dropUnroutable(pkt, r.id)
 			return

@@ -4,12 +4,12 @@ import "unsafe"
 
 // Demand-driven two-level routing.
 //
-// Historically every router carried a dense next-hop row covering every node
-// in the domain, installed eagerly at build time: O(routers × nodes) entries,
-// of which a DDoS-style workload ever touches a vanishing fraction (traffic
-// converges on a handful of victims, ACKs and probes fan back to the edge).
-// The network now keeps forwarding state as per-destination next-hop
-// *columns*, materialized lazily the first time a destination is routed to:
+// A next-hop row per router covering every node in the domain would be
+// O(routers × nodes) entries, of which a DDoS-style workload ever touches a
+// vanishing fraction (traffic converges on a handful of victims, ACKs and
+// probes fan back to the edge). The network keeps forwarding state as
+// per-destination next-hop *columns*, materialized lazily the first time a
+// destination is routed to:
 //
 //   - Level 1 (aggregation): a single-homed host shares the column of its
 //     attachment router — the column is computed once for the router and the
@@ -19,11 +19,12 @@ import "unsafe"
 //     their paths bit-identical to a per-node shortest-path computation.
 //   - Level 2 (demand): a column is produced by the installed RouteResolver
 //     (one reverse BFS in the topology arena) only when its destination first
-//     appears in live traffic, then memoized for the lifetime of the network.
+//     appears in live traffic, then memoized until the graph changes.
 //
-// Routers still honour next hops installed explicitly via Router.SetRoute
-// (hand-built networks, the eager install path); the column lookup is the
-// fallback when no static entry exists.
+// The column table is the routers' only forwarding state; hand-built networks
+// install a resolver of their own. The reference for what a column must hold
+// is test-only: topology's lazy_test.go runs a textbook per-destination BFS
+// over Neighbors and compares it with NextHop for every pair of nodes.
 type RouteResolver interface {
 	// NextHopColumn returns the next-hop column for dest: a dense
 	// NodeID-indexed table where column[at] is the next hop from node at
@@ -123,32 +124,13 @@ func (n *Network) aggregateOf(dest NodeID) NodeID {
 	if n.nodes[dest].router != nil {
 		return dest
 	}
-	agg := NoNode
-	if n.adjMode == AdjacencySparse {
-		if int(dest) < len(n.sparse) {
-			row := n.sparse[dest]
-			if len(row) > 1 {
-				return dest // multi-homed: own column
-			}
-			if len(row) == 1 {
-				agg = row[0].to
-			}
-		}
-	} else if int(dest) < len(n.adj) {
-		for to, l := range n.adj[dest] {
-			if l == nil {
-				continue
-			}
-			if agg != NoNode {
-				return dest // multi-homed: own column
-			}
-			agg = NodeID(to)
-		}
+	if int(dest) >= len(n.sparse) || len(n.sparse[dest]) != 1 {
+		return dest // unattached, or multi-homed: own column
 	}
-	if agg == NoNode || n.nodes[agg].router == nil {
-		return dest
+	if agg := n.sparse[dest][0].to; n.nodes[agg].router != nil {
+		return agg
 	}
-	return agg
+	return dest
 }
 
 // RouteColumns reports how many distinct next-hop columns have been
@@ -163,16 +145,8 @@ func (n *Network) RouteColumns() int { return n.colsMaterialized }
 func (n *Network) TopoVersion() uint64 { return n.topoVersion }
 
 // RouteStats reports the resident routing state: the total number of
-// next-hop entries held live (materialized demand-driven columns plus any
-// per-router static tables) and the bytes they occupy. Under eager routing
-// this is O(routers × nodes); under demand-driven routing it is
-// O(active destinations × nodes).
+// next-hop entries held live in materialized columns, O(active destinations
+// × nodes), and the bytes they occupy.
 func (n *Network) RouteStats() (entries int, bytes int64) {
-	entries = n.colEntries
-	for _, slot := range n.nodes {
-		if slot.router != nil {
-			entries += len(slot.router.routes)
-		}
-	}
-	return entries, int64(entries) * int64(unsafe.Sizeof(NoNode))
+	return n.colEntries, int64(n.colEntries) * int64(unsafe.Sizeof(NoNode))
 }

@@ -50,9 +50,8 @@ type calNode struct {
 // (doubling/halving with hysteresis) and bucket width follows the average
 // inter-event spacing observed at dequeue, checked every calRetunePops pops
 // and rebuilt only on at least 2x drift. All resizing decisions are pure
-// functions of the operation sequence, so a run is deterministic and
-// dispatch order is identical to the binary-heap backend: the scan always
-// yields the globally minimal (time, seq) entry.
+// functions of the operation sequence, so a run is deterministic, and the
+// scan always yields the globally minimal (time, seq) entry.
 type calendarQueue struct {
 	nodes   []calNode // parallel to the scheduler's event arena
 	buckets []int32   // head of each bucket's chain, calNil when empty

@@ -7,8 +7,8 @@ package sim
 // build-time events that had already fired before the snapshot, RestoreEvent
 // to re-insert events that were scheduled at runtime, and RestoreClock to
 // land the clock, sequence counter and processed-event count on the
-// checkpointed values. Queue geometry may differ after a restore, but both
-// backends always dispatch the globally minimal (time, seq) entry, so the
+// checkpointed values. Queue geometry may differ after a restore, but the
+// queue always dispatches the globally minimal (time, seq) entry, so the
 // difference is unobservable.
 
 // PendingEvent describes one queued event to a checkpoint capture. Exactly
@@ -52,7 +52,7 @@ func (s *Scheduler) ForEachPending(fn func(PendingEvent)) {
 // bound and for which keep reports false. A rebuild schedules every
 // build-time event again; the ones the original run had already dispatched
 // before the snapshot must not fire twice, so the restore cancels them. The
-// queue backends discard cancelled entries silently, without touching the
+// queue discards cancelled entries silently, without touching the
 // processed-event count.
 func (s *Scheduler) ReconcilePending(bound uint64, keep func(seq uint64) bool) {
 	for i := range s.events {
@@ -74,7 +74,7 @@ func (s *Scheduler) RestoreEvent(at Time, seq uint64, fn Handler, ah ArgHandler,
 	ev.seq = seq
 	ev.fn, ev.ah, ev.arg, ev.h = fn, ah, arg, h
 	ev.state = eventQueued
-	s.push(timedEnt{at: at, seq: seq, idx: idx})
+	s.cal.insert(timedEnt{at: at, seq: seq, idx: idx})
 	return EventRef{s: s, idx: idx, gen: ev.gen}
 }
 

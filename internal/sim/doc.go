@@ -21,7 +21,7 @@
 //
 // # Calendar-queue scheduling
 //
-// The default priority queue is a calendar queue (R. Brown, CACM 1988):
+// The priority queue is a calendar queue (R. Brown, CACM 1988):
 // virtual time is divided into fixed-width windows mapped round-robin onto a
 // power-of-two number of buckets, each bucket holding its events sorted by
 // (time, sequence). Inserting indexes straight into the destination bucket
@@ -66,10 +66,9 @@
 //
 // Dispatch order is total: events fire in ascending (time, sequence) order,
 // where the sequence number is assigned at scheduling time. Ties at the same
-// instant therefore fire in FIFO scheduling order, on every backend. The
-// previous 4-ary min-heap is retained behind SchedulerConfig{Backend:
-// BackendHeap} as the ordering oracle: equivalence tests drive identical
-// event sequences through both backends and require identical dispatch, and
-// the experiment layer's invariance suite reruns the whole scenario catalog
-// on the heap to prove results are bit-identical.
+// instant therefore fire in FIFO scheduling order. The reference for that
+// order is test-only: equivalence_test.go drives seeded random scripts
+// (inserts, cancellations, same-instant bursts, sliced dispatch, restored
+// events) through the scheduler and through a container/heap queue of the
+// same keys, and requires identical dispatch.
 package sim

@@ -1,51 +1,100 @@
 package sim
 
 import (
+	"container/heap"
 	"fmt"
 	"testing"
 )
 
-// backends lists every queue backend under test, calendar (the default)
-// first. Equivalence tests compare the others against BackendHeap, the
-// ordering oracle.
-var backends = []struct {
-	name    string
-	backend Backend
-}{
-	{name: "calendar", backend: BackendCalendar},
-	{name: "heap", backend: BackendHeap},
+// refEnt is one pending event of the reference queue: its dispatch key and
+// its creation-order identity in the script.
+type refEnt struct {
+	at  Time
+	seq uint64
+	id  int
 }
 
-// eqRec is one dispatched event of an equivalence script: the virtual time
-// it fired at and its creation-order identity.
-type eqRec struct {
-	at Time
-	id int
+// refQueue is the ordering reference the scheduler is tested against: a
+// container/heap binary heap over (at, seq) that shares nothing with the
+// calendar queue. Cancellation is a mark in dead (indexed by id), skipped
+// when popping.
+type refQueue struct {
+	ents []refEnt
+	dead []bool
+}
+
+func (q *refQueue) Len() int      { return len(q.ents) }
+func (q *refQueue) Swap(i, j int) { q.ents[i], q.ents[j] = q.ents[j], q.ents[i] }
+func (q *refQueue) Push(x any)    { q.ents = append(q.ents, x.(refEnt)) }
+func (q *refQueue) Less(i, j int) bool {
+	a, b := q.ents[i], q.ents[j]
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+func (q *refQueue) Pop() any {
+	last := q.ents[len(q.ents)-1]
+	q.ents = q.ents[:len(q.ents)-1]
+	return last
+}
+
+// push adds a live entry; ids are handed out in creation order.
+func (q *refQueue) push(e refEnt) {
+	q.dead = append(q.dead, false)
+	heap.Push(q, e)
+}
+
+// peekLive returns the minimal live entry without removing it, discarding
+// cancelled entries in front of it.
+func (q *refQueue) peekLive() (refEnt, bool) {
+	for len(q.ents) > 0 && q.dead[q.ents[0].id] {
+		heap.Pop(q)
+	}
+	if len(q.ents) == 0 {
+		return refEnt{}, false
+	}
+	return q.ents[0], true
 }
 
 // runEquivScript drives a pseudo-random event workload — initial burst,
 // events scheduling further events, same-timestamp bursts, and random
-// cancellations — through a scheduler with the given backend and returns
-// the dispatch sequence. Every random choice is drawn from a scheduler-local
-// RNG consumed in dispatch order, so two backends produce identical scripts
-// exactly as long as they dispatch identically; the first divergence
-// cascades into the recorded sequences and fails the comparison.
-func runEquivScript(t *testing.T, backend Backend, seed int64, spread int) []eqRec {
+// cancellations — through a scheduler and, in lock-step, through the
+// reference queue: every dispatch must be the reference's minimal live entry,
+// key and identity, and dispatched keys must be strictly increasing over the
+// whole run. Every random choice is drawn from one RNG consumed in dispatch
+// order, so the first divergence fails on the spot.
+//
+// With slice zero the script is one Run. With a positive slice it is a series
+// of RunUntil calls, each of which must stop with the clock on its deadline
+// and the reference's minimum beyond it; between slices the script schedules
+// behind and on the clock, re-inserts events under explicit keys in reverse
+// sequence order (RestoreEvent + RestoreClock) and cancels by sequence number
+// (ReconcilePending) — the calls a snapshot restore makes.
+func runEquivScript(t *testing.T, seed int64, spread int, slice Time) {
 	t.Helper()
-	s := NewSchedulerWith(SchedulerConfig{Backend: backend})
+	s := NewScheduler()
 	rng := NewRNG(seed)
+	ref := &refQueue{}
 
-	var fired []eqRec
 	var refs []EventRef
-	nextID := 0
-	budget := 20000
+	var last refEnt
+	fired := 0
+	// Script length varies with the seed, 2000 to 12500 events: the long
+	// ones cross several width-retune checks, the short ones keep 300
+	// scripts affordable.
+	budget := 1500 << (seed % 4)
 
 	var newEvent func(at Time)
-	newEvent = func(at Time) {
-		id := nextID
-		nextID++
-		refs = append(refs, s.ScheduleAt(at, func(now Time) {
-			fired = append(fired, eqRec{at: now, id: id})
+	fire := func(id int, seq uint64) Handler {
+		return func(now Time) {
+			got := refEnt{at: now, seq: seq, id: id}
+			if want, _ := ref.peekLive(); want != got {
+				t.Fatalf("dispatch %d: scheduler fired %+v, reference minimum is %+v", fired, got, want)
+			}
+			heap.Pop(ref)
+			if fired > 0 && !(last.at < now || (last.at == now && last.seq < seq)) {
+				t.Fatalf("dispatch %d: key %+v does not follow %+v", fired, got, last)
+			}
+			last = got
+			fired++
 			// Chain: most events schedule successors, stressing inserts
 			// into an actively draining queue.
 			for k := rng.Intn(3); k > 0 && budget > 0; k-- {
@@ -58,41 +107,87 @@ func runEquivScript(t *testing.T, backend Backend, seed int64, spread int) []eqR
 				newEvent(now)
 			}
 			// Random cancellation, including of already-fired refs
-			// (which must be a no-op on every backend).
+			// (which must be a no-op).
 			if rng.Intn(3) == 0 {
-				refs[rng.Intn(len(refs))].Cancel()
+				victim := rng.Intn(len(refs))
+				refs[victim].Cancel()
+				ref.dead[victim] = true
 			}
-		}))
+		}
+	}
+	newEvent = func(at Time) {
+		id, seq := len(refs), s.Seq()
+		refs = append(refs, s.ScheduleAt(at, fire(id, seq)))
+		// The scheduler's rule, restated: nothing is scheduled in the past.
+		ref.push(refEnt{at: max(at, s.Now()), seq: seq, id: id})
 	}
 	for i := 0; i < 500; i++ {
 		newEvent(Time(rng.Intn(spread)))
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("run: %v", err)
+
+	if slice == 0 {
+		if err := s.Run(); err != nil {
+			t.Fatalf("run: %v", err)
+		}
 	}
-	return fired
+	for deadline := slice; slice > 0 && s.Len() > 0; deadline += slice {
+		if err := s.RunUntil(deadline); err != nil {
+			t.Fatalf("run until %v: %v", deadline, err)
+		}
+		if s.Now() != deadline {
+			t.Fatalf("RunUntil(%v) left the clock at %v", deadline, s.Now())
+		}
+		if e, ok := ref.peekLive(); ok && e.at <= deadline {
+			t.Fatalf("RunUntil(%v) returned with %+v due in the reference", deadline, e)
+		}
+		if budget <= 0 {
+			continue
+		}
+		budget -= 4
+		newEvent(deadline - Time(rng.Intn(spread))) // clamped onto the clock
+		newEvent(deadline)
+		// Two restored events share an instant and go in higher sequence
+		// number first: the key decides, not the insertion order.
+		base := s.Seq()
+		shared := deadline + Time(rng.Intn(spread))
+		for k := uint64(2); k > 0; k-- {
+			id, seq := len(refs), base+k-1
+			refs = append(refs, s.RestoreEvent(shared, seq, fire(id, seq), nil, nil, nil))
+			ref.push(refEnt{at: shared, seq: seq, id: id})
+		}
+		s.RestoreClock(deadline, base+2, s.Processed())
+		if rng.Intn(4) == 0 {
+			bound := base - uint64(rng.Intn(32))
+			keep := func(seq uint64) bool { return seq%3 != 0 }
+			s.ReconcilePending(bound, keep)
+			for _, e := range ref.ents {
+				if e.seq < bound && !keep(e.seq) {
+					ref.dead[e.id] = true
+				}
+			}
+		}
+	}
+	if e, ok := ref.peekLive(); ok {
+		t.Fatalf("scheduler drained after %d dispatches with %+v still live in the reference", fired, e)
+	}
+	if s.Processed() != uint64(fired) {
+		t.Fatalf("Processed() = %d, script saw %d dispatches", s.Processed(), fired)
+	}
 }
 
-// TestBackendEquivalence is the scheduler-level property test: identical
-// random event sequences (inserts, cancellations, same-timestamp bursts,
-// dynamic rescheduling) dispatched through the heap and the calendar queue
-// must yield identical order. The dense spread keeps many events per bucket;
-// the sparse spread forces empty-window scans, direct-search jumps and
-// width retunes.
+// TestBackendEquivalence is the scheduler-level property test: seeded random
+// event sequences (inserts, cancellations, same-timestamp bursts, dynamic
+// rescheduling, sliced dispatch, restored and reconciled events) must leave
+// the calendar queue in the reference queue's order. The dense spread keeps
+// many events per bucket; the sparse spread forces empty-window scans,
+// direct-search jumps and width retunes; the middle one sits near the initial
+// bucket width.
 func TestBackendEquivalence(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
-		for _, spread := range []int{50, 200_000} {
+	for seed := int64(1); seed <= 50; seed++ {
+		for _, spread := range []int{50, 5000, 200_000} {
 			t.Run(fmt.Sprintf("seed%d_spread%d", seed, spread), func(t *testing.T) {
-				oracle := runEquivScript(t, BackendHeap, seed, spread)
-				got := runEquivScript(t, BackendCalendar, seed, spread)
-				if len(got) != len(oracle) {
-					t.Fatalf("calendar fired %d events, heap fired %d", len(got), len(oracle))
-				}
-				for i := range oracle {
-					if got[i] != oracle[i] {
-						t.Fatalf("dispatch %d diverges: calendar %+v, heap %+v", i, got[i], oracle[i])
-					}
-				}
+				runEquivScript(t, seed, spread, 0)
+				runEquivScript(t, seed, spread, Time(4*spread))
 			})
 		}
 	}
@@ -102,64 +197,60 @@ func TestBackendEquivalence(t *testing.T) {
 // peeking at a far-future event advances the window scan; an event scheduled
 // afterwards at an earlier time must still fire first.
 func TestScanRewindAfterRunUntil(t *testing.T) {
-	for _, b := range backends {
-		t.Run(b.name, func(t *testing.T) {
-			s := NewSchedulerWith(SchedulerConfig{Backend: b.backend})
-			var fired []Time
-			record := func(now Time) { fired = append(fired, now) }
-			s.ScheduleAt(10*Second, record)
-			if err := s.RunUntil(1 * Second); err != nil {
-				t.Fatalf("run until: %v", err)
-			}
-			if len(fired) != 0 || s.Now() != 1*Second {
-				t.Fatalf("after RunUntil: fired %v, now %v", fired, s.Now())
-			}
-			s.ScheduleAt(1500*Millisecond, record)
-			if err := s.Run(); err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			want := []Time{1500 * Millisecond, 10 * Second}
-			if len(fired) != 2 || fired[0] != want[0] || fired[1] != want[1] {
-				t.Fatalf("fired %v, want %v", fired, want)
-			}
-		})
-	}
+	t.Run("calendar", func(t *testing.T) {
+		s := NewScheduler()
+		var fired []Time
+		record := func(now Time) { fired = append(fired, now) }
+		s.ScheduleAt(10*Second, record)
+		if err := s.RunUntil(1 * Second); err != nil {
+			t.Fatalf("run until: %v", err)
+		}
+		if len(fired) != 0 || s.Now() != 1*Second {
+			t.Fatalf("after RunUntil: fired %v, now %v", fired, s.Now())
+		}
+		s.ScheduleAt(1500*Millisecond, record)
+		if err := s.Run(); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		want := []Time{1500 * Millisecond, 10 * Second}
+		if len(fired) != 2 || fired[0] != want[0] || fired[1] != want[1] {
+			t.Fatalf("fired %v, want %v", fired, want)
+		}
+	})
 }
 
 // TestResetRecyclesScheduler verifies Reset discards pending events,
 // invalidates outstanding refs, restarts the clock, and leaves the scheduler
 // fully usable.
 func TestResetRecyclesScheduler(t *testing.T) {
-	for _, b := range backends {
-		t.Run(b.name, func(t *testing.T) {
-			s := NewSchedulerWith(SchedulerConfig{Backend: b.backend})
-			stale := false
-			ref := s.ScheduleAt(5, func(Time) { stale = true })
-			s.ScheduleAt(1, func(Time) {})
-			if err := s.RunUntil(2); err != nil {
-				t.Fatalf("run until: %v", err)
-			}
+	t.Run("calendar", func(t *testing.T) {
+		s := NewScheduler()
+		stale := false
+		ref := s.ScheduleAt(5, func(Time) { stale = true })
+		s.ScheduleAt(1, func(Time) {})
+		if err := s.RunUntil(2); err != nil {
+			t.Fatalf("run until: %v", err)
+		}
 
-			s.Reset()
-			if s.Now() != 0 || s.Len() != 0 || s.Processed() != 0 {
-				t.Fatalf("after reset: now %v len %d processed %d", s.Now(), s.Len(), s.Processed())
-			}
-			if ref.Pending() {
-				t.Fatal("ref to discarded event still pending")
-			}
-			ref.Cancel() // must be a detected-stale no-op
+		s.Reset()
+		if s.Now() != 0 || s.Len() != 0 || s.Processed() != 0 {
+			t.Fatalf("after reset: now %v len %d processed %d", s.Now(), s.Len(), s.Processed())
+		}
+		if ref.Pending() {
+			t.Fatal("ref to discarded event still pending")
+		}
+		ref.Cancel() // must be a detected-stale no-op
 
-			fired := false
-			s.ScheduleAt(3, func(Time) { fired = true })
-			if err := s.Run(); err != nil {
-				t.Fatalf("run after reset: %v", err)
-			}
-			if stale {
-				t.Fatal("event discarded by Reset fired anyway")
-			}
-			if !fired || s.Now() != 3 {
-				t.Fatalf("post-reset event: fired %v now %v", fired, s.Now())
-			}
-		})
-	}
+		fired := false
+		s.ScheduleAt(3, func(Time) { fired = true })
+		if err := s.Run(); err != nil {
+			t.Fatalf("run after reset: %v", err)
+		}
+		if stale {
+			t.Fatal("event discarded by Reset fired anyway")
+		}
+		if !fired || s.Now() != 3 {
+			t.Fatalf("post-reset event: fired %v now %v", fired, s.Now())
+		}
+	})
 }

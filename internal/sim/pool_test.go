@@ -78,77 +78,71 @@ func (h *schedulingHandler) OnEvent(now Time) {
 }
 
 // TestScheduleHandlerSteadyStateDoesNotAllocate pins the zero-allocation
-// claim on every backend: once the arena and queue storage are warm (the
+// claim: once the arena and queue storage are warm (the
 // calendar queue's first width retune included), an interface-based
 // schedule/fire cycle performs no heap allocation.
 func TestScheduleHandlerSteadyStateDoesNotAllocate(t *testing.T) {
-	for _, b := range backends {
-		t.Run(b.name, func(t *testing.T) {
-			s := NewSchedulerWith(SchedulerConfig{Backend: b.backend})
-			// Warm up the arena and queue storage; running past
-			// calRetunePops settles the calendar width for the uniform
-			// spacing the measured loop uses.
-			warm := &schedulingHandler{s: s, left: calRetunePops + 64}
-			s.ScheduleHandlerAt(1, warm)
-			if err := s.Run(); err != nil {
-				t.Fatalf("warmup run: %v", err)
-			}
+	t.Run("calendar", func(t *testing.T) {
+		s := NewScheduler()
+		// Warm up the arena and queue storage; running past
+		// calRetunePops settles the calendar width for the uniform
+		// spacing the measured loop uses.
+		warm := &schedulingHandler{s: s, left: calRetunePops + 64}
+		s.ScheduleHandlerAt(1, warm)
+		if err := s.Run(); err != nil {
+			t.Fatalf("warmup run: %v", err)
+		}
 
-			h := &schedulingHandler{s: s, left: 1}
-			allocs := testing.AllocsPerRun(100, func() {
-				h.left = 1
-				s.ScheduleHandlerAt(s.Now()+1, h)
-				if err := s.Run(); err != nil {
-					t.Fatalf("run: %v", err)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("steady-state schedule/fire allocated %.1f times per op", allocs)
-			}
-		})
-	}
-}
-
-// TestOrderingStress verifies every queue backend yields events in
-// (time, FIFO) order under a large interleaved workload. It replaces the
-// heap-specific stress test so the guarantee keeps being checked against
-// whichever backend is configured.
-func TestOrderingStress(t *testing.T) {
-	for _, b := range backends {
-		t.Run(b.name, func(t *testing.T) {
-			s := NewSchedulerWith(SchedulerConfig{Backend: b.backend})
-			rng := NewRNG(42)
-			const n = 5000
-
-			type stamp struct {
-				at  Time
-				seq int
-			}
-			var fired []stamp
-			for i := 0; i < n; i++ {
-				at := Time(rng.Intn(100))
-				seq := i
-				s.ScheduleAt(at, func(now Time) {
-					fired = append(fired, stamp{at: now, seq: seq})
-				})
-			}
+		h := &schedulingHandler{s: s, left: 1}
+		allocs := testing.AllocsPerRun(100, func() {
+			h.left = 1
+			s.ScheduleHandlerAt(s.Now()+1, h)
 			if err := s.Run(); err != nil {
 				t.Fatalf("run: %v", err)
 			}
-			if len(fired) != n {
-				t.Fatalf("fired %d of %d events", len(fired), n)
-			}
-			for i := 1; i < len(fired); i++ {
-				prev, cur := fired[i-1], fired[i]
-				if cur.at < prev.at {
-					t.Fatalf("event %d fired at %v after %v", i, cur.at, prev.at)
-				}
-				if cur.at == prev.at && cur.seq < prev.seq {
-					t.Fatalf("FIFO violated at %v: seq %d before %d", cur.at, prev.seq, cur.seq)
-				}
-			}
 		})
-	}
+		if allocs != 0 {
+			t.Fatalf("steady-state schedule/fire allocated %.1f times per op", allocs)
+		}
+	})
+}
+
+// TestOrderingStress verifies the queue yields events in (time, FIFO) order
+// under a large interleaved workload.
+func TestOrderingStress(t *testing.T) {
+	t.Run("calendar", func(t *testing.T) {
+		s := NewScheduler()
+		rng := NewRNG(42)
+		const n = 5000
+
+		type stamp struct {
+			at  Time
+			seq int
+		}
+		var fired []stamp
+		for i := 0; i < n; i++ {
+			at := Time(rng.Intn(100))
+			seq := i
+			s.ScheduleAt(at, func(now Time) {
+				fired = append(fired, stamp{at: now, seq: seq})
+			})
+		}
+		if err := s.Run(); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		if len(fired) != n {
+			t.Fatalf("fired %d of %d events", len(fired), n)
+		}
+		for i := 1; i < len(fired); i++ {
+			prev, cur := fired[i-1], fired[i]
+			if cur.at < prev.at {
+				t.Fatalf("event %d fired at %v after %v", i, cur.at, prev.at)
+			}
+			if cur.at == prev.at && cur.seq < prev.seq {
+				t.Fatalf("FIFO violated at %v: seq %d before %d", cur.at, prev.seq, cur.seq)
+			}
+		}
+	})
 }
 
 // TestArgHandlerPayload verifies ScheduleArgAt delivers the payload pointer

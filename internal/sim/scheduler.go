@@ -84,9 +84,8 @@ func (r EventRef) Pending() bool {
 	return ev.gen == r.gen && ev.state == eventQueued
 }
 
-// timedEnt is one priority-queue entry, shared by both queue backends. The
-// sort key (at, seq) is stored inline so comparisons never chase into the
-// event arena.
+// timedEnt is one priority-queue entry. The sort key (at, seq) is stored
+// inline so comparisons never chase into the event arena.
 type timedEnt struct {
 	at  Time
 	seq uint64
@@ -96,29 +95,6 @@ type timedEnt struct {
 // entLess orders queue entries by (time, sequence number).
 func entLess(a, b timedEnt) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
-}
-
-// Backend selects the scheduler's priority-queue implementation. Both
-// backends dispatch events in exactly the same (time, seq) order, so results
-// are bit-identical; they differ only in cost profile.
-type Backend uint8
-
-// Queue backends.
-const (
-	// BackendCalendar is the default: a self-resizing calendar queue with
-	// O(1) amortized insert and pop. See calendarQueue.
-	BackendCalendar Backend = iota
-	// BackendHeap is the 4-ary min-heap the engine used before the
-	// calendar queue landed. It is kept as the ordering oracle for
-	// equivalence and invariance tests.
-	BackendHeap
-)
-
-// SchedulerConfig tunes a Scheduler. The zero value selects the calendar
-// queue; setting Backend to BackendHeap is the escape hatch invariance tests
-// use to prove both backends dispatch identically.
-type SchedulerConfig struct {
-	Backend Backend
 }
 
 // Scheduler is a single-threaded discrete-event scheduler. It is not safe
@@ -133,9 +109,8 @@ type Scheduler struct {
 	events   []event
 	freeHead int32
 
-	backend Backend
-	heap    []timedEnt
-	cal     calendarQueue
+	// cal is the pending-event queue; see calendarQueue.
+	cal calendarQueue
 
 	seq     uint64
 	stopped bool
@@ -149,19 +124,10 @@ type Scheduler struct {
 	processed uint64
 }
 
-// NewScheduler returns a scheduler with its clock at zero, an empty queue
-// and the default (calendar-queue) backend.
+// NewScheduler returns a scheduler with its clock at zero and an empty queue.
 func NewScheduler() *Scheduler {
-	return NewSchedulerWith(SchedulerConfig{})
+	return &Scheduler{freeHead: -1}
 }
-
-// NewSchedulerWith returns a scheduler using the configured queue backend.
-func NewSchedulerWith(cfg SchedulerConfig) *Scheduler {
-	return &Scheduler{freeHead: -1, backend: cfg.Backend}
-}
-
-// Backend reports which queue backend the scheduler runs on.
-func (s *Scheduler) Backend() Backend { return s.backend }
 
 // Reset returns the scheduler to its initial state — clock at zero, empty
 // queue, sequence counter restarted — while keeping the event arena and
@@ -181,7 +147,6 @@ func (s *Scheduler) Reset() {
 		ev.nextFree = s.freeHead
 		s.freeHead = int32(i)
 	}
-	s.heap = s.heap[:0]
 	s.cal.reset()
 	s.now = 0
 	s.seq = 0
@@ -195,21 +160,7 @@ func (s *Scheduler) Now() Time { return s.now }
 
 // Len reports the number of pending events (including cancelled ones that
 // have not yet been discarded).
-func (s *Scheduler) Len() int {
-	if s.backend == BackendHeap {
-		return len(s.heap)
-	}
-	return s.cal.count
-}
-
-// push inserts an entry into the configured queue backend.
-func (s *Scheduler) push(e timedEnt) {
-	if s.backend == BackendHeap {
-		s.heapPush(e)
-	} else {
-		s.cal.insert(e)
-	}
-}
+func (s *Scheduler) Len() int { return s.cal.count }
 
 // peekMin returns the minimal live pending entry without removing it,
 // discarding any cancelled entries in front of it. A cancelled timestamp
@@ -217,29 +168,16 @@ func (s *Scheduler) push(e timedEnt) {
 // this peek, and treating a cancelled slot as runnable work would let it
 // fire the next live event even when that event lies past the deadline.
 func (s *Scheduler) peekMin() (timedEnt, bool) {
-	for s.Len() > 0 {
-		var top timedEnt
-		if s.backend == BackendHeap {
-			top = s.heap[0]
-		} else {
-			top, _ = s.cal.peek()
+	for {
+		top, ok := s.cal.peek()
+		if !ok {
+			return timedEnt{}, false
 		}
 		if s.events[top.idx].state == eventQueued {
 			return top, true
 		}
-		s.removeMin(top)
-		s.release(top.idx)
-	}
-	return timedEnt{}, false
-}
-
-// removeMin removes the minimal pending entry, which the caller has just
-// peeked as top: the queue is not searched a second time.
-func (s *Scheduler) removeMin(top timedEnt) {
-	if s.backend == BackendHeap {
-		s.heapPop()
-	} else {
 		s.cal.remove(top)
+		s.release(top.idx)
 	}
 }
 
@@ -280,7 +218,7 @@ func (s *Scheduler) schedule(at Time, fn Handler, ah ArgHandler, arg any, h Even
 	ev.seq = s.seq
 	ev.fn, ev.ah, ev.arg, ev.h = fn, ah, arg, h
 	ev.state = eventQueued
-	s.push(timedEnt{at: at, seq: s.seq, idx: idx})
+	s.cal.insert(timedEnt{at: at, seq: s.seq, idx: idx})
 	s.seq++
 	return EventRef{s: s, idx: idx, gen: ev.gen}
 }
@@ -340,62 +278,13 @@ func (s *Scheduler) ScheduleArgAfter(delay Time, h ArgHandler, arg any) EventRef
 	return s.ScheduleArgAt(s.now+delay, h, arg)
 }
 
-// heapPush inserts an entry into the 4-ary min-heap.
-func (s *Scheduler) heapPush(e timedEnt) {
-	h := append(s.heap, e)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !entLess(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	s.heap = h
-}
-
-// heapPop removes the minimum entry (the caller reads s.heap[0] first).
-func (s *Scheduler) heapPop() {
-	h := s.heap
-	n := len(h) - 1
-	h[0] = h[n]
-	s.heap = h[:n]
-	if n == 0 {
-		return
-	}
-	h = h[:n]
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if entLess(h[c], h[min]) {
-				min = c
-			}
-		}
-		if !entLess(h[min], h[i]) {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-}
-
 // Stop halts the run loop after the currently executing event returns.
 func (s *Scheduler) Stop() { s.stopped = true }
 
 // dispatch removes the live entry top, which the caller has just peeked, from
-// the queue and fires it.
+// the queue — it is not searched a second time — and fires it.
 func (s *Scheduler) dispatch(top timedEnt) {
-	s.removeMin(top)
+	s.cal.remove(top)
 	ev := &s.events[top.idx]
 	// Copy the dispatch target before releasing: the handler may schedule
 	// new events, reusing (or growing) the arena.

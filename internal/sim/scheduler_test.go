@@ -224,28 +224,26 @@ func TestSchedulerRunUntil(t *testing.T) {
 // which skips cancelled slots but always fires one live event — would then
 // execute an event PAST the deadline, overshooting the clock.
 func TestSchedulerRunUntilCancelledEventDoesNotOvershoot(t *testing.T) {
-	for _, backend := range []Backend{BackendHeap, BackendCalendar} {
-		s := NewSchedulerWith(SchedulerConfig{Backend: backend})
-		fired := false
-		ref := s.ScheduleAt(20, func(Time) { t.Error("cancelled event fired") })
-		s.ScheduleAt(40, func(Time) { fired = true })
-		ref.Cancel()
+	s := NewScheduler()
+	fired := false
+	ref := s.ScheduleAt(20, func(Time) { t.Error("cancelled event fired") })
+	s.ScheduleAt(40, func(Time) { fired = true })
+	ref.Cancel()
 
-		if err := s.RunUntil(30); err != nil {
-			t.Fatalf("backend %v: RunUntil: %v", backend, err)
-		}
-		if fired {
-			t.Fatalf("backend %v: event at t=40 fired during RunUntil(30)", backend)
-		}
-		if s.Now() != 30 {
-			t.Fatalf("backend %v: clock = %v, want 30", backend, s.Now())
-		}
-		if err := s.Run(); err != nil {
-			t.Fatalf("backend %v: Run: %v", backend, err)
-		}
-		if !fired {
-			t.Fatalf("backend %v: event at t=40 lost", backend)
-		}
+	if err := s.RunUntil(30); err != nil {
+		t.Fatalf("RunUntil: %v", err)
+	}
+	if fired {
+		t.Fatal("event at t=40 fired during RunUntil(30)")
+	}
+	if s.Now() != 30 {
+		t.Fatalf("clock = %v, want 30", s.Now())
+	}
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !fired {
+		t.Fatal("event at t=40 lost")
 	}
 }
 
@@ -441,75 +439,73 @@ func TestRNGNormalMoments(t *testing.T) {
 // order says so, inside the loop, between RunUntil calls, after a drain,
 // after Stop and after RestoreClock.
 func TestFiredFollowsDispatchOrder(t *testing.T) {
-	for _, b := range backends {
-		t.Run(b.name, func(t *testing.T) {
-			s := NewSchedulerWith(SchedulerConfig{Backend: b.backend})
-			check := func(where string, at Time, seq uint64, want bool) {
-				t.Helper()
-				if got := s.Fired(at, seq); got != want {
-					t.Fatalf("%s: Fired(%v, %d) = %v, want %v", where, at, seq, got, want)
-				}
+	t.Run("calendar", func(t *testing.T) {
+		s := NewScheduler()
+		check := func(where string, at Time, seq uint64, want bool) {
+			t.Helper()
+			if got := s.Fired(at, seq); got != want {
+				t.Fatalf("%s: Fired(%v, %d) = %v, want %v", where, at, seq, got, want)
 			}
-			check("fresh", 0, 0, false)
+		}
+		check("fresh", 0, 0, false)
 
-			seqA := s.Seq()
-			s.ScheduleAt(10, func(Time) {})
-			seqB := s.Seq()
-			var seqInner uint64
-			s.ScheduleAt(10, func(Time) {
-				check("in B", 9, 1<<40, true)
-				check("in B", 10, seqA, true)
-				check("in B", 10, seqB, true) // the event being dispatched
-				check("in B", 10, seqB+1, false)
-				check("in B", 11, 0, false)
-				seqInner = s.Seq()
-				s.ScheduleAt(10, func(Time) { check("in inner", 10, seqInner, true) })
-			})
-			seqC := s.Seq()
-			s.ScheduleAt(10, func(Time) { check("in C", 10, seqInner, false) })
-
-			if err := s.RunUntil(10); err != nil {
-				t.Fatal(err)
-			}
-			// Everything up to the deadline has fired; what is scheduled now
-			// for the same instant has not, until the loop runs again.
-			check("after RunUntil", 10, seqC, true)
-			check("after RunUntil", 10, seqInner, true)
-			seqD := s.Seq()
-			check("after RunUntil", 10, seqD, false)
-			s.ScheduleAt(10, func(Time) { s.Stop() })
-			seqE := s.Seq()
-			s.ScheduleAt(10, func(Time) {})
-			check("D pending", 10, seqD, false)
-			if err := s.RunUntil(10); err != ErrStopped {
-				t.Fatalf("RunUntil = %v, want ErrStopped", err)
-			}
-			// A stopped run leaves the bound on the event that stopped it.
-			check("stopped", 10, seqD, true)
-			check("stopped", 10, seqE, false)
-			seqF := s.Seq()
-			s.ScheduleAt(10, func(Time) { t.Error("cancelled event fired") }).Cancel()
-			if err := s.Run(); err != nil {
-				t.Fatal(err)
-			}
-			// A drain passes every allocated number, dispatched or cancelled.
-			check("drained", 10, seqE, true)
-			check("drained", 10, seqF, true)
-			check("drained", 10, s.Seq(), false)
-
-			// An idle RunUntil to the current instant moves nothing back.
-			if err := s.RunUntil(5); err != nil {
-				t.Fatal(err)
-			}
-			check("past deadline", 10, seqE, true)
-
-			s.RestoreClock(20, 100, 0)
-			check("restored", 20, 99, true)
-			check("restored", 20, 100, false)
-			check("restored", 19, 1<<40, true)
-
-			s.Reset()
-			check("reset", 0, 0, false)
+		seqA := s.Seq()
+		s.ScheduleAt(10, func(Time) {})
+		seqB := s.Seq()
+		var seqInner uint64
+		s.ScheduleAt(10, func(Time) {
+			check("in B", 9, 1<<40, true)
+			check("in B", 10, seqA, true)
+			check("in B", 10, seqB, true) // the event being dispatched
+			check("in B", 10, seqB+1, false)
+			check("in B", 11, 0, false)
+			seqInner = s.Seq()
+			s.ScheduleAt(10, func(Time) { check("in inner", 10, seqInner, true) })
 		})
-	}
+		seqC := s.Seq()
+		s.ScheduleAt(10, func(Time) { check("in C", 10, seqInner, false) })
+
+		if err := s.RunUntil(10); err != nil {
+			t.Fatal(err)
+		}
+		// Everything up to the deadline has fired; what is scheduled now
+		// for the same instant has not, until the loop runs again.
+		check("after RunUntil", 10, seqC, true)
+		check("after RunUntil", 10, seqInner, true)
+		seqD := s.Seq()
+		check("after RunUntil", 10, seqD, false)
+		s.ScheduleAt(10, func(Time) { s.Stop() })
+		seqE := s.Seq()
+		s.ScheduleAt(10, func(Time) {})
+		check("D pending", 10, seqD, false)
+		if err := s.RunUntil(10); err != ErrStopped {
+			t.Fatalf("RunUntil = %v, want ErrStopped", err)
+		}
+		// A stopped run leaves the bound on the event that stopped it.
+		check("stopped", 10, seqD, true)
+		check("stopped", 10, seqE, false)
+		seqF := s.Seq()
+		s.ScheduleAt(10, func(Time) { t.Error("cancelled event fired") }).Cancel()
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		// A drain passes every allocated number, dispatched or cancelled.
+		check("drained", 10, seqE, true)
+		check("drained", 10, seqF, true)
+		check("drained", 10, s.Seq(), false)
+
+		// An idle RunUntil to the current instant moves nothing back.
+		if err := s.RunUntil(5); err != nil {
+			t.Fatal(err)
+		}
+		check("past deadline", 10, seqE, true)
+
+		s.RestoreClock(20, 100, 0)
+		check("restored", 20, 99, true)
+		check("restored", 20, 100, false)
+		check("restored", 19, 1<<40, true)
+
+		s.Reset()
+		check("reset", 0, 0, false)
+	})
 }

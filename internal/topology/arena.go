@@ -34,7 +34,6 @@ type Arena struct {
 	bystanders   []*netsim.Host
 	ingressOf    []*netsim.Router
 
-	route routeScratch
 	lazy  lazyRouter
 	names nameCache
 }
@@ -88,26 +87,19 @@ func (a *Arena) adopt(d *Domain) {
 }
 
 // routeScratch is the slice-backed working set of the shortest-path route
-// computation: a CSR adjacency snapshot of the network plus the BFS parent
-// table and queue, all indexed directly by NodeID. It replaces the former
-// map[NodeID][]NodeID adjacency and per-destination map[NodeID]NodeID parent
-// maps, which dominated topology-build allocations.
+// computation: a CSR adjacency snapshot of the network plus the BFS queue,
+// indexed directly by NodeID. The resolver searches straight into the column
+// it hands over, so there is no parent table of its own.
 type routeScratch struct {
 	// offsets/targets form the CSR adjacency: node id's neighbours are
 	// targets[offsets[id]:offsets[id+1]], ascending.
 	offsets []int32
 	targets []netsim.NodeID
-	// parents is the eager install's BFS parent table (see parentTable);
-	// the lazy resolver searches straight into the column it hands over.
-	parents []netsim.NodeID
 	queue   []netsim.NodeID
-	// routerList collects the network's routers once, in id order, so the
-	// per-destination install loop does not consult the router map.
-	routerList []*netsim.Router
 }
 
-// snapshot rebuilds the CSR adjacency and router list from the network.
-// Node IDs are dense (allocation order), so the tables are exactly sized.
+// snapshot rebuilds the CSR adjacency from the network. Node IDs are dense
+// (allocation order), so the tables are exactly sized.
 func (rs *routeScratch) snapshot(net *netsim.Network) int {
 	n := net.NodeCount()
 	if cap(rs.offsets) < n+1 {
@@ -115,25 +107,12 @@ func (rs *routeScratch) snapshot(net *netsim.Network) int {
 	}
 	rs.offsets = rs.offsets[:n+1]
 	rs.targets = rs.targets[:0]
-	rs.routerList = rs.routerList[:0]
 	for id := 0; id < n; id++ {
 		rs.offsets[id] = int32(len(rs.targets))
 		rs.targets = net.AppendNeighbors(rs.targets, netsim.NodeID(id))
-		if r := net.Router(netsim.NodeID(id)); r != nil {
-			rs.routerList = append(rs.routerList, r)
-		}
 	}
 	rs.offsets[n] = int32(len(rs.targets))
 	return n
-}
-
-// parentTable returns the scratch parent table, n entries wide.
-func (rs *routeScratch) parentTable(n int) []netsim.NodeID {
-	if cap(rs.parents) < n {
-		rs.parents = make([]netsim.NodeID, n)
-	}
-	rs.parents = rs.parents[:n]
-	return rs.parents
 }
 
 // bfs fills parents, a table as wide as the snapshot, with each reached
@@ -160,28 +139,6 @@ func (rs *routeScratch) bfs(root netsim.NodeID, parents []netsim.NodeID) {
 	rs.queue = queue
 }
 
-// install computes hop-count shortest paths over the full node graph and
-// installs next-hop entries on every router for every destination, identical
-// in outcome to the historical map-based implementation.
-func (rs *routeScratch) install(net *netsim.Network) error {
-	n := rs.snapshot(net)
-	parents := rs.parentTable(n)
-	for dest := 0; dest < n; dest++ {
-		destID := netsim.NodeID(dest)
-		rs.bfs(destID, parents)
-		for _, r := range rs.routerList {
-			id := r.ID()
-			if id == destID {
-				continue
-			}
-			if parent := parents[id]; parent != netsim.NoNode {
-				r.SetRoute(destID, parent)
-			}
-		}
-	}
-	return nil
-}
-
 // lazyRouter is the arena's netsim.RouteResolver: the demand-driven half of
 // the two-level routing design. bind snapshots the finished domain into the
 // arena's CSR scratch; NextHopColumn then materializes one column per
@@ -191,7 +148,7 @@ func (rs *routeScratch) install(net *netsim.Network) error {
 // reclaims their storage, exactly the ownership rule every other arena-backed
 // slice follows.
 type lazyRouter struct {
-	rs *routeScratch
+	rs routeScratch
 	// net and seenVersion track which graph state the CSR snapshot
 	// reflects; a mutation after Build (TopoVersion moved) forces a
 	// re-snapshot before the next column is computed.
@@ -213,22 +170,21 @@ var _ netsim.RouteResolver = (*lazyRouter)(nil)
 
 // bind points the resolver at a freshly built network: reclaim the previous
 // build's columns, snapshot the CSR adjacency, and record the column width.
-func (lz *lazyRouter) bind(rs *routeScratch, net *netsim.Network) {
-	lz.rs = rs
+func (lz *lazyRouter) bind(net *netsim.Network) {
 	lz.net = net
 	lz.colFree = append(lz.colFree, lz.handed...)
 	for i := range lz.handed {
 		lz.handed[i] = nil
 	}
 	lz.handed = lz.handed[:0]
-	lz.width = rs.snapshot(net)
+	lz.width = lz.rs.snapshot(net)
 	lz.seenVersion = net.TopoVersion()
 }
 
 // NextHopColumn implements netsim.RouteResolver: one reverse BFS rooted at
 // dest, with the column as its parent table (parent of node X on the shortest
-// path tree rooted at dest == X's next hop toward dest, with the historical
-// BFS tie-breaking).
+// path tree rooted at dest == X's next hop toward dest, ties broken by
+// ascending neighbour ID).
 func (lz *lazyRouter) NextHopColumn(dest netsim.NodeID) []netsim.NodeID {
 	// A graph mutation after Build invalidated the network's memo; it also
 	// staled this snapshot, so refresh before computing. Untouched on the

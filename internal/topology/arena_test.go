@@ -12,19 +12,17 @@ import (
 // TestArenaReuseMatchesFreshBuild takes one arena through large → small →
 // large → transit-stub → small — a stress-5k-sized ring, a table2-sized one,
 // the large one again with a multi-homed victim and extra victims, a
-// transit-stub domain on the dense adjacency oracle, a tiny ring — and after
-// every build compares the domain with a from-scratch Build of the same
-// configuration and seed: reused storage, the network's included, must never
-// leak state between sweep points. The small builds route eagerly, so their
-// comparison covers every installed route; the large ones compare
-// demand-driven columns.
+// transit-stub domain, a tiny ring — and after every build compares the
+// domain with a from-scratch Build of the same configuration and seed: reused
+// storage, the network's included, must never leak state between sweep
+// points. The small builds are also held to the reference BFS for every pair
+// of nodes; the large ones compare next hops toward a host of each kind.
 func TestArenaReuseMatchesFreshBuild(t *testing.T) {
 	large := DefaultConfig()
 	large.NumRouters = 5000
 	large.ExtraChords = 1250
 
 	table2 := DefaultConfig()
-	table2.Routing = RoutingEager
 
 	largeVictims := large
 	largeVictims.MultiHomedVictim = true
@@ -35,14 +33,11 @@ func TestArenaReuseMatchesFreshBuild(t *testing.T) {
 	stub.NumRouters = 48
 	stub.ExtraVictims = 3
 	stub.MultiHomedVictim = true
-	stub.Routing = RoutingEager
-	stub.Adjacency = netsim.AdjacencyDense
 
 	tiny := DefaultConfig()
 	tiny.NumRouters = 14
 	tiny.ExtraChords = 3
 	tiny.BystanderHosts = 5
-	tiny.Routing = RoutingEager
 
 	arena := NewArena()
 	var stale []netsim.IP // addresses of the build before
@@ -60,6 +55,9 @@ func TestArenaReuseMatchesFreshBuild(t *testing.T) {
 			t.Fatalf("%s: fresh build: %v", step.name, err)
 		}
 		requireSameDomain(t, step.name, got, want, stale)
+		if step.cfg.NumRouters < 100 {
+			requireReferenceNextHops(t, step.name+" on the arena", got.Net)
+		}
 
 		stale = stale[:0]
 		got.Net.ForEachNode(func(_ netsim.NodeID, _ *netsim.Router, h *netsim.Host) {
@@ -73,16 +71,16 @@ func TestArenaReuseMatchesFreshBuild(t *testing.T) {
 // requireSameDomain compares two domains through everything they and their
 // networks expose: roles, node IDs and names, address owners (those of
 // the previous build on got's arena too), every adjacency row in order with
-// its links' configuration and state, attachment links, TopoVersion, static
-// routes and next hops toward a host of each kind.
+// its links' configuration and state, attachment links, TopoVersion and next
+// hops toward a host of each kind.
 func requireSameDomain(t *testing.T, step string, got, want *Domain, stale []netsim.IP) {
 	t.Helper()
 	gn, wn := got.Net, want.Net
 	if gn.NodeCount() != wn.NodeCount() || gn.LinkTotal() != wn.LinkTotal() || gn.TopoVersion() != wn.TopoVersion() ||
-		gn.AdjacencyMode() != wn.AdjacencyMode() || gn.RouteColumns() != 0 || gn.FaultDropped() != 0 {
-		t.Fatalf("%s: network has %d nodes, %d links, TopoVersion %d, %v adjacency, %d columns, %d fault drops; fresh build %d, %d, %d, %v, 0, 0",
-			step, gn.NodeCount(), gn.LinkTotal(), gn.TopoVersion(), gn.AdjacencyMode(), gn.RouteColumns(), gn.FaultDropped(),
-			wn.NodeCount(), wn.LinkTotal(), wn.TopoVersion(), wn.AdjacencyMode())
+		gn.RouteColumns() != 0 || gn.FaultDropped() != 0 {
+		t.Fatalf("%s: network has %d nodes, %d links, TopoVersion %d, %d columns, %d fault drops; fresh build %d, %d, %d, 0, 0",
+			step, gn.NodeCount(), gn.LinkTotal(), gn.TopoVersion(), gn.RouteColumns(), gn.FaultDropped(),
+			wn.NodeCount(), wn.LinkTotal(), wn.TopoVersion())
 	}
 
 	routerIDs := func(rs []*netsim.Router) []netsim.NodeID {
@@ -130,16 +128,9 @@ func requireSameDomain(t *testing.T, step string, got, want *Domain, stale []net
 		case (gr == nil) != (wr == nil) || (gh == nil) != (wh == nil) || (gr == nil) == (gh == nil):
 			t.Fatalf("%s: node %d is router=%v host=%v, fresh build router=%v host=%v", step, id, gr != nil, gh != nil, wr != nil, wh != nil)
 		case gr != nil:
-			if gr.Name() != wr.Name() || gr.ID() != id || gr.Network() != gn || len(gr.Filters()) != 0 || gr.RouteCount() != wr.RouteCount() ||
+			if gr.Name() != wr.Name() || gr.ID() != id || gr.Network() != gn || len(gr.Filters()) != 0 ||
 				gr.Down() || gr.Forwarded() != 0 || gr.FilterDropped() != 0 || gr.FaultDropped() != 0 {
-				t.Fatalf("%s: router %d is %v with %d routes and %d filters, fresh build %v with %d", step, id, gr, gr.RouteCount(), len(gr.Filters()), wr, wr.RouteCount())
-			}
-			if gr.RouteCount() > 0 {
-				for dest := netsim.NodeID(0); int(dest) < gn.NodeCount(); dest++ {
-					if g, w := gr.Route(dest), wr.Route(dest); g != w {
-						t.Fatalf("%s: router %d routes %d via %d, fresh build via %d", step, id, dest, g, w)
-					}
-				}
+				t.Fatalf("%s: router %d is %v with %d filters, fresh build %v", step, id, gr, len(gr.Filters()), wr)
 			}
 		default:
 			if gh.Name() != wh.Name() || gh.ID() != id || gh.Network() != gn || !slices.Equal(gh.IPs(), wh.IPs()) ||

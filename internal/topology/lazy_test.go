@@ -7,42 +7,67 @@ import (
 	"mafic/internal/sim"
 )
 
-// lazyEagerPair builds the same configuration twice, once per routing mode,
-// with identical seeds.
-func lazyEagerPair(t *testing.T, cfg Config) (lazy, eager *Domain) {
+// refNextHops is the routing reference: a textbook breadth-first search from
+// dest over Network.Neighbors in which the first node to discover a node
+// becomes its next hop toward dest. It shares nothing with the resolver under
+// test (no CSR snapshot, no aggregation, no memo) and sees faults the way
+// Neighbors reports them. Unreached nodes keep NoNode; dest maps to itself.
+func refNextHops(net *netsim.Network, dest netsim.NodeID) []netsim.NodeID {
+	hops := make([]netsim.NodeID, net.NodeCount())
+	for i := range hops {
+		hops[i] = netsim.NoNode
+	}
+	hops[dest] = dest
+	for queue := []netsim.NodeID{dest}; len(queue) > 0; queue = queue[1:] {
+		for _, nb := range net.Neighbors(queue[0]) {
+			if hops[nb] == netsim.NoNode {
+				hops[nb] = queue[0]
+				queue = append(queue, nb)
+			}
+		}
+	}
+	return hops
+}
+
+// requireReferenceNextHops compares NextHop(at, dest) with the reference for
+// every ordered pair of nodes, hosts and routers alike on both sides. The one
+// pair left out is a host destination seen from a router it attaches to:
+// that hop is the access link itself and forwarding never looks it up (a
+// single-homed host's slot holds its router's column, which says nothing
+// about the router's own last hop).
+func requireReferenceNextHops(t *testing.T, when string, net *netsim.Network) {
 	t.Helper()
-	lazyCfg := cfg
-	lazyCfg.Routing = RoutingLazy
-	eagerCfg := cfg
-	eagerCfg.Routing = RoutingEager
-	lazy, err := Build(lazyCfg, sim.NewScheduler(), sim.NewRNG(7))
-	if err != nil {
-		t.Fatalf("lazy build: %v", err)
+	n := netsim.NodeID(net.NodeCount())
+	for dest := netsim.NodeID(0); dest < n; dest++ {
+		want := refNextHops(net, dest)
+		for at := netsim.NodeID(0); at < n; at++ {
+			if at == dest || (net.Host(dest) != nil && net.LinkBetween(at, dest) != nil) {
+				continue
+			}
+			if got := net.NextHop(at, dest); got != want[at] {
+				t.Fatalf("%s: next hop from %d toward %d is %d, reference BFS says %d", when, at, dest, got, want[at])
+			}
+		}
 	}
-	eager, err = Build(eagerCfg, sim.NewScheduler(), sim.NewRNG(7))
-	if err != nil {
-		t.Fatalf("eager build: %v", err)
-	}
-	return lazy, eager
 }
 
 // effectiveNextHop reproduces the router forwarding decision for a packet at
-// router r addressed to node dest: direct link first, then the static table,
-// then the demand-driven column lookup.
+// router r addressed to node dest: direct link first, then the demand-driven
+// column lookup.
 func effectiveNextHop(net *netsim.Network, r *netsim.Router, dest netsim.NodeID) netsim.NodeID {
 	if net.LinkBetween(r.ID(), dest) != nil {
 		return dest
 	}
-	if next := r.Route(dest); next != netsim.NoNode {
-		return next
-	}
 	return net.NextHop(r.ID(), dest)
 }
 
-// TestLazyForwardingMatchesEager checks the tentpole invariant exhaustively:
-// for every router and every host destination — single-homed, multi-homed
-// victim, extra victims, bystanders — the demand-driven column lookup makes
-// the same forwarding decision the eager all-pairs install would.
+// TestLazyForwardingMatchesEager checks the routing invariant exhaustively:
+// the lazily materialized columns against next hops computed eagerly, for all
+// pairs, by the reference BFS. On a ring with chords and on a transit-stub
+// domain, each with a multi-homed victim and extra victims, every node's next
+// hop toward every other node is the reference's — after the build, after
+// links and a router are added to the built domain, with a core link cut,
+// with a router crashed on top of that, and after both heal.
 func TestLazyForwardingMatchesEager(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumRouters = 32
@@ -52,30 +77,45 @@ func TestLazyForwardingMatchesEager(t *testing.T) {
 	for _, style := range []Style{StyleRing, StyleTransitStub} {
 		cfg := cfg
 		cfg.Style = style
-		lazy, eager := lazyEagerPair(t, cfg)
+		d, err := Build(cfg, sim.NewScheduler(), sim.NewRNG(7))
+		if err != nil {
+			t.Fatalf("style %v: build: %v", style, err)
+		}
+		net := d.Net
+		check := func(when string) {
+			t.Helper()
+			requireReferenceNextHops(t, style.String()+" "+when, net)
+		}
+		check("as built")
 
-		n := lazy.Net.NodeCount()
-		if n != eager.Net.NodeCount() {
-			t.Fatalf("node counts differ: %d vs %d", n, eager.Net.NodeCount())
+		// A shortcut across the core and a router the build never saw.
+		a, b := d.Ingress[1], d.LastHop
+		if err := net.ConnectDuplex(a.ID(), b.ID(), cfg.CoreLink); err != nil {
+			t.Fatal(err)
 		}
-		for _, lr := range lazy.Routers {
-			er := eager.Net.Router(lr.ID())
-			for dest := 0; dest < n; dest++ {
-				id := netsim.NodeID(dest)
-				if lazy.Net.Host(id) == nil {
-					continue // routers never terminate traffic
-				}
-				if id == lr.ID() {
-					continue
-				}
-				got := effectiveNextHop(lazy.Net, lr, id)
-				want := effectiveNextHop(eager.Net, er, id)
-				if got != want {
-					t.Fatalf("style %v: router %d → dest %d: lazy next hop %d, eager %d",
-						style, lr.ID(), dest, got, want)
-				}
-			}
+		extra := net.AddRouter("post-build")
+		if err := net.ConnectDuplex(extra.ID(), d.Ingress[1].ID(), cfg.CoreLink); err != nil {
+			t.Fatal(err)
 		}
+		check("after post-build connects")
+
+		// Cut the shortcut, both directions, as a cable cut is.
+		net.LinkBetween(a.ID(), b.ID()).SetDown(true)
+		net.LinkBetween(b.ID(), a.ID()).SetDown(true)
+		check("with a core link down")
+
+		crashed := d.VictimHomes[1]
+		if err := net.FailRouter(crashed.ID()); err != nil {
+			t.Fatal(err)
+		}
+		check("with a victim home crashed")
+
+		net.LinkBetween(a.ID(), b.ID()).SetDown(false)
+		net.LinkBetween(b.ID(), a.ID()).SetDown(false)
+		if err := net.RestoreRouter(crashed.ID()); err != nil {
+			t.Fatal(err)
+		}
+		check("healed")
 	}
 }
 

@@ -10,8 +10,7 @@
 // # Two-level demand-driven routing
 //
 // The package is also the domain's routing authority. Routing state is
-// two-level and produced on demand (Config.Routing = RoutingLazy, the
-// default):
+// two-level and produced on demand:
 //
 //   - Level 1 — host aggregation. Forwarding state is indexed by destination
 //     *router*, never by host: a single-homed host is reached by routing to
@@ -27,15 +26,18 @@
 //     the rest of the run. A MAFIC workload only ever routes toward the
 //     victims, the edge sources (ACKs) and the spoof pool (probes), so a
 //     5000-router domain materializes a few dozen columns instead of the
-//     ~5000 × 5000 entries the eager install wrote.
+//     ~5000 × 5000 entries an all-pairs install would write.
 //
-// Invariants the equivalence tests pin:
+// Invariants the tests pin:
 //
-//   - Paths are bit-identical to RoutingEager (the historical all-pairs
-//     install, kept as the oracle): the same BFS with the same ascending
-//     neighbour tie-breaking computes both, and host aggregation is exact
-//     because a single-homed host's shortest-path tree minus the host itself
-//     IS its attachment router's tree.
+//   - Next hops are those of a per-destination BFS with ascending neighbour
+//     tie-breaking, for every (node, destination) pair: lazy_test.go holds
+//     that reference — a textbook BFS over Network.Neighbors, sharing nothing
+//     with the CSR resolver — and compares it with NextHop on every domain
+//     shape, after a post-build Connect, with a link down and with a router
+//     crashed. Host aggregation is exact because a single-homed host's
+//     shortest-path tree minus the host itself IS its attachment router's
+//     tree.
 //   - A column is materialized at most once per destination router per run,
 //     and hosts alias their router's column rather than copying it.
 //   - Column storage is recycled across sweep points: rebuilding through the
@@ -93,36 +95,6 @@ func (s Style) String() string {
 	}
 }
 
-// RoutingMode selects how the domain's next-hop state is produced.
-type RoutingMode int
-
-// Routing modes.
-const (
-	// RoutingLazy (the default) installs no routes at build time. The
-	// network materializes one next-hop column per active destination
-	// router on demand — a single reverse BFS over the arena's CSR
-	// snapshot, memoized for the run and aggregated over hosts (see the
-	// package comment). Forwarding paths are bit-identical to RoutingEager.
-	RoutingLazy RoutingMode = iota
-	// RoutingEager precomputes next hops for every destination on every
-	// router at build time: O(routers × nodes) entries. It is the
-	// historical behaviour, kept as the equivalence oracle for tests and
-	// for callers that genuinely route to every destination.
-	RoutingEager
-)
-
-// String implements fmt.Stringer.
-func (m RoutingMode) String() string {
-	switch m {
-	case RoutingLazy:
-		return "lazy"
-	case RoutingEager:
-		return "eager"
-	default:
-		return "unknown"
-	}
-}
-
 // Config describes the domain to generate. The zero value is not usable;
 // start from DefaultConfig.
 type Config struct {
@@ -141,16 +113,6 @@ type Config struct {
 	// TransitRouters is the transit-core size for StyleTransitStub; zero
 	// derives NumRouters/6 (minimum 3). Ignored by StyleRing.
 	TransitRouters int
-	// Routing selects demand-driven (lazy, the default) or eager all-pairs
-	// next-hop computation. Paths are identical either way; eager trades
-	// O(routers × nodes) build time and memory for never running a BFS
-	// after the build.
-	Routing RoutingMode
-	// Adjacency selects the network's link-table representation:
-	// netsim.AdjacencySparse (the default, O(nodes+links)) or
-	// netsim.AdjacencyDense (the historical O(nodes²) rows, kept as the
-	// equivalence oracle). Simulation results are bit-identical either way.
-	Adjacency netsim.AdjacencyMode
 
 	// CoreLink, AccessLink and VictimLink configure the three classes of
 	// links in the domain.
@@ -198,12 +160,6 @@ func (c Config) Validate() error {
 	}
 	if c.TransitRouters < 0 || (c.Style == StyleTransitStub && c.TransitRouters > c.NumRouters-1) {
 		return fmt.Errorf("%w: transit core %d with %d routers", ErrConfig, c.TransitRouters, c.NumRouters)
-	}
-	if c.Routing != RoutingLazy && c.Routing != RoutingEager {
-		return fmt.Errorf("%w: unknown routing mode %d", ErrConfig, c.Routing)
-	}
-	if c.Adjacency != netsim.AdjacencySparse && c.Adjacency != netsim.AdjacencyDense {
-		return fmt.Errorf("%w: unknown adjacency mode %d", ErrConfig, c.Adjacency)
 	}
 	if c.ClientsPerIngress < 0 || c.ZombiesPerIngress < 0 || c.BystanderHosts < 0 {
 		return fmt.Errorf("%w: negative host counts", ErrConfig)
@@ -330,8 +286,8 @@ func (d *Domain) SpoofPool() []netsim.IP {
 // VictimIP returns the victim server's address.
 func (d *Domain) VictimIP() netsim.IP { return d.Victim.PrimaryIP() }
 
-// Build generates a domain according to cfg, wiring links and installing
-// shortest-path routes on every router. The supplied RNG drives every random
+// Build generates a domain according to cfg, wiring links and registering
+// the shortest-path route resolver. The supplied RNG drives every random
 // choice so domains are reproducible. Each call uses a fresh arena; sweeps
 // that rebuild topologies repeatedly should reuse one via Arena.Build.
 func Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, error) {
@@ -370,13 +326,6 @@ func (a *Arena) Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, 
 		a.net.Reset(sched, rng)
 	}
 	net := a.net
-	// The adjacency representation must be picked before any link exists;
-	// sparse is the netsim default, so only the dense oracle needs a call.
-	if cfg.Adjacency != netsim.AdjacencySparse {
-		if err := net.SetAdjacencyMode(cfg.Adjacency); err != nil {
-			return nil, err
-		}
-	}
 	// The final node population is known up front; reserving it lets the
 	// network allocate its per-node tables (dispatch, adjacency spine,
 	// route columns) exactly once.
@@ -484,24 +433,17 @@ func (a *Arena) Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, 
 		d.Bystanders = append(d.Bystanders, h)
 	}
 
-	// Routing: eager installs the historical all-pairs tables; lazy (the
-	// default) just snapshots the finished graph and registers the arena's
+	// Routing: snapshot the finished graph and register the arena's
 	// resolver — columns materialize when traffic first needs them.
-	if cfg.Routing == RoutingEager {
-		if err := a.route.install(net); err != nil {
-			return nil, err
-		}
-	} else {
-		a.lazy.bind(&a.route, net)
-		net.SetRouteResolver(&a.lazy)
-	}
+	a.lazy.bind(net)
+	net.SetRouteResolver(&a.lazy)
 	a.adopt(d)
 	return d, nil
 }
 
 // nodeBudget is the total node count (routers plus hosts) a build with the
 // given effective ingress count creates, used to pre-size the network's
-// dense per-node tables.
+// per-node tables.
 func (c Config) nodeBudget(numIngress int) int {
 	return c.NumRouters + // routers
 		1 + c.ExtraVictims + // victim hosts
@@ -582,16 +524,6 @@ func ipFrom(a, b, c, d byte) netsim.IP {
 	return netsim.IP(uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d))
 }
 
-// InstallShortestPathRoutes computes hop-count shortest paths over the full
-// node graph (routers and hosts) and installs next-hop entries on every
-// router for every possible destination node. The computation runs entirely
-// on slice-indexed tables (CSR adjacency, dense BFS parents); arena builds
-// reuse that scratch across sweep points via routeScratch.install.
-func InstallShortestPathRoutes(net *netsim.Network) error {
-	var rs routeScratch
-	return rs.install(net)
-}
-
 // PathLength returns the number of hops between two nodes, or -1 if they are
 // disconnected. It is used by tests and by RTT estimation.
 func PathLength(net *netsim.Network, from, to netsim.NodeID) int {
@@ -603,7 +535,7 @@ func PathLength(net *netsim.Network, from, to netsim.NodeID) int {
 	if int(from) >= n || int(to) >= n || from < 0 || to < 0 {
 		return -1
 	}
-	parents := rs.parentTable(n)
+	parents := make([]netsim.NodeID, n)
 	rs.bfs(to, parents)
 	hops := 0
 	cur := from

@@ -2,10 +2,12 @@ package trafficmatrix
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"mafic/internal/netsim"
 	"mafic/internal/sim"
+	"mafic/internal/topology"
 )
 
 // TestCounterHandleZeroAlloc pins the per-packet measurement path at zero
@@ -141,32 +143,115 @@ func TestMonitorReuseLeaksNoCounts(t *testing.T) {
 	}
 }
 
-// TestFreshBuffersReportsAreIndependent verifies the FreshBuffers escape
-// hatch: consecutive reports must not share backing arrays.
-func TestFreshBuffersReportsAreIndependent(t *testing.T) {
-	d := smallDomain(t)
-	d.Victim.SetDefaultHandler(func(*netsim.Packet, sim.Time) {})
+// referenceReport is the from-scratch reference for the report an epoch tick
+// has just delivered: the estimates read off the counters' frozen sketches
+// into freshly allocated tables, each union taken by cloning one sketch and
+// merging the other into the clone. It reuses none of the monitor's buffers
+// and nothing of compute but the definition a_ij = |S_i| + |D_j| − |S_i ∪ D_j|.
+func referenceReport(t *testing.T, m *Monitor, got EpochReport) EpochReport {
+	t.Helper()
+	ref := EpochReport{Epoch: got.Epoch, Start: got.Start, End: got.End,
+		SourceEst: make([]float64, len(m.counters)), DestEst: make([]float64, len(m.counters))}
+	for id, c := range m.counters {
+		if c != nil {
+			ref.Routers = append(ref.Routers, netsim.NodeID(id))
+			ref.SourceEst[id] = c.source.Shadow().Estimate()
+			ref.DestEst[id] = c.dest.Shadow().Estimate()
+		}
+	}
+	for _, i := range ref.Routers {
+		for _, j := range ref.Routers {
+			if ref.SourceEst[i] < 1 || ref.DestEst[j] < 1 {
+				continue
+			}
+			union := m.counters[i].source.Shadow().Clone()
+			if err := union.Merge(m.counters[j].dest.Shadow()); err != nil {
+				t.Fatal(err)
+			}
+			if aij := ref.SourceEst[i] + ref.DestEst[j] - union.Estimate(); aij >= 1 {
+				ref.Matrix = append(ref.Matrix, Cell{Source: i, Dest: j, Packets: aij})
+			}
+		}
+	}
+	return ref
+}
 
-	var reports []EpochReport
-	mon, err := NewMonitor(d.Net, MonitorConfig{Epoch: 50 * sim.Millisecond, FreshBuffers: true},
-		func(r EpochReport) { reports = append(reports, r) }) // deliberately no Clone
+// sameReport compares two reports field by field, exactly.
+func sameReport(a, b EpochReport) bool {
+	return a.Epoch == b.Epoch && a.Start == b.Start && a.End == b.End && slices.Equal(a.Routers, b.Routers) &&
+		slices.Equal(a.SourceEst, b.SourceEst) && slices.Equal(a.DestEst, b.DestEst) && slices.Equal(a.Matrix, b.Matrix)
+}
+
+// TestPooledReportsMatchFromScratch runs two monitors back to back on the
+// one pooled object — every router of a 40-router domain with a client
+// flooding behind each ingress, then two routers of a 12-router domain — and
+// requires every report, at callback time, to equal the from-scratch
+// reference: nothing of an earlier epoch, and nothing of the earlier
+// monitor's wider tables, may show through the reused buffers. A report kept
+// with Clone must still equal its reference when the run is over; one kept
+// without must not, or the buffers were never reused and the test proves
+// nothing.
+func TestPooledReportsMatchFromScratch(t *testing.T) {
+	run := func(d *topology.Domain, cfg MonitorConfig, sources []*netsim.Host, until sim.Time) (*Monitor, []EpochReport) {
+		d.Victim.SetDefaultHandler(func(*netsim.Packet, sim.Time) {})
+		var mon *Monitor
+		var raw, cloned, refs []EpochReport
+		mon, err := NewMonitor(d.Net, cfg, func(r EpochReport) {
+			ref := referenceReport(t, mon, r)
+			if !sameReport(r, ref) {
+				t.Fatalf("epoch %d: pooled report %+v, from scratch %+v", r.Epoch, r, ref)
+			}
+			raw, cloned, refs = append(raw, r), append(cloned, r.Clone()), append(refs, ref)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mon.Start()
+		for _, src := range sources {
+			floodFrom(d, src, 200, 120*sim.Millisecond)
+		}
+		if err := d.Net.Scheduler().RunUntil(until); err != nil {
+			t.Fatal(err)
+		}
+		if len(refs) < 3 || len(refs[0].Matrix) == 0 {
+			t.Fatalf("%d reports, first with %d cells: the comparison proved nothing", len(refs), len(refs[0].Matrix))
+		}
+		for e := range refs {
+			if !sameReport(cloned[e], refs[e]) {
+				t.Fatalf("epoch %d: clone did not outlive later epochs: %+v, was %+v", refs[e].Epoch, cloned[e], refs[e])
+			}
+		}
+		if sameReport(raw[0], refs[0]) {
+			t.Fatal("a report retained without Clone survived later epochs: buffers are not reused")
+		}
+		return mon, refs
+	}
+
+	big, err := topology.Build(topology.DefaultConfig(), sim.NewScheduler(), sim.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon.Start()
-	floodFrom(d, d.Zombies[0], 300, 40*sim.Millisecond)
-	if err := d.Net.Scheduler().RunUntil(160 * sim.Millisecond); err != nil {
-		t.Fatal(err)
+	var perIngress []*netsim.Host
+	for i := 0; i < len(big.Clients); i += len(big.Clients) / len(big.Ingress) {
+		perIngress = append(perIngress, big.Clients[i])
 	}
-	if len(reports) < 2 {
-		t.Fatalf("got %d reports, want >= 2", len(reports))
+	// The run stops inside the flood, so the tables are released dirty.
+	m1, refs := run(big, MonitorConfig{Epoch: 25 * sim.Millisecond, Monitored: everyRouter(big.Net)}, perIngress, 110*sim.Millisecond)
+	dirty := refs[len(refs)-1]
+	m1.Release()
+
+	small := smallDomain(t)
+	ends := []netsim.NodeID{small.Ingress[0].ID(), small.LastHop.ID()}
+	m2, _ := run(small, MonitorConfig{Epoch: 50 * sim.Millisecond, Monitored: ends}, small.Clients[:1], 400*sim.Millisecond)
+	if m2 != m1 {
+		t.Fatal("second monitor did not come from the pool")
 	}
-	if &reports[0].DestEst[0] == &reports[1].DestEst[0] {
-		t.Fatal("FreshBuffers reports share estimate backing")
+	exposed := false
+	for id := range m2.srcEst {
+		exposed = exposed || (m2.counters[id] == nil && dirty.SourceEst[id] != 0)
 	}
-	// The first epoch saw the burst; later epochs must still show it even
-	// though newer reports were produced since (no pooled overwrite).
-	if reports[0].DestEstimate(d.LastHop.ID()) < 100 {
-		t.Fatalf("first retained report lost its data: %v", reports[0].DestEstimate(d.LastHop.ID()))
+	if !exposed {
+		t.Fatal("no entry the first monitor left non-zero lies outside the second one's set: stale tables would go unnoticed")
 	}
+	m2.Release()
 }

@@ -25,6 +25,18 @@ func hostAdjacentRouters(net *netsim.Network) map[netsim.NodeID]bool {
 	return set
 }
 
+// everyRouter lists every router of the network: the explicit monitored set
+// the automatic one is compared against.
+func everyRouter(net *netsim.Network) []netsim.NodeID {
+	var ids []netsim.NodeID
+	net.ForEachNode(func(id netsim.NodeID, r *netsim.Router, _ *netsim.Host) {
+		if r != nil {
+			ids = append(ids, id)
+		}
+	})
+	return ids
+}
+
 // TestMonitoredSetDefault pins the automatic monitored set: exactly the
 // host-adjacent routers, ascending, strictly fewer than the full router set
 // on a transit-stub topology (core routers carry no hosts).
@@ -62,8 +74,7 @@ func TestMonitoredSetDefault(t *testing.T) {
 }
 
 // TestMonitoredSetExplicitAndErrors pins the explicit-set plumbing: the list
-// is sorted and deduplicated, non-router IDs are rejected, and MonitorAll
-// conflicts with an explicit set.
+// is sorted and deduplicated, and non-router and negative IDs are rejected.
 func TestMonitoredSetExplicitAndErrors(t *testing.T) {
 	d := smallDomain(t)
 	ing := d.Ingress[0].ID()
@@ -89,29 +100,26 @@ func TestMonitoredSetExplicitAndErrors(t *testing.T) {
 	if _, err := NewMonitor(d.Net, MonitorConfig{Monitored: []netsim.NodeID{hostID}}, nil); err == nil {
 		t.Fatal("host ID accepted as a monitored router")
 	}
-	bad := MonitorConfig{MonitorAll: true, Monitored: []netsim.NodeID{ing}}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("Validate accepted MonitorAll plus an explicit set")
-	}
-	if _, err := NewMonitor(d.Net, bad, nil); err == nil {
-		t.Fatal("NewMonitor accepted MonitorAll plus an explicit set")
-	}
 	if err := (MonitorConfig{Monitored: []netsim.NodeID{-3}}).Validate(); err == nil {
 		t.Fatal("Validate accepted a negative monitored ID")
 	}
 }
 
-// TestMonitoredReportsMatchMonitorAll is the observational-equivalence pin
+// TestDefaultSetMatchesEveryRouter is the observational-equivalence pin
 // behind the monitored-only default: the same workload on two identical
-// domains, one monitored automatically and one with a counter on every
-// router, produces bit-identical epoch reports (estimates and matrix cells);
-// the every-router run's extra rows are all zero.
-func TestMonitoredReportsMatchMonitorAll(t *testing.T) {
+// domains, one monitored automatically and one with every router listed in
+// Monitored, produces bit-identical epoch reports (estimates and matrix
+// cells); the every-router run's extra rows are all zero.
+func TestDefaultSetMatchesEveryRouter(t *testing.T) {
 	run := func(all bool) []EpochReport {
 		d := smallDomain(t)
 		d.Victim.SetDefaultHandler(func(*netsim.Packet, sim.Time) {})
+		cfg := MonitorConfig{Epoch: 100 * sim.Millisecond}
+		if all {
+			cfg.Monitored = everyRouter(d.Net)
+		}
 		var reports []EpochReport
-		mon, err := NewMonitor(d.Net, MonitorConfig{Epoch: 100 * sim.Millisecond, MonitorAll: all},
+		mon, err := NewMonitor(d.Net, cfg,
 			func(r EpochReport) { reports = append(reports, r.Clone()) })
 		if err != nil {
 			t.Fatalf("NewMonitor(all=%v): %v", all, err)
@@ -219,7 +227,7 @@ func TestMonitorReuseWidthShrink(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build big domain: %v", err)
 	}
-	m1, err := NewMonitor(big.Net, MonitorConfig{MonitorAll: true}, nil)
+	m1, err := NewMonitor(big.Net, MonitorConfig{Monitored: everyRouter(big.Net)}, nil)
 	if err != nil {
 		t.Fatalf("NewMonitor big: %v", err)
 	}
@@ -228,7 +236,7 @@ func TestMonitorReuseWidthShrink(t *testing.T) {
 	m1.Release()
 
 	small := smallDomain(t) // 12 routers: IDs far below highID
-	m2, err := NewMonitor(small.Net, MonitorConfig{MonitorAll: true}, nil)
+	m2, err := NewMonitor(small.Net, MonitorConfig{Monitored: everyRouter(small.Net)}, nil)
 	if err != nil {
 		t.Fatalf("NewMonitor small: %v", err)
 	}

@@ -20,10 +20,9 @@
 // ownership rules: an EpochReport handed to the onReport callback is valid
 // only for the duration of the callback, because the next epoch overwrites
 // the shared backing arrays. Callbacks that need to retain a report keep a
-// deep copy via EpochReport.Clone. Setting MonitorConfig.FreshBuffers makes
-// the monitor allocate fresh backing per epoch instead (the historical
-// behaviour); the golden invariance tests use it to prove buffer reuse never
-// changes results.
+// deep copy via EpochReport.Clone. The reference the pooled reports are tested
+// against is test-only: alloc_test.go recomputes every report from the
+// counters' sketches into fresh tables at callback time.
 //
 // # Monitored set
 //
@@ -32,14 +31,13 @@
 // fills only at a packet's first router (Hops == 0, the sending host's access
 // router) and its D_j sketch only at a router directly linked to the
 // destination host, so a router with no host neighbour contributes nothing to
-// any epoch report — attaching 4 sketches × every router, as the layer
-// historically did, spends almost all of its memory and rotation work on
-// counters that stay empty for the whole run. Reports from the monitored set
-// are bit-identical to the historical ones apart from EpochReport.Routers
-// shrinking to the instrumented routers; MonitorConfig.MonitorAll restores
-// the historical every-router behaviour as the equivalence oracle, and
-// MonitorConfig.Monitored pins an explicit set. The catalog-wide invariance
-// tests run whole scenarios under both settings to prove the equivalence.
+// any epoch report — attaching 4 sketches × every router would spend almost
+// all of its memory and rotation work on counters that stay empty for the
+// whole run. MonitorConfig.Monitored pins an explicit set instead; listing
+// every router there is the reference the default is tested against
+// (monitored_test.go, and the whole catalog in internal/experiment): the
+// reports agree on every estimate and matrix cell, and only
+// EpochReport.Routers is longer.
 package trafficmatrix
 
 import (
@@ -205,8 +203,8 @@ func cellByPacketsDesc(a, b Cell) int {
 //
 // Reports delivered through the monitor's onReport callback share the
 // monitor's pooled buffers: they are valid only during the callback unless
-// copied with Clone. Reports obtained from a FreshBuffers monitor, from
-// Clone, or built by hand own their backing and stay valid indefinitely.
+// copied with Clone. Reports obtained from Clone or built by hand own their
+// backing and stay valid indefinitely.
 type EpochReport struct {
 	// Epoch is the index of the measurement period, starting at 1.
 	Epoch int
@@ -288,7 +286,6 @@ type Monitor struct {
 	// routerIDs lists the instrumented routers ascending; every per-epoch
 	// loop walks this, never a map.
 	routerIDs []netsim.NodeID
-	buckets   int
 	epoch     sim.Time
 
 	epochIndex int
@@ -309,7 +306,6 @@ type Monitor struct {
 	srcEst, dstEst []float64
 	matrix         []Cell
 	scratch        *loglog.Sketch
-	fresh          bool
 	// nbScratch is the reusable neighbour buffer behind the automatic
 	// monitored-set derivation.
 	nbScratch []netsim.NodeID
@@ -330,22 +326,12 @@ type MonitorConfig struct {
 	// Buckets is the LogLog bucket count for every counter; zero means
 	// loglog.DefaultBuckets.
 	Buckets int
-	// FreshBuffers disables report-buffer pooling: every epoch allocates
-	// its own estimate tables and matrix, so reports may be retained
-	// without Clone. Measurement results are bit-identical either way —
-	// the golden invariance tests run the whole scenario catalog under
-	// both settings to prove it.
-	FreshBuffers bool
 	// Monitored restricts instrumentation to the given routers (order and
 	// duplicates are irrelevant; NewMonitor rejects IDs that are not
 	// routers of the network). Empty selects the automatic set: every
 	// router with at least one attached host, which the package comment
 	// shows is report-equivalent to monitoring all of them.
 	Monitored []netsim.NodeID
-	// MonitorAll attaches a counter to every router of the network — the
-	// historical behaviour, kept as the oracle for the monitored-set
-	// default. Mutually exclusive with Monitored.
-	MonitorAll bool
 	// ReportLoss is the probability, drawn once per epoch, that the epoch's
 	// report is lost: counters still rotate and the epoch index advances
 	// (downstream consumers see a numbering gap), but no report reaches the
@@ -374,9 +360,6 @@ func (c MonitorConfig) Validate() error {
 		if _, err := loglog.New(c.Buckets); err != nil {
 			return fmt.Errorf("%w: %v", ErrMonitorConfig, err)
 		}
-	}
-	if c.MonitorAll && len(c.Monitored) > 0 {
-		return fmt.Errorf("%w: MonitorAll and an explicit Monitored set are mutually exclusive", ErrMonitorConfig)
 	}
 	for _, id := range c.Monitored {
 		if id < 0 {
@@ -413,21 +396,14 @@ var monitorPool = pool.FreeList[Monitor]{Cap: 64}
 // automatic host-adjacency walk; the possibly-grown buffer is returned so the
 // pooled monitor keeps its capacity.
 func monitoredSet(net *netsim.Network, cfg MonitorConfig, ids, nb []netsim.NodeID) ([]netsim.NodeID, []netsim.NodeID, error) {
-	switch {
-	case len(cfg.Monitored) > 0:
+	if len(cfg.Monitored) > 0 {
 		for _, id := range cfg.Monitored {
 			if net.Router(id) == nil {
 				return nil, nb, fmt.Errorf("%w: monitored node %d is not a router of the network", ErrMonitorConfig, id)
 			}
 			ids = append(ids, id)
 		}
-	case cfg.MonitorAll:
-		net.ForEachNode(func(id netsim.NodeID, r *netsim.Router, _ *netsim.Host) {
-			if r != nil {
-				ids = append(ids, id)
-			}
-		})
-	default:
+	} else {
 		// Automatic set: routers adjacent to at least one host — the only
 		// routers whose counters can record anything (see the package
 		// comment). A router neighbours several hosts; the sort below
@@ -451,20 +427,16 @@ func monitoredSet(net *netsim.Network, cfg MonitorConfig, ids, nb []netsim.NodeI
 // NewMonitor creates a monitor and attaches a counter to each router of the
 // configured monitored set — by default every router with an attached host,
 // which yields the same reports as instrumenting all of them (see the package
-// comment; MonitorConfig.MonitorAll restores that historical behaviour). The
-// onReport callback receives each epoch's traffic matrix; see the package
-// comment for the report's lifetime rules. The monitor (sketch slab included)
-// comes from the package pool when a released one with compatible geometry is
-// available.
+// comment). The onReport callback receives each epoch's traffic matrix; see
+// the package comment for the report's lifetime rules. The monitor (sketch
+// slab included) comes from the package pool when a released one with
+// compatible geometry is available.
 func NewMonitor(net *netsim.Network, cfg MonitorConfig, onReport func(EpochReport)) (*Monitor, error) {
 	if cfg.Buckets <= 0 {
 		cfg.Buckets = loglog.DefaultBuckets
 	}
 	if cfg.Epoch <= 0 {
 		cfg.Epoch = 100 * sim.Millisecond
-	}
-	if cfg.MonitorAll && len(cfg.Monitored) > 0 {
-		return nil, fmt.Errorf("%w: MonitorAll and an explicit Monitored set are mutually exclusive", ErrMonitorConfig)
 	}
 	m := monitorPool.Get()
 	if m == nil {
@@ -520,19 +492,15 @@ func NewMonitor(net *netsim.Network, cfg MonitorConfig, onReport func(EpochRepor
 	}
 
 	srcEst, dstEst, scratch := m.srcEst, m.dstEst, m.scratch
-	if cfg.FreshBuffers {
-		srcEst, dstEst, scratch = nil, nil, nil
+	if cap(srcEst) >= width {
+		srcEst = srcEst[:width]
+		dstEst = dstEst[:width]
 	} else {
-		if cap(srcEst) >= width {
-			srcEst = srcEst[:width]
-			dstEst = dstEst[:width]
-		} else {
-			srcEst = make([]float64, width)
-			dstEst = make([]float64, width)
-		}
-		if scratch == nil || scratch.Buckets() != cfg.Buckets {
-			scratch = loglog.MustNew(cfg.Buckets)
-		}
+		srcEst = make([]float64, width)
+		dstEst = make([]float64, width)
+	}
+	if scratch == nil || scratch.Buckets() != cfg.Buckets {
+		scratch = loglog.MustNew(cfg.Buckets)
 	}
 
 	// The control-channel RNG is forked only when a loss/delay knob is
@@ -550,10 +518,8 @@ func NewMonitor(net *netsim.Network, cfg MonitorConfig, onReport func(EpochRepor
 		counterSlab: counterSlab,
 		sketchSlab:  sketches,
 		routerIDs:   ids,
-		buckets:     cfg.Buckets,
 		epoch:       cfg.Epoch,
 		onReport:    onReport,
-		fresh:       cfg.FreshBuffers,
 		srcEst:      srcEst,
 		dstEst:      dstEst,
 		matrix:      m.matrix[:0],
@@ -688,22 +654,14 @@ func (m *Monitor) Compute(now sim.Time) EpochReport {
 }
 
 // compute assembles the epoch report from either the frozen or the live
-// sketch halves, reusing the monitor's pooled buffers unless FreshBuffers
-// is set.
+// sketch halves, reusing the monitor's pooled buffers.
 func (m *Monitor) compute(now sim.Time, frozen bool) EpochReport {
 	m.epochIndex++
 	srcEst, dstEst, matrix, scratch := m.srcEst, m.dstEst, m.matrix[:0], m.scratch
-	if m.fresh {
-		srcEst = make([]float64, len(m.counters))
-		dstEst = make([]float64, len(m.counters))
-		matrix = nil
-		scratch = loglog.MustNew(m.buckets)
-	} else {
-		for i := range srcEst {
-			srcEst[i] = 0
-			dstEst[i] = 0
-		}
-	}
+	// The tables may come from a pooled monitor that instrumented other
+	// routers; entries outside this monitored set must read zero.
+	clear(srcEst)
+	clear(dstEst)
 
 	for _, id := range m.routerIDs {
 		src, dst := m.counters[id].epochSketches(frozen)
@@ -731,9 +689,7 @@ func (m *Monitor) compute(now sim.Time, frozen bool) EpochReport {
 			matrix = append(matrix, Cell{Source: i, Dest: j, Packets: aij})
 		}
 	}
-	if !m.fresh {
-		m.matrix = matrix
-	}
+	m.matrix = matrix
 	return EpochReport{
 		Epoch:     m.epochIndex,
 		Start:     m.epochStart,
