@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet check golden bench bench-baseline bench-diff bench-smoke search search-baseline profile
+.PHONY: all build test vet check golden fuzz bench bench-baseline bench-diff bench-smoke search search-baseline profile
 
 all: build test
 
@@ -30,6 +30,20 @@ check:
 # behaviour change. Review the diff before committing it.
 golden:
 	$(GO) test ./internal/experiment -run TestGoldenScenarios -update
+
+# fuzz runs the four fuzz targets one after the other, FUZZTIME each (`go test
+# -fuzz` takes one target and one package at a time). `make check` only
+# replays their seed corpora; this mutates them. A crasher is written under
+# the package's testdata/fuzz/<target>/ — commit it, it is a regression test
+# from then on. The minimization budget is cut from the default 60 s per new
+# input: FuzzSnapshotDecode's inputs are 40 KB snapshots, and at the default a
+# 60 s run spends 55 s shrinking its first find and executes 60 inputs.
+FUZZTIME ?= 30s
+fuzz:
+	$(GO) test ./internal/experiment -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
+	$(GO) test ./internal/flowtable -run '^$$' -fuzz FuzzTablesOps -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
+	$(GO) test ./internal/loglog -run '^$$' -fuzz FuzzSketchMerge -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
+	$(GO) test ./internal/traffic -run '^$$' -fuzz FuzzRotatingSource -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 
 # bench measures the current engine (ns/op, B/op, allocs/op per figure
 # benchmark) and writes BENCH_current.json (untracked: this target and

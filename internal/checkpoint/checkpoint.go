@@ -1,9 +1,9 @@
 package checkpoint
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 
 	"mafic/internal/baseline"
 	"mafic/internal/core"
@@ -147,6 +147,10 @@ type Snapshot struct {
 	Victims []traffic.VictimServerState
 
 	Flags RunFlags
+
+	// scratch is the buffer Encode writes this snapshot into before copying
+	// it out; it is kept between calls and never part of the snapshot.
+	scratch []byte
 }
 
 // CheckpointTypes lists this package's own snapshot-carrying structs; the
@@ -160,19 +164,14 @@ var CheckpointTypes = []any{
 	NodeState{},
 	RunFlags{},
 	World{},
+	Session{},
+	writer{},
 }
 
 // handlerRole classifies a scheduled handler identity during capture.
 type handlerRole struct {
 	kind  uint8 // the event kind; EvMonitorTick for the monitor, whose ArgHandler face is EvMonitorLate
 	index uint32
-}
-
-// eventKey orders captured events by sequence number without moving the
-// events themselves: at is the event's position in the capture-order scratch.
-type eventKey struct {
-	seq uint64
-	at  uint32
 }
 
 // Session captures one run repeatedly. Everything about a run whose shape
@@ -196,11 +195,8 @@ type Session struct {
 	links    []*netsim.Link
 	builtFor [3]int
 
-	// Per-capture scratch: events in scheduler-slot order with their sort
-	// keys, the probe-record dedupe table, and the owned copies of delayed
-	// epoch reports (an EventState only holds their slice headers).
-	events   []EventState
-	keys     []eventKey
+	// Per-capture scratch: the probe-record dedupe table and the owned copies
+	// of delayed epoch reports (an EventState only holds their slice headers).
 	probeIdx map[any]uint32
 	reports  []trafficmatrix.EpochReportState
 }
@@ -342,14 +338,13 @@ func (s *Session) Capture() (*Snapshot, error) {
 	return snap, nil
 }
 
-// captureEvents classifies every pending event against the registry into the
-// capture-order scratch, then lays the events out in sequence order in
-// snap.Events. Probe records are numbered in capture (scheduler-slot) order.
+// captureEvents classifies every pending event against the registry into
+// snap.Events, in the order the scheduler's arena holds them: Restore is what
+// puts them in sequence order. Probe records are numbered in the same order.
 func (s *Session) captureEvents() error {
 	w := s.World
 	snap := &s.snap
-	s.events = s.events[:0]
-	s.keys = s.keys[:0]
+	snap.Events = snap.Events[:0]
 	snap.ProbeRecs = snap.ProbeRecs[:0]
 	clear(s.probeIdx)
 	s.reports = s.reports[:0]
@@ -359,9 +354,8 @@ func (s *Session) captureEvents() error {
 		if captureErr != nil {
 			return
 		}
-		s.keys = append(s.keys, eventKey{seq: ev.Seq, at: uint32(len(s.events))})
 		if ev.Seq < w.BuildSeq {
-			s.events = append(s.events, EventState{At: ev.At, Seq: ev.Seq, Kind: EvBuild})
+			snap.Events = append(snap.Events, EventState{At: ev.At, Seq: ev.Seq, Kind: EvBuild})
 			return
 		}
 		if ev.Closure {
@@ -377,8 +371,8 @@ func (s *Session) captureEvents() error {
 			captureErr = fmt.Errorf("checkpoint: runtime event %d at %v has unrecognised handler %T", ev.Seq, ev.At, key)
 			return
 		}
-		s.events = append(s.events, EventState{At: ev.At, Seq: ev.Seq, Kind: role.kind, Index: role.index})
-		st := &s.events[len(s.events)-1]
+		snap.Events = append(snap.Events, EventState{At: ev.At, Seq: ev.Seq, Kind: role.kind, Index: role.index})
+		st := &snap.Events[len(snap.Events)-1]
 		switch role.kind {
 		case EvLinkArrive:
 			pkt, ok := ev.Arg.(*netsim.Packet)
@@ -410,18 +404,7 @@ func (s *Session) captureEvents() error {
 			st.Probe = idx
 		}
 	})
-	if captureErr != nil {
-		return captureErr
-	}
-
-	// Sequence numbers are unique, so sorting the 16-byte keys fixes the
-	// order; each event is then copied once into its final slot.
-	slices.SortFunc(s.keys, func(a, b eventKey) int { return cmp.Compare(a.seq, b.seq) })
-	snap.Events = resize(snap.Events, len(s.keys))
-	for i, k := range s.keys {
-		snap.Events[i] = s.events[k.at]
-	}
-	return nil
+	return captureErr
 }
 
 // resize returns s with length n, keeping the elements (and whatever backing
@@ -438,7 +421,9 @@ func resize[T any](s []T, n int) []T {
 // RNG fork order, same build-time event sequence) — Restore verifies the
 // build boundary and the RNG stream layout and fails loudly on divergence.
 // After Restore returns, resuming the scheduler continues the simulation
-// bit-identically to the uninterrupted run.
+// bit-identically to the uninterrupted run. A snapshot lists its pending
+// events in whatever order the capture met them; Restore sorts snap.Events by
+// sequence number, in place.
 func Restore(w *World, snap *Snapshot) error {
 	if w.BuildSeq != snap.BuildSeq {
 		return fmt.Errorf("checkpoint: rebuild scheduled %d build events, snapshot recorded %d — the builds diverged",
@@ -564,6 +549,7 @@ func Restore(w *World, snap *Snapshot) error {
 	// Event reconciliation: cancel the rebuilt build-time events the
 	// original run had already consumed, land the clock, then re-insert the
 	// runtime events in sequence order.
+	sort.Slice(snap.Events, func(i, j int) bool { return snap.Events[i].Seq < snap.Events[j].Seq })
 	keep := make(map[uint64]bool, len(snap.Events))
 	for _, ev := range snap.Events {
 		if ev.Kind == EvBuild {
@@ -584,7 +570,10 @@ func Restore(w *World, snap *Snapshot) error {
 				return fmt.Errorf("checkpoint: event %d names link %d of %d", ev.Seq, ev.Index, len(links))
 			}
 			l := links[ev.Index]
-			pkt := w.Net.RestorePacket(ev.Packet)
+			pkt, err := w.Net.RestorePacket(ev.Packet)
+			if err != nil {
+				return err
+			}
 			if err := l.RestoreInFlight(pkt, ev.At, ev.Seq); err != nil {
 				return err
 			}

@@ -14,21 +14,21 @@ import (
 )
 
 // Encode serializes a snapshot into the sectioned wire format. The encoders
-// run twice — first against a counting writer, then for real — so the output
-// is one allocation of exactly the encoded size, sized by the very code that
-// fills it. It is a fresh buffer on every call: callers hand it to sinks that
-// keep it.
+// run once, into a scratch buffer the snapshot keeps for its next Encode — a
+// Session refills one Snapshot for the whole run, so the buffer is grown by
+// the first snapshots and written over by the rest. What is returned is a
+// copy of exactly the encoded size, a fresh one on every call: callers hand
+// it to sinks that keep it. Encode must not run concurrently on one Snapshot.
 func Encode(snap *Snapshot) []byte {
-	w := &writer{counting: true}
+	w := &writer{b: snap.scratch[:0]}
 	encodeSnapshot(w, snap)
-	*w = writer{b: make([]byte, 0, w.n)}
-	encodeSnapshot(w, snap)
-	return w.b
+	snap.scratch = w.b
+	return append(make([]byte, 0, len(w.b)), w.b...)
 }
 
 func encodeSnapshot(w *writer, snap *Snapshot) {
 	w.raw(snapshotMagic[:])
-	w.u32(SnapshotVersion)
+	w.fixed32(SnapshotVersion)
 
 	w.section(secScenario, func(w *writer) { w.bytes(snap.Scenario) })
 
@@ -61,7 +61,7 @@ func encodeSnapshot(w *writer, snap *Snapshot) {
 			w.boolean(pr.State.Live)
 			w.u64(pr.State.EntryHash)
 			encodeLabel(w, pr.State.Label)
-			w.i64(int64(pr.State.Proto))
+			w.u8(uint8(pr.State.Proto))
 			w.i64(pr.State.Seq)
 		}
 	})
@@ -316,8 +316,8 @@ func encodeEvent(w *writer, ev *EventState) {
 		p := &ev.Packet
 		w.u64(p.ID)
 		encodeLabel(w, p.Label)
-		w.u32(uint32(p.Kind))
-		w.u32(uint32(p.Proto))
+		w.u8(uint8(p.Kind))
+		w.u8(uint8(p.Proto))
 		w.i64(p.Seq)
 		w.i64(p.Size)
 		w.i64(p.SentAt)
@@ -365,7 +365,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	if string(magic) != string(snapshotMagic[:]) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	if v := r.u32(); r.err == nil && v != SnapshotVersion {
+	if v := r.fixed32(); r.err == nil && v != SnapshotVersion {
 		return nil, fmt.Errorf("%w: file is version %d, this build reads %d", ErrVersion, v, SnapshotVersion)
 	}
 	if r.err != nil {
@@ -376,7 +376,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	seen := make(map[uint8]bool)
 	for r.remaining() > 0 {
 		kind := r.u8()
-		payload := r.take(int(r.u32()))
+		payload := r.take(int(r.fixed32()))
 		if r.err != nil {
 			return nil, r.err
 		}
@@ -417,34 +417,34 @@ func decodeSection(r *reader, kind uint8, snap *Snapshot) {
 		snap.Processed = r.u64()
 
 	case secRNG:
-		n := r.count(16)
+		n := r.count(2)
 		snap.Streams = make([]StreamState, 0, n)
 		for i := 0; i < n && r.err == nil; i++ {
 			snap.Streams = append(snap.Streams, StreamState{Seed: r.i64(), Draws: r.u64()})
 		}
 
 	case secEvents:
-		n := r.count(17)
+		n := r.count(3)
 		snap.Events = make([]EventState, 0, n)
 		for i := 0; i < n && r.err == nil; i++ {
 			snap.Events = append(snap.Events, decodeEvent(r))
 		}
 
 	case secProbeRecs:
-		n := r.count(41)
+		n := r.count(9)
 		snap.ProbeRecs = make([]ProbeRec, 0, n)
 		for i := 0; i < n && r.err == nil; i++ {
 			pr := ProbeRec{Def: r.u32()}
 			pr.State.Live = r.boolean()
 			pr.State.EntryHash = r.u64()
 			pr.State.Label = decodeLabel(r)
-			pr.State.Proto = netsim.Protocol(r.i64())
+			pr.State.Proto = netsim.Protocol(r.u8())
 			pr.State.Seq = r.i64()
 			snap.ProbeRecs = append(snap.ProbeRecs, pr)
 		}
 
 	case secLinks:
-		n := r.count(41)
+		n := r.count(6)
 		snap.Links = make([]netsim.LinkState, 0, n)
 		for i := 0; i < n && r.err == nil; i++ {
 			snap.Links = append(snap.Links, netsim.LinkState{
@@ -458,7 +458,7 @@ func decodeSection(r *reader, kind uint8, snap *Snapshot) {
 		}
 
 	case secNodes:
-		n := r.count(25)
+		n := r.count(4)
 		snap.Nodes = make([]NodeState, 0, n)
 		for i := 0; i < n && r.err == nil; i++ {
 			ns := NodeState{ID: netsim.NodeID(r.i64()), Router: r.boolean()}
@@ -479,7 +479,7 @@ func decodeSection(r *reader, kind uint8, snap *Snapshot) {
 		snap.Network.NextPktID = r.u64()
 		snap.Network.TopoVersion = r.u64()
 		snap.Network.FaultDrops = r.u64()
-		n := r.count(8)
+		n := r.count(1)
 		snap.Network.RouteDests = make([]netsim.NodeID, 0, n)
 		for i := 0; i < n && r.err == nil; i++ {
 			snap.Network.RouteDests = append(snap.Network.RouteDests, netsim.NodeID(r.i64()))
@@ -490,7 +490,7 @@ func decodeSection(r *reader, kind uint8, snap *Snapshot) {
 		snap.Monitor.EpochStart = r.time()
 		snap.Monitor.Stop = r.boolean()
 		snap.Monitor.Running = r.boolean()
-		n := r.count(72)
+		n := r.count(11)
 		snap.Monitor.Counters = make([]trafficmatrix.CounterState, 0, n)
 		for i := 0; i < n && r.err == nil; i++ {
 			snap.Monitor.Counters = append(snap.Monitor.Counters, trafficmatrix.CounterState{
@@ -524,7 +524,7 @@ func decodeSection(r *reader, kind uint8, snap *Snapshot) {
 		st.Activated = r.boolean()
 		st.ActivationAt = r.time()
 		st.Counts = decodeCounts(r)
-		n := r.count(32)
+		n := r.count(4)
 		st.Bins = make([]metrics.BandwidthPoint, 0, n)
 		for i := 0; i < n && r.err == nil; i++ {
 			st.Bins = append(st.Bins, metrics.BandwidthPoint{
@@ -540,13 +540,13 @@ func decodeSection(r *reader, kind uint8, snap *Snapshot) {
 		switch snap.DefKind {
 		case DefNone:
 		case DefMAFIC:
-			n := r.count(145)
+			n := r.count(20)
 			snap.Defenders = make([]core.DefenderState, 0, n)
 			for i := 0; i < n && r.err == nil; i++ {
 				snap.Defenders = append(snap.Defenders, decodeDefender(r))
 			}
 		case DefBaseline:
-			n := r.count(29)
+			n := r.count(5)
 			snap.Droppers = make([]baseline.DropperState, 0, n)
 			for i := 0; i < n && r.err == nil; i++ {
 				d := baseline.DropperState{Active: r.boolean(), VictimIP: netsim.IP(r.u32())}
@@ -560,7 +560,7 @@ func decodeSection(r *reader, kind uint8, snap *Snapshot) {
 		}
 
 	case secFlows:
-		n := r.count(99)
+		n := r.count(29)
 		snap.Flows = make([]traffic.FlowState, 0, n)
 		for i := 0; i < n && r.err == nil; i++ {
 			snap.Flows = append(snap.Flows, traffic.FlowState{
@@ -583,7 +583,7 @@ func decodeSection(r *reader, kind uint8, snap *Snapshot) {
 		}
 
 	case secVictims:
-		n := r.count(32)
+		n := r.count(4)
 		snap.Victims = make([]traffic.VictimServerState, 0, n)
 		for i := 0; i < n && r.err == nil; i++ {
 			snap.Victims = append(snap.Victims, traffic.VictimServerState{
@@ -678,14 +678,14 @@ func decodeDefender(r *reader) core.DefenderState {
 	d.Stats.FlowsReprobed = r.u64()
 	d.Stats.FlowsRepeatCondemned = r.u64()
 	d.ProbeSeqs = r.u64()
-	n := r.count(10)
+	n := r.count(2)
 	if n > 0 {
 		d.ProbeMemory = make([]core.ProbeMemoryEntry, 0, n)
 	}
 	for i := 0; i < n && r.err == nil; i++ {
 		d.ProbeMemory = append(d.ProbeMemory, core.ProbeMemoryEntry{LabelHash: r.u64(), Count: r.u16()})
 	}
-	n = r.count(84)
+	n = r.count(11)
 	if n > 0 {
 		d.Tables.Entries = make([]flowtable.Entry, 0, n)
 	}
@@ -705,7 +705,7 @@ func decodeDefender(r *reader) core.DefenderState {
 		})
 	}
 	d.Tables.Evictions = r.u64()
-	tn := r.count(8)
+	tn := r.count(1)
 	if r.err == nil && tn != len(d.Tables.Transitions) {
 		r.fail("transition table has %d counters, expected %d", tn, len(d.Tables.Transitions))
 	}
@@ -725,8 +725,8 @@ func decodeEvent(r *reader) EventState {
 		ev.Index = r.u32()
 		ev.Packet.ID = r.u64()
 		ev.Packet.Label = decodeLabel(r)
-		ev.Packet.Kind = int32(r.u32())
-		ev.Packet.Proto = int32(r.u32())
+		ev.Packet.Kind = netsim.PacketKind(r.u8())
+		ev.Packet.Proto = netsim.Protocol(r.u8())
 		ev.Packet.Seq = r.i64()
 		ev.Packet.Size = r.i64()
 		ev.Packet.SentAt = r.i64()
@@ -737,14 +737,14 @@ func decodeEvent(r *reader) EventState {
 		ev.Report.Epoch = r.i64()
 		ev.Report.Start = r.time()
 		ev.Report.End = r.time()
-		n := r.count(8)
+		n := r.count(1)
 		ev.Report.Routers = make([]netsim.NodeID, 0, n)
 		for i := 0; i < n && r.err == nil; i++ {
 			ev.Report.Routers = append(ev.Report.Routers, netsim.NodeID(r.i64()))
 		}
 		ev.Report.SourceEst = decodeF64s(r)
 		ev.Report.DestEst = decodeF64s(r)
-		n = r.count(24)
+		n = r.count(10)
 		ev.Report.Matrix = make([]trafficmatrix.Cell, 0, n)
 		for i := 0; i < n && r.err == nil; i++ {
 			ev.Report.Matrix = append(ev.Report.Matrix, trafficmatrix.Cell{

@@ -11,16 +11,21 @@ import (
 
 // The snapshot wire format is a self-describing sectioned binary layout:
 //
-//	magic "MAFICSNP" | version u32 | section*
-//	section := kind u8 | length u32 | payload
+//	magic "MAFICSNP" | version | section*
+//	section := kind u8 | length | payload
 //
-// Every multi-byte integer is little-endian; floats travel as their IEEE-754
-// bit patterns. The decoder is deliberately paranoid — every length is
-// checked against the remaining bytes before it is trusted, and slice
-// preallocation is bounded by what the payload could possibly hold — so
-// truncated, bit-flipped or adversarial inputs fail with a clean error
-// instead of panicking or allocating unboundedly. The fuzz target in the
-// experiment package drives exactly that property.
+// The version and the section lengths are fixed little-endian u32 words (a
+// length is patched in once its payload is written); inside a payload u8 and
+// bool are one byte, u16/u32/u64 a LEB128 varint, i64 and time a zigzag
+// varint, f64 its IEEE-754 bits in 8 little-endian bytes, a byte string or
+// list its u32 length or count and then the contents. The decoder is
+// deliberately paranoid — every length is checked against the remaining bytes
+// before it is trusted, a varint that runs past ten bytes or past the width it
+// is read at is refused, and slice preallocation is bounded by what the
+// payload could possibly hold — so truncated, bit-flipped or adversarial
+// inputs fail with a clean error instead of panicking or allocating
+// unboundedly. The fuzz target in the experiment package drives exactly that
+// property.
 
 // Magic and version of the snapshot format.
 var snapshotMagic = [8]byte{'M', 'A', 'F', 'I', 'C', 'S', 'N', 'P'}
@@ -29,9 +34,9 @@ var snapshotMagic = [8]byte{'M', 'A', 'F', 'I', 'C', 'S', 'N', 'P'}
 // section's layout changes; the coverage guard test forces a bump whenever a
 // snapshotted struct grows a field.
 //
-// Version 2 is version 1 without the per-packet transmit-done events (kind
-// 2); a version 1 file is refused, not migrated. See "Version 2" in doc.go.
-const SnapshotVersion uint32 = 2
+// Version 3 is version 2 with varint integers and untouched sketches elided;
+// a file of an earlier version is refused, not migrated. See doc.go.
+const SnapshotVersion uint32 = 3
 
 // ErrCorrupt is wrapped by every decode error.
 var ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
@@ -60,30 +65,13 @@ const (
 	secFlags       uint8 = 15
 )
 
-// writer accumulates the encoded snapshot. In counting mode it only adds up
-// what would have been written, which is how Encode sizes its one buffer with
-// the very encoders that then fill it.
+// writer accumulates the encoded snapshot.
 type writer struct {
-	b        []byte
-	n        int
-	counting bool
+	b []byte
 }
 
-func (w *writer) raw(v []byte) {
-	if w.counting {
-		w.n += len(v)
-		return
-	}
-	w.b = append(w.b, v...)
-}
-
-func (w *writer) u8(v uint8) {
-	if w.counting {
-		w.n++
-		return
-	}
-	w.b = append(w.b, v)
-}
+func (w *writer) raw(v []byte) { w.b = append(w.b, v...) }
+func (w *writer) u8(v uint8)   { w.b = append(w.b, v) }
 
 func (w *writer) boolean(v bool) {
 	if v {
@@ -93,32 +81,21 @@ func (w *writer) boolean(v bool) {
 	}
 }
 
-func (w *writer) u16(v uint16) {
-	if w.counting {
-		w.n += 2
-		return
-	}
-	w.b = binary.LittleEndian.AppendUint16(w.b, v)
-}
-
-func (w *writer) u32(v uint32) {
-	if w.counting {
-		w.n += 4
-		return
-	}
-	w.b = binary.LittleEndian.AppendUint32(w.b, v)
-}
+// fixed32 is the word the file and section headers are made of.
+func (w *writer) fixed32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
 
 func (w *writer) u64(v uint64) {
-	if w.counting {
-		w.n += 8
+	if v < 0x80 { // most of a snapshot: idle counters, small indices, flags
+		w.b = append(w.b, byte(v))
 		return
 	}
-	w.b = binary.LittleEndian.AppendUint64(w.b, v)
+	w.b = binary.AppendUvarint(w.b, v)
 }
 
-func (w *writer) i64(v int64)     { w.u64(uint64(v)) }
-func (w *writer) f64(v float64)   { w.u64(math.Float64bits(v)) }
+func (w *writer) u16(v uint16)    { w.u64(uint64(v)) }
+func (w *writer) u32(v uint32)    { w.u64(uint64(v)) }
+func (w *writer) i64(v int64)     { w.u64(uint64(v<<1) ^ uint64(v>>63)) }
+func (w *writer) f64(v float64)   { w.b = binary.LittleEndian.AppendUint64(w.b, math.Float64bits(v)) }
 func (w *writer) time(v sim.Time) { w.i64(int64(v)) }
 
 func (w *writer) bytes(v []byte) {
@@ -131,11 +108,9 @@ func (w *writer) bytes(v []byte) {
 func (w *writer) section(kind uint8, fn func(*writer)) {
 	w.u8(kind)
 	lenAt := len(w.b)
-	w.u32(0) // patched below
+	w.fixed32(0) // patched below
 	fn(w)
-	if !w.counting {
-		binary.LittleEndian.PutUint32(w.b[lenAt:], uint32(len(w.b)-lenAt-4))
-	}
+	binary.LittleEndian.PutUint32(w.b[lenAt:], uint32(len(w.b)-lenAt-4))
 }
 
 // reader consumes an encoded snapshot with a sticky error: after the first
@@ -178,15 +153,7 @@ func (r *reader) u8() uint8 {
 
 func (r *reader) boolean() bool { return r.u8() != 0 }
 
-func (r *reader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *reader) u32() uint32 {
+func (r *reader) fixed32() uint32 {
 	b := r.take(4)
 	if b == nil {
 		return 0
@@ -195,15 +162,45 @@ func (r *reader) u32() uint32 {
 }
 
 func (r *reader) u64() uint64 {
+	if r.err == nil && r.off < len(r.b) && r.b[r.off] < 0x80 {
+		r.off++
+		return uint64(r.b[r.off-1])
+	}
+	v, n := binary.Uvarint(r.b[r.off:])
+	if r.err != nil || n <= 0 {
+		r.fail("varint at offset %d is cut short or overflows 64 bits", r.off)
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// narrow reads a varint that must fit in the given number of bits.
+func (r *reader) narrow(bits uint) uint64 {
+	v := r.u64()
+	if v>>bits != 0 {
+		r.fail("value %d overflows %d bits", v, bits)
+		return 0
+	}
+	return v
+}
+
+func (r *reader) u16() uint16 { return uint16(r.narrow(16)) }
+func (r *reader) u32() uint32 { return uint32(r.narrow(32)) }
+
+func (r *reader) i64() int64 {
+	v := r.u64()
+	return int64(v>>1) ^ -int64(v&1)
+}
+
+func (r *reader) f64() float64 {
 	b := r.take(8)
 	if b == nil {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(b)
+	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
-func (r *reader) i64() int64     { return int64(r.u64()) }
-func (r *reader) f64() float64   { return math.Float64frombits(r.u64()) }
 func (r *reader) time() sim.Time { return sim.Time(r.i64()) }
 
 func (r *reader) bytes() []byte {
@@ -216,8 +213,8 @@ func (r *reader) bytes() []byte {
 }
 
 // count reads a u32 element count and verifies the payload could actually
-// hold that many elements of at least minElemSize bytes, bounding any
-// preallocation by the real input size.
+// hold that many elements of at least minElemSize bytes (every varint in one
+// byte, every nested list empty), bounding any preallocation by the input.
 func (r *reader) count(minElemSize int) int {
 	n := int(r.u32())
 	if r.err != nil {

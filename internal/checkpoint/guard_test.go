@@ -24,7 +24,7 @@ import (
 // against. Changing any snapshotted struct forces an edit here, and the guard
 // requires the two versions to move together: you cannot grow a watched
 // struct without consciously deciding whether the snapshot layout changed.
-const manifestVersion uint32 = 2
+const manifestVersion uint32 = 3
 
 // watchedPackages collects every package's checkpoint-watched types.
 var watchedPackages = []struct {
@@ -57,9 +57,11 @@ var fieldManifest = map[string][]string{
 	"checkpoint.NodeState":      {"H", "ID", "R", "Router"},
 	"checkpoint.ProbeRec":       {"Def", "State"},
 	"checkpoint.RunFlags":       {"ATRCount", "Activated", "ActivationSeconds", "DetectedByPushback"},
-	"checkpoint.Snapshot":       {"BuildSeq", "Collector", "Coordinator", "DefKind", "Defenders", "Droppers", "Events", "Flags", "Flows", "Links", "Monitor", "Network", "NextSeq", "Nodes", "Now", "ProbeRecs", "Processed", "Scenario", "Streams", "Victims"},
+	"checkpoint.Snapshot":       {"BuildSeq", "Collector", "Coordinator", "DefKind", "Defenders", "Droppers", "Events", "Flags", "Flows", "Links", "Monitor", "Network", "NextSeq", "Nodes", "Now", "ProbeRecs", "Processed", "Scenario", "Streams", "Victims", "scratch"}, // scratch: Encode's output scratch, not on the wire
+	"checkpoint.Session":        {"World", "builtFor", "handlers", "links", "probeIdx", "reports", "snap"},                                                                                                                                                                 // capture scratch around the one Snapshot; events go straight into snap.Events, unsorted
 	"checkpoint.StreamState":    {"Draws", "Seed"},
 	"checkpoint.World":          {"Baseline", "BuildSeq", "Collector", "Coordinator", "Flags", "MAFIC", "Monitor", "Net", "RNG", "Sched", "Workload"},
+	"checkpoint.writer":         {"b"}, // one pass into one buffer: no counting mode
 	"core.Defender":             {"active", "cfg", "observer", "probeChunks", "probeFree", "probeMemory", "probeSend", "probeSeqs", "rng", "router", "stats", "tables", "victimIP", "windowEnd"},
 	"core.Stats":                {"Dropped", "DroppedIllegal", "DroppedPDT", "DroppedProbing", "Examined", "FlowsCondemned", "FlowsIllegal", "FlowsNice", "FlowsProbed", "FlowsRepeatCondemned", "FlowsReprobed", "Forwarded", "ProbesSent"},
 	"core.probeRecord":          {"entry", "gen", "label", "next", "proto", "seq"},

@@ -158,53 +158,61 @@ func TestStoreLatestValidFallsBackPastBitFlip(t *testing.T) {
 	}
 }
 
-// asVersion1 rewrites the header of an encoded snapshot to the retired
-// format version, which is all Decode ever reads of such a file.
-func asVersion1(data []byte) []byte {
+// retiredVersions are the format versions earlier builds wrote.
+var retiredVersions = []uint32{1, 2}
+
+// asVersion rewrites the header of an encoded snapshot to a retired format
+// version, which is all Decode ever reads of such a file.
+func asVersion(data []byte, version uint32) []byte {
 	out := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint32(out[len(snapshotMagic):], 1)
+	binary.LittleEndian.PutUint32(out[len(snapshotMagic):], version)
 	return out
 }
 
-// TestDecodeRefusesVersion1 pins the version-1 story: such a file is not
-// migrated (it holds transmit-done events this build cannot dispatch and a
-// Processed count on the old scale) but refused with ErrVersion, which is
-// also an ErrCorrupt so that everything walking past corrupt files walks past
-// it; and the retired event kind is refused wherever it turns up.
+// TestDecodeRefusesVersion1 pins the story of every retired version: such a
+// file is not migrated (a version 1 file holds transmit-done events this
+// build cannot dispatch and a Processed count on the old scale, a version 2
+// file fixed-width integers this build would misread) but refused with
+// ErrVersion, which is also an ErrCorrupt so that everything walking past
+// corrupt files walks past it; and the retired event kind is refused wherever
+// it turns up.
 func TestDecodeRefusesVersion1(t *testing.T) {
-	_, err := Decode(asVersion1(syntheticSnapshot("old", sim.Second)))
-	if !errors.Is(err, ErrVersion) || !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Decode of a version 1 file: %v, want ErrVersion (an ErrCorrupt)", err)
+	for _, v := range retiredVersions {
+		_, err := Decode(asVersion(syntheticSnapshot("old", sim.Second), v))
+		if !errors.Is(err, ErrVersion) || !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Decode of a version %d file: %v, want ErrVersion (an ErrCorrupt)", v, err)
+		}
 	}
 	if _, err := Decode(syntheticSnapshot("new", sim.Second)); err != nil {
 		t.Fatalf("Decode of a current file: %v", err)
 	}
 	const evLinkTx = 2
-	_, err = Decode(Encode(&Snapshot{Events: []EventState{{At: sim.Second, Seq: 7, Kind: evLinkTx}}}))
+	_, err := Decode(Encode(&Snapshot{Events: []EventState{{At: sim.Second, Seq: 7, Kind: evLinkTx}}}))
 	if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrVersion) {
 		t.Fatalf("Decode of a transmit-done event: %v, want ErrCorrupt", err)
 	}
 }
 
 func TestStoreLatestValidSkipsVersion1(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenStore(dir, 4)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	older := syntheticSnapshot("older", 100*sim.Millisecond)
-	if err := st.Save(100*sim.Millisecond, older); err != nil {
-		t.Fatalf("save older: %v", err)
-	}
-	if err := st.Save(200*sim.Millisecond, asVersion1(syntheticSnapshot("newer", 200*sim.Millisecond))); err != nil {
-		t.Fatalf("save newer: %v", err)
-	}
-	data, info, skipped, err := st.LatestValid()
-	if err != nil {
-		t.Fatalf("LatestValid: %v", err)
-	}
-	if !bytes.Equal(data, older) || info.Seq != 1 || len(skipped) != 1 || skipped[0].Seq != 2 {
-		t.Errorf("landed on seq %d skipping %v, want seq 1 skipping the version 1 file", info.Seq, skipped)
+	for _, v := range retiredVersions {
+		st, err := OpenStore(t.TempDir(), 4)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		older := syntheticSnapshot("older", 100*sim.Millisecond)
+		if err := st.Save(100*sim.Millisecond, older); err != nil {
+			t.Fatalf("save older: %v", err)
+		}
+		if err := st.Save(200*sim.Millisecond, asVersion(syntheticSnapshot("newer", 200*sim.Millisecond), v)); err != nil {
+			t.Fatalf("save newer: %v", err)
+		}
+		data, info, skipped, err := st.LatestValid()
+		if err != nil {
+			t.Fatalf("LatestValid: %v", err)
+		}
+		if !bytes.Equal(data, older) || info.Seq != 1 || len(skipped) != 1 || skipped[0].Seq != 2 {
+			t.Errorf("landed on seq %d skipping %v, want seq 1 skipping the version %d file", info.Seq, skipped, v)
+		}
 	}
 }
 

@@ -5,11 +5,15 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"mafic/internal/checkpoint"
+	"mafic/internal/loglog"
+	"mafic/internal/netsim"
 	"mafic/internal/sim"
 	"mafic/internal/topology"
 )
@@ -239,6 +243,56 @@ func miscountLinkQueue(snap *checkpoint.Snapshot) bool {
 	return true
 }
 
+// editFirstArrival applies edit to the first packet the snapshot holds in
+// flight.
+func editFirstArrival(edit func(*netsim.PacketState)) func(*checkpoint.Snapshot) bool {
+	return func(snap *checkpoint.Snapshot) bool {
+		for i := range snap.Events {
+			if snap.Events[i].Kind == checkpoint.EvLinkArrive {
+				edit(&snap.Events[i].Packet)
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// editFirstTouchedSketch applies edit to the first sketch of the monitor
+// something has been added to.
+func editFirstTouchedSketch(edit func(*loglog.SketchState)) func(*checkpoint.Snapshot) bool {
+	return func(snap *checkpoint.Snapshot) bool {
+		for i := range snap.Monitor.Counters {
+			c := &snap.Monitor.Counters[i]
+			for _, st := range []*loglog.SketchState{&c.Source.Active, &c.Source.Shadow, &c.Dest.Active, &c.Dest.Shadow} {
+				if st.Adds > 0 {
+					edit(st)
+					return true
+				}
+			}
+		}
+		return false
+	}
+}
+
+// restoreRefusals are edits that leave a well-formed file Restore has to
+// refuse, each with what the refusal says. TestRestoreChecksLinkOccupancy
+// runs them; FuzzSnapshotDecode starts from them.
+var restoreRefusals = []struct {
+	name string
+	mut  func(*checkpoint.Snapshot) bool
+	want string
+}{
+	{"arrivals out of order", misorderLinkArrivals, "is not behind packet"},
+	{"queued disagrees", miscountLinkQueue, "still being transmitted"},
+	{"unknown packet kind", editFirstArrival(func(p *netsim.PacketState) { p.Kind = netsim.KindControl + 1 }), "kind 6,"},
+	{"no packet kind", editFirstArrival(func(p *netsim.PacketState) { p.Kind = 0 }), "kind 0,"},
+	{"unknown protocol", editFirstArrival(func(p *netsim.PacketState) { p.Proto = netsim.ProtoUDP + 1 }), "protocol 3,"},
+	{"negative packet size", editFirstArrival(func(p *netsim.PacketState) { p.Size = -p.Size }), "size -"},
+	{"negative hop count", editFirstArrival(func(p *netsim.PacketState) { p.Hops = -1 }), "hop count -1"},
+	{"buckets set, zero adds", editFirstTouchedSketch(func(st *loglog.SketchState) { st.Adds = 0 }), "non-zero buckets and zero adds"},
+	{"adds, no buckets", editFirstTouchedSketch(func(st *loglog.SketchState) { st.Buckets = nil }), "bucket count 0"},
+}
+
 // spliceRetiredKeys adds to the snapshot's scenario JSON the keys of the five
 // options that have been deleted, each at the value that selected its
 // deleted implementation (the scheduler backend at one no implementation
@@ -308,18 +362,14 @@ func mutateSnapshot(tb testing.TB, data []byte, mut func(*checkpoint.Snapshot) b
 // TestRestoreChecksLinkOccupancy pins that a link's occupancy and in-flight
 // chain are recomputed from the pending arrival events on restore and
 // checked against what the snapshot recorded, not trusted: a file that
-// decodes cleanly but is inconsistent there is refused, not run.
+// decodes cleanly but is inconsistent there is refused, not run. So is one
+// holding a packet no run could have sent (a kind or protocol outside the
+// declared sets, a negative size or hop count) or a sketch in a state no
+// sketch reaches (buckets set with nothing added, or the reverse).
 func TestRestoreChecksLinkOccupancy(t *testing.T) {
 	s := table2Quick(t)
 	data, _ := snapshotMidRun(t, s, s.Duration/2)
-	for _, tc := range []struct {
-		name string
-		mut  func(*checkpoint.Snapshot) bool
-		want string
-	}{
-		{"arrivals out of order", misorderLinkArrivals, "is not behind packet"},
-		{"queued disagrees", miscountLinkQueue, "still being transmitted"},
-	} {
+	for _, tc := range restoreRefusals {
 		_, err := RunFromSnapshot(mutateSnapshot(t, data, tc.mut))
 		if !errors.Is(err, ErrSnapshot) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: resume returned %v, want an ErrSnapshot saying %q", tc.name, err, tc.want)
@@ -488,5 +538,142 @@ func TestSessionMatchesFreshCapture(t *testing.T) {
 		if !saw {
 			t.Errorf("no run showed %s between snapshots; the guard is not exercising that reuse path", what)
 		}
+	}
+}
+
+// TestRestoreAcceptsAnyEventOrder pins where the ordering of pending events
+// lives: a capture lists them as the scheduler's arena holds them and Restore
+// sorts them, so the order in the file is free. A mid-run snapshot with its
+// events reversed, and shuffled, resumes to the result of the file as written.
+func TestRestoreAcceptsAnyEventOrder(t *testing.T) {
+	for _, name := range []string{"flap-core", "table2"} {
+		e, ok := LookupScenario(name)
+		if !ok {
+			t.Fatalf("scenario %q not registered", name)
+		}
+		s := Quick(e.Build())
+		data, want := snapshotMidRun(t, s, s.Duration/2)
+		orders := map[string]func(evs []checkpoint.EventState){
+			"reversed": slices.Reverse[[]checkpoint.EventState],
+			"shuffled": func(evs []checkpoint.EventState) {
+				rand.New(rand.NewSource(19)).Shuffle(len(evs), func(i, j int) { evs[i], evs[j] = evs[j], evs[i] })
+			},
+		}
+		for order, permute := range orders {
+			edited := mutateSnapshot(t, data, func(snap *checkpoint.Snapshot) bool {
+				permute(snap.Events)
+				return len(snap.Events) > 1
+			})
+			if bytes.Equal(edited, data) {
+				t.Fatalf("%s, %s: the edit left the snapshot as it was", name, order)
+			}
+			got, err := RunFromSnapshot(edited)
+			if err != nil {
+				t.Fatalf("%s, %s: resume: %v", name, order, err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				diffResults(t, name+" with events "+order, want, got)
+			}
+		}
+	}
+}
+
+// holdsSlice reports whether a value of type t has a slice anywhere inside,
+// remembering the answer per type.
+func holdsSlice(t reflect.Type) (holds bool) {
+	if holds, ok := sliceHolders[t]; ok {
+		return holds
+	}
+	defer func() { sliceHolders[t] = holds }()
+	switch t.Kind() {
+	case reflect.Slice:
+		return true
+	case reflect.Array:
+		return holdsSlice(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if holdsSlice(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+var sliceHolders = map[reflect.Type]bool{}
+
+// sameState reports whether two values are equal in everything a snapshot
+// file carries: a nil slice and an empty one are the same list, and the
+// unexported fields of a struct that holds slices (Snapshot's encode scratch)
+// are not state. Everything without a slice inside is compared with ==.
+func sameState(a, b reflect.Value) bool {
+	switch {
+	case !holdsSlice(a.Type()):
+		return a.Interface() == b.Interface()
+	case a.Kind() == reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if a.Type().Field(i).IsExported() && !sameState(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case a.Type().Elem().Kind() == reflect.Uint8:
+		return bytes.Equal(a.Bytes(), b.Bytes())
+	}
+	if a.Len() != b.Len() {
+		return false
+	}
+	for i := 0; i < a.Len(); i++ {
+		if !sameState(a.Index(i), b.Index(i)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDecodeInvertsEncode pins that the wire format loses nothing: for every
+// catalog entry, each Snapshot a run's session captures — the same pauses as
+// TestSessionMatchesFreshCapture — comes back from Decode(Encode(snap)) equal
+// to the captured one field for field, elided sketches and unordered events
+// included.
+func TestDecodeInvertsEncode(t *testing.T) {
+	for _, e := range Entries() {
+		s := Quick(e.Build())
+		sched := getScheduler()
+		b, err := buildRun(s, topology.NewArena(), sched)
+		if err != nil {
+			t.Fatalf("%s: build: %v", e.Name, err)
+		}
+		every := s.Duration / 8
+		if s.Faults.ReportDelayProb > 0 {
+			every = s.Faults.ReportDelay / 2
+		}
+		for at := every; at < s.Duration; at += every {
+			if err := sched.RunUntil(at); err != nil {
+				t.Fatalf("%s: run to %v: %v", e.Name, at, err)
+			}
+			data, err := b.snapshot()
+			if err != nil {
+				t.Fatalf("%s: snapshot at %v: %v", e.Name, at, err)
+			}
+			snap, err := b.session.Capture() // the same paused world, so the same Snapshot
+			if err != nil {
+				t.Fatalf("%s: capture at %v: %v", e.Name, at, err)
+			}
+			decoded, err := checkpoint.Decode(data)
+			if err != nil {
+				t.Fatalf("%s: decode at %v: %v", e.Name, at, err)
+			}
+			if !sameState(reflect.ValueOf(*snap), reflect.ValueOf(*decoded)) {
+				t.Errorf("%s: the snapshot at %v does not survive Encode and Decode", e.Name, at)
+			}
+		}
+		if err := sched.RunUntil(s.Duration); err != nil {
+			t.Fatalf("%s: run to the end: %v", e.Name, err)
+		}
+		if _, err := b.finish(); err != nil {
+			t.Fatalf("%s: finish: %v", e.Name, err)
+		}
+		putScheduler(sched)
 	}
 }

@@ -51,8 +51,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Add(stale)
 		// Well-formed files Restore has to refuse: see
 		// TestRestoreChecksLinkOccupancy.
-		f.Add(mutateSnapshot(f, data, misorderLinkArrivals))
-		f.Add(mutateSnapshot(f, data, miscountLinkQueue))
+		for _, tc := range restoreRefusals {
+			f.Add(mutateSnapshot(f, data, tc.mut))
+		}
 		f.Add(data[:len(data)/2])
 		f.Add(data[:len(data)/3])
 		flipped := append([]byte(nil), data...)
@@ -61,8 +62,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("MAFICSNP"))
-	f.Add([]byte("MAFICSNP\x01\x00\x00\x00")) // the retired version 1
+	f.Add([]byte("MAFICSNP\x01\x00\x00\x00")) // the retired versions 1 and 2
 	f.Add([]byte("MAFICSNP\x02\x00\x00\x00"))
+	f.Add([]byte("MAFICSNP\x03\x00\x00\x00"))
 	stopped := make(chan struct{})
 	close(stopped)
 

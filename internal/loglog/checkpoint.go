@@ -1,28 +1,43 @@
 package loglog
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // SketchState is the dynamic state of one sketch. The parameters (bucket
 // count, hash split) are rebuild-covered; only the bucket contents and the
-// add counter travel in a snapshot.
+// add counter travel in a snapshot. A sketch nothing was added to is all
+// zero, and travels in the empty form: no Buckets, zero Adds.
 type SketchState struct {
 	Buckets []uint8
 	Adds    uint64
 }
 
 // CheckpointState captures the sketch's dynamic state into dst, reusing dst's
-// bucket backing.
+// bucket backing; an untouched sketch's buckets are not read.
 func (s *Sketch) CheckpointState(dst *SketchState) {
-	dst.Buckets = append(dst.Buckets[:0], s.buckets...)
+	dst.Buckets = dst.Buckets[:0]
+	if s.adds != 0 {
+		dst.Buckets = append(dst.Buckets, s.buckets...)
+	}
 	dst.Adds = s.adds
 }
 
 // RestoreState overlays captured dynamic state onto a rebuilt sketch of the
-// same geometry.
+// same geometry; the empty form resets it. Buckets set with zero Adds is
+// refused: Estimate answers that 0 unseen, so no sketch can have reached it.
 func (s *Sketch) RestoreState(st SketchState) error {
+	if len(st.Buckets) == 0 && st.Adds == 0 {
+		s.Reset()
+		return nil
+	}
 	if len(st.Buckets) != len(s.buckets) {
-		return fmt.Errorf("loglog: restore bucket count %d does not match rebuilt sketch %d",
-			len(st.Buckets), len(s.buckets))
+		return fmt.Errorf("loglog: restore bucket count %d (with %d adds) does not match rebuilt sketch %d",
+			len(st.Buckets), st.Adds, len(s.buckets))
+	}
+	if st.Adds == 0 && slices.ContainsFunc(st.Buckets, func(b uint8) bool { return b != 0 }) {
+		return fmt.Errorf("loglog: restore has non-zero buckets and zero adds")
 	}
 	copy(s.buckets, st.Buckets)
 	s.adds = st.Adds

@@ -215,8 +215,8 @@ var CheckpointTypes = []any{
 type PacketState struct {
 	ID        uint64
 	Label     FlowLabel
-	Kind      int32
-	Proto     int32
+	Kind      PacketKind
+	Proto     Protocol
 	Seq       int64
 	Size      int64
 	SentAt    int64
@@ -230,8 +230,8 @@ func CapturePacket(p *Packet, dst *PacketState) {
 	*dst = PacketState{
 		ID:        p.ID,
 		Label:     p.Label,
-		Kind:      int32(p.Kind),
-		Proto:     int32(p.Proto),
+		Kind:      p.Kind,
+		Proto:     p.Proto,
 		Seq:       p.Seq,
 		Size:      int64(p.Size),
 		SentAt:    p.SentAt,
@@ -242,13 +242,19 @@ func CapturePacket(p *Packet, dst *PacketState) {
 }
 
 // RestorePacket materializes an in-flight packet from the network's pool,
-// for use as the payload of a re-inserted link-arrival event.
-func (n *Network) RestorePacket(st PacketState) *Packet {
+// for use as the payload of a re-inserted link-arrival event. It refuses a
+// packet no run could have sent: an undeclared kind or protocol, a negative
+// size (a negative transmission time) or hop count.
+func (n *Network) RestorePacket(st PacketState) (*Packet, error) {
+	if st.Kind < KindData || st.Kind > KindControl || st.Proto < ProtoTCP || st.Proto > ProtoUDP || st.Size < 0 || st.Hops < 0 {
+		return nil, fmt.Errorf("netsim: restore packet %d is none a run could send: kind %d, protocol %d, size %d, hop count %d",
+			st.ID, uint8(st.Kind), uint8(st.Proto), st.Size, st.Hops)
+	}
 	p := n.NewPacket()
 	p.ID = st.ID
 	p.Label = st.Label
-	p.Kind = PacketKind(st.Kind)
-	p.Proto = Protocol(st.Proto)
+	p.Kind = st.Kind
+	p.Proto = st.Proto
 	p.Seq = st.Seq
 	p.Size = int(st.Size)
 	p.SentAt = st.SentAt
@@ -256,5 +262,5 @@ func (n *Network) RestorePacket(st PacketState) *Packet {
 	p.FlowID = int(st.FlowID)
 	p.Malicious = st.Malicious
 	p.SetFlowHash(st.Label.Hash())
-	return p
+	return p, nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -177,67 +178,72 @@ func TestRestartFallsBackPastCorruptNewestSnapshot(t *testing.T) {
 }
 
 // TestRecoveryFromVersion1Store is the upgrade path: the store was left
-// behind by a build that wrote snapshot version 1, mid-job. Such snapshots
-// are not migrated — this build cannot dispatch what they hold — so recovery
-// walks past every one of them and runs the job again from time zero, and the
-// result it serves is byte for byte that of a run that was never interrupted.
+// behind by a build that wrote an earlier snapshot version (1, with its
+// transmit-done events, or 2, with fixed-width integers), mid-job. Such
+// snapshots are not migrated, so recovery walks past every one of them and
+// runs the job again from time zero, and the result it serves is byte for
+// byte that of a run that was never interrupted.
 func TestRecoveryFromVersion1Store(t *testing.T) {
-	spec := resumableSpec()
-	dir := t.TempDir()
+	for _, version := range []uint32{1, 2} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			spec := resumableSpec()
+			dir := t.TempDir()
 
-	leaveJobMidRun(t, dir, spec)
+			leaveJobMidRun(t, dir, spec)
 
-	// Head every snapshot as version 1: the header is all this build reads
-	// of such a file.
-	jobDir := filepath.Join(dir, "jobs", "000001")
-	names := snapNames(t, jobDir)
-	if len(names) < 2 {
-		t.Fatalf("need a store with several snapshots, have %v", names)
-	}
-	for _, name := range names {
-		path := filepath.Join(jobDir, name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("read snapshot: %v", err)
-		}
-		binary.LittleEndian.PutUint32(data[len("MAFICSNP"):], 1)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatalf("rewrite snapshot: %v", err)
-		}
-	}
+			// Head every snapshot as the retired version: the header is all this
+			// build reads of such a file.
+			jobDir := filepath.Join(dir, "jobs", "000001")
+			names := snapNames(t, jobDir)
+			if len(names) < 2 {
+				t.Fatalf("need a store with several snapshots, have %v", names)
+			}
+			for _, name := range names {
+				path := filepath.Join(jobDir, name)
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("read snapshot: %v", err)
+				}
+				binary.LittleEndian.PutUint32(data[len("MAFICSNP"):], version)
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatalf("rewrite snapshot: %v", err)
+				}
+			}
 
-	sv2, logs2 := newTestServer(t, Config{Dir: dir, Workers: 1, Keep: 4})
-	sv2.Start()
-	final := waitJob(t, sv2, 1, StateCompleted)
-	if final.ResumedFromMs != nil {
-		t.Errorf("job resumed from a version 1 snapshot at %v ms", *final.ResumedFromMs)
-	}
-	if m := sv2.Metrics(); m.Resumed != 0 || m.SnapshotsCorrupt != uint64(len(names)) {
-		t.Errorf("Resumed = %d, SnapshotsCorrupt = %d, want 0 and %d", m.Resumed, m.SnapshotsCorrupt, len(names))
-	}
-	if !strings.Contains(logs2.String(), "starting fresh") {
-		t.Errorf("the restart from time zero was not logged; logs:\n%s", logs2.String())
-	}
-	got, err := sv2.ResultBytes(1)
-	if err != nil {
-		t.Fatalf("ResultBytes: %v", err)
-	}
-	shutdown(t, sv2)
+			sv2, logs2 := newTestServer(t, Config{Dir: dir, Workers: 1, Keep: 4})
+			sv2.Start()
+			final := waitJob(t, sv2, 1, StateCompleted)
+			if final.ResumedFromMs != nil {
+				t.Errorf("job resumed from a retired-version snapshot at %v ms", *final.ResumedFromMs)
+			}
+			if m := sv2.Metrics(); m.Resumed != 0 || m.SnapshotsCorrupt != uint64(len(names)) {
+				t.Errorf("Resumed = %d, SnapshotsCorrupt = %d, want 0 and %d", m.Resumed, m.SnapshotsCorrupt, len(names))
+			}
+			if !strings.Contains(logs2.String(), "starting fresh") {
+				t.Errorf("the restart from time zero was not logged; logs:\n%s", logs2.String())
+			}
+			got, err := sv2.ResultBytes(1)
+			if err != nil {
+				t.Fatalf("ResultBytes: %v", err)
+			}
+			shutdown(t, sv2)
 
-	// The uninterrupted run, through a service of its own.
-	sv3, _ := newTestServer(t, Config{Dir: t.TempDir(), Workers: 1})
-	sv3.Start()
-	if _, err := sv3.Submit(spec); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	waitJob(t, sv3, 1, StateCompleted)
-	want, err := sv3.ResultBytes(1)
-	if err != nil {
-		t.Fatalf("ResultBytes: %v", err)
-	}
-	shutdown(t, sv3)
-	if !bytes.Equal(got, want) {
-		t.Error("result.json after recovery from a version 1 store differs from an uninterrupted run's")
+			// The uninterrupted run, through a service of its own.
+			sv3, _ := newTestServer(t, Config{Dir: t.TempDir(), Workers: 1})
+			sv3.Start()
+			if _, err := sv3.Submit(spec); err != nil {
+				t.Fatalf("submit: %v", err)
+			}
+			waitJob(t, sv3, 1, StateCompleted)
+			want, err := sv3.ResultBytes(1)
+			if err != nil {
+				t.Fatalf("ResultBytes: %v", err)
+			}
+			shutdown(t, sv3)
+			if !bytes.Equal(got, want) {
+				t.Error("result.json after recovery from a retired-version store differs from an uninterrupted run's")
+			}
+		})
 	}
 }
 
@@ -323,6 +329,32 @@ func TestCompletedJobSurvivesRestart(t *testing.T) {
 	}
 	if m := sv2.Metrics(); m.Recovered != 0 {
 		t.Errorf("completed job was re-enqueued: Recovered = %d", m.Recovered)
+	}
+}
+
+// TestUnwritableManifestIsLogged pins that a final state which cannot be
+// written down says so: with job.json replaced by a directory no manifest
+// write can land, the job fails (it could not even be marked running) and the
+// failure to persist that is logged with the job id rather than dropped —
+// after a restart this job would run again, and the log is the only trace.
+func TestUnwritableManifestIsLogged(t *testing.T) {
+	dir := t.TempDir()
+	sv, logs := newTestServer(t, Config{Dir: dir, Workers: 1})
+	if _, err := sv.Submit(quickSpec()); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	manifestPath := filepath.Join(dir, "jobs", "000001", "job.json")
+	if err := os.Remove(manifestPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(manifestPath, "in-the-way"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	sv.Start()
+	waitJob(t, sv, 1, StateFailed)
+	shutdown(t, sv)
+	if !strings.Contains(logs.String(), "job 1: persist manifest: ") {
+		t.Errorf("the manifest write failure was not logged; logs:\n%s", logs.String())
 	}
 }
 

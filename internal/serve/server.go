@@ -325,6 +325,14 @@ func (sv *Server) persistLocked(j *job) error {
 	return checkpoint.WriteFileAtomic(filepath.Join(sv.jobDir(j.id), "job.json"), append(data, '\n'), 0o644)
 }
 
+// persistOrLogLocked is persistLocked for a job's final state, which has no
+// caller to hand the error to: unwritten, the job runs again after a restart.
+func (sv *Server) persistOrLogLocked(j *job) {
+	if err := sv.persistLocked(j); err != nil {
+		sv.log.Printf("job %d: persist manifest: %v", j.id, err)
+	}
+}
+
 func (sv *Server) infoLocked(j *job) JobInfo {
 	info := JobInfo{
 		ID:          j.id,
@@ -501,7 +509,7 @@ func (sv *Server) runJob(j *job) {
 				j.state = StateCanceled
 				j.finished = sv.now()
 				sv.m.Canceled++
-				sv.persistLocked(j)
+				sv.persistOrLogLocked(j)
 				sv.mu.Unlock()
 				return
 			case stopDrain:
@@ -657,7 +665,7 @@ func (sv *Server) completeJob(j *job, st *checkpoint.Store, res experiment.Resul
 	j.finished = sv.now()
 	j.snapshots = 0
 	sv.m.Completed++
-	sv.persistLocked(j)
+	sv.persistOrLogLocked(j)
 	sv.mu.Unlock()
 	sv.log.Printf("job %d: completed after %d attempt(s)", j.id, j.attempts)
 }
@@ -668,7 +676,7 @@ func (sv *Server) failJob(j *job, msg string) {
 	j.errMsg = msg
 	j.finished = sv.now()
 	sv.m.Failed++
-	sv.persistLocked(j)
+	sv.persistOrLogLocked(j)
 	sv.mu.Unlock()
 	sv.log.Printf("job %d: FAILED: %s", j.id, msg)
 }
