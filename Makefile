@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet check golden fuzz bench bench-baseline bench-diff bench-smoke search search-baseline profile
+.PHONY: all build test vet check golden fuzz bench bench-baseline bench-diff bench-smoke bench-compare search search-baseline profile
 
 all: build test
 
@@ -31,7 +31,7 @@ check:
 golden:
 	$(GO) test ./internal/experiment -run TestGoldenScenarios -update
 
-# fuzz runs the four fuzz targets one after the other, FUZZTIME each (`go test
+# fuzz runs the five fuzz targets one after the other, FUZZTIME each (`go test
 # -fuzz` takes one target and one package at a time). `make check` only
 # replays their seed corpora; this mutates them. A crasher is written under
 # the package's testdata/fuzz/<target>/ — commit it, it is a regression test
@@ -44,6 +44,7 @@ fuzz:
 	$(GO) test ./internal/flowtable -run '^$$' -fuzz FuzzTablesOps -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/loglog -run '^$$' -fuzz FuzzSketchMerge -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/traffic -run '^$$' -fuzz FuzzRotatingSource -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzJobSpec -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 
 # bench measures the current engine (ns/op, B/op, allocs/op per figure
 # benchmark) and writes BENCH_current.json (untracked: this target and
@@ -75,6 +76,33 @@ bench-diff:
 # review.
 bench-smoke:
 	$(GO) run ./cmd/maficbench -benchmarks table2,stress-1k,stress-5k,stress-50k -diff BENCH_baseline.json -tolerance 0.25
+
+# bench-compare is the acceptance measurement of a perf PR, the paired recipe
+# of benchmark/README.md ("Comparing two commits") as one command: PARENT is
+# exported with `git archive` into a temporary directory, `./benchmark` is
+# built once from there and once from the working tree, the two binaries run
+# PAIRS times each (10 s per workload) taking turns to go first, and -compare
+# reads the two sets of reports. Without WORKLOAD every run is the whole suite,
+# untraced and traced (about four minutes a side, so PAIRS=10 is an hour and a
+# half); with WORKLOAD=<name> it is that workload's untraced run alone, which
+# is what the end-to-end verdicts are made of. Exits non-zero on any `worse`.
+PAIRS ?= 10
+bench-compare:
+	@test -n "$(PARENT)" || { echo "usage: make bench-compare PARENT=<rev> [WORKLOAD=<name>] [PAIRS=10]"; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	git archive --prefix=parent/ $(PARENT) | tar -x -C "$$tmp"; \
+	$(GO) build -C "$$tmp/parent" -o "$$tmp/bench.parent" ./benchmark; \
+	$(GO) build -o "$$tmp/bench.change" ./benchmark; \
+	i=1; while [ $$i -le $(PAIRS) ]; do \
+		order="parent change"; [ $$((i % 2)) = 0 ] && order="change parent"; \
+		for side in $$order; do \
+			echo "pair $$i of $(PAIRS): $$side" >&2; \
+			"$$tmp/bench.$$side" $(if $(WORKLOAD),-workload $(WORKLOAD) -trace 0,-trace 1) -seed $$i -seconds 10 \
+				-tmp "$$tmp/scratch" -out "$$tmp/$$side.$$i.json" >/dev/null; \
+		done; \
+		i=$$((i + 1)); \
+	done; \
+	"$$tmp/bench.change" -compare $$(ls "$$tmp"/parent.*.json | paste -sd,) $$(ls "$$tmp"/change.*.json | paste -sd,)
 
 # search runs the full adversary-search grid (maficbench for robustness) and
 # writes ROBUST_current.json; diff it against the tracked ROBUST_baseline.json

@@ -1,10 +1,12 @@
 // Command maficserve runs the crash-tolerant simulation service: an HTTP
 // server that accepts scenario submissions, runs them on a supervised job
 // queue, and auto-checkpoints every running job into a rotated on-disk
-// snapshot store so a crash — up to and including kill -9 — loses at most
-// one checkpoint interval of simulated time. On restart it resumes every
-// interrupted job from its newest valid snapshot and produces results
-// bit-identical to an uninterrupted run.
+// snapshot store. Snapshots are written behind the run — the fsyncs of one
+// checkpoint overlap the simulation of the next interval — so a crash, up to
+// and including kill -9, loses at most two checkpoint intervals of simulated
+// time: the one being simulated and the one still being written. On restart it
+// resumes every interrupted job from its newest valid snapshot and produces
+// results bit-identical to an uninterrupted run.
 //
 // Usage:
 //

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 )
@@ -64,11 +65,19 @@ func (sv *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // arbitrary amount.
 const maxSpecBytes = 1 << 20
 
-func (sv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec parses a POST /jobs body. Unknown fields are an error: a
+// misspelt override must not silently run the catalog's own value.
+func decodeSpec(r io.Reader) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+func (sv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			http.Error(w, fmt.Sprintf("job spec exceeds %d bytes", maxSpecBytes), http.StatusRequestEntityTooLarge)

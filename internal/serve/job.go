@@ -195,7 +195,8 @@ type JobInfo struct {
 	Attempts int      `json:"attempts"`
 
 	// Snapshots is the number of snapshot files currently on disk;
-	// LastCheckpointMs is the simulated time of the newest one.
+	// LastCheckpointMs is the simulated time of the newest one. Both move
+	// when a file is durable, not when the run hands it over.
 	Snapshots        int     `json:"snapshots"`
 	LastCheckpointMs float64 `json:"lastCheckpointMs,omitempty"`
 	// ResumedFromMs is set when the current (or final) attempt continued
@@ -224,4 +225,9 @@ type Metrics struct {
 	SnapshotsCorrupt uint64 `json:"snapshotsCorrupt"`
 	Recovered        uint64 `json:"recovered"`
 	Drained          uint64 `json:"drained"`
+	// SnapshotWaits counts the times a run reached a checkpoint boundary (or
+	// its end) while the previous snapshot was still being written, and
+	// SnapshotWaitMs is the wall-clock time those runs stood still for it.
+	SnapshotWaits  uint64  `json:"snapshotWaits"`
+	SnapshotWaitMs float64 `json:"snapshotWaitMs"`
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"mafic/internal/checkpoint"
 	"mafic/internal/experiment"
 	"mafic/internal/sim"
 )
@@ -118,8 +119,9 @@ func TestDrainSavesFinalSnapshotAndRestartResumes(t *testing.T) {
 // leaveJobMidRun runs spec as job 1 of a service over dir and drains the
 // service from the checkpoint hook at the third snapshot, so the store is
 // left as a stopped process leaves it: the job unfinished, several snapshots
-// behind it.
-func leaveJobMidRun(t *testing.T, dir string, spec JobSpec) {
+// behind it. It returns the job's status and the counters as Shutdown left
+// them.
+func leaveJobMidRun(t *testing.T, dir string, spec JobSpec) (JobInfo, Metrics) {
 	t.Helper()
 	sv, _ := newTestServer(t, Config{Dir: dir, Workers: 1, Keep: 4})
 	saves := 0
@@ -139,6 +141,8 @@ func leaveJobMidRun(t *testing.T, dir string, spec JobSpec) {
 		t.Fatal("the checkpoint hook never triggered the drain")
 	}
 	shutdown(t, sv)
+	info, _ := sv.Job(1)
+	return info, sv.Metrics()
 }
 
 func TestRestartFallsBackPastCorruptNewestSnapshot(t *testing.T) {
@@ -228,19 +232,7 @@ func TestRecoveryFromVersion1Store(t *testing.T) {
 			}
 			shutdown(t, sv2)
 
-			// The uninterrupted run, through a service of its own.
-			sv3, _ := newTestServer(t, Config{Dir: t.TempDir(), Workers: 1})
-			sv3.Start()
-			if _, err := sv3.Submit(spec); err != nil {
-				t.Fatalf("submit: %v", err)
-			}
-			waitJob(t, sv3, 1, StateCompleted)
-			want, err := sv3.ResultBytes(1)
-			if err != nil {
-				t.Fatalf("ResultBytes: %v", err)
-			}
-			shutdown(t, sv3)
-			if !bytes.Equal(got, want) {
+			if want := serviceResultBytes(t, spec); !bytes.Equal(got, want) {
 				t.Error("result.json after recovery from a retired-version store differs from an uninterrupted run's")
 			}
 		})
@@ -288,6 +280,87 @@ func TestRecoveryRunsManifestOnlyJobFresh(t *testing.T) {
 	}
 	waitJob(t, sv, 8, StateCompleted)
 	shutdown(t, sv)
+}
+
+// TestRecoveryAdoptsFinishedJobUnderRunningManifest is the crash inside
+// completeJob: result.json is written, then the snapshots are cleared, then
+// the manifest is marked completed, and the process dies after the first step
+// or the second. Recovery used to see a running manifest and run the whole job
+// again from t=0; it must adopt the result, say so, and run nothing.
+func TestRecoveryAdoptsFinishedJobUnderRunningManifest(t *testing.T) {
+	for _, leftover := range []bool{false, true} {
+		t.Run(fmt.Sprintf("snapshots-left=%v", leftover), func(t *testing.T) {
+			dir := t.TempDir()
+			jobDir := filepath.Join(dir, "jobs", "000001")
+			sv1, _ := newTestServer(t, Config{Dir: dir, Workers: 1})
+			var lastAt sim.Time
+			var lastSnap []byte
+			sv1.save = func(st *checkpoint.Store, at sim.Time, data []byte) error {
+				lastAt, lastSnap = at, data
+				return st.Save(at, data)
+			}
+			sv1.Start()
+			if _, err := sv1.Submit(quickSpec()); err != nil {
+				t.Fatalf("submit: %v", err)
+			}
+			waitJob(t, sv1, 1, StateCompleted)
+			want, err := sv1.ResultBytes(1)
+			if err != nil {
+				t.Fatalf("ResultBytes: %v", err)
+			}
+			shutdown(t, sv1)
+
+			// Put the directory back to where the crash left it.
+			m := manifest{ID: 1, Spec: quickSpec(), State: StateRunning, Attempts: 1, SubmittedAt: time.Now()}
+			data, _ := json.Marshal(m)
+			if err := os.WriteFile(filepath.Join(jobDir, "job.json"), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if leftover {
+				st, err := checkpoint.OpenStore(jobDir, 3)
+				if err == nil {
+					err = st.Save(lastAt, lastSnap)
+				}
+				if err != nil {
+					t.Fatalf("put a snapshot back: %v", err)
+				}
+			}
+
+			sv2, logs2 := newTestServer(t, Config{Dir: dir, Workers: 1})
+			sv2.runner = func(experiment.Scenario, []byte, experiment.ControlOptions) (experiment.Result, error) {
+				t.Error("a job with a complete result.json was run again")
+				return experiment.Result{}, nil
+			}
+			if m := sv2.Metrics(); m.Recovered != 0 {
+				t.Errorf("Recovered = %d; the finished job was re-enqueued", m.Recovered)
+			}
+			info, ok := sv2.Job(1)
+			if !ok || info.State != StateCompleted || info.Result == nil || info.Snapshots != 0 {
+				t.Fatalf("adopted job: %+v, want completed with its result and no snapshots", info)
+			}
+			if !strings.Contains(logs2.String(), "recovery: job 1 has a complete result.json") {
+				t.Errorf("the adoption was not logged; logs:\n%s", logs2.String())
+			}
+			sv2.Start()
+			shutdown(t, sv2)
+			if got, err := sv2.ResultBytes(1); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("result.json changed across the adoption (err %v)", err)
+			}
+			if names := snapNames(t, jobDir); len(names) != 0 {
+				t.Errorf("snapshots left behind the adopted job: %v", names)
+			}
+
+			// The manifest was rewritten: the next process sees an ordinary
+			// completed job and has nothing to adopt.
+			sv3, logs3 := newTestServer(t, Config{Dir: dir, Workers: 1})
+			if info, _ := sv3.Job(1); info.State != StateCompleted {
+				t.Errorf("after the adoption the manifest says %s", info.State)
+			}
+			if strings.Contains(logs3.String(), "adopting") {
+				t.Errorf("the manifest was not rewritten; the job was adopted twice:\n%s", logs3.String())
+			}
+		})
+	}
 }
 
 func TestRecoverySkipsCorruptManifestLoudly(t *testing.T) {

@@ -68,6 +68,7 @@ type Server struct {
 	// Test seams. Production values are set by New; package tests replace
 	// them between New and Start to make time and run outcomes scripted.
 	runner func(s experiment.Scenario, resume []byte, opts experiment.ControlOptions) (experiment.Result, error)
+	save   func(st *checkpoint.Store, at sim.Time, data []byte) error
 	sleep  func(d time.Duration) bool // false: drain interrupted the sleep
 	now    func() time.Time
 	after  func(d time.Duration) <-chan time.Time
@@ -110,6 +111,7 @@ func New(cfg Config) (*Server, error) {
 		jobs:    make(map[uint64]*job),
 		nextID:  1,
 		drainCh: make(chan struct{}),
+		save:    (*checkpoint.Store).Save,
 		now:     time.Now,
 		after:   func(d time.Duration) <-chan time.Time { return time.After(d) },
 	}
@@ -400,19 +402,33 @@ func (sv *Server) recover() ([]*job, error) {
 			submitted: m.SubmittedAt,
 			cancel:    make(chan struct{}),
 		}
-		if m.State == StateCompleted {
-			if rb, rerr := os.ReadFile(filepath.Join(root, e.Name(), "result.json")); rerr == nil {
-				var res experiment.Result
-				if json.Unmarshal(rb, &res) == nil {
-					j.result = &res
+		dir := filepath.Join(root, e.Name())
+		switch {
+		case m.State == StateCompleted:
+			j.result = loadResult(dir)
+		case m.State.terminal():
+		default:
+			st, serr := checkpoint.OpenStore(dir, sv.cfg.Keep) // also sweeps temp leftovers
+			// completeJob writes result.json, clears the snapshots and only
+			// then marks the manifest completed, so a crash in between leaves
+			// a finished job under a running manifest. Its result stands:
+			// adopt it rather than run the job again from t=0.
+			if j.result = loadResult(dir); j.result != nil {
+				sv.log.Printf("recovery: job %d has a complete result.json under a %q manifest; adopting it as completed", j.id, m.State)
+				j.state = StateCompleted
+				if serr == nil {
+					serr = st.Clear()
 				}
+				if serr != nil {
+					sv.log.Printf("job %d: clearing snapshots: %v", j.id, serr)
+				}
+				sv.persistOrLogLocked(j) // New has started no goroutine yet
+				break
 			}
-		}
-		if !m.State.terminal() {
 			j.state = StateQueued
 			// Count the snapshots already on disk so status reflects what
-			// the resume will work from (this also sweeps temp leftovers).
-			if st, serr := checkpoint.OpenStore(filepath.Join(root, e.Name()), sv.cfg.Keep); serr == nil {
+			// the resume will work from.
+			if serr == nil {
 				j.snapshots = st.Count()
 			}
 			pending = append(pending, j)
@@ -432,6 +448,21 @@ func (sv *Server) recover() ([]*job, error) {
 		sv.log.Printf("recovery: job %d (%s) re-enqueued with %d snapshot(s)", j.id, j.spec.Scenario, j.snapshots)
 	}
 	return pending, nil
+}
+
+// loadResult reads a job directory's result.json; nil if it is missing or
+// does not parse. The file is only ever written whole (WriteFileAtomic), by
+// completeJob, so one that parses is the result of a finished run.
+func loadResult(dir string) *experiment.Result {
+	data, err := os.ReadFile(filepath.Join(dir, "result.json"))
+	if err != nil {
+		return nil
+	}
+	var res experiment.Result
+	if json.Unmarshal(data, &res) != nil {
+		return nil
+	}
+	return &res
 }
 
 // worker drains the job queue until a drain begins. A job received in the
@@ -552,9 +583,11 @@ func (sv *Server) runJob(j *job) {
 }
 
 // attempt executes one run attempt under the control surface: periodic
-// snapshots into the job's store, interruption wired to cancel/drain/timeout,
-// and resume from the newest valid snapshot with loud fallback past corrupt
-// or unrestorable ones.
+// snapshots written behind the run into the job's store, interruption wired to
+// cancel/drain/timeout, and resume from the newest valid snapshot with loud
+// fallback past corrupt or unrestorable ones. Whenever the runner has
+// returned, the write-behind has been flushed: the attempt (and after it
+// completeJob) touches the store only with no write pending.
 func (sv *Server) attempt(j *job, s experiment.Scenario, st *checkpoint.Store) (experiment.Result, error) {
 	stop := make(chan struct{})
 	attemptDone := make(chan struct{})
@@ -585,12 +618,14 @@ func (sv *Server) attempt(j *job, s experiment.Scenario, st *checkpoint.Store) (
 	if j.spec.CheckpointEveryMs != nil {
 		every = sim.Time(*j.spec.CheckpointEveryMs * float64(sim.Millisecond))
 	}
-	opts := experiment.ControlOptions{
-		CheckpointEvery: every,
-		Interrupt:       stop,
-		Save: func(at sim.Time, data []byte) error {
-			if err := st.Save(at, data); err != nil {
-				return err
+	wb := writeBehind{
+		// Everything a client can see of a snapshot — the job's count and
+		// last checkpoint, SnapshotsWritten, the hook — moves only once the
+		// file is durable, so none of it ever counts an unwritten one.
+		write: func(at sim.Time, data []byte) error {
+			if err := sv.save(st, at, data); err != nil {
+				sv.log.Printf("job %d: snapshot at t=%v NOT written: %v", j.id, at, err)
+				return fmt.Errorf("write snapshot at %v: %w", at, err)
 			}
 			sv.mu.Lock()
 			j.snapshots = st.Count()
@@ -602,6 +637,23 @@ func (sv *Server) attempt(j *job, s experiment.Scenario, st *checkpoint.Store) (
 			}
 			return nil
 		},
+		stalled: func(d time.Duration) {
+			sv.mu.Lock()
+			sv.m.SnapshotWaits++
+			sv.m.SnapshotWaitMs += float64(d) / float64(time.Millisecond)
+			sv.mu.Unlock()
+		},
+	}
+	opts := experiment.ControlOptions{
+		CheckpointEvery: every,
+		Interrupt:       stop,
+		Save:            wb.save,
+	}
+	// A write that fails after the run's last checkpoint boundary surfaces
+	// here: the attempt fails even if the run itself finished.
+	run := func(resume []byte) (experiment.Result, error) {
+		res, err := sv.runner(s, resume, opts)
+		return res, errors.Join(err, wb.flush())
 	}
 
 	for {
@@ -619,7 +671,7 @@ func (sv *Server) attempt(j *job, s experiment.Scenario, st *checkpoint.Store) (
 			if len(skipped) > 0 {
 				sv.log.Printf("job %d: no valid snapshot survives; starting fresh", j.id)
 			}
-			return sv.runner(s, nil, opts)
+			return run(nil)
 		}
 		sv.mu.Lock()
 		j.resumed = true
@@ -627,7 +679,7 @@ func (sv *Server) attempt(j *job, s experiment.Scenario, st *checkpoint.Store) (
 		sv.m.Resumed++
 		sv.mu.Unlock()
 		sv.log.Printf("job %d: resuming from snapshot %s (t=%v)", j.id, info.Name, info.At)
-		res, err := sv.runner(s, data, opts)
+		res, err := run(data)
 		if err != nil && errors.Is(err, experiment.ErrSnapshot) {
 			// Decoded but did not restore: deeper corruption than the
 			// store's validation can see. Drop the file and fall back.
