@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet check golden fuzz bench bench-baseline bench-diff bench-smoke bench-compare search search-baseline profile
+.PHONY: all build test vet check golden fuzz snap-diff bench bench-baseline bench-diff bench-smoke bench-compare search search-baseline profile
 
 all: build test
 
@@ -45,6 +45,35 @@ fuzz:
 	$(GO) test ./internal/loglog -run '^$$' -fuzz FuzzSketchMerge -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/traffic -run '^$$' -fuzz FuzzRotatingSource -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzJobSpec -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
+
+# snap-diff is the gate for a change that claims the snapshot wire format and
+# the results unchanged: BASE is exported with `git archive` into a temporary
+# directory, maficsim is built once from there and once from the working tree,
+# and every catalog entry runs `-quick -checkpoint-at 600ms -json` on both, one
+# process per scenario and side (a process's pools are cold, so no run can
+# inherit anything from the one before). Each pair of .snap files and each
+# pair of result JSON must be byte-identical; the differing names are printed
+# and the exit status is non-zero if there are any.
+snap-diff:
+	@test -n "$(BASE)" || { echo "usage: make snap-diff BASE=<git ref>"; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	git archive --prefix=base/ $(BASE) | tar -x -C "$$tmp"; \
+	$(GO) build -C "$$tmp/base" -o "$$tmp/sim.base" ./cmd/maficsim; \
+	$(GO) build -o "$$tmp/sim.change" ./cmd/maficsim; \
+	mkdir "$$tmp/out.base" "$$tmp/out.change"; n=0; bad=""; \
+	for name in $$("$$tmp/sim.change" -list | awk 'NR > 1 { print $$1 }'); do \
+		for side in base change; do \
+			"$$tmp/sim.$$side" -scenario $$name -quick -checkpoint-at 600ms -json \
+				-checkpoint-out "$$tmp/out.$$side/$$name" >"$$tmp/out.$$side/$$name.json" 2>"$$tmp/out.$$side/$$name.log" \
+				|| { echo "$$name ($$side): run failed:"; cat "$$tmp/out.$$side/$$name.log"; }; \
+		done; \
+		for f in $$name-600ms.snap $$name.json; do \
+			cmp -s "$$tmp/out.base/$$f" "$$tmp/out.change/$$f" || bad="$$bad $$f"; \
+		done; \
+		n=$$((n + 1)); \
+	done; \
+	if [ -n "$$bad" ]; then echo "snap-diff against $(BASE): of $$n scenarios these differ:$$bad"; exit 1; fi; \
+	echo "snap-diff against $(BASE): $$n scenarios, every snapshot and result JSON byte-identical"
 
 # bench measures the current engine (ns/op, B/op, allocs/op per figure
 # benchmark) and writes BENCH_current.json (untracked: this target and

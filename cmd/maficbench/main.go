@@ -168,13 +168,7 @@ func scenarioPrep(build func() (experiment.Scenario, error), last *experiment.Re
 
 // registryQuick resolves a registered scenario's quick variant.
 func registryQuick(name string) func() (experiment.Scenario, error) {
-	return func() (experiment.Scenario, error) {
-		e, ok := experiment.LookupScenario(name)
-		if !ok {
-			return experiment.Scenario{}, fmt.Errorf("%s scenario not registered", name)
-		}
-		return experiment.Quick(e.Build()), nil
-	}
+	return experiment.Overrides{Scenario: name, Quick: true}.Build
 }
 
 // benchmarks enumerates every tracked benchmark by short name.

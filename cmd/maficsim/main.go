@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -38,7 +39,7 @@ func main() {
 	}
 }
 
-func run(args []string, out *os.File) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("maficsim", flag.ContinueOnError)
 	var (
 		scenario = fs.String("scenario", "", "run a registered scenario from the catalog (see -list)")
@@ -97,78 +98,55 @@ func run(args []string, out *os.File) error {
 	// explicitly override the catalog entry's own knobs.
 	use := func(name string) bool { return *scenario == "" || explicit[name] }
 
-	var s experiment.Scenario
-	if *scenario != "" {
-		e, ok := experiment.LookupScenario(*scenario)
-		if !ok {
-			return fmt.Errorf("unknown scenario %q (run maficsim -list for the catalog)", *scenario)
-		}
-		s = e.Build()
-		if *quick {
-			s = experiment.Quick(s)
-		}
-	} else {
-		if *quick {
-			return fmt.Errorf("-quick scales down a catalog entry; pair it with -scenario <name>")
-		}
-		s = experiment.DefaultScenario()
-	}
-	if use("seed") {
-		s.Seed = *seed
-	}
-	if use("duration") {
-		s.Duration = sim.Time(*seconds * float64(sim.Second))
-	}
-	if use("pd") {
-		s.MAFIC.DropProbability = *pd
-	}
-	if use("flows") {
-		s.Workload.TotalFlows = *flows
-	}
-	if use("tcp") {
-		s.Workload.TCPShare = *tcpShare
-	}
-	if use("rate") {
-		s.Workload.AttackRate = *rate / experiment.RateScale
-	}
-	if use("routers") {
-		s.Topology.NumRouters = *routers
-	}
-	if *hardened {
-		s = experiment.Harden(s)
+	duration := sim.Time(*seconds * float64(sim.Second))
+	o := experiment.Overrides{
+		Scenario: *scenario,
+		Quick:    *quick,
+		Hardened: *hardened,
+		Seed:     applied(use("seed"), seed),
+		Duration: applied(use("duration"), &duration),
+		Pd:       applied(use("pd"), pd),
+		Flows:    applied(use("flows"), flows),
+		TCPShare: applied(use("tcp"), tcpShare),
+		Rate:     applied(use("rate"), rate),
+		Routers:  applied(use("routers"), routers),
 	}
 	if use("defense") {
-		switch *defense {
-		case "mafic":
-			s.Defense = experiment.DefenseMAFIC
-		case "proportional":
-			s.Defense = experiment.DefenseBaseline
-		case "none":
-			s.Defense = experiment.DefenseNone
-		default:
-			return fmt.Errorf("unknown defense %q", *defense)
-		}
+		o.Defense = *defense
 	}
-
-	times, err := checkpointTimes(*ckptEvery, *ckptAt, s.Duration)
+	s, err := o.Build()
 	if err != nil {
 		return err
 	}
 
+	if *ckptEvery < 0 || *ckptAt < 0 {
+		return fmt.Errorf("checkpoint times must be positive")
+	}
+	if *ckptEvery != 0 && *ckptAt != 0 {
+		return fmt.Errorf("use either -checkpoint-every or -checkpoint-at, not both")
+	}
+	if sim.FromDuration(*ckptEvery) >= s.Duration {
+		return fmt.Errorf("-checkpoint-every %v produces no snapshots within the %v run", *ckptEvery, s.Duration)
+	}
+	save := func(at sim.Time, data []byte) error {
+		name := fmt.Sprintf("%s-%dms.snap", *ckptOut, at/sim.Millisecond)
+		// Atomic (temp + fsync + rename): a crash mid-write must never
+		// leave a torn file where a resumable snapshot should be.
+		if werr := checkpoint.WriteFileAtomic(name, data, 0o644); werr != nil {
+			return werr
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s (%d bytes at t=%v)\n", name, len(data), at)
+		return nil
+	}
+
 	start := time.Now()
 	var res experiment.Result
-	if len(times) > 0 {
-		res, err = experiment.RunWithCheckpoints(s, times, func(at sim.Time, data []byte) error {
-			name := fmt.Sprintf("%s-%dms.snap", *ckptOut, at/sim.Millisecond)
-			// Atomic (temp + fsync + rename): a crash mid-write must never
-			// leave a torn file where a resumable snapshot should be.
-			if werr := checkpoint.WriteFileAtomic(name, data, 0o644); werr != nil {
-				return werr
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%d bytes at t=%v)\n", name, len(data), at)
-			return nil
-		})
-	} else {
+	switch {
+	case *ckptAt != 0:
+		res, err = experiment.RunWithCheckpoints(s, []sim.Time{sim.FromDuration(*ckptAt)}, save)
+	case *ckptEvery != 0:
+		res, err = experiment.RunControlled(s, experiment.ControlOptions{CheckpointEvery: sim.FromDuration(*ckptEvery), Save: save})
+	default:
 		res, err = experiment.Run(s)
 	}
 	if err != nil {
@@ -177,33 +155,16 @@ func run(args []string, out *os.File) error {
 	return printResult(out, res, time.Since(start), *asJSON, *series)
 }
 
-// checkpointTimes expands the -checkpoint-every / -checkpoint-at flags into
-// the strictly ascending snapshot schedule RunWithCheckpoints expects.
-func checkpointTimes(every, at time.Duration, duration sim.Time) ([]sim.Time, error) {
-	if every < 0 || at < 0 {
-		return nil, fmt.Errorf("checkpoint times must be positive")
+// applied is a flag's value as an override: set when the flag applies, unset
+// (keep the scenario's own knob) when it does not.
+func applied[T any](use bool, v *T) *T {
+	if use {
+		return v
 	}
-	if every != 0 && at != 0 {
-		return nil, fmt.Errorf("use either -checkpoint-every or -checkpoint-at, not both")
-	}
-	if at != 0 {
-		return []sim.Time{sim.FromDuration(at)}, nil
-	}
-	if every == 0 {
-		return nil, nil
-	}
-	step := sim.FromDuration(every)
-	var times []sim.Time
-	for t := step; t < duration; t += step {
-		times = append(times, t)
-	}
-	if len(times) == 0 {
-		return nil, fmt.Errorf("-checkpoint-every %v produces no snapshots within the %v run", every, duration)
-	}
-	return times, nil
+	return nil
 }
 
-func printResult(out *os.File, res experiment.Result, elapsed time.Duration, asJSON, series bool) error {
+func printResult(out io.Writer, res experiment.Result, elapsed time.Duration, asJSON, series bool) error {
 	if asJSON {
 		if !series {
 			res.Series = nil

@@ -133,8 +133,11 @@
 // steady-state snapshot makes, and the floor of what checkpointing costs in
 // memory traffic.
 //
-// The experiment package owns the harness entry points: RunWithCheckpoints
-// pauses a run at requested virtual times and hands each encoded snapshot to
-// a save callback; RunFromSnapshot decodes, rebuilds, overlays and runs to
-// completion.
+// The experiment package owns the harness entry points, which are one loop:
+// a run is built on a pooled bundle of arena, scheduler and lookup tables,
+// advanced in checkpoint-bounded segments and torn down in one place.
+// RunControlled pauses at every multiple of an interval, RunWithCheckpoints at
+// requested virtual times, and each hands every encoded snapshot to a save
+// callback; ResumeControlled (RunFromSnapshot without a control surface)
+// decodes, rebuilds, overlays and continues the same loop to completion.
 package checkpoint

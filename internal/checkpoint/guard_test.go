@@ -89,17 +89,12 @@ var fieldManifest = map[string][]string{
 	"topology.lazyRouter":       {"carved", "colFree", "handed", "net", "rs", "seenVersion", "width"},
 	"topology.nameCache":        {"bystanders", "clients", "routers", "victims", "zombies"},
 	"topology.routeScratch":     {"offsets", "queue", "targets"},
-	"traffic.AttackSource":      {"cbr"},
-	"traffic.CBRSource":         {"cfg", "host", "id", "label", "labelHash", "malicious", "net", "proto", "rng", "running", "sendEvent", "sent", "seq"},
-	"traffic.PulsingSource":     {"bursts", "cfg", "end", "host", "id", "inBurst", "label", "labelHash", "net", "phase", "phaseEvent", "rng", "running", "sendEvent", "sent", "seq"},
-	"traffic.RotatingSource":    {"cfg", "end", "host", "id", "inSlot", "label", "labelHash", "net", "phase", "phaseEvent", "rng", "running", "sendEvent", "sent", "seq", "slots"},
+	"traffic.PacedSource":       {"bursts", "cfg", "gateEvent", "host", "id", "inBurst", "label", "labelHash", "net", "open", "rng", "running", "sendEvent", "sent", "seq", "shut"}, // cfg: the pacing value, kind tag included, rebuilt by the constructor; the kind is compared on restore, not overlaid
 	"traffic.TCPSource":         {"acked", "cfg", "cwnd", "dupAcks", "fastRetx", "host", "id", "label", "labelHash", "lastAckAt", "lastAcked", "net", "packetSize", "probeSeen", "reverseFn", "running", "sendEvent", "sent", "seq", "ssthresh", "timeouts"},
 	"traffic.VictimServer":      {"ackSize", "acksGenerated", "host", "net", "received", "receivedBad", "receivedGood"},
 	"traffic.Workload":          {"Attack", "ExtraServers", "Flash", "Flows", "Legitimate", "Victim"},
-	"traffic.pulseEnd":          {"s"},
-	"traffic.pulsePhase":        {"s"},
-	"traffic.rotateEnd":         {"s"},
-	"traffic.rotatePhase":       {"s"},
+	"traffic.gateOpen":          {"s"},
+	"traffic.gateShut":          {"s"},
 	"trafficmatrix.Cell":        {"Dest", "Packets", "Source"},
 	"trafficmatrix.Counter":     {"buckets", "dest", "destPkts", "router", "source", "sourcePkts", "transit"},
 	"trafficmatrix.EpochReport": {"DestEst", "End", "Epoch", "Matrix", "Routers", "SourceEst", "Start"},

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"slices"
 	"testing"
@@ -10,7 +11,6 @@ import (
 	"mafic/internal/checkpoint"
 	"mafic/internal/netsim"
 	"mafic/internal/sim"
-	"mafic/internal/topology"
 )
 
 // heapDelta runs fn and reports the heap objects and bytes it allocated.
@@ -42,12 +42,12 @@ func table2Quick(t *testing.T) Scenario {
 // under eight heap objects a snapshot.
 func TestSnapshotSteadyStateAllocs(t *testing.T) {
 	s := table2Quick(t)
-	sched := getScheduler()
-	defer putScheduler(sched)
-	b, err := buildRun(s, topology.NewArena(), sched)
+	b, err := buildRun(s, newRunResources())
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
+	defer b.release()
+	sched := b.res.sched
 	var data []byte
 	snapshot := func() {
 		if data, err = b.snapshot(); err != nil {
@@ -178,9 +178,9 @@ func TestRebuildReusesTheNetwork(t *testing.T) {
 		t.Fatal("stress-5k not registered")
 	}
 	s := Quick(e.Build())
-	arena := topology.NewArena()
+	res := newRunResources()
 	run := func() {
-		if _, err := runWith(s, arena); err != nil {
+		if _, err := runWith(s, res, nil, ControlOptions{}); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 	}
@@ -214,12 +214,12 @@ func TestStructSizes(t *testing.T) {
 // with a transmit-done event per packet — fails here, not in a benchmark.
 func TestEventBudgetPerHop(t *testing.T) {
 	s := table2Quick(t)
-	sched := getScheduler()
-	defer putScheduler(sched)
-	b, err := buildRun(s, topology.NewArena(), sched)
+	b, err := buildRun(s, newRunResources())
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
+	defer b.release()
+	sched := b.res.sched
 	if err := sched.RunUntil(s.Duration); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -232,5 +232,38 @@ func TestEventBudgetPerHop(t *testing.T) {
 	if hops == 0 || float64(res.EventsProcessed) > 1.2*float64(hops) {
 		t.Errorf("%d events for %d link sends (%.2f per hop), want at most 1.2",
 			res.EventsProcessed, hops, float64(res.EventsProcessed)/float64(hops))
+	}
+}
+
+// TestInterruptedRunReleasesWhatItBuilt pins the single tear-down: a run
+// interrupted through its control surface hands its MAFIC defenders — flow
+// tables and probe slabs — back to their pool like a finished one, so the run
+// after it allocates no more than any warm run. Before builtRun had one
+// release, the interrupt path kept them and every interrupted, timed-out or
+// failed-save attempt in maficserve cost the next attempt a fresh set.
+func TestInterruptedRunReleasesWhatItBuilt(t *testing.T) {
+	s := table2Quick(t)
+	stopped := make(chan struct{})
+	close(stopped)
+	plain := func() {
+		if _, err := Run(s); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	}
+	plain() // fills the pools
+	warm, afterInterrupt := ^uint64(0), ^uint64(0)
+	for i := 0; i < 5; i++ {
+		_, b := heapDelta(plain)
+		warm = min(warm, b)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := RunControlled(s, ControlOptions{Interrupt: stopped}); !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("interrupted run returned %v, want ErrInterrupted", err)
+		}
+		_, b := heapDelta(plain)
+		afterInterrupt = min(afterInterrupt, b)
+	}
+	if afterInterrupt > warm {
+		t.Errorf("a run after an interrupted one allocated %d B, a warm run %d B: the interrupt kept pooled objects", afterInterrupt, warm)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -15,7 +16,7 @@ import (
 	"mafic/internal/loglog"
 	"mafic/internal/netsim"
 	"mafic/internal/sim"
-	"mafic/internal/topology"
+	"mafic/internal/traffic"
 )
 
 // snapshotMidRun runs s with one checkpoint at the given virtual time and
@@ -291,6 +292,53 @@ var restoreRefusals = []struct {
 	{"negative hop count", editFirstArrival(func(p *netsim.PacketState) { p.Hops = -1 }), "hop count -1"},
 	{"buckets set, zero adds", editFirstTouchedSketch(func(st *loglog.SketchState) { st.Adds = 0 }), "non-zero buckets and zero adds"},
 	{"adds, no buckets", editFirstTouchedSketch(func(st *loglog.SketchState) { st.Buckets = nil }), "bucket count 0"},
+	{"gate event on an ungated flow", gateLastFlowSend, "schedules a phase on flow"},
+}
+
+// gateLastFlowSend turns the pending send timer of the last flow — in table2
+// a constant-rate attack flow, a paced sender without a gate — into the
+// gate-opening event only a pulsing or rotating flow can have pending.
+func gateLastFlowSend(snap *checkpoint.Snapshot) bool {
+	last := uint32(len(snap.Flows) - 1)
+	for i := range snap.Events {
+		if ev := &snap.Events[i]; ev.Kind == checkpoint.EvFlowSend && ev.Index == last {
+			ev.Kind = checkpoint.EvFlowPhase
+			return true
+		}
+	}
+	return false
+}
+
+// TestRestoreRefusesFlowKindMismatch pins the kind tag now that one Go type
+// carries four flow kinds: a shrew snapshot whose embedded scenario is edited
+// so that the rebuild produces constant-rate attack flows where the snapshot
+// recorded pulsing ones is refused naming the first such flow, not resumed
+// with burst state laid over senders that have no gate.
+func TestRestoreRefusesFlowKindMismatch(t *testing.T) {
+	e, ok := LookupScenario("shrew")
+	if !ok {
+		t.Fatal("shrew not registered")
+	}
+	s := Quick(e.Build())
+	data, _ := snapshotMidRun(t, s, s.Duration/2)
+	var firstAttack int
+	edited := mutateSnapshot(t, data, func(snap *checkpoint.Snapshot) bool {
+		var flat Scenario
+		if json.Unmarshal(snap.Scenario, &flat) != nil || flat.Workload.AttackPulsePeriod == 0 {
+			return false
+		}
+		flat.Workload.AttackPulsePeriod = 0
+		for firstAttack < len(snap.Flows) && snap.Flows[firstAttack].Kind != traffic.FlowPulsing {
+			firstAttack++
+		}
+		var err error
+		snap.Scenario, err = json.Marshal(flat)
+		return err == nil && firstAttack < len(snap.Flows)
+	})
+	_, err := RunFromSnapshot(edited)
+	if want := fmt.Sprintf("flow %d: snapshot flow kind %d", firstAttack, traffic.FlowPulsing); !errors.Is(err, ErrSnapshot) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("resume returned %v, want an ErrSnapshot saying %q", err, want)
+	}
 }
 
 // spliceRetiredKeys adds to the snapshot's scenario JSON the keys of the five
@@ -461,12 +509,12 @@ func TestSessionMatchesFreshCapture(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		sched := getScheduler()
-		defer putScheduler(sched)
-		b, err := buildRun(s, topology.NewArena(), sched)
+		b, err := buildRun(s, newRunResources())
 		if err != nil {
 			t.Fatalf("%s: build: %v", name, err)
 		}
+		defer b.release()
+		sched := b.res.sched
 		every := s.Duration / 8
 		if s.Faults.ReportDelayProb > 0 {
 			every = s.Faults.ReportDelay / 2
@@ -477,7 +525,7 @@ func TestSessionMatchesFreshCapture(t *testing.T) {
 				t.Fatalf("%s: run to %v: %v", name, at, err)
 			}
 			if at == withdrawAt {
-				for _, d := range b.scratch.mafic {
+				for _, d := range b.res.mafic {
 					d.Deactivate()
 				}
 			}
@@ -639,11 +687,11 @@ func sameState(a, b reflect.Value) bool {
 func TestDecodeInvertsEncode(t *testing.T) {
 	for _, e := range Entries() {
 		s := Quick(e.Build())
-		sched := getScheduler()
-		b, err := buildRun(s, topology.NewArena(), sched)
+		b, err := buildRun(s, newRunResources())
 		if err != nil {
 			t.Fatalf("%s: build: %v", e.Name, err)
 		}
+		sched := b.res.sched
 		every := s.Duration / 8
 		if s.Faults.ReportDelayProb > 0 {
 			every = s.Faults.ReportDelay / 2
@@ -674,6 +722,6 @@ func TestDecodeInvertsEncode(t *testing.T) {
 		if _, err := b.finish(); err != nil {
 			t.Fatalf("%s: finish: %v", e.Name, err)
 		}
-		putScheduler(sched)
+		b.release()
 	}
 }

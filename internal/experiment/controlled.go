@@ -7,7 +7,6 @@ import (
 
 	"mafic/internal/checkpoint"
 	"mafic/internal/sim"
-	"mafic/internal/topology"
 )
 
 // ErrInterrupted reports that a controlled run was interrupted through
@@ -41,6 +40,11 @@ type ControlOptions struct {
 	// latency is bounded by the checkpoint interval — with no checkpoints
 	// configured the run is a single uninterruptible segment.
 	Interrupt <-chan struct{}
+
+	// at, when set, is RunWithCheckpoints' explicit schedule: snapshots at
+	// exactly these ascending times instead of at multiples of
+	// CheckpointEvery.
+	at []sim.Time
 }
 
 // RunControlled executes one scenario under the given control surface. With
@@ -52,21 +56,7 @@ func RunControlled(s Scenario, opts ControlOptions) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
 	}
-	if err := opts.validate(); err != nil {
-		return Result{}, err
-	}
-	arena := arenaPool.Get()
-	if arena == nil {
-		arena = topology.NewArena()
-	}
-	defer arenaPool.Put(arena)
-	sched := getScheduler()
-	defer putScheduler(sched)
-	b, err := buildRun(s, arena, sched)
-	if err != nil {
-		return Result{}, err
-	}
-	return controlLoop(b, opts)
+	return runPooled(s, nil, opts)
 }
 
 // ResumeControlled decodes a snapshot, rebuilds its embedded scenario
@@ -86,30 +76,7 @@ func ResumeControlled(data []byte, opts ControlOptions) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, fmt.Errorf("%w: %w", ErrSnapshot, err)
 	}
-	if err := opts.validate(); err != nil {
-		return Result{}, err
-	}
-	arena := arenaPool.Get()
-	if arena == nil {
-		arena = topology.NewArena()
-	}
-	defer arenaPool.Put(arena)
-	sched := getScheduler()
-	defer putScheduler(sched)
-	b, err := buildRun(s, arena, sched)
-	if err != nil {
-		return Result{}, err
-	}
-	w := b.world()
-	if err := checkpoint.Restore(w, snap); err != nil {
-		b.abort()
-		return Result{}, fmt.Errorf("%w: %w", ErrSnapshot, err)
-	}
-	b.result.Activated = w.Flags.Activated
-	b.result.ActivationSeconds = w.Flags.ActivationSeconds
-	b.result.DetectedByPushback = w.Flags.DetectedByPushback
-	b.result.ATRCount = int(w.Flags.ATRCount)
-	return controlLoop(b, opts)
+	return runPooled(s, snap, opts)
 }
 
 // validate rejects option combinations the control loop cannot honour.
@@ -133,13 +100,29 @@ func interrupted(ch <-chan struct{}) bool {
 	}
 }
 
+// nextStop is where the segment starting at now ends: the next checkpoint
+// after now that falls inside the run, else the run's end.
+func (o ControlOptions) nextStop(now, end sim.Time) sim.Time {
+	for _, t := range o.at {
+		if t > now {
+			return t
+		}
+	}
+	if o.CheckpointEvery > 0 {
+		if t := (now/o.CheckpointEvery + 1) * o.CheckpointEvery; t < end {
+			return t
+		}
+	}
+	return end
+}
+
 // controlLoop advances a built (or rebuilt-and-restored) run to its scenario
 // duration in checkpoint-bounded segments, saving a snapshot after each
-// segment and checking for interruption between them. It owns the built
-// run's lifecycle: every return path either finishes or aborts it.
+// segment and checking for interruption between them. Its caller releases
+// the built run, whichever way the loop returns.
 func controlLoop(b *builtRun, opts ControlOptions) (Result, error) {
 	s := b.s
-	sched := b.sched
+	sched := b.res.sched
 	for {
 		if opts.Interrupt != nil && interrupted(opts.Interrupt) {
 			// Pause at the current event boundary. If the run has made any
@@ -148,25 +131,16 @@ func controlLoop(b *builtRun, opts ControlOptions) (Result, error) {
 			if opts.Save != nil && sched.Now() > 0 {
 				data, err := b.snapshot()
 				if err != nil {
-					b.abort()
 					return Result{}, err
 				}
 				if err := opts.Save(sched.Now(), data); err != nil {
-					b.abort()
 					return Result{}, fmt.Errorf("save final snapshot at %v: %w", sched.Now(), err)
 				}
 			}
-			b.abort()
 			return Result{}, fmt.Errorf("%w at t=%v", ErrInterrupted, sched.Now())
 		}
-		next := s.Duration
-		if opts.CheckpointEvery > 0 {
-			if t := (sched.Now()/opts.CheckpointEvery + 1) * opts.CheckpointEvery; t < s.Duration {
-				next = t
-			}
-		}
+		next := opts.nextStop(sched.Now(), s.Duration)
 		if err := sched.RunUntil(next); err != nil {
-			b.abort()
 			return Result{}, fmt.Errorf("run: %w", err)
 		}
 		if next >= s.Duration {
@@ -174,11 +148,9 @@ func controlLoop(b *builtRun, opts ControlOptions) (Result, error) {
 		}
 		data, err := b.snapshot()
 		if err != nil {
-			b.abort()
 			return Result{}, err
 		}
 		if err := opts.Save(next, data); err != nil {
-			b.abort()
 			return Result{}, fmt.Errorf("save checkpoint at %v: %w", next, err)
 		}
 	}

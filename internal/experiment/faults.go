@@ -10,7 +10,7 @@ import (
 
 // This file is the declarative fault-injection layer: a Scenario carries a
 // FaultSpec describing link flaps, router crash/restore windows and a lossy
-// control plane, and runWith compiles it into scheduled events on the same
+// control plane, and buildRun compiles it into scheduled events on the same
 // deterministic event queue as the workload. Faults are therefore seeded and
 // reproducible: the same scenario produces the same churn under Run and
 // RunMany, serial or parallel. With the zero FaultSpec no event is scheduled
@@ -78,7 +78,7 @@ func (f FaultSpec) Enabled() bool {
 
 // Validate reports specification problems against a domain of the given
 // router count. Link existence cannot be checked here — chords are random —
-// so runWith rejects flaps naming unconnected router pairs at build time.
+// so buildRun rejects flaps naming unconnected router pairs at build time.
 func (f FaultSpec) Validate(routers int) error {
 	for i, fl := range f.LinkFlaps {
 		if fl.RouterA < 0 || fl.RouterA >= routers || fl.RouterB < 0 || fl.RouterB >= routers {

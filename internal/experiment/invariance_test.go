@@ -33,13 +33,13 @@ type plainRun struct {
 
 var plainRuns sync.Map // scenario name → *plainRun
 
-// runPlain computes, once per key, what s gives on an arena of its own, which
-// is what a fresh process computes. key names the scenario variant; the
+// runPlain computes, once per key, what s gives on an arena and a scheduler of
+// its own, which is what a fresh process computes. key names the scenario variant; the
 // suites share one plain run per variant.
 func runPlain(key string, s Scenario) *plainRun {
 	v, _ := plainRuns.LoadOrStore(key, new(plainRun))
 	p := v.(*plainRun)
-	p.once.Do(func() { p.res, p.err = runWith(s, topology.NewArena()) })
+	p.once.Do(func() { p.res, p.err = runWith(s, newRunResources(), nil, ControlOptions{}) })
 	return p
 }
 
@@ -81,11 +81,11 @@ func testArenaReuse(t *testing.T, hardened bool) {
 			runPlain(variant(e))
 		}
 	}()
-	arena := topology.NewArena()
+	shared := newRunResources()
 	for _, e := range Entries() {
 		t.Run(e.Name, func(t *testing.T) {
 			key, s := variant(e)
-			got, err := runWith(s, arena)
+			got, err := runWith(s, shared, nil, ControlOptions{})
 			if err != nil {
 				t.Fatalf("shared-arena run: %v", err)
 			}
@@ -136,29 +136,21 @@ func TestMonitoredSetInvariance(t *testing.T) {
 	}
 }
 
-// TestSchedulerBackendInvariance runs every scenario on a brand-new scheduler
-// — empty event arena, calendar queue at its initial width and bucket count —
-// and requires the plain run's result, which was computed on whatever
-// scheduler the pool handed out, tuned by whichever run came before:
-// dispatch order must not depend on the queue's geometry.
+// TestSchedulerBackendInvariance runs every scenario on whatever scheduler
+// the pool hands out — its event arena and calendar-queue width and bucket
+// count tuned by whichever run came before — and requires the plain run's
+// result, which was computed on a brand-new scheduler: empty event arena,
+// queue at its initial geometry. Dispatch order must not depend on either.
 func TestSchedulerBackendInvariance(t *testing.T) {
 	for _, e := range Entries() {
 		t.Run(e.Name, func(t *testing.T) {
 			t.Parallel()
 			s := Quick(e.Build())
-			sched := sim.NewScheduler()
-			b, err := buildRun(s, topology.NewArena(), sched)
+			got, err := Run(s)
 			if err != nil {
-				t.Fatalf("build: %v", err)
+				t.Fatalf("pooled run: %v", err)
 			}
-			if err := sched.RunUntil(s.Duration); err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			got, err := b.finish()
-			if err != nil {
-				t.Fatalf("finish: %v", err)
-			}
-			requireSameResult(t, "new scheduler vs pooled", plainResult(t, e.Name, s), got)
+			requireSameResult(t, "pooled scheduler vs new", plainResult(t, e.Name, s), got)
 		})
 	}
 }
@@ -253,7 +245,7 @@ func TestRoutingModeEquivalence(t *testing.T) {
 // computes. Every run ends with packets in flight; the next build resets the
 // network under them.
 func TestArenaSequenceMatchesFreshArena(t *testing.T) {
-	arena := topology.NewArena()
+	shared := newRunResources()
 	for i, name := range []string{"stress-5k", "table2", "partition-heal", "stress-5k", "transit-stub", "multihomed-victim", "multi-victim"} {
 		e, ok := LookupScenario(name)
 		if !ok {
@@ -264,11 +256,11 @@ func TestArenaSequenceMatchesFreshArena(t *testing.T) {
 			s.Topology = e.Build().Topology
 		}
 		s.Seed += int64(i)
-		got, err := runWith(s, arena)
+		got, err := runWith(s, shared, nil, ControlOptions{})
 		if err != nil {
 			t.Fatalf("step %d (%s) on the shared arena: %v", i, name, err)
 		}
-		want, err := runWith(s, topology.NewArena())
+		want, err := runWith(s, newRunResources(), nil, ControlOptions{})
 		if err != nil {
 			t.Fatalf("step %d (%s) on its own arena: %v", i, name, err)
 		}

@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"mafic/internal/topology"
 )
 
 // RunMany executes every scenario and returns the results in input order.
@@ -27,18 +25,6 @@ func RunMany(scenarios []Scenario, workers int) ([]Result, error) {
 	results := make([]Result, len(scenarios))
 	errs := make([]error, len(scenarios))
 
-	if workers <= 1 {
-		// One arena serves every point: consecutive builds reuse the
-		// topology backing arrays (each domain dies with its run).
-		arena := topology.NewArena()
-		for i := range scenarios {
-			if results[i], errs[i] = runWith(scenarios[i], arena); errs[i] != nil {
-				return nil, errs[i]
-			}
-		}
-		return results, nil
-	}
-
 	var next atomic.Int64
 	var failed atomic.Bool
 	var wg sync.WaitGroup
@@ -46,13 +32,10 @@ func RunMany(scenarios []Scenario, workers int) ([]Result, error) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			// Arenas are single-owner: one per worker, reused across
-			// every point the worker claims.
-			arena := topology.NewArena()
 			for {
-				// Fail fast like the serial path: once any point has
-				// errored, stop claiming new work (in-flight points
-				// finish; the first error by index is still reported).
+				// Fail fast: once any point has errored, stop claiming new
+				// work (in-flight points finish; the first error by index
+				// is still reported).
 				if failed.Load() {
 					return
 				}
@@ -60,7 +43,11 @@ func RunMany(scenarios []Scenario, workers int) ([]Result, error) {
 				if i >= len(scenarios) {
 					return
 				}
-				if results[i], errs[i] = runWith(scenarios[i], arena); errs[i] != nil {
+				// Run borrows the point's arena and scheduler from the run
+				// pool, so a worker's consecutive builds reuse the topology
+				// backing arrays (each domain dies with its run), and so
+				// does the next sweep.
+				if results[i], errs[i] = Run(scenarios[i]); errs[i] != nil {
 					failed.Store(true)
 				}
 			}

@@ -25,82 +25,68 @@ type defense interface {
 	Deactivate()
 }
 
-// resourcePoolCap bounds the run-scoped engine-object pools below; beyond
-// it released objects fall to the garbage collector.
-const resourcePoolCap = 64
+// runResources is everything a run borrows for its lifetime and hands back in
+// one piece: the topology arena (whose network every build resets and
+// rebuilds in place), the scheduler, and the run-scoped lookup tables buildRun
+// refills for every scenario — the per-defender dispatch maps and the
+// ground-truth label sets. A recycled bundle keeps the arena's backing arrays,
+// the scheduler's event arena and queue geometry, and the maps' buckets warm,
+// so a steady-state run allocates none of them again. Reuse is bit-invariant:
+// dispatch order depends on none of it, and the invariance suite pins a run on
+// a recycled bundle against one on a brand-new bundle for the whole catalog.
+type runResources struct {
+	arena *topology.Arena
+	sched *sim.Scheduler
 
-// arenaPool recycles topology arenas across sequential Run calls, so
-// repeated standalone runs reuse topology-construction backing the same way
-// RunMany's per-worker arenas do. Arena reuse is bit-invariant (the
-// invariance suite pins it), so pooling cannot change results.
-var arenaPool = pool.FreeList[topology.Arena]{Cap: resourcePoolCap}
+	defByRouter  map[netsim.NodeID]defense
+	ingressIDs   []netsim.NodeID
+	legitLabels  map[uint64]bool
+	attackLabels map[uint64]bool
+	// mafic and droppers list the run's defenders in ingress order.
+	mafic    []*core.Defender
+	droppers []*baseline.Dropper
+}
 
-// schedPool recycles schedulers. A recycled scheduler is Reset before reuse,
-// which keeps its event arena and queue geometry warm; dispatch order does
-// not depend on either, so results are unaffected.
-var schedPool = pool.FreeList[sim.Scheduler]{Cap: resourcePoolCap}
+// resourcePool recycles bundles across runs, sequential or the workers of a
+// sweep alike. Beyond its cap released bundles fall to the garbage collector.
+var resourcePool = pool.FreeList[runResources]{Cap: 64}
 
-func getScheduler() *sim.Scheduler {
-	if sched := schedPool.Get(); sched != nil {
-		return sched
+// newRunResources returns a brand-new bundle: what the first run of a process
+// gets, and what the invariance tests hand in as their reference.
+func newRunResources() *runResources {
+	return &runResources{
+		arena:        topology.NewArena(),
+		sched:        sim.NewScheduler(),
+		defByRouter:  make(map[netsim.NodeID]defense),
+		legitLabels:  make(map[uint64]bool),
+		attackLabels: make(map[uint64]bool),
 	}
-	return sim.NewScheduler()
 }
 
-func putScheduler(sched *sim.Scheduler) {
-	sched.Reset()
-	schedPool.Put(sched)
-}
-
-// runScratch holds the run-scoped lookup tables buildRun rebuilds for every
-// scenario: the per-defender dispatch maps and the ground-truth label sets.
-// Pooling them removes the last ROADMAP-named construction-time allocations
-// (the per-defender map headers) from the sweep hot path — cleared maps keep
-// their buckets, so a steady-state run allocates no headers at all.
-type runScratch struct {
-	defByRouter   map[netsim.NodeID]defense
-	maficByRouter map[netsim.NodeID]*core.Defender
-	ingressIDs    []netsim.NodeID
-	legitLabels   map[uint64]bool
-	attackLabels  map[uint64]bool
-	mafic         []*core.Defender
-	droppers      []*baseline.Dropper
-}
-
-var scratchPool = pool.FreeList[runScratch]{Cap: resourcePoolCap}
-
-func getScratch() *runScratch {
-	s := scratchPool.Get()
-	if s == nil {
-		return &runScratch{
-			defByRouter:   make(map[netsim.NodeID]defense),
-			maficByRouter: make(map[netsim.NodeID]*core.Defender),
-			legitLabels:   make(map[uint64]bool),
-			attackLabels:  make(map[uint64]bool),
-		}
-	}
-	clear(s.defByRouter)
-	clear(s.maficByRouter)
-	clear(s.legitLabels)
-	clear(s.attackLabels)
-	s.ingressIDs = s.ingressIDs[:0]
-	s.mafic = s.mafic[:0]
-	s.droppers = s.droppers[:0]
-	return s
+// reset empties the bundle for its next run. Resetting the scheduler
+// guarantees no event of the finished run can be dispatched afterwards, which
+// is what makes the objects it referenced safe to recycle.
+func (r *runResources) reset() {
+	r.sched.Reset()
+	clear(r.defByRouter)
+	clear(r.legitLabels)
+	clear(r.attackLabels)
+	r.ingressIDs = r.ingressIDs[:0]
+	r.mafic = r.mafic[:0]
+	r.droppers = r.droppers[:0]
 }
 
 // builtRun is a fully built scenario that has not finished running yet: the
 // checkpoint layer snapshots and restores between buildRun and finish.
 type builtRun struct {
 	s           Scenario
-	sched       *sim.Scheduler
+	res         *runResources
 	rng         *sim.RNG
 	domain      *topology.Domain
 	workload    *traffic.Workload
 	collector   *metrics.Collector
 	coordinator *pushback.Coordinator
 	monitor     *trafficmatrix.Monitor
-	scratch     *runScratch
 	// buildSeq is the scheduler sequence number at the build/run boundary;
 	// see checkpoint.World.
 	buildSeq uint64
@@ -112,36 +98,7 @@ type builtRun struct {
 
 // Run executes one scenario and returns its metrics.
 func Run(s Scenario) (Result, error) {
-	arena := arenaPool.Get()
-	if arena == nil {
-		arena = topology.NewArena()
-	}
-	defer arenaPool.Put(arena)
-	return runWith(s, arena)
-}
-
-// runWith executes one scenario, building its topology through the given
-// arena when one is supplied. Sweep workers (RunMany) pass a per-worker arena
-// so consecutive points reuse the topology-construction backing arrays; the
-// result is bit-identical either way (the golden invariance tests pin this).
-func runWith(s Scenario, arena *topology.Arena) (Result, error) {
-	if err := s.Validate(); err != nil {
-		return Result{}, err
-	}
-	sched := getScheduler()
-	defer putScheduler(sched)
-	b, err := buildRun(s, arena, sched)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := sched.RunUntil(s.Duration); err != nil {
-		// The deferred putScheduler resets the scheduler, so no event can
-		// fire after this point and the pooled objects are safe to recycle
-		// even though the run aborted.
-		b.abort()
-		return Result{}, fmt.Errorf("run: %w", err)
-	}
-	return b.finish()
+	return RunControlled(s, ControlOptions{})
 }
 
 // RunWithCheckpoints executes one scenario, pausing at each of the given
@@ -162,37 +119,46 @@ func RunWithCheckpoints(s Scenario, times []sim.Time, save func(at sim.Time, dat
 			return Result{}, fmt.Errorf("%w: checkpoint times must be strictly ascending", ErrScenario)
 		}
 	}
-	arena := arenaPool.Get()
-	if arena == nil {
-		arena = topology.NewArena()
+	return runPooled(s, nil, ControlOptions{Save: save, at: times})
+}
+
+// runPooled is the one owner of a run's borrowed resources: it takes a bundle
+// from the pool (or makes the process's first), runs on it, and puts it back.
+// s is validated by the caller, which knows whose fault a bad one is.
+func runPooled(s Scenario, snap *checkpoint.Snapshot, opts ControlOptions) (Result, error) {
+	if err := opts.validate(); err != nil {
+		return Result{}, err
 	}
-	defer arenaPool.Put(arena)
-	sched := getScheduler()
-	defer putScheduler(sched)
-	b, err := buildRun(s, arena, sched)
+	res := resourcePool.Get()
+	if res == nil {
+		res = newRunResources()
+	}
+	defer resourcePool.Put(res)
+	return runWith(s, res, snap, opts)
+}
+
+// runWith builds s on the given bundle, overlays snap when the run resumes
+// one, and drives it to the scenario's end under opts. Whatever happens the
+// built run is released and the bundle left empty for its next run. The
+// invariance tests call it with a bundle of their own — brand-new, or shared
+// by a whole sequence of runs — where the Run family passes the pool's.
+func runWith(s Scenario, res *runResources, snap *checkpoint.Snapshot, opts ControlOptions) (Result, error) {
+	b, err := buildRun(s, res)
 	if err != nil {
 		return Result{}, err
 	}
-	for _, t := range times {
-		if err := sched.RunUntil(t); err != nil {
-			b.abort()
-			return Result{}, fmt.Errorf("run: %w", err)
+	defer b.release()
+	if snap != nil {
+		w := b.world()
+		if err := checkpoint.Restore(w, snap); err != nil {
+			return Result{}, fmt.Errorf("%w: %w", ErrSnapshot, err)
 		}
-		data, err := b.snapshot()
-		if err != nil {
-			b.abort()
-			return Result{}, err
-		}
-		if err := save(t, data); err != nil {
-			b.abort()
-			return Result{}, fmt.Errorf("save checkpoint at %v: %w", t, err)
-		}
+		b.result.Activated = w.Flags.Activated
+		b.result.ActivationSeconds = w.Flags.ActivationSeconds
+		b.result.DetectedByPushback = w.Flags.DetectedByPushback
+		b.result.ATRCount = int(w.Flags.ATRCount)
 	}
-	if err := sched.RunUntil(s.Duration); err != nil {
-		b.abort()
-		return Result{}, fmt.Errorf("run: %w", err)
-	}
-	return b.finish()
+	return controlLoop(b, opts)
 }
 
 // RunFromSnapshot decodes a snapshot, rebuilds its scenario deterministically,
@@ -208,15 +174,15 @@ func RunFromSnapshot(data []byte) (Result, error) {
 // world assembles the checkpoint bridge over the built run.
 func (b *builtRun) world() *checkpoint.World {
 	return &checkpoint.World{
-		Sched:       b.sched,
+		Sched:       b.res.sched,
 		RNG:         b.rng,
 		Net:         b.domain.Net,
 		Workload:    b.workload,
 		Monitor:     b.monitor,
 		Coordinator: b.coordinator,
 		Collector:   b.collector,
-		MAFIC:       b.scratch.mafic,
-		Baseline:    b.scratch.droppers,
+		MAFIC:       b.res.mafic,
+		Baseline:    b.res.droppers,
 		BuildSeq:    b.buildSeq,
 		Flags:       b.flags(),
 	}
@@ -251,41 +217,15 @@ func (b *builtRun) snapshot() ([]byte, error) {
 	return checkpoint.Encode(snap), nil
 }
 
-// buildRun constructs every component of a scenario run — topology, workload,
-// faults, measurement, detection, defence — schedules the build-time events,
-// and records the build/run sequence boundary. It does not advance the clock.
-func buildRun(s Scenario, arena *topology.Arena, sched *sim.Scheduler) (*builtRun, error) {
-	if arena == nil {
-		arena = topology.NewArena()
-	}
-	rng := sim.NewRNG(s.Seed)
-
-	domain, err := arena.Build(s.Topology, sched, rng.Fork())
-	if err != nil {
-		return nil, fmt.Errorf("build topology: %w", err)
-	}
-	workload, err := traffic.BuildWorkload(s.Workload, domain, rng.Fork())
-	if err != nil {
-		return nil, fmt.Errorf("build workload: %w", err)
-	}
-	if err := installFaults(s.Faults, domain, sched); err != nil {
-		return nil, err
-	}
-
-	collector := metrics.NewCollector(s.BinWidth)
-	collector.ReserveSeries(s.Duration)
-	collector.InstallHooks(domain.Net, domain.Victim.ID())
-	for _, ing := range domain.Ingress {
-		collector.TapRouter(ing, domain.VictimIP())
-	}
-
+// buildRun constructs every component of a scenario run on the given bundle —
+// topology, workload, faults, measurement, detection, defence — schedules the
+// build-time events, and records the build/run sequence boundary. It does not
+// advance the clock. A failed build releases whatever it had built so far.
+func buildRun(s Scenario, res *runResources) (*builtRun, error) {
 	b := &builtRun{
-		s:         s,
-		sched:     sched,
-		rng:       rng,
-		domain:    domain,
-		workload:  workload,
-		collector: collector,
+		s:   s,
+		res: res,
+		rng: sim.NewRNG(s.Seed),
 		result: Result{
 			Name:       s.Name,
 			Pd:         s.MAFIC.DropProbability,
@@ -296,24 +236,52 @@ func buildRun(s Scenario, arena *topology.Arena, sched *sim.Scheduler) (*builtRu
 			Defense:    s.Defense.String(),
 		},
 	}
+	if err := b.build(); err != nil {
+		b.release()
+		return nil, err
+	}
+	return b, nil
+}
 
-	// Per-ingress defences, dispatched through pooled run-scoped tables.
-	scratch := getScratch()
-	b.scratch = scratch
-	defByRouter := scratch.defByRouter
-	maficByRouter := scratch.maficByRouter
+// build is buildRun's body; every component is recorded on b as soon as it
+// exists, which is what lets a failure be released like a finished run.
+func (b *builtRun) build() error {
+	s, res, rng, sched := b.s, b.res, b.rng, b.res.sched
+	domain, err := res.arena.Build(s.Topology, sched, rng.Fork())
+	if err != nil {
+		return fmt.Errorf("build topology: %w", err)
+	}
+	b.domain = domain
+	b.workload, err = traffic.BuildWorkload(s.Workload, domain, rng.Fork())
+	if err != nil {
+		return fmt.Errorf("build workload: %w", err)
+	}
+	if err := installFaults(s.Faults, domain, sched); err != nil {
+		return err
+	}
+
+	collector := metrics.NewCollector(s.BinWidth)
+	collector.ReserveSeries(s.Duration)
+	collector.InstallHooks(domain.Net, domain.Victim.ID())
+	for _, ing := range domain.Ingress {
+		collector.TapRouter(ing, domain.VictimIP())
+	}
+	b.collector = collector
+
+	// Per-ingress defences, dispatched through the bundle's run-scoped
+	// tables. Each defender is recorded as soon as it exists, so a later
+	// failure releases the earlier ones.
+	defByRouter := res.defByRouter
 	switch s.Defense {
 	case DefenseMAFIC:
 		for _, ing := range domain.Ingress {
 			d, derr := core.NewDefender(s.MAFIC, ing, rng.Fork())
 			if derr != nil {
-				scratchPool.Put(scratch)
-				return nil, fmt.Errorf("defender on %s: %w", ing.Name(), derr)
+				return fmt.Errorf("defender on %s: %w", ing.Name(), derr)
 			}
 			d.SetDropObserver(collector.ObserveMAFICDrop)
 			defByRouter[ing.ID()] = d
-			maficByRouter[ing.ID()] = d
-			scratch.mafic = append(scratch.mafic, d)
+			res.mafic = append(res.mafic, d)
 		}
 	case DefenseBaseline:
 		p := s.BaselineDropProbability
@@ -323,12 +291,11 @@ func buildRun(s Scenario, arena *topology.Arena, sched *sim.Scheduler) (*builtRu
 		for _, ing := range domain.Ingress {
 			d, derr := baseline.NewDropper(p, ing, rng.Fork())
 			if derr != nil {
-				scratchPool.Put(scratch)
-				return nil, fmt.Errorf("baseline on %s: %w", ing.Name(), derr)
+				return fmt.Errorf("baseline on %s: %w", ing.Name(), derr)
 			}
 			d.SetDropObserver(collector.ObserveBaselineDrop)
 			defByRouter[ing.ID()] = d
-			scratch.droppers = append(scratch.droppers, d)
+			res.droppers = append(res.droppers, d)
 		}
 	case DefenseNone:
 		// No defence: the run measures the undefended system.
@@ -352,11 +319,10 @@ func buildRun(s Scenario, arena *topology.Arena, sched *sim.Scheduler) (*builtRu
 		b.result.ATRCount = len(routers)
 	}
 
-	ingressIDs := scratch.ingressIDs
 	for _, ing := range domain.Ingress {
-		ingressIDs = append(ingressIDs, ing.ID())
+		res.ingressIDs = append(res.ingressIDs, ing.ID())
 	}
-	scratch.ingressIDs = ingressIDs
+	ingressIDs := res.ingressIDs
 
 	pbCfg := s.Pushback
 	pbCfg.Eligible = ingressIDs
@@ -387,29 +353,20 @@ func buildRun(s Scenario, arena *topology.Arena, sched *sim.Scheduler) (*builtRu
 	}
 	b.monitor, err = trafficmatrix.NewMonitor(domain.Net, monCfg, b.coordinator.HandleReport)
 	if err != nil {
-		b.coordinator.Release()
-		scratchPool.Put(scratch)
-		return nil, fmt.Errorf("traffic monitor: %w", err)
+		return fmt.Errorf("traffic monitor: %w", err)
 	}
 
 	// The defence filters attach after the taps and counters so drops are
 	// observed by both measurement layers.
-	if s.Defense != DefenseNone {
-		for _, ing := range domain.Ingress {
-			switch s.Defense {
-			case DefenseMAFIC:
-				ing.AttachFilter(maficByRouter[ing.ID()])
-			case DefenseBaseline:
-				d, ok := defByRouter[ing.ID()].(*baseline.Dropper)
-				if ok {
-					ing.AttachFilter(d)
-				}
-			}
-		}
+	for i, d := range res.mafic {
+		domain.Ingress[i].AttachFilter(d)
+	}
+	for i, d := range res.droppers {
+		domain.Ingress[i].AttachFilter(d)
 	}
 
 	b.monitor.Start()
-	workload.StartAll(s.Workload, rng.Fork())
+	b.workload.StartAll(s.Workload, rng.Fork())
 
 	// Fallback activation covers scenarios where the detection layer is
 	// intentionally mistuned or the attack is too small to detect.
@@ -424,22 +381,32 @@ func buildRun(s Scenario, arena *topology.Arena, sched *sim.Scheduler) (*builtRu
 	}
 
 	b.buildSeq = sched.Seq()
-	return b, nil
+	return nil
 }
 
-// abort releases the built run's pooled components after a failed run. The
-// caller is responsible for resetting the scheduler (the Run family does it
-// through the deferred putScheduler), which guarantees no released object can
-// be dispatched to afterwards.
-func (b *builtRun) abort() {
-	b.monitor.Release()
-	b.coordinator.Release()
-	b.workload.Release()
-	scratchPool.Put(b.scratch)
+// release hands every pooled component of the built run back — monitor,
+// coordinator, defenders (tables and probe slabs), flows — and empties the
+// bundle, whose scheduler reset guarantees none of them can be dispatched to
+// afterwards. It is the one tear-down of a run, finished, failed, interrupted
+// or only partly built alike.
+func (b *builtRun) release() {
+	if b.monitor != nil {
+		b.monitor.Release()
+	}
+	if b.coordinator != nil {
+		b.coordinator.Release()
+	}
+	for _, d := range b.res.mafic {
+		d.Release()
+	}
+	if b.workload != nil {
+		b.workload.Release()
+	}
+	b.res.reset()
 }
 
-// finish stops the measurement and traffic layers, extracts every metric into
-// the result, and releases the pooled engine objects.
+// finish stops the measurement and traffic layers and extracts every metric
+// into the result. The run's owner releases it afterwards.
 func (b *builtRun) finish() (Result, error) {
 	s := b.s
 	b.monitor.Stop()
@@ -454,19 +421,19 @@ func (b *builtRun) finish() (Result, error) {
 	b.result.TrafficReduction = collector.TrafficReduction(s.ReductionWindow)
 	b.result.Counts = collector.Counts()
 	b.result.Series = collector.Series()
-	b.result.EventsProcessed = b.sched.Processed()
+	b.result.EventsProcessed = b.res.sched.Processed()
 
 	// Flow-level outcomes from the defenders' tables.
 	if s.Defense == DefenseMAFIC {
-		legitLabels := b.scratch.legitLabels
-		attackLabels := b.scratch.attackLabels
+		legitLabels := b.res.legitLabels
+		attackLabels := b.res.attackLabels
 		for _, f := range b.workload.Legitimate {
 			legitLabels[f.Label().Hash()] = true
 		}
 		for _, f := range b.workload.Attack {
 			attackLabels[f.Label().Hash()] = true
 		}
-		for _, d := range b.scratch.mafic {
+		for _, d := range b.res.mafic {
 			st := d.Stats()
 			b.result.DefenseStats.Examined += st.Examined
 			b.result.DefenseStats.Forwarded += st.Forwarded
@@ -490,19 +457,11 @@ func (b *builtRun) finish() (Result, error) {
 					b.result.AttackFlowsForgiven++
 				}
 			})
-			d.Release()
 		}
 		b.result.FlowsProbed = int(b.result.DefenseStats.FlowsProbed)
 	}
 	// Routing is demand-driven: the resident route state at the end of the
 	// run is exactly the set of destinations the scenario's traffic used.
 	b.result.RouteEntries, b.result.RouteBytes = b.domain.Net.RouteStats()
-
-	// All metrics are extracted; pooled engine objects can go back to
-	// their pools for the next run (or the next sweep worker) to reuse.
-	b.monitor.Release()
-	b.coordinator.Release()
-	b.workload.Release()
-	scratchPool.Put(b.scratch)
 	return b.result, nil
 }

@@ -50,6 +50,17 @@ func (k DefenseKind) String() string {
 	}
 }
 
+// ParseDefense is the inverse of DefenseKind.String: the defence a user names
+// as "mafic", "proportional" or "none".
+func ParseDefense(name string) (DefenseKind, error) {
+	for _, k := range []DefenseKind{DefenseMAFIC, DefenseBaseline, DefenseNone} {
+		if name == k.String() {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("%w: unknown defense %q", ErrScenario, name)
+}
+
 // RateScale documents how the paper's packet rates map onto the simulated
 // rates: the paper's default R = 10⁶ packets/s per attack flow is simulated
 // as R/RateScale so a full parameter sweep finishes in seconds. Ratios

@@ -44,9 +44,11 @@ func (s JobState) terminal() bool {
 	return s == StateCompleted || s == StateFailed || s == StateCanceled
 }
 
-// JobSpec names a scenario and optional parameter overrides — the service
-// equivalent of maficsim's flag set. Pointer fields distinguish "not set"
-// (keep the catalog entry's own knob) from an explicit zero.
+// JobSpec names a scenario and optional parameter overrides — the JSON view
+// of experiment.Overrides, field for field (maficsim's flag set is the other
+// view), plus the job's own snapshot interval. Pointer fields distinguish "not
+// set" (keep the catalog entry's own knob) from an explicit zero. The tags are
+// the on-disk format of job.json manifests.
 type JobSpec struct {
 	// Scenario is a catalog name (see maficsim -list). Empty runs the
 	// paper-default scenario.
@@ -61,8 +63,8 @@ type JobSpec struct {
 	Pd         *float64 `json:"pd,omitempty"`
 	Flows      *int     `json:"flows,omitempty"`
 	TCPShare   *float64 `json:"tcpShare,omitempty"`
-	// Rate is the attack source rate in paper-scale packets/s; it is
-	// divided by experiment.RateScale exactly as the CLI does.
+	// Rate is the attack source rate in paper-scale packets/s, scaled
+	// down to the simulated rate exactly as the CLI's -rate is.
 	Rate    *float64 `json:"rate,omitempty"`
 	Routers *int     `json:"routers,omitempty"`
 	// Defense is "mafic", "proportional" or "none"; empty keeps the
@@ -75,65 +77,31 @@ type JobSpec struct {
 	CheckpointEveryMs *float64 `json:"checkpointEveryMs,omitempty"`
 }
 
-// BuildScenario materializes the spec into a validated Scenario, mirroring
-// the maficsim flag pipeline: catalog lookup, Quick before overrides, Harden
-// after. All rejections are wrapped in ErrBadRequest.
+// BuildScenario materializes the spec into a validated Scenario through
+// experiment.Overrides.Build, the pipeline maficsim's flags go through. All
+// rejections are wrapped in ErrBadRequest.
 func (spec JobSpec) BuildScenario() (experiment.Scenario, error) {
-	var s experiment.Scenario
-	if spec.Scenario == "" {
-		if spec.Quick {
-			return s, fmt.Errorf("%w: quick scales down a catalog entry; name a scenario", ErrBadRequest)
-		}
-		s = experiment.DefaultScenario()
-	} else {
-		e, ok := experiment.LookupScenario(spec.Scenario)
-		if !ok {
-			return s, fmt.Errorf("%w: unknown scenario %q", ErrBadRequest, spec.Scenario)
-		}
-		s = e.Build()
-		if spec.Quick {
-			s = experiment.Quick(s)
-		}
-	}
-	if spec.Seed != nil {
-		s.Seed = *spec.Seed
+	o := experiment.Overrides{
+		Scenario: spec.Scenario,
+		Quick:    spec.Quick,
+		Hardened: spec.Hardened,
+		Seed:     spec.Seed,
+		Pd:       spec.Pd,
+		Flows:    spec.Flows,
+		TCPShare: spec.TCPShare,
+		Rate:     spec.Rate,
+		Routers:  spec.Routers,
+		Defense:  spec.Defense,
 	}
 	if spec.DurationMs != nil {
-		s.Duration = sim.Time(*spec.DurationMs * float64(sim.Millisecond))
-	}
-	if spec.Pd != nil {
-		s.MAFIC.DropProbability = *spec.Pd
-	}
-	if spec.Flows != nil {
-		s.Workload.TotalFlows = *spec.Flows
-	}
-	if spec.TCPShare != nil {
-		s.Workload.TCPShare = *spec.TCPShare
-	}
-	if spec.Rate != nil {
-		s.Workload.AttackRate = *spec.Rate / experiment.RateScale
-	}
-	if spec.Routers != nil {
-		s.Topology.NumRouters = *spec.Routers
-	}
-	if spec.Hardened {
-		s = experiment.Harden(s)
-	}
-	switch spec.Defense {
-	case "":
-	case "mafic":
-		s.Defense = experiment.DefenseMAFIC
-	case "proportional":
-		s.Defense = experiment.DefenseBaseline
-	case "none":
-		s.Defense = experiment.DefenseNone
-	default:
-		return s, fmt.Errorf("%w: unknown defense %q", ErrBadRequest, spec.Defense)
+		d := sim.Time(*spec.DurationMs * float64(sim.Millisecond))
+		o.Duration = &d
 	}
 	if spec.CheckpointEveryMs != nil && *spec.CheckpointEveryMs < 0 {
-		return s, fmt.Errorf("%w: checkpointEveryMs must not be negative", ErrBadRequest)
+		return experiment.Scenario{}, fmt.Errorf("%w: checkpointEveryMs must not be negative", ErrBadRequest)
 	}
-	if err := s.Validate(); err != nil {
+	s, err := o.Build()
+	if err != nil {
 		return s, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	return s, nil

@@ -31,7 +31,7 @@ func TestRotatingSourceHandsOff(t *testing.T) {
 	NewVictimServer(d.Victim, 0)
 	slot := 100 * sim.Millisecond
 	groups := 3
-	sources := make([]*RotatingSource, groups)
+	sources := make([]*PacedSource, groups)
 	for g := 0; g < groups; g++ {
 		cfg := RotatingConfig{
 			PeakRate:   400,
@@ -49,8 +49,8 @@ func TestRotatingSourceHandsOff(t *testing.T) {
 	}
 	for g, s := range sources {
 		s.Stop()
-		if s.Slots() != 2 {
-			t.Fatalf("group %d held %d slots, want 2", g, s.Slots())
+		if s.Bursts() != 2 {
+			t.Fatalf("group %d held %d slots, want 2", g, s.Bursts())
 		}
 		if s.PacketsSent() == 0 {
 			t.Fatalf("group %d sent no packets", g)
@@ -95,8 +95,8 @@ func TestRotatingSourceSlowRateDoesNotCompound(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Stop()
-	if s.Slots() != uint64(cycles) {
-		t.Fatalf("held %d slots, want %d", s.Slots(), cycles)
+	if s.Bursts() != uint64(cycles) {
+		t.Fatalf("held %d slots, want %d", s.Bursts(), cycles)
 	}
 	if s.PacketsSent() != uint64(cycles) {
 		t.Fatalf("sent %d packets over %d slots, want exactly %d (send chains compounded)",
@@ -107,7 +107,7 @@ func TestRotatingSourceSlowRateDoesNotCompound(t *testing.T) {
 func TestRotatingSourceConfigClamps(t *testing.T) {
 	d := testDomain(t)
 	s := NewRotatingSource(1, RotatingConfig{Group: -3}, d.Zombies[0], d.VictimIP(), 20001, sim.NewRNG(1))
-	if s.cfg.PeakRate <= 0 || s.cfg.SlotLength <= 0 || s.cfg.Groups < 1 || s.cfg.Group != 0 {
+	if s.cfg.rate <= 0 || s.cfg.onFor <= 0 || s.cfg.every < s.cfg.onFor || s.cfg.offset != 0 {
 		t.Fatalf("config not clamped: %+v", s.cfg)
 	}
 	if s.CurrentRate() != 0 {
@@ -128,11 +128,11 @@ func TestBuildWorkloadRollingPulse(t *testing.T) {
 	}
 	groups := map[int]int{}
 	for _, f := range w.Attack {
-		rs, ok := f.(*RotatingSource)
-		if !ok {
-			t.Fatalf("attack flow %d is %T, want *RotatingSource", f.ID(), f)
+		rs, ok := f.(*PacedSource)
+		if !ok || rs.cfg.kind != FlowRotating {
+			t.Fatalf("attack flow %d is %T, want a rotating *PacedSource", f.ID(), f)
 		}
-		groups[rs.cfg.Group]++
+		groups[int(rs.cfg.offset/rs.cfg.onFor)]++
 	}
 	if len(groups) != 3 {
 		t.Fatalf("attack flows span %d groups, want 3", len(groups))

@@ -6,9 +6,10 @@ import (
 	"mafic/internal/sim"
 )
 
-// FlowKind tags the concrete type of a flow in a snapshot, so a restore can
-// verify the deterministic rebuild produced the same flow sequence before
-// overlaying state.
+// FlowKind tags the constructor that built a flow in a snapshot, so a restore
+// can verify the deterministic rebuild produced the same flow sequence before
+// overlaying state. The four paced kinds share one Go type; the tag a
+// PacedSource carries is the only thing that tells them apart.
 type FlowKind uint8
 
 // Flow kinds, in the order BuildWorkload can emit them.
@@ -21,9 +22,9 @@ const (
 )
 
 // FlowState is the dynamic state of one flow, a superset across the flow
-// kinds: a TCP source uses the congestion fields, the unresponsive kinds use
-// only the counters and phase flags. Configuration, labels and host bindings
-// are rebuild-covered.
+// kinds: a TCP source uses the congestion fields, the paced kinds use only
+// the counters and, when gated, the burst flag and count. Configuration,
+// labels and host bindings are rebuild-covered.
 type FlowState struct {
 	Kind      FlowKind
 	Running   bool
@@ -43,7 +44,7 @@ type FlowState struct {
 }
 
 // CaptureFlowState captures the dynamic state of one flow into dst. Pending
-// send and phase events are captured separately through the scheduler walk;
+// send and gate events are captured separately through the scheduler walk;
 // the EventRef fields themselves do not travel (a stale ref is a safe no-op
 // and live ones are re-bound by the restore).
 func CaptureFlowState(f Flow, dst *FlowState) error {
@@ -64,19 +65,12 @@ func CaptureFlowState(f Flow, dst *FlowState) error {
 			FastRetx:  s.fastRetx,
 			ProbeSeen: s.probeSeen,
 		}
-	case *CBRSource:
-		*dst = FlowState{Kind: FlowCBR, Running: s.running, Seq: s.seq, Sent: s.sent}
-	case *AttackSource:
-		*dst = FlowState{Kind: FlowAttack, Running: s.cbr.running, Seq: s.cbr.seq, Sent: s.cbr.sent}
-	case *PulsingSource:
+	case *PacedSource:
+		// An ungated sender never sets inBurst or counts a burst, so it
+		// writes false and zero here as the gateless kinds always have.
 		*dst = FlowState{
-			Kind: FlowPulsing, Running: s.running, InBurst: s.inBurst,
+			Kind: s.cfg.kind, Running: s.running, InBurst: s.inBurst,
 			Seq: s.seq, Sent: s.sent, Bursts: s.bursts,
-		}
-	case *RotatingSource:
-		*dst = FlowState{
-			Kind: FlowRotating, Running: s.running, InBurst: s.inSlot,
-			Seq: s.seq, Sent: s.sent, Bursts: s.slots,
 		}
 	default:
 		return fmt.Errorf("traffic: cannot checkpoint flow of type %T", f)
@@ -85,8 +79,8 @@ func CaptureFlowState(f Flow, dst *FlowState) error {
 }
 
 // RestoreFlowState overlays captured state onto the corresponding rebuilt
-// flow. The kind tag must match the rebuilt flow's concrete type: a mismatch
-// means the snapshot and the rebuild disagree about the workload.
+// flow. The kind tag must match the rebuilt flow's: a mismatch means the
+// snapshot and the rebuild disagree about the workload.
 func RestoreFlowState(f Flow, st FlowState) error {
 	switch s := f.(type) {
 	case *TCPSource:
@@ -106,24 +100,8 @@ func RestoreFlowState(f Flow, st FlowState) error {
 		s.fastRetx = st.FastRetx
 		s.probeSeen = st.ProbeSeen
 		return nil
-	case *CBRSource:
-		if st.Kind != FlowCBR {
-			break
-		}
-		s.running = st.Running
-		s.seq = st.Seq
-		s.sent = st.Sent
-		return nil
-	case *AttackSource:
-		if st.Kind != FlowAttack {
-			break
-		}
-		s.cbr.running = st.Running
-		s.cbr.seq = st.Seq
-		s.cbr.sent = st.Sent
-		return nil
-	case *PulsingSource:
-		if st.Kind != FlowPulsing {
+	case *PacedSource:
+		if st.Kind != s.cfg.kind {
 			break
 		}
 		s.running = st.Running
@@ -132,55 +110,29 @@ func RestoreFlowState(f Flow, st FlowState) error {
 		s.sent = st.Sent
 		s.bursts = st.Bursts
 		return nil
-	case *RotatingSource:
-		if st.Kind != FlowRotating {
-			break
-		}
-		s.running = st.Running
-		s.inSlot = st.InBurst
-		s.seq = st.Seq
-		s.sent = st.Sent
-		s.slots = st.Bursts
-		return nil
 	default:
 		return fmt.Errorf("traffic: cannot restore flow of type %T", f)
 	}
-	return fmt.Errorf("traffic: snapshot flow kind %d does not match rebuilt %T", st.Kind, f)
+	return fmt.Errorf("traffic: flow %d: snapshot flow kind %d does not match the rebuilt flow's", f.ID(), st.Kind)
 }
 
 // SendHandler returns the event-handler identity a flow's send timer is
-// scheduled with — the source itself for direct senders, the embedded CBR
-// core for an attack source. Checkpoint capture matches pending events
-// against it; restore re-binds the re-inserted event through SetSendEvent.
+// scheduled with: the source itself, for both senders. Checkpoint capture
+// matches pending events against it; restore re-binds the re-inserted event
+// through SetSendEvent.
 func SendHandler(f Flow) sim.EventHandler {
-	switch s := f.(type) {
-	case *TCPSource:
-		return s
-	case *CBRSource:
-		return s
-	case *AttackSource:
-		return s.cbr
-	case *PulsingSource:
-		return s
-	case *RotatingSource:
-		return s
-	default:
-		return nil
-	}
+	h, _ := f.(sim.EventHandler)
+	return h
 }
 
-// PhaseHandlers returns the burst/slot boundary handler identities of a
-// pulsing or rotating flow (phase = begin, end = hand-off), or nils for the
-// kinds without phases.
+// PhaseHandlers returns the gate handler identities of a gated paced flow
+// (phase = the gate opens, end = it shuts), or nils for a flow without a
+// gate.
 func PhaseHandlers(f Flow) (phase, end sim.EventHandler) {
-	switch s := f.(type) {
-	case *PulsingSource:
-		return &s.phase, &s.end
-	case *RotatingSource:
-		return &s.phase, &s.end
-	default:
-		return nil, nil
+	if s, ok := f.(*PacedSource); ok && s.gated() {
+		return &s.open, &s.shut
 	}
+	return nil, nil
 }
 
 // SetSendEvent re-binds a flow's send-timer EventRef after a restore
@@ -189,26 +141,17 @@ func SetSendEvent(f Flow, ref sim.EventRef) {
 	switch s := f.(type) {
 	case *TCPSource:
 		s.sendEvent = ref
-	case *CBRSource:
-		s.sendEvent = ref
-	case *AttackSource:
-		s.cbr.sendEvent = ref
-	case *PulsingSource:
-		s.sendEvent = ref
-	case *RotatingSource:
+	case *PacedSource:
 		s.sendEvent = ref
 	}
 }
 
-// SetPhaseEvent re-binds a pulsing or rotating flow's next-phase EventRef
-// after a restore re-inserted the pending event. The end-of-burst event is
-// fire-and-forget (no ref is kept), so only the phase ref needs re-binding.
+// SetPhaseEvent re-binds a gated flow's next-burst EventRef after a restore
+// re-inserted the pending event. The end-of-burst event is fire-and-forget
+// (no ref is kept), so only the opening ref needs re-binding.
 func SetPhaseEvent(f Flow, ref sim.EventRef) {
-	switch s := f.(type) {
-	case *PulsingSource:
-		s.phaseEvent = ref
-	case *RotatingSource:
-		s.phaseEvent = ref
+	if s, ok := f.(*PacedSource); ok {
+		s.gateEvent = ref
 	}
 }
 
@@ -243,14 +186,9 @@ func (v *VictimServer) RestoreState(st VictimServerState) {
 // CheckpointTypes lists this package's structs that carry snapshotted state.
 var CheckpointTypes = []any{
 	TCPSource{},
-	CBRSource{},
-	AttackSource{},
-	PulsingSource{},
-	RotatingSource{},
-	pulsePhase{},
-	pulseEnd{},
-	rotatePhase{},
-	rotateEnd{},
+	PacedSource{},
+	gateOpen{},
+	gateShut{},
 	VictimServer{},
 	Workload{},
 }

@@ -94,7 +94,7 @@ func TestPulsingConfigDefaults(t *testing.T) {
 	// Invalid values are normalised by the constructor.
 	d := testDomain(t)
 	p := NewPulsingSource(4, PulsingConfig{}, d.Zombies[0], d.VictimIP(), 40003, sim.NewRNG(1))
-	if p.cfg.PeakRate <= 0 || p.cfg.Period <= 0 || p.cfg.DutyCycle <= 0 || p.cfg.PacketSize <= 0 {
+	if p.cfg.rate <= 0 || p.cfg.every <= 0 || p.cfg.onFor <= 0 || p.cfg.size <= 0 {
 		t.Fatalf("constructor did not normalise config: %+v", p.cfg)
 	}
 }
@@ -115,8 +115,8 @@ func TestWorkloadWithPulsingAttack(t *testing.T) {
 		t.Fatal("no attack flows built")
 	}
 	for _, f := range w.Attack {
-		if _, ok := f.(*PulsingSource); !ok {
-			t.Fatalf("attack flow is %T, want *PulsingSource", f)
+		if p, ok := f.(*PacedSource); !ok || p.cfg.kind != FlowPulsing {
+			t.Fatalf("attack flow is %T, want a pulsing *PacedSource", f)
 		}
 	}
 	w.StartAll(spec, rng)

@@ -7,7 +7,7 @@ import (
 	"mafic/internal/sim"
 )
 
-// FuzzRotatingSource throws arbitrary rotation schedules at RotatingSource
+// FuzzRotatingSource throws arbitrary rotation schedules at NewRotatingSource
 // and checks the invariants the workload builder relies on: a flow is never
 // double-activated (double Start, or a stale send chain surviving into the
 // next slot, would blow the slot and packet bounds), every slot the clamped
@@ -93,7 +93,7 @@ func FuzzRotatingSource(f *testing.F) {
 		if horizon >= offset {
 			want = uint64((horizon-offset)/cycle) + 1
 		}
-		slots := s.Slots()
+		slots := s.Bursts()
 		if slots > want {
 			t.Fatalf("double-activation: held %d slots, schedule owes at most %d (slot=%v groups=%d group=%d)",
 				slots, want, cSlot, cGroups, cGroup)
@@ -112,14 +112,14 @@ func FuzzRotatingSource(f *testing.F) {
 		}
 
 		// Stop must silence the flow even with events still queued.
-		sent, held := s.PacketsSent(), s.Slots()
+		sent, held := s.PacketsSent(), s.Bursts()
 		s.Stop()
 		if err := sched.RunUntil(horizon + 4*cycle + 4*cSlot); err != nil {
 			t.Fatalf("run after stop: %v", err)
 		}
-		if s.PacketsSent() != sent || s.Slots() != held {
+		if s.PacketsSent() != sent || s.Bursts() != held {
 			t.Fatalf("flow lived past Stop: packets %d -> %d, slots %d -> %d",
-				sent, s.PacketsSent(), held, s.Slots())
+				sent, s.PacketsSent(), held, s.Bursts())
 		}
 	})
 }

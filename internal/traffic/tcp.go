@@ -66,10 +66,7 @@ type TCPSource struct {
 	reverseFn netsim.PacketHandler
 }
 
-var (
-	_ Flow       = (*TCPSource)(nil)
-	_ Releasable = (*TCPSource)(nil)
-)
+var _ Flow = (*TCPSource)(nil)
 
 // NewTCPSource creates a TCP-friendly source on the given host targeting the
 // victim address. srcPort disambiguates multiple flows from one host. The
@@ -111,7 +108,7 @@ func NewTCPSource(id int, cfg TCPConfig, host *netsim.Host, victim netsim.IP, sr
 	return s
 }
 
-// Release implements Releasable: the source detaches from its host and
+// Release implements Flow: the source detaches from its host and
 // returns to the package pool for reuse by a later workload build. The
 // source must not be used afterwards.
 func (s *TCPSource) Release() {

@@ -1,9 +1,16 @@
 // Package traffic provides the flow-level workload the MAFIC evaluation
-// needs: TCP-friendly adaptive sources that react to loss and duplicated
-// ACKs, constant-rate UDP sources, unresponsive DDoS attack sources with
-// spoofed addresses, a victim server that acknowledges TCP data, and a
-// workload builder that assembles the mixes used in the paper's figures
-// (traffic volume V_t, TCP share Γ, source rate R).
+// needs, from two senders. TCPSource is the TCP-friendly adaptive source that
+// reacts to loss and duplicated ACKs. PacedSource is every unresponsive flow:
+// it sends at a fixed rate while a gate is open — for onFor at the start of
+// every cycle, the first cycle offset after the start; no cycle means always
+// open — and four constructors translate into that: NewCBRSource (legitimate
+// UDP, no gate), NewAttackSource (the paper's flooding zombie with Section
+// III-A's spoofed addresses, no gate), NewPulsingSource (shrew pulses: Period
+// × DutyCycle of every Period) and NewRotatingSource (rolling pulses:
+// SlotLength of every SlotLength × Groups, offset SlotLength × Group). Around
+// them sit a victim server that acknowledges TCP data and a workload builder
+// that assembles the mixes used in the paper's figures (traffic volume V_t,
+// TCP share Γ, source rate R).
 package traffic
 
 import (
@@ -30,6 +37,10 @@ type Flow interface {
 	// second (the congestion-controlled rate for TCP sources, the
 	// configured rate for constant-rate sources).
 	CurrentRate() float64
+	// Release stops the flow and returns the object to its package pool so
+	// a later workload build can reuse it instead of allocating. The flow
+	// must not be touched afterwards.
+	Release()
 }
 
 // DefaultDataSize is the payload packet size in bytes used by every source
@@ -42,11 +53,11 @@ const DefaultAckSize = 40
 // victimPort is the destination port every flow targets on the victim.
 const victimPort = 80
 
-// attackSourceLabel returns the 4-tuple an attack flow stamps on its packets,
-// honouring the spoofing mode: forged addresses replace the zombie's own for
+// sourceLabel returns the 4-tuple a paced flow stamps on its packets,
+// honouring the spoofing mode: forged addresses replace the host's own for
 // SpoofLegitimate and SpoofIllegal, SpoofNone keeps the real address.
-func attackSourceLabel(zombie *netsim.Host, victim netsim.IP, srcPort uint16, spoof SpoofMode, spoofedIP netsim.IP) netsim.FlowLabel {
-	src := zombie.PrimaryIP()
+func sourceLabel(host *netsim.Host, victim netsim.IP, srcPort uint16, spoof SpoofMode, spoofedIP netsim.IP) netsim.FlowLabel {
+	src := host.PrimaryIP()
 	if (spoof == SpoofLegitimate || spoof == SpoofIllegal) && spoofedIP != 0 {
 		src = spoofedIP
 	}
@@ -56,20 +67,4 @@ func attackSourceLabel(zombie *netsim.Host, victim netsim.IP, srcPort uint16, sp
 		SrcPort: srcPort,
 		DstPort: victimPort,
 	}
-}
-
-// emitAttackPacket builds and sends one TCP-marked attack data packet. The
-// pulsing and rotating sources share it so their wire format cannot diverge.
-func emitAttackPacket(net *netsim.Network, host *netsim.Host, label netsim.FlowLabel, labelHash uint64, flowID int, seq int64, size int) {
-	pkt := net.NewPacket()
-	pkt.ID = net.NextPacketID()
-	pkt.Label = label
-	pkt.Kind = netsim.KindData
-	pkt.Proto = netsim.ProtoTCP
-	pkt.Seq = seq
-	pkt.Size = size
-	pkt.FlowID = flowID
-	pkt.Malicious = true
-	pkt.SetFlowHash(labelHash)
-	host.Send(pkt)
 }

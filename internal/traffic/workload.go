@@ -203,7 +203,9 @@ func (s WorkloadSpec) Validate() error {
 	return nil
 }
 
-// Workload is the instantiated traffic of one scenario.
+// Workload is the instantiated traffic of one scenario. BuildWorkload appends
+// the flash-crowd flows to Legitimate last, so Flash is always the trailing
+// len(Flash) entries of Legitimate; StartAll relies on it.
 type Workload struct {
 	// Victim is the server installed on the victim host.
 	Victim *VictimServer
@@ -226,14 +228,7 @@ type Workload struct {
 // start window, flash-crowd flows inside the flash-crowd window, and attack
 // flows at the attack start time.
 func (w *Workload) StartAll(spec WorkloadSpec, rng *sim.RNG) {
-	flash := make(map[Flow]bool, len(w.Flash))
-	for _, f := range w.Flash {
-		flash[f] = true
-	}
-	for _, f := range w.Legitimate {
-		if flash[f] {
-			continue
-		}
+	for _, f := range w.Legitimate[:len(w.Legitimate)-len(w.Flash)] {
 		offset := sim.Time(0)
 		if spec.StartWindow > 0 {
 			offset = sim.Time(rng.Intn(int(spec.StartWindow)))
@@ -264,9 +259,7 @@ func (w *Workload) StopAll() {
 // be used afterwards.
 func (w *Workload) Release() {
 	for _, f := range w.Flows {
-		if r, ok := f.(Releasable); ok {
-			r.Release()
-		}
+		f.Release()
 	}
 	w.Flows, w.Legitimate, w.Attack, w.Flash = nil, nil, nil, nil
 }
