@@ -97,8 +97,8 @@ var fieldManifest = map[string][]string{
 	"traffic.gateShut":          {"s"},
 	"trafficmatrix.Cell":        {"Dest", "Packets", "Source"},
 	"trafficmatrix.Counter":     {"buckets", "dest", "destPkts", "router", "source", "sourcePkts", "transit"},
-	"trafficmatrix.EpochReport": {"DestEst", "End", "Epoch", "Matrix", "Routers", "SourceEst", "Start"},
-	"trafficmatrix.Monitor":     {"counterSlab", "counters", "ctrlRNG", "delayProb", "dstEst", "epoch", "epochIndex", "epochStart", "matrix", "nbScratch", "onReport", "reportDelay", "reportLoss", "routerIDs", "running", "sched", "scratch", "sketchSlab", "srcEst", "stop"},
+	"trafficmatrix.EpochReport": {"DestEst", "End", "Epoch", "Matrix", "Routers", "SourceEst", "Start", "gen", "live"},                                                                                                                                                               // live, gen: set only in a live report, which does not outlive its callback; a report in flight is an owned Clone with both zero
+	"trafficmatrix.Monitor":     {"counterSlab", "counters", "ctrlRNG", "delayProb", "dstEst", "epoch", "epochIndex", "epochStart", "frozen", "gen", "nbScratch", "onReport", "reportDelay", "reportLoss", "routerIDs", "running", "sched", "sketchSlab", "srcEst", "stats", "stop"}, // gen, frozen: which epoch the estimate tables hold, dead between epochs like the tables; stats: work counters, in no Result
 }
 
 // TestStateCoverageGuard fails whenever a watched struct's field set drifts

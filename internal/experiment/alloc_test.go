@@ -24,11 +24,7 @@ func heapDelta(fn func()) (mallocs, bytes uint64) {
 
 func table2Quick(t *testing.T) Scenario {
 	t.Helper()
-	e, ok := LookupScenario("table2")
-	if !ok {
-		t.Fatal("table2 not registered")
-	}
-	return Quick(e.Build())
+	return Quick(fullTable2(t))
 }
 
 // TestSnapshotSteadyStateAllocs pins what a snapshot costs once the run's

@@ -292,6 +292,7 @@ var restoreRefusals = []struct {
 	{"negative hop count", editFirstArrival(func(p *netsim.PacketState) { p.Hops = -1 }), "hop count -1"},
 	{"buckets set, zero adds", editFirstTouchedSketch(func(st *loglog.SketchState) { st.Adds = 0 }), "non-zero buckets and zero adds"},
 	{"adds, no buckets", editFirstTouchedSketch(func(st *loglog.SketchState) { st.Buckets = nil }), "bucket count 0"},
+	{"a rank no add records", editFirstTouchedSketch(func(st *loglog.SketchState) { st.Buckets[0] = 200 }), "holds rank 200"},
 	{"gate event on an ungated flow", gateLastFlowSend, "schedules a phase on flow"},
 }
 

@@ -1,0 +1,94 @@
+package experiment
+
+import (
+	"testing"
+
+	"mafic/internal/trafficmatrix"
+)
+
+// runCounted runs s to its end on a bundle of its own and returns the result
+// together with the monitor's work counts, which are in no Result.
+func runCounted(t *testing.T, s Scenario) (Result, trafficmatrix.MonitorStats) {
+	t.Helper()
+	b, err := buildRun(s, newRunResources())
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	defer b.release()
+	if err := b.res.sched.RunUntil(s.Duration); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	stats := b.monitor.Stats()
+	res, err := b.finish()
+	if err != nil {
+		t.Fatalf("finish: %v", err)
+	}
+	return res, stats
+}
+
+// fullTable2 is the catalog's table2 at full size, the paper's Table II run.
+func fullTable2(t *testing.T) Scenario {
+	t.Helper()
+	e, ok := LookupScenario("table2")
+	if !ok {
+		t.Fatal("table2 not registered")
+	}
+	return e.Build()
+}
+
+// TestMonitorWorkCounts pins how much of the traffic matrix a run estimates:
+// the counts depend on the run alone, so they repeat exactly. The paper
+// configuration reads the matrix once, the victim's column in the epoch that
+// detects it — 11 unions, where computing every cell every epoch took 3 619.
+// The hardened one reads that column again in every epoch pushback stays
+// active, for the ATR hysteresis.
+func TestMonitorWorkCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		s    Scenario
+		want trafficmatrix.MonitorStats
+	}{
+		{"table2", fullTable2(t), trafficmatrix.MonitorStats{Epochs: 30, Estimates: 1260, Columns: 1, Unions: 11}},
+		{"table2 hardened", Harden(fullTable2(t)), trafficmatrix.MonitorStats{Epochs: 30, Estimates: 1260, Columns: 24, Unions: 264}},
+	} {
+		if _, got := runCounted(t, tc.s); got != tc.want {
+			t.Errorf("%s: monitor did %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestNoAttackCondemnsNoLegitimateFlow is the first metamorphic case: table2
+// with every flow a legitimate TCP flow must condemn no legitimate flow,
+// whatever the detector does. TCPShare = 1 alone does not get there —
+// WorkloadSpec.Counts keeps one attack flow in every workload — so the case
+// comes in two steps, each pinned as it runs (PAPER.md records both). With
+// that one 5 000 pkt/s flow among 49 TCP flows pushback still fires, on
+// |D_j|, at the end of the flow's first epoch: it reads one column, names all ten
+// ingress routers, and MAFIC probes all 50 flows and condemns exactly the one.
+// With the flow never starting, the legitimate ramp toward the single server
+// stays under the detector: no request, no column read, nothing probed.
+func TestNoAttackCondemnsNoLegitimateFlow(t *testing.T) {
+	type outcome struct {
+		attacked, activated                   bool
+		atrs, probed, condemned, legitCondemn int
+		columns, unions                       uint64
+	}
+	s := fullTable2(t)
+	s.Workload.TCPShare = 1
+	never := s
+	never.Workload.AttackStart = s.Duration + 1
+	for _, tc := range []struct {
+		name string
+		s    Scenario
+		want outcome
+	}{
+		{"one attack flow left", s, outcome{attacked: true, activated: true, atrs: 10, probed: 50, condemned: 1, columns: 1, unions: 11}},
+		{"attack never starts", never, outcome{}},
+	} {
+		res, stats := runCounted(t, tc.s)
+		got := outcome{res.Counts.ATRAttackPre+res.Counts.ATRAttackPost > 0, res.Activated, res.ATRCount, res.FlowsProbed, int(res.DefenseStats.FlowsCondemned), res.LegitFlowsCondemned, stats.Columns, stats.Unions}
+		if got != tc.want {
+			t.Errorf("%s: run ended %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}

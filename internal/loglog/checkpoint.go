@@ -26,7 +26,8 @@ func (s *Sketch) CheckpointState(dst *SketchState) {
 
 // RestoreState overlays captured dynamic state onto a rebuilt sketch of the
 // same geometry; the empty form resets it. Buckets set with zero Adds is
-// refused: Estimate answers that 0 unseen, so no sketch can have reached it.
+// refused: Estimate answers that 0 unseen, so no sketch can have reached it;
+// so is a bucket above the largest rank Add records.
 func (s *Sketch) RestoreState(st SketchState) error {
 	if len(st.Buckets) == 0 && st.Adds == 0 {
 		s.Reset()
@@ -38,6 +39,12 @@ func (s *Sketch) RestoreState(st SketchState) error {
 	}
 	if st.Adds == 0 && slices.ContainsFunc(st.Buckets, func(b uint8) bool { return b != 0 }) {
 		return fmt.Errorf("loglog: restore has non-zero buckets and zero adds")
+	}
+	top := s.maxRank()
+	for i, b := range st.Buckets {
+		if b > top {
+			return fmt.Errorf("loglog: restore bucket %d holds rank %d, above the largest rank %d of a %d-bucket sketch", i, b, top, s.m)
+		}
 	}
 	copy(s.buckets, st.Buckets)
 	s.adds = st.Adds

@@ -67,13 +67,21 @@ func TestCaptureOfUntouchedSketchCopiesNothing(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesInconsistentState pins the two states no sketch can be
-// in. Zero adds with a bucket set would be answered 0 by Estimate without a
-// look at the buckets; adds without buckets is the empty form contradicting
-// itself. A bucket array of the wrong length is refused as before.
+// TestRestoreRefusesInconsistentState pins the states no sketch can be in.
+// Zero adds with a bucket set would be answered 0 by Estimate without a look
+// at the buckets; adds without buckets is the empty form contradicting
+// itself; a rank above 64 − p + 1 (59 at 64 buckets) is one no hash produces,
+// and from 128 up it would break the estimation kernel's arithmetic. A bucket
+// array of the wrong length is refused as before. The largest rank itself
+// restores.
 func TestRestoreRefusesInconsistentState(t *testing.T) {
 	set := make([]uint8, 64)
 	set[63] = 1
+	overRank, maxRank := make([]uint8, 64), make([]uint8, 64)
+	overRank[5], maxRank[5] = 60, 59
+	if err := MustNew(64).RestoreState(SketchState{Buckets: maxRank, Adds: 1}); err != nil {
+		t.Errorf("the largest rank Add records was refused: %v", err)
+	}
 	for _, tc := range []struct {
 		name string
 		st   SketchState
@@ -82,6 +90,7 @@ func TestRestoreRefusesInconsistentState(t *testing.T) {
 		{"zero adds, a bucket set", SketchState{Buckets: set}, "non-zero buckets and zero adds"},
 		{"adds, no buckets", SketchState{Adds: 3}, "bucket count 0 (with 3 adds)"},
 		{"wrong geometry", SketchState{Buckets: make([]uint8, 32), Adds: 3}, "bucket count 32"},
+		{"a rank no Add records", SketchState{Buckets: overRank, Adds: 3}, "bucket 5 holds rank 60, above the largest rank 59"},
 	} {
 		s := MustNew(64)
 		s.Add(11)

@@ -24,7 +24,8 @@ func itemsFrom(data []byte) []uint64 {
 // layer depends on: max-merge must be commutative, idempotent, and exactly
 // equivalent to having added both item sets into a single sketch — that
 // equivalence is what lets the paper compute |Si ∪ Dj| across routers
-// without exchanging packet lists.
+// without exchanging packet lists. The word-wise estimation kernel must agree
+// with its byte-at-a-time reference on whatever the inputs produced.
 func FuzzSketchMerge(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1})
@@ -48,6 +49,8 @@ func FuzzSketchMerge(f *testing.F) {
 			b.Add(it)
 			combined.Add(it)
 		}
+
+		checkKernel(t, "fuzz input", a.buckets, b.buckets)
 
 		// Commutativity: A max-merge B must equal B max-merge A exactly.
 		ab := a.Clone()

@@ -78,10 +78,8 @@ func (s *Sketch) Add(item uint64) {
 	// the position of the first 1 bit in the remaining bits, counted from 1.
 	bucket := h & uint64(s.m-1)
 	rest := h >> s.p
-	rank := uint8(1)
-	if rest == 0 {
-		rank = uint8(64 - s.p + 1)
-	} else {
+	rank := s.maxRank()
+	if rest != 0 {
 		rank = uint8(bits.TrailingZeros64(rest)) + 1
 	}
 	if rank > s.buckets[bucket] {
@@ -89,9 +87,14 @@ func (s *Sketch) Add(item uint64) {
 	}
 }
 
+// maxRank is the largest rank Add can record: all 64 − p remaining hash bits
+// zero. With p ≥ 4 it is at most 61, which keeps every bucket below 128 — the
+// estimation kernel's precondition.
+func (s *Sketch) maxRank() uint8 { return uint8(64 - s.p + 1) }
+
 // Estimate returns the estimated number of distinct items added. It applies
 // the Durand–Flajolet LogLog estimator with small-range linear counting to
-// stay accurate for sparse sketches.
+// stay accurate for sparse sketches (see kernel.go).
 func (s *Sketch) Estimate() float64 {
 	// An untouched sketch has every bucket at zero; linear counting would
 	// return exactly 0, so skip the bucket scan. This makes per-epoch
@@ -99,21 +102,8 @@ func (s *Sketch) Estimate() float64 {
 	if s.adds == 0 {
 		return 0
 	}
-	sum := 0.0
-	zero := 0
-	for _, b := range s.buckets {
-		sum += float64(b)
-		if b == 0 {
-			zero++
-		}
-	}
-	m := float64(s.m)
-	raw := alpha(s.m) * m * math.Exp2(sum/m)
-	// Linear counting for the sparse regime where LogLog under-estimates.
-	if zero > 0 && raw < 2.5*m {
-		return m * math.Log(m/float64(zero))
-	}
-	return raw
+	sum, zeros := sumZeros(s.buckets)
+	return estimate(s.m, sum, zeros)
 }
 
 // Merge folds other into s bucket-wise by max, so that s becomes a sketch of
@@ -176,26 +166,30 @@ func (s *Sketch) Reset() {
 	s.adds = 0
 }
 
-// UnionEstimate estimates |A ∪ B| without modifying either sketch.
+// UnionEstimate estimates |A ∪ B| without modifying either sketch and without
+// allocating: the bucket-wise maximum is summed as it is formed (kernel.go),
+// so no union sketch is written. The result is bit-identical to merging the
+// two into a third sketch and estimating that.
 func UnionEstimate(a, b *Sketch) (float64, error) {
 	if a == nil || b == nil || a.m != b.m {
 		return 0, ErrIncompatible
 	}
-	u := a.Clone()
-	if err := u.Merge(b); err != nil {
-		return 0, err
+	// As in Estimate: two untouched sketches have an all-zero union.
+	if a.adds == 0 && b.adds == 0 {
+		return 0, nil
 	}
-	return u.Estimate(), nil
+	sum, zeros := unionSumZeros(a.buckets, b.buckets)
+	return estimate(a.m, sum, zeros), nil
 }
 
-// UnionEstimateInto estimates |A ∪ B| like UnionEstimate but builds the union
-// in the caller-owned scratch sketch instead of cloning, so repeated matrix
-// computations allocate nothing. The scratch contents are overwritten.
+// UnionEstimateInto is UnionEstimate for callers that hold a scratch sketch
+// from when the union had to be built somewhere. The scratch must still be
+// compatible, but it is neither read nor written.
 func UnionEstimateInto(scratch, a, b *Sketch) (float64, error) {
-	if err := MergeInto(scratch, a, b); err != nil {
-		return 0, err
+	if scratch == nil || a == nil || scratch.m != a.m {
+		return 0, ErrIncompatible
 	}
-	return scratch.Estimate(), nil
+	return UnionEstimate(a, b)
 }
 
 // IntersectionEstimate estimates |A ∩ B| by inclusion–exclusion,
@@ -214,8 +208,8 @@ func IntersectionEstimate(a, b *Sketch) (float64, error) {
 	return est, nil
 }
 
-// IntersectionEstimateInto is IntersectionEstimate computed through a
-// caller-owned scratch sketch: no allocation per call.
+// IntersectionEstimateInto is IntersectionEstimate with UnionEstimateInto's
+// scratch argument.
 func IntersectionEstimateInto(scratch, a, b *Sketch) (float64, error) {
 	union, err := UnionEstimateInto(scratch, a, b)
 	if err != nil {

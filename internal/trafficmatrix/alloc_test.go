@@ -48,19 +48,22 @@ func TestCounterHandleZeroAlloc(t *testing.T) {
 }
 
 // TestEpochProcessingZeroAlloc pins the monitor's per-epoch pipeline —
-// counter rotation, estimate tables, matrix intersection, report delivery —
-// at zero steady-state allocations.
+// counter rotation, estimate tables, report delivery, and every column of the
+// matrix ranked on demand into a reused buffer — at zero steady-state
+// allocations.
 func TestEpochProcessingZeroAlloc(t *testing.T) {
 	d := smallDomain(t)
 	d.Victim.SetDefaultHandler(func(*netsim.Packet, sim.Time) {})
 
 	var sink float64
+	var column []Cell
 	mon, err := NewMonitor(d.Net, MonitorConfig{Epoch: 50 * sim.Millisecond}, func(r EpochReport) {
 		for _, id := range r.Routers {
 			sink += r.DestEstimate(id) + r.SourceEstimate(id)
-		}
-		for _, cell := range r.Matrix {
-			sink += cell.Packets
+			column = r.AppendTopSources(column[:0], id)
+			for _, cell := range column {
+				sink += cell.Packets
+			}
 		}
 	})
 	if err != nil {
@@ -143,11 +146,13 @@ func TestMonitorReuseLeaksNoCounts(t *testing.T) {
 	}
 }
 
-// referenceReport is the from-scratch reference for the report an epoch tick
-// has just delivered: the estimates read off the counters' frozen sketches
-// into freshly allocated tables, each union taken by cloning one sketch and
-// merging the other into the clone. It reuses none of the monitor's buffers
-// and nothing of compute but the definition a_ij = |S_i| + |D_j| − |S_i ∪ D_j|.
+// referenceReport is the from-scratch, eager reference for the report an epoch
+// tick has just delivered: the estimates read off the counters' frozen
+// sketches into freshly allocated tables and every cell of the matrix built,
+// each union taken by cloning one sketch and merging the other into the
+// clone. It is an owned report; it reuses none of the monitor's buffers and
+// nothing of the on-demand path but the definition
+// a_ij = |S_i| + |D_j| − |S_i ∪ D_j|.
 func referenceReport(t *testing.T, m *Monitor, got EpochReport) EpochReport {
 	t.Helper()
 	ref := EpochReport{Epoch: got.Epoch, Start: got.Start, End: got.End,
@@ -176,30 +181,49 @@ func referenceReport(t *testing.T, m *Monitor, got EpochReport) EpochReport {
 	return ref
 }
 
-// sameReport compares two reports field by field, exactly.
+// sameReport compares two reports, live or owned, field by field and exactly:
+// the vectors, the whole matrix, and every monitored router's ranked column.
 func sameReport(a, b EpochReport) bool {
-	return a.Epoch == b.Epoch && a.Start == b.Start && a.End == b.End && slices.Equal(a.Routers, b.Routers) &&
-		slices.Equal(a.SourceEst, b.SourceEst) && slices.Equal(a.DestEst, b.DestEst) && slices.Equal(a.Matrix, b.Matrix)
+	same := a.Epoch == b.Epoch && a.Start == b.Start && a.End == b.End && slices.Equal(a.Routers, b.Routers) &&
+		slices.Equal(a.SourceEst, b.SourceEst) && slices.Equal(a.DestEst, b.DestEst) && slices.Equal(a.Cells(), b.Cells())
+	for _, j := range a.Routers {
+		same = same && slices.Equal(a.TopSources(j), b.TopSources(j))
+	}
+	return same
 }
 
-// TestPooledReportsMatchFromScratch runs two monitors back to back on the
+// panics reports whether f does.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
+// TestPooledReportsMatchFromScratch runs three monitors back to back on the
 // one pooled object — every router of a 40-router domain with a client
-// flooding behind each ingress, then two routers of a 12-router domain — and
-// requires every report, at callback time, to equal the from-scratch
-// reference: nothing of an earlier epoch, and nothing of the earlier
-// monitor's wider tables, may show through the reused buffers. A report kept
-// with Clone must still equal its reference when the run is over; one kept
-// without must not, or the buffers were never reused and the test proves
-// nothing.
+// flooding behind each ingress, the same again over a control channel that
+// delays half the reports, then two routers of a 12-router domain — and
+// requires every report, at callback time, to equal the eager from-scratch
+// reference in its vectors, in every monitored router's ranked column and in
+// the whole matrix: nothing of an earlier epoch, and nothing of the earlier
+// monitor's wider tables, may show through the reused tables, whether the
+// report arrives live or as a delayed owned clone. A report kept with Clone
+// must still equal its reference when the run is over, and so must a delayed
+// one kept as delivered; a live one kept without Clone must panic when its
+// matrix is read after a later tick, or two epochs could mix unnoticed.
 func TestPooledReportsMatchFromScratch(t *testing.T) {
 	run := func(d *topology.Domain, cfg MonitorConfig, sources []*netsim.Host, until sim.Time) (*Monitor, []EpochReport) {
 		d.Victim.SetDefaultHandler(func(*netsim.Packet, sim.Time) {})
 		var mon *Monitor
 		var raw, cloned, refs []EpochReport
+		live := 0
 		mon, err := NewMonitor(d.Net, cfg, func(r EpochReport) {
+			if r.live != nil {
+				live++
+			}
 			ref := referenceReport(t, mon, r)
 			if !sameReport(r, ref) {
-				t.Fatalf("epoch %d: pooled report %+v, from scratch %+v", r.Epoch, r, ref)
+				t.Fatalf("epoch %d: report %+v with cells %+v, from scratch %+v", r.Epoch, r, r.Cells(), ref)
 			}
 			raw, cloned, refs = append(raw, r), append(cloned, r.Clone()), append(refs, ref)
 		})
@@ -217,41 +241,73 @@ func TestPooledReportsMatchFromScratch(t *testing.T) {
 			t.Fatalf("%d reports, first with %d cells: the comparison proved nothing", len(refs), len(refs[0].Matrix))
 		}
 		for e := range refs {
-			if !sameReport(cloned[e], refs[e]) {
+			if cloned[e].live != nil || !sameReport(cloned[e], refs[e]) {
 				t.Fatalf("epoch %d: clone did not outlive later epochs: %+v, was %+v", refs[e].Epoch, cloned[e], refs[e])
 			}
+			// A delayed report is owned, and the last live one is still the
+			// monitor's current epoch when the run stops between two ticks.
+			if raw[e].live == nil || raw[e].gen == mon.gen {
+				if !sameReport(raw[e], refs[e]) {
+					t.Fatalf("epoch %d: report still valid after the run reads %+v, was %+v", refs[e].Epoch, raw[e], refs[e])
+				}
+				continue
+			}
+			for name, read := range map[string]func(){
+				"Cells":      func() { raw[e].Cells() },
+				"TopSources": func() { raw[e].TopSources(d.LastHop.ID()) },
+				"Clone":      func() { raw[e].Clone() },
+			} {
+				if !panics(read) {
+					t.Fatalf("epoch %d: %s on a live report kept past its callback did not panic", refs[e].Epoch, name)
+				}
+			}
 		}
-		if sameReport(raw[0], refs[0]) {
-			t.Fatal("a report retained without Clone survived later epochs: buffers are not reused")
+		// Two live reports make at least one stale one.
+		if delayed := cfg.ReportDelayProb > 0; live < 2 || delayed == (live == len(refs)) {
+			t.Fatalf("%d of %d reports arrived live with delay probability %v", live, len(refs), cfg.ReportDelayProb)
 		}
 		return mon, refs
 	}
 
-	big, err := topology.Build(topology.DefaultConfig(), sim.NewScheduler(), sim.NewRNG(3))
-	if err != nil {
-		t.Fatal(err)
+	build := func() (*topology.Domain, []*netsim.Host) {
+		big, err := topology.Build(topology.DefaultConfig(), sim.NewScheduler(), sim.NewRNG(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var perIngress []*netsim.Host
+		for i := 0; i < len(big.Clients); i += len(big.Clients) / len(big.Ingress) {
+			perIngress = append(perIngress, big.Clients[i])
+		}
+		return big, perIngress
 	}
-	var perIngress []*netsim.Host
-	for i := 0; i < len(big.Clients); i += len(big.Clients) / len(big.Ingress) {
-		perIngress = append(perIngress, big.Clients[i])
-	}
-	// The run stops inside the flood, so the tables are released dirty.
-	m1, refs := run(big, MonitorConfig{Epoch: 25 * sim.Millisecond, Monitored: everyRouter(big.Net)}, perIngress, 110*sim.Millisecond)
-	dirty := refs[len(refs)-1]
+	big, perIngress := build()
+	m1, _ := run(big, MonitorConfig{Epoch: 25 * sim.Millisecond, Monitored: everyRouter(big.Net)}, perIngress, 110*sim.Millisecond)
 	m1.Release()
 
-	small := smallDomain(t)
-	ends := []netsim.NodeID{small.Ingress[0].ID(), small.LastHop.ID()}
-	m2, _ := run(small, MonitorConfig{Epoch: 50 * sim.Millisecond, Monitored: ends}, small.Clients[:1], 400*sim.Millisecond)
+	// The delay is shorter than the epoch, so a late report still finds its
+	// own epoch frozen in the counters for the reference to read.
+	big, perIngress = build()
+	lossy := MonitorConfig{Epoch: 25 * sim.Millisecond, Monitored: everyRouter(big.Net), ReportDelayProb: 0.5, ReportDelay: 5 * sim.Millisecond}
+	// The run stops inside the flood, so the tables are released dirty.
+	m2, refs := run(big, lossy, perIngress, 110*sim.Millisecond)
 	if m2 != m1 {
 		t.Fatal("second monitor did not come from the pool")
 	}
+	dirty := refs[len(refs)-1]
+	m2.Release()
+
+	small := smallDomain(t)
+	ends := []netsim.NodeID{small.Ingress[0].ID(), small.LastHop.ID()}
+	m3, _ := run(small, MonitorConfig{Epoch: 50 * sim.Millisecond, Monitored: ends}, small.Clients[:1], 400*sim.Millisecond)
+	if m3 != m1 {
+		t.Fatal("third monitor did not come from the pool")
+	}
 	exposed := false
-	for id := range m2.srcEst {
-		exposed = exposed || (m2.counters[id] == nil && dirty.SourceEst[id] != 0)
+	for id := range m3.srcEst {
+		exposed = exposed || (m3.counters[id] == nil && dirty.SourceEst[id] != 0)
 	}
 	if !exposed {
-		t.Fatal("no entry the first monitor left non-zero lies outside the second one's set: stale tables would go unnoticed")
+		t.Fatal("no entry the second monitor left non-zero lies outside the third one's set: stale tables would go unnoticed")
 	}
-	m2.Release()
+	m3.Release()
 }

@@ -1,6 +1,7 @@
 package trafficmatrix
 
 import (
+	"slices"
 	"testing"
 
 	"mafic/internal/netsim"
@@ -162,13 +163,8 @@ func TestDefaultSetMatchesEveryRouter(t *testing.T) {
 				t.Fatalf("epoch %d: unmonitored router %d recorded traffic in the oracle", e, id)
 			}
 		}
-		if len(mr.Matrix) != len(or.Matrix) {
-			t.Fatalf("epoch %d: matrix sizes diverge: %d vs %d", e, len(mr.Matrix), len(or.Matrix))
-		}
-		for i := range or.Matrix {
-			if mr.Matrix[i] != or.Matrix[i] {
-				t.Fatalf("epoch %d cell %d: %+v vs %+v", e, i, mr.Matrix[i], or.Matrix[i])
-			}
+		if !slices.Equal(mr.Cells(), or.Cells()) {
+			t.Fatalf("epoch %d: matrices diverge: %+v vs %+v", e, mr.Cells(), or.Cells())
 		}
 	}
 }

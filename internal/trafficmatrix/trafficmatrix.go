@@ -9,20 +9,50 @@
 // from which the pushback layer detects victims (abnormally large |D_j|) and
 // identifies the attack-transit routers (large a_ij toward the victim).
 //
-// # Epoch pipeline and buffer ownership
+// # Matrix on demand
+//
+// An epoch tick estimates the 2·n vector entries |S_i| and |D_j| and stops:
+// detection reads |D_j|, and identification ranks one column — the sources of
+// traffic toward the victim — in the few epochs that have a victim. So the
+// n² cells are not built per epoch; a report delivered to the onReport
+// callback is live, it refers to its monitor, and TopSources /
+// AppendTopSources estimate the ≤ n unions of the requested column from the
+// epoch's frozen sketch halves when called. Cells materialises the whole
+// matrix the same way. Either gives exactly the numbers an eager computation
+// would: same sketches, same arithmetic, same order.
+//
+// # Epoch pipeline and report lifetime
 //
 // The layer is allocation-free in steady state. Each counter records into the
 // active half of a double-buffered sketch pair; at an epoch boundary the pair
 // is swapped (the epoch freezes into the shadow half, the active half is
-// cleared) instead of cloned. The monitor owns one set of report buffers —
-// dense NodeID-indexed estimate tables, the matrix cell slice, and a scratch
-// union sketch — reused across epochs, mirroring the netsim packet pool's
-// ownership rules: an EpochReport handed to the onReport callback is valid
-// only for the duration of the callback, because the next epoch overwrites
-// the shared backing arrays. Callbacks that need to retain a report keep a
-// deep copy via EpochReport.Clone. The reference the pooled reports are tested
-// against is test-only: alloc_test.go recomputes every report from the
+// cleared) instead of cloned. The monitor owns one set of dense
+// NodeID-indexed estimate tables reused across epochs, mirroring the netsim
+// packet pool's ownership rules. A live report therefore is valid only until
+// its monitor moves on — the next epoch tick, the next Compute, or Release —
+// which for a callback means for the duration of the callback: after that
+// the tables hold another epoch and the shadow halves another epoch's
+// packets. A live report is stamped with the monitor's generation, and
+// reading its matrix (TopSources, AppendTopSources, Cells, Clone) after the
+// monitor has moved on panics rather than mix two epochs. Callbacks that
+// need to retain a report keep EpochReport.Clone: an owned report, the whole
+// matrix materialised into Matrix, valid indefinitely — the form a delayed
+// report on the lossy control channel travels in, and the only form a
+// snapshot stores. The reference live reports are tested against is
+// test-only: alloc_test.go recomputes every report eagerly from the
 // counters' sketches into fresh tables at callback time.
+//
+// # Error of an estimate
+//
+// A LogLog sketch of m buckets estimates a cardinality n with relative
+// standard error σ = 1.30/√m (loglog.RelativeStandardError; 4 % at the
+// default m = 1024). a_ij is a sum of three such estimates, so its error is
+// absolute, not relative to a_ij: at most σ·(|S_i| + |D_j| + |S_i ∪ D_j|) ≤
+// 2σ·(|S_i| + |D_j|) per standard deviation, whatever the size of the
+// intersection. A small flow between a busy source and a busy destination is
+// below the noise; the victim's column is where |D_j| is large and the
+// contributions that matter are a sizeable share of it. truth_test.go checks
+// both bounds at 4σ against exact per-router packet-ID sets.
 //
 // # Monitored set
 //
@@ -201,10 +231,12 @@ func cellByPacketsDesc(a, b Cell) int {
 // NodeID-indexed tables rather than maps so readers index instead of hash
 // and iteration order is deterministic (ascending router ID).
 //
-// Reports delivered through the monitor's onReport callback share the
-// monitor's pooled buffers: they are valid only during the callback unless
-// copied with Clone. Reports obtained from Clone or built by hand own their
-// backing and stay valid indefinitely.
+// Reports delivered through the monitor's onReport callback or returned by
+// Compute are live: they share the monitor's tables and answer matrix
+// queries from its sketches, so they are valid only until the monitor moves
+// on (see the package comment) unless copied with Clone. Reports obtained
+// from Clone or built by hand are owned: they carry their matrix in Matrix
+// and stay valid indefinitely.
 type EpochReport struct {
 	// Epoch is the index of the measurement period, starting at 1.
 	Epoch int
@@ -217,9 +249,16 @@ type EpochReport struct {
 	// indexed by NodeID; entries for IDs outside Routers are zero. Use
 	// SourceEstimate/DestEstimate for bounds-checked access.
 	SourceEst, DestEst []float64
-	// Matrix holds the a_ij estimates for every (source, dest) pair with
-	// non-trivial traffic, ordered by ascending (source, dest).
+	// Matrix holds an owned report's a_ij estimates for every (source, dest)
+	// pair with non-trivial traffic, ordered by ascending (source, dest). A
+	// live report leaves it nil; Cells reads either kind.
 	Matrix []Cell
+
+	// live is the monitor a live report reads its matrix from, gen the
+	// monitor's generation when the report was computed. Nil in an owned
+	// report.
+	live *Monitor
+	gen  uint64
 }
 
 // SourceEstimate returns the |S_i| estimate for the given router, or zero.
@@ -246,32 +285,67 @@ func (r *EpochReport) TopSources(dest netsim.NodeID) []Cell {
 
 // AppendTopSources appends the ranked sources for dest to dst and returns
 // the extended slice; passing a reused buffer makes the ranking
-// allocation-free.
+// allocation-free. A live report estimates the column here, from its
+// monitor's sketches.
 func (r *EpochReport) AppendTopSources(dst []Cell, dest netsim.NodeID) []Cell {
 	start := len(dst)
-	for _, c := range r.Matrix {
-		if c.Dest == dest {
-			dst = append(dst, c)
+	if r.live != nil {
+		dst = r.live.appendColumn(dst, r.gen, dest)
+	} else {
+		for _, c := range r.Matrix {
+			if c.Dest == dest {
+				dst = append(dst, c)
+			}
 		}
 	}
 	slices.SortFunc(dst[start:], cellByPacketsDesc)
 	return dst
 }
 
-// Clone returns a deep copy of the report that owns its backing arrays,
-// for callers that retain reports beyond the onReport callback.
+// Cells returns the whole matrix, ascending by (source, dest), in a slice the
+// caller owns: a copy of an owned report's Matrix, a live report's n²
+// estimates materialised. Consumers that rank one destination want
+// AppendTopSources.
+func (r *EpochReport) Cells() []Cell {
+	if r.live != nil {
+		return r.live.appendCells(nil, r.gen)
+	}
+	return append([]Cell(nil), r.Matrix...)
+}
+
+// Clone returns a deep copy of the report that owns its backing arrays and
+// its matrix, for callers that retain reports beyond the onReport callback.
 func (r *EpochReport) Clone() EpochReport {
 	cp := *r
 	cp.Routers = append([]netsim.NodeID(nil), r.Routers...)
 	cp.SourceEst = append([]float64(nil), r.SourceEst...)
 	cp.DestEst = append([]float64(nil), r.DestEst...)
-	cp.Matrix = append([]Cell(nil), r.Matrix...)
+	cp.Matrix = r.Cells()
+	cp.live = nil
 	return cp
 }
 
-// Monitor aggregates the per-router counters and computes the traffic matrix
-// once per epoch, the role the TrafficMonitor object plays in the paper's
-// NS-2 implementation.
+// MonitorStats counts the estimation work a monitor has done since
+// NewMonitor. The counts depend only on the run, not on the machine, so they
+// repeat exactly.
+type MonitorStats struct {
+	// Epochs is the number of reports computed (epoch ticks whose report
+	// was not lost, plus Compute calls).
+	Epochs uint64
+	// Estimates is the number of single-sketch estimates: two per monitored
+	// router per computed report.
+	Estimates uint64
+	// Columns is the number of matrix columns estimated on demand; a whole
+	// matrix (Cells, Clone) counts one per monitored router.
+	Columns uint64
+	// Unions is the number of union estimates behind those columns.
+	Unions uint64
+}
+
+// Monitor aggregates the per-router counters: once per epoch it estimates
+// every |S_i| and |D_j|, and it answers the epoch report's matrix queries
+// from the frozen sketches on demand — the role the TrafficMonitor object
+// plays in the paper's NS-2 implementation.
 type Monitor struct {
 	sched *sim.Scheduler
 	// counters is the dense NodeID-indexed counter table (nil for hosts
@@ -301,11 +375,15 @@ type Monitor struct {
 	reportDelay sim.Time
 	ctrlRNG     *sim.RNG
 
-	// Pooled report backing (see the package comment). scratch holds the
-	// union sketch reused by every intersection estimate.
+	// Pooled report backing (see the package comment). gen identifies what
+	// the tables and the sketch halves currently hold: it moves with every
+	// rotation, every computed report and every Release, and a live report
+	// is readable only while it still carries the current value.
+	// frozen says which halves the current report was computed from.
 	srcEst, dstEst []float64
-	matrix         []Cell
-	scratch        *loglog.Sketch
+	gen            uint64
+	frozen         bool
+	stats          MonitorStats
 	// nbScratch is the reusable neighbour buffer behind the automatic
 	// monitored-set derivation.
 	nbScratch []netsim.NodeID
@@ -491,16 +569,13 @@ func NewMonitor(net *netsim.Network, cfg MonitorConfig, onReport func(EpochRepor
 		counterSlab = make([]Counter, len(ids))
 	}
 
-	srcEst, dstEst, scratch := m.srcEst, m.dstEst, m.scratch
+	srcEst, dstEst := m.srcEst, m.dstEst
 	if cap(srcEst) >= width {
 		srcEst = srcEst[:width]
 		dstEst = dstEst[:width]
 	} else {
 		srcEst = make([]float64, width)
 		dstEst = make([]float64, width)
-	}
-	if scratch == nil || scratch.Buckets() != cfg.Buckets {
-		scratch = loglog.MustNew(cfg.Buckets)
 	}
 
 	// The control-channel RNG is forked only when a loss/delay knob is
@@ -522,8 +597,7 @@ func NewMonitor(net *netsim.Network, cfg MonitorConfig, onReport func(EpochRepor
 		onReport:    onReport,
 		srcEst:      srcEst,
 		dstEst:      dstEst,
-		matrix:      m.matrix[:0],
-		scratch:     scratch,
+		gen:         m.gen,
 		nbScratch:   nb,
 		reportLoss:  cfg.ReportLoss,
 		delayProb:   cfg.ReportDelayProb,
@@ -545,10 +619,12 @@ func NewMonitor(net *netsim.Network, cfg MonitorConfig, onReport func(EpochRepor
 
 // Release returns the monitor to the package pool for reuse by a later run.
 // Call it only after the simulation that owns the monitor has finished — no
-// epoch tick may fire afterwards — and do not use the monitor again. The
-// sketch slab and report buffers stay with the pooled object; references
-// into the dead domain are dropped so the pool cannot pin a network.
+// epoch tick may fire afterwards — and do not use the monitor again, nor a
+// live report of it. The sketch slab and estimate tables stay with the pooled
+// object; references into the dead domain are dropped so the pool cannot pin
+// a network.
 func (m *Monitor) Release() {
+	m.gen++
 	m.sched = nil
 	m.onReport = nil
 	m.running = false
@@ -598,6 +674,7 @@ func (m *Monitor) Stop() { m.stop = true }
 // monitor itself (rather than a bound method value) keeps the periodic
 // rescheduling allocation-free.
 func (m *Monitor) OnEvent(now sim.Time) {
+	m.gen++
 	for _, id := range m.routerIDs {
 		m.counters[id].rotate()
 	}
@@ -613,9 +690,10 @@ func (m *Monitor) OnEvent(now sim.Time) {
 	report := m.compute(now, true)
 	if m.onReport != nil {
 		if m.ctrlRNG != nil && m.ctrlRNG.Bool(m.delayProb) {
-			// Delayed delivery: the pooled report buffers roll on with the
-			// next epoch, so the late copy must own its backing. The
-			// allocation is confined to the lossy-channel path.
+			// Delayed delivery: the tables and sketches roll on with the
+			// next epoch, so the late copy must own its backing and its
+			// matrix. The allocation, and the n² unions, are confined to
+			// the lossy-channel path.
 			late := report.Clone()
 			m.sched.ScheduleArgAfter(m.reportDelay, m, &late)
 		} else {
@@ -647,49 +725,32 @@ func (m *Monitor) OnEventArg(_ sim.Time, arg any) {
 // Compute builds an EpochReport from the counters' current in-progress state
 // without ending the epoch. The periodic tick instead freezes the epoch via
 // the pair swap and computes from the frozen halves; tests and on-demand
-// diagnostics call Compute directly. The returned report follows the same
-// lifetime rules as callback reports (see the package comment).
+// diagnostics call Compute directly. The returned report is live like a
+// callback report (see the package comment): it reads the active halves, so
+// packets counted after Compute show in its matrix but not in its vectors.
 func (m *Monitor) Compute(now sim.Time) EpochReport {
 	return m.compute(now, false)
 }
 
 // compute assembles the epoch report from either the frozen or the live
-// sketch halves, reusing the monitor's pooled buffers.
+// sketch halves, reusing the monitor's pooled tables: the 2·n vector
+// estimates, no matrix cell.
 func (m *Monitor) compute(now sim.Time, frozen bool) EpochReport {
 	m.epochIndex++
-	srcEst, dstEst, matrix, scratch := m.srcEst, m.dstEst, m.matrix[:0], m.scratch
+	m.gen++
+	m.frozen = frozen
+	m.stats.Epochs++
+	m.stats.Estimates += 2 * uint64(len(m.routerIDs))
+	srcEst, dstEst := m.srcEst, m.dstEst
 	// The tables may come from a pooled monitor that instrumented other
 	// routers; entries outside this monitored set must read zero.
 	clear(srcEst)
 	clear(dstEst)
-
 	for _, id := range m.routerIDs {
 		src, dst := m.counters[id].epochSketches(frozen)
 		srcEst[id] = src.Estimate()
 		dstEst[id] = dst.Estimate()
 	}
-	for _, i := range m.routerIDs {
-		if srcEst[i] < 1 {
-			continue
-		}
-		si, _ := m.counters[i].epochSketches(frozen)
-		for _, j := range m.routerIDs {
-			if dstEst[j] < 1 {
-				continue
-			}
-			_, dj := m.counters[j].epochSketches(frozen)
-			union, err := loglog.UnionEstimateInto(scratch, si, dj)
-			if err != nil {
-				continue
-			}
-			aij := srcEst[i] + dstEst[j] - union
-			if aij < 1 {
-				continue
-			}
-			matrix = append(matrix, Cell{Source: i, Dest: j, Packets: aij})
-		}
-	}
-	m.matrix = matrix
 	return EpochReport{
 		Epoch:     m.epochIndex,
 		Start:     m.epochStart,
@@ -697,6 +758,65 @@ func (m *Monitor) compute(now sim.Time, frozen bool) EpochReport {
 		Routers:   m.routerIDs,
 		SourceEst: srcEst,
 		DestEst:   dstEst,
-		Matrix:    matrix,
+		live:      m,
+		gen:       m.gen,
 	}
 }
+
+// checkLive panics when a live report stamped gen is read after the monitor
+// has moved on: its tables and sketch halves now hold another epoch, and an
+// answer assembled from them would silently mix the two.
+func (m *Monitor) checkLive(gen uint64) {
+	if gen != m.gen {
+		panic("trafficmatrix: live EpochReport read after its monitor moved on to another epoch; retain reports with Clone")
+	}
+}
+
+// appendCell appends a_ij = |S_i| + |D_j| − |S_i ∪ D_j| for the current
+// report when source, destination and the estimate itself each reach one
+// packet.
+func (m *Monitor) appendCell(dst []Cell, i, j netsim.NodeID) []Cell {
+	if m.srcEst[i] < 1 || m.dstEst[j] < 1 {
+		return dst
+	}
+	si, _ := m.counters[i].epochSketches(m.frozen)
+	_, dj := m.counters[j].epochSketches(m.frozen)
+	m.stats.Unions++
+	union, err := loglog.UnionEstimate(si, dj)
+	if err != nil {
+		return dst
+	}
+	aij := m.srcEst[i] + m.dstEst[j] - union
+	if aij < 1 {
+		return dst
+	}
+	return append(dst, Cell{Source: i, Dest: j, Packets: aij})
+}
+
+// appendColumn appends the cells toward dest, ascending by source.
+func (m *Monitor) appendColumn(dst []Cell, gen uint64, dest netsim.NodeID) []Cell {
+	m.checkLive(gen)
+	m.stats.Columns++
+	if m.Counter(dest) == nil {
+		return dst
+	}
+	for _, i := range m.routerIDs {
+		dst = m.appendCell(dst, i, dest)
+	}
+	return dst
+}
+
+// appendCells appends the whole matrix, ascending by (source, dest).
+func (m *Monitor) appendCells(dst []Cell, gen uint64) []Cell {
+	m.checkLive(gen)
+	m.stats.Columns += uint64(len(m.routerIDs))
+	for _, i := range m.routerIDs {
+		for _, j := range m.routerIDs {
+			dst = m.appendCell(dst, i, j)
+		}
+	}
+	return dst
+}
+
+// Stats reports the estimation work done so far.
+func (m *Monitor) Stats() MonitorStats { return m.stats }

@@ -214,7 +214,7 @@ func TestMatrixIntersectionMatchesGroundTruth(t *testing.T) {
 	wantPerIngress[d.IngressOf(c1).ID()] += 300
 	for ing, want := range wantPerIngress {
 		var got float64
-		for _, cell := range report.Matrix {
+		for _, cell := range report.Cells() {
 			if cell.Source == ing && cell.Dest == d.LastHop.ID() {
 				got = cell.Packets
 			}
