@@ -148,9 +148,10 @@ type Snapshot struct {
 
 	Flags RunFlags
 
-	// scratch is the buffer Encode writes this snapshot into before copying
-	// it out; it is kept between calls and never part of the snapshot.
-	scratch []byte
+	// scratch is the codec Encode walks this snapshot with, and through it the
+	// buffer the file is written into before it is copied out; it is kept
+	// between calls and never part of the snapshot.
+	scratch codec
 }
 
 // CheckpointTypes lists this package's own snapshot-carrying structs; the
@@ -432,7 +433,19 @@ func Restore(w *World, snap *Snapshot) error {
 	if got, want := w.RNG.StreamCount(), len(snap.Streams); got != want {
 		return fmt.Errorf("checkpoint: rebuild created %d rng streams, snapshot recorded %d", got, want)
 	}
+	// Fast-forwarding replays draws one by one, so what the file claims is
+	// bounded before it is believed: no handler makes more than a few draws a
+	// dispatch (the catalog's runs make 0.03–0.2 an event), and a well-formed
+	// file claiming 2^40 would spin for most of an hour.
+	budget := 16 * (min(snap.Processed, 1<<59) + 1)
 	for i, st := range snap.Streams {
+		if _, built := w.RNG.StreamState(i); st.Draws > built {
+			if st.Draws-built > budget {
+				return fmt.Errorf("checkpoint: rng stream %d claims %d draws since the build, more than %d events could have made",
+					i, st.Draws-built, snap.Processed)
+			}
+			budget -= st.Draws - built
+		}
 		if err := w.RNG.FastForwardStream(i, st.Seed, st.Draws); err != nil {
 			return err
 		}

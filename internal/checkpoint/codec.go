@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"mafic/internal/baseline"
@@ -9,348 +10,171 @@ import (
 	"mafic/internal/loglog"
 	"mafic/internal/metrics"
 	"mafic/internal/netsim"
+	"mafic/internal/pushback"
 	"mafic/internal/traffic"
 	"mafic/internal/trafficmatrix"
 )
 
-// Encode serializes a snapshot into the sectioned wire format. The encoders
-// run once, into a scratch buffer the snapshot keeps for its next Encode — a
-// Session refills one Snapshot for the whole run, so the buffer is grown by
-// the first snapshots and written over by the rest. What is returned is a
-// copy of exactly the encoded size, a fresh one on every call: callers hand
-// it to sinks that keep it. Encode must not run concurrently on one Snapshot.
+// codec walks a snapshot in one of two directions. Every snapshotted type has
+// one walk function that names each of its fields once, in wire order, through
+// a pointer; the primitives below write what the pointer holds or fill it from
+// the input, so Encode, Decode and the list bounds cannot disagree about a
+// layout. The writer accumulates the file; the reader is the section being
+// decoded and carries the sticky error.
+type codec struct {
+	dec bool
+	w   writer
+	r   reader
+}
+
+func (c *codec) u64(p *uint64) {
+	if c.dec {
+		*p = c.r.u64()
+	} else {
+		c.w.u64(*p)
+	}
+}
+
+func (c *codec) u16(p *uint16) {
+	if c.dec {
+		*p = c.r.u16()
+	} else {
+		c.w.u16(*p)
+	}
+}
+
+func (c *codec) boolean(p *bool) {
+	if c.dec {
+		*p = c.r.boolean()
+	} else {
+		c.w.boolean(*p)
+	}
+}
+
+func (c *codec) f64(p *float64) {
+	if c.dec {
+		*p = c.r.f64()
+	} else {
+		c.w.f64(*p)
+	}
+}
+
+func (c *codec) bytes(p *[]byte) {
+	if c.dec {
+		*p = c.r.bytes()
+	} else {
+		c.w.bytes(*p)
+	}
+}
+
+// The three helpers below carry the named integer types (packet kinds, IPs,
+// node IDs, times, …), so that no field is cast once to be written and once
+// more to be read.
+
+func u8of[T ~uint8](c *codec, p *T) {
+	if c.dec {
+		*p = T(c.r.u8())
+	} else {
+		c.w.u8(uint8(*p))
+	}
+}
+
+func u32of[T ~uint32](c *codec, p *T) {
+	if c.dec {
+		*p = T(c.r.u32())
+	} else {
+		c.w.u32(uint32(*p))
+	}
+}
+
+func i64of[T ~int | ~int64](c *codec, p *T) {
+	if c.dec {
+		*p = T(c.r.i64())
+	} else {
+		c.w.i64(int64(*p))
+	}
+}
+
+// fail refuses the input; a walk that is writing has nothing to refuse.
+func (c *codec) fail(format string, args ...any) {
+	if c.dec {
+		c.r.fail(format, args...)
+	}
+}
+
+// list walks a count and that many elements. Decoding believes the count only
+// as far as the bytes behind it could hold that many of the smallest element,
+// which bounds the allocation by the input, and fills the elements in place; a
+// count of zero leaves the list nil. The smallest element is what a zero T
+// encodes to — every varint one byte, every nested list empty, a union on its
+// cheaper arm — measured by turning the codec around for one walk, into its
+// otherwise idle writer.
+func list[T any](c *codec, s *[]T, walk func(*codec, *T)) {
+	if !c.dec {
+		c.w.u32(uint32(len(*s)))
+		for i := range *s {
+			walk(c, &(*s)[i])
+		}
+		return
+	}
+	var zero T
+	c.dec, c.w.b = false, c.w.b[:0]
+	walk(c, &zero)
+	c.dec = true
+	n := c.r.count(len(c.w.b))
+	if n == 0 {
+		return
+	}
+	*s = make([]T, n)
+	for i := 0; i < n && c.r.err == nil; i++ {
+		walk(c, &(*s)[i])
+	}
+}
+
+// sections is the file layout: the walk of each section kind, which count from
+// 1 without a gap, in the order Encode writes them. Decode takes them in any
+// order, each exactly once.
+var sections = [...]func(*codec, *Snapshot){
+	secScenario: func(c *codec, s *Snapshot) { c.bytes(&s.Scenario) },
+	secClock: func(c *codec, s *Snapshot) {
+		c.u64(&s.BuildSeq)
+		i64of(c, &s.Now)
+		c.u64(&s.NextSeq)
+		c.u64(&s.Processed)
+	},
+	secRNG:         func(c *codec, s *Snapshot) { list(c, &s.Streams, walkStream) },
+	secEvents:      func(c *codec, s *Snapshot) { list(c, &s.Events, walkEvent) },
+	secProbeRecs:   func(c *codec, s *Snapshot) { list(c, &s.ProbeRecs, walkProbeRec) },
+	secLinks:       func(c *codec, s *Snapshot) { list(c, &s.Links, walkLink) },
+	secNodes:       func(c *codec, s *Snapshot) { list(c, &s.Nodes, walkNode) },
+	secNetwork:     func(c *codec, s *Snapshot) { walkNetwork(c, &s.Network) },
+	secMonitor:     func(c *codec, s *Snapshot) { walkMonitor(c, &s.Monitor) },
+	secCoordinator: func(c *codec, s *Snapshot) { walkCoordinator(c, &s.Coordinator) },
+	secCollector:   func(c *codec, s *Snapshot) { walkCollector(c, &s.Collector) },
+	secDefenders:   walkDefenders,
+	secFlows:       func(c *codec, s *Snapshot) { list(c, &s.Flows, walkFlow) },
+	secVictims:     func(c *codec, s *Snapshot) { list(c, &s.Victims, walkVictim) },
+	secFlags:       func(c *codec, s *Snapshot) { walkFlags(c, &s.Flags) },
+}
+
+// Encode serializes a snapshot into the sectioned wire format. The walk runs
+// once, into a buffer the snapshot keeps for its next Encode — a Session
+// refills one Snapshot for the whole run, so the buffer is grown by the first
+// snapshots and written over by the rest. What is returned is a copy of
+// exactly the encoded size, a fresh one on every call: callers hand it to
+// sinks that keep it. Encode must not run concurrently on one Snapshot.
 func Encode(snap *Snapshot) []byte {
-	w := &writer{b: snap.scratch[:0]}
-	encodeSnapshot(w, snap)
-	snap.scratch = w.b
-	return append(make([]byte, 0, len(w.b)), w.b...)
-}
-
-func encodeSnapshot(w *writer, snap *Snapshot) {
-	w.raw(snapshotMagic[:])
-	w.fixed32(SnapshotVersion)
-
-	w.section(secScenario, func(w *writer) { w.bytes(snap.Scenario) })
-
-	w.section(secClock, func(w *writer) {
-		w.u64(snap.BuildSeq)
-		w.time(snap.Now)
-		w.u64(snap.NextSeq)
-		w.u64(snap.Processed)
-	})
-
-	w.section(secRNG, func(w *writer) {
-		w.u32(uint32(len(snap.Streams)))
-		for _, st := range snap.Streams {
-			w.i64(st.Seed)
-			w.u64(st.Draws)
-		}
-	})
-
-	w.section(secEvents, func(w *writer) {
-		w.u32(uint32(len(snap.Events)))
-		for i := range snap.Events {
-			encodeEvent(w, &snap.Events[i])
-		}
-	})
-
-	w.section(secProbeRecs, func(w *writer) {
-		w.u32(uint32(len(snap.ProbeRecs)))
-		for _, pr := range snap.ProbeRecs {
-			w.u32(pr.Def)
-			w.boolean(pr.State.Live)
-			w.u64(pr.State.EntryHash)
-			encodeLabel(w, pr.State.Label)
-			w.u8(uint8(pr.State.Proto))
-			w.i64(pr.State.Seq)
-		}
-	})
-
-	w.section(secLinks, func(w *writer) {
-		w.u32(uint32(len(snap.Links)))
-		for _, l := range snap.Links {
-			w.time(l.NextFree)
-			w.i64(l.Queued)
-			w.boolean(l.Down)
-			w.u64(l.Sent)
-			w.u64(l.Dropped)
-			w.u64(l.FaultDrops)
-		}
-	})
-
-	w.section(secNodes, func(w *writer) {
-		w.u32(uint32(len(snap.Nodes)))
-		for _, n := range snap.Nodes {
-			w.i64(int64(n.ID))
-			w.boolean(n.Router)
-			if n.Router {
-				w.boolean(n.R.Down)
-				w.u64(n.R.Forwarded)
-				w.u64(n.R.Dropped)
-				w.u64(n.R.FaultDrops)
-			} else {
-				w.u64(n.H.Received)
-				w.u64(n.H.Sent)
-			}
-		}
-	})
-
-	w.section(secNetwork, func(w *writer) {
-		w.u64(snap.Network.NextPktID)
-		w.u64(snap.Network.TopoVersion)
-		w.u64(snap.Network.FaultDrops)
-		w.u32(uint32(len(snap.Network.RouteDests)))
-		for _, d := range snap.Network.RouteDests {
-			w.i64(int64(d))
-		}
-	})
-
-	w.section(secMonitor, func(w *writer) {
-		w.i64(snap.Monitor.EpochIndex)
-		w.time(snap.Monitor.EpochStart)
-		w.boolean(snap.Monitor.Stop)
-		w.boolean(snap.Monitor.Running)
-		w.u32(uint32(len(snap.Monitor.Counters)))
-		for i := range snap.Monitor.Counters {
-			c := &snap.Monitor.Counters[i]
-			encodePair(w, c.Source)
-			encodePair(w, c.Dest)
-			w.u64(c.SourcePkts)
-			w.u64(c.DestPkts)
-			w.u64(c.Transit)
-		}
-	})
-
-	w.section(secCoordinator, func(w *writer) {
-		st := &snap.Coordinator
-		w.u32(uint32(len(st.History)))
-		for _, v := range st.History {
-			w.f64(v)
-		}
-		w.u32(uint32(len(st.HistoryOK)))
-		for _, v := range st.HistoryOK {
-			w.boolean(v)
-		}
-		w.i64(st.HistorySeen)
-		w.u32(uint32(len(st.ATRScore)))
-		for _, v := range st.ATRScore {
-			w.f64(v)
-		}
-		w.u32(uint32(len(st.IdentifiedATR)))
-		for _, v := range st.IdentifiedATR {
-			w.boolean(v)
-		}
-		w.i64(st.Identified)
-		w.boolean(st.Active)
-		w.i64(int64(st.ActiveVictim))
-		w.f64(st.TriggerLoad)
-		w.i64(st.CalmEpochs)
-		w.i64(st.RequestsFired)
-		w.i64(st.LastEpoch)
-		w.i64(st.LastFireEpoch)
-		w.boolean(st.PendingRefire)
-	})
-
-	w.section(secCollector, func(w *writer) {
-		st := &snap.Collector
-		w.boolean(st.Activated)
-		w.time(st.ActivationAt)
-		encodeCounts(w, st.Counts)
-		w.u32(uint32(len(st.Bins)))
-		for _, b := range st.Bins {
-			w.time(b.Time)
-			w.u64(b.LegitPackets)
-			w.u64(b.AttackPackets)
-			w.u64(b.Bytes)
-		}
-	})
-
-	w.section(secDefenders, func(w *writer) {
-		w.u8(snap.DefKind)
-		switch snap.DefKind {
-		case DefMAFIC:
-			w.u32(uint32(len(snap.Defenders)))
-			for i := range snap.Defenders {
-				encodeDefender(w, &snap.Defenders[i])
-			}
-		case DefBaseline:
-			w.u32(uint32(len(snap.Droppers)))
-			for _, d := range snap.Droppers {
-				w.boolean(d.Active)
-				w.u32(uint32(d.VictimIP))
-				w.u64(d.Stats.Examined)
-				w.u64(d.Stats.Dropped)
-				w.u64(d.Stats.Forwarded)
-			}
-		}
-	})
-
-	w.section(secFlows, func(w *writer) {
-		w.u32(uint32(len(snap.Flows)))
-		for _, f := range snap.Flows {
-			w.u8(uint8(f.Kind))
-			w.boolean(f.Running)
-			w.boolean(f.InBurst)
-			w.f64(f.Cwnd)
-			w.f64(f.Ssthresh)
-			w.i64(f.Seq)
-			w.i64(f.LastAcked)
-			w.i64(f.DupAcks)
-			w.time(f.LastAckAt)
-			w.u64(f.Sent)
-			w.u64(f.Acked)
-			w.u64(f.Timeouts)
-			w.u64(f.FastRetx)
-			w.u64(f.ProbeSeen)
-			w.u64(f.Bursts)
-		}
-	})
-
-	w.section(secVictims, func(w *writer) {
-		w.u32(uint32(len(snap.Victims)))
-		for _, v := range snap.Victims {
-			w.u64(v.Received)
-			w.u64(v.ReceivedBad)
-			w.u64(v.ReceivedGood)
-			w.u64(v.AcksGenerated)
-		}
-	})
-
-	w.section(secFlags, func(w *writer) {
-		w.boolean(snap.Flags.Activated)
-		w.f64(snap.Flags.ActivationSeconds)
-		w.boolean(snap.Flags.DetectedByPushback)
-		w.i64(snap.Flags.ATRCount)
-	})
-}
-
-func encodeLabel(w *writer, l netsim.FlowLabel) {
-	w.u32(uint32(l.SrcIP))
-	w.u32(uint32(l.DstIP))
-	w.u16(l.SrcPort)
-	w.u16(l.DstPort)
-}
-
-func encodeSketch(w *writer, s loglog.SketchState) {
-	w.bytes(s.Buckets)
-	w.u64(s.Adds)
-}
-
-func encodePair(w *writer, p loglog.PairState) {
-	encodeSketch(w, p.Active)
-	encodeSketch(w, p.Shadow)
-}
-
-func encodeCounts(w *writer, c metrics.Counts) {
-	w.u64(c.ATRLegitPre)
-	w.u64(c.ATRLegitPost)
-	w.u64(c.ATRAttackPre)
-	w.u64(c.ATRAttackPost)
-	w.u64(c.DropLegitProbing)
-	w.u64(c.DropLegitPDT)
-	w.u64(c.DropLegitIllegal)
-	w.u64(c.DropAttack)
-	w.u64(c.DropAttackPDT)
-	w.u64(c.VictimLegitPre)
-	w.u64(c.VictimLegit)
-	w.u64(c.VictimAttackPre)
-	w.u64(c.VictimAttack)
-	w.u64(c.QueueDrops)
-	w.u64(c.FaultDrops)
-}
-
-func encodeDefender(w *writer, d *core.DefenderState) {
-	w.boolean(d.Active)
-	w.u32(uint32(d.VictimIP))
-	w.u64(d.Stats.Examined)
-	w.u64(d.Stats.Forwarded)
-	w.u64(d.Stats.Dropped)
-	w.u64(d.Stats.DroppedIllegal)
-	w.u64(d.Stats.DroppedPDT)
-	w.u64(d.Stats.DroppedProbing)
-	w.u64(d.Stats.ProbesSent)
-	w.u64(d.Stats.FlowsProbed)
-	w.u64(d.Stats.FlowsNice)
-	w.u64(d.Stats.FlowsCondemned)
-	w.u64(d.Stats.FlowsIllegal)
-	w.u64(d.Stats.FlowsReprobed)
-	w.u64(d.Stats.FlowsRepeatCondemned)
-	w.u64(d.ProbeSeqs)
-	w.u32(uint32(len(d.ProbeMemory)))
-	for _, pm := range d.ProbeMemory {
-		w.u64(pm.LabelHash)
-		w.u16(pm.Count)
+	c := &snap.scratch
+	c.w.b = append(c.w.b[:0], snapshotMagic[:]...)
+	c.w.fixed32(SnapshotVersion)
+	for i, walk := range sections[1:] {
+		c.w.u8(uint8(i + 1))
+		lenAt := len(c.w.b)
+		c.w.fixed32(0) // the payload's length, known once it is written
+		walk(c, snap)
+		binary.LittleEndian.PutUint32(c.w.b[lenAt:], uint32(len(c.w.b)-lenAt-4))
 	}
-	w.u32(uint32(len(d.Tables.Entries)))
-	for i := range d.Tables.Entries {
-		e := &d.Tables.Entries[i]
-		w.u64(e.LabelHash)
-		w.i64(int64(e.State))
-		w.u32(e.Gen)
-		w.time(e.FirstSeen)
-		w.time(e.LastSeen)
-		w.time(e.ProbeStart)
-		w.time(e.ProbeDeadline)
-		w.i64(int64(e.BaselineCount))
-		w.i64(int64(e.ResponseCount))
-		w.u64(e.Packets)
-		w.u64(e.Dropped)
-	}
-	w.u64(d.Tables.Evictions)
-	w.u32(uint32(len(d.Tables.Transitions)))
-	for _, t := range d.Tables.Transitions {
-		w.u64(t)
-	}
-}
-
-func encodeEvent(w *writer, ev *EventState) {
-	w.time(ev.At)
-	w.u64(ev.Seq)
-	w.u8(ev.Kind)
-	switch ev.Kind {
-	case EvBuild, EvMonitorTick:
-	case EvFlowSend, EvFlowPhase, EvFlowEnd:
-		w.u32(ev.Index)
-	case EvLinkArrive:
-		w.u32(ev.Index)
-		p := &ev.Packet
-		w.u64(p.ID)
-		encodeLabel(w, p.Label)
-		w.u8(uint8(p.Kind))
-		w.u8(uint8(p.Proto))
-		w.i64(p.Seq)
-		w.i64(p.Size)
-		w.i64(p.SentAt)
-		w.i64(p.Hops)
-		w.i64(p.FlowID)
-		w.boolean(p.Malicious)
-	case EvMonitorLate:
-		rep := &ev.Report
-		w.i64(rep.Epoch)
-		w.time(rep.Start)
-		w.time(rep.End)
-		w.u32(uint32(len(rep.Routers)))
-		for _, id := range rep.Routers {
-			w.i64(int64(id))
-		}
-		w.u32(uint32(len(rep.SourceEst)))
-		for _, v := range rep.SourceEst {
-			w.f64(v)
-		}
-		w.u32(uint32(len(rep.DestEst)))
-		for _, v := range rep.DestEst {
-			w.f64(v)
-		}
-		w.u32(uint32(len(rep.Matrix)))
-		for _, c := range rep.Matrix {
-			w.i64(int64(c.Source))
-			w.i64(int64(c.Dest))
-			w.f64(c.Packets)
-		}
-	case EvProbeSend, EvWindowEnd:
-		w.u32(ev.Index)
-		w.u32(ev.Probe)
-	}
+	return append(make([]byte, 0, len(c.w.b)), c.w.b...)
 }
 
 // Decode parses an encoded snapshot, validating every length against the
@@ -358,11 +182,7 @@ func encodeEvent(w *writer, ev *EventState) {
 // never a panic.
 func Decode(data []byte) (*Snapshot, error) {
 	r := &reader{b: data}
-	magic := r.take(len(snapshotMagic))
-	if r.err != nil {
-		return nil, r.err
-	}
-	if string(magic) != string(snapshotMagic[:]) {
+	if magic := r.take(len(snapshotMagic)); r.err == nil && string(magic) != string(snapshotMagic[:]) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	if v := r.fixed32(); r.err == nil && v != SnapshotVersion {
@@ -373,391 +193,301 @@ func Decode(data []byte) (*Snapshot, error) {
 	}
 
 	snap := &Snapshot{}
-	seen := make(map[uint8]bool)
+	c := &codec{dec: true}
+	var seen [len(sections)]bool
 	for r.remaining() > 0 {
 		kind := r.u8()
 		payload := r.take(int(r.fixed32()))
 		if r.err != nil {
 			return nil, r.err
 		}
+		if kind == 0 || int(kind) >= len(sections) {
+			return nil, fmt.Errorf("%w: unknown section kind %d", ErrCorrupt, kind)
+		}
 		if seen[kind] {
 			return nil, fmt.Errorf("%w: duplicate section %d", ErrCorrupt, kind)
 		}
 		seen[kind] = true
-		sr := &reader{b: payload}
-		decodeSection(sr, kind, snap)
-		if sr.err != nil {
-			return nil, fmt.Errorf("section %d: %w", kind, sr.err)
+		c.r = reader{b: payload}
+		sections[kind](c, snap)
+		if c.r.err != nil {
+			return nil, fmt.Errorf("section %d: %w", kind, c.r.err)
 		}
-		if sr.remaining() != 0 {
-			return nil, fmt.Errorf("%w: section %d has %d trailing bytes", ErrCorrupt, kind, sr.remaining())
+		if c.r.remaining() != 0 {
+			return nil, fmt.Errorf("%w: section %d has %d trailing bytes", ErrCorrupt, kind, c.r.remaining())
 		}
 	}
-	for _, k := range []uint8{
-		secScenario, secClock, secRNG, secEvents, secProbeRecs, secLinks,
-		secNodes, secNetwork, secMonitor, secCoordinator, secCollector,
-		secDefenders, secFlows, secVictims, secFlags,
-	} {
-		if !seen[k] {
-			return nil, fmt.Errorf("%w: missing section %d", ErrCorrupt, k)
+	for kind := 1; kind < len(sections); kind++ {
+		if !seen[kind] {
+			return nil, fmt.Errorf("%w: missing section %d", ErrCorrupt, kind)
 		}
 	}
 	return snap, nil
 }
 
-func decodeSection(r *reader, kind uint8, snap *Snapshot) {
-	switch kind {
-	case secScenario:
-		snap.Scenario = r.bytes()
-
-	case secClock:
-		snap.BuildSeq = r.u64()
-		snap.Now = r.time()
-		snap.NextSeq = r.u64()
-		snap.Processed = r.u64()
-
-	case secRNG:
-		n := r.count(2)
-		snap.Streams = make([]StreamState, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			snap.Streams = append(snap.Streams, StreamState{Seed: r.i64(), Draws: r.u64()})
-		}
-
-	case secEvents:
-		n := r.count(3)
-		snap.Events = make([]EventState, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			snap.Events = append(snap.Events, decodeEvent(r))
-		}
-
-	case secProbeRecs:
-		n := r.count(9)
-		snap.ProbeRecs = make([]ProbeRec, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			pr := ProbeRec{Def: r.u32()}
-			pr.State.Live = r.boolean()
-			pr.State.EntryHash = r.u64()
-			pr.State.Label = decodeLabel(r)
-			pr.State.Proto = netsim.Protocol(r.u8())
-			pr.State.Seq = r.i64()
-			snap.ProbeRecs = append(snap.ProbeRecs, pr)
-		}
-
-	case secLinks:
-		n := r.count(6)
-		snap.Links = make([]netsim.LinkState, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			snap.Links = append(snap.Links, netsim.LinkState{
-				NextFree:   r.time(),
-				Queued:     r.i64(),
-				Down:       r.boolean(),
-				Sent:       r.u64(),
-				Dropped:    r.u64(),
-				FaultDrops: r.u64(),
-			})
-		}
-
-	case secNodes:
-		n := r.count(4)
-		snap.Nodes = make([]NodeState, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			ns := NodeState{ID: netsim.NodeID(r.i64()), Router: r.boolean()}
-			if ns.Router {
-				ns.R = netsim.RouterState{
-					Down:       r.boolean(),
-					Forwarded:  r.u64(),
-					Dropped:    r.u64(),
-					FaultDrops: r.u64(),
-				}
-			} else {
-				ns.H = netsim.HostState{Received: r.u64(), Sent: r.u64()}
-			}
-			snap.Nodes = append(snap.Nodes, ns)
-		}
-
-	case secNetwork:
-		snap.Network.NextPktID = r.u64()
-		snap.Network.TopoVersion = r.u64()
-		snap.Network.FaultDrops = r.u64()
-		n := r.count(1)
-		snap.Network.RouteDests = make([]netsim.NodeID, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			snap.Network.RouteDests = append(snap.Network.RouteDests, netsim.NodeID(r.i64()))
-		}
-
-	case secMonitor:
-		snap.Monitor.EpochIndex = r.i64()
-		snap.Monitor.EpochStart = r.time()
-		snap.Monitor.Stop = r.boolean()
-		snap.Monitor.Running = r.boolean()
-		n := r.count(11)
-		snap.Monitor.Counters = make([]trafficmatrix.CounterState, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			snap.Monitor.Counters = append(snap.Monitor.Counters, trafficmatrix.CounterState{
-				Source:     decodePair(r),
-				Dest:       decodePair(r),
-				SourcePkts: r.u64(),
-				DestPkts:   r.u64(),
-				Transit:    r.u64(),
-			})
-		}
-
-	case secCoordinator:
-		st := &snap.Coordinator
-		st.History = decodeF64s(r)
-		st.HistoryOK = decodeBools(r)
-		st.HistorySeen = r.i64()
-		st.ATRScore = decodeF64s(r)
-		st.IdentifiedATR = decodeBools(r)
-		st.Identified = r.i64()
-		st.Active = r.boolean()
-		st.ActiveVictim = netsim.NodeID(r.i64())
-		st.TriggerLoad = r.f64()
-		st.CalmEpochs = r.i64()
-		st.RequestsFired = r.i64()
-		st.LastEpoch = r.i64()
-		st.LastFireEpoch = r.i64()
-		st.PendingRefire = r.boolean()
-
-	case secCollector:
-		st := &snap.Collector
-		st.Activated = r.boolean()
-		st.ActivationAt = r.time()
-		st.Counts = decodeCounts(r)
-		n := r.count(4)
-		st.Bins = make([]metrics.BandwidthPoint, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			st.Bins = append(st.Bins, metrics.BandwidthPoint{
-				Time:          r.time(),
-				LegitPackets:  r.u64(),
-				AttackPackets: r.u64(),
-				Bytes:         r.u64(),
-			})
-		}
-
-	case secDefenders:
-		snap.DefKind = r.u8()
-		switch snap.DefKind {
-		case DefNone:
-		case DefMAFIC:
-			n := r.count(20)
-			snap.Defenders = make([]core.DefenderState, 0, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				snap.Defenders = append(snap.Defenders, decodeDefender(r))
-			}
-		case DefBaseline:
-			n := r.count(5)
-			snap.Droppers = make([]baseline.DropperState, 0, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				d := baseline.DropperState{Active: r.boolean(), VictimIP: netsim.IP(r.u32())}
-				d.Stats.Examined = r.u64()
-				d.Stats.Dropped = r.u64()
-				d.Stats.Forwarded = r.u64()
-				snap.Droppers = append(snap.Droppers, d)
-			}
-		default:
-			r.fail("unknown defender kind %d", snap.DefKind)
-		}
-
-	case secFlows:
-		n := r.count(29)
-		snap.Flows = make([]traffic.FlowState, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			snap.Flows = append(snap.Flows, traffic.FlowState{
-				Kind:      traffic.FlowKind(r.u8()),
-				Running:   r.boolean(),
-				InBurst:   r.boolean(),
-				Cwnd:      r.f64(),
-				Ssthresh:  r.f64(),
-				Seq:       r.i64(),
-				LastAcked: r.i64(),
-				DupAcks:   r.i64(),
-				LastAckAt: r.time(),
-				Sent:      r.u64(),
-				Acked:     r.u64(),
-				Timeouts:  r.u64(),
-				FastRetx:  r.u64(),
-				ProbeSeen: r.u64(),
-				Bursts:    r.u64(),
-			})
-		}
-
-	case secVictims:
-		n := r.count(4)
-		snap.Victims = make([]traffic.VictimServerState, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			snap.Victims = append(snap.Victims, traffic.VictimServerState{
-				Received:      r.u64(),
-				ReceivedBad:   r.u64(),
-				ReceivedGood:  r.u64(),
-				AcksGenerated: r.u64(),
-			})
-		}
-
-	case secFlags:
-		snap.Flags.Activated = r.boolean()
-		snap.Flags.ActivationSeconds = r.f64()
-		snap.Flags.DetectedByPushback = r.boolean()
-		snap.Flags.ATRCount = r.i64()
-
-	default:
-		r.fail("unknown section kind %d", kind)
-	}
+func walkStream(c *codec, st *StreamState) {
+	i64of(c, &st.Seed)
+	c.u64(&st.Draws)
 }
 
-func decodeLabel(r *reader) netsim.FlowLabel {
-	return netsim.FlowLabel{
-		SrcIP:   netsim.IP(r.u32()),
-		DstIP:   netsim.IP(r.u32()),
-		SrcPort: r.u16(),
-		DstPort: r.u16(),
-	}
-}
-
-func decodeSketch(r *reader) loglog.SketchState {
-	return loglog.SketchState{Buckets: r.bytes(), Adds: r.u64()}
-}
-
-func decodePair(r *reader) loglog.PairState {
-	return loglog.PairState{Active: decodeSketch(r), Shadow: decodeSketch(r)}
-}
-
-func decodeF64s(r *reader) []float64 {
-	n := r.count(8)
-	out := make([]float64, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, r.f64())
-	}
-	return out
-}
-
-func decodeBools(r *reader) []bool {
-	n := r.count(1)
-	out := make([]bool, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, r.boolean())
-	}
-	return out
-}
-
-func decodeCounts(r *reader) metrics.Counts {
-	return metrics.Counts{
-		ATRLegitPre:      r.u64(),
-		ATRLegitPost:     r.u64(),
-		ATRAttackPre:     r.u64(),
-		ATRAttackPost:    r.u64(),
-		DropLegitProbing: r.u64(),
-		DropLegitPDT:     r.u64(),
-		DropLegitIllegal: r.u64(),
-		DropAttack:       r.u64(),
-		DropAttackPDT:    r.u64(),
-		VictimLegitPre:   r.u64(),
-		VictimLegit:      r.u64(),
-		VictimAttackPre:  r.u64(),
-		VictimAttack:     r.u64(),
-		QueueDrops:       r.u64(),
-		FaultDrops:       r.u64(),
-	}
-}
-
-func decodeDefender(r *reader) core.DefenderState {
-	d := core.DefenderState{}
-	d.Active = r.boolean()
-	d.VictimIP = netsim.IP(r.u32())
-	d.Stats.Examined = r.u64()
-	d.Stats.Forwarded = r.u64()
-	d.Stats.Dropped = r.u64()
-	d.Stats.DroppedIllegal = r.u64()
-	d.Stats.DroppedPDT = r.u64()
-	d.Stats.DroppedProbing = r.u64()
-	d.Stats.ProbesSent = r.u64()
-	d.Stats.FlowsProbed = r.u64()
-	d.Stats.FlowsNice = r.u64()
-	d.Stats.FlowsCondemned = r.u64()
-	d.Stats.FlowsIllegal = r.u64()
-	d.Stats.FlowsReprobed = r.u64()
-	d.Stats.FlowsRepeatCondemned = r.u64()
-	d.ProbeSeqs = r.u64()
-	n := r.count(2)
-	if n > 0 {
-		d.ProbeMemory = make([]core.ProbeMemoryEntry, 0, n)
-	}
-	for i := 0; i < n && r.err == nil; i++ {
-		d.ProbeMemory = append(d.ProbeMemory, core.ProbeMemoryEntry{LabelHash: r.u64(), Count: r.u16()})
-	}
-	n = r.count(11)
-	if n > 0 {
-		d.Tables.Entries = make([]flowtable.Entry, 0, n)
-	}
-	for i := 0; i < n && r.err == nil; i++ {
-		d.Tables.Entries = append(d.Tables.Entries, flowtable.Entry{
-			LabelHash:     r.u64(),
-			State:         flowtable.State(r.i64()),
-			Gen:           r.u32(),
-			FirstSeen:     r.time(),
-			LastSeen:      r.time(),
-			ProbeStart:    r.time(),
-			ProbeDeadline: r.time(),
-			BaselineCount: int(r.i64()),
-			ResponseCount: int(r.i64()),
-			Packets:       r.u64(),
-			Dropped:       r.u64(),
-		})
-	}
-	d.Tables.Evictions = r.u64()
-	tn := r.count(1)
-	if r.err == nil && tn != len(d.Tables.Transitions) {
-		r.fail("transition table has %d counters, expected %d", tn, len(d.Tables.Transitions))
-	}
-	for i := 0; i < len(d.Tables.Transitions) && r.err == nil; i++ {
-		d.Tables.Transitions[i] = r.u64()
-	}
-	return d
-}
-
-func decodeEvent(r *reader) EventState {
-	ev := EventState{At: r.time(), Seq: r.u64(), Kind: r.u8()}
+// walkEvent is a union on the event kind, walked before it is switched on so
+// that one switch serves both directions.
+func walkEvent(c *codec, ev *EventState) {
+	i64of(c, &ev.At)
+	c.u64(&ev.Seq)
+	u8of(c, &ev.Kind)
 	switch ev.Kind {
 	case EvBuild, EvMonitorTick:
 	case EvFlowSend, EvFlowPhase, EvFlowEnd:
-		ev.Index = r.u32()
+		u32of(c, &ev.Index)
 	case EvLinkArrive:
-		ev.Index = r.u32()
-		ev.Packet.ID = r.u64()
-		ev.Packet.Label = decodeLabel(r)
-		ev.Packet.Kind = netsim.PacketKind(r.u8())
-		ev.Packet.Proto = netsim.Protocol(r.u8())
-		ev.Packet.Seq = r.i64()
-		ev.Packet.Size = r.i64()
-		ev.Packet.SentAt = r.i64()
-		ev.Packet.Hops = r.i64()
-		ev.Packet.FlowID = r.i64()
-		ev.Packet.Malicious = r.boolean()
+		u32of(c, &ev.Index)
+		p := &ev.Packet
+		c.u64(&p.ID)
+		walkLabel(c, &p.Label)
+		u8of(c, &p.Kind)
+		u8of(c, &p.Proto)
+		i64of(c, &p.Seq)
+		i64of(c, &p.Size)
+		i64of(c, &p.SentAt)
+		i64of(c, &p.Hops)
+		i64of(c, &p.FlowID)
+		c.boolean(&p.Malicious)
 	case EvMonitorLate:
-		ev.Report.Epoch = r.i64()
-		ev.Report.Start = r.time()
-		ev.Report.End = r.time()
-		n := r.count(1)
-		ev.Report.Routers = make([]netsim.NodeID, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			ev.Report.Routers = append(ev.Report.Routers, netsim.NodeID(r.i64()))
-		}
-		ev.Report.SourceEst = decodeF64s(r)
-		ev.Report.DestEst = decodeF64s(r)
-		n = r.count(10)
-		ev.Report.Matrix = make([]trafficmatrix.Cell, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			ev.Report.Matrix = append(ev.Report.Matrix, trafficmatrix.Cell{
-				Source:  netsim.NodeID(r.i64()),
-				Dest:    netsim.NodeID(r.i64()),
-				Packets: r.f64(),
-			})
-		}
+		rep := &ev.Report
+		i64of(c, &rep.Epoch)
+		i64of(c, &rep.Start)
+		i64of(c, &rep.End)
+		list(c, &rep.Routers, i64of[netsim.NodeID])
+		list(c, &rep.SourceEst, (*codec).f64)
+		list(c, &rep.DestEst, (*codec).f64)
+		list(c, &rep.Matrix, walkCell)
 	case EvProbeSend, EvWindowEnd:
-		ev.Index = r.u32()
-		ev.Probe = r.u32()
+		u32of(c, &ev.Index)
+		u32of(c, &ev.Probe)
 	default:
-		r.fail("unknown event kind %d", ev.Kind)
+		c.fail("unknown event kind %d", ev.Kind)
 	}
-	return ev
+}
+
+func walkLabel(c *codec, l *netsim.FlowLabel) {
+	u32of(c, &l.SrcIP)
+	u32of(c, &l.DstIP)
+	c.u16(&l.SrcPort)
+	c.u16(&l.DstPort)
+}
+
+func walkCell(c *codec, cell *trafficmatrix.Cell) {
+	i64of(c, &cell.Source)
+	i64of(c, &cell.Dest)
+	c.f64(&cell.Packets)
+}
+
+func walkProbeRec(c *codec, pr *ProbeRec) {
+	u32of(c, &pr.Def)
+	c.boolean(&pr.State.Live)
+	c.u64(&pr.State.EntryHash)
+	walkLabel(c, &pr.State.Label)
+	u8of(c, &pr.State.Proto)
+	i64of(c, &pr.State.Seq)
+}
+
+func walkLink(c *codec, l *netsim.LinkState) {
+	i64of(c, &l.NextFree)
+	i64of(c, &l.Queued)
+	c.boolean(&l.Down)
+	c.u64(&l.Sent)
+	c.u64(&l.Dropped)
+	c.u64(&l.FaultDrops)
+}
+
+// walkNode is a union on Router: exactly one of R and H travels.
+func walkNode(c *codec, n *NodeState) {
+	i64of(c, &n.ID)
+	c.boolean(&n.Router)
+	if n.Router {
+		c.boolean(&n.R.Down)
+		c.u64(&n.R.Forwarded)
+		c.u64(&n.R.Dropped)
+		c.u64(&n.R.FaultDrops)
+	} else {
+		c.u64(&n.H.Received)
+		c.u64(&n.H.Sent)
+	}
+}
+
+func walkNetwork(c *codec, n *netsim.NetworkState) {
+	c.u64(&n.NextPktID)
+	c.u64(&n.TopoVersion)
+	c.u64(&n.FaultDrops)
+	list(c, &n.RouteDests, i64of[netsim.NodeID])
+}
+
+func walkMonitor(c *codec, m *trafficmatrix.MonitorState) {
+	i64of(c, &m.EpochIndex)
+	i64of(c, &m.EpochStart)
+	c.boolean(&m.Stop)
+	c.boolean(&m.Running)
+	list(c, &m.Counters, walkCounter)
+}
+
+func walkCounter(c *codec, ctr *trafficmatrix.CounterState) {
+	for _, s := range [...]*loglog.SketchState{&ctr.Source.Active, &ctr.Source.Shadow, &ctr.Dest.Active, &ctr.Dest.Shadow} {
+		c.bytes(&s.Buckets)
+		c.u64(&s.Adds)
+	}
+	c.u64(&ctr.SourcePkts)
+	c.u64(&ctr.DestPkts)
+	c.u64(&ctr.Transit)
+}
+
+func walkCoordinator(c *codec, st *pushback.CoordinatorState) {
+	list(c, &st.History, (*codec).f64)
+	list(c, &st.HistoryOK, (*codec).boolean)
+	i64of(c, &st.HistorySeen)
+	list(c, &st.ATRScore, (*codec).f64)
+	list(c, &st.IdentifiedATR, (*codec).boolean)
+	i64of(c, &st.Identified)
+	c.boolean(&st.Active)
+	i64of(c, &st.ActiveVictim)
+	c.f64(&st.TriggerLoad)
+	i64of(c, &st.CalmEpochs)
+	i64of(c, &st.RequestsFired)
+	i64of(c, &st.LastEpoch)
+	i64of(c, &st.LastFireEpoch)
+	c.boolean(&st.PendingRefire)
+}
+
+func walkCollector(c *codec, st *metrics.CollectorState) {
+	c.boolean(&st.Activated)
+	i64of(c, &st.ActivationAt)
+	n := &st.Counts
+	c.u64(&n.ATRLegitPre)
+	c.u64(&n.ATRLegitPost)
+	c.u64(&n.ATRAttackPre)
+	c.u64(&n.ATRAttackPost)
+	c.u64(&n.DropLegitProbing)
+	c.u64(&n.DropLegitPDT)
+	c.u64(&n.DropLegitIllegal)
+	c.u64(&n.DropAttack)
+	c.u64(&n.DropAttackPDT)
+	c.u64(&n.VictimLegitPre)
+	c.u64(&n.VictimLegit)
+	c.u64(&n.VictimAttackPre)
+	c.u64(&n.VictimAttack)
+	c.u64(&n.QueueDrops)
+	c.u64(&n.FaultDrops)
+	list(c, &st.Bins, walkBin)
+}
+
+func walkBin(c *codec, b *metrics.BandwidthPoint) {
+	i64of(c, &b.Time)
+	c.u64(&b.LegitPackets)
+	c.u64(&b.AttackPackets)
+	c.u64(&b.Bytes)
+}
+
+// walkDefenders is a union on the defender kind: MAFIC defenders, baseline
+// droppers or neither.
+func walkDefenders(c *codec, s *Snapshot) {
+	u8of(c, &s.DefKind)
+	switch s.DefKind {
+	case DefNone:
+	case DefMAFIC:
+		list(c, &s.Defenders, walkDefender)
+	case DefBaseline:
+		list(c, &s.Droppers, walkDropper)
+	default:
+		c.fail("unknown defender kind %d", s.DefKind)
+	}
+}
+
+func walkDefender(c *codec, d *core.DefenderState) {
+	c.boolean(&d.Active)
+	u32of(c, &d.VictimIP)
+	c.u64(&d.Stats.Examined)
+	c.u64(&d.Stats.Forwarded)
+	c.u64(&d.Stats.Dropped)
+	c.u64(&d.Stats.DroppedIllegal)
+	c.u64(&d.Stats.DroppedPDT)
+	c.u64(&d.Stats.DroppedProbing)
+	c.u64(&d.Stats.ProbesSent)
+	c.u64(&d.Stats.FlowsProbed)
+	c.u64(&d.Stats.FlowsNice)
+	c.u64(&d.Stats.FlowsCondemned)
+	c.u64(&d.Stats.FlowsIllegal)
+	c.u64(&d.Stats.FlowsReprobed)
+	c.u64(&d.Stats.FlowsRepeatCondemned)
+	c.u64(&d.ProbeSeqs)
+	list(c, &d.ProbeMemory, walkProbeMemory)
+	list(c, &d.Tables.Entries, walkEntry)
+	c.u64(&d.Tables.Evictions)
+	// A fixed-size table that travels with its count, which must be this build's.
+	tn := uint32(len(d.Tables.Transitions))
+	u32of(c, &tn)
+	if int(tn) != len(d.Tables.Transitions) {
+		c.fail("transition table has %d counters, expected %d", tn, len(d.Tables.Transitions))
+	}
+	for i := range d.Tables.Transitions {
+		c.u64(&d.Tables.Transitions[i])
+	}
+}
+
+func walkProbeMemory(c *codec, pm *core.ProbeMemoryEntry) {
+	c.u64(&pm.LabelHash)
+	c.u16(&pm.Count)
+}
+
+func walkEntry(c *codec, e *flowtable.Entry) {
+	c.u64(&e.LabelHash)
+	i64of(c, &e.State)
+	u32of(c, &e.Gen)
+	i64of(c, &e.FirstSeen)
+	i64of(c, &e.LastSeen)
+	i64of(c, &e.ProbeStart)
+	i64of(c, &e.ProbeDeadline)
+	i64of(c, &e.BaselineCount)
+	i64of(c, &e.ResponseCount)
+	c.u64(&e.Packets)
+	c.u64(&e.Dropped)
+}
+
+func walkDropper(c *codec, d *baseline.DropperState) {
+	c.boolean(&d.Active)
+	u32of(c, &d.VictimIP)
+	c.u64(&d.Stats.Examined)
+	c.u64(&d.Stats.Dropped)
+	c.u64(&d.Stats.Forwarded)
+}
+
+func walkFlow(c *codec, f *traffic.FlowState) {
+	u8of(c, &f.Kind)
+	c.boolean(&f.Running)
+	c.boolean(&f.InBurst)
+	c.f64(&f.Cwnd)
+	c.f64(&f.Ssthresh)
+	i64of(c, &f.Seq)
+	i64of(c, &f.LastAcked)
+	i64of(c, &f.DupAcks)
+	i64of(c, &f.LastAckAt)
+	c.u64(&f.Sent)
+	c.u64(&f.Acked)
+	c.u64(&f.Timeouts)
+	c.u64(&f.FastRetx)
+	c.u64(&f.ProbeSeen)
+	c.u64(&f.Bursts)
+}
+
+func walkVictim(c *codec, v *traffic.VictimServerState) {
+	c.u64(&v.Received)
+	c.u64(&v.ReceivedBad)
+	c.u64(&v.ReceivedGood)
+	c.u64(&v.AcksGenerated)
+}
+
+func walkFlags(c *codec, f *RunFlags) {
+	c.boolean(&f.Activated)
+	c.f64(&f.ActivationSeconds)
+	c.boolean(&f.DetectedByPushback)
+	i64of(c, &f.ATRCount)
 }

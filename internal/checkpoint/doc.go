@@ -30,6 +30,10 @@
 // RNG streams are restored by fast-forward: the rebuild recreates every
 // stream with its original seed (verified), then each stream replays draws
 // until it reaches the checkpointed draw count (sim.RNG.FastForwardStream).
+// Restore first bounds what there is to replay: the draws a file claims beyond
+// the rebuilt streams' own, summed, may not exceed 16 for every event it says
+// was processed — the catalog's runs make at most 0.2 — so a file cannot buy
+// an hour of spinning with one large number.
 //
 // # Wire format
 //
@@ -38,7 +42,13 @@
 // fixed u32 | payload). Inside a payload integers are varints and floats their
 // 8-byte bit patterns; format.go lists the primitives. Every section appears
 // exactly once; unknown or duplicate sections, truncations and trailing bytes
-// are decode errors. The scenario itself travels as a JSON blob inside the
+// are decode errors. codec.go holds the layout once: a table of the fifteen
+// section kinds, and per snapshotted type one walk function that names each
+// field through a pointer, in wire order. Encode runs the walks writing and
+// Decode runs the same walks reading, and a list's count is believed only as
+// far as the payload could hold that many of what a zero element encodes to,
+// measured by that same walk — so the two directions and the allocation bounds
+// cannot drift apart. The scenario itself travels as a JSON blob inside the
 // snapshot, so a snapshot file is fully self-describing: Decode + the
 // experiment package's rebuild are all that is needed to resume. For a file
 // this package wrote Encode(Decode(b)) is byte-identical, pinned by test, so
@@ -96,6 +106,14 @@
 // affected, SnapshotVersion — is updated deliberately. New state cannot
 // silently miss the snapshot.
 //
+// Adding a field that travels: (1) the package's *State struct; (2) its
+// capture (CheckpointState or the like); (3) its overlay (RestoreState),
+// refusing values no run produces; (4) one line in the type's walk in
+// codec.go, at the end of the struct's fields; (5) the manifest row in
+// guard_test.go; (6) SnapshotVersion and manifestVersion, and the retired
+// version in the ErrVersion tests. `make snap-diff` will say the files moved,
+// as they should; experiment.TestDecodeInvertsEncode fails if step 4 is missed.
+//
 // # Cost and lifetime
 //
 // A run that checkpoints often takes every snapshot through one Session, so
@@ -121,9 +139,9 @@
 // A session must not outlive its run: the registry holds the run's pooled
 // objects by identity.
 //
-// Encode runs its section encoders once, into a scratch buffer that belongs to
-// the Snapshot — so to the session, for a run's snapshots — and is written
-// over by the next Encode; what it returns is a copy, a single allocation of
+// Encode walks the snapshot once, into a scratch buffer that belongs to the
+// Snapshot — so to the session, for a run's snapshots — and is written over
+// by the next Encode; what it returns is a copy, a single allocation of
 // exactly the encoded size. Save callbacks own the bytes they are handed —
 // the tests and the benchmark's in-memory sinks keep the slices across calls,
 // as anything holding "the newest snapshot" would — so recycling the output

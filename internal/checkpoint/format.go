@@ -30,9 +30,10 @@ import (
 // Magic and version of the snapshot format.
 var snapshotMagic = [8]byte{'M', 'A', 'F', 'I', 'C', 'S', 'N', 'P'}
 
-// SnapshotVersion is the current wire-format version. Bump it whenever a
-// section's layout changes; the coverage guard test forces a bump whenever a
-// snapshotted struct grows a field.
+// SnapshotVersion is the current wire-format version. Bump it whenever a walk
+// in codec.go changes what it writes; the coverage guard test forces the
+// decision whenever a snapshotted struct grows a field (doc.go, "Coverage
+// guard", has the steps).
 //
 // Version 3 is version 2 with varint integers and untouched sketches elided;
 // a file of an earlier version is refused, not migrated. See doc.go.
@@ -101,16 +102,6 @@ func (w *writer) time(v sim.Time) { w.i64(int64(v)) }
 func (w *writer) bytes(v []byte) {
 	w.u32(uint32(len(v)))
 	w.raw(v)
-}
-
-// section writes a completed section: the payload built by fn, prefixed with
-// its kind and length.
-func (w *writer) section(kind uint8, fn func(*writer)) {
-	w.u8(kind)
-	lenAt := len(w.b)
-	w.fixed32(0) // patched below
-	fn(w)
-	binary.LittleEndian.PutUint32(w.b[lenAt:], uint32(len(w.b)-lenAt-4))
 }
 
 // reader consumes an encoded snapshot with a sticky error: after the first

@@ -70,7 +70,7 @@ var fieldManifest = map[string][]string{
 	"loglog.Pair":               {"active", "shadow"},
 	"loglog.Sketch":             {"adds", "buckets", "m", "p"},
 	"metrics.BandwidthPoint":    {"AttackPackets", "Bytes", "LegitPackets", "Time"},
-	"metrics.Collector":         {"activated", "activationAt", "atrAttackPost", "atrAttackPre", "atrLegitPost", "atrLegitPre", "binWidth", "bins", "dropAttack", "dropAttackPDT", "dropLegitIllegal", "dropLegitPDT", "dropLegitProbing", "faultDrops", "queueDrops", "tap", "victimAttackPost", "victimAttackPre", "victimLegitPost", "victimLegitPre"},
+	"metrics.Collector":         {"activated", "activationAt", "binWidth", "bins", "counts", "tap"}, // counts: the metrics.Counts row, held as it is reported
 	"metrics.Counts":            {"ATRAttackPost", "ATRAttackPre", "ATRLegitPost", "ATRLegitPre", "DropAttack", "DropAttackPDT", "DropLegitIllegal", "DropLegitPDT", "DropLegitProbing", "FaultDrops", "QueueDrops", "VictimAttack", "VictimAttackPre", "VictimLegit", "VictimLegitPre"},
 	"netsim.Host":               {"accessRouter", "defaultHandler", "homeCount", "homeLinks", "homeRouters", "id", "ips", "nHandlers", "name", "net", "received", "sent"},
 	"netsim.Link":               {"cfg", "down", "dropped", "faultDrops", "from", "inTail", "net", "nextFree", "queued", "sent", "to", "txCur"},                                                                                                                                                                                                                    // inTail, txCur: derived on restore from the link's pending arrival events (RestoreInFlight), not on the wire

@@ -21,7 +21,7 @@ import (
 
 // snapshotMidRun runs s with one checkpoint at the given virtual time and
 // returns the encoded snapshot plus the (complete) run's result.
-func snapshotMidRun(t *testing.T, s Scenario, at sim.Time) ([]byte, Result) {
+func snapshotMidRun(t testing.TB, s Scenario, at sim.Time) ([]byte, Result) {
 	t.Helper()
 	var data []byte
 	res, err := RunWithCheckpoints(s, []sim.Time{at}, func(_ sim.Time, d []byte) error {
@@ -294,6 +294,10 @@ var restoreRefusals = []struct {
 	{"adds, no buckets", editFirstTouchedSketch(func(st *loglog.SketchState) { st.Buckets = nil }), "bucket count 0"},
 	{"a rank no add records", editFirstTouchedSketch(func(st *loglog.SketchState) { st.Buckets[0] = 200 }), "holds rank 200"},
 	{"gate event on an ungated flow", gateLastFlowSend, "schedules a phase on flow"},
+	{"draws no run could have made", func(snap *checkpoint.Snapshot) bool {
+		snap.Streams[0].Draws = 1 << 40
+		return true
+	}, "draws since the build"},
 }
 
 // gateLastFlowSend turns the pending send timer of the last flow — in table2

@@ -3,6 +3,7 @@ package experiment
 import (
 	"testing"
 
+	"mafic/internal/core"
 	"mafic/internal/trafficmatrix"
 )
 
@@ -90,5 +91,40 @@ func TestNoAttackCondemnsNoLegitimateFlow(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s: run ended %+v, want %+v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestZeroDropProbabilityProbesNothing is the second metamorphic case: quick
+// table2 with P_d = 0. A flow enters the SFT on a lost coin flip, so no flow
+// does: nothing is probed, no probe is sent and probing drops nothing.
+// Detection does not read P_d — pushback fires and names its ATRs as ever —
+// and table2 has no illegal sources, so the activated defence is inert: it
+// examines every victim-bound packet entering at an ATR and forwards it, and
+// everything that arrives after activation reaches the victim. It is still
+// not the run without a defence, which PAPER.md "Findings" records: the attack
+// is the same packet for packet, the legitimate flows start at other times.
+func TestZeroDropProbabilityProbesNothing(t *testing.T) {
+	s := table2Quick(t)
+	s.MAFIC.DropProbability = 0
+	res, _ := runCounted(t, s)
+	n := res.Counts
+	if !res.Activated || !res.DetectedByPushback || res.ATRCount == 0 {
+		t.Fatalf("pushback did not fire: activated %v, by pushback %v, %d ATRs", res.Activated, res.DetectedByPushback, res.ATRCount)
+	}
+	if res.FlowsProbed != 0 || res.DefenseStats.ProbesSent != 0 || res.DefenseStats.DroppedProbing != 0 || n.DropLegitProbing != 0 {
+		t.Errorf("probing happened: %d flows probed, %d probes sent, %d packets dropped probing (%d legitimate)",
+			res.FlowsProbed, res.DefenseStats.ProbesSent, res.DefenseStats.DroppedProbing, n.DropLegitProbing)
+	}
+	examined := n.ATRLegitPost + n.ATRAttackPost
+	if want := (core.Stats{Examined: examined, Forwarded: examined}); examined == 0 || res.DefenseStats != want {
+		t.Errorf("the defenders did %+v, want %+v", res.DefenseStats, want)
+	}
+	if n.DropLegitPDT+n.DropLegitIllegal+n.DropAttack+n.QueueDrops != 0 || n.VictimLegit != n.ATRLegitPost || n.VictimAttack != n.ATRAttackPost {
+		t.Errorf("not every packet arriving after activation reached the victim: %+v", n)
+	}
+	none := table2Quick(t)
+	none.Defense = DefenseNone
+	if ref, _ := runCounted(t, none); ref.Counts.ATRAttackPre != n.ATRAttackPre || ref.Counts.ATRAttackPost != n.ATRAttackPost {
+		t.Errorf("the attack differs from the undefended run's: %+v, undefended %+v", n, ref.Counts)
 	}
 }

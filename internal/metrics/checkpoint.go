@@ -21,7 +21,7 @@ type CollectorState struct {
 func (c *Collector) CheckpointState(dst *CollectorState) {
 	dst.Activated = c.activated
 	dst.ActivationAt = c.activationAt
-	dst.Counts = c.Counts()
+	dst.Counts = c.counts
 	dst.Bins = append(dst.Bins[:0], c.bins...)
 }
 
@@ -36,21 +36,7 @@ func (c *Collector) RestoreState(st CollectorState) error {
 	}
 	c.activated = st.Activated
 	c.activationAt = st.ActivationAt
-	c.atrLegitPre = st.Counts.ATRLegitPre
-	c.atrLegitPost = st.Counts.ATRLegitPost
-	c.atrAttackPre = st.Counts.ATRAttackPre
-	c.atrAttackPost = st.Counts.ATRAttackPost
-	c.dropLegitProbing = st.Counts.DropLegitProbing
-	c.dropLegitPDT = st.Counts.DropLegitPDT
-	c.dropLegitIllegal = st.Counts.DropLegitIllegal
-	c.dropAttack = st.Counts.DropAttack
-	c.dropAttackPDT = st.Counts.DropAttackPDT
-	c.victimLegitPre = st.Counts.VictimLegitPre
-	c.victimLegitPost = st.Counts.VictimLegit
-	c.victimAttackPre = st.Counts.VictimAttackPre
-	c.victimAttackPost = st.Counts.VictimAttack
-	c.queueDrops = st.Counts.QueueDrops
-	c.faultDrops = st.Counts.FaultDrops
+	c.counts = st.Counts
 	c.bins = append(c.bins[:0], st.Bins...)
 	return nil
 }

@@ -40,32 +40,8 @@ type Collector struct {
 	activated    bool
 	activationAt sim.Time
 
-	// Arrivals at ATRs (victim-bound data), split by ground truth and by
-	// whether the defence was active at arrival time.
-	atrLegitPre   uint64
-	atrLegitPost  uint64
-	atrAttackPre  uint64
-	atrAttackPost uint64
-
-	// Defence drops split by ground truth and reason.
-	dropLegitProbing uint64
-	dropLegitPDT     uint64
-	dropLegitIllegal uint64
-	dropAttack       uint64
-	dropAttackPDT    uint64
-
-	// Victim deliveries split by ground truth and activation phase.
-	victimLegitPre   uint64
-	victimLegitPost  uint64
-	victimAttackPre  uint64
-	victimAttackPost uint64
-
-	// Queue drops anywhere in the network (not attributable to MAFIC).
-	queueDrops uint64
-
-	// Fault drops: packets killed by down links or crashed routers during
-	// injected-failure runs (not attributable to MAFIC either).
-	faultDrops uint64
+	// counts holds every raw counter; the hooks below increment its fields.
+	counts Counts
 
 	// bins is the victim bandwidth time series, indexed densely by bin
 	// number (Time/binWidth). Quiet bins stay zero and are skipped by
@@ -148,35 +124,35 @@ func (c *Collector) noteATRArrival(pkt *netsim.Packet, now sim.Time) {
 	post := c.activated && now >= c.activationAt
 	if pkt.Malicious {
 		if post {
-			c.atrAttackPost++
+			c.counts.ATRAttackPost++
 		} else {
-			c.atrAttackPre++
+			c.counts.ATRAttackPre++
 		}
 		return
 	}
 	if post {
-		c.atrLegitPost++
+		c.counts.ATRLegitPost++
 	} else {
-		c.atrLegitPre++
+		c.counts.ATRLegitPre++
 	}
 }
 
 // ObserveMAFICDrop is wired as each MAFIC defender's drop observer.
 func (c *Collector) ObserveMAFICDrop(pkt *netsim.Packet, reason core.DropReason, _ sim.Time) {
 	if pkt.Malicious {
-		c.dropAttack++
+		c.counts.DropAttack++
 		if reason == core.DropPermanent || reason == core.DropIllegalSource {
-			c.dropAttackPDT++
+			c.counts.DropAttackPDT++
 		}
 		return
 	}
 	switch reason {
 	case core.DropProbing:
-		c.dropLegitProbing++
+		c.counts.DropLegitProbing++
 	case core.DropPermanent:
-		c.dropLegitPDT++
+		c.counts.DropLegitPDT++
 	case core.DropIllegalSource:
-		c.dropLegitIllegal++
+		c.counts.DropLegitIllegal++
 	}
 }
 
@@ -185,10 +161,10 @@ func (c *Collector) ObserveMAFICDrop(pkt *netsim.Packet, reason core.DropReason,
 // has no notion of probing.
 func (c *Collector) ObserveBaselineDrop(pkt *netsim.Packet, _ sim.Time) {
 	if pkt.Malicious {
-		c.dropAttack++
+		c.counts.DropAttack++
 		return
 	}
-	c.dropLegitPDT++
+	c.counts.DropLegitPDT++
 }
 
 // InstallHooks registers the collector's network hooks: victim deliveries
@@ -202,10 +178,10 @@ func (c *Collector) InstallHooks(net *netsim.Network, victimHost netsim.NodeID) 
 			c.noteVictimDelivery(pkt, now)
 		},
 		OnQueueDrop: func(*netsim.Packet, *netsim.Link, sim.Time) {
-			c.queueDrops++
+			c.counts.QueueDrops++
 		},
 		OnFaultDrop: func(*netsim.Packet, netsim.NodeID, sim.Time) {
-			c.faultDrops++
+			c.counts.FaultDrops++
 		},
 	})
 }
@@ -214,15 +190,15 @@ func (c *Collector) noteVictimDelivery(pkt *netsim.Packet, now sim.Time) {
 	post := c.activated && now >= c.activationAt
 	if pkt.Malicious {
 		if post {
-			c.victimAttackPost++
+			c.counts.VictimAttack++
 		} else {
-			c.victimAttackPre++
+			c.counts.VictimAttackPre++
 		}
 	} else {
 		if post {
-			c.victimLegitPost++
+			c.counts.VictimLegit++
 		} else {
-			c.victimLegitPre++
+			c.counts.VictimLegitPre++
 		}
 	}
 	idx := int(now / c.binWidth)
@@ -249,13 +225,13 @@ func ratio(num, den uint64) float64 {
 // Accuracy returns α: the fraction of attack packets arriving at the ATRs
 // after activation that the defence dropped.
 func (c *Collector) Accuracy() float64 {
-	return ratio(c.dropAttack, c.atrAttackPost)
+	return ratio(c.counts.DropAttack, c.counts.ATRAttackPost)
 }
 
 // FalseNegativeRate returns θn: the fraction of attack packets arriving at
 // the ATRs after activation that still reached the victim.
 func (c *Collector) FalseNegativeRate() float64 {
-	return ratio(c.victimAttackPost, c.atrAttackPost)
+	return ratio(c.counts.VictimAttack, c.counts.ATRAttackPost)
 }
 
 // FalsePositiveRate returns θp: legitimate packets dropped because their
@@ -265,15 +241,15 @@ func (c *Collector) FalseNegativeRate() float64 {
 // wrongly dropped as malicious attacking packets out of the total traffic
 // packets".
 func (c *Collector) FalsePositiveRate() float64 {
-	total := c.atrLegitPost + c.atrAttackPost
-	return ratio(c.dropLegitPDT+c.dropLegitIllegal, total)
+	total := c.counts.ATRLegitPost + c.counts.ATRAttackPost
+	return ratio(c.counts.DropLegitPDT+c.counts.DropLegitIllegal, total)
 }
 
 // LegitimateDropRate returns L_r: every legitimate packet the defence
 // dropped (probing losses included) as a fraction of legitimate packets
 // arriving at the ATRs after activation.
 func (c *Collector) LegitimateDropRate() float64 {
-	return ratio(c.dropLegitProbing+c.dropLegitPDT+c.dropLegitIllegal, c.atrLegitPost)
+	return ratio(c.counts.DropLegitProbing+c.counts.DropLegitPDT+c.counts.DropLegitIllegal, c.counts.ATRLegitPost)
 }
 
 // TrafficReduction returns β: one minus the ratio of the victim's arrival
@@ -324,42 +300,36 @@ func (c *Collector) Series() []BandwidthPoint {
 	return out
 }
 
-// Counts exposes the raw counters for reporting and tests.
+// Counts is the raw counters, as the collector holds them and as reports and
+// snapshots carry them.
 type Counts struct {
-	ATRLegitPre      uint64 `json:"atrLegitPre"`
-	ATRLegitPost     uint64 `json:"atrLegitPost"`
-	ATRAttackPre     uint64 `json:"atrAttackPre"`
-	ATRAttackPost    uint64 `json:"atrAttackPost"`
+	// Arrivals at ATRs (victim-bound data), split by ground truth and by
+	// whether the defence was active at arrival time.
+	ATRLegitPre   uint64 `json:"atrLegitPre"`
+	ATRLegitPost  uint64 `json:"atrLegitPost"`
+	ATRAttackPre  uint64 `json:"atrAttackPre"`
+	ATRAttackPost uint64 `json:"atrAttackPost"`
+
+	// Defence drops split by ground truth and reason.
 	DropLegitProbing uint64 `json:"dropLegitProbing"`
 	DropLegitPDT     uint64 `json:"dropLegitPdt"`
 	DropLegitIllegal uint64 `json:"dropLegitIllegal"`
 	DropAttack       uint64 `json:"dropAttack"`
 	DropAttackPDT    uint64 `json:"dropAttackPdt"`
-	VictimLegitPre   uint64 `json:"victimLegitPre"`
-	VictimLegit      uint64 `json:"victimLegitPost"`
-	VictimAttackPre  uint64 `json:"victimAttackPre"`
-	VictimAttack     uint64 `json:"victimAttackPost"`
-	QueueDrops       uint64 `json:"queueDrops"`
-	FaultDrops       uint64 `json:"faultDrops"`
+
+	// Victim deliveries split by ground truth and activation phase.
+	VictimLegitPre  uint64 `json:"victimLegitPre"`
+	VictimLegit     uint64 `json:"victimLegitPost"`
+	VictimAttackPre uint64 `json:"victimAttackPre"`
+	VictimAttack    uint64 `json:"victimAttackPost"`
+
+	// Queue drops anywhere in the network (not attributable to MAFIC).
+	QueueDrops uint64 `json:"queueDrops"`
+
+	// Fault drops: packets killed by down links or crashed routers during
+	// injected-failure runs (not attributable to MAFIC either).
+	FaultDrops uint64 `json:"faultDrops"`
 }
 
 // Counts returns a snapshot of the raw counters.
-func (c *Collector) Counts() Counts {
-	return Counts{
-		ATRLegitPre:      c.atrLegitPre,
-		ATRLegitPost:     c.atrLegitPost,
-		ATRAttackPre:     c.atrAttackPre,
-		ATRAttackPost:    c.atrAttackPost,
-		DropLegitProbing: c.dropLegitProbing,
-		DropLegitPDT:     c.dropLegitPDT,
-		DropLegitIllegal: c.dropLegitIllegal,
-		DropAttack:       c.dropAttack,
-		DropAttackPDT:    c.dropAttackPDT,
-		VictimLegitPre:   c.victimLegitPre,
-		VictimLegit:      c.victimLegitPost,
-		VictimAttackPre:  c.victimAttackPre,
-		VictimAttack:     c.victimAttackPost,
-		QueueDrops:       c.queueDrops,
-		FaultDrops:       c.faultDrops,
-	}
-}
+func (c *Collector) Counts() Counts { return c.counts }
