@@ -52,8 +52,11 @@ fuzz:
 # and every catalog entry runs `-quick -checkpoint-at 600ms -json` on both, one
 # process per scenario and side (a process's pools are cold, so no run can
 # inherit anything from the one before). Each pair of .snap files and each
-# pair of result JSON must be byte-identical; the differing names are printed
-# and the exit status is non-zero if there are any.
+# pair of result JSON must be byte-identical. Then the working tree's maficsim
+# resumes every BASE snapshot (`-resume <file> -json`), and what it prints
+# must be byte-identical to BASE's uninterrupted result JSON: the restore side
+# is checked against files the change did not write. The differing names are
+# printed and the exit status is non-zero if there are any.
 snap-diff:
 	@test -n "$(BASE)" || { echo "usage: make snap-diff BASE=<git ref>"; exit 2; }
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -70,10 +73,14 @@ snap-diff:
 		for f in $$name-600ms.snap $$name.json; do \
 			cmp -s "$$tmp/out.base/$$f" "$$tmp/out.change/$$f" || bad="$$bad $$f"; \
 		done; \
+		"$$tmp/sim.change" -resume "$$tmp/out.base/$$name-600ms.snap" -json \
+			>"$$tmp/out.change/$$name.resumed.json" 2>"$$tmp/out.change/$$name.resumed.log" \
+			|| { echo "$$name (resume of base): run failed:"; cat "$$tmp/out.change/$$name.resumed.log"; }; \
+		cmp -s "$$tmp/out.base/$$name.json" "$$tmp/out.change/$$name.resumed.json" || bad="$$bad $$name.resumed.json"; \
 		n=$$((n + 1)); \
 	done; \
 	if [ -n "$$bad" ]; then echo "snap-diff against $(BASE): of $$n scenarios these differ:$$bad"; exit 1; fi; \
-	echo "snap-diff against $(BASE): $$n scenarios, every snapshot and result JSON byte-identical"
+	echo "snap-diff against $(BASE): $$n scenarios, every snapshot, result JSON and resumed JSON byte-identical"
 
 # bench measures the current engine (ns/op, B/op, allocs/op per figure
 # benchmark) and writes BENCH_current.json (untracked: this target and

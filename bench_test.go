@@ -140,7 +140,7 @@ func BenchmarkFig6cFalseNegativeByDomainSize(b *testing.B) { benchFigure(b, expe
 func BenchmarkFig7LegitimateDropRateByPd(b *testing.B) { benchFigure(b, experiment.FigureF7) }
 
 // BenchmarkAblationBaselineComparison regenerates the MAFIC-vs-proportional
-// ablation called out in DESIGN.md.
+// ablation (experiment.AblationBaseline).
 func BenchmarkAblationBaselineComparison(b *testing.B) {
 	benchFigure(b, experiment.FigureAblationBase)
 }

@@ -36,9 +36,8 @@ type Dropper struct {
 	router      *netsim.Router
 	rng         *sim.RNG
 
-	active   bool
-	victimIP netsim.IP
-	stats    Stats
+	// st is the dropper's run state, as a snapshot records it.
+	st       DropperState
 	observer func(pkt *netsim.Packet, now sim.Time)
 }
 
@@ -62,29 +61,29 @@ func NewDropper(probability float64, router *netsim.Router, rng *sim.RNG) (*Drop
 func (p *Dropper) Name() string { return FilterName }
 
 // Stats returns a snapshot of the dropper's counters.
-func (p *Dropper) Stats() Stats { return p.stats }
+func (p *Dropper) Stats() Stats { return p.st.Stats }
 
 // Active reports whether the dropper is currently discarding packets.
-func (p *Dropper) Active() bool { return p.active }
+func (p *Dropper) Active() bool { return p.st.Active }
 
 // Probability returns the configured drop probability.
 func (p *Dropper) Probability() float64 { return p.probability }
 
 // Activate starts dropping packets destined to victim.
 func (p *Dropper) Activate(victim netsim.IP) {
-	p.active = true
-	p.victimIP = victim
+	p.st.Active = true
+	p.st.VictimIP = victim
 }
 
 // Deactivate stops dropping.
-func (p *Dropper) Deactivate() { p.active = false }
+func (p *Dropper) Deactivate() { p.st.Active = false }
 
 // SetDropObserver installs a callback invoked on every drop (metrics).
 func (p *Dropper) SetDropObserver(fn func(pkt *netsim.Packet, now sim.Time)) { p.observer = fn }
 
 // Handle implements netsim.Filter.
 func (p *Dropper) Handle(pkt *netsim.Packet, now sim.Time, _ *netsim.Router) netsim.Action {
-	if !p.active || pkt.Kind != netsim.KindData || pkt.Label.DstIP != p.victimIP {
+	if !p.st.Active || pkt.Kind != netsim.KindData || pkt.Label.DstIP != p.st.VictimIP {
 		return netsim.ActionForward
 	}
 	// Like the MAFIC defender, the proportional dropper polices only the
@@ -92,14 +91,14 @@ func (p *Dropper) Handle(pkt *netsim.Packet, now sim.Time, _ *netsim.Router) net
 	if pkt.Hops > 0 {
 		return netsim.ActionForward
 	}
-	p.stats.Examined++
+	p.st.Stats.Examined++
 	if p.rng.Bool(p.probability) {
-		p.stats.Dropped++
+		p.st.Stats.Dropped++
 		if p.observer != nil {
 			p.observer(pkt, now)
 		}
 		return netsim.ActionDrop
 	}
-	p.stats.Forwarded++
+	p.st.Stats.Forwarded++
 	return netsim.ActionForward
 }

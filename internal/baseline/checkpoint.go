@@ -2,9 +2,10 @@ package baseline
 
 import "mafic/internal/netsim"
 
-// DropperState is the dropper's dynamic state. The probability, router
-// binding, RNG fork and observer wiring are rebuild-covered (the RNG stream
-// position travels with the scheduler's RNG registry).
+// DropperState is the dropper's dynamic state, held by the dropper as it
+// runs. The probability, router binding, RNG fork and observer wiring are
+// rebuild-covered (the RNG stream position travels with the scheduler's RNG
+// registry).
 type DropperState struct {
 	Active   bool
 	VictimIP netsim.IP
@@ -12,19 +13,14 @@ type DropperState struct {
 }
 
 // CheckpointState captures the dropper's dynamic state into dst.
-func (p *Dropper) CheckpointState(dst *DropperState) {
-	*dst = DropperState{Active: p.active, VictimIP: p.victimIP, Stats: p.stats}
-}
+func (p *Dropper) CheckpointState(dst *DropperState) { *dst = p.st }
 
 // RestoreState overlays captured dynamic state onto a rebuilt dropper.
-func (p *Dropper) RestoreState(st DropperState) {
-	p.active = st.Active
-	p.victimIP = st.VictimIP
-	p.stats = st.Stats
-}
+func (p *Dropper) RestoreState(st DropperState) { p.st = st }
 
 // CheckpointTypes lists this package's structs that carry snapshotted state.
 var CheckpointTypes = []any{
 	Dropper{},
+	DropperState{},
 	Stats{},
 }

@@ -561,7 +561,8 @@ func Restore(w *World, snap *Snapshot) error {
 
 	// Event reconciliation: cancel the rebuilt build-time events the
 	// original run had already consumed, land the clock, then re-insert the
-	// runtime events in sequence order.
+	// runtime events in sequence order. None may lie before the clock: the
+	// scheduler would run it, and time would go backwards.
 	sort.Slice(snap.Events, func(i, j int) bool { return snap.Events[i].Seq < snap.Events[j].Seq })
 	keep := make(map[uint64]bool, len(snap.Events))
 	for _, ev := range snap.Events {
@@ -576,6 +577,9 @@ func Restore(w *World, snap *Snapshot) error {
 		ev := &snap.Events[i]
 		if ev.Kind == EvBuild {
 			continue
+		}
+		if ev.At < snap.Now {
+			return fmt.Errorf("checkpoint: event %d has At %v, before the snapshot's Now %v", ev.Seq, ev.At, snap.Now)
 		}
 		switch ev.Kind {
 		case EvLinkArrive:
@@ -637,7 +641,7 @@ func Restore(w *World, snap *Snapshot) error {
 	// Link occupancy is not trusted from the file: it was recounted above from
 	// the packets actually in flight, and must agree with what was recorded.
 	for i, l := range links {
-		if got, want := int64(l.QueueLen()), snap.Links[i].Queued; got != want {
+		if got, want := l.QueueLen(), int(snap.Links[i].Queued); got != want {
 			return fmt.Errorf("checkpoint: %v holds %d packets still being transmitted, snapshot recorded %d", l, got, want)
 		}
 	}

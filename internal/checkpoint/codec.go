@@ -87,9 +87,13 @@ func u32of[T ~uint32](c *codec, p *T) {
 	}
 }
 
-func i64of[T ~int | ~int64](c *codec, p *T) {
+// i64of refuses, decoding, a value T cannot hold.
+func i64of[T ~int | ~int32 | ~int64](c *codec, p *T) {
 	if c.dec {
-		*p = T(c.r.i64())
+		v := c.r.i64()
+		if *p = T(v); int64(*p) != v {
+			c.r.fail("value %d overflows %T", v, *p)
+		}
 	} else {
 		c.w.i64(int64(*p))
 	}

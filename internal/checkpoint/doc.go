@@ -106,13 +106,21 @@
 // affected, SnapshotVersion — is updated deliberately. New state cannot
 // silently miss the snapshot.
 //
-// Adding a field that travels: (1) the package's *State struct; (2) its
-// capture (CheckpointState or the like); (3) its overlay (RestoreState),
-// refusing values no run produces; (4) one line in the type's walk in
-// codec.go, at the end of the struct's fields; (5) the manifest row in
-// guard_test.go; (6) SnapshotVersion and manifestVersion, and the retired
-// version in the ErrVersion tests. `make snap-diff` will say the files moved,
-// as they should; experiment.TestDecodeInvertsEncode fails if step 4 is missed.
+// An engine object whose run state has its record's shape holds the *State
+// record as one field and runs on it, so its capture is a copy of the record
+// and its overlay an assignment after the refusals: links, routers, hosts,
+// flows, victim servers, droppers, the pushback coordinator and the metrics
+// collector. Adding a field that travels to one of them: (1) the field in the
+// *State struct, which the object then holds; (2) one line in the type's walk
+// in codec.go, at the end of the struct's fields; (3) the manifest row in
+// guard_test.go; (4) SnapshotVersion and manifestVersion, and the retired
+// version in the ErrVersion tests. Capture and overlay need no edit unless a
+// value no run produces must be refused. The rest — a defender's probing
+// memory is a map, a monitor's counters are sketches, the network's route
+// columns are rematerialized — copy field by field, and a field there is also
+// a line in its CheckpointState and its RestoreState. `make snap-diff` will
+// say the files moved, as they should; experiment.TestDecodeInvertsEncode
+// fails if step 2 is missed.
 //
 // # Cost and lifetime
 //
@@ -126,9 +134,13 @@
 // bins, route destinations, coordinator tables, flow-table entries, probing
 // memory and the probe-record dedupe map keep their backing, pending events
 // are appended as the scheduler's arena yields them, and a sketch nothing was
-// added to is not even read. The engine packages' capture methods
-// (CheckpointState, CaptureFlowState, CapturePacket, …) all fill a
-// destination the caller supplies for that reason. Once warm, a capture
+// added to is not even read. The engine packages' capture methods all fill a
+// destination the caller supplies for that reason: CaptureFlowState and the
+// CheckpointState of a link, router, host, victim server or dropper copy the
+// held record whole, the coordinator's and the collector's copy theirs with
+// its tables appended into dst's backing, and the rest (the CheckpointState
+// of a defender, monitor or network, CapturePacket, …) fill dst field by
+// field. Once warm, a capture
 // allocates nothing, unless the run holds more state than at any earlier
 // snapshot and a scratch slice has to grow.
 //

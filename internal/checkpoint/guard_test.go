@@ -51,7 +51,8 @@ var watchedPackages = []struct {
 // SnapshotVersion — is updated deliberately. The test failure message prints
 // the corrected entry to paste here.
 var fieldManifest = map[string][]string{
-	"baseline.Dropper":          {"active", "observer", "probability", "rng", "router", "stats", "victimIP"},
+	"baseline.Dropper":          {"observer", "probability", "rng", "router", "st"}, // st: the DropperState row, held as it travels
+	"baseline.DropperState":     {"Active", "Stats", "VictimIP"},
 	"baseline.Stats":            {"Dropped", "Examined", "Forwarded"},
 	"checkpoint.EventState":     {"At", "Index", "Kind", "Packet", "Probe", "Report", "Seq"},
 	"checkpoint.NodeState":      {"H", "ID", "R", "Router"},
@@ -70,15 +71,20 @@ var fieldManifest = map[string][]string{
 	"loglog.Pair":               {"active", "shadow"},
 	"loglog.Sketch":             {"adds", "buckets", "m", "p"},
 	"metrics.BandwidthPoint":    {"AttackPackets", "Bytes", "LegitPackets", "Time"},
-	"metrics.Collector":         {"activated", "activationAt", "binWidth", "bins", "counts", "tap"}, // counts: the metrics.Counts row, held as it is reported
+	"metrics.Collector":         {"binWidth", "st", "tap"}, // st: the CollectorState row, held as it travels
+	"metrics.CollectorState":    {"Activated", "ActivationAt", "Bins", "Counts"},
 	"metrics.Counts":            {"ATRAttackPost", "ATRAttackPre", "ATRLegitPost", "ATRLegitPre", "DropAttack", "DropAttackPDT", "DropLegitIllegal", "DropLegitPDT", "DropLegitProbing", "FaultDrops", "QueueDrops", "VictimAttack", "VictimAttackPre", "VictimLegit", "VictimLegitPre"},
-	"netsim.Host":               {"accessRouter", "defaultHandler", "homeCount", "homeLinks", "homeRouters", "id", "ips", "nHandlers", "name", "net", "received", "sent"},
-	"netsim.Link":               {"cfg", "down", "dropped", "faultDrops", "from", "inTail", "net", "nextFree", "queued", "sent", "to", "txCur"},                                                                                                                                                                                                                    // inTail, txCur: derived on restore from the link's pending arrival events (RestoreInFlight), not on the wire
+	"netsim.Host":               {"accessRouter", "defaultHandler", "homeCount", "homeLinks", "homeRouters", "id", "ips", "nHandlers", "name", "net", "st"}, // st: the HostState row, held as it travels
+	"netsim.HostState":          {"Received", "Sent"},
+	"netsim.Link":               {"cfg", "from", "inTail", "net", "st", "to", "txCur"},                                                                                                                                                                                                                                                                             // st: the LinkState row, held as it travels; inTail, txCur: derived on restore from the link's pending arrival events (RestoreInFlight), not on the wire
+	"netsim.LinkState":          {"Down", "Dropped", "FaultDrops", "NextFree", "Queued", "Sent"},                                                                                                                                                                                                                                                                   // Queued: travels, but restore keeps the rebuilt link's count and checks the recount against it
 	"netsim.Network":            {"adjEntrySlab", "colEntries", "colsMaterialized", "downLinks", "downRouters", "faultDrops", "filterSlab", "handlers", "hooks", "hostSlab", "ipOwner", "ipSlab", "linkSlab", "links", "nextPktID", "nodes", "pktFree", "pktSlab", "resolver", "rng", "routeCols", "routerSlab", "scheduler", "sizeHint", "sparse", "topoVersion"}, // the seven slab fields (chunk list plus carve cursor each): storage Reset rewinds for the next build, no run state
 	"netsim.Packet":             {"FlowID", "Hops", "ID", "Kind", "Label", "Malicious", "Proto", "SentAt", "Seq", "Size", "dstNode", "dstNodeOK", "flowHash", "freed", "hashOK", "inNext", "pooled", "txDone", "txSeq"},                                                                                                                                            // inNext, txDone, txSeq: derived on restore from the packet's own arrival event (At - Delay, Seq), not on the wire
-	"netsim.Router":             {"down", "dropped", "faultDrops", "filters", "forwarded", "id", "name", "net"},
+	"netsim.Router":             {"filters", "id", "name", "net", "st"},                                                                                                                                                                                                                                                                                            // st: the RouterState row, held as it travels
+	"netsim.RouterState":        {"Down", "Dropped", "FaultDrops", "Forwarded"},
 	"pushback.ATR":              {"Packets", "Router", "Share"},
-	"pushback.Coordinator":      {"active", "activeVictim", "atrScore", "calmEpochs", "cellScratch", "cfg", "eligible", "history", "historyAlpha", "historyOK", "historySeen", "identified", "identifiedATR", "lastEpoch", "lastFireEpoch", "onPushback", "onWithdraw", "pendingRefire", "requestsFired", "shareScratch", "triggerLoad"},
+	"pushback.Coordinator":      {"cellScratch", "cfg", "eligible", "historyAlpha", "onPushback", "onWithdraw", "shareScratch", "st"}, // st: the CoordinatorState row, held as it travels
+	"pushback.CoordinatorState": {"ATRScore", "Active", "ActiveVictim", "CalmEpochs", "History", "HistoryOK", "HistorySeen", "Identified", "IdentifiedATR", "LastEpoch", "LastFireEpoch", "PendingRefire", "RequestsFired", "TriggerLoad"},
 	"pushback.Request":          {"ATRs", "Epoch", "VictimLoad", "VictimRouter"},
 	"sim.RNG":                   {"cs", "r", "reg"},
 	"sim.Scheduler":             {"cal", "events", "freeHead", "horizon", "now", "processed", "seq", "stopped"}, // horizon: set by RestoreClock to NextSeq, where it rests between RunUntil calls; not on the wire
@@ -89,9 +95,11 @@ var fieldManifest = map[string][]string{
 	"topology.lazyRouter":       {"carved", "colFree", "handed", "net", "rs", "seenVersion", "width"},
 	"topology.nameCache":        {"bystanders", "clients", "routers", "victims", "zombies"},
 	"topology.routeScratch":     {"offsets", "queue", "targets"},
-	"traffic.PacedSource":       {"bursts", "cfg", "gateEvent", "host", "id", "inBurst", "label", "labelHash", "net", "open", "rng", "running", "sendEvent", "sent", "seq", "shut"}, // cfg: the pacing value, kind tag included, rebuilt by the constructor; the kind is compared on restore, not overlaid
-	"traffic.TCPSource":         {"acked", "cfg", "cwnd", "dupAcks", "fastRetx", "host", "id", "label", "labelHash", "lastAckAt", "lastAcked", "net", "packetSize", "probeSeen", "reverseFn", "running", "sendEvent", "sent", "seq", "ssthresh", "timeouts"},
-	"traffic.VictimServer":      {"ackSize", "acksGenerated", "host", "net", "received", "receivedBad", "receivedGood"},
+	"traffic.FlowState":         {"Acked", "Bursts", "Cwnd", "DupAcks", "FastRetx", "InBurst", "Kind", "LastAckAt", "LastAcked", "ProbeSeen", "Running", "Seq", "Sent", "Ssthresh", "Timeouts"}, // Kind: set by the constructor, compared on restore
+	"traffic.PacedSource":       {"cfg", "gateEvent", "host", "id", "label", "labelHash", "net", "open", "rng", "sendEvent", "shut", "st"},                                                      // st: the FlowState row, held as it travels; cfg: the pacing value, rebuilt by the constructor
+	"traffic.TCPSource":         {"cfg", "host", "id", "label", "labelHash", "net", "packetSize", "reverseFn", "sendEvent", "st"},                                                               // st: the FlowState row, held as it travels
+	"traffic.VictimServer":      {"ackSize", "host", "net", "st"},                                                                                                                               // st: the VictimServerState row, held as it travels
+	"traffic.VictimServerState": {"AcksGenerated", "Received", "ReceivedBad", "ReceivedGood"},
 	"traffic.Workload":          {"Attack", "ExtraServers", "Flash", "Flows", "Legitimate", "Victim"},
 	"traffic.gateOpen":          {"s"},
 	"traffic.gateShut":          {"s"},

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -298,6 +299,29 @@ var restoreRefusals = []struct {
 		snap.Streams[0].Draws = 1 << 40
 		return true
 	}, "draws since the build"},
+	{"a window no run reaches", nanFirstRunningWindow, "snapshot Cwnd NaN"},
+	{"an event before the clock", func(snap *checkpoint.Snapshot) bool {
+		for i := range snap.Events {
+			if ev := &snap.Events[i]; ev.Kind == checkpoint.EvFlowSend {
+				ev.At = snap.Now / 2
+				return true
+			}
+		}
+		return false
+	}, "before the snapshot's Now"},
+}
+
+// nanFirstRunningWindow sets the congestion window of the first running TCP
+// flow to NaN: the source would pace its next send at a gap of NaN, which the
+// scheduler clamps to zero, and re-fire at one instant forever.
+func nanFirstRunningWindow(snap *checkpoint.Snapshot) bool {
+	for i := range snap.Flows {
+		if f := &snap.Flows[i]; f.Kind == traffic.FlowTCP && f.Running {
+			f.Cwnd = math.NaN()
+			return true
+		}
+	}
+	return false
 }
 
 // gateLastFlowSend turns the pending send timer of the last flow — in table2

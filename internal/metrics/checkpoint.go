@@ -6,9 +6,9 @@ import (
 	"mafic/internal/sim"
 )
 
-// CollectorState is the collector's dynamic state: the activation record,
-// every raw counter, and the dense bandwidth time series. The bin width and
-// the tap/hook wiring are rebuild-covered.
+// CollectorState is the collector's dynamic state, held by the collector as
+// it runs: the activation record, every raw counter, and the dense bandwidth
+// time series. The bin width and the tap/hook wiring are rebuild-covered.
 type CollectorState struct {
 	Activated    bool
 	ActivationAt sim.Time
@@ -19,10 +19,9 @@ type CollectorState struct {
 // CheckpointState captures the collector's dynamic state into dst, reusing
 // dst's bin backing.
 func (c *Collector) CheckpointState(dst *CollectorState) {
-	dst.Activated = c.activated
-	dst.ActivationAt = c.activationAt
-	dst.Counts = c.counts
-	dst.Bins = append(dst.Bins[:0], c.bins...)
+	bins := append(dst.Bins[:0], c.st.Bins...)
+	*dst = c.st
+	dst.Bins = bins
 }
 
 // RestoreState overlays captured dynamic state onto a rebuilt collector. The
@@ -34,16 +33,16 @@ func (c *Collector) RestoreState(st CollectorState) error {
 				i, st.Bins[i].Time, want)
 		}
 	}
-	c.activated = st.Activated
-	c.activationAt = st.ActivationAt
-	c.counts = st.Counts
-	c.bins = append(c.bins[:0], st.Bins...)
+	bins := append(c.st.Bins[:0], st.Bins...)
+	c.st = st
+	c.st.Bins = bins
 	return nil
 }
 
 // CheckpointTypes lists this package's structs that carry snapshotted state.
 var CheckpointTypes = []any{
 	Collector{},
+	CollectorState{},
 	BandwidthPoint{},
 	Counts{},
 }

@@ -37,18 +37,15 @@ func (p BandwidthPoint) Total() uint64 { return p.LegitPackets + p.AttackPackets
 type Collector struct {
 	binWidth sim.Time
 
-	activated    bool
-	activationAt sim.Time
-
-	// counts holds every raw counter; the hooks below increment its fields.
-	counts Counts
-
-	// bins is the victim bandwidth time series, indexed densely by bin
-	// number (Time/binWidth). Quiet bins stay zero and are skipped by
-	// Series, so the dense layout is invisible in the reported output; it
-	// exists because a map of pointers allocated one BandwidthPoint per
-	// bin per run and put a hash lookup on the per-delivery hot path.
-	bins []BandwidthPoint
+	// st is the collector's run state, as a snapshot records it: the
+	// activation record, every raw counter (the hooks below increment
+	// st.Counts) and the victim bandwidth time series. st.Bins is indexed
+	// densely by bin number (Time/binWidth). Quiet bins stay zero and are
+	// skipped by Series, so the dense layout is invisible in the reported
+	// output; it exists because a map of pointers allocated one
+	// BandwidthPoint per bin per run and put a hash lookup on the
+	// per-delivery hot path.
+	st CollectorState
 
 	// tap is the arrival counter shared by every tapped router; the same
 	// filter instance can sit on many routers because its only state is
@@ -69,15 +66,15 @@ func NewCollector(binWidth sim.Time) *Collector {
 // deliveries before this instant are excluded from the defence-quality
 // metrics (the defence cannot drop what it was not yet asked to drop).
 func (c *Collector) MarkActivation(now sim.Time) {
-	if c.activated {
+	if c.st.Activated {
 		return
 	}
-	c.activated = true
-	c.activationAt = now
+	c.st.Activated = true
+	c.st.ActivationAt = now
 }
 
 // Activated reports whether MarkActivation has been called, and when.
-func (c *Collector) Activated() (sim.Time, bool) { return c.activationAt, c.activated }
+func (c *Collector) Activated() (sim.Time, bool) { return c.st.ActivationAt, c.st.Activated }
 
 // arrivalTap is the passive filter installed on each ATR.
 type arrivalTap struct {
@@ -112,47 +109,47 @@ func (c *Collector) TapRouter(r *netsim.Router, victim netsim.IP) {
 // duration, so recording deliveries never grows the series mid-run.
 func (c *Collector) ReserveSeries(duration sim.Time) {
 	want := int(duration/c.binWidth) + 1
-	if duration <= 0 || cap(c.bins) >= want {
+	if duration <= 0 || cap(c.st.Bins) >= want {
 		return
 	}
-	grown := make([]BandwidthPoint, len(c.bins), want)
-	copy(grown, c.bins)
-	c.bins = grown
+	grown := make([]BandwidthPoint, len(c.st.Bins), want)
+	copy(grown, c.st.Bins)
+	c.st.Bins = grown
 }
 
 func (c *Collector) noteATRArrival(pkt *netsim.Packet, now sim.Time) {
-	post := c.activated && now >= c.activationAt
+	post := c.st.Activated && now >= c.st.ActivationAt
 	if pkt.Malicious {
 		if post {
-			c.counts.ATRAttackPost++
+			c.st.Counts.ATRAttackPost++
 		} else {
-			c.counts.ATRAttackPre++
+			c.st.Counts.ATRAttackPre++
 		}
 		return
 	}
 	if post {
-		c.counts.ATRLegitPost++
+		c.st.Counts.ATRLegitPost++
 	} else {
-		c.counts.ATRLegitPre++
+		c.st.Counts.ATRLegitPre++
 	}
 }
 
 // ObserveMAFICDrop is wired as each MAFIC defender's drop observer.
 func (c *Collector) ObserveMAFICDrop(pkt *netsim.Packet, reason core.DropReason, _ sim.Time) {
 	if pkt.Malicious {
-		c.counts.DropAttack++
+		c.st.Counts.DropAttack++
 		if reason == core.DropPermanent || reason == core.DropIllegalSource {
-			c.counts.DropAttackPDT++
+			c.st.Counts.DropAttackPDT++
 		}
 		return
 	}
 	switch reason {
 	case core.DropProbing:
-		c.counts.DropLegitProbing++
+		c.st.Counts.DropLegitProbing++
 	case core.DropPermanent:
-		c.counts.DropLegitPDT++
+		c.st.Counts.DropLegitPDT++
 	case core.DropIllegalSource:
-		c.counts.DropLegitIllegal++
+		c.st.Counts.DropLegitIllegal++
 	}
 }
 
@@ -161,10 +158,10 @@ func (c *Collector) ObserveMAFICDrop(pkt *netsim.Packet, reason core.DropReason,
 // has no notion of probing.
 func (c *Collector) ObserveBaselineDrop(pkt *netsim.Packet, _ sim.Time) {
 	if pkt.Malicious {
-		c.counts.DropAttack++
+		c.st.Counts.DropAttack++
 		return
 	}
-	c.counts.DropLegitPDT++
+	c.st.Counts.DropLegitPDT++
 }
 
 // InstallHooks registers the collector's network hooks: victim deliveries
@@ -178,34 +175,34 @@ func (c *Collector) InstallHooks(net *netsim.Network, victimHost netsim.NodeID) 
 			c.noteVictimDelivery(pkt, now)
 		},
 		OnQueueDrop: func(*netsim.Packet, *netsim.Link, sim.Time) {
-			c.counts.QueueDrops++
+			c.st.Counts.QueueDrops++
 		},
 		OnFaultDrop: func(*netsim.Packet, netsim.NodeID, sim.Time) {
-			c.counts.FaultDrops++
+			c.st.Counts.FaultDrops++
 		},
 	})
 }
 
 func (c *Collector) noteVictimDelivery(pkt *netsim.Packet, now sim.Time) {
-	post := c.activated && now >= c.activationAt
+	post := c.st.Activated && now >= c.st.ActivationAt
 	if pkt.Malicious {
 		if post {
-			c.counts.VictimAttack++
+			c.st.Counts.VictimAttack++
 		} else {
-			c.counts.VictimAttackPre++
+			c.st.Counts.VictimAttackPre++
 		}
 	} else {
 		if post {
-			c.counts.VictimLegit++
+			c.st.Counts.VictimLegit++
 		} else {
-			c.counts.VictimLegitPre++
+			c.st.Counts.VictimLegitPre++
 		}
 	}
 	idx := int(now / c.binWidth)
-	for len(c.bins) <= idx {
-		c.bins = append(c.bins, BandwidthPoint{Time: sim.Time(len(c.bins)) * c.binWidth})
+	for len(c.st.Bins) <= idx {
+		c.st.Bins = append(c.st.Bins, BandwidthPoint{Time: sim.Time(len(c.st.Bins)) * c.binWidth})
 	}
-	bin := &c.bins[idx]
+	bin := &c.st.Bins[idx]
 	if pkt.Malicious {
 		bin.AttackPackets++
 	} else {
@@ -225,13 +222,13 @@ func ratio(num, den uint64) float64 {
 // Accuracy returns α: the fraction of attack packets arriving at the ATRs
 // after activation that the defence dropped.
 func (c *Collector) Accuracy() float64 {
-	return ratio(c.counts.DropAttack, c.counts.ATRAttackPost)
+	return ratio(c.st.Counts.DropAttack, c.st.Counts.ATRAttackPost)
 }
 
 // FalseNegativeRate returns θn: the fraction of attack packets arriving at
 // the ATRs after activation that still reached the victim.
 func (c *Collector) FalseNegativeRate() float64 {
-	return ratio(c.counts.VictimAttack, c.counts.ATRAttackPost)
+	return ratio(c.st.Counts.VictimAttack, c.st.Counts.ATRAttackPost)
 }
 
 // FalsePositiveRate returns θp: legitimate packets dropped because their
@@ -241,26 +238,26 @@ func (c *Collector) FalseNegativeRate() float64 {
 // wrongly dropped as malicious attacking packets out of the total traffic
 // packets".
 func (c *Collector) FalsePositiveRate() float64 {
-	total := c.counts.ATRLegitPost + c.counts.ATRAttackPost
-	return ratio(c.counts.DropLegitPDT+c.counts.DropLegitIllegal, total)
+	total := c.st.Counts.ATRLegitPost + c.st.Counts.ATRAttackPost
+	return ratio(c.st.Counts.DropLegitPDT+c.st.Counts.DropLegitIllegal, total)
 }
 
 // LegitimateDropRate returns L_r: every legitimate packet the defence
 // dropped (probing losses included) as a fraction of legitimate packets
 // arriving at the ATRs after activation.
 func (c *Collector) LegitimateDropRate() float64 {
-	return ratio(c.counts.DropLegitProbing+c.counts.DropLegitPDT+c.counts.DropLegitIllegal, c.counts.ATRLegitPost)
+	return ratio(c.st.Counts.DropLegitProbing+c.st.Counts.DropLegitPDT+c.st.Counts.DropLegitIllegal, c.st.Counts.ATRLegitPost)
 }
 
 // TrafficReduction returns β: one minus the ratio of the victim's arrival
 // rate in the window of the given length immediately after activation to the
 // arrival rate in the window of the same length immediately before it.
 func (c *Collector) TrafficReduction(window sim.Time) float64 {
-	if !c.activated || window <= 0 {
+	if !c.st.Activated || window <= 0 {
 		return 0
 	}
-	before := c.rateIn(c.activationAt-window, c.activationAt)
-	after := c.rateIn(c.activationAt, c.activationAt+window)
+	before := c.rateIn(c.st.ActivationAt-window, c.st.ActivationAt)
+	after := c.rateIn(c.st.ActivationAt, c.st.ActivationAt+window)
 	if before <= 0 {
 		return 0
 	}
@@ -278,10 +275,10 @@ func (c *Collector) rateIn(from, to sim.Time) float64 {
 		return 0
 	}
 	var count uint64
-	for i := range c.bins {
-		start := c.bins[i].Time
+	for i := range c.st.Bins {
+		start := c.st.Bins[i].Time
 		if start >= from && start < to {
-			count += c.bins[i].Total()
+			count += c.st.Bins[i].Total()
 		}
 	}
 	return sim.Rate(float64(count), from, to)
@@ -291,8 +288,8 @@ func (c *Collector) rateIn(from, to sim.Time) float64 {
 // Bins in which nothing was delivered are omitted, exactly as when the
 // series was stored sparsely.
 func (c *Collector) Series() []BandwidthPoint {
-	out := make([]BandwidthPoint, 0, len(c.bins))
-	for _, bin := range c.bins {
+	out := make([]BandwidthPoint, 0, len(c.st.Bins))
+	for _, bin := range c.st.Bins {
 		if bin.Total() > 0 {
 			out = append(out, bin)
 		}
@@ -332,4 +329,4 @@ type Counts struct {
 }
 
 // Counts returns a snapshot of the raw counters.
-func (c *Collector) Counts() Counts { return c.counts }
+func (c *Collector) Counts() Counts { return c.st.Counts }

@@ -15,28 +15,23 @@ import (
 // fault API bumps TopoVersion per flip, and the restore must land on the
 // checkpointed version exactly.
 
-// LinkState is the dynamic state of one link.
+// LinkState is the dynamic state of one link, held by the link as it runs.
+// Queued is narrow so that a Link stays within TestStructSizes' bound.
 type LinkState struct {
 	NextFree   sim.Time
-	Queued     int64
+	Queued     int32
 	Down       bool
 	Sent       uint64
 	Dropped    uint64
 	FaultDrops uint64
 }
 
-// CheckpointState captures the link's dynamic state into dst. The in-flight
-// chain does not travel: it is the link's pending arrival events, in order.
+// CheckpointState captures the link's dynamic state into dst, its occupancy
+// settled first. The in-flight chain does not travel: it is the link's
+// pending arrival events, in order.
 func (l *Link) CheckpointState(dst *LinkState) {
 	l.reap()
-	*dst = LinkState{
-		NextFree:   l.nextFree,
-		Queued:     int64(l.queued),
-		Down:       l.down,
-		Sent:       l.sent,
-		Dropped:    l.dropped,
-		FaultDrops: l.faultDrops,
-	}
+	*dst = l.st
 }
 
 // RestoreState overlays captured dynamic state onto a rebuilt link, all but
@@ -45,11 +40,8 @@ func (l *Link) CheckpointState(dst *LinkState) {
 // The caller finishes with Network.RestoreState, which recounts the
 // network-wide fault bookkeeping from the restored flags.
 func (l *Link) RestoreState(st LinkState) {
-	l.nextFree = st.NextFree
-	l.down = st.Down
-	l.sent = st.Sent
-	l.dropped = st.Dropped
-	l.faultDrops = st.FaultDrops
+	st.Queued = l.st.Queued
+	l.st = st
 }
 
 // RestoreInFlight puts pkt back in flight on the link, as the payload of the
@@ -68,7 +60,8 @@ func (l *Link) RestoreInFlight(pkt *Packet, arrive sim.Time, seq uint64) error {
 	return nil
 }
 
-// RouterState is the dynamic state of one router.
+// RouterState is the dynamic state of one router, held by the router as it
+// runs. The route table and filter chain are rebuild-covered.
 type RouterState struct {
 	Down       bool
 	Forwarded  uint64
@@ -76,42 +69,24 @@ type RouterState struct {
 	FaultDrops uint64
 }
 
-// CheckpointState captures the router's dynamic state into dst. The route
-// table and filter chain are rebuild-covered.
-func (r *Router) CheckpointState(dst *RouterState) {
-	*dst = RouterState{
-		Down:       r.down,
-		Forwarded:  r.forwarded,
-		Dropped:    r.dropped,
-		FaultDrops: r.faultDrops,
-	}
-}
+// CheckpointState captures the router's dynamic state into dst.
+func (r *Router) CheckpointState(dst *RouterState) { *dst = r.st }
 
 // RestoreState overlays captured dynamic state onto a rebuilt router.
-func (r *Router) RestoreState(st RouterState) {
-	r.down = st.Down
-	r.forwarded = st.Forwarded
-	r.dropped = st.Dropped
-	r.faultDrops = st.FaultDrops
-}
+func (r *Router) RestoreState(st RouterState) { r.st = st }
 
-// HostState is the dynamic state of one host. Addresses, attachment records
-// and packet handlers are rebuild-covered.
+// HostState is the dynamic state of one host, held by the host as it runs.
+// Addresses, attachment records and packet handlers are rebuild-covered.
 type HostState struct {
 	Received uint64
 	Sent     uint64
 }
 
 // CheckpointState captures the host's dynamic counters into dst.
-func (h *Host) CheckpointState(dst *HostState) {
-	*dst = HostState{Received: h.received, Sent: h.sent}
-}
+func (h *Host) CheckpointState(dst *HostState) { *dst = h.st }
 
 // RestoreState overlays captured counters onto a rebuilt host.
-func (h *Host) RestoreState(st HostState) {
-	h.received = st.Received
-	h.sent = st.Sent
-}
+func (h *Host) RestoreState(st HostState) { h.st = st }
 
 // ForEachLink visits every link in deterministic order — ascending source
 // node, then ascending target node. Checkpoint capture and restore both rely
@@ -178,12 +153,12 @@ func (n *Network) RestoreState(st NetworkState) error {
 	n.faultDrops = st.FaultDrops
 	n.downLinks, n.downRouters = 0, 0
 	n.ForEachLink(func(l *Link) {
-		if l.down {
+		if l.st.Down {
 			n.downLinks++
 		}
 	})
 	for _, slot := range n.nodes {
-		if slot.router != nil && slot.router.down {
+		if slot.router != nil && slot.router.st.Down {
 			n.downRouters++
 		}
 	}
@@ -203,8 +178,11 @@ func (n *Network) RestoreState(st NetworkState) error {
 var CheckpointTypes = []any{
 	Network{},
 	Link{},
+	LinkState{},
 	Router{},
+	RouterState{},
 	Host{},
+	HostState{},
 	Packet{},
 }
 

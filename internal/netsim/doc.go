@@ -25,7 +25,7 @@
 // and comes out exactly as if a transmit-done event per packet had
 // decremented it.
 //
-// That works because a link is FIFO. nextFree only grows, so in send order
+// That works because a link is FIFO. NextFree only grows, so in send order
 // both the transmit-done instants and the arrival instants never decrease.
 // The packets in flight on a link therefore form a chain in send order
 // (through the packets themselves; the link stores the tail and a cursor,
@@ -45,9 +45,11 @@
 //
 // The chain is threaded through Packet, so a packet is in flight on at most
 // one link at a time: hand the same *Packet to a link again only after it
-// has arrived. None of this is in a snapshot; a restore relinks the packets
-// from the pending arrival events (Link.RestoreInFlight) and the checkpoint
-// layer checks the recount against the recorded LinkState.Queued.
+// has arrived. None of this is in a snapshot, and the count that is — the
+// link holds it as LinkState.Queued — is not believed from one: a restore
+// keeps the rebuilt link's count, relinks the packets from the pending
+// arrival events (Link.RestoreInFlight), and the checkpoint layer checks the
+// recount against the recorded value.
 //
 // # Adjacency representation
 //

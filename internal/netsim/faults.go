@@ -38,10 +38,10 @@ import (
 // direction only, so callers modelling a cable cut should take both
 // directions down together (the experiment layer's fault scheduler does).
 func (l *Link) SetDown(down bool) {
-	if l.down == down {
+	if l.st.Down == down {
 		return
 	}
-	l.down = down
+	l.st.Down = down
 	if down {
 		l.net.downLinks++
 	} else {
@@ -51,11 +51,11 @@ func (l *Link) SetDown(down bool) {
 }
 
 // Down reports whether the link is currently down.
-func (l *Link) Down() bool { return l.down }
+func (l *Link) Down() bool { return l.st.Down }
 
 // FaultDropped reports how many packets this link dropped because it was
 // down (at admission or in flight).
-func (l *Link) FaultDropped() uint64 { return l.faultDrops }
+func (l *Link) FaultDropped() uint64 { return l.st.FaultDrops }
 
 // FailRouter marks a router as crashed: it stops forwarding, measuring and
 // injecting until restored. Failing an already-down router is a no-op; the
@@ -65,10 +65,10 @@ func (n *Network) FailRouter(id NodeID) error {
 	if r == nil {
 		return fmt.Errorf("fail router %d: %w", id, ErrUnknownNode)
 	}
-	if r.down {
+	if r.st.Down {
 		return nil
 	}
-	r.down = true
+	r.st.Down = true
 	n.downRouters++
 	n.noteFaultStateChange()
 	return nil
@@ -81,10 +81,10 @@ func (n *Network) RestoreRouter(id NodeID) error {
 	if r == nil {
 		return fmt.Errorf("restore router %d: %w", id, ErrUnknownNode)
 	}
-	if !r.down {
+	if !r.st.Down {
 		return nil
 	}
-	r.down = false
+	r.st.Down = false
 	n.downRouters--
 	n.noteFaultStateChange()
 	return nil
@@ -93,7 +93,7 @@ func (n *Network) RestoreRouter(id NodeID) error {
 // RouterDown reports whether the given node is a currently-failed router.
 func (n *Network) RouterDown(id NodeID) bool {
 	r := n.Router(id)
-	return r != nil && r.down
+	return r != nil && r.st.Down
 }
 
 // FaultDropped reports how many packets the network dropped on down links
@@ -136,7 +136,7 @@ func (n *Network) appendLiveNeighbors(dst []NodeID, id NodeID) []NodeID {
 		return dst
 	}
 	for _, e := range n.sparse[id] {
-		if e.link.down || n.RouterDown(e.to) {
+		if e.link.st.Down || n.RouterDown(e.to) {
 			continue
 		}
 		dst = append(dst, e.to)

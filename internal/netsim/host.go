@@ -44,8 +44,8 @@ type Host struct {
 	// defaultHandler receives packets with no registered label handler.
 	defaultHandler PacketHandler
 
-	received uint64
-	sent     uint64
+	// st is the host's run state, as a snapshot records it.
+	st HostState
 }
 
 var _ Deliverable = (*Host)(nil)
@@ -71,10 +71,10 @@ func (h *Host) PrimaryIP() IP {
 }
 
 // Received reports how many packets the host has accepted.
-func (h *Host) Received() uint64 { return h.received }
+func (h *Host) Received() uint64 { return h.st.Received }
 
 // Sent reports how many packets the host has emitted.
-func (h *Host) Sent() uint64 { return h.sent }
+func (h *Host) Sent() uint64 { return h.st.Sent }
 
 // AttachTo records the host's access router. The caller is responsible for
 // creating the duplex link separately (topology builders do both).
@@ -121,7 +121,7 @@ func (h *Host) SetDefaultHandler(fn PacketHandler) { h.defaultHandler = fn }
 // handlers must not retain it.
 func (h *Host) Deliver(pkt *Packet, _ NodeID) {
 	now := h.net.Now()
-	h.received++
+	h.st.Received++
 	h.net.noteDeliver(pkt, h, now)
 	if fn := h.labelHandler(pkt.Label); fn != nil {
 		fn(pkt, now)
@@ -144,7 +144,7 @@ func (h *Host) labelHandler(label FlowLabel) PacketHandler {
 func (h *Host) Send(pkt *Packet) { h.send(pkt) }
 
 func (h *Host) send(pkt *Packet) {
-	h.sent++
+	h.st.Sent++
 	pkt.SentAt = int64(h.net.Now())
 	link := h.net.LinkBetween(h.id, h.accessRouter)
 	if link == nil {

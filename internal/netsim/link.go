@@ -33,26 +33,18 @@ type Link struct {
 	to   int32 // NodeID of the downstream node
 	cfg  LinkConfig
 
-	// nextFree is the virtual time at which the transmitter becomes idle.
-	nextFree sim.Time
-
 	// inTail is the last packet of the in-flight chain (Packet.inNext, send
 	// order) and txCur the first one whose transmission is not retired from
-	// queued yet; see "Link occupancy" in the package documentation.
+	// st.Queued yet; see "Link occupancy" in the package documentation.
 	inTail *Packet
 	txCur  *Packet
-	// queued counts packets accepted and not yet retired; exact after reap.
-	queued int32
 
-	// down marks the link failed: it admits nothing and in-flight packets
-	// die on arrival. Flipped only through SetDown (see faults.go), which
-	// keeps the network's fault bookkeeping and TopoVersion in step.
-	down bool
-
-	// Counters for instrumentation.
-	sent       uint64
-	dropped    uint64
-	faultDrops uint64
+	// st is the link's run state, as a snapshot records it: when the
+	// transmitter becomes idle, the packets accepted and not yet retired
+	// (exact after reap), the fault flag — flipped only through SetDown (see
+	// faults.go), which keeps the network's fault bookkeeping and TopoVersion
+	// in step — and the counters.
+	st LinkState
 }
 
 // From reports the upstream node of the link.
@@ -65,15 +57,15 @@ func (l *Link) To() NodeID { return NodeID(l.to) }
 func (l *Link) Config() LinkConfig { return l.cfg }
 
 // Sent reports how many packets the link accepted for transmission.
-func (l *Link) Sent() uint64 { return l.sent }
+func (l *Link) Sent() uint64 { return l.st.Sent }
 
 // Dropped reports how many packets the drop-tail queue rejected.
-func (l *Link) Dropped() uint64 { return l.dropped }
+func (l *Link) Dropped() uint64 { return l.st.Dropped }
 
 // QueueLen reports the instantaneous number of packets waiting on the link.
 func (l *Link) QueueLen() int {
 	l.reap()
-	return int(l.queued)
+	return int(l.st.Queued)
 }
 
 // reap retires every packet the link has finished transmitting: what a
@@ -81,7 +73,7 @@ func (l *Link) QueueLen() int {
 func (l *Link) reap() {
 	s := l.net.scheduler
 	for p := l.txCur; p != nil && s.Fired(p.txDone, p.txSeq); p = p.inNext {
-		l.queued--
+		l.st.Queued--
 		l.txCur = p.inNext
 	}
 }
@@ -102,39 +94,39 @@ func (l *Link) transmissionTime(sizeBytes int) sim.Time {
 // link.
 func (l *Link) Send(pkt *Packet) {
 	now := l.net.Now()
-	if l.down {
-		l.faultDrops++
+	if l.st.Down {
+		l.st.FaultDrops++
 		l.net.noteFaultDrop(pkt, l.From(), now)
 		l.net.FreePacket(pkt)
 		return
 	}
 	l.reap()
-	if int(l.queued) >= l.cfg.QueueLen {
-		l.dropped++
+	if int(l.st.Queued) >= l.cfg.QueueLen {
+		l.st.Dropped++
 		l.net.noteQueueDrop(pkt, l, now)
 		l.net.FreePacket(pkt)
 		return
 	}
-	l.sent++
+	l.st.Sent++
 
 	start := now
-	if l.nextFree > start {
-		start = l.nextFree
+	if l.st.NextFree > start {
+		start = l.st.NextFree
 	}
 	tx := l.transmissionTime(pkt.Size)
-	l.nextFree = start + tx
+	l.st.NextFree = start + tx
 
 	// One event per hop: the arrival, dispatched through the link itself
 	// (sim.ArgHandler) so the forwarding path allocates no closure. The end
 	// of the transmission is only a key on the in-flight chain.
 	s := l.net.scheduler
-	l.enchain(pkt, l.nextFree, s.Seq(), true)
-	s.ScheduleArgAt(l.nextFree+l.cfg.Delay, l, pkt)
+	l.enchain(pkt, l.st.NextFree, s.Seq(), true)
+	s.ScheduleArgAt(l.st.NextFree+l.cfg.Delay, l, pkt)
 }
 
 // enchain appends pkt to the in-flight chain under its transmit-done key,
 // which must lie behind the tail's. unretired says whether it counts towards
-// queued; once one packet does, all behind it do.
+// st.Queued; once one packet does, all behind it do.
 func (l *Link) enchain(pkt *Packet, txDone sim.Time, seq uint64, unretired bool) {
 	pkt.txDone, pkt.txSeq, pkt.inNext = txDone, seq, nil
 	if l.inTail != nil {
@@ -142,7 +134,7 @@ func (l *Link) enchain(pkt *Packet, txDone sim.Time, seq uint64, unretired bool)
 	}
 	l.inTail = pkt
 	if unretired {
-		l.queued++
+		l.st.Queued++
 		if l.txCur == nil {
 			l.txCur = pkt
 		}
@@ -155,18 +147,18 @@ func (l *Link) enchain(pkt *Packet, txDone sim.Time, seq uint64, unretired bool)
 func (l *Link) OnEventArg(now sim.Time, arg any) {
 	pkt := arg.(*Packet)
 	if l.txCur == pkt {
-		l.queued--
+		l.st.Queued--
 		l.txCur = pkt.inNext
 	}
 	if l.inTail == pkt {
 		l.inTail = nil
 	}
 	pkt.inNext = nil
-	if l.down {
+	if l.st.Down {
 		// The link died while the packet was in flight: it is dropped and
 		// accounted here, not leaked — the pool gets it back like any other
 		// terminal point.
-		l.faultDrops++
+		l.st.FaultDrops++
 		l.net.noteFaultDrop(pkt, l.To(), now)
 		l.net.FreePacket(pkt)
 		return

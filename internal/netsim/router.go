@@ -38,14 +38,11 @@ type Router struct {
 
 	filters []Filter
 
-	// down marks the router crashed: arriving and self-injected packets are
-	// dropped without running the filter chain. Flipped only through
+	// st is the router's run state, as a snapshot records it. st.Down marks
+	// the router crashed: arriving and self-injected packets are dropped
+	// without running the filter chain. Flipped only through
 	// Network.FailRouter / RestoreRouter (see faults.go).
-	down bool
-
-	forwarded  uint64
-	dropped    uint64
-	faultDrops uint64
+	st RouterState
 }
 
 var _ Deliverable = (*Router)(nil)
@@ -60,17 +57,17 @@ func (r *Router) Name() string { return r.name }
 func (r *Router) Network() *Network { return r.net }
 
 // Forwarded reports how many packets the router has forwarded.
-func (r *Router) Forwarded() uint64 { return r.forwarded }
+func (r *Router) Forwarded() uint64 { return r.st.Forwarded }
 
 // FilterDropped reports how many packets the router's filters discarded.
-func (r *Router) FilterDropped() uint64 { return r.dropped }
+func (r *Router) FilterDropped() uint64 { return r.st.Dropped }
 
 // FaultDropped reports how many packets died at this router while it was
 // crashed.
-func (r *Router) FaultDropped() uint64 { return r.faultDrops }
+func (r *Router) FaultDropped() uint64 { return r.st.FaultDrops }
 
 // Down reports whether the router is currently crashed.
-func (r *Router) Down() bool { return r.down }
+func (r *Router) Down() bool { return r.st.Down }
 
 // AttachFilter appends a filter to the router's processing chain. Chain
 // storage is carved from a network-level slab: chains are tiny (an arrival
@@ -110,8 +107,8 @@ func (r *Router) Deliver(pkt *Packet, from NodeID) {
 // the filter chain exactly once (the router should not drop its own probes).
 // A crashed router injects nothing.
 func (r *Router) Inject(pkt *Packet) {
-	if r.down {
-		r.faultDrops++
+	if r.st.Down {
+		r.st.FaultDrops++
 		r.net.noteFaultDrop(pkt, r.id, r.net.Now())
 		r.net.FreePacket(pkt)
 		return
@@ -125,21 +122,21 @@ func (r *Router) Inject(pkt *Packet) {
 // nor defends.
 func (r *Router) forward(pkt *Packet, _ NodeID) {
 	now := r.net.Now()
-	if r.down {
-		r.faultDrops++
+	if r.st.Down {
+		r.st.FaultDrops++
 		r.net.noteFaultDrop(pkt, r.id, now)
 		r.net.FreePacket(pkt)
 		return
 	}
 	for _, f := range r.filters {
 		if f.Handle(pkt, now, r) == ActionDrop {
-			r.dropped++
+			r.st.Dropped++
 			r.net.noteFilterDrop(pkt, r, f.Name(), now)
 			r.net.FreePacket(pkt)
 			return
 		}
 	}
-	r.forwarded++
+	r.st.Forwarded++
 	pkt.Hops++
 	r.route(pkt)
 }

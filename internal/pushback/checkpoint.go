@@ -6,11 +6,12 @@ import (
 	"mafic/internal/netsim"
 )
 
-// CoordinatorState is the coordinator's dynamic state: the learned |D_j|
-// baselines, the ATR hysteresis tables and the pushback activation record.
-// Config, callbacks and the eligibility map are rebuild-covered; cellScratch
-// and shareScratch are per-epoch scratch whose content is dead between
-// epochs (shareScratch only needs its length to track atrScore).
+// CoordinatorState is the coordinator's dynamic state, held by the
+// coordinator as it runs: the learned |D_j| baselines, the ATR hysteresis
+// tables and the pushback activation record. Config, callbacks and the
+// eligibility map are rebuild-covered; cellScratch and shareScratch are
+// per-epoch scratch whose content is dead between epochs (shareScratch only
+// needs its length to track ATRScore).
 type CoordinatorState struct {
 	History       []float64
 	HistoryOK     []bool
@@ -28,28 +29,24 @@ type CoordinatorState struct {
 	PendingRefire bool
 }
 
-// CheckpointState captures the coordinator's dynamic state into dst, reusing
-// dst's table backing.
-func (c *Coordinator) CheckpointState(dst *CoordinatorState) {
-	dst.History = append(dst.History[:0], c.history...)
-	dst.HistoryOK = append(dst.HistoryOK[:0], c.historyOK...)
-	dst.HistorySeen = int64(c.historySeen)
-	dst.ATRScore = append(dst.ATRScore[:0], c.atrScore...)
-	dst.IdentifiedATR = append(dst.IdentifiedATR[:0], c.identifiedATR...)
-	dst.Identified = int64(c.identified)
-	dst.Active = c.active
-	dst.ActiveVictim = c.activeVictim
-	dst.TriggerLoad = c.triggerLoad
-	dst.CalmEpochs = int64(c.calmEpochs)
-	dst.RequestsFired = int64(c.requestsFired)
-	dst.LastEpoch = int64(c.lastEpoch)
-	dst.LastFireEpoch = int64(c.lastFireEpoch)
-	dst.PendingRefire = c.pendingRefire
+// copyState sets *dst to st with its four tables copied into dst's own
+// backing, so a capture reuses the session's and a restore the pool's.
+func copyState(dst, st *CoordinatorState) {
+	kept := *dst
+	*dst = *st
+	dst.History = append(kept.History[:0], st.History...)
+	dst.HistoryOK = append(kept.HistoryOK[:0], st.HistoryOK...)
+	dst.ATRScore = append(kept.ATRScore[:0], st.ATRScore...)
+	dst.IdentifiedATR = append(kept.IdentifiedATR[:0], st.IdentifiedATR...)
 }
 
+// CheckpointState captures the coordinator's dynamic state into dst, reusing
+// dst's table backing.
+func (c *Coordinator) CheckpointState(dst *CoordinatorState) { copyState(dst, &c.st) }
+
 // RestoreState overlays captured dynamic state onto a rebuilt coordinator.
-// The dense tables keep their pooled backing (append into the truncated
-// slices), preserving the zero-alloc discipline across a restore.
+// The dense tables keep their pooled backing, preserving the zero-alloc
+// discipline across a restore.
 func (c *Coordinator) RestoreState(st CoordinatorState) error {
 	if len(st.History) != len(st.HistoryOK) {
 		return fmt.Errorf("pushback: restore history tables disagree: %d loads, %d flags",
@@ -59,30 +56,18 @@ func (c *Coordinator) RestoreState(st CoordinatorState) error {
 		return fmt.Errorf("pushback: restore hysteresis tables disagree: %d scores, %d flags",
 			len(st.ATRScore), len(st.IdentifiedATR))
 	}
-	c.history = append(c.history[:0], st.History...)
-	c.historyOK = append(c.historyOK[:0], st.HistoryOK...)
-	c.historySeen = int(st.HistorySeen)
-	c.atrScore = append(c.atrScore[:0], st.ATRScore...)
-	c.identifiedATR = append(c.identifiedATR[:0], st.IdentifiedATR...)
+	copyState(&c.st, &st)
 	c.shareScratch = c.shareScratch[:0]
 	for range st.ATRScore {
 		c.shareScratch = append(c.shareScratch, 0)
 	}
-	c.identified = int(st.Identified)
-	c.active = st.Active
-	c.activeVictim = st.ActiveVictim
-	c.triggerLoad = st.TriggerLoad
-	c.calmEpochs = int(st.CalmEpochs)
-	c.requestsFired = int(st.RequestsFired)
-	c.lastEpoch = int(st.LastEpoch)
-	c.lastFireEpoch = int(st.LastFireEpoch)
-	c.pendingRefire = st.PendingRefire
 	return nil
 }
 
 // CheckpointTypes lists this package's structs that carry snapshotted state.
 var CheckpointTypes = []any{
 	Coordinator{},
+	CoordinatorState{},
 	ATR{},
 	Request{},
 }

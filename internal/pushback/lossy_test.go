@@ -36,7 +36,7 @@ func TestGapDecayMatchesQuietEpochs(t *testing.T) {
 	if !steady.Active() || !gapped.Active() {
 		t.Fatalf("setup: both coordinators must be active (steady=%v gapped=%v)", steady.Active(), gapped.Active())
 	}
-	s, g := steady.atrScore[2], gapped.atrScore[2]
+	s, g := steady.st.ATRScore[2], gapped.st.ATRScore[2]
 	if s <= 0 || g <= 0 {
 		t.Fatalf("scores vanished (steady=%v gapped=%v)", s, g)
 	}
@@ -185,17 +185,17 @@ func TestCoordinatorReuseClearsLossyState(t *testing.T) {
 		{Source: 2, Dest: 1, Packets: 50},
 		{Source: 3, Dest: 1, Packets: 40},
 	}))
-	if c.lastEpoch != 8 || c.lastFireEpoch != 7 || !c.pendingRefire {
+	if c.st.LastEpoch != 8 || c.st.LastFireEpoch != 7 || !c.st.PendingRefire {
 		t.Fatalf("setup: unexpected channel state (last=%d fire=%d pending=%v)",
-			c.lastEpoch, c.lastFireEpoch, c.pendingRefire)
+			c.st.LastEpoch, c.st.LastFireEpoch, c.st.PendingRefire)
 	}
 	c.Release()
 
 	c2 := NewCoordinator(Config{AbsoluteThreshold: 10, MinVictimLoad: 1}, nil, nil)
 	defer c2.Release()
-	if c2.lastEpoch != 0 || c2.lastFireEpoch != 0 || c2.pendingRefire {
+	if c2.st.LastEpoch != 0 || c2.st.LastFireEpoch != 0 || c2.st.PendingRefire {
 		t.Fatalf("recycled coordinator kept channel state (last=%d fire=%d pending=%v)",
-			c2.lastEpoch, c2.lastFireEpoch, c2.pendingRefire)
+			c2.st.LastEpoch, c2.st.LastFireEpoch, c2.st.PendingRefire)
 	}
 	// In particular, an early-epoch report must not be mistaken for a late
 	// duplicate of the previous owner's stream.

@@ -225,41 +225,26 @@ type Coordinator struct {
 
 	eligible map[netsim.NodeID]bool
 
-	// history keeps an EWMA of each router's |D_j| across epochs for the
-	// history-based test. Both tables are dense, NodeID-indexed, and grown
-	// on first use, so steady-state epoch processing allocates nothing.
-	history      []float64
-	historyOK    []bool
-	historySeen  int
+	// st is the coordinator's run state, as a snapshot records it. History
+	// and HistoryOK keep an EWMA of each router's |D_j| across epochs for the
+	// history-based test. Hysteresis state (Config.ATRRise > 0 only):
+	// ATRScore is the EWMA contribution share of each router toward the
+	// active victim and IdentifiedATR marks routers already reported in a
+	// request. Lossy-control-channel state: LastEpoch is the last epoch whose
+	// report was processed (0 before the first numbered report),
+	// LastFireEpoch the epoch of the last request issued, and PendingRefire
+	// whether a grown identified set is waiting out the re-fire backoff. The
+	// four tables are dense, NodeID-indexed and grown on first use, so
+	// steady-state epoch processing allocates nothing.
+	st           CoordinatorState
 	historyAlpha float64
 
-	// cellScratch is the reusable buffer behind ATR ranking.
-	cellScratch []trafficmatrix.Cell
-
-	// Hysteresis state (Config.ATRRise > 0 only). atrScore is the EWMA
-	// contribution share of each router toward the active victim,
-	// identifiedATR marks routers already reported in a request, and
-	// shareScratch is the per-epoch dense share buffer. All three are
-	// dense, NodeID-indexed, grown together, and reused across epochs so
-	// a steady-state epoch with no new identification allocates nothing.
-	atrScore      []float64
-	identifiedATR []bool
-	shareScratch  []float64
-	identified    int
-
-	active        bool
-	activeVictim  netsim.NodeID
-	triggerLoad   float64
-	calmEpochs    int
-	requestsFired int
-
-	// Lossy-control-channel state: the last epoch whose report was
-	// processed (0 before the first numbered report), the epoch of the last
-	// request issued, and whether a grown identified set is waiting out the
-	// re-fire backoff.
-	lastEpoch     int
-	lastFireEpoch int
-	pendingRefire bool
+	// cellScratch is the reusable buffer behind ATR ranking, and
+	// shareScratch the per-epoch dense share buffer, grown with ATRScore and
+	// reused across epochs so a steady-state epoch with no new
+	// identification allocates nothing.
+	cellScratch  []trafficmatrix.Cell
+	shareScratch []float64
 }
 
 // coordinatorPool recycles released coordinators across runs, keeping their
@@ -303,17 +288,19 @@ func NewCoordinator(cfg Config, onPushback func(Request), onWithdraw func(victim
 	// dropped) tables keep their capacity, and growHistory / growScores
 	// write every appended slot, so no state can leak between owners.
 	*c = Coordinator{
-		cfg:           cfg,
-		onPushback:    onPushback,
-		onWithdraw:    onWithdraw,
-		eligible:      eligible,
-		history:       c.history[:0],
-		historyOK:     c.historyOK[:0],
-		cellScratch:   c.cellScratch[:0],
-		atrScore:      c.atrScore[:0],
-		identifiedATR: c.identifiedATR[:0],
-		shareScratch:  c.shareScratch[:0],
-		historyAlpha:  0.5,
+		cfg:        cfg,
+		onPushback: onPushback,
+		onWithdraw: onWithdraw,
+		eligible:   eligible,
+		st: CoordinatorState{
+			History:       c.st.History[:0],
+			HistoryOK:     c.st.HistoryOK[:0],
+			ATRScore:      c.st.ATRScore[:0],
+			IdentifiedATR: c.st.IdentifiedATR[:0],
+		},
+		cellScratch:  c.cellScratch[:0],
+		shareScratch: c.shareScratch[:0],
+		historyAlpha: 0.5,
 	}
 	return c
 }
@@ -331,17 +318,17 @@ func (c *Coordinator) Release() {
 }
 
 // Active reports whether a pushback request is currently in force.
-func (c *Coordinator) Active() bool { return c.active }
+func (c *Coordinator) Active() bool { return c.st.Active }
 
 // ActiveVictim reports the router currently protected, valid while Active.
-func (c *Coordinator) ActiveVictim() netsim.NodeID { return c.activeVictim }
+func (c *Coordinator) ActiveVictim() netsim.NodeID { return c.st.ActiveVictim }
 
 // Requests reports how many pushback requests have been raised so far.
-func (c *Coordinator) Requests() int { return c.requestsFired }
+func (c *Coordinator) Requests() int { return int(c.st.RequestsFired) }
 
 // IdentifiedATRs reports the size of the hysteresis identified set; zero
 // unless ATRRise is enabled and pushback is active.
-func (c *Coordinator) IdentifiedATRs() int { return c.identified }
+func (c *Coordinator) IdentifiedATRs() int { return int(c.st.Identified) }
 
 // HandleReport is wired as the traffic-matrix monitor's epoch callback. On a
 // lossy control channel reports may be missing (numbering gaps) or delivered
@@ -349,23 +336,23 @@ func (c *Coordinator) IdentifiedATRs() int { return c.identified }
 // freeze — the hysteresis state and, past the staleness timeout, reset the
 // learned baselines, while late duplicates are ignored outright.
 func (c *Coordinator) HandleReport(report trafficmatrix.EpochReport) {
-	if report.Epoch > 0 {
-		if c.lastEpoch > 0 {
-			if report.Epoch <= c.lastEpoch {
+	if epoch := int64(report.Epoch); epoch > 0 {
+		if c.st.LastEpoch > 0 {
+			if epoch <= c.st.LastEpoch {
 				// A delayed report overtaken by newer ones: its epoch was
 				// already accounted (as a gap or a delivery). Acting on it
 				// would roll the detector's view of the world backwards.
 				return
 			}
-			if gap := report.Epoch - c.lastEpoch - 1; gap > 0 {
-				c.noteReportGap(gap)
+			if gap := epoch - c.st.LastEpoch - 1; gap > 0 {
+				c.noteReportGap(int(gap))
 			}
 		}
-		c.lastEpoch = report.Epoch
+		c.st.LastEpoch = epoch
 	}
 	victim, load, threshold, found := c.detectVictim(report)
 	c.updateHistory(report, found, victim)
-	if c.active {
+	if c.st.Active {
 		c.updateATRScores(report)
 		c.maybeWithdraw(found, victim, load)
 		return
@@ -379,12 +366,12 @@ func (c *Coordinator) HandleReport(report trafficmatrix.EpochReport) {
 		VictimLoad:   load,
 		ATRs:         c.identifyATRs(report, victim, load),
 	}
-	c.active = true
-	c.activeVictim = victim
-	c.triggerLoad = threshold
-	c.calmEpochs = 0
-	c.requestsFired++
-	c.lastFireEpoch = report.Epoch
+	c.st.Active = true
+	c.st.ActiveVictim = victim
+	c.st.TriggerLoad = threshold
+	c.st.CalmEpochs = 0
+	c.st.RequestsFired++
+	c.st.LastFireEpoch = int64(report.Epoch)
 	c.seedATRScores(req.ATRs)
 	if c.onPushback != nil {
 		c.onPushback(req)
@@ -402,16 +389,16 @@ func (c *Coordinator) noteReportGap(gap int) {
 		for e := 0; e < gap; e++ {
 			decay *= c.cfg.ATRDecay
 		}
-		for i := range c.atrScore {
-			c.atrScore[i] *= decay
+		for i := range c.st.ATRScore {
+			c.st.ATRScore[i] *= decay
 		}
 	}
 	if c.cfg.StaleEpochs > 0 && gap >= c.cfg.StaleEpochs {
-		for i := range c.history {
-			c.history[i] = 0
-			c.historyOK[i] = false
+		for i := range c.st.History {
+			c.st.History[i] = 0
+			c.st.HistoryOK[i] = false
 		}
-		c.historySeen = 0
+		c.st.HistorySeen = 0
 	}
 }
 
@@ -423,17 +410,17 @@ func (c *Coordinator) seedATRScores(atrs []ATR) {
 	}
 	for _, a := range atrs {
 		c.growScores(a.Router)
-		c.atrScore[a.Router] = a.Share
-		c.identifiedATR[a.Router] = true
-		c.identified++
+		c.st.ATRScore[a.Router] = a.Share
+		c.st.IdentifiedATR[a.Router] = true
+		c.st.Identified++
 	}
 }
 
 // growScores sizes the dense hysteresis tables to cover id.
 func (c *Coordinator) growScores(id netsim.NodeID) {
-	for int(id) >= len(c.atrScore) {
-		c.atrScore = append(c.atrScore, 0)
-		c.identifiedATR = append(c.identifiedATR, false)
+	for int(id) >= len(c.st.ATRScore) {
+		c.st.ATRScore = append(c.st.ATRScore, 0)
+		c.st.IdentifiedATR = append(c.st.IdentifiedATR, false)
 		c.shareScratch = append(c.shareScratch, 0)
 	}
 }
@@ -447,13 +434,13 @@ func (c *Coordinator) updateATRScores(report trafficmatrix.EpochReport) {
 	if c.cfg.ATRRise <= 0 {
 		return
 	}
-	load := report.DestEstimate(c.activeVictim)
-	c.cellScratch = report.AppendTopSources(c.cellScratch[:0], c.activeVictim)
+	load := report.DestEstimate(c.st.ActiveVictim)
+	c.cellScratch = report.AppendTopSources(c.cellScratch[:0], c.st.ActiveVictim)
 	for i := range c.shareScratch {
 		c.shareScratch[i] = 0
 	}
 	for _, cell := range c.cellScratch {
-		if cell.Source == c.activeVictim {
+		if cell.Source == c.st.ActiveVictim {
 			continue
 		}
 		c.growScores(cell.Source)
@@ -463,32 +450,32 @@ func (c *Coordinator) updateATRScores(report trafficmatrix.EpochReport) {
 	}
 	rise, decay := c.cfg.ATRRise, c.cfg.ATRDecay
 	grew := false
-	for i := range c.atrScore {
-		score := rise*c.shareScratch[i] + (1-rise)*c.atrScore[i]
-		if floor := decay * c.atrScore[i]; floor > score {
+	for i := range c.st.ATRScore {
+		score := rise*c.shareScratch[i] + (1-rise)*c.st.ATRScore[i]
+		if floor := decay * c.st.ATRScore[i]; floor > score {
 			score = floor
 		}
-		c.atrScore[i] = score
-		if score < c.cfg.ATRShare || c.identifiedATR[i] {
+		c.st.ATRScore[i] = score
+		if score < c.cfg.ATRShare || c.st.IdentifiedATR[i] {
 			continue
 		}
 		id := netsim.NodeID(i)
 		if c.eligible != nil && !c.eligible[id] {
 			continue
 		}
-		if c.cfg.MaxATRs > 0 && c.identified >= c.cfg.MaxATRs {
+		if c.cfg.MaxATRs > 0 && c.st.Identified >= int64(c.cfg.MaxATRs) {
 			continue
 		}
-		c.identifiedATR[i] = true
-		c.identified++
+		c.st.IdentifiedATR[i] = true
+		c.st.Identified++
 		grew = true
 	}
 	if grew {
-		c.pendingRefire = true
+		c.st.PendingRefire = true
 	}
-	if c.pendingRefire && c.refireAllowed(report.Epoch) {
-		c.pendingRefire = false
-		c.lastFireEpoch = report.Epoch
+	if c.st.PendingRefire && c.refireAllowed(report.Epoch) {
+		c.st.PendingRefire = false
+		c.st.LastFireEpoch = int64(report.Epoch)
 		c.fireIdentifiedSet(report.Epoch, load)
 	}
 }
@@ -496,10 +483,10 @@ func (c *Coordinator) updateATRScores(report trafficmatrix.EpochReport) {
 // refireAllowed applies the re-fire backoff: with no backoff configured (or
 // unnumbered reports, as hand-built tests use) re-fires are immediate.
 func (c *Coordinator) refireAllowed(epoch int) bool {
-	if c.cfg.RefireBackoffEpochs <= 0 || epoch <= 0 || c.lastFireEpoch <= 0 {
+	if c.cfg.RefireBackoffEpochs <= 0 || epoch <= 0 || c.st.LastFireEpoch <= 0 {
 		return true
 	}
-	return epoch-c.lastFireEpoch >= c.cfg.RefireBackoffEpochs
+	return int64(epoch)-c.st.LastFireEpoch >= int64(c.cfg.RefireBackoffEpochs)
 }
 
 // fireIdentifiedSet re-issues the pushback request carrying the full
@@ -507,12 +494,12 @@ func (c *Coordinator) refireAllowed(epoch int) bool {
 // the score and the victim's current load, so it is an EWMA estimate rather
 // than a single-epoch a_ij.
 func (c *Coordinator) fireIdentifiedSet(epoch int, load float64) {
-	atrs := make([]ATR, 0, c.identified)
-	for i, ok := range c.identifiedATR {
+	atrs := make([]ATR, 0, c.st.Identified)
+	for i, ok := range c.st.IdentifiedATR {
 		if !ok {
 			continue
 		}
-		score := c.atrScore[i]
+		score := c.st.ATRScore[i]
 		atrs = append(atrs, ATR{Router: netsim.NodeID(i), Packets: score * load, Share: score})
 	}
 	slices.SortFunc(atrs, func(a, b ATR) int {
@@ -525,11 +512,11 @@ func (c *Coordinator) fireIdentifiedSet(epoch int, load float64) {
 			return int(a.Router - b.Router)
 		}
 	})
-	c.requestsFired++
+	c.st.RequestsFired++
 	if c.onPushback != nil {
 		c.onPushback(Request{
 			Epoch:        epoch,
-			VictimRouter: c.activeVictim,
+			VictimRouter: c.st.ActiveVictim,
 			VictimLoad:   load,
 			ATRs:         atrs,
 		})
@@ -569,7 +556,7 @@ func (c *Coordinator) detectVictim(report trafficmatrix.EpochReport) (victim net
 			return maxID, maxDj, c.cfg.RelativeFactor * mean, true
 		}
 	}
-	if c.cfg.HistoryFactor > 0 && c.historySeen >= c.cfg.MinHistoryEpochs {
+	if c.cfg.HistoryFactor > 0 && c.st.HistorySeen >= int64(c.cfg.MinHistoryEpochs) {
 		if baselineLoad, ok := c.baseline(maxID); ok && baselineLoad > 0 {
 			threshold := c.cfg.HistoryFactor * baselineLoad
 			if maxDj >= threshold {
@@ -582,17 +569,17 @@ func (c *Coordinator) detectVictim(report trafficmatrix.EpochReport) (victim net
 
 // baseline returns the EWMA |D_j| baseline for a router, if one exists yet.
 func (c *Coordinator) baseline(id netsim.NodeID) (float64, bool) {
-	if id < 0 || int(id) >= len(c.history) || !c.historyOK[id] {
+	if id < 0 || int(id) >= len(c.st.History) || !c.st.HistoryOK[id] {
 		return 0, false
 	}
-	return c.history[id], true
+	return c.st.History[id], true
 }
 
 // growHistory sizes the dense baseline tables to cover id.
 func (c *Coordinator) growHistory(id netsim.NodeID) {
-	for int(id) >= len(c.history) {
-		c.history = append(c.history, 0)
-		c.historyOK = append(c.historyOK, false)
+	for int(id) >= len(c.st.History) {
+		c.st.History = append(c.st.History, 0)
+		c.st.HistoryOK = append(c.st.HistoryOK, false)
 	}
 }
 
@@ -600,19 +587,19 @@ func (c *Coordinator) growHistory(id netsim.NodeID) {
 // While an attack is detected (or pushback is active) the victim's baseline
 // is frozen so the attack itself does not become the new normal.
 func (c *Coordinator) updateHistory(report trafficmatrix.EpochReport, found bool, victim netsim.NodeID) {
-	c.historySeen++
+	c.st.HistorySeen++
 	for _, id := range report.Routers {
 		c.growHistory(id)
-		if (found && id == victim) || (c.active && id == c.activeVictim) {
+		if (found && id == victim) || (c.st.Active && id == c.st.ActiveVictim) {
 			continue
 		}
 		dj := report.DestEstimate(id)
-		if !c.historyOK[id] {
-			c.history[id] = dj
-			c.historyOK[id] = true
+		if !c.st.HistoryOK[id] {
+			c.st.History[id] = dj
+			c.st.HistoryOK[id] = true
 			continue
 		}
-		c.history[id] = c.historyAlpha*dj + (1-c.historyAlpha)*c.history[id]
+		c.st.History[id] = c.historyAlpha*dj + (1-c.historyAlpha)*c.st.History[id]
 	}
 }
 
@@ -660,31 +647,31 @@ func (c *Coordinator) maybeWithdraw(found bool, victim netsim.NodeID, load float
 	if c.cfg.DisableWithdraw {
 		return
 	}
-	calm := !found || victim != c.activeVictim || load < c.cfg.WithdrawFactor*c.triggerLoad
+	calm := !found || victim != c.st.ActiveVictim || load < c.cfg.WithdrawFactor*c.st.TriggerLoad
 	if !calm {
-		c.calmEpochs = 0
+		c.st.CalmEpochs = 0
 		return
 	}
-	c.calmEpochs++
-	if c.calmEpochs < c.cfg.WithdrawEpochs {
+	c.st.CalmEpochs++
+	if c.st.CalmEpochs < int64(c.cfg.WithdrawEpochs) {
 		return
 	}
-	c.active = false
-	c.calmEpochs = 0
+	c.st.Active = false
+	c.st.CalmEpochs = 0
 	c.resetATRScores()
 	if c.onWithdraw != nil {
-		c.onWithdraw(c.activeVictim)
+		c.onWithdraw(c.st.ActiveVictim)
 	}
 }
 
 // resetATRScores clears the hysteresis state when pushback is withdrawn, so a
 // later attack starts identification from scratch.
 func (c *Coordinator) resetATRScores() {
-	for i := range c.atrScore {
-		c.atrScore[i] = 0
-		c.identifiedATR[i] = false
+	for i := range c.st.ATRScore {
+		c.st.ATRScore[i] = 0
+		c.st.IdentifiedATR[i] = false
 		c.shareScratch[i] = 0
 	}
-	c.identified = 0
-	c.pendingRefire = false
+	c.st.Identified = 0
+	c.st.PendingRefire = false
 }

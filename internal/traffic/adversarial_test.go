@@ -129,7 +129,7 @@ func TestBuildWorkloadRollingPulse(t *testing.T) {
 	groups := map[int]int{}
 	for _, f := range w.Attack {
 		rs, ok := f.(*PacedSource)
-		if !ok || rs.cfg.kind != FlowRotating {
+		if !ok || rs.st.Kind != FlowRotating {
 			t.Fatalf("attack flow %d is %T, want a rotating *PacedSource", f.ID(), f)
 		}
 		groups[int(rs.cfg.offset/rs.cfg.onFor)]++

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 
 	"mafic/internal/sim"
 )
@@ -21,9 +22,10 @@ const (
 	FlowRotating
 )
 
-// FlowState is the dynamic state of one flow, a superset across the flow
-// kinds: a TCP source uses the congestion fields, the paced kinds use only
-// the counters and, when gated, the burst flag and count. Configuration,
+// FlowState is the dynamic state of one flow, held by the flow as it runs: a
+// superset across the flow kinds, of which a TCP source uses the congestion
+// fields and the paced kinds only the counters and, when gated, the burst
+// flag and count; the fields a kind does not use stay zero. Configuration,
 // labels and host bindings are rebuild-covered.
 type FlowState struct {
 	Kind      FlowKind
@@ -43,77 +45,50 @@ type FlowState struct {
 	Bursts    uint64
 }
 
+// flowState is the record a flow holds, or nil for a flow type that holds
+// none.
+func flowState(f Flow) *FlowState {
+	switch s := f.(type) {
+	case *TCPSource:
+		return &s.st
+	case *PacedSource:
+		return &s.st
+	}
+	return nil
+}
+
 // CaptureFlowState captures the dynamic state of one flow into dst. Pending
 // send and gate events are captured separately through the scheduler walk;
 // the EventRef fields themselves do not travel (a stale ref is a safe no-op
 // and live ones are re-bound by the restore).
 func CaptureFlowState(f Flow, dst *FlowState) error {
-	switch s := f.(type) {
-	case *TCPSource:
-		*dst = FlowState{
-			Kind:      FlowTCP,
-			Running:   s.running,
-			Cwnd:      s.cwnd,
-			Ssthresh:  s.ssthresh,
-			Seq:       s.seq,
-			LastAcked: s.lastAcked,
-			DupAcks:   int64(s.dupAcks),
-			LastAckAt: s.lastAckAt,
-			Sent:      s.sent,
-			Acked:     s.acked,
-			Timeouts:  s.timeouts,
-			FastRetx:  s.fastRetx,
-			ProbeSeen: s.probeSeen,
-		}
-	case *PacedSource:
-		// An ungated sender never sets inBurst or counts a burst, so it
-		// writes false and zero here as the gateless kinds always have.
-		*dst = FlowState{
-			Kind: s.cfg.kind, Running: s.running, InBurst: s.inBurst,
-			Seq: s.seq, Sent: s.sent, Bursts: s.bursts,
-		}
-	default:
+	st := flowState(f)
+	if st == nil {
 		return fmt.Errorf("traffic: cannot checkpoint flow of type %T", f)
 	}
+	*dst = *st
 	return nil
 }
 
 // RestoreFlowState overlays captured state onto the corresponding rebuilt
 // flow. The kind tag must match the rebuilt flow's: a mismatch means the
-// snapshot and the rebuild disagree about the workload.
+// snapshot and the rebuild disagree about the workload. A TCP window no run
+// reaches is refused: a NaN one paces the next send at a gap of NaN, which
+// the scheduler clamps to zero, so the source would re-fire at one instant
+// forever; a window below the floor or infinite is no better.
 func RestoreFlowState(f Flow, st FlowState) error {
-	switch s := f.(type) {
-	case *TCPSource:
-		if st.Kind != FlowTCP {
-			break
-		}
-		s.running = st.Running
-		s.cwnd = st.Cwnd
-		s.ssthresh = st.Ssthresh
-		s.seq = st.Seq
-		s.lastAcked = st.LastAcked
-		s.dupAcks = int(st.DupAcks)
-		s.lastAckAt = st.LastAckAt
-		s.sent = st.Sent
-		s.acked = st.Acked
-		s.timeouts = st.Timeouts
-		s.fastRetx = st.FastRetx
-		s.probeSeen = st.ProbeSeen
-		return nil
-	case *PacedSource:
-		if st.Kind != s.cfg.kind {
-			break
-		}
-		s.running = st.Running
-		s.inBurst = st.InBurst
-		s.seq = st.Seq
-		s.sent = st.Sent
-		s.bursts = st.Bursts
-		return nil
-	default:
+	held := flowState(f)
+	if held == nil {
 		return fmt.Errorf("traffic: cannot restore flow of type %T", f)
 	}
-	return fmt.Errorf("traffic: flow %d: snapshot flow kind %d does not match the rebuilt flow's", f.ID(), st.Kind)
+	if st.Kind != held.Kind {
+		return fmt.Errorf("traffic: flow %d: snapshot flow kind %d does not match the rebuilt flow's", f.ID(), st.Kind)
+	}
+	if s, ok := f.(*TCPSource); ok && !(st.Cwnd >= s.minWindow() && st.Cwnd <= math.MaxFloat64) {
+		return fmt.Errorf("traffic: flow %d: snapshot Cwnd %v is no window a run reaches (at least %v, finite)", f.ID(), st.Cwnd, s.minWindow())
+	}
+	*held = st
+	return nil
 }
 
 // SendHandler returns the event-handler identity a flow's send timer is
@@ -155,9 +130,9 @@ func SetPhaseEvent(f Flow, ref sim.EventRef) {
 	}
 }
 
-// VictimServerState is the dynamic state of a victim server: its arrival and
-// acknowledgement counters. The host binding and handler wiring are
-// rebuild-covered.
+// VictimServerState is the dynamic state of a victim server, held by the
+// server as it runs: its arrival and acknowledgement counters. The host
+// binding and handler wiring are rebuild-covered.
 type VictimServerState struct {
 	Received      uint64
 	ReceivedBad   uint64
@@ -166,29 +141,19 @@ type VictimServerState struct {
 }
 
 // CheckpointState captures the server's counters into dst.
-func (v *VictimServer) CheckpointState(dst *VictimServerState) {
-	*dst = VictimServerState{
-		Received:      v.received,
-		ReceivedBad:   v.receivedBad,
-		ReceivedGood:  v.receivedGood,
-		AcksGenerated: v.acksGenerated,
-	}
-}
+func (v *VictimServer) CheckpointState(dst *VictimServerState) { *dst = v.st }
 
 // RestoreState overlays captured counters onto a rebuilt server.
-func (v *VictimServer) RestoreState(st VictimServerState) {
-	v.received = st.Received
-	v.receivedBad = st.ReceivedBad
-	v.receivedGood = st.ReceivedGood
-	v.acksGenerated = st.AcksGenerated
-}
+func (v *VictimServer) RestoreState(st VictimServerState) { v.st = st }
 
 // CheckpointTypes lists this package's structs that carry snapshotted state.
 var CheckpointTypes = []any{
 	TCPSource{},
 	PacedSource{},
+	FlowState{},
 	gateOpen{},
 	gateShut{},
 	VictimServer{},
+	VictimServerState{},
 	Workload{},
 }

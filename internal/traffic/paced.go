@@ -21,10 +21,6 @@ var (
 // pacing is everything that tells one paced sender from another: what its
 // packets claim to be, how fast they leave, and when the gate lets them.
 type pacing struct {
-	// kind is the snapshot tag of the constructor that built the sender. It
-	// is data, not a Go type: a restore compares it against the snapshot's
-	// tag, and nothing else tells an attack flow from a pulsing one.
-	kind      FlowKind
 	malicious bool
 	proto     netsim.Protocol
 	// rate is the sending rate in packets per second while the gate is open.
@@ -53,11 +49,12 @@ type PacedSource struct {
 	label     netsim.FlowLabel
 	labelHash uint64
 
-	running   bool
-	inBurst   bool
-	seq       int64
-	sent      uint64
-	bursts    uint64
+	// st is the sender's run state, as a snapshot records it: whether it
+	// runs and is inside a burst, its sequence number and counters. Its Kind
+	// is the tag of the constructor that built the sender — data, not a Go
+	// type: a restore compares it against the snapshot's tag, and nothing
+	// else tells an attack flow from a pulsing one.
+	st        FlowState
 	sendEvent sim.EventRef
 	gateEvent sim.EventRef
 
@@ -77,14 +74,14 @@ func (g *gateOpen) OnEvent(now sim.Time) { g.s.beginBurst(now) }
 // gateShut dispatches the end of a burst.
 type gateShut struct{ s *PacedSource }
 
-func (g *gateShut) OnEvent(sim.Time) { g.s.inBurst = false }
+func (g *gateShut) OnEvent(sim.Time) { g.s.st.InBurst = false }
 
 var _ Flow = (*PacedSource)(nil)
 
-// newPaced builds a paced sender, clamping an unusable size or rate so a
-// workload builder can always construct a runnable flow. The object comes
-// from a package pool when a released source is available.
-func newPaced(id int, cfg pacing, host *netsim.Host, label netsim.FlowLabel, rng *sim.RNG) *PacedSource {
+// newPaced builds a paced sender of the given kind, clamping an unusable size
+// or rate so a workload builder can always construct a runnable flow. The
+// object comes from a package pool when a released source is available.
+func newPaced(id int, kind FlowKind, cfg pacing, host *netsim.Host, label netsim.FlowLabel, rng *sim.RNG) *PacedSource {
 	if cfg.size <= 0 {
 		cfg.size = DefaultDataSize
 	}
@@ -103,6 +100,7 @@ func newPaced(id int, cfg pacing, host *netsim.Host, label netsim.FlowLabel, rng
 		rng:       rng,
 		label:     label,
 		labelHash: label.Hash(),
+		st:        FlowState{Kind: kind},
 	}
 	s.open.s = s
 	s.shut.s = s
@@ -123,9 +121,9 @@ type CBRConfig struct {
 // NewCBRSource creates a legitimate constant-rate (UDP-like) source on the
 // given host targeting the victim address.
 func NewCBRSource(id int, cfg CBRConfig, host *netsim.Host, victim netsim.IP, srcPort uint16, rng *sim.RNG) *PacedSource {
-	return newPaced(id, pacing{
-		kind: FlowCBR, proto: netsim.ProtoUDP,
-		rate: cfg.Rate, jitter: cfg.Jitter, size: cfg.PacketSize,
+	return newPaced(id, FlowCBR, pacing{
+		proto: netsim.ProtoUDP,
+		rate:  cfg.Rate, jitter: cfg.Jitter, size: cfg.PacketSize,
 	}, host, sourceLabel(host, victim, srcPort, SpoofNone, 0), rng)
 }
 
@@ -150,10 +148,10 @@ const (
 // marked malicious (ground truth for metrics only), its source address may be
 // spoofed, and — the paper notes most attack traffic claims to be TCP — they
 // carry the TCP protocol marker while ignoring all feedback.
-func newAttack(id int, cfg pacing, zombie *netsim.Host, victim netsim.IP, srcPort uint16, spoof SpoofMode, spoofedIP netsim.IP, rng *sim.RNG) *PacedSource {
+func newAttack(id int, kind FlowKind, cfg pacing, zombie *netsim.Host, victim netsim.IP, srcPort uint16, spoof SpoofMode, spoofedIP netsim.IP, rng *sim.RNG) *PacedSource {
 	cfg.malicious = true
 	cfg.proto = netsim.ProtoTCP
-	return newPaced(id, cfg, zombie, sourceLabel(zombie, victim, srcPort, spoof, spoofedIP), rng)
+	return newPaced(id, kind, cfg, zombie, sourceLabel(zombie, victim, srcPort, spoof, spoofedIP), rng)
 }
 
 // gateJitter is the inter-packet jitter of the gated attack kinds.
@@ -177,8 +175,7 @@ type AttackConfig struct {
 // NewAttackSource creates an attack flow on the given zombie host: an
 // unresponsive constant-rate flood.
 func NewAttackSource(id int, cfg AttackConfig, zombie *netsim.Host, victim netsim.IP, srcPort uint16, rng *sim.RNG) *PacedSource {
-	return newAttack(id, pacing{
-		kind: FlowAttack,
+	return newAttack(id, FlowAttack, pacing{
 		rate: cfg.Rate, jitter: cfg.Jitter, size: cfg.PacketSize,
 	}, zombie, victim, srcPort, cfg.Spoof, cfg.SpoofedIP, rng)
 }
@@ -225,8 +222,7 @@ func NewPulsingSource(id int, cfg PulsingConfig, zombie *netsim.Host, victim net
 	if cfg.DutyCycle <= 0 || cfg.DutyCycle > 1 {
 		cfg.DutyCycle = 0.2
 	}
-	return newAttack(id, pacing{
-		kind: FlowPulsing,
+	return newAttack(id, FlowPulsing, pacing{
 		rate: cfg.PeakRate, jitter: gateJitter, size: cfg.PacketSize,
 		onFor: sim.Time(float64(cfg.Period) * cfg.DutyCycle),
 		every: cfg.Period,
@@ -274,8 +270,7 @@ func NewRotatingSource(id int, cfg RotatingConfig, zombie *netsim.Host, victim n
 	if cfg.Group < 0 || cfg.Group >= cfg.Groups {
 		cfg.Group = 0
 	}
-	return newAttack(id, pacing{
-		kind: FlowRotating,
+	return newAttack(id, FlowRotating, pacing{
 		rate: cfg.PeakRate, jitter: gateJitter, size: cfg.PacketSize,
 		onFor:  cfg.SlotLength,
 		every:  sim.Time(int64(cfg.SlotLength) * int64(cfg.Groups)),
@@ -303,11 +298,11 @@ func (s *PacedSource) Label() netsim.FlowLabel { return s.label }
 func (s *PacedSource) Malicious() bool { return s.cfg.malicious }
 
 // PacketsSent implements Flow.
-func (s *PacedSource) PacketsSent() uint64 { return s.sent }
+func (s *PacedSource) PacketsSent() uint64 { return s.st.Sent }
 
 // Bursts reports how many times the gate has opened: on-phases of a pulsing
 // flow, flooding slots held by a rotating one, always zero without a gate.
-func (s *PacedSource) Bursts() uint64 { return s.bursts }
+func (s *PacedSource) Bursts() uint64 { return s.st.Bursts }
 
 // gated reports whether the sender has a gate at all.
 func (s *PacedSource) gated() bool { return s.cfg.every != 0 }
@@ -315,7 +310,7 @@ func (s *PacedSource) gated() bool { return s.cfg.every != 0 }
 // CurrentRate implements Flow: the configured rate of an ungated sender,
 // running or not; of a gated one the rate during a burst, zero otherwise.
 func (s *PacedSource) CurrentRate() float64 {
-	if s.gated() && !s.inBurst {
+	if s.gated() && !s.st.InBurst {
 		return 0
 	}
 	return s.cfg.rate
@@ -325,10 +320,10 @@ func (s *PacedSource) CurrentRate() float64 {
 // directly, never through a gate event; a gated one schedules its first
 // burst.
 func (s *PacedSource) Start(at sim.Time) {
-	if s.running {
+	if s.st.Running {
 		return
 	}
-	s.running = true
+	s.st.Running = true
 	if s.gated() {
 		s.gateEvent = s.net.Scheduler().ScheduleHandlerAt(at+s.cfg.offset, &s.open)
 		return
@@ -338,19 +333,19 @@ func (s *PacedSource) Start(at sim.Time) {
 
 // Stop implements Flow.
 func (s *PacedSource) Stop() {
-	s.running = false
-	s.inBurst = false
+	s.st.Running = false
+	s.st.InBurst = false
 	s.sendEvent.Cancel()
 	s.gateEvent.Cancel()
 }
 
 // beginBurst opens the gate and schedules its closing and the next burst.
 func (s *PacedSource) beginBurst(now sim.Time) {
-	if !s.running {
+	if !s.st.Running {
 		return
 	}
-	s.inBurst = true
-	s.bursts++
+	s.st.InBurst = true
+	s.st.Bursts++
 	sched := s.net.Scheduler()
 	sched.ScheduleHandlerAt(now+s.cfg.onFor, &s.shut)
 	s.gateEvent = sched.ScheduleHandlerAt(now+s.cfg.every, &s.open)
@@ -366,17 +361,17 @@ func (s *PacedSource) beginBurst(now sim.Time) {
 // closure) keeps the per-packet path allocation-free; the per-burst gate
 // events go through the open/shut handler fields.
 func (s *PacedSource) OnEvent(sim.Time) {
-	if !s.running || (s.gated() && !s.inBurst) {
+	if !s.st.Running || (s.gated() && !s.st.InBurst) {
 		return
 	}
-	s.seq++
-	s.sent++
+	s.st.Seq++
+	s.st.Sent++
 	pkt := s.net.NewPacket()
 	pkt.ID = s.net.NextPacketID()
 	pkt.Label = s.label
 	pkt.Kind = netsim.KindData
 	pkt.Proto = s.cfg.proto
-	pkt.Seq = s.seq
+	pkt.Seq = s.st.Seq
 	pkt.Size = s.cfg.size
 	pkt.FlowID = s.id
 	pkt.Malicious = s.cfg.malicious

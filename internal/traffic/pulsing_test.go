@@ -115,7 +115,7 @@ func TestWorkloadWithPulsingAttack(t *testing.T) {
 		t.Fatal("no attack flows built")
 	}
 	for _, f := range w.Attack {
-		if p, ok := f.(*PacedSource); !ok || p.cfg.kind != FlowPulsing {
+		if p, ok := f.(*PacedSource); !ok || p.st.Kind != FlowPulsing {
 			t.Fatalf("attack flow is %T, want a pulsing *PacedSource", f)
 		}
 	}

@@ -45,19 +45,10 @@ type TCPSource struct {
 	label     netsim.FlowLabel
 	labelHash uint64
 
-	cwnd     float64
-	ssthresh float64
-
-	seq        int64
-	lastAcked  int64
-	dupAcks    int
-	lastAckAt  sim.Time
-	running    bool
-	sent       uint64
-	acked      uint64
-	timeouts   uint64
-	fastRetx   uint64
-	probeSeen  uint64
+	// st is the sender's run state, as a snapshot records it: the
+	// congestion window and threshold, sequence and acknowledgement
+	// bookkeeping, and the counters. Its Kind is always FlowTCP.
+	st         FlowState
 	sendEvent  sim.EventRef
 	packetSize int
 
@@ -98,8 +89,7 @@ func NewTCPSource(id int, cfg TCPConfig, host *netsim.Host, victim netsim.IP, sr
 			SrcPort: srcPort,
 			DstPort: victimPort,
 		},
-		cwnd:       cfg.InitialWindow,
-		ssthresh:   cfg.SlowStartThreshold,
+		st:         FlowState{Kind: FlowTCP, Cwnd: cfg.InitialWindow, Ssthresh: cfg.SlowStartThreshold},
 		packetSize: cfg.PacketSize,
 	}
 	s.labelHash = s.label.Hash()
@@ -131,27 +121,27 @@ func (s *TCPSource) Label() netsim.FlowLabel { return s.label }
 func (s *TCPSource) Malicious() bool { return false }
 
 // PacketsSent implements Flow.
-func (s *TCPSource) PacketsSent() uint64 { return s.sent }
+func (s *TCPSource) PacketsSent() uint64 { return s.st.Sent }
 
 // AcksReceived reports how many new-data acknowledgements arrived.
-func (s *TCPSource) AcksReceived() uint64 { return s.acked }
+func (s *TCPSource) AcksReceived() uint64 { return s.st.Acked }
 
 // Timeouts reports how many retransmission timeouts fired.
-func (s *TCPSource) Timeouts() uint64 { return s.timeouts }
+func (s *TCPSource) Timeouts() uint64 { return s.st.Timeouts }
 
 // FastRetransmits reports how many triple-duplicate-ACK reductions occurred.
-func (s *TCPSource) FastRetransmits() uint64 { return s.fastRetx }
+func (s *TCPSource) FastRetransmits() uint64 { return s.st.FastRetx }
 
 // ProbesSeen reports how many MAFIC duplicated-ACK probes reached the source.
-func (s *TCPSource) ProbesSeen() uint64 { return s.probeSeen }
+func (s *TCPSource) ProbesSeen() uint64 { return s.st.ProbeSeen }
 
 // Window returns the current congestion window in packets.
-func (s *TCPSource) Window() float64 { return s.cwnd }
+func (s *TCPSource) Window() float64 { return s.st.Cwnd }
 
 // CurrentRate implements Flow: the congestion-controlled rate cwnd/RTT,
 // capped at MaxRate.
 func (s *TCPSource) CurrentRate() float64 {
-	rate := s.cwnd / s.cfg.RTT.Seconds()
+	rate := s.st.Cwnd / s.cfg.RTT.Seconds()
 	if s.cfg.MaxRate > 0 && rate > s.cfg.MaxRate {
 		rate = s.cfg.MaxRate
 	}
@@ -160,11 +150,11 @@ func (s *TCPSource) CurrentRate() float64 {
 
 // Start implements Flow.
 func (s *TCPSource) Start(at sim.Time) {
-	if s.running {
+	if s.st.Running {
 		return
 	}
-	s.running = true
-	s.lastAckAt = at
+	s.st.Running = true
+	s.st.LastAckAt = at
 	s.sendEvent = s.net.Scheduler().ScheduleHandlerAt(at, s)
 }
 
@@ -175,26 +165,26 @@ func (s *TCPSource) OnEvent(now sim.Time) { s.sendNext(now) }
 
 // Stop implements Flow.
 func (s *TCPSource) Stop() {
-	s.running = false
+	s.st.Running = false
 	s.sendEvent.Cancel()
 }
 
 // sendNext emits one data packet and schedules the next transmission after
 // the current pacing interval.
 func (s *TCPSource) sendNext(now sim.Time) {
-	if !s.running {
+	if !s.st.Running {
 		return
 	}
 	s.maybeTimeout(now)
 
-	s.seq++
-	s.sent++
+	s.st.Seq++
+	s.st.Sent++
 	pkt := s.net.NewPacket()
 	pkt.ID = s.net.NextPacketID()
 	pkt.Label = s.label
 	pkt.Kind = netsim.KindData
 	pkt.Proto = netsim.ProtoTCP
-	pkt.Seq = s.seq
+	pkt.Seq = s.st.Seq
 	pkt.Size = s.packetSize
 	pkt.FlowID = s.id
 	pkt.SetFlowHash(s.labelHash)
@@ -220,16 +210,16 @@ func (s *TCPSource) maybeTimeout(now sim.Time) {
 	if rto < 200*sim.Millisecond {
 		rto = 200 * sim.Millisecond
 	}
-	if s.sent == 0 || now-s.lastAckAt < rto {
+	if s.st.Sent == 0 || now-s.st.LastAckAt < rto {
 		return
 	}
-	s.timeouts++
-	s.ssthresh = s.cwnd / 2
-	if s.ssthresh < 2 {
-		s.ssthresh = 2
+	s.st.Timeouts++
+	s.st.Ssthresh = s.st.Cwnd / 2
+	if s.st.Ssthresh < 2 {
+		s.st.Ssthresh = 2
 	}
-	s.cwnd = 1
-	s.lastAckAt = now
+	s.st.Cwnd = 1
+	s.st.LastAckAt = now
 }
 
 // onReverse processes packets flowing back to the source: acknowledgements
@@ -237,17 +227,17 @@ func (s *TCPSource) maybeTimeout(now sim.Time) {
 func (s *TCPSource) onReverse(pkt *netsim.Packet, now sim.Time) {
 	switch pkt.Kind {
 	case netsim.KindAck:
-		if pkt.Seq > s.lastAcked {
-			s.lastAcked = pkt.Seq
-			s.acked++
-			s.dupAcks = 0
-			s.lastAckAt = now
+		if pkt.Seq > s.st.LastAcked {
+			s.st.LastAcked = pkt.Seq
+			s.st.Acked++
+			s.st.DupAcks = 0
+			s.st.LastAckAt = now
 			s.growWindow()
 			return
 		}
 		s.countDuplicate()
 	case netsim.KindDupAck:
-		s.probeSeen++
+		s.st.ProbeSeen++
 		s.countDuplicate()
 	default:
 		// Data or control packets addressed to the source are ignored.
@@ -256,14 +246,14 @@ func (s *TCPSource) onReverse(pkt *netsim.Packet, now sim.Time) {
 
 // growWindow applies slow start or additive increase.
 func (s *TCPSource) growWindow() {
-	if s.cwnd < s.ssthresh {
-		s.cwnd++
+	if s.st.Cwnd < s.st.Ssthresh {
+		s.st.Cwnd++
 	} else {
-		s.cwnd += 1 / s.cwnd
+		s.st.Cwnd += 1 / s.st.Cwnd
 	}
 	maxWindow := s.maxWindow()
-	if maxWindow > 0 && s.cwnd > maxWindow {
-		s.cwnd = maxWindow
+	if maxWindow > 0 && s.st.Cwnd > maxWindow {
+		s.st.Cwnd = maxWindow
 	}
 }
 
@@ -275,18 +265,28 @@ func (s *TCPSource) maxWindow() float64 {
 	return s.cfg.MaxRate * s.cfg.RTT.Seconds()
 }
 
+// minWindow is the smallest window a run reaches: one packet after a timeout,
+// unless the start or the rate cap puts it lower.
+func (s *TCPSource) minWindow() float64 {
+	w := min(1, s.cfg.InitialWindow)
+	if m := s.maxWindow(); m > 0 {
+		w = min(w, m)
+	}
+	return w
+}
+
 // countDuplicate registers a duplicate acknowledgement and performs the
 // multiplicative decrease once three have accumulated.
 func (s *TCPSource) countDuplicate() {
-	s.dupAcks++
-	if s.dupAcks < 3 {
+	s.st.DupAcks++
+	if s.st.DupAcks < 3 {
 		return
 	}
-	s.dupAcks = 0
-	s.fastRetx++
-	s.ssthresh = s.cwnd / 2
-	if s.ssthresh < 2 {
-		s.ssthresh = 2
+	s.st.DupAcks = 0
+	s.st.FastRetx++
+	s.st.Ssthresh = s.st.Cwnd / 2
+	if s.st.Ssthresh < 2 {
+		s.st.Ssthresh = 2
 	}
-	s.cwnd = s.ssthresh
+	s.st.Cwnd = s.st.Ssthresh
 }

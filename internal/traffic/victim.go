@@ -14,10 +14,8 @@ type VictimServer struct {
 
 	ackSize int
 
-	received      uint64
-	receivedBad   uint64
-	receivedGood  uint64
-	acksGenerated uint64
+	// st is the server's run state, as a snapshot records it.
+	st VictimServerState
 }
 
 // NewVictimServer installs a server on the given host. ackSize is the size
@@ -35,27 +33,27 @@ func NewVictimServer(host *netsim.Host, ackSize int) *VictimServer {
 func (v *VictimServer) Host() *netsim.Host { return v.host }
 
 // Received reports the total number of data packets that reached the victim.
-func (v *VictimServer) Received() uint64 { return v.received }
+func (v *VictimServer) Received() uint64 { return v.st.Received }
 
 // ReceivedMalicious reports how many attack packets reached the victim.
-func (v *VictimServer) ReceivedMalicious() uint64 { return v.receivedBad }
+func (v *VictimServer) ReceivedMalicious() uint64 { return v.st.ReceivedBad }
 
 // ReceivedLegitimate reports how many legitimate packets reached the victim.
-func (v *VictimServer) ReceivedLegitimate() uint64 { return v.receivedGood }
+func (v *VictimServer) ReceivedLegitimate() uint64 { return v.st.ReceivedGood }
 
 // AcksGenerated reports how many acknowledgements the server sent.
-func (v *VictimServer) AcksGenerated() uint64 { return v.acksGenerated }
+func (v *VictimServer) AcksGenerated() uint64 { return v.st.AcksGenerated }
 
 // onPacket handles every packet delivered to the victim host.
 func (v *VictimServer) onPacket(pkt *netsim.Packet, _ sim.Time) {
 	if pkt.Kind != netsim.KindData {
 		return
 	}
-	v.received++
+	v.st.Received++
 	if pkt.Malicious {
-		v.receivedBad++
+		v.st.ReceivedBad++
 	} else {
-		v.receivedGood++
+		v.st.ReceivedGood++
 	}
 	if pkt.Proto != netsim.ProtoTCP {
 		return
@@ -71,6 +69,6 @@ func (v *VictimServer) onPacket(pkt *netsim.Packet, _ sim.Time) {
 	ack.Seq = pkt.Seq
 	ack.Size = v.ackSize
 	ack.FlowID = pkt.FlowID
-	v.acksGenerated++
+	v.st.AcksGenerated++
 	v.host.Send(ack)
 }

@@ -116,8 +116,8 @@ type WorkloadSpec struct {
 
 // DefaultWorkloadSpec returns the paper's default traffic mix (Table II:
 // V_t = 50 flows, Γ = 95%, R = 10⁶ packets/s) with the packet rate scaled
-// down by 1000× so a software simulation completes quickly; see DESIGN.md
-// for the substitution note.
+// down by 200× (experiment.RateScale) so a software simulation completes
+// quickly; PAPER.md's Table II section lists the substitution.
 func DefaultWorkloadSpec() WorkloadSpec {
 	return WorkloadSpec{
 		TotalFlows:           50,
