@@ -68,10 +68,10 @@ func run() error {
 	}
 
 	// 4. Set-union counting measurement layer plus the pushback
-	//    coordinator that detects the victim and identifies ATRs.
+	//    coordinator that detects the victim and identifies ATRs. Once
+	//    raised, the pushback request stays in force.
 	pbCfg := pushback.DefaultConfig()
 	pbCfg.MinHistoryEpochs = 4
-	pbCfg.DisableWithdraw = true
 	for _, ing := range domain.Ingress {
 		pbCfg.Eligible = append(pbCfg.Eligible, ing.ID())
 	}

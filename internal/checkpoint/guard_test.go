@@ -83,7 +83,7 @@ var fieldManifest = map[string][]string{
 	"netsim.Router":             {"filters", "id", "name", "net", "st"},                                                                                                                                                                                                                                                                                            // st: the RouterState row, held as it travels
 	"netsim.RouterState":        {"Down", "Dropped", "FaultDrops", "Forwarded"},
 	"pushback.ATR":              {"Packets", "Router", "Share"},
-	"pushback.Coordinator":      {"cellScratch", "cfg", "eligible", "historyAlpha", "onPushback", "onWithdraw", "shareScratch", "st"}, // st: the CoordinatorState row, held as it travels
+	"pushback.Coordinator":      {"cellScratch", "cfg", "eligible", "historyAlpha", "onPushback", "shareScratch", "st"}, // st: the CoordinatorState row, held as it travels
 	"pushback.CoordinatorState": {"ATRScore", "Active", "ActiveVictim", "CalmEpochs", "History", "HistoryOK", "HistorySeen", "Identified", "IdentifiedATR", "LastEpoch", "LastFireEpoch", "PendingRefire", "RequestsFired", "TriggerLoad"},
 	"pushback.Request":          {"ATRs", "Epoch", "VictimLoad", "VictimRouter"},
 	"sim.RNG":                   {"cs", "r", "reg"},

@@ -107,6 +107,16 @@ func (c Config) Validate() error {
 	if c.DupAcks < 0 {
 		return fmt.Errorf("%w: dup-ACK count must be non-negative", ErrConfig)
 	}
+	if c.ProbeDelayRTTs < 0 || c.ResponseFactor < 0 || c.MinProbePackets < 0 {
+		return fmt.Errorf("%w: probe delay %v RTTs, response factor %v and minimum probe packets %d must be non-negative",
+			ErrConfig, c.ProbeDelayRTTs, c.ResponseFactor, c.MinProbePackets)
+	}
+	if c.ProbeSize <= 0 {
+		return fmt.Errorf("%w: probe size %d must be positive", ErrConfig, c.ProbeSize)
+	}
+	if c.TableCapacity < 0 {
+		return fmt.Errorf("%w: table capacity %d must be non-negative", ErrConfig, c.TableCapacity)
+	}
 	if c.ReprobeAfterIdle < 0 {
 		return fmt.Errorf("%w: re-probe idle threshold must be non-negative", ErrConfig)
 	}

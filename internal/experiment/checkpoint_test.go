@@ -276,7 +276,7 @@ func editFirstTouchedSketch(edit func(*loglog.SketchState)) func(*checkpoint.Sna
 	}
 }
 
-// restoreRefusals are edits that leave a well-formed file Restore has to
+// restoreRefusals are edits that leave a well-formed file a resume has to
 // refuse, each with what the refusal says. TestRestoreChecksLinkOccupancy
 // runs them; FuzzSnapshotDecode starts from them.
 var restoreRefusals = []struct {
@@ -309,6 +309,14 @@ var restoreRefusals = []struct {
 		}
 		return false
 	}, "before the snapshot's Now"},
+	// A deleted option set to a value the engine no longer implements.
+	{"withdrawal asked for", spliceScenarioKeys(map[string]any{"Pushback.DisableWithdraw": false}), "Pushback.DisableWithdraw"},
+	{"an absolute detector", spliceScenarioKeys(map[string]any{"Pushback.AbsoluteThreshold": 500}), "Pushback.AbsoluteThreshold"},
+	{"a relative detector", spliceScenarioKeys(map[string]any{"Pushback.RelativeFactor": 4}), "Pushback.RelativeFactor"},
+	{"an ATR cap", spliceScenarioKeys(map[string]any{"Pushback.MaxATRs": 3}), "Pushback.MaxATRs"},
+	{"a proportional probability other than P_d", spliceScenarioKeys(map[string]any{
+		"Defense": int(DefenseBaseline), "BaselineDropProbability": 0.5}), "BaselineDropProbability"},
+	{"a legitimate start offset", spliceScenarioKeys(map[string]any{"Workload.LegitStart": int64(100 * sim.Millisecond)}), "Workload.LegitStart"},
 }
 
 // nanFirstRunningWindow sets the congestion window of the first running TCP
@@ -370,38 +378,64 @@ func TestRestoreRefusesFlowKindMismatch(t *testing.T) {
 	}
 }
 
-// spliceRetiredKeys adds to the snapshot's scenario JSON the keys of the five
-// options that have been deleted, each at the value that selected its
-// deleted implementation (the scheduler backend at one no implementation
-// ever had). Files written while the options existed carry these keys, at
-// their defaults when written outside a test.
-func spliceRetiredKeys(snap *checkpoint.Snapshot) bool {
-	type object = map[string]json.RawMessage
-	var scenario, topo, monitor object
-	if json.Unmarshal(snap.Scenario, &scenario) != nil ||
-		json.Unmarshal(scenario["Topology"], &topo) != nil || json.Unmarshal(scenario["Monitor"], &monitor) != nil {
-		return false
+// spliceScenarioKeys returns a mutation that sets keys in the snapshot's
+// scenario JSON, each named by its dotted path, whether or not a Scenario
+// field declares it.
+func spliceScenarioKeys(keys map[string]any) func(*checkpoint.Snapshot) bool {
+	return func(snap *checkpoint.Snapshot) bool {
+		dec := json.NewDecoder(bytes.NewReader(snap.Scenario))
+		dec.UseNumber()
+		var scenario map[string]any
+		if dec.Decode(&scenario) != nil {
+			return false
+		}
+		for path, v := range keys {
+			obj, parts := scenario, strings.Split(path, ".")
+			for _, p := range parts[:len(parts)-1] {
+				next, ok := obj[p].(map[string]any)
+				if !ok {
+					return false
+				}
+				obj = next
+			}
+			obj[parts[len(parts)-1]] = v
+		}
+		var err error
+		snap.Scenario, err = json.Marshal(scenario)
+		return err == nil
 	}
-	scenario["Scheduler"] = json.RawMessage(`{"Backend":7}`)
-	topo["Routing"], topo["Adjacency"] = json.RawMessage(`1`), json.RawMessage(`1`)
-	monitor["MonitorAll"], monitor["FreshBuffers"] = json.RawMessage(`true`), json.RawMessage(`true`)
-	var err error
-	if scenario["Topology"], err = json.Marshal(topo); err != nil {
-		return false
-	}
-	if scenario["Monitor"], err = json.Marshal(monitor); err != nil {
-		return false
-	}
-	snap.Scenario, err = json.Marshal(scenario)
-	return err == nil
 }
 
+// spliceRetiredKeys adds to the snapshot's scenario JSON the keys of the
+// thirteen options that have been deleted. The five oracle options stand at
+// the value that selected their deleted implementation (the scheduler backend
+// at one no implementation ever had); the eight detection, withdrawal,
+// baseline and start knobs at the values every catalog snapshot written while
+// they existed has. Such files carry these keys.
+var spliceRetiredKeys = spliceScenarioKeys(map[string]any{
+	"Scheduler":                  map[string]any{"Backend": 7},
+	"Topology.Routing":           1,
+	"Topology.Adjacency":         1,
+	"Monitor.MonitorAll":         true,
+	"Monitor.FreshBuffers":       true,
+	"Pushback.AbsoluteThreshold": 0,
+	"Pushback.RelativeFactor":    0,
+	"Pushback.MaxATRs":           0,
+	"Pushback.WithdrawFactor":    0.5,
+	"Pushback.WithdrawEpochs":    2,
+	"Pushback.DisableWithdraw":   true,
+	"BaselineDropProbability":    0,
+	"Workload.LegitStart":        0,
+})
+
 // TestResumeIgnoresRetiredScenarioKeys pins how a snapshot from before the
-// oracle options were deleted resumes: the keys are unknown, unknown keys are
+// options were deleted resumes: the keys are unknown, unknown keys are
 // ignored, and the run continues on the one engine there is — to the same
-// result as the file without them. With the options in place an out-of-range
-// scheduler backend in a snapshot indexed past the scheduler pools and
-// panicked.
+// result as the file without them. So does a file whose deleted knobs are set
+// to values that ask for nothing the engine lacks: withdrawal tuning with
+// withdrawal disabled, and a proportional probability under the MAFIC
+// defence. With the oracle options in place an out-of-range scheduler backend
+// in a snapshot indexed past the scheduler pools and panicked.
 func TestResumeIgnoresRetiredScenarioKeys(t *testing.T) {
 	s := table2Quick(t)
 	data, _ := snapshotMidRun(t, s, s.Duration/2)
@@ -409,16 +443,24 @@ func TestResumeIgnoresRetiredScenarioKeys(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	stale := mutateSnapshot(t, data, spliceRetiredKeys)
-	if bytes.Equal(stale, data) {
-		t.Fatal("the edit left the snapshot as it was")
-	}
-	got, err := ResumeControlled(stale, ControlOptions{})
-	if err != nil {
-		t.Fatalf("resume with retired keys: %v", err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		diffResults(t, "snapshot with retired scenario keys", want, got)
+	inert := spliceScenarioKeys(map[string]any{
+		"Pushback.DisableWithdraw": true,
+		"Pushback.WithdrawFactor":  0.9,
+		"Pushback.WithdrawEpochs":  7,
+		"BaselineDropProbability":  0.5,
+	})
+	for _, splice := range []func(*checkpoint.Snapshot) bool{spliceRetiredKeys, inert} {
+		stale := mutateSnapshot(t, data, splice)
+		if bytes.Equal(stale, data) {
+			t.Fatal("the edit left the snapshot as it was")
+		}
+		got, err := ResumeControlled(stale, ControlOptions{})
+		if err != nil {
+			t.Fatalf("resume with retired keys: %v", err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			diffResults(t, "snapshot with retired scenario keys", want, got)
+		}
 	}
 }
 
@@ -441,8 +483,10 @@ func mutateSnapshot(tb testing.TB, data []byte, mut func(*checkpoint.Snapshot) b
 // checked against what the snapshot recorded, not trusted: a file that
 // decodes cleanly but is inconsistent there is refused, not run. So is one
 // holding a packet no run could have sent (a kind or protocol outside the
-// declared sets, a negative size or hop count) or a sketch in a state no
-// sketch reaches (buckets set with nothing added, or the reverse).
+// declared sets, a negative size or hop count), a sketch in a state no
+// sketch reaches (buckets set with nothing added, or the reverse), or a
+// scenario that sets a deleted option to a value the engine no longer
+// implements, which json.Unmarshal alone would drop without a word.
 func TestRestoreChecksLinkOccupancy(t *testing.T) {
 	s := table2Quick(t)
 	data, _ := snapshotMidRun(t, s, s.Duration/2)

@@ -73,10 +73,54 @@ func ResumeControlled(data []byte, opts ControlOptions) (Result, error) {
 	if err := json.Unmarshal(snap.Scenario, &s); err != nil {
 		return Result{}, fmt.Errorf("%w: decode snapshot scenario: %w", ErrSnapshot, err)
 	}
+	if err := refuseRetiredOptions(snap.Scenario, s); err != nil {
+		return Result{}, fmt.Errorf("%w: %w", ErrSnapshot, err)
+	}
 	if err := s.Validate(); err != nil {
 		return Result{}, fmt.Errorf("%w: %w", ErrSnapshot, err)
 	}
 	return runPooled(s, snap, opts)
+}
+
+// refuseRetiredOptions refuses an embedded scenario that sets a deleted option
+// to a value the engine no longer implements. A file written while the options
+// existed carries their keys, and json.Unmarshal ignores them: without this
+// check such a file would resume with other behaviour than it was written
+// with. The values every catalog run has — no absolute or relative detector,
+// no ATR cap, withdrawal disabled, the proportional dropper at P_d, legitimate
+// flows starting at 0 — are the behaviour the engine has, and pass.
+func refuseRetiredOptions(raw []byte, s Scenario) error {
+	var old struct {
+		BaselineDropProbability float64
+		Workload                struct{ LegitStart sim.Time }
+		Pushback                struct {
+			AbsoluteThreshold, RelativeFactor float64
+			MaxATRs                           int
+			DisableWithdraw                   *bool
+		}
+	}
+	if err := json.Unmarshal(raw, &old); err != nil {
+		return fmt.Errorf("decode snapshot scenario: %w", err)
+	}
+	pb := old.Pushback
+	for _, o := range []struct {
+		key   string
+		value any
+		inUse bool
+	}{
+		{"Pushback.AbsoluteThreshold", pb.AbsoluteThreshold, pb.AbsoluteThreshold != 0},
+		{"Pushback.RelativeFactor", pb.RelativeFactor, pb.RelativeFactor != 0},
+		{"Pushback.MaxATRs", pb.MaxATRs, pb.MaxATRs != 0},
+		{"Pushback.DisableWithdraw", false, pb.DisableWithdraw != nil && !*pb.DisableWithdraw},
+		{"BaselineDropProbability", old.BaselineDropProbability, s.Defense == DefenseBaseline &&
+			old.BaselineDropProbability != 0 && old.BaselineDropProbability != s.MAFIC.DropProbability},
+		{"Workload.LegitStart", old.Workload.LegitStart, old.Workload.LegitStart != 0},
+	} {
+		if o.inUse {
+			return fmt.Errorf("scenario sets the deleted option %s to %v, which the engine no longer implements", o.key, o.value)
+		}
+	}
+	return nil
 }
 
 // validate rejects option combinations the control loop cannot honour.

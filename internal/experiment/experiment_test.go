@@ -44,13 +44,15 @@ func TestScenarioValidateErrors(t *testing.T) {
 		{name: "bad monitor buckets", mutate: func(s *Scenario) { s.Monitor.Buckets = 100 }},
 		{name: "bad pushback share", mutate: func(s *Scenario) { s.Pushback.ATRShare = 2 }},
 		{name: "bad pushback history", mutate: func(s *Scenario) { s.Pushback.HistoryFactor = -1 }},
+		// The proportional dropper drops at MAFIC.DropProbability, so
+		// Validate bounds it for the baseline defence too.
 		{name: "baseline probability above one", mutate: func(s *Scenario) {
 			s.Defense = DefenseBaseline
-			s.BaselineDropProbability = 1.5
+			s.MAFIC.DropProbability = 1.5
 		}},
 		{name: "baseline probability negative", mutate: func(s *Scenario) {
 			s.Defense = DefenseBaseline
-			s.BaselineDropProbability = -0.2
+			s.MAFIC.DropProbability = -0.2
 		}},
 		{name: "flash crowd after end", mutate: func(s *Scenario) {
 			s.Workload.FlashCrowdFlows = 10
@@ -217,8 +219,6 @@ func TestRunFallbackActivation(t *testing.T) {
 	s := quickScenario()
 	// Cripple detection so only the scheduled fallback can activate.
 	s.Pushback.HistoryFactor = 1000
-	s.Pushback.AbsoluteThreshold = 0
-	s.Pushback.RelativeFactor = 0
 	res, err := Run(s)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"mafic/internal/netsim"
 	"mafic/internal/sim"
 	"mafic/internal/topology"
+	"mafic/internal/trafficmatrix"
 )
 
 // This file is the declarative fault-injection layer: a Scenario carries a
@@ -115,20 +116,18 @@ func (f FaultSpec) Validate(routers int) error {
 				ErrScenario, i, rc.RestoreAt, rc.CrashAt)
 		}
 	}
-	if f.ReportLoss < 0 || f.ReportLoss > 1 {
-		return fmt.Errorf("%w: report loss %v outside [0,1]", ErrScenario, f.ReportLoss)
-	}
-	if f.ReportDelayProb < 0 || f.ReportDelayProb > 1 {
-		return fmt.Errorf("%w: report delay probability %v outside [0,1]", ErrScenario, f.ReportDelayProb)
-	}
-	if f.ReportDelay < 0 {
-		return fmt.Errorf("%w: report delay %v must not be negative", ErrScenario, f.ReportDelay)
-	}
-	if f.ReportDelayProb > 0 && f.ReportDelay <= 0 {
-		return fmt.Errorf("%w: report delay probability %v needs a positive report delay",
-			ErrScenario, f.ReportDelayProb)
+	if err := f.controlPlane(trafficmatrix.MonitorConfig{}).Validate(); err != nil {
+		return fmt.Errorf("%w: faults: %v", ErrScenario, err)
 	}
 	return nil
+}
+
+// controlPlane returns mc carrying the spec's control-plane faults, report
+// loss and delay: the monitor configuration a run builds, and the one Validate
+// checks them in.
+func (f FaultSpec) controlPlane(mc trafficmatrix.MonitorConfig) trafficmatrix.MonitorConfig {
+	mc.ReportLoss, mc.ReportDelayProb, mc.ReportDelay = f.ReportLoss, f.ReportDelayProb, f.ReportDelay
+	return mc
 }
 
 // installFaults compiles the spec's topology faults into scheduled events.

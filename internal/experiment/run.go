@@ -22,7 +22,6 @@ import (
 // the run loop can activate either uniformly.
 type defense interface {
 	Activate(victim netsim.IP)
-	Deactivate()
 }
 
 // runResources is everything a run borrows for its lifetime and hands back in
@@ -284,12 +283,8 @@ func (b *builtRun) build() error {
 			res.mafic = append(res.mafic, d)
 		}
 	case DefenseBaseline:
-		p := s.BaselineDropProbability
-		if p <= 0 {
-			p = s.MAFIC.DropProbability
-		}
 		for _, ing := range domain.Ingress {
-			d, derr := baseline.NewDropper(p, ing, rng.Fork())
+			d, derr := baseline.NewDropper(s.MAFIC.DropProbability, ing, rng.Fork())
 			if derr != nil {
 				return fmt.Errorf("baseline on %s: %w", ing.Name(), derr)
 			}
@@ -326,32 +321,15 @@ func (b *builtRun) build() error {
 
 	pbCfg := s.Pushback
 	pbCfg.Eligible = ingressIDs
-	b.coordinator = pushback.NewCoordinator(pbCfg,
-		func(req pushback.Request) {
-			atrs := make([]netsim.NodeID, 0, len(req.ATRs))
-			for _, a := range req.ATRs {
-				atrs = append(atrs, a.Router)
-			}
-			activate(sched.Now(), atrs, true)
-		},
-		func(netsim.NodeID) {
-			for _, d := range defByRouter {
-				d.Deactivate()
-			}
-		})
+	b.coordinator = pushback.NewCoordinator(pbCfg, func(req pushback.Request) {
+		atrs := make([]netsim.NodeID, 0, len(req.ATRs))
+		for _, a := range req.ATRs {
+			atrs = append(atrs, a.Router)
+		}
+		activate(sched.Now(), atrs, true)
+	}, nil)
 
-	// The fault spec's control-plane knobs ride into the monitor config so
-	// a chaos scenario declares its whole failure model in one place; when
-	// they are zero the config is untouched and the monitor forks no RNG.
-	monCfg := s.Monitor
-	if s.Faults.ReportLoss > 0 {
-		monCfg.ReportLoss = s.Faults.ReportLoss
-	}
-	if s.Faults.ReportDelayProb > 0 {
-		monCfg.ReportDelayProb = s.Faults.ReportDelayProb
-		monCfg.ReportDelay = s.Faults.ReportDelay
-	}
-	b.monitor, err = trafficmatrix.NewMonitor(domain.Net, monCfg, b.coordinator.HandleReport)
+	b.monitor, err = trafficmatrix.NewMonitor(domain.Net, s.Faults.controlPlane(s.Monitor), b.coordinator.HandleReport)
 	if err != nil {
 		return fmt.Errorf("traffic monitor: %w", err)
 	}

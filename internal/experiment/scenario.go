@@ -82,15 +82,15 @@ type Scenario struct {
 	Workload traffic.WorkloadSpec
 	// MAFIC configures the defenders (P_d, probe window).
 	MAFIC core.Config
-	// Defense selects MAFIC, the proportional baseline, or nothing.
+	// Defense selects MAFIC, the proportional baseline, or nothing. The
+	// proportional dropper drops at MAFIC.DropProbability.
 	Defense DefenseKind
-	// BaselineDropProbability is the proportional dropper's probability;
-	// zero means "same as MAFIC.DropProbability".
-	BaselineDropProbability float64
 
-	// Monitor configures the set-union counting measurement epochs.
+	// Monitor configures the set-union counting measurement epochs. Its
+	// report loss and delay must be zero: Faults declares them.
 	Monitor trafficmatrix.MonitorConfig
-	// Pushback configures victim detection and ATR identification.
+	// Pushback configures victim detection and ATR identification. Its
+	// Eligible must be empty: a run makes every ingress router eligible.
 	Pushback pushback.Config
 	// DetectionFallback activates the defence on every ingress router
 	// this long after the attack starts if the pushback layer has not
@@ -102,10 +102,12 @@ type Scenario struct {
 	// injects nothing and leaves every fault-free run bit-identical.
 	Faults FaultSpec
 
-	// BinWidth is the victim bandwidth time-series bin width.
+	// BinWidth is the victim bandwidth time-series bin width; it must be
+	// positive.
 	BinWidth sim.Time
 	// ReductionWindow is the measurement window for the traffic
-	// reduction rate β on either side of the activation instant.
+	// reduction rate β on either side of the activation instant. Zero
+	// reports β as 0.
 	ReductionWindow sim.Time
 }
 
@@ -123,13 +125,10 @@ func DefaultScenario() Scenario {
 
 	// Detection builds four epochs (400 ms) of per-router baseline before
 	// it may fire, so the legitimate flows' slow-start ramp never looks
-	// like an attack; once raised, pushback stays in force for the rest
-	// of the run (the victim-side load necessarily collapses as soon as
-	// the ATRs drop the flood, so a victim-side withdrawal test would
-	// oscillate).
+	// like an attack. Once raised, pushback stays in force for the rest of
+	// the run; pushback.Config says why.
 	pb := pushback.DefaultConfig()
 	pb.MinHistoryEpochs = 4
-	pb.DisableWithdraw = true
 
 	return Scenario{
 		Name:              "table2-defaults",
@@ -179,24 +178,36 @@ func (s Scenario) Validate() error {
 	if err := s.Workload.Validate(); err != nil {
 		return fmt.Errorf("%w: workload: %v", ErrScenario, err)
 	}
+	if m := s.Monitor; m.ReportLoss != 0 || m.ReportDelayProb != 0 || m.ReportDelay != 0 {
+		return fmt.Errorf("%w: monitor report loss and delay belong in Faults", ErrScenario)
+	}
 	if err := s.Monitor.Validate(); err != nil {
 		return fmt.Errorf("%w: monitor: %v", ErrScenario, err)
+	}
+	if len(s.Pushback.Eligible) > 0 {
+		return fmt.Errorf("%w: pushback eligibility is the domain's ingress routers, not a scenario knob", ErrScenario)
 	}
 	if err := s.Pushback.Validate(); err != nil {
 		return fmt.Errorf("%w: pushback: %v", ErrScenario, err)
 	}
-	if s.Defense == DefenseMAFIC {
+	switch s.Defense {
+	case DefenseMAFIC:
 		if err := s.MAFIC.Validate(); err != nil {
 			return fmt.Errorf("%w: mafic: %v", ErrScenario, err)
 		}
-	}
-	if s.Defense == DefenseBaseline {
-		// Zero means "inherit MAFIC.DropProbability"; anything else must
-		// be a probability.
-		if s.BaselineDropProbability < 0 || s.BaselineDropProbability > 1 {
-			return fmt.Errorf("%w: baseline drop probability %v outside [0,1]",
-				ErrScenario, s.BaselineDropProbability)
+	case DefenseBaseline:
+		if p := s.MAFIC.DropProbability; p < 0 || p > 1 {
+			return fmt.Errorf("%w: proportional drop probability %v outside [0,1]", ErrScenario, p)
 		}
+	}
+	if s.DetectionFallback < 0 {
+		return fmt.Errorf("%w: detection fallback %v must not be negative", ErrScenario, s.DetectionFallback)
+	}
+	if s.BinWidth <= 0 {
+		return fmt.Errorf("%w: bin width %v must be positive", ErrScenario, s.BinWidth)
+	}
+	if s.ReductionWindow < 0 {
+		return fmt.Errorf("%w: reduction window %v must not be negative", ErrScenario, s.ReductionWindow)
 	}
 	if err := s.Faults.Validate(s.Topology.NumRouters); err != nil {
 		return err

@@ -52,9 +52,8 @@ func TestHandleReportSteadyStateZeroAlloc(t *testing.T) {
 // may allocate, and both are rare.
 func TestHysteresisSteadyStateZeroAlloc(t *testing.T) {
 	cfg := Config{
-		AbsoluteThreshold: 500, ATRShare: 0.1,
+		HistoryFactor: 2, ATRShare: 0.1,
 		ATRRise: 0.5, ATRDecay: 0.85,
-		DisableWithdraw: true,
 	}
 	c := NewCoordinator(cfg, nil, nil)
 
@@ -67,17 +66,15 @@ func TestHysteresisSteadyStateZeroAlloc(t *testing.T) {
 		},
 	}
 
-	// First report triggers pushback and grows the score tables; a second
-	// warms the steady hysteresis path.
-	r.Epoch = 1
-	c.HandleReport(r)
-	r.Epoch = 2
+	// The spike triggers pushback and grows the score tables; one more
+	// report warms the steady hysteresis path.
+	epoch := spike(c, map[netsim.NodeID]float64{0: 10, 1: 20, 2: 30, 3: 1000}, r.Matrix) + 1
+	r.Epoch = epoch
 	c.HandleReport(r)
 	if !c.Active() || c.IdentifiedATRs() == 0 {
 		t.Fatalf("setup: active=%v identified=%d", c.Active(), c.IdentifiedATRs())
 	}
 
-	epoch := 2
 	allocs := testing.AllocsPerRun(50, func() {
 		epoch++
 		r.Epoch = epoch
@@ -130,34 +127,28 @@ func TestCoordinatorReuseZeroAlloc(t *testing.T) {
 // from scratch: no history, no active pushback, no stale eligibility.
 func TestCoordinatorReuseLeaksNoState(t *testing.T) {
 	fired := 0
-	c := NewCoordinator(Config{AbsoluteThreshold: 10, MinVictimLoad: 1, ATRShare: 0},
-		func(Request) { fired++ }, nil)
-	report := trafficmatrix.EpochReport{
-		Epoch:     1,
-		Routers:   []netsim.NodeID{0, 1},
-		DestEst:   []float64{5, 500},
-		SourceEst: []float64{5, 5},
-		Matrix:    []trafficmatrix.Cell{{Source: 0, Dest: 1, Packets: 400}},
-	}
-	c.HandleReport(report)
+	cfg := Config{HistoryFactor: 2, MinVictimLoad: 1}
+	c := NewCoordinator(cfg, func(Request) { fired++ }, nil)
+	dests := map[netsim.NodeID]float64{0: 5, 1: 500}
+	cells := []trafficmatrix.Cell{{Source: 0, Dest: 1, Packets: 400}}
+	spike(c, dests, cells)
 	if fired != 1 || !c.Active() {
 		t.Fatalf("setup detection did not fire (fired=%d active=%v)", fired, c.Active())
 	}
 	c.Release()
 
 	// The recycled coordinator must neither remember the old victim nor
-	// keep the old eligibility; router 0 (ineligible before) must rank.
-	c2 := NewCoordinator(Config{AbsoluteThreshold: 10, MinVictimLoad: 1, ATRShare: 0},
-		func(req Request) {
-			if len(req.ATRs) == 0 {
-				t.Error("recycled coordinator kept a stale eligibility set")
-			}
-		}, nil)
+	// keep an eligibility set; router 0 must rank.
+	c2 := NewCoordinator(cfg, func(req Request) {
+		if len(req.ATRs) == 0 {
+			t.Error("recycled coordinator kept a stale eligibility set")
+		}
+	}, nil)
 	if c2.Active() || c2.Requests() != 0 {
 		t.Fatalf("recycled coordinator leaked activation state (active=%v requests=%d)",
 			c2.Active(), c2.Requests())
 	}
-	c2.HandleReport(report)
+	spike(c2, dests, cells)
 	if !c2.Active() {
 		t.Fatal("recycled coordinator failed to detect")
 	}

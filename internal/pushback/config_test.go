@@ -19,16 +19,11 @@ func TestConfigValidate(t *testing.T) {
 		name   string
 		mutate func(*Config)
 	}{
-		{"negative absolute threshold", func(c *Config) { c.AbsoluteThreshold = -1 }},
-		{"negative relative factor", func(c *Config) { c.RelativeFactor = -0.5 }},
 		{"negative history factor", func(c *Config) { c.HistoryFactor = -2 }},
 		{"negative history epochs", func(c *Config) { c.MinHistoryEpochs = -1 }},
 		{"negative min victim load", func(c *Config) { c.MinVictimLoad = -10 }},
 		{"ATR share above one", func(c *Config) { c.ATRShare = 1.5 }},
 		{"negative ATR share", func(c *Config) { c.ATRShare = -0.1 }},
-		{"negative max ATRs", func(c *Config) { c.MaxATRs = -1 }},
-		{"withdraw factor above one", func(c *Config) { c.WithdrawFactor = 2 }},
-		{"negative withdraw epochs", func(c *Config) { c.WithdrawEpochs = -1 }},
 		{"negative ATR rise", func(c *Config) { c.ATRRise = -0.1 }},
 		{"ATR rise above one", func(c *Config) { c.ATRRise = 1.5 }},
 		{"negative ATR decay", func(c *Config) { c.ATRDecay = -0.1 }},

@@ -14,24 +14,24 @@ import (
 // outage, they do not freeze at their pre-outage values.
 func TestGapDecayMatchesQuietEpochs(t *testing.T) {
 	cfg := Config{
-		AbsoluteThreshold: 10, MinVictimLoad: 1, ATRShare: 0.1,
-		ATRRise: 0.5, ATRDecay: 0.85, DisableWithdraw: true,
+		HistoryFactor: 2, MinVictimLoad: 1, ATRShare: 0.1,
+		ATRRise: 0.5, ATRDecay: 0.85,
 	}
-	trigger := report(1, map[netsim.NodeID]float64{1: 100},
-		[]trafficmatrix.Cell{{Source: 2, Dest: 1, Packets: 50}})
+	load := map[netsim.NodeID]float64{1: 100}
+	cells := []trafficmatrix.Cell{{Source: 2, Dest: 1, Packets: 50}}
 	quiet := func(epoch int) trafficmatrix.EpochReport {
-		return report(epoch, map[netsim.NodeID]float64{1: 100}, nil)
+		return report(epoch, load, nil)
 	}
 
 	steady := NewCoordinator(cfg, nil, nil)
-	steady.HandleReport(trigger)
-	for e := 2; e <= 5; e++ {
+	epoch := spike(steady, load, cells)
+	for e := epoch + 1; e <= epoch+4; e++ {
 		steady.HandleReport(quiet(e))
 	}
 
 	gapped := NewCoordinator(cfg, nil, nil)
-	gapped.HandleReport(trigger)
-	gapped.HandleReport(quiet(5)) // epochs 2-4 lost
+	spike(gapped, load, cells)
+	gapped.HandleReport(quiet(epoch + 4)) // the three epochs before it lost
 
 	if !steady.Active() || !gapped.Active() {
 		t.Fatalf("setup: both coordinators must be active (steady=%v gapped=%v)", steady.Active(), gapped.Active())
@@ -103,8 +103,8 @@ func TestRefireBackoffDefersGrownSet(t *testing.T) {
 	mk := func(backoff int) (*Coordinator, *[]Request) {
 		var fired []Request
 		c := NewCoordinator(Config{
-			AbsoluteThreshold: 10, MinVictimLoad: 1, ATRShare: 0.3,
-			ATRRise: 1, ATRDecay: 0.85, DisableWithdraw: true,
+			HistoryFactor: 2, MinVictimLoad: 1, ATRShare: 0.3,
+			ATRRise: 1, ATRDecay: 0.85,
 			RefireBackoffEpochs: backoff,
 		}, func(r Request) { fired = append(fired, r) }, nil)
 		return c, &fired
@@ -116,22 +116,22 @@ func TestRefireBackoffDefersGrownSet(t *testing.T) {
 	}
 	load := map[netsim.NodeID]float64{1: 100}
 
-	// Without backoff the grown set re-fires immediately at epoch 2.
+	// Without backoff the grown set re-fires in the epoch after detection.
 	eager, eagerFired := mk(0)
-	eager.HandleReport(report(1, load, one))
-	eager.HandleReport(report(2, load, two))
+	e := spike(eager, load, one)
+	eager.HandleReport(report(e+1, load, two))
 	if len(*eagerFired) != 2 {
 		t.Fatalf("no-backoff control fired %d requests, want 2", len(*eagerFired))
 	}
 
 	c, fired := mk(3)
-	c.HandleReport(report(1, load, one)) // initial detection fires
-	c.HandleReport(report(2, load, two)) // source 3 crosses: grown, deferred
-	c.HandleReport(report(3, load, two)) // still inside the backoff window
+	e = spike(c, load, one)                // initial detection fires at e
+	c.HandleReport(report(e+1, load, two)) // source 3 crosses: grown, deferred
+	c.HandleReport(report(e+2, load, two)) // still inside the backoff window
 	if len(*fired) != 1 {
 		t.Fatalf("backoff coordinator fired %d requests before the window elapsed, want 1", len(*fired))
 	}
-	c.HandleReport(report(4, load, two)) // epoch 4 - lastFire 1 >= 3: re-fire
+	c.HandleReport(report(e+3, load, two)) // three epochs after the last fire: re-fire
 	if len(*fired) != 2 {
 		t.Fatalf("backoff coordinator fired %d requests after the window, want 2", len(*fired))
 	}
@@ -152,20 +152,22 @@ func TestRefireBackoffDefersGrownSet(t *testing.T) {
 // rolling the detector's view backwards.
 func TestLateReportIgnored(t *testing.T) {
 	fired := 0
-	c := NewCoordinator(Config{AbsoluteThreshold: 10, MinVictimLoad: 1, ATRShare: 0},
+	c := NewCoordinator(Config{HistoryFactor: 2, MinVictimLoad: 1},
 		func(Request) { fired++ }, nil)
 
-	c.HandleReport(report(2, map[netsim.NodeID]float64{1: 5}, nil))
-	// A delayed epoch-1 report arrives after epoch 2 was processed; its
+	hot := map[netsim.NodeID]float64{1: 500}
+	cells := []trafficmatrix.Cell{{Source: 2, Dest: 1, Packets: 400}}
+	for epoch := 1; epoch <= 3; epoch++ {
+		c.HandleReport(report(epoch, map[netsim.NodeID]float64{1: 5}, nil))
+	}
+	// A delayed epoch-2 report arrives after epoch 3 was processed; its
 	// load would trigger detection if acted upon.
-	c.HandleReport(report(1, map[netsim.NodeID]float64{1: 500},
-		[]trafficmatrix.Cell{{Source: 2, Dest: 1, Packets: 400}}))
+	c.HandleReport(report(2, hot, cells))
 	if fired != 0 || c.Active() {
 		t.Fatalf("late report was acted upon (fired=%d active=%v)", fired, c.Active())
 	}
 	// Fresh epochs keep working.
-	c.HandleReport(report(3, map[netsim.NodeID]float64{1: 500},
-		[]trafficmatrix.Cell{{Source: 2, Dest: 1, Packets: 400}}))
+	c.HandleReport(report(4, hot, cells))
 	if fired != 1 || !c.Active() {
 		t.Fatalf("current report after a late one did not fire (fired=%d active=%v)", fired, c.Active())
 	}
@@ -176,9 +178,11 @@ func TestLateReportIgnored(t *testing.T) {
 // epoch, no pending re-fire and no fire history.
 func TestCoordinatorReuseClearsLossyState(t *testing.T) {
 	c := NewCoordinator(Config{
-		AbsoluteThreshold: 10, MinVictimLoad: 1, ATRShare: 0.3,
-		ATRRise: 1, DisableWithdraw: true, RefireBackoffEpochs: 5, StaleEpochs: 2,
+		HistoryFactor: 2, MinVictimLoad: 1, ATRShare: 0.3,
+		ATRRise: 1, RefireBackoffEpochs: 5, StaleEpochs: 2,
 	}, nil, nil)
+	c.HandleReport(report(5, map[netsim.NodeID]float64{1: 10}, nil))
+	c.HandleReport(report(6, map[netsim.NodeID]float64{1: 10}, nil))
 	c.HandleReport(report(7, map[netsim.NodeID]float64{1: 100},
 		[]trafficmatrix.Cell{{Source: 2, Dest: 1, Packets: 50}}))
 	c.HandleReport(report(8, map[netsim.NodeID]float64{1: 100}, []trafficmatrix.Cell{
@@ -191,16 +195,16 @@ func TestCoordinatorReuseClearsLossyState(t *testing.T) {
 	}
 	c.Release()
 
-	c2 := NewCoordinator(Config{AbsoluteThreshold: 10, MinVictimLoad: 1}, nil, nil)
+	c2 := NewCoordinator(Config{HistoryFactor: 2, MinVictimLoad: 1}, nil, nil)
 	defer c2.Release()
 	if c2.st.LastEpoch != 0 || c2.st.LastFireEpoch != 0 || c2.st.PendingRefire {
 		t.Fatalf("recycled coordinator kept channel state (last=%d fire=%d pending=%v)",
 			c2.st.LastEpoch, c2.st.LastFireEpoch, c2.st.PendingRefire)
 	}
-	// In particular, an early-epoch report must not be mistaken for a late
-	// duplicate of the previous owner's stream.
-	c2.HandleReport(report(1, map[netsim.NodeID]float64{1: 500}, nil))
+	// In particular, early-epoch reports must not be mistaken for late
+	// duplicates of the previous owner's stream.
+	spike(c2, map[netsim.NodeID]float64{1: 500}, nil)
 	if !c2.Active() {
-		t.Fatal("recycled coordinator ignored epoch 1 as stale")
+		t.Fatal("recycled coordinator ignored epochs 1-3 as stale")
 	}
 }

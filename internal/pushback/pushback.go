@@ -2,7 +2,8 @@
 // (ATR) identification on top of the set-union counting traffic matrix, i.e.
 // the decision layer from the paper's Section II: when a last-hop router's
 // |D_j| becomes abnormally high, the routers contributing the largest a_ij
-// toward it are flagged as ATRs and told to start adaptive dropping.
+// toward it are flagged as ATRs and told to start adaptive dropping. Once
+// raised, pushback stays in force for the rest of the run.
 //
 // # ATR hysteresis
 //
@@ -24,8 +25,8 @@
 // grown set — so an aggregate identified during one flooding slot stays
 // identified through the slots its sources spend silent, and late-arriving
 // groups are picked up the moment they start contributing. Identification is
-// sticky: scores decay, but a router once reported is never silently
-// un-reported (withdrawal resets everything). Both knobs default to zero,
+// sticky: scores decay, but a router once reported is never un-reported.
+// Both knobs default to zero,
 // which reproduces the paper's one-shot identification exactly.
 package pushback
 
@@ -65,21 +66,16 @@ type Request struct {
 	ATRs []ATR
 }
 
-// Config tunes the detector.
+// Config tunes the detector. A victim is detected by one rule: the busiest
+// router of the epoch, at least MinVictimLoad, at HistoryFactor times its own
+// EWMA baseline or more once MinHistoryEpochs epochs have been seen. Pushback
+// is never withdrawn once raised: the victim's measured load drops as soon as
+// the ATRs start dropping, so a victim-side withdrawal test would oscillate.
 type Config struct {
-	// AbsoluteThreshold is the |D_j| estimate (distinct packets per
-	// epoch) above which a router is considered under attack. Zero
-	// disables the absolute test.
-	AbsoluteThreshold float64
-	// RelativeFactor triggers when a router's |D_j| exceeds this multiple
-	// of the mean |D_j| across all routers with traffic. Zero disables
-	// the relative test.
-	RelativeFactor float64
-	// HistoryFactor triggers when a router's |D_j| exceeds this multiple
-	// of its own exponentially weighted moving average over previous
-	// epochs. Zero disables the history test. This is the primary test
-	// used by the experiments: a flooding attack shows up as a sudden
-	// departure from the router's own baseline.
+	// HistoryFactor triggers when the busiest router's |D_j| reaches this
+	// multiple of its own exponentially weighted moving average over
+	// previous epochs: a flooding attack shows up as a sudden departure from
+	// the router's own baseline. Zero disables detection.
 	HistoryFactor float64
 	// MinHistoryEpochs is how many epochs of history are required before
 	// the history test may fire. Zero means 2.
@@ -91,21 +87,6 @@ type Config struct {
 	// ATRShare is the minimum fraction of the victim's |D_j| an ingress
 	// router must contribute to be flagged as an ATR.
 	ATRShare float64
-	// MaxATRs caps how many ATRs a single request may identify; zero
-	// means no cap.
-	MaxATRs int
-	// WithdrawFactor controls withdrawal hysteresis: pushback is
-	// withdrawn when the victim's load falls below
-	// WithdrawFactor × the triggering threshold. Zero means 0.5.
-	WithdrawFactor float64
-	// WithdrawEpochs is how many consecutive calm epochs are required
-	// before withdrawing. Zero means 2.
-	WithdrawEpochs int
-	// DisableWithdraw keeps pushback in force once raised. The victim's
-	// measured load drops as soon as the ATRs start dropping, so a
-	// victim-side withdrawal test oscillates; experiments that want the
-	// defence to stay up for the whole run set this.
-	DisableWithdraw bool
 	// ATRRise, when positive, enables cross-epoch ATR hysteresis (see the
 	// package doc): it is the EWMA weight given to a router's current
 	// contribution share when its ATR score rises. Zero disables
@@ -144,12 +125,6 @@ var ErrConfig = errors.New("pushback: invalid config")
 // tunable (they select a default or disable a test); Validate rejects values
 // that are outright contradictory.
 func (c Config) Validate() error {
-	if c.AbsoluteThreshold < 0 {
-		return fmt.Errorf("%w: absolute threshold %v", ErrConfig, c.AbsoluteThreshold)
-	}
-	if c.RelativeFactor < 0 {
-		return fmt.Errorf("%w: relative factor %v", ErrConfig, c.RelativeFactor)
-	}
 	if c.HistoryFactor < 0 {
 		return fmt.Errorf("%w: history factor %v", ErrConfig, c.HistoryFactor)
 	}
@@ -161,15 +136,6 @@ func (c Config) Validate() error {
 	}
 	if c.ATRShare < 0 || c.ATRShare > 1 {
 		return fmt.Errorf("%w: ATR share %v outside [0,1]", ErrConfig, c.ATRShare)
-	}
-	if c.MaxATRs < 0 {
-		return fmt.Errorf("%w: max ATRs %d", ErrConfig, c.MaxATRs)
-	}
-	if c.WithdrawFactor < 0 || c.WithdrawFactor > 1 {
-		return fmt.Errorf("%w: withdraw factor %v outside [0,1]", ErrConfig, c.WithdrawFactor)
-	}
-	if c.WithdrawEpochs < 0 {
-		return fmt.Errorf("%w: withdraw epochs %d", ErrConfig, c.WithdrawEpochs)
 	}
 	if c.ATRRise < 0 || c.ATRRise > 1 {
 		return fmt.Errorf("%w: ATR rise %v outside [0,1]", ErrConfig, c.ATRRise)
@@ -190,14 +156,10 @@ func (c Config) Validate() error {
 // used in this repository's experiments.
 func DefaultConfig() Config {
 	return Config{
-		AbsoluteThreshold: 0,
-		RelativeFactor:    0,
-		HistoryFactor:     1.5,
-		MinHistoryEpochs:  2,
-		MinVictimLoad:     50,
-		ATRShare:          0.02,
-		WithdrawFactor:    0.5,
-		WithdrawEpochs:    2,
+		HistoryFactor:    1.5,
+		MinHistoryEpochs: 2,
+		MinVictimLoad:    50,
+		ATRShare:         0.02,
 	}
 }
 
@@ -215,13 +177,12 @@ func HardenedConfig() Config {
 	return c
 }
 
-// Coordinator consumes traffic-matrix epoch reports and raises/withdraws
-// pushback requests.
+// Coordinator consumes traffic-matrix epoch reports and raises pushback
+// requests.
 type Coordinator struct {
 	cfg Config
 
 	onPushback func(Request)
-	onWithdraw func(victim netsim.NodeID)
 
 	eligible map[netsim.NodeID]bool
 
@@ -252,17 +213,11 @@ type Coordinator struct {
 var coordinatorPool = pool.FreeList[Coordinator]{Cap: 256}
 
 // NewCoordinator creates a coordinator. onPushback fires when an attack is
-// detected; onWithdraw fires when the victim's load subsides. Either callback
-// may be nil. The object comes from the package pool when a released
+// detected, and may be nil. The third callback is never called: pushback is
+// never withdrawn. The object comes from the package pool when a released
 // coordinator is available, so sweep-scale construction allocates nothing in
 // steady state.
-func NewCoordinator(cfg Config, onPushback func(Request), onWithdraw func(victim netsim.NodeID)) *Coordinator {
-	if cfg.WithdrawFactor <= 0 {
-		cfg.WithdrawFactor = 0.5
-	}
-	if cfg.WithdrawEpochs <= 0 {
-		cfg.WithdrawEpochs = 2
-	}
+func NewCoordinator(cfg Config, onPushback func(Request), _ func(victim netsim.NodeID)) *Coordinator {
 	c := coordinatorPool.Get()
 	if c == nil {
 		c = &Coordinator{}
@@ -290,7 +245,6 @@ func NewCoordinator(cfg Config, onPushback func(Request), onWithdraw func(victim
 	*c = Coordinator{
 		cfg:        cfg,
 		onPushback: onPushback,
-		onWithdraw: onWithdraw,
 		eligible:   eligible,
 		st: CoordinatorState{
 			History:       c.st.History[:0],
@@ -311,7 +265,6 @@ func NewCoordinator(cfg Config, onPushback func(Request), onWithdraw func(victim
 // to the next owner.
 func (c *Coordinator) Release() {
 	c.onPushback = nil
-	c.onWithdraw = nil
 	c.cfg = Config{}
 	clear(c.eligible) // keep the map header and buckets for the next owner
 	coordinatorPool.Put(c)
@@ -354,7 +307,6 @@ func (c *Coordinator) HandleReport(report trafficmatrix.EpochReport) {
 	c.updateHistory(report, found, victim)
 	if c.st.Active {
 		c.updateATRScores(report)
-		c.maybeWithdraw(found, victim, load)
 		return
 	}
 	if !found {
@@ -368,6 +320,8 @@ func (c *Coordinator) HandleReport(report trafficmatrix.EpochReport) {
 	}
 	c.st.Active = true
 	c.st.ActiveVictim = victim
+	// Nothing reads TriggerLoad or CalmEpochs; they are kept because the
+	// snapshot format carries them.
 	c.st.TriggerLoad = threshold
 	c.st.CalmEpochs = 0
 	c.st.RequestsFired++
@@ -463,9 +417,6 @@ func (c *Coordinator) updateATRScores(report trafficmatrix.EpochReport) {
 		if c.eligible != nil && !c.eligible[id] {
 			continue
 		}
-		if c.cfg.MaxATRs > 0 && c.st.Identified >= int64(c.cfg.MaxATRs) {
-			continue
-		}
 		c.st.IdentifiedATR[i] = true
 		c.st.Identified++
 		grew = true
@@ -523,48 +474,26 @@ func (c *Coordinator) fireIdentifiedSet(epoch int, load float64) {
 	}
 }
 
-// detectVictim applies the absolute and relative load tests and returns the
-// most-loaded router that crossed a threshold.
+// detectVictim judges the epoch's busiest router, and only it: it is the
+// victim when its |D_j| is at least MinVictimLoad and at least HistoryFactor
+// times its own EWMA baseline, once MinHistoryEpochs epochs have been seen.
 func (c *Coordinator) detectVictim(report trafficmatrix.EpochReport) (victim netsim.NodeID, load, threshold float64, found bool) {
-	var (
-		sum   float64
-		count int
-		maxID netsim.NodeID = netsim.NoNode
-		maxDj float64
-	)
+	victim = netsim.NoNode
 	for _, id := range report.Routers {
-		dj := report.DestEstimate(id)
-		if dj <= 0 {
-			continue
-		}
-		sum += dj
-		count++
-		if dj > maxDj {
-			maxDj = dj
-			maxID = id
+		if dj := report.DestEstimate(id); dj > load {
+			victim, load = id, dj
 		}
 	}
-	if maxID == netsim.NoNode || maxDj < c.cfg.MinVictimLoad {
-		return maxID, maxDj, 0, false
+	if victim == netsim.NoNode || load < c.cfg.MinVictimLoad ||
+		c.cfg.HistoryFactor <= 0 || c.st.HistorySeen < int64(c.cfg.MinHistoryEpochs) {
+		return victim, load, 0, false
 	}
-	if c.cfg.AbsoluteThreshold > 0 && maxDj >= c.cfg.AbsoluteThreshold {
-		return maxID, maxDj, c.cfg.AbsoluteThreshold, true
+	base, ok := c.baseline(victim)
+	if !ok || base <= 0 {
+		return victim, load, 0, false
 	}
-	if c.cfg.RelativeFactor > 0 && count > 1 {
-		mean := (sum - maxDj) / float64(count-1)
-		if mean > 0 && maxDj >= c.cfg.RelativeFactor*mean {
-			return maxID, maxDj, c.cfg.RelativeFactor * mean, true
-		}
-	}
-	if c.cfg.HistoryFactor > 0 && c.st.HistorySeen >= int64(c.cfg.MinHistoryEpochs) {
-		if baselineLoad, ok := c.baseline(maxID); ok && baselineLoad > 0 {
-			threshold := c.cfg.HistoryFactor * baselineLoad
-			if maxDj >= threshold {
-				return maxID, maxDj, threshold, true
-			}
-		}
-	}
-	return maxID, maxDj, 0, false
+	threshold = c.cfg.HistoryFactor * base
+	return victim, load, threshold, load >= threshold
 }
 
 // baseline returns the EWMA |D_j| baseline for a router, if one exists yet.
@@ -624,9 +553,6 @@ func (c *Coordinator) identifyATRs(report trafficmatrix.EpochReport, victim nets
 			continue
 		}
 		atrs = append(atrs, ATR{Router: cell.Source, Packets: cell.Packets, Share: share})
-		if c.cfg.MaxATRs > 0 && len(atrs) >= c.cfg.MaxATRs {
-			break
-		}
 	}
 	slices.SortFunc(atrs, func(a, b ATR) int {
 		switch {
@@ -639,39 +565,4 @@ func (c *Coordinator) identifyATRs(report trafficmatrix.EpochReport, victim nets
 		}
 	})
 	return atrs
-}
-
-// maybeWithdraw tracks calm epochs while pushback is active and withdraws
-// once the victim's load stays low long enough.
-func (c *Coordinator) maybeWithdraw(found bool, victim netsim.NodeID, load float64) {
-	if c.cfg.DisableWithdraw {
-		return
-	}
-	calm := !found || victim != c.st.ActiveVictim || load < c.cfg.WithdrawFactor*c.st.TriggerLoad
-	if !calm {
-		c.st.CalmEpochs = 0
-		return
-	}
-	c.st.CalmEpochs++
-	if c.st.CalmEpochs < int64(c.cfg.WithdrawEpochs) {
-		return
-	}
-	c.st.Active = false
-	c.st.CalmEpochs = 0
-	c.resetATRScores()
-	if c.onWithdraw != nil {
-		c.onWithdraw(c.st.ActiveVictim)
-	}
-}
-
-// resetATRScores clears the hysteresis state when pushback is withdrawn, so a
-// later attack starts identification from scratch.
-func (c *Coordinator) resetATRScores() {
-	for i := range c.st.ATRScore {
-		c.st.ATRScore[i] = 0
-		c.st.IdentifiedATR[i] = false
-		c.shareScratch[i] = 0
-	}
-	c.st.Identified = 0
-	c.st.PendingRefire = false
 }

@@ -49,7 +49,7 @@ type WorkloadSpec struct {
 	// constant-rate flood.
 	AttackPulsePeriod sim.Time
 	// AttackDutyCycle is the fraction of each pulse period spent
-	// flooding when AttackPulsePeriod is set. Zero means 0.2.
+	// flooding when AttackPulsePeriod is set, at most 1. Zero means 0.2.
 	AttackDutyCycle float64
 
 	// AttackGroups, when greater than one, turns the attack into a
@@ -104,11 +104,8 @@ type WorkloadSpec struct {
 	// the zombies' own addresses.
 	SpoofLegitFraction float64
 
-	// LegitStart is when legitimate flows begin, spread uniformly over
-	// StartWindow.
-	LegitStart sim.Time
-	// StartWindow spreads legitimate flow starts so they do not
-	// synchronise.
+	// StartWindow spreads legitimate flow starts uniformly over
+	// [0, StartWindow) so they do not synchronise.
 	StartWindow sim.Time
 	// AttackStart is when every attack flow begins flooding.
 	AttackStart sim.Time
@@ -130,7 +127,6 @@ func DefaultWorkloadSpec() WorkloadSpec {
 		RTT:                  40 * sim.Millisecond,
 		SpoofIllegalFraction: 0.2,
 		SpoofLegitFraction:   0.5,
-		LegitStart:           0,
 		StartWindow:          200 * sim.Millisecond,
 		AttackStart:          500 * sim.Millisecond,
 	}
@@ -169,8 +165,17 @@ func (s WorkloadSpec) Validate() error {
 	if s.TCPShare < 0 || s.TCPShare > 1 || s.UDPShare < 0 || s.UDPShare > 1 || s.TCPShare+s.UDPShare > 1.0+1e-9 {
 		return fmt.Errorf("%w: shares tcp=%v udp=%v", ErrBadSpec, s.TCPShare, s.UDPShare)
 	}
-	if s.AttackRate <= 0 || s.LegitRate <= 0 {
-		return fmt.Errorf("%w: rates must be positive", ErrBadSpec)
+	if s.AttackRate <= 0 || s.LegitRate <= 0 || s.UDPRate < 0 {
+		return fmt.Errorf("%w: rates attack=%v legit=%v udp=%v", ErrBadSpec, s.AttackRate, s.LegitRate, s.UDPRate)
+	}
+	if s.PacketSize <= 0 || s.RTT <= 0 {
+		return fmt.Errorf("%w: packet size %d and RTT %v must be positive", ErrBadSpec, s.PacketSize, s.RTT)
+	}
+	if s.AttackPulsePeriod < 0 || s.AttackDutyCycle < 0 || s.AttackDutyCycle > 1 {
+		return fmt.Errorf("%w: pulse period %v, duty cycle %v", ErrBadSpec, s.AttackPulsePeriod, s.AttackDutyCycle)
+	}
+	if s.StartWindow < 0 || s.AttackStart < 0 {
+		return fmt.Errorf("%w: start window %v and attack start %v must not be negative", ErrBadSpec, s.StartWindow, s.AttackStart)
 	}
 	frac := s.SpoofIllegalFraction + s.SpoofLegitFraction
 	if s.SpoofIllegalFraction < 0 || s.SpoofLegitFraction < 0 || frac > 1.0+1e-9 {
@@ -233,7 +238,7 @@ func (w *Workload) StartAll(spec WorkloadSpec, rng *sim.RNG) {
 		if spec.StartWindow > 0 {
 			offset = sim.Time(rng.Intn(int(spec.StartWindow)))
 		}
-		f.Start(spec.LegitStart + offset)
+		f.Start(offset)
 	}
 	for _, f := range w.Flash {
 		offset := sim.Time(0)
