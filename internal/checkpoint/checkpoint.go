@@ -340,8 +340,10 @@ func (s *Session) Capture() (*Snapshot, error) {
 }
 
 // captureEvents classifies every pending event against the registry into
-// snap.Events, in the order the scheduler's arena holds them: Restore is what
-// puts them in sequence order. Probe records are numbered in the same order.
+// snap.Events, in the order the scheduler's arena holds them, each link
+// arrival followed by the arrivals chained behind it on its link: Restore is
+// what puts them in sequence order. Probe records are numbered in the same
+// order.
 func (s *Session) captureEvents() error {
 	w := s.World
 	snap := &s.snap
@@ -382,6 +384,13 @@ func (s *Session) captureEvents() error {
 				return
 			}
 			netsim.CapturePacket(pkt, &st.Packet)
+			// The packet heads its link's in-flight chain; the arrivals
+			// behind it are not in the calendar yet, and follow it here.
+			l := s.links[role.index]
+			for p, at, seq := l.NextInFlight(pkt); p != nil; p, at, seq = l.NextInFlight(p) {
+				snap.Events = append(snap.Events, EventState{At: at, Seq: seq, Kind: EvLinkArrive, Index: role.index})
+				netsim.CapturePacket(p, &snap.Events[len(snap.Events)-1].Packet)
+			}
 		case EvMonitorTick:
 			if ev.ArgH != nil {
 				st.Kind = EvMonitorLate
@@ -586,15 +595,14 @@ func Restore(w *World, snap *Snapshot) error {
 			if int(ev.Index) >= len(links) {
 				return fmt.Errorf("checkpoint: event %d names link %d of %d", ev.Seq, ev.Index, len(links))
 			}
-			l := links[ev.Index]
 			pkt, err := w.Net.RestorePacket(ev.Packet)
 			if err != nil {
 				return err
 			}
-			if err := l.RestoreInFlight(pkt, ev.At, ev.Seq); err != nil {
+			// The link queues the arrival itself if the packet heads its chain.
+			if err := links[ev.Index].RestoreInFlight(pkt, ev.At, ev.Seq); err != nil {
 				return err
 			}
-			w.Sched.RestoreEvent(ev.At, ev.Seq, nil, l, pkt, nil)
 		case EvFlowSend, EvFlowPhase, EvFlowEnd:
 			if int(ev.Index) >= len(w.Workload.Flows) {
 				return fmt.Errorf("checkpoint: event %d names flow %d of %d", ev.Seq, ev.Index, len(w.Workload.Flows))
@@ -603,24 +611,24 @@ func Restore(w *World, snap *Snapshot) error {
 			switch ev.Kind {
 			case EvFlowSend:
 				h := traffic.SendHandler(f)
-				traffic.SetSendEvent(f, w.Sched.RestoreEvent(ev.At, ev.Seq, nil, nil, nil, h))
+				traffic.SetSendEvent(f, w.Sched.InsertKeyed(ev.At, ev.Seq, nil, nil, nil, h))
 			case EvFlowPhase:
 				ph, _ := traffic.PhaseHandlers(f)
 				if ph == nil {
 					return fmt.Errorf("checkpoint: event %d schedules a phase on flow %d, which has none", ev.Seq, ev.Index)
 				}
-				traffic.SetPhaseEvent(f, w.Sched.RestoreEvent(ev.At, ev.Seq, nil, nil, nil, ph))
+				traffic.SetPhaseEvent(f, w.Sched.InsertKeyed(ev.At, ev.Seq, nil, nil, nil, ph))
 			default:
 				_, eh := traffic.PhaseHandlers(f)
 				if eh == nil {
 					return fmt.Errorf("checkpoint: event %d schedules a phase end on flow %d, which has none", ev.Seq, ev.Index)
 				}
-				w.Sched.RestoreEvent(ev.At, ev.Seq, nil, nil, nil, eh)
+				w.Sched.InsertKeyed(ev.At, ev.Seq, nil, nil, nil, eh)
 			}
 		case EvMonitorTick:
-			w.Sched.RestoreEvent(ev.At, ev.Seq, nil, nil, nil, w.Monitor)
+			w.Sched.InsertKeyed(ev.At, ev.Seq, nil, nil, nil, w.Monitor)
 		case EvMonitorLate:
-			w.Sched.RestoreEvent(ev.At, ev.Seq, nil, w.Monitor, w.Monitor.RestoreEpochReport(ev.Report), nil)
+			w.Sched.InsertKeyed(ev.At, ev.Seq, nil, w.Monitor, w.Monitor.RestoreEpochReport(ev.Report), nil)
 		case EvProbeSend, EvWindowEnd:
 			if int(ev.Index) >= len(w.MAFIC) {
 				return fmt.Errorf("checkpoint: event %d names defender %d of %d", ev.Seq, ev.Index, len(w.MAFIC))
@@ -633,7 +641,7 @@ func Restore(w *World, snap *Snapshot) error {
 			if ev.Kind == EvWindowEnd {
 				ah = we
 			}
-			w.Sched.RestoreEvent(ev.At, ev.Seq, nil, ah, probeRecs[ev.Probe], nil)
+			w.Sched.InsertKeyed(ev.At, ev.Seq, nil, ah, probeRecs[ev.Probe], nil)
 		default:
 			return fmt.Errorf("checkpoint: unknown event kind %d", ev.Kind)
 		}

@@ -23,9 +23,20 @@
 // captured by classifying their handlers against a closed registry — link
 // arrivals, flow send/phase/end, monitor ticks, probe timers — and
 // re-inserted with their original timestamps and sequence numbers
-// (sim.Scheduler.RestoreEvent) against the rebuilt objects. An event whose
+// (sim.Scheduler.InsertKeyed) against the rebuilt objects. An event whose
 // handler cannot be classified fails the capture loudly rather than
 // producing a snapshot that cannot resume.
+//
+// Link arrivals are the exception in the calendar, not on the wire. A busy
+// link keeps only its in-flight chain's head queued (see "Link occupancy" in
+// netsim), so the capture, on meeting a head's arrival, walks the chain behind
+// it with netsim.Link.NextInFlight and lists one EvLinkArrive per packet, with
+// the key the packet's arrival will fire under. A snapshot's Events therefore
+// hold each head followed by its followers, in the order the calendar's
+// arena yields the heads; Restore sorts them by sequence number as before,
+// and netsim.Link.RestoreInFlight relinks each link's packets in that order
+// and queues the head's arrival itself. The file carries the same events as
+// when every arrival was queued, and files written either way restore alike.
 //
 // RNG streams are restored by fast-forward: the rebuild recreates every
 // stream with its original seed (verified), then each stream replays draws
@@ -65,8 +76,9 @@
 // and restored as a reset, any other travels with its buckets raw; a packet's
 // kind and protocol are a byte each. A table2 snapshot went from 142 KB to 43
 // KB, a stress-1k one from 673 KB to 202 KB. Pending events are listed in
-// capture order, the order the scheduler's arena holds them, and Restore sorts
-// them by sequence number: once per resume instead of once per snapshot.
+// capture order (the order the scheduler's arena holds them, each link's
+// chain behind its head), and Restore sorts them by sequence number: once per
+// resume instead of once per snapshot.
 // Restore also refuses a packet of unknown kind or protocol or negative size
 // or hop count, and a sketch with buckets set but no adds, or the reverse.
 //
@@ -146,7 +158,10 @@
 //
 // The price is lifetime: the *Snapshot a Session returns is the session's
 // own and is valid only until that session's next Capture. Encode it (or copy
-// what you need) first. The one-shot Capture function is a fresh session's
+// what you need) first. Nothing in it aliases the live run — every slice is
+// the session's copy — so it may be encoded on another goroutine while the run
+// goes on, as long as the next Capture waits for that encode: the experiment
+// package's control loop does exactly this. The one-shot Capture function is a fresh session's
 // first capture, so its Snapshot stays valid for as long as it is referenced.
 // A session must not outlive its run: the registry holds the run's pooled
 // objects by identity.
@@ -170,4 +185,11 @@
 // requested virtual times, and each hands every encoded snapshot to a save
 // callback; ResumeControlled (RunFromSnapshot without a control surface)
 // decodes, rebuilds, overlays and continues the same loop to completion.
+// Only the capture is on the run's goroutine: at each boundary the loop
+// captures, then hands Encode and the save callback to one helper goroutine
+// that works behind the next segment, and the boundary after joins it before
+// capturing again, so the session's snapshot is never captured into while it
+// is being encoded. (The final snapshot of an interrupted run is the
+// exception: it is encoded and saved before the run returns, on its own
+// goroutine.)
 package checkpoint

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"time"
 
 	"mafic/internal/checkpoint"
 	"mafic/internal/sim"
@@ -31,14 +32,27 @@ type ControlOptions struct {
 	CheckpointEvery sim.Time
 	// Save receives each encoded snapshot. data is a fresh buffer on every
 	// call and the callee owns it: it may keep it past its return and past
-	// the end of the run. An error aborts the run.
+	// the end of the run. The snapshot is captured at its boundary on the
+	// run's goroutine, but encoded and saved on a helper goroutine while the
+	// next segment runs: Save is called one call at a time, in checkpoint
+	// order, and the run returns only after the last call has returned. An
+	// error aborts the run one boundary late, at the boundary after the
+	// failed checkpoint (at the end, for the last one), as "save checkpoint
+	// at T". The final snapshot of an interrupted run is saved on the run's
+	// goroutine before it returns.
 	Save func(at sim.Time, data []byte) error
+	// Stalled, if set, is told how long the run stood at a boundary or at
+	// its end waiting for the previous Save to return. It is called on the
+	// run's goroutine.
+	Stalled func(d time.Duration)
 	// Interrupt, when it becomes receivable (normally by closing the
 	// channel), pauses the run at the next checkpoint boundary: a final
 	// snapshot is saved (if Save is set and the clock has advanced) and the
 	// run returns ErrInterrupted. A nil channel never interrupts. Interrupt
 	// latency is bounded by the checkpoint interval — with no checkpoints
-	// configured the run is a single uninterruptible segment.
+	// configured the run is a single uninterruptible segment. An interrupt
+	// raised while a Save runs is seen at the boundary after that save's,
+	// since the save runs behind the segment leading there.
 	Interrupt <-chan struct{}
 
 	// at, when set, is RunWithCheckpoints' explicit schedule: snapshots at
@@ -161,41 +175,106 @@ func (o ControlOptions) nextStop(now, end sim.Time) sim.Time {
 }
 
 // controlLoop advances a built (or rebuilt-and-restored) run to its scenario
-// duration in checkpoint-bounded segments, saving a snapshot after each
-// segment and checking for interruption between them. Its caller releases
-// the built run, whichever way the loop returns.
+// duration in checkpoint-bounded segments. At each boundary it checks for
+// interruption, then captures the run and hands the snapshot to a helper
+// goroutine that encodes and saves it while the next segment runs; the end
+// of that segment joins the save. So nothing is in flight whenever the loop
+// returns or captures, and its caller releases the built run, whichever way
+// the loop returns.
 func controlLoop(b *builtRun, opts ControlOptions) (Result, error) {
 	s := b.s
 	sched := b.res.sched
-	for {
+	behind := saveBehind{save: opts.Save, stalled: opts.Stalled}
+	for boundary := false; ; boundary = true {
 		if opts.Interrupt != nil && interrupted(opts.Interrupt) {
-			// Pause at the current event boundary. If the run has made any
-			// progress and there is somewhere to save it, take a final
-			// snapshot so the interruption loses nothing.
-			if opts.Save != nil && sched.Now() > 0 {
-				data, err := b.snapshot()
-				if err != nil {
-					return Result{}, err
-				}
-				if err := opts.Save(sched.Now(), data); err != nil {
-					return Result{}, fmt.Errorf("save final snapshot at %v: %w", sched.Now(), err)
-				}
+			return Result{}, b.pause(opts.Save)
+		}
+		if boundary {
+			snap, err := b.capture()
+			if err != nil {
+				return Result{}, err
 			}
-			return Result{}, fmt.Errorf("%w at t=%v", ErrInterrupted, sched.Now())
+			behind.start(sched.Now(), snap)
 		}
 		next := opts.nextStop(sched.Now(), s.Duration)
-		if err := sched.RunUntil(next); err != nil {
+		err := sched.RunUntil(next)
+		if serr := behind.join(); serr != nil {
+			return Result{}, serr
+		}
+		if err != nil {
 			return Result{}, fmt.Errorf("run: %w", err)
 		}
 		if next >= s.Duration {
 			return b.finish()
 		}
+	}
+}
+
+// pause ends an interrupted run at the event boundary it stands on. If the
+// run has made any progress and there is somewhere to save it, a final
+// snapshot is saved first, on this goroutine, so the interruption loses
+// nothing.
+func (b *builtRun) pause(save func(at sim.Time, data []byte) error) error {
+	now := b.res.sched.Now()
+	if save != nil && now > 0 {
 		data, err := b.snapshot()
 		if err != nil {
-			return Result{}, err
+			return err
 		}
-		if err := opts.Save(next, data); err != nil {
-			return Result{}, fmt.Errorf("save checkpoint at %v: %w", next, err)
+		if err := save(now, data); err != nil {
+			return fmt.Errorf("save final snapshot at %v: %w", now, err)
 		}
 	}
+	return fmt.Errorf("%w at t=%v", ErrInterrupted, now)
+}
+
+// errSaveExited is what a save that ended its goroutine without returning
+// (runtime.Goexit, as a test's FailNow does) reports, so the join does not
+// wait for it forever.
+var errSaveExited = errors.New("save exited without returning")
+
+// saveBehind runs a run's checkpoint saves on a helper goroutine, one at a
+// time: start hands it a captured snapshot to encode and save, and join
+// waits for that save to return. Both belong to the run's goroutine, and
+// between a start and its join the snapshot belongs to the helper.
+type saveBehind struct {
+	save    func(at sim.Time, data []byte) error
+	stalled func(d time.Duration)
+
+	at   sim.Time
+	done chan error // the save in flight; nil when there is none
+}
+
+// start encodes and saves snap behind the run. No save may be pending.
+func (sb *saveBehind) start(at sim.Time, snap *checkpoint.Snapshot) {
+	save, done := sb.save, make(chan error, 1)
+	sb.at, sb.done = at, done
+	go func() {
+		err := errSaveExited
+		defer func() { done <- err }()
+		err = save(at, checkpoint.Encode(snap))
+	}()
+}
+
+// join waits for the pending save, if any, and returns its error as the
+// checkpoint's.
+func (sb *saveBehind) join() error {
+	if sb.done == nil {
+		return nil
+	}
+	var err error
+	select {
+	case err = <-sb.done:
+	default:
+		t0 := time.Now()
+		err = <-sb.done
+		if sb.stalled != nil {
+			sb.stalled(time.Since(t0))
+		}
+	}
+	sb.done = nil
+	if err != nil {
+		return fmt.Errorf("save checkpoint at %v: %w", sb.at, err)
+	}
+	return nil
 }

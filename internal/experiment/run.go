@@ -104,8 +104,12 @@ func Run(s Scenario) (Result, error) {
 // virtual times (which must be ascending and inside (0, Duration)) to take a
 // snapshot and hand its encoded bytes to save. data is a fresh buffer on
 // every call and save owns it: it may keep it past its return and past the
-// end of the run. The run's result is bit-identical to an uninterrupted Run:
-// a snapshot is a pure read.
+// end of the run. As with ControlOptions.Save, the snapshot is encoded and
+// saved on a helper goroutine while the run goes on: save is called one call
+// at a time and in order, its error fails the run at the next checkpoint (or
+// at the end), and RunWithCheckpoints returns only after the last call has
+// returned. The run's result is bit-identical to an uninterrupted Run: a
+// snapshot is a pure read.
 func RunWithCheckpoints(s Scenario, times []sim.Time, save func(at sim.Time, data []byte) error) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
@@ -197,10 +201,9 @@ func (b *builtRun) flags() checkpoint.RunFlags {
 	}
 }
 
-// snapshot captures and encodes the run's current state. The bytes are a
-// fresh buffer the caller may keep; the capture scratch behind them is the
-// run's session, reused by the next snapshot.
-func (b *builtRun) snapshot() ([]byte, error) {
+// capture refills the run's session snapshot from its current state and
+// returns it: the session's own, valid until the next capture.
+func (b *builtRun) capture() (*checkpoint.Snapshot, error) {
 	if b.session == nil {
 		scenarioJSON, err := json.Marshal(b.s)
 		if err != nil {
@@ -209,7 +212,14 @@ func (b *builtRun) snapshot() ([]byte, error) {
 		b.session = checkpoint.NewSession(b.world(), scenarioJSON)
 	}
 	b.session.World.Flags = b.flags()
-	snap, err := b.session.Capture()
+	return b.session.Capture()
+}
+
+// snapshot captures and encodes the run's current state. The bytes are a
+// fresh buffer the caller may keep; the capture scratch behind them is the
+// run's session, reused by the next snapshot.
+func (b *builtRun) snapshot() ([]byte, error) {
+	snap, err := b.capture()
 	if err != nil {
 		return nil, err
 	}

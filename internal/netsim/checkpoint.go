@@ -27,11 +27,24 @@ type LinkState struct {
 }
 
 // CheckpointState captures the link's dynamic state into dst, its occupancy
-// settled first. The in-flight chain does not travel: it is the link's
-// pending arrival events, in order.
+// settled first. The in-flight chain does not travel as such: a snapshot
+// lists one arrival event per packet on it, the head's from the calendar and
+// the rest through NextInFlight.
 func (l *Link) CheckpointState(dst *LinkState) {
 	l.reap()
 	*dst = l.st
+}
+
+// NextInFlight returns the packet sent on the link after p, which must be in
+// flight on it, and the key (arrival instant, sequence number) its arrival
+// will be dispatched under; nil when p is the last one sent. Only the head of
+// the chain has its arrival in the calendar, so a capture walks the rest from
+// the head's event.
+func (l *Link) NextInFlight(p *Packet) (next *Packet, arrive sim.Time, seq uint64) {
+	if next = p.inNext; next == nil {
+		return nil, 0, 0
+	}
+	return next, next.txDone + l.cfg.Delay, next.txSeq
 }
 
 // RestoreState overlays captured dynamic state onto a rebuilt link, all but
@@ -44,19 +57,20 @@ func (l *Link) RestoreState(st LinkState) {
 	l.st = st
 }
 
-// RestoreInFlight puts pkt back in flight on the link, as the payload of the
-// arrival event (arrive, seq) the caller re-inserts: it rejoins the chain
-// under the key Send gave it, and counts as queued unless its transmission
-// had already been retired. The scheduler's clock must have been restored,
-// and a link's packets must come back in send order, as a snapshot's event
-// list holds them; anything else is refused.
+// RestoreInFlight puts pkt back in flight on the link, arriving under the key
+// (arrive, seq): it rejoins the chain under the key Send gave it, counts as
+// queued unless its transmission had already been retired, and if it heads
+// the chain its arrival is queued here — the caller inserts no event for it.
+// The scheduler's clock must have been restored, and a link's packets must
+// come back in send order, as sorting a snapshot's events by sequence number
+// puts them; anything else is refused.
 func (l *Link) RestoreInFlight(pkt *Packet, arrive sim.Time, seq uint64) error {
 	txDone := arrive - l.cfg.Delay
 	if t := l.inTail; t != nil && (seq <= t.txSeq || txDone < t.txDone) {
 		return fmt.Errorf("netsim: %v: in-flight packet %d (arrival %v, seq %d) is not behind packet %d (arrival %v, seq %d)",
 			l, pkt.ID, arrive, seq, t.ID, t.txDone+l.cfg.Delay, t.txSeq)
 	}
-	l.enchain(pkt, txDone, seq, !l.net.scheduler.Fired(txDone, seq))
+	l.enchainArrival(pkt, txDone, seq, !l.net.scheduler.Fired(txDone, seq))
 	return nil
 }
 

@@ -18,7 +18,8 @@
 //
 // # Link occupancy
 //
-// A link send costs one scheduler event, the packet's arrival. The end of
+// A link send costs one scheduler event, the packet's arrival, and a busy
+// link has only its next arrival in the calendar. The end of
 // its transmission — the instant a slot of the drop-tail queue frees up —
 // gets no event of its own: the count behind QueueLen and the drop-tail test
 // is settled lazily, whenever Send, QueueLen or CheckpointState looks at it,
@@ -43,13 +44,27 @@
 // what sim.Scheduler.Fired answers for the event being dispatched. Outside
 // the run loop nothing scheduled since the loop returned counts as fired.
 //
+// The same order lets a busy link hold one calendar entry instead of one per
+// packet. Send takes the arrival's sequence number with
+// sim.Scheduler.Reserve and queues the arrival only if the link was idle (no
+// packet in flight); otherwise the packet just joins the chain. Each arrival,
+// as it fires, queues the next packet's under the key reserved for it,
+// (txDone + Delay, txSeq), with sim.Scheduler.InsertKeyed. Arrivals on one
+// link never decrease in key, so the next one is always still ahead, and the
+// run dispatches exactly what it would with every arrival queued at its send:
+// the same events, keys and sequence numbers. The key Fired is asked about is
+// unchanged too — the arrival's own sequence number, reserved at the send,
+// whether or not its event is queued yet.
+//
 // The chain is threaded through Packet, so a packet is in flight on at most
 // one link at a time: hand the same *Packet to a link again only after it
 // has arrived. None of this is in a snapshot, and the count that is — the
-// link holds it as LinkState.Queued — is not believed from one: a restore
-// keeps the rebuilt link's count, relinks the packets from the pending
-// arrival events (Link.RestoreInFlight), and the checkpoint layer checks the
-// recount against the recorded value.
+// link holds it as LinkState.Queued — is not believed from one. A snapshot
+// lists one arrival per packet in flight: a capture finds each chain's head
+// in the calendar and walks the rest with Link.NextInFlight. A restore keeps
+// the rebuilt link's count and relinks the packets in sequence order with
+// Link.RestoreInFlight, which queues each chain's head itself, and the
+// checkpoint layer checks the recount against the recorded value.
 //
 // # Adjacency representation
 //

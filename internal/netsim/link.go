@@ -116,21 +116,24 @@ func (l *Link) Send(pkt *Packet) {
 	tx := l.transmissionTime(pkt.Size)
 	l.st.NextFree = start + tx
 
-	// One event per hop: the arrival, dispatched through the link itself
-	// (sim.ArgHandler) so the forwarding path allocates no closure. The end
-	// of the transmission is only a key on the in-flight chain.
-	s := l.net.scheduler
-	l.enchain(pkt, l.st.NextFree, s.Seq(), true)
-	s.ScheduleArgAt(l.st.NextFree+l.cfg.Delay, l, pkt)
+	// One event per hop, the arrival, dispatched through the link itself
+	// (sim.ArgHandler) so the forwarding path allocates no closure. Its key
+	// is taken now; only the head of the in-flight chain is in the calendar,
+	// and each arrival inserts the next. The end of the transmission is only
+	// a key on the chain.
+	l.enchainArrival(pkt, l.st.NextFree, l.net.scheduler.Reserve(), true)
 }
 
-// enchain appends pkt to the in-flight chain under its transmit-done key,
-// which must lie behind the tail's. unretired says whether it counts towards
-// st.Queued; once one packet does, all behind it do.
-func (l *Link) enchain(pkt *Packet, txDone sim.Time, seq uint64, unretired bool) {
+// enchainArrival appends pkt to the in-flight chain under its transmit-done
+// key, which must lie behind the tail's, and queues its arrival if it heads
+// the chain. unretired says whether it counts towards st.Queued; once one
+// packet does, all behind it do.
+func (l *Link) enchainArrival(pkt *Packet, txDone sim.Time, seq uint64, unretired bool) {
 	pkt.txDone, pkt.txSeq, pkt.inNext = txDone, seq, nil
 	if l.inTail != nil {
 		l.inTail.inNext = pkt
+	} else {
+		l.net.scheduler.InsertKeyed(txDone+l.cfg.Delay, seq, nil, l, pkt, nil)
 	}
 	l.inTail = pkt
 	if unretired {
@@ -142,15 +145,18 @@ func (l *Link) enchain(pkt *Packet, txDone sim.Time, seq uint64, unretired bool)
 }
 
 // OnEventArg implements sim.ArgHandler: the packet carried as arg has
-// propagated to the downstream node. It heads the in-flight chain, and its
-// transmission is retired here unless a reap got to it first.
+// propagated to the downstream node. It heads the in-flight chain: the next
+// packet's arrival is queued under the key Send reserved for it, and this
+// one's transmission is retired here unless a reap got to it first.
 func (l *Link) OnEventArg(now sim.Time, arg any) {
 	pkt := arg.(*Packet)
 	if l.txCur == pkt {
 		l.st.Queued--
 		l.txCur = pkt.inNext
 	}
-	if l.inTail == pkt {
+	if next := pkt.inNext; next != nil {
+		l.net.scheduler.InsertKeyed(next.txDone+l.cfg.Delay, next.txSeq, nil, l, next, nil)
+	} else {
 		l.inTail = nil
 	}
 	pkt.inNext = nil

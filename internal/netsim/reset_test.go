@@ -21,10 +21,11 @@ func (f *everyFifth) Handle(*Packet, sim.Time, *Router) Action {
 }
 
 // chaosTrace is what the observers a chaos run registers saw: one counter per
-// hook, per handler and for the filter.
+// hook, per handler and for the filter, and the packets handed to the network.
 type chaosTrace struct {
 	QueueDrops, FilterDrops, Delivered, Unroutable, FaultDrops int
 	Labelled, Defaulted, Filtered                              int
+	Sent                                                       int
 }
 
 // chaosRun builds a diamond on n (src - A - {B, C} - D - dst, demand-driven
@@ -33,7 +34,8 @@ type chaosTrace struct {
 // router crash. It stops mid-burst: B is still crashed, the B-D cable still
 // cut, and packets are queued and in flight on the src-A-C-D path. It returns
 // what the observers counted and one of the packets the run never released.
-func chaosRun(t *testing.T, n *Network) (*chaosTrace, *Packet) {
+// boundary, if not nil, is called each time the scheduler returns.
+func chaosRun(t *testing.T, n *Network, boundary func(*chaosTrace)) (*chaosTrace, *Packet) {
 	t.Helper()
 	sched := n.Scheduler()
 	n.Reserve(6)
@@ -74,14 +76,27 @@ func chaosRun(t *testing.T, n *Network) (*chaosTrace, *Packet) {
 		pkt.Label = label
 		pkt.Kind = KindData
 		pkt.Size = 1000
+		tr.Sent++
 		src.Send(pkt)
 		return pkt
 	}
 	plain := FlowLabel{SrcIP: src.PrimaryIP(), DstIP: dst.PrimaryIP(), SrcPort: 9, DstPort: 80}
+	runUntil := func(deadline sim.Time) {
+		t.Helper()
+		if err := sched.RunUntil(deadline); err != nil {
+			t.Fatal(err)
+		}
+		if boundary != nil {
+			boundary(tr)
+		}
+	}
 	run := func() {
 		t.Helper()
 		if err := sched.Run(); err != nil {
 			t.Fatal(err)
+		}
+		if boundary != nil {
+			boundary(tr)
 		}
 	}
 
@@ -92,9 +107,7 @@ func chaosRun(t *testing.T, n *Network) (*chaosTrace, *Packet) {
 	run()
 	// B crashes under a packet that is already on the A->B link.
 	send(plain)
-	if err := sched.RunUntil(sched.Now() + 3*sim.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	runUntil(sched.Now() + 3*sim.Millisecond)
 	if err := n.FailRouter(rb.ID()); err != nil {
 		t.Fatal(err)
 	}
@@ -114,9 +127,7 @@ func chaosRun(t *testing.T, n *Network) (*chaosTrace, *Packet) {
 			eighth = pkt
 		}
 	}
-	if err := sched.RunUntil(sched.Now() + 5*sim.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	runUntil(sched.Now() + 5*sim.Millisecond)
 	tr.Filtered = filter.seen
 	return tr, eighth
 }
@@ -156,7 +167,7 @@ func netView(n *Network) []string {
 // first run's observers hear nothing more.
 func TestResetLeavesNothingBehind(t *testing.T) {
 	n := New(sim.NewScheduler(), sim.NewRNG(1))
-	first, _ := chaosRun(t, n)
+	first, _ := chaosRun(t, n, nil)
 	if first.QueueDrops == 0 || first.FilterDrops == 0 || first.Delivered == 0 || first.Unroutable == 0 ||
 		first.FaultDrops == 0 || first.Labelled == 0 || first.Defaulted == 0 {
 		t.Fatalf("the chaos run left an observer idle: %+v", first)
@@ -214,8 +225,8 @@ func TestResetLeavesNothingBehind(t *testing.T) {
 		t.Fatal("FailRouter found a router on a reset network")
 	}
 
-	again, _ := chaosRun(t, n)
-	want, _ := chaosRun(t, fresh)
+	again, _ := chaosRun(t, n, nil)
+	want, _ := chaosRun(t, fresh, nil)
 	if *again != *want {
 		t.Errorf("observers on the reset network counted %+v, on a new one %+v", *again, *want)
 	}
@@ -236,7 +247,7 @@ func TestResetLeavesNothingBehind(t *testing.T) {
 // reset still trips the double-release panic.
 func TestResetRethreadsPacketPool(t *testing.T) {
 	n := New(sim.NewScheduler(), sim.NewRNG(1))
-	_, inFlight := chaosRun(t, n)
+	_, inFlight := chaosRun(t, n, nil)
 	if inFlight.freed {
 		t.Fatal("the chaos run released its last packet")
 	}

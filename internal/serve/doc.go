@@ -9,26 +9,32 @@
 //
 //   - A full queue sheds new submissions explicitly (ErrQueueFull → 503)
 //     rather than queueing unboundedly.
-//   - Snapshots are written behind the run: a checkpoint is handed to a
-//     writer goroutine (the unchanged checkpoint.Store.Save: temp + fsync +
-//     rename + dir-fsync, rotation after the new file is durable) and the
-//     simulation goes on while it lands. Exactly one write is in flight; the
-//     next boundary waits for it and fails the attempt with its error, and an
-//     attempt never ends — completed, failed, canceled, drained or timed out
-//     — with a write pending. A job's snapshot count, last checkpoint and
-//     Metrics.SnapshotsWritten move only when a file is durable. The price: a
-//     kill -9 can lose up to two checkpoint intervals, the one being
-//     simulated and the one being written, where a synchronous save lost one.
+//   - Snapshots are written behind the run. The control loop of
+//     experiment.RunControlled captures each checkpoint on the run's
+//     goroutine and hands its encoding and the attempt's Save — the durable
+//     write, the unchanged checkpoint.Store.Save: temp + fsync + rename +
+//     dir-fsync, rotation after the new file is durable — to a helper
+//     goroutine, and the simulation goes on while it lands. Exactly one save
+//     is in flight; the next boundary waits for it and fails the attempt with
+//     its error, and the run never returns — completed, failed, canceled,
+//     drained or timed out — with a save pending. A job's snapshot count,
+//     last checkpoint and Metrics.SnapshotsWritten move only when a file is
+//     durable; Metrics.SnapshotWaits and SnapshotWaitMs add up the waits the
+//     loop reports through ControlOptions.Stalled. The price: a kill -9 can
+//     lose up to two checkpoint intervals, the one being simulated and the
+//     one being written, where a synchronous save lost one.
 //   - A transient run failure is retried with bounded doubling backoff,
-//     resuming from the newest snapshot — which, the failed attempt having
-//     flushed, is the last one the run handed over — so a retry repeats at
-//     most one checkpoint interval. (A failed snapshot write is seen one
-//     boundary late; that retry repeats up to two.)
+//     resuming from the newest snapshot — which, the failed run having
+//     waited for its last save, is the last one the run handed over — so a
+//     retry repeats at most one checkpoint interval. (A failed snapshot write
+//     is seen one boundary late; that retry repeats up to two.)
 //   - A per-job wall-clock timeout fails the job terminally — timed out,
 //     not hung, and not retried.
 //   - Drain (SIGTERM or POST /drain) pauses every in-flight job at the next
 //     checkpoint boundary, saves one final snapshot, and leaves the job's
-//     manifest marked running so the next process resumes it.
+//     manifest marked running so the next process resumes it. A drain
+//     ordered while a snapshot is being written pauses at the boundary after
+//     that snapshot's, still within one interval of the order.
 //   - On startup the server scans its store, re-enqueues every queued or
 //     running job, and resumes each from its newest snapshot that actually
 //     validates — falling back loudly past torn or bit-flipped files.

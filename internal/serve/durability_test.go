@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,70 +15,6 @@ import (
 	"mafic/internal/experiment"
 	"mafic/internal/sim"
 )
-
-// TestWriteBehindOneWriteInFlight drives the helper alone with a write that
-// blocks until told: a second save neither returns nor starts its write while
-// the first is in flight, a failed write is reported by the next save (which
-// then writes nothing) and not again by the flush after it.
-func TestWriteBehindOneWriteInFlight(t *testing.T) {
-	var inFlight, stalls atomic.Int32
-	entered := make(chan sim.Time)
-	release := make(chan error)
-	wb := writeBehind{
-		write: func(at sim.Time, _ []byte) error {
-			if n := inFlight.Add(1); n != 1 {
-				t.Errorf("%d writes in flight", n)
-			}
-			defer inFlight.Add(-1)
-			entered <- at
-			return <-release
-		},
-		stalled: func(time.Duration) { stalls.Add(1) },
-	}
-	if err := wb.flush(); err != nil {
-		t.Fatalf("flush with nothing pending: %v", err)
-	}
-	if err := wb.save(1, nil); err != nil {
-		t.Fatalf("first save: %v", err)
-	}
-	if at := <-entered; at != 1 {
-		t.Fatalf("write of t=%v started, want t=1", at)
-	}
-
-	second := make(chan error, 1)
-	go func() { second <- wb.save(2, nil) }()
-	select {
-	case err := <-second:
-		t.Fatalf("second save returned (%v) with the first write still in flight", err)
-	case at := <-entered:
-		t.Fatalf("write of t=%v started with the first still in flight", at)
-	case <-time.After(50 * time.Millisecond):
-	}
-	release <- nil
-	if at := <-entered; at != 2 {
-		t.Fatalf("write of t=%v started, want t=2", at)
-	}
-	if err := <-second; err != nil {
-		t.Fatalf("second save: %v", err)
-	}
-	if stalls.Load() != 1 {
-		t.Errorf("stalled called %d times for one save that waited, want 1", stalls.Load())
-	}
-
-	boom := errors.New("disk full")
-	release <- boom
-	if err := wb.save(3, nil); !errors.Is(err, boom) {
-		t.Fatalf("save after a failed write: got %v, want the write's error", err)
-	}
-	select {
-	case at := <-entered:
-		t.Fatalf("write of t=%v started after the previous one failed", at)
-	case <-time.After(20 * time.Millisecond):
-	}
-	if err := wb.flush(); err != nil {
-		t.Fatalf("flush reported the same failure twice: %v", err)
-	}
-}
 
 // serviceResultBytes is result.json of spec run through a service of its own
 // with nothing going wrong.
@@ -101,7 +36,8 @@ func serviceResultBytes(t *testing.T, spec JobSpec) []byte {
 
 // TestSnapshotWriteFailureSurfacesAndRetryResumesFromDurable fails one
 // snapshot write, once. The attempt must end no later than the next boundary
-// (mid-run) or the final flush (last snapshot), nothing the client can see may
+// (mid-run) or the run's end, where the control loop joins its last save (last
+// snapshot: the subtest's "flush"), nothing the client can see may
 // count the unwritten file, and the retry must resume from the newest snapshot
 // that did reach the disk and still produce the uninterrupted run's bytes.
 func TestSnapshotWriteFailureSurfacesAndRetryResumesFromDurable(t *testing.T) {
@@ -119,7 +55,7 @@ func TestSnapshotWriteFailureSurfacesAndRetryResumesFromDurable(t *testing.T) {
 			sv, logs := newTestServer(t, Config{Workers: 1, MaxRetries: 1})
 			sv.sleep = func(time.Duration) bool { return true }
 			// calls and written are touched by one write at a time, each
-			// ordered after the last by the helper's own hand-over.
+			// ordered after the last by the control loop's join.
 			var calls []sim.Time
 			written, failed := 0, false
 			sv.save = func(st *checkpoint.Store, at sim.Time, data []byte) error {
@@ -186,9 +122,9 @@ func TestSnapshotWriteFailureSurfacesAndRetryResumesFromDurable(t *testing.T) {
 }
 
 // TestCompletionWaitsForPendingWrite holds the last snapshot's write open
-// past the end of the run: until it is let go the job must stay running with
-// no result.json and its snapshots in place, and the wait must show on
-// /healthz afterwards.
+// past the end of the simulation: until it is let go the runner must not
+// return, and the job must stay running with no result.json and its snapshots
+// in place; the wait must show on /healthz afterwards.
 func TestCompletionWaitsForPendingWrite(t *testing.T) {
 	spec := quickSpec() // 1000 ms at the default 100 ms interval: last snapshot at 900
 	sv, _ := newTestServer(t, Config{Workers: 1})
@@ -211,16 +147,18 @@ func TestCompletionWaitsForPendingWrite(t *testing.T) {
 	if _, err := sv.Submit(spec); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	for _, ch := range []chan struct{}{entered, ranOut} {
-		select {
-		case <-ch:
-		case <-time.After(30 * time.Second):
-			t.Fatal("the run never got to its last snapshot and past it")
-		}
+	select {
+	case <-entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the run never got to its last snapshot")
 	}
-	// The run is over and its last write is not. Give a completion that does
-	// not wait every chance to show itself.
-	time.Sleep(50 * time.Millisecond)
+	// The last segment is 100 simulated ms, far less than this: a runner
+	// that did not wait for the write would be back by now.
+	select {
+	case <-ranOut:
+		t.Fatal("the runner returned with its last snapshot write pending")
+	case <-time.After(100 * time.Millisecond):
+	}
 	if _, err := os.Stat(filepath.Join(sv.jobDir(1), "result.json")); !os.IsNotExist(err) {
 		t.Errorf("result.json exists with a snapshot write pending (stat: %v)", err)
 	}

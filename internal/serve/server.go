@@ -583,11 +583,12 @@ func (sv *Server) runJob(j *job) {
 }
 
 // attempt executes one run attempt under the control surface: periodic
-// snapshots written behind the run into the job's store, interruption wired to
-// cancel/drain/timeout, and resume from the newest valid snapshot with loud
-// fallback past corrupt or unrestorable ones. Whenever the runner has
-// returned, the write-behind has been flushed: the attempt (and after it
-// completeJob) touches the store only with no write pending.
+// snapshots written into the job's store (the control loop saves them behind
+// the run, one at a time), interruption wired to cancel/drain/timeout, and
+// resume from the newest valid snapshot with loud fallback past corrupt or
+// unrestorable ones. The runner returns only after its last save has: the
+// attempt (and after it completeJob) touches the store only with no write
+// pending.
 func (sv *Server) attempt(j *job, s experiment.Scenario, st *checkpoint.Store) (experiment.Result, error) {
 	stop := make(chan struct{})
 	attemptDone := make(chan struct{})
@@ -618,11 +619,15 @@ func (sv *Server) attempt(j *job, s experiment.Scenario, st *checkpoint.Store) (
 	if j.spec.CheckpointEveryMs != nil {
 		every = sim.Time(*j.spec.CheckpointEveryMs * float64(sim.Millisecond))
 	}
-	wb := writeBehind{
-		// Everything a client can see of a snapshot — the job's count and
-		// last checkpoint, SnapshotsWritten, the hook — moves only once the
-		// file is durable, so none of it ever counts an unwritten one.
-		write: func(at sim.Time, data []byte) error {
+	opts := experiment.ControlOptions{
+		CheckpointEvery: every,
+		Interrupt:       stop,
+		// Save is the durable write. Everything a client can see of a
+		// snapshot — the job's count and last checkpoint, SnapshotsWritten,
+		// the hook — moves only once the file is durable, so none of it ever
+		// counts an unwritten one. A write that fails after the run's last
+		// checkpoint boundary fails the run at its end.
+		Save: func(at sim.Time, data []byte) error {
 			if err := sv.save(st, at, data); err != nil {
 				sv.log.Printf("job %d: snapshot at t=%v NOT written: %v", j.id, at, err)
 				return fmt.Errorf("write snapshot at %v: %w", at, err)
@@ -637,24 +642,14 @@ func (sv *Server) attempt(j *job, s experiment.Scenario, st *checkpoint.Store) (
 			}
 			return nil
 		},
-		stalled: func(d time.Duration) {
+		Stalled: func(d time.Duration) {
 			sv.mu.Lock()
 			sv.m.SnapshotWaits++
 			sv.m.SnapshotWaitMs += float64(d) / float64(time.Millisecond)
 			sv.mu.Unlock()
 		},
 	}
-	opts := experiment.ControlOptions{
-		CheckpointEvery: every,
-		Interrupt:       stop,
-		Save:            wb.save,
-	}
-	// A write that fails after the run's last checkpoint boundary surfaces
-	// here: the attempt fails even if the run itself finished.
-	run := func(resume []byte) (experiment.Result, error) {
-		res, err := sv.runner(s, resume, opts)
-		return res, errors.Join(err, wb.flush())
-	}
+	run := func(resume []byte) (experiment.Result, error) { return sv.runner(s, resume, opts) }
 
 	for {
 		data, info, skipped, err := st.LatestValid()

@@ -4,7 +4,7 @@ package sim
 // serializes the event arena or queue geometry directly: the restore path
 // rebuilds the scenario deterministically (recreating every build-time event
 // with its original sequence number), then uses ReconcilePending to cancel
-// build-time events that had already fired before the snapshot, RestoreEvent
+// build-time events that had already fired before the snapshot, InsertKeyed
 // to re-insert events that were scheduled at runtime, and RestoreClock to
 // land the clock, sequence counter and processed-event count on the
 // checkpointed values. Queue geometry may differ after a restore, but the
@@ -61,21 +61,6 @@ func (s *Scheduler) ReconcilePending(bound uint64, keep func(seq uint64) bool) {
 			ev.state = eventStopped
 		}
 	}
-}
-
-// RestoreEvent re-inserts a checkpointed event with an explicit dispatch time
-// and sequence number. Unlike the Schedule methods it never clamps at to the
-// current clock and never consumes a sequence number of its own; the caller
-// finishes the restore with RestoreClock.
-func (s *Scheduler) RestoreEvent(at Time, seq uint64, fn Handler, ah ArgHandler, arg any, h EventHandler) EventRef {
-	idx := s.alloc()
-	ev := &s.events[idx]
-	ev.at = at
-	ev.seq = seq
-	ev.fn, ev.ah, ev.arg, ev.h = fn, ah, arg, h
-	ev.state = eventQueued
-	s.cal.insert(timedEnt{at: at, seq: seq, idx: idx})
-	return EventRef{s: s, idx: idx, gen: ev.gen}
 }
 
 // RestoreClock force-sets the clock, the next sequence number and the

@@ -62,13 +62,31 @@
 // links retire transmitted packets this way (see "Link occupancy" there),
 // which halves the events of a run.
 //
+// # Reserve and the keyed insert: an event's place taken before it is queued
+//
+// Scheduler.Reserve hands out the next sequence number and queues nothing;
+// Scheduler.InsertKeyed later queues an event under an explicit (time,
+// sequence) key. Between the two the reserved number orders like any other:
+// an event scheduled afterwards for the same instant fires behind it. So a
+// component that knows several future events will fire in key order can keep
+// only the earliest in the calendar and insert each of the others when its
+// predecessor fires, and dispatch is the same as if all had been queued at
+// once — only the calendar is smaller. netsim's links do this with the
+// packets in flight on them (see "Link occupancy" there): a busy link holds
+// one calendar entry, not one per packet. The Schedule methods are
+// InsertKeyed under a fresh reservation, and a snapshot restore re-inserts
+// its runtime events with InsertKeyed under their recorded keys; there is no
+// other insert path. A keyed insert must not lie behind the event being
+// dispatched, or it would fire out of order.
+//
 // # Determinism rules
 //
 // Dispatch order is total: events fire in ascending (time, sequence) order,
-// where the sequence number is assigned at scheduling time. Ties at the same
-// instant therefore fire in FIFO scheduling order. The reference for that
-// order is test-only: equivalence_test.go drives seeded random scripts
-// (inserts, cancellations, same-instant bursts, sliced dispatch, restored
-// events) through the scheduler and through a container/heap queue of the
-// same keys, and requires identical dispatch.
+// where the sequence number is assigned at scheduling time (or reservation).
+// Ties at the same instant therefore fire in FIFO scheduling order. The
+// reference for that order is test-only: equivalence_test.go drives seeded
+// random scripts (inserts, cancellations, same-instant bursts, sliced
+// dispatch, keys reserved now and inserted later, restored events) through
+// the scheduler and through a container/heap queue of the same keys, and
+// requires identical dispatch.
 package sim

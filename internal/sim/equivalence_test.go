@@ -62,11 +62,18 @@ func (q *refQueue) peekLive() (refEnt, bool) {
 // whole run. Every random choice is drawn from one RNG consumed in dispatch
 // order, so the first divergence fails on the spot.
 //
+// Events also reserve a key now and insert under it later, the way a link
+// keeps only its first packet in flight in the calendar: a dispatched event
+// reserves (at, seq) ahead of the clock and schedules a carrier before at, and
+// the carrier inserts the reserved key when it fires (InsertKeyed), perhaps
+// slices later, or never if it is cancelled.
+//
 // With slice zero the script is one Run. With a positive slice it is a series
 // of RunUntil calls, each of which must stop with the clock on its deadline
-// and the reference's minimum beyond it; between slices the script schedules
-// behind and on the clock, re-inserts events under explicit keys in reverse
-// sequence order (RestoreEvent + RestoreClock) and cancels by sequence number
+// and the reference's minimum beyond it; between slices the script reserves a
+// key on the clock, schedules behind and on the clock, then inserts the
+// reserved key, re-inserts events under explicit keys in reverse sequence
+// order (InsertKeyed + RestoreClock) and cancels by sequence number
 // (ReconcilePending) — the calls a snapshot restore makes.
 func runEquivScript(t *testing.T, seed int64, spread int, slice Time) {
 	t.Helper()
@@ -82,7 +89,10 @@ func runEquivScript(t *testing.T, seed int64, spread int, slice Time) {
 	// scripts affordable.
 	budget := 1500 << (seed % 4)
 
+	// carried maps a carrier's id to the key it inserts when it fires.
+	carried := map[int]refEnt{}
 	var newEvent func(at Time)
+	var insertKeyed func(key refEnt)
 	fire := func(id int, seq uint64) Handler {
 		return func(now Time) {
 			got := refEnt{at: now, seq: seq, id: id}
@@ -106,6 +116,16 @@ func runEquivScript(t *testing.T, seed int64, spread int, slice Time) {
 				budget--
 				newEvent(now)
 			}
+			// Reserve a key ahead of the clock and a carrier before it.
+			if rng.Intn(5) == 0 && budget > 0 {
+				budget -= 2
+				key := refEnt{seq: s.Reserve(), at: now + 1 + Time(rng.Intn(spread))}
+				carried[len(refs)] = key
+				newEvent(now + Time(rng.Intn(int(key.at-now))))
+			}
+			if key, ok := carried[id]; ok {
+				insertKeyed(key)
+			}
 			// Random cancellation, including of already-fired refs
 			// (which must be a no-op).
 			if rng.Intn(3) == 0 {
@@ -120,6 +140,11 @@ func runEquivScript(t *testing.T, seed int64, spread int, slice Time) {
 		refs = append(refs, s.ScheduleAt(at, fire(id, seq)))
 		// The scheduler's rule, restated: nothing is scheduled in the past.
 		ref.push(refEnt{at: max(at, s.Now()), seq: seq, id: id})
+	}
+	insertKeyed = func(key refEnt) {
+		id := len(refs)
+		refs = append(refs, s.InsertKeyed(key.at, key.seq, fire(id, key.seq), nil, nil, nil))
+		ref.push(refEnt{at: key.at, seq: key.seq, id: id})
 	}
 	for i := 0; i < 500; i++ {
 		newEvent(Time(rng.Intn(spread)))
@@ -143,17 +168,19 @@ func runEquivScript(t *testing.T, seed int64, spread int, slice Time) {
 		if budget <= 0 {
 			continue
 		}
-		budget -= 4
+		budget -= 5
+		// A key reserved on the clock and inserted after two events that
+		// were scheduled behind it: it fires first of the three.
+		onClock := refEnt{at: deadline, seq: s.Reserve()}
 		newEvent(deadline - Time(rng.Intn(spread))) // clamped onto the clock
 		newEvent(deadline)
+		insertKeyed(onClock)
 		// Two restored events share an instant and go in higher sequence
 		// number first: the key decides, not the insertion order.
 		base := s.Seq()
 		shared := deadline + Time(rng.Intn(spread))
 		for k := uint64(2); k > 0; k-- {
-			id, seq := len(refs), base+k-1
-			refs = append(refs, s.RestoreEvent(shared, seq, fire(id, seq), nil, nil, nil))
-			ref.push(refEnt{at: shared, seq: seq, id: id})
+			insertKeyed(refEnt{at: shared, seq: base + k - 1})
 		}
 		s.RestoreClock(deadline, base+2, s.Processed())
 		if rng.Intn(4) == 0 {

@@ -207,19 +207,37 @@ func (s *Scheduler) release(idx int32) {
 	s.freeHead = idx
 }
 
-// schedule inserts one event with the given dispatch target.
+// schedule inserts one event with the given dispatch target under the next
+// sequence number, never before the clock.
 func (s *Scheduler) schedule(at Time, fn Handler, ah ArgHandler, arg any, h EventHandler) EventRef {
-	if at < s.now {
-		at = s.now
-	}
+	return s.InsertKeyed(max(at, s.now), s.Reserve(), fn, ah, arg, h)
+}
+
+// Reserve takes the next sequence number without scheduling anything: the
+// caller inserts its event under it later with InsertKeyed, and in the
+// meantime events scheduled after the reservation are ordered behind it at
+// equal times, exactly as if it had been scheduled now.
+func (s *Scheduler) Reserve() uint64 {
+	seq := s.seq
+	s.seq++
+	return seq
+}
+
+// InsertKeyed queues an event under an explicit dispatch key: at is not
+// clamped to the clock and no sequence number is consumed. seq must come from
+// Reserve, or from a snapshot the caller finishes restoring with
+// RestoreClock; the key must not lie behind the event being dispatched. It is
+// the one insert path: the Schedule methods are InsertKeyed under a fresh
+// reservation. Exactly one of fn, ah and h is the dispatch target, with arg
+// the payload when it is ah.
+func (s *Scheduler) InsertKeyed(at Time, seq uint64, fn Handler, ah ArgHandler, arg any, h EventHandler) EventRef {
 	idx := s.alloc()
 	ev := &s.events[idx]
 	ev.at = at
-	ev.seq = s.seq
+	ev.seq = seq
 	ev.fn, ev.ah, ev.arg, ev.h = fn, ah, arg, h
 	ev.state = eventQueued
-	s.cal.insert(timedEnt{at: at, seq: s.seq, idx: idx})
-	s.seq++
+	s.cal.insert(timedEnt{at: at, seq: seq, idx: idx})
 	return EventRef{s: s, idx: idx, gen: ev.gen}
 }
 
