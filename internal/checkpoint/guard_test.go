@@ -74,7 +74,7 @@ var fieldManifest = map[string][]string{
 	"metrics.Collector":         {"binWidth", "st", "tap"}, // st: the CollectorState row, held as it travels
 	"metrics.CollectorState":    {"Activated", "ActivationAt", "Bins", "Counts"},
 	"metrics.Counts":            {"ATRAttackPost", "ATRAttackPre", "ATRLegitPost", "ATRLegitPre", "DropAttack", "DropAttackPDT", "DropLegitIllegal", "DropLegitPDT", "DropLegitProbing", "FaultDrops", "QueueDrops", "VictimAttack", "VictimAttackPre", "VictimLegit", "VictimLegitPre"},
-	"netsim.Host":               {"accessRouter", "defaultHandler", "homeCount", "homeLinks", "homeRouters", "id", "ips", "nHandlers", "name", "net", "st"}, // st: the HostState row, held as it travels
+	"netsim.Host":               {"accessRouter", "defaultHandler", "homeCount", "homeLinks", "homeRouters", "id", "ips", "nHandlers", "name", "net", "st", "uplink"}, // st: the HostState row, held as it travels; uplink: derived from the links the build connects
 	"netsim.HostState":          {"Received", "Sent"},
 	"netsim.Link":               {"cfg", "from", "inTail", "net", "st", "to", "txCur"},                                                                                                                                                                                                                                                                             // st: the LinkState row, held as it travels; inTail, txCur: derived on restore from the link's pending arrival events (RestoreInFlight), not on the wire
 	"netsim.LinkState":          {"Down", "Dropped", "FaultDrops", "NextFree", "Queued", "Sent"},                                                                                                                                                                                                                                                                   // Queued: travels, but restore keeps the rebuilt link's count and checks the recount against it
@@ -94,7 +94,7 @@ var fieldManifest = map[string][]string{
 	"topology.Domain":           {"Bystanders", "Clients", "ExtraVictims", "Ingress", "LastHop", "Net", "Routers", "Victim", "VictimHomes", "Zombies", "ingressOf"},
 	"topology.lazyRouter":       {"carved", "colFree", "handed", "net", "rs", "seenVersion", "width"},
 	"topology.nameCache":        {"bystanders", "clients", "routers", "victims", "zombies"},
-	"topology.routeScratch":     {"offsets", "queue", "targets"},
+	"topology.routeScratch":     {"back", "offsets", "queue", "seen", "targets"},
 	"traffic.FlowState":         {"Acked", "Bursts", "Cwnd", "DupAcks", "FastRetx", "InBurst", "Kind", "LastAckAt", "LastAcked", "ProbeSeen", "Running", "Seq", "Sent", "Ssthresh", "Timeouts"}, // Kind: set by the constructor, compared on restore
 	"traffic.PacedSource":       {"cfg", "gateEvent", "host", "id", "label", "labelHash", "net", "open", "rng", "sendEvent", "shut", "st"},                                                      // st: the FlowState row, held as it travels; cfg: the pacing value, rebuilt by the constructor
 	"traffic.TCPSource":         {"cfg", "host", "id", "label", "labelHash", "net", "packetSize", "reverseFn", "sendEvent", "st"},                                                               // st: the FlowState row, held as it travels

@@ -22,7 +22,10 @@ import (
 // code beside the layer they check (sim, topology, netsim, trafficmatrix),
 // and the golden fixtures carry the catalog-wide results those references
 // were last certified against. Three suites below kept their names from
-// that time because the test floor pins their IDs.
+// that time because the test floor pins their IDs, one per catalog entry:
+// TestSchedulerBackendInvariance, TestAdjacencyModeInvariance (adjacency
+// rows against ForEachLink) and TestRoutingModeEquivalence (forwarding
+// against a breadth-first search).
 
 // plainRun is one scenario's reference result, computed once per test binary.
 type plainRun struct {
@@ -136,11 +139,12 @@ func TestMonitoredSetInvariance(t *testing.T) {
 	}
 }
 
-// TestSchedulerBackendInvariance runs every scenario on whatever scheduler
-// the pool hands out — its event arena and calendar-queue width and bucket
-// count tuned by whichever run came before — and requires the plain run's
-// result, which was computed on a brand-new scheduler: empty event arena,
-// queue at its initial geometry. Dispatch order must not depend on either.
+// TestSchedulerBackendInvariance runs every scenario through Run, on
+// whatever bundle the process-wide pool hands out — its scheduler's event
+// arena and calendar-queue geometry tuned by whichever run came before — and
+// requires the plain run's result, which was computed on a brand-new bundle.
+// TestBufferReuseInvariance asks the same of a bundle it passes in itself;
+// this one is the only suite that goes through Run's pool.
 func TestSchedulerBackendInvariance(t *testing.T) {
 	for _, e := range Entries() {
 		t.Run(e.Name, func(t *testing.T) {
@@ -198,10 +202,12 @@ func TestAdjacencyModeInvariance(t *testing.T) {
 	})
 }
 
-// TestRoutingModeEquivalence holds every catalog topology's next hops toward
+// TestRoutingModeEquivalence holds every catalog topology's forwarding toward
 // a host of each kind and toward a core router to a breadth-first search from
 // that destination over Neighbors — the reference topology's lazy_test.go
-// applies to every pair of nodes on small domains.
+// applies to every pair of nodes on small domains. Each router must forward
+// on LinkBetween(router, reference next hop), the attachment link for a host
+// it attaches, and NextHop must name the reference next hop.
 func TestRoutingModeEquivalence(t *testing.T) {
 	catalogDomains(t, func(t *testing.T, d *topology.Domain) {
 		net := d.Net
@@ -225,7 +231,21 @@ func TestRoutingModeEquivalence(t *testing.T) {
 				}
 			}
 			for _, r := range d.Routers {
-				if r.ID() == dest || net.AttachmentLink(r.ID(), dest) != nil {
+				if r.ID() == dest {
+					continue
+				}
+				var link *netsim.Link
+				if net.Host(dest) != nil {
+					link = net.AttachmentLink(r.ID(), dest)
+				}
+				attached := link != nil
+				if !attached {
+					link = net.RouteLink(r.ID(), dest)
+				}
+				if wantLink := net.LinkBetween(r.ID(), want[r.ID()]); link == nil || link != wantLink {
+					t.Fatalf("router %d forwards toward %d on %v, breadth-first search says %v", r.ID(), dest, link, wantLink)
+				}
+				if attached {
 					continue // delivered over the access link, never looked up
 				}
 				if got := net.NextHop(r.ID(), dest); got != want[r.ID()] {

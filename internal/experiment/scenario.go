@@ -272,7 +272,7 @@ type Result struct {
 	EventsProcessed uint64 `json:"eventsProcessed"`
 
 	// RouteEntries and RouteBytes report the resident routing state at the
-	// end of the run: demand-driven routing materializes next-hop columns
+	// end of the run: demand-driven routing materializes route columns
 	// only for destinations the workload actually used, so these measure
 	// how much of the domain's reachability the scenario paid for.
 	RouteEntries int   `json:"routeEntries"`

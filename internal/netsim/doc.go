@@ -66,10 +66,27 @@
 // Link.RestoreInFlight, which queues each chain's head itself, and the
 // checkpoint layer checks the recount against the recorded value.
 //
+// # Demand-driven routing
+//
+// A router forwards a packet in at most two lookups, neither of them a
+// search. First AttachmentLink: is the destination a host attached to this
+// router (one or two inline entries on the host)? Otherwise RouteLink: the
+// entry for this router in the destination's route column, a NodeID-indexed
+// slice of *Link. A host sends on its uplink, the link to its access router
+// that AttachTo and Connect keep on it. Columns are produced on demand by the
+// installed RouteResolver (see routing.go for the contract and the host
+// aggregation) and memoized until the graph changes: any Connect, SetDown,
+// FailRouter or RestoreRouter invalidates them all. A column entry is the
+// link LinkBetween(at, next hop) returns at the time it is computed — a down
+// link included, so a packet routed onto it is fault-dropped there, exactly
+// as if the next hop had been looked up per packet. NextHop is derived from
+// the same column (the entry's far end) and has no table of its own.
+// BenchmarkForward prices one hop; topology's lazy_test.go is the reference.
+//
 // # Adjacency representation
 //
-// The node/link graph answers two per-hop questions on the forwarding fast
-// path: LinkBetween (is there a direct link from a to b, and which one) and
+// The node/link graph answers two questions off the forwarding fast path:
+// LinkBetween (is there a direct link from a to b, and which one) and
 // AppendNeighbors (a's neighbours in ascending ID order, the order BFS route
 // computation depends on). Behind both is one sorted row of (neighbour, link)
 // entries per node, carved from a shared slab. LinkBetween is a binary search
@@ -148,7 +165,7 @@
 // filter chain. Every such drop is accounted (Hooks.OnFaultDrop, the
 // FaultDropped counters) and the packet is recycled through the pool like any
 // other terminal point. Each state flip bumps TopoVersion and invalidates the
-// memoized next-hop columns, and AppendNeighbors skips down links and links
+// memoized route columns, and AppendNeighbors skips down links and links
 // into crashed routers while any fault is active — so routing re-converges
 // around the fault. With every link and router up, none of this exists on the
 // hot path: AppendNeighbors takes the plain loop, no RNG is consulted,

@@ -19,7 +19,7 @@ import (
 //     would inject itself) are dropped and accounted. Its filter chain does
 //     not run — a dead router neither measures nor defends.
 //   - Every fault-state change bumps TopoVersion and invalidates the
-//     memoized next-hop columns, so the demand-driven route resolver
+//     memoized route columns, so the demand-driven route resolver
 //     re-snapshots the graph and shortest paths re-converge around the
 //     fault. AppendNeighbors skips down links and links into down routers
 //     while any fault is active, which is what the resolver's BFS sees.

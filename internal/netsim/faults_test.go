@@ -255,18 +255,17 @@ func TestFaultStateBumpsTopoVersion(t *testing.T) {
 }
 
 // bfsResolver is a minimal demand-driven column resolver: one BFS from the
-// destination over AppendNeighbors per request. Because it recomputes on
-// every call (the network memoizes), it sees exactly what AppendNeighbors
-// exposes — which is what makes it a fault re-convergence probe.
+// destination over AppendNeighbors per request, each discovered node v
+// sending on LinkBetween(v, u) toward the node u that discovered it. Because
+// it recomputes on every call (the network memoizes), it sees exactly what
+// AppendNeighbors exposes — which is what makes it a fault re-convergence
+// probe.
 type bfsResolver struct{ net *Network }
 
-func (r *bfsResolver) NextHopColumn(dest NodeID) []NodeID {
+func (r *bfsResolver) RouteColumn(dest NodeID) []*Link {
 	n := len(r.net.nodes)
-	col := make([]NodeID, n)
+	col := make([]*Link, n)
 	visited := make([]bool, n)
-	for i := range col {
-		col[i] = NoNode
-	}
 	queue := []NodeID{dest}
 	visited[dest] = true
 	var nbuf []NodeID
@@ -279,7 +278,7 @@ func (r *bfsResolver) NextHopColumn(dest NodeID) []NodeID {
 				continue
 			}
 			visited[v] = true
-			col[v] = u
+			col[v] = r.net.LinkBetween(v, u)
 			queue = append(queue, v)
 		}
 	}

@@ -25,6 +25,9 @@ type Host struct {
 	ips  []IP
 
 	accessRouter NodeID
+	// uplink is LinkBetween(id, accessRouter), kept by AttachTo and connect
+	// so that a send is no adjacency search; nil while there is no such link.
+	uplink *Link
 
 	// homeRouters/homeLinks record every router holding a direct link *to*
 	// this host — the final-hop links forwarding needs — filled by Connect.
@@ -77,8 +80,12 @@ func (h *Host) Received() uint64 { return h.st.Received }
 func (h *Host) Sent() uint64 { return h.st.Sent }
 
 // AttachTo records the host's access router. The caller is responsible for
-// creating the duplex link separately (topology builders do both).
-func (h *Host) AttachTo(router NodeID) { h.accessRouter = router }
+// creating the duplex link separately (topology builders do both), before or
+// after this call.
+func (h *Host) AttachTo(router NodeID) {
+	h.accessRouter = router
+	h.uplink = h.net.LinkBetween(h.id, router)
+}
 
 // AccessRouter reports the router the host is attached to.
 func (h *Host) AccessRouter() NodeID { return h.accessRouter }
@@ -146,12 +153,11 @@ func (h *Host) Send(pkt *Packet) { h.send(pkt) }
 func (h *Host) send(pkt *Packet) {
 	h.st.Sent++
 	pkt.SentAt = int64(h.net.Now())
-	link := h.net.LinkBetween(h.id, h.accessRouter)
-	if link == nil {
+	if h.uplink == nil {
 		h.net.dropUnroutable(pkt, h.id)
 		return
 	}
-	link.Send(pkt)
+	h.uplink.Send(pkt)
 }
 
 // String renders the host for diagnostics.

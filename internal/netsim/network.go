@@ -66,10 +66,10 @@ type Network struct {
 	// behind Router and Host, and the dispatch table of the forwarding path.
 	nodes []nodeSlot
 	// sparse[from] is the sorted-by-target neighbour list holding from's
-	// outgoing links: O(nodes + links) memory overall, with per-hop lookups
-	// a short binary search over a row whose length is the node's degree
-	// (2–10 in the generated domains). A nil or short spine entry means no
-	// outgoing links from that node yet.
+	// outgoing links: O(nodes + links) memory overall, with lookups a short
+	// binary search over a row whose length is the node's degree (2–10 in
+	// the generated domains). A nil or short spine entry means no outgoing
+	// links from that node yet.
 	sparse [][]adjEntry
 	// links counts the simplex links installed; see LinkTotal.
 	links   int
@@ -114,11 +114,11 @@ type Network struct {
 	handlers map[handlerKey]PacketHandler
 
 	// Demand-driven routing state (see routing.go): the installed column
-	// resolver, the dense per-destination column table (host slots alias
-	// their attachment router's column), and the materialization counters
-	// behind RouteColumns/RouteStats.
+	// resolver, the dense per-destination table of route columns (host slots
+	// alias their attachment router's column), and the materialization
+	// counters behind RouteColumns/RouteStats.
 	resolver         RouteResolver
-	routeCols        [][]NodeID
+	routeCols        [][]*Link
 	colsMaterialized int
 	colEntries       int
 	// topoVersion counts graph mutations (nodes added, links connected,
@@ -391,7 +391,7 @@ func (n *Network) Reserve(nodes int) {
 		if cap(n.routeCols) >= nodes {
 			n.routeCols = n.routeCols[:nodes]
 		} else {
-			grownCols := make([][]NodeID, nodes)
+			grownCols := make([][]*Link, nodes)
 			copy(grownCols, n.routeCols)
 			n.routeCols = grownCols
 		}
@@ -490,7 +490,7 @@ func (n *Network) connect(from, to NodeID, cfg LinkConfig) *Link {
 	if cfg.QueueLen <= 0 {
 		cfg.QueueLen = DefaultQueueLen
 	}
-	// A new link can change shortest paths; memoized next-hop columns from
+	// A new link can change shortest paths; memoized route columns from
 	// before it existed are stale. On the build-then-run lifecycle nothing
 	// has materialized yet and this is free.
 	n.invalidateRouteColumns()
@@ -501,6 +501,9 @@ func (n *Network) connect(from, to NodeID, cfg LinkConfig) *Link {
 	n.sparseInsert(from, to, l)
 	if h := n.nodes[to].host; h != nil {
 		h.noteHome(from, l)
+	}
+	if h := n.nodes[from].host; h != nil && h.accessRouter == to {
+		h.uplink = l
 	}
 	return l
 }
@@ -574,9 +577,10 @@ func (n *Network) AttachmentLink(r, h NodeID) *Link {
 	return nil
 }
 
-// LinkBetween returns the simplex link from a to b, or nil. This sits on the
-// per-hop forwarding path: a binary search of a's neighbour row (a handful of
-// entries in the generated domains) that does not allocate.
+// LinkBetween returns the simplex link from a to b, or nil: a binary search
+// of a's neighbour row (a handful of entries in the generated domains) that
+// does not allocate. Forwarding does not call it; route columns and host
+// uplinks hold the links it would find.
 func (n *Network) LinkBetween(a, b NodeID) *Link {
 	if a < 0 || int(a) >= len(n.sparse) {
 		return nil

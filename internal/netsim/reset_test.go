@@ -357,7 +357,7 @@ func TestResetCostFollowsLastBuild(t *testing.T) {
 	marker := &Router{}
 	n.nodes[:cap(n.nodes)][far].router = marker
 	n.sparse[:cap(n.sparse)][far] = make([]adjEntry, 1)
-	n.routeCols[:cap(n.routeCols)][far] = make([]NodeID, 1)
+	n.routeCols[:cap(n.routeCols)][far] = make([]*Link, 1)
 	n.Reset(sched, rng)
 	if n.nodes[:cap(n.nodes)][far].router != marker || n.sparse[:cap(n.sparse)][far] == nil || n.routeCols[:cap(n.routeCols)][far] == nil {
 		t.Error("Reset swept a table past what the last build used")

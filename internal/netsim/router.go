@@ -29,7 +29,7 @@ type Filter interface {
 }
 
 // Router forwards packets by destination-owner lookup and the network's
-// next-hop columns (see routing.go), invoking its attached filters on every
+// route columns (see routing.go), invoking its attached filters on every
 // traversing packet.
 type Router struct {
 	net  *Network
@@ -141,7 +141,9 @@ func (r *Router) forward(pkt *Packet, _ NodeID) {
 	r.route(pkt)
 }
 
-// route picks the outgoing link for the packet's destination and transmits.
+// route picks the outgoing link for the packet's destination and transmits:
+// the attachment link if the destination hangs off this router, else the
+// entry of the destination's route column.
 func (r *Router) route(pkt *Packet) {
 	// Resolve the destination owner once per packet; later hops reuse the
 	// cached node instead of repeating the address lookup.
@@ -153,13 +155,7 @@ func (r *Router) route(pkt *Packet) {
 	}
 	link := r.net.AttachmentLink(r.id, destNode)
 	if link == nil {
-		next := r.net.NextHop(r.id, destNode)
-		if next == NoNode {
-			r.net.dropUnroutable(pkt, r.id)
-			return
-		}
-		link = r.net.LinkBetween(r.id, next)
-		if link == nil {
+		if link = r.net.RouteLink(r.id, destNode); link == nil {
 			r.net.dropUnroutable(pkt, r.id)
 			return
 		}

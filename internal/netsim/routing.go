@@ -4,12 +4,12 @@ import "unsafe"
 
 // Demand-driven two-level routing.
 //
-// A next-hop row per router covering every node in the domain would be
+// A forwarding row per router covering every node in the domain would be
 // O(routers × nodes) entries, of which a DDoS-style workload ever touches a
 // vanishing fraction (traffic converges on a handful of victims, ACKs and
 // probes fan back to the edge). The network keeps forwarding state as
-// per-destination next-hop *columns*, materialized lazily the first time a
-// destination is routed to:
+// per-destination *columns* of outgoing links, materialized lazily the first
+// time a destination is routed to:
 //
 //   - Level 1 (aggregation): a single-homed host shares the column of its
 //     attachment router — the column is computed once for the router and the
@@ -21,17 +21,21 @@ import "unsafe"
 //     (one reverse BFS in the topology arena) only when its destination first
 //     appears in live traffic, then memoized until the graph changes.
 //
-// The column table is the routers' only forwarding state; hand-built networks
-// install a resolver of their own. The reference for what a column must hold
-// is test-only: topology's lazy_test.go runs a textbook per-destination BFS
-// over Neighbors and compares it with NextHop for every pair of nodes.
+// A column entry is the link itself, not the next node, so a hop is one
+// indexed load and no adjacency search. The column table is the routers' only
+// forwarding state; hand-built networks install a resolver of their own. The
+// reference for what a column must hold is test-only: topology's lazy_test.go
+// runs a textbook per-destination BFS over Neighbors and compares both the
+// next hop and the link forwarded on with it for every pair of nodes.
 type RouteResolver interface {
-	// NextHopColumn returns the next-hop column for dest: a dense
-	// NodeID-indexed table where column[at] is the next hop from node at
-	// toward dest, or NoNode where dest is unreachable. The network
-	// memoizes the returned slice until its routes are invalidated, so the
-	// resolver must hand over ownership (no later mutation).
-	NextHopColumn(dest NodeID) []NodeID
+	// RouteColumn returns the route column for dest: a dense NodeID-indexed
+	// table where column[at] is the link node at sends on toward dest — the
+	// one LinkBetween(at, next hop) returns, down or not — and nil where at
+	// has no route (unreachable, at == dest, or no link back to the node
+	// that discovered it). The network memoizes the returned slice until its
+	// routes are invalidated, so the resolver must hand over ownership (no
+	// later mutation).
+	RouteColumn(dest NodeID) []*Link
 }
 
 // SetRouteResolver installs the demand-driven column resolver and drops any
@@ -57,33 +61,50 @@ func (n *Network) invalidateRouteColumns() {
 	n.colEntries = 0
 }
 
-// NextHop returns the next hop from node at toward dest according to the
-// demand-driven column table, materializing the column on first use. NoNode
-// means no route (no resolver installed, unknown destination, or dest
-// unreachable from at).
-func (n *Network) NextHop(at, dest NodeID) NodeID {
-	if at < 0 || dest < 0 {
-		return NoNode
+// RouteLink returns the link node at sends on toward dest according to the
+// demand-driven column table, materializing the column on first use, or nil
+// when there is no route (no resolver installed, unknown destination, dest
+// unreachable from at, or at == dest). It is the forwarding path's lookup once
+// the destination is not attached to at: Router.route asks AttachmentLink
+// first, because a single-homed host's slot holds its router's column.
+func (n *Network) RouteLink(at, dest NodeID) *Link {
+	if col := n.column(dest); uint(at) < uint(len(col)) {
+		return col[at]
 	}
-	if int(dest) < len(n.routeCols) {
+	return nil
+}
+
+// NextHop returns the next hop from node at toward dest: the far end of
+// RouteLink's link, dest itself at dest, and NoNode where RouteLink has no
+// link.
+func (n *Network) NextHop(at, dest NodeID) NodeID {
+	col := n.column(dest)
+	switch {
+	case uint(at) >= uint(len(col)):
+		return NoNode
+	case at == dest:
+		return dest
+	case col[at] != nil:
+		return col[at].To()
+	}
+	return NoNode
+}
+
+// column returns the column serving dest, materializing it on first use, or
+// nil when dest has none.
+func (n *Network) column(dest NodeID) []*Link {
+	if uint(dest) < uint(len(n.routeCols)) {
 		if col := n.routeCols[dest]; col != nil {
-			if int(at) < len(col) {
-				return col[at]
-			}
-			return NoNode
+			return col
 		}
 	}
-	col := n.materializeColumn(dest)
-	if col == nil || int(at) >= len(col) {
-		return NoNode
-	}
-	return col[at]
+	return n.materializeColumn(dest)
 }
 
 // materializeColumn resolves and memoizes the column serving dest: the
 // aggregate's column is computed (or found already materialized) and dest's
 // slot set to alias it, so later lookups are a single indexed load.
-func (n *Network) materializeColumn(dest NodeID) []NodeID {
+func (n *Network) materializeColumn(dest NodeID) []*Link {
 	if n.resolver == nil || !n.nodeExists(dest) {
 		return nil
 	}
@@ -91,7 +112,7 @@ func (n *Network) materializeColumn(dest NodeID) []NodeID {
 	n.growRouteCols(agg)
 	col := n.routeCols[agg]
 	if col == nil {
-		col = n.resolver.NextHopColumn(agg)
+		col = n.resolver.RouteColumn(agg)
 		if col == nil {
 			return nil
 		}
@@ -133,7 +154,7 @@ func (n *Network) aggregateOf(dest NodeID) NodeID {
 	return dest
 }
 
-// RouteColumns reports how many distinct next-hop columns have been
+// RouteColumns reports how many distinct route columns have been
 // materialized on demand (aliased host slots are not counted).
 func (n *Network) RouteColumns() int { return n.colsMaterialized }
 
@@ -145,8 +166,8 @@ func (n *Network) RouteColumns() int { return n.colsMaterialized }
 func (n *Network) TopoVersion() uint64 { return n.topoVersion }
 
 // RouteStats reports the resident routing state: the total number of
-// next-hop entries held live in materialized columns, O(active destinations
-// × nodes), and the bytes they occupy.
+// entries held live in materialized columns, O(active destinations × nodes),
+// and the bytes they occupy.
 func (n *Network) RouteStats() (entries int, bytes int64) {
-	return n.colEntries, int64(n.colEntries) * int64(unsafe.Sizeof(NoNode))
+	return n.colEntries, int64(n.colEntries) * int64(unsafe.Sizeof((*Link)(nil)))
 }

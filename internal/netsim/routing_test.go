@@ -6,18 +6,19 @@ import (
 	"mafic/internal/sim"
 )
 
-// countingResolver returns a fixed next hop for every node and counts how
-// many columns it was asked to produce.
+// countingResolver sends every node straight to the destination, over its
+// direct link where it has one, and counts how many columns it was asked to
+// produce.
 type countingResolver struct {
 	net   *Network
 	calls int
 }
 
-func (cr *countingResolver) NextHopColumn(dest NodeID) []NodeID {
+func (cr *countingResolver) RouteColumn(dest NodeID) []*Link {
 	cr.calls++
-	col := make([]NodeID, len(cr.net.nodes))
+	col := make([]*Link, len(cr.net.nodes))
 	for i := range col {
-		col[i] = dest // every node hops straight toward dest
+		col[i] = cr.net.LinkBetween(NodeID(i), dest)
 	}
 	return col
 }
@@ -107,6 +108,50 @@ func TestConnectInvalidatesColumns(t *testing.T) {
 	net.NextHop(r0.ID(), h.ID())
 	if cr.calls != 2 {
 		t.Fatalf("resolver ran %d times, want 2 (re-materialized after invalidation)", cr.calls)
+	}
+}
+
+// BenchmarkForward prices one hop — Router.forward, route's column lookup,
+// Link.Send and the arrival that hands the packet to the next node — on a
+// 64-router ring whose one route column is resident. Each packet leaves r0
+// for a host behind r32, 33 hops away, so b.N counts hops. The hop path must
+// not allocate, and the benchmark fails if it does.
+func BenchmarkForward(b *testing.B) {
+	const routers, far = 64, 32
+	sched := sim.NewScheduler()
+	n := New(sched, sim.NewRNG(1))
+	cfg := LinkConfig{BandwidthBps: 1e9, Delay: sim.Microsecond, QueueLen: 8}
+	for i := 0; i < routers; i++ {
+		n.AddRouter("r")
+	}
+	for i := 0; i < routers; i++ {
+		if err := n.ConnectDuplex(NodeID(i), NodeID((i+1)%routers), cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	dst := n.AddHost("dst", IP(0x0a000001))
+	dst.AttachTo(far)
+	if err := n.ConnectDuplex(dst.ID(), far, cfg); err != nil {
+		b.Fatal(err)
+	}
+	n.SetRouteResolver(&bfsResolver{net: n})
+	label := FlowLabel{SrcIP: IP(0x0a000002), DstIP: dst.PrimaryIP(), SrcPort: 1, DstPort: 80}
+	send := func() {
+		pkt := n.NewPacket()
+		pkt.Label, pkt.Kind, pkt.Size = label, KindData, 1000
+		n.SendFrom(0, pkt)
+		if err := sched.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	send() // materializes the column, fills the pool and the event arena
+	if allocs := testing.AllocsPerRun(10, send); allocs != 0 {
+		b.Fatalf("a packet across %d hops allocates %.1f times, want 0", far+1, allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for hops := 0; hops < b.N; hops += far + 1 {
+		send()
 	}
 }
 

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 
 	"mafic/internal/netsim"
 )
@@ -87,15 +88,19 @@ func (a *Arena) adopt(d *Domain) {
 }
 
 // routeScratch is the slice-backed working set of the shortest-path route
-// computation: a CSR adjacency snapshot of the network plus the BFS queue,
-// indexed directly by NodeID. The resolver searches straight into the column
-// it hands over, so there is no parent table of its own.
+// computation: a CSR adjacency snapshot of the network plus the BFS queue and
+// visited marks, indexed directly by NodeID. The resolver searches straight
+// into the column it hands over, so there is no parent table of its own.
 type routeScratch struct {
 	// offsets/targets form the CSR adjacency: node id's neighbours are
-	// targets[offsets[id]:offsets[id+1]], ascending.
+	// targets[offsets[id]:offsets[id+1]], ascending. back[i] is the link
+	// targets[i] sends on toward id, LinkBetween(targets[i], id) as the
+	// snapshot found it: a down link stays, a missing one is nil.
 	offsets []int32
 	targets []netsim.NodeID
+	back    []*netsim.Link
 	queue   []netsim.NodeID
+	seen    []bool
 }
 
 // snapshot rebuilds the CSR adjacency from the network. Node IDs are dense
@@ -105,34 +110,48 @@ func (rs *routeScratch) snapshot(net *netsim.Network) int {
 	if cap(rs.offsets) < n+1 {
 		rs.offsets = make([]int32, n+1)
 	}
+	if cap(rs.seen) < n {
+		rs.seen = make([]bool, n)
+	}
 	rs.offsets = rs.offsets[:n+1]
+	rs.seen = rs.seen[:n]
 	rs.targets = rs.targets[:0]
+	rs.back = rs.back[:0]
 	for id := 0; id < n; id++ {
 		rs.offsets[id] = int32(len(rs.targets))
 		rs.targets = net.AppendNeighbors(rs.targets, netsim.NodeID(id))
 	}
 	rs.offsets[n] = int32(len(rs.targets))
+	// Sized once: growing it by appends leaves a 50 000-router domain's
+	// worth of discarded arrays behind, a few MB of peak RSS.
+	rs.back = slices.Grow(rs.back, len(rs.targets))
+	for id := 0; id < n; id++ {
+		for _, nb := range rs.targets[rs.offsets[id]:rs.offsets[id+1]] {
+			rs.back = append(rs.back, net.LinkBetween(nb, netsim.NodeID(id)))
+		}
+	}
 	return n
 }
 
-// bfs fills parents, a table as wide as the snapshot, with each reached
-// node's parent on the shortest path back toward root (its next hop toward
-// root). The root's own entry is set to itself (visited marker); unreached
-// nodes get NoNode.
-func (rs *routeScratch) bfs(root netsim.NodeID, parents []netsim.NodeID) {
-	for i := range parents {
-		parents[i] = netsim.NoNode
-	}
-	queue := rs.queue[:0]
-	queue = append(queue, root)
-	parents[root] = root
+// bfs fills col, a column as wide as the snapshot, with each reached node's
+// link toward root along the shortest-path tree rooted there (first
+// discoverer wins, neighbours in ascending order). The root and unreached
+// nodes get nil.
+func (rs *routeScratch) bfs(root netsim.NodeID, col []*netsim.Link) {
+	clear(col)
+	seen := rs.seen
+	clear(seen)
+	queue := append(rs.queue[:0], root)
+	seen[root] = true
 	for qi := 0; qi < len(queue); qi++ {
 		cur := queue[qi]
-		for _, nb := range rs.targets[rs.offsets[cur]:rs.offsets[cur+1]] {
-			if parents[nb] != netsim.NoNode {
+		lo, hi := rs.offsets[cur], rs.offsets[cur+1]
+		for i, nb := range rs.targets[lo:hi] {
+			if seen[nb] {
 				continue
 			}
-			parents[nb] = cur
+			seen[nb] = true
+			col[nb] = rs.back[int(lo)+i]
 			queue = append(queue, nb)
 		}
 	}
@@ -141,12 +160,12 @@ func (rs *routeScratch) bfs(root netsim.NodeID, parents []netsim.NodeID) {
 
 // lazyRouter is the arena's netsim.RouteResolver: the demand-driven half of
 // the two-level routing design. bind snapshots the finished domain into the
-// arena's CSR scratch; NextHopColumn then materializes one column per
-// requested destination by a single reverse BFS straight into a column carved
-// from the arena's recycled column pool. Columns handed to a network remain
-// valid for that network's lifetime; the next bind (the next sweep point)
-// reclaims their storage, exactly the ownership rule every other arena-backed
-// slice follows.
+// arena's CSR scratch; RouteColumn then materializes one column per requested
+// destination by a single reverse BFS that writes each node's outgoing link
+// straight into a column carved from the arena's recycled column pool.
+// Columns handed to a network remain valid for that network's lifetime; the
+// next bind (the next sweep point) reclaims their storage, exactly the
+// ownership rule every other arena-backed slice follows.
 type lazyRouter struct {
 	rs routeScratch
 	// net and seenVersion track which graph state the CSR snapshot
@@ -159,8 +178,8 @@ type lazyRouter struct {
 	width int
 	// handed are the columns given to the current network; colFree are
 	// columns reclaimed from earlier builds, reused when wide enough.
-	handed  [][]netsim.NodeID
-	colFree [][]netsim.NodeID
+	handed  [][]*netsim.Link
+	colFree [][]*netsim.Link
 	// carved counts column allocations ever made through this arena; the
 	// reuse tests pin that rebuilds do not grow it.
 	carved int
@@ -181,11 +200,11 @@ func (lz *lazyRouter) bind(net *netsim.Network) {
 	lz.seenVersion = net.TopoVersion()
 }
 
-// NextHopColumn implements netsim.RouteResolver: one reverse BFS rooted at
-// dest, with the column as its parent table (parent of node X on the shortest
-// path tree rooted at dest == X's next hop toward dest, ties broken by
-// ascending neighbour ID).
-func (lz *lazyRouter) NextHopColumn(dest netsim.NodeID) []netsim.NodeID {
+// RouteColumn implements netsim.RouteResolver: one reverse BFS rooted at
+// dest, with the column as its parent table (node X's parent on the shortest
+// path tree rooted at dest is X's next hop toward dest, ties broken by
+// ascending neighbour ID, and X's entry is the link from X to it).
+func (lz *lazyRouter) RouteColumn(dest netsim.NodeID) []*netsim.Link {
 	// A graph mutation after Build invalidated the network's memo; it also
 	// staled this snapshot, so refresh before computing. Untouched on the
 	// normal build-then-run lifecycle.
@@ -201,7 +220,7 @@ func (lz *lazyRouter) NextHopColumn(dest netsim.NodeID) []netsim.NodeID {
 
 // takeColumn pops a recycled column wide enough for this build, allocating
 // only when none fits.
-func (lz *lazyRouter) takeColumn() []netsim.NodeID {
+func (lz *lazyRouter) takeColumn() []*netsim.Link {
 	for i := len(lz.colFree) - 1; i >= 0; i-- {
 		if cap(lz.colFree[i]) < lz.width {
 			continue
@@ -214,5 +233,5 @@ func (lz *lazyRouter) takeColumn() []netsim.NodeID {
 		return col
 	}
 	lz.carved++
-	return make([]netsim.NodeID, lz.width)
+	return make([]*netsim.Link, lz.width)
 }

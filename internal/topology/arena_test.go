@@ -16,7 +16,8 @@ import (
 // domain with a from-scratch Build of the same configuration and seed: reused
 // storage, the network's included, must never leak state between sweep
 // points. The small builds are also held to the reference BFS for every pair
-// of nodes; the large ones compare next hops toward a host of each kind.
+// of nodes; the large ones compare forwarding links toward a host of each
+// kind.
 func TestArenaReuseMatchesFreshBuild(t *testing.T) {
 	large := DefaultConfig()
 	large.NumRouters = 5000
@@ -71,8 +72,8 @@ func TestArenaReuseMatchesFreshBuild(t *testing.T) {
 // requireSameDomain compares two domains through everything they and their
 // networks expose: roles, node IDs and names, address owners (those of
 // the previous build on got's arena too), every adjacency row in order with
-// its links' configuration and state, attachment links, TopoVersion and next
-// hops toward a host of each kind.
+// its links' configuration and state, attachment links, TopoVersion and
+// forwarding links toward a host of each kind.
 func requireSameDomain(t *testing.T, step string, got, want *Domain, stale []netsim.IP) {
 	t.Helper()
 	gn, wn := got.Net, want.Net
@@ -137,11 +138,9 @@ func requireSameDomain(t *testing.T, step string, got, want *Domain, stale []net
 				gh.AccessRouter() != wh.AccessRouter() || gh.Received() != 0 || gh.Sent() != 0 {
 				t.Fatalf("%s: host %d is %v %v behind %d, fresh build %v %v behind %d", step, id, gh, gh.IPs(), gh.AccessRouter(), wh, wh.IPs(), wh.AccessRouter())
 			}
-			// Not necessarily id: past 256 ingress routers the builder's
-			// address blocks wrap and the later host owns the address.
 			for _, ip := range gh.IPs() {
-				if g, w := gn.Owner(ip), wn.Owner(ip); g != w {
-					t.Fatalf("%s: %v belongs to node %d, fresh build %d", step, ip, g, w)
+				if g, w := gn.Owner(ip), wn.Owner(ip); g != id || w != id {
+					t.Fatalf("%s: %v of node %d belongs to node %d, fresh build %d", step, ip, id, g, w)
 				}
 			}
 			if g, w := got.IngressOf(gh), want.IngressOf(wh); (g == nil) != (w == nil) || (g != nil && g.ID() != w.ID()) {
@@ -176,8 +175,9 @@ func requireSameDomain(t *testing.T, step string, got, want *Domain, stale []net
 	}
 	for _, dest := range dests {
 		for _, gr := range got.Routers {
-			if g, w := effectiveNextHop(gn, gr, dest), effectiveNextHop(wn, wn.Router(gr.ID()), dest); g != w {
-				t.Fatalf("%s: router %d forwards to %d via %d, fresh build via %d", step, gr.ID(), dest, g, w)
+			g, w := forwardingLink(gn, gr.ID(), dest), forwardingLink(wn, gr.ID(), dest)
+			if (g == nil) != (w == nil) || (g != nil && (g.From() != gr.ID() || g.To() != w.To())) {
+				t.Fatalf("%s: router %d forwards to %d on %v, fresh build on %v", step, gr.ID(), dest, g, w)
 			}
 		}
 	}

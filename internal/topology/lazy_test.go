@@ -29,19 +29,32 @@ func refNextHops(net *netsim.Network, dest netsim.NodeID) []netsim.NodeID {
 	return hops
 }
 
-// requireReferenceNextHops compares NextHop(at, dest) with the reference for
-// every ordered pair of nodes, hosts and routers alike on both sides. The one
-// pair left out is a host destination seen from a router it attaches to:
-// that hop is the access link itself and forwarding never looks it up (a
-// single-homed host's slot holds its router's column, which says nothing
-// about the router's own last hop).
+// requireReferenceNextHops compares, for every ordered pair of distinct
+// nodes, hosts and routers alike on both sides, the link at forwards on
+// toward dest with LinkBetween(at, reference next hop) — nil where the
+// reference has none — and NextHop(at, dest) with the reference next hop. A
+// crashed router forwards nothing, so its link is not asked for. NextHop
+// leaves out a host destination seen from a router it attaches to: that hop
+// is the access link itself and forwarding never looks it up (a single-homed
+// host's slot holds its router's column, which says nothing about the
+// router's own last hop).
 func requireReferenceNextHops(t *testing.T, when string, net *netsim.Network) {
 	t.Helper()
 	n := netsim.NodeID(net.NodeCount())
 	for dest := netsim.NodeID(0); dest < n; dest++ {
 		want := refNextHops(net, dest)
 		for at := netsim.NodeID(0); at < n; at++ {
-			if at == dest || (net.Host(dest) != nil && net.LinkBetween(at, dest) != nil) {
+			if at == dest {
+				continue
+			}
+			var wantLink *netsim.Link
+			if want[at] != netsim.NoNode {
+				wantLink = net.LinkBetween(at, want[at])
+			}
+			if got := forwardingLink(net, at, dest); got != wantLink && !net.RouterDown(at) {
+				t.Fatalf("%s: %d forwards toward %d on %v, reference BFS says %v", when, at, dest, got, wantLink)
+			}
+			if net.Host(dest) != nil && net.LinkBetween(at, dest) != nil {
 				continue
 			}
 			if got := net.NextHop(at, dest); got != want[at] {
@@ -51,23 +64,27 @@ func requireReferenceNextHops(t *testing.T, when string, net *netsim.Network) {
 	}
 }
 
-// effectiveNextHop reproduces the router forwarding decision for a packet at
-// router r addressed to node dest: direct link first, then the demand-driven
-// column lookup.
-func effectiveNextHop(net *netsim.Network, r *netsim.Router, dest netsim.NodeID) netsim.NodeID {
-	if net.LinkBetween(r.ID(), dest) != nil {
-		return dest
+// forwardingLink is the link a packet at node at addressed to node dest
+// leaves on, decided the way Router.route decides it: the attachment link
+// first if dest is a host (only hosts own addresses), then the demand-driven
+// column.
+func forwardingLink(net *netsim.Network, at, dest netsim.NodeID) *netsim.Link {
+	if net.Host(dest) != nil {
+		if l := net.AttachmentLink(at, dest); l != nil {
+			return l
+		}
 	}
-	return net.NextHop(r.ID(), dest)
+	return net.RouteLink(at, dest)
 }
 
 // TestLazyForwardingMatchesEager checks the routing invariant exhaustively:
 // the lazily materialized columns against next hops computed eagerly, for all
 // pairs, by the reference BFS. On a ring with chords and on a transit-stub
 // domain, each with a multi-homed victim and extra victims, every node's next
-// hop toward every other node is the reference's — after the build, after
-// links and a router are added to the built domain, with a core link cut,
-// with a router crashed on top of that, and after both heal.
+// hop and forwarding link toward every other node are the reference's —
+// after the build, after links and a router are added to the built domain,
+// with one direction of a loaded link down, with a core link cut, with a
+// router crashed on top of that, and after both heal.
 func TestLazyForwardingMatchesEager(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumRouters = 32
@@ -98,6 +115,27 @@ func TestLazyForwardingMatchesEager(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("after post-build connects")
+
+		// One direction of a link on the way to the victim goes down. The
+		// BFS still reaches its upstream end over the reverse direction, so
+		// the down link stays in the column, as LinkBetween answers it.
+		victim := d.Victim.ID()
+		var loaded *netsim.Link
+		for _, r := range d.Routers {
+			if l := forwardingLink(net, r.ID(), victim); l != nil && net.Router(l.To()) != nil {
+				loaded = l
+				break
+			}
+		}
+		if loaded == nil {
+			t.Fatalf("style %v: no router forwards toward the victim over a core link", style)
+		}
+		loaded.SetDown(true)
+		check("with one direction of a loaded link down")
+		if got := forwardingLink(net, loaded.From(), victim); got != loaded {
+			t.Fatalf("style %v: with %v down, %d forwards toward the victim on %v", style, loaded, loaded.From(), got)
+		}
+		loaded.SetDown(false)
 
 		// Cut the shortcut, both directions, as a cable cut is.
 		net.LinkBetween(a.ID(), b.ID()).SetDown(true)

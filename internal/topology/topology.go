@@ -21,27 +21,34 @@
 //     its homes is decided exactly as a per-node BFS would.
 //   - Level 2 — lazy columns. No routes exist after Build. When a
 //     destination first appears in live traffic, the network asks the
-//     arena's resolver for that destination's next-hop column: one reverse
+//     arena's resolver for that destination's route column: one reverse
 //     BFS over the CSR adjacency snapshot, O(nodes + links), memoized for
-//     the rest of the run. A MAFIC workload only ever routes toward the
-//     victims, the edge sources (ACKs) and the spoof pool (probes), so a
-//     5000-router domain materializes a few dozen columns instead of the
-//     ~5000 × 5000 entries an all-pairs install would write.
+//     the rest of the run. A column holds each node's outgoing link toward
+//     the destination, so forwarding a packet is one indexed load. A MAFIC
+//     workload only ever routes toward the victims, the edge sources (ACKs)
+//     and the spoof pool (probes), so a 5000-router domain materializes a
+//     few dozen columns instead of the ~5000 × 5000 entries an all-pairs
+//     install would write.
 //
 // Invariants the tests pin:
 //
 //   - Next hops are those of a per-destination BFS with ascending neighbour
-//     tie-breaking, for every (node, destination) pair: lazy_test.go holds
-//     that reference — a textbook BFS over Network.Neighbors, sharing nothing
-//     with the CSR resolver — and compares it with NextHop on every domain
-//     shape, after a post-build Connect, with a link down and with a router
-//     crashed. Host aggregation is exact because a single-homed host's
-//     shortest-path tree minus the host itself IS its attachment router's
-//     tree.
+//     tie-breaking, for every (node, destination) pair, and the link a node
+//     forwards on is LinkBetween(node, next hop): lazy_test.go holds that
+//     reference — a textbook BFS over Network.Neighbors, sharing nothing
+//     with the CSR resolver — and compares it with NextHop and with the
+//     forwarding link on every domain shape, after a post-build Connect,
+//     with one direction of a loaded link down (the down link stays in the
+//     column, and packets sent on it die there), with a cable cut and with a
+//     router crashed. Host aggregation is exact because a single-homed
+//     host's shortest-path tree minus the host itself IS its attachment
+//     router's tree.
 //   - A column is materialized at most once per destination router per run,
 //     and hosts alias their router's column rather than copying it.
 //   - Column storage is recycled across sweep points: rebuilding through the
 //     same Arena reclaims every column the previous build handed out.
+//   - Every host's address is its own: Build fails with ErrConfig rather
+//     than let two hosts share one (see edgeIP for the per-ingress blocks).
 //
 // Arena-built domains (their network and routing columns included) follow the
 // arena ownership rule: valid until the next Build on the same arena.
@@ -398,7 +405,7 @@ func (a *Arena) Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, 
 	clientIdx, zombieIdx := 0, 0
 	for gi, ing := range d.Ingress {
 		for c := 0; c < cfg.ClientsPerIngress; c++ {
-			h := net.AddHost(name(&a.names.clients, "client", clientIdx), ipFrom(192, 168, byte(gi), byte(10+c)))
+			h := net.AddHost(name(&a.names.clients, "client", clientIdx), edgeIP(192, 168, gi, c, len(d.Ingress)))
 			clientIdx++
 			h.AttachTo(ing.ID())
 			if err := net.ConnectDuplex(h.ID(), ing.ID(), cfg.AccessLink); err != nil {
@@ -408,7 +415,7 @@ func (a *Arena) Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, 
 			d.setIngressOf(h, ing)
 		}
 		for z := 0; z < cfg.ZombiesPerIngress; z++ {
-			h := net.AddHost(name(&a.names.zombies, "zombie", zombieIdx), ipFrom(172, 16, byte(gi), byte(10+z)))
+			h := net.AddHost(name(&a.names.zombies, "zombie", zombieIdx), edgeIP(172, 16, gi, z, len(d.Ingress)))
 			zombieIdx++
 			h.AttachTo(ing.ID())
 			if err := net.ConnectDuplex(h.ID(), ing.ID(), cfg.AccessLink); err != nil {
@@ -423,7 +430,7 @@ func (a *Arena) Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, 
 	// addresses form the spoof pool.
 	for b := 0; b < cfg.BystanderHosts; b++ {
 		attach := d.Routers[rng.Intn(cfg.NumRouters)]
-		h := net.AddHost(name(&a.names.bystanders, "bystander", b), ipFrom(203, 0, byte(b/250), byte(b%250+1)))
+		h := net.AddHost(name(&a.names.bystanders, "bystander", b), blockIP(203, 0, b/250, 1+b%250))
 		h.AttachTo(attach.ID())
 		if err := net.ConnectDuplex(h.ID(), attach.ID(), cfg.AccessLink); err != nil {
 			return nil, fmt.Errorf("bystander link: %w", err)
@@ -431,6 +438,9 @@ func (a *Arena) Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, 
 		// Bystanders silently swallow whatever reaches them.
 		h.SetDefaultHandler(func(*netsim.Packet, sim.Time) {})
 		d.Bystanders = append(d.Bystanders, h)
+	}
+	if err := d.uniqueAddresses(); err != nil {
+		return nil, err
 	}
 
 	// Routing: snapshot the finished graph and register the arena's
@@ -524,6 +534,37 @@ func ipFrom(a, b, c, d byte) netsim.IP {
 	return netsim.IP(uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d))
 }
 
+// blockIP returns address host (1–255) of the block-th /24 counted from
+// a.b.0.0. Past a.b.255.0 the count carries into the second octet instead of
+// wrapping back onto a.b.0.0.
+func blockIP(a, b byte, block, host int) netsim.IP {
+	return ipFrom(a, b, 0, 0) + netsim.IP(block<<8|host)
+}
+
+// edgeIP is the address of host k behind ingress gi of n, in the /24s from
+// a.b.0.0 up: a.b.gi.(10+k) for the first 246 hosts behind each of the first
+// 256 ingress routers, the layout of every catalog run. Hosts past 246 take
+// the next row of n /24s, so no two (gi, k) pairs share an address.
+func edgeIP(a, b byte, gi, k, n int) netsim.IP {
+	const perBlock = 256 - 10
+	return blockIP(a, b, k/perBlock*n+gi, 10+k%perBlock)
+}
+
+// uniqueAddresses checks that every host's address resolves back to it.
+// AddHost lets a later host take an address over silently, so an address
+// handed out twice shows up as an earlier host that resolves to another node.
+func (d *Domain) uniqueAddresses() error {
+	victim := []*netsim.Host{d.Victim}
+	for _, hosts := range [][]*netsim.Host{victim, d.ExtraVictims, d.Clients, d.Zombies, d.Bystanders} {
+		for _, h := range hosts {
+			if owner := d.Net.Owner(h.PrimaryIP()); owner != h.ID() {
+				return fmt.Errorf("%w: %v is the address of both %s and node %d", ErrConfig, h.PrimaryIP(), h.Name(), owner)
+			}
+		}
+	}
+	return nil
+}
+
 // PathLength returns the number of hops between two nodes, or -1 if they are
 // disconnected. It is used by tests and by RTT estimation.
 func PathLength(net *netsim.Network, from, to netsim.NodeID) int {
@@ -535,20 +576,15 @@ func PathLength(net *netsim.Network, from, to netsim.NodeID) int {
 	if int(from) >= n || int(to) >= n || from < 0 || to < 0 {
 		return -1
 	}
-	parents := make([]netsim.NodeID, n)
-	rs.bfs(to, parents)
+	col := make([]*netsim.Link, n)
+	rs.bfs(to, col)
+	// Each link leads one level up the BFS tree, so the walk ends.
 	hops := 0
-	cur := from
-	for cur != to {
-		next := parents[cur]
-		if next == netsim.NoNode || next == cur {
+	for cur := from; cur != to; cur = col[cur].To() {
+		if col[cur] == nil {
 			return -1
 		}
-		cur = next
 		hops++
-		if hops > n+1 {
-			return -1
-		}
 	}
 	return hops
 }

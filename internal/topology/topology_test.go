@@ -212,6 +212,57 @@ func TestDeterministicConstruction(t *testing.T) {
 	}
 }
 
+// TestEveryHostOwnsItsAddress builds past each bound of the old per-block
+// layout — 275 ingress routers (maficsim -routers 1100), 300 clients behind
+// one ingress, 64 100 bystanders — and requires every host's address to
+// resolve to that host. The layout the catalog uses is pinned too: client k
+// of ingress gi is 192.168.gi.(10+k), zombie k is 172.16.gi.(10+k), bystander
+// b is 203.0.(b/250).(1+b%250).
+func TestEveryHostOwnsItsAddress(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"275 ingress", func(c *Config) { c.NumRouters = 1100 }},
+		{"300 clients per ingress", func(c *Config) { c.NumRouters, c.NumIngress, c.ClientsPerIngress = 8, 2, 300 }},
+		{"64100 bystanders", func(c *Config) { c.NumRouters, c.BystanderHosts = 8, 64100 }},
+	} {
+		d := buildDefault(t, tc.mutate)
+		for _, hosts := range [][]*netsim.Host{{d.Victim}, d.Clients, d.Zombies, d.Bystanders} {
+			for _, h := range hosts {
+				if owner := d.Net.Owner(h.PrimaryIP()); owner != h.ID() {
+					t.Fatalf("%s: %v of %s (node %d) routes to node %d", tc.name, h.PrimaryIP(), h.Name(), h.ID(), owner)
+				}
+			}
+		}
+	}
+
+	d := buildDefault(t, nil)
+	per := DefaultConfig().ClientsPerIngress
+	if got, want := d.Clients[3*per+2].PrimaryIP(), ipFrom(192, 168, 3, 12); got != want {
+		t.Errorf("client 2 of ingress 3 is %v, want %v", got, want)
+	}
+	if got, want := d.Zombies[2*DefaultConfig().ZombiesPerIngress+1].PrimaryIP(), ipFrom(172, 16, 2, 11); got != want {
+		t.Errorf("zombie 1 of ingress 2 is %v, want %v", got, want)
+	}
+	if got, want := d.Bystanders[7].PrimaryIP(), ipFrom(203, 0, 0, 8); got != want {
+		t.Errorf("bystander 7 is %v, want %v", got, want)
+	}
+}
+
+// TestDuplicateAddressIsAConfigError pins the build-time check behind it: a
+// host that takes over another's address fails it with ErrConfig.
+func TestDuplicateAddressIsAConfigError(t *testing.T) {
+	d := buildDefault(t, nil)
+	if err := d.uniqueAddresses(); err != nil {
+		t.Fatalf("a default domain fails the check: %v", err)
+	}
+	d.Net.AddHost("impostor", d.Clients[1].PrimaryIP())
+	if err := d.uniqueAddresses(); !errors.Is(err, ErrConfig) {
+		t.Fatalf("two hosts on %v: got %v, want ErrConfig", d.Clients[1].PrimaryIP(), err)
+	}
+}
+
 func TestPathLengthDisconnected(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := netsim.New(sched, sim.NewRNG(1))
