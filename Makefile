@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet check golden fuzz snap-diff bench bench-baseline bench-diff bench-smoke bench-compare search search-baseline profile
+.PHONY: all build test vet check golden fuzz snap-diff bench-compare search search-baseline profile
 
 all: build test
 
@@ -82,40 +82,9 @@ snap-diff:
 	if [ -n "$$bad" ]; then echo "snap-diff against $(BASE): of $$n scenarios these differ:$$bad"; exit 1; fi; \
 	echo "snap-diff against $(BASE): $$n scenarios, every snapshot, result JSON and resumed JSON byte-identical"
 
-# bench measures the current engine (ns/op, B/op, allocs/op per figure
-# benchmark) and writes BENCH_current.json (untracked: this target and
-# bench-diff regenerate it); diff it against the tracked BENCH_baseline.json
-# to see the performance trajectory.
-bench:
-	$(GO) run ./cmd/maficbench -out BENCH_current.json
-
-# bench-baseline deliberately re-records the tracked baseline. Run it in the
-# PR that changes engine performance so the next PR measures against it.
-bench-baseline:
-	$(GO) run ./cmd/maficbench -out BENCH_baseline.json
-
-# bench-diff is the performance regression gate: it re-measures every figure
-# benchmark (median-of-3 process-CPU-time samples, immune to host CPU-steal),
-# prints a comparison table against the tracked baseline, and exits non-zero
-# on regression. allocs/op and B/op carry the strict 10% gate — they are
-# exactly reproducible, so any excursion is a real code change. The ns/op
-# tolerance is 25% to absorb shared-host noise; the tracked baseline's ns
-# rows are CPU-time recordings since the checkpoint PR's re-record, so both
-# sides of the diff now measure the same clock.
-bench-diff:
-	$(GO) run ./cmd/maficbench -out BENCH_current.json -diff BENCH_baseline.json -tolerance 0.25
-
-# bench-smoke is the quick-mode regression gate CI runs on a schedule: only
-# the headline benchmarks, with a looser ns/op tolerance to absorb
-# shared-runner noise (allocs/op and B/op stay on the strict gate). A failure
-# here means a >25% wall-clock or >10% allocation regression slipped past
-# review.
-bench-smoke:
-	$(GO) run ./cmd/maficbench -benchmarks table2,stress-1k,stress-5k,stress-50k -diff BENCH_baseline.json -tolerance 0.25
-
-# bench-compare is the acceptance measurement of a perf PR, the paired recipe
-# of benchmark/README.md ("Comparing two commits") as one command: PARENT is
-# exported with `git archive` into a temporary directory, `./benchmark` is
+# bench-compare is the acceptance measurement of a perf PR and the repo's one
+# performance gate: the paired recipe of benchmark/README.md ("Comparing two
+# commits") as one command: PARENT is exported with `git archive` into a temporary directory, `./benchmark` is
 # built once from there and once from the working tree, the two binaries run
 # PAIRS times each (10 s per workload) taking turns to go first, and -compare
 # reads the two sets of reports. Without WORKLOAD every run is the whole suite,
@@ -140,9 +109,8 @@ bench-compare:
 	done; \
 	"$$tmp/bench.change" -compare $$(ls "$$tmp"/parent.*.json | paste -sd,) $$(ls "$$tmp"/change.*.json | paste -sd,)
 
-# search runs the full adversary-search grid (maficbench for robustness) and
-# writes ROBUST_current.json; diff it against the tracked ROBUST_baseline.json
-# to see how the worst-case accuracy per defence config moved.
+# search runs the full adversary-search grid and writes ROBUST_current.json;
+# diff it against the tracked ROBUST_baseline.json to see how the worst-case accuracy per defence config moved.
 search:
 	$(GO) run ./cmd/maficsearch -out ROBUST_current.json
 
@@ -151,10 +119,12 @@ search:
 search-baseline:
 	$(GO) run ./cmd/maficsearch -out ROBUST_baseline.json
 
-# profile runs the headline benchmark under the CPU and allocation profilers
-# so the next hotspot hunt starts from `go tool pprof cpu.pprof` instead of
-# ad-hoc wiring. Override PROFILE_BENCH to profile a different benchmark.
+# profile runs one of internal/experiment's BenchmarkRun sub-benchmarks (table2,
+# stress-1k, stress-5k, stress-50k) five times under the CPU and allocation
+# profilers, so the next hotspot hunt starts from `go tool pprof cpu.pprof`.
+# Every allocation is recorded, not one per half-megabyte: a warm run makes a
+# few hundred small ones, which the default sampling rate would mostly miss.
 PROFILE_BENCH ?= table2
 profile:
-	$(GO) run ./cmd/maficbench -benchmarks $(PROFILE_BENCH) -cpuprofile cpu.pprof -memprofile mem.pprof
+	$(GO) test ./internal/experiment -run '^$$' -bench 'Run/$(PROFILE_BENCH)$$' -benchtime 5x -cpuprofile cpu.pprof -memprofile mem.pprof -memprofilerate 1
 	@echo "wrote cpu.pprof and mem.pprof (alloc profile); inspect with: go tool pprof -top cpu.pprof"

@@ -1,8 +1,8 @@
 // Command maficsearch runs the adversary-search harness: a deterministic
 // seeded grid of attack shapes (rotation, pulsing, rate mixes, victim
 // spreads) is executed against each defence configuration, and the worst-case
-// accuracy / collateral point per defence is reported — maficbench for
-// robustness instead of speed.
+// accuracy / collateral point per defence is reported: a measurement of
+// robustness, where ./benchmark measures speed.
 //
 // Usage:
 //

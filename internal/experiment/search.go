@@ -8,14 +8,14 @@ import (
 	"mafic/internal/sim"
 )
 
-// This file is the adversary-search harness: maficbench for robustness
-// instead of speed. A SearchSpec spans a deterministic grid of attack shapes
-// (rotation period, group count, pulse duty cycle), per-flow rate mixes and
-// victim spreads, runs every point under every defence configuration through
-// the same RunMany worker pool the figure sweeps use, and reports the
-// worst-case accuracy and collateral point per defence — so a config's
-// robustness claim is "here is the best attack the grid found against it",
-// not "here is one scenario it happens to win".
+// This file is the adversary-search harness, which measures robustness where
+// the benchmark measures speed. A SearchSpec spans a deterministic grid of
+// attack shapes (rotation period, group count, pulse duty cycle), per-flow
+// rate mixes and victim spreads, runs every point under every defence
+// configuration through the same RunMany worker pool the figure sweeps use,
+// and reports the worst-case accuracy and collateral point per defence — so a
+// config's robustness claim is "here is the best attack the grid found
+// against it", not "here is one scenario it happens to win".
 
 // AttackShape describes the temporal structure of the attack at one grid
 // point. The zero value (no groups, no pulse) is a constant-rate flood.

@@ -7,9 +7,11 @@ import (
 	"mafic/internal/trafficmatrix"
 )
 
-// runCounted runs s to its end on a bundle of its own and returns the result
-// together with the monitor's work counts, which are in no Result.
-func runCounted(t *testing.T, s Scenario) (Result, trafficmatrix.MonitorStats) {
+// runInspected runs s to its end on a bundle of its own, hands the run to
+// inspect before it is finished and released, and returns the result: what
+// inspect reads, such as the monitor's work counts or the droppers' counters,
+// is in no Result.
+func runInspected(t *testing.T, s Scenario, inspect func(b *builtRun)) Result {
 	t.Helper()
 	b, err := buildRun(s, newRunResources())
 	if err != nil {
@@ -19,11 +21,19 @@ func runCounted(t *testing.T, s Scenario) (Result, trafficmatrix.MonitorStats) {
 	if err := b.res.sched.RunUntil(s.Duration); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	stats := b.monitor.Stats()
+	inspect(b)
 	res, err := b.finish()
 	if err != nil {
 		t.Fatalf("finish: %v", err)
 	}
+	return res
+}
+
+// runCounted returns the result together with the monitor's work counts.
+func runCounted(t *testing.T, s Scenario) (Result, trafficmatrix.MonitorStats) {
+	t.Helper()
+	var stats trafficmatrix.MonitorStats
+	res := runInspected(t, s, func(b *builtRun) { stats = b.monitor.Stats() })
 	return res, stats
 }
 
