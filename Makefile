@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet check golden fuzz snap-diff bench-compare search search-baseline profile
+.PHONY: all build test vet check golden fuzz snap-diff digest-diff bench-compare search search-baseline profile
 
 all: build test
 
@@ -81,6 +81,33 @@ snap-diff:
 	done; \
 	if [ -n "$$bad" ]; then echo "snap-diff against $(BASE): of $$n scenarios these differ:$$bad"; exit 1; fi; \
 	echo "snap-diff against $(BASE): $$n scenarios, every snapshot, result JSON and resumed JSON byte-identical"
+
+# digest-diff is the guard of a change that claims every result unchanged,
+# perf or not: BASE is exported with `git archive` into a temporary directory,
+# `./benchmark` is built once from there and once from the working tree, each
+# runs the whole suite once (`-seed 1 -seconds 0 -trace 0`: each workload's
+# fixed job count, untraced), and -compare reads the two reports. It fails
+# unless every workload's result_digest line reads `identical`; one pair of
+# runs says nothing about timing, so the other verdicts are printed and not
+# judged (that is bench-compare's job).
+digest-diff:
+	@test -n "$(BASE)" || { echo "usage: make digest-diff BASE=<git ref>"; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	git archive --prefix=base/ $(BASE) | tar -x -C "$$tmp"; \
+	$(GO) build -C "$$tmp/base" -o "$$tmp/bench.base" ./benchmark; \
+	$(GO) build -o "$$tmp/bench.change" ./benchmark; \
+	for side in base change; do \
+		echo "digest-diff: running $$side" >&2; \
+		"$$tmp/bench.$$side" -seed 1 -seconds 0 -trace 0 -tmp "$$tmp/scratch" -out "$$tmp/$$side.json" >/dev/null; \
+	done; \
+	"$$tmp/bench.change" -compare "$$tmp/base.json" "$$tmp/change.json" >"$$tmp/compare.txt" || true; \
+	grep ' result_digest ' "$$tmp/compare.txt" >"$$tmp/digests.txt" || true; \
+	cat "$$tmp/digests.txt"; \
+	n=$$(wc -l <"$$tmp/digests.txt"); same=$$(grep -c ' identical$$' "$$tmp/digests.txt" || true); \
+	if [ "$$n" -eq 0 ] || [ "$$same" -ne "$$n" ]; then \
+		echo "digest-diff against $(BASE): $$same of $$n workloads identical"; cat "$$tmp/compare.txt"; exit 1; \
+	fi; \
+	echo "digest-diff against $(BASE): every result_digest identical on all $$n workloads"
 
 # bench-compare is the acceptance measurement of a perf PR and the repo's one
 # performance gate: the paired recipe of benchmark/README.md ("Comparing two

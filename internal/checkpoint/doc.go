@@ -163,8 +163,8 @@
 // goes on, as long as the next Capture waits for that encode: the experiment
 // package's control loop does exactly this. The one-shot Capture function is a fresh session's
 // first capture, so its Snapshot stays valid for as long as it is referenced.
-// A session must not outlive its run: the registry holds the run's pooled
-// objects by identity.
+// A session must not outlive its run: the registry holds the run's objects
+// by identity, and the next run resets those same objects in place.
 //
 // Encode walks the snapshot once, into a scratch buffer that belongs to the
 // Snapshot — so to the session, for a run's snapshots — and is written over
@@ -179,7 +179,8 @@
 // memory traffic.
 //
 // The experiment package owns the harness entry points, which are one loop:
-// a run is built on a pooled bundle of arena, scheduler and lookup tables,
+// a run is built on a recycled bundle — arena, scheduler, lookup tables and
+// the defenders, monitor, coordinator and workload it resets for each run —
 // advanced in checkpoint-bounded segments and torn down in one place.
 // RunControlled pauses at every multiple of an interval, RunWithCheckpoints at
 // requested virtual times, and each hands every encoded snapshot to a save

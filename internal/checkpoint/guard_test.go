@@ -100,7 +100,7 @@ var fieldManifest = map[string][]string{
 	"traffic.TCPSource":         {"cfg", "host", "id", "label", "labelHash", "net", "packetSize", "reverseFn", "sendEvent", "st"},                                                               // st: the FlowState row, held as it travels
 	"traffic.VictimServer":      {"ackSize", "host", "net", "st"},                                                                                                                               // st: the VictimServerState row, held as it travels
 	"traffic.VictimServerState": {"AcksGenerated", "Received", "ReceivedBad", "ReceivedGood"},
-	"traffic.Workload":          {"Attack", "ExtraServers", "Flash", "Flows", "Legitimate", "Victim"},
+	"traffic.Workload":          {"Attack", "ExtraServers", "Flash", "Flows", "Legitimate", "Victim", "paced", "tcp"}, // paced, tcp: every sender a build has made, which Reset reuses by position; the run's are the ones Flows lists
 	"traffic.gateOpen":          {"s"},
 	"traffic.gateShut":          {"s"},
 	"trafficmatrix.Cell":        {"Dest", "Packets", "Source"},

@@ -143,9 +143,10 @@ func TestHardenedReprobeSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestDefenderReleaseReuse guards defender pooling hygiene: a released
-// defender reused by NewDefender must come back with zeroed stats, empty
-// tables, empty probing memory and the new run's wiring.
+// TestDefenderReleaseReuse guards defender reuse hygiene: a defender reset
+// for the next run must come back with zeroed stats, empty tables, empty
+// probing memory, the new run's wiring and a probe-record free list rebuilt
+// from its slabs — a record still held by an event that never fired included.
 func TestDefenderReleaseReuse(t *testing.T) {
 	e := newTestEnv(t)
 	d := e.defender(t, func(c *Config) {
@@ -162,28 +163,44 @@ func TestDefenderReleaseReuse(t *testing.T) {
 	if d.ProbeMemorySize() != 1 {
 		t.Fatalf("setup: probing memory tracks %d flows, want 1", d.ProbeMemorySize())
 	}
-	d.Release()
+	// The probing cycle's events never fire: the run ends inside the window,
+	// with its record off the free list.
+	freeRecords := func() (n int) {
+		for r := d.probeFree; r != nil; r = r.next {
+			if r.entry != nil {
+				t.Fatal("a free probe record still points at a flow entry")
+			}
+			n++
+		}
+		return n
+	}
+	slots := probeChunk * len(d.probeChunks)
+	if free := freeRecords(); free != slots-1 {
+		t.Fatalf("setup: %d of %d probe records free, want all but the cycle's", free, slots)
+	}
 
-	d2, err := NewDefender(DefaultConfig(), e.atr, sim.NewRNG(3))
-	if err != nil {
-		t.Fatalf("NewDefender after release: %v", err)
+	if err := d.Reset(DefaultConfig(), e.atr, sim.NewRNG(3)); err != nil {
+		t.Fatalf("Reset: %v", err)
 	}
-	if d2 != d {
-		t.Skip("pool handed out a different object; reset not observable")
+	if d.Active() {
+		t.Fatal("reset defender still active")
 	}
-	if d2.Active() {
-		t.Fatal("reused defender still active")
+	if s := d.Stats(); s != (Stats{}) {
+		t.Fatalf("reset defender kept stats: %+v", s)
 	}
-	if s := d2.Stats(); s != (Stats{}) {
-		t.Fatalf("reused defender kept stats: %+v", s)
+	if sft, nft, pdt := d.Tables().Sizes(); sft+nft+pdt != 0 {
+		t.Fatalf("reset defender kept table entries: %d/%d/%d", sft, nft, pdt)
 	}
-	if sft, nft, pdt := d2.Tables().Sizes(); sft+nft+pdt != 0 {
-		t.Fatalf("reused defender kept table entries: %d/%d/%d", sft, nft, pdt)
+	if _, state := d.Tables().Lookup(pkt.FlowHash()); state != flowtable.StateUnknown {
+		t.Fatalf("old flow still tracked after reset: %v", state)
 	}
-	if _, state := d2.Tables().Lookup(pkt.FlowHash()); state != flowtable.StateUnknown {
-		t.Fatalf("old flow still tracked after reuse: %v", state)
+	if d.ProbeMemorySize() != 0 {
+		t.Fatalf("reset defender kept %d probing-memory entries", d.ProbeMemorySize())
 	}
-	if d2.ProbeMemorySize() != 0 {
-		t.Fatalf("reused defender kept %d probing-memory entries", d2.ProbeMemorySize())
+	if d.Config() != DefaultConfig() || d.Router() != e.atr {
+		t.Fatal("reset defender is not wired to the new run")
+	}
+	if free := freeRecords(); free != slots {
+		t.Fatalf("free list holds %d of the %d slab records after Reset", free, slots)
 	}
 }

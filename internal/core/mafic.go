@@ -6,7 +6,10 @@
 // rate backs off within the 2×RTT probing window.
 //
 // The Defender type attaches to a router as a packet filter and mirrors the
-// control flow of the paper's Figure 2 exactly; see Handle.
+// control flow of the paper's Figure 2 exactly; see Handle. Reset binds a
+// defender to the next run's router in place, keeping its flow tables and
+// probe-record slabs: whoever runs many simulations keeps its defenders and
+// resets them, as experiment's run bundle does, one per ingress router.
 package core
 
 import (
@@ -15,7 +18,6 @@ import (
 
 	"mafic/internal/flowtable"
 	"mafic/internal/netsim"
-	"mafic/internal/pool"
 	"mafic/internal/sim"
 )
 
@@ -248,7 +250,7 @@ type Defender struct {
 	// probeSend and windowEnd are the defender's ArgHandler faces for the
 	// two events a probing cycle schedules; probeFree heads the free list
 	// of slab-allocated probe records they carry as payload, and
-	// probeChunks tracks every slab so Release can rebuild the free list
+	// probeChunks tracks every slab so Reset can rebuild the free list
 	// (records still referenced by never-fired events included).
 	probeSend   probeSender
 	windowEnd   windowCloser
@@ -260,7 +262,7 @@ type Defender struct {
 	// Deactivate flushes within a run — that persistence is the whole
 	// point: a rotating source that re-appears after a quiet slot picks up
 	// its suspicion where it left off. Only maintained when
-	// cfg.CondemnProbes > 0; cleared by Release.
+	// cfg.CondemnProbes > 0; cleared by Reset.
 	probeMemory map[uint64]uint16
 }
 
@@ -324,61 +326,71 @@ func (d *Defender) putProbeRecord(r *probeRecord) {
 	d.probeFree = r
 }
 
-// defenderPool recycles released defenders (with their tables and probe
-// slabs) across runs; see Release.
-var defenderPool = pool.FreeList[Defender]{Cap: 256}
-
 // NewDefender creates a defender bound to the given router. The router's
 // network supplies the scheduler, the routability oracle and packet IDs.
-// The object (tables and probe slabs included) comes from the package pool
-// when a released defender is available.
 func NewDefender(cfg Config, router *netsim.Router, rng *sim.RNG) (*Defender, error) {
-	if err := cfg.Validate(); err != nil {
+	d := new(Defender)
+	if err := d.Reset(cfg, router, rng); err != nil {
 		return nil, err
 	}
+	return d, nil
+}
+
+// Reset makes d what NewDefender(cfg, router, rng) returns, keeping its
+// storage: the flow tables, the probe-record slabs and the probing memory's
+// buckets, so a defender reset for the next run probes without allocating
+// them again. Call it only once no probe or classification event of d's last
+// run can fire. A failed Reset leaves d as it was.
+func (d *Defender) Reset(cfg Config, router *netsim.Router, rng *sim.RNG) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if router == nil {
-		return nil, fmt.Errorf("%w: nil router", ErrConfig)
+		return fmt.Errorf("%w: nil router", ErrConfig)
 	}
 	if rng == nil {
 		rng = router.Network().RNG().Fork()
 	}
-	d := defenderPool.Get()
-	if d == nil {
-		d = &Defender{tables: flowtable.New(cfg.TableCapacity)}
-		d.probeSend = probeSender{d: d}
-		d.windowEnd = windowCloser{d: d}
+	tables := d.tables
+	if tables == nil {
+		tables = flowtable.New(cfg.TableCapacity)
 	} else {
-		d.tables.SetCapacity(cfg.TableCapacity)
+		tables.Reset()
+		tables.SetCapacity(cfg.TableCapacity)
 	}
-	d.cfg, d.router, d.rng = cfg, router, rng
-	return d, nil
-}
-
-// Release flushes the defender and returns it to the package pool for reuse
-// by a later run. Call it only after the simulation that owns the defender
-// has finished — no scheduled probe or classification event may fire
-// afterwards — and do not use the defender again.
-func (d *Defender) Release() {
-	d.tables.Reset()
 	// Rebuild the probe-record free list from the slabs wholesale: records
-	// held by events that never fired (the run ended inside their probing
-	// window) are reclaimed here too.
-	d.probeFree = nil
+	// held by events that never fired (the last run ended inside their
+	// probing window) are reclaimed here too.
+	var free *probeRecord
 	for _, chunk := range d.probeChunks {
 		for i := range chunk {
 			chunk[i].entry = nil
-			chunk[i].next = d.probeFree
-			d.probeFree = &chunk[i]
+			chunk[i].next = free
+			free = &chunk[i]
 		}
 	}
 	clear(d.probeMemory)
-	d.active = false
-	d.victimIP = 0
-	d.stats = Stats{}
-	d.probeSeqs = 0
+	// Everything not carried over here starts from zero.
+	*d = Defender{
+		cfg:         cfg,
+		router:      router,
+		rng:         rng,
+		tables:      tables,
+		probeSend:   probeSender{d: d},
+		windowEnd:   windowCloser{d: d},
+		probeFree:   free,
+		probeChunks: d.probeChunks,
+		probeMemory: d.probeMemory,
+	}
+	return nil
+}
+
+// Release drops the defender's references to its run — the router, the
+// random stream and the drop observer — so that a defender kept past its run
+// pins none of them. Reset makes it usable again.
+func (d *Defender) Release() {
 	d.observer = nil
 	d.router, d.rng = nil, nil
-	defenderPool.Put(d)
 }
 
 // Name implements netsim.Filter.

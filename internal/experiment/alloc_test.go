@@ -232,8 +232,8 @@ func TestEventBudgetPerHop(t *testing.T) {
 }
 
 // TestInterruptedRunReleasesWhatItBuilt pins the single tear-down: a run
-// interrupted through its control surface hands its MAFIC defenders — flow
-// tables and probe slabs — back to their pool like a finished one, so the run
+// interrupted through its control surface hands its bundle back with its MAFIC
+// defenders — flow tables and probe slabs — like a finished one, so the run
 // after it allocates no more than any warm run. Before builtRun had one
 // release, the interrupt path kept them and every interrupted, timed-out or
 // failed-save attempt in maficserve cost the next attempt a fresh set.
@@ -260,6 +260,6 @@ func TestInterruptedRunReleasesWhatItBuilt(t *testing.T) {
 		afterInterrupt = min(afterInterrupt, b)
 	}
 	if afterInterrupt > warm {
-		t.Errorf("a run after an interrupted one allocated %d B, a warm run %d B: the interrupt kept pooled objects", afterInterrupt, warm)
+		t.Errorf("a run after an interrupted one allocated %d B, a warm run %d B: the interrupt kept its run's objects", afterInterrupt, warm)
 	}
 }

@@ -107,8 +107,8 @@ func TestRunControlledInterruptSavesFinalSnapshot(t *testing.T) {
 		diffResults(t, "interrupt-resume", want, resumed)
 	}
 
-	// The interrupted run released its pooled objects cleanly: a fresh run
-	// on the same pools must still match the reference.
+	// The interrupted run left its bundle clean: a fresh run on the same
+	// bundle must still match the reference.
 	again, err := Run(s)
 	if err != nil {
 		t.Fatalf("run after interrupt: %v", err)

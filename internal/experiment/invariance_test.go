@@ -66,9 +66,9 @@ func requireSameResult(t *testing.T, label string, want, got Result) {
 	}
 }
 
-// testArenaReuse runs every catalog scenario, hardened or not, on one arena
+// testArenaReuse runs every catalog scenario, hardened or not, on one bundle
 // shared by the whole catalog — a sweep worker rebuilding wildly different
-// topologies back to back, every pooled object recycled from the scenario
+// topologies back to back, every engine object reset from the scenario
 // before — and requires the plain run's result.
 func testArenaReuse(t *testing.T, hardened bool) {
 	variant := func(e Entry) (string, Scenario) {
@@ -98,14 +98,14 @@ func testArenaReuse(t *testing.T, hardened bool) {
 }
 
 // TestBufferReuseInvariance is the guarantee that makes the zero-alloc
-// pipeline safe: reused storage — the arena's network, the pooled monitor,
-// coordinator, defenders and scheduler — never leaks state between sweep
-// points.
+// pipeline safe: reused storage — the arena's network, the bundle's monitor,
+// coordinator, defenders, workload and scheduler — never leaks state between
+// sweep points.
 func TestBufferReuseInvariance(t *testing.T) { testArenaReuse(t, false) }
 
 // TestHardenedBufferReuseInvariance repeats it with the robustness hardening
-// switched on: the probing memory and the ATR hysteresis tables are recycled
-// through the same pools.
+// switched on: the probing memory and the ATR hysteresis tables are reset in
+// the same bundle.
 func TestHardenedBufferReuseInvariance(t *testing.T) { testArenaReuse(t, true) }
 
 // TestMonitoredSetInvariance runs every scenario with the default monitored
@@ -140,11 +140,11 @@ func TestMonitoredSetInvariance(t *testing.T) {
 }
 
 // TestSchedulerBackendInvariance runs every scenario through Run, on
-// whatever bundle the process-wide pool hands out — its scheduler's event
-// arena and calendar-queue geometry tuned by whichever run came before — and
-// requires the plain run's result, which was computed on a brand-new bundle.
+// whatever idle bundle the process holds — its scheduler's event arena and
+// calendar-queue geometry tuned by whichever run came before — and requires
+// the plain run's result, which was computed on a brand-new bundle.
 // TestBufferReuseInvariance asks the same of a bundle it passes in itself;
-// this one is the only suite that goes through Run's pool.
+// this one is the only suite that goes through Run's idle bundles.
 func TestSchedulerBackendInvariance(t *testing.T) {
 	for _, e := range Entries() {
 		t.Run(e.Name, func(t *testing.T) {
@@ -257,35 +257,50 @@ func TestRoutingModeEquivalence(t *testing.T) {
 }
 
 // TestArenaSequenceMatchesFreshArena runs large → small → chaos → large →
-// transit-stub → small through one arena — quick stress-5k, table2 at its
+// transit-stub → small through one bundle — quick stress-5k, table2 at its
 // full 40 routers, a partition that leaves links down and fault drops
 // counted, stress-5k again, then a transit-stub domain, a multi-homed victim
 // and extra victims — and requires each result to equal what the same
-// scenario gives on an arena of its own, which is what a fresh process
+// scenario gives on a bundle of its own, which is what a fresh process
 // computes. Every run ends with packets in flight; the next build resets the
-// network under them.
+// network under them. The defence switches along the way, so the bundle's
+// defenders grow (4, 10 and 40 ingress routers), shrink, sit out a
+// proportional-dropping and an undefended run, and come back hardened, with
+// probing memory, before serving the paper's defence again.
 func TestArenaSequenceMatchesFreshArena(t *testing.T) {
+	defences := map[string]func(*Scenario){
+		"mafic":    func(*Scenario) {},
+		"baseline": func(s *Scenario) { s.Defense = DefenseBaseline },
+		"none":     func(s *Scenario) { s.Defense = DefenseNone },
+		"hardened": func(s *Scenario) { *s = Harden(*s) },
+	}
 	shared := newRunResources()
-	for i, name := range []string{"stress-5k", "table2", "partition-heal", "stress-5k", "transit-stub", "multihomed-victim", "multi-victim"} {
-		e, ok := LookupScenario(name)
+	for i, step := range []struct{ name, defence string }{
+		{"stress-5k", "mafic"}, {"table2", "mafic"}, {"table2", "baseline"}, {"partition-heal", "mafic"},
+		{"stress-5k", "none"}, {"stress-5k", "hardened"}, {"table2", "mafic"}, {"transit-stub", "baseline"},
+		{"multihomed-victim", "mafic"}, {"multi-victim", "mafic"},
+	} {
+		e, ok := LookupScenario(step.name)
 		if !ok {
-			t.Fatalf("%s not registered", name)
+			t.Fatalf("%s not registered", step.name)
 		}
 		s := Quick(e.Build())
-		if name == "table2" {
+		if step.name == "table2" {
 			s.Topology = e.Build().Topology
 		}
+		defences[step.defence](&s)
 		s.Seed += int64(i)
+		label := fmt.Sprintf("step %d (%s, %s)", i, step.name, step.defence)
 		got, err := runWith(s, shared, nil, ControlOptions{})
 		if err != nil {
-			t.Fatalf("step %d (%s) on the shared arena: %v", i, name, err)
+			t.Fatalf("%s on the shared bundle: %v", label, err)
 		}
 		want, err := runWith(s, newRunResources(), nil, ControlOptions{})
 		if err != nil {
-			t.Fatalf("step %d (%s) on its own arena: %v", i, name, err)
+			t.Fatalf("%s on its own bundle: %v", label, err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			diffResults(t, fmt.Sprintf("step %d (%s) after %d builds on the arena", i, name, i), want, got)
+			diffResults(t, fmt.Sprintf("%s after %d builds on the bundle", label, i), want, got)
 		}
 	}
 }

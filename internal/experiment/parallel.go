@@ -43,10 +43,10 @@ func RunMany(scenarios []Scenario, workers int) ([]Result, error) {
 				if i >= len(scenarios) {
 					return
 				}
-				// Run borrows the point's arena and scheduler from the run
-				// pool, so a worker's consecutive builds reuse the topology
-				// backing arrays (each domain dies with its run), and so
-				// does the next sweep.
+				// Run borrows an idle run bundle for the point, so a
+				// worker's consecutive builds reuse the topology backing
+				// arrays and the engine objects (each domain dies with its
+				// run), and so does the next sweep.
 				if results[i], errs[i] = Run(scenarios[i]); errs[i] != nil {
 					failed.Store(true)
 				}

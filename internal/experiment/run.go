@@ -10,7 +10,6 @@ import (
 	"mafic/internal/flowtable"
 	"mafic/internal/metrics"
 	"mafic/internal/netsim"
-	"mafic/internal/pool"
 	"mafic/internal/pushback"
 	"mafic/internal/sim"
 	"mafic/internal/topology"
@@ -25,30 +24,44 @@ type defense interface {
 }
 
 // runResources is everything a run borrows for its lifetime and hands back in
-// one piece: the topology arena (whose network every build resets and
-// rebuilds in place), the scheduler, and the run-scoped lookup tables buildRun
-// refills for every scenario — the per-defender dispatch maps and the
-// ground-truth label sets. A recycled bundle keeps the arena's backing arrays,
-// the scheduler's event arena and queue geometry, and the maps' buckets warm,
-// so a steady-state run allocates none of them again. Reuse is bit-invariant:
-// dispatch order depends on none of it, and the invariance suite pins a run on
-// a recycled bundle against one on a brand-new bundle for the whole catalog.
+// one piece, and the one owner of what runs recycle: the topology arena
+// (whose network every build resets and rebuilds in place), the scheduler,
+// the engine objects every build resets in place on that network — the MAFIC
+// defenders, the traffic-matrix monitor, the pushback coordinator and the
+// workload with its senders — and the run-scoped lookup tables buildRun
+// refills for every scenario: the per-defender dispatch maps and the
+// ground-truth label sets. A recycled bundle keeps the arena's backing
+// arrays, the scheduler's event arena and queue geometry, the objects' slabs
+// and tables, and the maps' buckets warm, so a steady-state run allocates
+// none of them again. Reuse is bit-invariant: dispatch order depends on none
+// of it, and the invariance suite pins a run on a recycled bundle against one
+// on a brand-new bundle for the whole catalog.
 type runResources struct {
-	arena *topology.Arena
-	sched *sim.Scheduler
+	arena       *topology.Arena
+	sched       *sim.Scheduler
+	monitor     *trafficmatrix.Monitor
+	coordinator *pushback.Coordinator
+	workload    *traffic.Workload
 
 	defByRouter  map[netsim.NodeID]defense
 	ingressIDs   []netsim.NodeID
 	legitLabels  map[uint64]bool
 	attackLabels map[uint64]bool
-	// mafic and droppers list the run's defenders in ingress order.
+	// mafic and droppers list the run's defenders in ingress order. reset
+	// cuts mafic to length zero and keeps its backing, which holds every
+	// defender an earlier run built: a MAFIC run's i-th ingress resets the
+	// i-th of them (see defender).
 	mafic    []*core.Defender
 	droppers []*baseline.Dropper
 }
 
-// resourcePool recycles bundles across runs, sequential or the workers of a
-// sweep alike. Beyond its cap released bundles fall to the garbage collector.
-var resourcePool = pool.FreeList[runResources]{Cap: 64}
+// idleBundles keeps bundles between runs, sequential or the workers of a
+// sweep alike. A bundle handed back while it is full falls to the garbage
+// collector. 64 slots bound what idle bundles retain — each keeps the largest
+// domain it has built, 37 MB of arena after a quick stress-50k run — and
+// still cover every concurrent run of a sweep on up to 64 CPUs (RunMany runs
+// GOMAXPROCS workers by default) or of maficserve (two by default).
+var idleBundles = make(chan *runResources, 64)
 
 // newRunResources returns a brand-new bundle: what the first run of a process
 // gets, and what the invariance tests hand in as their reference.
@@ -56,15 +69,30 @@ func newRunResources() *runResources {
 	return &runResources{
 		arena:        topology.NewArena(),
 		sched:        sim.NewScheduler(),
+		monitor:      new(trafficmatrix.Monitor),
+		coordinator:  new(pushback.Coordinator),
+		workload:     new(traffic.Workload),
 		defByRouter:  make(map[netsim.NodeID]defense),
 		legitLabels:  make(map[uint64]bool),
 		attackLabels: make(map[uint64]bool),
 	}
 }
 
+// defender returns the defender for a MAFIC run's i-th ingress, called while
+// mafic holds the run's first i: the one an earlier run left in mafic's
+// backing, or a new one the first time a run has that many ingress routers.
+func (r *runResources) defender(i int) *core.Defender {
+	if i < cap(r.mafic) {
+		if d := r.mafic[:i+1][i]; d != nil {
+			return d
+		}
+	}
+	return new(core.Defender)
+}
+
 // reset empties the bundle for its next run. Resetting the scheduler
 // guarantees no event of the finished run can be dispatched afterwards, which
-// is what makes the objects it referenced safe to recycle.
+// is what makes the objects it keeps safe to reset for the next build.
 func (r *runResources) reset() {
 	r.sched.Reset()
 	clear(r.defByRouter)
@@ -78,14 +106,11 @@ func (r *runResources) reset() {
 // builtRun is a fully built scenario that has not finished running yet: the
 // checkpoint layer snapshots and restores between buildRun and finish.
 type builtRun struct {
-	s           Scenario
-	res         *runResources
-	rng         *sim.RNG
-	domain      *topology.Domain
-	workload    *traffic.Workload
-	collector   *metrics.Collector
-	coordinator *pushback.Coordinator
-	monitor     *trafficmatrix.Monitor
+	s         Scenario
+	res       *runResources
+	rng       *sim.RNG
+	domain    *topology.Domain
+	collector *metrics.Collector
 	// buildSeq is the scheduler sequence number at the build/run boundary;
 	// see checkpoint.World.
 	buildSeq uint64
@@ -125,18 +150,25 @@ func RunWithCheckpoints(s Scenario, times []sim.Time, save func(at sim.Time, dat
 	return runPooled(s, nil, ControlOptions{Save: save, at: times})
 }
 
-// runPooled is the one owner of a run's borrowed resources: it takes a bundle
-// from the pool (or makes the process's first), runs on it, and puts it back.
+// runPooled is the one owner of a run's borrowed resources: it takes an idle
+// bundle (or makes a new one), runs on it, and hands it back.
 // s is validated by the caller, which knows whose fault a bad one is.
 func runPooled(s Scenario, snap *checkpoint.Snapshot, opts ControlOptions) (Result, error) {
 	if err := opts.validate(); err != nil {
 		return Result{}, err
 	}
-	res := resourcePool.Get()
-	if res == nil {
+	var res *runResources
+	select {
+	case res = <-idleBundles:
+	default:
 		res = newRunResources()
 	}
-	defer resourcePool.Put(res)
+	defer func() {
+		select {
+		case idleBundles <- res:
+		default:
+		}
+	}()
 	return runWith(s, res, snap, opts)
 }
 
@@ -144,7 +176,7 @@ func runPooled(s Scenario, snap *checkpoint.Snapshot, opts ControlOptions) (Resu
 // one, and drives it to the scenario's end under opts. Whatever happens the
 // built run is released and the bundle left empty for its next run. The
 // invariance tests call it with a bundle of their own — brand-new, or shared
-// by a whole sequence of runs — where the Run family passes the pool's.
+// by a whole sequence of runs — where the Run family passes an idle one.
 func runWith(s Scenario, res *runResources, snap *checkpoint.Snapshot, opts ControlOptions) (Result, error) {
 	b, err := buildRun(s, res)
 	if err != nil {
@@ -180,9 +212,9 @@ func (b *builtRun) world() *checkpoint.World {
 		Sched:       b.res.sched,
 		RNG:         b.rng,
 		Net:         b.domain.Net,
-		Workload:    b.workload,
-		Monitor:     b.monitor,
-		Coordinator: b.coordinator,
+		Workload:    b.res.workload,
+		Monitor:     b.res.monitor,
+		Coordinator: b.res.coordinator,
 		Collector:   b.collector,
 		MAFIC:       b.res.mafic,
 		Baseline:    b.res.droppers,
@@ -252,8 +284,8 @@ func buildRun(s Scenario, res *runResources) (*builtRun, error) {
 	return b, nil
 }
 
-// build is buildRun's body; every component is recorded on b as soon as it
-// exists, which is what lets a failure be released like a finished run.
+// build is buildRun's body. A failure part-way is released like a finished
+// run: the next build resets whatever the bundle keeps, half-built or not.
 func (b *builtRun) build() error {
 	s, res, rng, sched := b.s, b.res, b.rng, b.res.sched
 	domain, err := res.arena.Build(s.Topology, sched, rng.Fork())
@@ -261,8 +293,7 @@ func (b *builtRun) build() error {
 		return fmt.Errorf("build topology: %w", err)
 	}
 	b.domain = domain
-	b.workload, err = traffic.BuildWorkload(s.Workload, domain, rng.Fork())
-	if err != nil {
+	if err := res.workload.Reset(s.Workload, domain, rng.Fork()); err != nil {
 		return fmt.Errorf("build workload: %w", err)
 	}
 	if err := installFaults(s.Faults, domain, sched); err != nil {
@@ -278,15 +309,14 @@ func (b *builtRun) build() error {
 	b.collector = collector
 
 	// Per-ingress defences, dispatched through the bundle's run-scoped
-	// tables. Each defender is recorded as soon as it exists, so a later
-	// failure releases the earlier ones.
+	// tables.
 	defByRouter := res.defByRouter
 	switch s.Defense {
 	case DefenseMAFIC:
-		for _, ing := range domain.Ingress {
-			d, derr := core.NewDefender(s.MAFIC, ing, rng.Fork())
-			if derr != nil {
-				return fmt.Errorf("defender on %s: %w", ing.Name(), derr)
+		for i, ing := range domain.Ingress {
+			d := res.defender(i)
+			if err := d.Reset(s.MAFIC, ing, rng.Fork()); err != nil {
+				return fmt.Errorf("defender on %s: %w", ing.Name(), err)
 			}
 			d.SetDropObserver(collector.ObserveMAFICDrop)
 			defByRouter[ing.ID()] = d
@@ -331,7 +361,7 @@ func (b *builtRun) build() error {
 
 	pbCfg := s.Pushback
 	pbCfg.Eligible = ingressIDs
-	b.coordinator = pushback.NewCoordinator(pbCfg, func(req pushback.Request) {
+	res.coordinator.Reset(pbCfg, func(req pushback.Request) {
 		atrs := make([]netsim.NodeID, 0, len(req.ATRs))
 		for _, a := range req.ATRs {
 			atrs = append(atrs, a.Router)
@@ -339,8 +369,7 @@ func (b *builtRun) build() error {
 		activate(sched.Now(), atrs, true)
 	}, nil)
 
-	b.monitor, err = trafficmatrix.NewMonitor(domain.Net, s.Faults.controlPlane(s.Monitor), b.coordinator.HandleReport)
-	if err != nil {
+	if err := res.monitor.Reset(domain.Net, s.Faults.controlPlane(s.Monitor), res.coordinator.HandleReport); err != nil {
 		return fmt.Errorf("traffic monitor: %w", err)
 	}
 
@@ -353,8 +382,8 @@ func (b *builtRun) build() error {
 		domain.Ingress[i].AttachFilter(d)
 	}
 
-	b.monitor.Start()
-	b.workload.StartAll(s.Workload, rng.Fork())
+	res.monitor.Start()
+	res.workload.StartAll(s.Workload, rng.Fork())
 
 	// Fallback activation covers scenarios where the detection layer is
 	// intentionally mistuned or the attack is too small to detect.
@@ -372,33 +401,19 @@ func (b *builtRun) build() error {
 	return nil
 }
 
-// release hands every pooled component of the built run back — monitor,
-// coordinator, defenders (tables and probe slabs), flows — and empties the
-// bundle, whose scheduler reset guarantees none of them can be dispatched to
-// afterwards. It is the one tear-down of a run, finished, failed, interrupted
-// or only partly built alike.
-func (b *builtRun) release() {
-	if b.monitor != nil {
-		b.monitor.Release()
-	}
-	if b.coordinator != nil {
-		b.coordinator.Release()
-	}
-	for _, d := range b.res.mafic {
-		d.Release()
-	}
-	if b.workload != nil {
-		b.workload.Release()
-	}
-	b.res.reset()
-}
+// release empties the bundle for its next run; its scheduler reset
+// guarantees nothing the built run scheduled can be dispatched afterwards.
+// The bundle keeps the run's monitor, coordinator, defenders and workload as
+// they are, and the next build resets them. It is the one tear-down of a run,
+// finished, failed, interrupted or only partly built alike.
+func (b *builtRun) release() { b.res.reset() }
 
 // finish stops the measurement and traffic layers and extracts every metric
 // into the result. The run's owner releases it afterwards.
 func (b *builtRun) finish() (Result, error) {
-	s := b.s
-	b.monitor.Stop()
-	b.workload.StopAll()
+	s, workload := b.s, b.res.workload
+	b.res.monitor.Stop()
+	workload.StopAll()
 
 	// Headline metrics.
 	collector := b.collector
@@ -415,10 +430,10 @@ func (b *builtRun) finish() (Result, error) {
 	if s.Defense == DefenseMAFIC {
 		legitLabels := b.res.legitLabels
 		attackLabels := b.res.attackLabels
-		for _, f := range b.workload.Legitimate {
+		for _, f := range workload.Legitimate {
 			legitLabels[f.Label().Hash()] = true
 		}
-		for _, f := range b.workload.Attack {
+		for _, f := range workload.Attack {
 			attackLabels[f.Label().Hash()] = true
 		}
 		for _, d := range b.res.mafic {

@@ -33,7 +33,7 @@ func runInspected(t *testing.T, s Scenario, inspect func(b *builtRun)) Result {
 func runCounted(t *testing.T, s Scenario) (Result, trafficmatrix.MonitorStats) {
 	t.Helper()
 	var stats trafficmatrix.MonitorStats
-	res := runInspected(t, s, func(b *builtRun) { stats = b.monitor.Stats() })
+	res := runInspected(t, s, func(b *builtRun) { stats = b.res.monitor.Stats() })
 	return res, stats
 }
 

@@ -154,7 +154,9 @@
 // quick stress-50k run (37 MB for the arena around it, with its route columns
 // and graph snapshot), against 0.14 MB for a whole arena after quick table2.
 // One arena serves one run at a time, so a process holds as many as it has
-// had concurrent runs, and experiment's arena pool keeps at most 64.
+// had concurrent runs; experiment keeps at most 64 idle run bundles, each
+// with its arena and the defenders, monitor, coordinator and workload that
+// run on its network.
 //
 // # Link and router failure
 //

@@ -111,14 +111,6 @@ func (h *Host) Register(label FlowLabel, fn PacketHandler) {
 	h.net.registerHandler(h.id, label, fn)
 }
 
-// Unregister removes the handler for the given label.
-func (h *Host) Unregister(label FlowLabel) {
-	if h.net.handlerFor(h.id, label) != nil {
-		h.nHandlers--
-	}
-	h.net.unregisterHandler(h.id, label)
-}
-
 // SetDefaultHandler installs the handler used when no per-label handler
 // matches (the victim server uses this to accept every incoming flow).
 func (h *Host) SetDefaultHandler(fn PacketHandler) { h.defaultHandler = fn }

@@ -143,14 +143,6 @@ func TestLabelHandlerDispatch(t *testing.T) {
 	if viaLabel != 1 || viaDefault != 1 {
 		t.Fatalf("dispatch: label=%d default=%d, want 1/1", viaLabel, viaDefault)
 	}
-	server.Unregister(label)
-	client.Send(&Packet{ID: n.NextPacketID(), Label: label, Kind: KindData, Size: 100})
-	if err := n.Scheduler().Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if viaDefault != 2 {
-		t.Fatal("unregistered label should fall back to default handler")
-	}
 }
 
 func TestQueueDropTail(t *testing.T) {

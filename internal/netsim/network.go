@@ -224,11 +224,6 @@ func (n *Network) registerHandler(host NodeID, label FlowLabel, fn PacketHandler
 	n.handlers[handlerKey{host: host, label: label}] = fn
 }
 
-// unregisterHandler removes the handler for (host, label).
-func (n *Network) unregisterHandler(host NodeID, label FlowLabel) {
-	delete(n.handlers, handlerKey{host: host, label: label})
-}
-
 // handlerFor returns the handler registered for (host, label), or nil.
 func (n *Network) handlerFor(host NodeID, label FlowLabel) PacketHandler {
 	return n.handlers[handlerKey{host: host, label: label}]

@@ -84,20 +84,19 @@ func TestHysteresisSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("steady hysteresis epoch allocates %v, want 0", allocs)
 	}
 
-	// Pool hygiene: a recycled coordinator must not inherit the old run's
+	// Reuse hygiene: a reset coordinator must not inherit the old run's
 	// identified set or scores.
-	c.Release()
-	c2 := NewCoordinator(cfg, nil, nil)
-	if c2.Active() || c2.IdentifiedATRs() != 0 {
-		t.Fatalf("recycled coordinator leaked hysteresis state (active=%v identified=%d)",
-			c2.Active(), c2.IdentifiedATRs())
+	c.Reset(cfg, nil, nil)
+	if c.Active() || c.IdentifiedATRs() != 0 {
+		t.Fatalf("reset coordinator leaked hysteresis state (active=%v identified=%d)",
+			c.Active(), c.IdentifiedATRs())
 	}
 }
 
-// TestCoordinatorReuseZeroAlloc pins the construction-time win of the
-// coordinator pool: once one released coordinator exists, a NewCoordinator/
-// Release cycle with the same eligibility set allocates nothing — the
-// history tables, ranking scratch and eligibility map are all recycled.
+// TestCoordinatorReuseZeroAlloc pins the construction-time win of reuse: once
+// a coordinator has run, a Reset/report cycle with the same eligibility set
+// allocates nothing — the history tables, ranking scratch and eligibility
+// map are all kept.
 func TestCoordinatorReuseZeroAlloc(t *testing.T) {
 	eligible := []netsim.NodeID{1, 3, 5, 7}
 	cfg := Config{HistoryFactor: 1.5, Eligible: eligible}
@@ -108,48 +107,56 @@ func TestCoordinatorReuseZeroAlloc(t *testing.T) {
 		SourceEst: []float64{5, 5, 5, 5},
 	}
 
-	// Warm the pool (and grow the recycled tables once).
+	// Grow the kept tables once.
 	c := NewCoordinator(cfg, nil, nil)
 	c.HandleReport(report)
-	c.Release()
 
 	allocs := testing.AllocsPerRun(50, func() {
-		c := NewCoordinator(cfg, nil, nil)
+		c.Reset(cfg, nil, nil)
 		c.HandleReport(report)
-		c.Release()
 	})
 	if allocs != 0 {
-		t.Fatalf("pooled NewCoordinator/Release cycle allocates %v, want 0", allocs)
+		t.Fatalf("Reset/report cycle allocates %v, want 0", allocs)
 	}
 }
 
-// TestCoordinatorReuseLeaksNoState verifies a recycled coordinator starts
-// from scratch: no history, no active pushback, no stale eligibility.
+// TestCoordinatorReuseLeaksNoState verifies a reset coordinator starts from
+// scratch: no history, no active pushback, no stale eligibility.
 func TestCoordinatorReuseLeaksNoState(t *testing.T) {
 	fired := 0
 	cfg := Config{HistoryFactor: 2, MinVictimLoad: 1}
-	c := NewCoordinator(cfg, func(Request) { fired++ }, nil)
+	only := func(id netsim.NodeID) Config {
+		c := cfg
+		c.Eligible = []netsim.NodeID{id}
+		return c
+	}
+	c := NewCoordinator(only(0), func(Request) { fired++ }, nil)
 	dests := map[netsim.NodeID]float64{0: 5, 1: 500}
 	cells := []trafficmatrix.Cell{{Source: 0, Dest: 1, Packets: 400}}
 	spike(c, dests, cells)
 	if fired != 1 || !c.Active() {
 		t.Fatalf("setup detection did not fire (fired=%d active=%v)", fired, c.Active())
 	}
-	c.Release()
 
-	// The recycled coordinator must neither remember the old victim nor
-	// keep an eligibility set; router 0 must rank.
-	c2 := NewCoordinator(cfg, func(req Request) {
-		if len(req.ATRs) == 0 {
-			t.Error("recycled coordinator kept a stale eligibility set")
-		}
-	}, nil)
-	if c2.Active() || c2.Requests() != 0 {
-		t.Fatalf("recycled coordinator leaked activation state (active=%v requests=%d)",
-			c2.Active(), c2.Requests())
+	// The reset coordinator must neither remember the old victim nor keep
+	// the old eligibility set: with router 3 the only eligible one, router 0
+	// must not rank, and with no set at all it must.
+	var atrs []ATR
+	c.Reset(only(3), func(req Request) { atrs = req.ATRs }, nil)
+	if c.Active() || c.Requests() != 0 {
+		t.Fatalf("reset coordinator leaked activation state (active=%v requests=%d)",
+			c.Active(), c.Requests())
 	}
-	spike(c2, dests, cells)
-	if !c2.Active() {
-		t.Fatal("recycled coordinator failed to detect")
+	spike(c, dests, cells)
+	if !c.Active() {
+		t.Fatal("reset coordinator failed to detect")
+	}
+	if len(atrs) != 0 {
+		t.Errorf("reset coordinator kept a stale eligibility set: %+v", atrs)
+	}
+	c.Reset(cfg, func(req Request) { atrs = req.ATRs }, nil)
+	spike(c, dests, cells)
+	if len(atrs) == 0 {
+		t.Error("reset coordinator kept an eligibility set")
 	}
 }

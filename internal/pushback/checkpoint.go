@@ -30,7 +30,7 @@ type CoordinatorState struct {
 }
 
 // copyState sets *dst to st with its four tables copied into dst's own
-// backing, so a capture reuses the session's and a restore the pool's.
+// backing, so a capture reuses the session's and a restore the coordinator's.
 func copyState(dst, st *CoordinatorState) {
 	kept := *dst
 	*dst = *st
@@ -45,7 +45,7 @@ func copyState(dst, st *CoordinatorState) {
 func (c *Coordinator) CheckpointState(dst *CoordinatorState) { copyState(dst, &c.st) }
 
 // RestoreState overlays captured dynamic state onto a rebuilt coordinator.
-// The dense tables keep their pooled backing, preserving the zero-alloc
+// The dense tables keep their own backing, preserving the zero-alloc
 // discipline across a restore.
 func (c *Coordinator) RestoreState(st CoordinatorState) error {
 	if len(st.History) != len(st.HistoryOK) {

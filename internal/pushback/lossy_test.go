@@ -173,9 +173,9 @@ func TestLateReportIgnored(t *testing.T) {
 	}
 }
 
-// TestCoordinatorReuseClearsLossyState verifies the pooled-reuse hygiene of
-// the new control-channel fields: a recycled coordinator starts with no last
-// epoch, no pending re-fire and no fire history.
+// TestCoordinatorReuseClearsLossyState verifies the reuse hygiene of the
+// control-channel fields: a reset coordinator starts with no last epoch, no
+// pending re-fire and no fire history.
 func TestCoordinatorReuseClearsLossyState(t *testing.T) {
 	c := NewCoordinator(Config{
 		HistoryFactor: 2, MinVictimLoad: 1, ATRShare: 0.3,
@@ -193,18 +193,16 @@ func TestCoordinatorReuseClearsLossyState(t *testing.T) {
 		t.Fatalf("setup: unexpected channel state (last=%d fire=%d pending=%v)",
 			c.st.LastEpoch, c.st.LastFireEpoch, c.st.PendingRefire)
 	}
-	c.Release()
 
-	c2 := NewCoordinator(Config{HistoryFactor: 2, MinVictimLoad: 1}, nil, nil)
-	defer c2.Release()
-	if c2.st.LastEpoch != 0 || c2.st.LastFireEpoch != 0 || c2.st.PendingRefire {
-		t.Fatalf("recycled coordinator kept channel state (last=%d fire=%d pending=%v)",
-			c2.st.LastEpoch, c2.st.LastFireEpoch, c2.st.PendingRefire)
+	c.Reset(Config{HistoryFactor: 2, MinVictimLoad: 1}, nil, nil)
+	if c.st.LastEpoch != 0 || c.st.LastFireEpoch != 0 || c.st.PendingRefire {
+		t.Fatalf("reset coordinator kept channel state (last=%d fire=%d pending=%v)",
+			c.st.LastEpoch, c.st.LastFireEpoch, c.st.PendingRefire)
 	}
 	// In particular, early-epoch reports must not be mistaken for late
-	// duplicates of the previous owner's stream.
-	spike(c2, map[netsim.NodeID]float64{1: 500}, nil)
-	if !c2.Active() {
-		t.Fatal("recycled coordinator ignored epochs 1-3 as stale")
+	// duplicates of the previous run's stream.
+	spike(c, map[netsim.NodeID]float64{1: 500}, nil)
+	if !c.Active() {
+		t.Fatal("reset coordinator ignored epochs 1-3 as stale")
 	}
 }

@@ -28,6 +28,10 @@
 // sticky: scores decay, but a router once reported is never un-reported.
 // Both knobs default to zero,
 // which reproduces the paper's one-shot identification exactly.
+//
+// A coordinator outlives its run when its owner wants it to: Reset starts it
+// over for the next run on the tables it has grown, which is how experiment's
+// run bundle keeps one for all of its runs.
 package pushback
 
 import (
@@ -36,7 +40,6 @@ import (
 	"slices"
 
 	"mafic/internal/netsim"
-	"mafic/internal/pool"
 	"mafic/internal/trafficmatrix"
 )
 
@@ -208,21 +211,23 @@ type Coordinator struct {
 	shareScratch []float64
 }
 
-// coordinatorPool recycles released coordinators across runs, keeping their
-// grown history tables, ranking scratch and eligibility map; see Release.
-var coordinatorPool = pool.FreeList[Coordinator]{Cap: 256}
-
 // NewCoordinator creates a coordinator. onPushback fires when an attack is
 // detected, and may be nil. The third callback is never called: pushback is
-// never withdrawn. The object comes from the package pool when a released
-// coordinator is available, so sweep-scale construction allocates nothing in
-// steady state.
+// never withdrawn.
 func NewCoordinator(cfg Config, onPushback func(Request), _ func(victim netsim.NodeID)) *Coordinator {
-	c := coordinatorPool.Get()
-	if c == nil {
-		c = &Coordinator{}
-	}
+	c := new(Coordinator)
+	c.Reset(cfg, onPushback, nil)
+	return c
+}
+
+// Reset makes c what NewCoordinator(cfg, onPushback, nil) returns, keeping its
+// storage: the grown history and score tables, the ranking scratch and the
+// eligibility map's buckets, so a coordinator reset for the next run
+// allocates nothing in steady state. Call it only once no report of c's last
+// run can arrive.
+func (c *Coordinator) Reset(cfg Config, onPushback func(Request), _ func(victim netsim.NodeID)) {
 	eligible := c.eligible
+	clear(eligible)
 	if len(cfg.Eligible) > 0 {
 		if eligible == nil {
 			eligible = make(map[netsim.NodeID]bool, len(cfg.Eligible))
@@ -239,9 +244,9 @@ func NewCoordinator(cfg Config, onPushback func(Request), _ func(victim netsim.N
 	if cfg.ATRRise > 0 && cfg.ATRDecay <= 0 {
 		cfg.ATRDecay = 0.85
 	}
-	// Full reinitialisation over the recycled backing: truncated (not
+	// Everything not carried over here starts from zero: truncated (not
 	// dropped) tables keep their capacity, and growHistory / growScores
-	// write every appended slot, so no state can leak between owners.
+	// write every appended slot, so no state can leak from the last run.
 	*c = Coordinator{
 		cfg:        cfg,
 		onPushback: onPushback,
@@ -256,18 +261,15 @@ func NewCoordinator(cfg Config, onPushback func(Request), _ func(victim netsim.N
 		shareScratch: c.shareScratch[:0],
 		historyAlpha: 0.5,
 	}
-	return c
 }
 
-// Release returns the coordinator to the package pool for reuse by a later
-// run. Call it only once no further epoch report can arrive, and do not use
-// the coordinator again: its callbacks are dropped and its tables are handed
-// to the next owner.
+// Release drops the coordinator's references to its run — the pushback
+// callback and the configuration's eligibility list — so that a coordinator
+// kept past its run pins neither. Call it only once no further epoch report
+// can arrive; Reset makes it usable again.
 func (c *Coordinator) Release() {
 	c.onPushback = nil
 	c.cfg = Config{}
-	clear(c.eligible) // keep the map header and buckets for the next owner
-	coordinatorPool.Put(c)
 }
 
 // Active reports whether a pushback request is currently in force.

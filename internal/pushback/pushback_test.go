@@ -419,7 +419,6 @@ func TestDetectionJudgesOnlyTheBusiestRouter(t *testing.T) {
 	run := func(spikeLoad float64) []Request {
 		var fired []Request
 		c := NewCoordinator(DefaultConfig(), func(r Request) { fired = append(fired, r) }, nil)
-		defer c.Release()
 		epoch := 1
 		for ; epoch <= 4; epoch++ {
 			c.HandleReport(report(epoch, map[netsim.NodeID]float64{1: 5000, 3: 100}, nil))

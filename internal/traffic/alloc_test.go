@@ -6,9 +6,9 @@ import (
 	"mafic/internal/sim"
 )
 
-// TestFlowLifecycleSteadyStateDoesNotAllocate pins the pooled flow
-// lifecycle: once each pool holds a released object, a full
-// construct/start/stop/release cycle — TCP and rolling-pulse sources alike —
+// TestFlowLifecycleSteadyStateDoesNotAllocate pins the reused flow
+// lifecycle: once a workload holds its senders, a full reset/start/stop cycle
+// on the objects it already has — TCP and rolling-pulse sources alike —
 // performs no heap allocation. This is what lets sweeps churn through
 // thousands of flow starts without touching the allocator.
 func TestFlowLifecycleSteadyStateDoesNotAllocate(t *testing.T) {
@@ -20,10 +20,11 @@ func TestFlowLifecycleSteadyStateDoesNotAllocate(t *testing.T) {
 	tcpCfg := DefaultTCPConfig()
 	rotCfg := RotatingConfig{PeakRate: 100, SlotLength: 10 * sim.Millisecond, Groups: 2}
 	rng := sim.NewRNG(9)
+	tcp, rot := new(TCPSource), new(PacedSource)
 
 	cycle := func() {
-		tcp := NewTCPSource(1, tcpCfg, client, victim, 10001)
-		rot := NewRotatingSource(2, rotCfg, zombie, victim, 10002, rng)
+		tcp.reset(1, tcpCfg, client, victim, 10001)
+		rot.rotating(2, rotCfg, zombie, victim, 10002, rng)
 		tcp.Start(sched.Now())
 		rot.Start(sched.Now())
 		tcp.Stop()
@@ -33,10 +34,8 @@ func TestFlowLifecycleSteadyStateDoesNotAllocate(t *testing.T) {
 		if err := sched.Run(); err != nil {
 			t.Fatalf("drain: %v", err)
 		}
-		tcp.Release()
-		rot.Release()
 	}
-	// Warm-up: populate the pools and the scheduler arena.
+	// Warm-up: materialise the handler and grow the scheduler arena.
 	for i := 0; i < 4; i++ {
 		cycle()
 	}
@@ -46,43 +45,41 @@ func TestFlowLifecycleSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestReleasedTCPSourceIsFullyReset guards pooling hygiene: a source reused
-// from the pool must behave exactly like a freshly allocated one — counters
-// zeroed, window back at the initial value, handler re-registered on the new
-// host.
+// TestReleasedTCPSourceIsFullyReset guards reuse hygiene: a source reset for
+// a new run must behave exactly like a freshly allocated one — counters
+// zeroed, window back at the initial value, handler registered on its host
+// in the next run's network.
 func TestReleasedTCPSourceIsFullyReset(t *testing.T) {
 	d := testDomain(t)
 	NewVictimServer(d.Victim, 0)
 	cfg := DefaultTCPConfig()
 
-	first := NewTCPSource(1, cfg, d.Clients[0], d.VictimIP(), 10001)
-	first.Start(0)
+	s := NewTCPSource(1, cfg, d.Clients[0], d.VictimIP(), 10001)
+	s.Start(0)
 	if err := d.Net.Scheduler().RunUntil(1 * sim.Second); err != nil {
 		t.Fatal(err)
 	}
-	first.Stop()
-	if first.PacketsSent() == 0 || first.AcksReceived() == 0 {
+	s.Stop()
+	if s.PacketsSent() == 0 || s.AcksReceived() == 0 {
 		t.Fatal("first lifetime saw no traffic")
 	}
-	first.Release()
 
-	second := NewTCPSource(2, cfg, d.Clients[1], d.VictimIP(), 10002)
-	if second != first {
-		t.Skip("pool handed out a different object; reset not observable")
+	d2 := testDomain(t)
+	NewVictimServer(d2.Victim, 0)
+	s.reset(2, cfg, d2.Clients[1], d2.VictimIP(), 10002)
+	if s.PacketsSent() != 0 || s.AcksReceived() != 0 || s.Window() != cfg.InitialWindow {
+		t.Fatalf("reset source kept state: sent %d acked %d window %v",
+			s.PacketsSent(), s.AcksReceived(), s.Window())
 	}
-	if second.PacketsSent() != 0 || second.AcksReceived() != 0 || second.Window() != cfg.InitialWindow {
-		t.Fatalf("reused source kept state: sent %d acked %d window %v",
-			second.PacketsSent(), second.AcksReceived(), second.Window())
-	}
-	second.Start(d.Net.Scheduler().Now())
-	if err := d.Net.Scheduler().RunUntil(d.Net.Scheduler().Now() + 1*sim.Second); err != nil {
+	s.Start(d2.Net.Scheduler().Now())
+	if err := d2.Net.Scheduler().RunUntil(d2.Net.Scheduler().Now() + 1*sim.Second); err != nil {
 		t.Fatal(err)
 	}
-	second.Stop()
-	if second.PacketsSent() == 0 || second.AcksReceived() == 0 {
-		t.Fatal("reused source did not function after reset")
+	s.Stop()
+	if s.PacketsSent() == 0 || s.AcksReceived() == 0 {
+		t.Fatal("reset source did not function")
 	}
-	if second.Label().SrcIP != d.Clients[1].PrimaryIP() {
-		t.Fatal("reused source kept the previous host's label")
+	if s.Label().SrcIP != d2.Clients[1].PrimaryIP() {
+		t.Fatal("reset source kept the previous host's label")
 	}
 }

@@ -2,20 +2,7 @@ package traffic
 
 import (
 	"mafic/internal/netsim"
-	"mafic/internal/pool"
 	"mafic/internal/sim"
-)
-
-// tcpPool and pacedPool recycle flow objects across workload builds,
-// including across the workers of a parallel sweep. The caps bound retained
-// memory against a pathological burst of releases.
-//
-// Pooled objects are fully reinitialised on reuse, so reuse can never leak
-// state between runs — the experiment invariance suite pins this by
-// comparing pooled and fresh runs bit-for-bit.
-var (
-	tcpPool   = pool.FreeList[TCPSource]{Cap: 1 << 14}
-	pacedPool = pool.FreeList[PacedSource]{Cap: 1 << 14}
 )
 
 // pacing is everything that tells one paced sender from another: what its
@@ -78,19 +65,17 @@ func (g *gateShut) OnEvent(sim.Time) { g.s.st.InBurst = false }
 
 var _ Flow = (*PacedSource)(nil)
 
-// newPaced builds a paced sender of the given kind, clamping an unusable size
-// or rate so a workload builder can always construct a runnable flow. The
-// object comes from a package pool when a released source is available.
-func newPaced(id int, kind FlowKind, cfg pacing, host *netsim.Host, label netsim.FlowLabel, rng *sim.RNG) *PacedSource {
+// reset makes s a paced sender of the given kind and returns it, clamping an
+// unusable size or rate so a workload builder can always construct a runnable
+// flow. Nothing of what s was before survives: the constructors pass a new
+// object, and Workload.Reset one whose network has been reset since it last
+// ran.
+func (s *PacedSource) reset(id int, kind FlowKind, cfg pacing, host *netsim.Host, label netsim.FlowLabel, rng *sim.RNG) *PacedSource {
 	if cfg.size <= 0 {
 		cfg.size = DefaultDataSize
 	}
 	if cfg.rate <= 0 {
 		cfg.rate = 1
-	}
-	s := pacedPool.Get()
-	if s == nil {
-		s = &PacedSource{}
 	}
 	*s = PacedSource{
 		id:        id,
@@ -101,9 +86,9 @@ func newPaced(id int, kind FlowKind, cfg pacing, host *netsim.Host, label netsim
 		label:     label,
 		labelHash: label.Hash(),
 		st:        FlowState{Kind: kind},
+		open:      gateOpen{s},
+		shut:      gateShut{s},
 	}
-	s.open.s = s
-	s.shut.s = s
 	return s
 }
 
@@ -121,7 +106,12 @@ type CBRConfig struct {
 // NewCBRSource creates a legitimate constant-rate (UDP-like) source on the
 // given host targeting the victim address.
 func NewCBRSource(id int, cfg CBRConfig, host *netsim.Host, victim netsim.IP, srcPort uint16, rng *sim.RNG) *PacedSource {
-	return newPaced(id, FlowCBR, pacing{
+	return new(PacedSource).cbr(id, cfg, host, victim, srcPort, rng)
+}
+
+// cbr resets s to what NewCBRSource returns and returns it.
+func (s *PacedSource) cbr(id int, cfg CBRConfig, host *netsim.Host, victim netsim.IP, srcPort uint16, rng *sim.RNG) *PacedSource {
+	return s.reset(id, FlowCBR, pacing{
 		proto: netsim.ProtoUDP,
 		rate:  cfg.Rate, jitter: cfg.Jitter, size: cfg.PacketSize,
 	}, host, sourceLabel(host, victim, srcPort, SpoofNone, 0), rng)
@@ -144,14 +134,14 @@ const (
 	SpoofIllegal
 )
 
-// newAttack builds a malicious paced sender on a zombie: its packets are
+// attack resets s to a malicious paced sender on a zombie: its packets are
 // marked malicious (ground truth for metrics only), its source address may be
 // spoofed, and — the paper notes most attack traffic claims to be TCP — they
 // carry the TCP protocol marker while ignoring all feedback.
-func newAttack(id int, kind FlowKind, cfg pacing, zombie *netsim.Host, victim netsim.IP, srcPort uint16, spoof SpoofMode, spoofedIP netsim.IP, rng *sim.RNG) *PacedSource {
+func (s *PacedSource) attack(id int, kind FlowKind, cfg pacing, zombie *netsim.Host, victim netsim.IP, srcPort uint16, spoof SpoofMode, spoofedIP netsim.IP, rng *sim.RNG) *PacedSource {
 	cfg.malicious = true
 	cfg.proto = netsim.ProtoTCP
-	return newPaced(id, kind, cfg, zombie, sourceLabel(zombie, victim, srcPort, spoof, spoofedIP), rng)
+	return s.reset(id, kind, cfg, zombie, sourceLabel(zombie, victim, srcPort, spoof, spoofedIP), rng)
 }
 
 // gateJitter is the inter-packet jitter of the gated attack kinds.
@@ -175,7 +165,12 @@ type AttackConfig struct {
 // NewAttackSource creates an attack flow on the given zombie host: an
 // unresponsive constant-rate flood.
 func NewAttackSource(id int, cfg AttackConfig, zombie *netsim.Host, victim netsim.IP, srcPort uint16, rng *sim.RNG) *PacedSource {
-	return newAttack(id, FlowAttack, pacing{
+	return new(PacedSource).flood(id, cfg, zombie, victim, srcPort, rng)
+}
+
+// flood resets s to what NewAttackSource returns and returns it.
+func (s *PacedSource) flood(id int, cfg AttackConfig, zombie *netsim.Host, victim netsim.IP, srcPort uint16, rng *sim.RNG) *PacedSource {
+	return s.attack(id, FlowAttack, pacing{
 		rate: cfg.Rate, jitter: cfg.Jitter, size: cfg.PacketSize,
 	}, zombie, victim, srcPort, cfg.Spoof, cfg.SpoofedIP, rng)
 }
@@ -216,13 +211,18 @@ func DefaultPulsingConfig(peakRate float64) PulsingConfig {
 // NewPulsingSource creates a pulsing attack flow on the given zombie host:
 // the gate opens for Period × DutyCycle at the start of every Period.
 func NewPulsingSource(id int, cfg PulsingConfig, zombie *netsim.Host, victim netsim.IP, srcPort uint16, rng *sim.RNG) *PacedSource {
+	return new(PacedSource).pulsing(id, cfg, zombie, victim, srcPort, rng)
+}
+
+// pulsing resets s to what NewPulsingSource returns and returns it.
+func (s *PacedSource) pulsing(id int, cfg PulsingConfig, zombie *netsim.Host, victim netsim.IP, srcPort uint16, rng *sim.RNG) *PacedSource {
 	if cfg.Period <= 0 {
 		cfg.Period = sim.Second
 	}
 	if cfg.DutyCycle <= 0 || cfg.DutyCycle > 1 {
 		cfg.DutyCycle = 0.2
 	}
-	return newAttack(id, FlowPulsing, pacing{
+	return s.attack(id, FlowPulsing, pacing{
 		rate: cfg.PeakRate, jitter: gateJitter, size: cfg.PacketSize,
 		onFor: sim.Time(float64(cfg.Period) * cfg.DutyCycle),
 		every: cfg.Period,
@@ -261,6 +261,11 @@ type RotatingConfig struct {
 // group 0 floods first and the baton then travels group by group. Invalid
 // configuration fields are clamped to usable values.
 func NewRotatingSource(id int, cfg RotatingConfig, zombie *netsim.Host, victim netsim.IP, srcPort uint16, rng *sim.RNG) *PacedSource {
+	return new(PacedSource).rotating(id, cfg, zombie, victim, srcPort, rng)
+}
+
+// rotating resets s to what NewRotatingSource returns and returns it.
+func (s *PacedSource) rotating(id int, cfg RotatingConfig, zombie *netsim.Host, victim netsim.IP, srcPort uint16, rng *sim.RNG) *PacedSource {
 	if cfg.SlotLength <= 0 {
 		cfg.SlotLength = 100 * sim.Millisecond
 	}
@@ -270,22 +275,12 @@ func NewRotatingSource(id int, cfg RotatingConfig, zombie *netsim.Host, victim n
 	if cfg.Group < 0 || cfg.Group >= cfg.Groups {
 		cfg.Group = 0
 	}
-	return newAttack(id, FlowRotating, pacing{
+	return s.attack(id, FlowRotating, pacing{
 		rate: cfg.PeakRate, jitter: gateJitter, size: cfg.PacketSize,
 		onFor:  cfg.SlotLength,
 		every:  sim.Time(int64(cfg.SlotLength) * int64(cfg.Groups)),
 		offset: sim.Time(int64(cfg.SlotLength) * int64(cfg.Group)),
 	}, zombie, victim, srcPort, cfg.Spoof, cfg.SpoofedIP, rng)
-}
-
-// Release implements Flow: the source returns to the package pool for reuse
-// by a later workload build and must not be used afterwards.
-func (s *PacedSource) Release() {
-	s.Stop()
-	s.host, s.net, s.rng = nil, nil, nil
-	s.sendEvent = sim.EventRef{}
-	s.gateEvent = sim.EventRef{}
-	pacedPool.Put(s)
 }
 
 // ID implements Flow.

@@ -59,7 +59,6 @@ func FuzzRotatingSource(f *testing.F) {
 			Group:      group,
 		}
 		s := NewRotatingSource(1, cfg, zombie, victim.PrimaryIP(), 1000, nil)
-		defer s.Release()
 
 		// Mirror of the constructor's clamps, the schedule actually in force.
 		cSlot := cfg.SlotLength

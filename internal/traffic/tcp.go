@@ -53,16 +53,23 @@ type TCPSource struct {
 	packetSize int
 
 	// reverseFn is the onReverse method value, materialised once per
-	// pooled object so re-registering a reused source allocates nothing.
+	// object so re-registering a reused source allocates nothing.
 	reverseFn netsim.PacketHandler
 }
 
 var _ Flow = (*TCPSource)(nil)
 
 // NewTCPSource creates a TCP-friendly source on the given host targeting the
-// victim address. srcPort disambiguates multiple flows from one host. The
-// object comes from a package pool when a released source is available.
+// victim address. srcPort disambiguates multiple flows from one host.
 func NewTCPSource(id int, cfg TCPConfig, host *netsim.Host, victim netsim.IP, srcPort uint16) *TCPSource {
+	return new(TCPSource).reset(id, cfg, host, victim, srcPort)
+}
+
+// reset makes s what NewTCPSource returns for the same arguments, keeping its
+// reverseFn, and returns s. Workload.Reset reuses its sources through it,
+// on a network reset since they last ran, so no event or handler
+// registration of their last run is left.
+func (s *TCPSource) reset(id int, cfg TCPConfig, host *netsim.Host, victim netsim.IP, srcPort uint16) *TCPSource {
 	if cfg.PacketSize <= 0 {
 		cfg.PacketSize = DefaultDataSize
 	}
@@ -72,9 +79,7 @@ func NewTCPSource(id int, cfg TCPConfig, host *netsim.Host, victim netsim.IP, sr
 	if cfg.SlowStartThreshold <= 0 {
 		cfg.SlowStartThreshold = 16
 	}
-	s := tcpPool.Get()
-	if s == nil {
-		s = &TCPSource{}
+	if s.reverseFn == nil {
 		s.reverseFn = s.onReverse
 	}
 	*s = TCPSource{
@@ -96,19 +101,6 @@ func NewTCPSource(id int, cfg TCPConfig, host *netsim.Host, victim netsim.IP, sr
 	// Receive ACKs, duplicate ACKs and probes addressed to this flow.
 	host.Register(s.label.Reverse(), s.reverseFn)
 	return s
-}
-
-// Release implements Flow: the source detaches from its host and
-// returns to the package pool for reuse by a later workload build. The
-// source must not be used afterwards.
-func (s *TCPSource) Release() {
-	s.Stop()
-	s.host.Unregister(s.label.Reverse())
-	// Drop every external reference so the pool pins neither the finished
-	// run's network nor its scheduler.
-	s.host, s.net = nil, nil
-	s.sendEvent = sim.EventRef{}
-	tcpPool.Put(s)
 }
 
 // ID implements Flow.

@@ -18,7 +18,9 @@ import (
 	"mafic/internal/sim"
 )
 
-// Flow is the common interface of every traffic source.
+// Flow is the common interface of every traffic source. A flow a workload
+// built belongs to that workload: Workload.Reset rebuilds its senders in
+// place for the next run, so a flow is valid until its workload's next Reset.
 type Flow interface {
 	// ID is the ground-truth flow identifier carried by every packet the
 	// flow emits.
@@ -37,10 +39,6 @@ type Flow interface {
 	// second (the congestion-controlled rate for TCP sources, the
 	// configured rate for constant-rate sources).
 	CurrentRate() float64
-	// Release stops the flow and returns the object to its package pool so
-	// a later workload build can reuse it instead of allocating. The flow
-	// must not be touched afterwards.
-	Release()
 }
 
 // DefaultDataSize is the payload packet size in bytes used by every source

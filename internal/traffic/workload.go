@@ -227,6 +227,12 @@ type Workload struct {
 	// these flows start at the flash-crowd instant rather than inside the
 	// regular start window.
 	Flash []Flow
+
+	// tcp and paced keep every sender a build of this workload has made, by
+	// position among its kind: the k-th TCP flow of a build is tcp[k], and
+	// the k-th paced one (UDP first, then attack) is paced[k].
+	tcp   []*TCPSource
+	paced []*PacedSource
 }
 
 // StartAll schedules every flow: legitimate flows spread over the spec's
@@ -259,13 +265,9 @@ func (w *Workload) StopAll() {
 	}
 }
 
-// Release returns every pooled flow object to its package pool. Call it once
-// the run's metrics have been extracted; the workload and its flows must not
-// be used afterwards.
+// Release drops the workload's flow lists. Call it once the run's metrics
+// have been extracted; Reset makes the workload usable again.
 func (w *Workload) Release() {
-	for _, f := range w.Flows {
-		f.Release()
-	}
 	w.Flows, w.Legitimate, w.Attack, w.Flash = nil, nil, nil, nil
 }
 
@@ -284,22 +286,46 @@ func (w *Workload) PacketsSent() (legit, attack uint64) {
 // flows on client hosts (round-robin), attack flows on zombie hosts
 // (round-robin), and a victim server on the victim host.
 func BuildWorkload(spec WorkloadSpec, d *topology.Domain, rng *sim.RNG) (*Workload, error) {
-	if err := spec.Validate(); err != nil {
+	w := new(Workload)
+	if err := w.Reset(spec, d, rng); err != nil {
 		return nil, err
 	}
+	return w, nil
+}
+
+// Reset makes w what BuildWorkload(spec, d, rng) returns, keeping its
+// storage: the flow lists' backing and every sender an earlier build made,
+// which this build's senders reuse by position among their kind. d's network
+// must have been reset since w's last build ran on it, so that no event or
+// handler of the old flows is left; every flow w handed out before is
+// invalid from here on. A failed Reset leaves w fit only for another Reset.
+func (w *Workload) Reset(spec WorkloadSpec, d *topology.Domain, rng *sim.RNG) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
 	if len(d.Clients) == 0 || len(d.Zombies) == 0 {
-		return nil, ErrNoSources
+		return ErrNoSources
 	}
 	tcpCount, udpCount, attackCount := spec.Counts()
 
-	w := &Workload{Victim: NewVictimServer(d.Victim, DefaultAckSize)}
+	// Everything not carried over here starts from zero.
+	*w = Workload{
+		Victim:       NewVictimServer(d.Victim, DefaultAckSize),
+		ExtraServers: w.ExtraServers[:0],
+		Flows:        w.Flows[:0],
+		Legitimate:   w.Legitimate[:0],
+		Attack:       w.Attack[:0],
+		Flash:        w.Flash[:0],
+		tcp:          w.tcp,
+		paced:        w.paced,
+	}
 	victimIP := d.VictimIP()
 	flowID := 0
 	nextPort := func() uint16 { return uint16(10000 + flowID) }
 
-	// newLegitTCP builds one legitimate responsive flow; baseline and
+	// newLegitTCP builds the k-th legitimate responsive flow; baseline and
 	// flash-crowd flows share it so their TCP behaviour cannot diverge.
-	newLegitTCP := func(host *netsim.Host, maxRate float64) Flow {
+	newLegitTCP := func(k int, host *netsim.Host, maxRate float64) Flow {
 		cfg := TCPConfig{
 			RTT:                spec.RTT,
 			MaxRate:            maxRate,
@@ -307,7 +333,7 @@ func BuildWorkload(spec WorkloadSpec, d *topology.Domain, rng *sim.RNG) (*Worklo
 			SlowStartThreshold: 16,
 			PacketSize:         spec.PacketSize,
 		}
-		f := NewTCPSource(flowID, cfg, host, victimIP, nextPort())
+		f := kept(&w.tcp, k).reset(flowID, cfg, host, victimIP, nextPort())
 		flowID++
 		w.Flows = append(w.Flows, f)
 		w.Legitimate = append(w.Legitimate, f)
@@ -315,13 +341,13 @@ func BuildWorkload(spec WorkloadSpec, d *topology.Domain, rng *sim.RNG) (*Worklo
 	}
 
 	for i := 0; i < tcpCount; i++ {
-		newLegitTCP(d.Clients[i%len(d.Clients)], spec.LegitRate)
+		newLegitTCP(i, d.Clients[i%len(d.Clients)], spec.LegitRate)
 	}
 
 	for i := 0; i < udpCount; i++ {
 		host := d.Clients[i%len(d.Clients)]
 		cfg := CBRConfig{Rate: spec.UDPRate, PacketSize: spec.PacketSize, Jitter: 0.1}
-		f := NewCBRSource(flowID, cfg, host, victimIP, nextPort(), rng.Fork())
+		f := kept(&w.paced, i).cbr(flowID, cfg, host, victimIP, nextPort(), rng.Fork())
 		flowID++
 		w.Flows = append(w.Flows, f)
 		w.Legitimate = append(w.Legitimate, f)
@@ -336,7 +362,7 @@ func BuildWorkload(spec WorkloadSpec, d *topology.Domain, rng *sim.RNG) (*Worklo
 		if rate <= 0 {
 			rate = spec.LegitRate
 		}
-		f := newLegitTCP(d.Clients[(tcpCount+i)%len(d.Clients)], rate)
+		f := newLegitTCP(tcpCount+i, d.Clients[(tcpCount+i)%len(d.Clients)], rate)
 		w.Flash = append(w.Flash, f)
 	}
 
@@ -348,7 +374,7 @@ func BuildWorkload(spec WorkloadSpec, d *topology.Domain, rng *sim.RNG) (*Worklo
 	var extraIPs []netsim.IP
 	if extraAim > 0 {
 		if len(d.ExtraVictims) == 0 {
-			return nil, fmt.Errorf("%w: extra victim share %v but domain has no extra victims",
+			return fmt.Errorf("%w: extra victim share %v but domain has no extra victims",
 				ErrBadSpec, spec.ExtraVictimShare)
 		}
 		for _, v := range d.ExtraVictims {
@@ -366,7 +392,7 @@ func BuildWorkload(spec WorkloadSpec, d *topology.Domain, rng *sim.RNG) (*Worklo
 	var bystanderIPs []netsim.IP
 	if coremeltAim > 0 {
 		if len(d.Bystanders) == 0 {
-			return nil, fmt.Errorf("%w: coremelt share %v but domain has no bystander hosts",
+			return fmt.Errorf("%w: coremelt share %v but domain has no bystander hosts",
 				ErrBadSpec, spec.CoremeltShare)
 		}
 		for _, b := range d.Bystanders {
@@ -404,6 +430,7 @@ func BuildWorkload(spec WorkloadSpec, d *topology.Domain, rng *sim.RNG) (*Worklo
 			rate *= spec.AttackRateMix[i%len(spec.AttackRateMix)]
 		}
 
+		s := kept(&w.paced, udpCount+i)
 		var f Flow
 		switch {
 		case spec.AttackGroups > 1:
@@ -416,7 +443,7 @@ func BuildWorkload(spec WorkloadSpec, d *topology.Domain, rng *sim.RNG) (*Worklo
 				Spoof:      spoof,
 				SpoofedIP:  spoofedIP,
 			}
-			f = NewRotatingSource(flowID, rcfg, zombie, target, nextPort(), rng.Fork())
+			f = s.rotating(flowID, rcfg, zombie, target, nextPort(), rng.Fork())
 		case spec.AttackPulsePeriod > 0:
 			pcfg := PulsingConfig{
 				PeakRate:   rate,
@@ -426,7 +453,7 @@ func BuildWorkload(spec WorkloadSpec, d *topology.Domain, rng *sim.RNG) (*Worklo
 				Spoof:      spoof,
 				SpoofedIP:  spoofedIP,
 			}
-			f = NewPulsingSource(flowID, pcfg, zombie, target, nextPort(), rng.Fork())
+			f = s.pulsing(flowID, pcfg, zombie, target, nextPort(), rng.Fork())
 		default:
 			cfg := AttackConfig{
 				Rate:       rate,
@@ -435,11 +462,21 @@ func BuildWorkload(spec WorkloadSpec, d *topology.Domain, rng *sim.RNG) (*Worklo
 				Spoof:      spoof,
 				SpoofedIP:  spoofedIP,
 			}
-			f = NewAttackSource(flowID, cfg, zombie, target, nextPort(), rng.Fork())
+			f = s.flood(flowID, cfg, zombie, target, nextPort(), rng.Fork())
 		}
 		flowID++
 		w.Flows = append(w.Flows, f)
 		w.Attack = append(w.Attack, f)
 	}
-	return w, nil
+	return nil
+}
+
+// kept returns (*list)[k], first appending a new object when the list is
+// exactly k long: builds take their senders in order, so the list grows to
+// the largest build's count and stays there.
+func kept[T any](list *[]*T, k int) *T {
+	if k == len(*list) {
+		*list = append(*list, new(T))
+	}
+	return (*list)[k]
 }

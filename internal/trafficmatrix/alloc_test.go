@@ -90,32 +90,37 @@ func TestEpochProcessingZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMonitorReuseRecyclesSketchSlab pins the monitor pool: building a
-// monitor on a fresh same-shaped domain after releasing one must cost a
-// small fraction of the first build's allocations, because the sketch slab —
-// the dominant construction cost — is recycled rather than reallocated.
+// TestMonitorReuseRecyclesSketchSlab pins monitor reuse: resetting a
+// monitor onto a fresh same-shaped domain must cost a small fraction of the
+// first build's allocations, because the sketch slab — the dominant
+// construction cost — is reset rather than reallocated.
 func TestMonitorReuseRecyclesSketchSlab(t *testing.T) {
-	measure := func() uint64 {
-		d := smallDomain(t)
+	mallocs := func(fn func() error) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		mon, err := NewMonitor(d.Net, MonitorConfig{Epoch: sim.Second}, nil)
-		if err != nil {
+		if err := fn(); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		mon.Release()
 		return after.Mallocs - before.Mallocs
 	}
-	first := measure()
-	second := measure()
+	cfg := MonitorConfig{Epoch: sim.Second}
+	d := smallDomain(t)
+	var mon *Monitor
+	first := mallocs(func() (err error) {
+		mon, err = NewMonitor(d.Net, cfg, nil)
+		return err
+	})
+	d2 := smallDomain(t)
+	second := mallocs(func() error { return mon.Reset(d2.Net, cfg, nil) })
 	if second*4 >= first {
-		t.Fatalf("monitor reuse saved too little: first build %d mallocs, second %d", first, second)
+		t.Fatalf("monitor reuse saved too little: first build %d mallocs, reset %d", first, second)
 	}
 }
 
-// TestMonitorReuseLeaksNoCounts verifies recycled sketches are reset: a
-// reused monitor must estimate zero traffic before any packet flows.
+// TestMonitorReuseLeaksNoCounts verifies reset sketches are cleared: a
+// monitor reset onto another domain must estimate zero traffic before any
+// packet flows.
 func TestMonitorReuseLeaksNoCounts(t *testing.T) {
 	d := smallDomain(t)
 	mon, err := NewMonitor(d.Net, MonitorConfig{Epoch: 50 * sim.Millisecond}, nil)
@@ -130,17 +135,15 @@ func TestMonitorReuseLeaksNoCounts(t *testing.T) {
 	if warm.DestEstimate(d.LastHop.ID()) == 0 {
 		t.Fatal("setup monitor saw no traffic; the reuse check would prove nothing")
 	}
-	mon.Release()
 
 	d2 := smallDomain(t)
-	mon2, err := NewMonitor(d2.Net, MonitorConfig{Epoch: 50 * sim.Millisecond}, nil)
-	if err != nil {
+	if err := mon.Reset(d2.Net, MonitorConfig{Epoch: 50 * sim.Millisecond}, nil); err != nil {
 		t.Fatal(err)
 	}
-	report := mon2.Compute(d2.Net.Now())
+	report := mon.Compute(d2.Net.Now())
 	for _, id := range report.Routers {
 		if report.DestEstimate(id) != 0 || report.SourceEstimate(id) != 0 {
-			t.Fatalf("recycled monitor leaked counts at router %d: dest %v src %v",
+			t.Fatalf("reset monitor leaked counts at router %d: dest %v src %v",
 				id, report.DestEstimate(id), report.SourceEstimate(id))
 		}
 	}
@@ -200,9 +203,9 @@ func panics(f func()) (did bool) {
 }
 
 // TestPooledReportsMatchFromScratch runs three monitors back to back on the
-// one pooled object — every router of a 40-router domain with a client
-// flooding behind each ingress, the same again over a control channel that
-// delays half the reports, then two routers of a 12-router domain — and
+// one object, reset between them — every router of a 40-router domain with a
+// client flooding behind each ingress, the same again over a control channel
+// that delays half the reports, then two routers of a 12-router domain — and
 // requires every report, at callback time, to equal the eager from-scratch
 // reference in its vectors, in every monitored router's ranked column and in
 // the whole matrix: nothing of an earlier epoch, and nothing of the earlier
@@ -212,12 +215,12 @@ func panics(f func()) (did bool) {
 // one kept as delivered; a live one kept without Clone must panic when its
 // matrix is read after a later tick, or two epochs could mix unnoticed.
 func TestPooledReportsMatchFromScratch(t *testing.T) {
-	run := func(d *topology.Domain, cfg MonitorConfig, sources []*netsim.Host, until sim.Time) (*Monitor, []EpochReport) {
+	mon := new(Monitor)
+	run := func(d *topology.Domain, cfg MonitorConfig, sources []*netsim.Host, until sim.Time) []EpochReport {
 		d.Victim.SetDefaultHandler(func(*netsim.Packet, sim.Time) {})
-		var mon *Monitor
 		var raw, cloned, refs []EpochReport
 		live := 0
-		mon, err := NewMonitor(d.Net, cfg, func(r EpochReport) {
+		if err := mon.Reset(d.Net, cfg, func(r EpochReport) {
 			if r.live != nil {
 				live++
 			}
@@ -226,8 +229,7 @@ func TestPooledReportsMatchFromScratch(t *testing.T) {
 				t.Fatalf("epoch %d: report %+v with cells %+v, from scratch %+v", r.Epoch, r, r.Cells(), ref)
 			}
 			raw, cloned, refs = append(raw, r), append(cloned, r.Clone()), append(refs, ref)
-		})
-		if err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
 		mon.Start()
@@ -266,7 +268,7 @@ func TestPooledReportsMatchFromScratch(t *testing.T) {
 		if delayed := cfg.ReportDelayProb > 0; live < 2 || delayed == (live == len(refs)) {
 			t.Fatalf("%d of %d reports arrived live with delay probability %v", live, len(refs), cfg.ReportDelayProb)
 		}
-		return mon, refs
+		return refs
 	}
 
 	build := func() (*topology.Domain, []*netsim.Host) {
@@ -281,33 +283,24 @@ func TestPooledReportsMatchFromScratch(t *testing.T) {
 		return big, perIngress
 	}
 	big, perIngress := build()
-	m1, _ := run(big, MonitorConfig{Epoch: 25 * sim.Millisecond, Monitored: everyRouter(big.Net)}, perIngress, 110*sim.Millisecond)
-	m1.Release()
+	run(big, MonitorConfig{Epoch: 25 * sim.Millisecond, Monitored: everyRouter(big.Net)}, perIngress, 110*sim.Millisecond)
 
 	// The delay is shorter than the epoch, so a late report still finds its
 	// own epoch frozen in the counters for the reference to read.
 	big, perIngress = build()
 	lossy := MonitorConfig{Epoch: 25 * sim.Millisecond, Monitored: everyRouter(big.Net), ReportDelayProb: 0.5, ReportDelay: 5 * sim.Millisecond}
-	// The run stops inside the flood, so the tables are released dirty.
-	m2, refs := run(big, lossy, perIngress, 110*sim.Millisecond)
-	if m2 != m1 {
-		t.Fatal("second monitor did not come from the pool")
-	}
+	// The run stops inside the flood, so the tables are reset dirty.
+	refs := run(big, lossy, perIngress, 110*sim.Millisecond)
 	dirty := refs[len(refs)-1]
-	m2.Release()
 
 	small := smallDomain(t)
 	ends := []netsim.NodeID{small.Ingress[0].ID(), small.LastHop.ID()}
-	m3, _ := run(small, MonitorConfig{Epoch: 50 * sim.Millisecond, Monitored: ends}, small.Clients[:1], 400*sim.Millisecond)
-	if m3 != m1 {
-		t.Fatal("third monitor did not come from the pool")
-	}
+	run(small, MonitorConfig{Epoch: 50 * sim.Millisecond, Monitored: ends}, small.Clients[:1], 400*sim.Millisecond)
 	exposed := false
-	for id := range m3.srcEst {
-		exposed = exposed || (m3.counters[id] == nil && dirty.SourceEst[id] != 0)
+	for id := range mon.srcEst {
+		exposed = exposed || (mon.counters[id] == nil && dirty.SourceEst[id] != 0)
 	}
 	if !exposed {
 		t.Fatal("no entry the second monitor left non-zero lies outside the third one's set: stale tables would go unnoticed")
 	}
-	m3.Release()
 }

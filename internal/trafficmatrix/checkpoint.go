@@ -22,7 +22,7 @@ type CounterState struct {
 
 // MonitorState is the monitor's dynamic state. Counters are listed in
 // routerIDs order (ascending router ID), which a deterministic rebuild
-// reproduces exactly. The pooled estimate tables are not captured: every
+// reproduces exactly. The reused estimate tables are not captured: every
 // epoch computation overwrites them from scratch, so their content between
 // epochs is dead state, as are the generation that guards live reports (none
 // outlives its callback) and the work counters of Stats.

@@ -120,9 +120,9 @@ func TestDelayedReportsArriveLateAndOwned(t *testing.T) {
 	}
 }
 
-// TestLossyMonitorPooledReuseClearsChannelState verifies a recycled monitor
-// whose previous owner used the lossy channel comes back clean: no stale RNG,
-// no stale loss knobs, so a fault-free reuse draws no randomness.
+// TestLossyMonitorPooledReuseClearsChannelState verifies a monitor whose last
+// run used the lossy channel comes back clean from Reset: no stale RNG, no
+// stale loss knobs, so a fault-free reuse draws no randomness.
 func TestLossyMonitorPooledReuseClearsChannelState(t *testing.T) {
 	d := smallDomain(t)
 	mon, err := NewMonitor(d.Net, MonitorConfig{
@@ -137,16 +137,13 @@ func TestLossyMonitorPooledReuseClearsChannelState(t *testing.T) {
 	if mon.ctrlRNG == nil {
 		t.Fatal("lossy monitor did not fork a control RNG")
 	}
-	mon.Release()
 
 	d2 := smallDomain(t)
-	mon2, err := NewMonitor(d2.Net, MonitorConfig{Epoch: 20 * sim.Millisecond}, nil)
-	if err != nil {
-		t.Fatalf("NewMonitor (reuse): %v", err)
+	if err := mon.Reset(d2.Net, MonitorConfig{Epoch: 20 * sim.Millisecond}, nil); err != nil {
+		t.Fatalf("Reset: %v", err)
 	}
-	defer mon2.Release()
-	if mon2.ctrlRNG != nil || mon2.reportLoss != 0 || mon2.delayProb != 0 || mon2.reportDelay != 0 {
-		t.Fatalf("recycled monitor kept lossy-channel state: rng=%v loss=%v delayProb=%v delay=%v",
-			mon2.ctrlRNG, mon2.reportLoss, mon2.delayProb, mon2.reportDelay)
+	if mon.ctrlRNG != nil || mon.reportLoss != 0 || mon.delayProb != 0 || mon.reportDelay != 0 {
+		t.Fatalf("reset monitor kept lossy-channel state: rng=%v loss=%v delayProb=%v delay=%v",
+			mon.ctrlRNG, mon.reportLoss, mon.delayProb, mon.reportDelay)
 	}
 }

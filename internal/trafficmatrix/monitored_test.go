@@ -95,7 +95,6 @@ func TestMonitoredSetExplicitAndErrors(t *testing.T) {
 	if mon.Counter(d.Ingress[1].ID()) != nil {
 		t.Fatal("router outside the explicit set has a counter")
 	}
-	mon.Release()
 
 	hostID := d.Clients[0].ID()
 	if _, err := NewMonitor(d.Net, MonitorConfig{Monitored: []netsim.NodeID{hostID}}, nil); err == nil {
@@ -131,7 +130,6 @@ func TestDefaultSetMatchesEveryRouter(t *testing.T) {
 		if err := d.Net.Scheduler().RunUntil(400 * sim.Millisecond); err != nil {
 			t.Fatalf("run: %v", err)
 		}
-		mon.Release()
 		return reports
 	}
 	monitored := run(false)
@@ -170,7 +168,8 @@ func TestDefaultSetMatchesEveryRouter(t *testing.T) {
 }
 
 // dirtyCounters pushes synthetic packet IDs straight into every counter's
-// active sketches so a released monitor carries non-trivial sketch state.
+// active sketches so a monitor about to be reset carries non-trivial sketch
+// state.
 func dirtyCounters(m *Monitor) {
 	for _, id := range m.routerIDs {
 		c := m.counters[id]
@@ -181,28 +180,26 @@ func dirtyCounters(m *Monitor) {
 	}
 }
 
-// TestMonitorReuseBucketChange pins pooled-monitor reuse across a bucket-count
-// change: the recycled slab's geometry no longer matches, so the counters must
+// TestMonitorReuseBucketChange pins monitor reuse across a bucket-count
+// change: the kept slab's geometry no longer matches, so the counters must
 // come up on fresh sketches of the new size with zero estimates.
 func TestMonitorReuseBucketChange(t *testing.T) {
 	d := smallDomain(t)
-	m1, err := NewMonitor(d.Net, MonitorConfig{Buckets: 64}, nil)
+	mon, err := NewMonitor(d.Net, MonitorConfig{Buckets: 64}, nil)
 	if err != nil {
 		t.Fatalf("NewMonitor: %v", err)
 	}
-	dirtyCounters(m1)
-	if est := m1.Counter(m1.routerIDs[0]).SourceEstimate(); est <= 0 {
+	dirtyCounters(mon)
+	if est := mon.Counter(mon.routerIDs[0]).SourceEstimate(); est <= 0 {
 		t.Fatalf("dirtying left estimate %v, want > 0", est)
 	}
-	m1.Release()
 
 	d2 := smallDomain(t)
-	m2, err := NewMonitor(d2.Net, MonitorConfig{Buckets: 128}, nil)
-	if err != nil {
-		t.Fatalf("NewMonitor after bucket change: %v", err)
+	if err := mon.Reset(d2.Net, MonitorConfig{Buckets: 128}, nil); err != nil {
+		t.Fatalf("Reset after bucket change: %v", err)
 	}
-	for _, id := range m2.routerIDs {
-		c := m2.Counter(id)
+	for _, id := range mon.routerIDs {
+		c := mon.Counter(id)
 		if c.buckets != 128 || c.source.Active().Buckets() != 128 {
 			t.Fatalf("router %d counter kept stale geometry: %d buckets", id, c.source.Active().Buckets())
 		}
@@ -210,12 +207,11 @@ func TestMonitorReuseBucketChange(t *testing.T) {
 			t.Fatalf("router %d counter serves stale sketch state after bucket change", id)
 		}
 	}
-	m2.Release()
 }
 
-// TestMonitorReuseWidthShrink pins pooled-monitor reuse when the router-ID
-// range shrinks: counters for the old domain's high IDs must be unreachable,
-// not stale pointers left in the recycled dense table.
+// TestMonitorReuseWidthShrink pins monitor reuse when the router-ID range
+// shrinks: counters for the old domain's high IDs must be unreachable, not
+// stale pointers left in the kept dense table.
 func TestMonitorReuseWidthShrink(t *testing.T) {
 	cfg := topology.DefaultConfig()
 	cfg.NumRouters = 40
@@ -223,70 +219,64 @@ func TestMonitorReuseWidthShrink(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build big domain: %v", err)
 	}
-	m1, err := NewMonitor(big.Net, MonitorConfig{Monitored: everyRouter(big.Net)}, nil)
+	mon, err := NewMonitor(big.Net, MonitorConfig{Monitored: everyRouter(big.Net)}, nil)
 	if err != nil {
 		t.Fatalf("NewMonitor big: %v", err)
 	}
-	dirtyCounters(m1)
-	highID := m1.routerIDs[len(m1.routerIDs)-1]
-	m1.Release()
+	dirtyCounters(mon)
+	highID := mon.routerIDs[len(mon.routerIDs)-1]
 
 	small := smallDomain(t) // 12 routers: IDs far below highID
-	m2, err := NewMonitor(small.Net, MonitorConfig{Monitored: everyRouter(small.Net)}, nil)
-	if err != nil {
-		t.Fatalf("NewMonitor small: %v", err)
+	if err := mon.Reset(small.Net, MonitorConfig{Monitored: everyRouter(small.Net)}, nil); err != nil {
+		t.Fatalf("Reset small: %v", err)
 	}
-	if int(highID) < len(m2.counters) && m2.counters[highID] != nil {
+	if int(highID) < len(mon.counters) && mon.counters[highID] != nil {
 		t.Fatalf("stale counter for router %d survived the width shrink", highID)
 	}
-	if c := m2.Counter(highID); c != nil {
+	if c := mon.Counter(highID); c != nil {
 		t.Fatalf("Counter(%d) = %v on the shrunk domain, want nil", highID, c)
 	}
-	report := m2.Compute(0)
+	report := mon.Compute(0)
 	if got := report.Routers[len(report.Routers)-1]; int(got) >= small.Net.NodeCount() {
 		t.Fatalf("report covers router %d outside the shrunk domain", got)
 	}
 	for _, id := range report.Routers {
 		if report.SourceEstimate(id) != 0 || report.DestEstimate(id) != 0 {
-			t.Fatalf("router %d inherited sketch state from the released big-domain monitor", id)
+			t.Fatalf("router %d inherited sketch state from the big-domain run", id)
 		}
 	}
-	m2.Release()
 }
 
-// TestMonitorReuseAfterFailedConstruction pins the error path that returns a
-// half-updated monitor to the pool: a NewMonitor call that fails after the
-// pool Get (illegal bucket count, so the slab rebuild errors) must recycle
-// the object, and the next successful construction on it must not serve the
-// previous owner's sketch contents.
+// TestMonitorReuseAfterFailedConstruction pins the error path: a Reset that
+// fails (illegal bucket count, so the slab rebuild errors) must leave the
+// monitor fit for the next Reset, which must keep the warm slab and must not
+// serve the previous run's sketch contents.
 func TestMonitorReuseAfterFailedConstruction(t *testing.T) {
 	d := smallDomain(t)
-	m1, err := NewMonitor(d.Net, MonitorConfig{Buckets: 64}, nil)
+	mon, err := NewMonitor(d.Net, MonitorConfig{Buckets: 64}, nil)
 	if err != nil {
 		t.Fatalf("NewMonitor: %v", err)
 	}
-	dirtyCounters(m1)
-	m1.Release()
+	dirtyCounters(mon)
+	slab := &mon.sketchSlab[0]
 
-	if _, err := NewMonitor(d.Net, MonitorConfig{Buckets: 24}, nil); err == nil {
+	if err := mon.Reset(d.Net, MonitorConfig{Buckets: 24}, nil); err == nil {
 		t.Fatal("illegal bucket count accepted")
 	}
 
 	d2 := smallDomain(t)
-	m2, err := NewMonitor(d2.Net, MonitorConfig{Buckets: 64}, nil)
-	if err != nil {
-		t.Fatalf("NewMonitor after failed construction: %v", err)
+	if err := mon.Reset(d2.Net, MonitorConfig{Buckets: 64}, nil); err != nil {
+		t.Fatalf("Reset after a failed one: %v", err)
 	}
-	if m2 != m1 {
-		t.Fatal("failed construction dropped the pooled monitor instead of recycling it")
+	if &mon.sketchSlab[0] != slab {
+		t.Fatal("the failed Reset dropped the warm sketch slab")
 	}
-	for _, id := range m2.routerIDs {
-		c := m2.Counter(id)
+	for _, id := range mon.routerIDs {
+		c := mon.Counter(id)
 		if c.SourceEstimate() != 0 || c.DestEstimate() != 0 {
-			t.Fatalf("router %d counter serves the previous owner's sketch state", id)
+			t.Fatalf("router %d counter serves the previous run's sketch state", id)
 		}
 	}
-	m2.Release()
 }
 
 // TestMonitoredEpochRotationZeroAlloc pins that a monitored-only epoch tick —
@@ -312,5 +302,4 @@ func TestMonitoredEpochRotationZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("monitored epoch rotation allocated %.1f times per tick, want 0", allocs)
 	}
-	mon.Release()
 }

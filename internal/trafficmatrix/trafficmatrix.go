@@ -29,10 +29,10 @@
 // cleared) instead of cloned. The monitor owns one set of dense
 // NodeID-indexed estimate tables reused across epochs, mirroring the netsim
 // packet pool's ownership rules. A live report therefore is valid only until
-// its monitor moves on — the next epoch tick, the next Compute, or Release —
-// which for a callback means for the duration of the callback: after that
-// the tables hold another epoch and the shadow halves another epoch's
-// packets. A live report is stamped with the monitor's generation, and
+// its monitor moves on — the next epoch tick, the next Compute, Reset or
+// Release — which for a callback means for the duration of the callback:
+// after that the tables hold another epoch and the shadow halves another
+// epoch's packets. A live report is stamped with the monitor's generation, and
 // reading its matrix (TopSources, AppendTopSources, Cells, Clone) after the
 // monitor has moved on panics rather than mix two epochs. Callbacks that
 // need to retain a report keep EpochReport.Clone: an owned report, the whole
@@ -40,7 +40,9 @@
 // report on the lossy control channel travels in, and the only form a
 // snapshot stores. The reference live reports are tested against is
 // test-only: alloc_test.go recomputes every report eagerly from the
-// counters' sketches into fresh tables at callback time.
+// counters' sketches into fresh tables at callback time. Across runs the
+// monitor is kept, not rebuilt: Reset instruments the next run's network
+// with the same sketch slab and tables, as experiment's run bundle does.
 //
 // # Error of an estimate
 //
@@ -78,7 +80,6 @@ import (
 
 	"mafic/internal/loglog"
 	"mafic/internal/netsim"
-	"mafic/internal/pool"
 	"mafic/internal/sim"
 )
 
@@ -353,9 +354,9 @@ type Monitor struct {
 	// backing, one allocation for the whole monitored set.
 	counters    []*Counter
 	counterSlab []Counter
-	// sketchSlab backs every counter's four sketches (see NewMonitor); it
-	// is retained across Release/NewMonitor cycles so a pooled monitor's
-	// dominant construction cost — the sketch memory — is paid once.
+	// sketchSlab backs every counter's four sketches; Reset keeps it, so a
+	// monitor's dominant construction cost — the sketch memory — is paid
+	// once.
 	sketchSlab []loglog.Sketch
 	// routerIDs lists the instrumented routers ascending; every per-epoch
 	// loop walks this, never a map.
@@ -375,10 +376,10 @@ type Monitor struct {
 	reportDelay sim.Time
 	ctrlRNG     *sim.RNG
 
-	// Pooled report backing (see the package comment). gen identifies what
+	// Reused report backing (see the package comment). gen identifies what
 	// the tables and the sketch halves currently hold: it moves with every
-	// rotation, every computed report and every Release, and a live report
-	// is readable only while it still carries the current value.
+	// rotation, every computed report, every Reset and every Release, and a
+	// live report is readable only while it still carries the current value.
 	// frozen says which halves the current report was computed from.
 	srcEst, dstEst []float64
 	gen            uint64
@@ -418,7 +419,7 @@ type MonitorConfig struct {
 	ReportLoss float64
 	// ReportDelayProb is the probability that a surviving report is
 	// delivered ReportDelay late instead of at the epoch boundary. Delayed
-	// reports are deep copies (the pooled buffers roll on underneath) and
+	// reports are deep copies (the reused buffers roll on underneath) and
 	// may arrive after newer epochs' reports — consumers must tolerate
 	// out-of-order delivery. Zero disables delay and draws no randomness.
 	ReportDelayProb float64
@@ -462,17 +463,11 @@ func (c MonitorConfig) Validate() error {
 // ErrMonitorConfig is returned by MonitorConfig.Validate.
 var ErrMonitorConfig = errors.New("trafficmatrix: invalid monitor config")
 
-// monitorPool recycles released monitors across runs. The retained sketch
-// slab is the prize: at stress scale it is tens of megabytes of counter
-// state that would otherwise be reallocated (and re-zeroed by the allocator)
-// for every sweep point.
-var monitorPool = pool.FreeList[Monitor]{Cap: 64}
-
 // monitoredSet resolves the configured monitored set into the sorted,
 // deduplicated router-ID list the monitor instruments, appending into ids
 // (the recycled routerIDs backing). nb is a reusable neighbour buffer for the
 // automatic host-adjacency walk; the possibly-grown buffer is returned so the
-// pooled monitor keeps its capacity.
+// monitor keeps its capacity.
 func monitoredSet(net *netsim.Network, cfg MonitorConfig, ids, nb []netsim.NodeID) ([]netsim.NodeID, []netsim.NodeID, error) {
 	if len(cfg.Monitored) > 0 {
 		for _, id := range cfg.Monitored {
@@ -506,26 +501,33 @@ func monitoredSet(net *netsim.Network, cfg MonitorConfig, ids, nb []netsim.NodeI
 // configured monitored set — by default every router with an attached host,
 // which yields the same reports as instrumenting all of them (see the package
 // comment). The onReport callback receives each epoch's traffic matrix; see
-// the package comment for the report's lifetime rules. The monitor (sketch
-// slab included) comes from the package pool when a released one with
-// compatible geometry is available.
+// the package comment for the report's lifetime rules.
 func NewMonitor(net *netsim.Network, cfg MonitorConfig, onReport func(EpochReport)) (*Monitor, error) {
+	m := new(Monitor)
+	if err := m.Reset(net, cfg, onReport); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Reset makes m what NewMonitor(net, cfg, onReport) returns, keeping its
+// storage: the sketch slab — at stress scale tens of megabytes of counter
+// state, reset rather than reallocated when the bucket count is unchanged —
+// the counter slab, the dense tables and the report generation, which moves
+// on so that no live report of m's last run can be read. Call it only once
+// no epoch tick of that run can fire. A failed Reset leaves m fit only for
+// another Reset.
+func (m *Monitor) Reset(net *netsim.Network, cfg MonitorConfig, onReport func(EpochReport)) error {
 	if cfg.Buckets <= 0 {
 		cfg.Buckets = loglog.DefaultBuckets
 	}
 	if cfg.Epoch <= 0 {
 		cfg.Epoch = 100 * sim.Millisecond
 	}
-	m := monitorPool.Get()
-	if m == nil {
-		m = &Monitor{}
-	}
 	ids, nb, err := monitoredSet(net, cfg, m.routerIDs[:0], m.nbScratch[:0])
+	m.nbScratch = nb
 	if err != nil {
-		// Recycle rather than drop, as with the slab failure below.
-		m.nbScratch = nb
-		monitorPool.Put(m)
-		return nil, err
+		return err
 	}
 	width := 0
 	if len(ids) > 0 {
@@ -552,15 +554,8 @@ func NewMonitor(net *netsim.Network, cfg MonitorConfig, onReport func(EpochRepor
 		for i := range sketches[:need] {
 			sketches[i].Reset()
 		}
-	} else {
-		var err error
-		if sketches, err = loglog.NewSlab(need, cfg.Buckets); err != nil {
-			// Failed constructions must not drain the pool of its
-			// warmed slabs; the next NewMonitor re-initialises every
-			// field, so the half-updated object is safe to recycle.
-			monitorPool.Put(m)
-			return nil, err
-		}
+	} else if sketches, err = loglog.NewSlab(need, cfg.Buckets); err != nil {
+		return err
 	}
 	counterSlab := m.counterSlab
 	if cap(counterSlab) >= len(ids) {
@@ -581,12 +576,12 @@ func NewMonitor(net *netsim.Network, cfg MonitorConfig, onReport func(EpochRepor
 	// The control-channel RNG is forked only when a loss/delay knob is
 	// actually set: a fault-free monitor consumes no draw from the
 	// network's stream, preserving bit-identity with the pre-fault-layer
-	// engine. The full-literal reinit below also guarantees pooled reuse
-	// cannot carry a previous run's lossy-channel state into this one.
+	// engine.
 	var ctrlRNG *sim.RNG
 	if cfg.ReportLoss > 0 || cfg.ReportDelayProb > 0 {
 		ctrlRNG = net.RNG().Fork()
 	}
+	// Everything not carried over here starts from zero.
 	*m = Monitor{
 		sched:       net.Scheduler(),
 		counters:    counters,
@@ -597,7 +592,7 @@ func NewMonitor(net *netsim.Network, cfg MonitorConfig, onReport func(EpochRepor
 		onReport:    onReport,
 		srcEst:      srcEst,
 		dstEst:      dstEst,
-		gen:         m.gen,
+		gen:         m.gen + 1,
 		nbScratch:   nb,
 		reportLoss:  cfg.ReportLoss,
 		delayProb:   cfg.ReportDelayProb,
@@ -608,40 +603,28 @@ func NewMonitor(net *netsim.Network, cfg MonitorConfig, onReport func(EpochRepor
 		c := &m.counterSlab[i]
 		r := net.Router(id)
 		if err := c.init(r, cfg.Buckets, sketches[4*i:4*i+4]); err != nil {
-			m.Release()
-			return nil, err
+			return err
 		}
 		r.AttachFilter(c)
 		m.counters[id] = c
 	}
-	return m, nil
+	return nil
 }
 
-// Release returns the monitor to the package pool for reuse by a later run.
-// Call it only after the simulation that owns the monitor has finished — no
-// epoch tick may fire afterwards — and do not use the monitor again, nor a
-// live report of it. The sketch slab and estimate tables stay with the pooled
-// object; references into the dead domain are dropped so the pool cannot pin
-// a network.
+// Release drops the monitor's references into its run — the scheduler, the
+// report callback, the control-channel stream and the routers its counters
+// watch — so that a monitor kept past its run pins no network, and moves the
+// report generation on, so that no live report of it can be read afterwards.
+// Call it only once no epoch tick can fire; Reset makes it usable again.
 func (m *Monitor) Release() {
 	m.gen++
 	m.sched = nil
 	m.onReport = nil
-	m.running = false
-	m.stop = false
-	m.epochIndex = 0
-	m.epochStart = 0
 	m.ctrlRNG = nil
-	m.reportLoss = 0
-	m.delayProb = 0
-	m.reportDelay = 0
-	for i := range m.counters {
-		m.counters[i] = nil
-	}
+	clear(m.counters)
 	for i := range m.counterSlab {
 		m.counterSlab[i].router = nil
 	}
-	monitorPool.Put(m)
 }
 
 // Counter returns the counter attached to the given router, or nil when the
@@ -733,7 +716,7 @@ func (m *Monitor) Compute(now sim.Time) EpochReport {
 }
 
 // compute assembles the epoch report from either the frozen or the live
-// sketch halves, reusing the monitor's pooled tables: the 2·n vector
+// sketch halves, reusing the monitor's tables: the 2·n vector
 // estimates, no matrix cell.
 func (m *Monitor) compute(now sim.Time, frozen bool) EpochReport {
 	m.epochIndex++
@@ -742,7 +725,7 @@ func (m *Monitor) compute(now sim.Time, frozen bool) EpochReport {
 	m.stats.Epochs++
 	m.stats.Estimates += 2 * uint64(len(m.routerIDs))
 	srcEst, dstEst := m.srcEst, m.dstEst
-	// The tables may come from a pooled monitor that instrumented other
+	// The tables may have been reset from a run that instrumented other
 	// routers; entries outside this monitored set must read zero.
 	clear(srcEst)
 	clear(dstEst)
