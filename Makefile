@@ -26,10 +26,11 @@ check:
 	$(GO) test -race ./...
 	$(GO) run ./cmd/maficsearch -quick
 
-# golden re-pins the scenario regression fixtures after an intentional
-# behaviour change. Review the diff before committing it.
+# golden re-pins the scenario regression fixtures and the quick figure set
+# (testdata/figures-quick.json) after an intentional behaviour change. Review
+# the diff before committing it.
 golden:
-	$(GO) test ./internal/experiment -run TestGoldenScenarios -update
+	$(GO) test ./internal/experiment -run 'TestGoldenScenarios|TestGenerateQuickFigures' -update
 
 # fuzz runs the five fuzz targets one after the other, FUZZTIME each (`go test
 # -fuzz` takes one target and one package at a time). `make check` only

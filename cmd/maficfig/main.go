@@ -1,7 +1,8 @@
 // Command maficfig regenerates the data behind the figures of the MAFIC
-// paper's evaluation section. For each requested figure it runs the full
-// parameter sweep and prints the resulting series as aligned text tables (or
-// JSON with -json), so the output can be compared panel by panel with the
+// paper's evaluation section. It runs every distinct scenario of the requested
+// figures' parameter sweeps once (figures plotting the same grid share its
+// runs) and prints each figure's series as an aligned text table (or JSON
+// with -json), so the output can be compared panel by panel with the
 // published plots.
 //
 // Usage:
@@ -64,13 +65,12 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("specify -fig <id> or -all (use -list to see ids)")
 	}
 
-	opts := experiment.SweepOptions{Quick: *quick, Seed: *seed, Workers: *workers}
-	for _, id := range ids {
-		start := time.Now()
-		fig, err := experiment.Generate(id, opts)
-		if err != nil {
-			return fmt.Errorf("figure %s: %w", id, err)
-		}
+	start := time.Now()
+	figs, err := experiment.GenerateFigures(ids, experiment.SweepOptions{Quick: *quick, Seed: *seed, Workers: *workers})
+	if err != nil {
+		return err
+	}
+	for _, fig := range figs {
 		if *asJSON {
 			enc := json.NewEncoder(out)
 			enc.SetIndent("", "  ")
@@ -79,15 +79,18 @@ func run(args []string, out io.Writer) error {
 			}
 			continue
 		}
-		printFigure(out, fig, time.Since(start))
+		printFigure(out, fig)
+	}
+	if !*asJSON {
+		fmt.Fprintf(out, "\n%d figure(s) generated in %v\n", len(figs), time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }
 
 // printFigure renders one figure as an aligned text table: one row per x
 // value, one column per series.
-func printFigure(out io.Writer, fig experiment.Figure, elapsed time.Duration) {
-	fmt.Fprintf(out, "\n=== Figure %s — %s (generated in %v)\n", fig.ID, fig.Title, elapsed.Round(time.Millisecond))
+func printFigure(out io.Writer, fig experiment.Figure) {
+	fmt.Fprintf(out, "\n=== Figure %s — %s\n", fig.ID, fig.Title)
 	fmt.Fprintf(out, "    x axis: %s | y axis: %s\n", fig.XLabel, fig.YLabel)
 
 	// Collect the union of x values across series so ragged series (like

@@ -75,9 +75,6 @@ func (p *Dropper) Activate(victim netsim.IP) {
 	p.st.VictimIP = victim
 }
 
-// Deactivate stops dropping.
-func (p *Dropper) Deactivate() { p.st.Active = false }
-
 // SetDropObserver installs a callback invoked on every drop (metrics).
 func (p *Dropper) SetDropObserver(fn func(pkt *netsim.Packet, now sim.Time)) { p.observer = fn }
 

@@ -35,7 +35,7 @@ func TestProbeCycleSteadyStateDoesNotAllocate(t *testing.T) {
 		if err := e.sched.Run(); err != nil {
 			t.Fatalf("drain: %v", err)
 		}
-		d.Deactivate()
+		d.Tables().Flush()
 	}
 	for i := 0; i < 4; i++ {
 		cycle()
@@ -77,7 +77,7 @@ func TestHardenedProbeCycleSteadyStateDoesNotAllocate(t *testing.T) {
 		if err := e.sched.Run(); err != nil {
 			t.Fatalf("drain: %v", err)
 		}
-		d.Deactivate()
+		d.Tables().Flush()
 	}
 	// Warm past CondemnProbes so steady-state cycles condemn via memory.
 	for i := 0; i < 4; i++ {

@@ -258,8 +258,8 @@ type Defender struct {
 	probeChunks [][]probeRecord
 
 	// probeMemory counts, per flow-label hash, how many times the flow has
-	// entered the SFT. Unlike the flow tables it survives Activate /
-	// Deactivate flushes within a run — that persistence is the whole
+	// entered the SFT. Unlike the flow tables it survives the flush when
+	// Activate switches victims within a run — that persistence is the whole
 	// point: a rotating source that re-appears after a quiet slot picks up
 	// its suspicion where it left off. Only maintained when
 	// cfg.CondemnProbes > 0; cleared by Reset.
@@ -447,13 +447,6 @@ func (d *Defender) Activate(victim netsim.IP) {
 	}
 	d.active = true
 	d.victimIP = victim
-	d.tables.Flush()
-}
-
-// Deactivate ends dropping and flushes all tables, as the paper specifies
-// for pushback withdrawal ("End dropping & Flush all tables").
-func (d *Defender) Deactivate() {
-	d.active = false
 	d.tables.Flush()
 }
 

@@ -322,28 +322,6 @@ func TestLateOnlyFlowCondemned(t *testing.T) {
 	}
 }
 
-func TestDeactivateFlushesTables(t *testing.T) {
-	e := newTestEnv(t)
-	d := e.defender(t, func(c *Config) { c.DropProbability = 1.0 })
-	d.Activate(e.victim.PrimaryIP())
-
-	label := driveFlow(t, e, d, e.bystander.PrimaryIP(), 5555, 10, 10, true)
-	if _, state := d.Tables().Lookup(label.Hash()); state != flowtable.StatePermanentDrop {
-		t.Fatal("setup: flow should be condemned")
-	}
-	d.Deactivate()
-	if d.Active() {
-		t.Fatal("defender still active after Deactivate")
-	}
-	if _, state := d.Tables().Lookup(label.Hash()); state != flowtable.StateUnknown {
-		t.Fatal("Deactivate must flush all tables")
-	}
-	pkt := e.dataPacket(e.bystander.PrimaryIP(), 5555, 100, true)
-	if d.Handle(pkt, e.sched.Now(), e.atr) != netsim.ActionForward {
-		t.Fatal("deactivated defender must forward")
-	}
-}
-
 func TestActivateIdempotentAndRetarget(t *testing.T) {
 	e := newTestEnv(t)
 	d := e.defender(t, func(c *Config) { c.DropProbability = 1.0 })
@@ -369,20 +347,23 @@ func TestActivateIdempotentAndRetarget(t *testing.T) {
 	}
 }
 
-func TestClassificationSkippedAfterDeactivate(t *testing.T) {
+// TestClassificationSkippedAfterRetarget pins the stale-window check: a probe
+// cycle whose flow entry was flushed (here by switching victims) must not
+// classify the entry's recycled slot when its window closes.
+func TestClassificationSkippedAfterRetarget(t *testing.T) {
 	e := newTestEnv(t)
 	d := e.defender(t, func(c *Config) { c.DropProbability = 1.0 })
 	d.Activate(e.victim.PrimaryIP())
 	pkt := e.dataPacket(e.bystander.PrimaryIP(), 4000, 1, true)
 	d.Handle(pkt, 0, e.atr)
-	d.Deactivate()
+	d.Activate(e.bystander.PrimaryIP())
 	// Running past the probe deadline must not classify anything.
 	if err := e.sched.RunUntil(sim.Second); err != nil {
 		t.Fatal(err)
 	}
 	st := d.Stats()
 	if st.FlowsNice != 0 || st.FlowsCondemned != 0 {
-		t.Fatal("classification must not run after deactivation")
+		t.Fatal("classification must not run after the tables were flushed")
 	}
 }
 

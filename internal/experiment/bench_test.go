@@ -59,10 +59,20 @@ func BenchmarkRun(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure regenerates each figure's quick sweep around benchBase.
+// BenchmarkFigure regenerates each figure's quick sweep around benchBase, and
+// under "all" the whole set in one call, which runs each distinct scenario of
+// the fourteen sweeps once.
 func BenchmarkFigure(b *testing.B) {
 	base := benchBase()
 	opts := SweepOptions{Quick: true, Seed: 1, Base: &base}
+	b.Run("all", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := GenerateFigures(AllFigureIDs(), opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	for _, id := range AllFigureIDs() {
 		b.Run(string(id), func(b *testing.B) {
 			b.ReportAllocs()

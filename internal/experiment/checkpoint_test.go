@@ -570,14 +570,14 @@ func TestRetainedSnapshotsStayValid(t *testing.T) {
 // same paused world: seven per run, or one every half report delay where the
 // control plane delays reports, so that delayed-report payloads come and go
 // between snapshots. Two hardened runs follow, for the probing memory only
-// hardening turns on: rolling-pulse, and one whose pushback is withdrawn by
-// hand — every defender deactivated mid-run, which no catalog run does on its
-// own — to empty the flow tables and kill the open probe cycles under a warm
-// session. The test requires that it did see each of those counts go down.
+// hardening turns on: rolling-pulse, and one whose flow tables are emptied by
+// hand — every defender's tables flushed mid-run, which no catalog run does on
+// its own — to kill the open probe cycles under a warm session. The test
+// requires that it did see each of those counts go down.
 func TestSessionMatchesFreshCapture(t *testing.T) {
 	var sawMemory bool
 	var eventsShrank, probesShrank, tablesShrank, lateShrank bool
-	check := func(name string, s Scenario, withdrawAt sim.Time) {
+	check := func(name string, s Scenario, flushAt sim.Time) {
 		scenarioJSON, err := json.Marshal(s)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -597,9 +597,9 @@ func TestSessionMatchesFreshCapture(t *testing.T) {
 			if err := sched.RunUntil(at); err != nil {
 				t.Fatalf("%s: run to %v: %v", name, at, err)
 			}
-			if at == withdrawAt {
+			if at == flushAt {
 				for _, d := range b.res.mafic {
-					d.Deactivate()
+					d.Tables().Flush()
 				}
 			}
 			got, err := b.snapshot()
@@ -647,7 +647,7 @@ func TestSessionMatchesFreshCapture(t *testing.T) {
 	}
 	check("rolling-pulse hardened", Harden(Quick(rolling.Build())), 0)
 	s := Harden(Quick(Entries()[0].Build()))
-	check(s.Name+" hardened, withdrawn", s, s.Duration*5/8)
+	check(s.Name+" hardened, flushed", s, s.Duration*5/8)
 
 	for what, saw := range map[string]bool{
 		"a non-empty probing memory":           sawMemory,

@@ -1,7 +1,12 @@
 package experiment
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"mafic/internal/sim"
@@ -239,19 +244,48 @@ func TestRunInvalidScenario(t *testing.T) {
 	}
 }
 
+// TestGenerateQuickFigures pins the JSON of every figure's quick sweep around
+// quickScenario byte for byte (rewrite it with -update after an intentional
+// change) and checks each figure's shape and metadata.
 func TestGenerateQuickFigures(t *testing.T) {
 	// Generating every figure in Quick mode is the closest thing to an
 	// end-to-end test of the whole harness. Keep the base scenario small
 	// so the full set stays fast.
-	base := quickScenario()
-	opts := SweepOptions{Quick: true, Seed: 7, Base: &base}
-	for _, id := range AllFigureIDs() {
-		id := id
-		t.Run(string(id), func(t *testing.T) {
-			fig, err := Generate(id, opts)
-			if err != nil {
-				t.Fatalf("Generate(%s): %v", id, err)
+	figs, err := GenerateFigures(AllFigureIDs(), quickFigureOpts())
+	if err != nil {
+		t.Fatalf("GenerateFigures: %v", err)
+	}
+	got, err := json.MarshalIndent(figs, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	path := filepath.Join("testdata", "figures-quick.json")
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing fixture (generate with `go test -run TestGenerateQuickFigures -update`): %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			var pinned []Figure
+			if err := json.Unmarshal(want, &pinned); err != nil {
+				t.Fatalf("%s: %v", path, err)
 			}
+			for i := range figs {
+				if i >= len(pinned) || !reflect.DeepEqual(figs[i], pinned[i]) {
+					t.Errorf("figure %s differs from %s", figs[i].ID, path)
+				}
+			}
+			t.Fatalf("figures differ from %s", path)
+		}
+	}
+	for i, id := range AllFigureIDs() {
+		fig := figs[i]
+		t.Run(string(id), func(t *testing.T) {
 			if len(fig.Series) == 0 {
 				t.Fatal("figure has no series")
 			}
@@ -274,8 +308,7 @@ func TestGenerateUnknownFigure(t *testing.T) {
 }
 
 func TestFig3aAccuracyShape(t *testing.T) {
-	base := quickScenario()
-	fig, err := Fig3a(SweepOptions{Quick: true, Base: &base})
+	fig, err := Generate(FigureF3a, quickFigureOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"encoding/json"
 	"fmt"
+	"slices"
 
 	"mafic/internal/sim"
 )
@@ -34,7 +36,8 @@ type SweepOptions struct {
 	// a figure regenerates in a fraction of the full cost.
 	Quick bool
 	// Seed is the base seed; every run derives its own seed from it so
-	// sweep points are independent but reproducible.
+	// sweep points are independent but reproducible. Zero keeps the base
+	// scenario's seed.
 	Seed int64
 	// Base overrides the base scenario. Nil means DefaultScenario.
 	Base *Scenario
@@ -46,11 +49,10 @@ type SweepOptions struct {
 
 // base returns the scenario every sweep point starts from.
 func (o SweepOptions) base() Scenario {
-	if o.Base != nil {
-		return *o.Base
-	}
 	s := DefaultScenario()
-	if o.Quick {
+	if o.Base != nil {
+		s = *o.Base
+	} else if o.Quick {
 		s.Duration = 1800 * sim.Millisecond
 		s.Workload.AttackStart = 600 * sim.Millisecond
 		s.DetectionFallback = 300 * sim.Millisecond
@@ -61,476 +63,232 @@ func (o SweepOptions) base() Scenario {
 	return s
 }
 
+// sized returns a sweep's quick or full values.
+func sized[T any](o SweepOptions, quick, full []T) []T {
+	if o.Quick {
+		return quick
+	}
+	return full
+}
+
 // volumes returns the traffic-volume sweep (x axis of most figures).
 func (o SweepOptions) volumes() []int {
-	if o.Quick {
-		return []int{20, 60, 100}
-	}
-	return []int{10, 30, 50, 70, 90, 110}
+	return sized(o, []int{20, 60, 100}, []int{10, 30, 50, 70, 90, 110})
 }
 
-// tcpShares returns the Γ sweep used by Figures 5(b) and 6(b).
-func (o SweepOptions) tcpShares() []float64 {
-	if o.Quick {
-		return []float64{0.35, 0.65, 0.95}
-	}
-	return []float64{0.10, 0.25, 0.40, 0.55, 0.70, 0.85, 0.95}
-}
-
-// domainSizes returns the N sweep used by Figures 5(c) and 6(c).
-func (o SweepOptions) domainSizes() []int {
-	if o.Quick {
-		return []int{20, 60, 120}
-	}
-	return []int{20, 40, 80, 120, 160}
-}
-
-// dropProbabilities are the P_d series used throughout the evaluation.
-var dropProbabilities = []float64{0.70, 0.80, 0.90}
-
-// attackRates maps the paper's R legend values (packets/s) to their labels;
-// simulated rates are the legend value divided by RateScale.
-var attackRates = []struct {
-	label string
-	pps   float64
-}{
-	{label: "R=100k", pps: 1e5},
-	{label: "R=500k", pps: 5e5},
-	{label: "R=1M", pps: 1e6},
-}
-
-// sweepJob is one sweep point waiting to run: a fully configured scenario
-// (seed offset already applied) plus the series index and x value its result
-// lands on.
-type sweepJob struct {
+// gridPoint is one run of a grid: a fully configured scenario (seed offset
+// already applied) plus the series index and x value its samples land on.
+type gridPoint struct {
 	series   int
 	x        float64
 	scenario Scenario
 }
 
-// withSeedOffset shifts the scenario's seed, keeping sweep points independent
-// but reproducible.
-func withSeedOffset(s Scenario, offset int64) Scenario {
+// grid is one parameter sweep: its series labels and its seeded runs.
+type grid struct {
+	labels []string
+	points []gridPoint
+}
+
+// add appends the point of series v at x: s with its seed shifted by offset,
+// keeping sweep points independent but reproducible.
+func (g *grid) add(v int, x float64, s Scenario, offset int64) {
 	s.Seed += offset
-	return s
+	g.points = append(g.points, gridPoint{series: v, x: x, scenario: s})
 }
 
-// runSweep executes every job — in parallel when the options allow — and
-// assembles the labelled series in deterministic order, extracting each
-// point's y value with pick.
-func runSweep(opts SweepOptions, labels []string, jobs []sweepJob, pick func(Result) float64) ([]Series, error) {
-	scenarios := make([]Scenario, len(jobs))
-	for i, j := range jobs {
-		scenarios[i] = j.scenario
-	}
-	results, err := runPoints(opts, scenarios)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Series, len(labels))
-	for i, label := range labels {
-		out[i] = Series{Label: label}
-	}
-	for i, j := range jobs {
-		out[j.series].Points = append(out[j.series].Points, Point{X: j.x, Y: pick(results[i])})
-	}
-	return out, nil
-}
-
-// sweepVolumesByPd produces one series per P_d over the traffic-volume sweep,
-// extracting the y value with pick.
-func sweepVolumesByPd(opts SweepOptions, pick func(Result) float64) ([]Series, error) {
-	var labels []string
-	var jobs []sweepJob
-	for pi, pd := range dropProbabilities {
-		labels = append(labels, fmt.Sprintf("Pd=%.0f%%", pd*100))
+// volumesByPd is the P_d ∈ {70, 80, 90}% × traffic-volume grid.
+func volumesByPd(opts SweepOptions) (g grid) {
+	for v, pd := range []float64{0.70, 0.80, 0.90} {
+		g.labels = append(g.labels, fmt.Sprintf("Pd=%.0f%%", pd*100))
 		for i, vt := range opts.volumes() {
 			s := opts.base()
-			s.Name = fmt.Sprintf("pd%.0f-vt%d", pd*100, vt)
 			s.MAFIC.DropProbability = pd
 			s.Workload.TotalFlows = vt
-			jobs = append(jobs, sweepJob{
-				series:   pi,
-				x:        float64(vt),
-				scenario: withSeedOffset(s, int64(i)+int64(pd*1000)),
-			})
+			g.add(v, float64(vt), s, int64(i)+int64(pd*1000))
 		}
 	}
-	return runSweep(opts, labels, jobs, pick)
+	return g
 }
 
-// Fig3a regenerates Figure 3(a): attack-packet dropping accuracy versus
-// traffic volume for P_d ∈ {70, 80, 90}%.
-func Fig3a(opts SweepOptions) (Figure, error) {
-	series, err := sweepVolumesByPd(opts, func(r Result) float64 { return r.Accuracy * 100 })
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "fig3a",
-		Title:  "Attack packet dropping accuracy vs. traffic volume (by Pd)",
-		XLabel: "Total Traffic Volume (No. of Flows)",
-		YLabel: "Attacking Packets Dropping Accuracy (%)",
-		Series: series,
-	}, nil
-}
-
-// Fig3b regenerates Figure 3(b): dropping accuracy versus traffic volume for
-// source rates R ∈ {100k, 500k, 1M} packets/s.
-func Fig3b(opts SweepOptions) (Figure, error) {
-	var labels []string
-	var jobs []sweepJob
-	for ri, r := range attackRates {
-		labels = append(labels, r.label)
+// volumesByRate is the source rate × traffic-volume grid. R's legend values
+// are the paper's packets/s; simulated rates are divided by RateScale.
+func volumesByRate(opts SweepOptions) grid {
+	g := grid{labels: []string{"R=100k", "R=500k", "R=1M"}}
+	for v, pps := range []float64{1e5, 5e5, 1e6} {
 		for i, vt := range opts.volumes() {
 			s := opts.base()
-			s.Name = fmt.Sprintf("%s-vt%d", r.label, vt)
-			s.Workload.AttackRate = r.pps / RateScale
+			s.Workload.AttackRate = pps / RateScale
 			s.Workload.TotalFlows = vt
-			jobs = append(jobs, sweepJob{
-				series:   ri,
-				x:        float64(vt),
-				scenario: withSeedOffset(s, int64(i)+int64(ri)*100),
-			})
+			g.add(v, float64(vt), s, int64(i)+int64(v)*100)
 		}
 	}
-	out, err := runSweep(opts, labels, jobs, func(r Result) float64 { return r.Accuracy * 100 })
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "fig3b",
-		Title:  "Attack packet dropping accuracy vs. traffic volume (by source rate)",
-		XLabel: "Total Traffic Volume (No. of Flows)",
-		YLabel: "Attacking Packets Dropping Accuracy (%)",
-		Series: out,
-	}, nil
+	return g
 }
 
-// Fig4a regenerates Figure 4(a): traffic reduction rate versus traffic
-// volume for P_d ∈ {70, 80, 90}%.
-func Fig4a(opts SweepOptions) (Figure, error) {
-	series, err := sweepVolumesByPd(opts, func(r Result) float64 { return r.TrafficReduction * 100 })
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "fig4a",
-		Title:  "Traffic reduction rate vs. traffic volume (by Pd)",
-		XLabel: "Total Traffic Volume (No. of Flows)",
-		YLabel: "Traffic Reduction Rate (%)",
-		Series: series,
-	}, nil
-}
-
-// Fig4b regenerates Figure 4(b): the victim-side flow bandwidth over time
-// for V_t ∈ {10, 30, 50} flows, showing the cutoff when MAFIC triggers and
-// the recovery of legitimate bandwidth afterwards.
-func Fig4b(opts SweepOptions) (Figure, error) {
-	volumes := []int{10, 30, 50}
-	scenarios := make([]Scenario, len(volumes))
-	for i, vt := range volumes {
+// timelines is one full run per V_t ∈ {10, 30, 50}. The paper plots
+// seconds 1..3 with the attack already raging; the whole timeline is kept.
+func timelines(opts SweepOptions) (g grid) {
+	for v, vt := range []int{10, 30, 50} {
+		g.labels = append(g.labels, fmt.Sprintf("Vt=%d", vt))
 		s := opts.base()
-		s.Name = fmt.Sprintf("timeline-vt%d", vt)
 		s.Workload.TotalFlows = vt
-		// The paper plots seconds 1..3 with the attack already raging;
-		// keep the full timeline here.
-		scenarios[i] = withSeedOffset(s, int64(i)*17)
+		g.add(v, float64(vt), s, int64(v)*17)
 	}
-	results, err := runPoints(opts, scenarios)
-	if err != nil {
-		return Figure{}, err
-	}
-	var out []Series
-	for i, vt := range volumes {
-		series := Series{Label: fmt.Sprintf("Vt=%d", vt)}
-		for _, bin := range results[i].Series {
-			rate := float64(bin.Total()) / scenarios[i].BinWidth.Seconds()
-			series.Points = append(series.Points, Point{X: bin.Time.Seconds(), Y: rate})
-		}
-		out = append(out, series)
-	}
-	return Figure{
-		ID:     "fig4b",
-		Title:  "Victim flow bandwidth over time (by number of flows)",
-		XLabel: "Time (second)",
-		YLabel: "Flow Bandwidth (packets/s at victim)",
-		Series: out,
-	}, nil
+	return g
 }
 
-// Fig5a regenerates Figure 5(a): false positive rate versus traffic volume
-// for P_d ∈ {70, 80, 90}%.
-func Fig5a(opts SweepOptions) (Figure, error) {
-	series, err := sweepVolumesByPd(opts, func(r Result) float64 { return r.FalsePositiveRate * 100 })
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "fig5a",
-		Title:  "False positive rate vs. traffic volume (by Pd)",
-		XLabel: "Total Traffic Volume (No. of Flows)",
-		YLabel: "False Positive Rate (%)",
-		Series: series,
-	}, nil
-}
-
-// sweepTCPShareByVolume produces one series per traffic volume over the Γ
-// sweep, extracting the y value with pick.
-func sweepTCPShareByVolume(opts SweepOptions, pick func(Result) float64) ([]Series, error) {
-	var labels []string
-	var jobs []sweepJob
-	for vi, vt := range []int{30, 70, 100} {
-		labels = append(labels, fmt.Sprintf("Vt=%d", vt))
-		for i, share := range opts.tcpShares() {
+// tcpSharesByVolume is the V_t ∈ {30, 70, 100} × Γ grid.
+func tcpSharesByVolume(opts SweepOptions) (g grid) {
+	shares := sized(opts, []float64{0.35, 0.65, 0.95}, []float64{0.10, 0.25, 0.40, 0.55, 0.70, 0.85, 0.95})
+	for v, vt := range []int{30, 70, 100} {
+		g.labels = append(g.labels, fmt.Sprintf("Vt=%d", vt))
+		for i, share := range shares {
 			s := opts.base()
-			s.Name = fmt.Sprintf("vt%d-tcp%.0f", vt, share*100)
 			s.Workload.TotalFlows = vt
 			s.Workload.TCPShare = share
-			jobs = append(jobs, sweepJob{
-				series:   vi,
-				x:        share * 100,
-				scenario: withSeedOffset(s, int64(vi)*1000+int64(i)),
-			})
+			g.add(v, share*100, s, int64(v)*1000+int64(i))
 		}
 	}
-	return runSweep(opts, labels, jobs, pick)
+	return g
 }
 
-// Fig5b regenerates Figure 5(b): false positive rate versus percentage of
-// TCP traffic for V_t ∈ {30, 70, 100}.
-func Fig5b(opts SweepOptions) (Figure, error) {
-	series, err := sweepTCPShareByVolume(opts, func(r Result) float64 { return r.FalsePositiveRate * 100 })
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "fig5b",
-		Title:  "False positive rate vs. percentage of TCP traffic (by Vt)",
-		XLabel: "Percentage of TCP Traffic (%)",
-		YLabel: "False Positive Rate (%)",
-		Series: series,
-	}, nil
-}
-
-// sweepDomainSizeByTCP produces one series per TCP share over the domain
-// size sweep, extracting the y value with pick.
-func sweepDomainSizeByTCP(opts SweepOptions, pick func(Result) float64) ([]Series, error) {
-	var labels []string
-	var jobs []sweepJob
-	for ti, share := range []float64{0.95, 0.75, 0.55, 0.35} {
-		labels = append(labels, fmt.Sprintf("TCP=%.0f%%", share*100))
-		for i, n := range opts.domainSizes() {
+// domainSizesByTCP is the Γ ∈ {95, 75, 55, 35}% × domain-size grid.
+func domainSizesByTCP(opts SweepOptions) (g grid) {
+	sizes := sized(opts, []int{20, 60, 120}, []int{20, 40, 80, 120, 160})
+	for v, share := range []float64{0.95, 0.75, 0.55, 0.35} {
+		g.labels = append(g.labels, fmt.Sprintf("TCP=%.0f%%", share*100))
+		for i, n := range sizes {
 			s := opts.base()
-			s.Name = fmt.Sprintf("n%d-tcp%.0f", n, share*100)
 			s.Topology.NumRouters = n
 			s.Workload.TCPShare = share
-			jobs = append(jobs, sweepJob{
-				series:   ti,
-				x:        float64(n),
-				scenario: withSeedOffset(s, int64(ti)*1000+int64(i)),
-			})
+			g.add(v, float64(n), s, int64(v)*1000+int64(i))
 		}
 	}
-	return runSweep(opts, labels, jobs, pick)
+	return g
 }
 
-// Fig5c regenerates Figure 5(c): false positive rate versus domain size for
-// TCP shares from 35% to 95%.
-func Fig5c(opts SweepOptions) (Figure, error) {
-	series, err := sweepDomainSizeByTCP(opts, func(r Result) float64 { return r.FalsePositiveRate * 100 })
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "fig5c",
-		Title:  "False positive rate vs. domain size (by TCP share)",
-		XLabel: "Domain Size (No. of Routers)",
-		YLabel: "False Positive Rate (%)",
-		Series: series,
-	}, nil
-}
-
-// Fig6a regenerates Figure 6(a): false negative rate versus traffic volume
-// for P_d ∈ {70, 80, 90}%.
-func Fig6a(opts SweepOptions) (Figure, error) {
-	series, err := sweepVolumesByPd(opts, func(r Result) float64 { return r.FalseNegativeRate * 100 })
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "fig6a",
-		Title:  "False negative rate vs. traffic volume (by Pd)",
-		XLabel: "Total Traffic Volume (No. of Flows)",
-		YLabel: "False Negative Rate (%)",
-		Series: series,
-	}, nil
-}
-
-// Fig6b regenerates Figure 6(b): false negative rate versus percentage of
-// TCP traffic for V_t ∈ {30, 70, 100}.
-func Fig6b(opts SweepOptions) (Figure, error) {
-	series, err := sweepTCPShareByVolume(opts, func(r Result) float64 { return r.FalseNegativeRate * 100 })
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "fig6b",
-		Title:  "False negative rate vs. percentage of TCP traffic (by Vt)",
-		XLabel: "Percentage of TCP Traffic (%)",
-		YLabel: "False Negative Rate (%)",
-		Series: series,
-	}, nil
-}
-
-// Fig6c regenerates Figure 6(c): false negative rate versus domain size for
-// TCP shares from 35% to 95%.
-func Fig6c(opts SweepOptions) (Figure, error) {
-	series, err := sweepDomainSizeByTCP(opts, func(r Result) float64 { return r.FalseNegativeRate * 100 })
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "fig6c",
-		Title:  "False negative rate vs. domain size (by TCP share)",
-		XLabel: "Domain Size (No. of Routers)",
-		YLabel: "False Negative Rate (%)",
-		Series: series,
-	}, nil
-}
-
-// Fig7 regenerates Figure 7: legitimate-packet dropping rate L_r versus
-// traffic volume for P_d ∈ {70, 80, 90}%.
-func Fig7(opts SweepOptions) (Figure, error) {
-	series, err := sweepVolumesByPd(opts, func(r Result) float64 { return r.LegitimateDropRate * 100 })
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "fig7",
-		Title:  "Legitimate packet dropping rate vs. traffic volume (by Pd)",
-		XLabel: "Total Traffic Volume (No. of Flows)",
-		YLabel: "Legitimate Packet Dropping Rate (%)",
-		Series: series,
-	}, nil
-}
-
-// AblationBaseline compares MAFIC against the proportional dropper (the
-// design point the paper argues against): collateral damage and traffic
-// reduction at the default operating point.
-func AblationBaseline(opts SweepOptions) (Figure, error) {
-	var labels []string
-	var jobs []sweepJob
-	configs := []struct {
-		label   string
-		defense DefenseKind
-	}{
-		{label: "MAFIC", defense: DefenseMAFIC},
-		{label: "Proportional", defense: DefenseBaseline},
-	}
-	for ci, cfg := range configs {
-		labels = append(labels, cfg.label)
+// volumeVariants is a variant × traffic-volume grid: set applies variant
+// v, labelled labels[v], to a point's scenario.
+func volumeVariants(opts SweepOptions, labels []string, set func(s *Scenario, v int)) grid {
+	g := grid{labels: labels}
+	for v := range labels {
 		for i, vt := range opts.volumes() {
 			s := opts.base()
-			s.Name = fmt.Sprintf("ablation-%s-vt%d", cfg.label, vt)
-			s.Defense = cfg.defense
+			set(&s, v)
 			s.Workload.TotalFlows = vt
-			jobs = append(jobs, sweepJob{
-				series:   ci,
-				x:        float64(vt),
-				scenario: withSeedOffset(s, int64(ci)*1000+int64(i)),
-			})
+			g.add(v, float64(vt), s, int64(v)*1000+int64(i))
 		}
 	}
-	out, err := runSweep(opts, labels, jobs, func(r Result) float64 { return r.LegitimateDropRate * 100 })
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "ablation-baseline",
-		Title:  "Collateral damage: MAFIC vs. proportional dropping",
-		XLabel: "Total Traffic Volume (No. of Flows)",
-		YLabel: "Legitimate Packet Dropping Rate (%)",
-		Series: out,
-	}, nil
+	return g
 }
 
-// AblationProbeWindow varies the probing window (1×, 2×, 4× RTT) to expose
-// the accuracy / collateral-damage trade-off behind the paper's 2×RTT
-// choice.
-func AblationProbeWindow(opts SweepOptions) (Figure, error) {
-	var labels []string
-	var jobs []sweepJob
-	for wi, windows := range []float64{1, 2, 4} {
-		labels = append(labels, fmt.Sprintf("%vxRTT", windows))
-		for i, vt := range opts.volumes() {
-			s := opts.base()
-			s.Name = fmt.Sprintf("window%v-vt%d", windows, vt)
-			s.MAFIC.ProbeWindowRTTs = windows
-			s.Workload.TotalFlows = vt
-			jobs = append(jobs, sweepJob{
-				series:   wi,
-				x:        float64(vt),
-				scenario: withSeedOffset(s, int64(wi)*1000+int64(i)),
-			})
-		}
-	}
-	out, err := runSweep(opts, labels, jobs, func(r Result) float64 { return r.LegitimateDropRate * 100 })
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "ablation-probe-window",
-		Title:  "Probing window length vs. collateral damage",
-		XLabel: "Total Traffic Volume (No. of Flows)",
-		YLabel: "Legitimate Packet Dropping Rate (%)",
-		Series: out,
-	}, nil
+// defenses sets MAFIC against the proportional dropper, the design point
+// the paper argues against.
+func defenses(opts SweepOptions) grid {
+	kinds := []DefenseKind{DefenseMAFIC, DefenseBaseline}
+	return volumeVariants(opts, []string{"MAFIC", "Proportional"},
+		func(s *Scenario, v int) { s.Defense = kinds[v] })
 }
 
-// AblationPulsingAttack compares MAFIC's effectiveness against a constant
-// flood and against a shrew-style on-off (pulsing) attack of the same peak
-// rate. The paper's related work (HAWK, ref [11]) motivates this extension:
-// pulsing attackers deliberately mimic a responsive source by going silent,
-// which inflates the false-negative rate of any probe-and-watch scheme.
-func AblationPulsingAttack(opts SweepOptions) (Figure, error) {
-	var labels []string
-	var jobs []sweepJob
-	modes := []struct {
-		label  string
-		period sim.Time
-		duty   float64
-	}{
-		{label: "constant flood", period: 0, duty: 0},
-		{label: "pulsing 20% duty", period: sim.Second, duty: 0.2},
-		{label: "pulsing 50% duty", period: sim.Second, duty: 0.5},
+// probeWindows varies the probing window (1×, 2×, 4× RTT) to expose the
+// accuracy / collateral-damage trade-off behind the paper's 2×RTT choice.
+func probeWindows(opts SweepOptions) grid {
+	rtts := []float64{1, 2, 4}
+	return volumeVariants(opts, []string{"1xRTT", "2xRTT", "4xRTT"},
+		func(s *Scenario, v int) { s.MAFIC.ProbeWindowRTTs = rtts[v] })
+}
+
+// attackPulses sets a constant flood against shrew-style on-off attacks of
+// the same peak rate. The paper's related work (HAWK, ref [11]) motivates
+// it: a pulsing attacker mimics a responsive source by going silent, which
+// inflates the false-negative rate of any probe-and-watch scheme.
+func attackPulses(opts SweepOptions) grid {
+	periods := []sim.Time{0, sim.Second, sim.Second}
+	duties := []float64{0, 0.2, 0.5}
+	return volumeVariants(opts, []string{"constant flood", "pulsing 20% duty", "pulsing 50% duty"},
+		func(s *Scenario, v int) {
+			s.Workload.AttackPulsePeriod = periods[v]
+			s.Workload.AttackDutyCycle = duties[v]
+		})
+}
+
+// pick turns the run of one grid point into that point's samples.
+type pick func(p gridPoint, r Result) []Point
+
+// percent picks one sample per point: the run's metric as a percentage.
+func percent(metric func(Result) float64) pick {
+	return func(p gridPoint, r Result) []Point { return []Point{{X: p.x, Y: metric(r) * 100}} }
+}
+
+// victimBandwidth picks the run's victim-side bandwidth series, one sample
+// per bin: the cutoff when MAFIC triggers and the recovery of legitimate
+// bandwidth afterwards.
+func victimBandwidth(p gridPoint, r Result) (out []Point) {
+	for _, bin := range r.Series {
+		out = append(out, Point{X: bin.Time.Seconds(), Y: float64(bin.Total()) / p.scenario.BinWidth.Seconds()})
 	}
-	for mi, mode := range modes {
-		labels = append(labels, mode.label)
-		for i, vt := range opts.volumes() {
-			s := opts.base()
-			s.Name = fmt.Sprintf("pulsing-%d-vt%d", mi, vt)
-			s.Workload.TotalFlows = vt
-			s.Workload.AttackPulsePeriod = mode.period
-			s.Workload.AttackDutyCycle = mode.duty
-			jobs = append(jobs, sweepJob{
-				series:   mi,
-				x:        float64(vt),
-				scenario: withSeedOffset(s, int64(mi)*1000+int64(i)),
-			})
-		}
-	}
-	out, err := runSweep(opts, labels, jobs, func(r Result) float64 { return r.FalseNegativeRate * 100 })
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "ablation-pulsing",
-		Title:  "False negatives under constant vs. pulsing (shrew-style) attacks",
-		XLabel: "Total Traffic Volume (No. of Flows)",
-		YLabel: "False Negative Rate (%)",
-		Series: out,
-	}, nil
+	return out
+}
+
+// The y metrics and the axis labels several figures share.
+var (
+	accuracy        = percent(func(r Result) float64 { return r.Accuracy })
+	falsePositives  = percent(func(r Result) float64 { return r.FalsePositiveRate })
+	falseNegatives  = percent(func(r Result) float64 { return r.FalseNegativeRate })
+	legitimateDrops = percent(func(r Result) float64 { return r.LegitimateDropRate })
+)
+
+const (
+	volumeAxis    = "Total Traffic Volume (No. of Flows)"
+	tcpAxis       = "Percentage of TCP Traffic (%)"
+	domainAxis    = "Domain Size (No. of Routers)"
+	accuracyAxis  = "Attacking Packets Dropping Accuracy (%)"
+	fpAxis        = "False Positive Rate (%)"
+	fnAxis        = "False Negative Rate (%)"
+	legitDropAxis = "Legitimate Packet Dropping Rate (%)"
+)
+
+// figureSpec is one figure as data: its panel metadata, the grid it is a
+// projection of, and how a point reads its samples from its run.
+type figureSpec struct {
+	id   FigureID
+	meta Figure // everything but the series
+	grid func(SweepOptions) grid
+	pick pick
+}
+
+// figureSpecs holds every reproducible figure in presentation order.
+var figureSpecs = []figureSpec{
+	{FigureF3a, Figure{ID: "fig3a", Title: "Attack packet dropping accuracy vs. traffic volume (by Pd)",
+		XLabel: volumeAxis, YLabel: accuracyAxis}, volumesByPd, accuracy},
+	{FigureF3b, Figure{ID: "fig3b", Title: "Attack packet dropping accuracy vs. traffic volume (by source rate)",
+		XLabel: volumeAxis, YLabel: accuracyAxis}, volumesByRate, accuracy},
+	{FigureF4a, Figure{ID: "fig4a", Title: "Traffic reduction rate vs. traffic volume (by Pd)",
+		XLabel: volumeAxis, YLabel: "Traffic Reduction Rate (%)"},
+		volumesByPd, percent(func(r Result) float64 { return r.TrafficReduction })},
+	{FigureF4b, Figure{ID: "fig4b", Title: "Victim flow bandwidth over time (by number of flows)",
+		XLabel: "Time (second)", YLabel: "Flow Bandwidth (packets/s at victim)"}, timelines, victimBandwidth},
+	{FigureF5a, Figure{ID: "fig5a", Title: "False positive rate vs. traffic volume (by Pd)",
+		XLabel: volumeAxis, YLabel: fpAxis}, volumesByPd, falsePositives},
+	{FigureF5b, Figure{ID: "fig5b", Title: "False positive rate vs. percentage of TCP traffic (by Vt)",
+		XLabel: tcpAxis, YLabel: fpAxis}, tcpSharesByVolume, falsePositives},
+	{FigureF5c, Figure{ID: "fig5c", Title: "False positive rate vs. domain size (by TCP share)",
+		XLabel: domainAxis, YLabel: fpAxis}, domainSizesByTCP, falsePositives},
+	{FigureF6a, Figure{ID: "fig6a", Title: "False negative rate vs. traffic volume (by Pd)",
+		XLabel: volumeAxis, YLabel: fnAxis}, volumesByPd, falseNegatives},
+	{FigureF6b, Figure{ID: "fig6b", Title: "False negative rate vs. percentage of TCP traffic (by Vt)",
+		XLabel: tcpAxis, YLabel: fnAxis}, tcpSharesByVolume, falseNegatives},
+	{FigureF6c, Figure{ID: "fig6c", Title: "False negative rate vs. domain size (by TCP share)",
+		XLabel: domainAxis, YLabel: fnAxis}, domainSizesByTCP, falseNegatives},
+	{FigureF7, Figure{ID: "fig7", Title: "Legitimate packet dropping rate vs. traffic volume (by Pd)",
+		XLabel: volumeAxis, YLabel: legitDropAxis}, volumesByPd, legitimateDrops},
+	{FigureAblationBase, Figure{ID: "ablation-baseline", Title: "Collateral damage: MAFIC vs. proportional dropping",
+		XLabel: volumeAxis, YLabel: legitDropAxis}, defenses, legitimateDrops},
+	{FigureAblationProbe, Figure{ID: "ablation-probe-window", Title: "Probing window length vs. collateral damage",
+		XLabel: volumeAxis, YLabel: legitDropAxis}, probeWindows, legitimateDrops},
+	{FigureAblationPulsing, Figure{ID: "ablation-pulsing", Title: "False negatives under constant vs. pulsing (shrew-style) attacks",
+		XLabel: volumeAxis, YLabel: fnAxis}, attackPulses, falseNegatives},
 }
 
 // FigureID identifies one reproducible figure.
@@ -556,46 +314,87 @@ const (
 
 // AllFigureIDs lists every reproducible figure in presentation order.
 func AllFigureIDs() []FigureID {
-	return []FigureID{
-		FigureF3a, FigureF3b, FigureF4a, FigureF4b,
-		FigureF5a, FigureF5b, FigureF5c,
-		FigureF6a, FigureF6b, FigureF6c, FigureF7,
-		FigureAblationBase, FigureAblationProbe, FigureAblationPulsing,
+	ids := make([]FigureID, len(figureSpecs))
+	for i, f := range figureSpecs {
+		ids[i] = f.id
 	}
+	return ids
+}
+
+// plannedFigure is one figure of a plan: its spec, its grid, and at[i], the
+// index among the plan's runs of grid point i's scenario.
+type plannedFigure struct {
+	spec *figureSpec
+	grid grid
+	at   []int
+}
+
+// planFigures collects the grid of every figure ids names, and runs, each
+// distinct scenario among their points once: two points share a run when
+// their scenarios are equal apart from Name, whichever grids they come from.
+func planFigures(ids []FigureID, opts SweepOptions) (figs []plannedFigure, runs []Scenario, err error) {
+	seen := map[string]int{}
+	for _, id := range ids {
+		k := slices.IndexFunc(figureSpecs, func(f figureSpec) bool { return f.id == id })
+		if k < 0 {
+			return nil, nil, fmt.Errorf("%w: unknown figure %q", ErrScenario, id)
+		}
+		g := figureSpecs[k].grid(opts)
+		at := make([]int, len(g.points))
+		for i, p := range g.points {
+			s := p.scenario
+			s.Name = ""
+			key, err := json.Marshal(s)
+			if err != nil {
+				return nil, nil, fmt.Errorf("figure %s: %w", id, err)
+			}
+			run, ok := seen[string(key)]
+			if !ok {
+				run = len(runs)
+				seen[string(key)] = run
+				runs = append(runs, p.scenario)
+			}
+			at[i] = run
+		}
+		figs = append(figs, plannedFigure{spec: &figureSpecs[k], grid: g, at: at})
+	}
+	return figs, runs, nil
+}
+
+// GenerateFigures produces the named figures in order. Figures are
+// projections of a few shared grids, so each distinct scenario among their
+// sweep points runs once (through RunMany, under the options' worker cap)
+// and every figure that plots it reads the same result.
+func GenerateFigures(ids []FigureID, opts SweepOptions) ([]Figure, error) {
+	plan, runs, err := planFigures(ids, opts)
+	if err != nil {
+		return nil, err
+	}
+	results, err := RunMany(runs, opts.Workers)
+	if err != nil {
+		return nil, err
+	}
+	figs := make([]Figure, len(plan))
+	for k, pf := range plan {
+		fig := pf.spec.meta
+		fig.Series = make([]Series, len(pf.grid.labels))
+		for v, label := range pf.grid.labels {
+			fig.Series[v].Label = label
+		}
+		for i, p := range pf.grid.points {
+			series := &fig.Series[p.series]
+			series.Points = append(series.Points, pf.spec.pick(p, results[pf.at[i]])...)
+		}
+		figs[k] = fig
+	}
+	return figs, nil
 }
 
 // Generate produces the named figure.
 func Generate(id FigureID, opts SweepOptions) (Figure, error) {
-	switch id {
-	case FigureF3a:
-		return Fig3a(opts)
-	case FigureF3b:
-		return Fig3b(opts)
-	case FigureF4a:
-		return Fig4a(opts)
-	case FigureF4b:
-		return Fig4b(opts)
-	case FigureF5a:
-		return Fig5a(opts)
-	case FigureF5b:
-		return Fig5b(opts)
-	case FigureF5c:
-		return Fig5c(opts)
-	case FigureF6a:
-		return Fig6a(opts)
-	case FigureF6b:
-		return Fig6b(opts)
-	case FigureF6c:
-		return Fig6c(opts)
-	case FigureF7:
-		return Fig7(opts)
-	case FigureAblationBase:
-		return AblationBaseline(opts)
-	case FigureAblationProbe:
-		return AblationProbeWindow(opts)
-	case FigureAblationPulsing:
-		return AblationPulsingAttack(opts)
-	default:
-		return Figure{}, fmt.Errorf("%w: unknown figure %q", ErrScenario, id)
+	figs, err := GenerateFigures([]FigureID{id}, opts)
+	if err != nil {
+		return Figure{}, err
 	}
+	return figs[0], nil
 }

@@ -62,8 +62,3 @@ func RunMany(scenarios []Scenario, workers int) ([]Result, error) {
 	}
 	return results, nil
 }
-
-// runPoints runs a figure sweep's scenarios under the options' worker cap.
-func runPoints(opts SweepOptions, scenarios []Scenario) ([]Result, error) {
-	return RunMany(scenarios, opts.Workers)
-}

@@ -51,22 +51,18 @@ func TestRunManySerialParallelIdentical(t *testing.T) {
 }
 
 // TestFigureSerialParallelIdentical checks the same property end-to-end
-// through a figure generator.
+// through the whole figure set.
 func TestFigureSerialParallelIdentical(t *testing.T) {
-	base := parallelTestBase()
-
-	serialOpts := SweepOptions{Quick: true, Seed: 11, Base: &base, Workers: 1}
-	parallelOpts := SweepOptions{Quick: true, Seed: 11, Base: &base, Workers: 8}
-
-	serial, err := Fig3a(serialOpts)
+	t.Parallel()
+	serial, err := GenerateFigures(AllFigureIDs(), shortFigureOpts(1))
 	if err != nil {
-		t.Fatalf("serial figure: %v", err)
+		t.Fatalf("serial figures: %v", err)
 	}
-	parallel, err := Fig3a(parallelOpts)
-	if err != nil {
-		t.Fatalf("parallel figure: %v", err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("figure differs between serial and parallel sweeps:\nserial:   %+v\nparallel: %+v", serial, parallel)
+	parallel := shortFigures(t)
+	for i := range serial {
+		if !reflect.DeepEqual(serial[i], parallel[i]) {
+			t.Fatalf("figure %s differs between serial and parallel sweeps:\nserial:   %+v\nparallel: %+v",
+				serial[i].ID, serial[i], parallel[i])
+		}
 	}
 }
