@@ -17,10 +17,3 @@ func (p *Dropper) CheckpointState(dst *DropperState) { *dst = p.st }
 
 // RestoreState overlays captured dynamic state onto a rebuilt dropper.
 func (p *Dropper) RestoreState(st DropperState) { p.st = st }
-
-// CheckpointTypes lists this package's structs that carry snapshotted state.
-var CheckpointTypes = []any{
-	Dropper{},
-	DropperState{},
-	Stats{},
-}

@@ -162,11 +162,11 @@ var sections = [...]func(*codec, *Snapshot){
 }
 
 // Encode serializes a snapshot into the sectioned wire format. The walk runs
-// once, into a buffer the snapshot keeps for its next Encode — a Session
-// refills one Snapshot for the whole run, so the buffer is grown by the first
-// snapshots and written over by the rest. What is returned is a copy of
-// exactly the encoded size, a fresh one on every call: callers hand it to
-// sinks that keep it. Encode must not run concurrently on one Snapshot.
+// once, into a buffer the snapshot keeps for its next Encode — a run's
+// capture session refills one Snapshot for the whole run, so the buffer is
+// grown by the first snapshots and written over by the rest. What is returned
+// is a copy of exactly the encoded size, a fresh one on every call: callers
+// hand it to sinks that keep it. Encode must not run concurrently on one Snapshot.
 func Encode(snap *Snapshot) []byte {
 	c := &snap.scratch
 	c.w.b = append(c.w.b[:0], snapshotMagic[:]...)

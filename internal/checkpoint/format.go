@@ -32,8 +32,8 @@ var snapshotMagic = [8]byte{'M', 'A', 'F', 'I', 'C', 'S', 'N', 'P'}
 
 // SnapshotVersion is the current wire-format version. Bump it whenever a walk
 // in codec.go changes what it writes; the coverage guard test forces the
-// decision whenever a snapshotted struct grows a field (doc.go, "Coverage
-// guard", has the steps).
+// decision whenever a snapshotted struct grows a field (the experiment
+// package's capture.go, "Coverage guard", has the steps).
 //
 // Version 3 is version 2 with varint integers and untouched sketches elided;
 // a file of an earlier version is refused, not migrated. See doc.go.

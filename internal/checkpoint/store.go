@@ -110,9 +110,6 @@ func OpenStore(dir string, keep int) (*Store, error) {
 	return st, nil
 }
 
-// Dir returns the store's root directory.
-func (st *Store) Dir() string { return st.dir }
-
 // Count returns the number of snapshot files currently tracked.
 func (st *Store) Count() int { return len(st.snaps) }
 
@@ -141,11 +138,6 @@ func (st *Store) Save(at sim.Time, data []byte) error {
 		}
 	}
 	return nil
-}
-
-// Load reads the raw bytes of one tracked snapshot.
-func (st *Store) Load(info SnapInfo) ([]byte, error) {
-	return os.ReadFile(filepath.Join(st.dir, info.Name))
 }
 
 // Remove deletes one tracked snapshot, typically after it failed to restore

@@ -122,10 +122,3 @@ func (d *Defender) RestoreProbeRecord(st ProbeRecordState) (any, error) {
 	rec.entry, rec.gen = e, e.Gen
 	return rec, nil
 }
-
-// CheckpointTypes lists this package's structs that carry snapshotted state.
-var CheckpointTypes = []any{
-	Defender{},
-	Stats{},
-	probeRecord{},
-}

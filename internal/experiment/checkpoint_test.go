@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
@@ -378,6 +379,45 @@ func TestRestoreRefusesFlowKindMismatch(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesDefenderKindMismatch pins that the defender records are
+// checked against the rebuilt run's defence, not believed: a MAFIC snapshot
+// whose defender kind says "none" and whose defender list is gone would
+// otherwise resume with every defender fresh and inactive, and a snapshot of
+// an undefended run that carries a MAFIC defender list, empty as the rebuild's
+// is, would resume as if it were one. Both are refused as unusable snapshots.
+func TestRestoreRefusesDefenderKindMismatch(t *testing.T) {
+	e, ok := LookupScenario("carpet-bombing")
+	if !ok {
+		t.Fatal("carpet-bombing not registered")
+	}
+	undefended := table2Quick(t)
+	undefended.Defense = DefenseNone
+	for _, tc := range []struct {
+		name string
+		s    Scenario
+		at   sim.Time
+		mut  func(*checkpoint.Snapshot) bool
+		want string
+	}{
+		{"MAFIC run recorded as undefended", Quick(e.Build()), 800 * sim.Millisecond, func(snap *checkpoint.Snapshot) bool {
+			ok := snap.DefKind == checkpoint.DefMAFIC && len(snap.Defenders) > 0
+			snap.DefKind, snap.Defenders = checkpoint.DefNone, nil
+			return ok
+		}, "defender kind"},
+		{"undefended run with a defender list", undefended, undefended.Duration / 2, func(snap *checkpoint.Snapshot) bool {
+			ok := snap.DefKind == checkpoint.DefNone
+			snap.DefKind = checkpoint.DefMAFIC // the list the rebuild has: empty
+			return ok
+		}, "defender kind"},
+	} {
+		data, _ := snapshotMidRun(t, tc.s, tc.at)
+		_, err := RunFromSnapshot(mutateSnapshot(t, data, tc.mut))
+		if !errors.Is(err, ErrSnapshot) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: resume returned %v, want an ErrSnapshot saying %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // spliceScenarioKeys returns a mutation that sets keys in the snapshot's
 // scenario JSON, each named by its dotted path, whether or not a Scenario
 // field declares it.
@@ -566,8 +606,8 @@ func TestRetainedSnapshotsStayValid(t *testing.T) {
 // capture session refills one Snapshot in place, so anything a capture fails
 // to overwrite would leak from snapshot k into snapshot k+1. For every
 // catalog entry, every snapshot of one run taken through the reused session
-// must equal, byte for byte, the encoding of a fresh one-shot capture of the
-// same paused world: seven per run, or one every half report delay where the
+// must equal, byte for byte, the encoding of a capture through a fresh session
+// on the same paused run: seven per run, or one every half report delay where the
 // control plane delays reports, so that delayed-report payloads come and go
 // between snapshots. Two hardened runs follow, for the probing memory only
 // hardening turns on: rolling-pulse, and one whose flow tables are emptied by
@@ -578,10 +618,6 @@ func TestSessionMatchesFreshCapture(t *testing.T) {
 	var sawMemory bool
 	var eventsShrank, probesShrank, tablesShrank, lateShrank bool
 	check := func(name string, s Scenario, flushAt sim.Time) {
-		scenarioJSON, err := json.Marshal(s)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
 		b, err := buildRun(s, newRunResources())
 		if err != nil {
 			t.Fatalf("%s: build: %v", name, err)
@@ -606,7 +642,10 @@ func TestSessionMatchesFreshCapture(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: session snapshot at %v: %v", name, at, err)
 			}
-			fresh, err := checkpoint.Capture(b.world(), scenarioJSON)
+			warm := b.session
+			b.session = nil
+			fresh, err := b.capture()
+			b.session = warm
 			if err != nil {
 				t.Fatalf("%s: fresh capture at %v: %v", name, at, err)
 			}
@@ -659,6 +698,82 @@ func TestSessionMatchesFreshCapture(t *testing.T) {
 		if !saw {
 			t.Errorf("no run showed %s between snapshots; the guard is not exercising that reuse path", what)
 		}
+	}
+}
+
+// TestRestoreThenCaptureIsIdentity pins restore fidelity for the state no
+// final Result reads, which TestKillAndResumeEquivalence cannot see: for every
+// catalog entry, a mid-run snapshot restored onto a rebuilt run and captured
+// again at once, before any event runs, must give back the snapshot. Only the
+// order of the pending events and the probe records' numbering, both of which
+// follow the scheduler's arena, are taken out of the comparison.
+func TestRestoreThenCaptureIsIdentity(t *testing.T) {
+	for _, e := range Entries() {
+		s := Quick(e.Build())
+		b, err := buildRun(s, newRunResources())
+		if err != nil {
+			t.Fatalf("%s: build: %v", e.Name, err)
+		}
+		if err := b.res.sched.RunUntil(s.Duration / 2); err != nil {
+			t.Fatalf("%s: run: %v", e.Name, err)
+		}
+		data, err := b.snapshot()
+		b.release()
+		if err != nil {
+			t.Fatalf("%s: snapshot: %v", e.Name, err)
+		}
+		want, err := checkpoint.Decode(data)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", e.Name, err)
+		}
+		in, _ := checkpoint.Decode(data) // restore sorts its events in place
+
+		b, err = buildRun(s, newRunResources())
+		if err != nil {
+			t.Fatalf("%s: rebuild: %v", e.Name, err)
+		}
+		if err := b.restore(in); err != nil {
+			t.Fatalf("%s: restore: %v", e.Name, err)
+		}
+		got, err := b.capture()
+		if err != nil {
+			t.Fatalf("%s: capture after restore: %v", e.Name, err)
+		}
+		inSeqOrder(want)
+		inSeqOrder(got)
+		if !reflect.DeepEqual(want, got) {
+			var differ []string
+			wv, gv := reflect.ValueOf(*want), reflect.ValueOf(*got)
+			for i := 0; i < wv.NumField(); i++ {
+				if f := wv.Type().Field(i); f.IsExported() && !reflect.DeepEqual(wv.Field(i).Interface(), gv.Field(i).Interface()) {
+					differ = append(differ, f.Name)
+				}
+			}
+			t.Errorf("%s: the snapshot captured right after its restore differs from it (fields %v)", e.Name, differ)
+		}
+		b.release()
+	}
+}
+
+// inSeqOrder sorts a snapshot's pending events by sequence number and
+// renumbers its probe records in the order those events first name them.
+func inSeqOrder(snap *checkpoint.Snapshot) {
+	slices.SortFunc(snap.Events, func(a, b checkpoint.EventState) int { return cmp.Compare(a.Seq, b.Seq) })
+	recs := snap.ProbeRecs
+	snap.ProbeRecs = nil
+	renumbered := make(map[uint32]uint32)
+	for i := range snap.Events {
+		ev := &snap.Events[i]
+		if ev.Kind != checkpoint.EvProbeSend && ev.Kind != checkpoint.EvWindowEnd {
+			continue
+		}
+		idx, ok := renumbered[ev.Probe]
+		if !ok {
+			idx = uint32(len(snap.ProbeRecs))
+			renumbered[ev.Probe] = idx
+			snap.ProbeRecs = append(snap.ProbeRecs, recs[ev.Probe])
+		}
+		ev.Probe = idx
 	}
 }
 
@@ -777,7 +892,7 @@ func TestDecodeInvertsEncode(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: snapshot at %v: %v", e.Name, at, err)
 			}
-			snap, err := b.session.Capture() // the same paused world, so the same Snapshot
+			snap, err := b.capture() // the same paused run, so the same Snapshot
 			if err != nil {
 				t.Fatalf("%s: capture at %v: %v", e.Name, at, err)
 			}

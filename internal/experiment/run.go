@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"mafic/internal/baseline"
@@ -111,13 +110,13 @@ type builtRun struct {
 	rng       *sim.RNG
 	domain    *topology.Domain
 	collector *metrics.Collector
-	// buildSeq is the scheduler sequence number at the build/run boundary;
-	// see checkpoint.World.
+	// buildSeq is the scheduler sequence number recorded immediately after
+	// the build completed, before the first RunUntil: events with a lower
+	// sequence number were created by the deterministic rebuild, events at
+	// or above it were scheduled at runtime and travel in the snapshot.
 	buildSeq uint64
-	// session is the run's capture session, created at the first snapshot:
-	// a run that is never checkpointed does not pay for it.
-	session *checkpoint.Session
-	result  Result
+	session  *captureSession // see capture.go
+	result   Result
 }
 
 // Run executes one scenario and returns its metrics.
@@ -184,14 +183,9 @@ func runWith(s Scenario, res *runResources, snap *checkpoint.Snapshot, opts Cont
 	}
 	defer b.release()
 	if snap != nil {
-		w := b.world()
-		if err := checkpoint.Restore(w, snap); err != nil {
+		if err := b.restore(snap); err != nil {
 			return Result{}, fmt.Errorf("%w: %w", ErrSnapshot, err)
 		}
-		b.result.Activated = w.Flags.Activated
-		b.result.ActivationSeconds = w.Flags.ActivationSeconds
-		b.result.DetectedByPushback = w.Flags.DetectedByPushback
-		b.result.ATRCount = int(w.Flags.ATRCount)
 	}
 	return controlLoop(b, opts)
 }
@@ -204,58 +198,6 @@ func runWith(s Scenario, res *runResources, snap *checkpoint.Snapshot, opts Cont
 // interruption.
 func RunFromSnapshot(data []byte) (Result, error) {
 	return ResumeControlled(data, ControlOptions{})
-}
-
-// world assembles the checkpoint bridge over the built run.
-func (b *builtRun) world() *checkpoint.World {
-	return &checkpoint.World{
-		Sched:       b.res.sched,
-		RNG:         b.rng,
-		Net:         b.domain.Net,
-		Workload:    b.res.workload,
-		Monitor:     b.res.monitor,
-		Coordinator: b.res.coordinator,
-		Collector:   b.collector,
-		MAFIC:       b.res.mafic,
-		Baseline:    b.res.droppers,
-		BuildSeq:    b.buildSeq,
-		Flags:       b.flags(),
-	}
-}
-
-// flags is the activation bookkeeping the result holds so far.
-func (b *builtRun) flags() checkpoint.RunFlags {
-	return checkpoint.RunFlags{
-		Activated:          b.result.Activated,
-		ActivationSeconds:  b.result.ActivationSeconds,
-		DetectedByPushback: b.result.DetectedByPushback,
-		ATRCount:           int64(b.result.ATRCount),
-	}
-}
-
-// capture refills the run's session snapshot from its current state and
-// returns it: the session's own, valid until the next capture.
-func (b *builtRun) capture() (*checkpoint.Snapshot, error) {
-	if b.session == nil {
-		scenarioJSON, err := json.Marshal(b.s)
-		if err != nil {
-			return nil, fmt.Errorf("encode scenario: %w", err)
-		}
-		b.session = checkpoint.NewSession(b.world(), scenarioJSON)
-	}
-	b.session.World.Flags = b.flags()
-	return b.session.Capture()
-}
-
-// snapshot captures and encodes the run's current state. The bytes are a
-// fresh buffer the caller may keep; the capture scratch behind them is the
-// run's session, reused by the next snapshot.
-func (b *builtRun) snapshot() ([]byte, error) {
-	snap, err := b.capture()
-	if err != nil {
-		return nil, err
-	}
-	return checkpoint.Encode(snap), nil
 }
 
 // buildRun constructs every component of a scenario run on the given bundle —

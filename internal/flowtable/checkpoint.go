@@ -67,9 +67,3 @@ func (t *Tables) RestoreState(st TablesState) error {
 	t.transitions = st.Transitions
 	return nil
 }
-
-// CheckpointTypes lists this package's structs that carry snapshotted state.
-var CheckpointTypes = []any{
-	Tables{},
-	Entry{},
-}

@@ -75,9 +75,3 @@ func (p *Pair) RestoreState(st PairState) error {
 	}
 	return p.shadow.RestoreState(st.Shadow)
 }
-
-// CheckpointTypes lists this package's structs that carry snapshotted state.
-var CheckpointTypes = []any{
-	Sketch{},
-	Pair{},
-}

@@ -38,11 +38,3 @@ func (c *Collector) RestoreState(st CollectorState) error {
 	c.st.Bins = bins
 	return nil
 }
-
-// CheckpointTypes lists this package's structs that carry snapshotted state.
-var CheckpointTypes = []any{
-	Collector{},
-	CollectorState{},
-	BandwidthPoint{},
-	Counts{},
-}

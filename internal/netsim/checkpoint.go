@@ -186,20 +186,6 @@ func (n *Network) RestoreState(st NetworkState) error {
 	return nil
 }
 
-// CheckpointTypes lists this package's structs that carry snapshotted state.
-// The checkpoint coverage guard reflects over them so a new field cannot ship
-// without either joining the snapshot or being exempted explicitly.
-var CheckpointTypes = []any{
-	Network{},
-	Link{},
-	LinkState{},
-	Router{},
-	RouterState{},
-	Host{},
-	HostState{},
-	Packet{},
-}
-
 // PacketState is the serializable form of one in-flight packet (the payload
 // of a pending link-arrival event). Only the header and ground-truth fields
 // travel: the flow-hash and destination-owner caches are value-deterministic

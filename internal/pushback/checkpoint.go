@@ -63,11 +63,3 @@ func (c *Coordinator) RestoreState(st CoordinatorState) error {
 	}
 	return nil
 }
-
-// CheckpointTypes lists this package's structs that carry snapshotted state.
-var CheckpointTypes = []any{
-	Coordinator{},
-	CoordinatorState{},
-	ATR{},
-	Request{},
-}

@@ -250,13 +250,6 @@ func (sv *Server) Metrics() Metrics {
 	return sv.m
 }
 
-// Draining reports whether a drain has begun.
-func (sv *Server) Draining() bool {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	return sv.drained
-}
-
 // Cancel stops a job: a queued job is canceled immediately, a running job is
 // interrupted at its next checkpoint boundary. Finished jobs return
 // ErrConflict.

@@ -74,13 +74,3 @@ func (s *Scheduler) RestoreClock(now Time, nextSeq, processed uint64) {
 	s.horizon = nextSeq
 	s.processed = processed
 }
-
-// CheckpointTypes lists this package's structs that carry snapshotted state.
-// The checkpoint coverage guard reflects over them so a new field cannot ship
-// without either joining the snapshot or being exempted explicitly.
-var CheckpointTypes = []any{
-	Scheduler{},
-	event{},
-	RNG{},
-	countingSource{},
-}

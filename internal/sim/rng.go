@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -111,9 +110,6 @@ func (g *RNG) Intn(n int) int {
 	return g.r.Intn(n)
 }
 
-// Int63 returns a non-negative uniform 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
 // Uint64 returns a uniform 64-bit value.
 func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
 
@@ -128,9 +124,6 @@ func (g *RNG) Bool(p float64) bool {
 	return g.r.Float64() < p
 }
 
-// Perm returns a random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
 // Exponential returns a sample from an exponential distribution with the
 // given mean. It returns 0 for non-positive means.
 func (g *RNG) Exponential(mean float64) float64 {
@@ -138,25 +131,6 @@ func (g *RNG) Exponential(mean float64) float64 {
 		return 0
 	}
 	return g.r.ExpFloat64() * mean
-}
-
-// Normal returns a sample from a normal distribution with the given mean and
-// standard deviation.
-func (g *RNG) Normal(mean, stddev float64) float64 {
-	return g.r.NormFloat64()*stddev + mean
-}
-
-// Pareto returns a sample from a bounded Pareto distribution with shape
-// alpha and minimum xm. Heavy-tailed flow sizes use this.
-func (g *RNG) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		return 0
-	}
-	u := g.r.Float64()
-	if u == 0 {
-		u = math.SmallestNonzeroFloat64
-	}
-	return xm / math.Pow(u, 1/alpha)
 }
 
 // Jitter returns base scaled by a uniform factor in [1-frac, 1+frac]. It is

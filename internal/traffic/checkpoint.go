@@ -145,15 +145,3 @@ func (v *VictimServer) CheckpointState(dst *VictimServerState) { *dst = v.st }
 
 // RestoreState overlays captured counters onto a rebuilt server.
 func (v *VictimServer) RestoreState(st VictimServerState) { v.st = st }
-
-// CheckpointTypes lists this package's structs that carry snapshotted state.
-var CheckpointTypes = []any{
-	TCPSource{},
-	PacedSource{},
-	FlowState{},
-	gateOpen{},
-	gateShut{},
-	VictimServer{},
-	VictimServerState{},
-	Workload{},
-}

@@ -128,11 +128,3 @@ func (m *Monitor) RestoreEpochReport(st EpochReportState) any {
 		Matrix:    st.Matrix,
 	}
 }
-
-// CheckpointTypes lists this package's structs that carry snapshotted state.
-var CheckpointTypes = []any{
-	Monitor{},
-	Counter{},
-	EpochReport{},
-	Cell{},
-}

@@ -103,36 +103,17 @@ type Counter struct {
 
 var _ netsim.Filter = (*Counter)(nil)
 
-// NewCounter creates a counter for the given router using LogLog sketches
-// with the given bucket count.
-func NewCounter(router *netsim.Router, buckets int) (*Counter, error) {
-	c := &Counter{}
-	if err := c.init(router, buckets, nil); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// init wires a counter in place. When slab is non-nil it must hold at least
-// four sketches, which become the counter's two double-buffered pairs; the
-// monitor uses this to build every counter of a domain from one allocation.
+// init wires a counter in place onto four sketches of slab, which become its
+// two double-buffered pairs: the monitor builds every counter of a domain from
+// one allocation.
 func (c *Counter) init(router *netsim.Router, buckets int, slab []loglog.Sketch) error {
-	var src, dst loglog.Pair
-	var err error
-	if slab != nil {
-		if src, err = loglog.PairOf(&slab[0], &slab[1]); err != nil {
-			return fmt.Errorf("source sketch: %w", err)
-		}
-		if dst, err = loglog.PairOf(&slab[2], &slab[3]); err != nil {
-			return fmt.Errorf("dest sketch: %w", err)
-		}
-	} else {
-		if src, err = loglog.NewPair(buckets); err != nil {
-			return fmt.Errorf("source sketch: %w", err)
-		}
-		if dst, err = loglog.NewPair(buckets); err != nil {
-			return fmt.Errorf("dest sketch: %w", err)
-		}
+	src, err := loglog.PairOf(&slab[0], &slab[1])
+	if err != nil {
+		return fmt.Errorf("source sketch: %w", err)
+	}
+	dst, err := loglog.PairOf(&slab[2], &slab[3])
+	if err != nil {
+		return fmt.Errorf("dest sketch: %w", err)
 	}
 	*c = Counter{router: router, buckets: buckets, source: src, dest: dst}
 	return nil
