@@ -447,11 +447,11 @@ func spliceScenarioKeys(keys map[string]any) func(*checkpoint.Snapshot) bool {
 }
 
 // spliceRetiredKeys adds to the snapshot's scenario JSON the keys of the
-// thirteen options that have been deleted. The five oracle options stand at
+// fifteen options that have been deleted. The five oracle options stand at
 // the value that selected their deleted implementation (the scheduler backend
-// at one no implementation ever had); the eight detection, withdrawal,
-// baseline and start knobs at the values every catalog snapshot written while
-// they existed has. Such files carry these keys.
+// at one no implementation ever had); the ten detection, withdrawal,
+// baseline, start and legitimate-UDP knobs at the values every catalog
+// snapshot written while they existed has. Such files carry these keys.
 var spliceRetiredKeys = spliceScenarioKeys(map[string]any{
 	"Scheduler":                  map[string]any{"Backend": 7},
 	"Topology.Routing":           1,
@@ -466,6 +466,8 @@ var spliceRetiredKeys = spliceScenarioKeys(map[string]any{
 	"Pushback.DisableWithdraw":   true,
 	"BaselineDropProbability":    0,
 	"Workload.LegitStart":        0,
+	"Workload.UDPShare":          0,
+	"Workload.UDPRate":           100,
 })
 
 // TestResumeIgnoresRetiredScenarioKeys pins how a snapshot from before the
@@ -475,7 +477,10 @@ var spliceRetiredKeys = spliceScenarioKeys(map[string]any{
 // to values that ask for nothing the engine lacks: withdrawal tuning with
 // withdrawal disabled, and a proportional probability under the MAFIC
 // defence. With the oracle options in place an out-of-range scheduler backend
-// in a snapshot indexed past the scheduler pools and panicked.
+// in a snapshot indexed past the scheduler pools and panicked. A file that
+// asks for legitimate UDP flows, which the engine no longer makes, is
+// refused: json.Unmarshal alone would drop the share and resume a run with
+// other traffic than it was written with.
 func TestResumeIgnoresRetiredScenarioKeys(t *testing.T) {
 	s := table2Quick(t)
 	data, _ := snapshotMidRun(t, s, s.Duration/2)
@@ -501,6 +506,10 @@ func TestResumeIgnoresRetiredScenarioKeys(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			diffResults(t, "snapshot with retired scenario keys", want, got)
 		}
+	}
+	udp := mutateSnapshot(t, data, spliceScenarioKeys(map[string]any{"Workload.UDPShare": 0.3}))
+	if _, err := ResumeControlled(udp, ControlOptions{}); !errors.Is(err, ErrSnapshot) || !strings.Contains(err.Error(), "Workload.UDPShare") {
+		t.Fatalf("resume with legitimate UDP flows asked for returned %v, want an ErrSnapshot naming Workload.UDPShare", err)
 	}
 }
 

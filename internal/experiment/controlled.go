@@ -102,12 +102,16 @@ func ResumeControlled(data []byte, opts ControlOptions) (Result, error) {
 // check such a file would resume with other behaviour than it was written
 // with. The values every catalog run has — no absolute or relative detector,
 // no ATR cap, withdrawal disabled, the proportional dropper at P_d, legitimate
-// flows starting at 0 — are the behaviour the engine has, and pass.
+// flows starting at 0, no legitimate UDP flows — are the behaviour the engine
+// has, and pass.
 func refuseRetiredOptions(raw []byte, s Scenario) error {
 	var old struct {
 		BaselineDropProbability float64
-		Workload                struct{ LegitStart sim.Time }
-		Pushback                struct {
+		Workload                struct {
+			LegitStart sim.Time
+			UDPShare   float64
+		}
+		Pushback struct {
 			AbsoluteThreshold, RelativeFactor float64
 			MaxATRs                           int
 			DisableWithdraw                   *bool
@@ -129,6 +133,7 @@ func refuseRetiredOptions(raw []byte, s Scenario) error {
 		{"BaselineDropProbability", old.BaselineDropProbability, s.Defense == DefenseBaseline &&
 			old.BaselineDropProbability != 0 && old.BaselineDropProbability != s.MAFIC.DropProbability},
 		{"Workload.LegitStart", old.Workload.LegitStart, old.Workload.LegitStart != 0},
+		{"Workload.UDPShare", old.Workload.UDPShare, old.Workload.UDPShare != 0},
 	} {
 		if o.inUse {
 			return fmt.Errorf("scenario sets the deleted option %s to %v, which the engine no longer implements", o.key, o.value)

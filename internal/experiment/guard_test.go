@@ -149,17 +149,17 @@ var fieldManifest = map[string][]string{
 	"topology.lazyRouter":            {"carved", "colFree", "handed", "net", "rs", "seenVersion", "width"},
 	"topology.nameCache":             {"bystanders", "clients", "routers", "victims", "zombies"},
 	"topology.routeScratch":          {"back", "offsets", "queue", "seen", "targets"},
-	"traffic.FlowState":              {"Acked", "Bursts", "Cwnd", "DupAcks", "FastRetx", "InBurst", "Kind", "LastAckAt", "LastAcked", "ProbeSeen", "Running", "Seq", "Sent", "Ssthresh", "Timeouts"}, // Kind: set by the constructor, compared on restore
-	"traffic.PacedSource":            {"cfg", "gateEvent", "host", "id", "label", "labelHash", "net", "open", "rng", "sendEvent", "shut", "st"},                                                      // st: the FlowState row, held as it travels; cfg: the pacing value, rebuilt by the constructor
-	"traffic.TCPConfig":              {"InitialWindow", "MaxRate", "PacketSize", "RTT", "SlowStartThreshold"},                                                                                        // from the scenario: rebuilt
-	"traffic.TCPSource":              {"cfg", "host", "id", "label", "labelHash", "net", "packetSize", "reverseFn", "sendEvent", "st"},                                                               // st: the FlowState row, held as it travels
+	"traffic.FlowState":              {"Acked", "Bursts", "Cwnd", "DupAcks", "FastRetx", "InBurst", "Kind", "LastAckAt", "LastAcked", "ProbeSeen", "Running", "Seq", "Sent", "Ssthresh", "Timeouts"}, // Kind: set by Workload.Reset, compared on restore
+	"traffic.PacedSource":            {"cfg", "gateEvent", "host", "id", "label", "labelHash", "net", "open", "rng", "sendEvent", "shut", "st"},                                                      // st: the FlowState row, held as it travels; cfg: the pacing value, rebuilt by Workload.Reset
+	"traffic.TCPConfig":              {"MaxRate", "PacketSize", "RTT"},                                                                                                                               // from the scenario: rebuilt
+	"traffic.TCPSource":              {"cfg", "host", "id", "label", "labelHash", "net", "reverseFn", "sendEvent", "st"},                                                                             // st: the FlowState row, held as it travels
 	"traffic.VictimServer":           {"ackSize", "host", "net", "st"},                                                                                                                               // st: the VictimServerState row, held as it travels
 	"traffic.VictimServerState":      {"AcksGenerated", "Received", "ReceivedBad", "ReceivedGood"},
 	"traffic.Workload":               {"Attack", "ExtraServers", "Flash", "Flows", "Legitimate", "Victim", "paced", "tcp"}, // paced, tcp: every sender a build has made, which Reset reuses by position; the run's are the ones Flows lists
-	"traffic.WorkloadSpec":           {"AttackDutyCycle", "AttackGroups", "AttackPulsePeriod", "AttackRate", "AttackRateMix", "AttackRotationPeriod", "AttackStart", "CoremeltShare", "ExtraVictimShare", "FlashCrowdFlows", "FlashCrowdRate", "FlashCrowdStart", "FlashCrowdWindow", "LegitRate", "PacketSize", "RTT", "SpoofIllegalFraction", "SpoofLegitFraction", "StartWindow", "TCPShare", "TotalFlows", "UDPRate", "UDPShare"},
+	"traffic.WorkloadSpec":           {"AttackDutyCycle", "AttackGroups", "AttackPulsePeriod", "AttackRate", "AttackRateMix", "AttackRotationPeriod", "AttackStart", "CoremeltShare", "ExtraVictimShare", "FlashCrowdFlows", "FlashCrowdRate", "FlashCrowdStart", "FlashCrowdWindow", "LegitRate", "PacketSize", "RTT", "SpoofIllegalFraction", "SpoofLegitFraction", "StartWindow", "TCPShare", "TotalFlows"},
 	"traffic.gateOpen":               {"s"},
 	"traffic.gateShut":               {"s"},
-	"traffic.pacing":                 {"every", "jitter", "malicious", "offset", "onFor", "proto", "rate", "size"}, // a paced sender's configuration, rebuilt by the constructor
+	"traffic.pacing":                 {"every", "offset", "onFor", "rate", "size"}, // an attack sender's configuration, rebuilt by Workload.Reset
 	"trafficmatrix.Cell":             {"Dest", "Packets", "Source"},
 	"trafficmatrix.Counter":          {"buckets", "dest", "destPkts", "router", "source", "sourcePkts", "transit"},
 	"trafficmatrix.CounterState":     {"Dest", "DestPkts", "Source", "SourcePkts", "Transit"},

@@ -79,12 +79,9 @@ var knobs = map[string]knob{
 
 	"Workload.TotalFlows": {kind: paper, bad: 0},
 	"Workload.TCPShare":   {kind: paper, bad: 1.5},
-	"Workload.UDPShare": {kind: fixed, bad: -0.1,
-		why: "Table II's mix is legitimate TCP and attack flows only"},
 	"Workload.AttackRate": {kind: paper, bad: 0},
 	"Workload.LegitRate": {kind: fixed, bad: 0,
 		why: "legitimate TCP flows capped at 250 pkt/s, a choice PAPER.md's Table II prose records"},
-	"Workload.UDPRate":    {kind: fixed, bad: -1, why: "unused while UDPShare is 0"},
 	"Workload.PacketSize": {kind: fixed, bad: -1000, why: "traffic.DefaultDataSize for every flow"},
 	"Workload.RTT": {kind: fixed, bad: 0,
 		why: "the TCP sources' pacing estimate, 40 ms like the defenders' MAFIC.RTT"},

@@ -66,6 +66,7 @@ func TestOverridesBuild(t *testing.T) {
 		{"quick without a scenario", Overrides{Quick: true}},
 		{"unknown defence", Overrides{Defense: "magic"}},
 		{"an override that does not validate", Overrides{Scenario: "table2", Duration: ptr(-sim.Second)}},
+		{"more flows than source ports", Overrides{Flows: ptr(70000), Routers: ptr(4)}},
 	}
 	for _, tc := range rejected {
 		if _, err := tc.o.Build(); !errors.Is(err, ErrScenario) {

@@ -309,7 +309,7 @@ func (b *builtRun) build() error {
 			atrs = append(atrs, a.Router)
 		}
 		activate(sched.Now(), atrs, true)
-	}, nil)
+	})
 
 	if err := res.monitor.Reset(domain.Net, s.Faults.controlPlane(s.Monitor), res.coordinator.HandleReport); err != nil {
 		return fmt.Errorf("traffic monitor: %w", err)

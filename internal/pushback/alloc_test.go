@@ -86,7 +86,7 @@ func TestHysteresisSteadyStateZeroAlloc(t *testing.T) {
 
 	// Reuse hygiene: a reset coordinator must not inherit the old run's
 	// identified set or scores.
-	c.Reset(cfg, nil, nil)
+	c.Reset(cfg, nil)
 	if c.Active() || c.IdentifiedATRs() != 0 {
 		t.Fatalf("reset coordinator leaked hysteresis state (active=%v identified=%d)",
 			c.Active(), c.IdentifiedATRs())
@@ -112,7 +112,7 @@ func TestCoordinatorReuseZeroAlloc(t *testing.T) {
 	c.HandleReport(report)
 
 	allocs := testing.AllocsPerRun(50, func() {
-		c.Reset(cfg, nil, nil)
+		c.Reset(cfg, nil)
 		c.HandleReport(report)
 	})
 	if allocs != 0 {
@@ -142,7 +142,7 @@ func TestCoordinatorReuseLeaksNoState(t *testing.T) {
 	// the old eligibility set: with router 3 the only eligible one, router 0
 	// must not rank, and with no set at all it must.
 	var atrs []ATR
-	c.Reset(only(3), func(req Request) { atrs = req.ATRs }, nil)
+	c.Reset(only(3), func(req Request) { atrs = req.ATRs })
 	if c.Active() || c.Requests() != 0 {
 		t.Fatalf("reset coordinator leaked activation state (active=%v requests=%d)",
 			c.Active(), c.Requests())
@@ -154,7 +154,7 @@ func TestCoordinatorReuseLeaksNoState(t *testing.T) {
 	if len(atrs) != 0 {
 		t.Errorf("reset coordinator kept a stale eligibility set: %+v", atrs)
 	}
-	c.Reset(cfg, func(req Request) { atrs = req.ATRs }, nil)
+	c.Reset(cfg, func(req Request) { atrs = req.ATRs })
 	spike(c, dests, cells)
 	if len(atrs) == 0 {
 		t.Error("reset coordinator kept an eligibility set")

@@ -194,7 +194,7 @@ func TestCoordinatorReuseClearsLossyState(t *testing.T) {
 			c.st.LastEpoch, c.st.LastFireEpoch, c.st.PendingRefire)
 	}
 
-	c.Reset(Config{HistoryFactor: 2, MinVictimLoad: 1}, nil, nil)
+	c.Reset(Config{HistoryFactor: 2, MinVictimLoad: 1}, nil)
 	if c.st.LastEpoch != 0 || c.st.LastFireEpoch != 0 || c.st.PendingRefire {
 		t.Fatalf("reset coordinator kept channel state (last=%d fire=%d pending=%v)",
 			c.st.LastEpoch, c.st.LastFireEpoch, c.st.PendingRefire)

@@ -216,7 +216,7 @@ type Coordinator struct {
 // never withdrawn.
 func NewCoordinator(cfg Config, onPushback func(Request), _ func(victim netsim.NodeID)) *Coordinator {
 	c := new(Coordinator)
-	c.Reset(cfg, onPushback, nil)
+	c.Reset(cfg, onPushback)
 	return c
 }
 
@@ -225,7 +225,7 @@ func NewCoordinator(cfg Config, onPushback func(Request), _ func(victim netsim.N
 // eligibility map's buckets, so a coordinator reset for the next run
 // allocates nothing in steady state. Call it only once no report of c's last
 // run can arrive.
-func (c *Coordinator) Reset(cfg Config, onPushback func(Request), _ func(victim netsim.NodeID)) {
+func (c *Coordinator) Reset(cfg Config, onPushback func(Request)) {
 	eligible := c.eligible
 	clear(eligible)
 	if len(cfg.Eligible) > 0 {

@@ -33,13 +33,14 @@ func TestRotatingSourceHandsOff(t *testing.T) {
 	groups := 3
 	sources := make([]*PacedSource, groups)
 	for g := 0; g < groups; g++ {
-		cfg := RotatingConfig{
-			PeakRate:   400,
-			SlotLength: slot,
-			Groups:     groups,
-			Group:      g,
+		cfg := pacing{
+			rate: 400, size: DefaultDataSize,
+			onFor:  slot,
+			every:  slot * sim.Time(groups),
+			offset: slot * sim.Time(g),
 		}
-		sources[g] = NewRotatingSource(g+1, cfg, d.Zombies[g%len(d.Zombies)], d.VictimIP(), uint16(20000+g), sim.NewRNG(int64(g)))
+		z := d.Zombies[g%len(d.Zombies)]
+		sources[g] = new(PacedSource).reset(g+1, FlowRotating, cfg, z, flowLabel(z.PrimaryIP(), d.VictimIP(), uint16(20000+g)), sim.NewRNG(int64(g)))
 		sources[g].Start(0)
 	}
 	// Run for two full rotation cycles, stopping just before the boundary
@@ -82,13 +83,14 @@ func TestRotatingSourceSlowRateDoesNotCompound(t *testing.T) {
 	d := testDomain(t)
 	NewVictimServer(d.Victim, 0)
 	slot := 100 * sim.Millisecond
-	cfg := RotatingConfig{
-		PeakRate:   3, // gap ≈ 333 ms: longer than the 200 ms off-period
-		SlotLength: slot,
-		Groups:     3,
-		Group:      0,
+	cfg := pacing{
+		rate:  3, // gap ≈ 333 ms: longer than the 200 ms off-period
+		size:  DefaultDataSize,
+		onFor: slot,
+		every: 3 * slot,
 	}
-	s := NewRotatingSource(1, cfg, d.Zombies[0], d.VictimIP(), 20001, sim.NewRNG(1))
+	z := d.Zombies[0]
+	s := new(PacedSource).reset(1, FlowRotating, cfg, z, flowLabel(z.PrimaryIP(), d.VictimIP(), 20001), sim.NewRNG(1))
 	s.Start(0)
 	cycles := 10
 	if err := d.Net.Scheduler().RunUntil(sim.Time(int64(slot)*3*int64(cycles)) - sim.Millisecond); err != nil {
@@ -101,17 +103,6 @@ func TestRotatingSourceSlowRateDoesNotCompound(t *testing.T) {
 	if s.PacketsSent() != uint64(cycles) {
 		t.Fatalf("sent %d packets over %d slots, want exactly %d (send chains compounded)",
 			s.PacketsSent(), cycles, cycles)
-	}
-}
-
-func TestRotatingSourceConfigClamps(t *testing.T) {
-	d := testDomain(t)
-	s := NewRotatingSource(1, RotatingConfig{Group: -3}, d.Zombies[0], d.VictimIP(), 20001, sim.NewRNG(1))
-	if s.cfg.rate <= 0 || s.cfg.onFor <= 0 || s.cfg.every < s.cfg.onFor || s.cfg.offset != 0 {
-		t.Fatalf("config not clamped: %+v", s.cfg)
-	}
-	if s.CurrentRate() != 0 {
-		t.Fatal("idle rotating source should report zero rate")
 	}
 }
 
@@ -283,6 +274,12 @@ func TestWorkloadSpecValidateAdversarial(t *testing.T) {
 		{"negative flash flows", func(s *WorkloadSpec) { s.FlashCrowdFlows = -1 }},
 		{"negative flash rate", func(s *WorkloadSpec) { s.FlashCrowdRate = -5 }},
 		{"negative flash window", func(s *WorkloadSpec) { s.FlashCrowdWindow = -sim.Second }},
+		// Past 55 536 flows two flows share a 4-tuple: the second TCP
+		// source takes over the first one's ACKs and the defenders merge
+		// the two.
+		{"more flows than source ports", func(s *WorkloadSpec) { s.TotalFlows = 55537 }},
+		{"a flash crowd past the source ports", func(s *WorkloadSpec) { s.TotalFlows, s.FlashCrowdFlows = 55000, 537 }},
+		{"a flash crowd overflowing the count", func(s *WorkloadSpec) { s.FlashCrowdFlows = math.MaxInt }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -17,14 +17,14 @@ func TestFlowLifecycleSteadyStateDoesNotAllocate(t *testing.T) {
 	victim := d.VictimIP()
 	client := d.Clients[0]
 	zombie := d.Zombies[0]
-	tcpCfg := DefaultTCPConfig()
-	rotCfg := RotatingConfig{PeakRate: 100, SlotLength: 10 * sim.Millisecond, Groups: 2}
+	rotCfg := pacing{rate: 100, size: DefaultDataSize, onFor: 10 * sim.Millisecond, every: 20 * sim.Millisecond}
+	rotLabel := flowLabel(zombie.PrimaryIP(), victim, 10002)
 	rng := sim.NewRNG(9)
 	tcp, rot := new(TCPSource), new(PacedSource)
 
 	cycle := func() {
-		tcp.reset(1, tcpCfg, client, victim, 10001)
-		rot.rotating(2, rotCfg, zombie, victim, 10002, rng)
+		tcp.reset(1, testTCPConfig, client, victim, 10001)
+		rot.reset(2, FlowRotating, rotCfg, zombie, rotLabel, rng)
 		tcp.Start(sched.Now())
 		rot.Start(sched.Now())
 		tcp.Stop()
@@ -52,9 +52,9 @@ func TestFlowLifecycleSteadyStateDoesNotAllocate(t *testing.T) {
 func TestReleasedTCPSourceIsFullyReset(t *testing.T) {
 	d := testDomain(t)
 	NewVictimServer(d.Victim, 0)
-	cfg := DefaultTCPConfig()
+	cfg := testTCPConfig
 
-	s := NewTCPSource(1, cfg, d.Clients[0], d.VictimIP(), 10001)
+	s := new(TCPSource).reset(1, cfg, d.Clients[0], d.VictimIP(), 10001)
 	s.Start(0)
 	if err := d.Net.Scheduler().RunUntil(1 * sim.Second); err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestReleasedTCPSourceIsFullyReset(t *testing.T) {
 	d2 := testDomain(t)
 	NewVictimServer(d2.Victim, 0)
 	s.reset(2, cfg, d2.Clients[1], d2.VictimIP(), 10002)
-	if s.PacketsSent() != 0 || s.AcksReceived() != 0 || s.Window() != cfg.InitialWindow {
+	if s.PacketsSent() != 0 || s.AcksReceived() != 0 || s.Window() != initialWindow {
 		t.Fatalf("reset source kept state: sent %d acked %d window %v",
 			s.PacketsSent(), s.AcksReceived(), s.Window())
 	}

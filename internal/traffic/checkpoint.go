@@ -7,16 +7,16 @@ import (
 	"mafic/internal/sim"
 )
 
-// FlowKind tags the constructor that built a flow in a snapshot, so a restore
-// can verify the deterministic rebuild produced the same flow sequence before
-// overlaying state. The four paced kinds share one Go type; the tag a
-// PacedSource carries is the only thing that tells them apart.
+// FlowKind tags a flow's kind in a snapshot, so a restore can verify the
+// deterministic rebuild produced the same flow sequence before overlaying
+// state. The three attack shapes share one Go type; the tag a PacedSource
+// carries is the only thing that tells them apart.
 type FlowKind uint8
 
 // Flow kinds, in the order BuildWorkload can emit them.
 const (
 	FlowTCP FlowKind = iota + 1
-	FlowCBR
+	_                // 2 was FlowCBR, a legitimate constant-rate UDP flow: retired, not to be reused
 	FlowAttack
 	FlowPulsing
 	FlowRotating
@@ -24,7 +24,7 @@ const (
 
 // FlowState is the dynamic state of one flow, held by the flow as it runs: a
 // superset across the flow kinds, of which a TCP source uses the congestion
-// fields and the paced kinds only the counters and, when gated, the burst
+// fields and an attack flow only the counters and, when gated, the burst
 // flag and count; the fields a kind does not use stay zero. Configuration,
 // labels and host bindings are rebuild-covered.
 type FlowState struct {

@@ -9,12 +9,10 @@ import (
 func TestPulsingSourceDutyCycle(t *testing.T) {
 	d := testDomain(t)
 	NewVictimServer(d.Victim, 0)
-	cfg := PulsingConfig{
-		PeakRate:  1000,
-		Period:    500 * sim.Millisecond,
-		DutyCycle: 0.2,
-	}
-	p := NewPulsingSource(1, cfg, d.Zombies[0], d.VictimIP(), 40000, sim.NewRNG(3))
+	// A 500 ms period at a 20 % duty cycle.
+	cfg := pacing{rate: 1000, size: DefaultDataSize, onFor: 100 * sim.Millisecond, every: 500 * sim.Millisecond}
+	z := d.Zombies[0]
+	p := new(PacedSource).reset(1, FlowPulsing, cfg, z, flowLabel(z.PrimaryIP(), d.VictimIP(), 40000), sim.NewRNG(3))
 	p.Start(0)
 	if err := d.Net.Scheduler().RunUntil(1900 * sim.Millisecond); err != nil {
 		t.Fatal(err)
@@ -38,20 +36,18 @@ func TestPulsingSourceDutyCycle(t *testing.T) {
 func TestPulsingSourceSilentBetweenBursts(t *testing.T) {
 	d := testDomain(t)
 	NewVictimServer(d.Victim, 0)
-	cfg := PulsingConfig{
-		PeakRate:  1000,
-		Period:    sim.Second,
-		DutyCycle: 0.1,
-	}
-	p := NewPulsingSource(2, cfg, d.Zombies[0], d.VictimIP(), 40001, sim.NewRNG(4))
+	// A 1 s period at a 10 % duty cycle.
+	cfg := pacing{rate: 1000, size: DefaultDataSize, onFor: 100 * sim.Millisecond, every: sim.Second}
+	z := d.Zombies[0]
+	p := new(PacedSource).reset(2, FlowPulsing, cfg, z, flowLabel(z.PrimaryIP(), d.VictimIP(), 40001), sim.NewRNG(4))
 	p.Start(0)
 
 	// During the burst the rate is the peak rate; between bursts it is 0.
 	if err := d.Net.Scheduler().RunUntil(50 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if p.CurrentRate() != cfg.PeakRate {
-		t.Fatalf("rate during burst = %v, want %v", p.CurrentRate(), cfg.PeakRate)
+	if p.CurrentRate() != cfg.rate {
+		t.Fatalf("rate during burst = %v, want %v", p.CurrentRate(), cfg.rate)
 	}
 	// The burst ends at 100 ms (10% duty cycle of a 1 s period); nothing
 	// more may be sent until the next period starts at 1 s.
@@ -71,31 +67,29 @@ func TestPulsingSourceSilentBetweenBursts(t *testing.T) {
 	p.Stop()
 }
 
+// TestPulsingSourceSpoofing checks that the attack shape does not move the
+// forging: a pulsing workload's attack flows carry the same sources, ports
+// and IDs as the flooding workload built from the same spec and seed.
 func TestPulsingSourceSpoofing(t *testing.T) {
-	d := testDomain(t)
-	spoofed := d.SpoofPool()[0]
-	cfg := DefaultPulsingConfig(500)
-	cfg.Spoof = SpoofLegitimate
-	cfg.SpoofedIP = spoofed
-	p := NewPulsingSource(3, cfg, d.Zombies[0], d.VictimIP(), 40002, sim.NewRNG(5))
-	if p.Label().SrcIP != spoofed {
-		t.Fatalf("spoofed source = %v, want %v", p.Label().SrcIP, spoofed)
+	spec := DefaultWorkloadSpec()
+	spec.TotalFlows = 20
+	spec.TCPShare = 0.5
+	flood, err := BuildWorkload(spec, testDomain(t), sim.NewRNG(5))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.ID() != 3 {
-		t.Fatal("ID accessor mismatch")
+	spec.AttackPulsePeriod = sim.Second
+	pulse, err := BuildWorkload(spec, testDomain(t), sim.NewRNG(5))
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestPulsingConfigDefaults(t *testing.T) {
-	cfg := DefaultPulsingConfig(2000)
-	if cfg.PeakRate != 2000 || cfg.DutyCycle != 0.2 || cfg.Period != sim.Second {
-		t.Fatalf("unexpected defaults: %+v", cfg)
-	}
-	// Invalid values are normalised by the constructor.
-	d := testDomain(t)
-	p := NewPulsingSource(4, PulsingConfig{}, d.Zombies[0], d.VictimIP(), 40003, sim.NewRNG(1))
-	if p.cfg.rate <= 0 || p.cfg.every <= 0 || p.cfg.onFor <= 0 || p.cfg.size <= 0 {
-		t.Fatalf("constructor did not normalise config: %+v", p.cfg)
+	for i, f := range pulse.Attack {
+		if p := f.(*PacedSource); p.st.Kind != FlowPulsing {
+			t.Fatalf("attack flow %d has kind %d, want FlowPulsing", i, p.st.Kind)
+		}
+		if f.Label() != flood.Attack[i].Label() || f.ID() != flood.Attack[i].ID() {
+			t.Fatalf("attack flow %d: pulsing %d %v, flooding %d %v", i, f.ID(), f.Label(), flood.Attack[i].ID(), flood.Attack[i].Label())
+		}
 	}
 }
 

@@ -7,35 +7,42 @@ import (
 	"mafic/internal/sim"
 )
 
-// FuzzRotatingSource throws arbitrary rotation schedules at NewRotatingSource
-// and checks the invariants the workload builder relies on: a flow is never
-// double-activated (double Start, or a stale send chain surviving into the
-// next slot, would blow the slot and packet bounds), every slot the clamped
-// schedule owes inside the horizon is actually held (no orphaned group), and
-// Stop really silences the flow.
+// FuzzRotatingSource drives a gated attack sender over the gate's valid
+// domain — onFor in (0, every], offset in [0, every), a positive rate — and
+// checks the invariants the workload builder relies on for every pulse and
+// rolling-pulse flow: a flow is never double-activated (double Start, or a
+// stale send chain surviving into the next burst, would blow the burst and
+// packet bounds), every burst the gate owes inside the horizon is actually
+// held (no orphaned group), and Stop really silences the flow.
 func FuzzRotatingSource(f *testing.F) {
-	f.Add(int64(150), 3, 1, 500.0)
-	f.Add(int64(0), 0, -1, 0.0)
-	f.Add(int64(-20), 17, 40, 123.0)
-	f.Add(int64(1), 1, 0, 2000.0)
-	f.Add(int64(333), 2, 1, 1.5)
-	f.Add(int64(1000), 64, 63, 7.0)
+	// every in microseconds; onFor and offset in nanoseconds.
+	f.Add(uint64(450_000), uint64(150e6), uint64(150e6), 500.0) // group 1 of 3, 150 ms slots
+	f.Add(uint64(100_000), uint64(100e6), uint64(0), 1.0)       // open the whole cycle, one packet a second
+	f.Add(uint64(1_700_000), uint64(100e6), uint64(0), 123.0)   // a cycle longer than the horizon
+	f.Add(uint64(1_000), uint64(1e6), uint64(0), 2000.0)        // 1 ms cycles
+	f.Add(uint64(666_000), uint64(333e6), uint64(333e6), 1.5)   // a send gap longer than the burst
+	f.Add(uint64(64_000_000), uint64(1e9), uint64(63e9), 7.0)   // the last of 64 one-second slots
 	// Found by fuzzing: a send timer cancelled by a slot hand-off used to
 	// make Scheduler.RunUntil overshoot its deadline (see the RunUntil
 	// cancelled-event regression test in internal/sim).
-	f.Add(int64(-9), 4, 119, -12.444444444444443)
-	f.Fuzz(func(t *testing.T, slotMs int64, groups, group int, peak float64) {
-		// Bound the schedule so one iteration stays small. The clamping
-		// paths all stay reachable: zero and negative values pass through.
-		if slotMs > 1000 || slotMs < -1000 || groups > 64 || groups < -64 ||
-			group > 128 || group < -128 {
+	f.Add(uint64(400_000), uint64(100e6), uint64(0), 1.0)
+	f.Fuzz(func(t *testing.T, everyUs, onForNs, offsetNs uint64, rate float64) {
+		// Bound the cycle to [1 ms, 64 s] and the rate to [0.5, 2000]
+		// packets/s so one iteration stays small; a slower rate would push
+		// the send gap toward float->sim.Time overflow, which no workload's
+		// rate reaches.
+		if everyUs < 1_000 || everyUs > 64_000_000 || rate != rate || rate < 0.5 || rate > 2000 {
 			t.Skip()
 		}
-		// Cap the event rate; sub-0.5 pps positive rates would push the
-		// send gap toward float->sim.Time overflow, which is the rate
-		// clamp's concern, not the rotation schedule's.
-		if peak != peak || peak > 2000 || (peak > 0 && peak < 0.5) {
-			t.Skip()
+		// Fold onFor and offset into the gate's domain; a value already
+		// inside it is kept as it is.
+		every := sim.Time(everyUs) * sim.Microsecond
+		cfg := pacing{
+			rate:   rate,
+			size:   DefaultDataSize,
+			every:  every,
+			onFor:  sim.Time((onForNs-1)%uint64(every)) + 1,
+			offset: sim.Time(offsetNs % uint64(every)),
 		}
 
 		sched := sim.NewScheduler()
@@ -51,73 +58,46 @@ func FuzzRotatingSource(f *testing.F) {
 			}
 			h.SetDefaultHandler(func(*netsim.Packet, sim.Time) {})
 		}
-
-		cfg := RotatingConfig{
-			PeakRate:   peak,
-			SlotLength: sim.Time(slotMs) * sim.Millisecond,
-			Groups:     groups,
-			Group:      group,
-		}
-		s := NewRotatingSource(1, cfg, zombie, victim.PrimaryIP(), 1000, nil)
-
-		// Mirror of the constructor's clamps, the schedule actually in force.
-		cSlot := cfg.SlotLength
-		if cSlot <= 0 {
-			cSlot = 100 * sim.Millisecond
-		}
-		cGroups := cfg.Groups
-		if cGroups < 1 {
-			cGroups = 1
-		}
-		cGroup := cfg.Group
-		if cGroup < 0 || cGroup >= cGroups {
-			cGroup = 0
-		}
-		cPeak := cfg.PeakRate
-		if cPeak <= 0 {
-			cPeak = 1
-		}
-		offset := sim.Time(int64(cSlot) * int64(cGroup))
-		cycle := sim.Time(int64(cSlot) * int64(cGroups))
+		label := flowLabel(zombie.PrimaryIP(), victim.PrimaryIP(), 1000)
+		s := new(PacedSource).reset(1, FlowRotating, cfg, zombie, label, sim.NewRNG(2))
 
 		const horizon = 1 * sim.Second
 		s.Start(0)
-		s.Start(0) // must be a no-op, not a second rotation schedule
+		s.Start(0) // must be a no-op, not a second gate schedule
 		if err := sched.RunUntil(horizon); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 
-		// Slots owed inside the horizon: one at offset, then one per cycle.
+		// Bursts owed inside the horizon: one at offset, then one per cycle.
 		var want uint64
-		if horizon >= offset {
-			want = uint64((horizon-offset)/cycle) + 1
+		if horizon >= cfg.offset {
+			want = uint64((horizon-cfg.offset)/cfg.every) + 1
 		}
-		slots := s.Bursts()
-		if slots > want {
-			t.Fatalf("double-activation: held %d slots, schedule owes at most %d (slot=%v groups=%d group=%d)",
-				slots, want, cSlot, cGroups, cGroup)
+		bursts := s.Bursts()
+		if bursts > want {
+			t.Fatalf("double-activation: held %d bursts, gate owes at most %d (%+v)", bursts, want, cfg)
 		}
-		if want > 0 && slots < want-1 {
-			t.Fatalf("orphaned group: held %d slots, schedule owes %d (slot=%v groups=%d group=%d)",
-				slots, want, cSlot, cGroups, cGroup)
+		if want > 0 && bursts < want-1 {
+			t.Fatalf("orphaned group: held %d bursts, gate owes %d (%+v)", bursts, want, cfg)
 		}
 
-		// Exactly one send chain per slot: the packet count is bounded by
-		// rate x slot length (+slack for the slot-start and slot-end sends).
-		maxPerSlot := float64(cSlot)/float64(sim.Second)*cPeak + 2
-		if got := float64(s.PacketsSent()); got > float64(slots)*maxPerSlot+1 {
-			t.Fatalf("send chain compounded: %v packets over %d slots, want <= %v per slot",
-				got, slots, maxPerSlot)
+		// Exactly one send chain per burst: the packet count is bounded by
+		// rate x onFor, every gap at least 1 − attackJitter of the nominal
+		// one (+slack for the burst-start and burst-end sends).
+		maxPerBurst := float64(cfg.onFor)/float64(sim.Second)*rate/(1-attackJitter) + 2
+		if got := float64(s.PacketsSent()); got > float64(bursts)*maxPerBurst+1 {
+			t.Fatalf("send chain compounded: %v packets over %d bursts, want <= %v per burst",
+				got, bursts, maxPerBurst)
 		}
 
 		// Stop must silence the flow even with events still queued.
 		sent, held := s.PacketsSent(), s.Bursts()
 		s.Stop()
-		if err := sched.RunUntil(horizon + 4*cycle + 4*cSlot); err != nil {
+		if err := sched.RunUntil(horizon + 4*cfg.every); err != nil {
 			t.Fatalf("run after stop: %v", err)
 		}
 		if s.PacketsSent() != sent || s.Bursts() != held {
-			t.Fatalf("flow lived past Stop: packets %d -> %d, slots %d -> %d",
+			t.Fatalf("flow lived past Stop: packets %d -> %d, bursts %d -> %d",
 				sent, s.PacketsSent(), held, s.Bursts())
 		}
 	})

@@ -12,25 +12,16 @@ type TCPConfig struct {
 	RTT sim.Time
 	// MaxRate caps the source's sending rate in packets per second.
 	MaxRate float64
-	// InitialWindow is the starting congestion window in packets.
-	InitialWindow float64
-	// SlowStartThreshold is the initial ssthresh in packets.
-	SlowStartThreshold float64
 	// PacketSize is the data packet size in bytes.
 	PacketSize int
 }
 
-// DefaultTCPConfig returns a source configuration representative of a
-// well-behaved application flow.
-func DefaultTCPConfig() TCPConfig {
-	return TCPConfig{
-		RTT:                40 * sim.Millisecond,
-		MaxRate:            200,
-		InitialWindow:      2,
-		SlowStartThreshold: 16,
-		PacketSize:         DefaultDataSize,
-	}
-}
+// A TCP source starts with a two-packet congestion window and a slow-start
+// threshold of 16 packets.
+const (
+	initialWindow      = 2
+	slowStartThreshold = 16
+)
 
 // TCPSource is a TCP-Reno-like adaptive sender. It paces data packets at
 // cwnd/RTT, grows the window on acknowledgements (slow start, then additive
@@ -48,9 +39,8 @@ type TCPSource struct {
 	// st is the sender's run state, as a snapshot records it: the
 	// congestion window and threshold, sequence and acknowledgement
 	// bookkeeping, and the counters. Its Kind is always FlowTCP.
-	st         FlowState
-	sendEvent  sim.EventRef
-	packetSize int
+	st        FlowState
+	sendEvent sim.EventRef
 
 	// reverseFn is the onReverse method value, materialised once per
 	// object so re-registering a reused source allocates nothing.
@@ -59,26 +49,12 @@ type TCPSource struct {
 
 var _ Flow = (*TCPSource)(nil)
 
-// NewTCPSource creates a TCP-friendly source on the given host targeting the
-// victim address. srcPort disambiguates multiple flows from one host.
-func NewTCPSource(id int, cfg TCPConfig, host *netsim.Host, victim netsim.IP, srcPort uint16) *TCPSource {
-	return new(TCPSource).reset(id, cfg, host, victim, srcPort)
-}
-
-// reset makes s what NewTCPSource returns for the same arguments, keeping its
-// reverseFn, and returns s. Workload.Reset reuses its sources through it,
-// on a network reset since they last ran, so no event or handler
-// registration of their last run is left.
+// reset makes s a TCP source on host sending to victim from srcPort, keeping
+// its reverseFn, and returns s. cfg must hold a positive RTT and packet size,
+// as every spec WorkloadSpec.Validate accepts gives it. Workload.Reset reuses
+// its sources through it on a network reset since they last ran, so no event
+// or handler registration of their last run is left.
 func (s *TCPSource) reset(id int, cfg TCPConfig, host *netsim.Host, victim netsim.IP, srcPort uint16) *TCPSource {
-	if cfg.PacketSize <= 0 {
-		cfg.PacketSize = DefaultDataSize
-	}
-	if cfg.InitialWindow <= 0 {
-		cfg.InitialWindow = 2
-	}
-	if cfg.SlowStartThreshold <= 0 {
-		cfg.SlowStartThreshold = 16
-	}
 	if s.reverseFn == nil {
 		s.reverseFn = s.onReverse
 	}
@@ -88,14 +64,8 @@ func (s *TCPSource) reset(id int, cfg TCPConfig, host *netsim.Host, victim netsi
 		cfg:       cfg,
 		host:      host,
 		net:       host.Network(),
-		label: netsim.FlowLabel{
-			SrcIP:   host.PrimaryIP(),
-			DstIP:   victim,
-			SrcPort: srcPort,
-			DstPort: victimPort,
-		},
-		st:         FlowState{Kind: FlowTCP, Cwnd: cfg.InitialWindow, Ssthresh: cfg.SlowStartThreshold},
-		packetSize: cfg.PacketSize,
+		label:     flowLabel(host.PrimaryIP(), victim, srcPort),
+		st:        FlowState{Kind: FlowTCP, Cwnd: initialWindow, Ssthresh: slowStartThreshold},
 	}
 	s.labelHash = s.label.Hash()
 	// Receive ACKs, duplicate ACKs and probes addressed to this flow.
@@ -177,7 +147,7 @@ func (s *TCPSource) sendNext(now sim.Time) {
 	pkt.Kind = netsim.KindData
 	pkt.Proto = netsim.ProtoTCP
 	pkt.Seq = s.st.Seq
-	pkt.Size = s.packetSize
+	pkt.Size = s.cfg.PacketSize
 	pkt.FlowID = s.id
 	pkt.SetFlowHash(s.labelHash)
 	s.host.Send(pkt)
@@ -258,13 +228,12 @@ func (s *TCPSource) maxWindow() float64 {
 }
 
 // minWindow is the smallest window a run reaches: one packet after a timeout,
-// unless the start or the rate cap puts it lower.
+// unless the rate cap puts it lower.
 func (s *TCPSource) minWindow() float64 {
-	w := min(1, s.cfg.InitialWindow)
 	if m := s.maxWindow(); m > 0 {
-		w = min(w, m)
+		return min(1, m)
 	}
-	return w
+	return 1
 }
 
 // countDuplicate registers a duplicate acknowledgement and performs the

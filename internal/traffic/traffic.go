@@ -1,16 +1,15 @@
 // Package traffic provides the flow-level workload the MAFIC evaluation
-// needs, from two senders. TCPSource is the TCP-friendly adaptive source that
-// reacts to loss and duplicated ACKs. PacedSource is every unresponsive flow:
-// it sends at a fixed rate while a gate is open — for onFor at the start of
-// every cycle, the first cycle offset after the start; no cycle means always
-// open — and four constructors translate into that: NewCBRSource (legitimate
-// UDP, no gate), NewAttackSource (the paper's flooding zombie with Section
-// III-A's spoofed addresses, no gate), NewPulsingSource (shrew pulses: Period
-// × DutyCycle of every Period) and NewRotatingSource (rolling pulses:
-// SlotLength of every SlotLength × Groups, offset SlotLength × Group). Around
-// them sit a victim server that acknowledges TCP data and a workload builder
-// that assembles the mixes used in the paper's figures (traffic volume V_t,
-// TCP share Γ, source rate R).
+// needs: the V_t flows that Γ splits into responsive TCP flows and
+// unresponsive attack flows, from two senders. TCPSource is the TCP-friendly
+// adaptive source that reacts to loss and duplicated ACKs. PacedSource is
+// every attack flow: it sends at a fixed rate while a gate is open — for
+// onFor at the start of every cycle, the first cycle offset after the start;
+// no cycle means always open. Workload.Reset is the one place a scenario's
+// traffic is made: it places the flows, forges the attack flows' sources
+// across Section III-A's spectrum, and gives each attack flow its rate and
+// gate — a flood has none, a pulse is open Period × DutyCycle of every
+// Period, and a rolling pulse one slot of every Groups slots, offset by its
+// group. Beside them sits a victim server that acknowledges TCP data.
 package traffic
 
 import (
@@ -51,18 +50,7 @@ const DefaultAckSize = 40
 // victimPort is the destination port every flow targets on the victim.
 const victimPort = 80
 
-// sourceLabel returns the 4-tuple a paced flow stamps on its packets,
-// honouring the spoofing mode: forged addresses replace the host's own for
-// SpoofLegitimate and SpoofIllegal, SpoofNone keeps the real address.
-func sourceLabel(host *netsim.Host, victim netsim.IP, srcPort uint16, spoof SpoofMode, spoofedIP netsim.IP) netsim.FlowLabel {
-	src := host.PrimaryIP()
-	if (spoof == SpoofLegitimate || spoof == SpoofIllegal) && spoofedIP != 0 {
-		src = spoofedIP
-	}
-	return netsim.FlowLabel{
-		SrcIP:   src,
-		DstIP:   victim,
-		SrcPort: srcPort,
-		DstPort: victimPort,
-	}
+// flowLabel returns the 4-tuple of a flow from src to the victim port of dst.
+func flowLabel(src, dst netsim.IP, srcPort uint16) netsim.FlowLabel {
+	return netsim.FlowLabel{SrcIP: src, DstIP: dst, SrcPort: srcPort, DstPort: victimPort}
 }

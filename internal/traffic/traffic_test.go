@@ -24,11 +24,15 @@ func testDomain(t *testing.T) *topology.Domain {
 	return d
 }
 
+// testTCPConfig is a well-behaved application flow: the workload's RTT
+// estimate and packet size, capped at 200 packets/s.
+var testTCPConfig = TCPConfig{RTT: 40 * sim.Millisecond, MaxRate: 200, PacketSize: DefaultDataSize}
+
 func TestTCPSourceDeliversAndGrows(t *testing.T) {
 	d := testDomain(t)
 	NewVictimServer(d.Victim, 0)
-	cfg := DefaultTCPConfig()
-	src := NewTCPSource(1, cfg, d.Clients[0], d.VictimIP(), 10001)
+	cfg := testTCPConfig
+	src := new(TCPSource).reset(1, cfg, d.Clients[0], d.VictimIP(), 10001)
 	src.Start(0)
 	if err := d.Net.Scheduler().RunUntil(2 * sim.Second); err != nil {
 		t.Fatal(err)
@@ -40,7 +44,7 @@ func TestTCPSourceDeliversAndGrows(t *testing.T) {
 	if src.AcksReceived() == 0 {
 		t.Fatal("no acknowledgements received")
 	}
-	if src.Window() <= cfg.InitialWindow {
+	if src.Window() <= initialWindow {
 		t.Fatalf("window did not grow: %.2f", src.Window())
 	}
 	if src.CurrentRate() > cfg.MaxRate+1e-9 {
@@ -55,7 +59,7 @@ func TestTCPSourceReactsToDupAckProbes(t *testing.T) {
 	d := testDomain(t)
 	NewVictimServer(d.Victim, 0)
 	client := d.Clients[0]
-	src := NewTCPSource(1, DefaultTCPConfig(), client, d.VictimIP(), 10001)
+	src := new(TCPSource).reset(1, testTCPConfig, client, d.VictimIP(), 10001)
 	src.Start(0)
 	// Let the window open up first.
 	if err := d.Net.Scheduler().RunUntil(1 * sim.Second); err != nil {
@@ -96,7 +100,7 @@ func TestTCPSourceTimeoutCollapsesWindow(t *testing.T) {
 	d := testDomain(t)
 	// No victim server: data is swallowed, no ACKs ever return.
 	d.Victim.SetDefaultHandler(func(*netsim.Packet, sim.Time) {})
-	src := NewTCPSource(1, DefaultTCPConfig(), d.Clients[0], d.VictimIP(), 10001)
+	src := new(TCPSource).reset(1, testTCPConfig, d.Clients[0], d.VictimIP(), 10001)
 	src.Start(0)
 	if err := d.Net.Scheduler().RunUntil(2 * sim.Second); err != nil {
 		t.Fatal(err)
@@ -110,62 +114,46 @@ func TestTCPSourceTimeoutCollapsesWindow(t *testing.T) {
 	}
 }
 
-func TestCBRSourceRate(t *testing.T) {
-	d := testDomain(t)
-	NewVictimServer(d.Victim, 0)
-	cbr := NewCBRSource(2, CBRConfig{Rate: 200, PacketSize: 400}, d.Clients[1], d.VictimIP(), 10002, sim.NewRNG(9))
-	cbr.Start(0)
-	if err := d.Net.Scheduler().RunUntil(1 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	cbr.Stop()
-	sent := float64(cbr.PacketsSent())
-	if math.Abs(sent-200) > 10 {
-		t.Fatalf("CBR sent %.0f packets in 1s at 200 pkt/s", sent)
-	}
-	if cbr.Malicious() {
-		t.Fatal("CBR source must be legitimate")
-	}
-	if cbr.CurrentRate() != 200 {
-		t.Fatal("CurrentRate mismatch")
-	}
-}
-
+// TestAttackSourceSpoofingModes builds a workload in each of Section III-A's
+// three forging modes and checks every attack flow's source: the zombie's
+// own address, a bystander's routable one, or one routable nowhere.
 func TestAttackSourceSpoofingModes(t *testing.T) {
 	d := testDomain(t)
-	NewVictimServer(d.Victim, 0)
-	zombie := d.Zombies[0]
-	bystander := d.SpoofPool()[0]
+	zombies := make(map[netsim.IP]bool)
+	for _, z := range d.Zombies {
+		zombies[z.PrimaryIP()] = true
+	}
+	pool := make(map[netsim.IP]bool)
+	for _, ip := range d.SpoofPool() {
+		pool[ip] = true
+	}
 
 	tests := []struct {
-		name    string
-		cfg     AttackConfig
-		wantSrc netsim.IP
+		name           string
+		illegal, legit float64
+		forged         func(netsim.IP) bool
 	}{
-		{
-			name:    "no spoofing",
-			cfg:     AttackConfig{Rate: 100, Spoof: SpoofNone},
-			wantSrc: zombie.PrimaryIP(),
-		},
-		{
-			name:    "legitimate spoof",
-			cfg:     AttackConfig{Rate: 100, Spoof: SpoofLegitimate, SpoofedIP: bystander},
-			wantSrc: bystander,
-		},
-		{
-			name:    "illegal spoof",
-			cfg:     AttackConfig{Rate: 100, Spoof: SpoofIllegal, SpoofedIP: netsim.IP(0x01000099)},
-			wantSrc: netsim.IP(0x01000099),
-		},
+		{"no spoofing", 0, 0, func(ip netsim.IP) bool { return zombies[ip] }},
+		{"legitimate spoof", 0, 1, func(ip netsim.IP) bool { return pool[ip] && !zombies[ip] }},
+		{"illegal spoof", 1, 0, func(ip netsim.IP) bool { return !d.Net.IsRoutable(ip) }},
 	}
-	for i, tt := range tests {
+	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			a := NewAttackSource(10+i, tt.cfg, zombie, d.VictimIP(), uint16(20000+i), sim.NewRNG(3))
-			if a.Label().SrcIP != tt.wantSrc {
-				t.Fatalf("source IP = %v, want %v", a.Label().SrcIP, tt.wantSrc)
+			spec := DefaultWorkloadSpec()
+			spec.TotalFlows = 10
+			spec.TCPShare = 0.5
+			spec.SpoofIllegalFraction, spec.SpoofLegitFraction = tt.illegal, tt.legit
+			w, err := BuildWorkload(spec, d, sim.NewRNG(3))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !a.Malicious() {
-				t.Fatal("attack source must be malicious")
+			for _, a := range w.Attack {
+				if !tt.forged(a.Label().SrcIP) {
+					t.Fatalf("flow %d: source IP %v is not what %s forges", a.ID(), a.Label().SrcIP, tt.name)
+				}
+				if !a.Malicious() {
+					t.Fatal("attack source must be malicious")
+				}
 			}
 		})
 	}
@@ -174,7 +162,8 @@ func TestAttackSourceSpoofingModes(t *testing.T) {
 func TestAttackSourceFloodsUnresponsively(t *testing.T) {
 	d := testDomain(t)
 	v := NewVictimServer(d.Victim, 0)
-	a := NewAttackSource(7, AttackConfig{Rate: 500, Spoof: SpoofNone}, d.Zombies[0], d.VictimIP(), 30000, sim.NewRNG(4))
+	z := d.Zombies[0]
+	a := new(PacedSource).reset(7, FlowAttack, pacing{rate: 500, size: DefaultDataSize}, z, flowLabel(z.PrimaryIP(), d.VictimIP(), 30000), sim.NewRNG(4))
 	a.Start(0)
 	if err := d.Net.Scheduler().RunUntil(1 * sim.Second); err != nil {
 		t.Fatal(err)
@@ -236,43 +225,36 @@ func TestVictimServerCounters(t *testing.T) {
 
 func TestWorkloadSpecCounts(t *testing.T) {
 	tests := []struct {
-		name                 string
-		spec                 WorkloadSpec
-		wantTCP, wantUDP     int
-		wantAttackAtLeastOne bool
+		name    string
+		spec    WorkloadSpec
+		wantTCP int
 	}{
 		{
-			name:                 "paper default",
-			spec:                 WorkloadSpec{TotalFlows: 50, TCPShare: 0.95},
-			wantTCP:              48, // round(47.5) rounds half away from zero
-			wantUDP:              0,
-			wantAttackAtLeastOne: true,
+			name:    "paper default",
+			spec:    WorkloadSpec{TotalFlows: 50, TCPShare: 0.95},
+			wantTCP: 48, // round(47.5) rounds half away from zero
 		},
 		{
-			name:                 "all tcp still yields one attacker",
-			spec:                 WorkloadSpec{TotalFlows: 10, TCPShare: 1.0},
-			wantTCP:              9,
-			wantUDP:              0,
-			wantAttackAtLeastOne: true,
+			name:    "all tcp still yields one attacker",
+			spec:    WorkloadSpec{TotalFlows: 10, TCPShare: 1.0},
+			wantTCP: 9,
 		},
 		{
-			name:                 "mixed with udp",
-			spec:                 WorkloadSpec{TotalFlows: 20, TCPShare: 0.5, UDPShare: 0.2},
-			wantTCP:              10,
-			wantUDP:              4,
-			wantAttackAtLeastOne: true,
+			name:    "half and half",
+			spec:    WorkloadSpec{TotalFlows: 20, TCPShare: 0.5},
+			wantTCP: 10,
 		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			tcp, udp, attack := tt.spec.Counts()
-			if tcp+udp+attack != tt.spec.TotalFlows {
-				t.Fatalf("counts do not sum to V_t: %d+%d+%d != %d", tcp, udp, attack, tt.spec.TotalFlows)
+			tcp, attack := tt.spec.Counts()
+			if tcp+attack != tt.spec.TotalFlows {
+				t.Fatalf("counts do not sum to V_t: %d+%d != %d", tcp, attack, tt.spec.TotalFlows)
 			}
-			if tcp != tt.wantTCP || udp != tt.wantUDP {
-				t.Fatalf("counts = %d/%d/%d, want tcp=%d udp=%d", tcp, udp, attack, tt.wantTCP, tt.wantUDP)
+			if tcp != tt.wantTCP {
+				t.Fatalf("counts = %d/%d, want tcp=%d", tcp, attack, tt.wantTCP)
 			}
-			if tt.wantAttackAtLeastOne && attack < 1 {
+			if attack < 1 {
 				t.Fatal("expected at least one attack flow")
 			}
 		})
@@ -284,10 +266,17 @@ func TestWorkloadSpecValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("default spec invalid: %v", err)
 	}
+	// Flow k sends from port 10000 + k: the largest workload, flash crowd
+	// included, has its last flow on port 65535.
+	edge := good
+	edge.TotalFlows, edge.FlashCrowdFlows = 55000, 536
+	if err := edge.Validate(); err != nil {
+		t.Fatalf("55 536 flows invalid: %v", err)
+	}
 	bad := []WorkloadSpec{
 		{TotalFlows: 0, TCPShare: 0.5, AttackRate: 1, LegitRate: 1},
 		{TotalFlows: 10, TCPShare: 1.5, AttackRate: 1, LegitRate: 1},
-		{TotalFlows: 10, TCPShare: 0.5, UDPShare: 0.6, AttackRate: 1, LegitRate: 1},
+		{TotalFlows: 10, TCPShare: -0.1, AttackRate: 1, LegitRate: 1},
 		{TotalFlows: 10, TCPShare: 0.5, AttackRate: 0, LegitRate: 1},
 		{TotalFlows: 10, TCPShare: 0.5, AttackRate: 1, LegitRate: 1, SpoofIllegalFraction: 0.8, SpoofLegitFraction: 0.4},
 		{TotalFlows: 10, TCPShare: 0.5, AttackRate: 1, LegitRate: 1, CoremeltShare: -0.1},

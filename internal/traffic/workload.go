@@ -26,19 +26,13 @@ type WorkloadSpec struct {
 	// TotalFlows is V_t, the total number of flows.
 	TotalFlows int
 	// TCPShare is Γ, the fraction of flows that are legitimate TCP
-	// (responsive) flows.
+	// (responsive) flows. The remainder are attack flows.
 	TCPShare float64
-	// UDPShare is the fraction of flows that are legitimate but
-	// unresponsive constant-rate flows. The remainder
-	// (1 − TCPShare − UDPShare) are attack flows.
-	UDPShare float64
 
 	// AttackRate is R: each attack flow's sending rate in packets/s.
 	AttackRate float64
 	// LegitRate caps each legitimate TCP flow's rate in packets/s.
 	LegitRate float64
-	// UDPRate is each legitimate UDP flow's rate in packets/s.
-	UDPRate float64
 	// PacketSize is the data packet size in bytes for every flow.
 	PacketSize int
 	// RTT is the RTT estimate given to TCP sources for pacing.
@@ -119,10 +113,8 @@ func DefaultWorkloadSpec() WorkloadSpec {
 	return WorkloadSpec{
 		TotalFlows:           50,
 		TCPShare:             0.95,
-		UDPShare:             0,
 		AttackRate:           5000, // R = 1e6 pkt/s scaled by 1/200
 		LegitRate:            250,
-		UDPRate:              100,
 		PacketSize:           DefaultDataSize,
 		RTT:                  40 * sim.Millisecond,
 		SpoofIllegalFraction: 0.2,
@@ -132,41 +124,35 @@ func DefaultWorkloadSpec() WorkloadSpec {
 	}
 }
 
-// Counts returns the number of TCP, UDP and attack flows the spec yields.
-// The attack always gets at least one flow so every scenario exercises the
+// Counts returns the number of TCP and attack flows a valid spec yields. The
+// attack always gets at least one flow so every scenario exercises the
 // defence.
-func (s WorkloadSpec) Counts() (tcp, udp, attack int) {
+func (s WorkloadSpec) Counts() (tcp, attack int) {
 	tcp = int(math.Round(float64(s.TotalFlows) * s.TCPShare))
-	udp = int(math.Round(float64(s.TotalFlows) * s.UDPShare))
-	if tcp+udp > s.TotalFlows {
-		udp = s.TotalFlows - tcp
-		if udp < 0 {
-			udp = 0
-			tcp = s.TotalFlows
-		}
+	if tcp == s.TotalFlows && tcp > 0 {
+		tcp--
 	}
-	attack = s.TotalFlows - tcp - udp
-	if attack < 1 && s.TotalFlows > 0 {
-		attack = 1
-		if tcp > 0 {
-			tcp--
-		} else if udp > 0 {
-			udp--
-		}
-	}
-	return tcp, udp, attack
+	return tcp, s.TotalFlows - tcp
 }
+
+// firstSourcePort is the source port of a workload's first flow; flow k
+// sends from firstSourcePort + k.
+const firstSourcePort = 10000
+
+// maxFlows is the most flows, flash crowd included, a workload can label
+// with distinct source ports.
+const maxFlows = math.MaxUint16 + 1 - firstSourcePort
 
 // Validate reports specification errors.
 func (s WorkloadSpec) Validate() error {
 	if s.TotalFlows <= 0 {
 		return fmt.Errorf("%w: total flows %d", ErrBadSpec, s.TotalFlows)
 	}
-	if s.TCPShare < 0 || s.TCPShare > 1 || s.UDPShare < 0 || s.UDPShare > 1 || s.TCPShare+s.UDPShare > 1.0+1e-9 {
-		return fmt.Errorf("%w: shares tcp=%v udp=%v", ErrBadSpec, s.TCPShare, s.UDPShare)
+	if s.TCPShare < 0 || s.TCPShare > 1 {
+		return fmt.Errorf("%w: TCP share %v", ErrBadSpec, s.TCPShare)
 	}
-	if s.AttackRate <= 0 || s.LegitRate <= 0 || s.UDPRate < 0 {
-		return fmt.Errorf("%w: rates attack=%v legit=%v udp=%v", ErrBadSpec, s.AttackRate, s.LegitRate, s.UDPRate)
+	if s.AttackRate <= 0 || s.LegitRate <= 0 {
+		return fmt.Errorf("%w: rates attack=%v legit=%v", ErrBadSpec, s.AttackRate, s.LegitRate)
 	}
 	if s.PacketSize <= 0 || s.RTT <= 0 {
 		return fmt.Errorf("%w: packet size %d and RTT %v must be positive", ErrBadSpec, s.PacketSize, s.RTT)
@@ -205,6 +191,10 @@ func (s WorkloadSpec) Validate() error {
 	if s.FlashCrowdFlows < 0 || s.FlashCrowdRate < 0 || s.FlashCrowdStart < 0 || s.FlashCrowdWindow < 0 {
 		return fmt.Errorf("%w: flash crowd parameters", ErrBadSpec)
 	}
+	if s.TotalFlows > maxFlows || s.FlashCrowdFlows > maxFlows-s.TotalFlows {
+		return fmt.Errorf("%w: %d flows and %d flash-crowd flows exceed the %d source ports a workload labels flows with",
+			ErrBadSpec, s.TotalFlows, s.FlashCrowdFlows, maxFlows)
+	}
 	return nil
 }
 
@@ -230,7 +220,7 @@ type Workload struct {
 
 	// tcp and paced keep every sender a build of this workload has made, by
 	// position among its kind: the k-th TCP flow of a build is tcp[k], and
-	// the k-th paced one (UDP first, then attack) is paced[k].
+	// the k-th attack flow is paced[k].
 	tcp   []*TCPSource
 	paced []*PacedSource
 }
@@ -306,7 +296,7 @@ func (w *Workload) Reset(spec WorkloadSpec, d *topology.Domain, rng *sim.RNG) er
 	if len(d.Clients) == 0 || len(d.Zombies) == 0 {
 		return ErrNoSources
 	}
-	tcpCount, udpCount, attackCount := spec.Counts()
+	tcpCount, attackCount := spec.Counts()
 
 	// Everything not carried over here starts from zero.
 	*w = Workload{
@@ -321,18 +311,12 @@ func (w *Workload) Reset(spec WorkloadSpec, d *topology.Domain, rng *sim.RNG) er
 	}
 	victimIP := d.VictimIP()
 	flowID := 0
-	nextPort := func() uint16 { return uint16(10000 + flowID) }
+	nextPort := func() uint16 { return uint16(firstSourcePort + flowID) }
 
 	// newLegitTCP builds the k-th legitimate responsive flow; baseline and
 	// flash-crowd flows share it so their TCP behaviour cannot diverge.
 	newLegitTCP := func(k int, host *netsim.Host, maxRate float64) Flow {
-		cfg := TCPConfig{
-			RTT:                spec.RTT,
-			MaxRate:            maxRate,
-			InitialWindow:      2,
-			SlowStartThreshold: 16,
-			PacketSize:         spec.PacketSize,
-		}
+		cfg := TCPConfig{RTT: spec.RTT, MaxRate: maxRate, PacketSize: spec.PacketSize}
 		f := kept(&w.tcp, k).reset(flowID, cfg, host, victimIP, nextPort())
 		flowID++
 		w.Flows = append(w.Flows, f)
@@ -342,15 +326,6 @@ func (w *Workload) Reset(spec WorkloadSpec, d *topology.Domain, rng *sim.RNG) er
 
 	for i := 0; i < tcpCount; i++ {
 		newLegitTCP(i, d.Clients[i%len(d.Clients)], spec.LegitRate)
-	}
-
-	for i := 0; i < udpCount; i++ {
-		host := d.Clients[i%len(d.Clients)]
-		cfg := CBRConfig{Rate: spec.UDPRate, PacketSize: spec.PacketSize, Jitter: 0.1}
-		f := kept(&w.paced, i).cbr(flowID, cfg, host, victimIP, nextPort(), rng.Fork())
-		flowID++
-		w.Flows = append(w.Flows, f)
-		w.Legitimate = append(w.Legitimate, f)
 	}
 
 	// Flash-crowd flows: extra legitimate TCP sources that all arrive in
@@ -405,17 +380,18 @@ func (w *Workload) Reset(spec WorkloadSpec, d *topology.Domain, rng *sim.RNG) er
 	legitSpoofFlows := int(math.Round(spec.SpoofLegitFraction * float64(attackCount)))
 	for i := 0; i < attackCount; i++ {
 		zombie := d.Zombies[i%len(d.Zombies)]
-		spoof := SpoofNone
-		var spoofedIP netsim.IP
+		// The source address, across Section III-A's spectrum: one routable
+		// nowhere (MAFIC's PDT fast path drops the flow), a bystander's
+		// (probes reach that host and are ignored), or the zombie's own
+		// (the flow is condemned after probing).
+		src := zombie.PrimaryIP()
 		switch {
 		case i < illegalFlows:
-			spoof = SpoofIllegal
 			// Addresses under 1.0.0.0/8 are never allocated by the
 			// topology builder, so they are unroutable by construction.
-			spoofedIP = netsim.IP(0x01000000 | uint32(flowID+1))
+			src = netsim.IP(0x01000000 | uint32(flowID+1))
 		case i < illegalFlows+legitSpoofFlows && len(spoofPool) > 0:
-			spoof = SpoofLegitimate
-			spoofedIP = spoofPool[i%len(spoofPool)]
+			src = spoofPool[i%len(spoofPool)]
 		}
 
 		target := victimIP
@@ -425,45 +401,34 @@ func (w *Workload) Reset(spec WorkloadSpec, d *topology.Domain, rng *sim.RNG) er
 		case i >= attackCount-extraAim && len(extraIPs) > 0:
 			target = extraIPs[(i-(attackCount-extraAim))%len(extraIPs)]
 		}
-		rate := spec.AttackRate
-		if len(spec.AttackRateMix) > 0 {
-			rate *= spec.AttackRateMix[i%len(spec.AttackRateMix)]
-		}
 
-		s := kept(&w.paced, udpCount+i)
-		var f Flow
+		// The rate and the gate: a flood sends all the time; a pulse
+		// floods Period × DutyCycle at the start of every Period; a
+		// rolling pulse floods one slot of every Groups slots, group g
+		// starting g slots after the attack.
+		p := pacing{rate: spec.AttackRate, size: spec.PacketSize}
+		if len(spec.AttackRateMix) > 0 {
+			p.rate *= spec.AttackRateMix[i%len(spec.AttackRateMix)]
+		}
+		kind := FlowAttack
 		switch {
 		case spec.AttackGroups > 1:
-			rcfg := RotatingConfig{
-				PeakRate:   rate,
-				SlotLength: spec.AttackRotationPeriod,
-				Groups:     spec.AttackGroups,
-				Group:      i % spec.AttackGroups,
-				PacketSize: spec.PacketSize,
-				Spoof:      spoof,
-				SpoofedIP:  spoofedIP,
-			}
-			f = s.rotating(flowID, rcfg, zombie, target, nextPort(), rng.Fork())
+			kind = FlowRotating
+			slot := spec.AttackRotationPeriod
+			p.onFor = slot
+			p.every = sim.Time(int64(slot) * int64(spec.AttackGroups))
+			p.offset = sim.Time(int64(slot) * int64(i%spec.AttackGroups))
 		case spec.AttackPulsePeriod > 0:
-			pcfg := PulsingConfig{
-				PeakRate:   rate,
-				Period:     spec.AttackPulsePeriod,
-				DutyCycle:  spec.AttackDutyCycle,
-				PacketSize: spec.PacketSize,
-				Spoof:      spoof,
-				SpoofedIP:  spoofedIP,
+			kind = FlowPulsing
+			duty := spec.AttackDutyCycle
+			if duty == 0 {
+				duty = 0.2
 			}
-			f = s.pulsing(flowID, pcfg, zombie, target, nextPort(), rng.Fork())
-		default:
-			cfg := AttackConfig{
-				Rate:       rate,
-				PacketSize: spec.PacketSize,
-				Jitter:     0.05,
-				Spoof:      spoof,
-				SpoofedIP:  spoofedIP,
-			}
-			f = s.flood(flowID, cfg, zombie, target, nextPort(), rng.Fork())
+			p.onFor = sim.Time(float64(spec.AttackPulsePeriod) * duty)
+			p.every = spec.AttackPulsePeriod
 		}
+
+		f := kept(&w.paced, i).reset(flowID, kind, p, zombie, flowLabel(src, target, nextPort()), rng.Fork())
 		flowID++
 		w.Flows = append(w.Flows, f)
 		w.Attack = append(w.Attack, f)
