@@ -32,7 +32,7 @@ check:
 golden:
 	$(GO) test ./internal/experiment -run 'TestGoldenScenarios|TestGenerateQuickFigures' -update
 
-# fuzz runs the five fuzz targets one after the other, FUZZTIME each (`go test
+# fuzz runs the six fuzz targets one after the other, FUZZTIME each (`go test
 # -fuzz` takes one target and one package at a time). `make check` only
 # replays their seed corpora; this mutates them. A crasher is written under
 # the package's testdata/fuzz/<target>/ — commit it, it is a regression test
@@ -46,6 +46,7 @@ fuzz:
 	$(GO) test ./internal/loglog -run '^$$' -fuzz FuzzSketchMerge -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/traffic -run '^$$' -fuzz FuzzRotatingSource -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzJobSpec -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
+	$(GO) test ./internal/netsim -run '^$$' -fuzz FuzzRouteColumns -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 
 # snap-diff is the gate for a change that claims the snapshot wire format and
 # the results unchanged: BASE is exported with `git archive` into a temporary

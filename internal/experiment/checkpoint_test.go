@@ -318,6 +318,10 @@ var restoreRefusals = []struct {
 	{"a proportional probability other than P_d", spliceScenarioKeys(map[string]any{
 		"Defense": int(DefenseBaseline), "BaselineDropProbability": 0.5}), "BaselineDropProbability"},
 	{"a legitimate start offset", spliceScenarioKeys(map[string]any{"Workload.LegitStart": int64(100 * sim.Millisecond)}), "Workload.LegitStart"},
+	// A flap the build would schedule 2^41 events for.
+	{"a flap of 2^40 outages", spliceScenarioKeys(map[string]any{"Faults": map[string]any{"linkFlaps": []any{map[string]any{
+		"routerA": 1, "routerB": 2, "start": int64(sim.Millisecond), "downFor": int64(sim.Millisecond),
+		"period": int64(2 * sim.Millisecond), "count": int64(1 << 40)}}}}), "count 1099511627776 is above 1000"},
 }
 
 // nanFirstRunningWindow sets the congestion window of the first running TCP

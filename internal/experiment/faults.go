@@ -36,9 +36,14 @@ type LinkFlap struct {
 	// Count is greater than one, and must exceed DownFor so the link is up
 	// between flaps.
 	Period sim.Time `json:"period,omitempty"`
-	// Count is the number of outages; zero means one.
+	// Count is the number of outages; zero means one. It is at most
+	// maxFlapCount, and the last outage must start before the run ends.
 	Count int `json:"count,omitempty"`
 }
+
+// maxFlapCount caps LinkFlap.Count: a build schedules two events per outage.
+// The catalog and the search grid use at most 3.
+const maxFlapCount = 1000
 
 // RouterCrash schedules a whole-router failure window: at CrashAt the router
 // stops forwarding, measuring and defending; at RestoreAt it rejoins the
@@ -78,9 +83,10 @@ func (f FaultSpec) Enabled() bool {
 }
 
 // Validate reports specification problems against a domain of the given
-// router count. Link existence cannot be checked here — chords are random —
-// so buildRun rejects flaps naming unconnected router pairs at build time.
-func (f FaultSpec) Validate(routers int) error {
+// router count and a run of the given duration. Link existence cannot be
+// checked here — chords are random — so buildRun rejects flaps naming
+// unconnected router pairs at build time.
+func (f FaultSpec) Validate(routers int, duration sim.Time) error {
 	for i, fl := range f.LinkFlaps {
 		if fl.RouterA < 0 || fl.RouterA >= routers || fl.RouterB < 0 || fl.RouterB >= routers {
 			return fmt.Errorf("%w: link flap %d references router pair (%d,%d) outside the %d-router domain",
@@ -98,9 +104,17 @@ func (f FaultSpec) Validate(routers int) error {
 		if fl.Count < 0 {
 			return fmt.Errorf("%w: link flap %d has negative count %d", ErrScenario, i, fl.Count)
 		}
+		if fl.Count > maxFlapCount {
+			return fmt.Errorf("%w: link flap %d count %d is above %d", ErrScenario, i, fl.Count, maxFlapCount)
+		}
 		if fl.Count > 1 && fl.Period <= fl.DownFor {
 			return fmt.Errorf("%w: link flap %d period %v must exceed outage length %v",
 				ErrScenario, i, fl.Period, fl.DownFor)
+		}
+		// The last outage starts at Start + (Count-1)·Period; compared by
+		// division, so no product can overflow.
+		if fl.Start >= duration || fl.Count > 1 && sim.Time(fl.Count-1) > (duration-1-fl.Start)/fl.Period {
+			return fmt.Errorf("%w: link flap %d has an outage that starts after the %v run", ErrScenario, i, duration)
 		}
 	}
 	for i, rc := range f.RouterCrashes {

@@ -33,15 +33,29 @@ func TestFaultSpecValidate(t *testing.T) {
 		ReportDelayProb: 0.1,
 		ReportDelay:     20 * sim.Millisecond,
 	}
-	if err := good.Validate(16); err != nil {
+	if err := good.Validate(16, 2*sim.Second); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
-	if err := (FaultSpec{}).Validate(2); err != nil {
+	if err := (FaultSpec{}).Validate(2, sim.Second); err != nil {
 		t.Fatalf("zero spec must validate: %v", err)
+	}
+	// The last outage may start at the run's last instant, and a flap may
+	// outlast the run.
+	edge := FaultSpec{LinkFlaps: []LinkFlap{{RouterA: 1, RouterB: 2, Start: sim.Millisecond,
+		DownFor: sim.Second, Period: 2 * sim.Second, Count: 2}}}
+	if err := edge.Validate(4, 2*sim.Second+sim.Millisecond+1); err != nil {
+		t.Fatalf("flap whose last outage starts before the end rejected: %v", err)
+	}
+	if err := edge.Validate(4, 2*sim.Second+sim.Millisecond); !errors.Is(err, ErrScenario) {
+		t.Fatalf("flap whose last outage starts at the end: want ErrScenario, got %v", err)
+	}
+	capped := FaultSpec{LinkFlaps: []LinkFlap{{RouterA: 1, RouterB: 2, DownFor: 1, Period: 2, Count: maxFlapCount}}}
+	if err := capped.Validate(4, sim.Second); err != nil {
+		t.Fatalf("flap at the count cap rejected: %v", err)
 	}
 	// A crash with no restore is a permanent failure, which is legal.
 	perm := FaultSpec{RouterCrashes: []RouterCrash{{Router: 1, CrashAt: sim.Second}}}
-	if err := perm.Validate(4); err != nil {
+	if err := perm.Validate(4, 2*sim.Second); err != nil {
 		t.Fatalf("permanent crash rejected: %v", err)
 	}
 
@@ -66,6 +80,13 @@ func TestFaultSpecValidate(t *testing.T) {
 		{"flap zero outage", flap(func(f *LinkFlap) { f.DownFor = 0 })},
 		{"flap negative count", flap(func(f *LinkFlap) { f.Count = -1 })},
 		{"flap period not above outage", flap(func(f *LinkFlap) { f.Count = 2; f.Period = f.DownFor })},
+		// Either would have the build queue 2^41 events, or overflow
+		// Start + k·Period.
+		{"flap count of 2^40", flap(func(f *LinkFlap) { f.Count = 1 << 40; f.Period = 2 * sim.Millisecond })},
+		{"flap period of 2^40", flap(func(f *LinkFlap) { f.Count = 2; f.Period = 1 << 40 })},
+		{"flap count above the cap", flap(func(f *LinkFlap) { f.Count, f.DownFor, f.Period = maxFlapCount+1, 1, 2 })},
+		{"flap starts after the run", flap(func(f *LinkFlap) { f.Start = 2 * sim.Second })},
+		{"flap's last outage after the run", flap(func(f *LinkFlap) { f.Count = 11; f.Period = 200 * sim.Millisecond })},
 		{"crash router beyond domain", crash(func(c *RouterCrash) { c.Router = 99 })},
 		{"crash negative time", crash(func(c *RouterCrash) { c.CrashAt = -sim.Second })},
 		{"restore before crash", crash(func(c *RouterCrash) { c.RestoreAt = c.CrashAt })},
@@ -78,7 +99,7 @@ func TestFaultSpecValidate(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if err := tt.spec.Validate(16); !errors.Is(err, ErrScenario) {
+			if err := tt.spec.Validate(16, 2*sim.Second); !errors.Is(err, ErrScenario) {
 				t.Fatalf("want ErrScenario, got %v", err)
 			}
 		})

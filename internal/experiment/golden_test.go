@@ -176,7 +176,8 @@ func TestGoldenFixturesCoverCatalog(t *testing.T) {
 		name := filepath.Base(f)
 		onDisk[name[:len(name)-len(".golden.json")]] = true
 	}
-	for _, name := range ScenarioNames() {
+	for _, e := range Entries() {
+		name := e.Name
 		if !onDisk[name] {
 			t.Errorf("scenario %q has no golden fixture", name)
 		}

@@ -118,16 +118,16 @@ var fieldManifest = map[string][]string{
 	"netsim.Hooks":                   {"OnDeliver", "OnFaultDrop", "OnFilterDrop", "OnQueueDrop", "OnUnroutable"},                                                          // observer callbacks the build installs
 	"netsim.Host":                    {"accessRouter", "defaultHandler", "homeCount", "homeLinks", "homeRouters", "id", "ips", "nHandlers", "name", "net", "st", "uplink"}, // st: the HostState row, held as it travels; uplink: derived from the links the build connects
 	"netsim.HostState":               {"Received", "Sent"},
-	"netsim.Link":                    {"cfg", "from", "inTail", "net", "st", "to", "txCur"},                                                                                                                                                                                                                                                                             // st: the LinkState row, held as it travels; inTail, txCur: derived on restore from the link's pending arrival events (RestoreInFlight), not on the wire
-	"netsim.LinkConfig":              {"BandwidthBps", "Delay", "QueueLen"},                                                                                                                                                                                                                                                                                             // from the scenario: rebuilt
-	"netsim.LinkState":               {"Down", "Dropped", "FaultDrops", "NextFree", "Queued", "Sent"},                                                                                                                                                                                                                                                                   // Queued: travels, but restore keeps the rebuilt link's count and checks the recount against it
-	"netsim.Network":                 {"adjEntrySlab", "colEntries", "colsMaterialized", "downLinks", "downRouters", "faultDrops", "filterSlab", "handlers", "hooks", "hostSlab", "ipOwner", "ipSlab", "linkSlab", "links", "nextPktID", "nodes", "pktFree", "pktSlab", "resolver", "rng", "routeCols", "routerSlab", "scheduler", "sizeHint", "sparse", "topoVersion"}, // the seven slab fields (chunk list plus carve cursor each): storage Reset rewinds for the next build, no run state
+	"netsim.Link":                    {"cfg", "from", "inTail", "net", "st", "to", "txCur"},                                                                                                                                                                                                                                                                                                   // st: the LinkState row, held as it travels; inTail, txCur: derived on restore from the link's pending arrival events (RestoreInFlight), not on the wire
+	"netsim.LinkConfig":              {"BandwidthBps", "Delay", "QueueLen"},                                                                                                                                                                                                                                                                                                                   // from the scenario: rebuilt
+	"netsim.LinkState":               {"Down", "Dropped", "FaultDrops", "NextFree", "Queued", "Sent"},                                                                                                                                                                                                                                                                                         // Queued: travels, but restore keeps the rebuilt link's count and checks the recount against it
+	"netsim.Network":                 {"adjEntrySlab", "bfsQueue", "bfsSeen", "colEntries", "colSlab", "colsMaterialized", "downLinks", "downRouters", "faultDrops", "filterSlab", "handlers", "hooks", "hostSlab", "ipOwner", "ipSlab", "linkSlab", "links", "nextPktID", "nodes", "pktFree", "pktSlab", "rng", "routeCols", "routerSlab", "scheduler", "sizeHint", "sparse", "topoVersion"}, // the eight slab fields (chunk list plus carve cursor each): storage Reset rewinds for the next build, no run state; bfsQueue, bfsSeen: the route BFS's scratch; routeCols: rematerialized on restore from NetworkState.RouteDests
 	"netsim.NetworkState":            {"FaultDrops", "NextPktID", "RouteDests", "TopoVersion"},
 	"netsim.Packet":                  {"FlowID", "Hops", "ID", "Kind", "Label", "Malicious", "Proto", "SentAt", "Seq", "Size", "dstNode", "dstNodeOK", "flowHash", "freed", "hashOK", "inNext", "pooled", "txDone", "txSeq"}, // inNext, txDone, txSeq: derived on restore from the packet's own arrival event (At - Delay, Seq), not on the wire
 	"netsim.PacketState":             {"FlowID", "Hops", "ID", "Kind", "Label", "Malicious", "Proto", "SentAt", "Seq", "Size"},
 	"netsim.Router":                  {"filters", "id", "name", "net", "st"}, // st: the RouterState row, held as it travels
 	"netsim.RouterState":             {"Down", "Dropped", "FaultDrops", "Forwarded"},
-	"netsim.adjEntry":                {"link", "to"},                                                                                                                              // the adjacency the build makes
+	"netsim.adjEntry":                {"back", "link", "to"},                                                                                                                      // the adjacency the build makes
 	"netsim.handlerKey":              {"host", "label"},                                                                                                                           // a host's handler table key, filled by the build
 	"netsim.nodeSlot":                {"host", "router"},                                                                                                                          // the node table the build fills
 	"netsim.slab":                    {"chunks", "cur", "used"},                                                                                                                   // chunk list plus carve cursor: storage Reset rewinds for the next build, no run state
@@ -143,12 +143,10 @@ var fieldManifest = map[string][]string{
 	"sim.event":                      {"ah", "arg", "at", "fn", "gen", "h", "nextFree", "seq", "state"},
 	"sim.rngRegistry":                {"streams"},                                                                                                                                                                                                    // every stream of the run's root; each one's (seed, draws) travels as a StreamState
 	"sim.timedEnt":                   {"at", "idx", "seq"},                                                                                                                                                                                           // calendar entry: queue geometry, rebuilt by re-inserting the pending events
-	"topology.Arena":                 {"bystanders", "clients", "extraVictims", "ingress", "ingressOf", "lazy", "names", "net", "routers", "victimHomes", "zombies"},                                                                                 // net: the network every Build resets and rebuilds; what it carries of a run is netsim.Network's row
+	"topology.Arena":                 {"domain", "names", "net"},                                                                                                                                                                                     // net, domain: the network and the Domain every Build resets and rebuilds; what they carry of a run is netsim.Network's and topology.Domain's rows
 	"topology.Config":                {"AccessLink", "BystanderHosts", "ClientsPerIngress", "CoreLink", "ExtraChords", "ExtraVictims", "MultiHomedVictim", "NumIngress", "NumRouters", "Style", "TransitRouters", "VictimLink", "ZombiesPerIngress"}, // from the scenario: rebuilt
 	"topology.Domain":                {"Bystanders", "Clients", "ExtraVictims", "Ingress", "LastHop", "Net", "Routers", "Victim", "VictimHomes", "Zombies", "ingressOf"},
-	"topology.lazyRouter":            {"carved", "colFree", "handed", "net", "rs", "seenVersion", "width"},
 	"topology.nameCache":             {"bystanders", "clients", "routers", "victims", "zombies"},
-	"topology.routeScratch":          {"back", "offsets", "queue", "seen", "targets"},
 	"traffic.FlowState":              {"Acked", "Bursts", "Cwnd", "DupAcks", "FastRetx", "InBurst", "Kind", "LastAckAt", "LastAcked", "ProbeSeen", "Running", "Seq", "Sent", "Ssthresh", "Timeouts"}, // Kind: set by Workload.Reset, compared on restore
 	"traffic.PacedSource":            {"cfg", "gateEvent", "host", "id", "label", "labelHash", "net", "open", "rng", "sendEvent", "shut", "st"},                                                      // st: the FlowState row, held as it travels; cfg: the pacing value, rebuilt by Workload.Reset
 	"traffic.TCPConfig":              {"MaxRate", "PacketSize", "RTT"},                                                                                                                               // from the scenario: rebuilt

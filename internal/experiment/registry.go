@@ -1,19 +1,18 @@
 package experiment
 
 import (
-	"fmt"
-	"sort"
-	"sync"
+	"slices"
+	"strings"
 
 	"mafic/internal/sim"
 	"mafic/internal/topology"
 )
 
-// Entry is one named, self-describing scenario in the registry. Build must
+// Entry is one named, self-describing scenario in the catalog. Build must
 // return a fresh Scenario on every call so callers can mutate the result
 // freely.
 type Entry struct {
-	// Name is the registry key, used by `maficsim -scenario <name>`.
+	// Name is the catalog key, used by `maficsim -scenario <name>`.
 	Name string
 	// Description is a one-line summary of the adversary strategy the
 	// scenario exercises.
@@ -22,68 +21,19 @@ type Entry struct {
 	Build func() Scenario
 }
 
-var (
-	registryMu sync.RWMutex
-	registry   = make(map[string]Entry)
-)
-
-// Register adds a scenario to the registry. It fails on empty names, nil
-// builders, and duplicates, so every registered name is runnable.
-func Register(e Entry) error {
-	if e.Name == "" {
-		return fmt.Errorf("%w: scenario name must not be empty", ErrScenario)
-	}
-	if e.Build == nil {
-		return fmt.Errorf("%w: scenario %q has no builder", ErrScenario, e.Name)
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[e.Name]; dup {
-		return fmt.Errorf("%w: scenario %q registered twice", ErrScenario, e.Name)
-	}
-	registry[e.Name] = e
-	return nil
-}
-
-// MustRegister is Register for known-good entries; it panics on error and is
-// meant for package-level catalogs.
-func MustRegister(e Entry) {
-	if err := Register(e); err != nil {
-		panic(err)
-	}
-}
-
-// LookupScenario returns the registered entry for name.
+// LookupScenario returns the catalog entry for name.
 func LookupScenario(name string) (Entry, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	e, ok := registry[name]
-	return e, ok
+	i, ok := slices.BinarySearchFunc(catalog, name, func(e Entry, name string) int {
+		return strings.Compare(e.Name, name)
+	})
+	if !ok {
+		return Entry{}, false
+	}
+	return catalog[i], true
 }
 
-// ScenarioNames returns every registered name in sorted order.
-func ScenarioNames() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Entries returns every registered entry sorted by name.
-func Entries() []Entry {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]Entry, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+// Entries returns every catalog entry sorted by name.
+func Entries() []Entry { return slices.Clone(catalog) }
 
 // stressScaleRouters marks the boundary between ordinary scenarios and
 // scale proofs: at or above this router count the domain size IS the point
@@ -143,134 +93,32 @@ func builtin(name, description string, twist func(*Scenario)) Entry {
 	}
 }
 
-// The built-in catalog: the paper's default operating point plus the
-// adversarial workloads the paper never tried. Every entry runs through the
-// same Run/RunMany path and emits the same Result metrics, so any of them is
-// one `-scenario <name>` away from a reproducible, benchmarkable run.
-func init() {
-	MustRegister(builtin("table2",
-		"paper Table II defaults: single pulsing flood, Pd=90%, Vt=50, Γ=95%, N=40",
-		nil))
-
-	MustRegister(builtin("multi-victim",
-		"simultaneous floods on the primary victim and two extra victims behind their own last-hop routers",
-		func(s *Scenario) {
-			s.Topology.ExtraVictims = 2
-			s.Workload.TotalFlows = 60
-			s.Workload.TCPShare = 0.80
-			s.Workload.ExtraVictimShare = 0.4
-		}))
-
-	MustRegister(builtin("rolling-pulse",
-		"rotating source groups hand the flooding baton every 150 ms, shifting the hot routers between epochs",
-		func(s *Scenario) {
-			s.Workload.TotalFlows = 60
-			s.Workload.TCPShare = 0.80
-			s.Workload.AttackGroups = 3
-			s.Workload.AttackRotationPeriod = 150 * sim.Millisecond
-			// Each group floods one third of the time; triple the peak
-			// rate so the time-averaged volume matches the default flood.
-			s.Workload.AttackRate *= 3
-		}))
-
-	MustRegister(builtin("flash-crowd",
-		"legitimate TCP flash crowd (no spoofing) arrives with the attack — tests discrimination, not detection",
-		func(s *Scenario) {
-			s.Workload.FlashCrowdFlows = 25
-			s.Workload.FlashCrowdStart = s.Workload.AttackStart
-			s.Workload.FlashCrowdWindow = 150 * sim.Millisecond
-			s.Workload.FlashCrowdRate = s.Workload.LegitRate
-		}))
-
-	MustRegister(builtin("rate-mix",
-		"heterogeneous attack: per-flow rates span 0.05×–3× R, hiding slow floods behind loud ones",
-		func(s *Scenario) {
-			s.Workload.TotalFlows = 60
-			s.Workload.TCPShare = 0.80
-			s.Workload.AttackRateMix = []float64{0.05, 0.25, 1, 3}
-		}))
-
-	MustRegister(builtin("shrew",
-		"low-rate shrew pulses tuned to the TCP minimum RTO: 80 ms bursts once per second",
-		func(s *Scenario) {
-			s.Workload.AttackPulsePeriod = 1 * sim.Second
-			s.Workload.AttackDutyCycle = 0.08
-			s.Workload.TotalFlows = 60
-			s.Workload.TCPShare = 0.80
-		}))
-
-	MustRegister(builtin("carpet-bombing",
+// catalog is the built-in scenario catalog, sorted by name: the paper's
+// default operating point plus the adversarial workloads the paper never
+// tried. Every entry runs through the same Run/RunMany path and emits the same
+// Result metrics, so any of them is one `-scenario <name>` away from a
+// reproducible, benchmarkable run.
+var catalog = []Entry{
+	builtin("carpet-bombing",
 		"carpet bombing: the flood is spread across eight small victims behind their own routers, so no single |D_j| spikes hard",
 		func(s *Scenario) {
 			s.Topology.ExtraVictims = 8
 			s.Workload.TotalFlows = 70
 			s.Workload.TCPShare = 0.70
 			s.Workload.ExtraVictimShare = 0.75
-		}))
+		}),
 
-	MustRegister(builtin("coremelt",
+	builtin("coremelt",
 		"coremelt-style: most attack flows cross the transit core toward bystander hosts, congesting the victim's links without ever addressing the victim",
 		func(s *Scenario) {
 			s.Topology = topology.DefaultTransitStubConfig()
 			s.Workload.TotalFlows = 60
 			s.Workload.TCPShare = 0.80
 			s.Workload.CoremeltShare = 0.6
-		}))
+		}),
 
-	MustRegister(builtin("flash-overlap",
-		"flash crowd arrives 700 ms after the attack, meeting an already-active defender at first sight — worst case for probing collateral",
-		func(s *Scenario) {
-			s.Workload.FlashCrowdFlows = 25
-			s.Workload.FlashCrowdStart = s.Workload.AttackStart + 700*sim.Millisecond
-			s.Workload.FlashCrowdWindow = 150 * sim.Millisecond
-			s.Workload.FlashCrowdRate = s.Workload.LegitRate
-		}))
-
-	MustRegister(builtin("transit-stub",
-		"default flood on a transit-stub domain: a meshed transit core with stub chains, not the intra-AS ring",
-		func(s *Scenario) {
-			s.Topology = topology.DefaultTransitStubConfig()
-		}))
-
-	MustRegister(builtin("multihomed-victim",
-		"victim is dual-homed, splitting its inbound flood across two last-hop routers",
-		func(s *Scenario) {
-			s.Topology.MultiHomedVictim = true
-		}))
-
-	MustRegister(builtin("stress-5k",
-		"scale proof: 5000-router ring with 1500 chords, 40 ingress routers, three simultaneous victims — demand-driven two-level routing materializes only the few dozen active destination columns instead of the ~33M-entry all-pairs install",
-		func(s *Scenario) {
-			s.Topology.NumRouters = 5000
-			s.Topology.NumIngress = 40
-			// Chord density matches stress-1k (0.3 chords per router):
-			// shortest paths stay tens of hops, so per-packet event
-			// counts grow slowly while the domain is 125x the paper's.
-			s.Topology.ExtraChords = 1500
-			s.Topology.BystanderHosts = 32
-			s.Topology.ExtraVictims = 2
-			s.Workload.TotalFlows = 80
-			s.Workload.TCPShare = 0.80
-			s.Workload.ExtraVictimShare = 0.3
-		}))
-
-	MustRegister(builtin("stress-50k",
-		"scale proof: 50000-router ring with 15000 chords, 40 ingress routers, three simultaneous victims — sparse adjacency rows and the monitored-only traffic matrix keep per-router state O(nodes+links), where the dense adjacency alone would need ~20 GB and the monitor would rotate 200k sketches per epoch",
-		func(s *Scenario) {
-			s.Topology.NumRouters = 50000
-			s.Topology.NumIngress = 40
-			// Chord density matches stress-1k/5k (0.3 chords per router):
-			// shortest paths stay bounded while the domain is 1250x the
-			// paper's.
-			s.Topology.ExtraChords = 15000
-			s.Topology.BystanderHosts = 32
-			s.Topology.ExtraVictims = 2
-			s.Workload.TotalFlows = 80
-			s.Workload.TCPShare = 0.80
-			s.Workload.ExtraVictimShare = 0.3
-		}))
-
-	// Chaos scenarios: the same floods with the fault layer switched on.
+	// Chaos scenarios (flap-core, lossy-control, partition-heal): the same
+	// floods with the fault layer switched on.
 	// Fault indices are chosen so the failed elements sit on loaded
 	// ingress-to-victim paths and stay transit (never ingress, never the
 	// last hop) in both the full 40-router domain and the 16-router quick
@@ -278,7 +126,7 @@ func init() {
 	// roles: links 1-2 and 8-9 carry the seed-1 shortest paths from the
 	// third and ninth ingress routers, and router 7 is the chord hub most
 	// ingress paths funnel through.
-	MustRegister(builtin("flap-core",
+	builtin("flap-core",
 		"chaos: two loaded transit ring links flap repeatedly during the flood (150 ms outages every 400 ms); lazy routing re-converges around every flap while detection and defence keep running",
 		func(s *Scenario) {
 			s.Faults.LinkFlaps = []LinkFlap{
@@ -287,17 +135,27 @@ func init() {
 				{RouterA: 8, RouterB: 9, Start: 1000 * sim.Millisecond,
 					DownFor: 150 * sim.Millisecond, Period: 400 * sim.Millisecond, Count: 2},
 			}
-		}))
+		}),
 
-	MustRegister(builtin("partition-heal",
-		"chaos: the transit chord hub crashes at 700 ms — cutting every ingress path through it mid-defence — and rejoins at 1.4 s; routing heals both ways and the defence survives the churn",
+	builtin("flash-crowd",
+		"legitimate TCP flash crowd (no spoofing) arrives with the attack — tests discrimination, not detection",
 		func(s *Scenario) {
-			s.Faults.RouterCrashes = []RouterCrash{
-				{Router: 7, CrashAt: 700 * sim.Millisecond, RestoreAt: 1400 * sim.Millisecond},
-			}
-		}))
+			s.Workload.FlashCrowdFlows = 25
+			s.Workload.FlashCrowdStart = s.Workload.AttackStart
+			s.Workload.FlashCrowdWindow = 150 * sim.Millisecond
+			s.Workload.FlashCrowdRate = s.Workload.LegitRate
+		}),
 
-	MustRegister(builtin("lossy-control",
+	builtin("flash-overlap",
+		"flash crowd arrives 700 ms after the attack, meeting an already-active defender at first sight — worst case for probing collateral",
+		func(s *Scenario) {
+			s.Workload.FlashCrowdFlows = 25
+			s.Workload.FlashCrowdStart = s.Workload.AttackStart + 700*sim.Millisecond
+			s.Workload.FlashCrowdWindow = 150 * sim.Millisecond
+			s.Workload.FlashCrowdRate = s.Workload.LegitRate
+		}),
+
+	builtin("lossy-control",
 		"chaos: the stress-5k flood under a degraded control plane — 20% of epoch reports lost and 10% delayed 20 ms — with the coordinator's staleness timeout and re-fire backoff absorbing the gaps",
 		func(s *Scenario) {
 			s.Topology.NumRouters = 5000
@@ -313,9 +171,61 @@ func init() {
 			s.Faults.ReportDelay = 20 * sim.Millisecond
 			s.Pushback.StaleEpochs = 4
 			s.Pushback.RefireBackoffEpochs = 2
-		}))
+		}),
 
-	MustRegister(builtin("stress-1k",
+	builtin("multi-victim",
+		"simultaneous floods on the primary victim and two extra victims behind their own last-hop routers",
+		func(s *Scenario) {
+			s.Topology.ExtraVictims = 2
+			s.Workload.TotalFlows = 60
+			s.Workload.TCPShare = 0.80
+			s.Workload.ExtraVictimShare = 0.4
+		}),
+
+	builtin("multihomed-victim",
+		"victim is dual-homed, splitting its inbound flood across two last-hop routers",
+		func(s *Scenario) {
+			s.Topology.MultiHomedVictim = true
+		}),
+
+	builtin("partition-heal",
+		"chaos: the transit chord hub crashes at 700 ms — cutting every ingress path through it mid-defence — and rejoins at 1.4 s; routing heals both ways and the defence survives the churn",
+		func(s *Scenario) {
+			s.Faults.RouterCrashes = []RouterCrash{
+				{Router: 7, CrashAt: 700 * sim.Millisecond, RestoreAt: 1400 * sim.Millisecond},
+			}
+		}),
+
+	builtin("rate-mix",
+		"heterogeneous attack: per-flow rates span 0.05×–3× R, hiding slow floods behind loud ones",
+		func(s *Scenario) {
+			s.Workload.TotalFlows = 60
+			s.Workload.TCPShare = 0.80
+			s.Workload.AttackRateMix = []float64{0.05, 0.25, 1, 3}
+		}),
+
+	builtin("rolling-pulse",
+		"rotating source groups hand the flooding baton every 150 ms, shifting the hot routers between epochs",
+		func(s *Scenario) {
+			s.Workload.TotalFlows = 60
+			s.Workload.TCPShare = 0.80
+			s.Workload.AttackGroups = 3
+			s.Workload.AttackRotationPeriod = 150 * sim.Millisecond
+			// Each group floods one third of the time; triple the peak
+			// rate so the time-averaged volume matches the default flood.
+			s.Workload.AttackRate *= 3
+		}),
+
+	builtin("shrew",
+		"low-rate shrew pulses tuned to the TCP minimum RTO: 80 ms bursts once per second",
+		func(s *Scenario) {
+			s.Workload.AttackPulsePeriod = 1 * sim.Second
+			s.Workload.AttackDutyCycle = 0.08
+			s.Workload.TotalFlows = 60
+			s.Workload.TCPShare = 0.80
+		}),
+
+	builtin("stress-1k",
 		"scale proof: 1000-router ring with 300 chords, 40 ingress routers, three simultaneous victims — exercises the topology arena and zero-alloc epoch pipeline at 25x the paper's domain size",
 		func(s *Scenario) {
 			s.Topology.NumRouters = 1000
@@ -329,5 +239,47 @@ func init() {
 			s.Workload.TotalFlows = 80
 			s.Workload.TCPShare = 0.80
 			s.Workload.ExtraVictimShare = 0.3
-		}))
+		}),
+
+	builtin("stress-50k",
+		"scale proof: 50000-router ring with 15000 chords, 40 ingress routers, three simultaneous victims — sparse adjacency rows and the monitored-only traffic matrix keep per-router state O(nodes+links), where the dense adjacency alone would need ~20 GB and the monitor would rotate 200k sketches per epoch",
+		func(s *Scenario) {
+			s.Topology.NumRouters = 50000
+			s.Topology.NumIngress = 40
+			// Chord density matches stress-1k/5k (0.3 chords per router):
+			// shortest paths stay bounded while the domain is 1250x the
+			// paper's.
+			s.Topology.ExtraChords = 15000
+			s.Topology.BystanderHosts = 32
+			s.Topology.ExtraVictims = 2
+			s.Workload.TotalFlows = 80
+			s.Workload.TCPShare = 0.80
+			s.Workload.ExtraVictimShare = 0.3
+		}),
+
+	builtin("stress-5k",
+		"scale proof: 5000-router ring with 1500 chords, 40 ingress routers, three simultaneous victims — demand-driven two-level routing materializes only the few dozen active destination columns instead of the ~33M-entry all-pairs install",
+		func(s *Scenario) {
+			s.Topology.NumRouters = 5000
+			s.Topology.NumIngress = 40
+			// Chord density matches stress-1k (0.3 chords per router):
+			// shortest paths stay tens of hops, so per-packet event
+			// counts grow slowly while the domain is 125x the paper's.
+			s.Topology.ExtraChords = 1500
+			s.Topology.BystanderHosts = 32
+			s.Topology.ExtraVictims = 2
+			s.Workload.TotalFlows = 80
+			s.Workload.TCPShare = 0.80
+			s.Workload.ExtraVictimShare = 0.3
+		}),
+
+	builtin("table2",
+		"paper Table II defaults: single pulsing flood, Pd=90%, Vt=50, Γ=95%, N=40",
+		nil),
+
+	builtin("transit-stub",
+		"default flood on a transit-stub domain: a meshed transit core with stub chains, not the intra-AS ring",
+		func(s *Scenario) {
+			s.Topology = topology.DefaultTransitStubConfig()
+		}),
 }

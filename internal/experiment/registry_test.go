@@ -1,9 +1,6 @@
 package experiment
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
 func TestRegistryCatalogSize(t *testing.T) {
 	// The catalog must offer the paper's default operating point plus at
@@ -60,26 +57,37 @@ func TestRegistryBuildReturnsFreshScenarios(t *testing.T) {
 }
 
 func TestRegistryNamesSorted(t *testing.T) {
-	names := ScenarioNames()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("names not sorted or not unique: %q then %q", names[i-1], names[i])
+	entries := Entries()
+	for i, e := range entries {
+		if i > 0 && entries[i-1].Name >= e.Name {
+			t.Fatalf("names not sorted or not unique: %q then %q", entries[i-1].Name, e.Name)
+		}
+		if got, ok := LookupScenario(e.Name); !ok || got.Name != e.Name {
+			t.Fatalf("LookupScenario(%q) = %q, %v", e.Name, got.Name, ok)
 		}
 	}
-	if len(names) != len(Entries()) {
-		t.Fatal("ScenarioNames and Entries disagree")
+	if _, ok := LookupScenario("no-such-scenario"); ok {
+		t.Fatal("LookupScenario found a name the catalog does not have")
 	}
 }
 
+// TestRegisterRejectsBadEntries checks the catalog for what registration used
+// to refuse: an empty or repeated name, a missing builder, and a builder whose
+// scenario carries another name than its entry.
 func TestRegisterRejectsBadEntries(t *testing.T) {
-	if err := Register(Entry{Name: "", Build: DefaultScenario}); !errors.Is(err, ErrScenario) {
-		t.Fatalf("empty name: want ErrScenario, got %v", err)
-	}
-	if err := Register(Entry{Name: "no-builder"}); !errors.Is(err, ErrScenario) {
-		t.Fatalf("nil builder: want ErrScenario, got %v", err)
-	}
-	if err := Register(Entry{Name: "table2", Build: DefaultScenario}); !errors.Is(err, ErrScenario) {
-		t.Fatalf("duplicate: want ErrScenario, got %v", err)
+	seen := map[string]bool{}
+	for _, e := range catalog {
+		switch {
+		case e.Name == "":
+			t.Fatal("a catalog entry has no name")
+		case seen[e.Name]:
+			t.Fatalf("scenario %q is in the catalog twice", e.Name)
+		case e.Build == nil:
+			t.Fatalf("scenario %q has no builder", e.Name)
+		case e.Build().Name != e.Name:
+			t.Fatalf("scenario %q builds a scenario named %q", e.Name, e.Build().Name)
+		}
+		seen[e.Name] = true
 	}
 }
 

@@ -57,7 +57,7 @@ type runResources struct {
 // idleBundles keeps bundles between runs, sequential or the workers of a
 // sweep alike. A bundle handed back while it is full falls to the garbage
 // collector. 64 slots bound what idle bundles retain — each keeps the largest
-// domain it has built, 37 MB of arena after a quick stress-50k run — and
+// domain it has built, 36 MB of arena after a quick stress-50k run — and
 // still cover every concurrent run of a sweep on up to 64 CPUs (RunMany runs
 // GOMAXPROCS workers by default) or of maficserve (two by default).
 var idleBundles = make(chan *runResources, 64)

@@ -209,7 +209,7 @@ func (s Scenario) Validate() error {
 	if s.ReductionWindow < 0 {
 		return fmt.Errorf("%w: reduction window %v must not be negative", ErrScenario, s.ReductionWindow)
 	}
-	if err := s.Faults.Validate(s.Topology.NumRouters); err != nil {
+	if err := s.Faults.Validate(s.Topology.NumRouters, s.Duration); err != nil {
 		return err
 	}
 	if s.Workload.AttackStart >= s.Duration {

@@ -190,7 +190,6 @@ func randomLedgerRun(t *testing.T, seed int64) (tr chaosTrace, busiest int) {
 		connect(h.ID(), at)
 		hosts = append(hosts, h)
 	}
-	n.SetRouteResolver(&bfsResolver{net: n})
 	n.Router(1).AttachFilter(&everyFifth{})
 	n.SetHooks(Hooks{
 		OnQueueDrop:  func(*Packet, *Link, sim.Time) { tr.QueueDrops++ },

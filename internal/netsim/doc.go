@@ -73,23 +73,24 @@
 // router (one or two inline entries on the host)? Otherwise RouteLink: the
 // entry for this router in the destination's route column, a NodeID-indexed
 // slice of *Link. A host sends on its uplink, the link to its access router
-// that AttachTo and Connect keep on it. Columns are produced on demand by the
-// installed RouteResolver (see routing.go for the contract and the host
-// aggregation) and memoized until the graph changes: any Connect, SetDown,
-// FailRouter or RestoreRouter invalidates them all. A column entry is the
-// link LinkBetween(at, next hop) returns at the time it is computed — a down
-// link included, so a packet routed onto it is fault-dropped there, exactly
-// as if the next hop had been looked up per packet. NextHop is derived from
-// the same column (the entry's far end) and has no table of its own.
-// BenchmarkForward prices one hop; topology's lazy_test.go is the reference.
+// that AttachTo and Connect keep on it. The network computes each column on
+// demand, one reverse BFS over its own adjacency rows (see routing.go for the
+// host aggregation and the invariants), and memoizes it until the graph
+// changes: any Connect, SetDown, FailRouter or RestoreRouter invalidates them
+// all. A column entry is the link LinkBetween(at, next hop) returns at the
+// time it is computed — a down link included, so a packet routed onto it is
+// fault-dropped there, exactly as if the next hop had been looked up per
+// packet. NextHop is derived from the same column (the entry's far end) and
+// has no table of its own. BenchmarkForward prices one hop; topology's
+// lazy_test.go and FuzzRouteColumns hold the reference.
 //
 // # Adjacency representation
 //
 // The node/link graph answers two questions off the forwarding fast path:
 // LinkBetween (is there a direct link from a to b, and which one) and
 // AppendNeighbors (a's neighbours in ascending ID order, the order BFS route
-// computation depends on). Behind both is one sorted row of (neighbour, link)
-// entries per node, carved from a shared slab. LinkBetween is a binary search
+// computation depends on). Behind both is one sorted row of (neighbour, link,
+// back link) entries per node, carved from a shared slab. LinkBetween is a binary search
 // over the row — simulated degrees are single digits, so the search is two or
 // three probes — and total adjacency state is O(nodes + links): a
 // 50000-router domain's adjacency fits in a few megabytes. The reference the
@@ -112,13 +113,13 @@
 // the storage of the one before (topology.Arena does exactly this; New stays
 // the fresh path, and the oracle the reset path is tested against).
 //
-// What survives is storage only: the chunks of the seven slabs (routers,
+// What survives is storage only: the chunks of the eight slabs (routers,
 // hosts, links, sparse adjacency entries, filter chains, host addresses,
-// pool packets), the backing of the three per-node tables (the node table,
-// the sparse adjacency spine, the route-column table), the two maps' buckets
-// and the free list's array. What a caller can observe does not: a reset
-// network has no nodes, links, addresses, handlers, hooks, resolver or
-// columns, its fault counters, TopoVersion and packet IDs start from zero,
+// pool packets, route columns), the backing of the three per-node tables (the
+// node table, the sparse adjacency spine, the route-column table), the route
+// BFS's scratch, the two maps' buckets and the free list's array. What a
+// caller can observe does not: a reset network has no nodes, links,
+// addresses, handlers, hooks or columns, its fault counters, TopoVersion and packet IDs start from zero,
 // and it is bound to the new scheduler and RNG. Reset states what it keeps
 // and zeroes the rest
 // wholesale, so a field added to Network is reset unless it is named there.
@@ -134,8 +135,9 @@
 //
 // The slabs need no zeroing, because no carve site reads before it writes:
 // nodes and links are assigned whole (*r = Router{...}), pool packets are
-// zeroed when drawn, and adjacency rows, filter chains and address slices are
-// handed out at zero length and only appended to (the filter slab is cleared
+// zeroed when drawn, route columns are cleared by the BFS that fills them, and
+// adjacency rows, filter chains and address slices are handed out at zero
+// length and only appended to (the filter slab is cleared
 // all the same, so that a chain nobody carves over cannot pin a finished
 // run's defenders). The tables are read by index before they are written, so
 // Reset zeroes the part the last build used and truncates them; beyond their
@@ -150,9 +152,9 @@
 // per flow endpoint, hundreds even at 50 000 routers.) Reset and the build
 // that follows it on warm storage allocate nothing.
 //
-// A network retains the largest domain it has built: about 29 MB after a
-// quick stress-50k run (37 MB for the arena around it, with its route columns
-// and graph snapshot), against 0.14 MB for a whole arena after quick table2.
+// A network retains the largest domain it has built, its route columns
+// included: the arena around it holds 36 MB after a quick stress-50k run,
+// against 0.25 MB after quick table2.
 // One arena serves one run at a time, so a process holds as many as it has
 // had concurrent runs; experiment keeps at most 64 idle run bundles, each
 // with its arena and the defenders, monitor, coordinator and workload that
@@ -167,7 +169,7 @@
 // filter chain. Every such drop is accounted (Hooks.OnFaultDrop, the
 // FaultDropped counters) and the packet is recycled through the pool like any
 // other terminal point. Each state flip bumps TopoVersion and invalidates the
-// memoized route columns, and AppendNeighbors skips down links and links
+// memoized route columns, and the route BFS skips down links and links
 // into crashed routers while any fault is active — so routing re-converges
 // around the fault. With every link and router up, none of this exists on the
 // hot path: AppendNeighbors takes the plain loop, no RNG is consulted,

@@ -19,10 +19,10 @@ import (
 //     would inject itself) are dropped and accounted. Its filter chain does
 //     not run — a dead router neither measures nor defends.
 //   - Every fault-state change bumps TopoVersion and invalidates the
-//     memoized route columns, so the demand-driven route resolver
-//     re-snapshots the graph and shortest paths re-converge around the
-//     fault. AppendNeighbors skips down links and links into down routers
-//     while any fault is active, which is what the resolver's BFS sees.
+//     memoized route columns, so the next lookup recomputes its column and
+//     shortest paths re-converge around the fault. While any fault is active
+//     the route BFS and AppendNeighbors skip down links, links into crashed
+//     routers and a crashed router's own links (usable is the rule).
 //
 // With no fault active none of this costs anything on the hot path beyond a
 // handful of predictable branches: AppendNeighbors takes its plain loop,
@@ -106,9 +106,8 @@ func (n *Network) faultsActive() bool {
 	return n.downLinks > 0 || n.downRouters > 0
 }
 
-// noteFaultStateChange records a link/router state flip: memoized next-hop
-// columns are stale (shortest paths changed) and TopoVersion moves so
-// snapshotting resolvers re-read the graph.
+// noteFaultStateChange records a link/router state flip: memoized route
+// columns are stale (shortest paths changed), and TopoVersion counts it.
 func (n *Network) noteFaultStateChange() {
 	n.invalidateRouteColumns()
 	n.topoVersion++
@@ -136,10 +135,16 @@ func (n *Network) appendLiveNeighbors(dst []NodeID, id NodeID) []NodeID {
 		return dst
 	}
 	for _, e := range n.sparse[id] {
-		if e.link.st.Down || n.RouterDown(e.to) {
-			continue
+		if n.usable(e) {
+			dst = append(dst, e.to)
 		}
-		dst = append(dst, e.to)
 	}
 	return dst
+}
+
+// usable reports whether routing may follow the row entry e while a fault is
+// active: its link is up and does not lead into a crashed router. It is the
+// one liveness rule appendLiveNeighbors and the route BFS share.
+func (n *Network) usable(e adjEntry) bool {
+	return !e.link.st.Down && !n.RouterDown(e.to)
 }

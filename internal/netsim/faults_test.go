@@ -201,9 +201,9 @@ func TestCrashedRouterInjectsNothing(t *testing.T) {
 	}
 }
 
-// TestFaultStateBumpsTopoVersion pins the re-convergence contract: every
-// effective fault-state change moves TopoVersion (so snapshotting resolvers
-// re-read the graph), and redundant changes move nothing.
+// TestFaultStateBumpsTopoVersion pins the counter a snapshot carries: every
+// effective fault-state change moves TopoVersion, and redundant changes move
+// nothing.
 func TestFaultStateBumpsTopoVersion(t *testing.T) {
 	_, n, core, src, dst := faultChainNet(t)
 	l := n.LinkBetween(core.ID(), dst.ID())
@@ -254,37 +254,6 @@ func TestFaultStateBumpsTopoVersion(t *testing.T) {
 	_ = dst
 }
 
-// bfsResolver is a minimal demand-driven column resolver: one BFS from the
-// destination over AppendNeighbors per request, each discovered node v
-// sending on LinkBetween(v, u) toward the node u that discovered it. Because
-// it recomputes on every call (the network memoizes), it sees exactly what
-// AppendNeighbors exposes — which is what makes it a fault re-convergence
-// probe.
-type bfsResolver struct{ net *Network }
-
-func (r *bfsResolver) RouteColumn(dest NodeID) []*Link {
-	n := len(r.net.nodes)
-	col := make([]*Link, n)
-	visited := make([]bool, n)
-	queue := []NodeID{dest}
-	visited[dest] = true
-	var nbuf []NodeID
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		nbuf = r.net.AppendNeighbors(nbuf[:0], u)
-		for _, v := range nbuf {
-			if visited[v] {
-				continue
-			}
-			visited[v] = true
-			col[v] = r.net.LinkBetween(v, u)
-			queue = append(queue, v)
-		}
-	}
-	return col
-}
-
 // TestRoutingReconvergesAroundFaults drives a packet across a diamond
 // (src-A, A-B-D, A-C-D, D-dst), fails the preferred B path — first the
 // router, then the links — and verifies demand-driven routing re-converges
@@ -313,8 +282,6 @@ func TestRoutingReconvergesAroundFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n.SetRouteResolver(&bfsResolver{net: n})
-
 	delivered := 0
 	dst.SetDefaultHandler(func(*Packet, sim.Time) { delivered++ })
 

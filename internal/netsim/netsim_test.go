@@ -26,7 +26,6 @@ func testNet(t *testing.T) (*Network, *Host, *Router, *Router, *Host) {
 	}
 	client.AttachTo(r1.ID())
 	server.AttachTo(r2.ID())
-	n.SetRouteResolver(&bfsResolver{net: n})
 	return n, client, r1, r2, server
 }
 

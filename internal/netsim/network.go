@@ -50,10 +50,13 @@ type nodeSlot struct {
 // adjEntry is one outgoing link in an adjacency row, keyed by its target
 // node. Rows are kept sorted by target so lookups binary-search and neighbour
 // iteration is ascending, which is what BFS tie-breaking (and therefore every
-// forwarding decision) depends on.
+// forwarding decision) depends on. back is the link from the target back to
+// the row's node, nil until that direction is connected: the route BFS writes
+// it into a column without searching.
 type adjEntry struct {
 	to   NodeID
 	link *Link
+	back *Link
 }
 
 // Network owns every simulated node and link and bridges them to the
@@ -113,17 +116,18 @@ type Network struct {
 	// flag whether they registered anything so pure sinks skip the lookup.
 	handlers map[handlerKey]PacketHandler
 
-	// Demand-driven routing state (see routing.go): the installed column
-	// resolver, the dense per-destination table of route columns (host slots
-	// alias their attachment router's column), and the materialization
-	// counters behind RouteColumns/RouteStats.
-	resolver         RouteResolver
+	// Demand-driven routing state (see routing.go): the dense
+	// per-destination table of route columns (host slots alias their
+	// attachment router's column), the slab the columns are carved from, the
+	// route BFS's queue and visited marks, and the materialization counters
+	// behind RouteColumns/RouteStats.
 	routeCols        [][]*Link
+	colSlab          slab[*Link]
+	bfsQueue         []NodeID
+	bfsSeen          []bool
 	colsMaterialized int
 	colEntries       int
-	// topoVersion counts graph mutations (nodes added, links connected,
-	// fault state flipped) so resolvers can detect a stale snapshot; see
-	// TopoVersion.
+	// topoVersion counts graph mutations; see TopoVersion.
 	topoVersion uint64
 
 	// Fault bookkeeping (see faults.go): counts of currently-down links and
@@ -274,6 +278,9 @@ func (n *Network) Reset(scheduler *sim.Scheduler, rng *sim.RNG) {
 		nodes:        n.nodes[:0],
 		sparse:       n.sparse[:0],
 		routeCols:    n.routeCols[:0],
+		colSlab:      n.colSlab.rewound(),
+		bfsQueue:     n.bfsQueue[:0],
+		bfsSeen:      n.bfsSeen[:0],
 		ipOwner:      n.ipOwner,
 		handlers:     n.handlers,
 		pktFree:      n.pktFree[:0],
@@ -504,7 +511,9 @@ func (n *Network) connect(from, to NodeID, cfg LinkConfig) *Link {
 }
 
 // sparseInsert places l into from's sorted neighbour row, re-carving the row
-// at doubled capacity when its degree outgrows the current segment.
+// at doubled capacity when its degree outgrows the current segment, and pairs
+// l with the reverse direction, if that is connected already, through both
+// entries' back links.
 func (n *Network) sparseInsert(from, to NodeID, l *Link) {
 	for int(from) >= len(n.sparse) {
 		n.sparse = append(n.sparse, nil)
@@ -514,21 +523,17 @@ func (n *Network) sparseInsert(from, to NodeID, l *Link) {
 	// The caller rejected duplicates already, so the slot at i is either past
 	// the end or holds a larger target.
 	if len(row) == cap(row) {
-		capWant := sparseRowCap
-		if c := 2 * cap(row); c > capWant {
-			capWant = c
-		}
-		grown := n.carveAdjEntries(capWant)[:len(row)+1]
-		copy(grown, row[:i])
-		copy(grown[i+1:], row[i:])
-		grown[i] = adjEntry{to: to, link: l}
-		n.sparse[from] = grown
-		return
+		grown := n.carveAdjEntries(max(sparseRowCap, 2*cap(row)))[:len(row)]
+		copy(grown, row)
+		row = grown
 	}
 	row = row[:len(row)+1]
 	copy(row[i+1:], row[i:])
 	row[i] = adjEntry{to: to, link: l}
 	n.sparse[from] = row
+	if rev := n.adjacent(to, from); rev != nil {
+		rev.back, row[i].back = l, rev.link
+	}
 }
 
 // ConnectDuplex adds two simplex links (a->b and b->a) with the same
@@ -577,12 +582,20 @@ func (n *Network) AttachmentLink(r, h NodeID) *Link {
 // does not allocate. Forwarding does not call it; route columns and host
 // uplinks hold the links it would find.
 func (n *Network) LinkBetween(a, b NodeID) *Link {
+	if e := n.adjacent(a, b); e != nil {
+		return e.link
+	}
+	return nil
+}
+
+// adjacent returns a's row entry for b, or nil.
+func (n *Network) adjacent(a, b NodeID) *adjEntry {
 	if a < 0 || int(a) >= len(n.sparse) {
 		return nil
 	}
 	row := n.sparse[a]
 	if i := sparseFind(row, b); i < len(row) && row[i].to == b {
-		return row[i].link
+		return &row[i]
 	}
 	return nil
 }

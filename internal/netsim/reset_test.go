@@ -54,8 +54,6 @@ func chaosRun(t *testing.T, n *Network, boundary func(*chaosTrace)) (*chaosTrace
 			t.Fatal(err)
 		}
 	}
-	n.SetRouteResolver(&bfsResolver{net: n})
-
 	tr := &chaosTrace{}
 	filter := &everyFifth{}
 	ra.AttachFilter(filter)
@@ -193,11 +191,11 @@ func TestResetLeavesNothingBehind(t *testing.T) {
 		name, f := nv.Type().Field(i).Name, nv.Field(i)
 		switch name {
 		case "scheduler", "rng":
-		case "nodes", "sparse", "routeCols", "pktFree", "ipOwner", "handlers":
+		case "nodes", "sparse", "routeCols", "bfsQueue", "bfsSeen", "pktFree", "ipOwner", "handlers":
 			if f.IsNil() || f.Len() != 0 {
 				t.Errorf("Network.%s after Reset: nil=%v len=%d, want kept and empty", name, f.IsNil(), f.Len())
 			}
-		case "pktSlab", "routerSlab", "hostSlab", "linkSlab", "adjEntrySlab", "filterSlab", "ipSlab":
+		case "pktSlab", "routerSlab", "hostSlab", "linkSlab", "adjEntrySlab", "filterSlab", "ipSlab", "colSlab":
 			if f.FieldByName("chunks").Len() == 0 || !f.FieldByName("cur").IsZero() || !f.FieldByName("used").IsZero() {
 				t.Errorf("Network.%s after Reset: want its chunks kept and its cursor rewound", name)
 			}
@@ -342,7 +340,6 @@ func TestResetCostFollowsLastBuild(t *testing.T) {
 	sched, rng := sim.NewScheduler(), sim.NewRNG(1)
 	n := New(sched, rng)
 	ringOn(t, n, names)
-	n.SetRouteResolver(&bfsResolver{net: n})
 	if n.NextHop(0, 2500) == NoNode {
 		t.Fatal("no route across the ring")
 	}

@@ -1,50 +1,62 @@
 package netsim
 
-import "unsafe"
+import (
+	"slices"
+	"unsafe"
+)
 
-// Demand-driven two-level routing.
+// # Two-level demand-driven routing
 //
-// A forwarding row per router covering every node in the domain would be
-// O(routers × nodes) entries, of which a DDoS-style workload ever touches a
-// vanishing fraction (traffic converges on a handful of victims, ACKs and
-// probes fan back to the edge). The network keeps forwarding state as
-// per-destination *columns* of outgoing links, materialized lazily the first
-// time a destination is routed to:
+// The network is the domain's routing authority. A forwarding row per router
+// covering every node in the domain would be O(routers × nodes) entries, of
+// which a DDoS-style workload ever touches a vanishing fraction (traffic
+// converges on a handful of victims, ACKs and probes fan back to the edge).
+// Routing state is two-level and produced on demand:
 //
-//   - Level 1 (aggregation): a single-homed host shares the column of its
-//     attachment router — the column is computed once for the router and the
-//     host's slot simply aliases it. Delivery at the attachment router uses
-//     the direct host link, so no per-host state is ever needed. Multi-homed
-//     hosts (and routers themselves) get a dedicated column, which keeps
-//     their paths bit-identical to a per-node shortest-path computation.
-//   - Level 2 (demand): a column is produced by the installed RouteResolver
-//     (one reverse BFS in the topology arena) only when its destination first
-//     appears in live traffic, then memoized until the graph changes.
+//   - Level 1 — host aggregation. Forwarding state is indexed by destination
+//     *router*, never by host: a single-homed host is reached by routing to
+//     its attachment router, which delivers locally over the direct access
+//     link, so the host's slot simply aliases the router's column. This cuts
+//     the width of the routing state from nodes × nodes to routers-worth of
+//     columns. A multi-homed host (e.g. the dual-homed victim) keeps a
+//     dedicated column so the shortest-path tie-break among its homes is
+//     decided exactly as a per-node BFS would. Host aggregation is exact
+//     because a single-homed host's shortest-path tree minus the host itself
+//     IS its attachment router's tree.
+//   - Level 2 — lazy columns. No routes exist after a build. When a
+//     destination first appears in live traffic, the network computes that
+//     destination's route column: one reverse BFS over the adjacency rows,
+//     O(nodes + links), into a column carved from colSlab, memoized until the
+//     graph or its fault state changes. A MAFIC workload only ever routes
+//     toward the victims, the edge sources (ACKs) and the spoof pool
+//     (probes), so a 5000-router domain materializes a few dozen columns
+//     instead of the ~5000 × 5000 entries an all-pairs install would write.
 //
 // A column entry is the link itself, not the next node, so a hop is one
-// indexed load and no adjacency search. The column table is the routers' only
-// forwarding state; hand-built networks install a resolver of their own. The
-// reference for what a column must hold is test-only: topology's lazy_test.go
-// runs a textbook per-destination BFS over Neighbors and compares both the
-// next hop and the link forwarded on with it for every pair of nodes.
-type RouteResolver interface {
-	// RouteColumn returns the route column for dest: a dense NodeID-indexed
-	// table where column[at] is the link node at sends on toward dest — the
-	// one LinkBetween(at, next hop) returns, down or not — and nil where at
-	// has no route (unreachable, at == dest, or no link back to the node
-	// that discovered it). The network memoizes the returned slice until its
-	// routes are invalidated, so the resolver must hand over ownership (no
-	// later mutation).
-	RouteColumn(dest NodeID) []*Link
-}
-
-// SetRouteResolver installs the demand-driven column resolver and drops any
-// previously materialized columns. Topology builders call it once the domain
-// graph is final.
-func (n *Network) SetRouteResolver(r RouteResolver) {
-	n.resolver = r
-	n.invalidateRouteColumns()
-}
+// indexed load and no adjacency search: column[at] is the link node at sends
+// on toward the destination — the one LinkBetween(at, next hop) returns, down
+// or not — and nil where at has no route (unreachable, at == dest, or no link
+// back to the node that discovered it). The column table is the routers' only
+// forwarding state.
+//
+// Invariants the tests pin:
+//
+//   - Next hops are those of a per-destination BFS with ascending neighbour
+//     tie-breaking, for every (node, destination) pair, and the link a node
+//     forwards on is LinkBetween(node, next hop). The BFS does not follow a
+//     down link or a link into a crashed router. topology's lazy_test.go
+//     holds the reference — a textbook BFS over Neighbors — and compares it
+//     with NextHop and with the forwarding link on every domain shape, after
+//     a post-build Connect, with one direction of a loaded link down (the
+//     down link stays in the column, and packets sent on it die there), with
+//     a cable cut and with a router crashed; FuzzRouteColumns drives the same
+//     comparison through random scripts of nodes, duplex and simplex links
+//     and faults.
+//   - A column is materialized at most once per destination router between
+//     invalidations, is len(nodes) wide when it is, and hosts alias their
+//     router's column rather than copying it.
+//   - Column storage is recycled across builds: Reset rewinds colSlab, and a
+//     rebuild that routes toward the same destinations allocates nothing.
 
 // invalidateRouteColumns forgets every memoized column. Adding a link after
 // columns have materialized invalidates them (shortest paths may change), so
@@ -63,10 +75,10 @@ func (n *Network) invalidateRouteColumns() {
 
 // RouteLink returns the link node at sends on toward dest according to the
 // demand-driven column table, materializing the column on first use, or nil
-// when there is no route (no resolver installed, unknown destination, dest
-// unreachable from at, or at == dest). It is the forwarding path's lookup once
-// the destination is not attached to at: Router.route asks AttachmentLink
-// first, because a single-homed host's slot holds its router's column.
+// when there is no route (unknown destination, dest unreachable from at, or
+// at == dest). It is the forwarding path's lookup once the destination is not
+// attached to at: Router.route asks AttachmentLink first, because a
+// single-homed host's slot holds its router's column.
 func (n *Network) RouteLink(at, dest NodeID) *Link {
 	if col := n.column(dest); uint(at) < uint(len(col)) {
 		return col[at]
@@ -101,21 +113,19 @@ func (n *Network) column(dest NodeID) []*Link {
 	return n.materializeColumn(dest)
 }
 
-// materializeColumn resolves and memoizes the column serving dest: the
+// materializeColumn computes and memoizes the column serving dest: the
 // aggregate's column is computed (or found already materialized) and dest's
 // slot set to alias it, so later lookups are a single indexed load.
 func (n *Network) materializeColumn(dest NodeID) []*Link {
-	if n.resolver == nil || !n.nodeExists(dest) {
+	if !n.nodeExists(dest) {
 		return nil
 	}
 	agg := n.aggregateOf(dest)
 	n.growRouteCols(agg)
 	col := n.routeCols[agg]
 	if col == nil {
-		col = n.resolver.RouteColumn(agg)
-		if col == nil {
-			return nil
-		}
+		col = n.colSlab.take(len(n.nodes), len(n.nodes))
+		n.reverseBFS(agg, col)
 		n.routeCols[agg] = col
 		n.colsMaterialized++
 		n.colEntries += len(col)
@@ -123,6 +133,37 @@ func (n *Network) materializeColumn(dest NodeID) []*Link {
 	n.growRouteCols(dest)
 	n.routeCols[dest] = col
 	return col
+}
+
+// reverseBFS fills col with each node's link toward root along the
+// shortest-path tree rooted there: a breadth-first search from root over the
+// sorted adjacency rows, so neighbours are visited in ascending ID order and
+// the first discoverer wins. A discovered node's entry is the back link of the
+// row entry that discovered it — its link to the discoverer, down or not, or
+// nil if it has none; root and unreached nodes get nil. While a fault is
+// active the search leaves crashed routers' rows and unusable links alone.
+func (n *Network) reverseBFS(root NodeID, col []*Link) {
+	clear(col)
+	seen := slices.Grow(n.bfsSeen[:0], len(col))[:len(col)]
+	clear(seen)
+	faults := n.faultsActive()
+	queue := append(n.bfsQueue[:0], root)
+	seen[root] = true
+	for qi := 0; qi < len(queue); qi++ {
+		cur := queue[qi]
+		if int(cur) >= len(n.sparse) || faults && n.RouterDown(cur) {
+			continue
+		}
+		for _, e := range n.sparse[cur] {
+			if seen[e.to] || faults && !n.usable(e) {
+				continue
+			}
+			seen[e.to] = true
+			col[e.to] = e.back
+			queue = append(queue, e.to)
+		}
+	}
+	n.bfsQueue, n.bfsSeen = queue, seen
 }
 
 // growRouteCols extends the column table to cover id. Reserved networks size
@@ -158,11 +199,9 @@ func (n *Network) aggregateOf(dest NodeID) NodeID {
 // materialized on demand (aliased host slots are not counted).
 func (n *Network) RouteColumns() int { return n.colsMaterialized }
 
-// TopoVersion identifies the current state of the node/link graph; it
-// changes whenever a node is added or a link connected. Resolvers that
-// snapshot the graph compare it on each column request so a mutation after
-// the snapshot (which also invalidates the memoized columns) triggers a
-// re-snapshot instead of serving stale shortest paths.
+// TopoVersion counts graph mutations: nodes added, links connected, fault
+// state flipped. A snapshot carries it (NetworkState), and nothing in the
+// network reads it.
 func (n *Network) TopoVersion() uint64 { return n.topoVersion }
 
 // RouteStats reports the resident routing state: the total number of

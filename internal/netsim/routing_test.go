@@ -6,23 +6,6 @@ import (
 	"mafic/internal/sim"
 )
 
-// countingResolver sends every node straight to the destination, over its
-// direct link where it has one, and counts how many columns it was asked to
-// produce.
-type countingResolver struct {
-	net   *Network
-	calls int
-}
-
-func (cr *countingResolver) RouteColumn(dest NodeID) []*Link {
-	cr.calls++
-	col := make([]*Link, len(cr.net.nodes))
-	for i := range col {
-		col[i] = cr.net.LinkBetween(NodeID(i), dest)
-	}
-	return col
-}
-
 // chainNet builds r0 - r1 - host with duplex links and no static routes.
 func chainNet(t *testing.T) (*Network, *Router, *Router, *Host) {
 	t.Helper()
@@ -42,27 +25,23 @@ func chainNet(t *testing.T) (*Network, *Router, *Router, *Host) {
 }
 
 // TestNextHopMaterializesOnceAndAliasesHosts pins the demand-driven core: a
-// host lookup and its attachment-router lookup share one resolver call, and
-// repeated lookups hit the memo.
+// host lookup and its attachment-router lookup share one column, and repeated
+// lookups hit the memo.
 func TestNextHopMaterializesOnceAndAliasesHosts(t *testing.T) {
 	net, r0, r1, h := chainNet(t)
-	cr := &countingResolver{net: net}
-	net.SetRouteResolver(cr)
 
 	if got := net.NextHop(r0.ID(), h.ID()); got != r1.ID() {
 		t.Fatalf("NextHop(r0, h) = %d, want %d", got, r1.ID())
 	}
+	col := net.routeCols[h.ID()]
 	if got := net.NextHop(r0.ID(), r1.ID()); got != r1.ID() {
 		t.Fatalf("NextHop(r0, r1) = %d, want %d", got, r1.ID())
 	}
 	for i := 0; i < 10; i++ {
 		net.NextHop(r0.ID(), h.ID())
 	}
-	if cr.calls != 1 {
-		t.Fatalf("resolver ran %d times, want 1 (host aliases its router's column)", cr.calls)
-	}
-	if net.RouteColumns() != 1 {
-		t.Fatalf("RouteColumns = %d, want 1", net.RouteColumns())
+	if net.RouteColumns() != 1 || &net.routeCols[r1.ID()][0] != &col[0] {
+		t.Fatalf("RouteColumns = %d, want 1 (host aliases its router's column)", net.RouteColumns())
 	}
 	entries, bytes := net.RouteStats()
 	if entries != net.NodeCount() || bytes != int64(entries)*8 {
@@ -70,28 +49,36 @@ func TestNextHopMaterializesOnceAndAliasesHosts(t *testing.T) {
 	}
 }
 
-// TestNextHopWithoutResolver verifies the no-resolver fallback: no columns,
-// no routes, NoNode.
+// TestNextHopWithoutResolver pins that a hand-built network routes with
+// nothing installed — the network computes its own columns — and that lookups
+// with no route say so: an invalid origin, an unknown destination and a node
+// with no links give NoNode and materialize nothing.
 func TestNextHopWithoutResolver(t *testing.T) {
-	net, r0, _, h := chainNet(t)
-	if got := net.NextHop(r0.ID(), h.ID()); got != NoNode {
-		t.Fatalf("NextHop without resolver = %d, want NoNode", got)
+	net, r0, r1, h := chainNet(t)
+	if got := net.NextHop(r0.ID(), h.ID()); got != r1.ID() {
+		t.Fatalf("NextHop(r0, h) on a hand-built network = %d, want %d", got, r1.ID())
 	}
 	if got := net.NextHop(NodeID(-1), h.ID()); got != NoNode {
 		t.Fatalf("NextHop from invalid node = %d, want NoNode", got)
 	}
-	if got := net.NextHop(r0.ID(), NodeID(999)); got != NoNode {
+	if got := net.NextHop(r0.ID(), NodeID(999)); got != NoNode || net.RouteLink(r0.ID(), NodeID(-1)) != nil {
 		t.Fatalf("NextHop to unknown node = %d, want NoNode", got)
+	}
+	lone := net.AddRouter("lone")
+	if got := net.NextHop(r0.ID(), lone.ID()); got != NoNode {
+		t.Fatalf("NextHop to an unlinked router = %d, want NoNode", got)
+	}
+	if net.RouteColumns() != 2 {
+		t.Fatalf("RouteColumns = %d, want 2 (the host's router and the lone router)", net.RouteColumns())
 	}
 }
 
 // TestConnectInvalidatesColumns pins the safety rule for dynamic graphs:
 // adding a link after columns materialized drops the memo so stale shortest
-// paths cannot be served.
+// paths cannot be served, and the column computed next is as wide as the
+// network and sees the new link.
 func TestConnectInvalidatesColumns(t *testing.T) {
 	net, r0, _, h := chainNet(t)
-	cr := &countingResolver{net: net}
-	net.SetRouteResolver(cr)
 
 	net.NextHop(r0.ID(), h.ID())
 	if net.RouteColumns() != 1 {
@@ -105,9 +92,12 @@ func TestConnectInvalidatesColumns(t *testing.T) {
 	if net.RouteColumns() != 0 {
 		t.Fatalf("Connect left %d stale columns", net.RouteColumns())
 	}
-	net.NextHop(r0.ID(), h.ID())
-	if cr.calls != 2 {
-		t.Fatalf("resolver ran %d times, want 2 (re-materialized after invalidation)", cr.calls)
+	if got := net.NextHop(r2.ID(), h.ID()); got != r0.ID() {
+		t.Fatalf("NextHop(r2, h) = %d after the connect, want %d", got, r0.ID())
+	}
+	if net.RouteColumns() != 1 || len(net.routeCols[h.ID()]) != net.NodeCount() {
+		t.Fatalf("re-materialized %d columns, %d wide; want 1, %d wide",
+			net.RouteColumns(), len(net.routeCols[h.ID()]), net.NodeCount())
 	}
 }
 
@@ -134,7 +124,6 @@ func BenchmarkForward(b *testing.B) {
 	if err := n.ConnectDuplex(dst.ID(), far, cfg); err != nil {
 		b.Fatal(err)
 	}
-	n.SetRouteResolver(&bfsResolver{net: n})
 	label := FlowLabel{SrcIP: IP(0x0a000002), DstIP: dst.PrimaryIP(), SrcPort: 1, DstPort: 80}
 	send := func() {
 		pkt := n.NewPacket()
@@ -163,12 +152,114 @@ func TestAggregateOfMultiHomedHost(t *testing.T) {
 	if err := net.ConnectDuplex(h.ID(), r0.ID(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	cr := &countingResolver{net: net}
-	net.SetRouteResolver(cr)
 
 	net.NextHop(r0.ID(), r1.ID())
 	net.NextHop(r0.ID(), h.ID())
-	if cr.calls != 2 {
-		t.Fatalf("resolver ran %d times, want 2 (multi-homed host needs its own column)", cr.calls)
+	if net.RouteColumns() != 2 {
+		t.Fatalf("%d columns materialized, want 2 (multi-homed host needs its own column)", net.RouteColumns())
 	}
+}
+
+// refColumn is the routing reference: one breadth-first search from dest over
+// AppendNeighbors, each discovered node v sending on LinkBetween(v, u) toward
+// the node u that discovered it. It shares nothing with the network's route
+// computation (no back links, no column storage, no memo) and sees faults the
+// way AppendNeighbors reports them.
+func refColumn(net *Network, dest NodeID) []*Link {
+	n := len(net.nodes)
+	col := make([]*Link, n)
+	visited := make([]bool, n)
+	queue := []NodeID{dest}
+	visited[dest] = true
+	var nbuf []NodeID
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		nbuf = net.AppendNeighbors(nbuf[:0], u)
+		for _, v := range nbuf {
+			if visited[v] {
+				continue
+			}
+			visited[v] = true
+			col[v] = net.LinkBetween(v, u)
+			queue = append(queue, v)
+		}
+	}
+	return col
+}
+
+// FuzzRouteColumns runs random scripts of routers, hosts, duplex and simplex
+// links (so some discovered nodes have no link back), lookups interleaved with
+// the mutations, one-direction link faults and router crashes and restores.
+// After every step each materialized column must be the reference BFS's for
+// the destination it serves (a single-homed host's slot aliases its router's
+// column), and a column the step materialized must be as wide as the network.
+func FuzzRouteColumns(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 2, 0, 1, 2, 1, 2, 1, 3, 0, 4, 2, 0, 4, 0, 2})
+	f.Add([]byte{0, 0, 0, 0, 2, 0, 1, 2, 1, 2, 3, 2, 3, 2, 3, 0, 4, 3, 0, 5, 0, 0, 4, 0, 3, 6, 1, 4, 3, 0, 6, 1, 4, 3, 0})
+	f.Add([]byte{0, 0, 0, 1, 0, 1, 1, 2, 0, 2, 2, 1, 2, 2, 3, 2, 4, 1, 3, 4, 3, 0, 0, 4, 0, 4, 2, 2, 4, 4, 2, 5, 1, 0, 4, 4, 3})
+	cfg := LinkConfig{BandwidthBps: 1e9, Delay: sim.Millisecond, QueueLen: 8}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		net := New(sim.NewScheduler(), sim.NewRNG(1))
+		next := func() int {
+			if len(script) == 0 {
+				return 0
+			}
+			b := script[0]
+			script = script[1:]
+			return int(b)
+		}
+		node := func() NodeID { return NodeID(next() % max(len(net.nodes), 1)) }
+		for step := 0; len(script) > 0 && step < 256; step++ {
+			before := net.RouteColumns()
+			switch op := next() % 7; {
+			case op == 0 && len(net.nodes) < 32:
+				net.AddRouter("r")
+			case op == 1 && len(net.nodes) < 32:
+				net.AddHost("h", IP(0x0a000000+len(net.nodes)))
+			case op == 2 && len(net.nodes) > 0:
+				_ = net.ConnectDuplex(node(), node(), cfg)
+			case op == 3 && len(net.nodes) > 0:
+				_, _ = net.Connect(node(), node(), cfg)
+			case op == 4 && len(net.nodes) > 0:
+				at, dest := node(), node()
+				net.RouteLink(at, dest)
+				if net.RouteColumns() > before {
+					if got := len(net.routeCols[dest]); got != len(net.nodes) {
+						t.Fatalf("step %d: column toward %d materialized %d wide, network has %d nodes", step, dest, got, len(net.nodes))
+					}
+				}
+			case op == 5 && len(net.nodes) > 0:
+				if a := node(); int(a) < len(net.sparse) && len(net.sparse[a]) > 0 {
+					l := net.sparse[a][next()%len(net.sparse[a])].link
+					l.SetDown(!l.Down())
+				}
+			case op == 6 && len(net.nodes) > 0:
+				if id := node(); net.RouterDown(id) {
+					_ = net.RestoreRouter(id)
+				} else {
+					_ = net.FailRouter(id)
+				}
+			}
+			for dest, col := range net.routeCols {
+				if col == nil {
+					continue
+				}
+				agg := net.aggregateOf(NodeID(dest))
+				if aggCol := net.routeCols[agg]; len(aggCol) != len(col) || len(col) > 0 && &aggCol[0] != &col[0] {
+					t.Fatalf("step %d: the slot of %d does not alias the column of %d", step, dest, agg)
+				}
+				want := refColumn(net, agg)
+				for at, w := range want {
+					var got *Link
+					if at < len(col) {
+						got = col[at]
+					}
+					if got != w {
+						t.Fatalf("step %d: %d sends toward %d on %v, reference BFS says %v", step, at, dest, got, w)
+					}
+				}
+			}
+		}
+	})
 }

@@ -9,9 +9,9 @@ import (
 
 // refNextHops is the routing reference: a textbook breadth-first search from
 // dest over Network.Neighbors in which the first node to discover a node
-// becomes its next hop toward dest. It shares nothing with the resolver under
-// test (no CSR snapshot, no aggregation, no memo) and sees faults the way
-// Neighbors reports them. Unreached nodes keep NoNode; dest maps to itself.
+// becomes its next hop toward dest. It shares nothing with the network's
+// route computation (no back links, no aggregation, no memo) and sees faults
+// the way Neighbors reports them. Unreached nodes keep NoNode; dest maps to itself.
 func refNextHops(net *netsim.Network, dest netsim.NodeID) []netsim.NodeID {
 	hops := make([]netsim.NodeID, net.NodeCount())
 	for i := range hops {
@@ -206,14 +206,16 @@ func TestColumnMaterializedOncePerDestination(t *testing.T) {
 
 // TestColumnStorageReusedAcrossSweepPoints pins the arena half of the memo:
 // rebuilding the same domain through one arena and touching the same
-// destinations must not carve any new column storage.
+// destinations reuses the network's column storage, so a second build and its
+// lookups allocate nothing.
 func TestColumnStorageReusedAcrossSweepPoints(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumRouters = 24
 
 	arena := NewArena()
+	sched, rng := sim.NewScheduler(), sim.NewRNG(3)
 	touch := func() {
-		d, err := arena.Build(cfg, sim.NewScheduler(), sim.NewRNG(3))
+		d, err := arena.Build(cfg, sched, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,23 +226,15 @@ func TestColumnStorageReusedAcrossSweepPoints(t *testing.T) {
 		}
 	}
 	touch()
-	carved := arena.lazy.carved
-	if carved == 0 {
-		t.Fatal("first build carved no columns; the test is not exercising the pool")
-	}
-	for i := 0; i < 3; i++ {
-		touch()
-	}
-	if arena.lazy.carved != carved {
-		t.Fatalf("rebuilds carved %d new columns (total %d, first build %d)",
-			arena.lazy.carved-carved, arena.lazy.carved, carved)
+	if allocs := testing.AllocsPerRun(3, touch); allocs != 0 {
+		t.Fatalf("a rebuild through the arena and the same lookups allocated %v times, want 0", allocs)
 	}
 }
 
-// TestLazyRouterRefreshesAfterPostBuildMutation verifies the resolver does
-// not serve a stale CSR snapshot: mutating the graph after Build (new router,
-// new links) both invalidates the memoized columns and forces the next
-// materialization to see the new topology.
+// TestLazyRouterRefreshesAfterPostBuildMutation verifies the network does not
+// serve stale routes: mutating the graph after Build (new router, new links)
+// both invalidates the memoized columns and forces the next materialization
+// to see the new topology.
 func TestLazyRouterRefreshesAfterPostBuildMutation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumRouters = 24
@@ -256,7 +250,7 @@ func TestLazyRouterRefreshesAfterPostBuildMutation(t *testing.T) {
 	}
 
 	// Shortcut from the far router straight to the last hop, plus a brand
-	// new router beyond the snapshot's width.
+	// new router beyond the build's width.
 	extra := net.AddRouter("post-build")
 	link := cfg.CoreLink
 	if err := net.ConnectDuplex(far.ID(), d.LastHop.ID(), link); err != nil {
@@ -272,7 +266,7 @@ func TestLazyRouterRefreshesAfterPostBuildMutation(t *testing.T) {
 	if next := net.NextHop(far.ID(), d.Victim.ID()); next != d.LastHop.ID() {
 		t.Fatalf("far router ignores the new shortcut: next hop %d, want %d", next, d.LastHop.ID())
 	}
-	// The post-snapshot router must be routable both as origin and as
+	// The post-build router must be routable both as origin and as
 	// destination (this used to index past the stale parent table).
 	if next := net.NextHop(extra.ID(), d.Victim.ID()); next != far.ID() {
 		t.Fatalf("new router cannot reach the victim: next hop %d, want %d", next, far.ID())

@@ -7,48 +7,12 @@
 // zombies inject traffic at ingress routers, everything converges on the
 // last-hop router, and the victim sits behind it.
 //
-// # Two-level demand-driven routing
+// Routing is the network's own: netsim computes each destination's route
+// column on demand (see netsim's routing.go), and lazy_test.go checks it
+// against a textbook BFS on every domain shape this package builds.
 //
-// The package is also the domain's routing authority. Routing state is
-// two-level and produced on demand:
-//
-//   - Level 1 — host aggregation. Forwarding state is indexed by destination
-//     *router*, never by host: a single-homed host is reached by routing to
-//     its attachment router, which delivers locally over the direct access
-//     link. This cuts the width of the routing state from nodes × nodes to
-//     routers-worth of columns. A multi-homed host (e.g. the dual-homed
-//     victim) keeps a dedicated column so the shortest-path tie-break among
-//     its homes is decided exactly as a per-node BFS would.
-//   - Level 2 — lazy columns. No routes exist after Build. When a
-//     destination first appears in live traffic, the network asks the
-//     arena's resolver for that destination's route column: one reverse
-//     BFS over the CSR adjacency snapshot, O(nodes + links), memoized for
-//     the rest of the run. A column holds each node's outgoing link toward
-//     the destination, so forwarding a packet is one indexed load. A MAFIC
-//     workload only ever routes toward the victims, the edge sources (ACKs)
-//     and the spoof pool (probes), so a 5000-router domain materializes a
-//     few dozen columns instead of the ~5000 × 5000 entries an all-pairs
-//     install would write.
-//
-// Invariants the tests pin:
-//
-//   - Next hops are those of a per-destination BFS with ascending neighbour
-//     tie-breaking, for every (node, destination) pair, and the link a node
-//     forwards on is LinkBetween(node, next hop): lazy_test.go holds that
-//     reference — a textbook BFS over Network.Neighbors, sharing nothing
-//     with the CSR resolver — and compares it with NextHop and with the
-//     forwarding link on every domain shape, after a post-build Connect,
-//     with one direction of a loaded link down (the down link stays in the
-//     column, and packets sent on it die there), with a cable cut and with a
-//     router crashed. Host aggregation is exact because a single-homed
-//     host's shortest-path tree minus the host itself IS its attachment
-//     router's tree.
-//   - A column is materialized at most once per destination router per run,
-//     and hosts alias their router's column rather than copying it.
-//   - Column storage is recycled across sweep points: rebuilding through the
-//     same Arena reclaims every column the previous build handed out.
-//   - Every host's address is its own: Build fails with ErrConfig rather
-//     than let two hosts share one (see edgeIP for the per-ingress blocks).
+// Every host's address is its own: Build fails with ErrConfig rather than let
+// two hosts share one (see edgeIP for the per-ingress blocks).
 //
 // Arena-built domains (their network and routing columns included) follow the
 // arena ownership rule: valid until the next Build on the same arena.
@@ -293,8 +257,8 @@ func (d *Domain) SpoofPool() []netsim.IP {
 // VictimIP returns the victim server's address.
 func (d *Domain) VictimIP() netsim.IP { return d.Victim.PrimaryIP() }
 
-// Build generates a domain according to cfg, wiring links and registering
-// the shortest-path route resolver. The supplied RNG drives every random
+// Build generates a domain according to cfg, wiring its nodes and links; the
+// network routes on demand from there. The supplied RNG drives every random
 // choice so domains are reproducible. Each call uses a fresh arena; sweeps
 // that rebuild topologies repeatedly should reuse one via Arena.Build.
 func Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, error) {
@@ -302,7 +266,7 @@ func Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, error) {
 }
 
 // Build generates a domain like the package-level Build, reusing the arena's
-// backing arrays. The returned Domain is valid until the arena's next Build;
+// network and Domain. The returned Domain is valid until the arena's next Build;
 // see the Arena documentation for the ownership rules.
 func (a *Arena) Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, error) {
 	if cfg.NumRouters < 2 {
@@ -337,8 +301,18 @@ func (a *Arena) Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, 
 	// network allocate its per-node tables (dispatch, adjacency spine,
 	// route columns) exactly once.
 	net.Reserve(cfg.nodeBudget(numIngress))
-	d := &Domain{Net: net}
-	a.recycle(d)
+	d := &a.domain
+	*d = Domain{
+		Net:          net,
+		Routers:      d.Routers[:0],
+		Ingress:      d.Ingress[:0],
+		VictimHomes:  d.VictimHomes[:0],
+		ExtraVictims: d.ExtraVictims[:0],
+		Clients:      d.Clients[:0],
+		Zombies:      d.Zombies[:0],
+		Bystanders:   d.Bystanders[:0],
+		ingressOf:    d.ingressOf[:0],
+	}
 
 	for i := 0; i < cfg.NumRouters; i++ {
 		d.Routers = append(d.Routers, net.AddRouter(name(&a.names.routers, "r", i)))
@@ -443,11 +417,6 @@ func (a *Arena) Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, 
 		return nil, err
 	}
 
-	// Routing: snapshot the finished graph and register the arena's
-	// resolver — columns materialize when traffic first needs them.
-	a.lazy.bind(net)
-	net.SetRouteResolver(&a.lazy)
-	a.adopt(d)
 	return d, nil
 }
 
@@ -563,28 +532,4 @@ func (d *Domain) uniqueAddresses() error {
 		}
 	}
 	return nil
-}
-
-// PathLength returns the number of hops between two nodes, or -1 if they are
-// disconnected. It is used by tests and by RTT estimation.
-func PathLength(net *netsim.Network, from, to netsim.NodeID) int {
-	if from == to {
-		return 0
-	}
-	var rs routeScratch
-	n := rs.snapshot(net)
-	if int(from) >= n || int(to) >= n || from < 0 || to < 0 {
-		return -1
-	}
-	col := make([]*netsim.Link, n)
-	rs.bfs(to, col)
-	// Each link leads one level up the BFS tree, so the walk ends.
-	hops := 0
-	for cur := from; cur != to; cur = col[cur].To() {
-		if col[cur] == nil {
-			return -1
-		}
-		hops++
-	}
-	return hops
 }

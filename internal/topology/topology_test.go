@@ -79,7 +79,7 @@ func TestBuildSmallDomains(t *testing.T) {
 func TestAllIngressReachVictim(t *testing.T) {
 	d := buildDefault(t, nil)
 	for _, ing := range d.Ingress {
-		hops := PathLength(d.Net, ing.ID(), d.Victim.ID())
+		hops := pathLength(d.Net, ing.ID(), d.Victim.ID())
 		if hops <= 0 {
 			t.Fatalf("ingress %s cannot reach victim (hops=%d)", ing.Name(), hops)
 		}
@@ -187,7 +187,7 @@ func TestDomainSizeSweepBuilds(t *testing.T) {
 		if got := len(d.Routers); got != n {
 			t.Fatalf("N=%d: built %d routers", n, got)
 		}
-		if hops := PathLength(d.Net, d.Ingress[0].ID(), d.Victim.ID()); hops <= 0 {
+		if hops := pathLength(d.Net, d.Ingress[0].ID(), d.Victim.ID()); hops <= 0 {
 			t.Fatalf("N=%d: ingress cannot reach victim", n)
 		}
 	}
@@ -263,15 +263,30 @@ func TestDuplicateAddressIsAConfigError(t *testing.T) {
 	}
 }
 
+// pathLength returns the number of hops a packet at from takes to reach to,
+// walking the links forwarding would send it on, or -1 where there is none
+// (or where the walk goes round in a circle).
+func pathLength(net *netsim.Network, from, to netsim.NodeID) int {
+	hops := 0
+	for cur := from; cur != to; hops++ {
+		l := forwardingLink(net, cur, to)
+		if l == nil || hops == net.NodeCount() {
+			return -1
+		}
+		cur = l.To()
+	}
+	return hops
+}
+
 func TestPathLengthDisconnected(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := netsim.New(sched, sim.NewRNG(1))
 	a := net.AddHost("a", netsim.IP(1))
 	b := net.AddHost("b", netsim.IP(2))
-	if got := PathLength(net, a.ID(), b.ID()); got != -1 {
+	if got := pathLength(net, a.ID(), b.ID()); got != -1 {
 		t.Fatalf("disconnected path length = %d, want -1", got)
 	}
-	if got := PathLength(net, a.ID(), a.ID()); got != 0 {
+	if got := pathLength(net, a.ID(), a.ID()); got != 0 {
 		t.Fatalf("self path length = %d, want 0", got)
 	}
 }

@@ -24,7 +24,7 @@ func TestBuildTransitStubDomain(t *testing.T) {
 		if ing == d.LastHop {
 			t.Fatal("last-hop router must not be an ingress")
 		}
-		if hops := PathLength(d.Net, ing.ID(), d.Victim.ID()); hops <= 0 {
+		if hops := pathLength(d.Net, ing.ID(), d.Victim.ID()); hops <= 0 {
 			t.Fatalf("ingress %s cannot reach the victim", ing.Name())
 		}
 	}
@@ -45,7 +45,7 @@ func TestBuildTransitStubTiny(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build tiny transit-stub: %v", err)
 	}
-	if hops := PathLength(d.Net, d.Ingress[0].ID(), d.Victim.ID()); hops <= 0 {
+	if hops := pathLength(d.Net, d.Ingress[0].ID(), d.Victim.ID()); hops <= 0 {
 		t.Fatal("ingress cannot reach victim in tiny transit-stub domain")
 	}
 }
@@ -98,7 +98,7 @@ func TestBuildExtraVictims(t *testing.T) {
 			t.Fatalf("extra victim %s shares a last-hop router", v.Name())
 		}
 		routers[v.AccessRouter()] = true
-		if hops := PathLength(d.Net, d.Ingress[0].ID(), v.ID()); hops <= 0 {
+		if hops := pathLength(d.Net, d.Ingress[0].ID(), v.ID()); hops <= 0 {
 			t.Fatalf("ingress cannot reach extra victim %s", v.Name())
 		}
 	}

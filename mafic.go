@@ -100,13 +100,13 @@ func DefaultScenario() Scenario { return experiment.DefaultScenario() }
 // dropping — and returns its metrics.
 func Simulate(s Scenario) (Result, error) { return experiment.Run(s) }
 
-// Scenarios returns the registered scenario catalog — the paper's Table II
+// Scenarios returns the built-in scenario catalog — the paper's Table II
 // default plus the adversarial workloads (multi-victim floods, rolling
 // pulses, flash crowds, heterogeneous rate mixes, shrew pulses, alternative
 // topologies) — sorted by name.
 func Scenarios() []ScenarioEntry { return experiment.Entries() }
 
-// LookupScenario returns the catalog entry registered under name.
+// LookupScenario returns the catalog entry named name.
 func LookupScenario(name string) (ScenarioEntry, bool) { return experiment.LookupScenario(name) }
 
 // QuickScenario returns a scaled-down copy of a scenario that exercises the
