@@ -153,7 +153,10 @@ search-baseline:
 # profilers, so the next hotspot hunt starts from `go tool pprof cpu.pprof`.
 # Every allocation is recorded, not one per half-megabyte: a warm run makes a
 # few hundred small ones, which the default sampling rate would mostly miss.
+# mem.pprof also holds the in-use heap at the end, which is what the pooled
+# run bundle's arena retains: read it with -sample_index=inuse_space.
 PROFILE_BENCH ?= table2
 profile:
 	$(GO) test ./internal/experiment -run '^$$' -bench 'Run/$(PROFILE_BENCH)$$' -benchtime 5x -cpuprofile cpu.pprof -memprofile mem.pprof -memprofilerate 1
-	@echo "wrote cpu.pprof and mem.pprof (alloc profile); inspect with: go tool pprof -top cpu.pprof"
+	@echo "wrote cpu.pprof and mem.pprof; inspect with: go tool pprof -top cpu.pprof"
+	@echo "retained heap (the pooled arena): go tool pprof -top -sample_index=inuse_space mem.pprof"

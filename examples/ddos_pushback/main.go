@@ -40,7 +40,7 @@ func run() error {
 		return fmt.Errorf("build domain: %w", err)
 	}
 	fmt.Printf("domain: %d routers, %d ingress, victim %s behind %s\n",
-		len(domain.Routers), len(domain.Ingress), domain.VictimIP(), domain.LastHop.Name())
+		len(domain.Routers), len(domain.Ingress), domain.VictimIP(), domain.LastHop)
 
 	// 2. Generate the traffic mix: 40 flows, 90% legitimate TCP, the rest
 	//    zombies flooding at 5000 pkt/s with spoofed sources.

@@ -13,8 +13,8 @@ func newEnv(t *testing.T) (*netsim.Network, *netsim.Router, netsim.IP) {
 	t.Helper()
 	sched := sim.NewScheduler()
 	net := netsim.New(sched, sim.NewRNG(1))
-	r := net.AddRouter("r")
-	victim := net.AddHost("victim", netsim.IP(0x0a000001))
+	r := net.AddRouter()
+	victim := net.AddHost(netsim.IP(0x0a000001))
 	victim.AttachTo(r.ID())
 	if err := net.ConnectDuplex(victim.ID(), r.ID(), netsim.LinkConfig{BandwidthBps: 1e9, Delay: sim.Millisecond}); err != nil {
 		t.Fatal(err)

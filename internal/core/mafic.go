@@ -113,8 +113,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: probe delay %v RTTs, response factor %v and minimum probe packets %d must be non-negative",
 			ErrConfig, c.ProbeDelayRTTs, c.ResponseFactor, c.MinProbePackets)
 	}
-	if c.ProbeSize <= 0 {
-		return fmt.Errorf("%w: probe size %d must be positive", ErrConfig, c.ProbeSize)
+	if c.ProbeSize <= 0 || c.ProbeSize > netsim.MaxPacketSize {
+		return fmt.Errorf("%w: probe size %d outside [1,%d]", ErrConfig, c.ProbeSize, netsim.MaxPacketSize)
 	}
 	if c.TableCapacity < 0 {
 		return fmt.Errorf("%w: table capacity %d must be non-negative", ErrConfig, c.TableCapacity)

@@ -25,10 +25,10 @@ func newTestEnv(t *testing.T) *testEnv {
 	t.Helper()
 	sched := sim.NewScheduler()
 	net := netsim.New(sched, sim.NewRNG(1))
-	atr := net.AddRouter("atr")
-	source := net.AddHost("source", netsim.IP(0xc0a80001))
-	victim := net.AddHost("victim", netsim.IP(0x0a000001))
-	bystander := net.AddHost("bystander", netsim.IP(0xcb007101))
+	atr := net.AddRouter()
+	source := net.AddHost(netsim.IP(0xc0a80001))
+	victim := net.AddHost(netsim.IP(0x0a000001))
+	bystander := net.AddHost(netsim.IP(0xcb007101))
 	cfg := netsim.LinkConfig{BandwidthBps: 100e6, Delay: sim.Millisecond, QueueLen: 64}
 	for _, h := range []*netsim.Host{source, victim, bystander} {
 		h.AttachTo(atr.ID())
@@ -319,6 +319,56 @@ func TestLateOnlyFlowCondemned(t *testing.T) {
 	label := driveFlow(t, e, d, e.bystander.PrimaryIP(), 3000, 0, 10, true)
 	if _, state := d.Tables().Lookup(label.Hash()); state != flowtable.StatePermanentDrop {
 		t.Fatalf("late-ramp flow in %v, want PDT", state)
+	}
+}
+
+// TestLongProbeWindowCondemnsAHalvingFlow pins how classify reads a probing
+// window as it runs: it compares the arrival counts of the two intervals, not
+// their rates. One flow arrives every RTT/10 and halves its rate at the probe.
+// With the paper's window (2 × RTT, probe after 1 RTT) both intervals are
+// 1 RTT long, the response count is half the baseline count, and the flow is
+// promoted. With a 4 × RTT window a 1-RTT baseline count meets a 3-RTT
+// response count 1.5 times its size, and the same flow is condemned: the
+// artifact behind the ablation-probe-window series at 4 × RTT. A classify
+// that compares rates promotes it in both cases, and fails here.
+func TestLongProbeWindowCondemnsAHalvingFlow(t *testing.T) {
+	for _, tc := range []struct {
+		windowRTTs         float64
+		baseline, response int
+		want               flowtable.State
+	}{
+		{windowRTTs: 2, baseline: 10, response: 5, want: flowtable.StateNice},
+		{windowRTTs: 4, baseline: 10, response: 15, want: flowtable.StatePermanentDrop},
+	} {
+		e := newTestEnv(t)
+		d := e.defender(t, func(c *Config) {
+			c.DropProbability = 1
+			c.ProbeWindowRTTs = tc.windowRTTs
+			c.ProbeDelayRTTs = 1
+		})
+		d.Activate(e.victim.PrimaryIP())
+		rtt := d.Config().RTT
+		window := sim.Time(float64(rtt) * tc.windowRTTs)
+		flow := e.dataPacket(e.source.PrimaryIP(), 1000, 0, false).Label.Hash()
+		seq := int64(0)
+		for at := sim.Time(0); at < window; seq++ {
+			d.Handle(e.dataPacket(e.source.PrimaryIP(), 1000, seq, false), at, e.atr)
+			if at < rtt {
+				at += rtt / 10
+			} else {
+				at += rtt / 5
+			}
+		}
+		entry, _ := d.Tables().Lookup(flow)
+		if entry == nil || entry.BaselineCount != tc.baseline || entry.ResponseCount != tc.response {
+			t.Fatalf("%v × RTT window: counts %+v, want baseline %d, response %d", tc.windowRTTs, entry, tc.baseline, tc.response)
+		}
+		if err := e.sched.RunUntil(window + sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if _, state := d.Tables().Lookup(flow); state != tc.want {
+			t.Errorf("%v × RTT window: a flow that halves at the probe is in %v, want %v", tc.windowRTTs, state, tc.want)
+		}
 	}
 }
 

@@ -188,18 +188,28 @@ func TestRebuildReusesTheNetwork(t *testing.T) {
 	}
 }
 
-// TestStructSizes pins the two structs the engine holds by the hundred
-// thousand. Packets come from the network's pool in chunks and a 50 000-router
-// domain has 120 000 links, so a word on either shows directly in the
-// benchmark's alloc_bytes_per_job: on paper-table2 through the packet chunks,
-// on scale-50k through the link slab. Both carry the in-flight chain that
-// replaced the per-packet transmit-done event without having grown for it.
+// TestStructSizes pins the structs a domain is made of. Packets come from the
+// network's pool in chunks, and the quick 50 000-router domain has about
+// 130 000 links and 50 000 routers, so a word on any of them shows in the
+// benchmark's peak_rss_mb and alloc_bytes_per_job: on paper-table2 through
+// the packet chunks, on scale-50k through the router and link slabs. Packet
+// and Link carry the in-flight chain that replaced the per-packet
+// transmit-done event without having grown for it; nodes carry no name, and
+// links share their configuration. Host rides along so that it, too, cannot
+// grow back a name.
 func TestStructSizes(t *testing.T) {
-	if got := unsafe.Sizeof(netsim.Packet{}); got > 120 {
-		t.Errorf("netsim.Packet is %d bytes, want at most 120", got)
-	}
-	if got := unsafe.Sizeof(netsim.Link{}); got > 96 {
-		t.Errorf("netsim.Link is %d bytes, want at most 96", got)
+	for _, c := range []struct {
+		name     string
+		got, max uintptr
+	}{
+		{"Packet", unsafe.Sizeof(netsim.Packet{}), 120},
+		{"Link", unsafe.Sizeof(netsim.Link{}), 80},
+		{"Router", unsafe.Sizeof(netsim.Router{}), 72},
+		{"Host", unsafe.Sizeof(netsim.Host{}), 160},
+	} {
+		if c.got > c.max {
+			t.Errorf("netsim.%s is %d bytes, want at most %d", c.name, c.got, c.max)
+		}
 	}
 }
 

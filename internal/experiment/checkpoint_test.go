@@ -291,6 +291,7 @@ var restoreRefusals = []struct {
 	{"no packet kind", editFirstArrival(func(p *netsim.PacketState) { p.Kind = 0 }), "kind 0,"},
 	{"unknown protocol", editFirstArrival(func(p *netsim.PacketState) { p.Proto = netsim.ProtoUDP + 1 }), "protocol 3,"},
 	{"negative packet size", editFirstArrival(func(p *netsim.PacketState) { p.Size = -p.Size }), "size -"},
+	{"a packet over the IP maximum", editFirstArrival(func(p *netsim.PacketState) { p.Size = netsim.MaxPacketSize + 1 }), "size 65536,"},
 	{"negative hop count", editFirstArrival(func(p *netsim.PacketState) { p.Hops = -1 }), "hop count -1"},
 	{"buckets set, zero adds", editFirstTouchedSketch(func(st *loglog.SketchState) { st.Adds = 0 }), "non-zero buckets and zero adds"},
 	{"adds, no buckets", editFirstTouchedSketch(func(st *loglog.SketchState) { st.Buckets = nil }), "bucket count 0"},
@@ -322,6 +323,9 @@ var restoreRefusals = []struct {
 	{"a flap of 2^40 outages", spliceScenarioKeys(map[string]any{"Faults": map[string]any{"linkFlaps": []any{map[string]any{
 		"routerA": 1, "routerB": 2, "start": int64(sim.Millisecond), "downFor": int64(sim.Millisecond),
 		"period": int64(2 * sim.Millisecond), "count": int64(1 << 40)}}}}), "count 1099511627776 is above 1000"},
+	// Links whose transmission times or arrival keys would wrap sim.Time.
+	{"a 1e-300 b/s access link", spliceScenarioKeys(map[string]any{"Topology.AccessLink.BandwidthBps": 1e-300}), "access link drains"},
+	{"a victim delay near the end of time", spliceScenarioKeys(map[string]any{"Topology.VictimLink.Delay": int64(math.MaxInt64 - 10)}), "victim link drains"},
 }
 
 // nanFirstRunningWindow sets the congestion window of the first running TCP

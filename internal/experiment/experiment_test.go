@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mafic/internal/netsim"
 	"mafic/internal/sim"
 )
 
@@ -39,6 +40,9 @@ func TestScenarioValidateErrors(t *testing.T) {
 		mutate func(*Scenario)
 	}{
 		{name: "zero duration", mutate: func(s *Scenario) { s.Duration = 0 }},
+		{name: "duration at the horizon", mutate: func(s *Scenario) { s.Duration = sim.Horizon }},
+		{name: "data packets over the IP maximum", mutate: func(s *Scenario) { s.Workload.PacketSize = netsim.MaxPacketSize + 1 }},
+		{name: "probes over the IP maximum", mutate: func(s *Scenario) { s.MAFIC.ProbeSize = netsim.MaxPacketSize + 1 }},
 		{name: "bad defense", mutate: func(s *Scenario) { s.Defense = DefenseKind(99) }},
 		{name: "bad workload", mutate: func(s *Scenario) { s.Workload.TotalFlows = 0 }},
 		{name: "bad mafic", mutate: func(s *Scenario) { s.MAFIC.DropProbability = 2 }},

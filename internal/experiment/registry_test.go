@@ -33,6 +33,12 @@ func TestRegistryEntriesBuildAndValidate(t *testing.T) {
 			if err := Quick(s).Validate(); err != nil {
 				t.Fatalf("quick scenario invalid: %v", err)
 			}
+			if err := Harden(s).Validate(); err != nil {
+				t.Fatalf("hardened scenario invalid: %v", err)
+			}
+			if err := Harden(Quick(s)).Validate(); err != nil {
+				t.Fatalf("hardened quick scenario invalid: %v", err)
+			}
 		})
 	}
 }

@@ -258,7 +258,7 @@ func (b *builtRun) build() error {
 		for i, ing := range domain.Ingress {
 			d := res.defender(i)
 			if err := d.Reset(s.MAFIC, ing, rng.Fork()); err != nil {
-				return fmt.Errorf("defender on %s: %w", ing.Name(), err)
+				return fmt.Errorf("defender on %s: %w", ing, err)
 			}
 			d.SetDropObserver(collector.ObserveMAFICDrop)
 			defByRouter[ing.ID()] = d
@@ -268,7 +268,7 @@ func (b *builtRun) build() error {
 		for _, ing := range domain.Ingress {
 			d, derr := baseline.NewDropper(s.MAFIC.DropProbability, ing, rng.Fork())
 			if derr != nil {
-				return fmt.Errorf("baseline on %s: %w", ing.Name(), derr)
+				return fmt.Errorf("baseline on %s: %w", ing, derr)
 			}
 			d.SetDropObserver(collector.ObserveBaselineDrop)
 			defByRouter[ing.ID()] = d

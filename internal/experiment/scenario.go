@@ -166,8 +166,8 @@ func Harden(s Scenario) Scenario {
 
 // Validate reports configuration problems before an expensive run.
 func (s Scenario) Validate() error {
-	if s.Duration <= 0 {
-		return fmt.Errorf("%w: duration must be positive", ErrScenario)
+	if s.Duration <= 0 || s.Duration >= sim.Horizon {
+		return fmt.Errorf("%w: duration must be positive and under sim.Horizon", ErrScenario)
 	}
 	if s.Defense < DefenseMAFIC || s.Defense > DefenseNone {
 		return fmt.Errorf("%w: unknown defence kind %d", ErrScenario, s.Defense)

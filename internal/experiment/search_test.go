@@ -42,17 +42,22 @@ func TestSearchGridEnumerationDeterministic(t *testing.T) {
 	}
 }
 
+// TestSearchPointScenarioSeeding checks every point of the default grid, under
+// each defence, full and quick: seeded from the spec's seed and valid.
 func TestSearchPointScenarioSeeding(t *testing.T) {
 	spec := DefaultSearchSpec()
 	spec.Seed = 42
-	grid := spec.Grid()
-	for _, p := range []SearchPoint{grid[0], grid[len(grid)-1]} {
-		s := spec.scenario(spec.Defences[0], p, true)
-		if s.Seed != spec.Seed+int64(p.Index) {
-			t.Fatalf("point %d seeded %d, want %d", p.Index, s.Seed, spec.Seed+int64(p.Index))
-		}
-		if err := s.Validate(); err != nil {
-			t.Fatalf("point %d scenario invalid: %v", p.Index, err)
+	for _, p := range spec.Grid() {
+		for _, def := range spec.Defences {
+			for _, quick := range []bool{false, true} {
+				s := spec.scenario(def, p, quick)
+				if s.Seed != spec.Seed+int64(p.Index) {
+					t.Fatalf("point %d seeded %d, want %d", p.Index, s.Seed, spec.Seed+int64(p.Index))
+				}
+				if err := s.Validate(); err != nil {
+					t.Fatalf("point %d (%s, quick %v) scenario invalid: %v", p.Index, def.Name, quick, err)
+				}
+			}
 		}
 	}
 }

@@ -13,9 +13,9 @@ func testNet(t *testing.T) (*netsim.Network, *netsim.Router, *netsim.Host, *nets
 	t.Helper()
 	sched := sim.NewScheduler()
 	net := netsim.New(sched, sim.NewRNG(1))
-	atr := net.AddRouter("atr")
-	src := net.AddHost("src", netsim.IP(0xc0a80001))
-	victim := net.AddHost("victim", netsim.IP(0x0a000001))
+	atr := net.AddRouter()
+	src := net.AddHost(netsim.IP(0xc0a80001))
+	victim := net.AddHost(netsim.IP(0x0a000001))
 	cfg := netsim.LinkConfig{BandwidthBps: 1e9, Delay: sim.Millisecond, QueueLen: 64}
 	for _, h := range []*netsim.Host{src, victim} {
 		h.AttachTo(atr.ID())

@@ -21,7 +21,7 @@ func buildAdjNet(t *testing.T, routers, reserve int) (*Network, []*Router) {
 	n.Reserve(reserve)
 	rs := make([]*Router, routers)
 	for i := range rs {
-		rs[i] = n.AddRouter("r")
+		rs[i] = n.AddRouter()
 	}
 	for i := range rs {
 		if err := n.ConnectDuplex(rs[i].ID(), rs[(i+1)%routers].ID(), adjLinkCfg); err != nil {
@@ -114,9 +114,9 @@ func TestSparseDenseAdjacencyEquivalent(t *testing.T) {
 		addNodes := func(k int) {
 			for ; k > 0; k-- {
 				if rng.Intn(4) == 0 {
-					n.AddHost("h", IP(0x0a000000+n.NodeCount()))
+					n.AddHost(IP(0x0a000000 + n.NodeCount()))
 				} else {
-					routers = append(routers, n.AddRouter("r").ID())
+					routers = append(routers, n.AddRouter().ID())
 				}
 			}
 		}
@@ -181,7 +181,7 @@ func TestCarvingPastReservation(t *testing.T) {
 	n.Reserve(reserve)
 	rs := make([]*Router, 0, final)
 	for i := 0; i < reserve; i++ {
-		rs = append(rs, n.AddRouter("r"))
+		rs = append(rs, n.AddRouter())
 	}
 	// Carve rows before the budget is exhausted.
 	for i := 0; i+1 < reserve; i++ {
@@ -191,7 +191,7 @@ func TestCarvingPastReservation(t *testing.T) {
 	}
 	// Exhaust the budget, then wire the over-budget routers.
 	for i := reserve; i < final; i++ {
-		rs = append(rs, n.AddRouter("r"))
+		rs = append(rs, n.AddRouter())
 	}
 	// Wiring past the budget is not idempotent, so AllocsPerRun (which
 	// re-runs its body as a warm-up) cannot measure it; count mallocs

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -16,7 +15,7 @@ import (
 func TestBusyLinkHoldsOneCalendarEntry(t *testing.T) {
 	s := sim.NewScheduler()
 	n := New(s, sim.NewRNG(1))
-	a, b := n.AddHost("a", IP(1)), n.AddHost("b", IP(2))
+	a, b := n.AddHost(IP(1)), n.AddHost(IP(2))
 	l, err := n.Connect(a.ID(), b.ID(), LinkConfig{BandwidthBps: 8e6, Delay: sim.Millisecond, QueueLen: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +171,7 @@ func randomLedgerRun(t *testing.T, seed int64) (tr chaosTrace, busiest int) {
 	}
 	const routers = 5
 	for i := 0; i < routers; i++ {
-		n.AddRouter(fmt.Sprintf("r%d", i))
+		n.AddRouter()
 	}
 	connect := func(a, b NodeID) {
 		if err := n.ConnectDuplex(a, b, cfgs[rng.Intn(len(cfgs))]); err != nil {
@@ -185,7 +184,7 @@ func randomLedgerRun(t *testing.T, seed int64) (tr chaosTrace, busiest int) {
 	connect(0, 2)
 	var hosts []*Host
 	for i, at := range []NodeID{0, 2, 4} {
-		h := n.AddHost(fmt.Sprintf("h%d", i), IP(0x0a000001+i))
+		h := n.AddHost(IP(0x0a000001 + i))
 		h.AttachTo(at)
 		connect(h.ID(), at)
 		hosts = append(hosts, h)

@@ -222,9 +222,10 @@ func CapturePacket(p *Packet, dst *PacketState) {
 // RestorePacket materializes an in-flight packet from the network's pool,
 // for use as the payload of a re-inserted link-arrival event. It refuses a
 // packet no run could have sent: an undeclared kind or protocol, a negative
-// size (a negative transmission time) or hop count.
+// hop count, or a size below zero (a negative transmission time) or above
+// MaxPacketSize.
 func (n *Network) RestorePacket(st PacketState) (*Packet, error) {
-	if st.Kind < KindData || st.Kind > KindControl || st.Proto < ProtoTCP || st.Proto > ProtoUDP || st.Size < 0 || st.Hops < 0 {
+	if st.Kind < KindData || st.Kind > KindControl || st.Proto < ProtoTCP || st.Proto > ProtoUDP || st.Size < 0 || st.Size > MaxPacketSize || st.Hops < 0 {
 		return nil, fmt.Errorf("netsim: restore packet %d is none a run could send: kind %d, protocol %d, size %d, hop count %d",
 			st.ID, uint8(st.Kind), uint8(st.Proto), st.Size, st.Hops)
 	}

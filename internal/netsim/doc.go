@@ -113,15 +113,15 @@
 // the storage of the one before (topology.Arena does exactly this; New stays
 // the fresh path, and the oracle the reset path is tested against).
 //
-// What survives is storage only: the chunks of the eight slabs (routers,
-// hosts, links, sparse adjacency entries, filter chains, host addresses,
-// pool packets, route columns), the backing of the three per-node tables (the
-// node table, the sparse adjacency spine, the route-column table), the route
-// BFS's scratch, the two maps' buckets and the free list's array. What a
-// caller can observe does not: a reset network has no nodes, links,
-// addresses, handlers, hooks or columns, its fault counters, TopoVersion and packet IDs start from zero,
-// and it is bound to the new scheduler and RNG. Reset states what it keeps
-// and zeroes the rest
+// What survives is storage only: the chunks of the nine slabs (routers,
+// hosts, links, link configurations, sparse adjacency entries, filter chains,
+// host addresses, pool packets, route columns), the backing of the three
+// per-node tables (the node table, the sparse adjacency spine, the
+// route-column table), the route BFS's scratch, the three maps' buckets and
+// the free list's array. What a caller can observe does not: a reset network
+// has no nodes, links, addresses, handlers, hooks or columns, its fault
+// counters, TopoVersion and packet IDs start from zero, and it is bound to the
+// new scheduler and RNG. Reset states what it keeps and zeroes the rest
 // wholesale, so a field added to Network is reset unless it is named there.
 //
 // What is invalidated is everything handed out before: every *Router, *Host,
@@ -134,10 +134,10 @@
 // from before the reset panics like any double release.
 //
 // The slabs need no zeroing, because no carve site reads before it writes:
-// nodes and links are assigned whole (*r = Router{...}), pool packets are
-// zeroed when drawn, route columns are cleared by the BFS that fills them, and
-// adjacency rows, filter chains and address slices are handed out at zero
-// length and only appended to (the filter slab is cleared
+// nodes, links and link configurations are assigned whole (*r = Router{...}),
+// pool packets are zeroed when drawn, route columns are cleared by the BFS
+// that fills them, and adjacency rows, filter chains and address slices are
+// handed out at zero length and only appended to (the filter slab is cleared
 // all the same, so that a chain nobody carves over cannot pin a finished
 // run's defenders). The tables are read by index before they are written, so
 // Reset zeroes the part the last build used and truncates them; beyond their
@@ -147,14 +147,17 @@
 // Reset costs what the last build and run used — its node count for the
 // tables, its packet high-water mark for the pool, its chain count for the
 // filter slab — and not what the network has ever held: a 40-router build
-// after a 50 000-router one does not sweep 50 000-wide tables. (The two maps
-// are cleared at their capacity; they hold one entry per host address and
-// per flow endpoint, hundreds even at 50 000 routers.) Reset and the build
-// that follows it on warm storage allocate nothing.
+// after a 50 000-router one does not sweep 50 000-wide tables. (The three
+// maps are cleared at their capacity; they hold one entry per host address,
+// per flow endpoint and per distinct link configuration, hundreds even at
+// 50 000 routers.) Reset and the build that follows it on warm storage
+// allocate nothing.
 //
 // A network retains the largest domain it has built, its route columns
-// included: the arena around it holds 36 MB after a quick stress-50k run,
-// against 0.25 MB after quick table2.
+// included: the arena around it holds 31 MB after a quick stress-50k run,
+// against 0.25 MB after quick table2. Per node and link it keeps only what
+// forwarding reads: nodes carry no name, and each link points at the
+// network's one copy of its LinkConfig.
 // One arena serves one run at a time, so a process holds as many as it has
 // had concurrent runs; experiment keeps at most 64 idle run bundles, each
 // with its arena and the defenders, monitor, coordinator and workload that

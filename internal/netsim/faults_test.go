@@ -13,9 +13,9 @@ func faultChainNet(t *testing.T) (*sim.Scheduler, *Network, *Router, *Host, *Hos
 	t.Helper()
 	sched := sim.NewScheduler()
 	n := New(sched, sim.NewRNG(1))
-	core := n.AddRouter("core")
-	src := n.AddHost("src", IP(0x0a000001))
-	dst := n.AddHost("dst", IP(0x0a000002))
+	core := n.AddRouter()
+	src := n.AddHost(IP(0x0a000001))
+	dst := n.AddHost(IP(0x0a000002))
 	src.AttachTo(core.ID())
 	dst.AttachTo(core.ID())
 	cfg := LinkConfig{BandwidthBps: 1e9, Delay: sim.Millisecond}
@@ -261,12 +261,12 @@ func TestFaultStateBumpsTopoVersion(t *testing.T) {
 func TestRoutingReconvergesAroundFaults(t *testing.T) {
 	sched := sim.NewScheduler()
 	n := New(sched, sim.NewRNG(1))
-	ra := n.AddRouter("A")
-	rb := n.AddRouter("B")
-	rc := n.AddRouter("C")
-	rd := n.AddRouter("D")
-	src := n.AddHost("src", IP(0x0a000001))
-	dst := n.AddHost("dst", IP(0x0a000002))
+	ra := n.AddRouter()
+	rb := n.AddRouter()
+	rc := n.AddRouter()
+	rd := n.AddRouter()
+	src := n.AddHost(IP(0x0a000001))
+	dst := n.AddHost(IP(0x0a000002))
 	src.AttachTo(ra.ID())
 	dst.AttachTo(rd.ID())
 	cfg := LinkConfig{BandwidthBps: 1e9, Delay: sim.Millisecond}
@@ -297,7 +297,7 @@ func TestRoutingReconvergesAroundFaults(t *testing.T) {
 			t.Fatalf("delivered = %d, want %d", delivered, wantDelivered)
 		}
 		if wantVia.Forwarded() != before+1 {
-			t.Fatalf("packet did not transit %s", wantVia.Name())
+			t.Fatalf("packet did not transit %s", wantVia)
 		}
 	}
 
@@ -332,8 +332,8 @@ func TestRoutingReconvergesAroundFaults(t *testing.T) {
 // and must not move TopoVersion.
 func TestConnectDuplexFailureLeavesNoHalfLink(t *testing.T) {
 	n := New(sim.NewScheduler(), sim.NewRNG(1))
-	a := n.AddRouter("a")
-	b := n.AddRouter("b")
+	a := n.AddRouter()
+	b := n.AddRouter()
 	cfg := LinkConfig{BandwidthBps: 1e9, Delay: sim.Millisecond}
 
 	// A pre-existing reverse simplex link used to let ConnectDuplex install

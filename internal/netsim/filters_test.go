@@ -18,7 +18,7 @@ func (f nopFilter) Handle(*Packet, sim.Time, *Router) Action { return ActionForw
 // its attachment order.
 func TestAttachManyFilters(t *testing.T) {
 	net := New(sim.NewScheduler(), sim.NewRNG(1))
-	r := net.AddRouter("r")
+	r := net.AddRouter()
 	const n = 200
 	for i := 0; i < n; i++ {
 		r.AttachFilter(nopFilter{name: fmt.Sprintf("f%d", i)})

@@ -19,10 +19,9 @@ const maxHostHomes = 4
 // Host is an end system: a traffic source (client or zombie) or sink (the
 // victim server). Hosts attach to exactly one access router.
 type Host struct {
-	net  *Network
-	id   NodeID
-	name string
-	ips  []IP
+	net *Network
+	id  NodeID
+	ips []IP
 
 	accessRouter NodeID
 	// uplink is LinkBetween(id, accessRouter), kept by AttachTo and connect
@@ -55,9 +54,6 @@ var _ Deliverable = (*Host)(nil)
 
 // ID reports the host's node identifier.
 func (h *Host) ID() NodeID { return h.id }
-
-// Name reports the host's human-readable name.
-func (h *Host) Name() string { return h.name }
 
 // Network returns the network the host belongs to.
 func (h *Host) Network() *Network { return h.net }
@@ -152,7 +148,7 @@ func (h *Host) send(pkt *Packet) {
 	h.uplink.Send(pkt)
 }
 
-// String renders the host for diagnostics.
+// String renders the host for diagnostics: its kind and NodeID.
 func (h *Host) String() string {
-	return fmt.Sprintf("host(%s/%d)", h.name, h.id)
+	return fmt.Sprintf("host(%d)", h.id)
 }

@@ -25,13 +25,14 @@ const DefaultQueueLen = 128
 // drop-tail queue. It mirrors the SimplexLink abstraction of NS-2 that the
 // paper's LogLogCounter objects attach to.
 //
-// A 50 000-router domain holds 120 000 of these, so the endpoints and the
-// occupancy count are stored narrow; TestStructSizes pins the size.
+// The quick 50 000-router domain holds about 130 000 of these, so endpoints
+// and occupancy are stored narrow and cfg points at the network's one copy of
+// the configuration; TestStructSizes pins the size.
 type Link struct {
 	net  *Network
 	from int32 // NodeID of the upstream node
 	to   int32 // NodeID of the downstream node
-	cfg  LinkConfig
+	cfg  *LinkConfig
 
 	// inTail is the last packet of the in-flight chain (Packet.inNext, send
 	// order) and txCur the first one whose transmission is not retired from
@@ -54,7 +55,7 @@ func (l *Link) From() NodeID { return NodeID(l.from) }
 func (l *Link) To() NodeID { return NodeID(l.to) }
 
 // Config returns the link configuration.
-func (l *Link) Config() LinkConfig { return l.cfg }
+func (l *Link) Config() LinkConfig { return *l.cfg }
 
 // Sent reports how many packets the link accepted for transmission.
 func (l *Link) Sent() uint64 { return l.st.Sent }

@@ -61,7 +61,7 @@ func (r *refLink) send(id uint64, size int) string {
 	r.queued++
 	r.tot[0]++
 	start := max(r.s.Now(), r.nextFree)
-	r.nextFree = start + (&Link{cfg: r.cfg}).transmissionTime(size)
+	r.nextFree = start + (&Link{cfg: &r.cfg}).transmissionTime(size)
 	r.s.ScheduleAt(r.nextFree, func(sim.Time) { r.queued-- })
 	r.s.ScheduleAt(r.nextFree+r.cfg.Delay, func(now sim.Time) {
 		if r.down {
@@ -83,7 +83,7 @@ func newRealLink(t *testing.T, cfg LinkConfig, arrive func(id uint64, now sim.Ti
 	t.Helper()
 	s := sim.NewScheduler()
 	n := New(s, sim.NewRNG(1))
-	a, b := n.AddHost("a", IP(1)), n.AddHost("b", IP(2))
+	a, b := n.AddHost(IP(1)), n.AddHost(IP(2))
 	l, err := n.Connect(a.ID(), b.ID(), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -13,10 +13,10 @@ func testNet(t *testing.T) (*Network, *Host, *Router, *Router, *Host) {
 	t.Helper()
 	sched := sim.NewScheduler()
 	n := New(sched, sim.NewRNG(1))
-	client := n.AddHost("client", IP(0x0a000001))
-	r1 := n.AddRouter("r1")
-	r2 := n.AddRouter("r2")
-	server := n.AddHost("server", IP(0x0a000002))
+	client := n.AddHost(IP(0x0a000001))
+	r1 := n.AddRouter()
+	r2 := n.AddRouter()
+	server := n.AddHost(IP(0x0a000002))
 
 	cfg := LinkConfig{BandwidthBps: 10e6, Delay: sim.Millisecond, QueueLen: 16}
 	for _, pair := range [][2]NodeID{{client.ID(), r1.ID()}, {r1.ID(), r2.ID()}, {r2.ID(), server.ID()}} {
@@ -147,9 +147,9 @@ func TestLabelHandlerDispatch(t *testing.T) {
 func TestQueueDropTail(t *testing.T) {
 	sched := sim.NewScheduler()
 	n := New(sched, sim.NewRNG(1))
-	a := n.AddHost("a", IP(1))
-	b := n.AddHost("b", IP(2))
-	r := n.AddRouter("r")
+	a := n.AddHost(IP(1))
+	b := n.AddHost(IP(2))
+	r := n.AddRouter()
 	// Slow link with a tiny queue so a burst overflows it.
 	slow := LinkConfig{BandwidthBps: 8000, Delay: sim.Millisecond, QueueLen: 2}
 	fast := LinkConfig{BandwidthBps: 1e9, Delay: sim.Millisecond, QueueLen: 64}
@@ -297,8 +297,8 @@ func TestRouterInjectBypassesFilters(t *testing.T) {
 func TestConnectErrors(t *testing.T) {
 	sched := sim.NewScheduler()
 	n := New(sched, sim.NewRNG(1))
-	a := n.AddHost("a", IP(1))
-	b := n.AddHost("b", IP(2))
+	a := n.AddHost(IP(1))
+	b := n.AddHost(IP(2))
 	if _, err := n.Connect(a.ID(), NodeID(99), LinkConfig{BandwidthBps: 1}); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("want ErrUnknownNode, got %v", err)
 	}
@@ -313,7 +313,7 @@ func TestConnectErrors(t *testing.T) {
 func TestOwnerAndRoutable(t *testing.T) {
 	sched := sim.NewScheduler()
 	n := New(sched, sim.NewRNG(1))
-	h := n.AddHost("h", IP(7))
+	h := n.AddHost(IP(7))
 	if n.Owner(IP(7)) != h.ID() {
 		t.Fatal("Owner lookup failed")
 	}
@@ -335,9 +335,9 @@ func TestOwnerAndRoutable(t *testing.T) {
 func TestLinkTransmissionTiming(t *testing.T) {
 	sched := sim.NewScheduler()
 	n := New(sched, sim.NewRNG(1))
-	a := n.AddHost("a", IP(1))
-	b := n.AddHost("b", IP(2))
-	r := n.AddRouter("r")
+	a := n.AddHost(IP(1))
+	b := n.AddHost(IP(2))
+	r := n.AddRouter()
 	// 1 Mbps, 10 ms delay: a 1250-byte packet serialises in exactly 10 ms.
 	cfg := LinkConfig{BandwidthBps: 1e6, Delay: 10 * sim.Millisecond, QueueLen: 10}
 	if err := n.ConnectDuplex(a.ID(), r.ID(), cfg); err != nil {

@@ -111,6 +111,12 @@ type Network struct {
 	// exactly one address, so carving them avoids a per-host allocation.
 	ipSlab slab[IP]
 
+	// linkCfgs maps each distinct link configuration (queue length
+	// defaulted) to the network's one copy of it in cfgSlab, which every
+	// link with that configuration points at.
+	linkCfgs map[LinkConfig]*LinkConfig
+	cfgSlab  slab[LinkConfig]
+
 	// handlers dispatches host-received packets by (host, label). One
 	// network-wide map replaces a lazily allocated map per host; hosts
 	// flag whether they registered anything so pure sinks skip the lookup.
@@ -153,6 +159,7 @@ const (
 	linkChunk   = 128
 	filterChunk = 64
 	ipChunk     = 64
+	cfgChunk    = 8
 	// sparseRowCap is the initial capacity of a sparse adjacency row. Core
 	// routers in the generated domains have degree 2 (ring) plus a chord or
 	// two, so most rows never re-carve.
@@ -168,11 +175,7 @@ const (
 // hosts, so sizing by the remaining budget keeps each slab close to its
 // kind's actual population instead of the whole domain's.
 func (n *Network) nodeSlabSize() int {
-	size := nodeChunk
-	if remaining := n.sizeHint - len(n.nodes); remaining > size {
-		size = remaining
-	}
-	return size
+	return max(nodeChunk, n.sizeHint-len(n.nodes))
 }
 
 // adjEntrySlabSize picks the chunk size for the sparse-entry slab: roughly
@@ -239,6 +242,7 @@ func New(scheduler *sim.Scheduler, rng *sim.RNG) *Network {
 		scheduler: scheduler,
 		rng:       rng,
 		ipOwner:   make(map[IP]NodeID),
+		linkCfgs:  make(map[LinkConfig]*LinkConfig),
 	}
 }
 
@@ -258,6 +262,7 @@ func (n *Network) Reset(scheduler *sim.Scheduler, rng *sim.RNG) {
 	clear(n.routeCols)
 	clear(n.ipOwner)
 	clear(n.handlers)
+	clear(n.linkCfgs)
 	// A chain left in the filter slab would pin the finished run's
 	// defenders for as long as no later build carves over it.
 	for chain := range n.filterSlab.taken() {
@@ -291,6 +296,8 @@ func (n *Network) Reset(scheduler *sim.Scheduler, rng *sim.RNG) {
 		adjEntrySlab: n.adjEntrySlab.rewound(),
 		filterSlab:   n.filterSlab.rewound(),
 		ipSlab:       n.ipSlab.rewound(),
+		linkCfgs:     n.linkCfgs,
+		cfgSlab:      n.cfgSlab.rewound(),
 	}
 }
 
@@ -400,28 +407,27 @@ func (n *Network) Reserve(nodes int) {
 	}
 }
 
-// AddRouter creates a router with the given human-readable name.
-func (n *Network) AddRouter(name string) *Router {
+// AddRouter creates a router under the next NodeID. Nodes carry no name:
+// diagnostics print their kind and NodeID.
+func (n *Network) AddRouter() *Router {
 	r := &n.routerSlab.take(1, n.nodeSlabSize())[0]
 	*r = Router{
-		net:  n,
-		id:   n.allocateNodeID(),
-		name: name,
+		net: n,
+		id:  n.allocateNodeID(),
 	}
 	n.nodes[r.id].router = r
 	return r
 }
 
-// AddHost creates a host owning the given addresses. The per-label handler
-// table is created lazily on first Register, so pure-sink hosts (bystanders,
-// extra victims) never allocate one.
-func (n *Network) AddHost(name string, ips ...IP) *Host {
+// AddHost creates a host under the next NodeID, owning the given addresses.
+// Handlers live in the network's shared registry, so pure-sink hosts
+// (bystanders, extra victims) cost no handler storage.
+func (n *Network) AddHost(ips ...IP) *Host {
 	h := &n.hostSlab.take(1, n.nodeSlabSize())[0]
 	*h = Host{
-		net:  n,
-		id:   n.allocateNodeID(),
-		name: name,
-		ips:  n.carveIPs(ips),
+		net: n,
+		id:  n.allocateNodeID(),
+		ips: n.carveIPs(ips),
 	}
 	n.nodes[h.id].host = h
 	for _, ip := range ips {
@@ -498,7 +504,7 @@ func (n *Network) connect(from, to NodeID, cfg LinkConfig) *Link {
 	n.invalidateRouteColumns()
 	n.topoVersion++
 	l := &n.linkSlab.take(1, linkChunk)[0]
-	*l = Link{net: n, from: int32(from), to: int32(to), cfg: cfg}
+	*l = Link{net: n, from: int32(from), to: int32(to), cfg: n.sharedConfig(cfg)}
 	n.links++
 	n.sparseInsert(from, to, l)
 	if h := n.nodes[to].host; h != nil {
@@ -508,6 +514,19 @@ func (n *Network) connect(from, to NodeID, cfg LinkConfig) *Link {
 		h.uplink = l
 	}
 	return l
+}
+
+// sharedConfig returns the network's copy of cfg, carving one the first time
+// the value is seen. A NaN bandwidth never equals itself, so such a
+// configuration gets a copy per link; topology refuses it before a build.
+func (n *Network) sharedConfig(cfg LinkConfig) *LinkConfig {
+	if c, ok := n.linkCfgs[cfg]; ok {
+		return c
+	}
+	c := &n.cfgSlab.take(1, cfgChunk)[0]
+	*c = cfg
+	n.linkCfgs[cfg] = c
+	return c
 }
 
 // sparseInsert places l into from's sorted neighbour row, re-carving the row

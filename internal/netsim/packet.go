@@ -122,6 +122,11 @@ func (p Protocol) String() string {
 	}
 }
 
+// MaxPacketSize is the largest packet in bytes a run sends, the IP datagram
+// maximum: workloads and probes are refused above it, and topology bounds its
+// links by it so that no transmission time or arrival key overflows sim.Time.
+const MaxPacketSize = 65535
+
 // Packet is the unit of forwarding. Ground-truth fields (FlowID, Malicious)
 // exist only for measurement; no defence component reads them when making
 // decisions.

@@ -66,9 +66,9 @@ func TestExternalPacketReleaseIsNoop(t *testing.T) {
 func TestPooledPacketRoundTrip(t *testing.T) {
 	sched := sim.NewScheduler()
 	n := New(sched, sim.NewRNG(1))
-	r := n.AddRouter("core")
-	src := n.AddHost("src", IP(0x0a000001))
-	dst := n.AddHost("dst", IP(0x0a000002))
+	r := n.AddRouter()
+	src := n.AddHost(IP(0x0a000001))
+	dst := n.AddHost(IP(0x0a000002))
 	src.AttachTo(r.ID())
 	dst.AttachTo(r.ID())
 	cfg := LinkConfig{BandwidthBps: 1e9, Delay: sim.Millisecond}

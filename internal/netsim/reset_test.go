@@ -39,9 +39,9 @@ func chaosRun(t *testing.T, n *Network, boundary func(*chaosTrace)) (*chaosTrace
 	t.Helper()
 	sched := n.Scheduler()
 	n.Reserve(6)
-	ra, rb, rc, rd := n.AddRouter("A"), n.AddRouter("B"), n.AddRouter("C"), n.AddRouter("D")
-	src := n.AddHost("src", IP(0x0a000001))
-	dst := n.AddHost("dst", IP(0x0a000002))
+	ra, rb, rc, rd := n.AddRouter(), n.AddRouter(), n.AddRouter(), n.AddRouter()
+	src := n.AddHost(IP(0x0a000001))
+	dst := n.AddHost(IP(0x0a000002))
 	n.RegisterIP(dst, IP(0x0a000003))
 	src.AttachTo(ra.ID())
 	dst.AttachTo(rd.ID())
@@ -191,11 +191,11 @@ func TestResetLeavesNothingBehind(t *testing.T) {
 		name, f := nv.Type().Field(i).Name, nv.Field(i)
 		switch name {
 		case "scheduler", "rng":
-		case "nodes", "sparse", "routeCols", "bfsQueue", "bfsSeen", "pktFree", "ipOwner", "handlers":
+		case "nodes", "sparse", "routeCols", "bfsQueue", "bfsSeen", "pktFree", "ipOwner", "handlers", "linkCfgs":
 			if f.IsNil() || f.Len() != 0 {
 				t.Errorf("Network.%s after Reset: nil=%v len=%d, want kept and empty", name, f.IsNil(), f.Len())
 			}
-		case "pktSlab", "routerSlab", "hostSlab", "linkSlab", "adjEntrySlab", "filterSlab", "ipSlab", "colSlab":
+		case "pktSlab", "routerSlab", "hostSlab", "linkSlab", "adjEntrySlab", "filterSlab", "ipSlab", "colSlab", "cfgSlab":
 			if f.FieldByName("chunks").Len() == 0 || !f.FieldByName("cur").IsZero() || !f.FieldByName("used").IsZero() {
 				t.Errorf("Network.%s after Reset: want its chunks kept and its cursor rewound", name)
 			}
@@ -293,22 +293,21 @@ func TestResetRethreadsPacketPool(t *testing.T) {
 }
 
 // ringOn builds a ring of routers with one host on every fourth, the host
-// registering a handler: a build that touches every slab and both maps.
-// Names come from the caller so that a warm build allocates nothing.
-func ringOn(t testing.TB, n *Network, names []string) {
-	n.Reserve(len(names) + len(names)/4 + 1)
+// registering a handler: a build that touches every slab and every map.
+func ringOn(t testing.TB, n *Network, routers int) {
+	n.Reserve(routers + routers/4 + 1)
 	cfg := LinkConfig{BandwidthBps: 1e9, Delay: sim.Millisecond, QueueLen: 8}
-	for _, name := range names {
-		n.AddRouter(name)
+	for range routers {
+		n.AddRouter()
 	}
-	for i := range names {
-		if err := n.ConnectDuplex(NodeID(i), NodeID((i+1)%len(names)), cfg); err != nil {
+	for i := range routers {
+		if err := n.ConnectDuplex(NodeID(i), NodeID((i+1)%routers), cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < len(names); i += 4 {
+	for i := 0; i < routers; i += 4 {
 		ip := IP(0x0a000000 + i)
-		h := n.AddHost(names[i], ip)
+		h := n.AddHost(ip)
 		h.AttachTo(NodeID(i))
 		if err := n.ConnectDuplex(h.ID(), NodeID(i), cfg); err != nil {
 			t.Fatal(err)
@@ -333,18 +332,14 @@ func (dropAll) Handle(*Packet, sim.Time, *Router) Action { return ActionDrop }
 // zero over their whole capacity, which is what lets the next build re-extend
 // them without clearing.
 func TestResetCostFollowsLastBuild(t *testing.T) {
-	names := make([]string, 5000)
-	for i := range names {
-		names[i] = fmt.Sprintf("r%d", i)
-	}
 	sched, rng := sim.NewScheduler(), sim.NewRNG(1)
 	n := New(sched, rng)
-	ringOn(t, n, names)
+	ringOn(t, n, 5000)
 	if n.NextHop(0, 2500) == NoNode {
 		t.Fatal("no route across the ring")
 	}
 	n.Reset(sched, rng)
-	ringOn(t, n, names[:40])
+	ringOn(t, n, 40)
 	if len(n.nodes) != 50 || cap(n.nodes) < 5000 || cap(n.sparse) < 5000 || cap(n.routeCols) < 5000 {
 		t.Fatalf("tables after the small build: nodes %d/%d, sparse %d/%d, routeCols %d/%d",
 			len(n.nodes), cap(n.nodes), len(n.sparse), cap(n.sparse), len(n.routeCols), cap(n.routeCols))
@@ -375,7 +370,7 @@ func TestResetCostFollowsLastBuild(t *testing.T) {
 	}
 
 	if allocs := testing.AllocsPerRun(10, func() {
-		ringOn(t, n, names[:40])
+		ringOn(t, n, 40)
 		n.Reset(sched, rng)
 	}); allocs != 0 {
 		t.Errorf("a warm build and its Reset performed %v allocations, want 0", allocs)

@@ -32,9 +32,8 @@ type Filter interface {
 // route columns (see routing.go), invoking its attached filters on every
 // traversing packet.
 type Router struct {
-	net  *Network
-	id   NodeID
-	name string
+	net *Network
+	id  NodeID
 
 	filters []Filter
 
@@ -49,9 +48,6 @@ var _ Deliverable = (*Router)(nil)
 
 // ID reports the router's node identifier.
 func (r *Router) ID() NodeID { return r.id }
-
-// Name reports the router's human-readable name.
-func (r *Router) Name() string { return r.name }
 
 // Network returns the network the router belongs to.
 func (r *Router) Network() *Network { return r.net }
@@ -163,7 +159,7 @@ func (r *Router) route(pkt *Packet) {
 	link.Send(pkt)
 }
 
-// String renders the router for diagnostics.
+// String renders the router for diagnostics: its kind and NodeID.
 func (r *Router) String() string {
-	return fmt.Sprintf("router(%s/%d)", r.name, r.id)
+	return fmt.Sprintf("router(%d)", r.id)
 }

@@ -10,9 +10,9 @@ import (
 func chainNet(t *testing.T) (*Network, *Router, *Router, *Host) {
 	t.Helper()
 	net := New(sim.NewScheduler(), sim.NewRNG(1))
-	r0 := net.AddRouter("r0")
-	r1 := net.AddRouter("r1")
-	h := net.AddHost("h", IP(0x0a000001))
+	r0 := net.AddRouter()
+	r1 := net.AddRouter()
+	h := net.AddHost(IP(0x0a000001))
 	h.AttachTo(r1.ID())
 	cfg := LinkConfig{BandwidthBps: 1e9, Delay: sim.Millisecond, QueueLen: 8}
 	if err := net.ConnectDuplex(r0.ID(), r1.ID(), cfg); err != nil {
@@ -64,7 +64,7 @@ func TestNextHopWithoutResolver(t *testing.T) {
 	if got := net.NextHop(r0.ID(), NodeID(999)); got != NoNode || net.RouteLink(r0.ID(), NodeID(-1)) != nil {
 		t.Fatalf("NextHop to unknown node = %d, want NoNode", got)
 	}
-	lone := net.AddRouter("lone")
+	lone := net.AddRouter()
 	if got := net.NextHop(r0.ID(), lone.ID()); got != NoNode {
 		t.Fatalf("NextHop to an unlinked router = %d, want NoNode", got)
 	}
@@ -84,7 +84,7 @@ func TestConnectInvalidatesColumns(t *testing.T) {
 	if net.RouteColumns() != 1 {
 		t.Fatalf("RouteColumns = %d, want 1", net.RouteColumns())
 	}
-	r2 := net.AddRouter("r2")
+	r2 := net.AddRouter()
 	cfg := LinkConfig{BandwidthBps: 1e9, Delay: sim.Millisecond, QueueLen: 8}
 	if err := net.ConnectDuplex(r0.ID(), r2.ID(), cfg); err != nil {
 		t.Fatal(err)
@@ -112,14 +112,14 @@ func BenchmarkForward(b *testing.B) {
 	n := New(sched, sim.NewRNG(1))
 	cfg := LinkConfig{BandwidthBps: 1e9, Delay: sim.Microsecond, QueueLen: 8}
 	for i := 0; i < routers; i++ {
-		n.AddRouter("r")
+		n.AddRouter()
 	}
 	for i := 0; i < routers; i++ {
 		if err := n.ConnectDuplex(NodeID(i), NodeID((i+1)%routers), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
-	dst := n.AddHost("dst", IP(0x0a000001))
+	dst := n.AddHost(IP(0x0a000001))
 	dst.AttachTo(far)
 	if err := n.ConnectDuplex(dst.ID(), far, cfg); err != nil {
 		b.Fatal(err)
@@ -214,9 +214,9 @@ func FuzzRouteColumns(f *testing.F) {
 			before := net.RouteColumns()
 			switch op := next() % 7; {
 			case op == 0 && len(net.nodes) < 32:
-				net.AddRouter("r")
+				net.AddRouter()
 			case op == 1 && len(net.nodes) < 32:
-				net.AddHost("h", IP(0x0a000000+len(net.nodes)))
+				net.AddHost(IP(0x0a000000 + len(net.nodes)))
 			case op == 2 && len(net.nodes) > 0:
 				_ = net.ConnectDuplex(node(), node(), cfg)
 			case op == 3 && len(net.nodes) > 0:

@@ -506,8 +506,14 @@ func (c *Coordinator) baseline(id netsim.NodeID) (float64, bool) {
 	return c.st.History[id], true
 }
 
-// growHistory sizes the dense baseline tables to cover id.
+// growHistory sizes the dense baseline tables to cover id. They take the
+// capacity in one step and then append into it, rather than doubling their
+// way up to a 50 000-router domain.
 func (c *Coordinator) growHistory(id netsim.NodeID) {
+	if n := int(id) + 1; n > len(c.st.History) {
+		c.st.History = slices.Grow(c.st.History, n-len(c.st.History))
+		c.st.HistoryOK = slices.Grow(c.st.HistoryOK, n-len(c.st.HistoryOK))
+	}
 	for int(id) >= len(c.st.History) {
 		c.st.History = append(c.st.History, 0)
 		c.st.HistoryOK = append(c.st.HistoryOK, false)
@@ -519,6 +525,9 @@ func (c *Coordinator) growHistory(id netsim.NodeID) {
 // is frozen so the attack itself does not become the new normal.
 func (c *Coordinator) updateHistory(report trafficmatrix.EpochReport, found bool, victim netsim.NodeID) {
 	c.st.HistorySeen++
+	if k := len(report.Routers); k > 0 {
+		c.growHistory(report.Routers[k-1]) // ascending: the last ID is the largest
+	}
 	for _, id := range report.Routers {
 		c.growHistory(id)
 		if (found && id == victim) || (c.st.Active && id == c.st.ActiveVictim) {

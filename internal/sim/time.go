@@ -18,6 +18,10 @@ const (
 	Second           = 1000 * Millisecond
 )
 
+// Horizon is half of Time's range, 146 years: a run's clock stays below it
+// and no event is keyed more than Horizon past the clock, so no key wraps.
+const Horizon Time = 1 << 62
+
 // FromDuration converts a time.Duration into a simulation time delta.
 func FromDuration(d time.Duration) Time {
 	return Time(d.Nanoseconds())

@@ -1,10 +1,6 @@
 package topology
 
-import (
-	"fmt"
-
-	"mafic/internal/netsim"
-)
+import "mafic/internal/netsim"
 
 // Arena holds the reusable storage behind Domain construction: the network
 // itself (every router, host, link and pool packet, the adjacency, the route
@@ -25,26 +21,6 @@ import (
 type Arena struct {
 	net    *netsim.Network
 	domain Domain
-	names  nameCache
-}
-
-// nameCache memoises the generated node names ("r17", "client3", ...) so
-// rebuilds through the same arena hand out the same strings instead of
-// reformatting one per node per build.
-type nameCache struct {
-	routers    []string
-	clients    []string
-	zombies    []string
-	bystanders []string
-	victims    []string
-}
-
-// name returns prefix+i, generating and caching any missing entries.
-func name(list *[]string, prefix string, i int) string {
-	for len(*list) <= i {
-		*list = append(*list, fmt.Sprintf("%s%d", prefix, len(*list)))
-	}
-	return (*list)[i]
 }
 
 // NewArena returns an empty arena ready for Build.

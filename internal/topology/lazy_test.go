@@ -110,7 +110,7 @@ func TestLazyForwardingMatchesEager(t *testing.T) {
 		if err := net.ConnectDuplex(a.ID(), b.ID(), cfg.CoreLink); err != nil {
 			t.Fatal(err)
 		}
-		extra := net.AddRouter("post-build")
+		extra := net.AddRouter()
 		if err := net.ConnectDuplex(extra.ID(), d.Ingress[1].ID(), cfg.CoreLink); err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestLazyRouterRefreshesAfterPostBuildMutation(t *testing.T) {
 
 	// Shortcut from the far router straight to the last hop, plus a brand
 	// new router beyond the build's width.
-	extra := net.AddRouter("post-build")
+	extra := net.AddRouter()
 	link := cfg.CoreLink
 	if err := net.ConnectDuplex(far.ID(), d.LastHop.ID(), link); err != nil {
 		t.Fatal(err)

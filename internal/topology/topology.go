@@ -21,6 +21,8 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"mafic/internal/netsim"
 	"mafic/internal/sim"
@@ -86,7 +88,11 @@ type Config struct {
 	TransitRouters int
 
 	// CoreLink, AccessLink and VictimLink configure the three classes of
-	// links in the domain.
+	// links in the domain. Each needs a finite positive bandwidth, a
+	// non-negative delay and a positive queue length, and a full queue of
+	// netsim.MaxPacketSize packets plus the delay must take at most
+	// sim.Horizon: then no packet's transmission time or arrival key
+	// overflows sim.Time while the clock is below sim.Horizon.
 	CoreLink   netsim.LinkConfig
 	AccessLink netsim.LinkConfig
 	VictimLink netsim.LinkConfig
@@ -139,14 +145,19 @@ func (c Config) Validate() error {
 		name string
 		cfg  netsim.LinkConfig
 	}{{"core", c.CoreLink}, {"access", c.AccessLink}, {"victim", c.VictimLink}} {
-		if lc.cfg.BandwidthBps <= 0 {
-			return fmt.Errorf("%w: %s link bandwidth %v", ErrConfig, lc.name, lc.cfg.BandwidthBps)
+		if bw := lc.cfg.BandwidthBps; !(bw > 0) || math.IsInf(bw, 1) {
+			return fmt.Errorf("%w: %s link bandwidth %v", ErrConfig, lc.name, bw)
 		}
 		if lc.cfg.Delay < 0 {
 			return fmt.Errorf("%w: %s link delay %v", ErrConfig, lc.name, lc.cfg.Delay)
 		}
 		if lc.cfg.QueueLen <= 0 {
 			return fmt.Errorf("%w: %s link queue length %d", ErrConfig, lc.name, lc.cfg.QueueLen)
+		}
+		drain := float64(lc.cfg.QueueLen) * netsim.MaxPacketSize * 8 / lc.cfg.BandwidthBps * float64(sim.Second)
+		if drain+float64(lc.cfg.Delay) > float64(sim.Horizon) {
+			return fmt.Errorf("%w: %s link drains a full queue in %.3g s and delays %v, past sim.Horizon",
+				ErrConfig, lc.name, drain/float64(sim.Second), lc.cfg.Delay)
 		}
 	}
 	// The 250 cap keeps every extra victim inside the 10.0.0.0/24 block
@@ -220,7 +231,8 @@ type Domain struct {
 
 	// ingressOf records, densely indexed by host NodeID, which ingress
 	// router each edge source (client or zombie) enters through; nil for
-	// every other node.
+	// every other node. Build gives it the domain's node count as capacity
+	// up front, so setIngressOf's appends never reallocate.
 	ingressOf []*netsim.Router
 }
 
@@ -277,18 +289,10 @@ func (a *Arena) Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// Validate keeps NumIngress within [0, NumRouters-1]; zero derives it.
 	numIngress := cfg.NumIngress
-	if numIngress <= 0 {
-		numIngress = cfg.NumRouters / 4
-		if numIngress < 1 {
-			numIngress = 1
-		}
-	}
-	if numIngress > cfg.NumRouters-1 {
-		numIngress = cfg.NumRouters - 1
-	}
-	if numIngress < 1 {
-		return nil, ErrNoIngress
+	if numIngress == 0 {
+		numIngress = max(cfg.NumRouters/4, 1)
 	}
 
 	if a.net == nil {
@@ -300,7 +304,8 @@ func (a *Arena) Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, 
 	// The final node population is known up front; reserving it lets the
 	// network allocate its per-node tables (dispatch, adjacency spine,
 	// route columns) exactly once.
-	net.Reserve(cfg.nodeBudget(numIngress))
+	budget := cfg.nodeBudget(numIngress)
+	net.Reserve(budget)
 	d := &a.domain
 	*d = Domain{
 		Net:          net,
@@ -311,11 +316,11 @@ func (a *Arena) Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, 
 		Clients:      d.Clients[:0],
 		Zombies:      d.Zombies[:0],
 		Bystanders:   d.Bystanders[:0],
-		ingressOf:    d.ingressOf[:0],
+		ingressOf:    slices.Grow(d.ingressOf[:0], budget),
 	}
 
 	for i := 0; i < cfg.NumRouters; i++ {
-		d.Routers = append(d.Routers, net.AddRouter(name(&a.names.routers, "r", i)))
+		d.Routers = append(d.Routers, net.AddRouter())
 	}
 
 	// Wire the router graph and pick the ingress set per style.
@@ -334,7 +339,7 @@ func (a *Arena) Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, 
 	}
 
 	// Victim server behind the last-hop router.
-	d.Victim = net.AddHost("victim", ipFrom(10, 0, 0, 1))
+	d.Victim = net.AddHost(ipFrom(10, 0, 0, 1))
 	d.Victim.AttachTo(d.LastHop.ID())
 	d.VictimHomes = append(d.VictimHomes, d.LastHop)
 	if err := net.ConnectDuplex(d.Victim.ID(), d.LastHop.ID(), cfg.VictimLink); err != nil {
@@ -364,7 +369,7 @@ func (a *Arena) Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, 
 			return nil, fmt.Errorf("%w: not enough routers for %d extra victims", ErrConfig, cfg.ExtraVictims)
 		}
 		taken[attach.ID()] = true
-		h := net.AddHost(name(&a.names.victims, "victim", k+2), ipFrom(10, 0, 0, byte(2+k)))
+		h := net.AddHost(ipFrom(10, 0, 0, byte(2+k)))
 		h.AttachTo(attach.ID())
 		if err := net.ConnectDuplex(h.ID(), attach.ID(), cfg.VictimLink); err != nil {
 			return nil, fmt.Errorf("extra victim link: %w", err)
@@ -376,11 +381,9 @@ func (a *Arena) Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, 
 	}
 
 	// Source hosts behind each ingress router.
-	clientIdx, zombieIdx := 0, 0
 	for gi, ing := range d.Ingress {
 		for c := 0; c < cfg.ClientsPerIngress; c++ {
-			h := net.AddHost(name(&a.names.clients, "client", clientIdx), edgeIP(192, 168, gi, c, len(d.Ingress)))
-			clientIdx++
+			h := net.AddHost(edgeIP(192, 168, gi, c, len(d.Ingress)))
 			h.AttachTo(ing.ID())
 			if err := net.ConnectDuplex(h.ID(), ing.ID(), cfg.AccessLink); err != nil {
 				return nil, fmt.Errorf("client link: %w", err)
@@ -389,8 +392,7 @@ func (a *Arena) Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, 
 			d.setIngressOf(h, ing)
 		}
 		for z := 0; z < cfg.ZombiesPerIngress; z++ {
-			h := net.AddHost(name(&a.names.zombies, "zombie", zombieIdx), edgeIP(172, 16, gi, z, len(d.Ingress)))
-			zombieIdx++
+			h := net.AddHost(edgeIP(172, 16, gi, z, len(d.Ingress)))
 			h.AttachTo(ing.ID())
 			if err := net.ConnectDuplex(h.ID(), ing.ID(), cfg.AccessLink); err != nil {
 				return nil, fmt.Errorf("zombie link: %w", err)
@@ -404,7 +406,7 @@ func (a *Arena) Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, 
 	// addresses form the spoof pool.
 	for b := 0; b < cfg.BystanderHosts; b++ {
 		attach := d.Routers[rng.Intn(cfg.NumRouters)]
-		h := net.AddHost(name(&a.names.bystanders, "bystander", b), blockIP(203, 0, b/250, 1+b%250))
+		h := net.AddHost(blockIP(203, 0, b/250, 1+b%250))
 		h.AttachTo(attach.ID())
 		if err := net.ConnectDuplex(h.ID(), attach.ID(), cfg.AccessLink); err != nil {
 			return nil, fmt.Errorf("bystander link: %w", err)
@@ -456,14 +458,11 @@ func buildRingCore(cfg Config, net *netsim.Network, d *Domain, rng *sim.RNG, num
 	}
 
 	d.LastHop = d.Routers[cfg.NumRouters-1]
-	stride := (cfg.NumRouters - 1) / numIngress
-	if stride < 1 {
-		stride = 1
-	}
+	stride := max((cfg.NumRouters-1)/numIngress, 1)
 	for k := 0; k < numIngress; k++ {
 		idx := (k * stride) % (cfg.NumRouters - 1)
 		r := d.Routers[idx]
-		if containsRouter(d.Ingress, r) {
+		if slices.Contains(d.Ingress, r) {
 			continue
 		}
 		d.Ingress = append(d.Ingress, r)
@@ -480,22 +479,13 @@ func (d *Domain) pickQuietRouter(taken map[netsim.NodeID]bool) *netsim.Router {
 			if r == d.LastHop || taken[r.ID()] {
 				continue
 			}
-			if pass == 0 && containsRouter(d.Ingress, r) {
+			if pass == 0 && slices.Contains(d.Ingress, r) {
 				continue
 			}
 			return r
 		}
 	}
 	return nil
-}
-
-func containsRouter(rs []*netsim.Router, r *netsim.Router) bool {
-	for _, x := range rs {
-		if x == r {
-			return true
-		}
-	}
-	return false
 }
 
 // ipFrom assembles an address from dotted-quad components.
@@ -527,7 +517,7 @@ func (d *Domain) uniqueAddresses() error {
 	for _, hosts := range [][]*netsim.Host{victim, d.ExtraVictims, d.Clients, d.Zombies, d.Bystanders} {
 		for _, h := range hosts {
 			if owner := d.Net.Owner(h.PrimaryIP()); owner != h.ID() {
-				return fmt.Errorf("%w: %v is the address of both %s and node %d", ErrConfig, h.PrimaryIP(), h.Name(), owner)
+				return fmt.Errorf("%w: %v is the address of both %s and node %d", ErrConfig, h.PrimaryIP(), h, owner)
 			}
 		}
 	}

@@ -81,7 +81,7 @@ func TestAllIngressReachVictim(t *testing.T) {
 	for _, ing := range d.Ingress {
 		hops := pathLength(d.Net, ing.ID(), d.Victim.ID())
 		if hops <= 0 {
-			t.Fatalf("ingress %s cannot reach victim (hops=%d)", ing.Name(), hops)
+			t.Fatalf("ingress %s cannot reach victim (hops=%d)", ing, hops)
 		}
 	}
 }
@@ -147,12 +147,12 @@ func TestIngressOf(t *testing.T) {
 	d := buildDefault(t, func(c *Config) { c.NumRouters = 12 })
 	for _, c := range d.Clients {
 		if d.IngressOf(c) == nil {
-			t.Fatalf("client %s has no ingress", c.Name())
+			t.Fatalf("client %s has no ingress", c)
 		}
 	}
 	for _, z := range d.Zombies {
 		if d.IngressOf(z) == nil {
-			t.Fatalf("zombie %s has no ingress", z.Name())
+			t.Fatalf("zombie %s has no ingress", z)
 		}
 	}
 	if d.IngressOf(d.Victim) != nil {
@@ -231,7 +231,7 @@ func TestEveryHostOwnsItsAddress(t *testing.T) {
 		for _, hosts := range [][]*netsim.Host{{d.Victim}, d.Clients, d.Zombies, d.Bystanders} {
 			for _, h := range hosts {
 				if owner := d.Net.Owner(h.PrimaryIP()); owner != h.ID() {
-					t.Fatalf("%s: %v of %s (node %d) routes to node %d", tc.name, h.PrimaryIP(), h.Name(), h.ID(), owner)
+					t.Fatalf("%s: %v of %s (node %d) routes to node %d", tc.name, h.PrimaryIP(), h, h.ID(), owner)
 				}
 			}
 		}
@@ -257,7 +257,7 @@ func TestDuplicateAddressIsAConfigError(t *testing.T) {
 	if err := d.uniqueAddresses(); err != nil {
 		t.Fatalf("a default domain fails the check: %v", err)
 	}
-	d.Net.AddHost("impostor", d.Clients[1].PrimaryIP())
+	d.Net.AddHost(d.Clients[1].PrimaryIP())
 	if err := d.uniqueAddresses(); !errors.Is(err, ErrConfig) {
 		t.Fatalf("two hosts on %v: got %v, want ErrConfig", d.Clients[1].PrimaryIP(), err)
 	}
@@ -281,8 +281,8 @@ func pathLength(net *netsim.Network, from, to netsim.NodeID) int {
 func TestPathLengthDisconnected(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := netsim.New(sched, sim.NewRNG(1))
-	a := net.AddHost("a", netsim.IP(1))
-	b := net.AddHost("b", netsim.IP(2))
+	a := net.AddHost(netsim.IP(1))
+	b := net.AddHost(netsim.IP(2))
 	if got := pathLength(net, a.ID(), b.ID()); got != -1 {
 		t.Fatalf("disconnected path length = %d, want -1", got)
 	}

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 
 	"mafic/internal/netsim"
 )
@@ -68,13 +69,10 @@ func buildTransitStubCore(cfg Config, net *netsim.Network, d *Domain, numIngress
 	if numIngress > len(candidates) {
 		numIngress = len(candidates)
 	}
-	stride := len(candidates) / numIngress
-	if stride < 1 {
-		stride = 1
-	}
+	stride := max(len(candidates)/numIngress, 1)
 	for k := 0; k < numIngress; k++ {
 		r := candidates[(k*stride)%len(candidates)]
-		if containsRouter(d.Ingress, r) {
+		if slices.Contains(d.Ingress, r) {
 			continue
 		}
 		d.Ingress = append(d.Ingress, r)

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"mafic/internal/netsim"
@@ -25,14 +26,14 @@ func TestBuildTransitStubDomain(t *testing.T) {
 			t.Fatal("last-hop router must not be an ingress")
 		}
 		if hops := pathLength(d.Net, ing.ID(), d.Victim.ID()); hops <= 0 {
-			t.Fatalf("ingress %s cannot reach the victim", ing.Name())
+			t.Fatalf("ingress %s cannot reach the victim", ing)
 		}
 	}
 	// Transit routers carry no direct hosts, so the transit core is pure
 	// forwarding fabric: every source host attaches to a stub router.
 	for _, h := range append(append([]*netsim.Host{}, d.Clients...), d.Zombies...) {
 		if ing := d.IngressOf(h); ing == nil {
-			t.Fatalf("host %s has no ingress", h.Name())
+			t.Fatalf("host %s has no ingress", h)
 		}
 	}
 }
@@ -70,7 +71,7 @@ func TestBuildMultiHomedVictim(t *testing.T) {
 	}
 	for _, home := range d.VictimHomes {
 		if d.Net.LinkBetween(d.Victim.ID(), home.ID()) == nil {
-			t.Fatalf("victim has no link to home %s", home.Name())
+			t.Fatalf("victim has no link to home %s", home)
 		}
 	}
 }
@@ -95,11 +96,11 @@ func TestBuildExtraVictims(t *testing.T) {
 		}
 		seen[v.PrimaryIP()] = true
 		if routers[v.AccessRouter()] {
-			t.Fatalf("extra victim %s shares a last-hop router", v.Name())
+			t.Fatalf("extra victim %s shares a last-hop router", v)
 		}
 		routers[v.AccessRouter()] = true
 		if hops := pathLength(d.Net, d.Ingress[0].ID(), v.ID()); hops <= 0 {
-			t.Fatalf("ingress cannot reach extra victim %s", v.Name())
+			t.Fatalf("ingress cannot reach extra victim %s", v)
 		}
 	}
 }
@@ -136,6 +137,13 @@ func TestConfigValidate(t *testing.T) {
 		{"zero core bandwidth", func(c *Config) { c.CoreLink.BandwidthBps = 0 }},
 		{"negative access delay", func(c *Config) { c.AccessLink.Delay = -sim.Millisecond }},
 		{"zero victim queue", func(c *Config) { c.VictimLink.QueueLen = 0 }},
+		// Each of these used to validate and then run with transmission
+		// times or arrival keys wrapped past sim.Time's range.
+		{"NaN access bandwidth", func(c *Config) { c.AccessLink.BandwidthBps = math.NaN() }},
+		{"infinite core bandwidth", func(c *Config) { c.CoreLink.BandwidthBps = math.Inf(1) }},
+		{"1e-300 b/s access bandwidth", func(c *Config) { c.AccessLink.BandwidthBps = 1e-300 }},
+		{"victim delay near the end of time", func(c *Config) { c.VictimLink.Delay = math.MaxInt64 - 10 }},
+		{"full queue drains past the horizon", func(c *Config) { c.CoreLink.BandwidthBps, c.CoreLink.QueueLen = 1, 1<<20 }},
 		{"negative extra victims", func(c *Config) { c.ExtraVictims = -1 }},
 		{"extra victims overflow address block", func(c *Config) { c.ExtraVictims = 251 }},
 		{"multi-homed too small", func(c *Config) { c.NumRouters = 2; c.MultiHomedVictim = true }},

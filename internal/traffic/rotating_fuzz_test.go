@@ -47,9 +47,9 @@ func FuzzRotatingSource(f *testing.F) {
 
 		sched := sim.NewScheduler()
 		net := netsim.New(sched, sim.NewRNG(1))
-		router := net.AddRouter("r")
-		zombie := net.AddHost("z", netsim.IP(0xc0a80001))
-		victim := net.AddHost("v", netsim.IP(0x0a000001))
+		router := net.AddRouter()
+		zombie := net.AddHost(netsim.IP(0xc0a80001))
+		victim := net.AddHost(netsim.IP(0x0a000001))
 		link := netsim.LinkConfig{BandwidthBps: 100e6, Delay: sim.Millisecond, QueueLen: 64}
 		for _, h := range []*netsim.Host{zombie, victim} {
 			h.AttachTo(router.ID())

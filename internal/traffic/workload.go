@@ -154,8 +154,8 @@ func (s WorkloadSpec) Validate() error {
 	if s.AttackRate <= 0 || s.LegitRate <= 0 {
 		return fmt.Errorf("%w: rates attack=%v legit=%v", ErrBadSpec, s.AttackRate, s.LegitRate)
 	}
-	if s.PacketSize <= 0 || s.RTT <= 0 {
-		return fmt.Errorf("%w: packet size %d and RTT %v must be positive", ErrBadSpec, s.PacketSize, s.RTT)
+	if s.PacketSize <= 0 || s.PacketSize > netsim.MaxPacketSize || s.RTT <= 0 {
+		return fmt.Errorf("%w: packet size %d must lie in [1,%d] and RTT %v be positive", ErrBadSpec, s.PacketSize, netsim.MaxPacketSize, s.RTT)
 	}
 	if s.AttackPulsePeriod < 0 || s.AttackDutyCycle < 0 || s.AttackDutyCycle > 1 {
 		return fmt.Errorf("%w: pulse period %v, duty cycle %v", ErrBadSpec, s.AttackPulsePeriod, s.AttackDutyCycle)

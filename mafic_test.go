@@ -27,7 +27,7 @@ func TestPublicDefaultsMatchPaper(t *testing.T) {
 func TestPublicNewDefender(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := netsim.New(sched, sim.NewRNG(1))
-	r := net.AddRouter("atr")
+	r := net.AddRouter()
 	d, err := NewDefender(DefaultConfig(), r, nil)
 	if err != nil {
 		t.Fatalf("NewDefender: %v", err)
