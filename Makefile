@@ -154,9 +154,12 @@ search-baseline:
 # Every allocation is recorded, not one per half-megabyte: a warm run makes a
 # few hundred small ones, which the default sampling rate would mostly miss.
 # mem.pprof also holds the in-use heap at the end, which is what the pooled
-# run bundle's arena retains: read it with -sample_index=inuse_space.
+# run bundle's arena retains: read it with -sample_index=inuse_space; and
+# everything the runs allocated, the first (cold) one included: read it with
+# -sample_index=alloc_space.
 PROFILE_BENCH ?= table2
 profile:
 	$(GO) test ./internal/experiment -run '^$$' -bench 'Run/$(PROFILE_BENCH)$$' -benchtime 5x -cpuprofile cpu.pprof -memprofile mem.pprof -memprofilerate 1
 	@echo "wrote cpu.pprof and mem.pprof; inspect with: go tool pprof -top cpu.pprof"
 	@echo "retained heap (the pooled arena): go tool pprof -top -sample_index=inuse_space mem.pprof"
+	@echo "allocated by the runs, the first one cold: go tool pprof -top -sample_index=alloc_space mem.pprof"

@@ -42,8 +42,9 @@ type Config struct {
 	// after it measures the reaction. The default of 1 RTT splits the
 	// paper's 2×RTT window evenly.
 	ProbeDelayRTTs float64
-	// ResponseFactor is the maximum ratio of second-half to first-half
-	// arrivals for a flow to be considered responsive (it backed off).
+	// ResponseFactor is the maximum ratio of the response interval's
+	// arrival rate to the baseline interval's for a flow to be considered
+	// responsive (it backed off).
 	ResponseFactor float64
 	// MinProbePackets is the minimum number of packets that must arrive
 	// during the probing window before a flow can be condemned; sparser
@@ -153,14 +154,28 @@ func (c Config) probeWindow() sim.Time {
 	return sim.Time(float64(c.RTT) * c.ProbeWindowRTTs)
 }
 
-// probeDelay returns how long after SFT insertion the probe is injected,
-// clamped inside the probing window.
-func (c Config) probeDelay() sim.Time {
-	delayRTTs := c.ProbeDelayRTTs
-	if delayRTTs <= 0 || delayRTTs >= c.ProbeWindowRTTs {
-		delayRTTs = c.ProbeWindowRTTs / 2
+// probeDelayRTTs returns how long after SFT insertion the probe is
+// injected, in RTTs, clamped inside the probing window.
+func (c Config) probeDelayRTTs() float64 {
+	if c.ProbeDelayRTTs <= 0 || c.ProbeDelayRTTs >= c.ProbeWindowRTTs {
+		return c.ProbeWindowRTTs / 2
 	}
-	return sim.Time(float64(c.RTT) * delayRTTs)
+	return c.ProbeDelayRTTs
+}
+
+// probeDelay returns how long after SFT insertion the probe is injected.
+func (c Config) probeDelay() sim.Time {
+	return sim.Time(float64(c.RTT) * c.probeDelayRTTs())
+}
+
+// responseScale is the response interval's length over the baseline
+// interval's, (window − delay) / delay. It is computed in RTTs so that it is
+// exactly 1 whenever the intervals are equal — the paper's 2 × RTT window
+// probed after 1 RTT, and any window whose delay clamps to its half — which
+// leaves classify's bound there bit-identical to a comparison of raw counts.
+func (c Config) responseScale() float64 {
+	delay := c.probeDelayRTTs()
+	return (c.ProbeWindowRTTs - delay) / delay
 }
 
 // DropReason explains why the defender discarded a packet.
@@ -651,7 +666,9 @@ func (d *Defender) classify(entry *flowtable.Entry, _ sim.Time) {
 		// off after the probe.
 		responsive = false
 	default:
-		responsive = float64(entry.ResponseCount) <= d.cfg.ResponseFactor*float64(entry.BaselineCount)
+		// Compare rates, not counts: a response interval three times
+		// the baseline's may hold three times its count at the same rate.
+		responsive = float64(entry.ResponseCount) <= d.cfg.ResponseFactor*d.cfg.responseScale()*float64(entry.BaselineCount)
 	}
 	if responsive && d.cfg.CondemnProbes > 0 &&
 		int(d.probeMemory[entry.LabelHash]) >= d.cfg.CondemnProbes {

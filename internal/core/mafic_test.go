@@ -322,15 +322,16 @@ func TestLateOnlyFlowCondemned(t *testing.T) {
 	}
 }
 
-// TestLongProbeWindowCondemnsAHalvingFlow pins how classify reads a probing
-// window as it runs: it compares the arrival counts of the two intervals, not
-// their rates. One flow arrives every RTT/10 and halves its rate at the probe.
-// With the paper's window (2 × RTT, probe after 1 RTT) both intervals are
-// 1 RTT long, the response count is half the baseline count, and the flow is
-// promoted. With a 4 × RTT window a 1-RTT baseline count meets a 3-RTT
-// response count 1.5 times its size, and the same flow is condemned: the
-// artifact behind the ablation-probe-window series at 4 × RTT. A classify
-// that compares rates promotes it in both cases, and fails here.
+// TestLongProbeWindowCondemnsAHalvingFlow pins that classify compares the
+// arrival rates of a probing window's two intervals, not their counts. One
+// flow arrives every RTT/10 and halves its rate at the probe. With the
+// paper's window (2 × RTT, probe after 1 RTT) both intervals are 1 RTT long
+// and the response count is half the baseline count. With a 4 × RTT window a
+// 1-RTT baseline count of 10 meets a 3-RTT response count of 15: at half the
+// rate, but 1.5 times the count. Both flows are promoted. A classify that
+// compares raw counts condemns the second — the artifact that put the
+// ablation-probe-window series at 80.4–97.4 % at 4 × RTT — and fails here;
+// the name is the finding this test first pinned.
 func TestLongProbeWindowCondemnsAHalvingFlow(t *testing.T) {
 	for _, tc := range []struct {
 		windowRTTs         float64
@@ -338,7 +339,7 @@ func TestLongProbeWindowCondemnsAHalvingFlow(t *testing.T) {
 		want               flowtable.State
 	}{
 		{windowRTTs: 2, baseline: 10, response: 5, want: flowtable.StateNice},
-		{windowRTTs: 4, baseline: 10, response: 15, want: flowtable.StatePermanentDrop},
+		{windowRTTs: 4, baseline: 10, response: 15, want: flowtable.StateNice},
 	} {
 		e := newTestEnv(t)
 		d := e.defender(t, func(c *Config) {

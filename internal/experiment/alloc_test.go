@@ -142,9 +142,12 @@ func TestSnapshotSizes(t *testing.T) {
 // TestPlainRunPaysNothingForCheckpointing pins that the capture session is
 // lazy: a run that is never snapshotted allocates what it did before the
 // session existed. It is also the pin on what a warm run allocates at all:
-// 57 536 B in 76 objects for quick table2 on warm pools (147 584 B in 124
-// before the arena kept its network), the lowest of a few runs since map
-// growth makes single runs wobble.
+// 5 352 B in 25 objects for quick table2 on warm pools (57 536 B in 76
+// before the bundle kept its RNG streams, 147 584 B in 124 before the arena
+// kept its network), the lowest of a few runs since map growth makes single
+// runs wobble. Run alone it is 4 712 B in 23; in the whole package the idle
+// bundles it draws have served other tests' scenarios first, which costs
+// 640 B in 2 more. TestRecycledRunAllocations names what is left.
 func TestPlainRunPaysNothingForCheckpointing(t *testing.T) {
 	s := table2Quick(t)
 	best, bestBytes := ^uint64(0), ^uint64(0)
@@ -159,8 +162,44 @@ func TestPlainRunPaysNothingForCheckpointing(t *testing.T) {
 		}
 		best, bestBytes = min(best, mallocs), min(bestBytes, bytes)
 	}
-	if best > 76 || bestBytes > 57536 {
-		t.Errorf("a plain run allocated %d B in %d objects, want at most 57536 B in 76", bestBytes, best)
+	if best > 25 || bestBytes > 5352 {
+		t.Errorf("a plain run allocated %d B in %d objects, want at most 5352 B in 25", bestBytes, best)
+	}
+}
+
+// TestRecycledRunAllocations pins what the second run of each catalog entry
+// (quick) on one bundle allocates, the lower of two such runs. Every run
+// still allocates about 5 KB in about 25 objects: the builtRun, the metrics
+// collector with its series bins, the result's copy of the series, the
+// build's closures and the victim servers. What an entry adds beyond that
+// has a row in extra: the 5 000- and 50 000-router domains regrow their
+// calendar buckets, and lossy-control's late reports each clone their
+// matrix (trafficmatrix.EpochReport.Clone, about 85 KB a run). Before the
+// bundle kept its RNG streams a second run allocated 54–372 KB, one 5.5 KB
+// math/rand source per stream.
+func TestRecycledRunAllocations(t *testing.T) {
+	const base = 8 << 10
+	extra := map[string]uint64{
+		"stress-5k":     2 << 10,
+		"stress-50k":    2 << 10,
+		"lossy-control": 92 << 10,
+	}
+	for _, e := range Entries() {
+		t.Run(e.Name, func(t *testing.T) {
+			s := Quick(e.Build())
+			res := newRunResources()
+			run := func() {
+				if _, err := runWith(s, res, nil, ControlOptions{}); err != nil {
+					t.Fatalf("run: %v", err)
+				}
+			}
+			run()
+			_, first := heapDelta(run)
+			_, second := heapDelta(run)
+			if got, limit := min(first, second), base+extra[e.Name]; got > limit {
+				t.Errorf("a second run on a recycled bundle allocated %d B, want at most %d", got, limit)
+			}
+		})
 	}
 }
 

@@ -42,8 +42,10 @@ package experiment
 // every arrival was queued, and files written either way restore alike.
 //
 // RNG streams are restored by fast-forward: the rebuild recreates every
-// stream with its original seed (verified), then each stream replays draws
-// until it reaches the checkpointed draw count (sim.RNG.FastForwardStream).
+// stream with its original seed (verified; on a recycled bundle it reseeds
+// the streams the bundle keeps, see sim.RNG.Reset), then each stream replays
+// draws until it reaches the checkpointed draw count
+// (sim.RNG.FastForwardStream).
 // Restore first bounds what there is to replay: the draws a file claims beyond
 // the rebuilt streams' own, summed, may not exceed 16 for every event it says
 // was processed — the catalog's runs make at most 0.2 — so a file cannot buy
@@ -242,8 +244,8 @@ func (b *builtRun) capture() (*checkpoint.Snapshot, error) {
 	}
 
 	snap.Streams = snap.Streams[:0]
-	for i := 0; i < b.rng.StreamCount(); i++ {
-		seed, draws := b.rng.StreamState(i)
+	for i := 0; i < b.res.rng.StreamCount(); i++ {
+		seed, draws := b.res.rng.StreamState(i)
 		snap.Streams = append(snap.Streams, checkpoint.StreamState{Seed: seed, Draws: draws})
 	}
 	if err := b.captureEvents(); err != nil {
@@ -367,7 +369,7 @@ func (b *builtRun) restore(snap *checkpoint.Snapshot) error {
 		return fmt.Errorf("checkpoint: rebuild scheduled %d build events, snapshot recorded %d — the builds diverged",
 			b.buildSeq, snap.BuildSeq)
 	}
-	if got, want := b.rng.StreamCount(), len(snap.Streams); got != want {
+	if got, want := b.res.rng.StreamCount(), len(snap.Streams); got != want {
 		return fmt.Errorf("checkpoint: rebuild created %d rng streams, snapshot recorded %d", got, want)
 	}
 	// Fast-forwarding replays draws one by one, so what the file claims is
@@ -376,14 +378,14 @@ func (b *builtRun) restore(snap *checkpoint.Snapshot) error {
 	// file claiming 2^40 would spin for most of an hour.
 	budget := 16 * (min(snap.Processed, 1<<59) + 1)
 	for i, st := range snap.Streams {
-		if _, built := b.rng.StreamState(i); st.Draws > built {
+		if _, built := b.res.rng.StreamState(i); st.Draws > built {
 			if st.Draws-built > budget {
 				return fmt.Errorf("checkpoint: rng stream %d claims %d draws since the build, more than %d events could have made",
 					i, st.Draws-built, snap.Processed)
 			}
 			budget -= st.Draws - built
 		}
-		if err := b.rng.FastForwardStream(i, st.Seed, st.Draws); err != nil {
+		if err := b.res.rng.FastForwardStream(i, st.Seed, st.Draws); err != nil {
 			return err
 		}
 	}

@@ -98,10 +98,10 @@ var fieldManifest = map[string][]string{
 	"experiment.Result":              {"ATRCount", "Accuracy", "Activated", "ActivationSeconds", "AttackFlowsForgiven", "AttackRate", "Counts", "Defense", "DefenseStats", "DetectedByPushback", "EventsProcessed", "FalseNegativeRate", "FalsePositiveRate", "FlowsProbed", "LegitFlowsCondemned", "LegitimateDropRate", "Name", "Pd", "RouteBytes", "RouteEntries", "Routers", "Series", "TCPShare", "TrafficReduction", "Volume"}, // filled by finish; only the activation flags travel, as RunFlags
 	"experiment.RouterCrash":         {"CrashAt", "RestoreAt", "Router"},
 	"experiment.Scenario":            {"BinWidth", "Defense", "DetectionFallback", "Duration", "Faults", "MAFIC", "Monitor", "Name", "Pushback", "ReductionWindow", "Seed", "Topology", "Workload"},
-	"experiment.builtRun":            {"buildSeq", "collector", "domain", "res", "result", "rng", "s", "session"},                                                               // session: capture scratch; buildSeq travels as Snapshot.BuildSeq
-	"experiment.captureSession":      {"handlers", "links", "probeIdx", "reports", "snap"},                                                                                      // capture scratch around the one Snapshot; events go straight into snap.Events, unsorted
-	"experiment.handlerRole":         {"index", "kind"},                                                                                                                         // the capture registry's value: which event kind and owner a handler is
-	"experiment.runResources":        {"arena", "attackLabels", "coordinator", "defByRouter", "droppers", "ingressIDs", "legitLabels", "mafic", "monitor", "sched", "workload"}, // the recycled bundle: every object it holds has its own row
+	"experiment.builtRun":            {"buildSeq", "collector", "domain", "res", "result", "s", "session"},                                                                             // session: capture scratch; buildSeq travels as Snapshot.BuildSeq
+	"experiment.captureSession":      {"handlers", "links", "probeIdx", "reports", "snap"},                                                                                             // capture scratch around the one Snapshot; events go straight into snap.Events, unsorted
+	"experiment.handlerRole":         {"index", "kind"},                                                                                                                                // the capture registry's value: which event kind and owner a handler is
+	"experiment.runResources":        {"arena", "attackLabels", "coordinator", "defByRouter", "droppers", "ingressIDs", "legitLabels", "mafic", "monitor", "rng", "sched", "workload"}, // the recycled bundle: every object it holds has its own row
 	"flowtable.Entry":                {"BaselineCount", "Dropped", "FirstSeen", "Gen", "LabelHash", "LastSeen", "Packets", "ProbeDeadline", "ProbeStart", "ResponseCount", "State"},
 	"flowtable.Tables":               {"capacity", "evictions", "free", "hashScratch", "nft", "pdt", "sft", "slab", "transitions"}, // hashScratch: ForEachEntry's sort buffer, capture scratch with no run state
 	"flowtable.TablesState":          {"Entries", "Evictions", "Transitions"},
@@ -118,10 +118,10 @@ var fieldManifest = map[string][]string{
 	"netsim.Hooks":                   {"OnDeliver", "OnFaultDrop", "OnFilterDrop", "OnQueueDrop", "OnUnroutable"},                                                  // observer callbacks the build installs
 	"netsim.Host":                    {"accessRouter", "defaultHandler", "homeCount", "homeLinks", "homeRouters", "id", "ips", "nHandlers", "net", "st", "uplink"}, // st: the HostState row, held as it travels; uplink: derived from the links the build connects
 	"netsim.HostState":               {"Received", "Sent"},
-	"netsim.Link":                    {"cfg", "from", "inTail", "net", "st", "to", "txCur"},                                                                                                                                                                                                                                                                                                                          // st: the LinkState row, held as it travels; inTail, txCur: derived on restore from the link's pending arrival events (RestoreInFlight), not on the wire
-	"netsim.LinkConfig":              {"BandwidthBps", "Delay", "QueueLen"},                                                                                                                                                                                                                                                                                                                                          // from the scenario: rebuilt
-	"netsim.LinkState":               {"Down", "Dropped", "FaultDrops", "NextFree", "Queued", "Sent"},                                                                                                                                                                                                                                                                                                                // Queued: travels, but restore keeps the rebuilt link's count and checks the recount against it
-	"netsim.Network":                 {"adjEntrySlab", "bfsQueue", "bfsSeen", "cfgSlab", "colEntries", "colSlab", "colsMaterialized", "downLinks", "downRouters", "faultDrops", "filterSlab", "handlers", "hooks", "hostSlab", "ipOwner", "ipSlab", "linkCfgs", "linkSlab", "links", "nextPktID", "nodes", "pktFree", "pktSlab", "rng", "routeCols", "routerSlab", "scheduler", "sizeHint", "sparse", "topoVersion"}, // the nine slab fields (chunk list plus carve cursor each): storage Reset rewinds for the next build, no run state; bfsQueue, bfsSeen: the route BFS's scratch; linkCfgs: the build's index of cfgSlab; routeCols: rematerialized on restore from NetworkState.RouteDests
+	"netsim.Link":                    {"cfg", "from", "inTail", "net", "st", "to", "txCur"},                                                                                                                                                                                                                                                                                                                                     // st: the LinkState row, held as it travels; inTail, txCur: derived on restore from the link's pending arrival events (RestoreInFlight), not on the wire
+	"netsim.LinkConfig":              {"BandwidthBps", "Delay", "QueueLen"},                                                                                                                                                                                                                                                                                                                                                     // from the scenario: rebuilt
+	"netsim.LinkState":               {"Down", "Dropped", "FaultDrops", "NextFree", "Queued", "Sent"},                                                                                                                                                                                                                                                                                                                           // Queued: travels, but restore keeps the rebuilt link's count and checks the recount against it
+	"netsim.Network":                 {"adjEntrySlab", "bfsQueue", "bfsSeen", "cfgSlab", "colEntries", "colSlab", "colsMaterialized", "downLinks", "downRouters", "faultDrops", "filterSlab", "handlers", "hooks", "hostSlab", "ipOwner", "ipSlab", "lastCfg", "linkCfgs", "linkSlab", "links", "nextPktID", "nodes", "pktFree", "pktSlab", "rng", "routeCols", "routerSlab", "scheduler", "sizeHint", "sparse", "topoVersion"}, // the nine slab fields (chunk list plus carve cursor each): storage Reset rewinds for the next build, no run state; bfsQueue, bfsSeen: the route BFS's scratch; linkCfgs, lastCfg: the build's index of cfgSlab; routeCols: rematerialized on restore from NetworkState.RouteDests
 	"netsim.NetworkState":            {"FaultDrops", "NextPktID", "RouteDests", "TopoVersion"},
 	"netsim.Packet":                  {"FlowID", "Hops", "ID", "Kind", "Label", "Malicious", "Proto", "SentAt", "Seq", "Size", "dstNode", "dstNodeOK", "flowHash", "freed", "hashOK", "inNext", "pooled", "txDone", "txSeq"}, // inNext, txDone, txSeq: derived on restore from the packet's own arrival event (At - Delay, Seq), not on the wire
 	"netsim.PacketState":             {"FlowID", "Hops", "ID", "Kind", "Label", "Malicious", "Proto", "SentAt", "Seq", "Size"},
@@ -141,7 +141,7 @@ var fieldManifest = map[string][]string{
 	"sim.calendarQueue":              {"buckets", "count", "cur", "curTop", "gapPops", "gapSum", "havePop", "lastPopAt", "mask", "nodes", "popsSinceRetune", "scratch", "shift", "width"}, // queue geometry and its tuning, not on the wire: it may differ after a restore, and dispatch order does not depend on it
 	"sim.countingSource":             {"draws", "seed", "src"},
 	"sim.event":                      {"ah", "arg", "at", "fn", "gen", "h", "nextFree", "seq", "state"},
-	"sim.rngRegistry":                {"streams"},                                                                                                                                                                                                    // every stream of the run's root; each one's (seed, draws) travels as a StreamState
+	"sim.rngRegistry":                {"streams"},                                                                                                                                                                                                    // every stream of the run's root; each one's (seed, draws) travels as a StreamState; the backing past len: streams an earlier run forked, which the next forks reseed
 	"sim.timedEnt":                   {"at", "idx", "seq"},                                                                                                                                                                                           // calendar entry: queue geometry, rebuilt by re-inserting the pending events
 	"topology.Arena":                 {"domain", "net"},                                                                                                                                                                                              // net, domain: the network and the Domain every Build resets and rebuilds; what they carry of a run is netsim.Network's and topology.Domain's rows
 	"topology.Config":                {"AccessLink", "BystanderHosts", "ClientsPerIngress", "CoreLink", "ExtraChords", "ExtraVictims", "MultiHomedVictim", "NumIngress", "NumRouters", "Style", "TransitRouters", "VictimLink", "ZombiesPerIngress"}, // from the scenario: rebuilt

@@ -27,17 +27,20 @@ type defense interface {
 // (whose network every build resets and rebuilds in place), the scheduler,
 // the engine objects every build resets in place on that network — the MAFIC
 // defenders, the traffic-matrix monitor, the pushback coordinator and the
-// workload with its senders — and the run-scoped lookup tables buildRun
-// refills for every scenario: the per-defender dispatch maps and the
-// ground-truth label sets. A recycled bundle keeps the arena's backing
-// arrays, the scheduler's event arena and queue geometry, the objects' slabs
-// and tables, and the maps' buckets warm, so a steady-state run allocates
-// none of them again. Reuse is bit-invariant: dispatch order depends on none
-// of it, and the invariance suite pins a run on a recycled bundle against one
-// on a brand-new bundle for the whole catalog.
+// workload with its senders — the root RNG with every stream a run has
+// forked from it, and the run-scoped lookup tables buildRun refills for
+// every scenario: the per-defender dispatch maps and the ground-truth label
+// sets. A recycled bundle keeps the arena's backing arrays, the scheduler's
+// event arena and queue geometry, the objects' slabs and tables, the
+// streams' sources and the maps' buckets warm, so a steady-state run
+// allocates none of them again. Reuse is bit-invariant: dispatch order
+// depends on none of it, a stream reseeded in place draws exactly what a new
+// one would (see sim.RNG.Reset), and the invariance suite pins a run on a
+// recycled bundle against one on a brand-new bundle for the whole catalog.
 type runResources struct {
 	arena       *topology.Arena
 	sched       *sim.Scheduler
+	rng         *sim.RNG
 	monitor     *trafficmatrix.Monitor
 	coordinator *pushback.Coordinator
 	workload    *traffic.Workload
@@ -57,7 +60,8 @@ type runResources struct {
 // idleBundles keeps bundles between runs, sequential or the workers of a
 // sweep alike. A bundle handed back while it is full falls to the garbage
 // collector. 64 slots bound what idle bundles retain — each keeps the largest
-// domain it has built, 36 MB of arena after a quick stress-50k run — and
+// domain it has built, 31 MB of arena after a quick stress-50k run, and the
+// streams of its most-forking run, 0.3 MB for that run's 50 — and
 // still cover every concurrent run of a sweep on up to 64 CPUs (RunMany runs
 // GOMAXPROCS workers by default) or of maficserve (two by default).
 var idleBundles = make(chan *runResources, 64)
@@ -68,6 +72,7 @@ func newRunResources() *runResources {
 	return &runResources{
 		arena:        topology.NewArena(),
 		sched:        sim.NewScheduler(),
+		rng:          sim.NewRNG(0), // buildRun resets it to the scenario's seed
 		monitor:      new(trafficmatrix.Monitor),
 		coordinator:  new(pushback.Coordinator),
 		workload:     new(traffic.Workload),
@@ -107,7 +112,6 @@ func (r *runResources) reset() {
 type builtRun struct {
 	s         Scenario
 	res       *runResources
-	rng       *sim.RNG
 	domain    *topology.Domain
 	collector *metrics.Collector
 	// buildSeq is the scheduler sequence number recorded immediately after
@@ -205,10 +209,10 @@ func RunFromSnapshot(data []byte) (Result, error) {
 // build-time events, and records the build/run sequence boundary. It does not
 // advance the clock. A failed build releases whatever it had built so far.
 func buildRun(s Scenario, res *runResources) (*builtRun, error) {
+	res.rng.Reset(s.Seed)
 	b := &builtRun{
 		s:   s,
 		res: res,
-		rng: sim.NewRNG(s.Seed),
 		result: Result{
 			Name:       s.Name,
 			Pd:         s.MAFIC.DropProbability,
@@ -229,7 +233,7 @@ func buildRun(s Scenario, res *runResources) (*builtRun, error) {
 // build is buildRun's body. A failure part-way is released like a finished
 // run: the next build resets whatever the bundle keeps, half-built or not.
 func (b *builtRun) build() error {
-	s, res, rng, sched := b.s, b.res, b.rng, b.res.sched
+	s, res, rng, sched := b.s, b.res, b.res.rng, b.res.sched
 	domain, err := res.arena.Build(s.Topology, sched, rng.Fork())
 	if err != nil {
 		return fmt.Errorf("build topology: %w", err)

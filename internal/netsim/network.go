@@ -113,8 +113,11 @@ type Network struct {
 
 	// linkCfgs maps each distinct link configuration (queue length
 	// defaulted) to the network's one copy of it in cfgSlab, which every
-	// link with that configuration points at.
+	// link with that configuration points at. lastCfg is the copy the last
+	// link got: a build connects its links in runs of one configuration,
+	// so most links find theirs there without hashing it.
 	linkCfgs map[LinkConfig]*LinkConfig
+	lastCfg  *LinkConfig
 	cfgSlab  slab[LinkConfig]
 
 	// handlers dispatches host-received packets by (host, label). One
@@ -520,12 +523,16 @@ func (n *Network) connect(from, to NodeID, cfg LinkConfig) *Link {
 // the value is seen. A NaN bandwidth never equals itself, so such a
 // configuration gets a copy per link; topology refuses it before a build.
 func (n *Network) sharedConfig(cfg LinkConfig) *LinkConfig {
-	if c, ok := n.linkCfgs[cfg]; ok {
+	if c := n.lastCfg; c != nil && *c == cfg {
 		return c
 	}
-	c := &n.cfgSlab.take(1, cfgChunk)[0]
-	*c = cfg
-	n.linkCfgs[cfg] = c
+	c, ok := n.linkCfgs[cfg]
+	if !ok {
+		c = &n.cfgSlab.take(1, cfgChunk)[0]
+		*c = cfg
+		n.linkCfgs[cfg] = c
+	}
+	n.lastCfg = c
 	return c
 }
 

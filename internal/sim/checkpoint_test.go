@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -115,5 +117,76 @@ func TestFastForwardStreamValidation(t *testing.T) {
 	}
 	if _, got := rng.StreamState(1); got != draws+3 {
 		t.Fatalf("fast-forward landed on %d draws, want %d", got, draws+3)
+	}
+}
+
+// drawShape forks n streams off root, every third of them with a fork of its
+// own, draws from each stream and from root a number that depends on its
+// position, and returns every value drawn followed by every stream's seed
+// and draw count: a run's worth of stream use, in creation order.
+func drawShape(root *RNG, n int) []uint64 {
+	streams := []*RNG{root}
+	for i := 0; i < n; i++ {
+		f := root.Fork()
+		streams = append(streams, f)
+		if i%3 == 0 {
+			streams = append(streams, f.Fork())
+		}
+	}
+	var out []uint64
+	for i, g := range streams {
+		for k := 0; k <= i%5; k++ {
+			out = append(out, math.Float64bits(g.Float64()), uint64(g.Intn(1000)), g.Uint64(),
+				math.Float64bits(g.Exponential(2)))
+		}
+	}
+	for i := 0; i < root.StreamCount(); i++ {
+		seed, draws := root.StreamState(i)
+		out = append(out, uint64(seed), draws)
+	}
+	return out
+}
+
+// TestResetRootReseedsKeptStreams pins the steady state of a recycled root:
+// after Reset, its forks reuse the streams an earlier run forked, in creation
+// order, and draw exactly what NewRNG(seed)'s forks draw, with the same seeds
+// and draw counts, whether the earlier run forked more streams or fewer. A
+// reuse that skipped the reseed would continue each stream where the earlier
+// run left it, and fails here. Within the earlier run's count, a reset run
+// forks without allocating.
+func TestResetRootReseedsKeptStreams(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		before, after int
+	}{
+		{"after a run that forked more", 12, 7},
+		{"after a run that forked fewer", 4, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := NewRNG(5)
+			drawShape(root, tc.before)
+			root.Reset(99)
+			got := drawShape(root, tc.after)
+			want := drawShape(NewRNG(99), tc.after)
+			if !slices.Equal(got, want) {
+				i := 0
+				for i < min(len(got), len(want)) && got[i] == want[i] {
+					i++
+				}
+				t.Fatalf("a reset root's streams gave %d values and states, NewRNG's %d: the first difference is at %d", len(got), len(want), i)
+			}
+		})
+	}
+	root := NewRNG(1)
+	for i := 0; i < 8; i++ {
+		root.Fork()
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		root.Reset(2)
+		for i := 0; i < 8; i++ {
+			root.Fork()
+		}
+	}); allocs != 0 {
+		t.Fatalf("a reset root's forks allocated %.1f times per run, want reuse", allocs)
 	}
 }

@@ -34,6 +34,13 @@ func (c *countingSource) Seed(seed int64) {
 // rngRegistry tracks every stream forked from one root, in creation order.
 // Rebuilding a scenario deterministically recreates the same streams in the
 // same order, so a checkpoint only needs each stream's seed and draw count.
+// The registry also keeps the streams, and a recycled run bundle keeps its
+// root from run to run: Reset cuts streams to the root and keeps its
+// backing, which holds every stream an earlier run forked, so the i-th Fork
+// of the next run reseeds the i-th of them in place instead of allocating a
+// fresh 5 KB source. A reseeded stream is bit-identical to a
+// new one: (*rand.Rand).Seed rebuilds the whole source from the seed alone,
+// and countingSource.Seed zeroes its draw count.
 type rngRegistry struct {
 	streams []*RNG
 }
@@ -60,11 +67,33 @@ func newRNGIn(reg *rngRegistry, seed int64) *RNG {
 	return g
 }
 
+// Reset makes the root g what NewRNG(seed) returns, except that its registry
+// keeps the streams it has forked for the next forks to reuse. Every stream
+// an earlier fork returned is handed out again, so nothing may draw from one
+// after Reset but the component its new fork goes to.
+func (g *RNG) Reset(seed int64) {
+	if g.reg.streams[0] != g {
+		panic("sim: Reset of a forked stream")
+	}
+	g.r.Seed(seed)
+	g.reg.streams = g.reg.streams[:1]
+}
+
 // Fork derives an independent generator from this one. Substreams keep
 // component behaviour stable when unrelated components are added or removed
-// from a scenario. The fork joins the parent's stream registry.
+// from a scenario. The fork joins the parent's stream registry, reseeding the
+// stream an earlier run forked at the same position if there is one.
 func (g *RNG) Fork() *RNG {
-	return newRNGIn(g.reg, g.r.Int63())
+	seed := g.r.Int63()
+	reg := g.reg
+	if n := len(reg.streams); n < cap(reg.streams) {
+		if f := reg.streams[:n+1][n]; f != nil {
+			f.r.Seed(seed)
+			reg.streams = reg.streams[:n+1]
+			return f
+		}
+	}
+	return newRNGIn(reg, seed)
 }
 
 // StreamCount reports how many streams (the root plus every fork, forks of
