@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet check golden fuzz snap-diff digest-diff bench-compare search search-baseline profile
+.PHONY: all build test vet check golden fuzz snap-diff digest-diff arch-diff bench-compare search search-baseline profile
 
 all: build test
 
@@ -110,6 +110,31 @@ digest-diff:
 		echo "digest-diff against $(BASE): $$same of $$n workloads identical"; cat "$$tmp/compare.txt"; exit 1; \
 	fi; \
 	echo "digest-diff against $(BASE): every result_digest identical on all $$n workloads"
+
+# arch-diff is the guard that results do not depend on the CPU level the
+# simulator is built for: maficsim is built from the working tree at
+# GOAMD64=v1 and at GOAMD64=v3 (where the compiler lowers rounding, bit
+# counting and math.FMA to other instructions), and every catalog entry runs
+# `-quick -json` on both, one process per scenario and level. Each pair of result JSON must be byte-identical; the differing names
+# are printed and the exit status is non-zero if there are any. The v3 binary
+# needs a CPU with AVX2, BMI2 and FMA to run.
+arch-diff:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for level in v1 v3; do \
+		GOAMD64=$$level $(GO) build -o "$$tmp/sim.$$level" ./cmd/maficsim; \
+		mkdir "$$tmp/out.$$level"; \
+	done; \
+	n=0; bad=""; \
+	for name in $$("$$tmp/sim.v1" -list | awk 'NR > 1 { print $$1 }'); do \
+		for level in v1 v3; do \
+			"$$tmp/sim.$$level" -scenario $$name -quick -json >"$$tmp/out.$$level/$$name.json" 2>"$$tmp/out.$$level/$$name.log" \
+				|| { echo "$$name ($$level): run failed:"; cat "$$tmp/out.$$level/$$name.log"; }; \
+		done; \
+		cmp -s "$$tmp/out.v1/$$name.json" "$$tmp/out.v3/$$name.json" || bad="$$bad $$name.json"; \
+		n=$$((n + 1)); \
+	done; \
+	if [ -n "$$bad" ]; then echo "arch-diff: of $$n scenarios these differ between GOAMD64=v1 and v3:$$bad"; exit 1; fi; \
+	echo "arch-diff: $$n scenarios, result JSON byte-identical at GOAMD64=v1 and v3"
 
 # bench-compare is the acceptance measurement of a perf PR and the repo's one
 # performance gate: the paired recipe of benchmark/README.md ("Comparing two

@@ -23,8 +23,9 @@ package experiment
 // the rebuild itself; the restore cancels the ones the original run had
 // already consumed (sim.Scheduler.ReconcilePending) and leaves the rest.
 // Events scheduled while the simulation was running ("runtime events") are
-// captured by classifying their handlers against a closed registry — link
-// arrivals, flow send/phase/end, monitor ticks, probe timers — and
+// captured by classifying their handlers (an event holds one sim.ArgHandler
+// and its payload) against a closed registry — link arrivals, flow
+// send/phase/end, monitor ticks and delayed reports, probe timers — and
 // re-inserted with their original timestamps and sequence numbers
 // (sim.Scheduler.InsertKeyed) against the rebuilt objects. An event whose
 // handler cannot be classified fails the capture loudly rather than
@@ -156,7 +157,7 @@ import (
 
 // handlerRole classifies a scheduled handler identity during capture.
 type handlerRole struct {
-	kind  uint8 // the event kind; EvMonitorTick for the monitor, whose ArgHandler face is EvMonitorLate
+	kind  uint8 // the event kind; EvMonitorTick for the monitor, which capture turns into EvMonitorLate when the event carries a report
 	index uint32
 }
 
@@ -166,9 +167,10 @@ type captureSession struct {
 	snap checkpoint.Snapshot
 
 	// The handler identity registry: every object runtime events can dispatch
-	// through, keyed by the exact interface value the scheduler holds, and
-	// the links in ForEachLink order.
-	handlers map[any]handlerRole
+	// through, keyed by the ArgHandler the scheduler holds, one entry per
+	// object (the monitor's ticks and its delayed reports share one and are
+	// told apart by the payload), and the links in ForEachLink order.
+	handlers map[sim.ArgHandler]handlerRole
 	links    []*netsim.Link
 
 	// Per-capture scratch: the probe-record dedupe table and the owned copies
@@ -194,7 +196,7 @@ func (b *builtRun) newSession() (*captureSession, error) {
 	}
 	cs := &captureSession{
 		snap:     checkpoint.Snapshot{Scenario: scenarioJSON},
-		handlers: make(map[any]handlerRole),
+		handlers: make(map[sim.ArgHandler]handlerRole),
 		links:    b.links(),
 		probeIdx: make(map[any]uint32),
 	}
@@ -290,17 +292,13 @@ func (b *builtRun) captureEvents() error {
 			snap.Events = append(snap.Events, checkpoint.EventState{At: ev.At, Seq: ev.Seq, Kind: checkpoint.EvBuild})
 			return
 		}
-		if ev.Closure {
+		if _, ok := ev.H.(sim.Handler); ok {
 			captureErr = fmt.Errorf("checkpoint: runtime event %d at %v dispatches a closure and cannot be captured", ev.Seq, ev.At)
 			return
 		}
-		var key any = ev.H
-		if key == nil {
-			key = ev.ArgH
-		}
-		role, ok := cs.handlers[key]
+		role, ok := cs.handlers[ev.H]
 		if !ok {
-			captureErr = fmt.Errorf("checkpoint: runtime event %d at %v has unrecognised handler %T", ev.Seq, ev.At, key)
+			captureErr = fmt.Errorf("checkpoint: runtime event %d at %v has unrecognised handler %T", ev.Seq, ev.At, ev.H)
 			return
 		}
 		snap.Events = append(snap.Events, checkpoint.EventState{At: ev.At, Seq: ev.Seq, Kind: role.kind, Index: role.index})
@@ -321,7 +319,7 @@ func (b *builtRun) captureEvents() error {
 				netsim.CapturePacket(p, &snap.Events[len(snap.Events)-1].Packet)
 			}
 		case checkpoint.EvMonitorTick:
-			if ev.ArgH != nil {
+			if ev.Arg != nil {
 				st.Kind = checkpoint.EvMonitorLate
 				cs.reports = resize(cs.reports, len(cs.reports)+1)
 				rep := &cs.reports[len(cs.reports)-1]
@@ -450,25 +448,24 @@ func (b *builtRun) restore(snap *checkpoint.Snapshot) error {
 			f := flows[ev.Index]
 			switch ev.Kind {
 			case checkpoint.EvFlowSend:
-				h := traffic.SendHandler(f)
-				traffic.SetSendEvent(f, sched.InsertKeyed(ev.At, ev.Seq, nil, nil, nil, h))
+				traffic.SetSendEvent(f, sched.InsertKeyed(ev.At, ev.Seq, traffic.SendHandler(f), nil))
 			case checkpoint.EvFlowPhase:
 				ph, _ := traffic.PhaseHandlers(f)
 				if ph == nil {
 					return fmt.Errorf("checkpoint: event %d schedules a phase on flow %d, which has none", ev.Seq, ev.Index)
 				}
-				traffic.SetPhaseEvent(f, sched.InsertKeyed(ev.At, ev.Seq, nil, nil, nil, ph))
+				traffic.SetPhaseEvent(f, sched.InsertKeyed(ev.At, ev.Seq, ph, nil))
 			default:
 				_, eh := traffic.PhaseHandlers(f)
 				if eh == nil {
 					return fmt.Errorf("checkpoint: event %d schedules a phase end on flow %d, which has none", ev.Seq, ev.Index)
 				}
-				sched.InsertKeyed(ev.At, ev.Seq, nil, nil, nil, eh)
+				sched.InsertKeyed(ev.At, ev.Seq, eh, nil)
 			}
 		case checkpoint.EvMonitorTick:
-			sched.InsertKeyed(ev.At, ev.Seq, nil, nil, nil, b.res.monitor)
+			sched.InsertKeyed(ev.At, ev.Seq, b.res.monitor, nil)
 		case checkpoint.EvMonitorLate:
-			sched.InsertKeyed(ev.At, ev.Seq, nil, b.res.monitor, b.res.monitor.RestoreEpochReport(ev.Report), nil)
+			sched.InsertKeyed(ev.At, ev.Seq, b.res.monitor, b.res.monitor.RestoreEpochReport(ev.Report))
 		case checkpoint.EvProbeSend, checkpoint.EvWindowEnd:
 			if int(ev.Index) >= len(mafic) {
 				return fmt.Errorf("checkpoint: event %d names defender %d of %d", ev.Seq, ev.Index, len(mafic))
@@ -481,7 +478,7 @@ func (b *builtRun) restore(snap *checkpoint.Snapshot) error {
 			if ev.Kind == checkpoint.EvWindowEnd {
 				ah = we
 			}
-			sched.InsertKeyed(ev.At, ev.Seq, nil, ah, probeRecs[ev.Probe], nil)
+			sched.InsertKeyed(ev.At, ev.Seq, ah, probeRecs[ev.Probe])
 		default:
 			return fmt.Errorf("checkpoint: unknown event kind %d", ev.Kind)
 		}

@@ -140,7 +140,7 @@ var fieldManifest = map[string][]string{
 	"sim.calNode":                    {"at", "next", "seq"},                                                                                                                               // calendar entry: queue geometry, rebuilt by re-inserting the pending events
 	"sim.calendarQueue":              {"buckets", "count", "cur", "curTop", "gapPops", "gapSum", "havePop", "lastPopAt", "mask", "nodes", "popsSinceRetune", "scratch", "shift", "width"}, // queue geometry and its tuning, not on the wire: it may differ after a restore, and dispatch order does not depend on it
 	"sim.countingSource":             {"draws", "seed", "src"},
-	"sim.event":                      {"ah", "arg", "at", "fn", "gen", "h", "nextFree", "seq", "state"},
+	"sim.event":                      {"ah", "arg", "at", "gen", "nextFree", "seq", "state"},
 	"sim.rngRegistry":                {"streams"},                                                                                                                                                                                                    // every stream of the run's root; each one's (seed, draws) travels as a StreamState; the backing past len: streams an earlier run forked, which the next forks reseed
 	"sim.timedEnt":                   {"at", "idx", "seq"},                                                                                                                                                                                           // calendar entry: queue geometry, rebuilt by re-inserting the pending events
 	"topology.Arena":                 {"domain", "net"},                                                                                                                                                                                              // net, domain: the network and the Domain every Build resets and rebuilds; what they carry of a run is netsim.Network's and topology.Domain's rows

@@ -117,7 +117,7 @@ var knobs = map[string]knob{
 		why: "3 duplicated ACKs, the count that triggers TCP fast retransmit"},
 	"MAFIC.ProbeSize": {kind: fixed, bad: -4000, why: "40-byte probes, a bare TCP ACK"},
 	"MAFIC.TableCapacity": {kind: fixed, bad: -1,
-		why: "unbounded tables; the bounded-eviction path runs in flowtable's tests and fuzzer and the benchmark's table drill"},
+		why: "unbounded tables; the bounded-eviction path runs only in flowtable's tests and fuzzer (the benchmark's table drill builds its tables with this value, so unbounded too)"},
 	"MAFIC.ReprobeAfterIdle":    {kind: varied, bad: -1},
 	"MAFIC.CondemnProbes":       {kind: varied, bad: -1},
 	"MAFIC.ProbeMemoryCapacity": {kind: varied, bad: -1},

@@ -2,8 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"math"
-	"slices"
 
 	"mafic/internal/sim"
 )
@@ -394,39 +392,4 @@ func Search(spec SearchSpec, opts SearchOptions) (SearchReport, error) {
 		report.Defences = append(report.Defences, outcome)
 	}
 	return report, nil
-}
-
-// Equal reports whether two search reports are identical up to floating-point
-// representation — the determinism the harness tests pin.
-func (r SearchReport) Equal(o SearchReport) bool {
-	if r.Quick != o.Quick || r.Seed != o.Seed || r.GridSize != o.GridSize ||
-		len(r.Defences) != len(o.Defences) {
-		return false
-	}
-	for i := range r.Defences {
-		a, b := r.Defences[i], o.Defences[i]
-		if a.Defence != b.Defence ||
-			a.WorstAccuracy != b.WorstAccuracy ||
-			a.WorstCollateral != b.WorstCollateral ||
-			!floatEqual(a.MeanAccuracy, b.MeanAccuracy) ||
-			!slices.Equal(a.Points, b.Points) ||
-			len(a.ByFault) != len(b.ByFault) {
-			return false
-		}
-		for j := range a.ByFault {
-			fa, fb := a.ByFault[j], b.ByFault[j]
-			if fa.Fault != fb.Fault ||
-				fa.WorstAccuracy != fb.WorstAccuracy ||
-				!floatEqual(fa.MeanAccuracy, fb.MeanAccuracy) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// floatEqual tolerates the last-ulp wiggle a different summation order could
-// introduce (none is expected: folding is always serial).
-func floatEqual(a, b float64) bool {
-	return a == b || math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
 }

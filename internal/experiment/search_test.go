@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -79,7 +80,7 @@ func TestSearchSerialParallelIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parallel search: %v", err)
 	}
-	if !serial.Equal(parallel) {
+	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("serial and parallel search reports diverge")
 	}
 
@@ -88,7 +89,7 @@ func TestSearchSerialParallelIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("repeat search: %v", err)
 	}
-	if !serial.Equal(again) {
+	if !reflect.DeepEqual(serial, again) {
 		t.Fatal("repeated search with the same seed diverges")
 	}
 	for i := range serial.Defences {

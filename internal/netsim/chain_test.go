@@ -56,7 +56,7 @@ func checkLedger(t *testing.T, n *Network, tr *chaosTrace) int {
 	inFlight := 0
 	heads := make(map[*Link]bool)
 	n.Scheduler().ForEachPending(func(ev sim.PendingEvent) {
-		l, ok := ev.ArgH.(*Link)
+		l, ok := ev.H.(*Link)
 		if !ok {
 			return
 		}

@@ -134,7 +134,7 @@ func (l *Link) enchainArrival(pkt *Packet, txDone sim.Time, seq uint64, unretire
 	if l.inTail != nil {
 		l.inTail.inNext = pkt
 	} else {
-		l.net.scheduler.InsertKeyed(txDone+l.cfg.Delay, seq, nil, l, pkt, nil)
+		l.net.scheduler.InsertKeyed(txDone+l.cfg.Delay, seq, l, pkt)
 	}
 	l.inTail = pkt
 	if unretired {
@@ -156,7 +156,7 @@ func (l *Link) OnEventArg(now sim.Time, arg any) {
 		l.txCur = pkt.inNext
 	}
 	if next := pkt.inNext; next != nil {
-		l.net.scheduler.InsertKeyed(next.txDone+l.cfg.Delay, next.txSeq, nil, l, next, nil)
+		l.net.scheduler.InsertKeyed(next.txDone+l.cfg.Delay, next.txSeq, l, next)
 	} else {
 		l.inTail = nil
 	}

@@ -22,6 +22,8 @@ func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{"scenario":"table2","durationMs":-5,"checkpointEveryMs":-1}`))
 	f.Add([]byte(`{"scenario":"table2","durationMs":1e300,"rate":1e-300,"routers":-1,"flows":2147483647}`))
 	f.Add([]byte(`{"scenario":"table2","bogusField":1}`))
+	f.Add([]byte(`{"scenario":"table2"}{"scenario":"nope"}`))
+	f.Add([]byte(`{"scenario":"table2"} trailing garbage`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		spec, err := decodeSpec(bytes.NewReader(body))
 		if err != nil {

@@ -66,13 +66,24 @@ func (sv *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 const maxSpecBytes = 1 << 20
 
 // decodeSpec parses a POST /jobs body. Unknown fields are an error: a
-// misspelt override must not silently run the catalog's own value.
+// misspelt override must not silently run the catalog's own value. So is
+// anything after the spec but white space: a second value or stray text
+// means the client sent something other than what would run.
 func decodeSpec(r io.Reader) (JobSpec, error) {
 	var spec JobSpec
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	err := dec.Decode(&spec)
-	return spec, err
+	if err := dec.Decode(&spec); err != nil {
+		return spec, err
+	}
+	switch _, err := dec.Token(); err {
+	case io.EOF:
+		return spec, nil
+	case nil:
+		return spec, errors.New("data after the job spec")
+	default:
+		return spec, err
+	}
 }
 
 func (sv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {

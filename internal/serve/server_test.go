@@ -325,6 +325,14 @@ func TestHTTPEndpoints(t *testing.T) {
 	if resp := post("/jobs", `{"scenario":"table2","bogusField":1}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d, want 400", resp.StatusCode)
 	}
+	for _, body := range []string{
+		`{"scenario":"table2"}{"scenario":"nope"}`,
+		`{"scenario":"table2"} trailing garbage`,
+	} {
+		if resp := post("/jobs", body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("trailing data %q: status %d, want 400", body, resp.StatusCode)
+		}
+	}
 
 	// A body past the bound is refused before it is parsed to the end, and
 	// nothing about it reaches the queue or the counters.

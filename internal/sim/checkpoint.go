@@ -11,16 +11,14 @@ package sim
 // queue always dispatches the globally minimal (time, seq) entry, so the
 // difference is unobservable.
 
-// PendingEvent describes one queued event to a checkpoint capture. Exactly
-// one of Closure, ArgH or H identifies the dispatch target; Arg carries the
-// payload when ArgH is set.
+// PendingEvent describes one queued event to a checkpoint capture: it fires
+// as H.OnEventArg(now, Arg). A closure scheduled with ScheduleAt is H itself,
+// recognisable as H.(Handler).
 type PendingEvent struct {
-	At      Time
-	Seq     uint64
-	Closure bool // the event dispatches a func literal (build-time only)
-	ArgH    ArgHandler
-	Arg     any
-	H       EventHandler
+	At  Time
+	Seq uint64
+	H   ArgHandler
+	Arg any
 }
 
 // Seq reports the sequence number the next scheduled event will receive.
@@ -37,14 +35,7 @@ func (s *Scheduler) ForEachPending(fn func(PendingEvent)) {
 		if ev.state != eventQueued {
 			continue
 		}
-		fn(PendingEvent{
-			At:      ev.at,
-			Seq:     ev.seq,
-			Closure: ev.fn != nil,
-			ArgH:    ev.ah,
-			Arg:     ev.arg,
-			H:       ev.h,
-		})
+		fn(PendingEvent{At: ev.at, Seq: ev.seq, H: ev.ah, Arg: ev.arg})
 	}
 }
 

@@ -74,7 +74,7 @@ func TestReconcileAndRestoreRoundTrip(t *testing.T) {
 
 	// A runtime event restored at the same timestamp as a kept build event:
 	// the build event carries the lower sequence number and must fire first.
-	s.InsertKeyed(30, bound+1, mk(4), nil, nil, nil)
+	s.InsertKeyed(30, bound+1, mk(4), nil)
 
 	if err := s.Run(); err != nil {
 		t.Fatalf("run: %v", err)

@@ -14,10 +14,14 @@
 // makes cancelling an already-fired (and possibly re-occupied) slot a
 // detectable no-op rather than a use-after-free on the next occupant.
 //
-// Hot callers should prefer the EventHandler / ArgHandler interface variants
-// (ScheduleHandlerAt, ScheduleArgAt) over closure Handlers: a component
-// implements the interface once and schedules itself with zero per-event
-// allocations, attaching a pointer payload through the arg slot for free.
+// Every event holds one ArgHandler and its payload, and fires as
+// h.OnEventArg(now, arg); dispatch is one interface call. An engine
+// component implements ArgHandler once and schedules itself with ScheduleArgAt
+// at now plus its delay, using the now it is handed, attaching a pointer
+// payload for free. A closure Handler is an ArgHandler too, stored as itself,
+// and ScheduleHandlerAt queues an EventHandler as the payload of a zero-size
+// dispatcher; neither allocates. A checkpoint capture therefore classifies a
+// pending event by its handler alone.
 //
 // # Calendar-queue scheduling
 //

@@ -143,7 +143,7 @@ func runEquivScript(t *testing.T, seed int64, spread int, slice Time) {
 	}
 	insertKeyed = func(key refEnt) {
 		id := len(refs)
-		refs = append(refs, s.InsertKeyed(key.at, key.seq, fire(id, key.seq), nil, nil, nil))
+		refs = append(refs, s.InsertKeyed(key.at, key.seq, fire(id, key.seq), nil))
 		ref.push(refEnt{at: key.at, seq: key.seq, id: id})
 	}
 	for i := 0; i < 500; i++ {

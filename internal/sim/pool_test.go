@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 )
 
 // TestStaleRefCannotCancelRecycledSlot guards the generation counter: after
@@ -105,6 +106,15 @@ func TestScheduleHandlerSteadyStateDoesNotAllocate(t *testing.T) {
 			t.Fatalf("steady-state schedule/fire allocated %.1f times per op", allocs)
 		}
 	})
+}
+
+// TestEventSlotSize pins the arena slot: an event holds its key, one
+// ArgHandler and its payload, and the free-list fields. A second dispatch
+// target would push it past a cache line.
+func TestEventSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got > 64 {
+		t.Fatalf("sim.event is %d bytes, want at most 64", got)
+	}
 }
 
 // TestOrderingStress verifies the queue yields events in (time, FIFO) order

@@ -13,19 +13,33 @@ var ErrStopped = errors.New("sim: scheduler stopped")
 // just to read the clock.
 type Handler func(now Time)
 
-// EventHandler is the allocation-free alternative to Handler: a component
-// implements OnEvent once and schedules itself via ScheduleHandlerAt, so the
-// hot path never materialises a closure per event.
+// OnEventArg implements ArgHandler, so a closure is queued as itself: a func
+// value is one pointer, and storing it in the event's handler slot does not
+// allocate.
+func (fn Handler) OnEventArg(now Time, _ any) { fn(now) }
+
+// ArgHandler is what every event holds: OnEventArg is called with the time
+// it fires at and the payload it was scheduled with (for example a link
+// delivering a specific packet). A component implements it once and
+// schedules itself; storing a pointer-shaped payload does not allocate.
+type ArgHandler interface {
+	OnEventArg(now Time, arg any)
+}
+
+// EventHandler is the payload-free interface of callers outside the engine,
+// scheduled through ScheduleHandlerAt. The scheduler queues it as the payload
+// of a zero-size dispatcher, so it too is an ArgHandler event.
 type EventHandler interface {
 	OnEvent(now Time)
 }
 
-// ArgHandler is the allocation-free variant for events that need to carry a
-// payload (for example a link delivering a specific packet). Storing a
-// pointer-shaped payload in the event's arg slot does not allocate.
-type ArgHandler interface {
-	OnEventArg(now Time, arg any)
-}
+// handlerDispatch is the ArgHandler every ScheduleHandlerAt event holds; its
+// payload is the EventHandler to call. It has no fields, so storing it in an
+// interface does not allocate, and neither does storing an EventHandler as
+// any.
+type handlerDispatch struct{}
+
+func (handlerDispatch) OnEventArg(now Time, arg any) { arg.(EventHandler).OnEvent(now) }
 
 // event slot states.
 const (
@@ -41,11 +55,9 @@ type event struct {
 	at  Time
 	seq uint64 // tie-breaker: FIFO among events scheduled for the same instant
 
-	// Exactly one of fn / ah / h is set; fn wins, then ah, then h.
-	fn  Handler
+	// The event fires as ah.OnEventArg(now, arg).
 	ah  ArgHandler
 	arg any
-	h   EventHandler
 
 	gen      uint32
 	state    uint8
@@ -143,7 +155,7 @@ func (s *Scheduler) Reset() {
 			ev.gen++
 		}
 		ev.state = eventFree
-		ev.fn, ev.ah, ev.arg, ev.h = nil, nil, nil, nil
+		ev.ah, ev.arg = nil, nil
 		ev.nextFree = s.freeHead
 		s.freeHead = int32(i)
 	}
@@ -196,21 +208,21 @@ func (s *Scheduler) alloc() int32 {
 }
 
 // release recycles a slot. The generation bump invalidates every outstanding
-// EventRef to the old occupant; clearing the handler fields drops any closure
-// or payload reference so the arena does not pin garbage.
+// EventRef to the old occupant; clearing the handler and payload drops their
+// references so the arena does not pin garbage.
 func (s *Scheduler) release(idx int32) {
 	ev := &s.events[idx]
 	ev.gen++
 	ev.state = eventFree
-	ev.fn, ev.ah, ev.arg, ev.h = nil, nil, nil, nil
+	ev.ah, ev.arg = nil, nil
 	ev.nextFree = s.freeHead
 	s.freeHead = idx
 }
 
-// schedule inserts one event with the given dispatch target under the next
-// sequence number, never before the clock.
-func (s *Scheduler) schedule(at Time, fn Handler, ah ArgHandler, arg any, h EventHandler) EventRef {
-	return s.InsertKeyed(max(at, s.now), s.Reserve(), fn, ah, arg, h)
+// schedule inserts one event under the next sequence number, never before
+// the clock.
+func (s *Scheduler) schedule(at Time, h ArgHandler, arg any) EventRef {
+	return s.InsertKeyed(max(at, s.now), s.Reserve(), h, arg)
 }
 
 // Reserve takes the next sequence number without scheduling anything: the
@@ -223,19 +235,18 @@ func (s *Scheduler) Reserve() uint64 {
 	return seq
 }
 
-// InsertKeyed queues an event under an explicit dispatch key: at is not
-// clamped to the clock and no sequence number is consumed. seq must come from
-// Reserve, or from a snapshot the caller finishes restoring with
+// InsertKeyed queues h.OnEventArg(now, arg) under an explicit dispatch key:
+// at is not clamped to the clock and no sequence number is consumed. seq must
+// come from Reserve, or from a snapshot the caller finishes restoring with
 // RestoreClock; the key must not lie behind the event being dispatched. It is
 // the one insert path: the Schedule methods are InsertKeyed under a fresh
-// reservation. Exactly one of fn, ah and h is the dispatch target, with arg
-// the payload when it is ah.
-func (s *Scheduler) InsertKeyed(at Time, seq uint64, fn Handler, ah ArgHandler, arg any, h EventHandler) EventRef {
+// reservation.
+func (s *Scheduler) InsertKeyed(at Time, seq uint64, h ArgHandler, arg any) EventRef {
 	idx := s.alloc()
 	ev := &s.events[idx]
 	ev.at = at
 	ev.seq = seq
-	ev.fn, ev.ah, ev.arg, ev.h = fn, ah, arg, h
+	ev.ah, ev.arg = h, arg
 	ev.state = eventQueued
 	s.cal.insert(timedEnt{at: at, seq: seq, idx: idx})
 	return EventRef{s: s, idx: idx, gen: ev.gen}
@@ -248,7 +259,7 @@ func (s *Scheduler) ScheduleAt(at Time, fn Handler) EventRef {
 	if fn == nil {
 		return EventRef{}
 	}
-	return s.schedule(at, fn, nil, nil, nil)
+	return s.schedule(at, fn, nil)
 }
 
 // ScheduleAfter queues fn to run delay after the current virtual time.
@@ -259,22 +270,13 @@ func (s *Scheduler) ScheduleAfter(delay Time, fn Handler) EventRef {
 	return s.ScheduleAt(s.now+delay, fn)
 }
 
-// ScheduleHandlerAt queues h.OnEvent to run at the absolute virtual time at
-// without allocating a closure.
+// ScheduleHandlerAt queues h.OnEvent to run at the absolute virtual time at,
+// as the payload of the scheduler's dispatcher; it does not allocate.
 func (s *Scheduler) ScheduleHandlerAt(at Time, h EventHandler) EventRef {
 	if h == nil {
 		return EventRef{}
 	}
-	return s.schedule(at, nil, nil, nil, h)
-}
-
-// ScheduleHandlerAfter queues h.OnEvent to run delay after the current
-// virtual time.
-func (s *Scheduler) ScheduleHandlerAfter(delay Time, h EventHandler) EventRef {
-	if delay < 0 {
-		delay = 0
-	}
-	return s.ScheduleHandlerAt(s.now+delay, h)
+	return s.schedule(at, handlerDispatch{}, h)
 }
 
 // ScheduleArgAt queues h.OnEventArg(now, arg) to run at the absolute virtual
@@ -284,16 +286,7 @@ func (s *Scheduler) ScheduleArgAt(at Time, h ArgHandler, arg any) EventRef {
 	if h == nil {
 		return EventRef{}
 	}
-	return s.schedule(at, nil, h, arg, nil)
-}
-
-// ScheduleArgAfter queues h.OnEventArg(now, arg) to run delay after the
-// current virtual time.
-func (s *Scheduler) ScheduleArgAfter(delay Time, h ArgHandler, arg any) EventRef {
-	if delay < 0 {
-		delay = 0
-	}
-	return s.ScheduleArgAt(s.now+delay, h, arg)
+	return s.schedule(at, h, arg)
 }
 
 // Stop halts the run loop after the currently executing event returns.
@@ -304,21 +297,14 @@ func (s *Scheduler) Stop() { s.stopped = true }
 func (s *Scheduler) dispatch(top timedEnt) {
 	s.cal.remove(top)
 	ev := &s.events[top.idx]
-	// Copy the dispatch target before releasing: the handler may schedule
-	// new events, reusing (or growing) the arena.
-	fn, ah, arg, h := ev.fn, ev.ah, ev.arg, ev.h
+	// Copy the handler and payload before releasing: the handler may
+	// schedule new events, reusing (or growing) the arena.
+	ah, arg := ev.ah, ev.arg
 	s.release(top.idx)
 	s.now = top.at
 	s.horizon = top.seq + 1
 	s.processed++
-	switch {
-	case fn != nil:
-		fn(s.now)
-	case ah != nil:
-		ah.OnEventArg(s.now, arg)
-	default:
-		h.OnEvent(s.now)
-	}
+	ah.OnEventArg(s.now, arg)
 }
 
 // Fired reports whether an event keyed (at, seq) would already have been

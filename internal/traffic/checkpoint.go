@@ -95,15 +95,15 @@ func RestoreFlowState(f Flow, st FlowState) error {
 // scheduled with: the source itself, for both senders. Checkpoint capture
 // matches pending events against it; restore re-binds the re-inserted event
 // through SetSendEvent.
-func SendHandler(f Flow) sim.EventHandler {
-	h, _ := f.(sim.EventHandler)
+func SendHandler(f Flow) sim.ArgHandler {
+	h, _ := f.(sim.ArgHandler)
 	return h
 }
 
 // PhaseHandlers returns the gate handler identities of a gated paced flow
 // (phase = the gate opens, end = it shuts), or nils for a flow without a
 // gate.
-func PhaseHandlers(f Flow) (phase, end sim.EventHandler) {
+func PhaseHandlers(f Flow) (phase, end sim.ArgHandler) {
 	if s, ok := f.(*PacedSource); ok && s.gated() {
 		return &s.open, &s.shut
 	}

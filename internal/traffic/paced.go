@@ -57,12 +57,12 @@ type PacedSource struct {
 // gateOpen dispatches the start of a burst.
 type gateOpen struct{ s *PacedSource }
 
-func (g *gateOpen) OnEvent(now sim.Time) { g.s.beginBurst(now) }
+func (g *gateOpen) OnEventArg(now sim.Time, _ any) { g.s.beginBurst(now) }
 
 // gateShut dispatches the end of a burst.
 type gateShut struct{ s *PacedSource }
 
-func (g *gateShut) OnEvent(sim.Time) { g.s.st.InBurst = false }
+func (g *gateShut) OnEventArg(sim.Time, any) { g.s.st.InBurst = false }
 
 var _ Flow = (*PacedSource)(nil)
 
@@ -125,10 +125,10 @@ func (s *PacedSource) Start(at sim.Time) {
 	}
 	s.st.Running = true
 	if s.gated() {
-		s.gateEvent = s.net.Scheduler().ScheduleHandlerAt(at+s.cfg.offset, &s.open)
+		s.gateEvent = s.net.Scheduler().ScheduleArgAt(at+s.cfg.offset, &s.open, nil)
 		return
 	}
-	s.sendEvent = s.net.Scheduler().ScheduleHandlerAt(at, s)
+	s.sendEvent = s.net.Scheduler().ScheduleArgAt(at, s, nil)
 }
 
 // Stop implements Flow.
@@ -147,20 +147,20 @@ func (s *PacedSource) beginBurst(now sim.Time) {
 	s.st.InBurst = true
 	s.st.Bursts++
 	sched := s.net.Scheduler()
-	sched.ScheduleHandlerAt(now+s.cfg.onFor, &s.shut)
-	s.gateEvent = sched.ScheduleHandlerAt(now+s.cfg.every, &s.open)
+	sched.ScheduleArgAt(now+s.cfg.onFor, &s.shut, nil)
+	s.gateEvent = sched.ScheduleArgAt(now+s.cfg.every, &s.open, nil)
 	// A send gap longer than the off-phase leaves the previous burst's
 	// timer pending into this burst; cancel it so exactly one send chain
 	// is ever live and the rate cannot compound across cycles.
 	s.sendEvent.Cancel()
-	s.sendEvent = sched.ScheduleHandlerAt(now, s)
+	s.sendEvent = sched.ScheduleArgAt(now, s, nil)
 }
 
-// OnEvent implements sim.EventHandler: the send timer fired, so one packet
+// OnEventArg implements sim.ArgHandler: the send timer fired, so one packet
 // leaves if the gate is open. Scheduling the source itself (rather than a
 // closure) keeps the per-packet path allocation-free; the per-burst gate
 // events go through the open/shut handler fields.
-func (s *PacedSource) OnEvent(sim.Time) {
+func (s *PacedSource) OnEventArg(now sim.Time, _ any) {
 	if !s.st.Running || (s.gated() && !s.st.InBurst) {
 		return
 	}
@@ -179,5 +179,5 @@ func (s *PacedSource) OnEvent(sim.Time) {
 	s.host.Send(pkt)
 
 	gap := s.rng.Jitter(float64(sim.Second)/s.cfg.rate, attackJitter)
-	s.sendEvent = s.net.Scheduler().ScheduleHandlerAfter(sim.Time(gap), s)
+	s.sendEvent = s.net.Scheduler().ScheduleArgAt(now+sim.Time(gap), s, nil)
 }

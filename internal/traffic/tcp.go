@@ -117,13 +117,13 @@ func (s *TCPSource) Start(at sim.Time) {
 	}
 	s.st.Running = true
 	s.st.LastAckAt = at
-	s.sendEvent = s.net.Scheduler().ScheduleHandlerAt(at, s)
+	s.sendEvent = s.net.Scheduler().ScheduleArgAt(at, s, nil)
 }
 
-// OnEvent implements sim.EventHandler: the pacing timer fired. Scheduling the
-// source itself (rather than a closure) keeps the per-packet path
+// OnEventArg implements sim.ArgHandler: the pacing timer fired. Scheduling
+// the source itself (rather than a closure) keeps the per-packet path
 // allocation-free.
-func (s *TCPSource) OnEvent(now sim.Time) { s.sendNext(now) }
+func (s *TCPSource) OnEventArg(now sim.Time, _ any) { s.sendNext(now) }
 
 // Stop implements Flow.
 func (s *TCPSource) Stop() {
@@ -153,7 +153,7 @@ func (s *TCPSource) sendNext(now sim.Time) {
 	s.host.Send(pkt)
 
 	interval := s.pacingInterval()
-	s.sendEvent = s.net.Scheduler().ScheduleHandlerAfter(interval, s)
+	s.sendEvent = s.net.Scheduler().ScheduleArgAt(now+interval, s, nil)
 }
 
 // pacingInterval converts the current rate into an inter-packet gap.

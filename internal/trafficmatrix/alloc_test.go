@@ -80,7 +80,7 @@ func TestEpochProcessingZeroAlloc(t *testing.T) {
 
 	now := d.Net.Now()
 	allocs := testing.AllocsPerRun(20, func() {
-		mon.OnEvent(now)
+		mon.OnEventArg(now, nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("epoch processing allocates %v per epoch, want 0", allocs)

@@ -294,11 +294,11 @@ func TestMonitoredEpochRotationZeroAlloc(t *testing.T) {
 	if err := d.Net.Scheduler().RunUntil(400 * sim.Millisecond); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	// Stop keeps OnEvent from rescheduling, so the measured body is exactly
+	// Stop keeps the tick from rescheduling, so the measured body is exactly
 	// one rotation plus one report computation over the pooled buffers.
 	mon.Stop()
 	now := d.Net.Scheduler().Now()
-	allocs := testing.AllocsPerRun(50, func() { mon.OnEvent(now) })
+	allocs := testing.AllocsPerRun(50, func() { mon.OnEventArg(now, nil) })
 	if allocs != 0 {
 		t.Fatalf("monitored epoch rotation allocated %.1f times per tick, want 0", allocs)
 	}

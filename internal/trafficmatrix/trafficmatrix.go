@@ -374,10 +374,7 @@ type Monitor struct {
 	running bool
 }
 
-var (
-	_ sim.EventHandler = (*Monitor)(nil)
-	_ sim.ArgHandler   = (*Monitor)(nil)
-)
+var _ sim.ArgHandler = (*Monitor)(nil)
 
 // MonitorConfig configures a Monitor.
 type MonitorConfig struct {
@@ -628,16 +625,24 @@ func (m *Monitor) Start() {
 	m.running = true
 	m.stop = false
 	m.epochStart = m.sched.Now()
-	m.sched.ScheduleHandlerAfter(m.epoch, m)
+	m.sched.ScheduleArgAt(m.epochStart+m.epoch, m, nil)
 }
 
 // Stop halts epoch processing after the current epoch completes.
 func (m *Monitor) Stop() { m.stop = true }
 
-// OnEvent implements sim.EventHandler: it is the epoch tick. Scheduling the
-// monitor itself (rather than a bound method value) keeps the periodic
-// rescheduling allocation-free.
-func (m *Monitor) OnEvent(now sim.Time) {
+// OnEventArg implements sim.ArgHandler. With a nil argument it is the epoch
+// tick; with a *EpochReport it is a delayed report reaching the consumer,
+// the owned deep copy made at its epoch boundary. Scheduling the monitor
+// itself (rather than a bound method value) keeps the periodic rescheduling
+// allocation-free.
+func (m *Monitor) OnEventArg(now sim.Time, arg any) {
+	if late, ok := arg.(*EpochReport); ok {
+		if m.onReport != nil {
+			m.onReport(*late)
+		}
+		return
+	}
 	m.gen++
 	for _, id := range m.routerIDs {
 		m.counters[id].rotate()
@@ -659,7 +664,7 @@ func (m *Monitor) OnEvent(now sim.Time) {
 			// matrix. The allocation, and the n² unions, are confined to
 			// the lossy-channel path.
 			late := report.Clone()
-			m.sched.ScheduleArgAfter(m.reportDelay, m, &late)
+			m.sched.ScheduleArgAt(now+m.reportDelay, m, &late)
 		} else {
 			m.onReport(report)
 		}
@@ -674,16 +679,7 @@ func (m *Monitor) finishEpoch(now sim.Time) {
 		m.running = false
 		return
 	}
-	m.sched.ScheduleHandlerAfter(m.epoch, m)
-}
-
-// OnEventArg implements sim.ArgHandler: a delayed epoch report reaches the
-// consumer. The argument is the owned deep copy made at the epoch boundary.
-func (m *Monitor) OnEventArg(_ sim.Time, arg any) {
-	late := arg.(*EpochReport)
-	if m.onReport != nil {
-		m.onReport(*late)
-	}
+	m.sched.ScheduleArgAt(now+m.epoch, m, nil)
 }
 
 // Compute builds an EpochReport from the counters' current in-progress state
