@@ -58,7 +58,10 @@ fuzz:
 # resumes every BASE snapshot (`-resume <file> -json`), and what it prints
 # must be byte-identical to BASE's uninterrupted result JSON: the restore side
 # is checked against files the change did not write. The differing names are
-# printed and the exit status is non-zero if there are any.
+# printed and the exit status is non-zero if there are any. Cold processes
+# cannot catch state a recycled run bundle carries from one run into the next;
+# TestSnapshotIndependentOfBundleHistory (internal/experiment) covers that,
+# comparing every catalog entry's snapshot on a used bundle with a fresh one's.
 snap-diff:
 	@test -n "$(BASE)" || { echo "usage: make snap-diff BASE=<git ref>"; exit 2; }
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \

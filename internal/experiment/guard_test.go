@@ -103,7 +103,7 @@ var fieldManifest = map[string][]string{
 	"experiment.handlerRole":         {"index", "kind"},                                                                                                                                // the capture registry's value: which event kind and owner a handler is
 	"experiment.runResources":        {"arena", "attackLabels", "coordinator", "defByRouter", "droppers", "ingressIDs", "legitLabels", "mafic", "monitor", "rng", "sched", "workload"}, // the recycled bundle: every object it holds has its own row
 	"flowtable.Entry":                {"BaselineCount", "Dropped", "FirstSeen", "Gen", "LabelHash", "LastSeen", "Packets", "ProbeDeadline", "ProbeStart", "ResponseCount", "State"},
-	"flowtable.Tables":               {"capacity", "evictions", "free", "hashScratch", "nft", "pdt", "sft", "slab", "transitions"}, // hashScratch: ForEachEntry's sort buffer, capture scratch with no run state
+	"flowtable.Tables":               {"capacity", "evictions", "free", "index", "scratch", "sizes", "slab", "transitions"}, // scratch: ForEachEntry's sort buffer, capture scratch with no run state
 	"flowtable.TablesState":          {"Entries", "Evictions", "Transitions"},
 	"loglog.Pair":                    {"active", "shadow"},
 	"loglog.PairState":               {"Active", "Shadow"},

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"slices"
@@ -302,5 +303,37 @@ func TestArenaSequenceMatchesFreshArena(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			diffResults(t, fmt.Sprintf("%s after %d builds on the bundle", label, i), want, got)
 		}
+	}
+}
+
+// TestSnapshotIndependentOfBundleHistory requires a snapshot's bytes not to
+// depend on what the run bundle ran before: for each quick catalog entry, the
+// snapshot at 90 % of the run taken on a bundle that has already run the
+// entry once equals the one taken on a brand-new bundle. `make snap-diff`
+// runs every scenario in a cold process, so it cannot see state a recycled
+// bundle carries over; before the flow tables' Reset restarted entry
+// generations, every entry's Defenders section differed in Entry.Gen here.
+func TestSnapshotIndependentOfBundleHistory(t *testing.T) {
+	for _, e := range Entries() {
+		t.Run(e.Name, func(t *testing.T) {
+			s := Quick(e.Build())
+			snapshot := func(res *runResources) []byte {
+				var data []byte
+				save := func(_ sim.Time, d []byte) error { data = d; return nil }
+				opts := ControlOptions{Save: save, at: []sim.Time{s.Duration * 9 / 10}}
+				if _, err := runWith(s, res, nil, opts); err != nil {
+					t.Fatalf("checkpointed run: %v", err)
+				}
+				return data
+			}
+			fresh := snapshot(newRunResources())
+			res := newRunResources()
+			if _, err := runWith(s, res, nil, ControlOptions{}); err != nil {
+				t.Fatalf("first run on the bundle: %v", err)
+			}
+			if recycled := snapshot(res); !bytes.Equal(fresh, recycled) {
+				t.Errorf("snapshot on a bundle that already ran the entry differs from a fresh bundle's (%d vs %d bytes)", len(recycled), len(fresh))
+			}
+		})
 	}
 }

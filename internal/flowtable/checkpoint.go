@@ -1,6 +1,7 @@
 package flowtable
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -17,19 +18,19 @@ type TablesState struct {
 
 // ForEachEntry visits every tracked entry in deterministic order — SFT, NFT,
 // PDT, each ascending by label hash — so capture output does not depend on
-// map iteration order. The hash scratch is kept on the tables between calls.
+// map iteration order. The sort scratch is kept on the tables between calls.
 func (t *Tables) ForEachEntry(fn func(e *Entry)) {
-	for _, m := range [3]map[uint64]*Entry{t.sft, t.nft, t.pdt} {
-		hashes := t.hashScratch[:0]
-		for h := range m {
-			hashes = append(hashes, h)
-		}
-		slices.Sort(hashes)
-		for _, h := range hashes {
-			fn(m[h])
-		}
-		t.hashScratch = hashes
+	es := t.scratch[:0]
+	for _, e := range t.index {
+		es = append(es, e)
 	}
+	slices.SortFunc(es, func(a, b *Entry) int {
+		return cmp.Or(cmp.Compare(a.State, b.State), cmp.Compare(a.LabelHash, b.LabelHash))
+	})
+	for _, e := range es {
+		fn(e)
+	}
+	t.scratch = es
 }
 
 // CheckpointState captures the tables' dynamic state into dst, reusing dst's
@@ -44,24 +45,22 @@ func (t *Tables) CheckpointState(dst *TablesState) {
 // RestoreState flushes the rebuilt tables and re-inserts the captured
 // entries verbatim, Gen included: a probe record captured as live binds to
 // its restored entry with matching generations, and the next flush or
-// eviction still invalidates it through the usual bump.
+// eviction still invalidates it through the usual bump. A flow listed twice
+// is refused: no run puts one flow in two tables.
 func (t *Tables) RestoreState(st TablesState) error {
 	t.Flush()
 	for i := range st.Entries {
 		rec := &st.Entries[i]
-		e := t.get()
-		*e = *rec
-		switch rec.State {
-		case StateSuspicious:
-			t.sft[rec.LabelHash] = e
-		case StateNice:
-			t.nft[rec.LabelHash] = e
-		case StatePermanentDrop:
-			t.pdt[rec.LabelHash] = e
-		default:
-			t.put(e)
+		if rec.State < StateSuspicious || rec.State > StatePermanentDrop {
 			return fmt.Errorf("flowtable: restore entry %x has invalid state %d", rec.LabelHash, rec.State)
 		}
+		if t.index[rec.LabelHash] != nil {
+			return fmt.Errorf("flowtable: restore entry %x is listed twice", rec.LabelHash)
+		}
+		e := t.get()
+		*e = *rec
+		t.index[rec.LabelHash] = e
+		t.sizes[rec.State]++
 	}
 	t.evictions = st.Evictions
 	t.transitions = st.Transitions

@@ -10,7 +10,8 @@
 package flowtable
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"mafic/internal/sim"
 )
@@ -18,7 +19,9 @@ import (
 // State identifies which table a flow currently lives in.
 type State int
 
-// Flow states. A flow not present in any table is Unknown.
+// Flow states. A flow not present in any table is Unknown. The tracked
+// states count up in SFT, NFT, PDT order, which is the order ForEachEntry
+// visits them in.
 const (
 	StateUnknown State = iota
 	StateSuspicious
@@ -65,12 +68,13 @@ type Entry struct {
 	// ProbeStart for the default configuration).
 	ProbeDeadline sim.Time
 
-	// BaselineCount counts packet arrivals in the first half of the
-	// probing window; ResponseCount counts arrivals in the second half.
-	// Comparing the two tells MAFIC whether the source backed off.
+	// BaselineCount counts packet arrivals in the probing window before the
+	// probe goes out (ProbeDelayRTTs after ProbeStart); ResponseCount counts
+	// arrivals after it. Comparing the two tells MAFIC whether the source
+	// backed off.
 	BaselineCount int
-	// ResponseCount counts packet arrivals in the second half of the
-	// probing window.
+	// ResponseCount counts packet arrivals between the probe and
+	// ProbeDeadline.
 	ResponseCount int
 	// Packets counts every arrival attributed to the flow while tracked.
 	Packets uint64
@@ -84,13 +88,14 @@ const entryChunk = 64
 // Tables bundles the SFT, NFT and PDT with capacity bounds and statistics.
 // It is a passive data structure: timing decisions belong to the caller.
 //
-// Entries are slab-allocated in chunks and recycled through a free list when
-// a flow is evicted or the tables are flushed, so steady-state flow churn
-// inserts without allocating. Recycling bumps Entry.Gen; see Entry.
+// The three tables share one index: an entry's State is the table it is in,
+// and sizes counts each table's entries. Entries are slab-allocated in chunks
+// and recycled through a free list when a flow is evicted or the tables are
+// flushed, so steady-state flow churn inserts without allocating. Recycling
+// bumps Entry.Gen; see Entry.
 type Tables struct {
-	sft map[uint64]*Entry
-	nft map[uint64]*Entry
-	pdt map[uint64]*Entry
+	index map[uint64]*Entry
+	sizes [statePermanentDropIdx + 1]int
 
 	// capacity bounds each table; zero means unbounded.
 	capacity int
@@ -100,9 +105,9 @@ type Tables struct {
 	slab []Entry
 	free []*Entry
 
-	// hashScratch is ForEachEntry's sort buffer, kept between checkpoint
+	// scratch is ForEachEntry's sort buffer, kept between checkpoint
 	// captures; it carries no run state.
-	hashScratch []uint64
+	scratch []*Entry
 
 	// evictions counts entries discarded because a table was full.
 	evictions uint64
@@ -119,12 +124,7 @@ func New(capacity int) *Tables {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &Tables{
-		sft:      make(map[uint64]*Entry),
-		nft:      make(map[uint64]*Entry),
-		pdt:      make(map[uint64]*Entry),
-		capacity: capacity,
-	}
+	return &Tables{index: make(map[uint64]*Entry), capacity: capacity}
 }
 
 // SetCapacity adjusts the per-table bound for subsequent inserts; zero or
@@ -162,14 +162,8 @@ func (t *Tables) put(e *Entry) {
 // Lookup returns the entry for the hashed label and the table it lives in.
 // It returns (nil, StateUnknown) for untracked flows.
 func (t *Tables) Lookup(labelHash uint64) (*Entry, State) {
-	if e, ok := t.pdt[labelHash]; ok {
-		return e, StatePermanentDrop
-	}
-	if e, ok := t.nft[labelHash]; ok {
-		return e, StateNice
-	}
-	if e, ok := t.sft[labelHash]; ok {
-		return e, StateSuspicious
+	if e := t.index[labelHash]; e != nil {
+		return e, e.State
 	}
 	return nil, StateUnknown
 }
@@ -180,14 +174,8 @@ func (t *Tables) InsertSuspicious(labelHash uint64, now, deadline sim.Time) *Ent
 	if e, state := t.Lookup(labelHash); state != StateUnknown {
 		return e
 	}
-	t.makeRoom(t.sft)
-	e := t.get()
-	e.LabelHash = labelHash
-	e.State = StateSuspicious
-	e.FirstSeen, e.LastSeen = now, now
+	e := t.insert(labelHash, StateSuspicious, now)
 	e.ProbeStart, e.ProbeDeadline = now, deadline
-	t.sft[labelHash] = e
-	t.transitions[StateSuspicious]++
 	return e
 }
 
@@ -201,13 +189,18 @@ func (t *Tables) InsertPermanent(labelHash uint64, now sim.Time) *Entry {
 		}
 		return e
 	}
-	t.makeRoom(t.pdt)
+	return t.insert(labelHash, StatePermanentDrop, now)
+}
+
+// insert files a new entry for an untracked flow in the given table.
+func (t *Tables) insert(labelHash uint64, state State, now sim.Time) *Entry {
+	t.makeRoom(state)
 	e := t.get()
-	e.LabelHash = labelHash
-	e.State = StatePermanentDrop
+	e.LabelHash, e.State = labelHash, state
 	e.FirstSeen, e.LastSeen = now, now
-	t.pdt[labelHash] = e
-	t.transitions[StatePermanentDrop]++
+	t.index[labelHash] = e
+	t.sizes[state]++
+	t.transitions[state]++
 	return e
 }
 
@@ -241,125 +234,83 @@ func (t *Tables) Demote(e *Entry, now, deadline sim.Time) {
 	t.move(e, StateSuspicious)
 }
 
-// move transfers an entry between tables and updates its state.
+// move transfers an entry to another table.
 func (t *Tables) move(e *Entry, to State) {
-	switch e.State {
-	case StateSuspicious:
-		delete(t.sft, e.LabelHash)
-	case StateNice:
-		delete(t.nft, e.LabelHash)
-	case StatePermanentDrop:
-		delete(t.pdt, e.LabelHash)
-	}
+	t.sizes[e.State]--
+	t.makeRoom(to)
+	t.sizes[to]++
 	e.State = to
-	switch to {
-	case StateSuspicious:
-		t.makeRoom(t.sft)
-		t.sft[e.LabelHash] = e
-	case StateNice:
-		t.makeRoom(t.nft)
-		t.nft[e.LabelHash] = e
-	case StatePermanentDrop:
-		t.makeRoom(t.pdt)
-		t.pdt[e.LabelHash] = e
-	}
 	t.transitions[to]++
 }
 
-// makeRoom evicts the least recently seen entry when a table is at capacity.
-func (t *Tables) makeRoom(table map[uint64]*Entry) {
-	if t.capacity <= 0 || len(table) < t.capacity {
+// makeRoom evicts the least recently seen entry of the given table when it
+// is at capacity, the lowest label hash among equals.
+func (t *Tables) makeRoom(table State) {
+	if t.capacity <= 0 || t.sizes[table] < t.capacity {
 		return
 	}
 	var victim *Entry
-	for _, e := range table {
-		if victim == nil || e.LastSeen < victim.LastSeen {
+	for _, e := range t.index {
+		if e.State == table && (victim == nil ||
+			cmp.Or(cmp.Compare(e.LastSeen, victim.LastSeen), cmp.Compare(e.LabelHash, victim.LabelHash)) < 0) {
 			victim = e
 		}
 	}
-	if victim != nil {
-		delete(table, victim.LabelHash)
-		t.put(victim)
-		t.evictions++
-	}
+	delete(t.index, victim.LabelHash)
+	t.sizes[table]--
+	t.put(victim)
+	t.evictions++
 }
 
-// Reset returns the tables to their just-constructed state: every entry is
-// flushed and the cumulative eviction and transition counters are zeroed.
-// Pools that recycle a Tables across owners use it so the next owner cannot
-// observe a previous run's statistics.
+// Reset returns the tables to their just-constructed state, keeping their
+// storage: every entry is flushed, the recycled entries' generations start
+// from zero again, and the cumulative eviction and transition counters are
+// zeroed. The next owner observes nothing of the previous run, not even
+// through Entry.Gen in a snapshot. Call it only once nothing holds an entry.
 func (t *Tables) Reset() {
 	t.Flush()
-	t.evictions = 0
-	t.transitions = [statePermanentDropIdx + 1]uint64{}
+	for _, e := range t.free {
+		e.Gen = 0
+	}
+	*t = Tables{index: t.index, capacity: t.capacity, slab: t.slab, free: t.free, scratch: t.scratch}
 }
 
-// Flush clears every table, as MAFIC does when the victim withdraws the
-// pushback request. Entries return to the free list; the maps keep their
-// storage so reactivation does not reallocate.
+// Flush clears every table, as MAFIC does when it switches victims and before
+// a restore. Entries return to the free list; the index keeps its storage so
+// reactivation does not reallocate.
 func (t *Tables) Flush() {
-	for _, e := range t.sft {
+	for _, e := range t.index {
 		t.put(e)
 	}
-	for _, e := range t.nft {
-		t.put(e)
-	}
-	for _, e := range t.pdt {
-		t.put(e)
-	}
-	clear(t.sft)
-	clear(t.nft)
-	clear(t.pdt)
+	clear(t.index)
+	t.sizes = [statePermanentDropIdx + 1]int{}
 }
 
 // ExpiredSuspicious returns the SFT entries whose probing window has closed
-// as of now, ordered by deadline. The MAFIC engine classifies them.
+// as of now, ordered by deadline.
 func (t *Tables) ExpiredSuspicious(now sim.Time) []*Entry {
 	var out []*Entry
-	for _, e := range t.sft {
-		if now >= e.ProbeDeadline {
+	for _, e := range t.index {
+		if e.State == StateSuspicious && now >= e.ProbeDeadline {
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ProbeDeadline < out[j].ProbeDeadline })
+	slices.SortFunc(out, func(a, b *Entry) int { return cmp.Compare(a.ProbeDeadline, b.ProbeDeadline) })
 	return out
 }
 
 // Range calls fn for every tracked flow with the table it lives in.
-// Iteration order is unspecified. It is the allocation-free alternative to
-// Snapshot for end-of-run accounting.
+// Iteration order is unspecified; it allocates nothing, for end-of-run
+// accounting.
 func (t *Tables) Range(fn func(labelHash uint64, state State)) {
-	for h := range t.sft {
-		fn(h, StateSuspicious)
+	for h, e := range t.index {
+		fn(h, e.State)
 	}
-	for h := range t.nft {
-		fn(h, StateNice)
-	}
-	for h := range t.pdt {
-		fn(h, StatePermanentDrop)
-	}
-}
-
-// Snapshot returns the state of every tracked flow keyed by label hash.
-// It is used for end-of-run flow-level accounting (which legitimate flows
-// were condemned, which attack flows slipped into the NFT).
-func (t *Tables) Snapshot() map[uint64]State {
-	out := make(map[uint64]State, len(t.sft)+len(t.nft)+len(t.pdt))
-	for h := range t.sft {
-		out[h] = StateSuspicious
-	}
-	for h := range t.nft {
-		out[h] = StateNice
-	}
-	for h := range t.pdt {
-		out[h] = StatePermanentDrop
-	}
-	return out
 }
 
 // Sizes reports the number of entries in the SFT, NFT and PDT.
 func (t *Tables) Sizes() (sft, nft, pdt int) {
-	return len(t.sft), len(t.nft), len(t.pdt)
+	return t.sizes[StateSuspicious], t.sizes[StateNice], t.sizes[StatePermanentDrop]
 }
 
 // Evictions reports how many entries were discarded due to capacity limits.

@@ -208,3 +208,51 @@ func TestSingleResidencyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEvictionTieBreaksByLabelHash pins the victim among equally stale
+// entries: the lowest label hash, whatever order the index iterates in.
+func TestEvictionTieBreaksByLabelHash(t *testing.T) {
+	for i := 0; i < 64; i++ {
+		tb := New(2)
+		for h := uint64(1); h <= 3; h++ {
+			tb.InsertSuspicious(h, 0, 100)
+		}
+		if _, state := tb.Lookup(1); state != StateUnknown {
+			t.Fatalf("table %d: flow 1 survived, so another equally stale flow was evicted", i)
+		}
+		if tb.Evictions() != 1 {
+			t.Fatalf("table %d: evictions = %d, want 1", i, tb.Evictions())
+		}
+	}
+}
+
+// TestRestoreRefusesDuplicateFlow checks that a checkpoint listing one flow
+// twice is refused rather than restored into two tables at once.
+func TestRestoreRefusesDuplicateFlow(t *testing.T) {
+	tb := New(0)
+	err := tb.RestoreState(TablesState{Entries: []Entry{
+		{LabelHash: 7, State: StateSuspicious},
+		{LabelHash: 7, State: StatePermanentDrop},
+	}})
+	if err == nil {
+		sft, nft, pdt := tb.Sizes()
+		t.Fatalf("restore accepted flow 7 twice: sizes %d/%d/%d", sft, nft, pdt)
+	}
+}
+
+// TestResetRestartsGenerations checks that entries recycled by Reset start
+// from generation zero again, as entries of brand-new tables do, so a
+// recycled owner's snapshots do not depend on what ran before.
+func TestResetRestartsGenerations(t *testing.T) {
+	tb := New(0)
+	tb.Promote(tb.InsertSuspicious(1, 0, 10))
+	tb.InsertPermanent(2, 0)
+	tb.Flush()
+	tb.InsertSuspicious(3, 0, 10)
+	tb.Reset()
+	for h := uint64(1); h <= 3; h++ {
+		if e := tb.InsertSuspicious(h, 0, 10); e.Gen != 0 {
+			t.Fatalf("entry for flow %d after Reset has Gen %d, want 0", h, e.Gen)
+		}
+	}
+}

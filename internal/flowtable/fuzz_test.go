@@ -2,6 +2,7 @@ package flowtable
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"mafic/internal/sim"
@@ -9,9 +10,10 @@ import (
 
 // FuzzTablesOps drives the SFT/NFT/PDT state machine with an arbitrary
 // operation stream under a tiny capacity bound and checks the structural
-// invariants the MAFIC engine relies on: a flow lives in at most one table,
-// Lookup agrees with the entry's own State, and no table ever exceeds its
-// capacity.
+// invariants the MAFIC engine relies on: Lookup agrees with the entry's own
+// State, the per-table counts agree with what Range visits, no table ever
+// exceeds its capacity, and after every operation the checkpoint restores
+// into fresh tables that hold the same entries in the same order.
 func FuzzTablesOps(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{
@@ -38,22 +40,32 @@ func FuzzTablesOps(f *testing.F) {
 			if sft > capacity || nft > capacity || pdt > capacity {
 				t.Fatalf("capacity exceeded: sft=%d nft=%d pdt=%d cap=%d", sft, nft, pdt, capacity)
 			}
-			snap := tables.Snapshot()
-			if len(snap) != sft+nft+pdt {
-				t.Fatalf("a flow lives in more than one table: snapshot=%d, sizes=%d",
-					len(snap), sft+nft+pdt)
-			}
-			for hash, state := range snap {
+			var counts [4]int
+			tables.Range(func(hash uint64, state State) {
+				counts[state]++
 				entry, got := tables.Lookup(hash)
-				if got != state {
-					t.Fatalf("Lookup(%#x) state %v != snapshot state %v", hash, got, state)
+				if entry == nil || got != state || entry.State != state {
+					t.Fatalf("Lookup(%#x) = (%v, %v), Range says %v", hash, entry, got, state)
 				}
-				if entry == nil {
-					t.Fatalf("Lookup(%#x) returned a nil entry for a tracked flow", hash)
-				}
-				if entry.State != state {
-					t.Fatalf("entry.State %v != table membership %v", entry.State, state)
-				}
+			})
+			if counts != [4]int{0, sft, nft, pdt} {
+				t.Fatalf("Range visits %v per state, Sizes reports %d/%d/%d", counts, sft, nft, pdt)
+			}
+
+			var st TablesState
+			tables.CheckpointState(&st)
+			restored := New(capacity)
+			if err := restored.RestoreState(st); err != nil {
+				t.Fatalf("restore of a checkpoint: %v", err)
+			}
+			var want, got []Entry
+			tables.ForEachEntry(func(e *Entry) { want = append(want, *e) })
+			restored.ForEachEntry(func(e *Entry) { got = append(got, *e) })
+			if !slices.Equal(want, got) {
+				t.Fatalf("restored entries differ:\n got %+v\nwant %+v", got, want)
+			}
+			if s, n, p := restored.Sizes(); s != sft || n != nft || p != pdt {
+				t.Fatalf("restored sizes %d/%d/%d, want %d/%d/%d", s, n, p, sft, nft, pdt)
 			}
 		}
 
