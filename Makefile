@@ -177,7 +177,8 @@ search-baseline:
 	$(GO) run ./cmd/maficsearch -out ROBUST_baseline.json
 
 # profile runs one of internal/experiment's BenchmarkRun sub-benchmarks (table2,
-# stress-1k, stress-5k, stress-50k) five times under the CPU and allocation
+# stress-1k, stress-5k, stress-50k, and for the checkpoint layer
+# resume/stress-1k and ckpt/table2) five times under the CPU and allocation
 # profilers, so the next hotspot hunt starts from `go tool pprof cpu.pprof`.
 # Every allocation is recorded, not one per half-megabyte: a warm run makes a
 # few hundred small ones, which the default sampling rate would mostly miss.

@@ -53,8 +53,10 @@ type EventState struct {
 	Probe uint32
 	// Packet is the in-flight payload of an EvLinkArrive event.
 	Packet netsim.PacketState
-	// Report is the owned payload of an EvMonitorLate delayed report.
-	Report trafficmatrix.EpochReportState
+	// Report is the owned payload of an EvMonitorLate delayed report, set
+	// on every late event and nil on every other kind. It is held by
+	// pointer because few events carry one.
+	Report *trafficmatrix.EpochReportState
 }
 
 // ProbeRec is one entry of the deduplicated probe-record table.

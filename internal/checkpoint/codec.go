@@ -61,7 +61,7 @@ func (c *codec) f64(p *float64) {
 
 func (c *codec) bytes(p *[]byte) {
 	if c.dec {
-		*p = c.r.bytes()
+		*p = c.r.bytes((*p)[:0])
 	} else {
 		c.w.bytes(*p)
 	}
@@ -108,11 +108,13 @@ func (c *codec) fail(format string, args ...any) {
 
 // list walks a count and that many elements. Decoding believes the count only
 // as far as the bytes behind it could hold that many of the smallest element,
-// which bounds the allocation by the input, and fills the elements in place; a
-// count of zero leaves the list nil. The smallest element is what a zero T
-// encodes to — every varint one byte, every nested list empty, a union on its
-// cheaper arm — measured by turning the codec around for one walk, into its
-// otherwise idle writer.
+// which bounds the allocation by the input, and fills the elements in place:
+// a list whose backing is long enough keeps it, and each element's walk
+// overwrites what an earlier decode left there, nested backing included; a
+// count of zero empties the list (a nil one stays nil). The smallest element
+// is what a zero T encodes to — every varint one byte, every nested list
+// empty, a union on its cheaper arm — measured by turning the codec around
+// for one walk, into its otherwise idle writer.
 func list[T any](c *codec, s *[]T, walk func(*codec, *T)) {
 	if !c.dec {
 		c.w.u32(uint32(len(*s)))
@@ -126,10 +128,10 @@ func list[T any](c *codec, s *[]T, walk func(*codec, *T)) {
 	walk(c, &zero)
 	c.dec = true
 	n := c.r.count(len(c.w.b))
-	if n == 0 {
-		return
+	if n > cap(*s) {
+		*s = make([]T, n)
 	}
-	*s = make([]T, n)
+	*s = (*s)[:n]
 	for i := 0; i < n && c.r.err == nil; i++ {
 		walk(c, &(*s)[i])
 	}
@@ -162,11 +164,12 @@ var sections = [...]func(*codec, *Snapshot){
 }
 
 // Encode serializes a snapshot into the sectioned wire format. The walk runs
-// once, into a buffer the snapshot keeps for its next Encode — a run's
-// capture session refills one Snapshot for the whole run, so the buffer is
-// grown by the first snapshots and written over by the rest. What is returned
-// is a copy of exactly the encoded size, a fresh one on every call: callers
-// hand it to sinks that keep it. Encode must not run concurrently on one Snapshot.
+// once, into a buffer the snapshot keeps for its next Encode — a run bundle
+// refills one Snapshot from capture to capture and from job to job, so the
+// buffer is grown by the first snapshots and written over by the rest. What is
+// returned is a copy of exactly the encoded size, a fresh one on every call:
+// callers hand it to sinks that keep it. Encode must not run concurrently
+// with another Encode or a DecodeInto on one Snapshot.
 func Encode(snap *Snapshot) []byte {
 	c := &snap.scratch
 	c.w.b = append(c.w.b[:0], snapshotMagic[:]...)
@@ -181,52 +184,65 @@ func Encode(snap *Snapshot) []byte {
 	return append(make([]byte, 0, len(c.w.b)), c.w.b...)
 }
 
-// Decode parses an encoded snapshot, validating every length against the
-// input before trusting it. Arbitrary input yields a wrapped ErrCorrupt,
-// never a panic.
+// Decode parses an encoded snapshot into a new Snapshot: DecodeInto on a
+// zero one.
 func Decode(data []byte) (*Snapshot, error) {
+	snap := new(Snapshot)
+	if err := DecodeInto(snap, data); err != nil {
+		return nil, err
+	}
+	return snap, nil
+}
+
+// DecodeInto parses an encoded snapshot into snap, validating every length
+// against the input before trusting it. Arbitrary input yields a wrapped
+// ErrCorrupt, never a panic. Whatever snap held before is overwritten, every
+// field of it, and its lists and byte strings keep their backing where it is
+// long enough, so a Snapshot decoded into again and again stops allocating;
+// nothing in it aliases data. After an error snap holds a mix of the two
+// snapshots and is fit only to be decoded or captured into again.
+func DecodeInto(snap *Snapshot, data []byte) error {
 	r := &reader{b: data}
 	if magic := r.take(len(snapshotMagic)); r.err == nil && string(magic) != string(snapshotMagic[:]) {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+		return fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	if v := r.fixed32(); r.err == nil && v != SnapshotVersion {
-		return nil, fmt.Errorf("%w: file is version %d, this build reads %d", ErrVersion, v, SnapshotVersion)
+		return fmt.Errorf("%w: file is version %d, this build reads %d", ErrVersion, v, SnapshotVersion)
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 
-	snap := &Snapshot{}
 	c := &codec{dec: true}
 	var seen [len(sections)]bool
 	for r.remaining() > 0 {
 		kind := r.u8()
 		payload := r.take(int(r.fixed32()))
 		if r.err != nil {
-			return nil, r.err
+			return r.err
 		}
 		if kind == 0 || int(kind) >= len(sections) {
-			return nil, fmt.Errorf("%w: unknown section kind %d", ErrCorrupt, kind)
+			return fmt.Errorf("%w: unknown section kind %d", ErrCorrupt, kind)
 		}
 		if seen[kind] {
-			return nil, fmt.Errorf("%w: duplicate section %d", ErrCorrupt, kind)
+			return fmt.Errorf("%w: duplicate section %d", ErrCorrupt, kind)
 		}
 		seen[kind] = true
 		c.r = reader{b: payload}
 		sections[kind](c, snap)
 		if c.r.err != nil {
-			return nil, fmt.Errorf("section %d: %w", kind, c.r.err)
+			return fmt.Errorf("section %d: %w", kind, c.r.err)
 		}
 		if c.r.remaining() != 0 {
-			return nil, fmt.Errorf("%w: section %d has %d trailing bytes", ErrCorrupt, kind, c.r.remaining())
+			return fmt.Errorf("%w: section %d has %d trailing bytes", ErrCorrupt, kind, c.r.remaining())
 		}
 	}
 	for kind := 1; kind < len(sections); kind++ {
 		if !seen[kind] {
-			return nil, fmt.Errorf("%w: missing section %d", ErrCorrupt, kind)
+			return fmt.Errorf("%w: missing section %d", ErrCorrupt, kind)
 		}
 	}
-	return snap, nil
+	return nil
 }
 
 func walkStream(c *codec, st *StreamState) {
@@ -235,11 +251,21 @@ func walkStream(c *codec, st *StreamState) {
 }
 
 // walkEvent is a union on the event kind, walked before it is switched on so
-// that one switch serves both directions.
+// that one switch serves both directions. Decoding clears every arm first,
+// so that nothing of an event decoded into the same place before survives,
+// and gives a late event a report record of its own: the one a capture left
+// at that place may be left at another place too, by an earlier and longer
+// capture, and two late events decoded into one record would share it.
 func walkEvent(c *codec, ev *EventState) {
 	i64of(c, &ev.At)
 	c.u64(&ev.Seq)
 	u8of(c, &ev.Kind)
+	if c.dec {
+		*ev = EventState{At: ev.At, Seq: ev.Seq, Kind: ev.Kind}
+		if ev.Kind == EvMonitorLate {
+			ev.Report = new(trafficmatrix.EpochReportState)
+		}
+	}
 	switch ev.Kind {
 	case EvBuild, EvMonitorTick:
 	case EvFlowSend, EvFlowPhase, EvFlowEnd:
@@ -258,7 +284,7 @@ func walkEvent(c *codec, ev *EventState) {
 		i64of(c, &p.FlowID)
 		c.boolean(&p.Malicious)
 	case EvMonitorLate:
-		rep := &ev.Report
+		rep := ev.Report
 		i64of(c, &rep.Epoch)
 		i64of(c, &rep.Start)
 		i64of(c, &rep.End)
@@ -305,10 +331,14 @@ func walkLink(c *codec, l *netsim.LinkState) {
 	c.u64(&l.FaultDrops)
 }
 
-// walkNode is a union on Router: exactly one of R and H travels.
+// walkNode is a union on Router: exactly one of R and H travels, and
+// decoding clears the other.
 func walkNode(c *codec, n *NodeState) {
 	i64of(c, &n.ID)
 	c.boolean(&n.Router)
+	if c.dec {
+		n.R, n.H = netsim.RouterState{}, netsim.HostState{}
+	}
 	if n.Router {
 		c.boolean(&n.R.Down)
 		c.u64(&n.R.Forwarded)
@@ -392,9 +422,12 @@ func walkBin(c *codec, b *metrics.BandwidthPoint) {
 }
 
 // walkDefenders is a union on the defender kind: MAFIC defenders, baseline
-// droppers or neither.
+// droppers or neither. Decoding empties both lists first.
 func walkDefenders(c *codec, s *Snapshot) {
 	u8of(c, &s.DefKind)
+	if c.dec {
+		s.Defenders, s.Droppers = s.Defenders[:0], s.Droppers[:0]
+	}
 	switch s.DefKind {
 	case DefNone:
 	case DefMAFIC:

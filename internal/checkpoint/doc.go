@@ -28,6 +28,27 @@
 // this package wrote Encode(Decode(b)) is byte-identical, pinned by test, so
 // snapshot files can be copied and inspected without drift.
 //
+// # Decoding into a kept Snapshot
+//
+// There is one decoder, DecodeInto, and Decode is DecodeInto on a new
+// Snapshot. DecodeInto overwrites every field of the Snapshot it is handed
+// and keeps what it can of its storage, so that a holder that decodes file
+// after file into one Snapshot — the experiment package's run bundle, whose
+// resumes decode into the Snapshot its captures refill — stops allocating: a
+// list keeps its backing when it is long enough and each element's walk
+// overwrites what was there, nested lists included; a byte string is copied
+// into the backing it already has; and a union walk clears its other arms
+// first — an event's packet, index, probe and report, a node's router or host
+// half, the defender and dropper lists — so nothing of the snapshot decoded
+// there before survives. The late report is the one record held by pointer:
+// few events carry one, so a pending event is 112 bytes, not 224. Every late
+// event has one, and decoding gives each a new record rather than keep the
+// one at its place, which an earlier and longer capture may have left at
+// another place as well. Nothing decoded aliases the input, and a holder must not let anything it restores alias
+// the Snapshot, which its next decode or capture writes over.
+// FuzzSnapshotDecode decodes every input both ways and requires the same
+// outcome.
+//
 // # Version 3: write what moved
 //
 // Version 2 wrote every integer at full width and every sketch at a byte a

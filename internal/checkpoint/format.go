@@ -194,13 +194,11 @@ func (r *reader) f64() float64 {
 
 func (r *reader) time() sim.Time { return sim.Time(r.i64()) }
 
-func (r *reader) bytes() []byte {
+// bytes reads a byte string into dst's backing, growing it only if it is
+// too short: the result never aliases the input.
+func (r *reader) bytes(dst []byte) []byte {
 	n := int(r.u32())
-	b := r.take(n)
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
+	return append(dst, r.take(n)...)
 }
 
 // count reads a u32 element count and verifies the payload could actually

@@ -138,7 +138,7 @@ func smallSnapshot() *Snapshot {
 		Events: []EventState{
 			{At: 2 * sim.Second, Seq: 200, Kind: EvFlowSend, Index: 130},
 			{At: sim.Second, Seq: 3, Kind: EvBuild},
-			{At: 3 * sim.Second, Seq: 131, Kind: EvMonitorLate, Report: trafficmatrix.EpochReportState{
+			{At: 3 * sim.Second, Seq: 131, Kind: EvMonitorLate, Report: &trafficmatrix.EpochReportState{
 				Epoch: 4, Start: sim.Second, End: 2 * sim.Second,
 				SourceEst: []float64{1.5, 0}, Matrix: []trafficmatrix.Cell{{Source: 1, Dest: 200, Packets: 0.25}},
 			}},

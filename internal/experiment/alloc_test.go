@@ -177,8 +177,20 @@ func TestPlainRunPaysNothingForCheckpointing(t *testing.T) {
 // matrix (trafficmatrix.EpochReport.Clone, about 85 KB a run). Before the
 // bundle kept its RNG streams a second run allocated 54–372 KB, one 5.5 KB
 // math/rand source per stream.
+//
+// The same bundle then serves checkpointed runs and resumes, and its
+// checkpoint session is pinned the same way. A second run checkpointed at
+// 90 % of its duration allocates the snapshot it hands to Save, rounded up to
+// the allocator's 8 KB page, and at most ckptMargin beyond a plain run: the
+// save goroutine and the scenario's JSON (measured at most 8 KB). A second
+// resume from that snapshot allocates at most resumeMargin beyond a plain run
+// (measured at most 6 KB): the decode refills the bundle's Snapshot in place.
+// When every run's session and every resume's Snapshot were new, the
+// checkpointed runs allocated 190 KB (shrew) to 46 MB (stress-50k) beyond
+// their snapshot and a plain run, and the resumes 73 KB to 10 MB.
 func TestRecycledRunAllocations(t *testing.T) {
 	const base = 8 << 10
+	const ckptMargin, resumeMargin = 16 << 10, 8 << 10
 	extra := map[string]uint64{
 		"stress-5k":     2 << 10,
 		"stress-50k":    2 << 10,
@@ -188,16 +200,50 @@ func TestRecycledRunAllocations(t *testing.T) {
 		t.Run(e.Name, func(t *testing.T) {
 			s := Quick(e.Build())
 			res := newRunResources()
-			run := func() {
+			// lowest runs fn three times on the bundle and returns the lower
+			// of what the second and the third allocated, with what fn
+			// returned on that run.
+			lowest := func(fn func() uint64) (bytes, ret uint64) {
+				fn()
+				bytes = ^uint64(0)
+				for i := 0; i < 2; i++ {
+					var r uint64
+					if _, b := heapDelta(func() { r = fn() }); b < bytes {
+						bytes, ret = b, r
+					}
+				}
+				return bytes, ret
+			}
+			plain, _ := lowest(func() uint64 {
 				if _, err := runWith(s, res, nil, ControlOptions{}); err != nil {
 					t.Fatalf("run: %v", err)
 				}
+				return 0
+			})
+			if limit := base + extra[e.Name]; plain > limit {
+				t.Errorf("a second run on a recycled bundle allocated %d B, want at most %d", plain, limit)
 			}
-			run()
-			_, first := heapDelta(run)
-			_, second := heapDelta(run)
-			if got, limit := min(first, second), base+extra[e.Name]; got > limit {
-				t.Errorf("a second run on a recycled bundle allocated %d B, want at most %d", got, limit)
+
+			var data []byte
+			ckpt, snapshot := lowest(func() uint64 {
+				save := func(_ sim.Time, d []byte) error { data = d; return nil }
+				if _, err := runWith(s, res, nil, ControlOptions{Save: save, at: []sim.Time{s.Duration * 9 / 10}}); err != nil {
+					t.Fatalf("checkpointed run: %v", err)
+				}
+				return (uint64(len(data)) + 8191) &^ 8191
+			})
+			if limit := snapshot + base + extra[e.Name] + ckptMargin; ckpt > limit {
+				t.Errorf("a second checkpointed run on a recycled bundle allocated %d B for a %d B snapshot, want at most %d",
+					ckpt, len(data), limit)
+			}
+			resumed, _ := lowest(func() uint64 {
+				if _, err := resumeWith(data, res, ControlOptions{}); err != nil {
+					t.Fatalf("resume: %v", err)
+				}
+				return 0
+			})
+			if limit := base + extra[e.Name] + resumeMargin; resumed > limit {
+				t.Errorf("a second resume on a recycled bundle allocated %d B, want at most %d", resumed, limit)
 			}
 		})
 	}

@@ -24,8 +24,12 @@ func benchBase() Scenario {
 // BenchmarkRun times one whole build-measure-defend run per iteration, after
 // one untimed warm-up run, so what it reports is the pooled steady state and
 // not the process's first build of the domain. "table2" is benchBase; the
-// others are the quick variants of the catalog's scale entries. `make
-// profile` runs one of them under the profilers:
+// others are the quick variants of the catalog's scale entries. Two more
+// price the checkpoint layer around a whole job: "resume/stress-1k" resumes
+// full-size stress-1k from its 90 % snapshot, the file the codec benchmarks
+// decode, and "ckpt/table2" runs the catalog's full-size table2 checkpointed
+// every 100 ms into a sink that keeps the newest snapshot. `make profile`
+// runs one of them under the profilers:
 //
 //	go test ./internal/experiment -run '^$' -bench 'Run/stress-50k$' -benchtime 5x
 func BenchmarkRun(b *testing.B) {
@@ -39,24 +43,59 @@ func BenchmarkRun(b *testing.B) {
 			s = Quick(e.Build())
 		}
 		b.Run(name, func(b *testing.B) {
-			if _, err := Run(s); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var res Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				if res, err = Run(s); err != nil {
-					b.Fatal(err)
-				}
-				if !res.Activated {
-					b.Fatal("defense never activated")
-				}
-			}
-			b.ReportMetric(float64(res.EventsProcessed), "events/run")
+			benchJobs(b, func() (Result, error) { return Run(s) })
 		})
 	}
+	b.Run("resume", func(b *testing.B) {
+		e, ok := LookupScenario("stress-1k")
+		if !ok {
+			b.Fatal("stress-1k not registered")
+		}
+		s := e.Build()
+		data, _ := snapshotMidRun(b, s, s.Duration*9/10)
+		b.Run("stress-1k", func(b *testing.B) {
+			benchJobs(b, func() (Result, error) { return ResumeControlled(data, ControlOptions{}) })
+		})
+	})
+	b.Run("ckpt", func(b *testing.B) {
+		e, ok := LookupScenario("table2")
+		if !ok {
+			b.Fatal("table2 not registered")
+		}
+		s := e.Build()
+		var newest []byte
+		opts := ControlOptions{
+			CheckpointEvery: 100 * sim.Millisecond,
+			Save:            func(_ sim.Time, data []byte) error { newest = data; return nil },
+		}
+		b.Run("table2", func(b *testing.B) {
+			benchJobs(b, func() (Result, error) { return RunControlled(s, opts) })
+		})
+		if len(newest) == 0 {
+			b.Fatal("no snapshot was saved")
+		}
+	})
+}
+
+// benchJobs times job after an untimed warm-up call and reports the events
+// of the last run.
+func benchJobs(b *testing.B, job func() (Result, error)) {
+	if _, err := job(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var res Result
+	for i := 0; i < b.N; i++ {
+		var err error
+		if res, err = job(); err != nil {
+			b.Fatal(err)
+		}
+		if !res.Activated {
+			b.Fatal("defense never activated")
+		}
+	}
+	b.ReportMetric(float64(res.EventsProcessed), "events/run")
 }
 
 // BenchmarkFigure regenerates each figure's quick sweep around benchBase, and

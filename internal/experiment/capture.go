@@ -21,7 +21,9 @@ package experiment
 // Pending events are the delicate part. Events scheduled during construction
 // ("build events", sequence numbers below builtRun.buildSeq) are recreated by
 // the rebuild itself; the restore cancels the ones the original run had
-// already consumed (sim.Scheduler.ReconcilePending) and leaves the rest.
+// already consumed (sim.Scheduler.ReconcilePending) and leaves the rest,
+// refusing a snapshot that keeps one the clock has passed or one the rebuild
+// does not have pending.
 // Events scheduled while the simulation was running ("runtime events") are
 // captured by classifying their handlers (an event holds one sim.ArgHandler
 // and its payload) against a closed registry — link arrivals, flow
@@ -88,11 +90,19 @@ package experiment
 //
 // # Cost and lifetime
 //
-// A run that checkpoints often takes every snapshot through one
-// captureSession, so that a snapshot repeats none of the work of the one
-// before it. The session holds what cannot change while the run is alive —
-// the handler registry, the link list and the scenario JSON — and one scratch
-// Snapshot that every capture refills in place: each slice is truncated and
+// Checkpoint storage belongs to the run bundle, not to a run: its
+// captureSession, made at the first snapshot or resume the bundle serves, holds
+// the one Snapshot, the buffer Encode writes into (Snapshot.scratch), and the
+// storage of the capture registry — the handler map, the link list, the
+// probe-record index and the owned copies of delayed reports. What the
+// registry holds belongs to the run: a run's first capture refills it with
+// that run's objects and scenario JSON (a restore lists the links it needs),
+// and the registry holds the run's objects by identity, which the next run
+// resets in place. So a snapshot repeats none of the work of the
+// one before it, and a checkpointed job none of the allocation of the job
+// before it on the bundle.
+//
+// Every capture refills the Snapshot in place: each slice is truncated and
 // re-appended, the per-counter sketch bucket arrays, collector bins, route
 // destinations, coordinator tables, flow-table entries, probing memory and
 // the probe-record dedupe map keep their backing, pending events are appended
@@ -104,26 +114,35 @@ package experiment
 // its tables appended into dst's backing, and the rest (the CheckpointState
 // of a defender, monitor or network, CapturePacket, …) fill dst field by
 // field. Once warm, a capture allocates nothing, unless the run holds more
-// state than at any earlier snapshot and a scratch slice has to grow.
+// state than any snapshot the bundle took before and a list has to grow, or
+// the run has handler objects no run before it on the bundle had.
 //
-// The price is lifetime: the *Snapshot capture returns is the session's own
-// and is valid only until the next capture. Encode it (or copy what you need)
-// first. Nothing in it aliases the live run — every slice is the session's
-// copy — so it may be encoded on another goroutine while the run goes on, as
-// long as the next capture waits for that encode: the control loop does
-// exactly this. The session belongs to the built run and goes with it: the
-// registry holds the run's objects by identity, and the next run resets those
-// same objects in place.
+// A resume decodes into the same Snapshot (checkpoint.DecodeInto), which
+// keeps its lists' backing the same way, and restore reads it without
+// allocating: events are sorted with a typed sort, the build events to keep
+// are found by binary search over them, and the links and the re-bound probe
+// records are listed into the session. Nothing restore builds aliases the
+// Snapshot — every overlay copies, a delayed report included — because the
+// resumed run's first capture writes over it.
 //
-// Encode walks the snapshot once, into a scratch buffer that belongs to the
-// Snapshot — so to the session — and is written over by the next Encode; what
-// it returns is a copy, a single allocation of exactly the encoded size. Save
-// callbacks own the bytes they are handed — the tests and the benchmark's
-// in-memory sinks keep the slices across calls, as anything holding "the
-// newest snapshot" would — so recycling the output would silently corrupt
-// kept snapshots, and TestRetainedSnapshotsStayValid pins the contract. The
-// output buffer is therefore the one allocation a steady-state snapshot
-// makes, and the floor of what checkpointing costs in memory traffic.
+// The price is lifetime: the *Snapshot capture returns is the bundle's own
+// and is valid only until the next capture or resume on that bundle. Encode
+// it (or copy what you need) first. Nothing in it aliases the live run —
+// every slice is the session's copy — so it may be encoded on another
+// goroutine while the run goes on, as long as the next capture waits for
+// that encode: the control loop does exactly this, and joins the last encode
+// before the run returns and hands the bundle back.
+//
+// Encode walks the snapshot once, into the scratch buffer, which the next
+// Encode writes over; what it returns is a copy, a single allocation of
+// exactly the encoded size. Save callbacks own the bytes they are handed —
+// the tests and the benchmark's in-memory sinks keep the slices across calls,
+// as anything holding "the newest snapshot" would — so recycling the output
+// would silently corrupt kept snapshots, and TestRetainedSnapshotsStayValid
+// pins the contract. The output buffer is therefore the one allocation a
+// steady-state snapshot makes, and the floor of what checkpointing costs in
+// memory traffic. TestRecycledRunAllocations pins a second checkpointed run
+// and a second resume on one bundle for every catalog entry.
 //
 // The harness entry points are one loop: a run is built on a recycled bundle —
 // arena, scheduler, lookup tables and the defenders, monitor, coordinator and
@@ -131,20 +150,21 @@ package experiment
 // and torn down in one place. RunControlled pauses at every multiple of an
 // interval, RunWithCheckpoints at requested virtual times, and each hands
 // every encoded snapshot to a save callback; ResumeControlled (RunFromSnapshot
-// without a control surface) decodes, rebuilds, overlays and continues the
-// same loop to completion. Only the capture is on the run's goroutine: at
-// each boundary the loop captures, then hands Encode and the save callback to
-// one helper goroutine that works behind the next segment, and the boundary
-// after joins it before capturing again, so the session's snapshot is never
-// captured into while it is being encoded. (The final snapshot of an
+// without a control surface) takes a bundle, decodes into its Snapshot,
+// rebuilds, overlays and continues the same loop to completion. Only the
+// capture is on the run's goroutine: at each boundary the loop captures, then
+// hands Encode and the save callback to one helper goroutine that works
+// behind the next segment, and the boundary after joins it before capturing
+// again, so the session's snapshot is never captured into while it is being
+// encoded. (The final snapshot of an
 // interrupted run is the exception: it is encoded and saved before the run
 // returns, on its own goroutine.)
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"slices"
-	"sort"
 
 	"mafic/internal/baseline"
 	"mafic/internal/checkpoint"
@@ -159,81 +179,107 @@ import (
 type handlerRole struct {
 	kind  uint8 // the event kind; EvMonitorTick for the monitor, which capture turns into EvMonitorLate when the event carries a report
 	index uint32
+	run   uint32 // the registration that wrote it: an entry an earlier run's left is no role
 }
 
-// captureSession is a run's capture scratch, made at its first snapshot: a
-// run that is never checkpointed does not pay for it.
+// captureSession is the bundle's checkpoint storage, made at the first
+// snapshot or resume a bundle serves: a bundle whose runs are never
+// checkpointed does not pay for it. It holds the one Snapshot every capture
+// refills and every resume decodes into, and the capture registry: the
+// storage belongs to the bundle, what the registry holds to the run that
+// filled it (see builtRun.linked and builtRun.registered).
 type captureSession struct {
 	snap checkpoint.Snapshot
 
 	// The handler identity registry: every object runtime events can dispatch
 	// through, keyed by the ArgHandler the scheduler holds, one entry per
 	// object (the monitor's ticks and its delayed reports share one and are
-	// told apart by the payload), and the links in ForEachLink order.
+	// told apart by the payload), and the links in ForEachLink order. Each
+	// registration bumps run and overwrites the entries of the run's objects,
+	// which the bundle reuses from run to run; entries it leaves belong to
+	// objects the run does not use. The map is never cleared, because clear
+	// re-seeds it and the refill would regrow its tables every job.
 	handlers map[sim.ArgHandler]handlerRole
+	run      uint32
 	links    []*netsim.Link
 
 	// Per-capture scratch: the probe-record dedupe table and the owned copies
-	// of delayed epoch reports (an EventState only holds their slice headers).
+	// of delayed epoch reports, which the late events of snap point at. A
+	// restore lists the probe records it re-binds in probes.
 	probeIdx map[any]uint32
-	reports  []trafficmatrix.EpochReportState
+	reports  []*trafficmatrix.EpochReportState
+	probes   []any
+}
+
+// checkpointSession returns the bundle's checkpoint storage, making it the
+// first time.
+func (r *runResources) checkpointSession() *captureSession {
+	if r.session == nil {
+		r.session = &captureSession{
+			handlers: make(map[sim.ArgHandler]handlerRole),
+			probeIdx: make(map[any]uint32),
+		}
+	}
+	return r.session
 }
 
 // links lists the network's links in ForEachLink order, the order a
-// snapshot's Links and an event's link index follow.
+// snapshot's Links and an event's link index follow, into the session's link
+// list at the run's first call.
 func (b *builtRun) links() []*netsim.Link {
-	links := make([]*netsim.Link, 0, b.domain.Net.LinkTotal())
-	b.domain.Net.ForEachLink(func(l *netsim.Link) { links = append(links, l) })
-	return links
+	cs := b.res.checkpointSession()
+	if !b.linked {
+		cs.links = cs.links[:0]
+		b.domain.Net.ForEachLink(func(l *netsim.Link) { cs.links = append(cs.links, l) })
+		b.linked = true
+	}
+	return cs.links
 }
 
-// newSession indexes every handler identity of the run and encodes its
-// scenario for the snapshots to carry.
-func (b *builtRun) newSession() (*captureSession, error) {
+// register refills the session's handler registry with every handler identity
+// of the run, and encodes its scenario for the snapshots to carry.
+func (b *builtRun) register() error {
+	cs := b.res.checkpointSession()
 	scenarioJSON, err := json.Marshal(b.s)
 	if err != nil {
-		return nil, fmt.Errorf("encode scenario: %w", err)
+		return fmt.Errorf("encode scenario: %w", err)
 	}
-	cs := &captureSession{
-		snap:     checkpoint.Snapshot{Scenario: scenarioJSON},
-		handlers: make(map[sim.ArgHandler]handlerRole),
-		links:    b.links(),
-		probeIdx: make(map[any]uint32),
-	}
-	for i, l := range cs.links {
-		cs.handlers[l] = handlerRole{kind: checkpoint.EvLinkArrive, index: uint32(i)}
+	cs.snap.Scenario = scenarioJSON
+	cs.run++
+	run := cs.run
+	for i, l := range b.links() {
+		cs.handlers[l] = handlerRole{kind: checkpoint.EvLinkArrive, index: uint32(i), run: run}
 	}
 	for i, f := range b.res.workload.Flows {
 		if h := traffic.SendHandler(f); h != nil {
-			cs.handlers[h] = handlerRole{kind: checkpoint.EvFlowSend, index: uint32(i)}
+			cs.handlers[h] = handlerRole{kind: checkpoint.EvFlowSend, index: uint32(i), run: run}
 		}
 		if ph, eh := traffic.PhaseHandlers(f); ph != nil {
-			cs.handlers[ph] = handlerRole{kind: checkpoint.EvFlowPhase, index: uint32(i)}
-			cs.handlers[eh] = handlerRole{kind: checkpoint.EvFlowEnd, index: uint32(i)}
+			cs.handlers[ph] = handlerRole{kind: checkpoint.EvFlowPhase, index: uint32(i), run: run}
+			cs.handlers[eh] = handlerRole{kind: checkpoint.EvFlowEnd, index: uint32(i), run: run}
 		}
 	}
-	cs.handlers[b.res.monitor] = handlerRole{kind: checkpoint.EvMonitorTick}
+	cs.handlers[b.res.monitor] = handlerRole{kind: checkpoint.EvMonitorTick, run: run}
 	for i, d := range b.res.mafic {
 		ps, we := d.ProbeHandlers()
-		cs.handlers[ps] = handlerRole{kind: checkpoint.EvProbeSend, index: uint32(i)}
-		cs.handlers[we] = handlerRole{kind: checkpoint.EvWindowEnd, index: uint32(i)}
+		cs.handlers[ps] = handlerRole{kind: checkpoint.EvProbeSend, index: uint32(i), run: run}
+		cs.handlers[we] = handlerRole{kind: checkpoint.EvWindowEnd, index: uint32(i), run: run}
 	}
-	return cs, nil
+	b.registered = true
+	return nil
 }
 
-// capture walks the live run and refills the session's Snapshot. The run must
+// capture walks the live run and refills the bundle's Snapshot. The run must
 // be paused at an event boundary (between RunUntil calls); capture only
-// reads. The returned Snapshot is the session's own and is overwritten by the
-// next capture.
+// reads. The returned Snapshot is the bundle's own and is overwritten by the
+// next capture or resume.
 func (b *builtRun) capture() (*checkpoint.Snapshot, error) {
-	if b.session == nil {
-		cs, err := b.newSession()
-		if err != nil {
+	if !b.registered {
+		if err := b.register(); err != nil {
 			return nil, err
 		}
-		b.session = cs
 	}
-	sched, snap := b.res.sched, &b.session.snap
+	sched, snap := b.res.sched, &b.res.session.snap
 	snap.BuildSeq = b.buildSeq
 	snap.Now = sched.Now()
 	snap.NextSeq = sched.Seq()
@@ -253,7 +299,7 @@ func (b *builtRun) capture() (*checkpoint.Snapshot, error) {
 	if err := b.captureEvents(); err != nil {
 		return nil, err
 	}
-	if err := b.walkState(snap, b.session.links, false); err != nil {
+	if err := b.walkState(snap, b.res.session.links, false); err != nil {
 		return nil, err
 	}
 	return snap, nil
@@ -261,7 +307,7 @@ func (b *builtRun) capture() (*checkpoint.Snapshot, error) {
 
 // snapshot captures and encodes the run's current state. The bytes are a
 // fresh buffer the caller may keep; the capture scratch behind them is the
-// run's session, reused by the next snapshot.
+// bundle's session, reused by the next snapshot.
 func (b *builtRun) snapshot() ([]byte, error) {
 	snap, err := b.capture()
 	if err != nil {
@@ -276,12 +322,12 @@ func (b *builtRun) snapshot() ([]byte, error) {
 // what puts them in sequence order. Probe records are numbered in the same
 // order.
 func (b *builtRun) captureEvents() error {
-	cs := b.session
+	cs := b.res.session
 	snap := &cs.snap
 	snap.Events = snap.Events[:0]
 	snap.ProbeRecs = snap.ProbeRecs[:0]
 	clear(cs.probeIdx)
-	cs.reports = cs.reports[:0]
+	reports := 0
 
 	var captureErr error
 	b.res.sched.ForEachPending(func(ev sim.PendingEvent) {
@@ -297,7 +343,7 @@ func (b *builtRun) captureEvents() error {
 			return
 		}
 		role, ok := cs.handlers[ev.H]
-		if !ok {
+		if !ok || role.run != cs.run {
 			captureErr = fmt.Errorf("checkpoint: runtime event %d at %v has unrecognised handler %T", ev.Seq, ev.At, ev.H)
 			return
 		}
@@ -321,12 +367,14 @@ func (b *builtRun) captureEvents() error {
 		case checkpoint.EvMonitorTick:
 			if ev.Arg != nil {
 				st.Kind = checkpoint.EvMonitorLate
-				cs.reports = resize(cs.reports, len(cs.reports)+1)
-				rep := &cs.reports[len(cs.reports)-1]
-				if captureErr = b.res.monitor.CaptureEpochReport(ev.Arg, rep); captureErr != nil {
+				if reports == len(cs.reports) {
+					cs.reports = append(cs.reports, new(trafficmatrix.EpochReportState))
+				}
+				st.Report = cs.reports[reports]
+				reports++
+				if captureErr = b.res.monitor.CaptureEpochReport(ev.Arg, st.Report); captureErr != nil {
 					return
 				}
-				st.Report = *rep
 			}
 		case checkpoint.EvProbeSend, checkpoint.EvWindowEnd:
 			idx, seen := cs.probeIdx[ev.Arg]
@@ -394,7 +442,8 @@ func (b *builtRun) restore(snap *checkpoint.Snapshot) error {
 	}
 
 	// Probe records are re-bound against the already-restored flow tables.
-	probeRecs := make([]any, len(snap.ProbeRecs))
+	cs := b.res.session
+	cs.probes = cs.probes[:0]
 	for i, pr := range snap.ProbeRecs {
 		if int(pr.Def) >= len(mafic) {
 			return fmt.Errorf("checkpoint: probe record %d names defender %d of %d", i, pr.Def, len(mafic))
@@ -403,26 +452,43 @@ func (b *builtRun) restore(snap *checkpoint.Snapshot) error {
 		if err != nil {
 			return err
 		}
-		probeRecs[i] = rec
+		cs.probes = append(cs.probes, rec)
 	}
+	probeRecs := cs.probes
 
 	// Event reconciliation: cancel the rebuilt build-time events the
 	// original run had already consumed, land the clock, then re-insert the
-	// runtime events in sequence order. None may lie before the clock: the
-	// scheduler would run it, and time would go backwards.
-	sort.Slice(snap.Events, func(i, j int) bool { return snap.Events[i].Seq < snap.Events[j].Seq })
-	keep := make(map[uint64]bool, len(snap.Events))
-	for _, ev := range snap.Events {
-		if ev.Kind == checkpoint.EvBuild {
-			keep[ev.Seq] = true
+	// runtime events in sequence order. None may lie before the clock, the
+	// build events kept included: the scheduler would run it, and time would
+	// go backwards. Every build event the snapshot keeps must be one the
+	// rebuild has pending.
+	events := snap.Events
+	slices.SortFunc(events, func(a, b checkpoint.EventState) int { return cmp.Compare(a.Seq, b.Seq) })
+	var kept, listed int
+	var early error
+	sched.ReconcilePending(snap.BuildSeq, func(at sim.Time, seq uint64) bool {
+		i, _ := slices.BinarySearchFunc(events, seq, func(ev checkpoint.EventState, seq uint64) int { return cmp.Compare(ev.Seq, seq) })
+		for ; i < len(events) && events[i].Seq == seq; i++ {
+			if events[i].Kind != checkpoint.EvBuild {
+				continue
+			}
+			if at < snap.Now && early == nil {
+				early = fmt.Errorf("checkpoint: build event %d is kept at %v, before the snapshot's Now %v", seq, at, snap.Now)
+			}
+			kept++
+			return true
 		}
+		return false
+	})
+	if early != nil {
+		return early
 	}
-	sched.ReconcilePending(snap.BuildSeq, func(seq uint64) bool { return keep[seq] })
 	sched.RestoreClock(snap.Now, snap.NextSeq, snap.Processed)
 
-	for i := range snap.Events {
-		ev := &snap.Events[i]
+	for i := range events {
+		ev := &events[i]
 		if ev.Kind == checkpoint.EvBuild {
+			listed++
 			continue
 		}
 		if ev.At < snap.Now {
@@ -482,6 +548,9 @@ func (b *builtRun) restore(snap *checkpoint.Snapshot) error {
 		default:
 			return fmt.Errorf("checkpoint: unknown event kind %d", ev.Kind)
 		}
+	}
+	if listed != kept {
+		return fmt.Errorf("checkpoint: snapshot keeps %d build events, the rebuild has %d of them pending", listed, kept)
 	}
 	// Link occupancy is not trusted from the file: it was recounted above from
 	// the packets actually in flight, and must agree with what was recorded.

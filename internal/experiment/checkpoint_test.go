@@ -311,6 +311,18 @@ var restoreRefusals = []struct {
 		}
 		return false
 	}, "before the snapshot's Now"},
+	// Build event 0 ran at the start; keeping it would dispatch it in the past.
+	{"a build event the run consumed", func(snap *checkpoint.Snapshot) bool {
+		if slices.ContainsFunc(snap.Events, func(ev checkpoint.EventState) bool { return ev.Seq == 0 }) {
+			return false
+		}
+		snap.Events = append(snap.Events, checkpoint.EventState{Seq: 0, Kind: checkpoint.EvBuild})
+		return true
+	}, "build event 0 is kept at"},
+	{"a build event the rebuild never scheduled", func(snap *checkpoint.Snapshot) bool {
+		snap.Events = append(snap.Events, checkpoint.EventState{At: snap.Now + 1, Seq: snap.BuildSeq, Kind: checkpoint.EvBuild})
+		return true
+	}, "the rebuild has"},
 	// A deleted option set to a value the engine no longer implements.
 	{"withdrawal asked for", spliceScenarioKeys(map[string]any{"Pushback.DisableWithdraw": false}), "Pushback.DisableWithdraw"},
 	{"an absolute detector", spliceScenarioKeys(map[string]any{"Pushback.AbsoluteThreshold": 500}), "Pushback.AbsoluteThreshold"},
@@ -541,9 +553,10 @@ func mutateSnapshot(tb testing.TB, data []byte, mut func(*checkpoint.Snapshot) b
 // decodes cleanly but is inconsistent there is refused, not run. So is one
 // holding a packet no run could have sent (a kind or protocol outside the
 // declared sets, a negative size or hop count), a sketch in a state no
-// sketch reaches (buckets set with nothing added, or the reverse), or a
-// scenario that sets a deleted option to a value the engine no longer
-// implements, which json.Unmarshal alone would drop without a word.
+// sketch reaches (buckets set with nothing added, or the reverse), a build
+// event to keep that the run had already consumed or that the rebuild never
+// scheduled, or a scenario that sets a deleted option to a value the engine
+// no longer implements, which json.Unmarshal alone would drop without a word.
 func TestRestoreChecksLinkOccupancy(t *testing.T) {
 	s := table2Quick(t)
 	data, _ := snapshotMidRun(t, s, s.Duration/2)
@@ -659,10 +672,10 @@ func TestSessionMatchesFreshCapture(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: session snapshot at %v: %v", name, at, err)
 			}
-			warm := b.session
-			b.session = nil
+			warm := b.res.session
+			b.res.session, b.linked, b.registered = nil, false, false
 			fresh, err := b.capture()
-			b.session = warm
+			b.res.session = warm
 			if err != nil {
 				t.Fatalf("%s: fresh capture at %v: %v", name, at, err)
 			}
@@ -841,7 +854,7 @@ func holdsSlice(t reflect.Type) (holds bool) {
 	switch t.Kind() {
 	case reflect.Slice:
 		return true
-	case reflect.Array:
+	case reflect.Array, reflect.Pointer:
 		return holdsSlice(t.Elem())
 	case reflect.Struct:
 		for i := 0; i < t.NumField(); i++ {
@@ -856,13 +869,20 @@ func holdsSlice(t reflect.Type) (holds bool) {
 var sliceHolders = map[reflect.Type]bool{}
 
 // sameState reports whether two values are equal in everything a snapshot
-// file carries: a nil slice and an empty one are the same list, and the
-// unexported fields of a struct that holds slices (Snapshot's encode scratch)
-// are not state. Everything without a slice inside is compared with ==.
+// file carries: a nil slice and an empty one are the same list, a pointer (a
+// late event's report) is compared by what it points at, and the unexported fields of a struct that holds slices
+// (Snapshot's encode scratch) are not state. Everything without a slice
+// inside is compared with ==, or failing that by its bits, so that a NaN a
+// file carries equals itself.
 func sameState(a, b reflect.Value) bool {
 	switch {
 	case !holdsSlice(a.Type()):
-		return a.Interface() == b.Interface()
+		return a.Interface() == b.Interface() || sameBits(a, b)
+	case a.Kind() == reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return sameState(a.Elem(), b.Elem())
 	case a.Kind() == reflect.Struct:
 		for i := 0; i < a.NumField(); i++ {
 			if a.Type().Field(i).IsExported() && !sameState(a.Field(i), b.Field(i)) {
@@ -882,6 +902,29 @@ func sameState(a, b reflect.Value) bool {
 		}
 	}
 	return true
+}
+
+// sameBits is == with floats compared by their bits.
+func sameBits(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float32, reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Array:
+		for i := 0; i < a.Len(); i++ {
+			if !sameBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Equal(b)
 }
 
 // TestDecodeInvertsEncode pins that the wire format loses nothing: for every

@@ -70,7 +70,7 @@ func RunControlled(s Scenario, opts ControlOptions) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
 	}
-	return runPooled(s, nil, opts)
+	return runPooled(s, opts)
 }
 
 // ResumeControlled decodes a snapshot, rebuilds its embedded scenario
@@ -79,8 +79,16 @@ func RunControlled(s Scenario, opts ControlOptions) (Result, error) {
 // original schedule (the next multiple of CheckpointEvery after the snapshot
 // time). Failures caused by the snapshot itself are wrapped in ErrSnapshot.
 func ResumeControlled(data []byte, opts ControlOptions) (Result, error) {
-	snap, err := checkpoint.Decode(data)
-	if err != nil {
+	res := takeBundle()
+	defer res.giveBack()
+	return resumeWith(data, res, opts)
+}
+
+// resumeWith is ResumeControlled on the given bundle: the snapshot is decoded
+// into the bundle's own Snapshot, which the resumed run's captures refill.
+func resumeWith(data []byte, res *runResources, opts ControlOptions) (Result, error) {
+	snap := &res.checkpointSession().snap
+	if err := checkpoint.DecodeInto(snap, data); err != nil {
 		return Result{}, fmt.Errorf("%w: %w", ErrSnapshot, err)
 	}
 	var s Scenario
@@ -93,7 +101,10 @@ func ResumeControlled(data []byte, opts ControlOptions) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, fmt.Errorf("%w: %w", ErrSnapshot, err)
 	}
-	return runPooled(s, snap, opts)
+	if err := opts.validate(); err != nil {
+		return Result{}, err
+	}
+	return runWith(s, res, snap, opts)
 }
 
 // refuseRetiredOptions refuses an embedded scenario that sets a deleted option

@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -20,6 +21,13 @@ import (
 // as well (not run), under the same contract: Restore refuses what it cannot
 // resume. The seeds are taken from the running build, so they are always at
 // the current SnapshotVersion.
+//
+// Every input is also decoded in place, into a Snapshot that last held a
+// catalog snapshot of another shape — lossy-control's, with late reports in
+// flight, and a proportional-dropping stress-1k's, with the other arm of the
+// defender union and routers where the seeds have hosts — as a resume
+// decodes into the bundle's Snapshot. The outcome must be a fresh Decode's:
+// an error in both cases, or the same snapshot.
 func FuzzSnapshotDecode(f *testing.F) {
 	var scenarios [][]byte
 	for _, name := range []string{"table2", "flap-core"} {
@@ -60,6 +68,15 @@ func FuzzSnapshotDecode(f *testing.F) {
 		flipped[len(flipped)/2] ^= 0xff
 		f.Add(flipped)
 	}
+	others := [][]byte{lateReportSnapshot(f)}
+	s1k, ok := LookupScenario("stress-1k")
+	if !ok {
+		f.Fatal("stress-1k not registered")
+	}
+	baseline := Quick(s1k.Build())
+	baseline.Defense = DefenseBaseline
+	baselineData, _ := snapshotMidRun(f, baseline, baseline.Duration/2)
+	others = append(others, baselineData)
 	f.Add([]byte{})
 	f.Add([]byte("MAFICSNP"))
 	f.Add([]byte("MAFICSNP\x01\x00\x00\x00")) // the retired versions 1 and 2
@@ -70,6 +87,19 @@ func FuzzSnapshotDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := checkpoint.Decode(data)
+		for _, other := range others {
+			kept, oerr := checkpoint.Decode(other)
+			if oerr != nil {
+				t.Fatalf("decode the other shape: %v", oerr)
+			}
+			inPlace := checkpoint.DecodeInto(kept, data)
+			switch {
+			case (err == nil) != (inPlace == nil):
+				t.Fatalf("a fresh decode returned %v, one in place %v", err, inPlace)
+			case err == nil && !sameState(reflect.ValueOf(*snap), reflect.ValueOf(*kept)):
+				t.Fatalf("a decode in place differs from a fresh one in %v", differingFields(snap, kept))
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -87,4 +117,49 @@ func FuzzSnapshotDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// lateReportSnapshot is a snapshot of quick lossy-control taken at the first
+// of its pauses, every half report delay, that has a delayed report in flight.
+func lateReportSnapshot(tb testing.TB) []byte {
+	tb.Helper()
+	e, ok := LookupScenario("lossy-control")
+	if !ok {
+		tb.Fatal("lossy-control not registered")
+	}
+	s := Quick(e.Build())
+	var late []byte
+	found := make(chan struct{})
+	save := func(_ sim.Time, data []byte) error {
+		if late != nil {
+			return nil
+		}
+		snap, err := checkpoint.Decode(data)
+		if err != nil {
+			return err
+		}
+		if slices.ContainsFunc(snap.Events, func(ev checkpoint.EventState) bool { return ev.Kind == checkpoint.EvMonitorLate }) {
+			late = data
+			close(found)
+		}
+		return nil
+	}
+	_, err := RunControlled(s, ControlOptions{CheckpointEvery: s.Faults.ReportDelay / 2, Save: save, Interrupt: found})
+	if late == nil {
+		tb.Fatalf("lossy-control: no snapshot held a delayed report (run returned %v)", err)
+	}
+	return late
+}
+
+// differingFields names the fields of two snapshots that sameState tells
+// apart.
+func differingFields(a, b *checkpoint.Snapshot) []string {
+	av, bv := reflect.ValueOf(*a), reflect.ValueOf(*b)
+	var differ []string
+	for i := 0; i < av.NumField(); i++ {
+		if f := av.Type().Field(i); f.IsExported() && !sameState(av.Field(i), bv.Field(i)) {
+			differ = append(differ, f.Name)
+		}
+	}
+	return differ
 }

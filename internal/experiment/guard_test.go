@@ -98,10 +98,10 @@ var fieldManifest = map[string][]string{
 	"experiment.Result":              {"ATRCount", "Accuracy", "Activated", "ActivationSeconds", "AttackFlowsForgiven", "AttackRate", "Counts", "Defense", "DefenseStats", "DetectedByPushback", "EventsProcessed", "FalseNegativeRate", "FalsePositiveRate", "FlowsProbed", "LegitFlowsCondemned", "LegitimateDropRate", "Name", "Pd", "RouteBytes", "RouteEntries", "Routers", "Series", "TCPShare", "TrafficReduction", "Volume"}, // filled by finish; only the activation flags travel, as RunFlags
 	"experiment.RouterCrash":         {"CrashAt", "RestoreAt", "Router"},
 	"experiment.Scenario":            {"BinWidth", "Defense", "DetectionFallback", "Duration", "Faults", "MAFIC", "Monitor", "Name", "Pushback", "ReductionWindow", "Seed", "Topology", "Workload"},
-	"experiment.builtRun":            {"buildSeq", "collector", "domain", "res", "result", "s", "session"},                                                                             // session: capture scratch; buildSeq travels as Snapshot.BuildSeq
-	"experiment.captureSession":      {"handlers", "links", "probeIdx", "reports", "snap"},                                                                                             // capture scratch around the one Snapshot; events go straight into snap.Events, unsorted
-	"experiment.handlerRole":         {"index", "kind"},                                                                                                                                // the capture registry's value: which event kind and owner a handler is
-	"experiment.runResources":        {"arena", "attackLabels", "coordinator", "defByRouter", "droppers", "ingressIDs", "legitLabels", "mafic", "monitor", "rng", "sched", "workload"}, // the recycled bundle: every object it holds has its own row
+	"experiment.builtRun":            {"buildSeq", "collector", "domain", "linked", "registered", "res", "result", "s"},                                                                           // linked, registered: whether the bundle's capture registry holds this run's objects; buildSeq travels as Snapshot.BuildSeq
+	"experiment.captureSession":      {"handlers", "links", "probeIdx", "probes", "reports", "run", "snap"},                                                                                       // the bundle's checkpoint storage around its one Snapshot, which captures refill and resumes decode into; events go straight into snap.Events, unsorted
+	"experiment.handlerRole":         {"index", "kind", "run"},                                                                                                                                    // the capture registry's value: which event kind and owner a handler is, for which registration
+	"experiment.runResources":        {"arena", "attackLabels", "coordinator", "defByRouter", "droppers", "ingressIDs", "legitLabels", "mafic", "monitor", "rng", "sched", "session", "workload"}, // the recycled bundle: every object it holds has its own row
 	"flowtable.Entry":                {"BaselineCount", "Dropped", "FirstSeen", "Gen", "LabelHash", "LastSeen", "Packets", "ProbeDeadline", "ProbeStart", "ResponseCount", "State"},
 	"flowtable.Tables":               {"capacity", "evictions", "free", "index", "scratch", "sizes", "slab", "transitions"}, // scratch: ForEachEntry's sort buffer, capture scratch with no run state
 	"flowtable.TablesState":          {"Entries", "Evictions", "Transitions"},

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"mafic/internal/checkpoint"
 	"mafic/internal/netsim"
 	"mafic/internal/sim"
 	"mafic/internal/topology"
@@ -313,11 +314,20 @@ func TestArenaSequenceMatchesFreshArena(t *testing.T) {
 // runs every scenario in a cold process, so it cannot see state a recycled
 // bundle carries over; before the flow tables' Reset restarted entry
 // generations, every entry's Defenders section differed in Entry.Gen here.
+//
+// The resume direction follows: the bundle keeps one Snapshot, which every
+// capture refills and every resume decodes into, and the registry behind
+// it. Resuming the entry from its 90 % snapshot, with a checkpoint at 95 %,
+// on a bundle that has just captured and resumed the next catalog entry —
+// another topology, workload and defence, with other lists, unions and late
+// reports left in the Snapshot — must give the result and the 95 % snapshot
+// it gives on a brand-new bundle.
 func TestSnapshotIndependentOfBundleHistory(t *testing.T) {
-	for _, e := range Entries() {
+	entries := Entries()
+	for i, e := range entries {
 		t.Run(e.Name, func(t *testing.T) {
 			s := Quick(e.Build())
-			snapshot := func(res *runResources) []byte {
+			snapshot := func(s Scenario, res *runResources) []byte {
 				var data []byte
 				save := func(_ sim.Time, d []byte) error { data = d; return nil }
 				opts := ControlOptions{Save: save, at: []sim.Time{s.Duration * 9 / 10}}
@@ -326,14 +336,105 @@ func TestSnapshotIndependentOfBundleHistory(t *testing.T) {
 				}
 				return data
 			}
-			fresh := snapshot(newRunResources())
+			fresh := snapshot(s, newRunResources())
 			res := newRunResources()
 			if _, err := runWith(s, res, nil, ControlOptions{}); err != nil {
 				t.Fatalf("first run on the bundle: %v", err)
 			}
-			if recycled := snapshot(res); !bytes.Equal(fresh, recycled) {
+			if recycled := snapshot(s, res); !bytes.Equal(fresh, recycled) {
 				t.Errorf("snapshot on a bundle that already ran the entry differs from a fresh bundle's (%d vs %d bytes)", len(recycled), len(fresh))
+			}
+
+			// resume resumes data, a snapshot of s at 90 %, and checkpoints
+			// it again at 95 %.
+			resume := func(s Scenario, data []byte, res *runResources) (Result, []byte) {
+				var next []byte
+				save := func(_ sim.Time, d []byte) error { next = d; return nil }
+				got, err := resumeWith(data, res, ControlOptions{Save: save, at: []sim.Time{s.Duration * 19 / 20}})
+				if err != nil || next == nil {
+					t.Fatalf("resume of %s: %v, %d bytes checkpointed", s.Name, err, len(next))
+				}
+				return got, next
+			}
+			want, wantNext := resume(s, fresh, newRunResources())
+			other := Quick(entries[(i+1)%len(entries)].Build())
+			res = newRunResources()
+			resume(other, snapshot(other, res), res)
+			got, gotNext := resume(s, fresh, res)
+			requireSameResult(t, "resume on a bundle that captured and resumed "+other.Name, want, got)
+			if !bytes.Equal(wantNext, gotNext) {
+				t.Errorf("the snapshot after a resume on a bundle that captured and resumed %s differs from a fresh bundle's (%d vs %d bytes)",
+					other.Name, len(gotNext), len(wantNext))
 			}
 		})
 	}
+}
+
+// TestResumeKeepsEveryLateReport requires a resume on a bundle that has
+// captured before to restore every delayed report in flight, each its own.
+// The reports arrive three epochs late, so two or three are pending at every
+// pause. The bundle captures quick lossy-control at 900 ms and again at 1 s;
+// the second capture is the shorter and writes over only the head of the
+// kept event list, so one report record is left at two places of it. The
+// 900 ms snapshot, its events reordered to put two delayed reports at those
+// places (restore takes events in any order), must then resume on the bundle
+// to what it resumes to on a brand-new one. When a decode kept the record it
+// found at an event's place, both reports decoded into the one record and
+// the run went on with the second twice.
+func TestResumeKeepsEveryLateReport(t *testing.T) {
+	e, ok := LookupScenario("lossy-control")
+	if !ok {
+		t.Fatal("lossy-control not registered")
+	}
+	s := Quick(e.Build())
+	s.Faults.ReportDelayProb = 1
+	s.Faults.ReportDelay = 3 * s.Monitor.Epoch
+	var snaps [][]byte
+	save := func(_ sim.Time, d []byte) error { snaps = append(snaps, d); return nil }
+	res := newRunResources()
+	if _, err := runWith(s, res, nil, ControlOptions{Save: save, at: []sim.Time{900 * sim.Millisecond, sim.Second}}); err != nil {
+		t.Fatalf("checkpointed run: %v", err)
+	}
+
+	kept := res.session.snap.Events
+	kept = kept[:cap(kept)]
+	first, second := -1, -1
+	for a := 0; a < len(kept) && first < 0; a++ {
+		for b := a + 1; b < len(kept) && kept[a].Report != nil; b++ {
+			if kept[b].Report == kept[a].Report {
+				first, second = a, b
+				break
+			}
+		}
+	}
+	if first < 0 {
+		t.Fatal("the two captures left no report record at two places of the bundle's event list")
+	}
+	data := mutateSnapshot(t, snaps[0], func(snap *checkpoint.Snapshot) bool {
+		evs := snap.Events
+		if len(evs) <= second {
+			return false
+		}
+		for _, dst := range []int{first, second} {
+			for k := range evs {
+				if evs[dst].Kind == checkpoint.EvMonitorLate {
+					break
+				}
+				if k != first && k != second && evs[k].Kind == checkpoint.EvMonitorLate {
+					evs[dst], evs[k] = evs[k], evs[dst]
+				}
+			}
+		}
+		return evs[first].Kind == checkpoint.EvMonitorLate && evs[second].Kind == checkpoint.EvMonitorLate
+	})
+
+	want, err := resumeWith(data, newRunResources(), ControlOptions{})
+	if err != nil {
+		t.Fatalf("resume on a new bundle: %v", err)
+	}
+	got, err := resumeWith(data, res, ControlOptions{})
+	if err != nil {
+		t.Fatalf("resume on the bundle: %v", err)
+	}
+	requireSameResult(t, fmt.Sprintf("resume with delayed reports at events %d and %d on the bundle that captured", first, second), want, got)
 }

@@ -23,17 +23,20 @@ type defense interface {
 }
 
 // runResources is everything a run borrows for its lifetime and hands back in
-// one piece, and the one owner of what runs recycle: the topology arena
-// (whose network every build resets and rebuilds in place), the scheduler,
-// the engine objects every build resets in place on that network — the MAFIC
-// defenders, the traffic-matrix monitor, the pushback coordinator and the
-// workload with its senders — the root RNG with every stream a run has
-// forked from it, and the run-scoped lookup tables buildRun refills for
-// every scenario: the per-defender dispatch maps and the ground-truth label
-// sets. A recycled bundle keeps the arena's backing arrays, the scheduler's
-// event arena and queue geometry, the objects' slabs and tables, the
-// streams' sources and the maps' buckets warm, so a steady-state run
-// allocates none of them again. Reuse is bit-invariant: dispatch order
+// one piece, and the one owner of what runs recycle: the topology arena (whose
+// network every build resets and rebuilds in place), the scheduler, the engine
+// objects every build resets in place on that network — the MAFIC defenders,
+// the traffic-matrix monitor, the pushback coordinator and the workload with
+// its senders — the root RNG with every stream a run has forked from it, the
+// run-scoped lookup tables buildRun refills for every scenario: the
+// per-defender dispatch maps and the ground-truth label sets, and, once a run
+// of it has been checkpointed or resumed, the checkpoint session: the one
+// Snapshot every capture refills and every resume decodes into, its encode
+// buffer and the capture registry's storage. A recycled bundle keeps the
+// arena's backing arrays, the scheduler's event arena and queue geometry, the
+// objects' slabs and tables, the streams' sources, the maps' buckets and the
+// snapshot's lists warm, so a steady-state run allocates none of them again,
+// checkpointed or resumed alike. Reuse is bit-invariant: dispatch order
 // depends on none of it, a stream reseeded in place draws exactly what a new
 // one would (see sim.RNG.Reset), and the invariance suite pins a run on a
 // recycled bundle against one on a brand-new bundle for the whole catalog.
@@ -55,15 +58,24 @@ type runResources struct {
 	// i-th of them (see defender).
 	mafic    []*core.Defender
 	droppers []*baseline.Dropper
+
+	// session is the bundle's checkpoint storage (see capture.go), nil until
+	// the bundle serves its first snapshot or resume.
+	session *captureSession
 }
 
 // idleBundles keeps bundles between runs, sequential or the workers of a
 // sweep alike. A bundle handed back while it is full falls to the garbage
 // collector. 64 slots bound what idle bundles retain — each keeps the largest
-// domain it has built, 31 MB of arena after a quick stress-50k run, and the
-// streams of its most-forking run, 0.3 MB for that run's 50 — and
-// still cover every concurrent run of a sweep on up to 64 CPUs (RunMany runs
-// GOMAXPROCS workers by default) or of maficserve (two by default).
+// domain it has built, 31 MB of arena after a quick stress-50k run, the
+// streams of its most-forking run, 0.3 MB for that run's 50, and, once it has
+// served a checkpointed run or a resume, the largest snapshot it has held:
+// 19 MB more after a checkpointed quick stress-50k run (50 MB in all; its
+// 130 000 link and 53 000 node records, the handler map and link list over
+// the same links, and the 1.7 MB encode buffer), 0.2 MB after a full table2
+// one — and still cover every concurrent run of a sweep on up to 64 CPUs
+// (RunMany runs GOMAXPROCS workers by default) or of maficserve (two by
+// default).
 var idleBundles = make(chan *runResources, 64)
 
 // newRunResources returns a brand-new bundle: what the first run of a process
@@ -119,8 +131,11 @@ type builtRun struct {
 	// sequence number were created by the deterministic rebuild, events at
 	// or above it were scheduled at runtime and travel in the snapshot.
 	buildSeq uint64
-	session  *captureSession // see capture.go
-	result   Result
+	// linked and registered say whether the bundle's capture registry holds
+	// this run's links, and its handlers and scenario: each is refilled at
+	// the run's first use (see capture.go).
+	linked, registered bool
+	result             Result
 }
 
 // Run executes one scenario and returns its metrics.
@@ -150,29 +165,36 @@ func RunWithCheckpoints(s Scenario, times []sim.Time, save func(at sim.Time, dat
 			return Result{}, fmt.Errorf("%w: checkpoint times must be strictly ascending", ErrScenario)
 		}
 	}
-	return runPooled(s, nil, ControlOptions{Save: save, at: times})
+	return runPooled(s, ControlOptions{Save: save, at: times})
 }
 
-// runPooled is the one owner of a run's borrowed resources: it takes an idle
-// bundle (or makes a new one), runs on it, and hands it back.
+// runPooled validates opts and runs s on a pooled bundle.
 // s is validated by the caller, which knows whose fault a bad one is.
-func runPooled(s Scenario, snap *checkpoint.Snapshot, opts ControlOptions) (Result, error) {
+func runPooled(s Scenario, opts ControlOptions) (Result, error) {
 	if err := opts.validate(); err != nil {
 		return Result{}, err
 	}
-	var res *runResources
+	res := takeBundle()
+	defer res.giveBack()
+	return runWith(s, res, nil, opts)
+}
+
+// takeBundle takes an idle bundle, or makes a new one; giveBack hands it
+// back. Between the two the caller is the bundle's one owner.
+func takeBundle() *runResources {
 	select {
-	case res = <-idleBundles:
+	case res := <-idleBundles:
+		return res
 	default:
-		res = newRunResources()
+		return newRunResources()
 	}
-	defer func() {
-		select {
-		case idleBundles <- res:
-		default:
-		}
-	}()
-	return runWith(s, res, snap, opts)
+}
+
+func (r *runResources) giveBack() {
+	select {
+	case idleBundles <- r:
+	default:
+	}
 }
 
 // runWith builds s on the given bundle, overlays snap when the run resumes

@@ -40,15 +40,16 @@ func (s *Scheduler) ForEachPending(fn func(PendingEvent)) {
 }
 
 // ReconcilePending cancels every queued event whose sequence number is below
-// bound and for which keep reports false. A rebuild schedules every
-// build-time event again; the ones the original run had already dispatched
-// before the snapshot must not fire twice, so the restore cancels them. The
-// queue discards cancelled entries silently, without touching the
-// processed-event count.
-func (s *Scheduler) ReconcilePending(bound uint64, keep func(seq uint64) bool) {
+// bound and for which keep reports false; keep is also told when the event
+// is due, so that a restore can refuse to keep one the snapshot's clock has
+// passed. A rebuild schedules every build-time event again; the ones the
+// original run had already dispatched before the snapshot must not fire
+// twice, so the restore cancels them. The queue discards cancelled entries
+// silently, without touching the processed-event count.
+func (s *Scheduler) ReconcilePending(bound uint64, keep func(at Time, seq uint64) bool) {
 	for i := range s.events {
 		ev := &s.events[i]
-		if ev.state == eventQueued && ev.seq < bound && !keep(ev.seq) {
+		if ev.state == eventQueued && ev.seq < bound && !keep(ev.at, ev.seq) {
 			ev.state = eventStopped
 		}
 	}

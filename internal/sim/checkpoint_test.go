@@ -62,7 +62,7 @@ func TestReconcileAndRestoreRoundTrip(t *testing.T) {
 	s.ScheduleAt(30, mk(3)) // kept
 	bound := s.Seq()
 
-	s.ReconcilePending(bound, func(seq uint64) bool { return seq != 1 })
+	s.ReconcilePending(bound, func(_ Time, seq uint64) bool { return seq != 1 })
 	s.RestoreClock(5, bound+10, 7)
 
 	if got := s.Now(); got != 5 {

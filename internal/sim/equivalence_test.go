@@ -186,7 +186,7 @@ func runEquivScript(t *testing.T, seed int64, spread int, slice Time) {
 		if rng.Intn(4) == 0 {
 			bound := base - uint64(rng.Intn(32))
 			keep := func(seq uint64) bool { return seq%3 != 0 }
-			s.ReconcilePending(bound, keep)
+			s.ReconcilePending(bound, func(_ Time, seq uint64) bool { return keep(seq) })
 			for _, e := range ref.ents {
 				if e.seq < bound && !keep(e.seq) {
 					ref.dead[e.id] = true

@@ -116,15 +116,17 @@ func (m *Monitor) CaptureEpochReport(arg any, dst *EpochReportState) error {
 
 // RestoreEpochReport materializes a delayed report from its captured state,
 // for use as the payload of the re-inserted delivery event. Like the original
-// delayed copy, the restored report owns its backing.
-func (m *Monitor) RestoreEpochReport(st EpochReportState) any {
+// delayed copy, the restored report owns its backing: it copies st's tables,
+// so that the snapshot it came from may be decoded or captured into again
+// while the report is in flight.
+func (m *Monitor) RestoreEpochReport(st *EpochReportState) any {
 	return &EpochReport{
 		Epoch:     int(st.Epoch),
 		Start:     st.Start,
 		End:       st.End,
-		Routers:   st.Routers,
-		SourceEst: st.SourceEst,
-		DestEst:   st.DestEst,
-		Matrix:    st.Matrix,
+		Routers:   slices.Clone(st.Routers),
+		SourceEst: slices.Clone(st.SourceEst),
+		DestEst:   slices.Clone(st.DestEst),
+		Matrix:    slices.Clone(st.Matrix),
 	}
 }

@@ -120,6 +120,25 @@ func TestDelayedReportsArriveLateAndOwned(t *testing.T) {
 	}
 }
 
+// TestRestoredReportOwnsItsBacking verifies a delayed report restored from a
+// snapshot record copies the record's tables: the record belongs to a
+// snapshot that is decoded and captured into again while the report is in
+// flight.
+func TestRestoredReportOwnsItsBacking(t *testing.T) {
+	var m Monitor
+	st := &EpochReportState{
+		Epoch: 3, Start: sim.Second, End: 2 * sim.Second,
+		Routers: []netsim.NodeID{4, 7}, SourceEst: []float64{1.5, 2}, DestEst: []float64{0.5, 1},
+		Matrix: []Cell{{Source: 4, Dest: 7, Packets: 3}},
+	}
+	rep := m.RestoreEpochReport(st).(*EpochReport)
+	st.Routers[0], st.SourceEst[0], st.DestEst[0], st.Matrix[0].Packets = 9, 9, 9, 9
+	if rep.Epoch != 3 || rep.End != 2*sim.Second || rep.Routers[0] != 4 || rep.SourceEst[0] != 1.5 ||
+		rep.DestEst[0] != 0.5 || rep.Matrix[0].Packets != 3 {
+		t.Errorf("the restored report changed with the record it came from: %+v", *rep)
+	}
+}
+
 // TestLossyMonitorPooledReuseClearsChannelState verifies a monitor whose last
 // run used the lossy channel comes back clean from Reset: no stale RNG, no
 // stale loss knobs, so a fault-free reuse draws no randomness.
