@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet check golden fuzz snap-diff digest-diff arch-diff bench-compare search search-baseline profile
+.PHONY: all build test test-times vet check golden fuzz snap-diff digest-diff arch-diff bench-compare search search-baseline profile
 
 all: build test
 
@@ -9,6 +9,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# test-times runs the whole suite once, uncached, and prints its 20 slowest
+# top-level tests as `seconds package test`, slowest first, so a change that
+# adds seconds to the suite says so. Subtests are left out (their time is in
+# their parent's), and a failing test is listed like a passing one: `make
+# test` is the verdict, this is only the clock.
+test-times:
+	$(GO) test -count=1 -json ./... | sed -n 's/.*"Action":"\(pass\|fail\)","Package":"\([^"]*\)","Test":"\([^"/]*\)","Elapsed":\([0-9.]*\).*/\4 \2 \3/p' | sort -rn | head -20
 
 vet:
 	$(GO) vet ./...

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"mafic/internal/flowtable"
+	"mafic/internal/netsim"
+	"mafic/internal/sim"
 )
 
 // probeVerdicts tallies how a run's probing windows decided its legitimate
@@ -132,4 +134,76 @@ func TestProbeSeparatesTheFlows(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestProbeWindowNeedsTheFlowsRTT pins how far θp = 0 depends on headroom
+// between the clients' round trips and MAFIC.RTT, the one estimate every
+// defender sizes each probing window from. It sweeps the access links' delay
+// against MAFIC.RTT on quick table2 (29 legitimate flows, seed 1) and
+// measures each client's true round trip: the link delays along its
+// forwarding path to the victim and back.
+//
+// The clients do not share one round trip. At the default 1 ms access delay
+// they sit 1, 3 or 4 core hops from the victim, 8, 16 or 20 ms. The longest
+// of them decides. θp stays 0 while the longest round trip is at most 0.70 ×
+// MAFIC.RTT, and it leaves 0 from 0.725 × MAFIC.RTT on (the grid has nothing
+// between). Past the boundary a condemned flow need not be a far one: at
+// MAFIC.RTT 20 ms and 1 ms access, 3 of the 8 clients 8 ms away are condemned.
+// At 40 ms the partial band is 6 and 7 ms of access delay, and from 8 ms on
+// every legitimate flow is condemned.
+func TestProbeWindowNeedsTheFlowsRTT(t *testing.T) {
+	accessMs := []sim.Time{1, 3, 5, 6, 7, 8, 10, 20}
+	for _, tc := range []struct {
+		rttMs     sim.Time
+		condemned []int // legitimate flows condemned, per access delay
+	}{
+		{20, []int{9, 29, 29, 29, 29, 29, 29, 29}},
+		{40, []int{0, 0, 0, 12, 10, 29, 29, 29}},
+		{80, []int{0, 0, 0, 0, 0, 0, 0, 29}},
+	} {
+		for i, acc := range accessMs {
+			s := Quick(fullTable2(t))
+			s.Topology.AccessLink.Delay = acc * sim.Millisecond
+			s.MAFIC.RTT = tc.rttMs * sim.Millisecond
+			var longest sim.Time
+			res := runInspected(t, s, func(b *builtRun) {
+				n, victim := b.domain.Net, b.domain.Victim
+				for _, f := range b.res.workload.Legitimate {
+					client := n.Host(n.Owner(f.Label().SrcIP))
+					longest = max(longest, oneWayDelay(n, client, victim.ID())+oneWayDelay(n, victim, client.ID()))
+				}
+				if got := len(b.res.workload.Legitimate); got != 29 {
+					t.Fatalf("%d legitimate flows, want 29", got)
+				}
+			})
+			if acc == 1 && longest != 20*sim.Millisecond {
+				t.Errorf("at 1 ms access the longest client round trip is %v, want 20 ms", longest)
+			}
+			ratio := float64(longest) / float64(s.MAFIC.RTT)
+			want := tc.condemned[i]
+			if res.LegitFlowsCondemned != want || (res.FalsePositiveRate == 0) != (want == 0) {
+				t.Errorf("MAFIC.RTT %d ms, access %d ms (ratio %.3f): %d legitimate flows condemned, θp %.4f; want %d",
+					tc.rttMs, acc, ratio, res.LegitFlowsCondemned, res.FalsePositiveRate, want)
+			}
+			if held := want == 0; held != (ratio <= 0.70) {
+				t.Errorf("MAFIC.RTT %d ms, access %d ms: ratio %.3f, θp = 0 is %v; the boundary is 0.70 < ratio ≤ 0.725",
+					tc.rttMs, acc, ratio, held)
+			}
+		}
+	}
+}
+
+// oneWayDelay sums the link delays a packet from host from meets on its way to
+// node to: its uplink, then every hop Router.route would take.
+func oneWayDelay(n *netsim.Network, from *netsim.Host, to netsim.NodeID) sim.Time {
+	d := n.LinkBetween(from.ID(), from.AccessRouter()).Config().Delay
+	for at := from.AccessRouter(); at != to; {
+		l := n.AttachmentLink(at, to)
+		if l == nil {
+			l = n.RouteLink(at, to)
+		}
+		d += l.Config().Delay
+		at = l.To()
+	}
+	return d
 }

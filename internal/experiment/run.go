@@ -48,10 +48,8 @@ type runResources struct {
 	coordinator *pushback.Coordinator
 	workload    *traffic.Workload
 
-	defByRouter  map[netsim.NodeID]defense
-	ingressIDs   []netsim.NodeID
-	legitLabels  map[uint64]bool
-	attackLabels map[uint64]bool
+	defByRouter map[netsim.NodeID]defense
+	ingressIDs  []netsim.NodeID
 	// mafic and droppers list the run's defenders in ingress order. reset
 	// cuts mafic to length zero and keeps its backing, which holds every
 	// defender an earlier run built: a MAFIC run's i-th ingress resets the
@@ -82,15 +80,13 @@ var idleBundles = make(chan *runResources, 64)
 // gets, and what the invariance tests hand in as their reference.
 func newRunResources() *runResources {
 	return &runResources{
-		arena:        topology.NewArena(),
-		sched:        sim.NewScheduler(),
-		rng:          sim.NewRNG(0), // buildRun resets it to the scenario's seed
-		monitor:      new(trafficmatrix.Monitor),
-		coordinator:  new(pushback.Coordinator),
-		workload:     new(traffic.Workload),
-		defByRouter:  make(map[netsim.NodeID]defense),
-		legitLabels:  make(map[uint64]bool),
-		attackLabels: make(map[uint64]bool),
+		arena:       topology.NewArena(),
+		sched:       sim.NewScheduler(),
+		rng:         sim.NewRNG(0), // buildRun resets it to the scenario's seed
+		monitor:     new(trafficmatrix.Monitor),
+		coordinator: new(pushback.Coordinator),
+		workload:    new(traffic.Workload),
+		defByRouter: make(map[netsim.NodeID]defense),
 	}
 }
 
@@ -112,8 +108,6 @@ func (r *runResources) defender(i int) *core.Defender {
 func (r *runResources) reset() {
 	r.sched.Reset()
 	clear(r.defByRouter)
-	clear(r.legitLabels)
-	clear(r.attackLabels)
 	r.ingressIDs = r.ingressIDs[:0]
 	r.mafic = r.mafic[:0]
 	r.droppers = r.droppers[:0]
@@ -394,16 +388,10 @@ func (b *builtRun) finish() (Result, error) {
 	b.result.Series = collector.Series()
 	b.result.EventsProcessed = b.res.sched.Processed()
 
-	// Flow-level outcomes from the defenders' tables.
+	// Flow-level outcomes from the defenders' tables, looked up by each
+	// workload flow's label. No two flows share a label: each has a source
+	// port of its own.
 	if s.Defense == DefenseMAFIC {
-		legitLabels := b.res.legitLabels
-		attackLabels := b.res.attackLabels
-		for _, f := range workload.Legitimate {
-			legitLabels[f.Label().Hash()] = true
-		}
-		for _, f := range workload.Attack {
-			attackLabels[f.Label().Hash()] = true
-		}
 		for _, d := range b.res.mafic {
 			st := d.Stats()
 			b.result.DefenseStats.Examined += st.Examined
@@ -420,14 +408,17 @@ func (b *builtRun) finish() (Result, error) {
 			b.result.DefenseStats.FlowsReprobed += st.FlowsReprobed
 			b.result.DefenseStats.FlowsRepeatCondemned += st.FlowsRepeatCondemned
 
-			d.Tables().Range(func(hash uint64, state flowtable.State) {
-				switch {
-				case state == flowtable.StatePermanentDrop && legitLabels[hash]:
+			tables := d.Tables()
+			for _, f := range workload.Legitimate {
+				if _, state := tables.Lookup(f.Label().Hash()); state == flowtable.StatePermanentDrop {
 					b.result.LegitFlowsCondemned++
-				case state == flowtable.StateNice && attackLabels[hash]:
+				}
+			}
+			for _, f := range workload.Attack {
+				if _, state := tables.Lookup(f.Label().Hash()); state == flowtable.StateNice {
 					b.result.AttackFlowsForgiven++
 				}
-			})
+			}
 		}
 		b.result.FlowsProbed = int(b.result.DefenseStats.FlowsProbed)
 	}

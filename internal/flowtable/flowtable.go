@@ -11,7 +11,6 @@ package flowtable
 
 import (
 	"cmp"
-	"slices"
 
 	"mafic/internal/sim"
 )
@@ -284,28 +283,6 @@ func (t *Tables) Flush() {
 	}
 	clear(t.index)
 	t.sizes = [statePermanentDropIdx + 1]int{}
-}
-
-// ExpiredSuspicious returns the SFT entries whose probing window has closed
-// as of now, ordered by deadline.
-func (t *Tables) ExpiredSuspicious(now sim.Time) []*Entry {
-	var out []*Entry
-	for _, e := range t.index {
-		if e.State == StateSuspicious && now >= e.ProbeDeadline {
-			out = append(out, e)
-		}
-	}
-	slices.SortFunc(out, func(a, b *Entry) int { return cmp.Compare(a.ProbeDeadline, b.ProbeDeadline) })
-	return out
-}
-
-// Range calls fn for every tracked flow with the table it lives in.
-// Iteration order is unspecified; it allocates nothing, for end-of-run
-// accounting.
-func (t *Tables) Range(fn func(labelHash uint64, state State)) {
-	for h, e := range t.index {
-		fn(h, e.State)
-	}
 }
 
 // Sizes reports the number of entries in the SFT, NFT and PDT.

@@ -104,24 +104,6 @@ func TestInsertPermanentDirect(t *testing.T) {
 	}
 }
 
-func TestExpiredSuspicious(t *testing.T) {
-	tb := New(0)
-	tb.InsertSuspicious(1, 0, 100)
-	tb.InsertSuspicious(2, 0, 200)
-	tb.InsertSuspicious(3, 0, 300)
-
-	expired := tb.ExpiredSuspicious(250)
-	if len(expired) != 2 {
-		t.Fatalf("expired = %d entries, want 2", len(expired))
-	}
-	if expired[0].LabelHash != 1 || expired[1].LabelHash != 2 {
-		t.Fatalf("expired entries out of order: %v, %v", expired[0].LabelHash, expired[1].LabelHash)
-	}
-	if got := tb.ExpiredSuspicious(50); len(got) != 0 {
-		t.Fatalf("nothing should be expired at t=50, got %d", len(got))
-	}
-}
-
 func TestFlush(t *testing.T) {
 	tb := New(0)
 	tb.InsertSuspicious(1, 0, 10)

@@ -8,9 +8,9 @@
 // Packets obtained from Network.NewPacket are pooled: the network recycles
 // them once they reach a terminal point — delivery to a host, a queue or
 // filter drop, or an unroutable destination. Ownership transfers to the
-// network the moment a packet is handed to Host.Send, Network.SendFrom,
-// Router.Inject, Link.Send or a Deliver method; after that the producer must
-// not touch it again. Observation hooks (Hooks, Filter.Handle, PacketHandler)
+// network the moment a packet is handed to Host.Send, Router.Inject,
+// Link.Send or a Deliver method; after that the producer must not touch it
+// again. Observation hooks (Hooks, Filter.Handle, PacketHandler)
 // may read a packet only for the duration of the callback and must not retain
 // the pointer — the slot is reused for a future packet as soon as the
 // callback returns. Packets built directly with &Packet{} are never pooled

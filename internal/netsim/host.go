@@ -50,8 +50,6 @@ type Host struct {
 	st HostState
 }
 
-var _ Deliverable = (*Host)(nil)
-
 // ID reports the host's node identifier.
 func (h *Host) ID() NodeID { return h.id }
 

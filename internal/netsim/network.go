@@ -218,10 +218,9 @@ func (n *Network) growFilters(old []Filter) []Filter {
 	return grown
 }
 
-// carveIPs copies ips into slab-backed storage with one slot of headroom,
-// so RegisterIP of a second address stays in place.
+// carveIPs copies ips into slab-backed storage.
 func (n *Network) carveIPs(ips []IP) []IP {
-	s := n.ipSlab.take(len(ips)+1, ipChunk)[:len(ips)]
+	s := n.ipSlab.take(len(ips), ipChunk)
 	copy(s, ips)
 	return s
 }
@@ -437,12 +436,6 @@ func (n *Network) AddHost(ips ...IP) *Host {
 		n.ipOwner[ip] = h.id
 	}
 	return h
-}
-
-// RegisterIP assigns an additional address to an existing host.
-func (n *Network) RegisterIP(host *Host, ip IP) {
-	host.ips = append(host.ips, ip)
-	n.ipOwner[ip] = host.id
 }
 
 // Router returns the router with the given ID, or nil. ForEachNode visits
@@ -674,25 +667,6 @@ func (n *Network) deliverTo(id NodeID, pkt *Packet, from NodeID) {
 		}
 	}
 	n.dropUnroutable(pkt, from)
-}
-
-// SendFrom launches a packet from the given node: hosts hand it to their
-// access router, routers route it directly. It is the entry point traffic
-// sources and probe injectors use. Ownership of the packet transfers to the
-// network.
-func (n *Network) SendFrom(origin NodeID, pkt *Packet) {
-	if origin >= 0 && int(origin) < len(n.nodes) {
-		slot := n.nodes[origin]
-		if slot.router != nil {
-			slot.router.forward(pkt, origin)
-			return
-		}
-		if slot.host != nil {
-			slot.host.send(pkt)
-			return
-		}
-	}
-	n.dropUnroutable(pkt, origin)
 }
 
 func (n *Network) noteQueueDrop(pkt *Packet, l *Link, now sim.Time) {

@@ -221,11 +221,3 @@ type NodeID int
 
 // NoNode is the sentinel for "no such node".
 const NoNode NodeID = -1
-
-// Deliverable is implemented by anything that can accept a packet at a point
-// in virtual time: hosts, routers, and links all satisfy it.
-type Deliverable interface {
-	// Deliver hands the packet to the component. from identifies the
-	// upstream node for routers that care about ingress interfaces.
-	Deliver(pkt *Packet, from NodeID)
-}

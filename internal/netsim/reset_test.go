@@ -41,8 +41,7 @@ func chaosRun(t *testing.T, n *Network, boundary func(*chaosTrace)) (*chaosTrace
 	n.Reserve(6)
 	ra, rb, rc, rd := n.AddRouter(), n.AddRouter(), n.AddRouter(), n.AddRouter()
 	src := n.AddHost(IP(0x0a000001))
-	dst := n.AddHost(IP(0x0a000002))
-	n.RegisterIP(dst, IP(0x0a000003))
+	dst := n.AddHost(IP(0x0a000002), IP(0x0a000003))
 	src.AttachTo(ra.ID())
 	dst.AttachTo(rd.ID())
 	cfg := LinkConfig{BandwidthBps: 8e6, Delay: sim.Millisecond, QueueLen: 8}

@@ -44,8 +44,6 @@ type Router struct {
 	st RouterState
 }
 
-var _ Deliverable = (*Router)(nil)
-
 // ID reports the router's node identifier.
 func (r *Router) ID() NodeID { return r.id }
 
@@ -77,18 +75,6 @@ func (r *Router) AttachFilter(f Filter) {
 		r.filters = r.net.growFilters(r.filters)
 	}
 	r.filters = append(r.filters, f)
-}
-
-// DetachFilter removes the first filter with the given name. It reports
-// whether a filter was removed.
-func (r *Router) DetachFilter(name string) bool {
-	for i, f := range r.filters {
-		if f.Name() == name {
-			r.filters = append(r.filters[:i], r.filters[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 // Filters returns the attached filters in processing order (do not mutate).

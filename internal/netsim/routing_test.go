@@ -103,8 +103,8 @@ func TestConnectInvalidatesColumns(t *testing.T) {
 
 // BenchmarkForward prices one hop — Router.forward, route's column lookup,
 // Link.Send and the arrival that hands the packet to the next node — on a
-// 64-router ring whose one route column is resident. Each packet leaves r0
-// for a host behind r32, 33 hops away, so b.N counts hops. The hop path must
+// 64-router ring whose one route column is resident. Each packet is injected
+// at r0 for a host behind r32, 33 hops away, so b.N counts hops. The hop path must
 // not allocate, and the benchmark fails if it does.
 func BenchmarkForward(b *testing.B) {
 	const routers, far = 64, 32
@@ -119,6 +119,7 @@ func BenchmarkForward(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	r0 := n.Router(0)
 	dst := n.AddHost(IP(0x0a000001))
 	dst.AttachTo(far)
 	if err := n.ConnectDuplex(dst.ID(), far, cfg); err != nil {
@@ -128,7 +129,7 @@ func BenchmarkForward(b *testing.B) {
 	send := func() {
 		pkt := n.NewPacket()
 		pkt.Label, pkt.Kind, pkt.Size = label, KindData, 1000
-		n.SendFrom(0, pkt)
+		r0.Inject(pkt)
 		if err := sched.Run(); err != nil {
 			b.Fatal(err)
 		}

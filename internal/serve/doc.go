@@ -39,6 +39,12 @@
 //     running job, and resumes each from its newest snapshot that actually
 //     validates — falling back loudly past torn or bit-flipped files.
 //
+// A finished job's result lives in one place, its result.json, written
+// atomically before the manifest says completed. GET /jobs/{id}/result
+// (Server.ResultBytes) serves those bytes; job status (JobInfo) carries no
+// copy of the result, and recovery reads the file only to tell whether a job
+// under a running manifest had already finished.
+//
 // Because snapshots restore bit-identically (pinned by the experiment
 // package's kill-and-resume suite and this package's recovery tests), a job
 // that lived through any number of crashes, retries and restarts produces

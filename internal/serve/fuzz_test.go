@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"mafic/internal/sim"
 )
 
 // FuzzJobSpec feeds arbitrary bytes through the submission path up to the
 // point a job would be queued: the POST /jobs decoder, then BuildScenario. No
 // body may panic either, a rejected spec must wrap ErrBadRequest (the HTTP
 // layer's 400; anything else would read as a 500), and an accepted one must be
-// a scenario the engine's own validation passes.
+// a scenario the engine's own validation passes, with a snapshot interval that
+// is 0 or inside [minCheckpointEvery, sim.Horizon).
 func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"scenario":"table2","quick":true,"durationMs":1000}`))
@@ -24,6 +27,8 @@ func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{"scenario":"table2","bogusField":1}`))
 	f.Add([]byte(`{"scenario":"table2"}{"scenario":"nope"}`))
 	f.Add([]byte(`{"scenario":"table2"} trailing garbage`))
+	f.Add([]byte(`{"scenario":"table2","quick":true,"checkpointEveryMs":1e300}`))
+	f.Add([]byte(`{"scenario":"table2","quick":true,"checkpointEveryMs":0.001}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		spec, err := decodeSpec(bytes.NewReader(body))
 		if err != nil {
@@ -38,6 +43,13 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("BuildScenario accepted a scenario that does not validate: %v", err)
+		}
+		every, err := spec.checkpointEvery(0)
+		if err != nil {
+			t.Fatalf("BuildScenario accepted a snapshot interval attempt refuses: %v", err)
+		}
+		if every != 0 && (every < minCheckpointEvery || every >= sim.Horizon) {
+			t.Fatalf("accepted snapshot interval %v is neither 0 nor in [%v, %v)", every, minCheckpointEvery, sim.Horizon)
 		}
 	})
 }

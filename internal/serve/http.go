@@ -14,8 +14,8 @@ import (
 //	GET  /healthz            liveness, queue depth, per-state counts, metrics
 //	GET  /jobs               every job in submission order
 //	POST /jobs               submit a JobSpec; 202 on accept, 503 on shed/drain, 413 past maxSpecBytes
-//	GET  /jobs/{id}          one job's status (includes the Result when done)
-//	GET  /jobs/{id}/result   the raw result.json bytes, for bit-comparison
+//	GET  /jobs/{id}          one job's status
+//	GET  /jobs/{id}/result   a completed job's result: the raw result.json bytes
 //	POST /jobs/{id}/cancel   cancel a queued or running job
 //	POST /drain              begin shutdown: snapshot in-flight jobs and park
 func (sv *Server) Handler() http.Handler {

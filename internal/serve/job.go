@@ -72,9 +72,34 @@ type JobSpec struct {
 	Defense string `json:"defense,omitempty"`
 
 	// CheckpointEveryMs overrides the server's snapshot interval for this
-	// job, in simulated milliseconds. Zero disables checkpoints (and with
-	// them interruptibility) for the job.
+	// job, in simulated milliseconds: 0, which disables checkpoints (and
+	// with them interruptibility) for the job, or from minCheckpointEvery up
+	// to below sim.Horizon.
 	CheckpointEveryMs *float64 `json:"checkpointEveryMs,omitempty"`
+}
+
+// minCheckpointEvery is the finest snapshot interval a job may ask for. Every
+// snapshot is fsynced, so a run of a few simulated seconds at a microsecond
+// interval would write millions of them.
+const minCheckpointEvery = sim.Millisecond
+
+// checkpointEvery is the job's snapshot interval in simulated time: def when
+// the spec sets none, else CheckpointEveryMs converted once, here. A value
+// that is neither 0 nor in [minCheckpointEvery, sim.Horizon) wraps
+// ErrBadRequest; converting it would overflow sim.Time or flood the store.
+func (spec JobSpec) checkpointEvery(def sim.Time) (sim.Time, error) {
+	if spec.CheckpointEveryMs == nil {
+		return def, nil
+	}
+	d := *spec.CheckpointEveryMs * float64(sim.Millisecond)
+	if d == 0 {
+		return 0, nil
+	}
+	if !(d >= float64(minCheckpointEvery) && d < float64(sim.Horizon)) {
+		return 0, fmt.Errorf("%w: checkpointEveryMs %v must be 0 or from %v up to below %v",
+			ErrBadRequest, *spec.CheckpointEveryMs, minCheckpointEvery, sim.Horizon)
+	}
+	return sim.Time(d), nil
 }
 
 // BuildScenario materializes the spec into a validated Scenario through
@@ -97,8 +122,8 @@ func (spec JobSpec) BuildScenario() (experiment.Scenario, error) {
 		d := sim.Time(*spec.DurationMs * float64(sim.Millisecond))
 		o.Duration = &d
 	}
-	if spec.CheckpointEveryMs != nil && *spec.CheckpointEveryMs < 0 {
-		return experiment.Scenario{}, fmt.Errorf("%w: checkpointEveryMs must not be negative", ErrBadRequest)
+	if _, err := spec.checkpointEvery(0); err != nil {
+		return experiment.Scenario{}, err
 	}
 	s, err := o.Build()
 	if err != nil {
@@ -123,7 +148,6 @@ type job struct {
 	submitted      time.Time
 	started        time.Time
 	finished       time.Time
-	result         *experiment.Result
 
 	// cancel is closed (once) to interrupt a running job; canceled
 	// remembers that so a second Cancel does not close it again.
@@ -174,8 +198,6 @@ type JobInfo struct {
 	SubmittedAt time.Time  `json:"submittedAt"`
 	StartedAt   *time.Time `json:"startedAt,omitempty"`
 	FinishedAt  *time.Time `json:"finishedAt,omitempty"`
-
-	Result *experiment.Result `json:"result,omitempty"`
 }
 
 // Metrics counts service-level events since process start. Snapshot it with

@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -94,24 +96,11 @@ func TestDrainSavesFinalSnapshotAndRestartResumes(t *testing.T) {
 	if final.ResumedFromMs == nil || *final.ResumedFromMs <= 0 {
 		t.Error("job did not record the snapshot time it resumed from")
 	}
-	if final.Result == nil || !reflect.DeepEqual(*final.Result, want) {
+	if !reflect.DeepEqual(resultOf(t, sv2, 1), want) {
 		t.Error("resumed result differs from the uninterrupted reference run")
 	}
 	if m := sv2.Metrics(); m.Resumed != 1 {
 		t.Errorf("Resumed = %d, want 1", m.Resumed)
-	}
-
-	// The raw result.json must round-trip to the same result too.
-	raw, err := sv2.ResultBytes(1)
-	if err != nil {
-		t.Fatalf("ResultBytes: %v", err)
-	}
-	var onDisk experiment.Result
-	if err := json.Unmarshal(raw, &onDisk); err != nil {
-		t.Fatalf("decode result.json: %v", err)
-	}
-	if !reflect.DeepEqual(onDisk, want) {
-		t.Error("result.json differs from the reference run")
 	}
 	shutdown(t, sv2)
 }
@@ -168,8 +157,8 @@ func TestRestartFallsBackPastCorruptNewestSnapshot(t *testing.T) {
 
 	sv2, logs2 := newTestServer(t, Config{Dir: dir, Workers: 1, Keep: 4})
 	sv2.Start()
-	final := waitJob(t, sv2, 1, StateCompleted)
-	if final.Result == nil || !reflect.DeepEqual(*final.Result, want) {
+	waitJob(t, sv2, 1, StateCompleted)
+	if !reflect.DeepEqual(resultOf(t, sv2, 1), want) {
 		t.Error("result after corruption fallback differs from the reference run")
 	}
 	if m := sv2.Metrics(); m.SnapshotsCorrupt == 0 {
@@ -264,7 +253,7 @@ func TestRecoveryRunsManifestOnlyJobFresh(t *testing.T) {
 	if final.ResumedFromMs != nil {
 		t.Error("job claims to have resumed with no snapshot on disk")
 	}
-	if final.Result == nil || !reflect.DeepEqual(*final.Result, want) {
+	if !reflect.DeepEqual(resultOf(t, sv, 7), want) {
 		t.Error("fresh recovery run differs from the reference")
 	}
 	if m := sv.Metrics(); m.Resumed != 0 {
@@ -335,8 +324,8 @@ func TestRecoveryAdoptsFinishedJobUnderRunningManifest(t *testing.T) {
 				t.Errorf("Recovered = %d; the finished job was re-enqueued", m.Recovered)
 			}
 			info, ok := sv2.Job(1)
-			if !ok || info.State != StateCompleted || info.Result == nil || info.Snapshots != 0 {
-				t.Fatalf("adopted job: %+v, want completed with its result and no snapshots", info)
+			if !ok || info.State != StateCompleted || info.Snapshots != 0 {
+				t.Fatalf("adopted job: %+v, want completed with no snapshots", info)
 			}
 			if !strings.Contains(logs2.String(), "recovery: job 1 has a complete result.json") {
 				t.Errorf("the adoption was not logged; logs:\n%s", logs2.String())
@@ -381,15 +370,21 @@ func TestRecoverySkipsCorruptManifestLoudly(t *testing.T) {
 	}
 }
 
+// TestCompletedJobSurvivesRestart pins where a finished job's result lives:
+// in result.json only. Before a restart and after recovery, GET /jobs/1 and
+// GET /jobs carry no result key, and /jobs/1/result serves the bytes of an
+// uninterrupted run.
 func TestCompletedJobSurvivesRestart(t *testing.T) {
+	spec := quickSpec()
+	want := serviceResultBytes(t, spec)
 	dir := t.TempDir()
 	sv1, _ := newTestServer(t, Config{Dir: dir, Workers: 1})
 	sv1.Start()
-	spec := quickSpec()
 	if _, err := sv1.Submit(spec); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	done := waitJob(t, sv1, 1, StateCompleted)
+	waitJob(t, sv1, 1, StateCompleted)
+	checkResultOnlyInFile(t, sv1, want)
 	shutdown(t, sv1)
 
 	sv2, _ := newTestServer(t, Config{Dir: dir, Workers: 1})
@@ -397,12 +392,56 @@ func TestCompletedJobSurvivesRestart(t *testing.T) {
 	if !ok || info.State != StateCompleted {
 		t.Fatalf("completed job lost across restart: %+v", info)
 	}
-	if info.Result == nil || !reflect.DeepEqual(*info.Result, *done.Result) {
-		t.Error("restart did not reload the completed result")
-	}
 	if m := sv2.Metrics(); m.Recovered != 0 {
 		t.Errorf("completed job was re-enqueued: Recovered = %d", m.Recovered)
 	}
+	checkResultOnlyInFile(t, sv2, want)
+}
+
+// checkResultOnlyInFile asks sv's HTTP API for job 1, alone and in the list,
+// and for its result: neither status view may carry a result key, and the
+// result must be want, byte for byte.
+func checkResultOnlyInFile(t *testing.T, sv *Server, want []byte) {
+	t.Helper()
+	get := func(path string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		sv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, rec.Code)
+		}
+		return rec.Body.Bytes()
+	}
+	var one map[string]json.RawMessage
+	var all []map[string]json.RawMessage
+	if err := json.Unmarshal(get("/jobs/1"), &one); err != nil {
+		t.Fatalf("decode /jobs/1: %v", err)
+	}
+	if err := json.Unmarshal(get("/jobs"), &all); err != nil || len(all) != 1 {
+		t.Fatalf("decode /jobs: %d jobs, %v", len(all), err)
+	}
+	for path, view := range map[string]map[string]json.RawMessage{"/jobs/1": one, "/jobs": all[0]} {
+		if _, ok := view["result"]; ok {
+			t.Errorf("GET %s carries a result key", path)
+		}
+	}
+	if got := get("/jobs/1/result"); !bytes.Equal(got, want) {
+		t.Error("/jobs/1/result differs from an uninterrupted run's result.json")
+	}
+}
+
+// resultOf decodes job id's result.json, the one place a result is kept.
+func resultOf(t *testing.T, sv *Server, id uint64) experiment.Result {
+	t.Helper()
+	raw, err := sv.ResultBytes(id)
+	if err != nil {
+		t.Fatalf("ResultBytes: %v", err)
+	}
+	var res experiment.Result
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatalf("decode result.json: %v", err)
+	}
+	return res
 }
 
 // TestUnwritableManifestIsLogged pins that a final state which cannot be

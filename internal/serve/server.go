@@ -337,7 +337,6 @@ func (sv *Server) infoLocked(j *job) JobInfo {
 		Attempts:    j.attempts,
 		Snapshots:   j.snapshots,
 		SubmittedAt: j.submitted,
-		Result:      j.result,
 	}
 	if j.lastCheckpoint > 0 {
 		info.LastCheckpointMs = float64(j.lastCheckpoint) / float64(sim.Millisecond)
@@ -396,17 +395,13 @@ func (sv *Server) recover() ([]*job, error) {
 			cancel:    make(chan struct{}),
 		}
 		dir := filepath.Join(root, e.Name())
-		switch {
-		case m.State == StateCompleted:
-			j.result = loadResult(dir)
-		case m.State.terminal():
-		default:
+		if !m.State.terminal() {
 			st, serr := checkpoint.OpenStore(dir, sv.cfg.Keep) // also sweeps temp leftovers
 			// completeJob writes result.json, clears the snapshots and only
 			// then marks the manifest completed, so a crash in between leaves
 			// a finished job under a running manifest. Its result stands:
 			// adopt it rather than run the job again from t=0.
-			if j.result = loadResult(dir); j.result != nil {
+			if hasResult(dir) {
 				sv.log.Printf("recovery: job %d has a complete result.json under a %q manifest; adopting it as completed", j.id, m.State)
 				j.state = StateCompleted
 				if serr == nil {
@@ -416,15 +411,15 @@ func (sv *Server) recover() ([]*job, error) {
 					sv.log.Printf("job %d: clearing snapshots: %v", j.id, serr)
 				}
 				sv.persistOrLogLocked(j) // New has started no goroutine yet
-				break
+			} else {
+				j.state = StateQueued
+				// Count the snapshots already on disk so status reflects
+				// what the resume will work from.
+				if serr == nil {
+					j.snapshots = st.Count()
+				}
+				pending = append(pending, j)
 			}
-			j.state = StateQueued
-			// Count the snapshots already on disk so status reflects what
-			// the resume will work from.
-			if serr == nil {
-				j.snapshots = st.Count()
-			}
-			pending = append(pending, j)
 		}
 		sv.jobs[m.ID] = j
 		if m.ID >= sv.nextID {
@@ -443,19 +438,16 @@ func (sv *Server) recover() ([]*job, error) {
 	return pending, nil
 }
 
-// loadResult reads a job directory's result.json; nil if it is missing or
-// does not parse. The file is only ever written whole (WriteFileAtomic), by
-// completeJob, so one that parses is the result of a finished run.
-func loadResult(dir string) *experiment.Result {
+// hasResult reports whether a job directory holds a result.json that parses.
+// The file is only ever written whole (WriteFileAtomic), by completeJob, so
+// one that parses is the result of a finished run.
+func hasResult(dir string) bool {
 	data, err := os.ReadFile(filepath.Join(dir, "result.json"))
 	if err != nil {
-		return nil
+		return false
 	}
 	var res experiment.Result
-	if json.Unmarshal(data, &res) != nil {
-		return nil
-	}
-	return &res
+	return json.Unmarshal(data, &res) == nil
 }
 
 // worker drains the job queue until a drain begins. A job received in the
@@ -608,9 +600,9 @@ func (sv *Server) attempt(j *job, s experiment.Scenario, st *checkpoint.Store) (
 		close(stop)
 	}()
 
-	every := sv.cfg.CheckpointEvery
-	if j.spec.CheckpointEveryMs != nil {
-		every = sim.Time(*j.spec.CheckpointEveryMs * float64(sim.Millisecond))
+	every, err := j.spec.checkpointEvery(sv.cfg.CheckpointEvery)
+	if err != nil {
+		return experiment.Result{}, err
 	}
 	opts := experiment.ControlOptions{
 		CheckpointEvery: every,
@@ -701,7 +693,6 @@ func (sv *Server) completeJob(j *job, st *checkpoint.Store, res experiment.Resul
 	}
 	sv.mu.Lock()
 	j.state = StateCompleted
-	j.result = &res
 	j.finished = sv.now()
 	j.snapshots = 0
 	sv.m.Completed++

@@ -228,31 +228,15 @@ type Domain struct {
 	Zombies []*netsim.Host
 	// Bystanders are stub hosts whose addresses attackers spoof.
 	Bystanders []*netsim.Host
-
-	// ingressOf records, densely indexed by host NodeID, which ingress
-	// router each edge source (client or zombie) enters through; nil for
-	// every other node. Build gives it the domain's node count as capacity
-	// up front, so setIngressOf's appends never reallocate.
-	ingressOf []*netsim.Router
 }
 
 // IngressOf reports the ingress router a source host (client or zombie)
 // attaches to, or nil if the host is not an edge source.
 func (d *Domain) IngressOf(host *netsim.Host) *netsim.Router {
-	id := host.ID()
-	if id < 0 || int(id) >= len(d.ingressOf) {
+	if !slices.Contains(d.Clients, host) && !slices.Contains(d.Zombies, host) {
 		return nil
 	}
-	return d.ingressOf[id]
-}
-
-// setIngressOf records host → ingress in the dense table.
-func (d *Domain) setIngressOf(host *netsim.Host, ing *netsim.Router) {
-	id := int(host.ID())
-	for id >= len(d.ingressOf) {
-		d.ingressOf = append(d.ingressOf, nil)
-	}
-	d.ingressOf[id] = ing
+	return d.Net.Router(host.AccessRouter())
 }
 
 // SpoofPool returns the addresses of the bystander hosts: valid, routable
@@ -304,8 +288,7 @@ func (a *Arena) Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, 
 	// The final node population is known up front; reserving it lets the
 	// network allocate its per-node tables (dispatch, adjacency spine,
 	// route columns) exactly once.
-	budget := cfg.nodeBudget(numIngress)
-	net.Reserve(budget)
+	net.Reserve(cfg.nodeBudget(numIngress))
 	d := &a.domain
 	*d = Domain{
 		Net:          net,
@@ -316,7 +299,6 @@ func (a *Arena) Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, 
 		Clients:      d.Clients[:0],
 		Zombies:      d.Zombies[:0],
 		Bystanders:   d.Bystanders[:0],
-		ingressOf:    slices.Grow(d.ingressOf[:0], budget),
 	}
 
 	for i := 0; i < cfg.NumRouters; i++ {
@@ -389,7 +371,6 @@ func (a *Arena) Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, 
 				return nil, fmt.Errorf("client link: %w", err)
 			}
 			d.Clients = append(d.Clients, h)
-			d.setIngressOf(h, ing)
 		}
 		for z := 0; z < cfg.ZombiesPerIngress; z++ {
 			h := net.AddHost(edgeIP(172, 16, gi, z, len(d.Ingress)))
@@ -398,7 +379,6 @@ func (a *Arena) Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, 
 				return nil, fmt.Errorf("zombie link: %w", err)
 			}
 			d.Zombies = append(d.Zombies, h)
-			d.setIngressOf(h, ing)
 		}
 	}
 

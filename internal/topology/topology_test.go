@@ -2,6 +2,7 @@ package topology
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"mafic/internal/netsim"
@@ -144,19 +145,32 @@ func TestVictimCanReachClientsReverse(t *testing.T) {
 }
 
 func TestIngressOf(t *testing.T) {
-	d := buildDefault(t, func(c *Config) { c.NumRouters = 12 })
-	for _, c := range d.Clients {
-		if d.IngressOf(c) == nil {
-			t.Fatalf("client %s has no ingress", c)
-		}
+	// 24 bystanders over 12 routers, 3 of them ingress: at seed 42 some
+	// bystanders hang off an ingress router.
+	d := buildDefault(t, func(c *Config) { c.NumRouters = 12; c.BystanderHosts = 24 })
+	ingress := make(map[netsim.NodeID]bool)
+	for _, r := range d.Ingress {
+		ingress[r.ID()] = true
 	}
-	for _, z := range d.Zombies {
-		if d.IngressOf(z) == nil {
-			t.Fatalf("zombie %s has no ingress", z)
+	for _, h := range slices.Concat(d.Clients, d.Zombies) {
+		if ing := d.IngressOf(h); ing == nil || ing.ID() != h.AccessRouter() || !ingress[ing.ID()] {
+			t.Fatalf("source %s: IngressOf = %v, want the ingress router %d it attaches to", h, ing, h.AccessRouter())
 		}
 	}
 	if d.IngressOf(d.Victim) != nil {
 		t.Fatal("victim should not map to an ingress router")
+	}
+	onIngress := 0
+	for _, b := range d.Bystanders {
+		if ingress[b.AccessRouter()] {
+			onIngress++
+			if ing := d.IngressOf(b); ing != nil {
+				t.Errorf("bystander %s behind ingress %d: IngressOf = %v, want nil", b, b.AccessRouter(), ing)
+			}
+		}
+	}
+	if onIngress == 0 {
+		t.Fatal("no bystander landed on an ingress router; the nil case went unchecked")
 	}
 }
 
