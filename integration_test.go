@@ -24,7 +24,9 @@ func integrationScenario(seed int64) Scenario {
 // TestIntegrationPacketAccountingInvariants checks conservation-style
 // relations between the raw counters of a full run: nothing is dropped that
 // never arrived, nothing reaches the victim in excess of what entered the
-// domain, and the published rates stay inside [0,1].
+// domain, and the published rates stay inside [0,1]. The exact balance of
+// every packet, over the whole catalog at quick size, needs the network's
+// own counters and is internal/experiment's TestPacketLedger.
 func TestIntegrationPacketAccountingInvariants(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 5, 8} {
 		res, err := Simulate(integrationScenario(seed))

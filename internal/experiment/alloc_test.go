@@ -141,61 +141,64 @@ func TestSnapshotSizes(t *testing.T) {
 
 // TestPlainRunPaysNothingForCheckpointing pins that the capture session is
 // lazy: a run that is never snapshotted allocates what it did before the
-// session existed. It is also the pin on what a warm run allocates at all:
-// 5 352 B in 25 objects for quick table2 on warm pools (57 536 B in 76
-// before the bundle kept its RNG streams, 147 584 B in 124 before the arena
-// kept its network), the lowest of a few runs since map growth makes single
-// runs wobble. Run alone it is 4 712 B in 23; in the whole package the idle
-// bundles it draws have served other tests' scenarios first, which costs
-// 640 B in 2 more. TestRecycledRunAllocations names what is left.
+// session existed. It is also the pin on what a warm run through Run
+// allocates at all: one object, its Result's series (1 280 B for quick
+// table2), the lowest of a few runs, alone or after the package's other
+// tests have used the idle bundles it draws. It was 5 352 B in 25 objects
+// before the bundle kept its collector, built run and build callbacks,
+// 57 536 B in 76 before it kept its RNG streams and 147 584 B in 124 before
+// the arena kept its network. TestRecycledRunAllocations pins every catalog
+// entry the same way.
 func TestPlainRunPaysNothingForCheckpointing(t *testing.T) {
 	s := table2Quick(t)
-	best, bestBytes := ^uint64(0), ^uint64(0)
+	best, bestBytes, series := ^uint64(0), ^uint64(0), uint64(0)
 	for i := 0; i < 6; i++ {
 		mallocs, bytes := heapDelta(func() {
-			if _, err := Run(s); err != nil {
+			r, err := Run(s)
+			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
+			series = uint64(cap(r.Series)) * uint64(unsafe.Sizeof(r.Series[0]))
 		})
 		if i == 0 {
 			continue // fills the pools
 		}
 		best, bestBytes = min(best, mallocs), min(bestBytes, bytes)
 	}
-	if best > 25 || bestBytes > 5352 {
-		t.Errorf("a plain run allocated %d B in %d objects, want at most 5352 B in 25", bestBytes, best)
+	if want := sizeClass(series); best > 1 || bestBytes > want {
+		t.Errorf("a plain run allocated %d B in %d objects, want at most %d B in 1: its Result's series", bestBytes, best, want)
 	}
 }
 
+// sizeClass is what the allocator hands out for an object of n bytes: the
+// capacity an append grows a nil byte slice to.
+func sizeClass(n uint64) uint64 {
+	return uint64(cap(append([]byte(nil), make([]byte, n)...)))
+}
+
 // TestRecycledRunAllocations pins what the second run of each catalog entry
-// (quick) on one bundle allocates, the lower of two such runs. Every run
-// still allocates about 5 KB in about 25 objects: the builtRun, the metrics
-// collector with its series bins, the result's copy of the series, the
-// build's closures and the victim servers. What an entry adds beyond that
-// has a row in extra: the 5 000- and 50 000-router domains regrow their
-// calendar buckets, and lossy-control's late reports each clone their
-// matrix (trafficmatrix.EpochReport.Clone, about 85 KB a run). Before the
-// bundle kept its RNG streams a second run allocated 54–372 KB, one 5.5 KB
-// math/rand source per stream.
+// (quick) on one bundle allocates, the lower of two such runs: exactly its
+// Result's series, at the allocator's size class for it, and nothing else.
+// Everything else a run builds is the bundle's and reset in place: the built
+// run, the metrics collector with its series bins and hooks, the callbacks
+// the build wires, the victim servers, the coordinator's request buffer, the
+// calendar's largest bucket array and the monitor's delayed reports. Before
+// the bundle kept its RNG streams a second run allocated 54–372 KB, one
+// 5.5 KB math/rand source per stream.
 //
 // The same bundle then serves checkpointed runs and resumes, and its
-// checkpoint session is pinned the same way. A second run checkpointed at
-// 90 % of its duration allocates the snapshot it hands to Save, rounded up to
-// the allocator's 8 KB page, and at most ckptMargin beyond a plain run: the
-// save goroutine and the scenario's JSON (measured at most 8 KB). A second
-// resume from that snapshot allocates at most resumeMargin beyond a plain run
-// (measured at most 6 KB): the decode refills the bundle's Snapshot in place.
-// When every run's session and every resume's Snapshot were new, the
-// checkpointed runs allocated 190 KB (shrew) to 46 MB (stress-50k) beyond
-// their snapshot and a plain run, and the resumes 73 KB to 10 MB.
+// checkpoint session is pinned against that exact figure. A second run
+// checkpointed at 90 % of its duration allocates the snapshot it hands to
+// Save, rounded up to the allocator's 8 KB page, and at most ckptMargin
+// beyond a plain run: the save goroutine and the scenario's JSON (measured at
+// most 8 KB). A second resume from that snapshot allocates at most
+// resumeMargin beyond a plain run (measured at most 6 KB): the decode refills
+// the bundle's Snapshot in place. When every run's session and every
+// resume's Snapshot were new, the checkpointed runs allocated 190 KB (shrew)
+// to 46 MB (stress-50k) beyond their snapshot and a plain run, and the
+// resumes 73 KB to 10 MB.
 func TestRecycledRunAllocations(t *testing.T) {
-	const base = 8 << 10
 	const ckptMargin, resumeMargin = 16 << 10, 8 << 10
-	extra := map[string]uint64{
-		"stress-5k":     2 << 10,
-		"stress-50k":    2 << 10,
-		"lossy-control": 92 << 10,
-	}
 	for _, e := range Entries() {
 		t.Run(e.Name, func(t *testing.T) {
 			s := Quick(e.Build())
@@ -214,14 +217,15 @@ func TestRecycledRunAllocations(t *testing.T) {
 				}
 				return bytes, ret
 			}
-			plain, _ := lowest(func() uint64 {
-				if _, err := runWith(s, res, nil, ControlOptions{}); err != nil {
+			plain, series := lowest(func() uint64 {
+				r, err := runWith(s, res, nil, ControlOptions{})
+				if err != nil {
 					t.Fatalf("run: %v", err)
 				}
-				return 0
+				return uint64(cap(r.Series)) * uint64(unsafe.Sizeof(r.Series[0]))
 			})
-			if limit := base + extra[e.Name]; plain > limit {
-				t.Errorf("a second run on a recycled bundle allocated %d B, want at most %d", plain, limit)
+			if want := sizeClass(series); plain != want {
+				t.Errorf("a second run on a recycled bundle allocated %d B, want %d: its Result's series", plain, want)
 			}
 
 			var data []byte
@@ -232,7 +236,7 @@ func TestRecycledRunAllocations(t *testing.T) {
 				}
 				return (uint64(len(data)) + 8191) &^ 8191
 			})
-			if limit := snapshot + base + extra[e.Name] + ckptMargin; ckpt > limit {
+			if limit := snapshot + plain + ckptMargin; ckpt > limit {
 				t.Errorf("a second checkpointed run on a recycled bundle allocated %d B for a %d B snapshot, want at most %d",
 					ckpt, len(data), limit)
 			}
@@ -242,7 +246,7 @@ func TestRecycledRunAllocations(t *testing.T) {
 				}
 				return 0
 			})
-			if limit := base + extra[e.Name] + resumeMargin; resumed > limit {
+			if limit := plain + resumeMargin; resumed > limit {
 				t.Errorf("a second resume on a recycled bundle allocated %d B, want at most %d", resumed, limit)
 			}
 		})

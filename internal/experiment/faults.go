@@ -144,16 +144,40 @@ func (f FaultSpec) controlPlane(mc trafficmatrix.MonitorConfig) trafficmatrix.Mo
 	return mc
 }
 
+// faultDown is the handler of a topology fault's build-time events: whether
+// the link or router in the event's argument goes down or comes back. It is a
+// byte and the argument a pointer, so a build makes no closure for them. Both
+// simplex directions of a flapped link flip together.
+type faultDown bool
+
+func (down faultDown) OnEventArg(_ sim.Time, arg any) {
+	switch x := arg.(type) {
+	case *netsim.Link:
+		x.SetDown(bool(down))
+		if rev := x.Reverse(); rev != nil {
+			rev.SetDown(bool(down))
+		}
+	case *netsim.Router:
+		if down {
+			_ = x.Network().FailRouter(x.ID())
+		} else {
+			_ = x.Network().RestoreRouter(x.ID())
+		}
+	}
+}
+
 // installFaults compiles the spec's topology faults into scheduled events.
 // The flapped link is resolved once, at build time, so a flap naming two
 // unconnected routers fails the run up front instead of silently flapping
 // nothing.
 func installFaults(f FaultSpec, d *topology.Domain, sched *sim.Scheduler) error {
-	net := d.Net
 	for i, fl := range f.LinkFlaps {
 		a, b := d.Routers[fl.RouterA].ID(), d.Routers[fl.RouterB].ID()
-		fwd, rev := net.LinkBetween(a, b), net.LinkBetween(b, a)
-		if fwd == nil && rev == nil {
+		link := d.Net.LinkBetween(a, b)
+		if link == nil {
+			link = d.Net.LinkBetween(b, a)
+		}
+		if link == nil {
 			return fmt.Errorf("%w: link flap %d: no link between routers %d and %d",
 				ErrScenario, i, fl.RouterA, fl.RouterB)
 		}
@@ -163,35 +187,16 @@ func installFaults(f FaultSpec, d *topology.Domain, sched *sim.Scheduler) error 
 		}
 		for k := 0; k < count; k++ {
 			downAt := fl.Start + sim.Time(k)*fl.Period
-			sched.ScheduleAt(downAt, func(sim.Time) {
-				setPairDown(fwd, rev, true)
-			})
-			sched.ScheduleAt(downAt+fl.DownFor, func(sim.Time) {
-				setPairDown(fwd, rev, false)
-			})
+			sched.ScheduleArgAt(downAt, faultDown(true), link)
+			sched.ScheduleArgAt(downAt+fl.DownFor, faultDown(false), link)
 		}
 	}
 	for _, rc := range f.RouterCrashes {
-		id := d.Routers[rc.Router].ID()
-		sched.ScheduleAt(rc.CrashAt, func(sim.Time) {
-			_ = net.FailRouter(id)
-		})
+		r := d.Routers[rc.Router]
+		sched.ScheduleArgAt(rc.CrashAt, faultDown(true), r)
 		if rc.RestoreAt > 0 {
-			sched.ScheduleAt(rc.RestoreAt, func(sim.Time) {
-				_ = net.RestoreRouter(id)
-			})
+			sched.ScheduleArgAt(rc.RestoreAt, faultDown(false), r)
 		}
 	}
 	return nil
-}
-
-// setPairDown flips both simplex directions of a duplex link together; either
-// may be nil when the pair is connected one way only.
-func setPairDown(fwd, rev *netsim.Link, down bool) {
-	if fwd != nil {
-		fwd.SetDown(down)
-	}
-	if rev != nil {
-		rev.SetDown(down)
-	}
 }

@@ -98,10 +98,10 @@ var fieldManifest = map[string][]string{
 	"experiment.Result":              {"ATRCount", "Accuracy", "Activated", "ActivationSeconds", "AttackFlowsForgiven", "AttackRate", "Counts", "Defense", "DefenseStats", "DetectedByPushback", "EventsProcessed", "FalseNegativeRate", "FalsePositiveRate", "FlowsProbed", "LegitFlowsCondemned", "LegitimateDropRate", "Name", "Pd", "RouteBytes", "RouteEntries", "Routers", "Series", "TCPShare", "TrafficReduction", "Volume"}, // filled by finish; only the activation flags travel, as RunFlags
 	"experiment.RouterCrash":         {"CrashAt", "RestoreAt", "Router"},
 	"experiment.Scenario":            {"BinWidth", "Defense", "DetectionFallback", "Duration", "Faults", "MAFIC", "Monitor", "Name", "Pushback", "ReductionWindow", "Seed", "Topology", "Workload"},
-	"experiment.builtRun":            {"buildSeq", "collector", "domain", "linked", "registered", "res", "result", "s"},                                            // linked, registered: whether the bundle's capture registry holds this run's objects; buildSeq travels as Snapshot.BuildSeq
-	"experiment.captureSession":      {"handlers", "links", "probeIdx", "probes", "reports", "run", "snap"},                                                        // the bundle's checkpoint storage around its one Snapshot, which captures refill and resumes decode into; events go straight into snap.Events, unsorted
-	"experiment.handlerRole":         {"index", "kind", "run"},                                                                                                     // the capture registry's value: which event kind and owner a handler is, for which registration
-	"experiment.runResources":        {"arena", "coordinator", "defByRouter", "droppers", "ingressIDs", "mafic", "monitor", "rng", "sched", "session", "workload"}, // the recycled bundle: every object it holds has its own row
+	"experiment.builtRun":            {"buildSeq", "collector", "domain", "linked", "registered", "res", "result", "s"},                                                                                                                   // linked, registered: whether the bundle's capture registry holds this run's objects; buildSeq travels as Snapshot.BuildSeq
+	"experiment.captureSession":      {"handlers", "links", "probeIdx", "probes", "reports", "run", "snap"},                                                                                                                               // the bundle's checkpoint storage around its one Snapshot, which captures refill and resumes decode into; events go straight into snap.Events, unsorted
+	"experiment.handlerRole":         {"index", "kind", "run"},                                                                                                                                                                            // the capture registry's value: which event kind and owner a handler is, for which registration
+	"experiment.runResources":        {"arena", "atrIDs", "collector", "coordinator", "defByRouter", "droppers", "ingressIDs", "mafic", "monitor", "onMAFICDrop", "onPushback", "onReport", "rng", "run", "sched", "session", "workload"}, // the recycled bundle: every object it holds has its own row; atrIDs: scratch of the pushback callback; onMAFICDrop, onPushback, onReport: callbacks bound once to the bundle's objects
 	"flowtable.Entry":                {"BaselineCount", "Dropped", "FirstSeen", "Gen", "LabelHash", "LastSeen", "Packets", "ProbeDeadline", "ProbeStart", "ResponseCount", "State"},
 	"flowtable.Tables":               {"capacity", "evictions", "free", "index", "scratch", "sizes", "slab", "transitions"}, // scratch: ForEachEntry's sort buffer, capture scratch with no run state
 	"flowtable.TablesState":          {"Entries", "Evictions", "Transitions"},
@@ -110,7 +110,7 @@ var fieldManifest = map[string][]string{
 	"loglog.Sketch":                  {"adds", "buckets", "m", "p"},
 	"loglog.SketchState":             {"Adds", "Buckets"},
 	"metrics.BandwidthPoint":         {"AttackPackets", "Bytes", "LegitPackets", "Time"},
-	"metrics.Collector":              {"binWidth", "st", "tap"}, // st: the CollectorState row, held as it travels
+	"metrics.Collector":              {"binWidth", "hooks", "st", "tap", "victimHost"}, // st: the CollectorState row, held as it travels; tap, hooks, victimHost: wiring the build installs
 	"metrics.CollectorState":         {"Activated", "ActivationAt", "Bins", "Counts"},
 	"metrics.Counts":                 {"ATRAttackPost", "ATRAttackPre", "ATRLegitPost", "ATRLegitPre", "DropAttack", "DropAttackPDT", "DropLegitIllegal", "DropLegitPDT", "DropLegitProbing", "FaultDrops", "QueueDrops", "VictimAttack", "VictimAttackPre", "VictimLegit", "VictimLegitPre"},
 	"metrics.arrivalTap":             {"collector", "victimIP"}, // wiring the build installs
@@ -131,8 +131,9 @@ var fieldManifest = map[string][]string{
 	"netsim.handlerKey":              {"host", "label"},                                                                                                                           // a host's handler table key, filled by the build
 	"netsim.nodeSlot":                {"host", "router"},                                                                                                                          // the node table the build fills
 	"netsim.slab":                    {"chunks", "cur", "used"},                                                                                                                   // chunk list plus carve cursor: storage Reset rewinds for the next build, no run state
+	"pushback.ATR":                   {"Packets", "Router", "Share"},                                                                                                              // a request's entry, in the coordinator's request buffer
 	"pushback.Config":                {"ATRDecay", "ATRRise", "ATRShare", "Eligible", "HistoryFactor", "MinHistoryEpochs", "MinVictimLoad", "RefireBackoffEpochs", "StaleEpochs"}, // from the scenario: rebuilt
-	"pushback.Coordinator":           {"cellScratch", "cfg", "eligible", "historyAlpha", "onPushback", "shareScratch", "st"},                                                      // st: the CoordinatorState row, held as it travels
+	"pushback.Coordinator":           {"atrScratch", "cellScratch", "cfg", "eligible", "historyAlpha", "onPushback", "shareScratch", "st"},                                        // st: the CoordinatorState row, held as it travels; atrScratch: the request buffer, valid only during a callback
 	"pushback.CoordinatorState":      {"ATRScore", "Active", "ActiveVictim", "CalmEpochs", "History", "HistoryOK", "HistorySeen", "Identified", "IdentifiedATR", "LastEpoch", "LastFireEpoch", "PendingRefire", "RequestsFired", "TriggerLoad"},
 	"sim.EventRef":                   {"gen", "idx", "s"}, // a handle to a pending event; restore re-binds the live ones
 	"sim.RNG":                        {"cs", "r", "reg"},
@@ -150,9 +151,9 @@ var fieldManifest = map[string][]string{
 	"traffic.PacedSource":            {"cfg", "gateEvent", "host", "id", "label", "labelHash", "net", "open", "rng", "sendEvent", "shut", "st"},                                                      // st: the FlowState row, held as it travels; cfg: the pacing value, rebuilt by Workload.Reset
 	"traffic.TCPConfig":              {"MaxRate", "PacketSize", "RTT"},                                                                                                                               // from the scenario: rebuilt
 	"traffic.TCPSource":              {"cfg", "host", "id", "label", "labelHash", "net", "reverseFn", "sendEvent", "st"},                                                                             // st: the FlowState row, held as it travels
-	"traffic.VictimServer":           {"ackSize", "host", "net", "st"},                                                                                                                               // st: the VictimServerState row, held as it travels
+	"traffic.VictimServer":           {"ackSize", "host", "net", "recv", "st"},                                                                                                                       // st: the VictimServerState row, held as it travels; recv: its handler, bound once
 	"traffic.VictimServerState":      {"AcksGenerated", "Received", "ReceivedBad", "ReceivedGood"},
-	"traffic.Workload":               {"Attack", "ExtraServers", "Flash", "Flows", "Legitimate", "Victim", "paced", "tcp"}, // paced, tcp: every sender a build has made, which Reset reuses by position; the run's are the ones Flows lists
+	"traffic.Workload":               {"Attack", "ExtraServers", "Flash", "Flows", "Legitimate", "Victim", "paced", "servers", "tcp"}, // paced, tcp, servers: every sender and server a build has made, which Reset reuses by position; the run's are the ones Flows, Victim and ExtraServers list
 	"traffic.WorkloadSpec":           {"AttackDutyCycle", "AttackGroups", "AttackPulsePeriod", "AttackRate", "AttackRateMix", "AttackRotationPeriod", "AttackStart", "CoremeltShare", "ExtraVictimShare", "FlashCrowdFlows", "FlashCrowdRate", "FlashCrowdStart", "FlashCrowdWindow", "LegitRate", "PacketSize", "RTT", "SpoofIllegalFraction", "SpoofLegitFraction", "StartWindow", "TCPShare", "TotalFlows"},
 	"traffic.gateOpen":               {"s"},
 	"traffic.gateShut":               {"s"},
@@ -162,8 +163,8 @@ var fieldManifest = map[string][]string{
 	"trafficmatrix.CounterState":     {"Dest", "DestPkts", "Source", "SourcePkts", "Transit"},
 	"trafficmatrix.EpochReport":      {"DestEst", "End", "Epoch", "Matrix", "Routers", "SourceEst", "Start", "gen", "live"}, // live, gen: set only in a live report, which does not outlive its callback; a report in flight is an owned Clone with both zero
 	"trafficmatrix.EpochReportState": {"DestEst", "End", "Epoch", "Matrix", "Routers", "SourceEst", "Start"},
-	"trafficmatrix.Monitor":          {"counterSlab", "counters", "ctrlRNG", "delayProb", "dstEst", "epoch", "epochIndex", "epochStart", "frozen", "gen", "nbScratch", "onReport", "reportDelay", "reportLoss", "routerIDs", "running", "sched", "sketchSlab", "srcEst", "stats", "stop"}, // gen, frozen: which epoch the estimate tables hold, dead between epochs like the tables; stats: work counters, in no Result
-	"trafficmatrix.MonitorConfig":    {"Buckets", "Epoch", "Monitored", "ReportDelay", "ReportDelayProb", "ReportLoss"},                                                                                                                                                                   // from the scenario: rebuilt
+	"trafficmatrix.Monitor":          {"counterSlab", "counters", "ctrlRNG", "delayProb", "dstEst", "epoch", "epochIndex", "epochStart", "frozen", "gen", "late", "nbScratch", "onReport", "reportDelay", "reportLoss", "routerIDs", "running", "sched", "sketchSlab", "spare", "srcEst", "stats", "stop"}, // gen, frozen: which epoch the estimate tables hold, dead between epochs like the tables; stats: work counters, in no Result; late, spare: the delayed reports the monitor has made, storage (one in flight travels as an EvMonitorLate event's Report)
+	"trafficmatrix.MonitorConfig":    {"Buckets", "Epoch", "Monitored", "ReportDelay", "ReportDelayProb", "ReportLoss"},                                                                                                                                                                                    // from the scenario: rebuilt
 	"trafficmatrix.MonitorState":     {"Counters", "EpochIndex", "EpochStart", "Running", "Stop"},
 	"trafficmatrix.MonitorStats":     {"Columns", "Epochs", "Estimates", "Unions"}, // work counters, in no Result
 }

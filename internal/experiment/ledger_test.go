@@ -1,0 +1,142 @@
+package experiment
+
+import (
+	"testing"
+
+	"mafic/internal/flowtable"
+	"mafic/internal/netsim"
+	"mafic/internal/sim"
+)
+
+// runBuilt builds s on a brand-new bundle, lets hook rewire the network
+// after the build, runs s to its end and hands the finished run and its
+// result to check before releasing it.
+func runBuilt(t *testing.T, s Scenario, hook func(b *builtRun), check func(b *builtRun, r Result)) {
+	t.Helper()
+	b, err := buildRun(s, newRunResources())
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	defer b.release()
+	if hook != nil {
+		hook(b)
+	}
+	if err := b.res.sched.RunUntil(s.Duration); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	r, err := b.finish()
+	if err != nil {
+		t.Fatalf("finish: %v", err)
+	}
+	check(b, r)
+}
+
+// TestFlowTableCensus checks, at the end of every catalog entry's quick run,
+// paper and hardened, that each defender's tables hold exactly what its
+// statistics say flowed through them. With TableCapacity 0 nothing is ever
+// evicted, and Defender.Handle and classify move flows only so:
+//   - the SFT admits every probed flow: a first sight that starts a probe
+//     cycle (FlowsProbed less FlowsReprobed) or a nice flow re-probed after
+//     going idle (FlowsReprobed, from the NFT);
+//   - a closing window moves its flow from the SFT to the NFT (FlowsNice) or
+//     to the PDT (FlowsCondemned, FlowsRepeatCondemned among them);
+//   - an illegal source enters the PDT directly, once per flow
+//     (FlowsIllegal);
+//
+// so at any instant SFT = FlowsProbed − FlowsNice − FlowsCondemned (the
+// windows still open), NFT = FlowsNice − FlowsReprobed and PDT =
+// FlowsCondemned + FlowsIllegal, and the tables' per-state admission counts
+// are FlowsProbed, FlowsNice and FlowsCondemned + FlowsIllegal.
+func TestFlowTableCensus(t *testing.T) {
+	for _, e := range Entries() {
+		for _, hardened := range []bool{false, true} {
+			s, name := Quick(e.Build()), e.Name
+			if hardened {
+				s, name = Harden(s), "hardened "+name
+			}
+			runBuilt(t, s, nil, func(b *builtRun, _ Result) {
+				if len(b.res.mafic) == 0 {
+					t.Fatalf("%s: no MAFIC defender was built", name)
+				}
+				for i, d := range b.res.mafic {
+					st, tables := d.Stats(), d.Tables()
+					sft, nft, pdt := tables.Sizes()
+					for _, c := range []struct {
+						what      string
+						got, want uint64
+					}{
+						{"SFT size", uint64(sft), st.FlowsProbed - st.FlowsNice - st.FlowsCondemned},
+						{"NFT size", uint64(nft), st.FlowsNice - st.FlowsReprobed},
+						{"PDT size", uint64(pdt), st.FlowsCondemned + st.FlowsIllegal},
+						{"SFT admissions", tables.Transitions(flowtable.StateSuspicious), st.FlowsProbed},
+						{"NFT admissions", tables.Transitions(flowtable.StateNice), st.FlowsNice},
+						{"PDT admissions", tables.Transitions(flowtable.StatePermanentDrop), st.FlowsCondemned + st.FlowsIllegal},
+						{"evictions", tables.Evictions(), 0},
+					} {
+						if c.got != c.want {
+							t.Errorf("%s: defender %d: %s %d, its statistics imply %d (%+v)", name, i, c.what, c.got, c.want, st)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestPacketLedger balances every packet of every catalog entry's quick run:
+// each one a host sent or a defender injected as a probe is, at the end,
+// delivered to a host, dropped by the defence (Counts' probing, PDT and
+// illegal drops of legitimate packets and its attack drops), dropped by a
+// full queue or a fault (Counts' queue and fault drops), dropped as
+// unroutable, or still on a link, queued or in flight.
+//
+// The network has one set of hooks, which the collector takes and which has
+// no count of unroutable packets, so each entry runs twice: plainly, for its
+// Counts, and with the hooks rewired to count deliveries to any host and
+// every drop the hooks report, unroutable ones included. Hooks only observe,
+// so the two runs are the same run; the rewired one's queue and fault drops
+// must equal the plain one's Counts.
+func TestPacketLedger(t *testing.T) {
+	for _, e := range Entries() {
+		s := Quick(e.Build())
+		plain, err := Run(s)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		var delivered, queued, faulted, unroutable uint64
+		rewire := func(b *builtRun) {
+			b.domain.Net.SetHooks(netsim.Hooks{
+				OnDeliver:    func(*netsim.Packet, *netsim.Host, sim.Time) { delivered++ },
+				OnQueueDrop:  func(*netsim.Packet, *netsim.Link, sim.Time) { queued++ },
+				OnFaultDrop:  func(*netsim.Packet, netsim.NodeID, sim.Time) { faulted++ },
+				OnUnroutable: func(*netsim.Packet, netsim.NodeID, sim.Time) { unroutable++ },
+			})
+		}
+		runBuilt(t, s, rewire, func(b *builtRun, r Result) {
+			var sent, inFlight uint64
+			b.domain.Net.ForEachNode(func(_ netsim.NodeID, _ *netsim.Router, h *netsim.Host) {
+				if h != nil {
+					sent += h.Sent()
+				}
+			})
+			b.res.sched.ForEachPending(func(ev sim.PendingEvent) {
+				if l, ok := ev.H.(*netsim.Link); ok {
+					for p := ev.Arg.(*netsim.Packet); p != nil; p, _, _ = l.NextInFlight(p) {
+						inFlight++
+					}
+				}
+			})
+			c, pc := r.Counts, plain.Counts
+			created := sent + r.DefenseStats.ProbesSent
+			defence := c.DropLegitProbing + c.DropLegitPDT + c.DropLegitIllegal + c.DropAttack
+			if queued != pc.QueueDrops || faulted != pc.FaultDrops || defence != pc.DropLegitProbing+pc.DropLegitPDT+pc.DropLegitIllegal+pc.DropAttack {
+				t.Fatalf("%s: the rewired run dropped %d by queue, %d by fault and %d by defence; the plain run's Counts %+v",
+					e.Name, queued, faulted, defence, pc)
+			}
+			if ended := delivered + defence + pc.QueueDrops + pc.FaultDrops + unroutable + inFlight; created != ended {
+				t.Errorf("%s: %d packets created (%d sent, %d probes), %d accounted for: %d delivered, %d defence, %d queue and %d fault drops, %d unroutable, %d on links",
+					e.Name, created, sent, r.DefenseStats.ProbesSent, ended, delivered, defence, pc.QueueDrops, pc.FaultDrops, unroutable, inFlight)
+			}
+		})
+	}
+}

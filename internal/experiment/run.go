@@ -26,20 +26,23 @@ type defense interface {
 // one piece, and the one owner of what runs recycle: the topology arena (whose
 // network every build resets and rebuilds in place), the scheduler, the engine
 // objects every build resets in place on that network — the MAFIC defenders,
-// the traffic-matrix monitor, the pushback coordinator and the workload with
-// its senders — the root RNG with every stream a run has forked from it, the
-// run-scoped lookup tables buildRun refills for every scenario: the
-// per-defender dispatch maps and the ground-truth label sets, and, once a run
-// of it has been checkpointed or resumed, the checkpoint session: the one
-// Snapshot every capture refills and every resume decodes into, its encode
-// buffer and the capture registry's storage. A recycled bundle keeps the
-// arena's backing arrays, the scheduler's event arena and queue geometry, the
-// objects' slabs and tables, the streams' sources, the maps' buckets and the
-// snapshot's lists warm, so a steady-state run allocates none of them again,
-// checkpointed or resumed alike. Reuse is bit-invariant: dispatch order
-// depends on none of it, a stream reseeded in place draws exactly what a new
-// one would (see sim.RNG.Reset), and the invariance suite pins a run on a
-// recycled bundle against one on a brand-new bundle for the whole catalog.
+// the traffic-matrix monitor with its delayed reports, the pushback
+// coordinator, the workload with its senders and servers, and the metrics
+// collector — the built run itself, the root RNG with every stream a run has
+// forked from it, the run-scoped lookup tables buildRun refills for every
+// scenario: the per-defender dispatch map and the ingress and ATR id lists,
+// the callbacks a build wires into the engine, and, once a run of it has been
+// checkpointed or resumed, the checkpoint session: the one Snapshot every
+// capture refills and every resume decodes into, its encode buffer and the
+// capture registry's storage. A recycled bundle keeps the arena's backing
+// arrays, the scheduler's event arena and queue geometry, the objects' slabs
+// and tables, the streams' sources, the maps' buckets and the snapshot's
+// lists warm, so a steady-state plain run allocates nothing but its Result's
+// series, and a checkpointed or resumed one little more. Reuse is
+// bit-invariant: dispatch order depends on none of it, a stream reseeded in
+// place draws exactly what a new one would (see sim.RNG.Reset), and the
+// invariance suite pins a run on a recycled bundle against one on a
+// brand-new bundle for the whole catalog.
 type runResources struct {
 	arena       *topology.Arena
 	sched       *sim.Scheduler
@@ -47,9 +50,16 @@ type runResources struct {
 	monitor     *trafficmatrix.Monitor
 	coordinator *pushback.Coordinator
 	workload    *traffic.Workload
+	collector   *metrics.Collector
+	// run is the bundle's one built run, which buildRun overwrites.
+	run builtRun
 
-	defByRouter map[netsim.NodeID]defense
-	ingressIDs  []netsim.NodeID
+	defByRouter        map[netsim.NodeID]defense
+	ingressIDs, atrIDs []netsim.NodeID
+	// Callbacks a build wires in, bound once to the bundle's objects.
+	onReport    func(trafficmatrix.EpochReport)
+	onPushback  func(pushback.Request)
+	onMAFICDrop func(*netsim.Packet, core.DropReason, sim.Time)
 	// mafic and droppers list the run's defenders in ingress order. reset
 	// cuts mafic to length zero and keeps its backing, which holds every
 	// defender an earlier run built: a MAFIC run's i-th ingress resets the
@@ -79,15 +89,18 @@ var idleBundles = make(chan *runResources, 64)
 // newRunResources returns a brand-new bundle: what the first run of a process
 // gets, and what the invariance tests hand in as their reference.
 func newRunResources() *runResources {
-	return &runResources{
+	r := &runResources{
 		arena:       topology.NewArena(),
 		sched:       sim.NewScheduler(),
 		rng:         sim.NewRNG(0), // buildRun resets it to the scenario's seed
 		monitor:     new(trafficmatrix.Monitor),
 		coordinator: new(pushback.Coordinator),
 		workload:    new(traffic.Workload),
+		collector:   metrics.NewCollector(0),
 		defByRouter: make(map[netsim.NodeID]defense),
 	}
+	r.onReport, r.onPushback, r.onMAFICDrop = r.coordinator.HandleReport, r.run.pushback, r.collector.ObserveMAFICDrop
+	return r
 }
 
 // defender returns the defender for a MAFIC run's i-th ingress, called while
@@ -114,7 +127,8 @@ func (r *runResources) reset() {
 }
 
 // builtRun is a fully built scenario that has not finished running yet: the
-// checkpoint layer snapshots and restores between buildRun and finish.
+// checkpoint layer snapshots and restores between buildRun and finish. It is
+// the bundle's own, overwritten by the bundle's next build.
 type builtRun struct {
 	s         Scenario
 	res       *runResources
@@ -226,7 +240,8 @@ func RunFromSnapshot(data []byte) (Result, error) {
 // advance the clock. A failed build releases whatever it had built so far.
 func buildRun(s Scenario, res *runResources) (*builtRun, error) {
 	res.rng.Reset(s.Seed)
-	b := &builtRun{
+	b := &res.run
+	*b = builtRun{
 		s:   s,
 		res: res,
 		result: Result{
@@ -262,7 +277,8 @@ func (b *builtRun) build() error {
 		return err
 	}
 
-	collector := metrics.NewCollector(s.BinWidth)
+	collector := res.collector
+	collector.Reset(s.BinWidth)
 	collector.ReserveSeries(s.Duration)
 	collector.InstallHooks(domain.Net, domain.Victim.ID())
 	for _, ing := range domain.Ingress {
@@ -280,7 +296,7 @@ func (b *builtRun) build() error {
 			if err := d.Reset(s.MAFIC, ing, rng.Fork()); err != nil {
 				return fmt.Errorf("defender on %s: %w", ing, err)
 			}
-			d.SetDropObserver(collector.ObserveMAFICDrop)
+			d.SetDropObserver(res.onMAFICDrop)
 			defByRouter[ing.ID()] = d
 			res.mafic = append(res.mafic, d)
 		}
@@ -298,40 +314,15 @@ func (b *builtRun) build() error {
 		// No defence: the run measures the undefended system.
 	}
 
-	activate := func(now sim.Time, routers []netsim.NodeID, byPushback bool) {
-		if len(routers) == 0 {
-			return
-		}
-		if _, already := collector.Activated(); !already {
-			collector.MarkActivation(now)
-			b.result.Activated = true
-			b.result.ActivationSeconds = now.Seconds()
-			b.result.DetectedByPushback = byPushback
-		}
-		for _, id := range routers {
-			if d, ok := defByRouter[id]; ok {
-				d.Activate(domain.VictimIP())
-			}
-		}
-		b.result.ATRCount = len(routers)
-	}
-
 	for _, ing := range domain.Ingress {
 		res.ingressIDs = append(res.ingressIDs, ing.ID())
 	}
-	ingressIDs := res.ingressIDs
 
 	pbCfg := s.Pushback
-	pbCfg.Eligible = ingressIDs
-	res.coordinator.Reset(pbCfg, func(req pushback.Request) {
-		atrs := make([]netsim.NodeID, 0, len(req.ATRs))
-		for _, a := range req.ATRs {
-			atrs = append(atrs, a.Router)
-		}
-		activate(sched.Now(), atrs, true)
-	})
+	pbCfg.Eligible = res.ingressIDs
+	res.coordinator.Reset(pbCfg, res.onPushback)
 
-	if err := res.monitor.Reset(domain.Net, s.Faults.controlPlane(s.Monitor), res.coordinator.HandleReport); err != nil {
+	if err := res.monitor.Reset(domain.Net, s.Faults.controlPlane(s.Monitor), res.onReport); err != nil {
 		return fmt.Errorf("traffic monitor: %w", err)
 	}
 
@@ -350,17 +341,50 @@ func (b *builtRun) build() error {
 	// Fallback activation covers scenarios where the detection layer is
 	// intentionally mistuned or the attack is too small to detect.
 	if s.DetectionFallback > 0 && s.Defense != DefenseNone {
-		at := s.Workload.AttackStart + s.DetectionFallback
-		sched.ScheduleAt(at, func(now sim.Time) {
-			if _, already := collector.Activated(); already {
-				return
-			}
-			activate(now, ingressIDs, false)
-		})
+		sched.ScheduleArgAt(s.Workload.AttackStart+s.DetectionFallback, b, nil)
 	}
 
 	b.buildSeq = sched.Seq()
 	return nil
+}
+
+// activate turns the defence on at the given routers, and records the run's
+// first activation.
+func (b *builtRun) activate(now sim.Time, routers []netsim.NodeID, byPushback bool) {
+	if len(routers) == 0 {
+		return
+	}
+	if _, already := b.collector.Activated(); !already {
+		b.collector.MarkActivation(now)
+		b.result.Activated = true
+		b.result.ActivationSeconds = now.Seconds()
+		b.result.DetectedByPushback = byPushback
+	}
+	for _, id := range routers {
+		if d, ok := b.res.defByRouter[id]; ok {
+			d.Activate(b.domain.VictimIP())
+		}
+	}
+	b.result.ATRCount = len(routers)
+}
+
+// pushback is the coordinator's callback: the request's ATRs are activated.
+func (b *builtRun) pushback(req pushback.Request) {
+	atrs := b.res.atrIDs[:0]
+	for _, a := range req.ATRs {
+		atrs = append(atrs, a.Router)
+	}
+	b.res.atrIDs = atrs
+	b.activate(b.res.sched.Now(), atrs, true)
+}
+
+// OnEventArg is the detection fallback, the one event a build schedules on
+// the run itself: every ingress router is activated unless detection has
+// activated the defence already.
+func (b *builtRun) OnEventArg(now sim.Time, _ any) {
+	if _, already := b.collector.Activated(); !already {
+		b.activate(now, b.res.ingressIDs, false)
+	}
 }
 
 // release empties the bundle for its next run; its scheduler reset

@@ -50,16 +50,43 @@ type Collector struct {
 	// tap is the arrival counter shared by every tapped router; the same
 	// filter instance can sit on many routers because its only state is
 	// the collector itself.
-	tap *arrivalTap
+	tap arrivalTap
+
+	// hooks are the network hooks InstallHooks installs, made with the
+	// collector, and victimHost the host whose deliveries they count.
+	hooks      netsim.Hooks
+	victimHost netsim.NodeID
 }
 
 // NewCollector creates a collector with the given time-series bin width.
 // A zero bin width defaults to 50 ms.
 func NewCollector(binWidth sim.Time) *Collector {
+	c := new(Collector)
+	c.hooks = netsim.Hooks{
+		OnDeliver: func(pkt *netsim.Packet, host *netsim.Host, now sim.Time) {
+			if host.ID() != c.victimHost || pkt.Kind != netsim.KindData {
+				return
+			}
+			c.noteVictimDelivery(pkt, now)
+		},
+		OnQueueDrop: func(*netsim.Packet, *netsim.Link, sim.Time) {
+			c.st.Counts.QueueDrops++
+		},
+		OnFaultDrop: func(*netsim.Packet, netsim.NodeID, sim.Time) {
+			c.st.Counts.FaultDrops++
+		},
+	}
+	c.Reset(binWidth)
+	return c
+}
+
+// Reset makes c what NewCollector(binWidth) returns, keeping its hooks and
+// its series backing, which ReserveSeries grows only past its longest run.
+func (c *Collector) Reset(binWidth sim.Time) {
 	if binWidth <= 0 {
 		binWidth = 50 * sim.Millisecond
 	}
-	return &Collector{binWidth: binWidth}
+	*c = Collector{binWidth: binWidth, st: CollectorState{Bins: c.st.Bins[:0]}, hooks: c.hooks}
 }
 
 // MarkActivation records the instant the defence was activated. Arrivals and
@@ -97,12 +124,11 @@ func (t *arrivalTap) Handle(pkt *netsim.Packet, now sim.Time, _ *netsim.Router) 
 
 // TapRouter installs a passive arrival counter on the given router. It must
 // be attached before the defence filter so it sees packets the defence later
-// drops. All taps for the same victim share one filter instance.
+// drops. All taps share one filter instance, which counts for the victim of
+// the last call: one victim per run.
 func (c *Collector) TapRouter(r *netsim.Router, victim netsim.IP) {
-	if c.tap == nil || c.tap.victimIP != victim {
-		c.tap = &arrivalTap{collector: c, victimIP: victim}
-	}
-	r.AttachFilter(c.tap)
+	c.tap = arrivalTap{collector: c, victimIP: victim}
+	r.AttachFilter(&c.tap)
 }
 
 // ReserveSeries presizes the bandwidth time series for a run of the given
@@ -167,20 +193,8 @@ func (c *Collector) ObserveBaselineDrop(pkt *netsim.Packet, _ sim.Time) {
 // InstallHooks registers the collector's network hooks: victim deliveries
 // and queue drops. Call it once per scenario after building the network.
 func (c *Collector) InstallHooks(net *netsim.Network, victimHost netsim.NodeID) {
-	net.SetHooks(netsim.Hooks{
-		OnDeliver: func(pkt *netsim.Packet, host *netsim.Host, now sim.Time) {
-			if host.ID() != victimHost || pkt.Kind != netsim.KindData {
-				return
-			}
-			c.noteVictimDelivery(pkt, now)
-		},
-		OnQueueDrop: func(*netsim.Packet, *netsim.Link, sim.Time) {
-			c.st.Counts.QueueDrops++
-		},
-		OnFaultDrop: func(*netsim.Packet, netsim.NodeID, sim.Time) {
-			c.st.Counts.FaultDrops++
-		},
-	})
+	c.victimHost = victimHost
+	net.SetHooks(c.hooks)
 }
 
 func (c *Collector) noteVictimDelivery(pkt *netsim.Packet, now sim.Time) {

@@ -54,6 +54,10 @@ func (l *Link) From() NodeID { return NodeID(l.from) }
 // To reports the downstream node of the link.
 func (l *Link) To() NodeID { return NodeID(l.to) }
 
+// Reverse returns the link in the other direction between the same two
+// nodes, or nil when they are connected this way only.
+func (l *Link) Reverse() *Link { return l.net.LinkBetween(NodeID(l.to), NodeID(l.from)) }
+
 // Config returns the link configuration.
 func (l *Link) Config() LinkConfig { return *l.cfg }
 

@@ -65,7 +65,8 @@ type Request struct {
 	// VictimLoad is the |D_j| estimate that crossed the threshold.
 	VictimLoad float64
 	// ATRs lists the identified attack-transit routers, largest
-	// contributor first.
+	// contributor first. It is valid only during the onPushback call: the
+	// coordinator refills the same buffer for its next request.
 	ATRs []ATR
 }
 
@@ -203,12 +204,13 @@ type Coordinator struct {
 	st           CoordinatorState
 	historyAlpha float64
 
-	// cellScratch is the reusable buffer behind ATR ranking, and
-	// shareScratch the per-epoch dense share buffer, grown with ATRScore and
-	// reused across epochs so a steady-state epoch with no new
-	// identification allocates nothing.
+	// cellScratch is the reusable buffer behind ATR ranking, shareScratch
+	// the per-epoch dense share buffer, grown with ATRScore and reused
+	// across epochs so a steady-state epoch with no new identification
+	// allocates nothing, and atrScratch every request's ATR list.
 	cellScratch  []trafficmatrix.Cell
 	shareScratch []float64
+	atrScratch   []ATR
 }
 
 // NewCoordinator creates a coordinator. onPushback fires when an attack is
@@ -259,6 +261,7 @@ func (c *Coordinator) Reset(cfg Config, onPushback func(Request)) {
 		},
 		cellScratch:  c.cellScratch[:0],
 		shareScratch: c.shareScratch[:0],
+		atrScratch:   c.atrScratch[:0],
 		historyAlpha: 0.5,
 	}
 }
@@ -447,7 +450,7 @@ func (c *Coordinator) refireAllowed(epoch int) bool {
 // the score and the victim's current load, so it is an EWMA estimate rather
 // than a single-epoch a_ij.
 func (c *Coordinator) fireIdentifiedSet(epoch int, load float64) {
-	atrs := make([]ATR, 0, c.st.Identified)
+	atrs := c.atrScratch[:0]
 	for i, ok := range c.st.IdentifiedATR {
 		if !ok {
 			continue
@@ -465,6 +468,7 @@ func (c *Coordinator) fireIdentifiedSet(epoch int, load float64) {
 			return int(a.Router - b.Router)
 		}
 	})
+	c.atrScratch = atrs
 	c.st.RequestsFired++
 	if c.onPushback != nil {
 		c.onPushback(Request{
@@ -548,7 +552,7 @@ func (c *Coordinator) updateHistory(report trafficmatrix.EpochReport, found bool
 func (c *Coordinator) identifyATRs(report trafficmatrix.EpochReport, victim netsim.NodeID, victimLoad float64) []ATR {
 	c.cellScratch = report.AppendTopSources(c.cellScratch[:0], victim)
 	cells := c.cellScratch
-	atrs := make([]ATR, 0, len(cells))
+	atrs := c.atrScratch[:0]
 	for _, cell := range cells {
 		if c.eligible != nil && !c.eligible[cell.Source] {
 			continue
@@ -575,5 +579,6 @@ func (c *Coordinator) identifyATRs(report trafficmatrix.EpochReport, victim nets
 			return 0
 		}
 	})
+	c.atrScratch = atrs
 	return atrs
 }

@@ -276,8 +276,8 @@ func (q *calendarQueue) resetObservation() {
 // rebuild redistributes every pending entry into a calendar with n buckets
 // of width w. Entries are collected into the reusable scratch buffer and
 // sorted globally descending-to-front, so refilling is a push-front per
-// entry that leaves every chain sorted; the only allocation is the bucket
-// head array itself, and only when the bucket count actually changes.
+// entry that leaves every chain sorted. The bucket head array keeps the
+// largest backing it has had, so the only allocation is a count beyond it.
 func (q *calendarQueue) rebuild(n int, w Time) {
 	q.scratch = q.scratch[:0]
 	for _, head := range q.buckets {
@@ -286,10 +286,10 @@ func (q *calendarQueue) rebuild(n int, w Time) {
 			q.scratch = append(q.scratch, timedEnt{at: nd.at, seq: nd.seq, idx: idx})
 		}
 	}
-	if n != len(q.buckets) {
+	if n > cap(q.buckets) {
 		q.buckets = make([]int32, n)
-		q.mask = n - 1
 	}
+	q.buckets, q.mask = q.buckets[:n], n-1
 	for i := range q.buckets {
 		q.buckets[i] = calNil
 	}

@@ -226,7 +226,9 @@ type Domain struct {
 	Clients []*netsim.Host
 	// Zombies are the attack traffic sources, grouped per ingress.
 	Zombies []*netsim.Host
-	// Bystanders are stub hosts whose addresses attackers spoof.
+	// Bystanders are stub hosts whose addresses attackers spoof: valid,
+	// routable addresses that do not belong to the attackers, exactly the
+	// "legitimate" spoofed addresses described in Section III-A of the paper.
 	Bystanders []*netsim.Host
 }
 
@@ -237,17 +239,6 @@ func (d *Domain) IngressOf(host *netsim.Host) *netsim.Router {
 		return nil
 	}
 	return d.Net.Router(host.AccessRouter())
-}
-
-// SpoofPool returns the addresses of the bystander hosts: valid, routable
-// addresses that do not belong to the attackers, exactly the "legitimate"
-// spoofed addresses described in Section III-A of the paper.
-func (d *Domain) SpoofPool() []netsim.IP {
-	pool := make([]netsim.IP, 0, len(d.Bystanders))
-	for _, b := range d.Bystanders {
-		pool = append(pool, b.PrimaryIP())
-	}
-	return pool
 }
 
 // VictimIP returns the victim server's address.
@@ -328,7 +319,7 @@ func (a *Arena) Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, 
 		return nil, fmt.Errorf("victim link: %w", err)
 	}
 	if cfg.MultiHomedVictim {
-		second := d.pickQuietRouter(nil)
+		second := d.pickQuietRouter()
 		if second == nil {
 			return nil, fmt.Errorf("%w: no router available as second victim home", ErrConfig)
 		}
@@ -341,16 +332,11 @@ func (a *Arena) Build(cfg Config, sched *sim.Scheduler, rng *sim.RNG) (*Domain, 
 	// Extra victims for multi-victim flood scenarios, each behind its own
 	// router so their last-hop load shows up as a distinct hot row in the
 	// traffic matrix.
-	taken := make(map[netsim.NodeID]bool)
-	for _, r := range d.VictimHomes {
-		taken[r.ID()] = true
-	}
 	for k := 0; k < cfg.ExtraVictims; k++ {
-		attach := d.pickQuietRouter(taken)
+		attach := d.pickQuietRouter()
 		if attach == nil {
 			return nil, fmt.Errorf("%w: not enough routers for %d extra victims", ErrConfig, cfg.ExtraVictims)
 		}
-		taken[attach.ID()] = true
 		h := net.AddHost(ipFrom(10, 0, 0, byte(2+k)))
 		h.AttachTo(attach.ID())
 		if err := net.ConnectDuplex(h.ID(), attach.ID(), cfg.VictimLink); err != nil {
@@ -451,12 +437,14 @@ func buildRingCore(cfg Config, net *netsim.Network, d *Domain, rng *sim.RNG, num
 }
 
 // pickQuietRouter returns the first router that is neither an ingress nor the
-// last hop nor already taken, falling back to any non-last-hop router. The
-// deterministic scan keeps domain generation reproducible.
-func (d *Domain) pickQuietRouter(taken map[netsim.NodeID]bool) *netsim.Router {
+// last hop nor already taken — a victim home or an extra victim's router —
+// falling back to any router not taken. The deterministic scan keeps domain
+// generation reproducible.
+func (d *Domain) pickQuietRouter() *netsim.Router {
 	for pass := 0; pass < 2; pass++ {
 		for _, r := range d.Routers {
-			if r == d.LastHop || taken[r.ID()] {
+			if r == d.LastHop || slices.Contains(d.VictimHomes, r) ||
+				slices.ContainsFunc(d.ExtraVictims, func(h *netsim.Host) bool { return h.AccessRouter() == r.ID() }) {
 				continue
 			}
 			if pass == 0 && slices.Contains(d.Ingress, r) {

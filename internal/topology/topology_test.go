@@ -44,9 +44,6 @@ func TestBuildDefaultDomain(t *testing.T) {
 	if len(d.Bystanders) != DefaultConfig().BystanderHosts {
 		t.Fatalf("bystanders = %d, want %d", len(d.Bystanders), DefaultConfig().BystanderHosts)
 	}
-	if len(d.SpoofPool()) != len(d.Bystanders) {
-		t.Fatal("spoof pool size mismatch")
-	}
 	if d.VictimIP() != d.Victim.PrimaryIP() {
 		t.Fatal("VictimIP mismatch")
 	}
@@ -176,8 +173,8 @@ func TestIngressOf(t *testing.T) {
 
 func TestSpoofPoolAddressesAreRoutable(t *testing.T) {
 	d := buildDefault(t, nil)
-	for _, ip := range d.SpoofPool() {
-		if !d.Net.IsRoutable(ip) {
+	for _, b := range d.Bystanders {
+		if ip := b.PrimaryIP(); !d.Net.IsRoutable(ip) {
 			t.Fatalf("spoof pool address %s is not routable", ip)
 		}
 	}

@@ -36,35 +36,25 @@ func buildTransitStubCore(cfg Config, net *netsim.Network, d *Domain, numIngress
 	}
 
 	// Stub routers are dealt round-robin into chains, one chain per
-	// transit router: stub s joins chain s%transit and connects either to
-	// its transit router (chain head) or to the previous member of its
-	// chain, giving multi-hop stub depth.
-	chainTail := make([]*netsim.Router, transit)
+	// transit router: stub s joins chain (s-transit)%transit and connects
+	// either to its transit router (chain head) or to the previous member
+	// of its chain, giving multi-hop stub depth. Either way that is router
+	// s-transit.
 	for s := transit; s < cfg.NumRouters; s++ {
-		chain := (s - transit) % transit
-		up := chainTail[chain]
-		if up == nil {
-			up = d.Routers[chain]
-		}
-		if err := net.ConnectDuplex(d.Routers[s].ID(), up.ID(), cfg.CoreLink); err != nil {
+		if err := net.ConnectDuplex(d.Routers[s].ID(), d.Routers[s-transit].ID(), cfg.CoreLink); err != nil {
 			return fmt.Errorf("stub chain: %w", err)
 		}
-		chainTail[chain] = d.Routers[s]
 	}
 
 	// The last stub router (deepest in its chain) fronts the victim.
 	d.LastHop = d.Routers[cfg.NumRouters-1]
 
 	// Ingress routers spread evenly over the other stub routers; tiny
-	// domains with no spare stub routers fall back to transit routers.
-	candidates := make([]*netsim.Router, 0, cfg.NumRouters)
-	for s := transit; s < cfg.NumRouters-1; s++ {
-		candidates = append(candidates, d.Routers[s])
-	}
+	// domains with no spare stub routers (the last hop is the only stub)
+	// fall back to the transit routers.
+	candidates := d.Routers[transit : cfg.NumRouters-1]
 	if len(candidates) == 0 {
-		for i := 0; i < transit && d.Routers[i] != d.LastHop; i++ {
-			candidates = append(candidates, d.Routers[i])
-		}
+		candidates = d.Routers[:transit]
 	}
 	if numIngress > len(candidates) {
 		numIngress = len(candidates)

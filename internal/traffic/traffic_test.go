@@ -124,8 +124,8 @@ func TestAttackSourceSpoofingModes(t *testing.T) {
 		zombies[z.PrimaryIP()] = true
 	}
 	pool := make(map[netsim.IP]bool)
-	for _, ip := range d.SpoofPool() {
-		pool[ip] = true
+	for _, b := range d.Bystanders {
+		pool[b.PrimaryIP()] = true
 	}
 
 	tests := []struct {

@@ -15,17 +15,27 @@ type VictimServer struct {
 	ackSize int
 
 	// st is the server's run state, as a snapshot records it.
-	st VictimServerState
+	st   VictimServerState
+	recv func(*netsim.Packet, sim.Time) // onPacket, bound once
 }
 
 // NewVictimServer installs a server on the given host. ackSize is the size
 // of generated acknowledgements in bytes; zero means DefaultAckSize.
 func NewVictimServer(host *netsim.Host, ackSize int) *VictimServer {
+	return new(VictimServer).reset(host, ackSize)
+}
+
+// reset makes v what NewVictimServer(host, ackSize) returns, keeping its
+// bound handler, and returns v.
+func (v *VictimServer) reset(host *netsim.Host, ackSize int) *VictimServer {
 	if ackSize <= 0 {
 		ackSize = DefaultAckSize
 	}
-	v := &VictimServer{host: host, net: host.Network(), ackSize: ackSize}
-	host.SetDefaultHandler(v.onPacket)
+	*v = VictimServer{host: host, net: host.Network(), ackSize: ackSize, recv: v.recv}
+	if v.recv == nil {
+		v.recv = v.onPacket
+	}
+	host.SetDefaultHandler(v.recv)
 	return v
 }
 

@@ -218,11 +218,13 @@ type Workload struct {
 	// regular start window.
 	Flash []Flow
 
-	// tcp and paced keep every sender a build of this workload has made, by
-	// position among its kind: the k-th TCP flow of a build is tcp[k], and
-	// the k-th attack flow is paced[k].
-	tcp   []*TCPSource
-	paced []*PacedSource
+	// tcp, paced and servers keep every sender and server a build of this
+	// workload has made, by position among its kind: the k-th TCP flow of a
+	// build is tcp[k], the k-th attack flow paced[k], the victim's server
+	// servers[0] and the k-th extra server servers[k+1].
+	tcp     []*TCPSource
+	paced   []*PacedSource
+	servers []*VictimServer
 }
 
 // StartAll schedules every flow: legitimate flows spread over the spec's
@@ -300,7 +302,7 @@ func (w *Workload) Reset(spec WorkloadSpec, d *topology.Domain, rng *sim.RNG) er
 
 	// Everything not carried over here starts from zero.
 	*w = Workload{
-		Victim:       NewVictimServer(d.Victim, DefaultAckSize),
+		Victim:       kept(&w.servers, 0).reset(d.Victim, DefaultAckSize),
 		ExtraServers: w.ExtraServers[:0],
 		Flows:        w.Flows[:0],
 		Legitimate:   w.Legitimate[:0],
@@ -308,6 +310,7 @@ func (w *Workload) Reset(spec WorkloadSpec, d *topology.Domain, rng *sim.RNG) er
 		Flash:        w.Flash[:0],
 		tcp:          w.tcp,
 		paced:        w.paced,
+		servers:      w.servers,
 	}
 	victimIP := d.VictimIP()
 	flowID := 0
@@ -346,15 +349,13 @@ func (w *Workload) Reset(spec WorkloadSpec, d *topology.Domain, rng *sim.RNG) er
 	// extra victim gets its own server so the flood it absorbs behaves
 	// like real victim traffic.
 	extraAim := int(math.Round(spec.ExtraVictimShare * float64(attackCount)))
-	var extraIPs []netsim.IP
 	if extraAim > 0 {
 		if len(d.ExtraVictims) == 0 {
 			return fmt.Errorf("%w: extra victim share %v but domain has no extra victims",
 				ErrBadSpec, spec.ExtraVictimShare)
 		}
-		for _, v := range d.ExtraVictims {
-			w.ExtraServers = append(w.ExtraServers, NewVictimServer(v, DefaultAckSize))
-			extraIPs = append(extraIPs, v.PrimaryIP())
+		for k, v := range d.ExtraVictims {
+			w.ExtraServers = append(w.ExtraServers, kept(&w.servers, k+1).reset(v, DefaultAckSize))
 		}
 	}
 
@@ -364,18 +365,14 @@ func (w *Workload) Reset(spec WorkloadSpec, d *topology.Domain, rng *sim.RNG) er
 	if coremeltAim > attackCount-extraAim {
 		coremeltAim = attackCount - extraAim
 	}
-	var bystanderIPs []netsim.IP
-	if coremeltAim > 0 {
-		if len(d.Bystanders) == 0 {
-			return fmt.Errorf("%w: coremelt share %v but domain has no bystander hosts",
-				ErrBadSpec, spec.CoremeltShare)
-		}
-		for _, b := range d.Bystanders {
-			bystanderIPs = append(bystanderIPs, b.PrimaryIP())
-		}
+	if coremeltAim > 0 && len(d.Bystanders) == 0 {
+		return fmt.Errorf("%w: coremelt share %v but domain has no bystander hosts",
+			ErrBadSpec, spec.CoremeltShare)
 	}
 
-	spoofPool := d.SpoofPool()
+	// Coremelt targets and legitimate spoofed sources are both bystander
+	// addresses.
+	bystanders := d.Bystanders
 	illegalFlows := int(math.Round(spec.SpoofIllegalFraction * float64(attackCount)))
 	legitSpoofFlows := int(math.Round(spec.SpoofLegitFraction * float64(attackCount)))
 	for i := 0; i < attackCount; i++ {
@@ -390,16 +387,16 @@ func (w *Workload) Reset(spec WorkloadSpec, d *topology.Domain, rng *sim.RNG) er
 			// Addresses under 1.0.0.0/8 are never allocated by the
 			// topology builder, so they are unroutable by construction.
 			src = netsim.IP(0x01000000 | uint32(flowID+1))
-		case i < illegalFlows+legitSpoofFlows && len(spoofPool) > 0:
-			src = spoofPool[i%len(spoofPool)]
+		case i < illegalFlows+legitSpoofFlows && len(bystanders) > 0:
+			src = bystanders[i%len(bystanders)].PrimaryIP()
 		}
 
 		target := victimIP
 		switch {
 		case i < coremeltAim:
-			target = bystanderIPs[i%len(bystanderIPs)]
-		case i >= attackCount-extraAim && len(extraIPs) > 0:
-			target = extraIPs[(i-(attackCount-extraAim))%len(extraIPs)]
+			target = bystanders[i%len(bystanders)].PrimaryIP()
+		case i >= attackCount-extraAim:
+			target = d.ExtraVictims[(i-(attackCount-extraAim))%len(d.ExtraVictims)].PrimaryIP()
 		}
 
 		// The rate and the gate: a flood sends all the time; a pulse

@@ -68,7 +68,6 @@ func TestWorkloadTranslation(t *testing.T) {
 			if len(w.Attack) != 20 {
 				t.Fatalf("built %d attack flows, want 20", len(w.Attack))
 			}
-			pool := d.SpoofPool()
 			for i, f := range w.Attack {
 				p := f.(*PacedSource)
 				id := 20 + i
@@ -77,7 +76,7 @@ func TestWorkloadTranslation(t *testing.T) {
 				case i < 4:
 					src = netsim.IP(0x01000000 | uint32(id+1))
 				case i < 14:
-					src = pool[i%len(pool)]
+					src = d.Bystanders[i%len(d.Bystanders)].PrimaryIP()
 				default:
 					src = d.Zombies[i%len(d.Zombies)].PrimaryIP()
 				}

@@ -90,6 +90,56 @@ func TestEpochProcessingZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestDelayedEpochsZeroAlloc pins the lossy channel's delayed delivery: once
+// a monitor has made as many late reports as are ever in flight at once —
+// three here, each arriving two and a half epochs late — a delayed epoch
+// refills one of them in place, matrix included, and allocates nothing.
+func TestDelayedEpochsZeroAlloc(t *testing.T) {
+	d := smallDomain(t)
+	const epoch = 10 * sim.Millisecond
+	cells := 0
+	mon, err := NewMonitor(d.Net, MonitorConfig{Epoch: epoch, ReportDelayProb: 1, ReportDelay: epoch * 5 / 2},
+		func(r EpochReport) { cells += len(r.Matrix) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Packets go straight through the counters of a zombie's access router
+	// and the victim's last hop, so every epoch has a matrix cell and the
+	// scheduler holds nothing but the monitor's events.
+	zombie := d.Zombies[0]
+	first := d.Net.Router(zombie.AccessRouter())
+	pkt := &netsim.Packet{
+		Label: netsim.FlowLabel{SrcIP: zombie.PrimaryIP(), DstIP: d.VictimIP(), SrcPort: 1, DstPort: 80},
+		Kind:  netsim.KindData, Proto: netsim.ProtoUDP,
+	}
+	sched, k := d.Net.Scheduler(), sim.Time(0)
+	nextEpoch := func() {
+		for i := 0; i < 64; i++ {
+			pkt.ID, pkt.Hops = d.Net.NextPacketID(), 0
+			mon.Counter(first.ID()).Handle(pkt, sched.Now(), first)
+			pkt.Hops = 1
+			mon.Counter(d.LastHop.ID()).Handle(pkt, sched.Now(), d.LastHop)
+		}
+		k++
+		if err := sched.RunUntil(k * epoch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mon.Start()
+	for k < 6 {
+		nextEpoch()
+	}
+	if allocs := testing.AllocsPerRun(20, nextEpoch); allocs != 0 {
+		t.Errorf("a delayed epoch allocates %v, want 0", allocs)
+	}
+	if len(mon.late) != 3 {
+		t.Errorf("the monitor made %d late reports, want the 3 ever in flight at once", len(mon.late))
+	}
+	if cells == 0 {
+		t.Error("no delivered report had a matrix cell; the zero-alloc run proved nothing")
+	}
+}
+
 // TestMonitorReuseRecyclesSketchSlab pins monitor reuse: resetting a
 // monitor onto a fresh same-shaped domain must cost a small fraction of the
 // first build's allocations, because the sketch slab — the dominant

@@ -69,8 +69,9 @@ func TestPartialReportLossLeavesNumberingGaps(t *testing.T) {
 }
 
 // TestDelayedReportsArriveLateAndOwned verifies delayed reports are delivered
-// ReportDelay after their epoch boundary as deep copies that stay valid while
-// the pooled buffers roll on underneath.
+// ReportDelay after their epoch boundary as owned copies of their epoch,
+// whatever the live tables have rolled on to, and that a callback keeps one
+// past the call by cloning it.
 func TestDelayedReportsArriveLateAndOwned(t *testing.T) {
 	d := smallDomain(t)
 	d.Victim.SetDefaultHandler(func(*netsim.Packet, sim.Time) {})
@@ -91,7 +92,7 @@ func TestDelayedReportsArriveLateAndOwned(t *testing.T) {
 		ReportDelay:     delay,
 	}, func(r EpochReport) {
 		got = append(got, arrival{epoch: r.Epoch, at: d.Net.Now(), end: r.End})
-		retained = append(retained, r)
+		retained = append(retained, r.Clone())
 	})
 	if err != nil {
 		t.Fatalf("NewMonitor: %v", err)
@@ -111,11 +112,11 @@ func TestDelayedReportsArriveLateAndOwned(t *testing.T) {
 			t.Fatalf("report %d arrived at %v, want %v (boundary %v + delay %v)", i, a.at, a.end+delay, a.end, delay)
 		}
 	}
-	// The retained copies must own their backing: each report's window is
-	// still its own, untouched by the epochs computed after it.
+	// The retained clones own their backing: each report's window is still
+	// its own, untouched by the epochs computed and delivered after it.
 	for i, r := range retained {
-		if r.End != sim.Time(i+1)*epoch {
-			t.Fatalf("retained report %d End mutated to %v", i, r.End)
+		if r.End != sim.Time(i+1)*epoch || r.live != nil {
+			t.Fatalf("retained report %d is %+v, want an owned report ending at %v", i, r, sim.Time(i+1)*epoch)
 		}
 	}
 }

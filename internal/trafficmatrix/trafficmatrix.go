@@ -30,19 +30,21 @@
 // NodeID-indexed estimate tables reused across epochs, mirroring the netsim
 // packet pool's ownership rules. A live report therefore is valid only until
 // its monitor moves on — the next epoch tick, the next Compute, Reset or
-// Release — which for a callback means for the duration of the callback:
-// after that the tables hold another epoch and the shadow halves another
-// epoch's packets. A live report is stamped with the monitor's generation, and
-// reading its matrix (TopSources, AppendTopSources, Cells, Clone) after the
-// monitor has moved on panics rather than mix two epochs. Callbacks that
-// need to retain a report keep EpochReport.Clone: an owned report, the whole
-// matrix materialised into Matrix, valid indefinitely — the form a delayed
-// report on the lossy control channel travels in, and the only form a
-// snapshot stores. The reference live reports are tested against is
-// test-only: alloc_test.go recomputes every report eagerly from the
-// counters' sketches into fresh tables at callback time. Across runs the
-// monitor is kept, not rebuilt: Reset instruments the next run's network
-// with the same sketch slab and tables, as experiment's run bundle does.
+// Release: after that the tables hold another epoch and the shadow halves
+// another epoch's packets. A live report is stamped with the monitor's
+// generation, and reading its matrix (TopSources, AppendTopSources, Cells,
+// Clone) after the monitor has moved on panics rather than mix two epochs.
+// A delayed report on the lossy control channel travels as an owned copy,
+// the whole matrix materialised into Matrix — the only form a snapshot
+// stores — and the monitor takes it back when it has been delivered, to
+// refill it at a later delayed epoch. So every report handed to onReport,
+// live or delayed, is valid only during the call; a callback that needs to
+// retain one keeps EpochReport.Clone, an owned report valid indefinitely.
+// The reference live reports are tested against is test-only: alloc_test.go
+// recomputes every report eagerly from the counters' sketches into fresh
+// tables at callback time. Across runs the monitor is kept, not rebuilt:
+// Reset instruments the next run's network with the same sketch slab, tables
+// and delayed reports, as experiment's run bundle does.
 //
 // # Error of an estimate
 //
@@ -76,7 +78,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"mafic/internal/loglog"
 	"mafic/internal/netsim"
@@ -213,12 +214,13 @@ func cellByPacketsDesc(a, b Cell) int {
 // NodeID-indexed tables rather than maps so readers index instead of hash
 // and iteration order is deterministic (ascending router ID).
 //
-// Reports delivered through the monitor's onReport callback or returned by
-// Compute are live: they share the monitor's tables and answer matrix
-// queries from its sketches, so they are valid only until the monitor moves
-// on (see the package comment) unless copied with Clone. Reports obtained
-// from Clone or built by hand are owned: they carry their matrix in Matrix
-// and stay valid indefinitely.
+// A report handed to the monitor's onReport callback is valid only during
+// the call, and one returned by Compute only until the monitor moves on (see
+// the package comment), unless copied with Clone: a live report shares the
+// monitor's tables and answers matrix queries from its sketches, and a
+// delayed one is the monitor's own copy, refilled at a later delayed epoch.
+// Reports obtained from Clone or built by hand are owned: they carry their
+// matrix in Matrix and stay valid indefinitely.
 type EpochReport struct {
 	// Epoch is the index of the measurement period, starting at 1.
 	Epoch int
@@ -288,23 +290,31 @@ func (r *EpochReport) AppendTopSources(dst []Cell, dest netsim.NodeID) []Cell {
 // caller owns: a copy of an owned report's Matrix, a live report's n²
 // estimates materialised. Consumers that rank one destination want
 // AppendTopSources.
-func (r *EpochReport) Cells() []Cell {
+func (r *EpochReport) Cells() []Cell { return r.appendCells(nil) }
+
+// appendCells appends the whole matrix to dst, as Cells returns it.
+func (r *EpochReport) appendCells(dst []Cell) []Cell {
 	if r.live != nil {
-		return r.live.appendCells(nil, r.gen)
+		return r.live.appendCells(dst, r.gen)
 	}
-	return append([]Cell(nil), r.Matrix...)
+	return append(dst, r.Matrix...)
 }
 
 // Clone returns a deep copy of the report that owns its backing arrays and
 // its matrix, for callers that retain reports beyond the onReport callback.
 func (r *EpochReport) Clone() EpochReport {
-	cp := *r
-	cp.Routers = append([]netsim.NodeID(nil), r.Routers...)
-	cp.SourceEst = append([]float64(nil), r.SourceEst...)
-	cp.DestEst = append([]float64(nil), r.DestEst...)
-	cp.Matrix = r.Cells()
-	cp.live = nil
+	var cp EpochReport
+	r.cloneInto(&cp)
 	return cp
+}
+
+// cloneInto makes dst an owned copy of r, refilling dst's backing arrays.
+func (r *EpochReport) cloneInto(dst *EpochReport) {
+	*dst = EpochReport{Epoch: r.Epoch, Start: r.Start, End: r.End,
+		Routers:   append(dst.Routers[:0], r.Routers...),
+		SourceEst: append(dst.SourceEst[:0], r.SourceEst...),
+		DestEst:   append(dst.DestEst[:0], r.DestEst...),
+		Matrix:    r.appendCells(dst.Matrix[:0])}
 }
 
 // MonitorStats counts the estimation work a monitor has done since
@@ -369,6 +379,9 @@ type Monitor struct {
 	// nbScratch is the reusable neighbour buffer behind the automatic
 	// monitored-set derivation.
 	nbScratch []netsim.NodeID
+	// late lists every delayed report the monitor has made and spare the
+	// ones not in flight, which the next delayed epoch refills in place.
+	late, spare []*EpochReport
 
 	stop    bool
 	running bool
@@ -397,8 +410,8 @@ type MonitorConfig struct {
 	ReportLoss float64
 	// ReportDelayProb is the probability that a surviving report is
 	// delivered ReportDelay late instead of at the epoch boundary. Delayed
-	// reports are deep copies (the reused buffers roll on underneath) and
-	// may arrive after newer epochs' reports — consumers must tolerate
+	// reports are deep copies, valid like any report during the callback,
+	// and may arrive after newer epochs' reports — consumers must tolerate
 	// out-of-order delivery. Zero disables delay and draws no randomness.
 	ReportDelayProb float64
 	// ReportDelay is how late a delayed report arrives. Required positive
@@ -471,7 +484,7 @@ func monitoredSet(net *netsim.Network, cfg MonitorConfig, ids, nb []netsim.NodeI
 			}
 		})
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return slices.Compact(ids), nb, nil
 }
 
@@ -491,10 +504,10 @@ func NewMonitor(net *netsim.Network, cfg MonitorConfig, onReport func(EpochRepor
 // Reset makes m what NewMonitor(net, cfg, onReport) returns, keeping its
 // storage: the sketch slab — at stress scale tens of megabytes of counter
 // state, reset rather than reallocated when the bucket count is unchanged —
-// the counter slab, the dense tables and the report generation, which moves
-// on so that no live report of m's last run can be read. Call it only once
-// no epoch tick of that run can fire. A failed Reset leaves m fit only for
-// another Reset.
+// the counter slab, the dense tables, the delayed reports (any still in
+// flight is reclaimed) and the report generation, which moves on so that no
+// live report of m's last run can be read. Call it only once no event of
+// that run can fire. A failed Reset leaves m fit only for another Reset.
 func (m *Monitor) Reset(net *netsim.Network, cfg MonitorConfig, onReport func(EpochReport)) error {
 	if cfg.Buckets <= 0 {
 		cfg.Buckets = loglog.DefaultBuckets
@@ -572,6 +585,8 @@ func (m *Monitor) Reset(net *netsim.Network, cfg MonitorConfig, onReport func(Ep
 		dstEst:      dstEst,
 		gen:         m.gen + 1,
 		nbScratch:   nb,
+		late:        m.late,
+		spare:       append(m.spare[:0], m.late...),
 		reportLoss:  cfg.ReportLoss,
 		delayProb:   cfg.ReportDelayProb,
 		reportDelay: cfg.ReportDelay,
@@ -633,13 +648,16 @@ func (m *Monitor) Stop() { m.stop = true }
 
 // OnEventArg implements sim.ArgHandler. With a nil argument it is the epoch
 // tick; with a *EpochReport it is a delayed report reaching the consumer,
-// the owned deep copy made at its epoch boundary. Scheduling the monitor
-// itself (rather than a bound method value) keeps the periodic rescheduling
-// allocation-free.
+// the owned copy made at its epoch boundary, which the monitor takes back
+// after the callback unless a restore made it. Scheduling the monitor itself
+// (not a bound method value) keeps the periodic rescheduling allocation-free.
 func (m *Monitor) OnEventArg(now sim.Time, arg any) {
 	if late, ok := arg.(*EpochReport); ok {
 		if m.onReport != nil {
 			m.onReport(*late)
+		}
+		if slices.Contains(m.late, late) {
+			m.spare = append(m.spare, late)
 		}
 		return
 	}
@@ -660,11 +678,16 @@ func (m *Monitor) OnEventArg(now sim.Time, arg any) {
 	if m.onReport != nil {
 		if m.ctrlRNG != nil && m.ctrlRNG.Bool(m.delayProb) {
 			// Delayed delivery: the tables and sketches roll on with the
-			// next epoch, so the late copy must own its backing and its
-			// matrix. The allocation, and the n² unions, are confined to
-			// the lossy-channel path.
-			late := report.Clone()
-			m.sched.ScheduleArgAt(now+m.reportDelay, m, &late)
+			// next epoch, so a spare report is refilled with its own copy
+			// of them and the matrix, the n² unions confined to this path.
+			if len(m.spare) == 0 {
+				late := new(EpochReport)
+				m.late, m.spare = append(m.late, late), append(m.spare, late)
+			}
+			late := m.spare[len(m.spare)-1]
+			m.spare = m.spare[:len(m.spare)-1]
+			report.cloneInto(late)
+			m.sched.ScheduleArgAt(now+m.reportDelay, m, late)
 		} else {
 			m.onReport(report)
 		}
