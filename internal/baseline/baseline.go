@@ -45,16 +45,28 @@ var _ netsim.Filter = (*Dropper)(nil)
 
 // NewDropper creates a proportional dropper bound to a router.
 func NewDropper(probability float64, router *netsim.Router, rng *sim.RNG) (*Dropper, error) {
+	p := new(Dropper)
+	if err := p.Reset(probability, router, rng); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Reset makes p what NewDropper(probability, router, rng) returns, so a run
+// can rebind a dropper an earlier run left behind. A failed Reset leaves p as
+// it was.
+func (p *Dropper) Reset(probability float64, router *netsim.Router, rng *sim.RNG) error {
 	if probability < 0 || probability > 1 {
-		return nil, fmt.Errorf("%w: probability %v", ErrConfig, probability)
+		return fmt.Errorf("%w: probability %v", ErrConfig, probability)
 	}
 	if router == nil {
-		return nil, fmt.Errorf("%w: nil router", ErrConfig)
+		return fmt.Errorf("%w: nil router", ErrConfig)
 	}
 	if rng == nil {
 		rng = router.Network().RNG().Fork()
 	}
-	return &Dropper{probability: probability, router: router, rng: rng}, nil
+	*p = Dropper{probability: probability, router: router, rng: rng}
+	return nil
 }
 
 // Name implements netsim.Filter.

@@ -103,3 +103,50 @@ func TestOnlyVictimBoundDataAffected(t *testing.T) {
 		t.Fatal("victim-bound data must be dropped with p=1")
 	}
 }
+
+// TestResetMatchesNewDropper reuses a dropper that has run, been activated and
+// observed drops: after Reset it drops exactly what a new one seeded the same
+// way drops, with no counter, activation or observer left over. A refused
+// Reset leaves the dropper as it was.
+func TestResetMatchesNewDropper(t *testing.T) {
+	net, r, victim := newEnv(t)
+	used, err := NewDropper(1.0, r, sim.NewRNG(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	observed := 0
+	used.SetDropObserver(func(*netsim.Packet, sim.Time) { observed++ })
+	used.Activate(victim)
+	used.Handle(packet(net, victim, netsim.KindData), 0, r)
+	if err := used.Reset(1.5, r, sim.NewRNG(6)); !errors.Is(err, ErrConfig) {
+		t.Fatalf("want ErrConfig for probability > 1, got %v", err)
+	}
+	if !used.Active() || used.Probability() != 1.0 || used.Stats().Dropped != 1 {
+		t.Fatal("a refused Reset changed the dropper")
+	}
+
+	if err := used.Reset(0.5, r, sim.NewRNG(6)); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	fresh, err := NewDropper(0.5, r, sim.NewRNG(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if used.Active() || used.Stats() != (Stats{}) || used.Probability() != 0.5 {
+		t.Fatalf("reset dropper carries its last run: active %v, %+v", used.Active(), used.Stats())
+	}
+	used.Activate(victim)
+	fresh.Activate(victim)
+	for i := 0; i < 1000; i++ {
+		pkt := packet(net, victim, netsim.KindData)
+		if got, want := used.Handle(pkt, 0, r), fresh.Handle(pkt, 0, r); got != want {
+			t.Fatalf("packet %d: reset dropper says %v, new one %v", i, got, want)
+		}
+	}
+	if used.Stats() != fresh.Stats() {
+		t.Fatalf("reset dropper %+v, new one %+v", used.Stats(), fresh.Stats())
+	}
+	if observed != 1 {
+		t.Fatalf("the old observer saw %d drops, want 1: Reset must unbind it", observed)
+	}
+}

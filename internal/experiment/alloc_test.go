@@ -13,7 +13,10 @@ import (
 	"mafic/internal/sim"
 )
 
-// heapDelta runs fn and reports the heap objects and bytes it allocated.
+// heapDelta runs fn and reports the heap objects and bytes it allocated. The
+// counters are the process's, so a test that reads them does not call
+// t.Parallel: Go runs the package's sequential tests first, one at a time, and
+// its parallel ones after them.
 func heapDelta(fn func()) (mallocs, bytes uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -110,6 +113,7 @@ func TestEncodeAllocatesOnce(t *testing.T) {
 // written out), and the median of stress-1k each 10 ms fits 256 KB (202 KB;
 // was 673 KB).
 func TestSnapshotSizes(t *testing.T) {
+	t.Parallel()
 	sizes := func(name string, every sim.Time) []int {
 		e, ok := LookupScenario(name)
 		if !ok {
@@ -203,33 +207,13 @@ func TestRecycledRunAllocations(t *testing.T) {
 		t.Run(e.Name, func(t *testing.T) {
 			s := Quick(e.Build())
 			res := newRunResources()
-			// lowest runs fn three times on the bundle and returns the lower
-			// of what the second and the third allocated, with what fn
-			// returned on that run.
-			lowest := func(fn func() uint64) (bytes, ret uint64) {
-				fn()
-				bytes = ^uint64(0)
-				for i := 0; i < 2; i++ {
-					var r uint64
-					if _, b := heapDelta(func() { r = fn() }); b < bytes {
-						bytes, ret = b, r
-					}
-				}
-				return bytes, ret
-			}
-			plain, series := lowest(func() uint64 {
-				r, err := runWith(s, res, nil, ControlOptions{})
-				if err != nil {
-					t.Fatalf("run: %v", err)
-				}
-				return uint64(cap(r.Series)) * uint64(unsafe.Sizeof(r.Series[0]))
-			})
+			_, plain, series := lowestRun(seriesRun(t, s, res))
 			if want := sizeClass(series); plain != want {
 				t.Errorf("a second run on a recycled bundle allocated %d B, want %d: its Result's series", plain, want)
 			}
 
 			var data []byte
-			ckpt, snapshot := lowest(func() uint64 {
+			_, ckpt, snapshot := lowestRun(func() uint64 {
 				save := func(_ sim.Time, d []byte) error { data = d; return nil }
 				if _, err := runWith(s, res, nil, ControlOptions{Save: save, at: []sim.Time{s.Duration * 9 / 10}}); err != nil {
 					t.Fatalf("checkpointed run: %v", err)
@@ -240,7 +224,7 @@ func TestRecycledRunAllocations(t *testing.T) {
 				t.Errorf("a second checkpointed run on a recycled bundle allocated %d B for a %d B snapshot, want at most %d",
 					ckpt, len(data), limit)
 			}
-			resumed, _ := lowest(func() uint64 {
+			_, resumed, _ := lowestRun(func() uint64 {
 				if _, err := resumeWith(data, res, ControlOptions{}); err != nil {
 					t.Fatalf("resume: %v", err)
 				}
@@ -250,6 +234,44 @@ func TestRecycledRunAllocations(t *testing.T) {
 				t.Errorf("a second resume on a recycled bundle allocated %d B, want at most %d", resumed, limit)
 			}
 		})
+	}
+	// The proportional baseline's droppers and their drop observer are the
+	// bundle's too: a second quick table2 run under it allocates its series
+	// in one object. Before the bundle kept them it allocated 1 600 B in 9.
+	t.Run("table2/baseline", func(t *testing.T) {
+		s := table2Quick(t)
+		s.Defense = DefenseBaseline
+		objects, bytes, series := lowestRun(seriesRun(t, s, newRunResources()))
+		if want := sizeClass(series); bytes != want || objects != 1 {
+			t.Errorf("a second baseline run on a recycled bundle allocated %d B in %d objects, want %d B in 1: its Result's series",
+				bytes, objects, want)
+		}
+	})
+}
+
+// lowestRun runs fn three times and returns the lower of what the second and
+// the third allocated, objects and bytes, with what fn returned on that run.
+func lowestRun(fn func() uint64) (objects, bytes, ret uint64) {
+	fn()
+	bytes = ^uint64(0)
+	for i := 0; i < 2; i++ {
+		var r uint64
+		if o, b := heapDelta(func() { r = fn() }); b < bytes {
+			objects, bytes, ret = o, b, r
+		}
+	}
+	return objects, bytes, ret
+}
+
+// seriesRun returns a run of s on res that reports its Result's series size
+// in bytes.
+func seriesRun(t *testing.T, s Scenario, res *runResources) func() uint64 {
+	return func() uint64 {
+		r, err := runWith(s, res, nil, ControlOptions{})
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		return uint64(cap(r.Series)) * uint64(unsafe.Sizeof(r.Series[0]))
 	}
 }
 
@@ -287,6 +309,7 @@ func TestRebuildReusesTheNetwork(t *testing.T) {
 // links share their configuration. Host rides along so that it, too, cannot
 // grow back a name.
 func TestStructSizes(t *testing.T) {
+	t.Parallel()
 	for _, c := range []struct {
 		name     string
 		got, max uintptr
@@ -308,6 +331,7 @@ func TestStructSizes(t *testing.T) {
 // probe cycles and epochs). A per-hop event creeping back in — it was 2.13
 // with a transmit-done event per packet — fails here, not in a benchmark.
 func TestEventBudgetPerHop(t *testing.T) {
+	t.Parallel()
 	s := table2Quick(t)
 	b, err := buildRun(s, newRunResources())
 	if err != nil {

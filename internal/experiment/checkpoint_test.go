@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"mafic/internal/checkpoint"
@@ -64,9 +65,10 @@ func diffResults(t *testing.T, label string, want, got Result) {
 // It also pins that taking a checkpoint is a pure read — the checkpointed
 // run's own result must match the plain run exactly.
 func TestKillAndResumeEquivalence(t *testing.T) {
+	t.Parallel()
 	for _, e := range Entries() {
-		e := e
 		t.Run(e.Name, func(t *testing.T) {
+			t.Parallel()
 			s := Quick(e.Build())
 			want := plainResult(t, e.Name, s)
 			data, chk := snapshotMidRun(t, s, s.Duration/2)
@@ -91,6 +93,7 @@ func TestKillAndResumeEquivalence(t *testing.T) {
 // timing, and the TopoVersion-driven route re-convergence all travel through
 // the snapshot.
 func TestCheckpointUnderActiveFaults(t *testing.T) {
+	t.Parallel()
 	// 850 ms is inside flap-core's first outage (800–950 ms) and inside
 	// partition-heal's crash window (700–1400 ms).
 	const midFault = 850 * sim.Millisecond
@@ -134,6 +137,7 @@ func TestCheckpointUnderActiveFaults(t *testing.T) {
 // run. A restore that leaked state into a pooled scheduler, arena or scratch
 // table would surface here.
 func TestRestoreThenReuseInvariance(t *testing.T) {
+	t.Parallel()
 	entries := Entries()
 	if len(entries) < 2 {
 		t.Skip("need at least two catalog scenarios")
@@ -168,6 +172,7 @@ func TestRestoreThenReuseInvariance(t *testing.T) {
 // encode must be byte-identical, so a snapshot file can be copied, inspected
 // and re-saved without drift.
 func TestCheckpointRoundTripStability(t *testing.T) {
+	t.Parallel()
 	e := Entries()[0]
 	s := Quick(e.Build())
 	data, _ := snapshotMidRun(t, s, s.Duration/2)
@@ -183,6 +188,7 @@ func TestCheckpointRoundTripStability(t *testing.T) {
 
 // TestCheckpointTimeValidation pins the harness-level input checks.
 func TestCheckpointTimeValidation(t *testing.T) {
+	t.Parallel()
 	s := Quick(Entries()[0].Build())
 	noSave := func(sim.Time, []byte) error { return nil }
 	if _, err := RunWithCheckpoints(s, []sim.Time{0}, noSave); !errors.Is(err, ErrScenario) {
@@ -200,6 +206,7 @@ func TestCheckpointTimeValidation(t *testing.T) {
 // decoder survives systematic damage — truncation at every section boundary
 // region and bit flips across the header — returning clean errors.
 func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
+	t.Parallel()
 	s := Quick(Entries()[0].Build())
 	data, _ := snapshotMidRun(t, s, s.Duration/2)
 
@@ -373,6 +380,7 @@ func gateLastFlowSend(snap *checkpoint.Snapshot) bool {
 // recorded pulsing ones is refused naming the first such flow, not resumed
 // with burst state laid over senders that have no gate.
 func TestRestoreRefusesFlowKindMismatch(t *testing.T) {
+	t.Parallel()
 	e, ok := LookupScenario("shrew")
 	if !ok {
 		t.Fatal("shrew not registered")
@@ -406,6 +414,7 @@ func TestRestoreRefusesFlowKindMismatch(t *testing.T) {
 // an undefended run that carries a MAFIC defender list, empty as the rebuild's
 // is, would resume as if it were one. Both are refused as unusable snapshots.
 func TestRestoreRefusesDefenderKindMismatch(t *testing.T) {
+	t.Parallel()
 	e, ok := LookupScenario("carpet-bombing")
 	if !ok {
 		t.Fatal("carpet-bombing not registered")
@@ -502,6 +511,7 @@ var spliceRetiredKeys = spliceScenarioKeys(map[string]any{
 // refused: json.Unmarshal alone would drop the share and resume a run with
 // other traffic than it was written with.
 func TestResumeIgnoresRetiredScenarioKeys(t *testing.T) {
+	t.Parallel()
 	s := table2Quick(t)
 	data, _ := snapshotMidRun(t, s, s.Duration/2)
 	want, err := RunFromSnapshot(data)
@@ -558,6 +568,7 @@ func mutateSnapshot(tb testing.TB, data []byte, mut func(*checkpoint.Snapshot) b
 // scheduled, or a scenario that sets a deleted option to a value the engine
 // no longer implements, which json.Unmarshal alone would drop without a word.
 func TestRestoreChecksLinkOccupancy(t *testing.T) {
+	t.Parallel()
 	s := table2Quick(t)
 	data, _ := snapshotMidRun(t, s, s.Duration/2)
 	for _, tc := range restoreRefusals {
@@ -579,6 +590,7 @@ func TestRestoreChecksLinkOccupancy(t *testing.T) {
 // last both resume to the reference result. Reusing the output buffer across
 // snapshots would corrupt the kept ones and fail here.
 func TestRetainedSnapshotsStayValid(t *testing.T) {
+	t.Parallel()
 	s := Quick(Entries()[0].Build())
 	want, err := Run(s)
 	if err != nil {
@@ -645,6 +657,7 @@ func TestRetainedSnapshotsStayValid(t *testing.T) {
 // its own — to kill the open probe cycles under a warm session. The test
 // requires that it did see each of those counts go down.
 func TestSessionMatchesFreshCapture(t *testing.T) {
+	t.Parallel()
 	var sawMemory bool
 	var eventsShrank, probesShrank, tablesShrank, lateShrank bool
 	check := func(name string, s Scenario, flushAt sim.Time) {
@@ -738,6 +751,7 @@ func TestSessionMatchesFreshCapture(t *testing.T) {
 // order of the pending events and the probe records' numbering, both of which
 // follow the scheduler's arena, are taken out of the comparison.
 func TestRestoreThenCaptureIsIdentity(t *testing.T) {
+	t.Parallel()
 	for _, e := range Entries() {
 		s := Quick(e.Build())
 		b, err := buildRun(s, newRunResources())
@@ -812,6 +826,7 @@ func inSeqOrder(snap *checkpoint.Snapshot) {
 // sorts them, so the order in the file is free. A mid-run snapshot with its
 // events reversed, and shuffled, resumes to the result of the file as written.
 func TestRestoreAcceptsAnyEventOrder(t *testing.T) {
+	t.Parallel()
 	for _, name := range []string{"flap-core", "table2"} {
 		e, ok := LookupScenario(name)
 		if !ok {
@@ -847,10 +862,10 @@ func TestRestoreAcceptsAnyEventOrder(t *testing.T) {
 // holdsSlice reports whether a value of type t has a slice anywhere inside,
 // remembering the answer per type.
 func holdsSlice(t reflect.Type) (holds bool) {
-	if holds, ok := sliceHolders[t]; ok {
-		return holds
+	if holds, ok := sliceHolders.Load(t); ok {
+		return holds.(bool)
 	}
-	defer func() { sliceHolders[t] = holds }()
+	defer func() { sliceHolders.Store(t, holds) }()
 	switch t.Kind() {
 	case reflect.Slice:
 		return true
@@ -866,7 +881,7 @@ func holdsSlice(t reflect.Type) (holds bool) {
 	return false
 }
 
-var sliceHolders = map[reflect.Type]bool{}
+var sliceHolders sync.Map // reflect.Type → bool, shared by parallel tests
 
 // sameState reports whether two values are equal in everything a snapshot
 // file carries: a nil slice and an empty one are the same list, a pointer (a
@@ -933,43 +948,47 @@ func sameBits(a, b reflect.Value) bool {
 // to the captured one field for field, elided sketches and unordered events
 // included.
 func TestDecodeInvertsEncode(t *testing.T) {
+	t.Parallel()
 	for _, e := range Entries() {
-		s := Quick(e.Build())
-		b, err := buildRun(s, newRunResources())
-		if err != nil {
-			t.Fatalf("%s: build: %v", e.Name, err)
-		}
-		sched := b.res.sched
-		every := s.Duration / 8
-		if s.Faults.ReportDelayProb > 0 {
-			every = s.Faults.ReportDelay / 2
-		}
-		for at := every; at < s.Duration; at += every {
-			if err := sched.RunUntil(at); err != nil {
-				t.Fatalf("%s: run to %v: %v", e.Name, at, err)
-			}
-			data, err := b.snapshot()
+		t.Run(e.Name, func(t *testing.T) {
+			t.Parallel()
+			s := Quick(e.Build())
+			b, err := buildRun(s, newRunResources())
 			if err != nil {
-				t.Fatalf("%s: snapshot at %v: %v", e.Name, at, err)
+				t.Fatalf("%s: build: %v", e.Name, err)
 			}
-			snap, err := b.capture() // the same paused run, so the same Snapshot
-			if err != nil {
-				t.Fatalf("%s: capture at %v: %v", e.Name, at, err)
+			sched := b.res.sched
+			every := s.Duration / 8
+			if s.Faults.ReportDelayProb > 0 {
+				every = s.Faults.ReportDelay / 2
 			}
-			decoded, err := checkpoint.Decode(data)
-			if err != nil {
-				t.Fatalf("%s: decode at %v: %v", e.Name, at, err)
+			for at := every; at < s.Duration; at += every {
+				if err := sched.RunUntil(at); err != nil {
+					t.Fatalf("%s: run to %v: %v", e.Name, at, err)
+				}
+				data, err := b.snapshot()
+				if err != nil {
+					t.Fatalf("%s: snapshot at %v: %v", e.Name, at, err)
+				}
+				snap, err := b.capture() // the same paused run, so the same Snapshot
+				if err != nil {
+					t.Fatalf("%s: capture at %v: %v", e.Name, at, err)
+				}
+				decoded, err := checkpoint.Decode(data)
+				if err != nil {
+					t.Fatalf("%s: decode at %v: %v", e.Name, at, err)
+				}
+				if !sameState(reflect.ValueOf(*snap), reflect.ValueOf(*decoded)) {
+					t.Errorf("%s: the snapshot at %v does not survive Encode and Decode", e.Name, at)
+				}
 			}
-			if !sameState(reflect.ValueOf(*snap), reflect.ValueOf(*decoded)) {
-				t.Errorf("%s: the snapshot at %v does not survive Encode and Decode", e.Name, at)
+			if err := sched.RunUntil(s.Duration); err != nil {
+				t.Fatalf("%s: run to the end: %v", e.Name, err)
 			}
-		}
-		if err := sched.RunUntil(s.Duration); err != nil {
-			t.Fatalf("%s: run to the end: %v", e.Name, err)
-		}
-		if _, err := b.finish(); err != nil {
-			t.Fatalf("%s: finish: %v", e.Name, err)
-		}
-		b.release()
+			if _, err := b.finish(); err != nil {
+				t.Fatalf("%s: finish: %v", e.Name, err)
+			}
+			b.release()
+		})
 	}
 }

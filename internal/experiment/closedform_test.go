@@ -15,6 +15,7 @@ import (
 // post-activation ATR arrivals and the drop observer's DropAttack and
 // DropLegitPDT — so the test checks that plumbing end to end as well.
 func TestProportionalDropIsBinomial(t *testing.T) {
+	t.Parallel()
 	for _, pd := range []float64{0.7, 0.9} {
 		for seed := int64(1); seed <= 3; seed++ {
 			s := table2Quick(t)

@@ -12,6 +12,7 @@ import (
 // snapshots included — produces a Result bit-identical to a plain Run, and
 // that the checkpoint schedule lands on ascending multiples of the interval.
 func TestRunControlledMatchesRun(t *testing.T) {
+	t.Parallel()
 	s := Quick(Entries()[0].Build())
 	want, err := Run(s)
 	if err != nil {
@@ -62,6 +63,7 @@ func TestRunControlledMatchesRun(t *testing.T) {
 // point, returns ErrInterrupted, and the saved snapshot resumes to a result
 // bit-identical to the uninterrupted run.
 func TestRunControlledInterruptSavesFinalSnapshot(t *testing.T) {
+	t.Parallel()
 	s := Quick(Entries()[0].Build())
 	want, err := Run(s)
 	if err != nil {
@@ -122,6 +124,7 @@ func TestRunControlledInterruptSavesFinalSnapshot(t *testing.T) {
 // before the clock advances returns ErrInterrupted without inventing a
 // snapshot — there is no progress to save, the job simply restarts later.
 func TestRunControlledInterruptBeforeStart(t *testing.T) {
+	t.Parallel()
 	s := Quick(Entries()[0].Build())
 	interrupt := make(chan struct{})
 	close(interrupt)
@@ -143,6 +146,7 @@ func TestRunControlledInterruptBeforeStart(t *testing.T) {
 // keeps checkpointing on the original schedule: the next snapshot lands on
 // the first multiple of the interval after the snapshot time.
 func TestResumeControlledCheckpointScheduleContinues(t *testing.T) {
+	t.Parallel()
 	s := Quick(Entries()[0].Build())
 	every := s.Duration / 8
 	data, want := snapshotMidRun(t, s, s.Duration/2)
@@ -179,6 +183,7 @@ func TestResumeControlledCheckpointScheduleContinues(t *testing.T) {
 // the serve recovery fallback depends on: garbage and truncation are the
 // snapshot's fault, so they must carry the sentinel.
 func TestResumeControlledClassifiesSnapshotErrors(t *testing.T) {
+	t.Parallel()
 	if _, err := ResumeControlled([]byte("not a snapshot"), ControlOptions{}); !errors.Is(err, ErrSnapshot) {
 		t.Errorf("garbage: want ErrSnapshot, got %v", err)
 	}
@@ -194,6 +199,7 @@ func TestResumeControlledClassifiesSnapshotErrors(t *testing.T) {
 
 // TestRunControlledRejectsNegativeInterval pins option validation.
 func TestRunControlledRejectsNegativeInterval(t *testing.T) {
+	t.Parallel()
 	s := Quick(Entries()[0].Build())
 	if _, err := RunControlled(s, ControlOptions{CheckpointEvery: -1}); !errors.Is(err, ErrScenario) {
 		t.Errorf("want ErrScenario, got %v", err)
@@ -204,6 +210,7 @@ func TestRunControlledRejectsNegativeInterval(t *testing.T) {
 // with nowhere to save is refused up front, on both entry points, rather than
 // silently running as one uninterruptible, never-checkpointed segment.
 func TestRunControlledRejectsIntervalWithoutSave(t *testing.T) {
+	t.Parallel()
 	s := Quick(Entries()[0].Build())
 	opts := ControlOptions{CheckpointEvery: s.Duration / 4}
 	if _, err := RunControlled(s, opts); !errors.Is(err, ErrScenario) {

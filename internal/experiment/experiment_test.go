@@ -29,12 +29,14 @@ func quickScenario() Scenario {
 }
 
 func TestDefaultScenarioValidates(t *testing.T) {
+	t.Parallel()
 	if err := DefaultScenario().Validate(); err != nil {
 		t.Fatalf("default scenario invalid: %v", err)
 	}
 }
 
 func TestScenarioValidateErrors(t *testing.T) {
+	t.Parallel()
 	tests := []struct {
 		name   string
 		mutate func(*Scenario)
@@ -94,6 +96,7 @@ func TestScenarioValidateErrors(t *testing.T) {
 }
 
 func TestDefenseKindString(t *testing.T) {
+	t.Parallel()
 	tests := []struct {
 		kind DefenseKind
 		want string
@@ -111,6 +114,7 @@ func TestDefenseKindString(t *testing.T) {
 }
 
 func TestRunMAFICScenario(t *testing.T) {
+	t.Parallel()
 	res, err := Run(quickScenario())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -148,6 +152,7 @@ func TestRunMAFICScenario(t *testing.T) {
 }
 
 func TestRunIsDeterministic(t *testing.T) {
+	t.Parallel()
 	s := quickScenario()
 	a, err := Run(s)
 	if err != nil {
@@ -171,6 +176,7 @@ func TestRunIsDeterministic(t *testing.T) {
 }
 
 func TestRunBaselineHasMoreCollateralDamage(t *testing.T) {
+	t.Parallel()
 	s := quickScenario()
 	maficRes, err := Run(s)
 	if err != nil {
@@ -194,6 +200,7 @@ func TestRunBaselineHasMoreCollateralDamage(t *testing.T) {
 }
 
 func TestRunWithoutDefense(t *testing.T) {
+	t.Parallel()
 	s := quickScenario()
 	s.Defense = DefenseNone
 	res, err := Run(s)
@@ -209,6 +216,7 @@ func TestRunWithoutDefense(t *testing.T) {
 }
 
 func TestRunDetectionIdentifiesAttackIngress(t *testing.T) {
+	t.Parallel()
 	res, err := Run(quickScenario())
 	if err != nil {
 		t.Fatal(err)
@@ -225,6 +233,7 @@ func TestRunDetectionIdentifiesAttackIngress(t *testing.T) {
 }
 
 func TestRunFallbackActivation(t *testing.T) {
+	t.Parallel()
 	s := quickScenario()
 	// Cripple detection so only the scheduled fallback can activate.
 	s.Pushback.HistoryFactor = 1000
@@ -241,6 +250,7 @@ func TestRunFallbackActivation(t *testing.T) {
 }
 
 func TestRunInvalidScenario(t *testing.T) {
+	t.Parallel()
 	s := quickScenario()
 	s.Duration = 0
 	if _, err := Run(s); !errors.Is(err, ErrScenario) {
@@ -252,6 +262,7 @@ func TestRunInvalidScenario(t *testing.T) {
 // quickScenario byte for byte (rewrite it with -update after an intentional
 // change) and checks each figure's shape and metadata.
 func TestGenerateQuickFigures(t *testing.T) {
+	t.Parallel()
 	// Generating every figure in Quick mode is the closest thing to an
 	// end-to-end test of the whole harness. Keep the base scenario small
 	// so the full set stays fast.
@@ -306,12 +317,14 @@ func TestGenerateQuickFigures(t *testing.T) {
 }
 
 func TestGenerateUnknownFigure(t *testing.T) {
+	t.Parallel()
 	if _, err := Generate(FigureID("nope"), SweepOptions{Quick: true}); !errors.Is(err, ErrScenario) {
 		t.Fatalf("want ErrScenario, got %v", err)
 	}
 }
 
 func TestFig3aAccuracyShape(t *testing.T) {
+	t.Parallel()
 	fig, err := Generate(FigureF3a, quickFigureOpts())
 	if err != nil {
 		t.Fatal(err)

@@ -76,12 +76,6 @@ type FaultSpec struct {
 	ReportDelay     sim.Time `json:"reportDelay,omitempty"`
 }
 
-// Enabled reports whether the spec injects any fault at all.
-func (f FaultSpec) Enabled() bool {
-	return len(f.LinkFlaps) > 0 || len(f.RouterCrashes) > 0 ||
-		f.ReportLoss > 0 || f.ReportDelayProb > 0
-}
-
 // Validate reports specification problems against a domain of the given
 // router count and a run of the given duration. Link existence cannot be
 // checked here — chords are random — so buildRun rejects flaps naming

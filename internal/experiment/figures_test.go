@@ -49,6 +49,7 @@ func shortFigures(t *testing.T) []Figure {
 // ablation-pulsing's constant flood (and, at full size, Fig. 4(b)'s Vt=10
 // timeline) is ablation-baseline's MAFIC run.
 func TestFigurePlanRunsEachScenarioOnce(t *testing.T) {
+	t.Parallel()
 	runs := func(ids []FigureID, opts SweepOptions) int {
 		t.Helper()
 		_, runs, err := planFigures(ids, opts)
@@ -95,6 +96,7 @@ func TestGenerateMatchesWholeSet(t *testing.T) {
 // TestSweepSeedAppliesOverBase checks that SweepOptions.Seed is the base seed
 // whether or not Base is set.
 func TestSweepSeedAppliesOverBase(t *testing.T) {
+	t.Parallel()
 	b := quickScenario()
 	b7 := b
 	b7.Seed = 7

@@ -86,6 +86,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	close(stopped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		t.Parallel() // the seed corpus runs two inputs at a time; fuzzing ignores it
 		snap, err := checkpoint.Decode(data)
 		for _, other := range others {
 			kept, oerr := checkpoint.Decode(other)

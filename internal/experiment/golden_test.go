@@ -93,6 +93,7 @@ func checkCount(t *testing.T, metric string, got, want int) {
 // its pinned seed and compares the paper's headline metrics against the
 // committed fixtures, so engine refactors cannot silently shift the numbers.
 func TestGoldenScenarios(t *testing.T) {
+	t.Parallel()
 	for _, e := range Entries() {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
@@ -164,6 +165,7 @@ func TestGoldenScenarios(t *testing.T) {
 // TestGoldenFixturesCoverCatalog fails when a scenario is registered without
 // a fixture or a fixture is left behind after a scenario is renamed.
 func TestGoldenFixturesCoverCatalog(t *testing.T) {
+	t.Parallel()
 	if *updateGolden {
 		t.Skip("updating fixtures")
 	}

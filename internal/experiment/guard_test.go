@@ -98,10 +98,10 @@ var fieldManifest = map[string][]string{
 	"experiment.Result":              {"ATRCount", "Accuracy", "Activated", "ActivationSeconds", "AttackFlowsForgiven", "AttackRate", "Counts", "Defense", "DefenseStats", "DetectedByPushback", "EventsProcessed", "FalseNegativeRate", "FalsePositiveRate", "FlowsProbed", "LegitFlowsCondemned", "LegitimateDropRate", "Name", "Pd", "RouteBytes", "RouteEntries", "Routers", "Series", "TCPShare", "TrafficReduction", "Volume"}, // filled by finish; only the activation flags travel, as RunFlags
 	"experiment.RouterCrash":         {"CrashAt", "RestoreAt", "Router"},
 	"experiment.Scenario":            {"BinWidth", "Defense", "DetectionFallback", "Duration", "Faults", "MAFIC", "Monitor", "Name", "Pushback", "ReductionWindow", "Seed", "Topology", "Workload"},
-	"experiment.builtRun":            {"buildSeq", "collector", "domain", "linked", "registered", "res", "result", "s"},                                                                                                                   // linked, registered: whether the bundle's capture registry holds this run's objects; buildSeq travels as Snapshot.BuildSeq
-	"experiment.captureSession":      {"handlers", "links", "probeIdx", "probes", "reports", "run", "snap"},                                                                                                                               // the bundle's checkpoint storage around its one Snapshot, which captures refill and resumes decode into; events go straight into snap.Events, unsorted
-	"experiment.handlerRole":         {"index", "kind", "run"},                                                                                                                                                                            // the capture registry's value: which event kind and owner a handler is, for which registration
-	"experiment.runResources":        {"arena", "atrIDs", "collector", "coordinator", "defByRouter", "droppers", "ingressIDs", "mafic", "monitor", "onMAFICDrop", "onPushback", "onReport", "rng", "run", "sched", "session", "workload"}, // the recycled bundle: every object it holds has its own row; atrIDs: scratch of the pushback callback; onMAFICDrop, onPushback, onReport: callbacks bound once to the bundle's objects
+	"experiment.builtRun":            {"buildSeq", "collector", "domain", "linked", "registered", "res", "result", "s"},                                                                                                                      // linked, registered: whether the bundle's capture registry holds this run's objects; buildSeq travels as Snapshot.BuildSeq
+	"experiment.captureSession":      {"handlers", "links", "probeIdx", "probes", "reports", "run", "snap"},                                                                                                                                  // the bundle's checkpoint storage around its one Snapshot, which captures refill and resumes decode into; events go straight into snap.Events, unsorted
+	"experiment.handlerRole":         {"index", "kind", "run"},                                                                                                                                                                               // the capture registry's value: which event kind and owner a handler is, for which registration
+	"experiment.runResources":        {"arena", "atrIDs", "collector", "coordinator", "droppers", "ingressIDs", "mafic", "monitor", "onBaselineDrop", "onMAFICDrop", "onPushback", "onReport", "rng", "run", "sched", "session", "workload"}, // the recycled bundle: every object it holds has its own row; atrIDs: scratch of the pushback callback; onBaselineDrop, onMAFICDrop, onPushback, onReport: callbacks bound once to the bundle's objects
 	"flowtable.Entry":                {"BaselineCount", "Dropped", "FirstSeen", "Gen", "LabelHash", "LastSeen", "Packets", "ProbeDeadline", "ProbeStart", "ResponseCount", "State"},
 	"flowtable.Tables":               {"capacity", "evictions", "free", "index", "scratch", "sizes", "slab", "transitions"}, // scratch: ForEachEntry's sort buffer, capture scratch with no run state
 	"flowtable.TablesState":          {"Entries", "Evictions", "Transitions"},
@@ -175,6 +175,7 @@ var fieldManifest = map[string][]string{
 // watched set is derived, not listed, so a struct a run comes to hold is
 // watched from the moment it is reachable.
 func TestStateCoverageGuard(t *testing.T) {
+	t.Parallel()
 	if manifestVersion != checkpoint.SnapshotVersion {
 		t.Fatalf("manifest written for snapshot version %d, code is at %d — re-audit the manifest after a format change",
 			manifestVersion, checkpoint.SnapshotVersion)

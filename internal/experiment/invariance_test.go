@@ -117,6 +117,7 @@ func TestHardenedBufferReuseInvariance(t *testing.T) { testArenaReuse(t, true) }
 // every-router monitor is four sketches a router, so domains are capped at
 // stress-1k's size.
 func TestMonitoredSetInvariance(t *testing.T) {
+	t.Parallel()
 	const maxRouters = 1000
 	for _, e := range Entries() {
 		t.Run(e.Name, func(t *testing.T) {
@@ -148,6 +149,7 @@ func TestMonitoredSetInvariance(t *testing.T) {
 // TestBufferReuseInvariance asks the same of a bundle it passes in itself;
 // this one is the only suite that goes through Run's idle bundles.
 func TestSchedulerBackendInvariance(t *testing.T) {
+	t.Parallel()
 	for _, e := range Entries() {
 		t.Run(e.Name, func(t *testing.T) {
 			t.Parallel()
@@ -182,6 +184,7 @@ func catalogDomains(t *testing.T, check func(t *testing.T, d *topology.Domain)) 
 // LinkBetween finds each link ForEachLink visits, and Neighbors lists exactly
 // the visited targets, ascending.
 func TestAdjacencyModeInvariance(t *testing.T) {
+	t.Parallel()
 	catalogDomains(t, func(t *testing.T, d *topology.Domain) {
 		net := d.Net
 		targets := make([][]netsim.NodeID, net.NodeCount())
@@ -211,6 +214,7 @@ func TestAdjacencyModeInvariance(t *testing.T) {
 // on LinkBetween(router, reference next hop), the attachment link for a host
 // it attaches, and NextHop must name the reference next hop.
 func TestRoutingModeEquivalence(t *testing.T) {
+	t.Parallel()
 	catalogDomains(t, func(t *testing.T, d *topology.Domain) {
 		net := d.Net
 		dests := []netsim.NodeID{d.Victim.ID(), d.Clients[0].ID(), d.Zombies[len(d.Zombies)-1].ID(),
@@ -270,6 +274,7 @@ func TestRoutingModeEquivalence(t *testing.T) {
 // proportional-dropping and an undefended run, and come back hardened, with
 // probing memory, before serving the paper's defence again.
 func TestArenaSequenceMatchesFreshArena(t *testing.T) {
+	t.Parallel()
 	defences := map[string]func(*Scenario){
 		"mafic":    func(*Scenario) {},
 		"baseline": func(s *Scenario) { s.Defense = DefenseBaseline },
@@ -323,9 +328,11 @@ func TestArenaSequenceMatchesFreshArena(t *testing.T) {
 // reports left in the Snapshot — must give the result and the 95 % snapshot
 // it gives on a brand-new bundle.
 func TestSnapshotIndependentOfBundleHistory(t *testing.T) {
+	t.Parallel()
 	entries := Entries()
 	for i, e := range entries {
 		t.Run(e.Name, func(t *testing.T) {
+			t.Parallel()
 			s := Quick(e.Build())
 			snapshot := func(s Scenario, res *runResources) []byte {
 				var data []byte
@@ -382,6 +389,7 @@ func TestSnapshotIndependentOfBundleHistory(t *testing.T) {
 // found at an event's place, both reports decoded into the one record and
 // the run went on with the second twice.
 func TestResumeKeepsEveryLateReport(t *testing.T) {
+	t.Parallel()
 	e, ok := LookupScenario("lossy-control")
 	if !ok {
 		t.Fatal("lossy-control not registered")

@@ -251,6 +251,7 @@ func tableII(t *testing.T) string {
 // runs, a paper knob is named in Table II, a fixed knob has a reason and one
 // value everywhere. Each row's out-of-range value must fail Validate.
 func TestKnobCensus(t *testing.T) {
+	t.Parallel()
 	values := knobValues()
 	table := tableII(t)
 	leaves := make(map[string]bool)

@@ -47,19 +47,45 @@ func runBuilt(t *testing.T, s Scenario, hook func(b *builtRun), check func(b *bu
 // windows still open), NFT = FlowsNice − FlowsReprobed and PDT =
 // FlowsCondemned + FlowsIllegal, and the tables' per-state admission counts
 // are FlowsProbed, FlowsNice and FlowsCondemned + FlowsIllegal.
+//
+// No quick catalog run re-probes a flow, so the census also runs one full-size
+// hardened point of the default search grid that does (ROBUST_baseline.json
+// records 10 re-probed flows for it) and requires it to: the NFT → SFT move
+// is counted, not only the identities that hold without it.
 func TestFlowTableCensus(t *testing.T) {
+	t.Parallel()
+	type censusRun struct {
+		name    string
+		s       Scenario
+		reprobe bool // the run must re-probe at least one flow
+	}
+	var runs []censusRun
 	for _, e := range Entries() {
-		for _, hardened := range []bool{false, true} {
-			s, name := Quick(e.Build()), e.Name
-			if hardened {
-				s, name = Harden(s), "hardened "+name
-			}
-			runBuilt(t, s, nil, func(b *builtRun, _ Result) {
+		s := Quick(e.Build())
+		runs = append(runs, censusRun{e.Name, s, false}, censusRun{"hardened " + e.Name, Harden(s), false})
+	}
+	const reprobing = "hardened/none/pulse-400ms-25pct/uniform/spread0.00"
+	spec := DefaultSearchSpec()
+	for _, p := range spec.Grid() {
+		if s := spec.scenario(spec.Defences[1], p, false); s.Name == reprobing {
+			runs = append(runs, censusRun{s.Name, s, true})
+		}
+	}
+	if !runs[len(runs)-1].reprobe {
+		t.Fatalf("the default search grid has no point %s", reprobing)
+	}
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			t.Parallel()
+			name := r.name
+			var reprobed uint64
+			runBuilt(t, r.s, nil, func(b *builtRun, _ Result) {
 				if len(b.res.mafic) == 0 {
 					t.Fatalf("%s: no MAFIC defender was built", name)
 				}
 				for i, d := range b.res.mafic {
 					st, tables := d.Stats(), d.Tables()
+					reprobed += st.FlowsReprobed
 					sft, nft, pdt := tables.Sizes()
 					for _, c := range []struct {
 						what      string
@@ -79,7 +105,10 @@ func TestFlowTableCensus(t *testing.T) {
 					}
 				}
 			})
-		}
+			if r.reprobe && reprobed == 0 {
+				t.Errorf("%s re-probed no flow: the census did not count the NFT → SFT move", name)
+			}
+		})
 	}
 }
 
@@ -97,46 +126,50 @@ func TestFlowTableCensus(t *testing.T) {
 // so the two runs are the same run; the rewired one's queue and fault drops
 // must equal the plain one's Counts.
 func TestPacketLedger(t *testing.T) {
+	t.Parallel()
 	for _, e := range Entries() {
-		s := Quick(e.Build())
-		plain, err := Run(s)
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name, err)
-		}
-		var delivered, queued, faulted, unroutable uint64
-		rewire := func(b *builtRun) {
-			b.domain.Net.SetHooks(netsim.Hooks{
-				OnDeliver:    func(*netsim.Packet, *netsim.Host, sim.Time) { delivered++ },
-				OnQueueDrop:  func(*netsim.Packet, *netsim.Link, sim.Time) { queued++ },
-				OnFaultDrop:  func(*netsim.Packet, netsim.NodeID, sim.Time) { faulted++ },
-				OnUnroutable: func(*netsim.Packet, netsim.NodeID, sim.Time) { unroutable++ },
-			})
-		}
-		runBuilt(t, s, rewire, func(b *builtRun, r Result) {
-			var sent, inFlight uint64
-			b.domain.Net.ForEachNode(func(_ netsim.NodeID, _ *netsim.Router, h *netsim.Host) {
-				if h != nil {
-					sent += h.Sent()
-				}
-			})
-			b.res.sched.ForEachPending(func(ev sim.PendingEvent) {
-				if l, ok := ev.H.(*netsim.Link); ok {
-					for p := ev.Arg.(*netsim.Packet); p != nil; p, _, _ = l.NextInFlight(p) {
-						inFlight++
+		t.Run(e.Name, func(t *testing.T) {
+			t.Parallel()
+			s := Quick(e.Build())
+			plain, err := Run(s)
+			if err != nil {
+				t.Fatalf("%s: %v", e.Name, err)
+			}
+			var delivered, queued, faulted, unroutable uint64
+			rewire := func(b *builtRun) {
+				b.domain.Net.SetHooks(netsim.Hooks{
+					OnDeliver:    func(*netsim.Packet, *netsim.Host, sim.Time) { delivered++ },
+					OnQueueDrop:  func(*netsim.Packet, *netsim.Link, sim.Time) { queued++ },
+					OnFaultDrop:  func(*netsim.Packet, netsim.NodeID, sim.Time) { faulted++ },
+					OnUnroutable: func(*netsim.Packet, netsim.NodeID, sim.Time) { unroutable++ },
+				})
+			}
+			runBuilt(t, s, rewire, func(b *builtRun, r Result) {
+				var sent, inFlight uint64
+				b.domain.Net.ForEachNode(func(_ netsim.NodeID, _ *netsim.Router, h *netsim.Host) {
+					if h != nil {
+						sent += h.Sent()
 					}
+				})
+				b.res.sched.ForEachPending(func(ev sim.PendingEvent) {
+					if l, ok := ev.H.(*netsim.Link); ok {
+						for p := ev.Arg.(*netsim.Packet); p != nil; p, _, _ = l.NextInFlight(p) {
+							inFlight++
+						}
+					}
+				})
+				c, pc := r.Counts, plain.Counts
+				created := sent + r.DefenseStats.ProbesSent
+				defence := c.DropLegitProbing + c.DropLegitPDT + c.DropLegitIllegal + c.DropAttack
+				if queued != pc.QueueDrops || faulted != pc.FaultDrops || defence != pc.DropLegitProbing+pc.DropLegitPDT+pc.DropLegitIllegal+pc.DropAttack {
+					t.Fatalf("%s: the rewired run dropped %d by queue, %d by fault and %d by defence; the plain run's Counts %+v",
+						e.Name, queued, faulted, defence, pc)
+				}
+				if ended := delivered + defence + pc.QueueDrops + pc.FaultDrops + unroutable + inFlight; created != ended {
+					t.Errorf("%s: %d packets created (%d sent, %d probes), %d accounted for: %d delivered, %d defence, %d queue and %d fault drops, %d unroutable, %d on links",
+						e.Name, created, sent, r.DefenseStats.ProbesSent, ended, delivered, defence, pc.QueueDrops, pc.FaultDrops, unroutable, inFlight)
 				}
 			})
-			c, pc := r.Counts, plain.Counts
-			created := sent + r.DefenseStats.ProbesSent
-			defence := c.DropLegitProbing + c.DropLegitPDT + c.DropLegitIllegal + c.DropAttack
-			if queued != pc.QueueDrops || faulted != pc.FaultDrops || defence != pc.DropLegitProbing+pc.DropLegitPDT+pc.DropLegitIllegal+pc.DropAttack {
-				t.Fatalf("%s: the rewired run dropped %d by queue, %d by fault and %d by defence; the plain run's Counts %+v",
-					e.Name, queued, faulted, defence, pc)
-			}
-			if ended := delivered + defence + pc.QueueDrops + pc.FaultDrops + unroutable + inFlight; created != ended {
-				t.Errorf("%s: %d packets created (%d sent, %d probes), %d accounted for: %d delivered, %d defence, %d queue and %d fault drops, %d unroutable, %d on links",
-					e.Name, created, sent, r.DefenseStats.ProbesSent, ended, delivered, defence, pc.QueueDrops, pc.FaultDrops, unroutable, inFlight)
-			}
 		})
 	}
 }

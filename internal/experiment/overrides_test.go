@@ -15,6 +15,7 @@ func ptr[T any](v T) *T { return &v }
 // the overrides, Harden after them, the paper-scale rate divided by RateScale,
 // one name-to-defence mapping, and every rejection an ErrScenario.
 func TestOverridesBuild(t *testing.T) {
+	t.Parallel()
 	shrew := func() Scenario {
 		e, ok := LookupScenario("shrew")
 		if !ok {

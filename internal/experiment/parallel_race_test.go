@@ -11,6 +11,7 @@ import (
 // Under `go test -race` this is the regression net for data races in
 // RunMany; in any mode it pins serial/parallel bit-identity for the catalog.
 func TestRunManyParallelAdversarialScenarios(t *testing.T) {
+	t.Parallel()
 	var scenarios []Scenario
 	// The chaos scenarios ride along so fault schedules and the lossy
 	// control plane are proven bit-identical between serial and parallel
@@ -53,6 +54,7 @@ func TestRunManyParallelAdversarialScenarios(t *testing.T) {
 // the parallel path: the first error in input order is reported even when a
 // later worker fails first in wall-clock time.
 func TestRunManyParallelFirstErrorDeterministic(t *testing.T) {
+	t.Parallel()
 	e, ok := LookupScenario("multi-victim")
 	if !ok {
 		t.Fatal("multi-victim not registered")

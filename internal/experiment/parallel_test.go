@@ -23,6 +23,7 @@ func parallelTestBase() Scenario {
 // worker pool: for a fixed seed, running the same scenarios serially and
 // across workers must produce byte-identical results in the same order.
 func TestRunManySerialParallelIdentical(t *testing.T) {
+	t.Parallel()
 	var scenarios []Scenario
 	for i, flows := range []int{8, 12, 16, 20} {
 		s := parallelTestBase()

@@ -69,6 +69,7 @@ func runVerdicts(t *testing.T, s Scenario) (Result, probeVerdicts, int) {
 // and 4 × RTT it condemns none. So the 1 × RTT series is carried by
 // legitimate flows that the comparison condemns, not by MinProbePackets.
 func TestProbeSeparatesTheFlows(t *testing.T) {
+	t.Parallel()
 	t.Run("table2", func(t *testing.T) {
 		for _, tc := range []struct {
 			dupAcks int
@@ -152,6 +153,7 @@ func TestProbeSeparatesTheFlows(t *testing.T) {
 // At 40 ms the partial band is 6 and 7 ms of access delay, and from 8 ms on
 // every legitimate flow is condemned.
 func TestProbeWindowNeedsTheFlowsRTT(t *testing.T) {
+	t.Parallel()
 	accessMs := []sim.Time{1, 3, 5, 6, 7, 8, 10, 20}
 	for _, tc := range []struct {
 		rttMs     sim.Time

@@ -3,6 +3,7 @@ package experiment
 import "testing"
 
 func TestRegistryCatalogSize(t *testing.T) {
+	t.Parallel()
 	// The catalog must offer the paper's default operating point plus at
 	// least five adversarial workloads.
 	entries := Entries()
@@ -17,6 +18,7 @@ func TestRegistryCatalogSize(t *testing.T) {
 }
 
 func TestRegistryEntriesBuildAndValidate(t *testing.T) {
+	t.Parallel()
 	for _, e := range Entries() {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
@@ -44,6 +46,7 @@ func TestRegistryEntriesBuildAndValidate(t *testing.T) {
 }
 
 func TestRegistryBuildReturnsFreshScenarios(t *testing.T) {
+	t.Parallel()
 	e, ok := LookupScenario("rolling-pulse")
 	if !ok {
 		t.Fatal("rolling-pulse missing")
@@ -63,6 +66,7 @@ func TestRegistryBuildReturnsFreshScenarios(t *testing.T) {
 }
 
 func TestRegistryNamesSorted(t *testing.T) {
+	t.Parallel()
 	entries := Entries()
 	for i, e := range entries {
 		if i > 0 && entries[i-1].Name >= e.Name {
@@ -81,6 +85,7 @@ func TestRegistryNamesSorted(t *testing.T) {
 // to refuse: an empty or repeated name, a missing builder, and a builder whose
 // scenario carries another name than its entry.
 func TestRegisterRejectsBadEntries(t *testing.T) {
+	t.Parallel()
 	seen := map[string]bool{}
 	for _, e := range catalog {
 		switch {
@@ -98,6 +103,7 @@ func TestRegisterRejectsBadEntries(t *testing.T) {
 }
 
 func TestQuickScenarioRunsEveryEntry(t *testing.T) {
+	t.Parallel()
 	for _, e := range Entries() {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 
 	"mafic/internal/baseline"
 	"mafic/internal/checkpoint"
@@ -16,33 +17,26 @@ import (
 	"mafic/internal/trafficmatrix"
 )
 
-// defense abstracts over the MAFIC defender and the proportional baseline so
-// the run loop can activate either uniformly.
-type defense interface {
-	Activate(victim netsim.IP)
-}
-
 // runResources is everything a run borrows for its lifetime and hands back in
 // one piece, and the one owner of what runs recycle: the topology arena (whose
 // network every build resets and rebuilds in place), the scheduler, the engine
-// objects every build resets in place on that network — the MAFIC defenders,
-// the traffic-matrix monitor with its delayed reports, the pushback
-// coordinator, the workload with its senders and servers, and the metrics
-// collector — the built run itself, the root RNG with every stream a run has
-// forked from it, the run-scoped lookup tables buildRun refills for every
-// scenario: the per-defender dispatch map and the ingress and ATR id lists,
-// the callbacks a build wires into the engine, and, once a run of it has been
-// checkpointed or resumed, the checkpoint session: the one Snapshot every
-// capture refills and every resume decodes into, its encode buffer and the
-// capture registry's storage. A recycled bundle keeps the arena's backing
-// arrays, the scheduler's event arena and queue geometry, the objects' slabs
-// and tables, the streams' sources, the maps' buckets and the snapshot's
-// lists warm, so a steady-state plain run allocates nothing but its Result's
-// series, and a checkpointed or resumed one little more. Reuse is
-// bit-invariant: dispatch order depends on none of it, a stream reseeded in
-// place draws exactly what a new one would (see sim.RNG.Reset), and the
-// invariance suite pins a run on a recycled bundle against one on a
-// brand-new bundle for the whole catalog.
+// objects every build resets in place on that network — the MAFIC defenders
+// and the baseline droppers, the traffic-matrix monitor with its delayed
+// reports, the pushback coordinator, the workload with its senders and
+// servers, and the metrics collector — the built run itself, the root RNG with
+// every stream a run has forked from it, the ingress and ATR id lists buildRun
+// refills for every scenario, the callbacks a build wires into the engine,
+// and, once a run of it has been checkpointed or resumed, the checkpoint
+// session: the one Snapshot every capture refills and every resume decodes
+// into, its encode buffer and the capture registry's storage. A recycled
+// bundle keeps the arena's backing arrays, the scheduler's event arena and
+// queue geometry, the objects' slabs and tables, the streams' sources, the
+// lists' backing and the snapshot's lists warm, so a steady-state plain run
+// allocates nothing but its Result's series, and a checkpointed or resumed one
+// little more. Reuse is bit-invariant: dispatch order depends on none of it, a
+// stream reseeded in place draws exactly what a new one would (see
+// sim.RNG.Reset), and the invariance suite pins a run on a recycled bundle
+// against one on a brand-new bundle for the whole catalog.
 type runResources struct {
 	arena       *topology.Arena
 	sched       *sim.Scheduler
@@ -54,16 +48,16 @@ type runResources struct {
 	// run is the bundle's one built run, which buildRun overwrites.
 	run builtRun
 
-	defByRouter        map[netsim.NodeID]defense
 	ingressIDs, atrIDs []netsim.NodeID
 	// Callbacks a build wires in, bound once to the bundle's objects.
-	onReport    func(trafficmatrix.EpochReport)
-	onPushback  func(pushback.Request)
-	onMAFICDrop func(*netsim.Packet, core.DropReason, sim.Time)
-	// mafic and droppers list the run's defenders in ingress order. reset
-	// cuts mafic to length zero and keeps its backing, which holds every
-	// defender an earlier run built: a MAFIC run's i-th ingress resets the
-	// i-th of them (see defender).
+	onReport       func(trafficmatrix.EpochReport)
+	onPushback     func(pushback.Request)
+	onMAFICDrop    func(*netsim.Packet, core.DropReason, sim.Time)
+	onBaselineDrop func(*netsim.Packet, sim.Time)
+	// mafic and droppers list the run's defenders in ingress order, so the
+	// i-th guards ingressIDs[i]. reset cuts both to length zero and keeps
+	// their backing, which holds every defender an earlier run built: a
+	// run's i-th ingress resets the i-th of them (see keptAt).
 	mafic    []*core.Defender
 	droppers []*baseline.Dropper
 
@@ -97,22 +91,22 @@ func newRunResources() *runResources {
 		coordinator: new(pushback.Coordinator),
 		workload:    new(traffic.Workload),
 		collector:   metrics.NewCollector(0),
-		defByRouter: make(map[netsim.NodeID]defense),
 	}
-	r.onReport, r.onPushback, r.onMAFICDrop = r.coordinator.HandleReport, r.run.pushback, r.collector.ObserveMAFICDrop
+	r.onReport, r.onPushback = r.coordinator.HandleReport, r.run.pushback
+	r.onMAFICDrop, r.onBaselineDrop = r.collector.ObserveMAFICDrop, r.collector.ObserveBaselineDrop
 	return r
 }
 
-// defender returns the defender for a MAFIC run's i-th ingress, called while
-// mafic holds the run's first i: the one an earlier run left in mafic's
-// backing, or a new one the first time a run has that many ingress routers.
-func (r *runResources) defender(i int) *core.Defender {
-	if i < cap(r.mafic) {
-		if d := r.mafic[:i+1][i]; d != nil {
+// keptAt returns the defender for a run's i-th ingress, called while list
+// holds the run's first i: the one an earlier run left in list's backing, or
+// a new one the first time a run has that many ingress routers.
+func keptAt[T any](list []*T, i int) *T {
+	if i < cap(list) {
+		if d := list[:i+1][i]; d != nil {
 			return d
 		}
 	}
-	return new(core.Defender)
+	return new(T)
 }
 
 // reset empties the bundle for its next run. Resetting the scheduler
@@ -120,7 +114,6 @@ func (r *runResources) defender(i int) *core.Defender {
 // is what makes the objects it keeps safe to reset for the next build.
 func (r *runResources) reset() {
 	r.sched.Reset()
-	clear(r.defByRouter)
 	r.ingressIDs = r.ingressIDs[:0]
 	r.mafic = r.mafic[:0]
 	r.droppers = r.droppers[:0]
@@ -286,28 +279,24 @@ func (b *builtRun) build() error {
 	}
 	b.collector = collector
 
-	// Per-ingress defences, dispatched through the bundle's run-scoped
-	// tables.
-	defByRouter := res.defByRouter
+	// Per-ingress defences, listed in ingress order.
 	switch s.Defense {
 	case DefenseMAFIC:
 		for i, ing := range domain.Ingress {
-			d := res.defender(i)
+			d := keptAt(res.mafic, i)
 			if err := d.Reset(s.MAFIC, ing, rng.Fork()); err != nil {
 				return fmt.Errorf("defender on %s: %w", ing, err)
 			}
 			d.SetDropObserver(res.onMAFICDrop)
-			defByRouter[ing.ID()] = d
 			res.mafic = append(res.mafic, d)
 		}
 	case DefenseBaseline:
-		for _, ing := range domain.Ingress {
-			d, derr := baseline.NewDropper(s.MAFIC.DropProbability, ing, rng.Fork())
-			if derr != nil {
-				return fmt.Errorf("baseline on %s: %w", ing, derr)
+		for i, ing := range domain.Ingress {
+			d := keptAt(res.droppers, i)
+			if err := d.Reset(s.MAFIC.DropProbability, ing, rng.Fork()); err != nil {
+				return fmt.Errorf("baseline on %s: %w", ing, err)
 			}
-			d.SetDropObserver(collector.ObserveBaselineDrop)
-			defByRouter[ing.ID()] = d
+			d.SetDropObserver(res.onBaselineDrop)
 			res.droppers = append(res.droppers, d)
 		}
 	case DefenseNone:
@@ -360,9 +349,17 @@ func (b *builtRun) activate(now sim.Time, routers []netsim.NodeID, byPushback bo
 		b.result.ActivationSeconds = now.Seconds()
 		b.result.DetectedByPushback = byPushback
 	}
+	// The i-th defender guards ingressIDs[i]; a run without a defence has
+	// none to activate.
+	res, victim := b.res, b.domain.VictimIP()
 	for _, id := range routers {
-		if d, ok := b.res.defByRouter[id]; ok {
-			d.Activate(b.domain.VictimIP())
+		i := slices.Index(res.ingressIDs, id)
+		switch {
+		case i < 0: // not an ingress router: nothing guards it
+		case i < len(res.mafic):
+			res.mafic[i].Activate(victim)
+		case i < len(res.droppers):
+			res.droppers[i].Activate(victim)
 		}
 	}
 	b.result.ATRCount = len(routers)

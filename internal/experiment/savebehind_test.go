@@ -16,7 +16,9 @@ import (
 // its encoding and ControlOptions.Save to a helper goroutine that runs behind
 // the next segment. These tests pin the contract that leaves the caller:
 // saves never overlap and come in order, a failed save fails the run at the
-// next boundary, and the run never returns while a save is running.
+// next boundary, and the run never returns while a save is running. The two
+// that wait on the clock for a save that must not come stay sequential, so
+// no parallel test slows the run they time.
 
 // waitFor receives from ch, failing the test if nothing comes within 30 s.
 func waitFor[T any](t *testing.T, ch <-chan T, what string) T {
@@ -88,6 +90,7 @@ func TestSaveBehindOneSaveInFlight(t *testing.T) {
 // the boundary after it (at its end, for the last checkpoint) with the failed
 // checkpoint's time, and takes no snapshot past that boundary.
 func TestSaveBehindFailureFailsTheNextBoundary(t *testing.T) {
+	t.Parallel()
 	s := Quick(Entries()[0].Build())
 	every := s.Duration / 5
 	boom := errors.New("disk full")

@@ -7,6 +7,7 @@ import (
 )
 
 func TestSearchGridEnumerationDeterministic(t *testing.T) {
+	t.Parallel()
 	spec := DefaultSearchSpec()
 	grid := spec.Grid()
 	perFault := len(spec.Shapes) * len(spec.RateMixes) * len(spec.VictimSpreads)
@@ -37,7 +38,7 @@ func TestSearchGridEnumerationDeterministic(t *testing.T) {
 		t.Fatalf("fault-free grid has %d points, want %d", got, perFault)
 	}
 	for _, p := range spec.Grid() {
-		if p.Fault.Name != "none" || p.Fault.Faults.Enabled() {
+		if f := p.Fault.Faults; p.Fault.Name != "none" || len(f.LinkFlaps) > 0 || len(f.RouterCrashes) > 0 || f.ReportLoss > 0 || f.ReportDelayProb > 0 {
 			t.Fatalf("point %d in a fault-free grid carries fault %q", p.Index, p.Fault.Name)
 		}
 	}
@@ -46,6 +47,7 @@ func TestSearchGridEnumerationDeterministic(t *testing.T) {
 // TestSearchPointScenarioSeeding checks every point of the default grid, under
 // each defence, full and quick: seeded from the spec's seed and valid.
 func TestSearchPointScenarioSeeding(t *testing.T) {
+	t.Parallel()
 	spec := DefaultSearchSpec()
 	spec.Seed = 42
 	for _, p := range spec.Grid() {
@@ -67,6 +69,7 @@ func TestSearchPointScenarioSeeding(t *testing.T) {
 // the same spec and seed produce a bit-identical report whether the grid runs
 // on one worker or many — so a worst case found on a laptop reproduces on CI.
 func TestSearchSerialParallelIdentical(t *testing.T) {
+	t.Parallel()
 	spec := QuickSearchSpec()
 	opts := SearchOptions{Quick: true}
 
@@ -101,6 +104,7 @@ func TestSearchSerialParallelIdentical(t *testing.T) {
 }
 
 func TestSearchReportShape(t *testing.T) {
+	t.Parallel()
 	spec := QuickSearchSpec()
 	report, err := Search(spec, SearchOptions{Quick: true})
 	if err != nil {
@@ -149,6 +153,7 @@ func TestSearchReportShape(t *testing.T) {
 }
 
 func TestSearchRejectsDegenerateSpecs(t *testing.T) {
+	t.Parallel()
 	tests := []struct {
 		name   string
 		mutate func(*SearchSpec)

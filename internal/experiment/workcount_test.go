@@ -54,6 +54,7 @@ func fullTable2(t *testing.T) Scenario {
 // The hardened one reads that column again in every epoch pushback stays
 // active, for the ATR hysteresis.
 func TestMonitorWorkCounts(t *testing.T) {
+	t.Parallel()
 	for _, tc := range []struct {
 		name string
 		s    Scenario
@@ -79,6 +80,7 @@ func TestMonitorWorkCounts(t *testing.T) {
 // With the flow never starting, the legitimate ramp toward the single server
 // stays under the detector: no request, no column read, nothing probed.
 func TestNoAttackCondemnsNoLegitimateFlow(t *testing.T) {
+	t.Parallel()
 	type outcome struct {
 		attacked, activated                   bool
 		atrs, probed, condemned, legitCondemn int
@@ -114,6 +116,7 @@ func TestNoAttackCondemnsNoLegitimateFlow(t *testing.T) {
 // not the run without a defence, which PAPER.md "Findings" records: the attack
 // is the same packet for packet, the legitimate flows start at other times.
 func TestZeroDropProbabilityProbesNothing(t *testing.T) {
+	t.Parallel()
 	s := table2Quick(t)
 	s.MAFIC.DropProbability = 0
 	res, _ := runCounted(t, s)

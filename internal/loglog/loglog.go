@@ -128,36 +128,6 @@ func (s *Sketch) Clone() *Sketch {
 	return cp
 }
 
-// CopyFrom overwrites s with other's contents without allocating. It is the
-// steady-state replacement for Clone when the caller owns reusable storage.
-func (s *Sketch) CopyFrom(other *Sketch) error {
-	if other == nil || other.m != s.m {
-		return ErrIncompatible
-	}
-	copy(s.buckets, other.buckets)
-	s.adds = other.adds
-	return nil
-}
-
-// MergeInto sets dst to the bucket-wise max union of a and b without touching
-// either input and without allocating: dst is caller-owned storage, typically
-// a scratch sketch reused across many union computations.
-func MergeInto(dst, a, b *Sketch) error {
-	if dst == nil || a == nil || b == nil || a.m != dst.m || b.m != dst.m {
-		return ErrIncompatible
-	}
-	db, ab, bb := dst.buckets, a.buckets, b.buckets
-	for i := range db {
-		av, bv := ab[i], bb[i]
-		if bv > av {
-			av = bv
-		}
-		db[i] = av
-	}
-	dst.adds = a.adds + b.adds
-	return nil
-}
-
 // Reset clears the sketch for reuse in the next measurement epoch.
 func (s *Sketch) Reset() {
 	for i := range s.buckets {
@@ -198,20 +168,6 @@ func UnionEstimateInto(scratch, a, b *Sketch) (float64, error) {
 // computation (Section II).
 func IntersectionEstimate(a, b *Sketch) (float64, error) {
 	union, err := UnionEstimate(a, b)
-	if err != nil {
-		return 0, err
-	}
-	est := a.Estimate() + b.Estimate() - union
-	if est < 0 {
-		est = 0
-	}
-	return est, nil
-}
-
-// IntersectionEstimateInto is IntersectionEstimate with UnionEstimateInto's
-// scratch argument.
-func IntersectionEstimateInto(scratch, a, b *Sketch) (float64, error) {
-	union, err := UnionEstimateInto(scratch, a, b)
 	if err != nil {
 		return 0, err
 	}

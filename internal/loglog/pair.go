@@ -12,22 +12,9 @@ import "math/bits"
 // Packets of the current epoch are recorded into Active; Swap freezes the
 // epoch into Shadow (and clears the new Active for the next epoch) so the
 // frozen data can be read at leisure while recording continues — without
-// cloning anything. The zero value is not usable; use NewPair or PairOf.
+// cloning anything. The zero value is not usable; use PairOf.
 type Pair struct {
 	active, shadow *Sketch
-}
-
-// NewPair returns a pair of freshly allocated sketches with m buckets each.
-func NewPair(m int) (Pair, error) {
-	a, err := New(m)
-	if err != nil {
-		return Pair{}, err
-	}
-	b, err := New(m)
-	if err != nil {
-		return Pair{}, err
-	}
-	return Pair{active: a, shadow: b}, nil
 }
 
 // PairOf assembles a pair from two existing compatible sketches (typically
@@ -51,12 +38,6 @@ func (p *Pair) Shadow() *Sketch { return p.shadow }
 func (p *Pair) Swap() {
 	p.active, p.shadow = p.shadow, p.active
 	p.active.Reset()
-}
-
-// Reset clears both sides of the pair.
-func (p *Pair) Reset() {
-	p.active.Reset()
-	p.shadow.Reset()
 }
 
 // NewSlab allocates n sketches with m buckets each backed by just two arrays

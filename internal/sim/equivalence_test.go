@@ -150,18 +150,22 @@ func runEquivScript(t *testing.T, seed int64, spread int, slice Time) {
 	for i := 0; i < 500; i++ {
 		newEvent(Time(rng.Intn(spread)))
 	}
-	// The regime every script starts in (see TestBackendEquivalence): the
-	// burst is narrower than the initial window, so the calendar, which has
-	// grown its bucket count without a gap to measure, holds it in one chain.
+	// The regime a script starts in (see TestBackendEquivalence): the
+	// calendar has grown its bucket count without a gap to measure, so a
+	// burst narrower than the initial window shares one chain, and a wider
+	// one spreads over many.
 	occupied := 0
 	for _, head := range s.cal.buckets {
 		if head != calNil {
 			occupied++
 		}
 	}
-	if occupied != 1 || s.cal.width != calInitialWidth {
-		t.Fatalf("the opening burst over %d ns occupies %d buckets of width %d, want 1 of the initial %d",
-			spread, occupied, s.cal.width, calInitialWidth)
+	if s.cal.width != calInitialWidth {
+		t.Fatalf("the opening burst over %d ns retuned the width to %d, want the initial %d", spread, s.cal.width, calInitialWidth)
+	}
+	if narrow := Time(spread) < calInitialWidth; narrow && occupied != 1 || !narrow && occupied < 2 {
+		t.Fatalf("the opening burst over %d ns occupies %d buckets of width %d, want 1 if narrower than a bucket and more if wider",
+			spread, occupied, s.cal.width)
 	}
 
 	if slice == 0 {
@@ -226,26 +230,29 @@ func runEquivScript(t *testing.T, seed int64, spread int, slice Time) {
 // rescheduling, sliced dispatch, restored and reconciled events) must leave
 // the calendar queue in the reference queue's order.
 //
-// All three spreads (50 ns, 5 µs, 200 µs) are narrower than the calendar's
-// initial window (calInitialWidth, 2^19 ns ≈ 524 µs), and the opening burst
-// lands in a single chain (runEquivScript asserts it). The scripts then keep
-// several hundred events within a window or two: counted on an instrumented
-// copy, an insert walks 340–375 chain steps on every spread (a real run
-// walks under 2.5), a pop crosses 0.01 (dense) to 0.26 windows with nothing
-// due, and a spread's 50 scripts of one slice mode see 0–5 direct-search
-// jumps and 0–19 width retunes between them. So the spreads differ in how
-// often the scan skips windows and retunes, not in their regime: this is the
-// long-chain test, and a sparse calendar (about one event per window,
-// frequent empty-window scans and jumps) is not what it exercises.
+// The first three spreads (50 ns, 5 µs, 200 µs) are narrower than the
+// calendar's initial window (calInitialWidth, 2^19 ns ≈ 524 µs), and the
+// opening burst lands in a single chain (runEquivScript asserts it). The
+// scripts then keep several hundred events within a window or two: counted on
+// an instrumented copy, an insert walks 340–375 chain steps on every spread (a
+// real run walks under 2.5), a pop crosses 0.01 (dense) to 0.26 windows with
+// nothing due, and a spread's 50 scripts of one slice mode see 0–5
+// direct-search jumps and 0–19 width retunes between them. These are the
+// long-chain tests. The last two spreads, 100 and 10 000 initial windows
+// (52 ms, 5.2 s), are the sparse calendar: the opening burst spreads over many
+// buckets (asserted too), an insert walks 3.6 and 0.7 steps, and the second
+// crosses 2.6 empty windows a pop.
 //
 // A sliced script runs in slices of a quarter of its spread, and makes the
 // restore calls between slices at least twice (five times on average). At
 // four spreads a slice, the first slice dispatched the whole budget, and
-// none of the 150 sliced scripts made them.
+// none of the 150 sliced scripts made them. Each script owns its scheduler,
+// so the subtests run in parallel.
 func TestBackendEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
-		for _, spread := range []int{50, 5000, 200_000} {
+		for _, spread := range []int{50, 5000, 200_000, 100 * int(calInitialWidth), 10_000 * int(calInitialWidth)} {
 			t.Run(fmt.Sprintf("seed%d_spread%d", seed, spread), func(t *testing.T) {
+				t.Parallel()
 				runEquivScript(t, seed, spread, 0)
 				runEquivScript(t, seed, spread, Time(spread/4))
 			})

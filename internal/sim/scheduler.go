@@ -262,14 +262,6 @@ func (s *Scheduler) ScheduleAt(at Time, fn Handler) EventRef {
 	return s.schedule(at, fn, nil)
 }
 
-// ScheduleAfter queues fn to run delay after the current virtual time.
-func (s *Scheduler) ScheduleAfter(delay Time, fn Handler) EventRef {
-	if delay < 0 {
-		delay = 0
-	}
-	return s.ScheduleAt(s.now+delay, fn)
-}
-
 // ScheduleHandlerAt queues h.OnEvent to run at the absolute virtual time at,
 // as the payload of the scheduler's dispatcher; it does not allocate.
 func (s *Scheduler) ScheduleHandlerAt(at Time, h EventHandler) EventRef {

@@ -26,8 +26,8 @@ func TestTimeConversions(t *testing.T) {
 			if got != tt.want {
 				t.Fatalf("FromDuration(%v) = %v, want %v", tt.give, got, tt.want)
 			}
-			if got.Duration() != tt.give {
-				t.Fatalf("round trip mismatch: %v != %v", got.Duration(), tt.give)
+			if int64(got) != tt.give.Nanoseconds() {
+				t.Fatalf("FromDuration(%v) = %d ns, want %d", tt.give, int64(got), tt.give.Nanoseconds())
 			}
 		})
 	}
@@ -36,22 +36,6 @@ func TestTimeConversions(t *testing.T) {
 func TestTimeSeconds(t *testing.T) {
 	if got := (2*Second + 500*Millisecond).Seconds(); math.Abs(got-2.5) > 1e-12 {
 		t.Fatalf("Seconds() = %v, want 2.5", got)
-	}
-}
-
-func TestTimeComparisons(t *testing.T) {
-	a, b := Time(10), Time(20)
-	if !a.Before(b) || b.Before(a) {
-		t.Fatal("Before comparison wrong")
-	}
-	if !b.After(a) || a.After(b) {
-		t.Fatal("After comparison wrong")
-	}
-	if a.Add(10) != b {
-		t.Fatal("Add wrong")
-	}
-	if b.Sub(a) != 10 {
-		t.Fatal("Sub wrong")
 	}
 }
 
@@ -109,20 +93,6 @@ func TestSchedulerFIFOWithinSameInstant(t *testing.T) {
 	}
 	if !sort.IntsAreSorted(order) {
 		t.Fatalf("same-instant events fired out of order: %v", order)
-	}
-}
-
-func TestSchedulerScheduleAfter(t *testing.T) {
-	s := NewScheduler()
-	var at Time
-	s.ScheduleAt(100, func(now Time) {
-		s.ScheduleAfter(50, func(inner Time) { at = inner })
-	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if at != 150 {
-		t.Fatalf("nested event fired at %v, want 150", at)
 	}
 }
 
@@ -265,18 +235,6 @@ func TestSchedulerNilHandlerIgnored(t *testing.T) {
 	}
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
-	}
-}
-
-func TestSchedulerNegativeDelayClamps(t *testing.T) {
-	s := NewScheduler()
-	var at Time = -1
-	s.ScheduleAfter(-5*Second, func(now Time) { at = now })
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if at != 0 {
-		t.Fatalf("event fired at %v, want 0", at)
 	}
 }
 

@@ -27,31 +27,10 @@ func FromDuration(d time.Duration) Time {
 	return Time(d.Nanoseconds())
 }
 
-// Duration converts a simulation time delta into a time.Duration.
-func (t Time) Duration() time.Duration {
-	return time.Duration(int64(t))
-}
-
 // Seconds reports the timestamp as a floating-point number of seconds.
 func (t Time) Seconds() float64 {
 	return float64(t) / float64(Second)
 }
-
-// Add returns the timestamp shifted forward by d.
-func (t Time) Add(d Time) Time {
-	return t + d
-}
-
-// Sub returns the delta t-u.
-func (t Time) Sub(u Time) Time {
-	return t - u
-}
-
-// Before reports whether t occurs strictly before u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t occurs strictly after u.
-func (t Time) After(u Time) bool { return t > u }
 
 // String renders the timestamp with second precision for logs and test
 // failure messages.

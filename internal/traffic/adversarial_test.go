@@ -28,7 +28,7 @@ func adversarialDomain(t *testing.T) *topology.Domain {
 
 func TestRotatingSourceHandsOff(t *testing.T) {
 	d := testDomain(t)
-	NewVictimServer(d.Victim, 0)
+	new(VictimServer).reset(d.Victim, 0)
 	slot := 100 * sim.Millisecond
 	groups := 3
 	sources := make([]*PacedSource, groups)
@@ -81,7 +81,7 @@ func TestRotatingSourceSlowRateDoesNotCompound(t *testing.T) {
 	// effective rate grew every cycle. With one packet per slot at this
 	// rate, total packets must equal slots held exactly.
 	d := testDomain(t)
-	NewVictimServer(d.Victim, 0)
+	new(VictimServer).reset(d.Victim, 0)
 	slot := 100 * sim.Millisecond
 	cfg := pacing{
 		rate:  3, // gap ≈ 333 ms: longer than the 200 ms off-period

@@ -51,7 +51,7 @@ func TestFlowLifecycleSteadyStateDoesNotAllocate(t *testing.T) {
 // in the next run's network.
 func TestReleasedTCPSourceIsFullyReset(t *testing.T) {
 	d := testDomain(t)
-	NewVictimServer(d.Victim, 0)
+	new(VictimServer).reset(d.Victim, 0)
 	cfg := testTCPConfig
 
 	s := new(TCPSource).reset(1, cfg, d.Clients[0], d.VictimIP(), 10001)
@@ -65,7 +65,7 @@ func TestReleasedTCPSourceIsFullyReset(t *testing.T) {
 	}
 
 	d2 := testDomain(t)
-	NewVictimServer(d2.Victim, 0)
+	new(VictimServer).reset(d2.Victim, 0)
 	s.reset(2, cfg, d2.Clients[1], d2.VictimIP(), 10002)
 	if s.PacketsSent() != 0 || s.AcksReceived() != 0 || s.Window() != initialWindow {
 		t.Fatalf("reset source kept state: sent %d acked %d window %v",

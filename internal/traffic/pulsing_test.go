@@ -8,7 +8,7 @@ import (
 
 func TestPulsingSourceDutyCycle(t *testing.T) {
 	d := testDomain(t)
-	NewVictimServer(d.Victim, 0)
+	new(VictimServer).reset(d.Victim, 0)
 	// A 500 ms period at a 20 % duty cycle.
 	cfg := pacing{rate: 1000, size: DefaultDataSize, onFor: 100 * sim.Millisecond, every: 500 * sim.Millisecond}
 	z := d.Zombies[0]
@@ -35,7 +35,7 @@ func TestPulsingSourceDutyCycle(t *testing.T) {
 
 func TestPulsingSourceSilentBetweenBursts(t *testing.T) {
 	d := testDomain(t)
-	NewVictimServer(d.Victim, 0)
+	new(VictimServer).reset(d.Victim, 0)
 	// A 1 s period at a 10 % duty cycle.
 	cfg := pacing{rate: 1000, size: DefaultDataSize, onFor: 100 * sim.Millisecond, every: sim.Second}
 	z := d.Zombies[0]

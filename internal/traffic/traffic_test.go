@@ -30,7 +30,7 @@ var testTCPConfig = TCPConfig{RTT: 40 * sim.Millisecond, MaxRate: 200, PacketSiz
 
 func TestTCPSourceDeliversAndGrows(t *testing.T) {
 	d := testDomain(t)
-	NewVictimServer(d.Victim, 0)
+	new(VictimServer).reset(d.Victim, 0)
 	cfg := testTCPConfig
 	src := new(TCPSource).reset(1, cfg, d.Clients[0], d.VictimIP(), 10001)
 	src.Start(0)
@@ -57,7 +57,7 @@ func TestTCPSourceDeliversAndGrows(t *testing.T) {
 
 func TestTCPSourceReactsToDupAckProbes(t *testing.T) {
 	d := testDomain(t)
-	NewVictimServer(d.Victim, 0)
+	new(VictimServer).reset(d.Victim, 0)
 	client := d.Clients[0]
 	src := new(TCPSource).reset(1, testTCPConfig, client, d.VictimIP(), 10001)
 	src.Start(0)
@@ -161,7 +161,7 @@ func TestAttackSourceSpoofingModes(t *testing.T) {
 
 func TestAttackSourceFloodsUnresponsively(t *testing.T) {
 	d := testDomain(t)
-	v := NewVictimServer(d.Victim, 0)
+	v := new(VictimServer).reset(d.Victim, 0)
 	z := d.Zombies[0]
 	a := new(PacedSource).reset(7, FlowAttack, pacing{rate: 500, size: DefaultDataSize}, z, flowLabel(z.PrimaryIP(), d.VictimIP(), 30000), sim.NewRNG(4))
 	a.Start(0)
@@ -189,7 +189,7 @@ func TestAttackSourceFloodsUnresponsively(t *testing.T) {
 
 func TestVictimServerCounters(t *testing.T) {
 	d := testDomain(t)
-	v := NewVictimServer(d.Victim, 0)
+	v := new(VictimServer).reset(d.Victim, 0)
 	good := &netsim.Packet{
 		ID:    d.Net.NextPacketID(),
 		Label: netsim.FlowLabel{SrcIP: d.Clients[0].PrimaryIP(), DstIP: d.VictimIP(), SrcPort: 1, DstPort: 80},

@@ -19,14 +19,9 @@ type VictimServer struct {
 	recv func(*netsim.Packet, sim.Time) // onPacket, bound once
 }
 
-// NewVictimServer installs a server on the given host. ackSize is the size
-// of generated acknowledgements in bytes; zero means DefaultAckSize.
-func NewVictimServer(host *netsim.Host, ackSize int) *VictimServer {
-	return new(VictimServer).reset(host, ackSize)
-}
-
-// reset makes v what NewVictimServer(host, ackSize) returns, keeping its
-// bound handler, and returns v.
+// reset installs v as the server on the given host, keeping its bound
+// handler, and returns v. ackSize is the size of generated acknowledgements
+// in bytes; zero means DefaultAckSize.
 func (v *VictimServer) reset(host *netsim.Host, ackSize int) *VictimServer {
 	if ackSize <= 0 {
 		ackSize = DefaultAckSize
