@@ -11,12 +11,28 @@ test:
 	$(GO) test ./...
 
 # test-times runs the whole suite once, uncached, and prints its 20 slowest
-# top-level tests as `seconds package test`, slowest first, so a change that
-# adds seconds to the suite says so. Subtests are left out (their time is in
-# their parent's), and a failing test is listed like a passing one: `make
-# test` is the verdict, this is only the clock.
+# top-level tests as `seconds package test (own|subtests)`, slowest first,
+# then every package's wall time as `seconds package (wall)`, so a change that
+# adds seconds to the suite says so. A parent's own time leaves out the
+# subtests it runs in parallel (they run after its body returns), so each test
+# is listed at the larger of its own time, marked `(own)`, and the sum of its
+# direct subtests' times, marked `(subtests)`. A failing test is listed like a
+# passing one: `make test` is the verdict, this is only the clock.
 test-times:
-	$(GO) test -count=1 -json ./... | sed -n 's/.*"Action":"\(pass\|fail\)","Package":"\([^"]*\)","Test":"\([^"/]*\)","Elapsed":\([0-9.]*\).*/\4 \2 \3/p' | sort -rn | head -20
+	@$(GO) test -count=1 -json ./... \
+		| sed -n 's/.*"Action":"\(pass\|fail\)","Package":"\([^"]*\)",\("Test":"\([^"]*\)",\)\{0,1\}"Elapsed":\([0-9.]*\).*/\2 \5 \4/p' \
+		| awk 'NF == 2 { wall[$$1] = $$2; next } \
+			{ n = split($$3, part, "/"); key = $$1 " " part[1] } \
+			n == 1 { own[key] = $$2 } \
+			n == 2 { subs[key] += $$2 } \
+			END { \
+				for (k in own) { \
+					if (subs[k] > own[k]) printf "%.2f %s (subtests)\n", subs[k], k | "sort -rn | head -20"; \
+					else printf "%.2f %s (own)\n", own[k], k | "sort -rn | head -20"; \
+				} \
+				close("sort -rn | head -20"); \
+				for (p in wall) printf "%.2f %s (wall)\n", wall[p], p | "sort -rn"; \
+			}'
 
 vet:
 	$(GO) vet ./...
@@ -186,7 +202,8 @@ search-baseline:
 
 # profile runs one of internal/experiment's BenchmarkRun sub-benchmarks (table2,
 # stress-1k, stress-5k, stress-50k, and for the checkpoint layer
-# resume/stress-1k and ckpt/table2) five times under the CPU and allocation
+# resume/table2, resume/stress-1k, replay/table2, replay/stress-1k and
+# ckpt/table2) five times under the CPU and allocation
 # profilers, so the next hotspot hunt starts from `go tool pprof cpu.pprof`.
 # Every allocation is recorded, not one per half-megabyte: a warm run makes a
 # few hundred small ones, which the default sampling rate would mostly miss.

@@ -25,6 +25,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"mafic/internal/checkpoint"
@@ -60,15 +62,28 @@ func run(args []string, out io.Writer) error {
 		ckptEvery = fs.Duration("checkpoint-every", 0, "write a snapshot every interval of simulated time (e.g. 500ms)")
 		ckptAt    = fs.Duration("checkpoint-at", 0, "write one snapshot at this simulated time (e.g. 850ms)")
 		ckptOut   = fs.String("checkpoint-out", "checkpoint", "snapshot filename prefix; files are written as <prefix>-<t>ms.snap")
-		resume    = fs.String("resume", "", "resume from a snapshot file instead of starting a run (other flags are ignored)")
+		resume    = fs.String("resume", "", "resume from a snapshot file instead of starting a run (only -json and -series combine with it)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
+	explicit := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+
 	if *resume != "" {
-		if *scenario != "" || *ckptEvery != 0 || *ckptAt != 0 {
-			return fmt.Errorf("-resume replays a snapshot; it cannot be combined with -scenario or checkpoint flags")
+		// The snapshot carries its scenario, so a flag that would shape the
+		// run has nothing to apply to: refuse it rather than ignore it.
+		var refused []string
+		for name := range explicit {
+			if name != "resume" && name != "json" && name != "series" {
+				refused = append(refused, "-"+name)
+			}
+		}
+		if len(refused) > 0 {
+			slices.Sort(refused)
+			return fmt.Errorf("-resume continues the run the snapshot holds, whose scenario it carries; it combines only with -json and -series, not with %s",
+				strings.Join(refused, ", "))
 		}
 		data, err := os.ReadFile(*resume)
 		if err != nil {
@@ -91,8 +106,6 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	explicit := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	// Without -scenario every flag applies, defaults included (the
 	// original CLI contract). With -scenario, only flags the user set
 	// explicitly override the catalog entry's own knobs.

@@ -96,6 +96,11 @@ func TestRejections(t *testing.T) {
 		{"unknown defense", []string{"-defense", "magic"}},
 		{"produces no snapshots", []string{"-scenario", "shrew", "-quick", "-checkpoint-every", "2s"}},
 		{"not both", []string{"-checkpoint-every", "500ms", "-checkpoint-at", "600ms"}},
+		// -resume takes its scenario from the file: a run-shaping flag beside
+		// it is refused by name, not ignored.
+		{"not with -pd", []string{"-resume", "x.snap", "-pd", "0.5", "-json"}},
+		{"not with -checkpoint-at, -quick, -scenario", []string{"-resume", "x.snap", "-scenario", "shrew", "-quick", "-checkpoint-at", "600ms"}},
+		{"not with -seed", []string{"-seed", "1", "-resume", "x.snap", "-series"}},
 	} {
 		var out bytes.Buffer
 		if err := run(tc.args, &out); err == nil || !strings.Contains(err.Error(), tc.want) {

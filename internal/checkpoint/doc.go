@@ -9,6 +9,20 @@
 // reproduce — clocks, counters, flow tables, sketches, pushback hysteresis,
 // in-flight packets, pending events and the position of every RNG stream.
 //
+// # Resume by replay: the decision of ROADMAP item 17
+//
+// The decision is replay: this package's records and codec, the experiment
+// package's capture.go, the per-package checkpoint.go files and the
+// draw-counting RNG are to be deleted (item 17(b)), and a snapshot is then
+// its scenario, its time and a digest of the run's progress there. The
+// reason: the engine is deterministic, so a fresh build run to the snapshot's
+// time reaches the state a restore overlays, and restore's 2 915 lines buy
+// only a faster resume. That is a trade, not a gain — a replayed resume costs
+// up to a whole run, and a file from a build whose run goes differently is
+// refused — and ROADMAP item 17 prices both sides, lists every resume path
+// and what 17(b) deletes. Until 17(b) lands, what follows describes the
+// format every snapshot is still written in, and no change adds to it.
+//
 // # Wire format
 //
 // A snapshot is a byte stream: the magic "MAFICSNP", SnapshotVersion as a

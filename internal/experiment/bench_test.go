@@ -24,12 +24,15 @@ func benchBase() Scenario {
 // BenchmarkRun times one whole build-measure-defend run per iteration, after
 // one untimed warm-up run, so what it reports is the pooled steady state and
 // not the process's first build of the domain. "table2" is benchBase; the
-// others are the quick variants of the catalog's scale entries. Two more
-// price the checkpoint layer around a whole job: "resume/stress-1k" resumes
-// full-size stress-1k from its 90 % snapshot, the file the codec benchmarks
-// decode, and "ckpt/table2" runs the catalog's full-size table2 checkpointed
-// every 100 ms into a sink that keeps the newest snapshot. `make profile`
-// runs one of them under the profilers:
+// others are the quick variants of the catalog's scale entries. The rest
+// price the checkpoint layer around a whole job. "resume/<entry>" resumes
+// the full-size entry from its 90 % snapshot by restore (ResumeControlled;
+// stress-1k's is the file the codec benchmarks decode, and resume-late's
+// job), and "replay/<entry>" resumes the same file by replay
+// (resumeByReplay), which runs the first 90 % again instead: the two are
+// ROADMAP item 17's price of restore. "ckpt/table2" runs the catalog's
+// full-size table2 checkpointed every 100 ms into a sink that keeps the
+// newest snapshot. `make profile` runs one of them under the profilers:
 //
 //	go test ./internal/experiment -run '^$' -bench 'Run/stress-50k$' -benchtime 5x
 func BenchmarkRun(b *testing.B) {
@@ -46,17 +49,30 @@ func BenchmarkRun(b *testing.B) {
 			benchJobs(b, func() (Result, error) { return Run(s) })
 		})
 	}
-	b.Run("resume", func(b *testing.B) {
-		e, ok := LookupScenario("stress-1k")
-		if !ok {
-			b.Fatal("stress-1k not registered")
-		}
-		s := e.Build()
-		data, _ := snapshotMidRun(b, s, s.Duration*9/10)
-		b.Run("stress-1k", func(b *testing.B) {
-			benchJobs(b, func() (Result, error) { return ResumeControlled(data, ControlOptions{}) })
+	// The 90 % snapshots, made the first time a benchmark needs one and
+	// shared by both ways of resuming it.
+	snap90 := map[string][]byte{}
+	for _, resume := range []struct {
+		name string
+		job  func(data []byte, opts ControlOptions) (Result, error)
+	}{{"resume", ResumeControlled}, {"replay", replayedResult}} {
+		b.Run(resume.name, func(b *testing.B) {
+			for _, name := range []string{"table2", "stress-1k"} {
+				b.Run(name, func(b *testing.B) {
+					if snap90[name] == nil {
+						e, ok := LookupScenario(name)
+						if !ok {
+							b.Fatalf("%s not registered", name)
+						}
+						s := e.Build()
+						snap90[name], _ = snapshotMidRun(b, s, s.Duration*9/10)
+					}
+					data := snap90[name]
+					benchJobs(b, func() (Result, error) { return resume.job(data, ControlOptions{}) })
+				})
+			}
 		})
-	})
+	}
 	b.Run("ckpt", func(b *testing.B) {
 		e, ok := LookupScenario("table2")
 		if !ok {

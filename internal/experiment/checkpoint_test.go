@@ -63,7 +63,10 @@ func diffResults(t *testing.T, label string, want, got Result) {
 // mid-run, the snapshot is decoded into a freshly rebuilt world, and the
 // resumed run must produce a Result bit-identical to the uninterrupted run.
 // It also pins that taking a checkpoint is a pure read — the checkpointed
-// run's own result must match the plain run exactly.
+// run's own result must match the plain run exactly. Each entry's "replay"
+// subtest resumes the same snapshot by replay (resumeByReplay), whose
+// progress at the snapshot's time must be the file's, and requires the
+// Result the restore gave.
 func TestKillAndResumeEquivalence(t *testing.T) {
 	t.Parallel()
 	for _, e := range Entries() {
@@ -82,6 +85,15 @@ func TestKillAndResumeEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(want, got) {
 				diffResults(t, "kill-and-resume", want, got)
 			}
+			t.Run("replay", func(t *testing.T) {
+				replayed, err := replayedResult(data, ControlOptions{})
+				if err != nil {
+					t.Fatalf("resume by replay: %v", err)
+				}
+				if !reflect.DeepEqual(got, replayed) {
+					diffResults(t, "replay against restore", got, replayed)
+				}
+			})
 		})
 	}
 }

@@ -87,24 +87,35 @@ func ResumeControlled(data []byte, opts ControlOptions) (Result, error) {
 // resumeWith is ResumeControlled on the given bundle: the snapshot is decoded
 // into the bundle's own Snapshot, which the resumed run's captures refill.
 func resumeWith(data []byte, res *runResources, opts ControlOptions) (Result, error) {
-	snap := &res.checkpointSession().snap
-	if err := checkpoint.DecodeInto(snap, data); err != nil {
-		return Result{}, fmt.Errorf("%w: %w", ErrSnapshot, err)
-	}
-	var s Scenario
-	if err := json.Unmarshal(snap.Scenario, &s); err != nil {
-		return Result{}, fmt.Errorf("%w: decode snapshot scenario: %w", ErrSnapshot, err)
-	}
-	if err := refuseRetiredOptions(snap.Scenario, s); err != nil {
-		return Result{}, fmt.Errorf("%w: %w", ErrSnapshot, err)
-	}
-	if err := s.Validate(); err != nil {
-		return Result{}, fmt.Errorf("%w: %w", ErrSnapshot, err)
+	snap, s, err := decodeResume(data, res)
+	if err != nil {
+		return Result{}, err
 	}
 	if err := opts.validate(); err != nil {
 		return Result{}, err
 	}
 	return runWith(s, res, snap, opts)
+}
+
+// decodeResume decodes a snapshot into the bundle's own Snapshot and its
+// embedded scenario, which must pass refuseRetiredOptions and Validate.
+// Failures are wrapped in ErrSnapshot.
+func decodeResume(data []byte, res *runResources) (*checkpoint.Snapshot, Scenario, error) {
+	snap := &res.checkpointSession().snap
+	if err := checkpoint.DecodeInto(snap, data); err != nil {
+		return nil, Scenario{}, fmt.Errorf("%w: %w", ErrSnapshot, err)
+	}
+	var s Scenario
+	if err := json.Unmarshal(snap.Scenario, &s); err != nil {
+		return nil, Scenario{}, fmt.Errorf("%w: decode snapshot scenario: %w", ErrSnapshot, err)
+	}
+	if err := refuseRetiredOptions(snap.Scenario, s); err != nil {
+		return nil, Scenario{}, fmt.Errorf("%w: %w", ErrSnapshot, err)
+	}
+	if err := s.Validate(); err != nil {
+		return nil, Scenario{}, fmt.Errorf("%w: %w", ErrSnapshot, err)
+	}
+	return snap, s, nil
 }
 
 // refuseRetiredOptions refuses an embedded scenario that sets a deleted option

@@ -97,6 +97,26 @@ func testArenaReuse(t *testing.T, hardened bool) {
 			requireSameResult(t, "shared arena vs own arena", plainResult(t, key, s), got)
 		})
 	}
+	if !hardened {
+		return
+	}
+	// No quick catalog entry re-probes a flow, so the hardened sequence goes
+	// on with a search point that does, on the bundle the last entry left,
+	// and runs it twice: the second run resets defenders that hold the
+	// first's demoted NFT entries and probing memory.
+	s := reprobingPoint(t)
+	for range 2 {
+		t.Run(s.Name, func(t *testing.T) {
+			got, err := runWith(s, shared, nil, ControlOptions{})
+			if err != nil {
+				t.Fatalf("shared-arena run: %v", err)
+			}
+			if got.DefenseStats.FlowsReprobed == 0 {
+				t.Errorf("%s re-probed no flow", s.Name)
+			}
+			requireSameResult(t, "shared arena vs own arena", plainResult(t, s.Name, s), got)
+		})
+	}
 }
 
 // TestBufferReuseInvariance is the guarantee that makes the zero-alloc
@@ -107,7 +127,8 @@ func TestBufferReuseInvariance(t *testing.T) { testArenaReuse(t, false) }
 
 // TestHardenedBufferReuseInvariance repeats it with the robustness hardening
 // switched on: the probing memory and the ATR hysteresis tables are reset in
-// the same bundle.
+// the same bundle. It ends with a full-size search point that re-probes flows,
+// run twice on the shared bundle (reprobingPoint).
 func TestHardenedBufferReuseInvariance(t *testing.T) { testArenaReuse(t, true) }
 
 // TestMonitoredSetInvariance runs every scenario with the default monitored

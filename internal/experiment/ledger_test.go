@@ -31,6 +31,22 @@ func runBuilt(t *testing.T, s Scenario, hook func(b *builtRun), check func(b *bu
 	check(b, r)
 }
 
+// reprobingPoint is the full-size hardened point of the default search grid
+// that re-probes flows (ROBUST_baseline.json records 10 for it): no quick
+// catalog run re-probes one.
+func reprobingPoint(t *testing.T) Scenario {
+	t.Helper()
+	const name = "hardened/none/pulse-400ms-25pct/uniform/spread0.00"
+	spec := DefaultSearchSpec()
+	for _, p := range spec.Grid() {
+		if s := spec.scenario(spec.Defences[1], p, false); s.Name == name {
+			return s
+		}
+	}
+	t.Fatalf("the default search grid has no point %s", name)
+	return Scenario{}
+}
+
 // TestFlowTableCensus checks, at the end of every catalog entry's quick run,
 // paper and hardened, that each defender's tables hold exactly what its
 // statistics say flowed through them. With TableCapacity 0 nothing is ever
@@ -49,9 +65,9 @@ func runBuilt(t *testing.T, s Scenario, hook func(b *builtRun), check func(b *bu
 // are FlowsProbed, FlowsNice and FlowsCondemned + FlowsIllegal.
 //
 // No quick catalog run re-probes a flow, so the census also runs one full-size
-// hardened point of the default search grid that does (ROBUST_baseline.json
-// records 10 re-probed flows for it) and requires it to: the NFT → SFT move
-// is counted, not only the identities that hold without it.
+// hardened point of the default search grid that does (reprobingPoint) and
+// requires it to: the NFT → SFT move is counted, not only the identities that
+// hold without it.
 func TestFlowTableCensus(t *testing.T) {
 	t.Parallel()
 	type censusRun struct {
@@ -64,16 +80,8 @@ func TestFlowTableCensus(t *testing.T) {
 		s := Quick(e.Build())
 		runs = append(runs, censusRun{e.Name, s, false}, censusRun{"hardened " + e.Name, Harden(s), false})
 	}
-	const reprobing = "hardened/none/pulse-400ms-25pct/uniform/spread0.00"
-	spec := DefaultSearchSpec()
-	for _, p := range spec.Grid() {
-		if s := spec.scenario(spec.Defences[1], p, false); s.Name == reprobing {
-			runs = append(runs, censusRun{s.Name, s, true})
-		}
-	}
-	if !runs[len(runs)-1].reprobe {
-		t.Fatalf("the default search grid has no point %s", reprobing)
-	}
+	reprobing := reprobingPoint(t)
+	runs = append(runs, censusRun{reprobing.Name, reprobing, true})
 	for _, r := range runs {
 		t.Run(r.name, func(t *testing.T) {
 			t.Parallel()
