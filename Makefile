@@ -138,30 +138,37 @@ digest-diff:
 	fi; \
 	echo "digest-diff against $(BASE): every result_digest identical on all $$n workloads"
 
-# arch-diff is the guard that results do not depend on the CPU level the
-# simulator is built for: maficsim is built from the working tree at
-# GOAMD64=v1 and at GOAMD64=v3 (where the compiler lowers rounding, bit
-# counting and math.FMA to other instructions), and every catalog entry runs
-# `-quick -json` on both, one process per scenario and level. Each pair of result JSON must be byte-identical; the differing names
-# are printed and the exit status is non-zero if there are any. The v3 binary
-# needs a CPU with AVX2, BMI2 and FMA to run.
+# arch-diff is the guard that results do not depend on the CPU level or the
+# word size the simulator is built for: maficsim is built from the working
+# tree at GOAMD64=v1, at GOAMD64=v3 (where the compiler lowers rounding, bit
+# counting and math.FMA to other instructions) and at GOARCH=386 (4-byte
+# pointers and ints), and every catalog entry runs `-quick -json` on each, one
+# process per scenario and build. The v3 and 386 result JSON must be
+# byte-identical to v1's; the differing names are printed and the exit status
+# is non-zero if there are any. The v3 binary needs a CPU with AVX2, BMI2 and
+# FMA to run, the 386 one a kernel that runs 32-bit binaries.
 arch-diff:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	for level in v1 v3; do \
-		GOAMD64=$$level $(GO) build -o "$$tmp/sim.$$level" ./cmd/maficsim; \
-		mkdir "$$tmp/out.$$level"; \
+	for build in v1 v3 386; do \
+		case $$build in \
+		386) GOARCH=386 $(GO) build -o "$$tmp/sim.$$build" ./cmd/maficsim ;; \
+		*) GOAMD64=$$build $(GO) build -o "$$tmp/sim.$$build" ./cmd/maficsim ;; \
+		esac; \
+		mkdir "$$tmp/out.$$build"; \
 	done; \
 	n=0; bad=""; \
 	for name in $$("$$tmp/sim.v1" -list | awk 'NR > 1 { print $$1 }'); do \
-		for level in v1 v3; do \
-			"$$tmp/sim.$$level" -scenario $$name -quick -json >"$$tmp/out.$$level/$$name.json" 2>"$$tmp/out.$$level/$$name.log" \
-				|| { echo "$$name ($$level): run failed:"; cat "$$tmp/out.$$level/$$name.log"; }; \
+		for build in v1 v3 386; do \
+			"$$tmp/sim.$$build" -scenario $$name -quick -json >"$$tmp/out.$$build/$$name.json" 2>"$$tmp/out.$$build/$$name.log" \
+				|| { echo "$$name ($$build): run failed:"; cat "$$tmp/out.$$build/$$name.log"; }; \
 		done; \
-		cmp -s "$$tmp/out.v1/$$name.json" "$$tmp/out.v3/$$name.json" || bad="$$bad $$name.json"; \
+		for build in v3 386; do \
+			cmp -s "$$tmp/out.v1/$$name.json" "$$tmp/out.$$build/$$name.json" || bad="$$bad $$name.json($$build)"; \
+		done; \
 		n=$$((n + 1)); \
 	done; \
-	if [ -n "$$bad" ]; then echo "arch-diff: of $$n scenarios these differ between GOAMD64=v1 and v3:$$bad"; exit 1; fi; \
-	echo "arch-diff: $$n scenarios, result JSON byte-identical at GOAMD64=v1 and v3"
+	if [ -n "$$bad" ]; then echo "arch-diff: of $$n scenarios these differ from the GOAMD64=v1 build's:$$bad"; exit 1; fi; \
+	echo "arch-diff: $$n scenarios, result JSON byte-identical at GOAMD64=v1, GOAMD64=v3 and GOARCH=386"
 
 # bench-compare is the acceptance measurement of a perf PR and the repo's one
 # performance gate: the paired recipe of benchmark/README.md ("Comparing two

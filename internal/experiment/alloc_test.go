@@ -305,9 +305,11 @@ func TestRebuildReusesTheNetwork(t *testing.T) {
 // benchmark's peak_rss_mb and alloc_bytes_per_job: on paper-table2 through
 // the packet chunks, on scale-50k through the router and link slabs. Packet
 // and Link carry the in-flight chain that replaced the per-packet
-// transmit-done event without having grown for it; nodes carry no name, and
-// links share their configuration. Host rides along so that it, too, cannot
-// grow back a name.
+// transmit-done event without having grown for it; nodes carry no name,
+// links reach their network through their shared configuration, and a
+// router's filter chain is one pointer. Host rides along so that it, too,
+// cannot grow back a name. The adjacency entries and route-column entries,
+// which are unexported, are pinned in netsim's TestAdjacencySizes.
 func TestStructSizes(t *testing.T) {
 	t.Parallel()
 	for _, c := range []struct {
@@ -315,13 +317,46 @@ func TestStructSizes(t *testing.T) {
 		got, max uintptr
 	}{
 		{"Packet", unsafe.Sizeof(netsim.Packet{}), 120},
-		{"Link", unsafe.Sizeof(netsim.Link{}), 80},
-		{"Router", unsafe.Sizeof(netsim.Router{}), 72},
+		{"Link", unsafe.Sizeof(netsim.Link{}), 72},
+		{"Router", unsafe.Sizeof(netsim.Router{}), 56},
 		{"Host", unsafe.Sizeof(netsim.Host{}), 160},
 	} {
 		if c.got > c.max {
 			t.Errorf("netsim.%s is %d bytes, want at most %d", c.name, c.got, c.max)
 		}
+	}
+}
+
+// TestStress50kBundleHeap pins what a bundle keeps after a quick stress-50k
+// run: its 50 259-node, 130 518-link domain and the 12 route columns its
+// traffic materializes (toward the victims, and back toward the sources that
+// acknowledgements and probes go to). Links, routers and adjacency entries
+// are pinned one by one in TestStructSizes and TestAdjacencySizes; this is
+// their sum with the per-node tables and the columns, as every idle bundle
+// holds it: 22.6 MB, where 8-byte link pointers in columns and rows made it
+// 31.6 MB.
+func TestStress50kBundleHeap(t *testing.T) {
+	e, ok := LookupScenario("stress-50k")
+	if !ok {
+		t.Fatal("stress-50k not registered")
+	}
+	s := Quick(e.Build())
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	res := newRunResources()
+	if _, err := runWith(s, res, nil, ControlOptions{}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	held := heap() - before
+	runtime.KeepAlive(res)
+	const limit = 24e6
+	if held > limit {
+		t.Errorf("a bundle after a quick stress-50k run holds %.1f MB of heap, want at most %.1f MB", float64(held)/1e6, limit/1e6)
 	}
 }
 

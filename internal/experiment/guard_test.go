@@ -118,16 +118,18 @@ var fieldManifest = map[string][]string{
 	"netsim.Hooks":                   {"OnDeliver", "OnFaultDrop", "OnFilterDrop", "OnQueueDrop", "OnUnroutable"},                                                  // observer callbacks the build installs
 	"netsim.Host":                    {"accessRouter", "defaultHandler", "homeCount", "homeLinks", "homeRouters", "id", "ips", "nHandlers", "net", "st", "uplink"}, // st: the HostState row, held as it travels; uplink: derived from the links the build connects
 	"netsim.HostState":               {"Received", "Sent"},
-	"netsim.Link":                    {"cfg", "from", "inTail", "net", "st", "to", "txCur"},                                                                                                                                                                                                                                                                                                                                     // st: the LinkState row, held as it travels; inTail, txCur: derived on restore from the link's pending arrival events (RestoreInFlight), not on the wire
-	"netsim.LinkConfig":              {"BandwidthBps", "Delay", "QueueLen"},                                                                                                                                                                                                                                                                                                                                                     // from the scenario: rebuilt
-	"netsim.LinkState":               {"Down", "Dropped", "FaultDrops", "NextFree", "Queued", "Sent"},                                                                                                                                                                                                                                                                                                                           // Queued: travels, but restore keeps the rebuilt link's count and checks the recount against it
-	"netsim.Network":                 {"adjEntrySlab", "bfsQueue", "bfsSeen", "cfgSlab", "colEntries", "colSlab", "colsMaterialized", "downLinks", "downRouters", "faultDrops", "filterSlab", "handlers", "hooks", "hostSlab", "ipOwner", "ipSlab", "lastCfg", "linkCfgs", "linkSlab", "links", "nextPktID", "nodes", "pktFree", "pktSlab", "rng", "routeCols", "routerSlab", "scheduler", "sizeHint", "sparse", "topoVersion"}, // the nine slab fields (chunk list plus carve cursor each): storage Reset rewinds for the next build, no run state; bfsQueue, bfsSeen: the route BFS's scratch; linkCfgs, lastCfg: the build's index of cfgSlab; routeCols: rematerialized on restore from NetworkState.RouteDests
+	"netsim.Link":                    {"cfg", "from", "inTail", "st", "to", "txCur"},                                                                                                                                                                                                                                                                                                                                                        // st: the LinkState row, held as it travels; inTail, txCur: derived on restore from the link's pending arrival events (RestoreInFlight), not on the wire
+	"netsim.LinkConfig":              {"BandwidthBps", "Delay", "QueueLen"},                                                                                                                                                                                                                                                                                                                                                                 // from the scenario: rebuilt
+	"netsim.LinkState":               {"Down", "Dropped", "FaultDrops", "NextFree", "Queued", "Sent"},                                                                                                                                                                                                                                                                                                                                       // Queued: travels, but restore keeps the rebuilt link's count and checks the recount against it
+	"netsim.Network":                 {"adj", "bfsQueue", "bfsSeen", "cfgSlab", "chainSlab", "colEntries", "colSlab", "cols", "colsMaterialized", "downLinks", "downRouters", "faultDrops", "filterSlab", "handlers", "hooks", "hostSlab", "ipOwner", "ipSlab", "lastCfg", "linkCfgs", "linkSlab", "links", "nextPktID", "nodes", "pktFree", "pktSlab", "rng", "routeCols", "routerSlab", "scheduler", "sizeHint", "sparse", "topoVersion"}, // the nine slab fields (chunk list plus carve cursor each): storage Reset rewinds for the next build, no run state; adj: the rows the build makes; bfsQueue, bfsSeen: the route BFS's scratch; linkCfgs, lastCfg: the build's index of cfgSlab; routeCols, cols: rematerialized on restore from NetworkState.RouteDests
 	"netsim.NetworkState":            {"FaultDrops", "NextPktID", "RouteDests", "TopoVersion"},
 	"netsim.Packet":                  {"FlowID", "Hops", "ID", "Kind", "Label", "Malicious", "Proto", "SentAt", "Seq", "Size", "dstNode", "dstNodeOK", "flowHash", "freed", "hashOK", "inNext", "pooled", "txDone", "txSeq"}, // inNext, txDone, txSeq: derived on restore from the packet's own arrival event (At - Delay, Seq), not on the wire
 	"netsim.PacketState":             {"FlowID", "Hops", "ID", "Kind", "Label", "Malicious", "Proto", "SentAt", "Seq", "Size"},
 	"netsim.Router":                  {"filters", "id", "net", "st"}, // st: the RouterState row, held as it travels
 	"netsim.RouterState":             {"Down", "Dropped", "FaultDrops", "Forwarded"},
 	"netsim.adjEntry":                {"back", "link", "to"},                                                                                                                      // the adjacency the build makes
+	"netsim.adjRow":                  {"len", "off"},                                                                                                                              // the adjacency the build makes
+	"netsim.sharedLinkConfig":        {"LinkConfig", "net"},                                                                                                                       // from the scenario: rebuilt
 	"netsim.handlerKey":              {"host", "label"},                                                                                                                           // a host's handler table key, filled by the build
 	"netsim.nodeSlot":                {"host", "router"},                                                                                                                          // the node table the build fills
 	"netsim.slab":                    {"chunks", "cur", "used"},                                                                                                                   // chunk list plus carve cursor: storage Reset rewinds for the next build, no run state

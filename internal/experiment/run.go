@@ -69,15 +69,15 @@ type runResources struct {
 // idleBundles keeps bundles between runs, sequential or the workers of a
 // sweep alike. A bundle handed back while it is full falls to the garbage
 // collector. 64 slots bound what idle bundles retain — each keeps the largest
-// domain it has built, 31 MB of arena after a quick stress-50k run, the
-// streams of its most-forking run, 0.3 MB for that run's 50, and, once it has
-// served a checkpointed run or a resume, the largest snapshot it has held:
-// 19 MB more after a checkpointed quick stress-50k run (50 MB in all; its
-// 130 000 link and 53 000 node records, the handler map and link list over
-// the same links, and the 1.7 MB encode buffer), 0.2 MB after a full table2
-// one — and still cover every concurrent run of a sweep on up to 64 CPUs
-// (RunMany runs GOMAXPROCS workers by default) or of maficserve (two by
-// default).
+// domain it has built and the streams of its most-forking run, 22.6 MB in
+// all after a quick stress-50k run (TestStress50kBundleHeap), and, once it
+// has served a checkpointed run or a resume, the largest snapshot it has
+// held: 22.8 MB more after a quick stress-50k run checkpointed every quarter
+// (45.4 MB in all; its 130 000 link and 50 000 node records, the handler
+// map and link list over the same links, and the encode buffer), 0.1 MB
+// after a quick table2 one — and still cover every concurrent run of a sweep
+// on up to 64 CPUs (RunMany runs GOMAXPROCS workers by default) or of
+// maficserve (two by default).
 var idleBundles = make(chan *runResources, 64)
 
 // newRunResources returns a brand-new bundle: what the first run of a process

@@ -274,7 +274,9 @@ type Result struct {
 	// RouteEntries and RouteBytes report the resident routing state at the
 	// end of the run: demand-driven routing materializes route columns
 	// only for destinations the workload actually used, so these measure
-	// how much of the domain's reachability the scenario paid for.
+	// how much of the domain's reachability the scenario paid for. An
+	// entry is a 4-byte link id, so RouteBytes is 4 × RouteEntries on
+	// every GOARCH.
 	RouteEntries int   `json:"routeEntries"`
 	RouteBytes   int64 `json:"routeBytes"`
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"mafic/internal/sim"
 )
@@ -172,9 +173,9 @@ func TestSparseDenseAdjacencyEquivalent(t *testing.T) {
 }
 
 // TestCarvingPastReservation pins that rows for nodes added after the Reserve
-// budget is exhausted are still slab-carved: the chunk size follows the live
-// node count, not the stale hint alone, so over-budget wiring does not fall
-// back to an allocation per row.
+// budget is exhausted are still carved from the network's one row array,
+// which grows geometrically past the reservation, so over-budget wiring does
+// not fall back to an allocation per row.
 func TestCarvingPastReservation(t *testing.T) {
 	const reserve, final = 4, 96
 	n := New(sim.NewScheduler(), sim.NewRNG(1))
@@ -206,7 +207,7 @@ func TestCarvingPastReservation(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	if allocs := after.Mallocs - before.Mallocs; allocs > 32 {
-		t.Errorf("over-budget wiring cost %d allocations; rows are not slab-carved", allocs)
+		t.Errorf("over-budget wiring cost %d allocations; rows are not carved from the row array", allocs)
 	}
 	for i := 0; i+1 < final; i++ {
 		if n.LinkBetween(rs[i].ID(), rs[i+1].ID()) == nil {
@@ -237,5 +238,24 @@ func TestSparseLookupZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("per-hop lookups allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestAdjacencySizes pins the entries a 50 000-router domain holds hundreds
+// of thousands of: a route-column entry and an adjacency entry's links are
+// 4-byte link ids, and a node's row locator is 8 bytes, on every GOARCH;
+// experiment's TestStress50kBundleHeap pins the sum.
+func TestAdjacencySizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"linkRef", unsafe.Sizeof(linkRef(0)), 4},
+		{"adjEntry", unsafe.Sizeof(adjEntry{}), 12},
+		{"adjRow", unsafe.Sizeof(adjRow{}), 8},
+	} {
+		if c.got != c.want {
+			t.Errorf("netsim.%s is %d bytes, want %d", c.name, c.got, c.want)
+		}
 	}
 }

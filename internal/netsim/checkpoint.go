@@ -70,7 +70,7 @@ func (l *Link) RestoreInFlight(pkt *Packet, arrive sim.Time, seq uint64) error {
 		return fmt.Errorf("netsim: %v: in-flight packet %d (arrival %v, seq %d) is not behind packet %d (arrival %v, seq %d)",
 			l, pkt.ID, arrive, seq, t.ID, t.txDone+l.cfg.Delay, t.txSeq)
 	}
-	l.enchainArrival(pkt, txDone, seq, !l.net.scheduler.Fired(txDone, seq))
+	l.enchainArrival(pkt, txDone, seq, !l.cfg.net.scheduler.Fired(txDone, seq))
 	return nil
 }
 
@@ -106,9 +106,9 @@ func (h *Host) RestoreState(st HostState) { h.st = st }
 // node, then ascending target node. Checkpoint capture and restore both rely
 // on this order.
 func (n *Network) ForEachLink(fn func(l *Link)) {
-	for _, row := range n.sparse {
-		for i := range row {
-			fn(row[i].link)
+	for id := range n.sparse {
+		for _, e := range n.row(NodeID(id)) {
+			fn(n.link(e.link))
 		}
 	}
 }
@@ -148,7 +148,7 @@ func (n *Network) CheckpointState(dst *NetworkState) {
 	dst.FaultDrops = n.faultDrops
 	dst.RouteDests = dst.RouteDests[:0]
 	for id := range n.routeCols {
-		if n.routeCols[id] != nil {
+		if n.routeCols[id] != 0 {
 			dst.RouteDests = append(dst.RouteDests, NodeID(id))
 		}
 	}

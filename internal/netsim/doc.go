@@ -72,7 +72,10 @@
 // search. First AttachmentLink: is the destination a host attached to this
 // router (one or two inline entries on the host)? Otherwise RouteLink: the
 // entry for this router in the destination's route column, a NodeID-indexed
-// slice of *Link. A host sends on its uplink, the link to its access router
+// slice of link ids. A link's id is four bytes, its carve position in the
+// network's link slab, and resolves to the *Link by chunk arithmetic with no
+// table of its own; a node's slot in the column table is the four-byte number
+// of the column serving it. A host sends on its uplink, the link to its access router
 // that AttachTo and Connect keep on it. The network computes each column on
 // demand, one reverse BFS over its own adjacency rows (see routing.go for the
 // host aggregation and the invariants), and memoizes it until the graph
@@ -89,22 +92,25 @@
 // The node/link graph answers two questions off the forwarding fast path:
 // LinkBetween (is there a direct link from a to b, and which one) and
 // AppendNeighbors (a's neighbours in ascending ID order, the order BFS route
-// computation depends on). Behind both is one sorted row of (neighbour, link,
-// back link) entries per node, carved from a shared slab. LinkBetween is a binary search
-// over the row — simulated degrees are single digits, so the search is two or
-// three probes — and total adjacency state is O(nodes + links): a
-// 50000-router domain's adjacency fits in a few megabytes. The reference the
+// computation depends on). Behind both is one sorted row of (neighbour, link
+// id, back link id) entries per node, twelve bytes each, the rows back to back
+// in one array and each node's located by an eight-byte (offset, length)
+// pair; a row that outgrows its capacity is re-carved at the end of the array
+// at doubled capacity. LinkBetween is a binary search over the row —
+// simulated degrees are single digits, so the search is two or three probes —
+// and total adjacency state is O(nodes + links): a 50000-router domain's
+// adjacency fits in 2.6 megabytes. The reference the
 // rows are tested against is test-only: adjacency_test.go mirrors every
 // Connect into a map keyed by (from, to) and compares all pairs and every
 // neighbour list on seeded random graphs.
 //
 // # Reservation and slab carving
 //
-// Reserve(nodes) sizes the internal spines and slabs for a known domain size
-// so construction is O(1) allocations per chunk instead of per node. The
-// reservation is a hint, not a cap: nodes added past it stay correct and keep
-// carving from the slabs. A slab keeps every chunk it has carved; see the next
-// section.
+// Reserve(nodes) sizes the internal spines, the adjacency rows and the slabs
+// for a known domain size so construction is O(1) allocations per chunk
+// instead of per node. The reservation is a hint, not a cap: nodes added past
+// it stay correct and keep carving from the slabs. A slab keeps every chunk
+// it has carved; see the next section.
 //
 // # Reset and ownership
 //
@@ -114,11 +120,11 @@
 // the fresh path, and the oracle the reset path is tested against).
 //
 // What survives is storage only: the chunks of the nine slabs (routers,
-// hosts, links, link configurations, sparse adjacency entries, filter chains,
-// host addresses, pool packets, route columns), the backing of the three
-// per-node tables (the node table, the sparse adjacency spine, the
-// route-column table), the route BFS's scratch, the three maps' buckets and
-// the free list's array. What a caller can observe does not: a reset network
+// hosts, links, link configurations, filter chains and their entries, host
+// addresses, pool packets, route columns), the backing of the three per-node
+// tables (the node table, the adjacency spine, the column-number table), of
+// the adjacency rows and of the list of columns, the route BFS's scratch, the
+// three maps' buckets and the free list's array. What a caller can observe does not: a reset network
 // has no nodes, links, addresses, handlers, hooks or columns, its fault
 // counters, TopoVersion and packet IDs start from zero, and it is bound to the
 // new scheduler and RNG. Reset states what it keeps and zeroes the rest
@@ -133,10 +139,20 @@
 // run asks for packets, none is handed out twice, and a release by a holder
 // from before the reset panics like any double release.
 //
+// Link ids are reused the same way. The next build carves links from the
+// first position of the link slab again, so an id the last build stored names
+// whatever link the new build carves there — or, past the new build's last
+// link, a link of the last build left in a retained chunk. None is misread:
+// Reset empties the column table, the adjacency spine and the column list, so
+// every id a column or row holds afterwards was stored by the new build, for a
+// link it has carved. Within a build an id never changes: links are not
+// removed, and a re-carved row copies its entries' ids.
+//
 // The slabs need no zeroing, because no carve site reads before it writes:
 // nodes, links and link configurations are assigned whole (*r = Router{...}),
 // pool packets are zeroed when drawn, route columns are cleared by the BFS
-// that fills them, and adjacency rows, filter chains and address slices are
+// that fills them, a row's entries are written by the insert that extends it
+// before anything reads them, and filter chains and address slices are
 // handed out at zero length and only appended to (the filter slab is cleared
 // all the same, so that a chain nobody carves over cannot pin a finished
 // run's defenders). The tables are read by index before they are written, so
@@ -154,10 +170,13 @@
 // allocate nothing.
 //
 // A network retains the largest domain it has built, its route columns
-// included: the arena around it holds 31 MB after a quick stress-50k run,
-// against 0.25 MB after quick table2. Per node and link it keeps only what
-// forwarding reads: nodes carry no name, and each link points at the
-// network's one copy of its LinkConfig.
+// included: the run bundle around it holds 22.6 MB after a quick stress-50k
+// run (experiment's TestStress50kBundleHeap pins it), against 0.25 MB after
+// quick table2. Per node and link it keeps only what forwarding reads: nodes
+// carry no name, each link points at the network's one copy of its
+// LinkConfig and reaches the network through it, a router's filter chain is
+// one pointer, nil on the routers without one, and columns and rows hold
+// 4-byte link ids.
 // One arena serves one run at a time, so a process holds as many as it has
 // had concurrent runs; experiment keeps at most 64 idle run bundles, each
 // with its arena and the defenders, monitor, coordinator and workload that

@@ -43,11 +43,11 @@ func (l *Link) SetDown(down bool) {
 	}
 	l.st.Down = down
 	if down {
-		l.net.downLinks++
+		l.cfg.net.downLinks++
 	} else {
-		l.net.downLinks--
+		l.cfg.net.downLinks--
 	}
-	l.net.noteFaultStateChange()
+	l.cfg.net.noteFaultStateChange()
 }
 
 // Down reports whether the link is currently down.
@@ -131,12 +131,9 @@ func (n *Network) appendLiveNeighbors(dst []NodeID, id NodeID) []NodeID {
 	if n.RouterDown(id) {
 		return dst
 	}
-	if id < 0 || int(id) >= len(n.sparse) {
-		return dst
-	}
-	for _, e := range n.sparse[id] {
+	for _, e := range n.row(id) {
 		if n.usable(e) {
-			dst = append(dst, e.to)
+			dst = append(dst, NodeID(e.to))
 		}
 	}
 	return dst
@@ -146,5 +143,5 @@ func (n *Network) appendLiveNeighbors(dst []NodeID, id NodeID) []NodeID {
 // active: its link is up and does not lead into a crashed router. It is the
 // one liveness rule appendLiveNeighbors and the route BFS share.
 func (n *Network) usable(e adjEntry) bool {
-	return !e.link.st.Down && !n.RouterDown(e.to)
+	return !n.link(e.link).st.Down && !n.RouterDown(NodeID(e.to))
 }

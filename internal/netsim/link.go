@@ -27,12 +27,12 @@ const DefaultQueueLen = 128
 //
 // The quick 50 000-router domain holds about 130 000 of these, so endpoints
 // and occupancy are stored narrow and cfg points at the network's one copy of
-// the configuration; TestStructSizes pins the size.
+// the configuration, through which the link also reaches its network;
+// TestStructSizes pins the size.
 type Link struct {
-	net  *Network
 	from int32 // NodeID of the upstream node
 	to   int32 // NodeID of the downstream node
-	cfg  *LinkConfig
+	cfg  *sharedLinkConfig
 
 	// inTail is the last packet of the in-flight chain (Packet.inNext, send
 	// order) and txCur the first one whose transmission is not retired from
@@ -56,10 +56,10 @@ func (l *Link) To() NodeID { return NodeID(l.to) }
 
 // Reverse returns the link in the other direction between the same two
 // nodes, or nil when they are connected this way only.
-func (l *Link) Reverse() *Link { return l.net.LinkBetween(NodeID(l.to), NodeID(l.from)) }
+func (l *Link) Reverse() *Link { return l.cfg.net.LinkBetween(NodeID(l.to), NodeID(l.from)) }
 
 // Config returns the link configuration.
-func (l *Link) Config() LinkConfig { return *l.cfg }
+func (l *Link) Config() LinkConfig { return l.cfg.LinkConfig }
 
 // Sent reports how many packets the link accepted for transmission.
 func (l *Link) Sent() uint64 { return l.st.Sent }
@@ -76,7 +76,7 @@ func (l *Link) QueueLen() int {
 // reap retires every packet the link has finished transmitting: what a
 // transmit-done event per packet would do, done when the count is looked at.
 func (l *Link) reap() {
-	s := l.net.scheduler
+	s := l.cfg.net.scheduler
 	for p := l.txCur; p != nil && s.Fired(p.txDone, p.txSeq); p = p.inNext {
 		l.st.Queued--
 		l.txCur = p.inNext
@@ -98,18 +98,19 @@ func (l *Link) transmissionTime(sizeBytes int) sim.Time {
 // OnQueueDrop hook, and recycled. Ownership of the packet transfers to the
 // link.
 func (l *Link) Send(pkt *Packet) {
-	now := l.net.Now()
+	net := l.cfg.net
+	now := net.Now()
 	if l.st.Down {
 		l.st.FaultDrops++
-		l.net.noteFaultDrop(pkt, l.From(), now)
-		l.net.FreePacket(pkt)
+		net.noteFaultDrop(pkt, l.From(), now)
+		net.FreePacket(pkt)
 		return
 	}
 	l.reap()
 	if int(l.st.Queued) >= l.cfg.QueueLen {
 		l.st.Dropped++
-		l.net.noteQueueDrop(pkt, l, now)
-		l.net.FreePacket(pkt)
+		net.noteQueueDrop(pkt, l, now)
+		net.FreePacket(pkt)
 		return
 	}
 	l.st.Sent++
@@ -126,7 +127,7 @@ func (l *Link) Send(pkt *Packet) {
 	// is taken now; only the head of the in-flight chain is in the calendar,
 	// and each arrival inserts the next. The end of the transmission is only
 	// a key on the chain.
-	l.enchainArrival(pkt, l.st.NextFree, l.net.scheduler.Reserve(), true)
+	l.enchainArrival(pkt, l.st.NextFree, net.scheduler.Reserve(), true)
 }
 
 // enchainArrival appends pkt to the in-flight chain under its transmit-done
@@ -138,7 +139,7 @@ func (l *Link) enchainArrival(pkt *Packet, txDone sim.Time, seq uint64, unretire
 	if l.inTail != nil {
 		l.inTail.inNext = pkt
 	} else {
-		l.net.scheduler.InsertKeyed(txDone+l.cfg.Delay, seq, l, pkt)
+		l.cfg.net.scheduler.InsertKeyed(txDone+l.cfg.Delay, seq, l, pkt)
 	}
 	l.inTail = pkt
 	if unretired {
@@ -154,13 +155,13 @@ func (l *Link) enchainArrival(pkt *Packet, txDone sim.Time, seq uint64, unretire
 // packet's arrival is queued under the key Send reserved for it, and this
 // one's transmission is retired here unless a reap got to it first.
 func (l *Link) OnEventArg(now sim.Time, arg any) {
-	pkt := arg.(*Packet)
+	pkt, net := arg.(*Packet), l.cfg.net
 	if l.txCur == pkt {
 		l.st.Queued--
 		l.txCur = pkt.inNext
 	}
 	if next := pkt.inNext; next != nil {
-		l.net.scheduler.InsertKeyed(next.txDone+l.cfg.Delay, next.txSeq, l, next)
+		net.scheduler.InsertKeyed(next.txDone+l.cfg.Delay, next.txSeq, l, next)
 	} else {
 		l.inTail = nil
 	}
@@ -170,11 +171,11 @@ func (l *Link) OnEventArg(now sim.Time, arg any) {
 		// accounted here, not leaked — the pool gets it back like any other
 		// terminal point.
 		l.st.FaultDrops++
-		l.net.noteFaultDrop(pkt, l.To(), now)
-		l.net.FreePacket(pkt)
+		net.noteFaultDrop(pkt, l.To(), now)
+		net.FreePacket(pkt)
 		return
 	}
-	l.net.deliverTo(l.To(), pkt, l.From())
+	net.deliverTo(l.To(), pkt, l.From())
 }
 
 // String renders the link endpoints for diagnostics.

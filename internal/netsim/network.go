@@ -3,6 +3,8 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"mafic/internal/sim"
 )
@@ -47,16 +49,40 @@ type nodeSlot struct {
 	host   *Host
 }
 
+// linkRef names a link by its carve position in the network's linkSlab, plus
+// one so that the zero value, which cleared columns and unpaired row entries
+// hold, names no link. Every linkSlab chunk is linkChunk links long (connect
+// carves one link at a time), so Network.link resolves a reference by chunk
+// arithmetic; four bytes instead of a pointer's eight is what lets route
+// columns and adjacency rows of a 50 000-router domain fit in half the space.
+type linkRef int32
+
 // adjEntry is one outgoing link in an adjacency row, keyed by its target
 // node. Rows are kept sorted by target so lookups binary-search and neighbour
 // iteration is ascending, which is what BFS tie-breaking (and therefore every
 // forwarding decision) depends on. back is the link from the target back to
-// the row's node, nil until that direction is connected: the route BFS writes
+// the row's node, zero until that direction is connected: the route BFS writes
 // it into a column without searching.
 type adjEntry struct {
-	to   NodeID
-	link *Link
-	back *Link
+	to   int32 // NodeID of the target
+	link linkRef
+	back linkRef
+}
+
+// adjRow locates a node's adjacency row in Network.adj: its len entries start
+// at off. The row's capacity is not stored; see rowCap.
+type adjRow struct {
+	off, len uint32
+}
+
+// rowCap is the capacity of a row of the given length. A row is carved with
+// sparseRowCap entries on its first link and re-carved at doubled capacity
+// when it is full, so its capacity follows from its length.
+func rowCap(length uint32) uint32 {
+	if length == 0 {
+		return 0
+	}
+	return max(sparseRowCap, uint32(1)<<bits.Len32(length-1))
 }
 
 // Network owns every simulated node and link and bridges them to the
@@ -68,12 +94,17 @@ type Network struct {
 	// nodes is the dense NodeID-indexed table of every node: the registry
 	// behind Router and Host, and the dispatch table of the forwarding path.
 	nodes []nodeSlot
-	// sparse[from] is the sorted-by-target neighbour list holding from's
-	// outgoing links: O(nodes + links) memory overall, with lookups a short
-	// binary search over a row whose length is the node's degree (2–10 in
-	// the generated domains). A nil or short spine entry means no outgoing
-	// links from that node yet.
-	sparse [][]adjEntry
+	// sparse[from] locates the sorted-by-target neighbour row holding from's
+	// outgoing links in adj: O(nodes + links) memory overall, with lookups a
+	// short binary search over a row whose length is the node's degree (2–10
+	// in the generated domains). A zero or short spine entry means no
+	// outgoing links from that node yet.
+	sparse []adjRow
+	// adj holds every row back to back. A row that outgrows its capacity is
+	// re-carved at the end at doubled capacity and its old segment left
+	// unused until the next Reset; Reserve sizes adj for a row per node and
+	// some re-carves.
+	adj []adjEntry
 	// links counts the simplex links installed; see LinkTotal.
 	links   int
 	ipOwner map[IP]NodeID
@@ -91,20 +122,19 @@ type Network struct {
 	pktSlab slab[Packet]
 
 	// Object slabs: nodes and links are carved from chunk-allocated arrays
-	// instead of being allocated one by one; see slab.
+	// instead of being allocated one by one; see slab. A link's carve index
+	// in linkSlab is its linkRef.
 	routerSlab slab[Router]
 	hostSlab   slab[Host]
 	linkSlab   slab[Link]
 
-	// adjEntrySlab backs the sparse adjacency rows: rows are carved with a
-	// few entries of headroom and re-carved at doubled capacity when a
-	// node's degree outgrows them, so sparse domain construction costs
-	// O(links/adjEntryChunk) allocations for adjacency storage.
-	adjEntrySlab slab[adjEntry]
-
-	// filterSlab backs the routers' filter chains; chains are tiny (tap
-	// plus at most one defence), so carving them avoids a per-router
-	// allocation.
+	// chainSlab holds the filter chains of the routers that have one (the
+	// routers the traffic-matrix monitor, the arrival tap and the defences
+	// watch: a hundred or so of 50 000), so a Router points at its chain
+	// instead of carrying a slice header; filterSlab backs the chains'
+	// entries. Chains are tiny (tap plus
+	// at most one defence), so carving them avoids a per-router allocation.
+	chainSlab  slab[[]Filter]
 	filterSlab slab[Filter]
 
 	// ipSlab backs the hosts' address slices; nearly every host owns
@@ -113,12 +143,13 @@ type Network struct {
 
 	// linkCfgs maps each distinct link configuration (queue length
 	// defaulted) to the network's one copy of it in cfgSlab, which every
-	// link with that configuration points at. lastCfg is the copy the last
-	// link got: a build connects its links in runs of one configuration,
-	// so most links find theirs there without hashing it.
-	linkCfgs map[LinkConfig]*LinkConfig
-	lastCfg  *LinkConfig
-	cfgSlab  slab[LinkConfig]
+	// link with that configuration points at and reaches the network
+	// through. lastCfg is the copy the last link got: a build connects its
+	// links in runs of one configuration, so most links find theirs there
+	// without hashing it.
+	linkCfgs map[LinkConfig]*sharedLinkConfig
+	lastCfg  *sharedLinkConfig
+	cfgSlab  slab[sharedLinkConfig]
 
 	// handlers dispatches host-received packets by (host, label). One
 	// network-wide map replaces a lazily allocated map per host; hosts
@@ -126,12 +157,14 @@ type Network struct {
 	handlers map[handlerKey]PacketHandler
 
 	// Demand-driven routing state (see routing.go): the dense
-	// per-destination table of route columns (host slots alias their
-	// attachment router's column), the slab the columns are carved from, the
-	// route BFS's queue and visited marks, and the materialization counters
+	// per-destination table of column numbers, each naming cols[number-1]
+	// (zero for none; host slots share their attachment router's number),
+	// the materialized columns and the slab they are carved from, the route
+	// BFS's queue and visited marks, and the materialization counters
 	// behind RouteColumns/RouteStats.
-	routeCols        [][]*Link
-	colSlab          slab[*Link]
+	routeCols        []int32
+	cols             [][]linkRef
+	colSlab          slab[linkRef]
 	bfsQueue         []NodeID
 	bfsSeen          []bool
 	colsMaterialized int
@@ -167,10 +200,6 @@ const (
 	// routers in the generated domains have degree 2 (ring) plus a chord or
 	// two, so most rows never re-carve.
 	sparseRowCap = 4
-	// adjEntryChunk caps the sparse-slab chunk size in entries. Chunks are
-	// sized proportionally to the domain (see adjEntrySlabSize), so small
-	// networks never pay for a full chunk they will not fill.
-	adjEntryChunk = 4096
 )
 
 // nodeSlabSize picks the chunk size for a node slab: at least nodeChunk, at
@@ -181,18 +210,23 @@ func (n *Network) nodeSlabSize() int {
 	return max(nodeChunk, n.sizeHint-len(n.nodes))
 }
 
-// adjEntrySlabSize picks the chunk size for the sparse-entry slab: roughly
-// one initial row per expected node (the Reserve hint, or the actual count
-// once nodes were added past it), so small domains allocate a chunk they
-// actually fill, capped at adjEntryChunk so huge domains amortize in
-// fixed-size chunks.
-func (n *Network) adjEntrySlabSize() int {
-	return min(sparseRowCap*max(n.sizeHint, len(n.nodes)), adjEntryChunk)
+// link resolves a reference to its link, or nil for the zero reference.
+func (n *Network) link(ref linkRef) *Link {
+	if ref == 0 {
+		return nil
+	}
+	i := uint(ref - 1)
+	return &n.linkSlab.chunks[i/linkChunk][i%linkChunk]
 }
 
-// carveAdjEntries carves a zero-length sparse row with the given capacity.
-func (n *Network) carveAdjEntries(capWant int) []adjEntry {
-	return n.adjEntrySlab.take(capWant, n.adjEntrySlabSize())[:0]
+// row returns id's adjacency row: empty for an unknown node or one with no
+// outgoing links. Its capacity is its length, so appending to it reallocates.
+func (n *Network) row(id NodeID) []adjEntry {
+	if uint(id) >= uint(len(n.sparse)) {
+		return nil
+	}
+	r := n.sparse[id]
+	return n.adj[r.off : r.off+r.len : r.off+r.len]
 }
 
 // sparseFind returns the position of target to in the sorted row, or the
@@ -201,7 +235,7 @@ func sparseFind(row []adjEntry, to NodeID) int {
 	lo, hi := 0, len(row)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if row[mid].to < to {
+		if NodeID(row[mid].to) < to {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -244,7 +278,7 @@ func New(scheduler *sim.Scheduler, rng *sim.RNG) *Network {
 		scheduler: scheduler,
 		rng:       rng,
 		ipOwner:   make(map[IP]NodeID),
-		linkCfgs:  make(map[LinkConfig]*LinkConfig),
+		linkCfgs:  make(map[LinkConfig]*sharedLinkConfig),
 	}
 }
 
@@ -280,26 +314,28 @@ func (n *Network) Reset(scheduler *sim.Scheduler, rng *sim.RNG) {
 	}
 	// Everything not carried over here starts from zero.
 	*n = Network{
-		scheduler:    scheduler,
-		rng:          rng,
-		nodes:        n.nodes[:0],
-		sparse:       n.sparse[:0],
-		routeCols:    n.routeCols[:0],
-		colSlab:      n.colSlab.rewound(),
-		bfsQueue:     n.bfsQueue[:0],
-		bfsSeen:      n.bfsSeen[:0],
-		ipOwner:      n.ipOwner,
-		handlers:     n.handlers,
-		pktFree:      n.pktFree[:0],
-		pktSlab:      n.pktSlab.rewound(),
-		routerSlab:   n.routerSlab.rewound(),
-		hostSlab:     n.hostSlab.rewound(),
-		linkSlab:     n.linkSlab.rewound(),
-		adjEntrySlab: n.adjEntrySlab.rewound(),
-		filterSlab:   n.filterSlab.rewound(),
-		ipSlab:       n.ipSlab.rewound(),
-		linkCfgs:     n.linkCfgs,
-		cfgSlab:      n.cfgSlab.rewound(),
+		scheduler:  scheduler,
+		rng:        rng,
+		nodes:      n.nodes[:0],
+		sparse:     n.sparse[:0],
+		adj:        n.adj[:0],
+		routeCols:  n.routeCols[:0],
+		cols:       n.cols[:0],
+		colSlab:    n.colSlab.rewound(),
+		bfsQueue:   n.bfsQueue[:0],
+		bfsSeen:    n.bfsSeen[:0],
+		ipOwner:    n.ipOwner,
+		handlers:   n.handlers,
+		pktFree:    n.pktFree[:0],
+		pktSlab:    n.pktSlab.rewound(),
+		routerSlab: n.routerSlab.rewound(),
+		hostSlab:   n.hostSlab.rewound(),
+		linkSlab:   n.linkSlab.rewound(),
+		chainSlab:  n.chainSlab.rewound(),
+		filterSlab: n.filterSlab.rewound(),
+		ipSlab:     n.ipSlab.rewound(),
+		linkCfgs:   n.linkCfgs,
+		cfgSlab:    n.cfgSlab.rewound(),
 	}
 }
 
@@ -376,10 +412,10 @@ func (n *Network) allocateNodeID() NodeID {
 	return id
 }
 
-// Reserve pre-sizes the node and adjacency tables for a domain of the given
-// node count. Topology builders that know their final size call it once so
-// the per-node tables are allocated at full size up front instead of growing
-// piecemeal. Reserving is purely an optimisation; the network works
+// Reserve pre-sizes the node, adjacency and column tables for a domain of the
+// given node count. Topology builders that know their final size call it once
+// so the per-node tables are allocated at full size up front instead of
+// growing piecemeal. Reserving is purely an optimisation; the network works
 // identically without it and with nodes added past the reserved budget.
 func (n *Network) Reserve(nodes int) {
 	if nodes <= len(n.nodes) {
@@ -394,15 +430,21 @@ func (n *Network) Reserve(nodes int) {
 		n.sizeHint = nodes
 	}
 	if cap(n.sparse) < nodes {
-		grown := make([][]adjEntry, len(n.sparse), nodes)
+		grown := make([]adjRow, len(n.sparse), nodes)
 		copy(grown, n.sparse)
 		n.sparse = grown
+	}
+	// A row per node, plus room for one row in 32 to re-carve at doubled
+	// capacity (eight entries more): the ingress routers and the routers
+	// with the most chords, which is what the 50 000-router domain needs.
+	if entries := sparseRowCap*nodes + nodes/4; cap(n.adj) < entries {
+		n.adj = slices.Grow(n.adj, entries-len(n.adj))
 	}
 	if nodes > len(n.routeCols) {
 		if cap(n.routeCols) >= nodes {
 			n.routeCols = n.routeCols[:nodes]
 		} else {
-			grownCols := make([][]*Link, nodes)
+			grownCols := make([]int32, nodes)
 			copy(grownCols, n.routeCols)
 			n.routeCols = grownCols
 		}
@@ -500,9 +542,11 @@ func (n *Network) connect(from, to NodeID, cfg LinkConfig) *Link {
 	n.invalidateRouteColumns()
 	n.topoVersion++
 	l := &n.linkSlab.take(1, linkChunk)[0]
-	*l = Link{net: n, from: int32(from), to: int32(to), cfg: n.sharedConfig(cfg)}
+	*l = Link{from: int32(from), to: int32(to), cfg: n.sharedConfig(cfg)}
 	n.links++
-	n.sparseInsert(from, to, l)
+	// Chunks are linkChunk links long and none is skipped when one link is
+	// carved at a time, so the link just carved is the used-th of chunk cur.
+	n.sparseInsert(from, to, linkRef(n.linkSlab.cur*linkChunk+n.linkSlab.used))
 	if h := n.nodes[to].host; h != nil {
 		h.noteHome(from, l)
 	}
@@ -512,46 +556,56 @@ func (n *Network) connect(from, to NodeID, cfg LinkConfig) *Link {
 	return l
 }
 
+// sharedLinkConfig is the network's one copy of a link configuration, and
+// the way back from a link to its network: a link reaches both through one
+// pointer.
+type sharedLinkConfig struct {
+	LinkConfig
+	net *Network
+}
+
 // sharedConfig returns the network's copy of cfg, carving one the first time
 // the value is seen. A NaN bandwidth never equals itself, so such a
 // configuration gets a copy per link; topology refuses it before a build.
-func (n *Network) sharedConfig(cfg LinkConfig) *LinkConfig {
-	if c := n.lastCfg; c != nil && *c == cfg {
+func (n *Network) sharedConfig(cfg LinkConfig) *sharedLinkConfig {
+	if c := n.lastCfg; c != nil && c.LinkConfig == cfg {
 		return c
 	}
 	c, ok := n.linkCfgs[cfg]
 	if !ok {
 		c = &n.cfgSlab.take(1, cfgChunk)[0]
-		*c = cfg
+		*c = sharedLinkConfig{LinkConfig: cfg, net: n}
 		n.linkCfgs[cfg] = c
 	}
 	n.lastCfg = c
 	return c
 }
 
-// sparseInsert places l into from's sorted neighbour row, re-carving the row
-// at doubled capacity when its degree outgrows the current segment, and pairs
-// l with the reverse direction, if that is connected already, through both
-// entries' back links.
-func (n *Network) sparseInsert(from, to NodeID, l *Link) {
+// sparseInsert places the link ref names into from's sorted neighbour row,
+// re-carving the row at the end of adj at doubled capacity when its degree
+// outgrows the current segment, and pairs it with the reverse direction, if
+// that is connected already, through both entries' back links.
+func (n *Network) sparseInsert(from, to NodeID, ref linkRef) {
 	for int(from) >= len(n.sparse) {
-		n.sparse = append(n.sparse, nil)
+		n.sparse = append(n.sparse, adjRow{})
 	}
-	row := n.sparse[from]
-	i := sparseFind(row, to)
+	r := n.sparse[from]
+	if r.len == rowCap(r.len) {
+		off, c := len(n.adj), int(max(sparseRowCap, 2*r.len))
+		n.adj = slices.Grow(n.adj, c)[:off+c]
+		copy(n.adj[off:], n.adj[r.off:r.off+r.len])
+		r.off = uint32(off)
+	}
+	row := n.adj[r.off : r.off+r.len+1]
 	// The caller rejected duplicates already, so the slot at i is either past
 	// the end or holds a larger target.
-	if len(row) == cap(row) {
-		grown := n.carveAdjEntries(max(sparseRowCap, 2*cap(row)))[:len(row)]
-		copy(grown, row)
-		row = grown
-	}
-	row = row[:len(row)+1]
+	i := sparseFind(row[:r.len], to)
 	copy(row[i+1:], row[i:])
-	row[i] = adjEntry{to: to, link: l}
-	n.sparse[from] = row
+	row[i] = adjEntry{to: int32(to), link: ref}
+	r.len++
+	n.sparse[from] = r
 	if rev := n.adjacent(to, from); rev != nil {
-		rev.back, row[i].back = l, rev.link
+		rev.back, row[i].back = ref, rev.link
 	}
 }
 
@@ -602,18 +656,15 @@ func (n *Network) AttachmentLink(r, h NodeID) *Link {
 // uplinks hold the links it would find.
 func (n *Network) LinkBetween(a, b NodeID) *Link {
 	if e := n.adjacent(a, b); e != nil {
-		return e.link
+		return n.link(e.link)
 	}
 	return nil
 }
 
 // adjacent returns a's row entry for b, or nil.
 func (n *Network) adjacent(a, b NodeID) *adjEntry {
-	if a < 0 || int(a) >= len(n.sparse) {
-		return nil
-	}
-	row := n.sparse[a]
-	if i := sparseFind(row, b); i < len(row) && row[i].to == b {
+	row := n.row(a)
+	if i := sparseFind(row, b); i < len(row) && NodeID(row[i].to) == b {
 		return &row[i]
 	}
 	return nil
@@ -636,11 +687,8 @@ func (n *Network) AppendNeighbors(dst []NodeID, id NodeID) []NodeID {
 	if n.faultsActive() {
 		return n.appendLiveNeighbors(dst, id)
 	}
-	if id < 0 || int(id) >= len(n.sparse) {
-		return dst
-	}
-	for _, e := range n.sparse[id] {
-		dst = append(dst, e.to)
+	for _, e := range n.row(id) {
+		dst = append(dst, NodeID(e.to))
 	}
 	return dst
 }

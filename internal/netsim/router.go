@@ -35,7 +35,10 @@ type Router struct {
 	net *Network
 	id  NodeID
 
-	filters []Filter
+	// filters is the router's filter chain, carved from the network's
+	// chainSlab by the first AttachFilter, and nil until then: most routers
+	// of a large domain never get one.
+	filters *[]Filter
 
 	// st is the router's run state, as a snapshot records it. st.Down marks
 	// the router crashed: arriving and self-injected packets are dropped
@@ -71,14 +74,24 @@ func (r *Router) AttachFilter(f Filter) {
 	if f == nil {
 		return
 	}
-	if len(r.filters) == cap(r.filters) {
-		r.filters = r.net.growFilters(r.filters)
+	if r.filters == nil {
+		r.filters = &r.net.chainSlab.take(1, filterChunk)[0]
+		*r.filters = nil
 	}
-	r.filters = append(r.filters, f)
+	chain := *r.filters
+	if len(chain) == cap(chain) {
+		chain = r.net.growFilters(chain)
+	}
+	*r.filters = append(chain, f)
 }
 
 // Filters returns the attached filters in processing order (do not mutate).
-func (r *Router) Filters() []Filter { return r.filters }
+func (r *Router) Filters() []Filter {
+	if r.filters == nil {
+		return nil
+	}
+	return *r.filters
+}
 
 // Deliver processes a packet arriving from an upstream node.
 func (r *Router) Deliver(pkt *Packet, from NodeID) {
@@ -110,7 +123,7 @@ func (r *Router) forward(pkt *Packet, _ NodeID) {
 		r.net.FreePacket(pkt)
 		return
 	}
-	for _, f := range r.filters {
+	for _, f := range r.Filters() {
 		if f.Handle(pkt, now, r) == ActionDrop {
 			r.st.Dropped++
 			r.net.noteFilterDrop(pkt, r, f.Name(), now)

@@ -27,17 +27,19 @@ import (
 //     destination first appears in live traffic, the network computes that
 //     destination's route column: one reverse BFS over the adjacency rows,
 //     O(nodes + links), into a column carved from colSlab, memoized until the
-//     graph or its fault state changes. A MAFIC workload only ever routes
-//     toward the victims, the edge sources (ACKs) and the spoof pool
-//     (probes), so a 5000-router domain materializes a few dozen columns
-//     instead of the ~5000 × 5000 entries an all-pairs install would write.
+//     graph or its fault state changes. A node's slot in routeCols holds the
+//     number of the column serving it, four bytes a node. A MAFIC workload
+//     only ever routes toward the victims, the edge sources (ACKs) and the
+//     spoof pool (probes), so a 5000-router domain materializes a few dozen
+//     columns instead of the ~5000 × 5000 entries an all-pairs install would
+//     write.
 //
-// A column entry is the link itself, not the next node, so a hop is one
-// indexed load and no adjacency search: column[at] is the link node at sends
-// on toward the destination — the one LinkBetween(at, next hop) returns, down
-// or not — and nil where at has no route (unreachable, at == dest, or no link
-// back to the node that discovered it). The column table is the routers' only
-// forwarding state.
+// A column entry names the link itself (a linkRef, four bytes), not the next
+// node, so a hop is an indexed load and no adjacency search: column[at] is the
+// link node at sends on toward the destination — the one LinkBetween(at, next
+// hop) returns, down or not — and zero where at has no route (unreachable, at
+// == dest, or no link back to the node that discovered it). The column table
+// is the routers' only forwarding state.
 //
 // Invariants the tests pin:
 //
@@ -49,14 +51,17 @@ import (
 //     with NextHop and with the forwarding link on every domain shape, after
 //     a post-build Connect, with one direction of a loaded link down (the
 //     down link stays in the column, and packets sent on it die there), with
-//     a cable cut and with a router crashed; FuzzRouteColumns drives the same
-//     comparison through random scripts of nodes, duplex and simplex links
-//     and faults.
+//     a cable cut, with a router crashed and after a rebuild that reuses link
+//     ids; FuzzRouteColumns drives the same comparison through random scripts
+//     of nodes, duplex and simplex links, faults and resets.
 //   - A column is materialized at most once per destination router between
-//     invalidations, is len(nodes) wide when it is, and hosts alias their
-//     router's column rather than copying it.
+//     invalidations, is len(nodes) wide when it is, and hosts share their
+//     router's column number rather than a copy.
 //   - Column storage is recycled across builds: Reset rewinds colSlab, and a
-//     rebuild that routes toward the same destinations allocates nothing.
+//     rebuild that routes toward the same destinations allocates nothing. A
+//     rebuild reuses link references too (Reset rewinds linkSlab), which is
+//     safe because it also clears every column and row that held the old
+//     ones.
 
 // invalidateRouteColumns forgets every memoized column. Adding a link after
 // columns have materialized invalidates them (shortest paths may change), so
@@ -66,9 +71,8 @@ func (n *Network) invalidateRouteColumns() {
 	if n.colsMaterialized == 0 {
 		return
 	}
-	for i := range n.routeCols {
-		n.routeCols[i] = nil
-	}
+	clear(n.routeCols)
+	n.cols = n.cols[:0]
 	n.colsMaterialized = 0
 	n.colEntries = 0
 }
@@ -81,7 +85,7 @@ func (n *Network) invalidateRouteColumns() {
 // single-homed host's slot holds its router's column.
 func (n *Network) RouteLink(at, dest NodeID) *Link {
 	if col := n.column(dest); uint(at) < uint(len(col)) {
-		return col[at]
+		return n.link(col[at])
 	}
 	return nil
 }
@@ -96,18 +100,18 @@ func (n *Network) NextHop(at, dest NodeID) NodeID {
 		return NoNode
 	case at == dest:
 		return dest
-	case col[at] != nil:
-		return col[at].To()
+	case col[at] != 0:
+		return n.link(col[at]).To()
 	}
 	return NoNode
 }
 
 // column returns the column serving dest, materializing it on first use, or
 // nil when dest has none.
-func (n *Network) column(dest NodeID) []*Link {
+func (n *Network) column(dest NodeID) []linkRef {
 	if uint(dest) < uint(len(n.routeCols)) {
-		if col := n.routeCols[dest]; col != nil {
-			return col
+		if c := n.routeCols[dest]; c != 0 {
+			return n.cols[c-1]
 		}
 	}
 	return n.materializeColumn(dest)
@@ -115,24 +119,24 @@ func (n *Network) column(dest NodeID) []*Link {
 
 // materializeColumn computes and memoizes the column serving dest: the
 // aggregate's column is computed (or found already materialized) and dest's
-// slot set to alias it, so later lookups are a single indexed load.
-func (n *Network) materializeColumn(dest NodeID) []*Link {
+// slot set to its number, so later lookups are two indexed loads.
+func (n *Network) materializeColumn(dest NodeID) []linkRef {
 	if !n.nodeExists(dest) {
 		return nil
 	}
 	agg := n.aggregateOf(dest)
 	n.growRouteCols(agg)
-	col := n.routeCols[agg]
-	if col == nil {
-		col = n.colSlab.take(len(n.nodes), len(n.nodes))
+	if n.routeCols[agg] == 0 {
+		col := n.colSlab.take(len(n.nodes), len(n.nodes))
 		n.reverseBFS(agg, col)
-		n.routeCols[agg] = col
+		n.cols = append(n.cols, col)
+		n.routeCols[agg] = int32(len(n.cols))
 		n.colsMaterialized++
 		n.colEntries += len(col)
 	}
 	n.growRouteCols(dest)
-	n.routeCols[dest] = col
-	return col
+	n.routeCols[dest] = n.routeCols[agg]
+	return n.cols[n.routeCols[agg]-1]
 }
 
 // reverseBFS fills col with each node's link toward root along the
@@ -140,9 +144,9 @@ func (n *Network) materializeColumn(dest NodeID) []*Link {
 // sorted adjacency rows, so neighbours are visited in ascending ID order and
 // the first discoverer wins. A discovered node's entry is the back link of the
 // row entry that discovered it — its link to the discoverer, down or not, or
-// nil if it has none; root and unreached nodes get nil. While a fault is
+// zero if it has none; root and unreached nodes get zero. While a fault is
 // active the search leaves crashed routers' rows and unusable links alone.
-func (n *Network) reverseBFS(root NodeID, col []*Link) {
+func (n *Network) reverseBFS(root NodeID, col []linkRef) {
 	clear(col)
 	seen := slices.Grow(n.bfsSeen[:0], len(col))[:len(col)]
 	clear(seen)
@@ -151,16 +155,16 @@ func (n *Network) reverseBFS(root NodeID, col []*Link) {
 	seen[root] = true
 	for qi := 0; qi < len(queue); qi++ {
 		cur := queue[qi]
-		if int(cur) >= len(n.sparse) || faults && n.RouterDown(cur) {
+		if faults && n.RouterDown(cur) {
 			continue
 		}
-		for _, e := range n.sparse[cur] {
+		for _, e := range n.row(cur) {
 			if seen[e.to] || faults && !n.usable(e) {
 				continue
 			}
 			seen[e.to] = true
 			col[e.to] = e.back
-			queue = append(queue, e.to)
+			queue = append(queue, NodeID(e.to))
 		}
 	}
 	n.bfsQueue, n.bfsSeen = queue, seen
@@ -174,7 +178,7 @@ func (n *Network) growRouteCols(id NodeID) {
 		want = nc
 	}
 	for len(n.routeCols) < want {
-		n.routeCols = append(n.routeCols, nil)
+		n.routeCols = append(n.routeCols, 0)
 	}
 }
 
@@ -186,10 +190,11 @@ func (n *Network) aggregateOf(dest NodeID) NodeID {
 	if n.nodes[dest].router != nil {
 		return dest
 	}
-	if int(dest) >= len(n.sparse) || len(n.sparse[dest]) != 1 {
+	row := n.row(dest)
+	if len(row) != 1 {
 		return dest // unattached, or multi-homed: own column
 	}
-	if agg := n.sparse[dest][0].to; n.nodes[agg].router != nil {
+	if agg := NodeID(row[0].to); n.nodes[agg].router != nil {
 		return agg
 	}
 	return dest
@@ -206,7 +211,7 @@ func (n *Network) TopoVersion() uint64 { return n.topoVersion }
 
 // RouteStats reports the resident routing state: the total number of
 // entries held live in materialized columns, O(active destinations × nodes),
-// and the bytes they occupy.
+// and the bytes they occupy, four an entry on every GOARCH.
 func (n *Network) RouteStats() (entries int, bytes int64) {
-	return n.colEntries, int64(n.colEntries) * int64(unsafe.Sizeof((*Link)(nil)))
+	return n.colEntries, int64(n.colEntries) * int64(unsafe.Sizeof(linkRef(0)))
 }

@@ -33,18 +33,18 @@ func TestNextHopMaterializesOnceAndAliasesHosts(t *testing.T) {
 	if got := net.NextHop(r0.ID(), h.ID()); got != r1.ID() {
 		t.Fatalf("NextHop(r0, h) = %d, want %d", got, r1.ID())
 	}
-	col := net.routeCols[h.ID()]
+	col := residentColumn(net, h.ID())
 	if got := net.NextHop(r0.ID(), r1.ID()); got != r1.ID() {
 		t.Fatalf("NextHop(r0, r1) = %d, want %d", got, r1.ID())
 	}
 	for i := 0; i < 10; i++ {
 		net.NextHop(r0.ID(), h.ID())
 	}
-	if net.RouteColumns() != 1 || &net.routeCols[r1.ID()][0] != &col[0] {
+	if net.RouteColumns() != 1 || &residentColumn(net, r1.ID())[0] != &col[0] {
 		t.Fatalf("RouteColumns = %d, want 1 (host aliases its router's column)", net.RouteColumns())
 	}
 	entries, bytes := net.RouteStats()
-	if entries != net.NodeCount() || bytes != int64(entries)*8 {
+	if entries != net.NodeCount() || bytes != int64(entries)*4 {
 		t.Fatalf("RouteStats = (%d, %d)", entries, bytes)
 	}
 }
@@ -95,9 +95,9 @@ func TestConnectInvalidatesColumns(t *testing.T) {
 	if got := net.NextHop(r2.ID(), h.ID()); got != r0.ID() {
 		t.Fatalf("NextHop(r2, h) = %d after the connect, want %d", got, r0.ID())
 	}
-	if net.RouteColumns() != 1 || len(net.routeCols[h.ID()]) != net.NodeCount() {
+	if net.RouteColumns() != 1 || len(residentColumn(net, h.ID())) != net.NodeCount() {
 		t.Fatalf("re-materialized %d columns, %d wide; want 1, %d wide",
-			net.RouteColumns(), len(net.routeCols[h.ID()]), net.NodeCount())
+			net.RouteColumns(), len(residentColumn(net, h.ID())), net.NodeCount())
 	}
 }
 
@@ -161,12 +161,22 @@ func TestAggregateOfMultiHomedHost(t *testing.T) {
 	}
 }
 
+// residentColumn returns the materialized column serving dest, or nil when
+// there is none, without materializing one.
+func residentColumn(net *Network, dest NodeID) []linkRef {
+	if c := net.routeCols[dest]; c != 0 {
+		return net.cols[c-1]
+	}
+	return nil
+}
+
 // refColumn is the routing reference: one breadth-first search from dest over
 // AppendNeighbors, each discovered node v sending on LinkBetween(v, u) toward
 // the node u that discovered it. It shares nothing with the network's route
 // computation (no back links, no column storage, no memo) and sees faults the
-// way AppendNeighbors reports them.
-func refColumn(net *Network, dest NodeID) []*Link {
+// way AppendNeighbors reports them. A link LinkBetween returns must run from v
+// to u, which pins the resolution of link ids.
+func refColumn(t *testing.T, net *Network, dest NodeID) []*Link {
 	n := len(net.nodes)
 	col := make([]*Link, n)
 	visited := make([]bool, n)
@@ -183,6 +193,9 @@ func refColumn(net *Network, dest NodeID) []*Link {
 			}
 			visited[v] = true
 			col[v] = net.LinkBetween(v, u)
+			if l := col[v]; l != nil && (l.From() != v || l.To() != u) {
+				t.Fatalf("LinkBetween(%d, %d) = %v", v, u, l)
+			}
 			queue = append(queue, v)
 		}
 	}
@@ -191,14 +204,34 @@ func refColumn(net *Network, dest NodeID) []*Link {
 
 // FuzzRouteColumns runs random scripts of routers, hosts, duplex and simplex
 // links (so some discovered nodes have no link back), lookups interleaved with
-// the mutations, one-direction link faults and router crashes and restores.
-// After every step each materialized column must be the reference BFS's for
-// the destination it serves (a single-homed host's slot aliases its router's
-// column), and a column the step materialized must be as wide as the network.
+// the mutations, one-direction link faults, router crashes and restores, and
+// resets, after which the script builds again on the same storage and reuses
+// link ids. After every step each materialized column must be the reference
+// BFS's for the destination it serves (a single-homed host's slot shares its
+// router's column), and a column the step materialized must be as wide as the
+// network.
 func FuzzRouteColumns(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 0, 1, 2, 1, 2, 1, 3, 0, 4, 2, 0, 4, 0, 2})
 	f.Add([]byte{0, 0, 0, 0, 2, 0, 1, 2, 1, 2, 3, 2, 3, 2, 3, 0, 4, 3, 0, 5, 0, 0, 4, 0, 3, 6, 1, 4, 3, 0, 6, 1, 4, 3, 0})
 	f.Add([]byte{0, 0, 0, 1, 0, 1, 1, 2, 0, 2, 2, 1, 2, 2, 3, 2, 4, 1, 3, 4, 3, 0, 0, 4, 0, 4, 2, 2, 4, 4, 2, 5, 1, 0, 4, 4, 3})
+	// A shrinking rebuild: six routers, a ring with three chords and two
+	// columns; a reset and a reservation for eight nodes; four routers in a
+	// ring, a column, post-build connects that re-carve router 1's row, a
+	// host, a down link and more columns, all on ids the first build's
+	// links had.
+	f.Add([]byte{
+		0, 0, 0, 0, 0, 0,
+		2, 0, 1, 2, 1, 2, 2, 2, 3, 2, 3, 4, 2, 4, 5, 2, 5, 0, 2, 0, 3, 2, 1, 4, 2, 2, 5,
+		4, 0, 3, 4, 1, 4,
+		7, 8,
+		0, 0, 0, 0,
+		2, 0, 1, 2, 1, 2, 2, 2, 3,
+		4, 0, 3,
+		0, 2, 1, 3, 2, 1, 4, 0, 2, 1, 5,
+		4, 3, 0, 4, 5, 2,
+		1, 2, 6, 2, 4, 0, 6,
+		5, 1, 0, 4, 2, 0, 4, 6, 1,
+	})
 	cfg := LinkConfig{BandwidthBps: 1e9, Delay: sim.Millisecond, QueueLen: 8}
 	f.Fuzz(func(t *testing.T, script []byte) {
 		net := New(sim.NewScheduler(), sim.NewRNG(1))
@@ -213,7 +246,7 @@ func FuzzRouteColumns(f *testing.F) {
 		node := func() NodeID { return NodeID(next() % max(len(net.nodes), 1)) }
 		for step := 0; len(script) > 0 && step < 256; step++ {
 			before := net.RouteColumns()
-			switch op := next() % 7; {
+			switch op := next() % 8; {
 			case op == 0 && len(net.nodes) < 32:
 				net.AddRouter()
 			case op == 1 && len(net.nodes) < 32:
@@ -226,13 +259,13 @@ func FuzzRouteColumns(f *testing.F) {
 				at, dest := node(), node()
 				net.RouteLink(at, dest)
 				if net.RouteColumns() > before {
-					if got := len(net.routeCols[dest]); got != len(net.nodes) {
+					if got := len(residentColumn(net, dest)); got != len(net.nodes) {
 						t.Fatalf("step %d: column toward %d materialized %d wide, network has %d nodes", step, dest, got, len(net.nodes))
 					}
 				}
 			case op == 5 && len(net.nodes) > 0:
-				if a := node(); int(a) < len(net.sparse) && len(net.sparse[a]) > 0 {
-					l := net.sparse[a][next()%len(net.sparse[a])].link
+				if row := net.row(node()); len(row) > 0 {
+					l := net.link(row[next()%len(row)].link)
 					l.SetDown(!l.Down())
 				}
 			case op == 6 && len(net.nodes) > 0:
@@ -241,20 +274,23 @@ func FuzzRouteColumns(f *testing.F) {
 				} else {
 					_ = net.FailRouter(id)
 				}
+			case op == 7:
+				net.Reset(sim.NewScheduler(), sim.NewRNG(1))
+				net.Reserve(next() % 32)
 			}
-			for dest, col := range net.routeCols {
-				if col == nil {
+			for dest, c := range net.routeCols {
+				if c == 0 {
 					continue
 				}
 				agg := net.aggregateOf(NodeID(dest))
-				if aggCol := net.routeCols[agg]; len(aggCol) != len(col) || len(col) > 0 && &aggCol[0] != &col[0] {
-					t.Fatalf("step %d: the slot of %d does not alias the column of %d", step, dest, agg)
+				if net.routeCols[agg] != c {
+					t.Fatalf("step %d: the slot of %d does not share the column of %d", step, dest, agg)
 				}
-				want := refColumn(net, agg)
+				col, want := net.cols[c-1], refColumn(t, net, agg)
 				for at, w := range want {
 					var got *Link
 					if at < len(col) {
-						got = col[at]
+						got = net.link(col[at])
 					}
 					if got != w {
 						t.Fatalf("step %d: %d sends toward %d on %v, reference BFS says %v", step, at, dest, got, w)

@@ -32,7 +32,9 @@ func refNextHops(net *netsim.Network, dest netsim.NodeID) []netsim.NodeID {
 // requireReferenceNextHops compares, for every ordered pair of distinct
 // nodes, hosts and routers alike on both sides, the link at forwards on
 // toward dest with LinkBetween(at, reference next hop) — nil where the
-// reference has none — and NextHop(at, dest) with the reference next hop. A
+// reference has none, and a link from at to that hop where it has one, which
+// pins the resolution of link ids too — and NextHop(at, dest) with the
+// reference next hop. A
 // crashed router forwards nothing, so its link is not asked for. NextHop
 // leaves out a host destination seen from a router it attaches to: that hop
 // is the access link itself and forwarding never looks it up (a single-homed
@@ -50,6 +52,9 @@ func requireReferenceNextHops(t *testing.T, when string, net *netsim.Network) {
 			var wantLink *netsim.Link
 			if want[at] != netsim.NoNode {
 				wantLink = net.LinkBetween(at, want[at])
+				if wantLink == nil || wantLink.From() != at || wantLink.To() != want[at] {
+					t.Fatalf("%s: LinkBetween(%d, %d) = %v", when, at, want[at], wantLink)
+				}
 			}
 			if got := forwardingLink(net, at, dest); got != wantLink && !net.RouterDown(at) {
 				t.Fatalf("%s: %d forwards toward %d on %v, reference BFS says %v", when, at, dest, got, wantLink)
@@ -157,6 +162,72 @@ func TestLazyForwardingMatchesEager(t *testing.T) {
 	}
 }
 
+// TestLazyForwardingAfterShrinkingRebuild checks the routing invariant where
+// link ids are reused. A link's id is its carve position, and a rebuild on the
+// arena's reset network carves from the first position again, so a rebuild
+// with fewer links than the build before leaves ids past its own links naming
+// the last build's links in the retained chunks. Every column the first build
+// materialized must be gone, and every forwarding link must be the reference
+// BFS's — after the smaller rebuild, after post-build connects that re-carve a
+// router's adjacency row at the end of the network's row storage, and with one
+// direction of a loaded link down.
+func TestLazyForwardingAfterShrinkingRebuild(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumRouters = 48
+	cfg.ExtraVictims = 2
+	cfg.MultiHomedVictim = true
+	arena := NewArena()
+	sched, rng := sim.NewScheduler(), sim.NewRNG(11)
+	d, err := arena.Build(cfg, sched, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireReferenceNextHops(t, "the larger build", d.Net)
+	bigLinks, bigColumns := d.Net.LinkTotal(), d.Net.RouteColumns()
+
+	cfg.NumRouters = 24
+	if d, err = arena.Build(cfg, sched, rng); err != nil {
+		t.Fatal(err)
+	}
+	net := d.Net
+	if net.LinkTotal() >= bigLinks || net.RouteColumns() != 0 || bigColumns == 0 {
+		t.Fatalf("rebuild: %d links after %d, %d columns resident after %d", net.LinkTotal(), bigLinks, net.RouteColumns(), bigColumns)
+	}
+	requireReferenceNextHops(t, "the smaller rebuild", net)
+
+	// Connect one router to others until its row has outgrown eight
+	// entries: whatever its degree was, the row re-carves at least once.
+	hub := d.Routers[5]
+	for _, r := range d.Routers {
+		if len(net.Neighbors(hub.ID())) > 8 {
+			break
+		}
+		if r != hub && net.LinkBetween(hub.ID(), r.ID()) == nil {
+			if err := net.ConnectDuplex(hub.ID(), r.ID(), cfg.CoreLink); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := len(net.Neighbors(hub.ID())); got <= 8 {
+		t.Fatalf("the hub has %d neighbours, want more than 8", got)
+	}
+	requireReferenceNextHops(t, "after re-carving connects", net)
+
+	victim := d.Victim.ID()
+	var loaded *netsim.Link
+	for _, r := range d.Routers {
+		if l := forwardingLink(net, r.ID(), victim); l != nil && net.Router(l.To()) != nil {
+			loaded = l
+			break
+		}
+	}
+	if loaded == nil {
+		t.Fatal("no router forwards toward the victim over a core link")
+	}
+	loaded.SetDown(true)
+	requireReferenceNextHops(t, "with one direction of a loaded link down", net)
+}
+
 // TestColumnMaterializedOncePerDestination pins the memoization contract: any
 // number of lookups toward hosts behind the same router materialize exactly
 // one column, and a second destination router costs exactly one more.
@@ -199,8 +270,8 @@ func TestColumnMaterializedOncePerDestination(t *testing.T) {
 
 	entries, bytes := net.RouteStats()
 	wantEntries := 2 * net.NodeCount()
-	if entries != wantEntries || bytes != int64(entries)*8 {
-		t.Fatalf("RouteStats = (%d, %d), want (%d, %d)", entries, bytes, wantEntries, int64(wantEntries)*8)
+	if entries != wantEntries || bytes != int64(entries)*4 {
+		t.Fatalf("RouteStats = (%d, %d), want (%d, %d)", entries, bytes, wantEntries, int64(wantEntries)*4)
 	}
 }
 
