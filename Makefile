@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-times vet check golden fuzz snap-diff digest-diff arch-diff bench-compare search search-baseline profile
+.PHONY: all build test test-times vet check golden fuzz result-diff bench-compare search search-baseline profile
 
 all: build test
 
@@ -72,103 +72,83 @@ fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzJobSpec -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/netsim -run '^$$' -fuzz FuzzRouteColumns -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 
-# snap-diff is the gate for a change that claims the snapshot wire format and
-# the results unchanged: BASE is exported with `git archive` into a temporary
-# directory, maficsim is built once from there and once from the working tree,
-# and every catalog entry runs `-quick -checkpoint-at 600ms -json` on both, one
-# process per scenario and side (a process's pools are cold, so no run can
-# inherit anything from the one before). Each pair of .snap files and each
-# pair of result JSON must be byte-identical. Then the working tree's maficsim
-# resumes every BASE snapshot (`-resume <file> -json`), and what it prints
-# must be byte-identical to BASE's uninterrupted result JSON: the restore side
-# is checked against files the change did not write. The differing names are
-# printed and the exit status is non-zero if there are any. Cold processes
-# cannot catch state a recycled run bundle carries from one run into the next;
-# TestSnapshotIndependentOfBundleHistory (internal/experiment) covers that,
-# comparing every catalog entry's snapshot on a used bundle with a fresh one's.
-snap-diff:
-	@test -n "$(BASE)" || { echo "usage: make snap-diff BASE=<git ref>"; exit 2; }
+# result-diff is the one gate for a change that claims its results unchanged.
+# BASE is exported with `git archive` into a temporary directory, and each
+# binary is built once: BASE's maficsim, the working tree's maficsim at
+# GOAMD64=v1 (`change`), at GOAMD64=v3 (where the compiler lowers rounding, bit
+# counting and math.FMA to other instructions) and at GOARCH=386 (4-byte
+# pointers and ints), and `./benchmark` for both sides. Every maficsim runs
+# every catalog entry `-quick -checkpoint-at 600ms -json`, one process per
+# entry and build (a process's pools are cold, so no run inherits anything
+# from the one before), and `change` resumes every BASE snapshot (`-resume
+# <file> -json`), so the restore side is checked against files the change did
+# not write. Each .snap and result JSON must be byte-identical between base and
+# change, change and v3, change and 386, and each resumed JSON to BASE's
+# uninterrupted one. Both benchmarks run the whole suite once (`-seed 1
+# -seconds 0 -trace 0`: each workload's fixed job count, untraced) and every
+# result_digest line of -compare must read `identical`; timing is
+# bench-compare's job. On a difference the exit status is non-zero, and the
+# recipe prints a tally of the JSON fields that differ, with the number of
+# entries per pair (`routeBytes: 17 entries (base vs change), 17 (base vs
+# resumed)`; a differing snapshot is tallied as `.snap`), then the diff lines
+# themselves. A change that means to move a field names it in CHANGES.md, and
+# the tally must list exactly that field. Cold processes cannot catch state a
+# recycled run bundle carries from one run into the next;
+# TestSnapshotIndependentOfBundleHistory (internal/experiment) covers that.
+# The v3 binary needs a CPU with AVX2, BMI2 and FMA, the 386 one a kernel that
+# runs 32-bit binaries.
+result-diff:
+	@test -n "$(BASE)" || { echo "usage: make result-diff BASE=<git ref>"; exit 2; }
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	git archive --prefix=base/ $(BASE) | tar -x -C "$$tmp"; \
-	$(GO) build -C "$$tmp/base" -o "$$tmp/sim.base" ./cmd/maficsim; \
-	$(GO) build -o "$$tmp/sim.change" ./cmd/maficsim; \
-	mkdir "$$tmp/out.base" "$$tmp/out.change"; n=0; bad=""; \
+	git archive --prefix=src/ $(BASE) | tar -x -C "$$tmp"; \
+	$(GO) build -C "$$tmp/src" -o "$$tmp/sim.base" ./cmd/maficsim; \
+	$(GO) build -C "$$tmp/src" -o "$$tmp/bench.base" ./benchmark; \
+	GOAMD64=v1 $(GO) build -o "$$tmp/sim.change" ./cmd/maficsim; \
+	GOAMD64=v3 $(GO) build -o "$$tmp/sim.v3" ./cmd/maficsim; \
+	GOARCH=386 $(GO) build -o "$$tmp/sim.386" ./cmd/maficsim; \
+	$(GO) build -o "$$tmp/bench.change" ./benchmark; \
+	mkdir "$$tmp/base" "$$tmp/change" "$$tmp/v3" "$$tmp/386" "$$tmp/resumed"; \
+	n=0; failed=0; \
 	for name in $$("$$tmp/sim.change" -list | awk 'NR > 1 { print $$1 }'); do \
-		for side in base change; do \
-			"$$tmp/sim.$$side" -scenario $$name -quick -checkpoint-at 600ms -json \
-				-checkpoint-out "$$tmp/out.$$side/$$name" >"$$tmp/out.$$side/$$name.json" 2>"$$tmp/out.$$side/$$name.log" \
-				|| { echo "$$name ($$side): run failed:"; cat "$$tmp/out.$$side/$$name.log"; }; \
+		for build in base change v3 386; do \
+			"$$tmp/sim.$$build" -scenario $$name -quick -checkpoint-at 600ms -json -checkpoint-out "$$tmp/$$build/$$name" \
+				>"$$tmp/$$build/$$name.json" 2>"$$tmp/$$build/$$name.log" \
+				|| { echo "$$name ($$build): run failed:"; cat "$$tmp/$$build/$$name.log"; failed=$$((failed + 1)); }; \
 		done; \
-		for f in $$name-600ms.snap $$name.json; do \
-			cmp -s "$$tmp/out.base/$$f" "$$tmp/out.change/$$f" || bad="$$bad $$f"; \
+		"$$tmp/sim.change" -resume "$$tmp/base/$$name-600ms.snap" -json >"$$tmp/resumed/$$name.json" 2>"$$tmp/resumed/$$name.log" \
+			|| { echo "$$name (resume of base): run failed:"; cat "$$tmp/resumed/$$name.log"; failed=$$((failed + 1)); }; \
+		for pair in base:change change:v3 change:386 base:resumed; do \
+			a=$${pair%:*}; b=$${pair#*:}; \
+			[ $$b = resumed ] || cmp -s "$$tmp/$$a/$$name-600ms.snap" "$$tmp/$$b/$$name-600ms.snap" \
+				|| echo "$$a vs $$b	.snap" >>"$$tmp/tally"; \
+			diff "$$tmp/$$a/$$name.json" "$$tmp/$$b/$$name.json" >"$$tmp/diff" \
+				|| { echo "--- $$name.json, $$a vs $$b"; cat "$$tmp/diff"; } >>"$$tmp/diffs"; \
+			sed -n 's/^[<>] *"\([^"]*\)".*/\1/p' "$$tmp/diff" | sort -u | sed "s/^/$$a vs $$b	/" >>"$$tmp/tally"; \
 		done; \
-		"$$tmp/sim.change" -resume "$$tmp/out.base/$$name-600ms.snap" -json \
-			>"$$tmp/out.change/$$name.resumed.json" 2>"$$tmp/out.change/$$name.resumed.log" \
-			|| { echo "$$name (resume of base): run failed:"; cat "$$tmp/out.change/$$name.resumed.log"; }; \
-		cmp -s "$$tmp/out.base/$$name.json" "$$tmp/out.change/$$name.resumed.json" || bad="$$bad $$name.resumed.json"; \
 		n=$$((n + 1)); \
 	done; \
-	if [ -n "$$bad" ]; then echo "snap-diff against $(BASE): of $$n scenarios these differ:$$bad"; exit 1; fi; \
-	echo "snap-diff against $(BASE): $$n scenarios, every snapshot, result JSON and resumed JSON byte-identical"
-
-# digest-diff is the guard of a change that claims every result unchanged,
-# perf or not: BASE is exported with `git archive` into a temporary directory,
-# `./benchmark` is built once from there and once from the working tree, each
-# runs the whole suite once (`-seed 1 -seconds 0 -trace 0`: each workload's
-# fixed job count, untraced), and -compare reads the two reports. It fails
-# unless every workload's result_digest line reads `identical`; one pair of
-# runs says nothing about timing, so the other verdicts are printed and not
-# judged (that is bench-compare's job).
-digest-diff:
-	@test -n "$(BASE)" || { echo "usage: make digest-diff BASE=<git ref>"; exit 2; }
-	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	git archive --prefix=base/ $(BASE) | tar -x -C "$$tmp"; \
-	$(GO) build -C "$$tmp/base" -o "$$tmp/bench.base" ./benchmark; \
-	$(GO) build -o "$$tmp/bench.change" ./benchmark; \
 	for side in base change; do \
-		echo "digest-diff: running $$side" >&2; \
+		echo "result-diff: running the $$side benchmark" >&2; \
 		"$$tmp/bench.$$side" -seed 1 -seconds 0 -trace 0 -tmp "$$tmp/scratch" -out "$$tmp/$$side.json" >/dev/null; \
 	done; \
-	"$$tmp/bench.change" -compare "$$tmp/base.json" "$$tmp/change.json" >"$$tmp/compare.txt" || true; \
-	grep ' result_digest ' "$$tmp/compare.txt" >"$$tmp/digests.txt" || true; \
-	cat "$$tmp/digests.txt"; \
-	n=$$(wc -l <"$$tmp/digests.txt"); same=$$(grep -c ' identical$$' "$$tmp/digests.txt" || true); \
-	if [ "$$n" -eq 0 ] || [ "$$same" -ne "$$n" ]; then \
-		echo "digest-diff against $(BASE): $$same of $$n workloads identical"; cat "$$tmp/compare.txt"; exit 1; \
+	"$$tmp/bench.change" -compare "$$tmp/base.json" "$$tmp/change.json" 2>"$$tmp/compare.log" | grep ' result_digest ' >"$$tmp/digests" || true; \
+	cat "$$tmp/digests"; \
+	d=$$(wc -l <"$$tmp/digests"); same=$$(grep -c ' identical$$' "$$tmp/digests" || true); \
+	[ $$d -ne 0 ] || cat "$$tmp/compare.log"; \
+	if [ -s "$$tmp/tally" ]; then \
+		echo "result-diff against $(BASE): fields that differ, of $$n entries:"; \
+		awk -F '\t' '!($$2 in seen) { seen[$$2]; order[++k] = $$2 } { c[$$2, $$1]++ } \
+			END { split("base vs change|change vs v3|change vs 386|base vs resumed", pairs, "|"); \
+				for (i = 1; i <= k; i++) { f = order[i]; line = ""; \
+					for (j = 1; j <= 4; j++) if ((f, pairs[j]) in c) \
+						line = line (line == "" ? c[f, pairs[j]] " entries" : ", " c[f, pairs[j]]) " (" pairs[j] ")"; \
+					print "  " f ": " line } }' "$$tmp/tally"; \
+		cat "$$tmp/diffs" 2>/dev/null || true; \
 	fi; \
-	echo "digest-diff against $(BASE): every result_digest identical on all $$n workloads"
-
-# arch-diff is the guard that results do not depend on the CPU level or the
-# word size the simulator is built for: maficsim is built from the working
-# tree at GOAMD64=v1, at GOAMD64=v3 (where the compiler lowers rounding, bit
-# counting and math.FMA to other instructions) and at GOARCH=386 (4-byte
-# pointers and ints), and every catalog entry runs `-quick -json` on each, one
-# process per scenario and build. The v3 and 386 result JSON must be
-# byte-identical to v1's; the differing names are printed and the exit status
-# is non-zero if there are any. The v3 binary needs a CPU with AVX2, BMI2 and
-# FMA to run, the 386 one a kernel that runs 32-bit binaries.
-arch-diff:
-	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	for build in v1 v3 386; do \
-		case $$build in \
-		386) GOARCH=386 $(GO) build -o "$$tmp/sim.$$build" ./cmd/maficsim ;; \
-		*) GOAMD64=$$build $(GO) build -o "$$tmp/sim.$$build" ./cmd/maficsim ;; \
-		esac; \
-		mkdir "$$tmp/out.$$build"; \
-	done; \
-	n=0; bad=""; \
-	for name in $$("$$tmp/sim.v1" -list | awk 'NR > 1 { print $$1 }'); do \
-		for build in v1 v3 386; do \
-			"$$tmp/sim.$$build" -scenario $$name -quick -json >"$$tmp/out.$$build/$$name.json" 2>"$$tmp/out.$$build/$$name.log" \
-				|| { echo "$$name ($$build): run failed:"; cat "$$tmp/out.$$build/$$name.log"; }; \
-		done; \
-		for build in v3 386; do \
-			cmp -s "$$tmp/out.v1/$$name.json" "$$tmp/out.$$build/$$name.json" || bad="$$bad $$name.json($$build)"; \
-		done; \
-		n=$$((n + 1)); \
-	done; \
-	if [ -n "$$bad" ]; then echo "arch-diff: of $$n scenarios these differ from the GOAMD64=v1 build's:$$bad"; exit 1; fi; \
-	echo "arch-diff: $$n scenarios, result JSON byte-identical at GOAMD64=v1, GOAMD64=v3 and GOARCH=386"
+	if [ -s "$$tmp/tally" ] || [ $$failed -ne 0 ] || [ $$d -eq 0 ] || [ $$same -ne $$d ]; then \
+		echo "result-diff against $(BASE): $$n entries, $$failed runs failed, $$same of $$d result_digest identical"; exit 1; \
+	fi; \
+	echo "result-diff against $(BASE): $$n entries, every snapshot, result JSON and resumed JSON byte-identical across base, change (GOAMD64=v1), v3 and 386; $$same of $$d result_digest identical"
 
 # bench-compare is the acceptance measurement of a perf PR and the repo's one
 # performance gate: the paired recipe of benchmark/README.md ("Comparing two

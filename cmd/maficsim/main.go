@@ -90,7 +90,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		start := time.Now()
-		res, err := experiment.RunFromSnapshot(data)
+		res, err := experiment.ResumeControlled(data, experiment.ControlOptions{})
 		if err != nil {
 			return err
 		}

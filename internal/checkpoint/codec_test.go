@@ -46,9 +46,9 @@ func minimumOf[T any](name string, old int, walk func(*codec, *T), smallest T) m
 // smallest element a run can produce (zero counters, the cheaper arm of a
 // union, empty nested lists): never looser than before, never so tight that a
 // real file is refused. It says nothing about the order or presence of fields,
-// which other gates hold: swapping two fields in a walk fails `make snap-diff`
-// (the bytes move), deleting one fails experiment.TestDecodeInvertsEncode
-// (the field comes back zero).
+// which other gates hold: swapping two fields in a walk fails `make
+// result-diff` (the bytes move), deleting one fails
+// experiment.TestDecodeInvertsEncode (the field comes back zero).
 func TestDerivedListMinima(t *testing.T) {
 	for _, m := range []minimum{
 		minimumOf("streams", 2, walkStream, StreamState{}),

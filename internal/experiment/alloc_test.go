@@ -180,15 +180,27 @@ func sizeClass(n uint64) uint64 {
 	return uint64(cap(append([]byte(nil), make([]byte, n)...)))
 }
 
-// TestRecycledRunAllocations pins what the second run of each catalog entry
-// (quick) on one bundle allocates, the lower of two such runs: exactly its
-// Result's series, at the allocator's size class for it, and nothing else.
-// Everything else a run builds is the bundle's and reset in place: the built
-// run, the metrics collector with its series bins and hooks, the callbacks
-// the build wires, the victim servers, the coordinator's request buffer, the
-// calendar's largest bucket array and the monitor's delayed reports. Before
-// the bundle kept its RNG streams a second run allocated 54–372 KB, one
-// 5.5 KB math/rand source per stream.
+// TestRecycledRunAllocations pins what a warm run of each catalog entry
+// (quick) on one bundle allocates, the lower of its second and third runs:
+// exactly its Result's series, at the allocator's size class for it, and
+// nothing else. Everything else a run builds is the bundle's and reset in
+// place: the built run, the metrics collector with its series bins and hooks,
+// the callbacks the build wires, the victim servers, the coordinator's
+// request buffer, the calendar's largest bucket array, the flow tables' free
+// list and the monitor's delayed reports. Before the bundle kept its RNG
+// streams a second run allocated 54–372 KB, one 5.5 KB math/rand source per
+// stream.
+//
+// heapDelta reads the process's counters, so a run is also charged for what
+// the runtime allocates beside it: a new OS thread's records (5 248 B) when
+// the scheduler starts one, or a P's timer heap growing when the scavenger
+// sleeps there (16 B). Each is a one-off, seen in about one warm run in a
+// thousand, and the lower of two runs leaves it out unless both are hit.
+// Until the flow tables sized their free list when carving a chunk and the
+// calendar restarted its bucket count on reset, every second run allocated
+// more (the free list's growth, 304 B on carpet-bombing; a longer bucket
+// array, 2 KB on stress-5k), so the pin rested on the third run alone and
+// failed whenever the runtime allocated during it.
 //
 // The same bundle then serves checkpointed runs and resumes, and its
 // checkpoint session is pinned against that exact figure. A second run

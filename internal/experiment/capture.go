@@ -84,7 +84,7 @@ package experiment
 // unless a value no run produces must be refused. The rest — a defender's
 // probing memory is a map, a monitor's counters are sketches, the network's
 // route columns are rematerialized — copy field by field, and a field there is
-// also a line in its CheckpointState and its RestoreState. `make snap-diff`
+// also a line in its CheckpointState and its RestoreState. `make result-diff`
 // will say the files moved, as they should; TestDecodeInvertsEncode fails if
 // step 2 is missed.
 //
@@ -149,9 +149,9 @@ package experiment
 // workload it resets for each run — advanced in checkpoint-bounded segments
 // and torn down in one place. RunControlled pauses at every multiple of an
 // interval, RunWithCheckpoints at requested virtual times, and each hands
-// every encoded snapshot to a save callback; ResumeControlled (RunFromSnapshot
-// without a control surface) takes a bundle, decodes into its Snapshot,
-// rebuilds, overlays and continues the same loop to completion. Only the
+// every encoded snapshot to a save callback; ResumeControlled takes a bundle,
+// decodes into its Snapshot, rebuilds, overlays and continues the same loop
+// to completion. Only the
 // capture is on the run's goroutine: at each boundary the loop captures, then
 // hands Encode and the save callback to one helper goroutine that works
 // behind the next segment, and the boundary after joins it before capturing

@@ -78,7 +78,7 @@ func TestKillAndResumeEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(want, chk) {
 				diffResults(t, "checkpointing perturbed the run", want, chk)
 			}
-			got, err := RunFromSnapshot(data)
+			got, err := ResumeControlled(data, ControlOptions{})
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
@@ -125,7 +125,7 @@ func TestCheckpointUnderActiveFaults(t *testing.T) {
 				t.Fatalf("scenario %s produced no fault drops; the snapshot window misses the fault", name)
 			}
 			data, _ := snapshotMidRun(t, s, midFault)
-			got, err := RunFromSnapshot(data)
+			got, err := ResumeControlled(data, ControlOptions{})
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
@@ -144,7 +144,7 @@ func TestCheckpointUnderActiveFaults(t *testing.T) {
 }
 
 // TestRestoreThenReuseInvariance pins that a restore leaves the pooled engine
-// objects healthy: after a RunFromSnapshot, running a different catalog
+// objects healthy: after a ResumeControlled, running a different catalog
 // scenario on the same pools must still be bit-identical to its reference
 // run. A restore that leaked state into a pooled scheduler, arena or scratch
 // table would surface here.
@@ -168,7 +168,7 @@ func TestRestoreThenReuseInvariance(t *testing.T) {
 		t.Fatalf("reference run: %v", err)
 	}
 	data, _ := snapshotMidRun(t, a, a.Duration/2)
-	if _, err := RunFromSnapshot(data); err != nil {
+	if _, err := ResumeControlled(data, ControlOptions{}); err != nil {
 		t.Fatalf("resume: %v", err)
 	}
 	got, err := Run(b)
@@ -413,7 +413,7 @@ func TestRestoreRefusesFlowKindMismatch(t *testing.T) {
 		snap.Scenario, err = json.Marshal(flat)
 		return err == nil && firstAttack < len(snap.Flows)
 	})
-	_, err := RunFromSnapshot(edited)
+	_, err := ResumeControlled(edited, ControlOptions{})
 	if want := fmt.Sprintf("flow %d: snapshot flow kind %d", firstAttack, traffic.FlowPulsing); !errors.Is(err, ErrSnapshot) || !strings.Contains(err.Error(), want) {
 		t.Fatalf("resume returned %v, want an ErrSnapshot saying %q", err, want)
 	}
@@ -452,7 +452,7 @@ func TestRestoreRefusesDefenderKindMismatch(t *testing.T) {
 		}, "defender kind"},
 	} {
 		data, _ := snapshotMidRun(t, tc.s, tc.at)
-		_, err := RunFromSnapshot(mutateSnapshot(t, data, tc.mut))
+		_, err := ResumeControlled(mutateSnapshot(t, data, tc.mut), ControlOptions{})
 		if !errors.Is(err, ErrSnapshot) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: resume returned %v, want an ErrSnapshot saying %q", tc.name, err, tc.want)
 		}
@@ -526,7 +526,7 @@ func TestResumeIgnoresRetiredScenarioKeys(t *testing.T) {
 	t.Parallel()
 	s := table2Quick(t)
 	data, _ := snapshotMidRun(t, s, s.Duration/2)
-	want, err := RunFromSnapshot(data)
+	want, err := ResumeControlled(data, ControlOptions{})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -584,12 +584,12 @@ func TestRestoreChecksLinkOccupancy(t *testing.T) {
 	s := table2Quick(t)
 	data, _ := snapshotMidRun(t, s, s.Duration/2)
 	for _, tc := range restoreRefusals {
-		_, err := RunFromSnapshot(mutateSnapshot(t, data, tc.mut))
+		_, err := ResumeControlled(mutateSnapshot(t, data, tc.mut), ControlOptions{})
 		if !errors.Is(err, ErrSnapshot) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: resume returned %v, want an ErrSnapshot saying %q", tc.name, err, tc.want)
 		}
 	}
-	if _, err := RunFromSnapshot(mutateSnapshot(t, data, func(*checkpoint.Snapshot) bool { return true })); err != nil {
+	if _, err := ResumeControlled(mutateSnapshot(t, data, func(*checkpoint.Snapshot) bool { return true }), ControlOptions{}); err != nil {
 		t.Errorf("unmutated round trip: %v", err)
 	}
 }
@@ -646,7 +646,7 @@ func TestRetainedSnapshotsStayValid(t *testing.T) {
 		}
 	}
 	for _, k := range []kept{all[0], all[len(all)-1]} {
-		resumed, err := RunFromSnapshot(k.data)
+		resumed, err := ResumeControlled(k.data, ControlOptions{})
 		if err != nil {
 			t.Fatalf("resume from t=%v: %v", k.at, err)
 		}
@@ -860,7 +860,7 @@ func TestRestoreAcceptsAnyEventOrder(t *testing.T) {
 			if bytes.Equal(edited, data) {
 				t.Fatalf("%s, %s: the edit left the snapshot as it was", name, order)
 			}
-			got, err := RunFromSnapshot(edited)
+			got, err := ResumeControlled(edited, ControlOptions{})
 			if err != nil {
 				t.Fatalf("%s, %s: resume: %v", name, order, err)
 			}

@@ -78,6 +78,9 @@ func RunControlled(s Scenario, opts ControlOptions) (Result, error) {
 // run under the given control surface. Periodic checkpoints resume on the
 // original schedule (the next multiple of CheckpointEvery after the snapshot
 // time). Failures caused by the snapshot itself are wrapped in ErrSnapshot.
+// With zero options the run completes with no further checkpoint, and its
+// result is bit-identical to the uninterrupted run's (the crash-recovery
+// suite pins this for every catalog scenario).
 func ResumeControlled(data []byte, opts ControlOptions) (Result, error) {
 	res := takeBundle()
 	defer res.giveBack()

@@ -336,7 +336,7 @@ func TestArenaSequenceMatchesFreshArena(t *testing.T) {
 // TestSnapshotIndependentOfBundleHistory requires a snapshot's bytes not to
 // depend on what the run bundle ran before: for each quick catalog entry, the
 // snapshot at 90 % of the run taken on a bundle that has already run the
-// entry once equals the one taken on a brand-new bundle. `make snap-diff`
+// entry once equals the one taken on a brand-new bundle. `make result-diff`
 // runs every scenario in a cold process, so it cannot see state a recycled
 // bundle carries over; before the flow tables' Reset restarted entry
 // generations, every entry's Defenders section differed in Entry.Gen here.

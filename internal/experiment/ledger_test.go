@@ -268,73 +268,174 @@ func (l *metricLedger) metrics(s Scenario, at sim.Time, activated bool) ledgerMe
 // recomputed from its counts must equal the plain run's Result, which
 // metrics.Collector computed, exactly: every figure reports these metrics,
 // and this is their one reference independent of the collector.
+//
+// No catalog entry drops a legitimate packet for an illegal source, and none
+// has an ATR arrival at the activation instant, so the check could not see
+// θp's illegal-source term or the collector's `>=` at activation. The last
+// subtest is quick table2 with an illegalSender added to both runs, which
+// exercises both.
 func TestPacketLedger(t *testing.T) {
 	t.Parallel()
 	for _, e := range Entries() {
 		t.Run(e.Name, func(t *testing.T) {
 			t.Parallel()
-			s := Quick(e.Build())
-			plain, err := Run(s)
-			if err != nil {
-				t.Fatalf("%s: %v", e.Name, err)
-			}
-			var delivered, queued, faulted, unroutable uint64
-			var ledger metricLedger
-			rewire := func(b *builtRun) {
-				hooks := netsim.Hooks{
-					OnDeliver:    func(*netsim.Packet, *netsim.Host, sim.Time) { delivered++ },
-					OnQueueDrop:  func(*netsim.Packet, *netsim.Link, sim.Time) { queued++ },
-					OnFaultDrop:  func(*netsim.Packet, netsim.NodeID, sim.Time) { faulted++ },
-					OnUnroutable: func(*netsim.Packet, netsim.NodeID, sim.Time) { unroutable++ },
-				}
-				ledger.rewire(b, &hooks)
-				b.domain.Net.SetHooks(hooks)
-			}
-			runBuilt(t, s, rewire, func(b *builtRun, r Result) {
-				var sent, inFlight uint64
-				b.domain.Net.ForEachNode(func(_ netsim.NodeID, _ *netsim.Router, h *netsim.Host) {
-					if h != nil {
-						sent += h.Sent()
-					}
-				})
-				b.res.sched.ForEachPending(func(ev sim.PendingEvent) {
-					if l, ok := ev.H.(*netsim.Link); ok {
-						for p := ev.Arg.(*netsim.Packet); p != nil; p, _, _ = l.NextInFlight(p) {
-							inFlight++
-						}
-					}
-				})
-				pc := plain.Counts
-				created := sent + r.DefenseStats.ProbesSent
-				defence := ledger.dropAttack
-				for _, n := range ledger.dropLegit {
-					defence += n
-				}
-				if queued != pc.QueueDrops || faulted != pc.FaultDrops || defence != pc.DropLegitProbing+pc.DropLegitPDT+pc.DropLegitIllegal+pc.DropAttack {
-					t.Fatalf("%s: the rewired run dropped %d by queue, %d by fault and %d by defence; the plain run's Counts %+v",
-						e.Name, queued, faulted, defence, pc)
-				}
-				if ended := delivered + defence + pc.QueueDrops + pc.FaultDrops + unroutable + inFlight; created != ended {
-					t.Errorf("%s: %d packets created (%d sent, %d probes), %d accounted for: %d delivered, %d defence, %d queue and %d fault drops, %d unroutable, %d on links",
-						e.Name, created, sent, r.DefenseStats.ProbesSent, ended, delivered, defence, pc.QueueDrops, pc.FaultDrops, unroutable, inFlight)
-				}
-				at, activated := b.collector.Activated()
-				got := ledger.metrics(s, at, activated)
-				for _, m := range []struct {
-					name              string
-					ledger, collector float64
-				}{
-					{"α (accuracy)", got.accuracy, plain.Accuracy},
-					{"β (traffic reduction)", got.reduction, plain.TrafficReduction},
-					{"θp (false positives)", got.falsePositive, plain.FalsePositiveRate},
-					{"θn (false negatives)", got.falseNegative, plain.FalseNegativeRate},
-					{"L_r (legitimate drops)", got.legitDrop, plain.LegitimateDropRate},
-				} {
-					if m.ledger != m.collector {
-						t.Errorf("%s: %s from the ledger %v, from metrics.Collector %v", e.Name, m.name, m.ledger, m.collector)
-					}
-				}
-			})
+			checkLedger(t, Quick(e.Build()), nil)
 		})
 	}
+	t.Run("table2/illegal-source", func(t *testing.T) {
+		t.Parallel()
+		s := table2Quick(t)
+		sender := new(illegalSender)
+		runBuilt(t, s, nil, func(b *builtRun, _ Result) { sender.at, _ = b.collector.Activated() })
+		plain := checkLedger(t, s, sender)
+		if plain.Counts.DropLegitIllegal == 0 || sender.first != sender.at {
+			t.Errorf("the illegal-source sender's first packet arrived at %v, activation at %v, and %d legitimate packets were dropped for an illegal source; want the same instant and at least one",
+				sender.first, sender.at, plain.Counts.DropLegitIllegal)
+		}
+	})
+}
+
+// checkLedger runs s plainly and rewired, as TestPacketLedger describes, and
+// returns the plain run's Result. With a sender, both runs are built fresh
+// and the sender is installed on each, and the packets it made count as
+// created.
+func checkLedger(t *testing.T, s Scenario, sender *illegalSender) Result {
+	t.Helper()
+	var plain Result
+	if sender == nil {
+		var err error
+		if plain, err = Run(s); err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+	} else {
+		runBuilt(t, s, func(b *builtRun) { sender.install(t, b) }, func(_ *builtRun, r Result) { plain = r })
+	}
+	var delivered, queued, faulted, unroutable uint64
+	var ledger metricLedger
+	rewire := func(b *builtRun) {
+		if sender != nil {
+			sender.install(t, b)
+		}
+		hooks := netsim.Hooks{
+			OnDeliver:    func(*netsim.Packet, *netsim.Host, sim.Time) { delivered++ },
+			OnQueueDrop:  func(*netsim.Packet, *netsim.Link, sim.Time) { queued++ },
+			OnFaultDrop:  func(*netsim.Packet, netsim.NodeID, sim.Time) { faulted++ },
+			OnUnroutable: func(*netsim.Packet, netsim.NodeID, sim.Time) { unroutable++ },
+		}
+		ledger.rewire(b, &hooks)
+		b.domain.Net.SetHooks(hooks)
+	}
+	runBuilt(t, s, rewire, func(b *builtRun, r Result) {
+		var sent, inFlight uint64
+		b.domain.Net.ForEachNode(func(_ netsim.NodeID, _ *netsim.Router, h *netsim.Host) {
+			if h != nil {
+				sent += h.Sent()
+			}
+		})
+		if sender != nil {
+			sent += sender.sent
+		}
+		b.res.sched.ForEachPending(func(ev sim.PendingEvent) {
+			if l, ok := ev.H.(*netsim.Link); ok {
+				for p := ev.Arg.(*netsim.Packet); p != nil; p, _, _ = l.NextInFlight(p) {
+					inFlight++
+				}
+			}
+		})
+		pc := plain.Counts
+		created := sent + r.DefenseStats.ProbesSent
+		defence := ledger.dropAttack
+		for _, n := range ledger.dropLegit {
+			defence += n
+		}
+		if queued != pc.QueueDrops || faulted != pc.FaultDrops || defence != pc.DropLegitProbing+pc.DropLegitPDT+pc.DropLegitIllegal+pc.DropAttack {
+			t.Fatalf("%s: the rewired run dropped %d by queue, %d by fault and %d by defence; the plain run's Counts %+v",
+				s.Name, queued, faulted, defence, pc)
+		}
+		if ended := delivered + defence + pc.QueueDrops + pc.FaultDrops + unroutable + inFlight; created != ended {
+			t.Errorf("%s: %d packets created (%d sent, %d probes), %d accounted for: %d delivered, %d defence, %d queue and %d fault drops, %d unroutable, %d on links",
+				s.Name, created, sent, r.DefenseStats.ProbesSent, ended, delivered, defence, pc.QueueDrops, pc.FaultDrops, unroutable, inFlight)
+		}
+		at, activated := b.collector.Activated()
+		got := ledger.metrics(s, at, activated)
+		for _, m := range []struct {
+			name              string
+			ledger, collector float64
+		}{
+			{"α (accuracy)", got.accuracy, plain.Accuracy},
+			{"β (traffic reduction)", got.reduction, plain.TrafficReduction},
+			{"θp (false positives)", got.falsePositive, plain.FalsePositiveRate},
+			{"θn (false negatives)", got.falseNegative, plain.FalseNegativeRate},
+			{"L_r (legitimate drops)", got.legitDrop, plain.LegitimateDropRate},
+		} {
+			if m.ledger != m.collector {
+				t.Errorf("%s: %s from the ledger %v, from metrics.Collector %v", s.Name, m.name, m.ledger, m.collector)
+			}
+		}
+	})
+	return plain
+}
+
+// illegalSender is a legitimate client whose source address no host owns. From
+// the instant the defence activates it hands an active ATR one victim-bound
+// UDP data packet every 10 ms, as if from a host attached there, so the
+// defence drops legitimate packets for an illegal source. The first arrives
+// at the activation instant itself, after the activation within it, so the
+// collector counts it as after activation; at that instant the sender also
+// hands the victim one attack-tagged packet, so a victim delivery falls on
+// the activation instant too.
+type illegalSender struct {
+	at    sim.Time // when the defence activates
+	b     *builtRun
+	label netsim.FlowLabel
+	size  int
+	first sim.Time // when the first packet arrived
+	sent  uint64
+}
+
+// install resets the sender for the built run b. It arms itself one
+// nanosecond before the activation instant: an event scheduled then fires at
+// that instant after every event scheduled before it for the instant, the
+// activation's included.
+func (s *illegalSender) install(t *testing.T, b *builtRun) {
+	t.Helper()
+	src := netsim.IP(0xf0000001) // 240.0.0.1, reserved
+	if b.domain.Net.IsRoutable(src) {
+		t.Fatalf("%v is routable", src)
+	}
+	*s = illegalSender{at: s.at, b: b, label: netsim.FlowLabel{SrcIP: src, DstIP: b.domain.VictimIP(), SrcPort: 4000, DstPort: 80}, size: b.s.Workload.PacketSize}
+	sched := b.res.sched
+	sched.ScheduleAt(s.at-1, func(now sim.Time) { sched.ScheduleArgAt(now+1, s, nil) })
+}
+
+func (s *illegalSender) OnEventArg(now sim.Time, _ any) {
+	var atr *netsim.Router
+	for _, d := range s.b.res.mafic {
+		if d.Active() {
+			atr = d.Router()
+			break
+		}
+	}
+	if atr == nil {
+		return
+	}
+	if s.sent == 0 {
+		s.first = now
+		s.b.domain.Victim.Deliver(s.packet(true), netsim.NoNode)
+	}
+	atr.Deliver(s.packet(false), netsim.NoNode)
+	s.b.res.sched.ScheduleArgAt(now+10*sim.Millisecond, s, nil)
+}
+
+// packet makes one of the sender's packets and counts it.
+func (s *illegalSender) packet(malicious bool) *netsim.Packet {
+	s.sent++
+	net := s.b.domain.Net
+	pkt := net.NewPacket()
+	pkt.ID = net.NextPacketID()
+	pkt.Label = s.label
+	pkt.Kind, pkt.Proto, pkt.Size, pkt.FlowID = netsim.KindData, netsim.ProtoUDP, s.size, -1
+	pkt.Malicious = malicious
+	pkt.SetFlowHash(s.label.Hash())
+	return pkt
 }

@@ -217,16 +217,6 @@ func runWith(s Scenario, res *runResources, snap *checkpoint.Snapshot, opts Cont
 	return controlLoop(b, opts)
 }
 
-// RunFromSnapshot decodes a snapshot, rebuilds its scenario deterministically,
-// overlays the captured state and runs the remainder of the scenario. The
-// returned result is bit-identical to the uninterrupted run's (the
-// crash-recovery suite pins this for every catalog scenario). It is
-// ResumeControlled without a control surface: no further checkpoints, no
-// interruption.
-func RunFromSnapshot(data []byte) (Result, error) {
-	return ResumeControlled(data, ControlOptions{})
-}
-
 // buildRun constructs every component of a scenario run on the given bundle —
 // topology, workload, faults, measurement, detection, defence — schedules the
 // build-time events, and records the build/run sequence boundary. It does not

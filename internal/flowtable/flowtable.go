@@ -11,6 +11,7 @@ package flowtable
 
 import (
 	"cmp"
+	"slices"
 
 	"mafic/internal/sim"
 )
@@ -145,6 +146,11 @@ func (t *Tables) get() *Entry {
 	}
 	if len(t.slab) == 0 {
 		t.slab = make([]Entry, entryChunk)
+		// With the free list empty every entry carved so far is indexed.
+		// Room for those and the new chunk lets Flush and eviction recycle
+		// every entry without growing the list, so a run that carves
+		// nothing allocates nothing here.
+		t.free = slices.Grow(t.free, len(t.index)+entryChunk)
 	}
 	e := &t.slab[0]
 	t.slab = t.slab[1:]

@@ -119,6 +119,32 @@ func TestFlush(t *testing.T) {
 	}
 }
 
+// TestFlushKeepsItsFreeList fills the tables with 1000 flows and flushes
+// them twice: the free list has room for every entry from the moment the
+// entry is carved, so no Flush grows it. When Flush grew it instead, the
+// second run on a recycled bundle allocated the list (304 B on the quick
+// carpet-bombing entry) where later runs allocated nothing.
+func TestFlushKeepsItsFreeList(t *testing.T) {
+	tab := New(0)
+	fill := func() {
+		for i := uint64(1); i <= 1000; i++ {
+			tab.InsertSuspicious(i*0x9e3779b97f4a7c15, 0, 1)
+		}
+	}
+	fill()
+	carved := cap(tab.free)
+	if carved < 1000 {
+		t.Fatalf("1000 entries carved, free list capacity %d", carved)
+	}
+	for range 2 {
+		tab.Flush()
+		fill()
+	}
+	if got := cap(tab.free); got != carved {
+		t.Errorf("flushing grew the free list from capacity %d to %d", carved, got)
+	}
+}
+
 func TestCapacityEviction(t *testing.T) {
 	tb := New(3)
 	tb.InsertSuspicious(1, 10, 100)

@@ -78,8 +78,16 @@ type calendarQueue struct {
 }
 
 // reset empties the queue while keeping its storage and tuned width, so a
-// recycled scheduler starts from a geometry that already fits the workload.
+// recycled scheduler starts from a width that already fits the workload. The
+// bucket count restarts at the minimum: resize picks each count from the
+// number of pending events alone, so a recycled run takes the resizes a
+// fresh one does and never needs a longer bucket array than the longest it
+// has had. Starting from the last run's count instead, a second run could
+// double past it.
 func (q *calendarQueue) reset() {
+	if q.buckets != nil {
+		q.buckets, q.mask = q.buckets[:calMinBuckets], calMinBuckets-1
+	}
 	for i := range q.buckets {
 		q.buckets[i] = calNil
 	}

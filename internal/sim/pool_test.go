@@ -174,3 +174,40 @@ func TestArgHandlerPayload(t *testing.T) {
 		t.Fatalf("payloads delivered wrong: %v", r.got)
 	}
 }
+
+// TestRecycledCalendarKeepsItsBuckets runs one workload twice on a scheduler,
+// Reset between: 32 events at the start, each of which schedules two more
+// until 300 are pending, and the run stops before they drain. Its pending
+// counts are the same both times, so the second run must resize through the
+// same bucket counts as the first and refill its bucket array, not grow a
+// longer one. Starting from the 256 buckets the first run ended with, the
+// second run's first pop shrank the calendar to 32, and growing from there
+// took it to 512: a recycled run allocated what a fresh one did not.
+func TestRecycledCalendarKeepsItsBuckets(t *testing.T) {
+	s := NewScheduler()
+	var fan Handler
+	fan = func(now Time) {
+		if s.Len() < 300 {
+			s.ScheduleAt(now+1000, fan)
+			s.ScheduleAt(now+1001, fan)
+		}
+	}
+	var first []int32
+	for run := 0; run < 2; run++ {
+		s.Reset()
+		for i := Time(1); i <= 32; i++ {
+			s.ScheduleAt(i, fan)
+		}
+		if err := s.RunUntil(20_000); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if s.Len() < 128 {
+			t.Fatalf("run %d stopped with %d events pending; the workload must stop before they drain", run, s.Len())
+		}
+		if run == 0 {
+			first = s.cal.buckets[:cap(s.cal.buckets)]
+		} else if got := s.cal.buckets[:cap(s.cal.buckets)]; &got[0] != &first[0] {
+			t.Errorf("the second run grew the calendar's bucket array from %d to %d entries", len(first), len(got))
+		}
+	}
+}
