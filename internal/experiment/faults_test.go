@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"mafic/internal/sim"
@@ -65,8 +66,9 @@ func TestFaultSpecValidate(t *testing.T) {
 		{"flap negative count", flap(func(f *LinkFlap) { f.Count = -1 })},
 		{"flap period not above outage", flap(func(f *LinkFlap) { f.Count = 2; f.Period = f.DownFor })},
 		// Either would have the build queue 2^41 events, or overflow
-		// Start + k·Period.
-		{"flap count of 2^40", flap(func(f *LinkFlap) { f.Count = 1 << 40; f.Period = 2 * sim.Millisecond })},
+		// Start + k·Period. Where int is 32 bits the count is the largest
+		// int instead, which is as far above the cap.
+		{"flap count of 2^40", flap(func(f *LinkFlap) { f.Count = min(1<<40, math.MaxInt); f.Period = 2 * sim.Millisecond })},
 		{"flap period of 2^40", flap(func(f *LinkFlap) { f.Count = 2; f.Period = 1 << 40 })},
 		{"flap count above the cap", flap(func(f *LinkFlap) { f.Count, f.DownFor, f.Period = maxFlapCount+1, 1, 2 })},
 		{"flap starts after the run", flap(func(f *LinkFlap) { f.Start = 2 * sim.Second })},

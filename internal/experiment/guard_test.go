@@ -118,14 +118,16 @@ var fieldManifest = map[string][]string{
 	"netsim.Hooks":                   {"OnDeliver", "OnFaultDrop", "OnFilterDrop", "OnQueueDrop", "OnUnroutable"},                                                  // observer callbacks the build installs
 	"netsim.Host":                    {"accessRouter", "defaultHandler", "homeCount", "homeLinks", "homeRouters", "id", "ips", "nHandlers", "net", "st", "uplink"}, // st: the HostState row, held as it travels; uplink: derived from the links the build connects
 	"netsim.HostState":               {"Received", "Sent"},
-	"netsim.Link":                    {"cfg", "from", "inTail", "st", "to", "txCur"},                                                                                                                                                                                                                                                                                                                                                        // st: the LinkState row, held as it travels; inTail, txCur: derived on restore from the link's pending arrival events (RestoreInFlight), not on the wire
-	"netsim.LinkConfig":              {"BandwidthBps", "Delay", "QueueLen"},                                                                                                                                                                                                                                                                                                                                                                 // from the scenario: rebuilt
-	"netsim.LinkState":               {"Down", "Dropped", "FaultDrops", "NextFree", "Queued", "Sent"},                                                                                                                                                                                                                                                                                                                                       // Queued: travels, but restore keeps the rebuilt link's count and checks the recount against it
-	"netsim.Network":                 {"adj", "bfsQueue", "bfsSeen", "cfgSlab", "chainSlab", "colEntries", "colSlab", "cols", "colsMaterialized", "downLinks", "downRouters", "faultDrops", "filterSlab", "handlers", "hooks", "hostSlab", "ipOwner", "ipSlab", "lastCfg", "linkCfgs", "linkSlab", "links", "nextPktID", "nodes", "pktFree", "pktSlab", "rng", "routeCols", "routerSlab", "scheduler", "sizeHint", "sparse", "topoVersion"}, // the nine slab fields (chunk list plus carve cursor each): storage Reset rewinds for the next build, no run state; adj: the rows the build makes; bfsQueue, bfsSeen: the route BFS's scratch; linkCfgs, lastCfg: the build's index of cfgSlab; routeCols, cols: rematerialized on restore from NetworkState.RouteDests
+	"netsim.Link":                    {"cfg", "from", "run", "to"},                                                                                                                                                                                                                                                                                                                                                                                                // run: carved by the first write, nil on a link that has had none, which reads as the zero LinkState
+	"netsim.linkRun":                 {"inTail", "st", "txCur"},                                                                                                                                                                                                                                                                                                                                                                                                   // st: the LinkState row, held as it travels; inTail, txCur: derived on restore from the link's pending arrival events (RestoreInFlight), not on the wire
+	"netsim.LinkConfig":              {"BandwidthBps", "Delay", "QueueLen"},                                                                                                                                                                                                                                                                                                                                                                                       // from the scenario: rebuilt
+	"netsim.LinkState":               {"Down", "Dropped", "FaultDrops", "NextFree", "Queued", "Sent"},                                                                                                                                                                                                                                                                                                                                                             // Queued: travels, but restore keeps the rebuilt link's count and checks the recount against it
+	"netsim.Network":                 {"adj", "bfsQueue", "bfsSeen", "cfgSlab", "chainSlab", "colEntries", "colSlab", "cols", "colsMaterialized", "ctrSlab", "downLinks", "downRouters", "faultDrops", "filterSlab", "handlers", "hooks", "hostSlab", "ipOwner", "ipSlab", "lastCfg", "linkCfgs", "linkSlab", "links", "nextPktID", "nodes", "pktFree", "pktSlab", "rng", "routeCols", "routerSlab", "runSlab", "scheduler", "sizeHint", "sparse", "topoVersion"}, // the eleven slab fields (chunk list plus carve cursor each): storage Reset rewinds for the next build; runSlab and ctrSlab back the run state of the links and routers that have one, which travels as their rows, and the other nine hold no run state; adj: the rows the build makes; bfsQueue, bfsSeen: the route BFS's scratch; linkCfgs, lastCfg: the build's index of cfgSlab; routeCols, cols: rematerialized on restore from NetworkState.RouteDests
 	"netsim.NetworkState":            {"FaultDrops", "NextPktID", "RouteDests", "TopoVersion"},
 	"netsim.Packet":                  {"FlowID", "Hops", "ID", "Kind", "Label", "Malicious", "Proto", "SentAt", "Seq", "Size", "dstNode", "dstNodeOK", "flowHash", "freed", "hashOK", "inNext", "pooled", "txDone", "txSeq"}, // inNext, txDone, txSeq: derived on restore from the packet's own arrival event (At - Delay, Seq), not on the wire
 	"netsim.PacketState":             {"FlowID", "Hops", "ID", "Kind", "Label", "Malicious", "Proto", "SentAt", "Seq", "Size"},
-	"netsim.Router":                  {"filters", "id", "net", "st"}, // st: the RouterState row, held as it travels
+	"netsim.Router":                  {"ctr", "down", "filters", "id", "net"}, // down, ctr: the RouterState row, held as it travels; ctr is carved by the first count, nil on a router that has counted nothing
+	"netsim.routerCounters":          {"dropped", "faultDrops", "forwarded"},  // RouterState's counters, assembled into the row by CheckpointState
 	"netsim.RouterState":             {"Down", "Dropped", "FaultDrops", "Forwarded"},
 	"netsim.adjEntry":                {"back", "link", "to"},                                                                                                                      // the adjacency the build makes
 	"netsim.adjRow":                  {"len", "off"},                                                                                                                              // the adjacency the build makes

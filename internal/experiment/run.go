@@ -69,11 +69,11 @@ type runResources struct {
 // idleBundles keeps bundles between runs, sequential or the workers of a
 // sweep alike. A bundle handed back while it is full falls to the garbage
 // collector. 64 slots bound what idle bundles retain — each keeps the largest
-// domain it has built and the streams of its most-forking run, 22.6 MB in
+// domain it has built and the streams of its most-forking run, 15.4 MB in
 // all after a quick stress-50k run (TestStress50kBundleHeap), and, once it
 // has served a checkpointed run or a resume, the largest snapshot it has
 // held: 22.8 MB more after a quick stress-50k run checkpointed every quarter
-// (45.4 MB in all; its 130 000 link and 50 000 node records, the handler
+// (38.2 MB in all; its 130 000 link and 50 000 node records, the handler
 // map and link list over the same links, and the encode buffer), 0.1 MB
 // after a quick table2 one — and still cover every concurrent run of a sweep
 // on up to 64 CPUs (RunMany runs GOMAXPROCS workers by default) or of

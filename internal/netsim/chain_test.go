@@ -68,12 +68,12 @@ func checkLedger(t *testing.T, n *Network, tr *chaosTrace) int {
 		for inFlight++; p.inNext != nil; p = p.inNext {
 			inFlight++
 		}
-		if p != l.inTail {
-			t.Errorf("%v: the chain from its pending arrival ends at packet %d, the link's tail is %v", l, p.ID, l.inTail)
+		if p != l.state().inTail {
+			t.Errorf("%v: the chain from its pending arrival ends at packet %d, the link's tail is %v", l, p.ID, l.state().inTail)
 		}
 	})
 	n.ForEachLink(func(l *Link) {
-		if !heads[l] && l.inTail != nil {
+		if !heads[l] && l.state().inTail != nil {
 			t.Errorf("%v has packets in flight and no arrival in the calendar", l)
 		}
 	})

@@ -15,8 +15,8 @@ import (
 // fault API bumps TopoVersion per flip, and the restore must land on the
 // checkpointed version exactly.
 
-// LinkState is the dynamic state of one link, held by the link as it runs.
-// Queued is narrow so that a Link stays within TestStructSizes' bound.
+// LinkState is the dynamic state of one link, held in its run state once it
+// has one. Queued is narrow so that the run state keeps to seven words.
 type LinkState struct {
 	NextFree   sim.Time
 	Queued     int32
@@ -31,8 +31,9 @@ type LinkState struct {
 // lists one arrival event per packet on it, the head's from the calendar and
 // the rest through NextInFlight.
 func (l *Link) CheckpointState(dst *LinkState) {
-	l.reap()
-	*dst = l.st
+	run := l.state()
+	l.reap(run)
+	*dst = run.st
 }
 
 // NextInFlight returns the packet sent on the link after p, which must be in
@@ -51,10 +52,14 @@ func (l *Link) NextInFlight(p *Packet) (next *Packet, arrive sim.Time, seq uint6
 // st.Queued: RestoreInFlight recounts occupancy from the packets in flight,
 // and the caller compares QueueLen with st.Queued once they are all back.
 // The caller finishes with Network.RestoreState, which recounts the
-// network-wide fault bookkeeping from the restored flags.
+// network-wide fault bookkeeping from the restored flags. Restoring the zero
+// state onto a link with no run state gives it none.
 func (l *Link) RestoreState(st LinkState) {
-	st.Queued = l.st.Queued
-	l.st = st
+	st.Queued = l.state().st.Queued
+	if l.run == nil && st == (LinkState{}) {
+		return
+	}
+	l.own().st = st
 }
 
 // RestoreInFlight puts pkt back in flight on the link, arriving under the key
@@ -65,17 +70,18 @@ func (l *Link) RestoreState(st LinkState) {
 // come back in send order, as sorting a snapshot's events by sequence number
 // puts them; anything else is refused.
 func (l *Link) RestoreInFlight(pkt *Packet, arrive sim.Time, seq uint64) error {
-	txDone := arrive - l.cfg.Delay
-	if t := l.inTail; t != nil && (seq <= t.txSeq || txDone < t.txDone) {
+	txDone, run := arrive-l.cfg.Delay, l.own()
+	if t := run.inTail; t != nil && (seq <= t.txSeq || txDone < t.txDone) {
 		return fmt.Errorf("netsim: %v: in-flight packet %d (arrival %v, seq %d) is not behind packet %d (arrival %v, seq %d)",
 			l, pkt.ID, arrive, seq, t.ID, t.txDone+l.cfg.Delay, t.txSeq)
 	}
-	l.enchainArrival(pkt, txDone, seq, !l.cfg.net.scheduler.Fired(txDone, seq))
+	l.enchainArrival(run, pkt, txDone, seq, !l.cfg.net.scheduler.Fired(txDone, seq))
 	return nil
 }
 
-// RouterState is the dynamic state of one router, held by the router as it
-// runs. The route table and filter chain are rebuild-covered.
+// RouterState is the dynamic state of one router: the fault flag the router
+// holds inline and the counters it holds once it has counted something. The
+// route table and filter chain are rebuild-covered.
 type RouterState struct {
 	Down       bool
 	Forwarded  uint64
@@ -84,10 +90,21 @@ type RouterState struct {
 }
 
 // CheckpointState captures the router's dynamic state into dst.
-func (r *Router) CheckpointState(dst *RouterState) { *dst = r.st }
+func (r *Router) CheckpointState(dst *RouterState) {
+	c := r.counts()
+	*dst = RouterState{Down: r.down, Forwarded: c.forwarded, Dropped: c.dropped, FaultDrops: c.faultDrops}
+}
 
 // RestoreState overlays captured dynamic state onto a rebuilt router.
-func (r *Router) RestoreState(st RouterState) { r.st = st }
+// Restoring zero counters onto a router with none gives it none.
+func (r *Router) RestoreState(st RouterState) {
+	r.down = st.Down
+	c := routerCounters{forwarded: st.Forwarded, dropped: st.Dropped, faultDrops: st.FaultDrops}
+	if r.ctr == nil && c == (routerCounters{}) {
+		return
+	}
+	*r.own() = c
+}
 
 // HostState is the dynamic state of one host, held by the host as it runs.
 // Addresses, attachment records and packet handlers are rebuild-covered.
@@ -167,12 +184,12 @@ func (n *Network) RestoreState(st NetworkState) error {
 	n.faultDrops = st.FaultDrops
 	n.downLinks, n.downRouters = 0, 0
 	n.ForEachLink(func(l *Link) {
-		if l.st.Down {
+		if l.Down() {
 			n.downLinks++
 		}
 	})
 	for _, slot := range n.nodes {
-		if slot.router != nil && slot.router.st.Down {
+		if slot.router != nil && slot.router.down {
 			n.downRouters++
 		}
 	}

@@ -29,8 +29,8 @@
 // That works because a link is FIFO. NextFree only grows, so in send order
 // both the transmit-done instants and the arrival instants never decrease.
 // The packets in flight on a link therefore form a chain in send order
-// (through the packets themselves; the link stores the tail and a cursor,
-// and the arriving packet is always the head), the packets whose transmission
+// (through the packets themselves; the link's run state stores the tail and a
+// cursor, and the arriving packet is always the head), the packets whose transmission
 // is still unretired are a suffix of it, and settling the count is advancing
 // the cursor over every packet whose transmit-done instant has fired.
 //
@@ -59,12 +59,22 @@
 // The chain is threaded through Packet, so a packet is in flight on at most
 // one link at a time: hand the same *Packet to a link again only after it
 // has arrived. None of this is in a snapshot, and the count that is — the
-// link holds it as LinkState.Queued — is not believed from one. A snapshot
+// link's run state holds it as LinkState.Queued — is not believed from one. A snapshot
 // lists one arrival per packet in flight: a capture finds each chain's head
 // in the calendar and walks the rest with Link.NextInFlight. A restore keeps
 // the rebuilt link's count and relinks the packets in sequence order with
 // Link.RestoreInFlight, which queues each chain's head itself, and the
 // checkpoint layer checks the recount against the recorded value.
+//
+// A link holds the chain's ends, its LinkState and nothing else of a run in a
+// linkRun, and only once something is written to it: the first Send,
+// SetDown, RestoreInFlight, or RestoreState of a non-zero state carves one
+// from the network's runSlab. A router's counters (forwarded, filter- and
+// fault-dropped) are carved from ctrSlab by its first count the same way; its
+// down flag stays inline, since every hop reads it. Until then the getters,
+// CheckpointState and the route BFS read a shared zero value that nothing
+// writes. A quick 50 000-router run writes to 291 of 130 518 links and 137
+// routers.
 //
 // # Demand-driven routing
 //
@@ -119,9 +129,10 @@
 // the storage of the one before (topology.Arena does exactly this; New stays
 // the fresh path, and the oracle the reset path is tested against).
 //
-// What survives is storage only: the chunks of the nine slabs (routers,
-// hosts, links, link configurations, filter chains and their entries, host
-// addresses, pool packets, route columns), the backing of the three per-node
+// What survives is storage only: the chunks of the eleven slabs (routers,
+// hosts, links, link run states, router counters, link configurations,
+// filter chains and their entries, host addresses, pool packets, route
+// columns), the backing of the three per-node
 // tables (the node table, the adjacency spine, the column-number table), of
 // the adjacency rows and of the list of columns, the route BFS's scratch, the
 // three maps' buckets and the free list's array. What a caller can observe does not: a reset network
@@ -149,7 +160,8 @@
 // removed, and a re-carved row copies its entries' ids.
 //
 // The slabs need no zeroing, because no carve site reads before it writes:
-// nodes, links and link configurations are assigned whole (*r = Router{...}),
+// nodes, links, link run states, router counters and link configurations are
+// assigned whole (*r = Router{...}),
 // pool packets are zeroed when drawn, route columns are cleared by the BFS
 // that fills them, a row's entries are written by the insert that extends it
 // before anything reads them, and filter chains and address slices are
@@ -170,13 +182,13 @@
 // allocate nothing.
 //
 // A network retains the largest domain it has built, its route columns
-// included: the run bundle around it holds 22.6 MB after a quick stress-50k
+// included: the run bundle around it holds 15.4 MB after a quick stress-50k
 // run (experiment's TestStress50kBundleHeap pins it), against 0.25 MB after
 // quick table2. Per node and link it keeps only what forwarding reads: nodes
 // carry no name, each link points at the network's one copy of its
-// LinkConfig and reaches the network through it, a router's filter chain is
-// one pointer, nil on the routers without one, and columns and rows hold
-// 4-byte link ids.
+// LinkConfig and reaches the network through it, a router's filter chain,
+// a link's run state and a router's counters are one pointer each, nil on
+// the ones without, and columns and rows hold 4-byte link ids.
 // One arena serves one run at a time, so a process holds as many as it has
 // had concurrent runs; experiment keeps at most 64 idle run bundles, each
 // with its arena and the defenders, monitor, coordinator and workload that

@@ -38,10 +38,10 @@ import (
 // direction only, so callers modelling a cable cut should take both
 // directions down together (the experiment layer's fault scheduler does).
 func (l *Link) SetDown(down bool) {
-	if l.st.Down == down {
+	if l.Down() == down {
 		return
 	}
-	l.st.Down = down
+	l.own().st.Down = down
 	if down {
 		l.cfg.net.downLinks++
 	} else {
@@ -51,11 +51,11 @@ func (l *Link) SetDown(down bool) {
 }
 
 // Down reports whether the link is currently down.
-func (l *Link) Down() bool { return l.st.Down }
+func (l *Link) Down() bool { return l.state().st.Down }
 
 // FaultDropped reports how many packets this link dropped because it was
 // down (at admission or in flight).
-func (l *Link) FaultDropped() uint64 { return l.st.FaultDrops }
+func (l *Link) FaultDropped() uint64 { return l.state().st.FaultDrops }
 
 // FailRouter marks a router as crashed: it stops forwarding, measuring and
 // injecting until restored. Failing an already-down router is a no-op; the
@@ -65,10 +65,10 @@ func (n *Network) FailRouter(id NodeID) error {
 	if r == nil {
 		return fmt.Errorf("fail router %d: %w", id, ErrUnknownNode)
 	}
-	if r.st.Down {
+	if r.down {
 		return nil
 	}
-	r.st.Down = true
+	r.down = true
 	n.downRouters++
 	n.noteFaultStateChange()
 	return nil
@@ -81,10 +81,10 @@ func (n *Network) RestoreRouter(id NodeID) error {
 	if r == nil {
 		return fmt.Errorf("restore router %d: %w", id, ErrUnknownNode)
 	}
-	if !r.st.Down {
+	if !r.down {
 		return nil
 	}
-	r.st.Down = false
+	r.down = false
 	n.downRouters--
 	n.noteFaultStateChange()
 	return nil
@@ -93,7 +93,7 @@ func (n *Network) RestoreRouter(id NodeID) error {
 // RouterDown reports whether the given node is a currently-failed router.
 func (n *Network) RouterDown(id NodeID) bool {
 	r := n.Router(id)
-	return r != nil && r.st.Down
+	return r != nil && r.down
 }
 
 // FaultDropped reports how many packets the network dropped on down links
@@ -143,5 +143,5 @@ func (n *Network) appendLiveNeighbors(dst []NodeID, id NodeID) []NodeID {
 // active: its link is up and does not lead into a crashed router. It is the
 // one liveness rule appendLiveNeighbors and the route BFS share.
 func (n *Network) usable(e adjEntry) bool {
-	return !n.link(e.link).st.Down && !n.RouterDown(NodeID(e.to))
+	return !n.link(e.link).Down() && !n.RouterDown(NodeID(e.to))
 }

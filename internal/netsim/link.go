@@ -25,15 +25,21 @@ const DefaultQueueLen = 128
 // drop-tail queue. It mirrors the SimplexLink abstraction of NS-2 that the
 // paper's LogLogCounter objects attach to.
 //
-// The quick 50 000-router domain holds about 130 000 of these, so endpoints
-// and occupancy are stored narrow and cfg points at the network's one copy of
-// the configuration, through which the link also reaches its network;
-// TestStructSizes pins the size.
+// The quick 50 000-router domain holds about 130 000 of these and sends on a
+// few hundred, so a link is its endpoints, stored narrow, a pointer to the
+// network's one copy of its configuration, through which it also reaches its
+// network, and a pointer to its run state, carved from the network's runSlab
+// by the first write and nil until then; TestStructSizes pins the size.
 type Link struct {
 	from int32 // NodeID of the upstream node
 	to   int32 // NodeID of the downstream node
 	cfg  *sharedLinkConfig
+	run  *linkRun
+}
 
+// linkRun is what a link holds once it has been written to: by a send, a
+// fault flip or a restore of a non-zero state.
+type linkRun struct {
 	// inTail is the last packet of the in-flight chain (Packet.inNext, send
 	// order) and txCur the first one whose transmission is not retired from
 	// st.Queued yet; see "Link occupancy" in the package documentation.
@@ -46,6 +52,34 @@ type Link struct {
 	// faults.go), which keeps the network's fault bookkeeping and TopoVersion
 	// in step — and the counters.
 	st LinkState
+}
+
+// idleLink is the run state of every link that has none: all zero, and never
+// written, since every write goes through own.
+var idleLink linkRun
+
+// state returns the link's run state for reading: idleLink if it has none.
+func (l *Link) state() *linkRun {
+	if l.run != nil {
+		return l.run
+	}
+	return &idleLink
+}
+
+// own returns the link's run state for writing, carving it on the first
+// write. The check is kept small enough to inline on the send path.
+func (l *Link) own() *linkRun {
+	if l.run != nil {
+		return l.run
+	}
+	return l.carveRun()
+}
+
+// carveRun gives the link a zero run state from the network's runSlab.
+func (l *Link) carveRun() *linkRun {
+	l.run = &l.cfg.net.runSlab.take(1, runChunk)[0]
+	*l.run = linkRun{}
+	return l.run
 }
 
 // From reports the upstream node of the link.
@@ -62,24 +96,26 @@ func (l *Link) Reverse() *Link { return l.cfg.net.LinkBetween(NodeID(l.to), Node
 func (l *Link) Config() LinkConfig { return l.cfg.LinkConfig }
 
 // Sent reports how many packets the link accepted for transmission.
-func (l *Link) Sent() uint64 { return l.st.Sent }
+func (l *Link) Sent() uint64 { return l.state().st.Sent }
 
 // Dropped reports how many packets the drop-tail queue rejected.
-func (l *Link) Dropped() uint64 { return l.st.Dropped }
+func (l *Link) Dropped() uint64 { return l.state().st.Dropped }
 
 // QueueLen reports the instantaneous number of packets waiting on the link.
 func (l *Link) QueueLen() int {
-	l.reap()
-	return int(l.st.Queued)
+	run := l.state()
+	l.reap(run)
+	return int(run.st.Queued)
 }
 
 // reap retires every packet the link has finished transmitting: what a
 // transmit-done event per packet would do, done when the count is looked at.
-func (l *Link) reap() {
+// It writes only when a packet is unretired, so it may be handed idleLink.
+func (l *Link) reap(run *linkRun) {
 	s := l.cfg.net.scheduler
-	for p := l.txCur; p != nil && s.Fired(p.txDone, p.txSeq); p = p.inNext {
-		l.st.Queued--
-		l.txCur = p.inNext
+	for p := run.txCur; p != nil && s.Fired(p.txDone, p.txSeq); p = p.inNext {
+		run.st.Queued--
+		run.txCur = p.inNext
 	}
 }
 
@@ -98,79 +134,80 @@ func (l *Link) transmissionTime(sizeBytes int) sim.Time {
 // OnQueueDrop hook, and recycled. Ownership of the packet transfers to the
 // link.
 func (l *Link) Send(pkt *Packet) {
-	net := l.cfg.net
+	net, run := l.cfg.net, l.own()
 	now := net.Now()
-	if l.st.Down {
-		l.st.FaultDrops++
+	if run.st.Down {
+		run.st.FaultDrops++
 		net.noteFaultDrop(pkt, l.From(), now)
 		net.FreePacket(pkt)
 		return
 	}
-	l.reap()
-	if int(l.st.Queued) >= l.cfg.QueueLen {
-		l.st.Dropped++
+	l.reap(run)
+	if int(run.st.Queued) >= l.cfg.QueueLen {
+		run.st.Dropped++
 		net.noteQueueDrop(pkt, l, now)
 		net.FreePacket(pkt)
 		return
 	}
-	l.st.Sent++
+	run.st.Sent++
 
 	start := now
-	if l.st.NextFree > start {
-		start = l.st.NextFree
+	if run.st.NextFree > start {
+		start = run.st.NextFree
 	}
 	tx := l.transmissionTime(pkt.Size)
-	l.st.NextFree = start + tx
+	run.st.NextFree = start + tx
 
 	// One event per hop, the arrival, dispatched through the link itself
 	// (sim.ArgHandler) so the forwarding path allocates no closure. Its key
 	// is taken now; only the head of the in-flight chain is in the calendar,
 	// and each arrival inserts the next. The end of the transmission is only
 	// a key on the chain.
-	l.enchainArrival(pkt, l.st.NextFree, net.scheduler.Reserve(), true)
+	l.enchainArrival(run, pkt, run.st.NextFree, net.scheduler.Reserve(), true)
 }
 
-// enchainArrival appends pkt to the in-flight chain under its transmit-done
-// key, which must lie behind the tail's, and queues its arrival if it heads
-// the chain. unretired says whether it counts towards st.Queued; once one
-// packet does, all behind it do.
-func (l *Link) enchainArrival(pkt *Packet, txDone sim.Time, seq uint64, unretired bool) {
+// enchainArrival appends pkt to the link's in-flight chain, run, under its
+// transmit-done key, which must lie behind the tail's, and queues its arrival
+// if it heads the chain. unretired says whether it counts towards st.Queued;
+// once one packet does, all behind it do.
+func (l *Link) enchainArrival(run *linkRun, pkt *Packet, txDone sim.Time, seq uint64, unretired bool) {
 	pkt.txDone, pkt.txSeq, pkt.inNext = txDone, seq, nil
-	if l.inTail != nil {
-		l.inTail.inNext = pkt
+	if run.inTail != nil {
+		run.inTail.inNext = pkt
 	} else {
 		l.cfg.net.scheduler.InsertKeyed(txDone+l.cfg.Delay, seq, l, pkt)
 	}
-	l.inTail = pkt
+	run.inTail = pkt
 	if unretired {
-		l.st.Queued++
-		if l.txCur == nil {
-			l.txCur = pkt
+		run.st.Queued++
+		if run.txCur == nil {
+			run.txCur = pkt
 		}
 	}
 }
 
 // OnEventArg implements sim.ArgHandler: the packet carried as arg has
-// propagated to the downstream node. It heads the in-flight chain: the next
-// packet's arrival is queued under the key Send reserved for it, and this
-// one's transmission is retired here unless a reap got to it first.
+// propagated to the downstream node. It heads the in-flight chain — so the
+// link has its run state — and the next packet's arrival is queued under the
+// key Send reserved for it; this one's transmission is retired here unless a
+// reap got to it first.
 func (l *Link) OnEventArg(now sim.Time, arg any) {
-	pkt, net := arg.(*Packet), l.cfg.net
-	if l.txCur == pkt {
-		l.st.Queued--
-		l.txCur = pkt.inNext
+	pkt, net, run := arg.(*Packet), l.cfg.net, l.run
+	if run.txCur == pkt {
+		run.st.Queued--
+		run.txCur = pkt.inNext
 	}
 	if next := pkt.inNext; next != nil {
 		net.scheduler.InsertKeyed(next.txDone+l.cfg.Delay, next.txSeq, l, next)
 	} else {
-		l.inTail = nil
+		run.inTail = nil
 	}
 	pkt.inNext = nil
-	if l.st.Down {
+	if run.st.Down {
 		// The link died while the packet was in flight: it is dropped and
 		// accounted here, not leaked — the pool gets it back like any other
 		// terminal point.
-		l.st.FaultDrops++
+		run.st.FaultDrops++
 		net.noteFaultDrop(pkt, l.To(), now)
 		net.FreePacket(pkt)
 		return

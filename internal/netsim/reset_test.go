@@ -194,7 +194,7 @@ func TestResetLeavesNothingBehind(t *testing.T) {
 			if f.IsNil() || f.Len() != 0 {
 				t.Errorf("Network.%s after Reset: nil=%v len=%d, want kept and empty", name, f.IsNil(), f.Len())
 			}
-		case "pktSlab", "routerSlab", "hostSlab", "linkSlab", "chainSlab", "filterSlab", "ipSlab", "colSlab", "cfgSlab":
+		case "pktSlab", "routerSlab", "hostSlab", "linkSlab", "runSlab", "ctrSlab", "chainSlab", "filterSlab", "ipSlab", "colSlab", "cfgSlab":
 			if f.FieldByName("chunks").Len() == 0 || !f.FieldByName("cur").IsZero() || !f.FieldByName("used").IsZero() {
 				t.Errorf("Network.%s after Reset: want its chunks kept and its cursor rewound", name)
 			}

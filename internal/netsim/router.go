@@ -40,11 +40,53 @@ type Router struct {
 	// of a large domain never get one.
 	filters *[]Filter
 
-	// st is the router's run state, as a snapshot records it. st.Down marks
-	// the router crashed: arriving and self-injected packets are dropped
-	// without running the filter chain. Flipped only through
-	// Network.FailRouter / RestoreRouter (see faults.go).
-	st RouterState
+	// ctr is the router's counters, carved from the network's ctrSlab by
+	// the first packet it forwards, filter-drops or fault-drops, and nil
+	// until then: most routers of a large domain never see one.
+	ctr *routerCounters
+
+	// down marks the router crashed: arriving and self-injected packets are
+	// dropped without running the filter chain. Flipped only through
+	// Network.FailRouter / RestoreRouter (see faults.go). It is inline, not
+	// with the counters, because every hop reads it.
+	down bool
+}
+
+// routerCounters is what a router holds once it has counted a packet; with
+// Router.down it makes up the RouterState a snapshot records.
+type routerCounters struct {
+	forwarded  uint64
+	dropped    uint64
+	faultDrops uint64
+}
+
+// idleRouter is the counters of every router that has none: all zero, and
+// never written, since every write goes through own.
+var idleRouter routerCounters
+
+// counts returns the router's counters for reading: idleRouter if it has
+// none.
+func (r *Router) counts() *routerCounters {
+	if r.ctr != nil {
+		return r.ctr
+	}
+	return &idleRouter
+}
+
+// own returns the router's counters for writing, carving them on the first
+// write. The check is kept small enough to inline on the forwarding path.
+func (r *Router) own() *routerCounters {
+	if r.ctr != nil {
+		return r.ctr
+	}
+	return r.carveCounters()
+}
+
+// carveCounters gives the router zero counters from the network's ctrSlab.
+func (r *Router) carveCounters() *routerCounters {
+	r.ctr = &r.net.ctrSlab.take(1, ctrChunk)[0]
+	*r.ctr = routerCounters{}
+	return r.ctr
 }
 
 // ID reports the router's node identifier.
@@ -54,17 +96,17 @@ func (r *Router) ID() NodeID { return r.id }
 func (r *Router) Network() *Network { return r.net }
 
 // Forwarded reports how many packets the router has forwarded.
-func (r *Router) Forwarded() uint64 { return r.st.Forwarded }
+func (r *Router) Forwarded() uint64 { return r.counts().forwarded }
 
 // FilterDropped reports how many packets the router's filters discarded.
-func (r *Router) FilterDropped() uint64 { return r.st.Dropped }
+func (r *Router) FilterDropped() uint64 { return r.counts().dropped }
 
 // FaultDropped reports how many packets died at this router while it was
 // crashed.
-func (r *Router) FaultDropped() uint64 { return r.st.FaultDrops }
+func (r *Router) FaultDropped() uint64 { return r.counts().faultDrops }
 
 // Down reports whether the router is currently crashed.
-func (r *Router) Down() bool { return r.st.Down }
+func (r *Router) Down() bool { return r.down }
 
 // AttachFilter appends a filter to the router's processing chain. Chain
 // storage is carved from a network-level slab: chains are tiny (an arrival
@@ -102,8 +144,8 @@ func (r *Router) Deliver(pkt *Packet, from NodeID) {
 // the filter chain exactly once (the router should not drop its own probes).
 // A crashed router injects nothing.
 func (r *Router) Inject(pkt *Packet) {
-	if r.st.Down {
-		r.st.FaultDrops++
+	if r.down {
+		r.own().faultDrops++
 		r.net.noteFaultDrop(pkt, r.id, r.net.Now())
 		r.net.FreePacket(pkt)
 		return
@@ -117,21 +159,21 @@ func (r *Router) Inject(pkt *Packet) {
 // nor defends.
 func (r *Router) forward(pkt *Packet, _ NodeID) {
 	now := r.net.Now()
-	if r.st.Down {
-		r.st.FaultDrops++
+	if r.down {
+		r.own().faultDrops++
 		r.net.noteFaultDrop(pkt, r.id, now)
 		r.net.FreePacket(pkt)
 		return
 	}
 	for _, f := range r.Filters() {
 		if f.Handle(pkt, now, r) == ActionDrop {
-			r.st.Dropped++
+			r.own().dropped++
 			r.net.noteFilterDrop(pkt, r, f.Name(), now)
 			r.net.FreePacket(pkt)
 			return
 		}
 	}
-	r.st.Forwarded++
+	r.own().forwarded++
 	pkt.Hops++
 	r.route(pkt)
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -241,7 +242,8 @@ func runEquivScript(t *testing.T, seed int64, spread int, slice Time) {
 // long-chain tests. The last two spreads, 100 and 10 000 initial windows
 // (52 ms, 5.2 s), are the sparse calendar: the opening burst spreads over many
 // buckets (asserted too), an insert walks 3.6 and 0.7 steps, and the second
-// crosses 2.6 empty windows a pop.
+// crosses 2.6 empty windows a pop. Where int is 32 bits the last spread is
+// the largest int, about 4 096 windows (2.1 s).
 //
 // A sliced script runs in slices of a quarter of its spread, and makes the
 // restore calls between slices at least twice (five times on average). At
@@ -250,7 +252,7 @@ func runEquivScript(t *testing.T, seed int64, spread int, slice Time) {
 // so the subtests run in parallel.
 func TestBackendEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
-		for _, spread := range []int{50, 5000, 200_000, 100 * int(calInitialWidth), 10_000 * int(calInitialWidth)} {
+		for _, spread := range []int{50, 5000, 200_000, 100 * int(calInitialWidth), int(min(10_000*int64(calInitialWidth), math.MaxInt))} {
 			t.Run(fmt.Sprintf("seed%d_spread%d", seed, spread), func(t *testing.T) {
 				t.Parallel()
 				runEquivScript(t, seed, spread, 0)
