@@ -41,8 +41,10 @@ vet:
 # static analysis, a clean build of every package (examples included, so they
 # cannot rot), and the whole test suite — golden-run scenario regressions,
 # the chaos catalog, kill-and-resume over the catalog, the maficserve kill -9
-# recovery and the fuzz seed corpora included, none of it -short-gated — under
-# the race detector, then the quick adversary-search grid through the CLI.
+# recovery (a job killed mid-run is run again to the uninterrupted run's
+# result.json) and the fuzz seed corpora included, none of it -short-gated —
+# under the race detector, then the quick adversary-search grid through the
+# CLI.
 check:
 	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l lists:"; echo "$$out"; exit 1; }
 	$(GO) vet ./...

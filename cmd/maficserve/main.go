@@ -1,12 +1,11 @@
 // Command maficserve runs the crash-tolerant simulation service: an HTTP
-// server that accepts scenario submissions, runs them on a supervised job
-// queue, and auto-checkpoints every running job into a rotated on-disk
-// snapshot store. Snapshots are written behind the run — the fsyncs of one
-// checkpoint overlap the simulation of the next interval — so a crash, up to
-// and including kill -9, loses at most two checkpoint intervals of simulated
-// time: the one being simulated and the one still being written. On restart it
-// resumes every interrupted job from its newest valid snapshot and produces
-// results bit-identical to an uninterrupted run.
+// server that accepts scenario submissions and runs them on a supervised job
+// queue. A job's durable state is its manifest (job.json) and, once it has
+// finished, its result.json, both written atomically. The engine is
+// deterministic, so a job that a crash (kill -9 included), a retry or a drain
+// interrupted is run again from its scenario, and its result is
+// bit-identical to an uninterrupted run's. What a crash costs is the
+// interrupted run's work so far.
 //
 // Usage:
 //
@@ -19,9 +18,9 @@
 //	curl localhost:8080/jobs/1/result
 //	curl -X POST localhost:8080/drain
 //
-// SIGTERM (or POST /drain) drains: every in-flight job saves a final
-// snapshot and the process exits cleanly; the next process picks the jobs
-// back up.
+// SIGTERM (or POST /drain) drains: every in-flight job stops, its manifest
+// still marked running, and the process exits cleanly; the next process runs
+// those jobs again.
 package main
 
 import (
@@ -39,7 +38,6 @@ import (
 
 	"mafic/internal/checkpoint"
 	"mafic/internal/serve"
-	"mafic/internal/sim"
 )
 
 func main() {
@@ -53,15 +51,13 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("maficserve", flag.ContinueOnError)
 	var (
 		addr      = fs.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port; see the store's addr file)")
-		store     = fs.String("store", "maficserve-data", "on-disk root for job manifests, snapshots and results")
+		store     = fs.String("store", "maficserve-data", "on-disk root for job manifests and results")
 		queueCap  = fs.Int("queue-cap", 16, "queued-job bound; submissions beyond it are shed with 503")
 		workers   = fs.Int("workers", 2, "concurrent job runners")
-		ckptEvery = fs.Duration("checkpoint-every", 100*time.Millisecond, "simulated-time interval between automatic snapshots of each running job")
-		keep      = fs.Int("keep", 3, "snapshots kept per job (older ones rotate out)")
 		timeout   = fs.Duration("job-timeout", 0, "wall-clock budget per job attempt; 0 disables")
 		retries   = fs.Int("retries", 2, "max retries after a transient job failure")
 		backoff   = fs.Duration("retry-backoff", 250*time.Millisecond, "first retry delay; doubles per retry")
-		drainWait = fs.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight jobs to snapshot on shutdown")
+		drainWait = fs.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight jobs to stop on shutdown")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -69,15 +65,13 @@ func run(args []string) error {
 	logger := log.New(os.Stderr, "maficserve: ", log.LstdFlags|log.Lmicroseconds)
 
 	sv, err := serve.New(serve.Config{
-		Dir:             *store,
-		QueueCap:        *queueCap,
-		Workers:         *workers,
-		CheckpointEvery: sim.FromDuration(*ckptEvery),
-		Keep:            *keep,
-		JobTimeout:      *timeout,
-		MaxRetries:      *retries,
-		RetryBackoff:    *backoff,
-		Log:             logger,
+		Dir:          *store,
+		QueueCap:     *queueCap,
+		Workers:      *workers,
+		JobTimeout:   *timeout,
+		MaxRetries:   *retries,
+		RetryBackoff: *backoff,
+		Log:          logger,
 	})
 	if err != nil {
 		return err
@@ -121,7 +115,7 @@ func run(args []string) error {
 	defer cancel()
 	if err := sv.Shutdown(drainCtx); err != nil {
 		// Jobs that missed the window stay marked running on disk; the
-		// next process resumes them, so an overlong drain is not fatal.
+		// next process runs them again, so an overlong drain is not fatal.
 		logger.Printf("shutdown: %v", err)
 	}
 	httpCtx, cancelHTTP := context.WithTimeout(context.Background(), 5*time.Second)

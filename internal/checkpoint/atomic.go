@@ -9,9 +9,9 @@ import (
 // either the old file or the complete new one — never a torn mixture. The
 // data lands in a same-directory temp file first, is fsynced, and is then
 // renamed over the target; finally the directory itself is synced so the
-// rename survives a power loss. Every snapshot writer (the serve snapshot
-// store, maficsim's -checkpoint flags, job manifests) goes through this
-// helper.
+// rename survives a power loss. Every durable writer (the snapshot Store,
+// maficsim's -checkpoint flags, maficserve's manifests and results) goes
+// through this helper.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")

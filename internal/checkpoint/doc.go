@@ -103,7 +103,6 @@
 // not migrated: dropping its transmit-done events would be easy, but its
 // sequence numbers and Processed count are on the old scale, and a resumed
 // run is promised bit-identical to an uninterrupted one of the same build.
-// Store.LatestValid walks past such files like any other it cannot decode,
-// so a maficserve store left by a version 1 build re-runs its unfinished
-// jobs from time zero.
+// maficserve reads no snapshot, so a store left by a version 1 build re-runs
+// its unfinished jobs from time zero.
 package checkpoint

@@ -43,8 +43,8 @@ const SnapshotVersion uint32 = 3
 var ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
 
 // ErrVersion is returned for a well-formed header of a version this build
-// does not read. It is also an ErrCorrupt, so whatever walks past undecodable
-// files (Store.LatestValid, the service's recovery) walks past these too.
+// does not read. It is also an ErrCorrupt: a file this build cannot read is
+// refused like a damaged one.
 var ErrVersion = fmt.Errorf("%w: unsupported snapshot version", ErrCorrupt)
 
 // Section kinds.

@@ -152,13 +152,10 @@ package experiment
 // every encoded snapshot to a save callback; ResumeControlled takes a bundle,
 // decodes into its Snapshot, rebuilds, overlays and continues the same loop
 // to completion. Only the
-// capture is on the run's goroutine: at each boundary the loop captures, then
+// capture is on the run's goroutine: at each checkpoint the loop captures, then
 // hands Encode and the save callback to one helper goroutine that works
-// behind the next segment, and the boundary after joins it before capturing
-// again, so the session's snapshot is never captured into while it is being
-// encoded. (The final snapshot of an
-// interrupted run is the exception: it is encoded and saved before the run
-// returns, on its own goroutine.)
+// behind the run, and the next checkpoint joins it before capturing again, so
+// the session's snapshot is never captured into while it is being encoded.
 
 import (
 	"cmp"
@@ -303,17 +300,6 @@ func (b *builtRun) capture() (*checkpoint.Snapshot, error) {
 		return nil, err
 	}
 	return snap, nil
-}
-
-// snapshot captures and encodes the run's current state. The bytes are a
-// fresh buffer the caller may keep; the capture scratch behind them is the
-// bundle's session, reused by the next snapshot.
-func (b *builtRun) snapshot() ([]byte, error) {
-	snap, err := b.capture()
-	if err != nil {
-		return nil, err
-	}
-	return checkpoint.Encode(snap), nil
 }
 
 // captureEvents classifies every pending event against the registry into

@@ -40,6 +40,17 @@ func snapshotMidRun(t testing.TB, s Scenario, at sim.Time) ([]byte, Result) {
 	return data, res
 }
 
+// snapshot captures and encodes the run's current state. The bytes are a
+// fresh buffer the caller may keep; the capture scratch behind them is the
+// bundle's session, reused by the next snapshot.
+func (b *builtRun) snapshot() ([]byte, error) {
+	snap, err := b.capture()
+	if err != nil {
+		return nil, err
+	}
+	return checkpoint.Encode(snap), nil
+}
+
 // diffResults reports the usual headline fields when two results diverge.
 func diffResults(t *testing.T, label string, want, got Result) {
 	t.Helper()

@@ -4,23 +4,22 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
 
 	"mafic/internal/checkpoint"
 	"mafic/internal/sim"
 )
 
 // ErrInterrupted reports that a controlled run was interrupted through
-// ControlOptions.Interrupt before reaching its scenario duration. When a Save
-// sink is configured and the run had made any progress, a final snapshot was
-// handed to it first, so the run can be resumed later with ResumeControlled.
+// ControlOptions.Interrupt before reaching its scenario duration. Nothing is
+// saved at the stop: a caller that wants the job finished runs it again, and
+// the engine being deterministic, the rerun reaches the uninterrupted run's
+// result.
 var ErrInterrupted = errors.New("experiment: run interrupted")
 
 // ErrSnapshot marks resume failures whose cause is the snapshot itself —
 // undecodable bytes, an embedded scenario that no longer validates, or
-// restore-time divergence from the rebuilt world. Callers holding several
-// snapshots (the serve recovery path) use it to fall back to an older one;
-// errors past the restore phase are genuine run failures and are not wrapped.
+// restore-time divergence from the rebuilt world. Errors past the restore
+// phase are genuine run failures and are not wrapped.
 var ErrSnapshot = errors.New("experiment: snapshot unusable")
 
 // ControlOptions shapes a controlled (long-running, supervisable) run.
@@ -36,23 +35,15 @@ type ControlOptions struct {
 	// run's goroutine, but encoded and saved on a helper goroutine while the
 	// next segment runs: Save is called one call at a time, in checkpoint
 	// order, and the run returns only after the last call has returned. An
-	// error aborts the run one boundary late, at the boundary after the
-	// failed checkpoint (at the end, for the last one), as "save checkpoint
-	// at T". The final snapshot of an interrupted run is saved on the run's
-	// goroutine before it returns.
+	// error aborts the run at the end of that segment, as "save checkpoint
+	// at T".
 	Save func(at sim.Time, data []byte) error
-	// Stalled, if set, is told how long the run stood at a boundary or at
-	// its end waiting for the previous Save to return. It is called on the
-	// run's goroutine.
-	Stalled func(d time.Duration)
 	// Interrupt, when it becomes receivable (normally by closing the
-	// channel), pauses the run at the next checkpoint boundary: a final
-	// snapshot is saved (if Save is set and the clock has advanced) and the
-	// run returns ErrInterrupted. A nil channel never interrupts. Interrupt
-	// latency is bounded by the checkpoint interval — with no checkpoints
-	// configured the run is a single uninterruptible segment. An interrupt
-	// raised while a Save runs is seen at the boundary after that save's,
-	// since the save runs behind the segment leading there.
+	// channel), stops the run: the control loop polls it at every multiple of
+	// interruptEvery of simulated time and at every checkpoint boundary, and
+	// returns ErrInterrupted at the first poll that finds it receivable. No
+	// snapshot is taken for the stop. A nil channel never interrupts, and the
+	// run is then not polled at all.
 	Interrupt <-chan struct{}
 
 	// at, when set, is RunWithCheckpoints' explicit schedule: snapshots at
@@ -61,11 +52,17 @@ type ControlOptions struct {
 	at []sim.Time
 }
 
+// interruptEvery is how often, in simulated time, a run with an Interrupt
+// channel stops to poll it. Ending a segment is a pure read of the run
+// (TestRunControlledMatchesRun), so the poll moves no result; it bounds the
+// latency of a cancel, drain or timeout to the wall time of 10 simulated ms.
+const interruptEvery = 10 * sim.Millisecond
+
 // RunControlled executes one scenario under the given control surface. With
-// zero options it is exactly Run; with a checkpoint interval it is the
-// service-mode run loop: snapshot periodically, pause on interrupt, resume
-// later bit-identically (snapshots are pure reads, pinned by the
-// kill-and-resume suite).
+// zero options it is exactly Run; with an Interrupt channel it is the
+// service-mode run loop, which stops on request; with a checkpoint interval it
+// also snapshots periodically, to resume later bit-identically (snapshots are
+// pure reads, pinned by the kill-and-resume suite).
 func RunControlled(s Scenario, opts ControlOptions) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
@@ -205,28 +202,34 @@ func (o ControlOptions) nextStop(now, end sim.Time) sim.Time {
 }
 
 // controlLoop advances a built (or rebuilt-and-restored) run to its scenario
-// duration in checkpoint-bounded segments. At each boundary it checks for
-// interruption, then captures the run and hands the snapshot to a helper
-// goroutine that encodes and saves it while the next segment runs; the end
-// of that segment joins the save. So nothing is in flight whenever the loop
+// duration in segments, each ending at the next checkpoint or the run's end,
+// and, when the run has an Interrupt channel, at the next multiple of
+// interruptEvery before that. At each boundary it polls for interruption; at
+// a checkpoint it captures the run and hands the snapshot to a helper
+// goroutine that encodes and saves it while the next segment runs; the end of
+// that segment joins the save. So nothing is in flight whenever the loop
 // returns or captures, and its caller releases the built run, whichever way
 // the loop returns.
 func controlLoop(b *builtRun, opts ControlOptions) (Result, error) {
 	s := b.s
 	sched := b.res.sched
-	behind := saveBehind{save: opts.Save, stalled: opts.Stalled}
-	for boundary := false; ; boundary = true {
+	behind := saveBehind{save: opts.Save}
+	for atCheckpoint := false; ; {
 		if opts.Interrupt != nil && interrupted(opts.Interrupt) {
-			return Result{}, b.pause(opts.Save)
+			return Result{}, fmt.Errorf("%w at t=%v", ErrInterrupted, sched.Now())
 		}
-		if boundary {
+		if atCheckpoint {
 			snap, err := b.capture()
 			if err != nil {
 				return Result{}, err
 			}
 			behind.start(sched.Now(), snap)
 		}
-		next := opts.nextStop(sched.Now(), s.Duration)
+		stop := opts.nextStop(sched.Now(), s.Duration)
+		next := stop
+		if opts.Interrupt != nil {
+			next = min(stop, (sched.Now()/interruptEvery+1)*interruptEvery)
+		}
 		err := sched.RunUntil(next)
 		if serr := behind.join(); serr != nil {
 			return Result{}, serr
@@ -237,25 +240,8 @@ func controlLoop(b *builtRun, opts ControlOptions) (Result, error) {
 		if next >= s.Duration {
 			return b.finish()
 		}
+		atCheckpoint = next == stop
 	}
-}
-
-// pause ends an interrupted run at the event boundary it stands on. If the
-// run has made any progress and there is somewhere to save it, a final
-// snapshot is saved first, on this goroutine, so the interruption loses
-// nothing.
-func (b *builtRun) pause(save func(at sim.Time, data []byte) error) error {
-	now := b.res.sched.Now()
-	if save != nil && now > 0 {
-		data, err := b.snapshot()
-		if err != nil {
-			return err
-		}
-		if err := save(now, data); err != nil {
-			return fmt.Errorf("save final snapshot at %v: %w", now, err)
-		}
-	}
-	return fmt.Errorf("%w at t=%v", ErrInterrupted, now)
 }
 
 // errSaveExited is what a save that ended its goroutine without returning
@@ -268,8 +254,7 @@ var errSaveExited = errors.New("save exited without returning")
 // waits for that save to return. Both belong to the run's goroutine, and
 // between a start and its join the snapshot belongs to the helper.
 type saveBehind struct {
-	save    func(at sim.Time, data []byte) error
-	stalled func(d time.Duration)
+	save func(at sim.Time, data []byte) error
 
 	at   sim.Time
 	done chan error // the save in flight; nil when there is none
@@ -292,16 +277,7 @@ func (sb *saveBehind) join() error {
 	if sb.done == nil {
 		return nil
 	}
-	var err error
-	select {
-	case err = <-sb.done:
-	default:
-		t0 := time.Now()
-		err = <-sb.done
-		if sb.stalled != nil {
-			sb.stalled(time.Since(t0))
-		}
-	}
+	err := <-sb.done
 	sb.done = nil
 	if err != nil {
 		return fmt.Errorf("save checkpoint at %v: %w", sb.at, err)

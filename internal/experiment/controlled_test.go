@@ -2,15 +2,20 @@ package experiment
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mafic/internal/sim"
 )
 
 // TestRunControlledMatchesRun pins that the controlled run loop — periodic
-// snapshots included — produces a Result bit-identical to a plain Run, and
-// that the checkpoint schedule lands on ascending multiples of the interval.
+// snapshots and interrupt polls included — produces a Result bit-identical to
+// a plain Run, that the checkpoint schedule lands on ascending multiples of
+// the interval whatever the polls in between, and that an Interrupt that
+// never fires, which ends a segment at every multiple of interruptEvery,
+// changes no quick catalog entry's result: a segment boundary is a pure read.
 func TestRunControlledMatchesRun(t *testing.T) {
 	t.Parallel()
 	s := Quick(Entries()[0].Build())
@@ -19,11 +24,13 @@ func TestRunControlledMatchesRun(t *testing.T) {
 		t.Fatalf("reference run: %v", err)
 	}
 
+	never := make(chan struct{})
 	every := s.Duration / 5
 	var times []sim.Time
 	var last []byte
 	got, err := RunControlled(s, ControlOptions{
 		CheckpointEvery: every,
+		Interrupt:       never,
 		Save: func(at sim.Time, data []byte) error {
 			times = append(times, at)
 			last = append(last[:0], data...)
@@ -56,73 +63,67 @@ func TestRunControlledMatchesRun(t *testing.T) {
 	if !reflect.DeepEqual(want, resumed) {
 		diffResults(t, "resume of last periodic snapshot", want, resumed)
 	}
+
+	for _, e := range Entries() {
+		t.Run(e.Name, func(t *testing.T) {
+			t.Parallel()
+			s := Quick(e.Build())
+			got, err := RunControlled(s, ControlOptions{Interrupt: never})
+			if err != nil {
+				t.Fatalf("polled run: %v", err)
+			}
+			requireSameResult(t, "polled vs plain", plainResult(t, e.Name, s), got)
+		})
+	}
 }
 
-// TestRunControlledInterruptSavesFinalSnapshot drives the drain path: the
-// interrupt fires mid-run, the loop takes one final snapshot at the pause
-// point, returns ErrInterrupted, and the saved snapshot resumes to a result
-// bit-identical to the uninterrupted run.
-func TestRunControlledInterruptSavesFinalSnapshot(t *testing.T) {
+// TestRunControlledInterruptStopsAtNextPoll closes Interrupt from an event
+// handler at simulated time t, between two polls and after three
+// checkpoints. The run must return ErrInterrupted with its clock at the
+// first multiple of interruptEvery after t, having saved the three
+// checkpoints before t and nothing after: an interrupted run takes no final
+// snapshot.
+func TestRunControlledInterruptStopsAtNextPoll(t *testing.T) {
 	t.Parallel()
 	s := Quick(Entries()[0].Build())
-	want, err := Run(s)
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
+	every := s.Duration / 10
+	at := 3*every + interruptEvery/2 + 7*sim.Microsecond
+	wantStop := (at/interruptEvery + 1) * interruptEvery
+	if every <= 2*interruptEvery || wantStop >= 4*every {
+		t.Fatalf("checkpoints every %v leave no poll between t=%v and the next checkpoint", every, at)
 	}
 
+	b, err := buildRun(s, newRunResources())
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	defer b.release()
 	interrupt := make(chan struct{})
-	every := s.Duration / 10
+	sched := b.res.sched
+	sched.ScheduleAt(at, func(sim.Time) { close(interrupt) })
+	b.buildSeq = sched.Seq() // a build event, so the snapshots before it can be taken
 	var saves []sim.Time
-	var last []byte
-	_, err = RunControlled(s, ControlOptions{
+	_, err = controlLoop(b, ControlOptions{
 		CheckpointEvery: every,
 		Interrupt:       interrupt,
-		Save: func(at sim.Time, data []byte) error {
+		Save: func(at sim.Time, _ []byte) error {
 			saves = append(saves, at)
-			last = append(last[:0], data...)
-			if len(saves) == 2 {
-				close(interrupt) // seen at the next boundary
-			}
 			return nil
 		},
 	})
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("want ErrInterrupted, got %v", err)
 	}
-	// Two periodic snapshots plus the final pause snapshot. The second save
-	// runs behind the segment after its boundary, so the interrupt it raises
-	// is seen one boundary later, which is still within the one-interval
-	// latency ControlOptions.Interrupt promises; the pause point is saved
-	// once, by the final snapshot.
-	if len(saves) != 3 {
-		t.Fatalf("saves %v, want 2 periodic + 1 final", saves)
+	if now := sched.Now(); now != wantStop || !strings.Contains(err.Error(), fmt.Sprintf("at t=%v", wantStop)) {
+		t.Errorf("stopped at %v (%v), want the next poll after t=%v, %v", now, err, at, wantStop)
 	}
-	if saves[2] != saves[1]+every {
-		t.Errorf("final snapshot at %v, want the boundary after the second checkpoint, %v", saves[2], saves[1]+every)
-	}
-
-	resumed, err := ResumeControlled(last, ControlOptions{})
-	if err != nil {
-		t.Fatalf("resume after interrupt: %v", err)
-	}
-	if !reflect.DeepEqual(want, resumed) {
-		diffResults(t, "interrupt-resume", want, resumed)
-	}
-
-	// The interrupted run left its bundle clean: a fresh run on the same
-	// bundle must still match the reference.
-	again, err := Run(s)
-	if err != nil {
-		t.Fatalf("run after interrupt: %v", err)
-	}
-	if !reflect.DeepEqual(want, again) {
-		diffResults(t, "pooled objects after interrupt", want, again)
+	if want := []sim.Time{every, 2 * every, 3 * every}; !reflect.DeepEqual(saves, want) {
+		t.Errorf("saves %v, want the checkpoints before the interrupt, %v, and none after", saves, want)
 	}
 }
 
 // TestRunControlledInterruptBeforeStart pins that an interrupt delivered
-// before the clock advances returns ErrInterrupted without inventing a
-// snapshot — there is no progress to save, the job simply restarts later.
+// before the clock advances returns ErrInterrupted without a snapshot.
 func TestRunControlledInterruptBeforeStart(t *testing.T) {
 	t.Parallel()
 	s := Quick(Entries()[0].Build())
@@ -179,9 +180,9 @@ func TestResumeControlledCheckpointScheduleContinues(t *testing.T) {
 	}
 }
 
-// TestResumeControlledClassifiesSnapshotErrors pins the ErrSnapshot contract
-// the serve recovery fallback depends on: garbage and truncation are the
-// snapshot's fault, so they must carry the sentinel.
+// TestResumeControlledClassifiesSnapshotErrors pins the ErrSnapshot contract:
+// garbage and truncation are the snapshot's fault, so they must carry the
+// sentinel.
 func TestResumeControlledClassifiesSnapshotErrors(t *testing.T) {
 	t.Parallel()
 	if _, err := ResumeControlled([]byte("not a snapshot"), ControlOptions{}); !errors.Is(err, ErrSnapshot) {
@@ -208,7 +209,7 @@ func TestRunControlledRejectsNegativeInterval(t *testing.T) {
 
 // TestRunControlledRejectsIntervalWithoutSave pins that a checkpoint interval
 // with nowhere to save is refused up front, on both entry points, rather than
-// silently running as one uninterruptible, never-checkpointed segment.
+// silently running as a never-checkpointed run.
 func TestRunControlledRejectsIntervalWithoutSave(t *testing.T) {
 	t.Parallel()
 	s := Quick(Entries()[0].Build())

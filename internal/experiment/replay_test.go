@@ -127,9 +127,9 @@ func inSeqOrderBytes(t *testing.T, data []byte) []byte {
 // resumes under one control surface and requires the same behaviour of each:
 // "control surface" checkpoints every eighth of the run, starting from the
 // first multiple after the snapshot, and its second save raises Interrupt,
-// which pauses the run at the boundary after it with a final snapshot; both
-// resumes must save the same snapshots at the same times, the same bytes once
-// their events are in sequence order, and return the same error. "progress"
+// which stops the run at the first poll after it, where the save is joined;
+// both resumes must save the same two snapshots at the same times, the same
+// bytes once their events are in sequence order, and return the same error. "progress"
 // replays the run to the snapshot's Now once and requires replayProgress to
 // accept the file as written and to refuse it, naming the field, with any one
 // progress field changed. (TestKillAndResumeEquivalence replays every catalog
@@ -171,9 +171,12 @@ func TestResumeByReplay(t *testing.T) {
 			t.Errorf("replay returned %v, restore %v", err, rerr)
 		}
 		// Checkpoints at 5/8 and 6/8 of the run, the second raising the
-		// interrupt, then the final snapshot at 7/8, where the run pauses.
-		if len(restored) != 3 || restored[0].at != 5*every || restored[2].at != 7*every {
-			t.Fatalf("restore saved %d snapshots, want three at %v, %v and %v", len(restored), 5*every, 6*every, 7*every)
+		// interrupt, which the poll interruptEvery later sees.
+		if stop := fmt.Sprintf("at t=%v", 6*every+interruptEvery); !strings.Contains(rerr.Error(), stop) {
+			t.Errorf("restore returned %v, want it stopped %s", rerr, stop)
+		}
+		if len(restored) != 2 || restored[0].at != 5*every || restored[1].at != 6*every {
+			t.Fatalf("restore saved %d snapshots, want two at %v and %v", len(restored), 5*every, 6*every)
 		}
 		if len(replayed) != len(restored) {
 			t.Fatalf("replay saved %d snapshots, restore %d", len(replayed), len(restored))

@@ -16,7 +16,7 @@ import (
 // its encoding and ControlOptions.Save to a helper goroutine that runs behind
 // the next segment. These tests pin the contract that leaves the caller:
 // saves never overlap and come in order, a failed save fails the run at the
-// next boundary, and the run never returns while a save is running. The two
+// next checkpoint, and the run never returns while a save is running. The two
 // that wait on the clock for a save that must not come stay sequential, so
 // no parallel test slows the run they time.
 
@@ -123,7 +123,8 @@ func TestSaveBehindFailureFailsTheNextBoundary(t *testing.T) {
 // TestSaveBehindBlockedSaveHoldsEveryReturn blocks one save on a channel and
 // drives the run to each way it can return — finishing, a failed save, an
 // interrupt, a run error — while it is blocked: the run must not return until
-// the save does, and no checkpoint is saved twice.
+// the save does, and no checkpoint is saved twice. The run has an Interrupt
+// channel in every case, so it is polled between checkpoints too.
 func TestSaveBehindBlockedSaveHoldsEveryReturn(t *testing.T) {
 	s := Quick(Entries()[0].Build())
 	every := s.Duration / 5
@@ -141,9 +142,9 @@ func TestSaveBehindBlockedSaveHoldsEveryReturn(t *testing.T) {
 		{name: "save error", hold: 4 * every, holdErr: boom, wantErr: boom,
 			wantSaves: []sim.Time{every, 2 * every, 3 * every, 4 * every}},
 		// Raised inside the save of 2·every, the interrupt is seen at the
-		// next boundary, whose final snapshot is the third save.
+		// first poll after it, whose segment end joins that save.
 		{name: "interrupt", hold: 2 * every, interrupt: true, wantErr: ErrInterrupted,
-			wantSaves: []sim.Time{every, 2 * every, 3 * every}},
+			wantSaves: []sim.Time{every, 2 * every}},
 		{name: "run error", hold: 2 * every, stopAt: 2*every + every/2, wantErr: sim.ErrStopped,
 			wantSaves: []sim.Time{every, 2 * every}},
 	} {

@@ -1,52 +1,58 @@
-// Package serve is the crash-tolerant long-running simulation service built
-// on the snapshot layer: a supervised job queue over the scenario catalog.
+// Package serve is the crash-tolerant long-running simulation service: a
+// supervised job queue over the scenario catalog.
 //
 // A Server accepts JobSpec submissions (a catalog name plus parameter
-// overrides, the same knobs `maficsim` exposes as flags), runs them on a
-// bounded worker pool, and auto-checkpoints every running job on a
-// configurable simulated-time interval into a rotated on-disk snapshot store
-// (checkpoint.Store: atomic writes, keep-last-K). The durability contract:
+// overrides, the same knobs `maficsim` exposes as flags) and runs them on a
+// bounded worker pool. The contract:
 //
 //   - A full queue sheds new submissions explicitly (ErrQueueFull → 503)
 //     rather than queueing unboundedly.
-//   - Snapshots are written behind the run. The control loop of
-//     experiment.RunControlled captures each checkpoint on the run's
-//     goroutine and hands its encoding and the attempt's Save — the durable
-//     write, the unchanged checkpoint.Store.Save: temp + fsync + rename +
-//     dir-fsync, rotation after the new file is durable — to a helper
-//     goroutine, and the simulation goes on while it lands. Exactly one save
-//     is in flight; the next boundary waits for it and fails the attempt with
-//     its error, and the run never returns — completed, failed, canceled,
-//     drained or timed out — with a save pending. A job's snapshot count,
-//     last checkpoint and Metrics.SnapshotsWritten move only when a file is
-//     durable; Metrics.SnapshotWaits and SnapshotWaitMs add up the waits the
-//     loop reports through ControlOptions.Stalled. The price: a kill -9 can
-//     lose up to two checkpoint intervals, the one being simulated and the
-//     one being written, where a synchronous save lost one.
-//   - A transient run failure is retried with bounded doubling backoff,
-//     resuming from the newest snapshot — which, the failed run having
-//     waited for its last save, is the last one the run handed over — so a
-//     retry repeats at most one checkpoint interval. (A failed snapshot write
-//     is seen one boundary late; that retry repeats up to two.)
+//   - A transient run failure is retried with bounded doubling backoff; the
+//     retry runs the job's scenario again from time zero.
 //   - A per-job wall-clock timeout fails the job terminally — timed out,
 //     not hung, and not retried.
-//   - Drain (SIGTERM or POST /drain) pauses every in-flight job at the next
-//     checkpoint boundary, saves one final snapshot, and leaves the job's
-//     manifest marked running so the next process resumes it. A drain
-//     ordered while a snapshot is being written pauses at the boundary after
-//     that snapshot's, still within one interval of the order.
-//   - On startup the server scans its store, re-enqueues every queued or
-//     running job, and resumes each from its newest snapshot that actually
-//     validates — falling back loudly past torn or bit-flipped files.
+//   - Cancel, drain and timeout stop a running job through
+//     experiment.ControlOptions.Interrupt, which the run polls every 10
+//     simulated milliseconds. Drain (SIGTERM or POST /drain) leaves the
+//     stopped job's manifest marked running, so the next process runs it
+//     again.
+//   - On startup the server scans its store and re-enqueues every queued or
+//     running job, to run from time zero.
 //
-// A finished job's result lives in one place, its result.json, written
-// atomically before the manifest says completed. GET /jobs/{id}/result
-// (Server.ResultBytes) serves those bytes; job status (JobInfo) carries no
-// copy of the result, and recovery reads the file only to tell whether a job
-// under a running manifest had already finished.
+// # A job is its manifest: durability without snapshots
 //
-// Because snapshots restore bit-identically (pinned by the experiment
-// package's kill-and-resume suite and this package's recovery tests), a job
-// that lived through any number of crashes, retries and restarts produces
-// exactly the bytes an uninterrupted run would have written.
+// A job's durable state is two files in its directory: job.json, its
+// manifest (the spec, the state and the attempt count), written on every
+// state transition, and result.json, written once when the run finishes and
+// before the manifest says completed. Both are written with
+// checkpoint.WriteFileAtomic (same-directory temp file, fsync, rename,
+// directory fsync), so a crash leaves each either whole or as it was.
+// GET /jobs/{id}/result (Server.ResultBytes) serves result.json's bytes; job
+// status (JobInfo) carries no copy of the result. A job found finished under
+// a running manifest (the crash fell between the two writes) is adopted as
+// completed, not run again.
+//
+// Why that is enough (ROADMAP item 25(a)): the engine is deterministic, so a
+// job run again from its scenario reaches the result an uninterrupted run
+// writes, byte for byte. The service used to snapshot every running job
+// every 100 simulated ms into a rotated store and, after a crash, a retry or
+// a drain, resume from the newest valid snapshot. Restore is decided for
+// deletion (ROADMAP item 17): a resume will replay the run from time zero to
+// the snapshot's time, which costs what the whole run costs (measured at
+// -cpu 1: a replayed resume from 90 % took 84.7 ms on table2, the run
+// 87.3 ms; 537 ms and 521 ms on stress-1k). Snapshots would then save no
+// work after a crash, while every job pays their capture, encoding and
+// fsyncs — 29 snapshots per full table2 job. So the service writes none.
+//
+// What is lost:
+//   - A crash, a retry or a drain repeats the whole job, where a resume
+//     repeated at most two checkpoint intervals.
+//   - A snapshot written by a build whose run differs was refused on resume,
+//     and the job fell back to a fresh start. With no snapshot, nothing on the
+//     recovery path compares two builds' runs; that check stays with the
+//     experiment package's kill-and-resume suite and `make result-diff`.
+//
+// A store left by an older build may hold snapshot files and temp-file
+// leftovers in a job directory. Recovery reads neither: the job runs again
+// from its manifest, and the files stay where they are.
 package serve

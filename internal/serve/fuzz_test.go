@@ -2,18 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"testing"
-
-	"mafic/internal/sim"
 )
 
 // FuzzJobSpec feeds arbitrary bytes through the submission path up to the
 // point a job would be queued: the POST /jobs decoder, then BuildScenario. No
 // body may panic either, a rejected spec must wrap ErrBadRequest (the HTTP
 // layer's 400; anything else would read as a 500), and an accepted one must be
-// a scenario the engine's own validation passes, with a snapshot interval that
-// is 0 or inside [minCheckpointEvery, sim.Horizon).
+// a scenario the engine's own validation passes. A spec that sets the retired
+// checkpointEveryMs, as four seeds do, must be rejected by the decoder.
 func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"scenario":"table2","quick":true,"durationMs":1000}`))
@@ -29,10 +28,18 @@ func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{"scenario":"table2"} trailing garbage`))
 	f.Add([]byte(`{"scenario":"table2","quick":true,"checkpointEveryMs":1e300}`))
 	f.Add([]byte(`{"scenario":"table2","quick":true,"checkpointEveryMs":0.001}`))
+	f.Add([]byte(`{"scenario":"table2","pd":0.9,"flows":40,"tcpShare":0.5,"rate":1e6,"routers":12}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		spec, err := decodeSpec(bytes.NewReader(body))
 		if err != nil {
 			return
+		}
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(body, &keys); err != nil {
+			t.Fatalf("decodeSpec accepted what is not one JSON object: %v", err)
+		}
+		if _, ok := keys["checkpointEveryMs"]; ok {
+			t.Fatal("decodeSpec accepted a spec that sets the retired checkpointEveryMs")
 		}
 		s, err := spec.BuildScenario()
 		if err != nil {
@@ -43,13 +50,6 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("BuildScenario accepted a scenario that does not validate: %v", err)
-		}
-		every, err := spec.checkpointEvery(0)
-		if err != nil {
-			t.Fatalf("BuildScenario accepted a snapshot interval attempt refuses: %v", err)
-		}
-		if every != 0 && (every < minCheckpointEvery || every >= sim.Horizon) {
-			t.Fatalf("accepted snapshot interval %v is neither 0 nor in [%v, %v)", every, minCheckpointEvery, sim.Horizon)
 		}
 	})
 }

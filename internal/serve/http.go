@@ -17,7 +17,7 @@ import (
 //	GET  /jobs/{id}          one job's status
 //	GET  /jobs/{id}/result   a completed job's result: the raw result.json bytes
 //	POST /jobs/{id}/cancel   cancel a queued or running job
-//	POST /drain              begin shutdown: snapshot in-flight jobs and park
+//	POST /drain              begin shutdown: stop in-flight jobs and park
 func (sv *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", sv.handleHealth)

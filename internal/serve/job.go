@@ -46,9 +46,9 @@ func (s JobState) terminal() bool {
 
 // JobSpec names a scenario and optional parameter overrides — the JSON view
 // of experiment.Overrides, field for field (maficsim's flag set is the other
-// view), plus the job's own snapshot interval. Pointer fields distinguish "not
-// set" (keep the catalog entry's own knob) from an explicit zero. The tags are
-// the on-disk format of job.json manifests.
+// view). Pointer fields distinguish "not set" (keep the catalog entry's own
+// knob) from an explicit zero. The tags are the on-disk format of job.json
+// manifests.
 type JobSpec struct {
 	// Scenario is a catalog name (see maficsim -list). Empty runs the
 	// paper-default scenario.
@@ -70,36 +70,6 @@ type JobSpec struct {
 	// Defense is "mafic", "proportional" or "none"; empty keeps the
 	// scenario's own defence.
 	Defense string `json:"defense,omitempty"`
-
-	// CheckpointEveryMs overrides the server's snapshot interval for this
-	// job, in simulated milliseconds: 0, which disables checkpoints (and
-	// with them interruptibility) for the job, or from minCheckpointEvery up
-	// to below sim.Horizon.
-	CheckpointEveryMs *float64 `json:"checkpointEveryMs,omitempty"`
-}
-
-// minCheckpointEvery is the finest snapshot interval a job may ask for. Every
-// snapshot is fsynced, so a run of a few simulated seconds at a microsecond
-// interval would write millions of them.
-const minCheckpointEvery = sim.Millisecond
-
-// checkpointEvery is the job's snapshot interval in simulated time: def when
-// the spec sets none, else CheckpointEveryMs converted once, here. A value
-// that is neither 0 nor in [minCheckpointEvery, sim.Horizon) wraps
-// ErrBadRequest; converting it would overflow sim.Time or flood the store.
-func (spec JobSpec) checkpointEvery(def sim.Time) (sim.Time, error) {
-	if spec.CheckpointEveryMs == nil {
-		return def, nil
-	}
-	d := *spec.CheckpointEveryMs * float64(sim.Millisecond)
-	if d == 0 {
-		return 0, nil
-	}
-	if !(d >= float64(minCheckpointEvery) && d < float64(sim.Horizon)) {
-		return 0, fmt.Errorf("%w: checkpointEveryMs %v must be 0 or from %v up to below %v",
-			ErrBadRequest, *spec.CheckpointEveryMs, minCheckpointEvery, sim.Horizon)
-	}
-	return sim.Time(d), nil
 }
 
 // BuildScenario materializes the spec into a validated Scenario through
@@ -122,9 +92,6 @@ func (spec JobSpec) BuildScenario() (experiment.Scenario, error) {
 		d := sim.Time(*spec.DurationMs * float64(sim.Millisecond))
 		o.Duration = &d
 	}
-	if _, err := spec.checkpointEvery(0); err != nil {
-		return experiment.Scenario{}, err
-	}
 	s, err := o.Build()
 	if err != nil {
 		return s, fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -138,16 +105,12 @@ type job struct {
 	id   uint64
 	spec JobSpec
 
-	state          JobState
-	errMsg         string
-	attempts       int
-	snapshots      int
-	lastCheckpoint sim.Time
-	resumed        bool
-	resumedFrom    sim.Time
-	submitted      time.Time
-	started        time.Time
-	finished       time.Time
+	state     JobState
+	errMsg    string
+	attempts  int
+	submitted time.Time
+	started   time.Time
+	finished  time.Time
 
 	// cancel is closed (once) to interrupt a running job; canceled
 	// remembers that so a second Cancel does not close it again.
@@ -168,7 +131,10 @@ const (
 )
 
 // manifest is the on-disk job record (job.json), written atomically on every
-// state transition. It is what startup recovery rebuilds jobs from.
+// state transition. It is what startup recovery rebuilds jobs from. Recovery
+// decodes it leniently, unlike a POST /jobs body: a key an older build wrote
+// and this one no longer has (a spec's checkpointEveryMs) is ignored, so the
+// job still recovers.
 type manifest struct {
 	ID          uint64    `json:"id"`
 	Spec        JobSpec   `json:"spec"`
@@ -186,15 +152,6 @@ type JobInfo struct {
 	Error    string   `json:"error,omitempty"`
 	Attempts int      `json:"attempts"`
 
-	// Snapshots is the number of snapshot files currently on disk;
-	// LastCheckpointMs is the simulated time of the newest one. Both move
-	// when a file is durable, not when the run hands it over.
-	Snapshots        int     `json:"snapshots"`
-	LastCheckpointMs float64 `json:"lastCheckpointMs,omitempty"`
-	// ResumedFromMs is set when the current (or final) attempt continued
-	// from a snapshot rather than starting fresh.
-	ResumedFromMs *float64 `json:"resumedFromMs,omitempty"`
-
 	SubmittedAt time.Time  `json:"submittedAt"`
 	StartedAt   *time.Time `json:"startedAt,omitempty"`
 	FinishedAt  *time.Time `json:"finishedAt,omitempty"`
@@ -203,21 +160,17 @@ type JobInfo struct {
 // Metrics counts service-level events since process start. Snapshot it with
 // Server.Metrics.
 type Metrics struct {
-	Submitted        uint64 `json:"submitted"`
-	Shed             uint64 `json:"shed"`
-	Completed        uint64 `json:"completed"`
-	Failed           uint64 `json:"failed"`
-	Canceled         uint64 `json:"canceled"`
-	TimedOut         uint64 `json:"timedOut"`
-	Retried          uint64 `json:"retried"`
-	Resumed          uint64 `json:"resumed"`
+	Submitted uint64 `json:"submitted"`
+	Shed      uint64 `json:"shed"`
+	Completed uint64 `json:"completed"`
+	Failed    uint64 `json:"failed"`
+	Canceled  uint64 `json:"canceled"`
+	TimedOut  uint64 `json:"timedOut"`
+	Retried   uint64 `json:"retried"`
+	Recovered uint64 `json:"recovered"`
+	Drained   uint64 `json:"drained"`
+	// SnapshotsWritten is always 0: the service writes no snapshots. It stays
+	// only for its one reader, the benchmark's serve.snapshots_per_job
+	// (benchmark/drills.go), and goes when that metric retires.
 	SnapshotsWritten uint64 `json:"snapshotsWritten"`
-	SnapshotsCorrupt uint64 `json:"snapshotsCorrupt"`
-	Recovered        uint64 `json:"recovered"`
-	Drained          uint64 `json:"drained"`
-	// SnapshotWaits counts the times a run reached a checkpoint boundary (or
-	// its end) while the previous snapshot was still being written, and
-	// SnapshotWaitMs is the wall-clock time those runs stood still for it.
-	SnapshotWaits  uint64  `json:"snapshotWaits"`
-	SnapshotWaitMs float64 `json:"snapshotWaitMs"`
 }

@@ -14,25 +14,18 @@ import (
 
 	"mafic/internal/checkpoint"
 	"mafic/internal/experiment"
-	"mafic/internal/sim"
 )
 
 // Config shapes a Server. Zero values get conservative defaults; see New.
 type Config struct {
 	// Dir is the service's on-disk root: per-job directories (manifest,
-	// snapshots, result) live under Dir/jobs.
+	// result) live under Dir/jobs.
 	Dir string
 	// QueueCap bounds how many submitted-but-not-running jobs the server
 	// buffers before shedding with ErrQueueFull. Default 16.
 	QueueCap int
 	// Workers is the number of concurrent job runners. Default 2.
 	Workers int
-	// CheckpointEvery is the simulated-time interval between automatic
-	// snapshots of each running job (per-job override via
-	// JobSpec.CheckpointEveryMs). Default 100 simulated milliseconds.
-	CheckpointEvery sim.Time
-	// Keep bounds the snapshot store rotation per job. Default 3.
-	Keep int
 	// JobTimeout is the wall-clock budget for one attempt; a job that
 	// exceeds it fails terminally (timed out, not retried). Zero disables.
 	JobTimeout time.Duration
@@ -47,8 +40,8 @@ type Config struct {
 }
 
 // Server is the supervised job queue. Create with New, launch workers with
-// Start, stop with Shutdown (drains: every in-flight job saves a final
-// snapshot and is resumed by the next process).
+// Start, stop with Shutdown (drains: every in-flight job stops, and the next
+// process runs it again).
 type Server struct {
 	cfg Config
 	log *log.Logger
@@ -67,34 +60,25 @@ type Server struct {
 
 	// Test seams. Production values are set by New; package tests replace
 	// them between New and Start to make time and run outcomes scripted.
-	runner func(s experiment.Scenario, resume []byte, opts experiment.ControlOptions) (experiment.Result, error)
-	save   func(st *checkpoint.Store, at sim.Time, data []byte) error
+	runner func(s experiment.Scenario, opts experiment.ControlOptions) (experiment.Result, error)
 	sleep  func(d time.Duration) bool // false: drain interrupted the sleep
 	now    func() time.Time
 	after  func(d time.Duration) <-chan time.Time
 	hooks  struct {
 		beforeAttempt func(id uint64, attempt int)
-		afterSave     func(id uint64, at sim.Time)
 	}
 }
 
 // New builds a Server rooted at cfg.Dir and runs startup recovery: every
 // job directory is scanned, corrupt manifests are skipped loudly, and jobs
-// left queued or running by the previous process are re-enqueued (their
-// runners resume from the newest valid snapshot). Workers do not start until
-// Start is called.
+// left queued or running by the previous process are re-enqueued, to run from
+// their scenario again. Workers do not start until Start is called.
 func New(cfg Config) (*Server, error) {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 16
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
-	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 100 * sim.Millisecond
-	}
-	if cfg.Keep <= 0 {
-		cfg.Keep = 3
 	}
 	if cfg.MaxRetries < 0 {
 		cfg.MaxRetries = 0
@@ -111,15 +95,9 @@ func New(cfg Config) (*Server, error) {
 		jobs:    make(map[uint64]*job),
 		nextID:  1,
 		drainCh: make(chan struct{}),
-		save:    (*checkpoint.Store).Save,
+		runner:  experiment.RunControlled,
 		now:     time.Now,
 		after:   func(d time.Duration) <-chan time.Time { return time.After(d) },
-	}
-	sv.runner = func(s experiment.Scenario, resume []byte, opts experiment.ControlOptions) (experiment.Result, error) {
-		if resume != nil {
-			return experiment.ResumeControlled(resume, opts)
-		}
-		return experiment.RunControlled(s, opts)
 	}
 	sv.sleep = func(d time.Duration) bool {
 		select {
@@ -151,14 +129,14 @@ func (sv *Server) Start() {
 }
 
 // Drain begins shutdown: no new submissions are accepted, sleeping retries
-// wake up and park, and every in-flight job is interrupted at its next
-// checkpoint boundary with a final snapshot saved. Idempotent.
+// wake up and park, and every in-flight job is interrupted, its manifest left
+// running for the next process to run it again. Idempotent.
 func (sv *Server) Drain() {
 	sv.drainOn.Do(func() {
 		sv.mu.Lock()
 		sv.drained = true
 		sv.mu.Unlock()
-		sv.log.Printf("drain: shedding new work, snapshotting in-flight jobs")
+		sv.log.Printf("drain: shedding new work, stopping in-flight jobs")
 		close(sv.drainCh)
 	})
 }
@@ -251,8 +229,7 @@ func (sv *Server) Metrics() Metrics {
 }
 
 // Cancel stops a job: a queued job is canceled immediately, a running job is
-// interrupted at its next checkpoint boundary. Finished jobs return
-// ErrConflict.
+// interrupted at its run's next poll. Finished jobs return ErrConflict.
 func (sv *Server) Cancel(id uint64) (JobInfo, error) {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
@@ -335,15 +312,7 @@ func (sv *Server) infoLocked(j *job) JobInfo {
 		State:       j.state,
 		Error:       j.errMsg,
 		Attempts:    j.attempts,
-		Snapshots:   j.snapshots,
 		SubmittedAt: j.submitted,
-	}
-	if j.lastCheckpoint > 0 {
-		info.LastCheckpointMs = float64(j.lastCheckpoint) / float64(sim.Millisecond)
-	}
-	if j.resumed {
-		ms := float64(j.resumedFrom) / float64(sim.Millisecond)
-		info.ResumedFromMs = &ms
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -394,30 +363,17 @@ func (sv *Server) recover() ([]*job, error) {
 			submitted: m.SubmittedAt,
 			cancel:    make(chan struct{}),
 		}
-		dir := filepath.Join(root, e.Name())
 		if !m.State.terminal() {
-			st, serr := checkpoint.OpenStore(dir, sv.cfg.Keep) // also sweeps temp leftovers
-			// completeJob writes result.json, clears the snapshots and only
-			// then marks the manifest completed, so a crash in between leaves
-			// a finished job under a running manifest. Its result stands:
-			// adopt it rather than run the job again from t=0.
-			if hasResult(dir) {
+			// completeJob writes result.json and only then marks the manifest
+			// completed, so a crash in between leaves a finished job under a
+			// running manifest. Its result stands: adopt it rather than run
+			// the job again.
+			if hasResult(filepath.Join(root, e.Name())) {
 				sv.log.Printf("recovery: job %d has a complete result.json under a %q manifest; adopting it as completed", j.id, m.State)
 				j.state = StateCompleted
-				if serr == nil {
-					serr = st.Clear()
-				}
-				if serr != nil {
-					sv.log.Printf("job %d: clearing snapshots: %v", j.id, serr)
-				}
 				sv.persistOrLogLocked(j) // New has started no goroutine yet
 			} else {
 				j.state = StateQueued
-				// Count the snapshots already on disk so status reflects
-				// what the resume will work from.
-				if serr == nil {
-					j.snapshots = st.Count()
-				}
 				pending = append(pending, j)
 			}
 		}
@@ -433,7 +389,7 @@ func (sv *Server) recover() ([]*job, error) {
 	sort.Slice(pending, func(i, k int) bool { return pending[i].id < pending[k].id })
 	for _, j := range pending {
 		sv.m.Recovered++
-		sv.log.Printf("recovery: job %d (%s) re-enqueued with %d snapshot(s)", j.id, j.spec.Scenario, j.snapshots)
+		sv.log.Printf("recovery: job %d (%s) re-enqueued to run again", j.id, j.spec.Scenario)
 	}
 	return pending, nil
 }
@@ -493,11 +449,6 @@ func (sv *Server) runJob(j *job) {
 		sv.failJob(j, err.Error())
 		return
 	}
-	st, err := checkpoint.OpenStore(sv.jobDir(j.id), sv.cfg.Keep)
-	if err != nil {
-		sv.failJob(j, fmt.Sprintf("open snapshot store: %v", err))
-		return
-	}
 
 	backoff := sv.cfg.RetryBackoff
 	for attempt := 1; ; attempt++ {
@@ -509,9 +460,9 @@ func (sv *Server) runJob(j *job) {
 			h(j.id, attempt)
 		}
 
-		res, err := sv.attempt(j, s, st)
+		res, err := sv.attempt(j, s)
 		if err == nil {
-			sv.completeJob(j, st, res)
+			sv.completeJob(j, res)
 			return
 		}
 		if errors.Is(err, experiment.ErrInterrupted) {
@@ -529,9 +480,9 @@ func (sv *Server) runJob(j *job) {
 				sv.mu.Unlock()
 				return
 			case stopDrain:
-				// The manifest stays "running": the next process resumes
-				// this job from the final snapshot the interrupt saved.
-				sv.log.Printf("job %d: drained with final snapshot; will resume on restart", j.id)
+				// The manifest stays "running": the next process runs this
+				// job again.
+				sv.log.Printf("job %d: drained; will run again on restart", j.id)
 				sv.mu.Lock()
 				sv.m.Drained++
 				sv.mu.Unlock()
@@ -557,7 +508,7 @@ func (sv *Server) runJob(j *job) {
 		if !sv.sleep(backoff) {
 			// Drain interrupted the backoff; leave the manifest "running"
 			// so the next process picks the job back up.
-			sv.log.Printf("job %d: drain during retry backoff; will resume on restart", j.id)
+			sv.log.Printf("job %d: drain during retry backoff; will run again on restart", j.id)
 			sv.mu.Lock()
 			sv.m.Drained++
 			sv.mu.Unlock()
@@ -567,14 +518,9 @@ func (sv *Server) runJob(j *job) {
 	}
 }
 
-// attempt executes one run attempt under the control surface: periodic
-// snapshots written into the job's store (the control loop saves them behind
-// the run, one at a time), interruption wired to cancel/drain/timeout, and
-// resume from the newest valid snapshot with loud fallback past corrupt or
-// unrestorable ones. The runner returns only after its last save has: the
-// attempt (and after it completeJob) touches the store only with no write
-// pending.
-func (sv *Server) attempt(j *job, s experiment.Scenario, st *checkpoint.Store) (experiment.Result, error) {
+// attempt executes one run of the job's scenario from time zero, interruption
+// wired to cancel, drain and timeout.
+func (sv *Server) attempt(j *job, s experiment.Scenario) (experiment.Result, error) {
 	stop := make(chan struct{})
 	attemptDone := make(chan struct{})
 	defer close(attemptDone)
@@ -599,86 +545,11 @@ func (sv *Server) attempt(j *job, s experiment.Scenario, st *checkpoint.Store) (
 		sv.mu.Unlock()
 		close(stop)
 	}()
-
-	every, err := j.spec.checkpointEvery(sv.cfg.CheckpointEvery)
-	if err != nil {
-		return experiment.Result{}, err
-	}
-	opts := experiment.ControlOptions{
-		CheckpointEvery: every,
-		Interrupt:       stop,
-		// Save is the durable write. Everything a client can see of a
-		// snapshot — the job's count and last checkpoint, SnapshotsWritten,
-		// the hook — moves only once the file is durable, so none of it ever
-		// counts an unwritten one. A write that fails after the run's last
-		// checkpoint boundary fails the run at its end.
-		Save: func(at sim.Time, data []byte) error {
-			if err := sv.save(st, at, data); err != nil {
-				sv.log.Printf("job %d: snapshot at t=%v NOT written: %v", j.id, at, err)
-				return fmt.Errorf("write snapshot at %v: %w", at, err)
-			}
-			sv.mu.Lock()
-			j.snapshots = st.Count()
-			j.lastCheckpoint = at
-			sv.m.SnapshotsWritten++
-			sv.mu.Unlock()
-			if h := sv.hooks.afterSave; h != nil {
-				h(j.id, at)
-			}
-			return nil
-		},
-		Stalled: func(d time.Duration) {
-			sv.mu.Lock()
-			sv.m.SnapshotWaits++
-			sv.m.SnapshotWaitMs += float64(d) / float64(time.Millisecond)
-			sv.mu.Unlock()
-		},
-	}
-	run := func(resume []byte) (experiment.Result, error) { return sv.runner(s, resume, opts) }
-
-	for {
-		data, info, skipped, err := st.LatestValid()
-		for _, sk := range skipped {
-			sv.log.Printf("job %d: snapshot %s is CORRUPT; falling back past it", j.id, sk.Name)
-			sv.mu.Lock()
-			sv.m.SnapshotsCorrupt++
-			sv.mu.Unlock()
-		}
-		if err != nil {
-			if !errors.Is(err, checkpoint.ErrNoSnapshot) {
-				return experiment.Result{}, err
-			}
-			if len(skipped) > 0 {
-				sv.log.Printf("job %d: no valid snapshot survives; starting fresh", j.id)
-			}
-			return run(nil)
-		}
-		sv.mu.Lock()
-		j.resumed = true
-		j.resumedFrom = info.At
-		sv.m.Resumed++
-		sv.mu.Unlock()
-		sv.log.Printf("job %d: resuming from snapshot %s (t=%v)", j.id, info.Name, info.At)
-		res, err := run(data)
-		if err != nil && errors.Is(err, experiment.ErrSnapshot) {
-			// Decoded but did not restore: deeper corruption than the
-			// store's validation can see. Drop the file and fall back.
-			sv.log.Printf("job %d: snapshot %s FAILED to restore (%v); removing and falling back", j.id, info.Name, err)
-			sv.mu.Lock()
-			sv.m.SnapshotsCorrupt++
-			sv.mu.Unlock()
-			if rerr := st.Remove(info); rerr != nil {
-				return experiment.Result{}, rerr
-			}
-			continue
-		}
-		return res, err
-	}
+	return sv.runner(s, experiment.ControlOptions{Interrupt: stop})
 }
 
-// completeJob persists result.json atomically, clears the job's snapshots,
-// and marks it completed.
-func (sv *Server) completeJob(j *job, st *checkpoint.Store, res experiment.Result) {
+// completeJob persists result.json atomically and marks the job completed.
+func (sv *Server) completeJob(j *job, res experiment.Result) {
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		sv.failJob(j, fmt.Sprintf("encode result: %v", err))
@@ -688,13 +559,9 @@ func (sv *Server) completeJob(j *job, st *checkpoint.Store, res experiment.Resul
 		sv.failJob(j, fmt.Sprintf("write result: %v", err))
 		return
 	}
-	if err := st.Clear(); err != nil {
-		sv.log.Printf("job %d: clearing snapshots: %v", j.id, err)
-	}
 	sv.mu.Lock()
 	j.state = StateCompleted
 	j.finished = sv.now()
-	j.snapshots = 0
 	sv.m.Completed++
 	sv.persistOrLogLocked(j)
 	sv.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
@@ -89,7 +90,7 @@ func TestSubmitShedsWhenQueueFull(t *testing.T) {
 	sv, _ := newTestServer(t, Config{QueueCap: 1, Workers: 1})
 	gate := make(chan struct{})
 	started := make(chan uint64, 4)
-	sv.runner = func(experiment.Scenario, []byte, experiment.ControlOptions) (experiment.Result, error) {
+	sv.runner = func(experiment.Scenario, experiment.ControlOptions) (experiment.Result, error) {
 		<-gate
 		return experiment.Result{}, nil
 	}
@@ -127,7 +128,7 @@ func TestJobTimeoutFailsTerminally(t *testing.T) {
 	sv.after = func(time.Duration) <-chan time.Time { return timeoutC }
 	// The runner behaves like a run that never finishes: it only returns
 	// once the control surface interrupts it.
-	sv.runner = func(_ experiment.Scenario, _ []byte, opts experiment.ControlOptions) (experiment.Result, error) {
+	sv.runner = func(_ experiment.Scenario, opts experiment.ControlOptions) (experiment.Result, error) {
 		<-opts.Interrupt
 		return experiment.Result{}, fmt.Errorf("%w at t=1ms", experiment.ErrInterrupted)
 	}
@@ -161,7 +162,7 @@ func TestRetryBackoffIsBoundedAndDeterministic(t *testing.T) {
 		return true
 	}
 	attempts := 0
-	sv.runner = func(experiment.Scenario, []byte, experiment.ControlOptions) (experiment.Result, error) {
+	sv.runner = func(experiment.Scenario, experiment.ControlOptions) (experiment.Result, error) {
 		attempts++ // single worker: no concurrent calls
 		if attempts < 3 {
 			return experiment.Result{}, errors.New("transient fault")
@@ -192,7 +193,7 @@ func TestRetryBackoffIsBoundedAndDeterministic(t *testing.T) {
 func TestRetriesExhaustedFailsJob(t *testing.T) {
 	sv, _ := newTestServer(t, Config{Workers: 1, MaxRetries: 2})
 	sv.sleep = func(time.Duration) bool { return true }
-	sv.runner = func(experiment.Scenario, []byte, experiment.ControlOptions) (experiment.Result, error) {
+	sv.runner = func(experiment.Scenario, experiment.ControlOptions) (experiment.Result, error) {
 		return experiment.Result{}, errors.New("persistent fault")
 	}
 	sv.Start()
@@ -214,7 +215,7 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	sv, _ := newTestServer(t, Config{QueueCap: 2, Workers: 1})
 	release := make(chan struct{})
 	started := make(chan uint64, 4)
-	sv.runner = func(_ experiment.Scenario, _ []byte, opts experiment.ControlOptions) (experiment.Result, error) {
+	sv.runner = func(_ experiment.Scenario, opts experiment.ControlOptions) (experiment.Result, error) {
 		select {
 		case <-release:
 			return experiment.Result{}, nil
@@ -273,7 +274,6 @@ func TestBuildScenarioRejections(t *testing.T) {
 		{"unknown scenario", JobSpec{Scenario: "no-such-scenario"}},
 		{"quick without scenario", JobSpec{Quick: true}},
 		{"unknown defense", JobSpec{Scenario: "table2", Defense: "magic"}},
-		{"negative checkpoint interval", JobSpec{Scenario: "table2", CheckpointEveryMs: ptr(-1.0)}},
 		{"invalid override", JobSpec{Scenario: "table2", DurationMs: ptr(-5.0)}},
 	}
 	for _, tc := range cases {
@@ -281,6 +281,21 @@ func TestBuildScenarioRejections(t *testing.T) {
 			t.Errorf("%s: got %v, want ErrBadRequest", tc.name, err)
 		}
 	}
+	// A job has no snapshot interval any more: a spec that sets one, negative
+	// or not, is refused before it gets this far, by its unknown key.
+	for _, body := range retiredKnobBodies {
+		if _, err := decodeSpec(strings.NewReader(body)); err == nil || !strings.Contains(err.Error(), `"checkpointEveryMs"`) {
+			t.Errorf("%s: decodeSpec returned %v, want an error naming the unknown field", body, err)
+		}
+	}
+}
+
+// retiredKnobBodies are submissions that set the per-job snapshot interval
+// earlier builds took. Each must be refused as an unknown field.
+var retiredKnobBodies = []string{
+	`{"scenario":"table2","checkpointEveryMs":-1}`,
+	`{"scenario":"table2","quick":true,"checkpointEveryMs":1e300}`,
+	`{"scenario":"table2","quick":true,"checkpointEveryMs":0.001}`,
 }
 
 func TestBuildScenarioScalesRateLikeCLI(t *testing.T) {
@@ -295,7 +310,7 @@ func TestBuildScenarioScalesRateLikeCLI(t *testing.T) {
 
 func TestHTTPEndpoints(t *testing.T) {
 	sv, _ := newTestServer(t, Config{Workers: 1})
-	sv.runner = func(experiment.Scenario, []byte, experiment.ControlOptions) (experiment.Result, error) {
+	sv.runner = func(experiment.Scenario, experiment.ControlOptions) (experiment.Result, error) {
 		return experiment.Result{Name: "scripted"}, nil
 	}
 	sv.Start()
@@ -325,15 +340,13 @@ func TestHTTPEndpoints(t *testing.T) {
 	if resp := post("/jobs", `{"scenario":"table2","bogusField":1}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d, want 400", resp.StatusCode)
 	}
-	// A snapshot interval past sim.Time's range would overflow the
-	// conversion, and one under a millisecond asks for millions of fsynced
-	// snapshots: both are refused at submission.
-	for _, body := range []string{
-		`{"scenario":"table2","quick":true,"checkpointEveryMs":1e300}`,
-		`{"scenario":"table2","quick":true,"checkpointEveryMs":0.001}`,
-	} {
-		if resp := post("/jobs", body); resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("checkpoint interval %q: status %d, want 400", body, resp.StatusCode)
+	// The service takes no snapshot interval: a spec that names one is a
+	// 400 that says which key it does not know.
+	for _, body := range retiredKnobBodies {
+		resp := post("/jobs", body)
+		msg, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), `unknown field "checkpointEveryMs"`) {
+			t.Errorf("retired knob %s: status %d, body %q; want 400 naming the unknown field", body, resp.StatusCode, msg)
 		}
 	}
 	for _, body := range []string{
