@@ -211,7 +211,7 @@ func printResult(out io.Writer, res experiment.Result, elapsed time.Duration, as
 		fmt.Fprintf(out, "  fault drops: %d packets lost to link/router churn\n", res.Counts.FaultDrops)
 	}
 	fmt.Fprintf(out, "  events processed: %d  (wall time %v)\n", res.EventsProcessed, elapsed.Round(time.Millisecond))
-	fmt.Fprintf(out, "  route state: %d next-hop entries resident (%d bytes at 4-byte link ids, demand-driven)\n",
+	fmt.Fprintf(out, "  route state: %d next-hop entries resident (%d bytes at one-byte row positions, demand-driven)\n",
 		res.RouteEntries, res.RouteBytes)
 	return nil
 }

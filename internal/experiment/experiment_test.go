@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mafic/internal/netsim"
@@ -32,6 +33,27 @@ func TestDefaultScenarioValidates(t *testing.T) {
 	t.Parallel()
 	if err := DefaultScenario().Validate(); err != nil {
 		t.Fatalf("default scenario invalid: %v", err)
+	}
+}
+
+// TestScenarioValidateBoundsHostsPerIngress pins that a scenario whose
+// ingress routers would carry more links than netsim.MaxDegree is refused by
+// Validate, naming the knobs, before anything is built: Run returns that
+// refusal, not the build's netsim.ErrDegree.
+func TestScenarioValidateBoundsHostsPerIngress(t *testing.T) {
+	t.Parallel()
+	s := DefaultScenario()
+	s.Topology.ClientsPerIngress = netsim.MaxDegree - 1 - s.Topology.ZombiesPerIngress
+	err := s.Validate()
+	if !errors.Is(err, ErrScenario) || !strings.Contains(err.Error(), "ClientsPerIngress") || !strings.Contains(err.Error(), "ZombiesPerIngress") {
+		t.Fatalf("Validate = %v, want ErrScenario naming ClientsPerIngress and ZombiesPerIngress", err)
+	}
+	if _, err := Run(s); !errors.Is(err, ErrScenario) || errors.Is(err, netsim.ErrDegree) {
+		t.Fatalf("Run = %v, want the Validate refusal", err)
+	}
+	s.Topology.ClientsPerIngress--
+	if err := s.Validate(); err != nil {
+		t.Fatalf("ingress routers with MaxDegree links: %v", err)
 	}
 }
 

@@ -118,22 +118,21 @@ var fieldManifest = map[string][]string{
 	"netsim.Hooks":                   {"OnDeliver", "OnFaultDrop", "OnFilterDrop", "OnQueueDrop", "OnUnroutable"},                                                  // observer callbacks the build installs
 	"netsim.Host":                    {"accessRouter", "defaultHandler", "homeCount", "homeLinks", "homeRouters", "id", "ips", "nHandlers", "net", "st", "uplink"}, // st: the HostState row, held as it travels; uplink: derived from the links the build connects
 	"netsim.HostState":               {"Received", "Sent"},
-	"netsim.Link":                    {"cfg", "from", "run", "to"},                                                                                                                                                                                                                                                                                                                                                                                                // run: carved by the first write, nil on a link that has had none, which reads as the zero LinkState
-	"netsim.linkRun":                 {"inTail", "st", "txCur"},                                                                                                                                                                                                                                                                                                                                                                                                   // st: the LinkState row, held as it travels; inTail, txCur: derived on restore from the link's pending arrival events (RestoreInFlight), not on the wire
-	"netsim.LinkConfig":              {"BandwidthBps", "Delay", "QueueLen"},                                                                                                                                                                                                                                                                                                                                                                                       // from the scenario: rebuilt
-	"netsim.LinkState":               {"Down", "Dropped", "FaultDrops", "NextFree", "Queued", "Sent"},                                                                                                                                                                                                                                                                                                                                                             // Queued: travels, but restore keeps the rebuilt link's count and checks the recount against it
-	"netsim.Network":                 {"adj", "bfsQueue", "bfsSeen", "cfgSlab", "chainSlab", "colEntries", "colSlab", "cols", "colsMaterialized", "ctrSlab", "downLinks", "downRouters", "faultDrops", "filterSlab", "handlers", "hooks", "hostSlab", "ipOwner", "ipSlab", "lastCfg", "linkCfgs", "linkSlab", "links", "nextPktID", "nodes", "pktFree", "pktSlab", "rng", "routeCols", "routerSlab", "runSlab", "scheduler", "sizeHint", "sparse", "topoVersion"}, // the eleven slab fields (chunk list plus carve cursor each): storage Reset rewinds for the next build; runSlab and ctrSlab back the run state of the links and routers that have one, which travels as their rows, and the other nine hold no run state; adj: the rows the build makes; bfsQueue, bfsSeen: the route BFS's scratch; linkCfgs, lastCfg: the build's index of cfgSlab; routeCols, cols: rematerialized on restore from NetworkState.RouteDests
+	"netsim.Link":                    {"from", "to", "x"},                                                                                                                                                                                                                                                                                                                                                                                       // x: the link's run state, carved by the first write; until then its configuration's idle record, which reads as the zero LinkState
+	"netsim.linkRun":                 {"cfg", "inTail", "st", "txCur"},                                                                                                                                                                                                                                                                                                                                                                          // cfg: from the scenario, rebuilt; st: the LinkState row, held as it travels; inTail, txCur: derived on restore from the link's pending arrival events (RestoreInFlight), not on the wire
+	"netsim.LinkConfig":              {"BandwidthBps", "Delay", "QueueLen"},                                                                                                                                                                                                                                                                                                                                                                     // from the scenario: rebuilt
+	"netsim.LinkState":               {"Down", "Dropped", "FaultDrops", "NextFree", "Queued", "Sent"},                                                                                                                                                                                                                                                                                                                                           // Queued: travels, but restore keeps the rebuilt link's count and checks the recount against it
+	"netsim.Network":                 {"adj", "bfsQueue", "cfgSlab", "colEntries", "colSlab", "cols", "colsMaterialized", "downLinks", "downRouters", "faultDrops", "filterSlab", "handlers", "hooks", "hostSlab", "idleRouter", "ipOwner", "ipSlab", "lastCfg", "linkCfgs", "linkRuns", "linkSlab", "links", "nextPktID", "nodes", "pktFree", "pktSlab", "rng", "routeCols", "routerRuns", "routerSlab", "scheduler", "sparse", "topoVersion"}, // the ten slab fields (chunk list plus carve cursor each): storage Reset rewinds for the next build; linkRuns and routerRuns back the run state of the links and routers that have one, which travels as their rows, and the other eight hold no run state; idleRouter: the zero record every other router reads, never written; adj: the rows the build makes; bfsQueue: the route BFS's scratch; linkCfgs, lastCfg: the build's index of cfgSlab; routeCols, cols: rematerialized on restore from NetworkState.RouteDests
 	"netsim.NetworkState":            {"FaultDrops", "NextPktID", "RouteDests", "TopoVersion"},
 	"netsim.Packet":                  {"FlowID", "Hops", "ID", "Kind", "Label", "Malicious", "Proto", "SentAt", "Seq", "Size", "dstNode", "dstNodeOK", "flowHash", "freed", "hashOK", "inNext", "pooled", "txDone", "txSeq"}, // inNext, txDone, txSeq: derived on restore from the packet's own arrival event (At - Delay, Seq), not on the wire
 	"netsim.PacketState":             {"FlowID", "Hops", "ID", "Kind", "Label", "Malicious", "Proto", "SentAt", "Seq", "Size"},
-	"netsim.Router":                  {"ctr", "down", "filters", "id", "net"}, // down, ctr: the RouterState row, held as it travels; ctr is carved by the first count, nil on a router that has counted nothing
-	"netsim.routerCounters":          {"dropped", "faultDrops", "forwarded"},  // RouterState's counters, assembled into the row by CheckpointState
+	"netsim.Router":                  {"down", "id", "x"},                                      // down: the RouterState row's flag, held as it travels; x: the router's record, carved by a filter or the first count, until then the network's idleRouter
+	"netsim.routerRun":               {"dropped", "faultDrops", "filters", "forwarded", "net"}, // the counters: RouterState's, assembled into the row by CheckpointState; filters: the chain the build attaches
 	"netsim.RouterState":             {"Down", "Dropped", "FaultDrops", "Forwarded"},
 	"netsim.adjEntry":                {"back", "link", "to"},                                                                                                                      // the adjacency the build makes
 	"netsim.adjRow":                  {"len", "off"},                                                                                                                              // the adjacency the build makes
-	"netsim.sharedLinkConfig":        {"LinkConfig", "net"},                                                                                                                       // from the scenario: rebuilt
+	"netsim.sharedLinkConfig":        {"LinkConfig", "idle", "net"},                                                                                                               // from the scenario: rebuilt; idle: the zero run state of every link without one, never written
 	"netsim.handlerKey":              {"host", "label"},                                                                                                                           // a host's handler table key, filled by the build
-	"netsim.nodeSlot":                {"host", "router"},                                                                                                                          // the node table the build fills
 	"netsim.slab":                    {"chunks", "cur", "used"},                                                                                                                   // chunk list plus carve cursor: storage Reset rewinds for the next build, no run state
 	"pushback.ATR":                   {"Packets", "Router", "Share"},                                                                                                              // a request's entry, in the coordinator's request buffer
 	"pushback.Config":                {"ATRDecay", "ATRRise", "ATRShare", "Eligible", "HistoryFactor", "MinHistoryEpochs", "MinVictimLoad", "RefireBackoffEpochs", "StaleEpochs"}, // from the scenario: rebuilt
@@ -167,8 +166,8 @@ var fieldManifest = map[string][]string{
 	"trafficmatrix.CounterState":     {"Dest", "DestPkts", "Source", "SourcePkts", "Transit"},
 	"trafficmatrix.EpochReport":      {"DestEst", "End", "Epoch", "Matrix", "Routers", "SourceEst", "Start", "gen", "live"}, // live, gen: set only in a live report, which does not outlive its callback; a report in flight is an owned Clone with both zero
 	"trafficmatrix.EpochReportState": {"DestEst", "End", "Epoch", "Matrix", "Routers", "SourceEst", "Start"},
-	"trafficmatrix.Monitor":          {"counterSlab", "counters", "ctrlRNG", "delayProb", "dstEst", "epoch", "epochIndex", "epochStart", "frozen", "gen", "late", "nbScratch", "onReport", "reportDelay", "reportLoss", "routerIDs", "running", "sched", "sketchSlab", "spare", "srcEst", "stats", "stop"}, // gen, frozen: which epoch the estimate tables hold, dead between epochs like the tables; stats: work counters, in no Result; late, spare: the delayed reports the monitor has made, storage (one in flight travels as an EvMonitorLate event's Report)
-	"trafficmatrix.MonitorConfig":    {"Buckets", "Epoch", "Monitored", "ReportDelay", "ReportDelayProb", "ReportLoss"},                                                                                                                                                                                    // from the scenario: rebuilt
+	"trafficmatrix.Monitor":          {"counters", "ctrlRNG", "delayProb", "dstEst", "epoch", "epochIndex", "epochStart", "frozen", "gen", "late", "nbScratch", "onReport", "reportDelay", "reportLoss", "routerIDs", "running", "sched", "sketchSlab", "spare", "srcEst", "stats", "stop"}, // gen, frozen: which epoch the estimate tables hold, dead between epochs like the tables; stats: work counters, in no Result; late, spare: the delayed reports the monitor has made, storage (one in flight travels as an EvMonitorLate event's Report)
+	"trafficmatrix.MonitorConfig":    {"Buckets", "Epoch", "Monitored", "ReportDelay", "ReportDelayProb", "ReportLoss"},                                                                                                                                                                     // from the scenario: rebuilt
 	"trafficmatrix.MonitorState":     {"Counters", "EpochIndex", "EpochStart", "Running", "Stop"},
 	"trafficmatrix.MonitorStats":     {"Columns", "Epochs", "Estimates", "Unions"}, // work counters, in no Result
 }

@@ -275,8 +275,8 @@ type Result struct {
 	// end of the run: demand-driven routing materializes route columns
 	// only for destinations the workload actually used, so these measure
 	// how much of the domain's reachability the scenario paid for. An
-	// entry is a 4-byte link id, so RouteBytes is 4 × RouteEntries on
-	// every GOARCH.
+	// entry is a one-byte position in its node's adjacency row, so
+	// RouteBytes equals RouteEntries on every GOARCH.
 	RouteEntries int   `json:"routeEntries"`
 	RouteBytes   int64 `json:"routeBytes"`
 }

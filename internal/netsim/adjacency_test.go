@@ -2,9 +2,11 @@ package netsim
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -242,8 +244,9 @@ func TestSparseLookupZeroAlloc(t *testing.T) {
 }
 
 // TestAdjacencySizes pins the entries a 50 000-router domain holds hundreds
-// of thousands of: a route-column entry and an adjacency entry's links are
-// 4-byte link ids, and a node's row locator is 8 bytes, on every GOARCH;
+// of thousands of: an adjacency entry's link is a 4-byte link id and its back
+// position one byte, a route-column entry is one byte, and a node's row
+// locator and node-table entry are 8 and 4 bytes, on every GOARCH;
 // experiment's TestStress50kBundleHeap pins the sum.
 func TestAdjacencySizes(t *testing.T) {
 	for _, c := range []struct {
@@ -251,11 +254,171 @@ func TestAdjacencySizes(t *testing.T) {
 		got, want uintptr
 	}{
 		{"linkRef", unsafe.Sizeof(linkRef(0)), 4},
+		{"rowPos", unsafe.Sizeof(rowPos(0)), 1},
 		{"adjEntry", unsafe.Sizeof(adjEntry{}), 12},
 		{"adjRow", unsafe.Sizeof(adjRow{}), 8},
+		{"nodeRef", unsafe.Sizeof(nodeRef(0)), 4},
 	} {
 		if c.got != c.want {
 			t.Errorf("netsim.%s is %d bytes, want %d", c.name, c.got, c.want)
 		}
 	}
+}
+
+// TestStructSizes pins the structs a domain is made of. Packets come from the
+// network's pool in chunks, and the quick 50 000-router domain has about
+// 130 000 links and 50 000 routers, so a word on any of them shows in the
+// benchmark's peak_rss_mb and alloc_bytes_per_job: on paper-table2 through
+// the packet chunks, on scale-50k through the router and link slabs. Packet
+// carries the in-flight chain that replaced the per-packet transmit-done event
+// without having grown for it. A link is its narrow endpoints and a pointer
+// to its run state, which reaches its configuration and network; a router is
+// its narrow id, its down flag and a pointer to its record, which holds its
+// network, filter chain and counters; both point at a shared zero record
+// until the first write, and a quick stress-50k run writes to 291 of its
+// links. Host rides along so that it, too, cannot grow back a name. The
+// limits are for 64-bit words; a 32-bit build (GOARCH=386) holds Link and
+// Router to 12 bytes.
+func TestStructSizes(t *testing.T) {
+	word := unsafe.Sizeof(uintptr(0))
+	small := uintptr(16)
+	if word == 4 {
+		small = 12
+	}
+	for _, c := range []struct {
+		name     string
+		got, max uintptr
+	}{
+		{"Packet", unsafe.Sizeof(Packet{}), 120},
+		{"Link", unsafe.Sizeof(Link{}), small},
+		{"Router", unsafe.Sizeof(Router{}), small},
+		{"Host", unsafe.Sizeof(Host{}), 160},
+	} {
+		if c.got > c.max {
+			t.Errorf("netsim.%s is %d bytes, want at most %d", c.name, c.got, c.max)
+		}
+	}
+}
+
+// checkBackPositions checks every row entry's back position against the
+// rows themselves: zero where the target has no link back, and otherwise the
+// place of that link's entry in the target's row, whose back position names
+// the entry in turn.
+func checkBackPositions(t *testing.T, n *Network, when string) {
+	t.Helper()
+	for a := NodeID(0); a < NodeID(n.NodeCount()); a++ {
+		for p, e := range n.row(a) {
+			to := NodeID(e.to)
+			if n.LinkBetween(to, a) == nil {
+				if e.back != 0 {
+					t.Fatalf("%s: %d->%d has back position %d and no reverse", when, a, to, e.back)
+				}
+				continue
+			}
+			rev := n.entryAt(to, e.back)
+			if rev == nil || NodeID(rev.to) != a || rev.back != rowPos(p+1) {
+				t.Fatalf("%s: %d->%d, entry %d of its row, has back position %d naming %+v in %d's row", when, a, to, p+1, e.back, rev, to)
+			}
+		}
+	}
+}
+
+// TestBackPositionsFollowInserts is the property test behind the one-byte
+// back positions and route-column entries: on seeded random graphs built in
+// random order — so inserts land before existing entries and shift them, rows
+// outgrow their capacity and are re-carved, simplex links are paired by a
+// later Connect the other way, and a node links to itself — every entry's
+// back position names its reverse entry, and every column entry resolves to
+// LinkBetween(at, NextHop(at, dest)), for every pair of nodes.
+func TestBackPositionsFollowInserts(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := New(sim.NewScheduler(), sim.NewRNG(seed))
+		nodes := 12 + rng.Intn(24)
+		for i := 0; i < nodes; i++ {
+			if rng.Intn(5) == 0 {
+				n.AddHost(IP(0x0a000000 + i))
+			} else {
+				n.AddRouter()
+			}
+		}
+		// Random pairs, and a hub linked to every node (itself included),
+		// so that its row re-carves twice or more, all in random order.
+		hub := NodeID(rng.Intn(nodes))
+		var pairs [][2]NodeID
+		for k := 0; k < 2*nodes; k++ {
+			pairs = append(pairs, [2]NodeID{NodeID(rng.Intn(nodes)), NodeID(rng.Intn(nodes))})
+		}
+		for b := NodeID(0); b < NodeID(nodes); b++ {
+			pairs = append(pairs, [2]NodeID{hub, b})
+		}
+		rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+		for k, p := range pairs {
+			if rng.Intn(2) == 0 {
+				_ = n.ConnectDuplex(p[0], p[1], adjLinkCfg)
+			} else {
+				_, _ = n.Connect(p[0], p[1], adjLinkCfg)
+			}
+			if k%7 == 0 {
+				checkBackPositions(t, n, "building")
+			}
+		}
+		if len(n.row(hub)) <= 2*sparseRowCap {
+			t.Fatalf("seed %d: the hub has %d links, no second re-carve", seed, len(n.row(hub)))
+		}
+		checkBackPositions(t, n, "built")
+		for dest := NodeID(0); dest < NodeID(nodes); dest++ {
+			for at := NodeID(0); at < NodeID(nodes); at++ {
+				if at == dest {
+					continue
+				}
+				if got, want := n.RouteLink(at, dest), n.LinkBetween(at, n.NextHop(at, dest)); got != want {
+					t.Fatalf("seed %d: %d forwards toward %d on %v, its next hop %d is over %v", seed, at, dest, got, n.NextHop(at, dest), want)
+				}
+			}
+		}
+	}
+}
+
+// TestDegreeBound pins MaxDegree: a node with MaxDegree outgoing links is
+// refused one more by Connect and by ConnectDuplex from either side, with
+// ErrDegree naming it, and nothing is installed; links into it are not
+// bounded, and the last entry of its full row routes like any other.
+func TestDegreeBound(t *testing.T) {
+	n := New(sim.NewScheduler(), sim.NewRNG(1))
+	hub := n.AddRouter().ID()
+	spokes := make([]NodeID, MaxDegree+1)
+	for i := range spokes {
+		spokes[i] = n.AddRouter().ID()
+	}
+	for _, s := range spokes[:MaxDegree] {
+		if err := n.ConnectDuplex(hub, s, adjLinkCfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last, extra := spokes[MaxDegree-1], spokes[MaxDegree]
+	version, links := n.TopoVersion(), n.LinkTotal()
+	_, err := n.Connect(hub, extra, adjLinkCfg)
+	for name, err := range map[string]error{
+		"Connect":          err,
+		"ConnectDuplex":    n.ConnectDuplex(hub, extra, adjLinkCfg),
+		"ConnectDuplex in": n.ConnectDuplex(extra, hub, adjLinkCfg),
+	} {
+		if !errors.Is(err, ErrDegree) || !strings.Contains(err.Error(), fmt.Sprintf("node %d has %d", hub, MaxDegree)) {
+			t.Errorf("%s past the bound = %v, want ErrDegree naming node %d", name, err, hub)
+		}
+	}
+	if n.TopoVersion() != version || n.LinkTotal() != links || n.LinkBetween(extra, hub) != nil {
+		t.Fatal("a refused link was installed")
+	}
+	if _, err := n.Connect(extra, hub, adjLinkCfg); err != nil {
+		t.Fatalf("a link into the full node: %v", err)
+	}
+	if got, want := n.RouteLink(hub, last), n.LinkBetween(hub, last); got != want || want == nil {
+		t.Errorf("the full row's last entry routes on %v, want %v", got, want)
+	}
+	if got, want := n.RouteLink(last, hub), n.LinkBetween(last, hub); got != want || want == nil {
+		t.Errorf("the last spoke routes toward the full node on %v, want %v", got, want)
+	}
+	checkBackPositions(t, n, "full")
 }

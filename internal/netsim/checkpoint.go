@@ -16,7 +16,7 @@ import (
 // checkpointed version exactly.
 
 // LinkState is the dynamic state of one link, held in its run state once it
-// has one. Queued is narrow so that the run state keeps to seven words.
+// has one. Queued is narrow so that the run state keeps to eight words.
 type LinkState struct {
 	NextFree   sim.Time
 	Queued     int32
@@ -31,9 +31,8 @@ type LinkState struct {
 // lists one arrival event per packet on it, the head's from the calendar and
 // the rest through NextInFlight.
 func (l *Link) CheckpointState(dst *LinkState) {
-	run := l.state()
-	l.reap(run)
-	*dst = run.st
+	l.x.reap()
+	*dst = l.x.st
 }
 
 // NextInFlight returns the packet sent on the link after p, which must be in
@@ -45,7 +44,7 @@ func (l *Link) NextInFlight(p *Packet) (next *Packet, arrive sim.Time, seq uint6
 	if next = p.inNext; next == nil {
 		return nil, 0, 0
 	}
-	return next, next.txDone + l.cfg.Delay, next.txSeq
+	return next, next.txDone + l.x.cfg.Delay, next.txSeq
 }
 
 // RestoreState overlays captured dynamic state onto a rebuilt link, all but
@@ -55,8 +54,8 @@ func (l *Link) NextInFlight(p *Packet) (next *Packet, arrive sim.Time, seq uint6
 // network-wide fault bookkeeping from the restored flags. Restoring the zero
 // state onto a link with no run state gives it none.
 func (l *Link) RestoreState(st LinkState) {
-	st.Queued = l.state().st.Queued
-	if l.run == nil && st == (LinkState{}) {
+	st.Queued = l.x.st.Queued
+	if l.idle() && st == (LinkState{}) {
 		return
 	}
 	l.own().st = st
@@ -70,18 +69,19 @@ func (l *Link) RestoreState(st LinkState) {
 // come back in send order, as sorting a snapshot's events by sequence number
 // puts them; anything else is refused.
 func (l *Link) RestoreInFlight(pkt *Packet, arrive sim.Time, seq uint64) error {
-	txDone, run := arrive-l.cfg.Delay, l.own()
+	run := l.own()
+	txDone := arrive - run.cfg.Delay
 	if t := run.inTail; t != nil && (seq <= t.txSeq || txDone < t.txDone) {
 		return fmt.Errorf("netsim: %v: in-flight packet %d (arrival %v, seq %d) is not behind packet %d (arrival %v, seq %d)",
-			l, pkt.ID, arrive, seq, t.ID, t.txDone+l.cfg.Delay, t.txSeq)
+			l, pkt.ID, arrive, seq, t.ID, t.txDone+run.cfg.Delay, t.txSeq)
 	}
-	l.enchainArrival(run, pkt, txDone, seq, !l.cfg.net.scheduler.Fired(txDone, seq))
+	l.enchainArrival(run, pkt, txDone, seq, !run.cfg.net.scheduler.Fired(txDone, seq))
 	return nil
 }
 
 // RouterState is the dynamic state of one router: the fault flag the router
-// holds inline and the counters it holds once it has counted something. The
-// route table and filter chain are rebuild-covered.
+// holds inline and the counters its record holds. The route table and filter
+// chain are rebuild-covered.
 type RouterState struct {
 	Down       bool
 	Forwarded  uint64
@@ -91,19 +91,19 @@ type RouterState struct {
 
 // CheckpointState captures the router's dynamic state into dst.
 func (r *Router) CheckpointState(dst *RouterState) {
-	c := r.counts()
-	*dst = RouterState{Down: r.down, Forwarded: c.forwarded, Dropped: c.dropped, FaultDrops: c.faultDrops}
+	x := r.x
+	*dst = RouterState{Down: r.down, Forwarded: x.forwarded, Dropped: x.dropped, FaultDrops: x.faultDrops}
 }
 
 // RestoreState overlays captured dynamic state onto a rebuilt router.
-// Restoring zero counters onto a router with none gives it none.
+// Restoring zero counters onto a router with no record gives it none.
 func (r *Router) RestoreState(st RouterState) {
 	r.down = st.Down
-	c := routerCounters{forwarded: st.Forwarded, dropped: st.Dropped, faultDrops: st.FaultDrops}
-	if r.ctr == nil && c == (routerCounters{}) {
+	if r.idle() && st.Forwarded == 0 && st.Dropped == 0 && st.FaultDrops == 0 {
 		return
 	}
-	*r.own() = c
+	x := r.own()
+	x.forwarded, x.dropped, x.faultDrops = st.Forwarded, st.Dropped, st.FaultDrops
 }
 
 // HostState is the dynamic state of one host, held by the host as it runs.
@@ -136,10 +136,11 @@ func (n *Network) LinkTotal() int { return n.links }
 // ForEachNode visits every allocated node in ascending NodeID order; exactly
 // one of r and h is non-nil per call.
 func (n *Network) ForEachNode(fn func(id NodeID, r *Router, h *Host)) {
-	for id := range n.nodes {
-		slot := n.nodes[id]
-		if slot.router != nil || slot.host != nil {
-			fn(NodeID(id), slot.router, slot.host)
+	for id, ref := range n.nodes {
+		if ref&hostBit == 0 {
+			fn(NodeID(id), n.routerAt(ref), nil)
+		} else {
+			fn(NodeID(id), nil, n.hostAt(ref))
 		}
 	}
 }
@@ -188,8 +189,8 @@ func (n *Network) RestoreState(st NetworkState) error {
 			n.downLinks++
 		}
 	})
-	for _, slot := range n.nodes {
-		if slot.router != nil && slot.router.down {
+	for _, ref := range n.nodes {
+		if ref&hostBit == 0 && n.routerAt(ref).down {
 			n.downRouters++
 		}
 	}

@@ -67,14 +67,18 @@
 // checkpoint layer checks the recount against the recorded value.
 //
 // A link holds the chain's ends, its LinkState and nothing else of a run in a
-// linkRun, and only once something is written to it: the first Send,
-// SetDown, RestoreInFlight, or RestoreState of a non-zero state carves one
-// from the network's runSlab. A router's counters (forwarded, filter- and
-// fault-dropped) are carved from ctrSlab by its first count the same way; its
-// down flag stays inline, since every hop reads it. Until then the getters,
-// CheckpointState and the route BFS read a shared zero value that nothing
-// writes. A quick 50 000-router run writes to 291 of 130 518 links and 137
-// routers.
+// linkRun, which also reaches the link's configuration and network, and only
+// once something is written to it: the first Send, SetDown, RestoreInFlight,
+// or RestoreState of a non-zero state carves one from the network's linkRuns.
+// Until then the link points at its configuration's idle record, whose
+// LinkState is zero and which nothing writes, so a link is 16 bytes: its
+// endpoints and that one pointer. A router is 16 bytes the same way: its id,
+// its down flag, inline since every hop reads it, and a pointer to a
+// routerRun holding its network, filter chain and counters (forwarded,
+// filter- and fault-dropped), the network's shared idleRouter until
+// AttachFilter or its first count carves one from routerRuns. The getters,
+// CheckpointState and the route BFS read the idle records like any other. A
+// quick 50 000-router run writes to 291 of 130 518 links and 137 routers.
 //
 // # Demand-driven routing
 //
@@ -82,16 +86,20 @@
 // search. First AttachmentLink: is the destination a host attached to this
 // router (one or two inline entries on the host)? Otherwise RouteLink: the
 // entry for this router in the destination's route column, a NodeID-indexed
-// slice of link ids. A link's id is four bytes, its carve position in the
-// network's link slab, and resolves to the *Link by chunk arithmetic with no
-// table of its own; a node's slot in the column table is the four-byte number
-// of the column serving it. A host sends on its uplink, the link to its access router
-// that AttachTo and Connect keep on it. The network computes each column on
+// slice of one-byte row positions. An entry names the forwarding link by its
+// place in the router's own adjacency row, plus one, so a hop reads the
+// column, the row entry it names and the link that entry's id resolves to; a
+// link's id is four bytes, its carve position in the network's link slab,
+// and resolves to the *Link by chunk arithmetic with no table of its own. A
+// node's slot in the column table is the four-byte number of the column
+// serving it. A host sends on its uplink, the link to its access router that
+// AttachTo and Connect keep on it. The network computes each column on
 // demand, one reverse BFS over its own adjacency rows (see routing.go for the
 // host aggregation and the invariants), and memoizes it until the graph
 // changes: any Connect, SetDown, FailRouter or RestoreRouter invalidates them
-// all. A column entry is the link LinkBetween(at, next hop) returns at the
-// time it is computed — a down link included, so a packet routed onto it is
+// all, which also keeps row positions right: a Connect shifts a row. A
+// column entry names the link LinkBetween(at, next hop) returns at the time
+// it is computed — a down link included, so a packet routed onto it is
 // fault-dropped there, exactly as if the next hop had been looked up per
 // packet. NextHop is derived from the same column (the entry's far end) and
 // has no table of its own. BenchmarkForward prices one hop; topology's
@@ -103,16 +111,22 @@
 // LinkBetween (is there a direct link from a to b, and which one) and
 // AppendNeighbors (a's neighbours in ascending ID order, the order BFS route
 // computation depends on). Behind both is one sorted row of (neighbour, link
-// id, back link id) entries per node, twelve bytes each, the rows back to back
-// in one array and each node's located by an eight-byte (offset, length)
+// id, back position) entries per node, twelve bytes each, the rows back to
+// back in one array and each node's located by an eight-byte (offset, length)
 // pair; a row that outgrows its capacity is re-carved at the end of the array
-// at doubled capacity. LinkBetween is a binary search over the row —
-// simulated degrees are single digits, so the search is two or three probes —
-// and total adjacency state is O(nodes + links): a 50000-router domain's
-// adjacency fits in 2.6 megabytes. The reference the
+// at doubled capacity. The back position is where the reverse link's entry
+// sits in the neighbour's row, which is what the route BFS writes into a
+// column; an insert shifts the entries behind it and bumps their reverse
+// entries' back positions, O(degree). A position is one byte, so a node has
+// at most MaxDegree outgoing links (the catalog's busiest has 11); Connect
+// and ConnectDuplex refuse one more with ErrDegree. LinkBetween is a binary
+// search over the row — simulated degrees are single digits, so the search
+// is two or three probes — and total adjacency state is O(nodes + links): a
+// 50000-router domain's adjacency fits in 2.6 megabytes. The reference the
 // rows are tested against is test-only: adjacency_test.go mirrors every
 // Connect into a map keyed by (from, to) and compares all pairs and every
-// neighbour list on seeded random graphs.
+// neighbour list on seeded random graphs, and TestBackPositionsFollowInserts
+// checks every back position and column entry against the rows.
 //
 // # Reservation and slab carving
 //
@@ -129,10 +143,10 @@
 // the storage of the one before (topology.Arena does exactly this; New stays
 // the fresh path, and the oracle the reset path is tested against).
 //
-// What survives is storage only: the chunks of the eleven slabs (routers,
-// hosts, links, link run states, router counters, link configurations,
-// filter chains and their entries, host addresses, pool packets, route
-// columns), the backing of the three per-node
+// What survives is storage only: the chunks of the ten slabs (routers,
+// hosts, links, link run states, router records, link configurations,
+// filter-chain entries, host addresses, pool packets, route columns), the
+// backing of the three per-node
 // tables (the node table, the adjacency spine, the column-number table), of
 // the adjacency rows and of the list of columns, the route BFS's scratch, the
 // three maps' buckets and the free list's array. What a caller can observe does not: a reset network
@@ -160,7 +174,7 @@
 // removed, and a re-carved row copies its entries' ids.
 //
 // The slabs need no zeroing, because no carve site reads before it writes:
-// nodes, links, link run states, router counters and link configurations are
+// nodes, links, link run states, router records and link configurations are
 // assigned whole (*r = Router{...}),
 // pool packets are zeroed when drawn, route columns are cleared by the BFS
 // that fills them, a row's entries are written by the insert that extends it
@@ -182,13 +196,13 @@
 // allocate nothing.
 //
 // A network retains the largest domain it has built, its route columns
-// included: the run bundle around it holds 15.4 MB after a quick stress-50k
+// included: the run bundle around it holds 10.0 MB after a quick stress-50k
 // run (experiment's TestStress50kBundleHeap pins it), against 0.25 MB after
 // quick table2. Per node and link it keeps only what forwarding reads: nodes
-// carry no name, each link points at the network's one copy of its
-// LinkConfig and reaches the network through it, a router's filter chain,
-// a link's run state and a router's counters are one pointer each, nil on
-// the ones without, and columns and rows hold 4-byte link ids.
+// carry no name, the node table holds a 4-byte slab position per node, links
+// and routers are 16 bytes (TestStructSizes), a link's run state and a
+// router's record are one pointer each, to a shared zero record on the ones
+// without, rows hold 4-byte link ids and columns one-byte row positions.
 // One arena serves one run at a time, so a process holds as many as it has
 // had concurrent runs; experiment keeps at most 64 idle run bundles, each
 // with its arena and the defenders, monitor, coordinator and workload that

@@ -41,21 +41,22 @@ func (l *Link) SetDown(down bool) {
 	if l.Down() == down {
 		return
 	}
-	l.own().st.Down = down
+	run := l.own()
+	run.st.Down = down
 	if down {
-		l.cfg.net.downLinks++
+		run.cfg.net.downLinks++
 	} else {
-		l.cfg.net.downLinks--
+		run.cfg.net.downLinks--
 	}
-	l.cfg.net.noteFaultStateChange()
+	run.cfg.net.noteFaultStateChange()
 }
 
 // Down reports whether the link is currently down.
-func (l *Link) Down() bool { return l.state().st.Down }
+func (l *Link) Down() bool { return l.x.st.Down }
 
 // FaultDropped reports how many packets this link dropped because it was
 // down (at admission or in flight).
-func (l *Link) FaultDropped() uint64 { return l.state().st.FaultDrops }
+func (l *Link) FaultDropped() uint64 { return l.x.st.FaultDrops }
 
 // FailRouter marks a router as crashed: it stops forwarding, measuring and
 // injecting until restored. Failing an already-down router is a no-op; the

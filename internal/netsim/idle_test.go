@@ -16,23 +16,25 @@ func carved[T any](s *slab[T]) int {
 }
 
 // checkRunState checks that the links holding run state are exactly the ones
-// that sent, dropped, fault-dropped or went down, and the routers holding
-// counters exactly the ones that counted a packet; that each holds its own,
-// and the slabs carved nothing else; and that every other link and router
-// reads zero from every getter. It returns how many of each hold state.
+// that sent, dropped, fault-dropped or went down, and the routers holding a
+// record exactly the ones that counted a packet or got a filter; that each
+// holds its own, and the slabs carved nothing else; and that every other link
+// and router points at its shared zero record, which nothing has written, and
+// reads zero from every getter and from CheckpointState. It returns how many
+// of each hold state.
 func checkRunState(t *testing.T, n *Network, when string) (links, routers int) {
 	t.Helper()
 	runs := make(map[*linkRun]bool)
 	n.ForEachLink(func(l *Link) {
 		used := l.Sent() > 0 || l.Dropped() > 0 || l.FaultDropped() > 0 || l.Down()
-		if (l.run != nil) != used {
-			t.Errorf("%s: %v holds run state %v, has sent, dropped or gone down %v", when, l, l.run != nil, used)
+		if !l.idle() != used {
+			t.Errorf("%s: %v holds run state %v, has sent, dropped or gone down %v", when, l, !l.idle(), used)
 		}
-		if l.run != nil {
-			if runs[l.run] {
+		if !l.idle() {
+			if runs[l.x] {
 				t.Errorf("%s: %v shares its run state", when, l)
 			}
-			runs[l.run] = true
+			runs[l.x] = true
 			return
 		}
 		var st LinkState
@@ -40,47 +42,57 @@ func checkRunState(t *testing.T, n *Network, when string) (links, routers int) {
 		if st != (LinkState{}) || l.QueueLen() != 0 {
 			t.Errorf("%s: idle %v reads %+v, queue %d", when, l, st, l.QueueLen())
 		}
+		if idle := l.x.cfg; *l.x != (linkRun{cfg: idle}) || idle.net != n {
+			t.Errorf("%s: the idle record of %v was written: %+v", when, l, l.x.st)
+		}
 	})
-	if got := carved(&n.runSlab); got != len(runs) {
+	if got := carved(&n.linkRuns); got != len(runs) {
 		t.Errorf("%s: %d link runs carved for %d links that hold one", when, got, len(runs))
 	}
-	ctrs := make(map[*routerCounters]bool)
+	recs := make(map[*routerRun]bool)
 	n.ForEachNode(func(_ NodeID, r *Router, _ *Host) {
 		if r == nil {
 			return
 		}
-		used := r.Forwarded() > 0 || r.FilterDropped() > 0 || r.FaultDropped() > 0
-		if (r.ctr != nil) != used {
-			t.Errorf("%s: %v holds counters %v, has counted a packet %v", when, r, r.ctr != nil, used)
+		used := r.Forwarded() > 0 || r.FilterDropped() > 0 || r.FaultDropped() > 0 || len(r.Filters()) > 0
+		if !r.idle() != used {
+			t.Errorf("%s: %v holds a record %v, has counted a packet or got a filter %v", when, r, !r.idle(), used)
 		}
-		if r.ctr != nil {
-			if ctrs[r.ctr] {
-				t.Errorf("%s: %v shares its counters", when, r)
+		if r.Network() != n {
+			t.Errorf("%s: %v reaches another network", when, r)
+		}
+		if !r.idle() {
+			if recs[r.x] {
+				t.Errorf("%s: %v shares its record", when, r)
 			}
-			ctrs[r.ctr] = true
+			recs[r.x] = true
 			return
+		}
+		if r.x != &n.idleRouter {
+			t.Errorf("%s: idle %v points at another network's zero record", when, r)
 		}
 		var st RouterState
 		r.CheckpointState(&st)
-		if st != (RouterState{}) || r.Down() {
-			t.Errorf("%s: idle %v reads %+v", when, r, st)
+		if st != (RouterState{Down: r.Down()}) || r.Filters() != nil {
+			t.Errorf("%s: idle %v reads %+v, filters %v", when, r, st, r.Filters())
 		}
 	})
-	if got := carved(&n.ctrSlab); got != len(ctrs) {
-		t.Errorf("%s: %d router counters carved for %d routers that hold them", when, got, len(ctrs))
+	if got := carved(&n.routerRuns); got != len(recs) {
+		t.Errorf("%s: %d router records carved for %d routers that hold one", when, got, len(recs))
 	}
-	if idleLink != (linkRun{}) || idleRouter != (routerCounters{}) {
-		t.Errorf("%s: the shared zero state was written: link %+v, router %+v", when, idleLink.st, idleRouter)
+	if idle := n.idleRouter; idle.net != n || idle.filters != nil || idle.forwarded|idle.dropped|idle.faultDrops != 0 {
+		t.Errorf("%s: the shared router record was written: %+v", when, idle)
 	}
-	return len(runs), len(ctrs)
+	return len(runs), len(recs)
 }
 
 // TestIdleLinksHoldNoRunState pins the lazy run state: on a ring of twelve
 // routers where traffic takes three hops, the links and routers on the path
 // hold run state — through sends, queue drops, a filter drop and a fault drop
-// — and the rest hold none and read as zero. Taking a never-used link down
-// gives it run state and no other link, and the route BFS goes around it;
-// restoring a zero state gives an idle link or router nothing.
+// — and so does a router off the path that got a filter; the rest hold none
+// and read as zero. Taking a never-used link down gives it run state and no
+// other link, and the route BFS goes around it; restoring a zero state, or a
+// crash and nothing else, gives an idle link or router nothing.
 func TestIdleLinksHoldNoRunState(t *testing.T) {
 	sched := sim.NewScheduler()
 	n := New(sched, sim.NewRNG(1))
@@ -104,9 +116,10 @@ func TestIdleLinksHoldNoRunState(t *testing.T) {
 		}
 	}
 	routers[1].AttachFilter(&everyFifth{})
+	routers[9].AttachFilter(&everyFifth{}) // off the path: a record, no count
 	checkRunState(t, n, "after the build")
-	if carved(&n.runSlab) != 0 || carved(&n.ctrSlab) != 0 {
-		t.Fatal("the build carved run state")
+	if carved(&n.linkRuns) != 0 || carved(&n.routerRuns) != 2 {
+		t.Fatal("the build carved run state, or no record for a filter")
 	}
 
 	// A burst the 2-packet access queue cannot hold, five packets one at a
@@ -141,9 +154,9 @@ func TestIdleLinksHoldNoRunState(t *testing.T) {
 		t.Fatalf("the run missed a case: queue drops %d, filter drops %d, fault drops %d, delivered %d",
 			access.Dropped(), routers[1].FilterDropped(), routers[0].FaultDropped(), dst.Received())
 	}
-	links, ctrs := checkRunState(t, n, "after the run")
-	if links != 5 || ctrs != 4 {
-		t.Errorf("%d links and %d routers hold run state after the run, want the path's 5 and 4", links, ctrs)
+	links, recs := checkRunState(t, n, "after the run")
+	if links != 5 || recs != 5 {
+		t.Errorf("%d links and %d routers hold run state after the run, want the path's 5 and 4 and router 9", links, recs)
 	}
 
 	// The route BFS toward dst, searching outward from router 3, reaches
@@ -151,7 +164,7 @@ func TestIdleLinksHoldNoRunState(t *testing.T) {
 	// router 2 the long way round, so router 2's route to dst leaves through
 	// router 1.
 	back := n.LinkBetween(routers[3].ID(), routers[2].ID())
-	if back.run != nil {
+	if !back.idle() {
 		t.Fatalf("%v carried traffic", back)
 	}
 	if hop := n.NextHop(routers[2].ID(), dst.ID()); hop != routers[3].ID() {
@@ -177,15 +190,20 @@ func TestIdleLinksHoldNoRunState(t *testing.T) {
 	idle := n.LinkBetween(routers[7].ID(), routers[8].ID())
 	idle.RestoreState(LinkState{})
 	routers[7].RestoreState(RouterState{})
-	if idle.run != nil || routers[7].ctr != nil {
+	routers[8].RestoreState(RouterState{Down: true})
+	if !idle.idle() || !routers[7].idle() || !routers[8].idle() || !routers[8].Down() {
 		t.Error("restoring the zero state carved run state")
 	}
+	if links, recs := checkRunState(t, n, "after restoring zero"); links != 6 || recs != 5 {
+		t.Errorf("%d links and %d routers hold run state after restoring zero, want 6 and 5", links, recs)
+	}
+	routers[8].RestoreState(RouterState{})
 	idle.RestoreState(LinkState{Sent: 3})
 	routers[7].RestoreState(RouterState{Forwarded: 2})
 	if idle.Sent() != 3 || routers[7].Forwarded() != 2 {
 		t.Errorf("restored counters read %d and %d, want 3 and 2", idle.Sent(), routers[7].Forwarded())
 	}
-	if links, ctrs := checkRunState(t, n, "after RestoreState"); links != 7 || ctrs != 5 {
-		t.Errorf("%d links and %d routers hold run state after restoring two, want 7 and 5", links, ctrs)
+	if links, recs := checkRunState(t, n, "after RestoreState"); links != 7 || recs != 6 {
+		t.Errorf("%d links and %d routers hold run state after restoring two, want 7 and 6", links, recs)
 	}
 }

@@ -26,20 +26,23 @@ const DefaultQueueLen = 128
 // paper's LogLogCounter objects attach to.
 //
 // The quick 50 000-router domain holds about 130 000 of these and sends on a
-// few hundred, so a link is its endpoints, stored narrow, a pointer to the
-// network's one copy of its configuration, through which it also reaches its
-// network, and a pointer to its run state, carved from the network's runSlab
-// by the first write and nil until then; TestStructSizes pins the size.
+// few hundred, so a link is its endpoints, stored narrow, and a pointer to its
+// run state, which reaches the network's one copy of its configuration and
+// through that the network. The run state is carved from the network's
+// linkRuns by the first write; until then the link points at its
+// configuration's idle record. TestStructSizes pins the size.
 type Link struct {
 	from int32 // NodeID of the upstream node
 	to   int32 // NodeID of the downstream node
-	cfg  *sharedLinkConfig
-	run  *linkRun
+	x    *linkRun
 }
 
-// linkRun is what a link holds once it has been written to: by a send, a
-// fault flip or a restore of a non-zero state.
+// linkRun is what a link holds once it has been written to (by a send, a
+// fault flip or a restore of a non-zero state) and, as sharedLinkConfig.idle,
+// what every other link reads.
 type linkRun struct {
+	cfg *sharedLinkConfig
+
 	// inTail is the last packet of the in-flight chain (Packet.inNext, send
 	// order) and txCur the first one whose transmission is not retired from
 	// st.Queued yet; see "Link occupancy" in the package documentation.
@@ -54,32 +57,25 @@ type linkRun struct {
 	st LinkState
 }
 
-// idleLink is the run state of every link that has none: all zero, and never
-// written, since every write goes through own.
-var idleLink linkRun
-
-// state returns the link's run state for reading: idleLink if it has none.
-func (l *Link) state() *linkRun {
-	if l.run != nil {
-		return l.run
-	}
-	return &idleLink
-}
+// idle reports whether the link has no run state of its own.
+func (l *Link) idle() bool { return l.x == &l.x.cfg.idle }
 
 // own returns the link's run state for writing, carving it on the first
-// write. The check is kept small enough to inline on the send path.
+// write: the shared idle record is never written. The check is kept small
+// enough to inline on the send path.
 func (l *Link) own() *linkRun {
-	if l.run != nil {
-		return l.run
+	if x := l.x; x != &x.cfg.idle {
+		return x
 	}
 	return l.carveRun()
 }
 
-// carveRun gives the link a zero run state from the network's runSlab.
+// carveRun gives the link a zero run state from the network's linkRuns.
 func (l *Link) carveRun() *linkRun {
-	l.run = &l.cfg.net.runSlab.take(1, runChunk)[0]
-	*l.run = linkRun{}
-	return l.run
+	cfg := l.x.cfg
+	l.x = &cfg.net.linkRuns.take(1, runChunk)[0]
+	*l.x = linkRun{cfg: cfg}
+	return l.x
 }
 
 // From reports the upstream node of the link.
@@ -90,29 +86,28 @@ func (l *Link) To() NodeID { return NodeID(l.to) }
 
 // Reverse returns the link in the other direction between the same two
 // nodes, or nil when they are connected this way only.
-func (l *Link) Reverse() *Link { return l.cfg.net.LinkBetween(NodeID(l.to), NodeID(l.from)) }
+func (l *Link) Reverse() *Link { return l.x.cfg.net.LinkBetween(NodeID(l.to), NodeID(l.from)) }
 
 // Config returns the link configuration.
-func (l *Link) Config() LinkConfig { return l.cfg.LinkConfig }
+func (l *Link) Config() LinkConfig { return l.x.cfg.LinkConfig }
 
 // Sent reports how many packets the link accepted for transmission.
-func (l *Link) Sent() uint64 { return l.state().st.Sent }
+func (l *Link) Sent() uint64 { return l.x.st.Sent }
 
 // Dropped reports how many packets the drop-tail queue rejected.
-func (l *Link) Dropped() uint64 { return l.state().st.Dropped }
+func (l *Link) Dropped() uint64 { return l.x.st.Dropped }
 
 // QueueLen reports the instantaneous number of packets waiting on the link.
 func (l *Link) QueueLen() int {
-	run := l.state()
-	l.reap(run)
-	return int(run.st.Queued)
+	l.x.reap()
+	return int(l.x.st.Queued)
 }
 
 // reap retires every packet the link has finished transmitting: what a
 // transmit-done event per packet would do, done when the count is looked at.
-// It writes only when a packet is unretired, so it may be handed idleLink.
-func (l *Link) reap(run *linkRun) {
-	s := l.cfg.net.scheduler
+// It writes only when a packet is unretired, so an idle record may reap.
+func (run *linkRun) reap() {
+	s := run.cfg.net.scheduler
 	for p := run.txCur; p != nil && s.Fired(p.txDone, p.txSeq); p = p.inNext {
 		run.st.Queued--
 		run.txCur = p.inNext
@@ -120,12 +115,12 @@ func (l *Link) reap(run *linkRun) {
 }
 
 // transmissionTime returns the serialisation delay of a packet of the given
-// size on this link.
-func (l *Link) transmissionTime(sizeBytes int) sim.Time {
-	if l.cfg.BandwidthBps <= 0 {
+// size on a link of this configuration.
+func (c *LinkConfig) transmissionTime(sizeBytes int) sim.Time {
+	if c.BandwidthBps <= 0 {
 		return 0
 	}
-	seconds := float64(sizeBytes*8) / l.cfg.BandwidthBps
+	seconds := float64(sizeBytes*8) / c.BandwidthBps
 	return sim.Time(seconds * float64(sim.Second))
 }
 
@@ -134,7 +129,9 @@ func (l *Link) transmissionTime(sizeBytes int) sim.Time {
 // OnQueueDrop hook, and recycled. Ownership of the packet transfers to the
 // link.
 func (l *Link) Send(pkt *Packet) {
-	net, run := l.cfg.net, l.own()
+	run := l.own()
+	cfg := run.cfg
+	net := cfg.net
 	now := net.Now()
 	if run.st.Down {
 		run.st.FaultDrops++
@@ -142,8 +139,8 @@ func (l *Link) Send(pkt *Packet) {
 		net.FreePacket(pkt)
 		return
 	}
-	l.reap(run)
-	if int(run.st.Queued) >= l.cfg.QueueLen {
+	run.reap()
+	if int(run.st.Queued) >= cfg.QueueLen {
 		run.st.Dropped++
 		net.noteQueueDrop(pkt, l, now)
 		net.FreePacket(pkt)
@@ -155,7 +152,7 @@ func (l *Link) Send(pkt *Packet) {
 	if run.st.NextFree > start {
 		start = run.st.NextFree
 	}
-	tx := l.transmissionTime(pkt.Size)
+	tx := cfg.transmissionTime(pkt.Size)
 	run.st.NextFree = start + tx
 
 	// One event per hop, the arrival, dispatched through the link itself
@@ -175,7 +172,7 @@ func (l *Link) enchainArrival(run *linkRun, pkt *Packet, txDone sim.Time, seq ui
 	if run.inTail != nil {
 		run.inTail.inNext = pkt
 	} else {
-		l.cfg.net.scheduler.InsertKeyed(txDone+l.cfg.Delay, seq, l, pkt)
+		run.cfg.net.scheduler.InsertKeyed(txDone+run.cfg.Delay, seq, l, pkt)
 	}
 	run.inTail = pkt
 	if unretired {
@@ -192,13 +189,14 @@ func (l *Link) enchainArrival(run *linkRun, pkt *Packet, txDone sim.Time, seq ui
 // key Send reserved for it; this one's transmission is retired here unless a
 // reap got to it first.
 func (l *Link) OnEventArg(now sim.Time, arg any) {
-	pkt, net, run := arg.(*Packet), l.cfg.net, l.run
+	pkt, run := arg.(*Packet), l.x
+	net := run.cfg.net
 	if run.txCur == pkt {
 		run.st.Queued--
 		run.txCur = pkt.inNext
 	}
 	if next := pkt.inNext; next != nil {
-		net.scheduler.InsertKeyed(next.txDone+l.cfg.Delay, next.txSeq, l, next)
+		net.scheduler.InsertKeyed(next.txDone+run.cfg.Delay, next.txSeq, l, next)
 	} else {
 		run.inTail = nil
 	}

@@ -61,7 +61,7 @@ func (r *refLink) send(id uint64, size int) string {
 	r.queued++
 	r.tot[0]++
 	start := max(r.s.Now(), r.nextFree)
-	r.nextFree = start + (&Link{cfg: &sharedLinkConfig{LinkConfig: r.cfg}}).transmissionTime(size)
+	r.nextFree = start + r.cfg.transmissionTime(size)
 	r.s.ScheduleAt(r.nextFree, func(sim.Time) { r.queued-- })
 	r.s.ScheduleAt(r.nextFree+r.cfg.Delay, func(now sim.Time) {
 		if r.down {

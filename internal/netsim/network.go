@@ -17,6 +17,9 @@ var (
 	// ErrDuplicateLink is returned when a simplex link between the same
 	// pair of nodes is added twice.
 	ErrDuplicateLink = errors.New("netsim: duplicate link")
+	// ErrDegree is returned when a link would give its source node more
+	// than MaxDegree outgoing links.
+	ErrDegree = errors.New("netsim: too many links out of one node")
 )
 
 // Hooks collects optional callbacks that observation components (metrics,
@@ -42,31 +45,50 @@ type Hooks struct {
 	OnFaultDrop func(pkt *Packet, at NodeID, now sim.Time)
 }
 
-// nodeSlot is the dense per-NodeID dispatch record: exactly one of router or
-// host is non-nil for an allocated ID.
-type nodeSlot struct {
-	router *Router
-	host   *Host
-}
+// nodeRef locates a node in its slab: its carve position in routerSlab, or
+// in hostSlab with hostBit set. Both slabs carve one node at a time from
+// chunks of a fixed size, so Network.Router and Network.Host resolve a
+// reference by chunk arithmetic, the way Network.link resolves a linkRef:
+// four bytes a node instead of a pair of pointers.
+type nodeRef uint32
+
+const hostBit nodeRef = 1 << 31
 
 // linkRef names a link by its carve position in the network's linkSlab, plus
-// one so that the zero value, which cleared columns and unpaired row entries
-// hold, names no link. Every linkSlab chunk is linkChunk links long (connect
-// carves one link at a time), so Network.link resolves a reference by chunk
-// arithmetic; four bytes instead of a pointer's eight is what lets route
-// columns and adjacency rows of a 50 000-router domain fit in half the space.
+// one so that the zero value names no link. Every linkSlab chunk is linkChunk
+// links long (connect carves one link at a time), so Network.link resolves a
+// reference by chunk arithmetic; four bytes instead of a pointer's eight is
+// what lets the adjacency rows of a 50 000-router domain fit in half the space.
 type linkRef int32
+
+// rowPos names an entry of a node's adjacency row by its position, plus one
+// so that the zero value names none. Route columns hold one per node, and an
+// adjacency entry names its reverse entry by one; a row holds at most
+// MaxDegree entries, which is what lets a position fit in a byte with noBack
+// to spare.
+type rowPos uint8
+
+// MaxDegree is the most outgoing links a node may have: Connect and
+// ConnectDuplex refuse one more with ErrDegree.
+const MaxDegree = 254
+
+// noBack is what the route BFS writes for a node it discovered over a link
+// with no reverse: discovered, so it is not discovered again, and no route,
+// since no row is long enough for the position to resolve.
+const noBack rowPos = MaxDegree + 1
 
 // adjEntry is one outgoing link in an adjacency row, keyed by its target
 // node. Rows are kept sorted by target so lookups binary-search and neighbour
 // iteration is ascending, which is what BFS tie-breaking (and therefore every
-// forwarding decision) depends on. back is the link from the target back to
-// the row's node, zero until that direction is connected: the route BFS writes
-// it into a column without searching.
+// forwarding decision) depends on. back is the position of the reverse entry,
+// the target's entry for the row's node, in the target's row, zero until that
+// direction is connected: the route BFS writes it into a column without
+// searching, and an insert that shifts a row moves its entries' reverse
+// entries' back positions with them.
 type adjEntry struct {
 	to   int32 // NodeID of the target
 	link linkRef
-	back linkRef
+	back rowPos
 }
 
 // adjRow locates a node's adjacency row in Network.adj: its len entries start
@@ -93,7 +115,7 @@ type Network struct {
 
 	// nodes is the dense NodeID-indexed table of every node: the registry
 	// behind Router and Host, and the dispatch table of the forwarding path.
-	nodes []nodeSlot
+	nodes []nodeRef
 	// sparse[from] locates the sorted-by-target neighbour row holding from's
 	// outgoing links in adj: O(nodes + links) memory overall, with lookups a
 	// short binary search over a row whose length is the node's degree (2–10
@@ -111,38 +133,32 @@ type Network struct {
 
 	nextPktID uint64
 
-	// sizeHint is the expected final node count set by Reserve; the slabs
-	// size their chunks by it.
-	sizeHint int
-
 	// pktFree is the packet free list; see NewPacket / FreePacket. Its
 	// packets come from pktSlab a chunk at a time, so a reset network threads
 	// only as many retained chunks as the run turns out to need.
 	pktFree []*Packet
 	pktSlab slab[Packet]
 
-	// Object slabs: nodes and links are carved from chunk-allocated arrays
-	// instead of being allocated one by one; see slab. A link's carve index
-	// in linkSlab is its linkRef.
+	// Object slabs: nodes and links are carved one at a time from
+	// chunk-allocated arrays instead of being allocated one by one; see
+	// slab. A node's carve position is its nodeRef, a link's its linkRef.
 	routerSlab slab[Router]
 	hostSlab   slab[Host]
 	linkSlab   slab[Link]
 
-	// runSlab holds the run state of the links that have been written to,
-	// and ctrSlab the counters of the routers that have counted a packet:
-	// the few hundred links and routers on the paths a run's traffic takes,
-	// of 130 000 and 50 000 in the quick 50 000-router domain. The rest
-	// read as zero without holding anything; see Link.own and Router.own.
-	runSlab slab[linkRun]
-	ctrSlab slab[routerCounters]
+	// linkRuns holds the run state of the links that have been written to,
+	// and routerRuns the records of the routers that have counted a packet
+	// or got a filter: the few hundred links and routers on the paths a
+	// run's traffic takes, of 130 000 and 50 000 in the quick 50 000-router
+	// domain. The rest point at a shared zero record, their configuration's
+	// for a link and idleRouter for a router; see Link.own and Router.own.
+	linkRuns   slab[linkRun]
+	routerRuns slab[routerRun]
+	idleRouter routerRun
 
-	// chainSlab holds the filter chains of the routers that have one (the
-	// routers the traffic-matrix monitor, the arrival tap and the defences
-	// watch: a hundred or so of 50 000), so a Router points at its chain
-	// instead of carrying a slice header; filterSlab backs the chains'
-	// entries. Chains are tiny (tap plus
-	// at most one defence), so carving them avoids a per-router allocation.
-	chainSlab  slab[[]Filter]
+	// filterSlab backs the routers' filter chains. Chains are tiny (tap
+	// plus at most one defence), so carving them avoids a per-router
+	// allocation.
 	filterSlab slab[Filter]
 
 	// ipSlab backs the hosts' address slices; nearly every host owns
@@ -168,13 +184,12 @@ type Network struct {
 	// per-destination table of column numbers, each naming cols[number-1]
 	// (zero for none; host slots share their attachment router's number),
 	// the materialized columns and the slab they are carved from, the route
-	// BFS's queue and visited marks, and the materialization counters
-	// behind RouteColumns/RouteStats.
+	// BFS's queue of NodeIDs, stored narrow, and the materialization
+	// counters behind RouteColumns/RouteStats.
 	routeCols        []int32
-	cols             [][]linkRef
-	colSlab          slab[linkRef]
-	bfsQueue         []NodeID
-	bfsSeen          []bool
+	cols             [][]rowPos
+	colSlab          slab[rowPos]
+	bfsQueue         []int32
 	colsMaterialized int
 	colEntries       int
 	// topoVersion counts graph mutations; see TopoVersion.
@@ -196,13 +211,18 @@ type handlerKey struct {
 	label FlowLabel
 }
 
-// Slab chunk sizes. Packets churn fastest and get the largest chunk.
+// Slab chunk sizes. Packets churn fastest; routers and links come by the ten
+// thousand in the largest domains, 4096 of their 16-byte records to a 64 KB
+// chunk. A smaller power-of-two chunk of records holding a pointer fits no
+// allocation size class: its 8-byte type header pushes a 2 KB chunk into the
+// 2304-byte class and a 4 KB one into the 4864-byte class, an eighth and more
+// of the 50 000-router domain's link and router slabs.
 const (
 	pktChunk    = 256
-	nodeChunk   = 64
-	linkChunk   = 128
+	routerChunk = 4096
+	hostChunk   = 64
+	linkChunk   = 4096
 	runChunk    = 64
-	ctrChunk    = 64
 	filterChunk = 64
 	ipChunk     = 64
 	cfgChunk    = 8
@@ -212,22 +232,17 @@ const (
 	sparseRowCap = 4
 )
 
-// nodeSlabSize picks the chunk size for a node slab: at least nodeChunk, at
-// most the nodes the reservation still expects. Routers are added before
-// hosts, so sizing by the remaining budget keeps each slab close to its
-// kind's actual population instead of the whole domain's.
-func (n *Network) nodeSlabSize() int {
-	return max(nodeChunk, n.sizeHint-len(n.nodes))
-}
-
 // link resolves a reference to its link, or nil for the zero reference.
 func (n *Network) link(ref linkRef) *Link {
 	if ref == 0 {
 		return nil
 	}
-	i := uint(ref - 1)
-	return &n.linkSlab.chunks[i/linkChunk][i%linkChunk]
+	return n.linkSlab.at(uint(ref-1), linkChunk)
 }
+
+// routerAt and hostAt resolve a node reference of their kind.
+func (n *Network) routerAt(ref nodeRef) *Router { return n.routerSlab.at(uint(ref), routerChunk) }
+func (n *Network) hostAt(ref nodeRef) *Host     { return n.hostSlab.at(uint(ref&^hostBit), hostChunk) }
 
 // row returns id's adjacency row: empty for an unknown node or one with no
 // outgoing links. Its capacity is its length, so appending to it reallocates.
@@ -284,12 +299,14 @@ func (n *Network) handlerFor(host NodeID, label FlowLabel) PacketHandler {
 
 // New creates an empty network bound to the given scheduler and RNG.
 func New(scheduler *sim.Scheduler, rng *sim.RNG) *Network {
-	return &Network{
+	n := &Network{
 		scheduler: scheduler,
 		rng:       rng,
 		ipOwner:   make(map[IP]NodeID),
 		linkCfgs:  make(map[LinkConfig]*sharedLinkConfig),
 	}
+	n.idleRouter.net = n
+	return n
 }
 
 // Reset empties the network and binds it to a new scheduler and RNG, keeping
@@ -333,7 +350,6 @@ func (n *Network) Reset(scheduler *sim.Scheduler, rng *sim.RNG) {
 		cols:       n.cols[:0],
 		colSlab:    n.colSlab.rewound(),
 		bfsQueue:   n.bfsQueue[:0],
-		bfsSeen:    n.bfsSeen[:0],
 		ipOwner:    n.ipOwner,
 		handlers:   n.handlers,
 		pktFree:    n.pktFree[:0],
@@ -341,9 +357,9 @@ func (n *Network) Reset(scheduler *sim.Scheduler, rng *sim.RNG) {
 		routerSlab: n.routerSlab.rewound(),
 		hostSlab:   n.hostSlab.rewound(),
 		linkSlab:   n.linkSlab.rewound(),
-		runSlab:    n.runSlab.rewound(),
-		ctrSlab:    n.ctrSlab.rewound(),
-		chainSlab:  n.chainSlab.rewound(),
+		linkRuns:   n.linkRuns.rewound(),
+		routerRuns: n.routerRuns.rewound(),
+		idleRouter: routerRun{net: n},
 		filterSlab: n.filterSlab.rewound(),
 		ipSlab:     n.ipSlab.rewound(),
 		linkCfgs:   n.linkCfgs,
@@ -416,10 +432,10 @@ func (n *Network) FreePacket(p *Packet) {
 	n.pktFree = append(n.pktFree, p)
 }
 
-// allocateNodeID hands out the next node identifier.
-func (n *Network) allocateNodeID() NodeID {
+// addNode hands out the next node identifier to the node ref locates.
+func (n *Network) addNode(ref nodeRef) NodeID {
 	id := NodeID(len(n.nodes))
-	n.nodes = append(n.nodes, nodeSlot{})
+	n.nodes = append(n.nodes, ref)
 	n.topoVersion++
 	return id
 }
@@ -434,12 +450,9 @@ func (n *Network) Reserve(nodes int) {
 		return
 	}
 	if cap(n.nodes) < nodes {
-		grownNodes := make([]nodeSlot, len(n.nodes), nodes)
+		grownNodes := make([]nodeRef, len(n.nodes), nodes)
 		copy(grownNodes, n.nodes)
 		n.nodes = grownNodes
-	}
-	if nodes > n.sizeHint {
-		n.sizeHint = nodes
 	}
 	if cap(n.sparse) < nodes {
 		grown := make([]adjRow, len(n.sparse), nodes)
@@ -466,12 +479,8 @@ func (n *Network) Reserve(nodes int) {
 // AddRouter creates a router under the next NodeID. Nodes carry no name:
 // diagnostics print their kind and NodeID.
 func (n *Network) AddRouter() *Router {
-	r := &n.routerSlab.take(1, n.nodeSlabSize())[0]
-	*r = Router{
-		net: n,
-		id:  n.allocateNodeID(),
-	}
-	n.nodes[r.id].router = r
+	r, i := n.routerSlab.takeOne(routerChunk)
+	*r = Router{x: &n.idleRouter, id: int32(n.addNode(nodeRef(i)))}
 	return r
 }
 
@@ -479,13 +488,12 @@ func (n *Network) AddRouter() *Router {
 // Handlers live in the network's shared registry, so pure-sink hosts
 // (bystanders, extra victims) cost no handler storage.
 func (n *Network) AddHost(ips ...IP) *Host {
-	h := &n.hostSlab.take(1, n.nodeSlabSize())[0]
+	h, i := n.hostSlab.takeOne(hostChunk)
 	*h = Host{
 		net: n,
-		id:  n.allocateNodeID(),
+		id:  n.addNode(hostBit | nodeRef(i)),
 		ips: n.carveIPs(ips),
 	}
-	n.nodes[h.id].host = h
 	for _, ip := range ips {
 		n.ipOwner[ip] = h.id
 	}
@@ -495,18 +503,18 @@ func (n *Network) AddHost(ips ...IP) *Host {
 // Router returns the router with the given ID, or nil. ForEachNode visits
 // them all, in ascending ID order.
 func (n *Network) Router(id NodeID) *Router {
-	if id < 0 || int(id) >= len(n.nodes) {
+	if uint(id) >= uint(len(n.nodes)) || n.nodes[id]&hostBit != 0 {
 		return nil
 	}
-	return n.nodes[id].router
+	return n.routerAt(n.nodes[id])
 }
 
 // Host returns the host with the given ID, or nil.
 func (n *Network) Host(id NodeID) *Host {
-	if id < 0 || int(id) >= len(n.nodes) {
+	if uint(id) >= uint(len(n.nodes)) || n.nodes[id]&hostBit == 0 {
 		return nil
 	}
-	return n.nodes[id].host
+	return n.hostAt(n.nodes[id])
 }
 
 // NodeCount reports the number of nodes (routers plus hosts).
@@ -539,6 +547,9 @@ func (n *Network) Connect(from, to NodeID, cfg LinkConfig) (*Link, error) {
 	if n.LinkBetween(from, to) != nil {
 		return nil, fmt.Errorf("connect %d->%d: %w", from, to, ErrDuplicateLink)
 	}
+	if err := n.checkDegree(from); err != nil {
+		return nil, fmt.Errorf("connect %d->%d: %w", from, to, err)
+	}
 	return n.connect(from, to, cfg), nil
 }
 
@@ -553,27 +564,35 @@ func (n *Network) connect(from, to NodeID, cfg LinkConfig) *Link {
 	// has materialized yet and this is free.
 	n.invalidateRouteColumns()
 	n.topoVersion++
-	l := &n.linkSlab.take(1, linkChunk)[0]
-	*l = Link{from: int32(from), to: int32(to), cfg: n.sharedConfig(cfg)}
+	l, i := n.linkSlab.takeOne(linkChunk)
+	*l = Link{from: int32(from), to: int32(to), x: &n.sharedConfig(cfg).idle}
 	n.links++
-	// Chunks are linkChunk links long and none is skipped when one link is
-	// carved at a time, so the link just carved is the used-th of chunk cur.
-	n.sparseInsert(from, to, linkRef(n.linkSlab.cur*linkChunk+n.linkSlab.used))
-	if h := n.nodes[to].host; h != nil {
+	n.sparseInsert(from, to, linkRef(i+1))
+	if h := n.Host(to); h != nil {
 		h.noteHome(from, l)
 	}
-	if h := n.nodes[from].host; h != nil && h.accessRouter == to {
+	if h := n.Host(from); h != nil && h.accessRouter == to {
 		h.uplink = l
 	}
 	return l
 }
 
-// sharedLinkConfig is the network's one copy of a link configuration, and
-// the way back from a link to its network: a link reaches both through one
-// pointer.
+// checkDegree refuses a link out of a node whose row is full.
+func (n *Network) checkDegree(from NodeID) error {
+	if len(n.row(from)) >= MaxDegree {
+		return fmt.Errorf("%w: node %d has %d, the most it may have", ErrDegree, from, MaxDegree)
+	}
+	return nil
+}
+
+// sharedLinkConfig is the network's one copy of a link configuration, the
+// way back from a link to its network, and the run state every link with
+// this configuration and none of its own points at: idle, whose cfg is the
+// copy itself and which nothing writes.
 type sharedLinkConfig struct {
 	LinkConfig
-	net *Network
+	net  *Network
+	idle linkRun
 }
 
 // sharedConfig returns the network's copy of cfg, carving one the first time
@@ -587,6 +606,7 @@ func (n *Network) sharedConfig(cfg LinkConfig) *sharedLinkConfig {
 	if !ok {
 		c = &n.cfgSlab.take(1, cfgChunk)[0]
 		*c = sharedLinkConfig{LinkConfig: cfg, net: n}
+		c.idle.cfg = c
 		n.linkCfgs[cfg] = c
 	}
 	n.lastCfg = c
@@ -596,7 +616,9 @@ func (n *Network) sharedConfig(cfg LinkConfig) *sharedLinkConfig {
 // sparseInsert places the link ref names into from's sorted neighbour row,
 // re-carving the row at the end of adj at doubled capacity when its degree
 // outgrows the current segment, and pairs it with the reverse direction, if
-// that is connected already, through both entries' back links.
+// that is connected already, through both entries' back positions. The
+// entries it shifts take their reverse entries' back positions along:
+// O(degree) an insert.
 func (n *Network) sparseInsert(from, to NodeID, ref linkRef) {
 	for int(from) >= len(n.sparse) {
 		n.sparse = append(n.sparse, adjRow{})
@@ -616,8 +638,18 @@ func (n *Network) sparseInsert(from, to NodeID, ref linkRef) {
 	row[i] = adjEntry{to: int32(to), link: ref}
 	r.len++
 	n.sparse[from] = r
-	if rev := n.adjacent(to, from); rev != nil {
-		rev.back, row[i].back = ref, rev.link
+	for j := i + 1; j < len(row); j++ {
+		switch e := row[j]; {
+		case e.back == 0:
+		case NodeID(e.to) == from: // a link to itself is its own reverse
+			row[j].back = rowPos(j + 1)
+		default:
+			n.row(NodeID(e.to))[e.back-1].back++
+		}
+	}
+	back := n.row(to)
+	if k := sparseFind(back, from); k < len(back) && NodeID(back[k].to) == from {
+		back[k].back, row[i].back = rowPos(i+1), rowPos(k+1)
 	}
 }
 
@@ -632,6 +664,11 @@ func (n *Network) ConnectDuplex(a, b NodeID, cfg LinkConfig) error {
 	if a == b || n.LinkBetween(a, b) != nil || n.LinkBetween(b, a) != nil {
 		return fmt.Errorf("connect %d<->%d: %w", a, b, ErrDuplicateLink)
 	}
+	for _, from := range [2]NodeID{a, b} {
+		if err := n.checkDegree(from); err != nil {
+			return fmt.Errorf("connect %d<->%d: %w", a, b, err)
+		}
+	}
 	n.connect(a, b, cfg)
 	n.connect(b, a, cfg)
 	return nil
@@ -645,10 +682,7 @@ func (n *Network) ConnectDuplex(a, b NodeID, cfg LinkConfig) error {
 // exactly LinkBetween(r, h) whenever h is a host; non-host IDs (which no
 // destination owner ever is) fall back to the search.
 func (n *Network) AttachmentLink(r, h NodeID) *Link {
-	if h < 0 || int(h) >= len(n.nodes) {
-		return nil
-	}
-	host := n.nodes[h].host
+	host := n.Host(h)
 	if host == nil || host.homeCount > maxHostHomes {
 		// Not a host, or a pathologically many-homed one whose inline
 		// record overflowed: preserve the adjacency answer.
@@ -705,28 +739,21 @@ func (n *Network) AppendNeighbors(dst []NodeID, id NodeID) []NodeID {
 	return dst
 }
 
+// nodeExists reports whether id names a node: every ID below the node count
+// does.
 func (n *Network) nodeExists(id NodeID) bool {
-	if id < 0 || int(id) >= len(n.nodes) {
-		return false
-	}
-	slot := n.nodes[id]
-	return slot.router != nil || slot.host != nil
+	return uint(id) < uint(len(n.nodes))
 }
 
 // deliverTo hands a packet arriving over a link to its destination node.
 func (n *Network) deliverTo(id NodeID, pkt *Packet, from NodeID) {
-	if id >= 0 && int(id) < len(n.nodes) {
-		slot := n.nodes[id]
-		if slot.router != nil {
-			slot.router.Deliver(pkt, from)
-			return
-		}
-		if slot.host != nil {
-			slot.host.Deliver(pkt, from)
-			return
-		}
+	if !n.nodeExists(id) {
+		n.dropUnroutable(pkt, from)
+	} else if ref := n.nodes[id]; ref&hostBit == 0 {
+		n.routerAt(ref).Deliver(pkt, from)
+	} else {
+		n.hostAt(ref).Deliver(pkt, from)
 	}
-	n.dropUnroutable(pkt, from)
 }
 
 func (n *Network) noteQueueDrop(pkt *Packet, l *Link, now sim.Time) {

@@ -190,13 +190,17 @@ func TestResetLeavesNothingBehind(t *testing.T) {
 		name, f := nv.Type().Field(i).Name, nv.Field(i)
 		switch name {
 		case "scheduler", "rng":
-		case "nodes", "sparse", "adj", "routeCols", "cols", "bfsQueue", "bfsSeen", "pktFree", "ipOwner", "handlers", "linkCfgs":
+		case "nodes", "sparse", "adj", "routeCols", "cols", "bfsQueue", "pktFree", "ipOwner", "handlers", "linkCfgs":
 			if f.IsNil() || f.Len() != 0 {
 				t.Errorf("Network.%s after Reset: nil=%v len=%d, want kept and empty", name, f.IsNil(), f.Len())
 			}
-		case "pktSlab", "routerSlab", "hostSlab", "linkSlab", "runSlab", "ctrSlab", "chainSlab", "filterSlab", "ipSlab", "colSlab", "cfgSlab":
+		case "pktSlab", "routerSlab", "hostSlab", "linkSlab", "linkRuns", "routerRuns", "filterSlab", "ipSlab", "colSlab", "cfgSlab":
 			if f.FieldByName("chunks").Len() == 0 || !f.FieldByName("cur").IsZero() || !f.FieldByName("used").IsZero() {
 				t.Errorf("Network.%s after Reset: want its chunks kept and its cursor rewound", name)
+			}
+		case "idleRouter":
+			if !reflect.DeepEqual(n.idleRouter, routerRun{net: n}) {
+				t.Errorf("Network.idleRouter after Reset is %+v, want a zero record of the network", n.idleRouter)
 			}
 		default:
 			if !f.IsZero() {
@@ -345,20 +349,20 @@ func TestResetCostFollowsLastBuild(t *testing.T) {
 	}
 
 	const far = 4000
-	marker := &Router{}
-	n.nodes[:cap(n.nodes)][far].router = marker
+	const marker = hostBit | 7
+	n.nodes[:cap(n.nodes)][far] = marker
 	n.sparse[:cap(n.sparse)][far] = adjRow{len: 1}
 	n.routeCols[:cap(n.routeCols)][far] = 1
 	n.Reset(sched, rng)
-	if n.nodes[:cap(n.nodes)][far].router != marker || n.sparse[:cap(n.sparse)][far] == (adjRow{}) || n.routeCols[:cap(n.routeCols)][far] == 0 {
+	if n.nodes[:cap(n.nodes)][far] != marker || n.sparse[:cap(n.sparse)][far] == (adjRow{}) || n.routeCols[:cap(n.routeCols)][far] == 0 {
 		t.Error("Reset swept a table past what the last build used")
 	}
-	n.nodes[:cap(n.nodes)][far] = nodeSlot{}
+	n.nodes[:cap(n.nodes)][far] = 0
 	n.sparse[:cap(n.sparse)][far] = adjRow{}
 	n.routeCols[:cap(n.routeCols)][far] = 0
 
 	for i, slot := range n.nodes[:cap(n.nodes)] {
-		if slot != (nodeSlot{}) || n.sparse[:cap(n.sparse)][i] != (adjRow{}) || n.routeCols[:cap(n.routeCols)][i] != 0 {
+		if slot != 0 || n.sparse[:cap(n.sparse)][i] != (adjRow{}) || n.routeCols[:cap(n.routeCols)][i] != 0 {
 			t.Fatalf("table entry %d is not zero after Reset", i)
 		}
 	}

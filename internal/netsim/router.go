@@ -31,79 +31,71 @@ type Filter interface {
 // Router forwards packets by destination-owner lookup and the network's
 // route columns (see routing.go), invoking its attached filters on every
 // traversing packet.
+//
+// The quick 50 000-router domain holds 50 000 of these, and a hundred or so
+// of them forward, count or filter anything. So a router is its id, stored
+// narrow, its down flag, inline because every hop reads it, and a pointer to
+// its record: the network's idleRouter, shared and never written, until
+// AttachFilter or the first count carves one of its own from the network's
+// routerRuns. TestStructSizes pins the size.
 type Router struct {
-	net *Network
-	id  NodeID
-
-	// filters is the router's filter chain, carved from the network's
-	// chainSlab by the first AttachFilter, and nil until then: most routers
-	// of a large domain never get one.
-	filters *[]Filter
-
-	// ctr is the router's counters, carved from the network's ctrSlab by
-	// the first packet it forwards, filter-drops or fault-drops, and nil
-	// until then: most routers of a large domain never see one.
-	ctr *routerCounters
+	x  *routerRun
+	id int32
 
 	// down marks the router crashed: arriving and self-injected packets are
 	// dropped without running the filter chain. Flipped only through
-	// Network.FailRouter / RestoreRouter (see faults.go). It is inline, not
-	// with the counters, because every hop reads it.
+	// Network.FailRouter / RestoreRouter (see faults.go).
 	down bool
 }
 
-// routerCounters is what a router holds once it has counted a packet; with
-// Router.down it makes up the RouterState a snapshot records.
-type routerCounters struct {
+// routerRun is what a router holds once it has a filter or has counted a
+// packet: its network, its filter chain and its counters, which with
+// Router.down make up the RouterState a snapshot records.
+type routerRun struct {
+	net *Network
+	// filters is the filter chain, backed by the network's filterSlab.
+	filters    []Filter
 	forwarded  uint64
 	dropped    uint64
 	faultDrops uint64
 }
 
-// idleRouter is the counters of every router that has none: all zero, and
-// never written, since every write goes through own.
-var idleRouter routerCounters
+// idle reports whether the router has no record of its own.
+func (r *Router) idle() bool { return r.x == &r.x.net.idleRouter }
 
-// counts returns the router's counters for reading: idleRouter if it has
-// none.
-func (r *Router) counts() *routerCounters {
-	if r.ctr != nil {
-		return r.ctr
+// own returns the router's record for writing, carving it on the first
+// write: the shared idle record is never written. The check is kept small
+// enough to inline on the forwarding path.
+func (r *Router) own() *routerRun {
+	if x := r.x; x != &x.net.idleRouter {
+		return x
 	}
-	return &idleRouter
+	return r.carveRun()
 }
 
-// own returns the router's counters for writing, carving them on the first
-// write. The check is kept small enough to inline on the forwarding path.
-func (r *Router) own() *routerCounters {
-	if r.ctr != nil {
-		return r.ctr
-	}
-	return r.carveCounters()
-}
-
-// carveCounters gives the router zero counters from the network's ctrSlab.
-func (r *Router) carveCounters() *routerCounters {
-	r.ctr = &r.net.ctrSlab.take(1, ctrChunk)[0]
-	*r.ctr = routerCounters{}
-	return r.ctr
+// carveRun gives the router a zero record from the network's routerRuns.
+func (r *Router) carveRun() *routerRun {
+	net := r.x.net
+	r.x = &net.routerRuns.take(1, runChunk)[0]
+	*r.x = routerRun{net: net}
+	return r.x
 }
 
 // ID reports the router's node identifier.
-func (r *Router) ID() NodeID { return r.id }
+func (r *Router) ID() NodeID { return NodeID(r.id) }
 
 // Network returns the network the router belongs to.
-func (r *Router) Network() *Network { return r.net }
+func (r *Router) Network() *Network { return r.x.net }
 
 // Forwarded reports how many packets the router has forwarded.
-func (r *Router) Forwarded() uint64 { return r.counts().forwarded }
+func (r *Router) Forwarded() uint64 { return r.x.forwarded }
 
 // FilterDropped reports how many packets the router's filters discarded.
-func (r *Router) FilterDropped() uint64 { return r.counts().dropped }
+func (r *Router) FilterDropped() uint64 { return r.x.dropped }
 
 // FaultDropped reports how many packets died at this router while it was
 // crashed.
-func (r *Router) FaultDropped() uint64 { return r.counts().faultDrops }
+func (r *Router) FaultDropped() uint64 { return r.x.faultDrops }
 
 // Down reports whether the router is currently crashed.
 func (r *Router) Down() bool { return r.down }
@@ -116,24 +108,15 @@ func (r *Router) AttachFilter(f Filter) {
 	if f == nil {
 		return
 	}
-	if r.filters == nil {
-		r.filters = &r.net.chainSlab.take(1, filterChunk)[0]
-		*r.filters = nil
+	x := r.own()
+	if len(x.filters) == cap(x.filters) {
+		x.filters = x.net.growFilters(x.filters)
 	}
-	chain := *r.filters
-	if len(chain) == cap(chain) {
-		chain = r.net.growFilters(chain)
-	}
-	*r.filters = append(chain, f)
+	x.filters = append(x.filters, f)
 }
 
 // Filters returns the attached filters in processing order (do not mutate).
-func (r *Router) Filters() []Filter {
-	if r.filters == nil {
-		return nil
-	}
-	return *r.filters
-}
+func (r *Router) Filters() []Filter { return r.x.filters }
 
 // Deliver processes a packet arriving from an upstream node.
 func (r *Router) Deliver(pkt *Packet, from NodeID) {
@@ -145,12 +128,17 @@ func (r *Router) Deliver(pkt *Packet, from NodeID) {
 // A crashed router injects nothing.
 func (r *Router) Inject(pkt *Packet) {
 	if r.down {
-		r.own().faultDrops++
-		r.net.noteFaultDrop(pkt, r.id, r.net.Now())
-		r.net.FreePacket(pkt)
+		r.faultDrop(pkt, r.x.net.Now())
 		return
 	}
 	r.route(pkt)
+}
+
+// faultDrop accounts and recycles a packet that reached the crashed router.
+func (r *Router) faultDrop(pkt *Packet, now sim.Time) {
+	r.own().faultDrops++
+	r.x.net.noteFaultDrop(pkt, r.ID(), now)
+	r.x.net.FreePacket(pkt)
 }
 
 // forward runs the filter chain and then routes the packet. A filter drop is
@@ -158,18 +146,17 @@ func (r *Router) Inject(pkt *Packet) {
 // terminal too — its filters do not run, so a dead router neither measures
 // nor defends.
 func (r *Router) forward(pkt *Packet, _ NodeID) {
-	now := r.net.Now()
+	net := r.x.net
+	now := net.Now()
 	if r.down {
-		r.own().faultDrops++
-		r.net.noteFaultDrop(pkt, r.id, now)
-		r.net.FreePacket(pkt)
+		r.faultDrop(pkt, now)
 		return
 	}
-	for _, f := range r.Filters() {
+	for _, f := range r.x.filters {
 		if f.Handle(pkt, now, r) == ActionDrop {
 			r.own().dropped++
-			r.net.noteFilterDrop(pkt, r, f.Name(), now)
-			r.net.FreePacket(pkt)
+			net.noteFilterDrop(pkt, r, f.Name(), now)
+			net.FreePacket(pkt)
 			return
 		}
 	}
@@ -182,18 +169,19 @@ func (r *Router) forward(pkt *Packet, _ NodeID) {
 // the attachment link if the destination hangs off this router, else the
 // entry of the destination's route column.
 func (r *Router) route(pkt *Packet) {
+	net, id := r.x.net, r.ID()
 	// Resolve the destination owner once per packet; later hops reuse the
 	// cached node instead of repeating the address lookup.
-	destNode := pkt.DestOwner(r.net)
-	if destNode == NoNode || destNode == r.id {
+	destNode := pkt.DestOwner(net)
+	if destNode == NoNode || destNode == id {
 		// Routers never terminate data traffic in this model.
-		r.net.dropUnroutable(pkt, r.id)
+		net.dropUnroutable(pkt, id)
 		return
 	}
-	link := r.net.AttachmentLink(r.id, destNode)
+	link := net.AttachmentLink(id, destNode)
 	if link == nil {
-		if link = r.net.RouteLink(r.id, destNode); link == nil {
-			r.net.dropUnroutable(pkt, r.id)
+		if link = net.RouteLink(id, destNode); link == nil {
+			net.dropUnroutable(pkt, id)
 			return
 		}
 	}

@@ -1,7 +1,7 @@
 package netsim
 
 import (
-	"slices"
+	"cmp"
 	"unsafe"
 )
 
@@ -28,18 +28,20 @@ import (
 //     destination's route column: one reverse BFS over the adjacency rows,
 //     O(nodes + links), into a column carved from colSlab, memoized until the
 //     graph or its fault state changes. A node's slot in routeCols holds the
-//     number of the column serving it, four bytes a node. A MAFIC workload
-//     only ever routes toward the victims, the edge sources (ACKs) and the
-//     spoof pool (probes), so a 5000-router domain materializes a few dozen
-//     columns instead of the ~5000 × 5000 entries an all-pairs install would
-//     write.
+//     number of the column serving it, four bytes a node, and a column holds
+//     one byte a node. A MAFIC workload only ever routes toward the victims,
+//     the edge sources (ACKs) and the spoof pool (probes), so a 5000-router
+//     domain materializes a few dozen columns instead of the ~5000 × 5000
+//     entries an all-pairs install would write.
 //
-// A column entry names the link itself (a linkRef, four bytes), not the next
-// node, so a hop is an indexed load and no adjacency search: column[at] is the
-// link node at sends on toward the destination — the one LinkBetween(at, next
-// hop) returns, down or not — and zero where at has no route (unreachable, at
-// == dest, or no link back to the node that discovered it). The column table
-// is the routers' only forwarding state.
+// A column entry names the link by its place in at's adjacency row (a rowPos,
+// one byte), not the next node, so a hop is two indexed loads and no
+// adjacency search: the entry column[at] names is the link node at sends on
+// toward the destination — the one LinkBetween(at, next hop) returns, down or
+// not. Where at has no route the entry resolves to none: zero when at is
+// unreachable or the destination itself, noBack when the node that
+// discovered it has no link from at. The column table is the routers' only
+// forwarding state.
 //
 // Invariants the tests pin:
 //
@@ -61,7 +63,8 @@ import (
 //     rebuild that routes toward the same destinations allocates nothing. A
 //     rebuild reuses link references too (Reset rewinds linkSlab), which is
 //     safe because it also clears every column and row that held the old
-//     ones.
+//     ones. Row positions stay right within a build because a Connect, which
+//     shifts a row, invalidates every column.
 
 // invalidateRouteColumns forgets every memoized column. Adding a link after
 // columns have materialized invalidates them (shortest paths may change), so
@@ -85,7 +88,9 @@ func (n *Network) invalidateRouteColumns() {
 // single-homed host's slot holds its router's column.
 func (n *Network) RouteLink(at, dest NodeID) *Link {
 	if col := n.column(dest); uint(at) < uint(len(col)) {
-		return n.link(col[at])
+		if e := n.entryAt(at, col[at]); e != nil {
+			return n.link(e.link)
+		}
 	}
 	return nil
 }
@@ -100,15 +105,26 @@ func (n *Network) NextHop(at, dest NodeID) NodeID {
 		return NoNode
 	case at == dest:
 		return dest
-	case col[at] != 0:
-		return n.link(col[at]).To()
+	}
+	if e := n.entryAt(at, col[at]); e != nil {
+		return NodeID(e.to)
 	}
 	return NoNode
 }
 
+// entryAt resolves a column entry: at's row entry at position p, or nil for
+// zero and noBack, which no row is long enough to hold.
+func (n *Network) entryAt(at NodeID, p rowPos) *adjEntry {
+	row := n.row(at)
+	if i := int(p) - 1; uint(i) < uint(len(row)) {
+		return &row[i]
+	}
+	return nil
+}
+
 // column returns the column serving dest, materializing it on first use, or
 // nil when dest has none.
-func (n *Network) column(dest NodeID) []linkRef {
+func (n *Network) column(dest NodeID) []rowPos {
 	if uint(dest) < uint(len(n.routeCols)) {
 		if c := n.routeCols[dest]; c != 0 {
 			return n.cols[c-1]
@@ -120,7 +136,7 @@ func (n *Network) column(dest NodeID) []linkRef {
 // materializeColumn computes and memoizes the column serving dest: the
 // aggregate's column is computed (or found already materialized) and dest's
 // slot set to its number, so later lookups are two indexed loads.
-func (n *Network) materializeColumn(dest NodeID) []linkRef {
+func (n *Network) materializeColumn(dest NodeID) []rowPos {
 	if !n.nodeExists(dest) {
 		return nil
 	}
@@ -142,32 +158,30 @@ func (n *Network) materializeColumn(dest NodeID) []linkRef {
 // reverseBFS fills col with each node's link toward root along the
 // shortest-path tree rooted there: a breadth-first search from root over the
 // sorted adjacency rows, so neighbours are visited in ascending ID order and
-// the first discoverer wins. A discovered node's entry is the back link of the
-// row entry that discovered it — its link to the discoverer, down or not, or
-// zero if it has none; root and unreached nodes get zero. While a fault is
-// active the search leaves crashed routers' rows and unusable links alone.
-func (n *Network) reverseBFS(root NodeID, col []linkRef) {
+// the first discoverer wins. A discovered node's entry is the back position
+// of the row entry that discovered it — the place of its link to the
+// discoverer, down or not, in its own row — or noBack if it has no such link,
+// so that every discovered node but root holds a non-zero entry; root and
+// unreached nodes get zero. While a fault is active the search leaves crashed
+// routers' rows and unusable links alone.
+func (n *Network) reverseBFS(root NodeID, col []rowPos) {
 	clear(col)
-	seen := slices.Grow(n.bfsSeen[:0], len(col))[:len(col)]
-	clear(seen)
 	faults := n.faultsActive()
-	queue := append(n.bfsQueue[:0], root)
-	seen[root] = true
+	queue := append(n.bfsQueue[:0], int32(root))
 	for qi := 0; qi < len(queue); qi++ {
-		cur := queue[qi]
+		cur := NodeID(queue[qi])
 		if faults && n.RouterDown(cur) {
 			continue
 		}
 		for _, e := range n.row(cur) {
-			if seen[e.to] || faults && !n.usable(e) {
+			if col[e.to] != 0 || NodeID(e.to) == root || faults && !n.usable(e) {
 				continue
 			}
-			seen[e.to] = true
-			col[e.to] = e.back
-			queue = append(queue, NodeID(e.to))
+			col[e.to] = cmp.Or(e.back, noBack)
+			queue = append(queue, e.to)
 		}
 	}
-	n.bfsQueue, n.bfsSeen = queue, seen
+	n.bfsQueue = queue
 }
 
 // growRouteCols extends the column table to cover id. Reserved networks size
@@ -187,14 +201,14 @@ func (n *Network) growRouteCols(id NodeID) {
 // router, and a multi-homed host keeps a dedicated column so shortest-path
 // tie-breaking among its homes matches a per-node computation exactly.
 func (n *Network) aggregateOf(dest NodeID) NodeID {
-	if n.nodes[dest].router != nil {
+	if n.Router(dest) != nil {
 		return dest
 	}
 	row := n.row(dest)
 	if len(row) != 1 {
 		return dest // unattached, or multi-homed: own column
 	}
-	if agg := NodeID(row[0].to); n.nodes[agg].router != nil {
+	if agg := NodeID(row[0].to); n.Router(agg) != nil {
 		return agg
 	}
 	return dest
@@ -211,7 +225,7 @@ func (n *Network) TopoVersion() uint64 { return n.topoVersion }
 
 // RouteStats reports the resident routing state: the total number of
 // entries held live in materialized columns, O(active destinations × nodes),
-// and the bytes they occupy, four an entry on every GOARCH.
+// and the bytes they occupy, one an entry on every GOARCH.
 func (n *Network) RouteStats() (entries int, bytes int64) {
-	return n.colEntries, int64(n.colEntries) * int64(unsafe.Sizeof(linkRef(0)))
+	return n.colEntries, int64(n.colEntries) * int64(unsafe.Sizeof(rowPos(0)))
 }

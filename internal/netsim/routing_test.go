@@ -24,6 +24,30 @@ func chainNet(t *testing.T) (*Network, *Router, *Router, *Host) {
 	return net, r0, r1, h
 }
 
+// TestDiscoveredWithoutLinkBack pins noBack: the route BFS toward router 0
+// discovers router 1 first over the simplex link 0->1, which has no reverse,
+// so router 1 has no route toward router 0 — and keeps none when router 2,
+// which it does link to, reaches it later in the same search.
+func TestDiscoveredWithoutLinkBack(t *testing.T) {
+	net := New(sim.NewScheduler(), sim.NewRNG(1))
+	r0, r1, r2 := net.AddRouter().ID(), net.AddRouter().ID(), net.AddRouter().ID()
+	cfg := LinkConfig{BandwidthBps: 1e9, Delay: sim.Millisecond, QueueLen: 8}
+	if _, err := net.Connect(r0, r1, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]NodeID{{r0, r2}, {r1, r2}} {
+		if err := net.ConnectDuplex(pair[0], pair[1], cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l, hop := net.RouteLink(r1, r0), net.NextHop(r1, r0); l != nil || hop != NoNode {
+		t.Errorf("router 1 routes toward router 0 on %v through %d, want no route", l, hop)
+	}
+	if got, want := net.RouteLink(r2, r0), net.LinkBetween(r2, r0); got != want {
+		t.Errorf("router 2 routes toward router 0 on %v, want %v", got, want)
+	}
+}
+
 // TestNextHopMaterializesOnceAndAliasesHosts pins the demand-driven core: a
 // host lookup and its attachment-router lookup share one column, and repeated
 // lookups hit the memo.
@@ -44,7 +68,7 @@ func TestNextHopMaterializesOnceAndAliasesHosts(t *testing.T) {
 		t.Fatalf("RouteColumns = %d, want 1 (host aliases its router's column)", net.RouteColumns())
 	}
 	entries, bytes := net.RouteStats()
-	if entries != net.NodeCount() || bytes != int64(entries)*4 {
+	if entries != net.NodeCount() || bytes != int64(entries) {
 		t.Fatalf("RouteStats = (%d, %d)", entries, bytes)
 	}
 }
@@ -163,7 +187,7 @@ func TestAggregateOfMultiHomedHost(t *testing.T) {
 
 // residentColumn returns the materialized column serving dest, or nil when
 // there is none, without materializing one.
-func residentColumn(net *Network, dest NodeID) []linkRef {
+func residentColumn(net *Network, dest NodeID) []rowPos {
 	if c := net.routeCols[dest]; c != 0 {
 		return net.cols[c-1]
 	}
@@ -290,7 +314,9 @@ func FuzzRouteColumns(f *testing.F) {
 				for at, w := range want {
 					var got *Link
 					if at < len(col) {
-						got = net.link(col[at])
+						if e := net.entryAt(NodeID(at), col[at]); e != nil {
+							got = net.link(e.link)
+						}
 					}
 					if got != w {
 						t.Fatalf("step %d: %d sends toward %d on %v, reference BFS says %v", step, at, dest, got, w)

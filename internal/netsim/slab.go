@@ -36,6 +36,20 @@ func (s *slab[T]) take(n, chunkSize int) []T {
 	return s.chunks[s.cur][:n:n]
 }
 
+// takeOne carves one element from a chunk of chunkSize and returns it with
+// its carve position, which at resolves: a slab that only ever carves one
+// element at a time, always with the same chunkSize, fills every chunk and
+// skips none, so the position is a chunk index and an offset in it.
+func (s *slab[T]) takeOne(chunkSize int) (*T, uint) {
+	e := &s.take(1, chunkSize)[0]
+	return e, uint(s.cur*chunkSize + s.used - 1)
+}
+
+// at returns the element takeOne carved at position i.
+func (s *slab[T]) at(i, chunkSize uint) *T {
+	return &s.chunks[i/chunkSize][i%chunkSize]
+}
+
 // taken yields the part of each chunk handed out since the slab was last
 // rewound: O(what was taken), however many chunks are retained beyond it.
 func (s *slab[T]) taken() iter.Seq[[]T] {

@@ -270,8 +270,8 @@ func TestColumnMaterializedOncePerDestination(t *testing.T) {
 
 	entries, bytes := net.RouteStats()
 	wantEntries := 2 * net.NodeCount()
-	if entries != wantEntries || bytes != int64(entries)*4 {
-		t.Fatalf("RouteStats = (%d, %d), want (%d, %d)", entries, bytes, wantEntries, int64(wantEntries)*4)
+	if entries != wantEntries || bytes != int64(entries) {
+		t.Fatalf("RouteStats = (%d, %d), want (%d, %d)", entries, bytes, wantEntries, wantEntries)
 	}
 }
 

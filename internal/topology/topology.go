@@ -141,6 +141,12 @@ func (c Config) Validate() error {
 	if c.ClientsPerIngress < 0 || c.ZombiesPerIngress < 0 || c.BystanderHosts < 0 {
 		return fmt.Errorf("%w: negative host counts", ErrConfig)
 	}
+	// An ingress router links to its sources and to at least two core
+	// routers, and a node may have no more than netsim.MaxDegree links.
+	if hosts := c.ClientsPerIngress + c.ZombiesPerIngress; hosts > netsim.MaxDegree-2 {
+		return fmt.Errorf("%w: ClientsPerIngress %d + ZombiesPerIngress %d puts %d hosts behind each ingress router, past the %d its two core links leave of netsim.MaxDegree",
+			ErrConfig, c.ClientsPerIngress, c.ZombiesPerIngress, hosts, netsim.MaxDegree-2)
+	}
 	for _, lc := range []struct {
 		name string
 		cfg  netsim.LinkConfig

@@ -224,9 +224,10 @@ func TestDeterministicConstruction(t *testing.T) {
 }
 
 // TestEveryHostOwnsItsAddress builds past each bound of the old per-block
-// layout — 275 ingress routers (maficsim -routers 1100), 300 clients behind
-// one ingress, 64 100 bystanders — and requires every host's address to
-// resolve to that host. The layout the catalog uses is pinned too: client k
+// layout — 275 ingress routers (maficsim -routers 1100), 248 clients behind
+// one ingress (past the 246 of a /24 row, and with its zombies and ring links
+// within netsim.MaxDegree), 64 100 bystanders — and requires every host's
+// address to resolve to that host. The layout the catalog uses is pinned too: client k
 // of ingress gi is 192.168.gi.(10+k), zombie k is 172.16.gi.(10+k), bystander
 // b is 203.0.(b/250).(1+b%250).
 func TestEveryHostOwnsItsAddress(t *testing.T) {
@@ -235,8 +236,10 @@ func TestEveryHostOwnsItsAddress(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"275 ingress", func(c *Config) { c.NumRouters = 1100 }},
-		{"300 clients per ingress", func(c *Config) { c.NumRouters, c.NumIngress, c.ClientsPerIngress = 8, 2, 300 }},
-		{"64100 bystanders", func(c *Config) { c.NumRouters, c.BystanderHosts = 8, 64100 }},
+		{"248 clients per ingress", func(c *Config) {
+			c.NumRouters, c.NumIngress, c.ClientsPerIngress, c.ExtraChords, c.BystanderHosts = 8, 2, 248, 0, 0
+		}},
+		{"64100 bystanders", func(c *Config) { c.NumRouters, c.BystanderHosts = 1000, 64100 }},
 	} {
 		d := buildDefault(t, tc.mutate)
 		for _, hosts := range [][]*netsim.Host{{d.Victim}, d.Clients, d.Zombies, d.Bystanders} {

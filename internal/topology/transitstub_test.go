@@ -134,6 +134,7 @@ func TestConfigValidate(t *testing.T) {
 		{"negative transit", func(c *Config) { c.TransitRouters = -1 }},
 		{"transit too large", func(c *Config) { c.Style = StyleTransitStub; c.TransitRouters = c.NumRouters }},
 		{"negative clients", func(c *Config) { c.ClientsPerIngress = -1 }},
+		{"hosts per ingress past MaxDegree", func(c *Config) { c.ClientsPerIngress = netsim.MaxDegree - 1 - c.ZombiesPerIngress }},
 		{"zero core bandwidth", func(c *Config) { c.CoreLink.BandwidthBps = 0 }},
 		{"negative access delay", func(c *Config) { c.AccessLink.Delay = -sim.Millisecond }},
 		{"zero victim queue", func(c *Config) { c.VictimLink.QueueLen = 0 }},
@@ -156,6 +157,22 @@ func TestConfigValidate(t *testing.T) {
 				t.Fatalf("want ErrConfig, got %v", err)
 			}
 		})
+	}
+}
+
+// TestBuildRefusesNodePastMaxDegree pins that a build whose random wiring
+// gives a node more links than netsim.MaxDegree fails with netsim.ErrDegree,
+// which Validate cannot foresee: 1200 bystanders scattered over four routers.
+func TestBuildRefusesNodePastMaxDegree(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumRouters, cfg.BystanderHosts = 4, 1200
+	if _, err := Build(cfg, sim.NewScheduler(), sim.NewRNG(1)); !errors.Is(err, netsim.ErrDegree) {
+		t.Fatalf("want netsim.ErrDegree, got %v", err)
+	}
+	cfg.ClientsPerIngress = netsim.MaxDegree - 2 - cfg.ZombiesPerIngress
+	cfg.NumRouters, cfg.ExtraChords, cfg.BystanderHosts = 8, 0, 0
+	if _, err := Build(cfg, sim.NewScheduler(), sim.NewRNG(1)); err != nil {
+		t.Fatalf("ingress routers with %d links each: %v", netsim.MaxDegree, err)
 	}
 }
 

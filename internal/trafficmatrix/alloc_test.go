@@ -209,9 +209,9 @@ func TestMonitorReuseLeaksNoCounts(t *testing.T) {
 func referenceReport(t *testing.T, m *Monitor, got EpochReport) EpochReport {
 	t.Helper()
 	ref := EpochReport{Epoch: got.Epoch, Start: got.Start, End: got.End,
-		SourceEst: make([]float64, len(m.counters)), DestEst: make([]float64, len(m.counters))}
-	for id, c := range m.counters {
-		if c != nil {
+		SourceEst: make([]float64, len(m.srcEst)), DestEst: make([]float64, len(m.dstEst))}
+	for id := range ref.SourceEst {
+		if c := m.Counter(netsim.NodeID(id)); c != nil {
 			ref.Routers = append(ref.Routers, netsim.NodeID(id))
 			ref.SourceEst[id] = c.source.Shadow().Estimate()
 			ref.DestEst[id] = c.dest.Shadow().Estimate()
@@ -222,8 +222,8 @@ func referenceReport(t *testing.T, m *Monitor, got EpochReport) EpochReport {
 			if ref.SourceEst[i] < 1 || ref.DestEst[j] < 1 {
 				continue
 			}
-			union := m.counters[i].source.Shadow().Clone()
-			if err := union.Merge(m.counters[j].dest.Shadow()); err != nil {
+			union := m.Counter(i).source.Shadow().Clone()
+			if err := union.Merge(m.Counter(j).dest.Shadow()); err != nil {
 				t.Fatal(err)
 			}
 			if aij := ref.SourceEst[i] + ref.DestEst[j] - union.Estimate(); aij >= 1 {
@@ -348,7 +348,7 @@ func TestPooledReportsMatchFromScratch(t *testing.T) {
 	run(small, MonitorConfig{Epoch: 50 * sim.Millisecond, Monitored: ends}, small.Clients[:1], 400*sim.Millisecond)
 	exposed := false
 	for id := range mon.srcEst {
-		exposed = exposed || (mon.counters[id] == nil && dirty.SourceEst[id] != 0)
+		exposed = exposed || (mon.Counter(netsim.NodeID(id)) == nil && dirty.SourceEst[id] != 0)
 	}
 	if !exposed {
 		t.Fatal("no entry the second monitor left non-zero lies outside the third one's set: stale tables would go unnoticed")

@@ -47,8 +47,8 @@ func (m *Monitor) CheckpointState(dst *MonitorState) {
 		dst.Counters = slices.Grow(dst.Counters[:cap(dst.Counters)], n-cap(dst.Counters))
 	}
 	dst.Counters = dst.Counters[:n]
-	for i, id := range m.routerIDs {
-		c := m.counters[id]
+	for i := range m.counters {
+		c := &m.counters[i]
 		rec := &dst.Counters[i]
 		c.source.CheckpointState(&rec.Source)
 		c.dest.CheckpointState(&rec.Dest)
@@ -70,7 +70,7 @@ func (m *Monitor) RestoreState(st MonitorState) error {
 	m.stop = st.Stop
 	m.running = st.Running
 	for i, id := range m.routerIDs {
-		c := m.counters[id]
+		c := &m.counters[i]
 		rec := &st.Counters[i]
 		if err := c.source.RestoreState(rec.Source); err != nil {
 			return fmt.Errorf("trafficmatrix: router %d source pair: %w", id, err)

@@ -171,8 +171,8 @@ func TestDefaultSetMatchesEveryRouter(t *testing.T) {
 // active sketches so a monitor about to be reset carries non-trivial sketch
 // state.
 func dirtyCounters(m *Monitor) {
-	for _, id := range m.routerIDs {
-		c := m.counters[id]
+	for i := range m.counters {
+		c := &m.counters[i]
 		for p := uint64(1); p <= 64; p++ {
 			c.source.Active().Add(p)
 			c.dest.Active().Add(p * 31)
@@ -229,9 +229,6 @@ func TestMonitorReuseWidthShrink(t *testing.T) {
 	small := smallDomain(t) // 12 routers: IDs far below highID
 	if err := mon.Reset(small.Net, MonitorConfig{Monitored: everyRouter(small.Net)}, nil); err != nil {
 		t.Fatalf("Reset small: %v", err)
-	}
-	if int(highID) < len(mon.counters) && mon.counters[highID] != nil {
-		t.Fatalf("stale counter for router %d survived the width shrink", highID)
 	}
 	if c := mon.Counter(highID); c != nil {
 		t.Fatalf("Counter(%d) = %v on the shrunk domain, want nil", highID, c)

@@ -340,17 +340,16 @@ type MonitorStats struct {
 // plays in the paper's NS-2 implementation.
 type Monitor struct {
 	sched *sim.Scheduler
-	// counters is the dense NodeID-indexed counter table (nil for hosts
-	// and for routers outside the monitored set); counterSlab is its
-	// backing, one allocation for the whole monitored set.
-	counters    []*Counter
-	counterSlab []Counter
+	// counters holds the counter of every monitored router, in routerIDs
+	// order: one allocation for the whole monitored set, and no table as
+	// wide as the network.
+	counters []Counter
 	// sketchSlab backs every counter's four sketches; Reset keeps it, so a
 	// monitor's dominant construction cost — the sketch memory — is paid
 	// once.
 	sketchSlab []loglog.Sketch
 	// routerIDs lists the instrumented routers ascending; every per-epoch
-	// loop walks this, never a map.
+	// loop walks this, never a map, and Counter searches it.
 	routerIDs []netsim.NodeID
 	epoch     sim.Time
 
@@ -525,17 +524,6 @@ func (m *Monitor) Reset(net *netsim.Network, cfg MonitorConfig, onReport func(Ep
 		width = int(ids[len(ids)-1]) + 1
 	}
 
-	counters := m.counters
-	if cap(counters) >= width {
-		counters = counters[:cap(counters)]
-		for i := range counters {
-			counters[i] = nil
-		}
-		counters = counters[:width]
-	} else {
-		counters = make([]*Counter, width)
-	}
-
 	// One sketch slab and one counter slab cover every router: counter
 	// construction is O(1) allocations regardless of domain size, and a
 	// recycled slab with matching bucket geometry is simply reset.
@@ -548,11 +536,11 @@ func (m *Monitor) Reset(net *netsim.Network, cfg MonitorConfig, onReport func(Ep
 	} else if sketches, err = loglog.NewSlab(need, cfg.Buckets); err != nil {
 		return err
 	}
-	counterSlab := m.counterSlab
-	if cap(counterSlab) >= len(ids) {
-		counterSlab = counterSlab[:len(ids)]
+	counters := m.counters
+	if cap(counters) >= len(ids) {
+		counters = counters[:len(ids)]
 	} else {
-		counterSlab = make([]Counter, len(ids))
+		counters = make([]Counter, len(ids))
 	}
 
 	srcEst, dstEst := m.srcEst, m.dstEst
@@ -576,7 +564,6 @@ func (m *Monitor) Reset(net *netsim.Network, cfg MonitorConfig, onReport func(Ep
 	*m = Monitor{
 		sched:       net.Scheduler(),
 		counters:    counters,
-		counterSlab: counterSlab,
 		sketchSlab:  sketches,
 		routerIDs:   ids,
 		epoch:       cfg.Epoch,
@@ -593,13 +580,12 @@ func (m *Monitor) Reset(net *netsim.Network, cfg MonitorConfig, onReport func(Ep
 		ctrlRNG:     ctrlRNG,
 	}
 	for i, id := range ids {
-		c := &m.counterSlab[i]
+		c := &m.counters[i]
 		r := net.Router(id)
 		if err := c.init(r, cfg.Buckets, sketches[4*i:4*i+4]); err != nil {
 			return err
 		}
 		r.AttachFilter(c)
-		m.counters[id] = c
 	}
 	return nil
 }
@@ -614,19 +600,18 @@ func (m *Monitor) Release() {
 	m.sched = nil
 	m.onReport = nil
 	m.ctrlRNG = nil
-	clear(m.counters)
-	for i := range m.counterSlab {
-		m.counterSlab[i].router = nil
+	for i := range m.counters {
+		m.counters[i].router = nil
 	}
 }
 
 // Counter returns the counter attached to the given router, or nil when the
 // router is outside the monitored set (or the ID is not a router at all).
 func (m *Monitor) Counter(id netsim.NodeID) *Counter {
-	if id < 0 || int(id) >= len(m.counters) {
-		return nil
+	if i, ok := slices.BinarySearch(m.routerIDs, id); ok {
+		return &m.counters[i]
 	}
-	return m.counters[id]
+	return nil
 }
 
 // Epoch returns the measurement period length.
@@ -662,8 +647,8 @@ func (m *Monitor) OnEventArg(now sim.Time, arg any) {
 		return
 	}
 	m.gen++
-	for _, id := range m.routerIDs {
-		m.counters[id].rotate()
+	for i := range m.counters {
+		m.counters[i].rotate()
 	}
 	if m.ctrlRNG != nil && m.ctrlRNG.Bool(m.reportLoss) {
 		// The report is lost on the control channel: the epoch still ends
@@ -729,8 +714,8 @@ func (m *Monitor) compute(now sim.Time, frozen bool) EpochReport {
 	// routers; entries outside this monitored set must read zero.
 	clear(srcEst)
 	clear(dstEst)
-	for _, id := range m.routerIDs {
-		src, dst := m.counters[id].epochSketches(frozen)
+	for i, id := range m.routerIDs {
+		src, dst := m.counters[i].epochSketches(frozen)
 		srcEst[id] = src.Estimate()
 		dstEst[id] = dst.Estimate()
 	}
@@ -757,9 +742,10 @@ func (m *Monitor) checkLive(gen uint64) {
 
 // appendCell appends a_ij = |S_i| + |D_j| − |S_i ∪ D_j| for the current
 // report when source, destination and the estimate itself each reach one
-// packet.
-func (m *Monitor) appendCell(dst []Cell, i, j netsim.NodeID) []Cell {
-	if m.srcEst[i] < 1 || m.dstEst[j] < 1 {
+// packet: i and j are the routers' places in the monitored set.
+func (m *Monitor) appendCell(dst []Cell, i, j int) []Cell {
+	src, dest := m.routerIDs[i], m.routerIDs[j]
+	if m.srcEst[src] < 1 || m.dstEst[dest] < 1 {
 		return dst
 	}
 	si, _ := m.counters[i].epochSketches(m.frozen)
@@ -769,22 +755,23 @@ func (m *Monitor) appendCell(dst []Cell, i, j netsim.NodeID) []Cell {
 	if err != nil {
 		return dst
 	}
-	aij := m.srcEst[i] + m.dstEst[j] - union
+	aij := m.srcEst[src] + m.dstEst[dest] - union
 	if aij < 1 {
 		return dst
 	}
-	return append(dst, Cell{Source: i, Dest: j, Packets: aij})
+	return append(dst, Cell{Source: src, Dest: dest, Packets: aij})
 }
 
 // appendColumn appends the cells toward dest, ascending by source.
 func (m *Monitor) appendColumn(dst []Cell, gen uint64, dest netsim.NodeID) []Cell {
 	m.checkLive(gen)
 	m.stats.Columns++
-	if m.Counter(dest) == nil {
+	j, ok := slices.BinarySearch(m.routerIDs, dest)
+	if !ok {
 		return dst
 	}
-	for _, i := range m.routerIDs {
-		dst = m.appendCell(dst, i, dest)
+	for i := range m.routerIDs {
+		dst = m.appendCell(dst, i, j)
 	}
 	return dst
 }
@@ -793,8 +780,8 @@ func (m *Monitor) appendColumn(dst []Cell, gen uint64, dest netsim.NodeID) []Cel
 func (m *Monitor) appendCells(dst []Cell, gen uint64) []Cell {
 	m.checkLive(gen)
 	m.stats.Columns += uint64(len(m.routerIDs))
-	for _, i := range m.routerIDs {
-		for _, j := range m.routerIDs {
+	for i := range m.routerIDs {
+		for j := range m.routerIDs {
 			dst = m.appendCell(dst, i, j)
 		}
 	}
