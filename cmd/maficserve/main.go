@@ -2,10 +2,11 @@
 // server that accepts scenario submissions and runs them on a supervised job
 // queue. A job's durable state is its manifest (job.json) and, once it has
 // finished, its result.json, both written atomically. The engine is
-// deterministic, so a job that a crash (kill -9 included), a retry or a drain
+// deterministic, so a job that a crash (kill -9 included) or a drain
 // interrupted is run again from its scenario, and its result is
 // bit-identical to an uninterrupted run's. What a crash costs is the
-// interrupted run's work so far.
+// interrupted run's work so far. For the same reason a job whose run fails
+// is not retried: it would fail the same way.
 //
 // Usage:
 //
@@ -54,9 +55,7 @@ func run(args []string) error {
 		store     = fs.String("store", "maficserve-data", "on-disk root for job manifests and results")
 		queueCap  = fs.Int("queue-cap", 16, "queued-job bound; submissions beyond it are shed with 503")
 		workers   = fs.Int("workers", 2, "concurrent job runners")
-		timeout   = fs.Duration("job-timeout", 0, "wall-clock budget per job attempt; 0 disables")
-		retries   = fs.Int("retries", 2, "max retries after a transient job failure")
-		backoff   = fs.Duration("retry-backoff", 250*time.Millisecond, "first retry delay; doubles per retry")
+		timeout   = fs.Duration("job-timeout", 0, "wall-clock budget per job run; 0 disables")
 		drainWait = fs.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight jobs to stop on shutdown")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -65,13 +64,11 @@ func run(args []string) error {
 	logger := log.New(os.Stderr, "maficserve: ", log.LstdFlags|log.Lmicroseconds)
 
 	sv, err := serve.New(serve.Config{
-		Dir:          *store,
-		QueueCap:     *queueCap,
-		Workers:      *workers,
-		JobTimeout:   *timeout,
-		MaxRetries:   *retries,
-		RetryBackoff: *backoff,
-		Log:          logger,
+		Dir:        *store,
+		QueueCap:   *queueCap,
+		Workers:    *workers,
+		JobTimeout: *timeout,
+		Log:        logger,
 	})
 	if err != nil {
 		return err

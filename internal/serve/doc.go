@@ -7,10 +7,12 @@
 //
 //   - A full queue sheds new submissions explicitly (ErrQueueFull → 503)
 //     rather than queueing unboundedly.
-//   - A transient run failure is retried with bounded doubling backoff; the
-//     retry runs the job's scenario again from time zero.
+//   - A failed run fails the job; it is not retried, because it would fail
+//     the same way. A run is deterministic and does no I/O, so the only
+//     errors it returns besides an interruption are ones its scenario
+//     causes.
 //   - A per-job wall-clock timeout fails the job terminally — timed out,
-//     not hung, and not retried.
+//     not hung.
 //   - Cancel, drain and timeout stop a running job through
 //     experiment.ControlOptions.Interrupt, which the run polls every 10
 //     simulated milliseconds. Drain (SIGTERM or POST /drain) leaves the
@@ -22,9 +24,9 @@
 // # A job is its manifest: durability without snapshots
 //
 // A job's durable state is two files in its directory: job.json, its
-// manifest (the spec, the state and the attempt count), written on every
-// state transition, and result.json, written once when the run finishes and
-// before the manifest says completed. Both are written with
+// manifest (the spec and the state), written on every state transition, and
+// result.json, written once when the run finishes and before the manifest
+// says completed. Both are written with
 // checkpoint.WriteFileAtomic (same-directory temp file, fsync, rename,
 // directory fsync), so a crash leaves each either whole or as it was.
 // GET /jobs/{id}/result (Server.ResultBytes) serves result.json's bytes; job
@@ -43,10 +45,15 @@
 // 87.3 ms; 537 ms and 521 ms on stress-1k). Snapshots would then save no
 // work after a crash, while every job pays their capture, encoding and
 // fsyncs — 29 snapshots per full table2 job. So the service writes none.
+// The snapshot writes were also the only failures a second run of a job
+// could get past, so the retries went with them.
 //
 // What is lost:
-//   - A crash, a retry or a drain repeats the whole job, where a resume
-//     repeated at most two checkpoint intervals.
+//   - A crash or a drain repeats the whole job, where a resume repeated at
+//     most two checkpoint intervals.
+//   - A failed run is final. The service has no retry loop, no backoff and
+//     no flags for either, and neither JobInfo nor the manifest counts the
+//     runs of a job: there is one per process that picks the job up.
 //   - A snapshot written by a build whose run differs was refused on resume,
 //     and the job fell back to a fresh start. With no snapshot, nothing on the
 //     recovery path compares two builds' runs; that check stays with the

@@ -107,7 +107,6 @@ type job struct {
 
 	state     JobState
 	errMsg    string
-	attempts  int
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
@@ -116,16 +115,14 @@ type job struct {
 	// remembers that so a second Cancel does not close it again.
 	cancel   chan struct{}
 	canceled bool
-	// stopReason records why the control surface interrupted the current
-	// attempt, set by the attempt's stopper just before it trips Interrupt.
-	stopReason stopReason
 }
 
+// stopReason is the order that interrupted a running job; the zero value is
+// none.
 type stopReason int
 
 const (
-	stopNone stopReason = iota
-	stopDrain
+	stopDrain stopReason = iota + 1
 	stopCancel
 	stopTimeout
 )
@@ -133,24 +130,22 @@ const (
 // manifest is the on-disk job record (job.json), written atomically on every
 // state transition. It is what startup recovery rebuilds jobs from. Recovery
 // decodes it leniently, unlike a POST /jobs body: a key an older build wrote
-// and this one no longer has (a spec's checkpointEveryMs) is ignored, so the
-// job still recovers.
+// and this one no longer has (a spec's checkpointEveryMs, the attempt count
+// of a build that retried) is ignored, so the job still recovers.
 type manifest struct {
 	ID          uint64    `json:"id"`
 	Spec        JobSpec   `json:"spec"`
 	State       JobState  `json:"state"`
 	Error       string    `json:"error,omitempty"`
-	Attempts    int       `json:"attempts"`
 	SubmittedAt time.Time `json:"submittedAt"`
 }
 
 // JobInfo is the externally visible view of a job, served by /jobs.
 type JobInfo struct {
-	ID       uint64   `json:"id"`
-	Spec     JobSpec  `json:"spec"`
-	State    JobState `json:"state"`
-	Error    string   `json:"error,omitempty"`
-	Attempts int      `json:"attempts"`
+	ID    uint64   `json:"id"`
+	Spec  JobSpec  `json:"spec"`
+	State JobState `json:"state"`
+	Error string   `json:"error,omitempty"`
 
 	SubmittedAt time.Time  `json:"submittedAt"`
 	StartedAt   *time.Time `json:"startedAt,omitempty"`
@@ -166,7 +161,6 @@ type Metrics struct {
 	Failed    uint64 `json:"failed"`
 	Canceled  uint64 `json:"canceled"`
 	TimedOut  uint64 `json:"timedOut"`
-	Retried   uint64 `json:"retried"`
 	Recovered uint64 `json:"recovered"`
 	Drained   uint64 `json:"drained"`
 	// SnapshotsWritten is always 0: the service writes no snapshots. It stays

@@ -204,20 +204,29 @@ func TestRecoveryFromVersion1Store(t *testing.T) {
 	}
 }
 
+// writeManifest puts m on disk as job.json in its job's directory under dir,
+// as a process that died with the job in m.State left it.
+func writeManifest(t *testing.T, dir string, m manifest) {
+	t.Helper()
+	jobDir := filepath.Join(dir, "jobs", fmt.Sprintf("%06d", m.ID))
+	if err := os.MkdirAll(jobDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(jobDir, "job.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRecoveryRunsManifestOnlyJobFresh(t *testing.T) {
 	// A job that crashed mid-run: its manifest says running, and nothing
 	// else of it is on disk. Recovery must run it again.
 	dir := t.TempDir()
-	jobDir := filepath.Join(dir, "jobs", "000007")
-	if err := os.MkdirAll(jobDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
 	spec := quickSpec()
-	m := manifest{ID: 7, Spec: spec, State: StateRunning, Attempts: 1, SubmittedAt: time.Now()}
-	data, _ := json.Marshal(m)
-	if err := os.WriteFile(filepath.Join(jobDir, "job.json"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeManifest(t, dir, manifest{ID: 7, Spec: spec, State: StateRunning, SubmittedAt: time.Now()})
 	want := referenceResult(t, spec)
 
 	sv, _ := newTestServer(t, Config{Dir: dir, Workers: 1})
@@ -265,11 +274,7 @@ func TestRecoveryAdoptsFinishedJobUnderRunningManifest(t *testing.T) {
 			shutdown(t, sv1)
 
 			// Put the directory back to where the crash left it.
-			m := manifest{ID: 1, Spec: quickSpec(), State: StateRunning, Attempts: 1, SubmittedAt: time.Now()}
-			data, _ := json.Marshal(m)
-			if err := os.WriteFile(filepath.Join(jobDir, "job.json"), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			writeManifest(t, dir, manifest{ID: 1, Spec: quickSpec(), State: StateRunning, SubmittedAt: time.Now()})
 			const snapName = "00000009-900000000.snap"
 			snap := oldSnapshot(t, quickSpec(), 900*sim.Millisecond, 3)
 			if leftover {
@@ -312,6 +317,42 @@ func TestRecoveryAdoptsFinishedJobUnderRunningManifest(t *testing.T) {
 				t.Errorf("the manifest was not rewritten; the job was adopted twice:\n%s", logs3.String())
 			}
 		})
+	}
+}
+
+// TestRecoveredJobWhoseSpecNoLongerBuildsFailsOnce is a running job whose
+// spec this build cannot build (it names a catalog entry that does not
+// exist): recovery re-enqueues it, it fails without reaching the runner, its
+// error is the build's ErrBadRequest naming the entry, and a later process
+// over the same store leaves it failed instead of enqueueing it again.
+func TestRecoveredJobWhoseSpecNoLongerBuildsFailsOnce(t *testing.T) {
+	dir := t.TempDir()
+	writeManifest(t, dir, manifest{ID: 1, Spec: JobSpec{Scenario: "retired-entry"}, State: StateRunning, SubmittedAt: time.Now()})
+
+	sv1, _ := newTestServer(t, Config{Dir: dir, Workers: 1})
+	if m := sv1.Metrics(); m.Recovered != 1 {
+		t.Fatalf("Recovered = %d, want 1", m.Recovered)
+	}
+	sv1.runner = func(experiment.Scenario, experiment.ControlOptions) (experiment.Result, error) {
+		t.Error("a spec that does not build reached the runner")
+		return experiment.Result{}, nil
+	}
+	sv1.Start()
+	info := waitJob(t, sv1, 1, StateFailed)
+	shutdown(t, sv1)
+	if !strings.HasPrefix(info.Error, ErrBadRequest.Error()) || !strings.Contains(info.Error, `"retired-entry"`) {
+		t.Errorf("error %q, want ErrBadRequest's message naming the entry", info.Error)
+	}
+	if m := sv1.Metrics(); m.Failed != 1 {
+		t.Errorf("Failed = %d, want 1", m.Failed)
+	}
+
+	sv2, _ := newTestServer(t, Config{Dir: dir, Workers: 1})
+	if m := sv2.Metrics(); m.Recovered != 0 {
+		t.Errorf("Recovered = %d; the failed job was enqueued again", m.Recovered)
+	}
+	if got, _ := sv2.Job(1); got.State != StateFailed || got.Error != info.Error {
+		t.Errorf("after a restart the job is %s with error %q, want failed with %q", got.State, got.Error, info.Error)
 	}
 }
 

@@ -26,15 +26,9 @@ type Config struct {
 	QueueCap int
 	// Workers is the number of concurrent job runners. Default 2.
 	Workers int
-	// JobTimeout is the wall-clock budget for one attempt; a job that
-	// exceeds it fails terminally (timed out, not retried). Zero disables.
+	// JobTimeout is the wall-clock budget for one job run; a job that
+	// exceeds it fails (timed out, not hung). Zero disables.
 	JobTimeout time.Duration
-	// MaxRetries bounds retry attempts after a transient failure: a job
-	// runs at most MaxRetries+1 times. Zero means no retries.
-	MaxRetries int
-	// RetryBackoff is the first retry delay; it doubles per retry.
-	// Default 250ms.
-	RetryBackoff time.Duration
 	// Log receives service logs. Default log.Default().
 	Log *log.Logger
 }
@@ -61,11 +55,10 @@ type Server struct {
 	// Test seams. Production values are set by New; package tests replace
 	// them between New and Start to make time and run outcomes scripted.
 	runner func(s experiment.Scenario, opts experiment.ControlOptions) (experiment.Result, error)
-	sleep  func(d time.Duration) bool // false: drain interrupted the sleep
 	now    func() time.Time
 	after  func(d time.Duration) <-chan time.Time
 	hooks  struct {
-		beforeAttempt func(id uint64, attempt int)
+		beforeRun func(id uint64)
 	}
 }
 
@@ -80,12 +73,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
-	if cfg.MaxRetries < 0 {
-		cfg.MaxRetries = 0
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 250 * time.Millisecond
-	}
 	if cfg.Log == nil {
 		cfg.Log = log.Default()
 	}
@@ -99,20 +86,12 @@ func New(cfg Config) (*Server, error) {
 		now:     time.Now,
 		after:   func(d time.Duration) <-chan time.Time { return time.After(d) },
 	}
-	sv.sleep = func(d time.Duration) bool {
-		select {
-		case <-time.After(d):
-			return true
-		case <-sv.drainCh:
-			return false
-		}
-	}
 	pending, err := sv.recover()
 	if err != nil {
 		return nil, err
 	}
-	// The queue must hold every recovered job on top of the configured
-	// capacity, or recovery itself could shed work that was already accepted.
+	// The channel also holds every recovered job, or recovery could shed work
+	// already accepted; Submit sheds at QueueCap, so a send never blocks.
 	sv.queue = make(chan *job, cfg.QueueCap+len(pending))
 	for _, j := range pending {
 		sv.queue <- j
@@ -128,9 +107,9 @@ func (sv *Server) Start() {
 	}
 }
 
-// Drain begins shutdown: no new submissions are accepted, sleeping retries
-// wake up and park, and every in-flight job is interrupted, its manifest left
-// running for the next process to run it again. Idempotent.
+// Drain begins shutdown: no new submissions are accepted, and every in-flight
+// job is interrupted, its manifest left running for the next process to run
+// it again. Idempotent.
 func (sv *Server) Drain() {
 	sv.drainOn.Do(func() {
 		sv.mu.Lock()
@@ -162,8 +141,8 @@ func (sv *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// Submit validates a spec and enqueues it. The queue is bounded: a full
-// queue returns ErrQueueFull (the HTTP layer's 503) instead of buffering.
+// Submit validates a spec and enqueues it. With QueueCap jobs queued, recovered
+// ones included, it sheds with ErrQueueFull (the HTTP layer's 503).
 func (sv *Server) Submit(spec JobSpec) (JobInfo, error) {
 	if _, err := spec.BuildScenario(); err != nil {
 		return JobInfo{}, err
@@ -173,7 +152,7 @@ func (sv *Server) Submit(spec JobSpec) (JobInfo, error) {
 	if sv.drained {
 		return JobInfo{}, ErrDraining
 	}
-	if len(sv.queue) == cap(sv.queue) {
+	if len(sv.queue) >= sv.cfg.QueueCap {
 		sv.m.Shed++
 		return JobInfo{}, ErrQueueFull
 	}
@@ -194,7 +173,7 @@ func (sv *Server) Submit(spec JobSpec) (JobInfo, error) {
 	sv.jobs[j.id] = j
 	sv.order = append(sv.order, j.id)
 	sv.m.Submitted++
-	// Cannot block: capacity was checked above and sends happen only under mu.
+	// Cannot block: len < QueueCap <= cap, and sends happen only under mu.
 	sv.queue <- j
 	return sv.infoLocked(j), nil
 }
@@ -287,7 +266,6 @@ func (sv *Server) persistLocked(j *job) error {
 		Spec:        j.spec,
 		State:       j.state,
 		Error:       j.errMsg,
-		Attempts:    j.attempts,
 		SubmittedAt: j.submitted,
 	}
 	data, err := json.MarshalIndent(m, "", "  ")
@@ -311,7 +289,6 @@ func (sv *Server) infoLocked(j *job) JobInfo {
 		Spec:        j.spec,
 		State:       j.state,
 		Error:       j.errMsg,
-		Attempts:    j.attempts,
 		SubmittedAt: j.submitted,
 	}
 	if !j.started.IsZero() {
@@ -359,7 +336,6 @@ func (sv *Server) recover() ([]*job, error) {
 			spec:      m.Spec,
 			state:     m.State,
 			errMsg:    m.Error,
-			attempts:  m.Attempts,
 			submitted: m.SubmittedAt,
 			cancel:    make(chan struct{}),
 		}
@@ -426,8 +402,11 @@ func (sv *Server) worker() {
 	}
 }
 
-// runJob supervises one job end to end: attempts, retries with doubling
-// backoff, timeout, cancellation, drain.
+// runJob runs one job once, from time zero, its interruption wired to
+// cancel, drain and timeout. A run that returns a result completes the job;
+// one that returns ErrInterrupted ends it by the order that stopped it; any
+// other error fails it. A failed run is not retried: the run is deterministic
+// and does no I/O, so it would fail the same way again.
 func (sv *Server) runJob(j *job) {
 	sv.mu.Lock()
 	if j.state == StateCanceled {
@@ -449,89 +428,23 @@ func (sv *Server) runJob(j *job) {
 		sv.failJob(j, err.Error())
 		return
 	}
-
-	backoff := sv.cfg.RetryBackoff
-	for attempt := 1; ; attempt++ {
-		sv.mu.Lock()
-		j.attempts = attempt
-		j.stopReason = stopNone
-		sv.mu.Unlock()
-		if h := sv.hooks.beforeAttempt; h != nil {
-			h(j.id, attempt)
-		}
-
-		res, err := sv.attempt(j, s)
-		if err == nil {
-			sv.completeJob(j, res)
-			return
-		}
-		if errors.Is(err, experiment.ErrInterrupted) {
-			sv.mu.Lock()
-			reason := j.stopReason
-			sv.mu.Unlock()
-			switch reason {
-			case stopCancel:
-				sv.log.Printf("job %d: canceled (%v)", j.id, err)
-				sv.mu.Lock()
-				j.state = StateCanceled
-				j.finished = sv.now()
-				sv.m.Canceled++
-				sv.persistOrLogLocked(j)
-				sv.mu.Unlock()
-				return
-			case stopDrain:
-				// The manifest stays "running": the next process runs this
-				// job again.
-				sv.log.Printf("job %d: drained; will run again on restart", j.id)
-				sv.mu.Lock()
-				sv.m.Drained++
-				sv.mu.Unlock()
-				return
-			case stopTimeout:
-				sv.mu.Lock()
-				sv.m.TimedOut++
-				sv.mu.Unlock()
-				sv.failJob(j, fmt.Sprintf("timed out after %v (attempt %d)", sv.cfg.JobTimeout, attempt))
-				return
-			}
-			// stopNone: an interrupt the supervisor did not order — fall
-			// through and treat it as a transient failure.
-		}
-		if attempt > sv.cfg.MaxRetries {
-			sv.failJob(j, fmt.Sprintf("giving up after %d attempt(s): %v", attempt, err))
-			return
-		}
-		sv.log.Printf("job %d: attempt %d failed (%v); retrying in %v", j.id, attempt, err, backoff)
-		sv.mu.Lock()
-		sv.m.Retried++
-		sv.mu.Unlock()
-		if !sv.sleep(backoff) {
-			// Drain interrupted the backoff; leave the manifest "running"
-			// so the next process picks the job back up.
-			sv.log.Printf("job %d: drain during retry backoff; will run again on restart", j.id)
-			sv.mu.Lock()
-			sv.m.Drained++
-			sv.mu.Unlock()
-			return
-		}
-		backoff *= 2
+	if h := sv.hooks.beforeRun; h != nil {
+		h(j.id)
 	}
-}
 
-// attempt executes one run of the job's scenario from time zero, interruption
-// wired to cancel, drain and timeout.
-func (sv *Server) attempt(j *job, s experiment.Scenario) (experiment.Result, error) {
+	// The stopper writes reason before it closes stop, and a run returns
+	// ErrInterrupted only after it sees stop closed, so reason is read only
+	// then; after any other return the stopper may still write it, unread.
 	stop := make(chan struct{})
-	attemptDone := make(chan struct{})
-	defer close(attemptDone)
+	runDone := make(chan struct{})
 	var timeoutC <-chan time.Time
 	if sv.cfg.JobTimeout > 0 {
 		timeoutC = sv.after(sv.cfg.JobTimeout)
 	}
+	var reason stopReason
 	go func() {
-		var reason stopReason
 		select {
-		case <-attemptDone:
+		case <-runDone:
 			return
 		case <-j.cancel:
 			reason = stopCancel
@@ -540,12 +453,37 @@ func (sv *Server) attempt(j *job, s experiment.Scenario) (experiment.Result, err
 		case <-timeoutC:
 			reason = stopTimeout
 		}
-		sv.mu.Lock()
-		j.stopReason = reason
-		sv.mu.Unlock()
 		close(stop)
 	}()
-	return sv.runner(s, experiment.ControlOptions{Interrupt: stop})
+	res, err := sv.runner(s, experiment.ControlOptions{Interrupt: stop})
+	close(runDone)
+
+	interrupted := errors.Is(err, experiment.ErrInterrupted)
+	switch {
+	case err == nil:
+		sv.completeJob(j, res)
+	case interrupted && reason == stopCancel:
+		sv.log.Printf("job %d: canceled (%v)", j.id, err)
+		sv.mu.Lock()
+		j.state = StateCanceled
+		j.finished = sv.now()
+		sv.m.Canceled++
+		sv.persistOrLogLocked(j)
+		sv.mu.Unlock()
+	case interrupted && reason == stopDrain:
+		// The manifest stays "running": the next process runs this job again.
+		sv.log.Printf("job %d: drained; will run again on restart", j.id)
+		sv.mu.Lock()
+		sv.m.Drained++
+		sv.mu.Unlock()
+	case interrupted && reason == stopTimeout:
+		sv.mu.Lock()
+		sv.m.TimedOut++
+		sv.mu.Unlock()
+		sv.failJob(j, fmt.Sprintf("timed out after %v", sv.cfg.JobTimeout))
+	default:
+		sv.failJob(j, err.Error())
+	}
 }
 
 // completeJob persists result.json atomically and marks the job completed.
@@ -565,7 +503,7 @@ func (sv *Server) completeJob(j *job, res experiment.Result) {
 	sv.m.Completed++
 	sv.persistOrLogLocked(j)
 	sv.mu.Unlock()
-	sv.log.Printf("job %d: completed after %d attempt(s)", j.id, j.attempts)
+	sv.log.Printf("job %d: completed", j.id)
 }
 
 func (sv *Server) failJob(j *job, msg string) {

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,7 +95,7 @@ func TestSubmitShedsWhenQueueFull(t *testing.T) {
 		<-gate
 		return experiment.Result{}, nil
 	}
-	sv.hooks.beforeAttempt = func(id uint64, attempt int) { started <- id }
+	sv.hooks.beforeRun = func(id uint64) { started <- id }
 	sv.Start()
 
 	if _, err := sv.Submit(quickSpec()); err != nil {
@@ -124,7 +125,7 @@ func TestSubmitShedsWhenQueueFull(t *testing.T) {
 
 func TestJobTimeoutFailsTerminally(t *testing.T) {
 	timeoutC := make(chan time.Time, 1)
-	sv, _ := newTestServer(t, Config{Workers: 1, JobTimeout: 5 * time.Second, MaxRetries: 3})
+	sv, _ := newTestServer(t, Config{Workers: 1, JobTimeout: 5 * time.Second})
 	sv.after = func(time.Duration) <-chan time.Time { return timeoutC }
 	// The runner behaves like a run that never finishes: it only returns
 	// once the control surface interrupts it.
@@ -142,58 +143,20 @@ func TestJobTimeoutFailsTerminally(t *testing.T) {
 	if !strings.Contains(info.Error, "timed out") {
 		t.Errorf("error %q does not mention the timeout", info.Error)
 	}
-	if info.Attempts != 1 {
-		t.Errorf("attempts = %d; a timeout must not be retried", info.Attempts)
-	}
-	if m := sv.Metrics(); m.TimedOut != 1 || m.Retried != 0 {
-		t.Errorf("metrics %+v, want TimedOut=1 Retried=0", m)
+	if m := sv.Metrics(); m.TimedOut != 1 || m.Failed != 1 {
+		t.Errorf("metrics %+v, want TimedOut=1 Failed=1", m)
 	}
 	shutdown(t, sv)
 }
 
-func TestRetryBackoffIsBoundedAndDeterministic(t *testing.T) {
-	sv, _ := newTestServer(t, Config{Workers: 1, MaxRetries: 2, RetryBackoff: 250 * time.Millisecond})
-	var mu sync.Mutex
-	var sleeps []time.Duration
-	sv.sleep = func(d time.Duration) bool {
-		mu.Lock()
-		sleeps = append(sleeps, d)
-		mu.Unlock()
-		return true
-	}
-	attempts := 0
+// TestFailedRunFailsJobOnce pins that a run which returns an error other
+// than an interruption fails its job at once: the runner is called once, and
+// the job's error is the run's own message.
+func TestFailedRunFailsJobOnce(t *testing.T) {
+	sv, _ := newTestServer(t, Config{Workers: 1})
+	var runs atomic.Int32
 	sv.runner = func(experiment.Scenario, experiment.ControlOptions) (experiment.Result, error) {
-		attempts++ // single worker: no concurrent calls
-		if attempts < 3 {
-			return experiment.Result{}, errors.New("transient fault")
-		}
-		return experiment.Result{}, nil
-	}
-	sv.Start()
-
-	if _, err := sv.Submit(quickSpec()); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	info := waitJob(t, sv, 1, StateCompleted)
-	if info.Attempts != 3 {
-		t.Errorf("attempts = %d, want 3", info.Attempts)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	want := []time.Duration{250 * time.Millisecond, 500 * time.Millisecond}
-	if len(sleeps) != len(want) || sleeps[0] != want[0] || sleeps[1] != want[1] {
-		t.Errorf("backoff sleeps %v, want %v", sleeps, want)
-	}
-	if m := sv.Metrics(); m.Retried != 2 {
-		t.Errorf("Retried = %d, want 2", m.Retried)
-	}
-	shutdown(t, sv)
-}
-
-func TestRetriesExhaustedFailsJob(t *testing.T) {
-	sv, _ := newTestServer(t, Config{Workers: 1, MaxRetries: 2})
-	sv.sleep = func(time.Duration) bool { return true }
-	sv.runner = func(experiment.Scenario, experiment.ControlOptions) (experiment.Result, error) {
+		runs.Add(1)
 		return experiment.Result{}, errors.New("persistent fault")
 	}
 	sv.Start()
@@ -202,12 +165,63 @@ func TestRetriesExhaustedFailsJob(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 	info := waitJob(t, sv, 1, StateFailed)
-	if info.Attempts != 3 {
-		t.Errorf("attempts = %d, want MaxRetries+1 = 3", info.Attempts)
+	shutdown(t, sv)
+	if info.Error != "persistent fault" {
+		t.Errorf("error %q, want the run's own message", info.Error)
 	}
-	if !strings.Contains(info.Error, "giving up after 3") {
-		t.Errorf("error %q does not report the bounded give-up", info.Error)
+	if n := runs.Load(); n != 1 {
+		t.Errorf("the runner was called %d times, want once", n)
 	}
+	if m := sv.Metrics(); m.Failed != 1 {
+		t.Errorf("Failed = %d, want 1", m.Failed)
+	}
+}
+
+// TestQueueCapHoldsAfterRecovery pins the queue bound across a restart: the
+// jobs recovery re-enqueues count against QueueCap like submitted ones, and
+// once they have run the bound is QueueCap again, not QueueCap plus the
+// number recovered.
+func TestQueueCapHoldsAfterRecovery(t *testing.T) {
+	dir := t.TempDir()
+	for id := uint64(1); id <= 3; id++ {
+		writeManifest(t, dir, manifest{ID: id, Spec: quickSpec(), State: StateRunning, SubmittedAt: time.Now()})
+	}
+	sv, _ := newTestServer(t, Config{Dir: dir, QueueCap: 1, Workers: 1})
+	if m := sv.Metrics(); m.Recovered != 3 {
+		t.Fatalf("Recovered = %d, want 3", m.Recovered)
+	}
+	if _, err := sv.Submit(quickSpec()); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("submit over 3 recovered jobs: got %v, want ErrQueueFull", err)
+	}
+
+	gate := make(chan struct{})
+	started := make(chan uint64, 3)
+	sv.runner = func(experiment.Scenario, experiment.ControlOptions) (experiment.Result, error) {
+		<-gate
+		return experiment.Result{}, nil
+	}
+	sv.hooks.beforeRun = func(id uint64) { started <- id }
+	sv.Start()
+	// Let jobs 1 and 2 finish and hold job 3 running: the queue is then
+	// empty, and takes one job.
+	gate <- struct{}{}
+	gate <- struct{}{}
+	for id := range started {
+		if id == 3 {
+			break
+		}
+	}
+	if _, err := sv.Submit(quickSpec()); err != nil {
+		t.Fatalf("submit into the empty queue: %v", err)
+	}
+	if _, err := sv.Submit(quickSpec()); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("second submit with QueueCap 1: got %v, want ErrQueueFull", err)
+	}
+	if m := sv.Metrics(); m.Shed != 2 || m.Submitted != 1 {
+		t.Errorf("metrics %+v, want Shed=2 Submitted=1", m)
+	}
+	close(gate)
+	waitJob(t, sv, 4, StateCompleted)
 	shutdown(t, sv)
 }
 
@@ -223,7 +237,7 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 			return experiment.Result{}, fmt.Errorf("%w at t=1ms", experiment.ErrInterrupted)
 		}
 	}
-	sv.hooks.beforeAttempt = func(id uint64, attempt int) { started <- id }
+	sv.hooks.beforeRun = func(id uint64) { started <- id }
 	sv.Start()
 
 	if _, err := sv.Submit(quickSpec()); err != nil { // job 1: will be running
