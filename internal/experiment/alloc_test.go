@@ -317,11 +317,12 @@ func TestRebuildReusesTheNetwork(t *testing.T) {
 // acknowledgements and probes go to). Links, routers and adjacency entries
 // are pinned one by one in netsim's TestStructSizes and TestAdjacencySizes;
 // this is their sum with the per-node tables and the columns, as every idle
-// bundle holds it: 10.1 MB. It was 31.6 MB with 8-byte link pointers in
+// bundle holds it: 8.9 MB. It was 31.6 MB with 8-byte link pointers in
 // columns and rows, 22.6 MB with every link and router holding its run state
-// inline, used or not, and 15.4 MB with 24-byte links, 40-byte routers,
-// 4-byte column entries, a 16-byte node-table entry and a node-wide counter
-// table in the monitor.
+// inline, used or not, 15.4 MB with 24-byte links, 40-byte routers, 4-byte
+// column entries, a 16-byte node-table entry and a node-wide counter table in
+// the monitor, and 10.0 MB with 12-byte adjacency entries and 8-byte row
+// locators.
 func TestStress50kBundleHeap(t *testing.T) {
 	e, ok := LookupScenario("stress-50k")
 	if !ok {
@@ -341,7 +342,7 @@ func TestStress50kBundleHeap(t *testing.T) {
 	}
 	held := heap() - before
 	runtime.KeepAlive(res)
-	const limit = 10.5e6
+	const limit = 9.5e6
 	t.Logf("a bundle after a quick stress-50k run holds %.2f MB of heap", float64(held)/1e6)
 	if held > limit {
 		t.Errorf("a bundle after a quick stress-50k run holds %.1f MB of heap, want at most %.1f MB", float64(held)/1e6, limit/1e6)

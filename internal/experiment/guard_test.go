@@ -129,8 +129,7 @@ var fieldManifest = map[string][]string{
 	"netsim.Router":                  {"down", "id", "x"},                                      // down: the RouterState row's flag, held as it travels; x: the router's record, carved by a filter or the first count, until then the network's idleRouter
 	"netsim.routerRun":               {"dropped", "faultDrops", "filters", "forwarded", "net"}, // the counters: RouterState's, assembled into the row by CheckpointState; filters: the chain the build attaches
 	"netsim.RouterState":             {"Down", "Dropped", "FaultDrops", "Forwarded"},
-	"netsim.adjEntry":                {"back", "link", "to"},                                                                                                                      // the adjacency the build makes
-	"netsim.adjRow":                  {"len", "off"},                                                                                                                              // the adjacency the build makes
+	"netsim.adjEntry":                {"refs", "to"},                                                                                                                              // the adjacency the build makes; refs packs the link id and the back position
 	"netsim.sharedLinkConfig":        {"LinkConfig", "idle", "net"},                                                                                                               // from the scenario: rebuilt; idle: the zero run state of every link without one, never written
 	"netsim.handlerKey":              {"host", "label"},                                                                                                                           // a host's handler table key, filled by the build
 	"netsim.slab":                    {"chunks", "cur", "used"},                                                                                                                   // chunk list plus carve cursor: storage Reset rewinds for the next build, no run state

@@ -69,7 +69,7 @@ type runResources struct {
 // idleBundles keeps bundles between runs, sequential or the workers of a
 // sweep alike. A bundle handed back while it is full falls to the garbage
 // collector. 64 slots bound what idle bundles retain — each keeps the largest
-// domain it has built and the streams of its most-forking run, 10.0 MB in
+// domain it has built and the streams of its most-forking run, 8.9 MB in
 // all after a quick stress-50k run (TestStress50kBundleHeap), and, once it
 // has served a checkpointed run or a resume, the largest snapshot it has
 // held: 22.8 MB more after a quick stress-50k run checkpointed every quarter

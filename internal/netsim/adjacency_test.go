@@ -244,10 +244,10 @@ func TestSparseLookupZeroAlloc(t *testing.T) {
 }
 
 // TestAdjacencySizes pins the entries a 50 000-router domain holds hundreds
-// of thousands of: an adjacency entry's link is a 4-byte link id and its back
-// position one byte, a route-column entry is one byte, and a node's row
-// locator and node-table entry are 8 and 4 bytes, on every GOARCH;
-// experiment's TestStress50kBundleHeap pins the sum.
+// of thousands of: an adjacency entry is its target and a 24-bit link id
+// packed with a one-byte back position, 8 bytes; a route-column entry is one
+// byte, and a node's row locator and node-table entry are 4 bytes each, on
+// every GOARCH; experiment's TestStress50kBundleHeap pins the sum.
 func TestAdjacencySizes(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -255,8 +255,8 @@ func TestAdjacencySizes(t *testing.T) {
 	}{
 		{"linkRef", unsafe.Sizeof(linkRef(0)), 4},
 		{"rowPos", unsafe.Sizeof(rowPos(0)), 1},
-		{"adjEntry", unsafe.Sizeof(adjEntry{}), 12},
-		{"adjRow", unsafe.Sizeof(adjRow{}), 8},
+		{"adjEntry", unsafe.Sizeof(adjEntry{}), 8},
+		{"adjRow", unsafe.Sizeof(adjRow(0)), 4},
 		{"nodeRef", unsafe.Sizeof(nodeRef(0)), 4},
 	} {
 		if c.got != c.want {
@@ -310,14 +310,14 @@ func checkBackPositions(t *testing.T, n *Network, when string) {
 		for p, e := range n.row(a) {
 			to := NodeID(e.to)
 			if n.LinkBetween(to, a) == nil {
-				if e.back != 0 {
-					t.Fatalf("%s: %d->%d has back position %d and no reverse", when, a, to, e.back)
+				if e.back() != 0 {
+					t.Fatalf("%s: %d->%d has back position %d and no reverse", when, a, to, e.back())
 				}
 				continue
 			}
-			rev := n.entryAt(to, e.back)
-			if rev == nil || NodeID(rev.to) != a || rev.back != rowPos(p+1) {
-				t.Fatalf("%s: %d->%d, entry %d of its row, has back position %d naming %+v in %d's row", when, a, to, p+1, e.back, rev, to)
+			rev := n.entryAt(to, e.back())
+			if rev == nil || NodeID(rev.to) != a || rev.back() != rowPos(p+1) {
+				t.Fatalf("%s: %d->%d, entry %d of its row, has back position %d naming %+v in %d's row", when, a, to, p+1, e.back(), rev, to)
 			}
 		}
 	}
@@ -421,4 +421,65 @@ func TestDegreeBound(t *testing.T) {
 		t.Errorf("the last spoke routes toward the full node on %v, want %v", got, want)
 	}
 	checkBackPositions(t, n, "full")
+}
+
+// TestLinkLimit pins the limits of the packed adjacency. A network holds at
+// most maxLinks links, the most an entry's 24-bit link id addresses: the link
+// count is seeded just below it, so the test carves three links, not
+// millions, and past it Connect and ConnectDuplex refuse with ErrLinks before
+// installing either direction or moving TopoVersion. A row's 24-bit offset
+// needs no check of its own, because rows are carved within sparseRowCap
+// entries per link: the bound holds after every insert of a hub re-carved up
+// to MaxDegree and of rows carved for a single link, the most wasteful case,
+// and makeRow round-trips the largest offset and length that allows.
+func TestLinkLimit(t *testing.T) {
+	n := New(sim.NewScheduler(), sim.NewRNG(1))
+	a, b, c := n.AddRouter().ID(), n.AddRouter().ID(), n.AddRouter().ID()
+	n.links = maxLinks - 2
+	if _, err := n.Connect(a, b, adjLinkCfg); err != nil {
+		t.Fatalf("a link below the limit: %v", err)
+	}
+	refused := func(when string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrLinks) {
+			t.Errorf("%s = %v, want ErrLinks", when, err)
+		}
+	}
+	version := n.TopoVersion()
+	refused("ConnectDuplex one link below the limit", n.ConnectDuplex(b, c, adjLinkCfg))
+	if n.LinkBetween(b, c) != nil || n.LinkBetween(c, b) != nil || n.links != maxLinks-1 || n.TopoVersion() != version {
+		t.Fatal("a refused duplex link was half installed")
+	}
+	if _, err := n.Connect(b, a, adjLinkCfg); err != nil {
+		t.Fatalf("the last link: %v", err)
+	}
+	version = n.TopoVersion()
+	_, err := n.Connect(c, a, adjLinkCfg)
+	refused("Connect at the limit", err)
+	refused("ConnectDuplex at the limit", n.ConnectDuplex(a, c, adjLinkCfg))
+	if n.LinkBetween(c, a) != nil || n.LinkBetween(a, c) != nil || n.links != maxLinks || n.TopoVersion() != version {
+		t.Fatal("a refused link was installed")
+	}
+	checkBackPositions(t, n, "at the limit")
+	if got, want := n.RouteLink(b, a), n.LinkBetween(b, a); got != want || want == nil {
+		t.Errorf("the last link routes as %v, want %v", got, want)
+	}
+
+	n = New(sim.NewScheduler(), sim.NewRNG(1))
+	hub := n.AddRouter().ID()
+	for i := 0; i < MaxDegree; i++ {
+		spoke := n.AddRouter().ID()
+		for _, p := range [2][2]NodeID{{spoke, hub}, {hub, spoke}} {
+			if _, err := n.Connect(p[0], p[1], adjLinkCfg); err != nil {
+				t.Fatal(err)
+			}
+			if len(n.adj) > sparseRowCap*n.links {
+				t.Fatalf("%d links carved %d entries, past %d a link", n.links, len(n.adj), sparseRowCap)
+			}
+		}
+	}
+	last := makeRow(sparseRowCap*maxLinks, MaxDegree)
+	if last.off() != sparseRowCap*maxLinks || last.len() != MaxDegree {
+		t.Errorf("a row at offset %d of length %d reads back offset %d, length %d", sparseRowCap*maxLinks, MaxDegree, last.off(), last.len())
+	}
 }

@@ -125,7 +125,7 @@ func (h *Host) RestoreState(st HostState) { h.st = st }
 func (n *Network) ForEachLink(fn func(l *Link)) {
 	for id := range n.sparse {
 		for _, e := range n.row(NodeID(id)) {
-			fn(n.link(e.link))
+			fn(n.link(e.link()))
 		}
 	}
 }

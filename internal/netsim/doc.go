@@ -111,22 +111,24 @@
 // LinkBetween (is there a direct link from a to b, and which one) and
 // AppendNeighbors (a's neighbours in ascending ID order, the order BFS route
 // computation depends on). Behind both is one sorted row of (neighbour, link
-// id, back position) entries per node, twelve bytes each, the rows back to
-// back in one array and each node's located by an eight-byte (offset, length)
-// pair; a row that outgrows its capacity is re-carved at the end of the array
-// at doubled capacity. The back position is where the reverse link's entry
-// sits in the neighbour's row, which is what the route BFS writes into a
-// column; an insert shifts the entries behind it and bumps their reverse
-// entries' back positions, O(degree). A position is one byte, so a node has
-// at most MaxDegree outgoing links (the catalog's busiest has 11); Connect
-// and ConnectDuplex refuse one more with ErrDegree. LinkBetween is a binary
-// search over the row — simulated degrees are single digits, so the search
-// is two or three probes — and total adjacency state is O(nodes + links): a
-// 50000-router domain's adjacency fits in 2.6 megabytes. The reference the
-// rows are tested against is test-only: adjacency_test.go mirrors every
-// Connect into a map keyed by (from, to) and compares all pairs and every
-// neighbour list on seeded random graphs, and TestBackPositionsFollowInserts
-// checks every back position and column entry against the rows.
+// id, back position) entries per node, eight bytes each, the rows back to
+// back in one array and each node's located by a four-byte (offset, length)
+// word; a row that outgrows its capacity is re-carved at the end of the array
+// at doubled capacity. The link id is 24 bits, so Connect and ConnectDuplex
+// refuse a network's 1<<24th link with ErrLinks. The back position is where
+// the reverse link's entry sits in the neighbour's row, which is what the
+// route BFS writes into a column; an insert shifts the entries behind it and
+// bumps their reverse entries' back positions, O(degree). A position is one
+// byte, so a node has at most MaxDegree outgoing links (the catalog's busiest
+// has 11); Connect and ConnectDuplex refuse one more with ErrDegree.
+// LinkBetween is a binary search over the row — simulated degrees are single
+// digits, so the search is two or three probes — and total adjacency state is
+// O(nodes + links): a 50000-router domain's entries fit in 1.7 megabytes and
+// its row locators in 0.2. The reference the rows are tested against is
+// test-only: adjacency_test.go mirrors every Connect into a map keyed by
+// (from, to) and compares all pairs and every neighbour list on seeded random
+// graphs, and TestBackPositionsFollowInserts checks every back position and
+// column entry against the rows.
 //
 // # Reservation and slab carving
 //
@@ -196,13 +198,13 @@
 // allocate nothing.
 //
 // A network retains the largest domain it has built, its route columns
-// included: the run bundle around it holds 10.0 MB after a quick stress-50k
+// included: the run bundle around it holds 8.9 MB after a quick stress-50k
 // run (experiment's TestStress50kBundleHeap pins it), against 0.25 MB after
 // quick table2. Per node and link it keeps only what forwarding reads: nodes
 // carry no name, the node table holds a 4-byte slab position per node, links
 // and routers are 16 bytes (TestStructSizes), a link's run state and a
 // router's record are one pointer each, to a shared zero record on the ones
-// without, rows hold 4-byte link ids and columns one-byte row positions.
+// without, rows hold 24-bit link ids and columns one-byte row positions.
 // One arena serves one run at a time, so a process holds as many as it has
 // had concurrent runs; experiment keeps at most 64 idle run bundles, each
 // with its arena and the defenders, monitor, coordinator and workload that

@@ -144,5 +144,5 @@ func (n *Network) appendLiveNeighbors(dst []NodeID, id NodeID) []NodeID {
 // active: its link is up and does not lead into a crashed router. It is the
 // one liveness rule appendLiveNeighbors and the route BFS share.
 func (n *Network) usable(e adjEntry) bool {
-	return !n.link(e.link).Down() && !n.RouterDown(NodeID(e.to))
+	return !n.link(e.link()).Down() && !n.RouterDown(NodeID(e.to))
 }

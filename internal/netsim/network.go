@@ -20,6 +20,8 @@ var (
 	// ErrDegree is returned when a link would give its source node more
 	// than MaxDegree outgoing links.
 	ErrDegree = errors.New("netsim: too many links out of one node")
+	// ErrLinks is returned when a link would take a network past 1<<24 - 1 links.
+	ErrLinks = errors.New("netsim: too many links in one network")
 )
 
 // Hooks collects optional callbacks that observation components (metrics,
@@ -57,9 +59,14 @@ const hostBit nodeRef = 1 << 31
 // linkRef names a link by its carve position in the network's linkSlab, plus
 // one so that the zero value names no link. Every linkSlab chunk is linkChunk
 // links long (connect carves one link at a time), so Network.link resolves a
-// reference by chunk arithmetic; four bytes instead of a pointer's eight is
-// what lets the adjacency rows of a 50 000-router domain fit in half the space.
+// reference by chunk arithmetic. An adjacency entry holds one in 24 bits,
+// beside a row position, which is what caps a network at maxLinks links.
 type linkRef int32
+
+// maxLinks is the largest linkRef an entry's 24 bits hold. It bounds the row
+// offsets too: rows are carved at most sparseRowCap entries per link, so no
+// row starts past sparseRowCap*maxLinks, an offset adjRow's 24 bits hold.
+const maxLinks = 1<<24 - 1
 
 // rowPos names an entry of a node's adjacency row by its position, plus one
 // so that the zero value names none. Route columns hold one per node, and an
@@ -80,22 +87,29 @@ const noBack rowPos = MaxDegree + 1
 // adjEntry is one outgoing link in an adjacency row, keyed by its target
 // node. Rows are kept sorted by target so lookups binary-search and neighbour
 // iteration is ascending, which is what BFS tie-breaking (and therefore every
-// forwarding decision) depends on. back is the position of the reverse entry,
-// the target's entry for the row's node, in the target's row, zero until that
-// direction is connected: the route BFS writes it into a column without
-// searching, and an insert that shifts a row moves its entries' reverse
-// entries' back positions with them.
+// forwarding decision) depends on. refs packs the link's linkRef (low 24 bits)
+// with back (top 8): the position of the reverse entry in the target's row,
+// zero until that direction is connected, which the route BFS writes into a
+// column without searching and an insert that shifts a row moves along.
 type adjEntry struct {
 	to   int32 // NodeID of the target
-	link linkRef
-	back rowPos
+	refs uint32
 }
 
-// adjRow locates a node's adjacency row in Network.adj: its len entries start
-// at off. The row's capacity is not stored; see rowCap.
-type adjRow struct {
-	off, len uint32
-}
+// link and back unpack an entry's link reference and back position, and
+// setBack replaces the back position.
+func (e adjEntry) link() linkRef     { return linkRef(e.refs & maxLinks) }
+func (e adjEntry) back() rowPos      { return rowPos(e.refs >> 24) }
+func (e *adjEntry) setBack(p rowPos) { e.refs = e.refs&maxLinks | uint32(p)<<24 }
+
+// adjRow locates a node's row in Network.adj: its length (at most MaxDegree)
+// in the low byte, and above it its offset in units of sparseRowCap entries,
+// which every carve is a multiple of. Its capacity is not stored; see rowCap.
+type adjRow uint32
+
+func makeRow(off, length uint32) adjRow { return adjRow(off/sparseRowCap<<8 | length) }
+func (r adjRow) off() uint32            { return uint32(r>>8) * sparseRowCap }
+func (r adjRow) len() uint32            { return uint32(r & 0xff) }
 
 // rowCap is the capacity of a row of the given length. A row is carved with
 // sparseRowCap entries on its first link and re-carved at doubled capacity
@@ -251,7 +265,7 @@ func (n *Network) row(id NodeID) []adjEntry {
 		return nil
 	}
 	r := n.sparse[id]
-	return n.adj[r.off : r.off+r.len : r.off+r.len]
+	return n.adj[r.off() : r.off()+r.len() : r.off()+r.len()]
 }
 
 // sparseFind returns the position of target to in the sorted row, or the
@@ -547,7 +561,7 @@ func (n *Network) Connect(from, to NodeID, cfg LinkConfig) (*Link, error) {
 	if n.LinkBetween(from, to) != nil {
 		return nil, fmt.Errorf("connect %d->%d: %w", from, to, ErrDuplicateLink)
 	}
-	if err := n.checkDegree(from); err != nil {
+	if err := n.checkRoom(1, from); err != nil {
 		return nil, fmt.Errorf("connect %d->%d: %w", from, to, err)
 	}
 	return n.connect(from, to, cfg), nil
@@ -577,10 +591,15 @@ func (n *Network) connect(from, to NodeID, cfg LinkConfig) *Link {
 	return l
 }
 
-// checkDegree refuses a link out of a node whose row is full.
-func (n *Network) checkDegree(from NodeID) error {
-	if len(n.row(from)) >= MaxDegree {
-		return fmt.Errorf("%w: node %d has %d, the most it may have", ErrDegree, from, MaxDegree)
+// checkRoom refuses k more links past maxLinks, or out of a full row in from.
+func (n *Network) checkRoom(k int, from ...NodeID) error {
+	if n.links+k > maxLinks {
+		return fmt.Errorf("%w: a network has at most %d", ErrLinks, maxLinks)
+	}
+	for _, f := range from {
+		if len(n.row(f)) >= MaxDegree {
+			return fmt.Errorf("%w: node %d has %d, the most it may have", ErrDegree, f, MaxDegree)
+		}
 	}
 	return nil
 }
@@ -621,35 +640,35 @@ func (n *Network) sharedConfig(cfg LinkConfig) *sharedLinkConfig {
 // O(degree) an insert.
 func (n *Network) sparseInsert(from, to NodeID, ref linkRef) {
 	for int(from) >= len(n.sparse) {
-		n.sparse = append(n.sparse, adjRow{})
+		n.sparse = append(n.sparse, 0)
 	}
-	r := n.sparse[from]
-	if r.len == rowCap(r.len) {
-		off, c := len(n.adj), int(max(sparseRowCap, 2*r.len))
-		n.adj = slices.Grow(n.adj, c)[:off+c]
-		copy(n.adj[off:], n.adj[r.off:r.off+r.len])
-		r.off = uint32(off)
+	off, length := n.sparse[from].off(), n.sparse[from].len()
+	if length == rowCap(length) {
+		end, c := len(n.adj), int(max(sparseRowCap, 2*length))
+		n.adj = slices.Grow(n.adj, c)[:end+c]
+		copy(n.adj[end:], n.adj[off:off+length])
+		off = uint32(end)
 	}
-	row := n.adj[r.off : r.off+r.len+1]
+	row := n.adj[off : off+length+1]
 	// The caller rejected duplicates already, so the slot at i is either past
 	// the end or holds a larger target.
-	i := sparseFind(row[:r.len], to)
+	i := sparseFind(row[:length], to)
 	copy(row[i+1:], row[i:])
-	row[i] = adjEntry{to: int32(to), link: ref}
-	r.len++
-	n.sparse[from] = r
+	row[i] = adjEntry{to: int32(to), refs: uint32(ref)}
+	n.sparse[from] = makeRow(off, length+1)
 	for j := i + 1; j < len(row); j++ {
 		switch e := row[j]; {
-		case e.back == 0:
+		case e.back() == 0:
 		case NodeID(e.to) == from: // a link to itself is its own reverse
-			row[j].back = rowPos(j + 1)
+			row[j].setBack(rowPos(j + 1))
 		default:
-			n.row(NodeID(e.to))[e.back-1].back++
+			n.row(NodeID(e.to))[e.back()-1].refs += 1 << 24 // its back position, plus one
 		}
 	}
 	back := n.row(to)
 	if k := sparseFind(back, from); k < len(back) && NodeID(back[k].to) == from {
-		back[k].back, row[i].back = rowPos(i+1), rowPos(k+1)
+		back[k].setBack(rowPos(i + 1))
+		row[i].setBack(rowPos(k + 1))
 	}
 }
 
@@ -664,10 +683,8 @@ func (n *Network) ConnectDuplex(a, b NodeID, cfg LinkConfig) error {
 	if a == b || n.LinkBetween(a, b) != nil || n.LinkBetween(b, a) != nil {
 		return fmt.Errorf("connect %d<->%d: %w", a, b, ErrDuplicateLink)
 	}
-	for _, from := range [2]NodeID{a, b} {
-		if err := n.checkDegree(from); err != nil {
-			return fmt.Errorf("connect %d<->%d: %w", a, b, err)
-		}
+	if err := n.checkRoom(2, a, b); err != nil {
+		return fmt.Errorf("connect %d<->%d: %w", a, b, err)
 	}
 	n.connect(a, b, cfg)
 	n.connect(b, a, cfg)
@@ -702,7 +719,7 @@ func (n *Network) AttachmentLink(r, h NodeID) *Link {
 // uplinks hold the links it would find.
 func (n *Network) LinkBetween(a, b NodeID) *Link {
 	if e := n.adjacent(a, b); e != nil {
-		return n.link(e.link)
+		return n.link(e.link())
 	}
 	return nil
 }

@@ -351,18 +351,18 @@ func TestResetCostFollowsLastBuild(t *testing.T) {
 	const far = 4000
 	const marker = hostBit | 7
 	n.nodes[:cap(n.nodes)][far] = marker
-	n.sparse[:cap(n.sparse)][far] = adjRow{len: 1}
+	n.sparse[:cap(n.sparse)][far] = 1
 	n.routeCols[:cap(n.routeCols)][far] = 1
 	n.Reset(sched, rng)
-	if n.nodes[:cap(n.nodes)][far] != marker || n.sparse[:cap(n.sparse)][far] == (adjRow{}) || n.routeCols[:cap(n.routeCols)][far] == 0 {
+	if n.nodes[:cap(n.nodes)][far] != marker || n.sparse[:cap(n.sparse)][far] == 0 || n.routeCols[:cap(n.routeCols)][far] == 0 {
 		t.Error("Reset swept a table past what the last build used")
 	}
 	n.nodes[:cap(n.nodes)][far] = 0
-	n.sparse[:cap(n.sparse)][far] = adjRow{}
+	n.sparse[:cap(n.sparse)][far] = 0
 	n.routeCols[:cap(n.routeCols)][far] = 0
 
 	for i, slot := range n.nodes[:cap(n.nodes)] {
-		if slot != 0 || n.sparse[:cap(n.sparse)][i] != (adjRow{}) || n.routeCols[:cap(n.routeCols)][i] != 0 {
+		if slot != 0 || n.sparse[:cap(n.sparse)][i] != 0 || n.routeCols[:cap(n.routeCols)][i] != 0 {
 			t.Fatalf("table entry %d is not zero after Reset", i)
 		}
 	}

@@ -89,7 +89,7 @@ func (n *Network) invalidateRouteColumns() {
 func (n *Network) RouteLink(at, dest NodeID) *Link {
 	if col := n.column(dest); uint(at) < uint(len(col)) {
 		if e := n.entryAt(at, col[at]); e != nil {
-			return n.link(e.link)
+			return n.link(e.link())
 		}
 	}
 	return nil
@@ -177,7 +177,7 @@ func (n *Network) reverseBFS(root NodeID, col []rowPos) {
 			if col[e.to] != 0 || NodeID(e.to) == root || faults && !n.usable(e) {
 				continue
 			}
-			col[e.to] = cmp.Or(e.back, noBack)
+			col[e.to] = cmp.Or(e.back(), noBack)
 			queue = append(queue, e.to)
 		}
 	}

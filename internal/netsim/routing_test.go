@@ -289,7 +289,7 @@ func FuzzRouteColumns(f *testing.F) {
 				}
 			case op == 5 && len(net.nodes) > 0:
 				if row := net.row(node()); len(row) > 0 {
-					l := net.link(row[next()%len(row)].link)
+					l := net.link(row[next()%len(row)].link())
 					l.SetDown(!l.Down())
 				}
 			case op == 6 && len(net.nodes) > 0:
@@ -315,7 +315,7 @@ func FuzzRouteColumns(f *testing.F) {
 					var got *Link
 					if at < len(col) {
 						if e := net.entryAt(NodeID(at), col[at]); e != nil {
-							got = net.link(e.link)
+							got = net.link(e.link())
 						}
 					}
 					if got != w {

@@ -6,7 +6,8 @@
 // bounded worker pool. The contract:
 //
 //   - A full queue sheds new submissions explicitly (ErrQueueFull → 503)
-//     rather than queueing unboundedly.
+//     rather than queueing unboundedly. A queued job that is canceled
+//     leaves the queue at once and holds no slot.
 //   - A failed run fails the job; it is not retried, because it would fail
 //     the same way. A run is deterministic and does no I/O, so the only
 //     errors it returns besides an interruption are ones its scenario

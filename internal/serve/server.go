@@ -218,7 +218,7 @@ func (sv *Server) Cancel(id uint64) (JobInfo, error) {
 	}
 	switch j.state {
 	case StateQueued:
-		j.canceled = true
+		sv.dequeueLocked(j)
 		j.state = StateCanceled
 		j.finished = sv.now()
 		sv.m.Canceled++
@@ -234,6 +234,26 @@ func (sv *Server) Cancel(id uint64) (JobInfo, error) {
 		return sv.infoLocked(j), ErrConflict
 	}
 	return sv.infoLocked(j), nil
+}
+
+// dequeueLocked takes j out of the queue, the others keeping their order, so
+// that QueueCap and queueDepth count only jobs that will run. Every send is
+// made under mu, so emptying the channel and refilling it never blocks.
+func (sv *Server) dequeueLocked(j *job) {
+	var rest []*job
+	for more := true; more; {
+		select {
+		case q := <-sv.queue:
+			rest = append(rest, q)
+		default:
+			more = false
+		}
+	}
+	for _, q := range rest {
+		if q != j {
+			sv.queue <- q
+		}
+	}
 }
 
 // ResultBytes returns the raw result.json of a completed job — the exact

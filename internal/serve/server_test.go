@@ -280,6 +280,70 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	shutdown(t, sv)
 }
 
+// TestCanceledQueuedJobFreesItsSlot pins that a job canceled while queued
+// gives its queue slot back at once, not when a worker reaches it: with
+// QueueCap 1, one job running and the queued one canceled, the next Submit is
+// taken, /healthz's queueDepth counts it alone, and the canceled job never
+// runs.
+func TestCanceledQueuedJobFreesItsSlot(t *testing.T) {
+	sv, _ := newTestServer(t, Config{QueueCap: 1, Workers: 1})
+	release := make(chan struct{})
+	started := make(chan uint64, 4)
+	sv.runner = func(experiment.Scenario, experiment.ControlOptions) (experiment.Result, error) {
+		<-release
+		return experiment.Result{}, nil
+	}
+	sv.hooks.beforeRun = func(id uint64) { started <- id }
+	sv.Start()
+	depth := func() int {
+		rec := httptest.NewRecorder()
+		sv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		var h Health
+		if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+			t.Fatalf("healthz: %v", err)
+		}
+		return h.QueueDepth
+	}
+
+	if _, err := sv.Submit(quickSpec()); err != nil { // job 1: will be running
+		t.Fatalf("submit 1: %v", err)
+	}
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("job 1 never started")
+	}
+	if _, err := sv.Submit(quickSpec()); err != nil { // job 2: queued behind job 1
+		t.Fatalf("submit 2: %v", err)
+	}
+	if _, err := sv.Cancel(2); err != nil {
+		t.Fatalf("cancel queued: %v", err)
+	}
+	if d := depth(); d != 0 {
+		t.Errorf("queueDepth after the queued job was canceled = %d, want 0", d)
+	}
+	if _, err := sv.Submit(quickSpec()); err != nil { // job 3: takes job 2's slot
+		t.Fatalf("submit 3 after the queued job was canceled: %v", err)
+	}
+	if d := depth(); d != 1 {
+		t.Errorf("queueDepth with job 3 queued = %d, want 1", d)
+	}
+
+	close(release)
+	waitJob(t, sv, 1, StateCompleted)
+	waitJob(t, sv, 3, StateCompleted)
+	if id := <-started; id != 3 {
+		t.Errorf("job %d ran after job 1, want job 3", id)
+	}
+	if info, _ := sv.Job(2); info.State != StateCanceled {
+		t.Errorf("job 2 is %s, want canceled", info.State)
+	}
+	if m := sv.Metrics(); m.Shed != 0 || m.Submitted != 3 || m.Canceled != 1 {
+		t.Errorf("metrics %+v, want Shed=0 Submitted=3 Canceled=1", m)
+	}
+	shutdown(t, sv)
+}
+
 func TestBuildScenarioRejections(t *testing.T) {
 	cases := []struct {
 		name string
